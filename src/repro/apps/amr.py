@@ -115,6 +115,11 @@ def amr(mpi: MpiApi, cfg: AmrConfig, store: Any = None) -> Gen:
     rank, size = mpi.rank, mpi.size
     left = rank - 1 if rank > 0 else PROC_NULL
     right = rank + 1 if rank < size - 1 else PROC_NULL
+    # Flux channels: the size follows the live cell count, so it is given
+    # per exchange.
+    flux = mpi.neighbor_plan(
+        ((left, _TAG_LEFT, _TAG_RIGHT, None), (right, _TAG_RIGHT, _TAG_LEFT, None))
+    )
     # Tracked allocation sized for the worst-case refined load.
     mpi.malloc("amr-cells", nbytes=cfg.base_cells * cfg.refine_factor * cfg.item_bytes)
 
@@ -134,15 +139,7 @@ def amr(mpi: MpiApi, cfg: AmrConfig, store: Any = None) -> Gen:
         yield from mpi.compute_ops(cells, cfg.native_seconds_per_cell)
         # Neighbour flux exchange: refined ranks ship (and wait on)
         # proportionally more, so the imbalance surfaces as wait time.
-        nbytes = cfg.flux_nbytes(cells)
-        rreqs = [mpi.irecv(peer, tag=tag) for peer, tag in
-                 ((left, _TAG_RIGHT), (right, _TAG_LEFT))]
-        sreqs = []
-        for peer, tag in ((left, _TAG_LEFT), (right, _TAG_RIGHT)):
-            req = yield from mpi.isend(peer, payload=None, nbytes=nbytes, tag=tag)
-            sreqs.append(req)
-        yield from mpi.waitall(sreqs)
-        yield from mpi.waitall(rreqs)
+        yield from mpi.neighbor_exchange(flux, nbytes=cfg.flux_nbytes(cells))
         it += 1
         # Regrid: global cell census (the load-balancer bookkeeping).
         if it % cfg.regrid_interval == 0 and it < cfg.iterations:

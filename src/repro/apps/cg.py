@@ -28,11 +28,10 @@ from typing import Any, Generator
 
 import numpy as np
 
-from repro.apps.heat3d import factor3, neighbor_ranks, rank_coords
+from repro.apps.heat3d import factor3, halo_exchange, halo_plan, rank_coords
 from repro.core.checkpoint.protocol import resolve_protocol
 from repro.mpi import ops
 from repro.mpi.api import MpiApi
-from repro.mpi.constants import PROC_NULL
 from repro.util.errors import ConfigurationError
 
 Gen = Generator[Any, Any, Any]
@@ -176,46 +175,6 @@ def cg_serial_reference(cfg: CgConfig) -> tuple[np.ndarray, int, float]:
 
 
 # ----------------------------------------------------------------------
-# halo exchange for the ghosted search direction
-# ----------------------------------------------------------------------
-_FACE_SEND = {
-    (0, -1): lambda u: u[1, 1:-1, 1:-1],
-    (0, +1): lambda u: u[-2, 1:-1, 1:-1],
-    (1, -1): lambda u: u[1:-1, 1, 1:-1],
-    (1, +1): lambda u: u[1:-1, -2, 1:-1],
-    (2, -1): lambda u: u[1:-1, 1:-1, 1],
-    (2, +1): lambda u: u[1:-1, 1:-1, -2],
-}
-
-_FACE_SET = {
-    (0, -1): lambda u, v: u.__setitem__((0, slice(1, -1), slice(1, -1)), v),
-    (0, +1): lambda u, v: u.__setitem__((-1, slice(1, -1), slice(1, -1)), v),
-    (1, -1): lambda u, v: u.__setitem__((slice(1, -1), 0, slice(1, -1)), v),
-    (1, +1): lambda u, v: u.__setitem__((slice(1, -1), -1, slice(1, -1)), v),
-    (2, -1): lambda u, v: u.__setitem__((slice(1, -1), slice(1, -1), 0), v),
-    (2, +1): lambda u, v: u.__setitem__((slice(1, -1), slice(1, -1), -1), v),
-}
-
-
-def _halo(mpi: MpiApi, cfg: CgConfig, neighbors: dict, ghosted: np.ndarray | None) -> Gen:
-    recvs = {k: mpi.irecv(peer, tag=_HALO_TAGS[(k[0], -k[1])]) for k, peer in neighbors.items()}
-    sends = []
-    for (axis, step), peer in neighbors.items():
-        payload = None
-        if ghosted is not None and peer != PROC_NULL:
-            payload = np.ascontiguousarray(_FACE_SEND[(axis, step)](ghosted))
-        req = yield from mpi.isend(
-            peer, payload=payload, nbytes=cfg.face_bytes(axis), tag=_HALO_TAGS[(axis, step)]
-        )
-        sends.append(req)
-    yield from mpi.waitall(sends)
-    for (axis, step), req in recvs.items():
-        face = yield from mpi.wait(req)
-        if ghosted is not None and face is not None:
-            _FACE_SET[(axis, step)](ghosted, face)
-
-
-# ----------------------------------------------------------------------
 # the application
 # ----------------------------------------------------------------------
 def cg(mpi: MpiApi, cfg: CgConfig, store: Any = None) -> Gen:
@@ -223,7 +182,7 @@ def cg(mpi: MpiApi, cfg: CgConfig, store: Any = None) -> Gen:
     yield from mpi.init()
     if cfg.nranks != mpi.size:
         raise ConfigurationError(f"config is for {cfg.nranks} ranks, job has {mpi.size}")
-    neighbors = neighbor_ranks(mpi.rank, cfg.ranks)
+    plan = halo_plan(mpi, cfg, _HALO_TAGS)
     real = cfg.data_mode == "real"
     lx, ly, lz = cfg.local_shape
 
@@ -262,7 +221,7 @@ def cg(mpi: MpiApi, cfg: CgConfig, store: Any = None) -> Gen:
         if real:
             pg = np.zeros((lx + 2, ly + 2, lz + 2))
             pg[1:-1, 1:-1, 1:-1] = p
-        yield from _halo(mpi, cfg, neighbors, pg)
+        yield from halo_exchange(mpi, plan, pg)
         yield from mpi.compute_ops(cfg.points_per_rank, cfg.native_seconds_per_point_iter)
         if real:
             ap = apply_laplacian(pg)

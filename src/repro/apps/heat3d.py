@@ -275,66 +275,41 @@ _FACE_RECV = {
 }
 
 
-def exchange_plan(
-    cfg: HeatConfig, neighbors: dict[tuple[int, int], int]
-) -> tuple[tuple[tuple[int, int], int, int, int, int], ...]:
-    """Precomputed per-face exchange schedule: ``((axis, step), peer,
-    send_tag, recv_tag, face_nbytes)`` rows.  Computed once per rank so the
-    per-call halo exchange avoids rebuilding face sizes and tag lookups."""
-    return tuple(
-        ((axis, step), peer, _HALO_TAGS[(axis, step)], _HALO_TAGS[(axis, -step)], cfg.face_bytes(axis))
-        for (axis, step), peer in neighbors.items()
+#: Face of each halo-plan row, ``(axis, step)``: the order in which every
+#: rank binds its channels and :func:`halo_exchange` packs and unpacks.
+_FACES = tuple(_HALO_TAGS)
+
+
+def halo_plan(mpi: MpiApi, cfg: Any, tags: dict[tuple[int, int], int] = _HALO_TAGS) -> Any:
+    """Bind this rank's six halo channels once (one row per face, in
+    ``_FACES`` order; domain boundaries are ``PROC_NULL`` rows).  ``cfg``
+    supplies ``ranks`` and ``face_bytes(axis)``; ``tags`` maps each face
+    to its message tag (the cg proxy shares this with its own tags)."""
+    neighbors = neighbor_ranks(mpi.rank, cfg.ranks)
+    face_nbytes = [cfg.face_bytes(axis) for axis in range(3)]
+    return mpi.neighbor_plan(
+        (neighbors[(axis, step)], tags[(axis, step)], tags[(axis, -step)], face_nbytes[axis])
+        for axis, step in _FACES
     )
 
 
-def halo_exchange(
-    mpi: MpiApi,
-    cfg: HeatConfig,
-    neighbors: dict[tuple[int, int], int],
-    u: np.ndarray | None,
-    plan: tuple[tuple[tuple[int, int], int, int, int, int], ...] | None = None,
-) -> Gen:
-    """Exchange the six halo faces with the neighboring cubes.
+def halo_exchange(mpi: MpiApi, plan: Any, u: np.ndarray | None) -> Gen:
+    """Exchange the six halo faces of the ghosted block ``u`` (``None``:
+    size-only faces) with the neighboring cubes.
 
-    Nonblocking receives are posted first, then sends; a failed neighbor
-    surfaces here — the paper's "failure during the computation phase is
-    detected in the halo exchange due to failing communication".
+    Receives are posted first, then sends; a failed neighbor surfaces
+    here — the paper's "failure during the computation phase is detected
+    in the halo exchange due to failing communication".
     """
-    if plan is None:
-        plan = exchange_plan(cfg, neighbors)
-    recvs = []
-    for key, peer, _stag, rtag, _nbytes in plan:
-        recvs.append((key, mpi.irecv(peer, tag=rtag)))
-    sends = []
-    post = getattr(mpi, "post_isend", None)
-    if post is not None:
-        # Plain MpiApi facade: pay the send overhead explicitly and post
-        # via the plain-call post_isend — same virtual-time behavior as
-        # isend without a generator frame per message (PROC_NULL faces owe
-        # no overhead, as in isend).
-        overhead_adv = (
-            mpi.world.send_overhead_advance if mpi.world.network.send_overhead > 0.0 else None
-        )
-        for key, peer, stag, _rtag, nbytes in plan:
-            payload = None
-            if u is not None and peer != PROC_NULL:
-                payload = np.ascontiguousarray(_FACE_SEND[key](u))
-            if overhead_adv is not None and peer != PROC_NULL:
-                yield overhead_adv
-            sends.append(post(peer, payload=payload, nbytes=nbytes, tag=stag))
-    else:
-        # Wrapping facades (e.g. redundancy) route every send themselves.
-        for key, peer, stag, _rtag, nbytes in plan:
-            payload = None
-            if u is not None and peer != PROC_NULL:
-                payload = np.ascontiguousarray(_FACE_SEND[key](u))
-            req = yield from mpi.isend(peer, payload=payload, nbytes=nbytes, tag=stag)
-            sends.append(req)
-    yield from mpi.waitall(sends)
-    for key, req in recvs:
-        face = yield from mpi.wait(req)
-        if u is not None and face is not None:
-            _FACE_RECV[key](u, face)
+    if u is None:
+        yield from mpi.neighbor_exchange(plan)
+        return
+    faces = yield from mpi.neighbor_exchange(
+        plan, [np.ascontiguousarray(_FACE_SEND[face](u)) for face in _FACES]
+    )
+    for face, values in zip(_FACES, faces):
+        if values is not None:
+            _FACE_RECV[face](u, values)
 
 
 # ----------------------------------------------------------------------
@@ -350,13 +325,16 @@ def heat3d(mpi: MpiApi, cfg: HeatConfig, store: Any = None) -> Gen:
     """
     yield from mpi.init()
     cfg.validate_for(mpi.size)
-    neighbors = neighbor_ranks(mpi.rank, cfg.ranks)
+    # The config's derived sizes are properties recomputed on every read:
+    # read each once per rank.
+    points = cfg.points_per_rank
+    ckpt_nbytes = cfg.checkpoint_nbytes
     real = cfg.data_mode == "real"
     u = initial_grid(cfg, mpi.rank) if real else None
     if real:
         mpi.malloc("grid", array=u)
     else:
-        mpi.malloc("grid", nbytes=cfg.points_per_rank * cfg.item_bytes)
+        mpi.malloc("grid", nbytes=points * cfg.item_bytes)
 
     proto = resolve_protocol(mpi, store)
     start_iter = 0
@@ -370,13 +348,12 @@ def heat3d(mpi: MpiApi, cfg: HeatConfig, store: Any = None) -> Gen:
 
     # Startup/restart halo exchange so the first computation phase sees its
     # neighbours' current faces.
-    plan = exchange_plan(cfg, neighbors)
-    yield from halo_exchange(mpi, cfg, neighbors, u, plan)
+    plan = halo_plan(mpi, cfg)
+    yield from halo_exchange(mpi, plan, u)
 
     it = start_iter
     exch = cfg.effective_exchange_interval
     ckpt = cfg.checkpoint_interval
-    points = cfg.points_per_rank
     while it < cfg.iterations:
         next_exch = ((it // exch) + 1) * exch
         next_ckpt = ((it // ckpt) + 1) * ckpt
@@ -388,10 +365,10 @@ def heat3d(mpi: MpiApi, cfg: HeatConfig, store: Any = None) -> Gen:
         yield from mpi.compute_ops(steps * points, cfg.native_seconds_per_point)
         it = target
         if it == next_exch or it == cfg.iterations:
-            yield from halo_exchange(mpi, cfg, neighbors, u, plan)
+            yield from halo_exchange(mpi, plan, u)
         if proto is not None and (it == next_ckpt or it == cfg.iterations):
             payload = {"iteration": it, "data": u.copy() if real else None}
-            yield from proto.checkpoint(it, payload, cfg.checkpoint_nbytes)
+            yield from proto.checkpoint(it, payload, ckpt_nbytes)
 
     yield from mpi.finalize()
     checksum = float(u[1:-1, 1:-1, 1:-1].sum()) if real else None

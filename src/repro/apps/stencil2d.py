@@ -97,33 +97,43 @@ def _neighbors(rank: int, ranks: tuple[int, int]) -> dict[tuple[int, int], int]:
     return out
 
 
-def _halo(mpi: MpiApi, cfg: Stencil2dConfig, neighbors: dict, u: np.ndarray | None) -> Gen:
-    recvs = {k: mpi.irecv(peer, tag=_TAGS[(k[0], -k[1])]) for k, peer in neighbors.items()}
-    sends = []
-    for (axis, step), peer in neighbors.items():
-        payload = None
-        if u is not None and peer != PROC_NULL:
-            sl = {
-                (0, -1): u[1, 1:-1],
-                (0, +1): u[-2, 1:-1],
-                (1, -1): u[1:-1, 1],
-                (1, +1): u[1:-1, -2],
-            }[(axis, step)]
-            payload = np.ascontiguousarray(sl)
-        req = yield from mpi.isend(peer, payload=payload, nbytes=cfg.face_bytes(axis), tag=_TAGS[(axis, step)])
-        sends.append(req)
-    yield from mpi.waitall(sends)
-    for (axis, step), req in recvs.items():
-        face = yield from mpi.wait(req)
-        if u is not None and face is not None:
-            if (axis, step) == (0, -1):
-                u[0, 1:-1] = face
-            elif (axis, step) == (0, +1):
-                u[-1, 1:-1] = face
-            elif (axis, step) == (1, -1):
-                u[1:-1, 0] = face
-            else:
-                u[1:-1, -1] = face
+#: Edge of each halo-plan row, ``(axis, step)``.
+_EDGES = tuple(_TAGS)
+
+_EDGE_SEND = {
+    (0, -1): lambda u: u[1, 1:-1],
+    (0, +1): lambda u: u[-2, 1:-1],
+    (1, -1): lambda u: u[1:-1, 1],
+    (1, +1): lambda u: u[1:-1, -2],
+}
+
+_EDGE_RECV = {
+    (0, -1): lambda u, v: u.__setitem__((0, slice(1, -1)), v),
+    (0, +1): lambda u, v: u.__setitem__((-1, slice(1, -1)), v),
+    (1, -1): lambda u, v: u.__setitem__((slice(1, -1), 0), v),
+    (1, +1): lambda u, v: u.__setitem__((slice(1, -1), -1), v),
+}
+
+
+def _halo_plan(mpi: MpiApi, cfg: Stencil2dConfig) -> Any:
+    """Bind this rank's four halo channels once (rows in ``_EDGES`` order)."""
+    neighbors = _neighbors(mpi.rank, cfg.ranks)
+    return mpi.neighbor_plan(
+        (neighbors[(axis, step)], _TAGS[(axis, step)], _TAGS[(axis, -step)], cfg.face_bytes(axis))
+        for axis, step in _EDGES
+    )
+
+
+def _halo(mpi: MpiApi, plan: Any, u: np.ndarray | None) -> Gen:
+    if u is None:
+        yield from mpi.neighbor_exchange(plan)
+        return
+    edges = yield from mpi.neighbor_exchange(
+        plan, [np.ascontiguousarray(_EDGE_SEND[edge](u)) for edge in _EDGES]
+    )
+    for edge, values in zip(_EDGES, edges):
+        if values is not None:
+            _EDGE_RECV[edge](u, values)
 
 
 def stencil2d(mpi: MpiApi, cfg: Stencil2dConfig, store: Any = None) -> Gen:
@@ -132,7 +142,6 @@ def stencil2d(mpi: MpiApi, cfg: Stencil2dConfig, store: Any = None) -> Gen:
     yield from mpi.init()
     if cfg.nranks != mpi.size:
         raise ConfigurationError(f"config is for {cfg.nranks} ranks, job has {mpi.size}")
-    neighbors = _neighbors(mpi.rank, cfg.ranks)
     real = cfg.data_mode == "real"
     u = None
     if real:
@@ -153,7 +162,8 @@ def stencil2d(mpi: MpiApi, cfg: Stencil2dConfig, store: Any = None) -> Gen:
             if real:
                 u = payload["data"].copy()
                 mpi.malloc("grid", array=u)
-    yield from _halo(mpi, cfg, neighbors, u)
+    plan = _halo_plan(mpi, cfg)
+    yield from _halo(mpi, plan, u)
 
     it = start_iter
     ck = cfg.checkpoint_interval
@@ -168,7 +178,7 @@ def stencil2d(mpi: MpiApi, cfg: Stencil2dConfig, store: Any = None) -> Gen:
                 )
         yield from mpi.compute_ops(steps * cfg.points_per_rank, cfg.native_seconds_per_point)
         it = target
-        yield from _halo(mpi, cfg, neighbors, u)
+        yield from _halo(mpi, plan, u)
         if proto is not None:
             payload = {"iteration": it, "data": u.copy() if real else None}
             yield from proto.checkpoint(it, payload, cfg.checkpoint_nbytes)

@@ -23,7 +23,8 @@ job, so ``factor * n`` simulated ranks are required.
 
 Scope: the supported API surface is the one simulated applications here
 use (init/finalize, blocking and nonblocking point-to-point with explicit
-sources, barrier, modeled compute and file I/O, tracked memory).  Wildcard
+sources, the pre-bound neighbour exchange, barrier, modeled compute and
+file I/O, tracked memory).  Wildcard
 receives and communicator management raise — redMPI itself restricts
 wildcard usage.
 """
@@ -256,6 +257,32 @@ class RedundantApi:
         for req in requests:
             out.append((yield from self.wait(req)))
         return out
+
+    def neighbor_plan(self, rows, comm=None) -> tuple:
+        """Logical-rank counterpart of :meth:`MpiApi.neighbor_plan`: rows
+        of ``(peer, send_tag, recv_tag, nbytes)`` with the tags validated
+        once.  Every exchange still routes through the replicated
+        :meth:`isend`/:meth:`irecv`, so nothing else can be bound ahead."""
+        plan = tuple(rows)
+        for _peer, send_tag, recv_tag, _nbytes in plan:
+            self._check(send_tag, comm)
+            self._check(recv_tag, comm)
+        return plan
+
+    def neighbor_exchange(self, plan: tuple, payloads=None, nbytes: int | None = None) -> Gen:
+        """Counterpart of :meth:`MpiApi.neighbor_exchange` over the
+        replicated channels: every face crosses per replica pair and is
+        compared against its watcher hash."""
+        recvs = [self.irecv(peer, recv_tag) for peer, _stag, recv_tag, _size in plan]
+        sends = []
+        for i, (peer, send_tag, _rtag, size) in enumerate(plan):
+            payload = None if payloads is None else payloads[i]
+            req = yield from self.isend(
+                peer, payload, nbytes if size is None else size, send_tag
+            )
+            sends.append(req)
+        yield from self.waitall(sends)
+        return (yield from self.waitall(recvs))
 
     def send(
         self, dest: int, payload: Any = None, nbytes: int | None = None, tag: int = 0, comm=None

@@ -227,21 +227,31 @@ class NetworkModel:
             return 0
         return self.topology.hops(a, b)
 
+    def _route(self, src: int, dst: int) -> tuple[TierParams, float]:
+        """Tier parameters and end-to-end latency of ``src -> dst``: the
+        tier is resolved once (same rule as :meth:`tier`) and the hop
+        count only on the system tier."""
+        rpn = self.ranks_per_node
+        a = src // rpn
+        b = dst // rpn
+        if a != b:
+            p = self.system
+            return p, p.latency * max(1, self.topology.hops(a, b))
+        rpc = self.ranks_per_chip
+        p = self.on_chip if src // rpc == dst // rpc else self.on_node
+        return p, p.latency
+
     def wire_latency(self, src: int, dst: int) -> float:
         """End-to-end latency of a minimal (zero-payload) packet."""
-        tier = self.tier(src, dst)
-        p = self._params(tier)
-        if tier is NetworkTier.SYSTEM:
-            return p.latency * max(1, self.hops(src, dst))
-        return p.latency
+        return self._route(src, dst)[1]
 
     def transfer_time(self, nbytes: int, src: int, dst: int) -> float:
         """Wire time of a ``nbytes`` payload from ``src`` to ``dst``
         (latency plus serialization, excluding CPU software overheads)."""
         if nbytes < 0:
             raise ConfigurationError(f"message size must be >= 0, got {nbytes}")
-        p = self._params(self.tier(src, dst))
-        return self.wire_latency(src, dst) + self.congestion_factor * nbytes / p.bandwidth
+        p, latency = self._route(src, dst)
+        return latency + self.congestion_factor * nbytes / p.bandwidth
 
     def serialization_time(self, nbytes: int, src: int, dst: int) -> float:
         """Time the payload occupies the sender's injection link (transfer

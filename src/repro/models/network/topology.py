@@ -61,6 +61,8 @@ class _GridTopology(Topology):
             strides.append(acc)
             acc *= d
         self._strides = tuple(reversed(strides))
+        #: (stride, dim) per axis — the per-pair hop loop's only input.
+        self._axes = tuple(zip(self._strides, self.dims))
 
     def coords(self, node: int) -> tuple[int, ...]:
         """Grid coordinates of ``node`` (row-major layout)."""
@@ -84,22 +86,20 @@ class _GridTopology(Topology):
             node += c * stride
         return node
 
-    def _axis_distance(self, a: int, b: int, dim: int) -> int:
-        d = abs(a - b)
-        if self.wrap:
-            d = min(d, dim - d)
-        return d
-
     def hops(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
+        n = self.nnodes
+        if not (0 <= a < n and 0 <= b < n):
+            self._check(a)
+            self._check(b)
         if a == b:
             return 0
+        wrap = self.wrap
         total = 0
-        for stride, dim in zip(self._strides, self.dims):
-            ca = (a // stride) % dim
-            cb = (b // stride) % dim
-            total += self._axis_distance(ca, cb, dim)
+        for stride, dim in self._axes:
+            d = abs((a // stride) % dim - (b // stride) % dim)
+            if wrap and dim - d < d:
+                d = dim - d  # the shorter way round the ring
+            total += d
         return total
 
     def neighbors(self, node: int) -> list[int]:

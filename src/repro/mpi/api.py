@@ -13,7 +13,8 @@ The facade exposes:
   :meth:`compute_native`, :meth:`compute_ops`, :meth:`wtime`;
 * point-to-point — :meth:`send`/:meth:`recv`/:meth:`sendrecv` and the
   nonblocking :meth:`isend`/:meth:`irecv`/:meth:`wait`/:meth:`waitall`/
-  :meth:`test`;
+  :meth:`test`, and the pre-bound :meth:`neighbor_plan`/
+  :meth:`neighbor_exchange` pair (persistent-request semantics);
 * collectives — :meth:`barrier`, :meth:`bcast`, :meth:`reduce`,
   :meth:`allreduce`, :meth:`gather`, :meth:`scatter`, :meth:`allgather`,
   :meth:`alltoall`, :meth:`scan`;
@@ -61,6 +62,20 @@ class Status:
     source: int
     tag: int
     nbytes: int
+
+
+class NeighborPlan:
+    """Channels bound by :meth:`MpiApi.neighbor_plan`: per row the world
+    rank of the peer (or ``PROC_NULL``), the send tag, the receive match
+    key ``(ctx, src, tag)``, the fixed wire size and its eager wire time
+    (``None`` where unbound)."""
+
+    __slots__ = ("comm", "ctx", "rows")
+
+    def __init__(self, comm: Communicator, ctx: int, rows: tuple):
+        self.comm = comm
+        self.ctx = ctx
+        self.rows = rows
 
 
 class MpiApi:
@@ -209,33 +224,6 @@ class MpiApi:
             yield world.send_overhead_advance
         return world.post_send(self.vp, comm, comm.context_id * 2, dst, tag, payload, size)
 
-    def post_isend(
-        self,
-        dest: int,
-        payload: Any = None,
-        nbytes: int | None = None,
-        tag: int = 0,
-        comm: Communicator | None = None,
-    ) -> Request:
-        """Plain-call variant of :meth:`isend` for callers that pay the
-        per-message send overhead themselves (by yielding
-        ``world.send_overhead_advance`` first when it is nonzero).
-
-        Skipping the generator frame matters in per-message hot loops like
-        the halo exchange; semantics are otherwise identical to
-        :meth:`isend`.  ``PROC_NULL`` destinations return a completed null
-        request and owe no overhead, mirroring :meth:`isend`.
-        """
-        self._check_active()
-        comm = self._comm(comm)
-        self._check_tag(tag)
-        size = payload_nbytes(payload, nbytes)
-        if dest == PROC_NULL:
-            return self._null_request(Request.SEND, comm, tag)
-        return self.world.post_send(
-            self.vp, comm, comm.context_id * 2, comm.world_rank(dest), tag, payload, size
-        )
-
     def irecv(
         self,
         source: int = ANY_SOURCE,
@@ -248,8 +236,12 @@ class MpiApi:
         self._check_tag(tag, allow_any=True)
         if source == PROC_NULL:
             return self._null_request(Request.RECV, comm, tag)
-        src = ANY_SOURCE if source == ANY_SOURCE else comm.world_rank(source)
-        return self.world.irecv(self.vp, comm, comm.context_id * 2, src, tag)
+        if source == ANY_SOURCE or tag == ANY_TAG:
+            src = ANY_SOURCE if source == ANY_SOURCE else comm.world_rank(source)
+            return self.world.irecv(self.vp, comm, comm.context_id * 2, src, tag)
+        return self.world.post_recv(
+            self.vp, comm, (comm.context_id * 2, comm.world_rank(source), tag)
+        )
 
     def _wait_done_locally(self, request: Request) -> bool:
         """True when ``request`` already completed successfully at-or-before
@@ -412,6 +404,136 @@ class MpiApi:
                 return status
             yield Advance(poll_interval)
 
+    # ------------------------------------------------------------------
+    # pre-bound neighbour exchange (persistent-request semantics)
+    # ------------------------------------------------------------------
+    def neighbor_plan(
+        self,
+        rows: Iterable[tuple[int, int, int, int | None]],
+        comm: Communicator | None = None,
+    ) -> "NeighborPlan":
+        """Bind a fixed set of neighbour channels once, like
+        ``MPI_Send_init``/``MPI_Recv_init`` for every row.
+
+        Each row is ``(peer, send_tag, recv_tag, nbytes)``: this rank sends
+        to communicator rank ``peer`` with ``send_tag`` and receives from
+        it with ``recv_tag``; ``PROC_NULL`` peers are allowed (domain
+        boundaries).  ``nbytes`` is the fixed wire size of the row's send,
+        or ``None`` when the size is only known per exchange.  Tags are
+        validated, ranks translated, the receive match keys built and —
+        for fixed eager sizes — the wire time looked up here, so
+        :meth:`neighbor_exchange` repeats none of it per message.
+        """
+        self._check_active()
+        comm = self._comm(comm)
+        ctx = comm.context_id * 2
+        network = self.world.network
+        me = self.rank
+        bound = []
+        for peer, send_tag, recv_tag, nbytes in rows:
+            self._check_tag(send_tag)
+            self._check_tag(recv_tag)
+            if nbytes is not None:
+                nbytes = payload_nbytes(None, nbytes)
+            if peer == PROC_NULL:
+                bound.append((PROC_NULL, send_tag, (ctx, PROC_NULL, recv_tag), nbytes, None))
+                continue
+            dst = comm.world_rank(peer)
+            wire = None
+            if nbytes is not None and network.is_eager(nbytes):
+                wire = network.transfer_time(nbytes, me, dst)
+            bound.append((dst, send_tag, (ctx, dst, recv_tag), nbytes, wire))
+        return NeighborPlan(comm, ctx, tuple(bound))
+
+    def neighbor_exchange(
+        self,
+        plan: "NeighborPlan",
+        payloads: Sequence[Any] | None = None,
+        nbytes: int | None = None,
+    ) -> Gen:
+        """Start and complete every channel of ``plan`` (``MPI_Startall``
+        + ``MPI_Waitall``): post all receives, then pay each send's
+        software overhead and post it, then complete the sends and the
+        receives in row order.  Returns the received payloads, one per row
+        (``None`` for ``PROC_NULL`` rows and size-only messages).
+
+        ``payloads`` supplies one send payload per row (``None``: size-only
+        sends); ``nbytes`` is the per-exchange wire size of rows bound
+        without a fixed one (inferred from the payload when omitted).
+
+        Event for event this is ``irecv`` per row, ``isend`` per row,
+        ``waitall(sends)``, ``wait`` per receive — run inside this one
+        generator frame.  That includes a quirk of those calls: a receive
+        from ``PROC_NULL`` pays the receive software overhead, a send to
+        ``PROC_NULL`` pays nothing.
+        """
+        self._check_active()
+        comm = plan.comm
+        if comm.freed:
+            raise ConfigurationError(f"operation on freed communicator {comm.name}")
+        world = self.world
+        vp = self.vp
+        ctx = plan.ctx
+        rows = plan.rows
+        post_recv = world.post_recv
+        pending: list[Request | None] = [None] * len(rows)
+        for dst, _stag, key, _size, _wire in rows:
+            pending.append(post_recv(vp, comm, key) if dst != PROC_NULL else None)
+        network = world.network
+        send_adv = world.send_overhead_advance if network.send_overhead > 0.0 else None
+        post_send = world.post_send
+        for i, (dst, stag, _key, size, wire) in enumerate(rows):
+            if dst != PROC_NULL:
+                if send_adv is not None:
+                    yield send_adv
+                payload = None if payloads is None else payloads[i]
+                if size is None:
+                    size = payload_nbytes(payload, nbytes)
+                pending[i] = post_send(vp, comm, ctx, dst, stag, payload, size, wire)
+        # Completion: the sends, then the receives (MpiWorld.wait inline).
+        recv_adv = world.recv_overhead_advance if network.recv_overhead > 0.0 else None
+        check = world.check
+        nrows = len(rows)
+        received = []
+        for j, req in enumerate(pending):
+            is_recv = j >= nrows
+            if req is None:  # PROC_NULL: complete at the post, nothing on the wire
+                if check is not None:
+                    if is_recv:
+                        kind, tag = Request.RECV, rows[j - nrows][2][2]
+                    else:
+                        kind, tag = Request.SEND, rows[j][1]
+                    check.on_wait_complete(vp, self._null_request(kind, comm, tag))
+                if is_recv:
+                    if recv_adv is not None:
+                        yield recv_adv
+                    received.append(None)
+                continue
+            t0 = None
+            if not req.done:
+                obs = world.obs
+                if obs is not None and obs.detail:
+                    t0 = vp.clock
+                req.waiting = True
+                yield Block(req)  # stringified lazily, only for reports
+                req.waiting = False
+            if req.completion_time > vp.clock:
+                yield Advance(req.completion_time - vp.clock, busy=False)
+            if t0 is not None:
+                world.obs.span(t0, vp.clock, "wait", rank=vp.rank)
+            if check is not None:
+                check.on_wait_complete(vp, req)
+            if req.error != SUCCESS:
+                yield from world.handle_error(
+                    vp, req.comm, MpiError(req.error, req.describe(), req.failed_rank)
+                )
+            elif is_recv and recv_adv is not None:
+                yield recv_adv
+            if is_recv:
+                msg = req.result
+                received.append(msg.payload if isinstance(msg, Msg) else None)
+        return received
+
     def _null_request(self, kind: str, comm: Communicator, tag: int) -> Request:
         req = Request(kind, self.vp, comm, comm.context_id * 2, PROC_NULL, PROC_NULL, tag, 0, self.vp.clock)
         req.complete(self.vp.clock)
@@ -533,10 +655,16 @@ class MpiApi:
         req = world.post_send(
             self.vp, comm, comm.context_id * 2 + 1, comm.world_rank(dst), tag, payload, nbytes
         )
-        yield from world.wait(self.vp, req)
+        if self._wait_done_locally(req):  # eager: complete at the post
+            if world.check is not None:
+                world.check.on_wait_complete(self.vp, req)
+        else:
+            yield from world.wait(self.vp, req)
 
     def _coll_recv(self, comm: Communicator, src: int, tag: int) -> Gen:
-        req = self.world.irecv(self.vp, comm, comm.context_id * 2 + 1, comm.world_rank(src), tag)
+        req = self.world.post_recv(
+            self.vp, comm, (comm.context_id * 2 + 1, comm.world_rank(src), tag)
+        )
         return (yield from self.world.wait(self.vp, req))
 
     def _coll_isend(self, comm: Communicator, dst: int, tag: int, payload: Any, nbytes: int) -> Gen:
@@ -548,7 +676,9 @@ class MpiApi:
         )
 
     def _coll_irecv(self, comm: Communicator, src: int, tag: int) -> Request:
-        return self.world.irecv(self.vp, comm, comm.context_id * 2 + 1, comm.world_rank(src), tag)
+        return self.world.post_recv(
+            self.vp, comm, (comm.context_id * 2 + 1, comm.world_rank(src), tag)
+        )
 
     # ------------------------------------------------------------------
     # communicator management

@@ -50,7 +50,7 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG, ERR_PROC_FAILED, ERR_REVOKE
 from repro.mpi.errhandler import ERRORS_ARE_FATAL, ERRORS_RETURN, MpiError
 from repro.mpi.group import Group
 from repro.mpi.messages import EAGER, RTS, Msg, Request
-from repro.pdes.context import LIVE_STATES, VirtualProcess
+from repro.pdes.context import VirtualProcess, VpState
 from repro.pdes.engine import Engine
 from repro.pdes.requests import Advance, Block
 from repro.util.errors import ConfigurationError, SimulationError
@@ -59,6 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.mpi.api import MpiApi
 
 MatchKey = tuple[int, int, int]  # (context, source, tag)
+
+_BLOCKED, _ADVANCING = VpState.BLOCKED, VpState.ADVANCING
+_RUNNING, _READY = VpState.RUNNING, VpState.READY
 
 
 class RankState:
@@ -313,6 +316,7 @@ class MpiWorld:
         tag: int,
         payload: Any,
         nbytes: int,
+        wire: float | None = None,
     ) -> Request:
         """Post a send whose software overhead has already been paid (plain
         call, no generator frame — the point-to-point hot path).
@@ -320,40 +324,41 @@ class MpiWorld:
         Either buffers an eager message (request completes locally) or
         emits a rendezvous RTS (request completes when the clear-to-send
         round-trip and payload serialization finish).
+
+        ``wire`` is the undegraded eager wire time
+        ``network.transfer_time(nbytes, vp.rank, dst)`` when the caller
+        already holds it (a pre-bound neighbour channel, see
+        :meth:`MpiApi.neighbor_plan`); it is ignored for rendezvous sends.
         """
         clock = vp.clock
-        req = Request(Request.SEND, vp, comm, ctx, vp.rank, dst, tag, nbytes, clock)
+        src = vp.rank
+        req = Request(Request.SEND, vp, comm, ctx, src, dst, tag, nbytes, clock)
         if comm.revoked:
             req.fail(clock, ERR_REVOKED)
             return req
-        failed_at = vp.failed_peers.get(dst)
+        failed_at = vp.failed_peers.get(dst) if vp.failed_peers else None
         if failed_at is not None and self._failure_visible(vp, dst, failed_at):
             self._fail_from_list(req, dst)
             return req
         network = self.network
-        self._msg_seq += 1
+        seq = self._msg_seq = self._msg_seq + 1
         self.messages_sent += 1
         self.bytes_sent += nbytes
+        eager = nbytes <= network.eager_threshold
         if self.trace is not None:
             self.trace.record_post(
-                self._msg_seq, clock, vp.rank, dst, ctx, tag, nbytes,
-                "eager" if network.is_eager(nbytes) else "rendezvous",
+                seq, clock, src, dst, ctx, tag, nbytes, "eager" if eager else "rendezvous"
             )
         if isinstance(payload, np.ndarray):
             payload = payload.copy()  # eager/rendezvous buffering semantics
-        engine = self.engine
-        link_f = (
-            self.faults.link_factor(vp.rank, dst, clock)
-            if self.faults.active_links
-            else 1.0
-        )
-        if nbytes <= network.eager_threshold:
-            msg = Msg(ctx, vp.rank, dst, tag, nbytes, payload, self._msg_seq, EAGER)
-            arrival = clock + link_f * network.transfer_time(nbytes, vp.rank, dst)
+        if eager:
+            msg = Msg(ctx, src, dst, tag, nbytes, payload, seq, EAGER)
+            if wire is None:
+                wire = network.transfer_time(nbytes, src, dst)
             req.complete(clock)
         else:
-            msg = Msg(ctx, vp.rank, dst, tag, nbytes, payload, self._msg_seq, RTS, send_req=req)
-            arrival = clock + link_f * network.wire_latency(vp.rank, dst)
+            msg = Msg(ctx, src, dst, tag, nbytes, payload, seq, RTS, send_req=req)
+            wire = network.wire_latency(src, dst)
             if failed_at is not None:
                 # Posted before the failure notification became visible
                 # (see :meth:`_failure_visible`): the request behaves as if
@@ -361,32 +366,41 @@ class MpiWorld:
                 # instead of failing at the post.
                 self._release_failed(req, dst, failed_at)
             else:
-                self.states[vp.rank].rdv_sends.append(req)
+                self.states[src].rdv_sends.append(req)
+        faults = self.faults
+        if faults.active_links:
+            wire = faults.link_factor(src, dst, clock) * wire
+        arrival = clock + wire
         # Per-message hot path: engine.schedule minus the varargs tuple.
+        engine = self.engine
         if arrival < engine.now:
             raise SimulationError(f"cannot schedule into the past ({arrival} < {engine.now})")
         engine.post_event(arrival, self._arrive, msg)
         return req
 
-    def irecv(
-        self, vp: VirtualProcess, comm: Communicator, ctx: int, src: int, tag: int
-    ) -> Request:
-        """Post a receive (world-rank or ``ANY_SOURCE`` ``src``); local call."""
+    def post_recv(self, vp: VirtualProcess, comm: Communicator, key: MatchKey) -> Request:
+        """Post a receive for a fully specified ``(ctx, src, tag)`` match
+        key (world-rank source, no wildcards); local call.
+
+        The per-message path of collectives and pre-bound neighbour
+        exchanges, which hold their match keys already; :meth:`irecv`
+        routes every exact receive here.
+        """
+        ctx, src, tag = key
+        clock = vp.clock
         state = self.states[vp.rank]
-        req = Request(Request.RECV, vp, comm, ctx, src, vp.rank, tag, 0, vp.clock)
+        req = Request(Request.RECV, vp, comm, ctx, src, vp.rank, tag, 0, clock)
         self._post_seq += 1
         req.post_seq = self._post_seq
         if comm.revoked:
-            req.fail(vp.clock, ERR_REVOKED)
+            req.fail(clock, ERR_REVOKED)
             return req
-        msg = self._match_unexpected(state, req)
-        if msg is not None:
-            if self.check is not None:
-                self.check.on_match_unexpected(state, req, msg)
-            if msg.protocol == EAGER:
-                self._complete_recv(req, msg, vp.clock)
-            else:
-                self._rendezvous(req, msg, vp.clock)
+        msgs = state.unexpected.get(key)
+        if msgs:
+            msg = msgs.pop(0)  # per-key lists are kept sorted by seq
+            if not msgs:
+                del state.unexpected[key]
+            self._accept_buffered(state, req, msg)
             return req
         # No buffered match: fail from the per-process failed list
         # ("any similar receive requests waited on after receiving the
@@ -396,6 +410,41 @@ class MpiWorld:
         # :meth:`_failure_visible`) is *not* on the visible list yet; such
         # a receive is posted normally and then released with the modeled
         # detection timeout, exactly as if it had been pre-posted.
+        failed_at = vp.failed_peers.get(src) if vp.failed_peers else None
+        if failed_at is not None and self._failure_visible(vp, src, failed_at):
+            self._fail_from_list(req, src)
+            return req
+        posted = state.posted_exact.get(key)
+        if posted is None:
+            state.posted_exact[key] = [req]
+        else:
+            posted.append(req)
+        if self.check is not None:
+            self.check.on_post(state, req)
+        if failed_at is not None:
+            state.remove_posted(req)
+            self._release_failed(req, src, failed_at)
+        return req
+
+    def irecv(
+        self, vp: VirtualProcess, comm: Communicator, ctx: int, src: int, tag: int
+    ) -> Request:
+        """Post a receive (world-rank or ``ANY_SOURCE`` ``src``); local call."""
+        if src != ANY_SOURCE and tag != ANY_TAG:
+            return self.post_recv(vp, comm, (ctx, src, tag))
+        state = self.states[vp.rank]
+        req = Request(Request.RECV, vp, comm, ctx, src, vp.rank, tag, 0, vp.clock)
+        self._post_seq += 1
+        req.post_seq = self._post_seq
+        if comm.revoked:
+            req.fail(vp.clock, ERR_REVOKED)
+            return req
+        msg = self._match_unexpected(state, req)
+        if msg is not None:
+            self._accept_buffered(state, req, msg)
+            return req
+        # Same failed-list rules as :meth:`post_recv`, over every member a
+        # wildcard source could stand for.
         in_flight: int | None = None
         if vp.failed_peers:
             if src == ANY_SOURCE:
@@ -417,21 +466,22 @@ class MpiWorld:
                     self._fail_from_list(req, src)
                     return req
                 in_flight = src
-        if src != ANY_SOURCE and tag != ANY_TAG:
-            key = (ctx, src, tag)
-            posted = state.posted_exact.get(key)
-            if posted is None:
-                state.posted_exact[key] = [req]
-            else:
-                posted.append(req)
-        else:
-            state.posted_wild.append(req)
+        state.posted_wild.append(req)
         if self.check is not None:
             self.check.on_post(state, req)
         if in_flight is not None:
             state.remove_posted(req)
             self._release_failed(req, in_flight, vp.failed_peers[in_flight])
         return req
+
+    def _accept_buffered(self, state: RankState, req: Request, msg: Msg) -> None:
+        """Complete a fresh receive against the buffered message it matched."""
+        if self.check is not None:
+            self.check.on_match_unexpected(state, req, msg)
+        if msg.protocol == EAGER:
+            self._complete_recv(req, msg, req.post_time)
+        else:
+            self._rendezvous(req, msg, req.post_time)
 
     def _failure_visible(self, vp: VirtualProcess, peer: int, failed_at: float) -> bool:
         """Whether ``vp`` has received the simulator-internal notification
@@ -477,18 +527,9 @@ class MpiWorld:
             )
 
     def _match_unexpected(self, state: RankState, req: Request) -> Msg | None:
-        """Pop the lowest-seq buffered message matching a fresh receive."""
+        """Pop the lowest-seq buffered message matching a fresh wildcard
+        receive: scan the per-key heads for the lowest sequence number."""
         unexpected = state.unexpected
-        if req.src != ANY_SOURCE and req.tag != ANY_TAG:
-            key = (req.ctx, req.src, req.tag)
-            msgs = unexpected.get(key)
-            if not msgs:
-                return None
-            msg = msgs.pop(0)  # per-key lists are kept sorted by seq
-            if not msgs:
-                del unexpected[key]
-            return msg
-        # Wildcard: scan per-key heads for the lowest sequence number.
         self.match_scan_calls += 1
         self.match_scan_length += len(unexpected)
         best_key: MatchKey | None = None
@@ -601,7 +642,15 @@ class MpiWorld:
     def _arrive(self, msg: Msg) -> None:
         """Delivery event: the message reached the destination NIC."""
         state = self.states[msg.dst]
-        if state.vp.state not in LIVE_STATES:
+        vstate = state.vp.state
+        # Identity tests, likeliest first: ``not in LIVE_STATES`` would hash
+        # the enum member (a Python-level call) on every message.
+        if (
+            vstate is not _BLOCKED
+            and vstate is not _ADVANCING
+            and vstate is not _RUNNING
+            and vstate is not _READY
+        ):
             # "all messages directed to this simulated MPI process are deleted"
             if self.trace is not None:
                 self.trace.record_delivery(msg.seq, self.engine.now, dropped=True)

@@ -21,8 +21,8 @@ when the targeted simulated MPI process is executing, updates its simulated
 process clock, and the clock reaches or goes beyond the ... time of failure
 value. ... the scheduled time is the earliest time of failure, while the
 actual time of failure depends on when the simulator regains control."
-:meth:`Engine._step`, :meth:`Engine._do_wake`, and
-:meth:`Engine._resume_advance` each perform that control-point check.  A VP
+:meth:`Engine._step`, :meth:`Engine._do_wake`, and the dispatch loops'
+inline Advance resume each perform that control-point check.  A VP
 blocked on a wait that would complete after its scheduled failure time is
 killed at the scheduled time instead (its wait provably extends past it).
 
@@ -163,9 +163,12 @@ class Engine:
         # guard_vp is None for unguarded events; otherwise the event is
         # dropped at dispatch when guard_vp.epoch no longer matches
         # guard_epoch (the VP died or finished), so dead-VP callbacks never
-        # pay the dispatch + callback-side staleness check.
+        # pay the dispatch + callback-side staleness check.  ``fn is None``
+        # marks an Advance resume of guard_vp at the entry's time: the
+        # dispatch loops take that control point inline (no callback
+        # frame, no args tuple) — see :meth:`_step`.
         self._heap: list[
-            tuple[float, int, VirtualProcess | None, int, Callable[..., None], tuple]
+            tuple[float, int, VirtualProcess | None, int, Callable[..., None] | None, tuple | None]
         ] = []
         self._seq = 0
         self._live = 0
@@ -241,7 +244,7 @@ class Engine:
                     "time": time,
                     "seq": seq,
                     "rank": None if gvp is None else gvp.rank,
-                    "fn": fn.__name__,
+                    "fn": (fn or self._resume_advance).__name__,
                 }
             )
         return out
@@ -277,6 +280,7 @@ class Engine:
             gc.disable()
         trace = self.event_trace
         check = self.check
+        step = self._step
         try:
             # Run to quiescence: the queue is drained completely rather than
             # stopping at the last VP termination.  Post-termination events
@@ -292,12 +296,23 @@ class Engine:
                     self.stale_skipped += 1  # lazily deleted dead-VP event
                     continue
                 if trace is not None:
-                    trace.record_dispatch(time, seq, gvp, fn, args)
+                    trace.record_dispatch(time, seq, gvp, fn or self._resume_advance, args)
                 if check is not None:
                     check.on_dispatch(time, seq, gvp)
                 self.now = time
                 self.event_count += 1
-                fn(*args)
+                if fn is not None:
+                    fn(*args)
+                    continue
+                # Advance resume: the epoch guard above already proved the
+                # VP is still mid-advance, so this is the control point.
+                gvp.clock = time
+                if time >= gvp.time_of_failure:
+                    self._kill_failure(gvp, time)
+                elif time >= gvp.time_of_abort:
+                    self._kill_abort(gvp, time)
+                else:
+                    step(gvp)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -351,6 +366,7 @@ class Engine:
         pop = heappop
         trace = self.event_trace
         check = self.check
+        step = self._step
         try:
             # Non-inclusive windows re-read ``_window_end`` every iteration:
             # a sharded world *tightens* it mid-dispatch when an event emits
@@ -367,12 +383,23 @@ class Engine:
                     self.stale_skipped += 1
                     continue
                 if trace is not None:
-                    trace.record_dispatch(time, seq, gvp, fn, args)
+                    trace.record_dispatch(time, seq, gvp, fn or self._resume_advance, args)
                 if check is not None:
                     check.on_dispatch(time, seq, gvp)
                 self.now = time
                 self.event_count += 1
-                fn(*args)
+                if fn is not None:
+                    fn(*args)
+                    continue
+                # Advance resume: the epoch guard above already proved the
+                # VP is still mid-advance, so this is the control point.
+                gvp.clock = time
+                if time >= gvp.time_of_failure:
+                    self._kill_failure(gvp, time)
+                elif time >= gvp.time_of_abort:
+                    self._kill_abort(gvp, time)
+                else:
+                    step(gvp)
             # A bound at-or-past the abort instant proves no same-instant
             # event remains (queued or arriving from another shard), so the
             # deferred sweep applies before control returns to the worker.
@@ -531,8 +558,8 @@ class Engine:
                     # No other event can fire strictly before this VP's
                     # resume (strict > keeps equal-time FIFO order intact),
                     # so take the control point inline: same clock update,
-                    # failure/abort checks, and event accounting as
-                    # _resume_advance, minus the heap round-trip.
+                    # failure/abort checks, and event accounting as the
+                    # dispatch loops' heap resume, minus the round-trip.
                     if self.event_trace is not None:
                         self.event_trace.record_coalesced(new_clock, vp.rank)
                     if self.check is not None:
@@ -554,11 +581,9 @@ class Engine:
                 # Inline of _schedule_vp; the past-check is unnecessary
                 # here because new_clock = vp.clock + dt with dt > 0 and
                 # vp.clock >= self.now inside a step.
+                # fn=None: the dispatch loops resume the VP inline.
                 self._seq += 1
-                heappush(
-                    heap,
-                    (new_clock, self._seq, vp, vp.epoch, self._resume_advance, (vp, vp.epoch, new_clock)),
-                )
+                heappush(heap, (new_clock, self._seq, vp, vp.epoch, None, None))
                 return
             if kind is Block:
                 vp.state = VpState.BLOCKED
@@ -610,6 +635,10 @@ class Engine:
         self.log.log(self.now, "delay", f"{reason} (+{duration:.6f}s)", rank=rank)
 
     def _resume_advance(self, vp: VirtualProcess, epoch: int, new_clock: float) -> None:
+        """Advance resume as a callback.  The heap core's dispatch loops
+        inline this body (heap entries with ``fn is None``) and only borrow
+        its name for traces and :meth:`heap_head`; the flat core's
+        instrumented and windowed dispatch still call it."""
         if vp.epoch != epoch or vp.state is not VpState.ADVANCING:
             return  # VP died while advancing
         vp.clock = new_clock
@@ -746,7 +775,7 @@ class Engine:
             # scheduled failure time, so the failure occurs at exactly it.
             self._kill_failure(vp, time)
         # Otherwise the VP is mid-advance (or running): the control-point
-        # check in _resume_advance/_step fires at its next clock update.
+        # check of its Advance resume/_step fires at its next clock update.
 
     def request_abort(self, time: float, initiator: int) -> None:
         """Simulated ``MPI_Abort`` (paper §IV-D).

@@ -711,9 +711,10 @@ class ShardedMpiWorld(MpiWorld):
         tag: int,
         payload: Any,
         nbytes: int,
+        wire: float | None = None,
     ) -> Request:
         if self.shard_id is None:
-            return super().post_send(vp, comm, ctx, dst, tag, payload, nbytes)
+            return super().post_send(vp, comm, ctx, dst, tag, payload, nbytes, wire)
         clock = vp.clock
         req = Request(Request.SEND, vp, comm, ctx, vp.rank, dst, tag, nbytes, clock)
         if comm.revoked:
@@ -745,7 +746,9 @@ class ShardedMpiWorld(MpiWorld):
             else 1.0
         )
         if eager:
-            arrival = clock + link_f * network.transfer_time(nbytes, vp.rank, dst)
+            if wire is None:
+                wire = network.transfer_time(nbytes, vp.rank, dst)
+            arrival = clock + link_f * wire
             req.complete(clock)
         else:
             arrival = clock + link_f * network.wire_latency(vp.rank, dst)

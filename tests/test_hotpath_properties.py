@@ -11,6 +11,8 @@ random multi-VP advance programs and failure injections and compares a
 coalescing engine against a non-coalescing one event for event.
 """
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -217,6 +219,80 @@ def test_flat_core_pool_gauges_are_consistent(programs):
     assert engine.batch_max <= result.event_count + engine.stale_skipped
     # Steady state: every slot released, free list holds the whole pool.
     assert len(engine._free) == engine._pool_cap
+
+
+# ----------------------------------------------------------------------
+# the three ways an Advance resumes: inline (coalesced), from the heap in
+# run(), and from the heap in windowed dispatch
+# ----------------------------------------------------------------------
+def _run_windowed(programs, failures, width):
+    """Drive the engine the way a shard worker does: ``run_exact`` at the
+    next event time, then a ``run_window`` of ``width`` past it."""
+    engine = Engine(coalesce_advances=True)
+    engine.event_trace = EventTrace()
+    for program in programs:
+        engine.spawn(_vp_main(program))
+    for rank, time in failures:
+        engine.schedule_failure(rank % len(programs), time)
+    engine.begin_windowed_run()
+    while (t := engine.next_event_time()) < math.inf:
+        engine.run_exact(t)
+        engine.run_window(t + width)
+    engine.finish_windowed_run()
+    return engine, engine._result()
+
+
+@given(
+    programs=programs_strategy,
+    failures=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),
+            st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
+        ),
+        max_size=3,
+    ),
+    width=st.sampled_from([0.25, 1.0, 4.0]),
+)
+@settings(max_examples=120, deadline=None)
+def test_coalesced_heap_and_windowed_advance_paths_agree(programs, failures, width):
+    """A heap-resumed Advance is dispatched inline by ``run()`` and by
+    ``_dispatch_bounded()`` (no callback frame); both must reach the same
+    clocks, event count and kill points as the coalesced inline path."""
+    heap_engine, heap = _run_core(Engine, programs, failures, coalesce=False, trace=True)
+    fast_engine, fast = _run_core(Engine, programs, failures, coalesce=True, trace=True)
+    win_engine, win = _run_windowed(programs, failures, width)
+
+    assert heap_engine.coalesced_advances == 0
+    for other in (fast, win):
+        assert other.exit_time == heap.exit_time
+        assert other.event_count == heap.event_count
+        assert other.failures == heap.failures  # kill points: (rank, time)
+        assert other.end_times == heap.end_times
+        assert other.busy_times == heap.busy_times
+        assert other.states == heap.states
+    # Per rank, the same control points at the same times on every path,
+    # and heap resumes keep their trace name.
+    assert heap_engine.event_trace.diff_ranks(fast_engine.event_trace) is None
+    assert heap_engine.event_trace.diff_ranks(win_engine.event_trace) is None
+    kinds = {entry[3] for entry in heap_engine.event_trace.entries}
+    assert kinds <= {"start_vp", "resume_advance", "failure_due"}
+
+
+def test_heap_resumed_advance_is_named_in_trace_and_heap_head():
+    # The heap entry of an Advance resume stores no callback; diagnostics
+    # and traces still call it by the name of the callback it replaced.
+    engine = Engine(coalesce_advances=False)
+    engine.event_trace = EventTrace()
+    engine.spawn(_vp_main([(1.0, True), (1.0, True)]))
+    engine.begin_windowed_run()
+    engine.run_exact(0.0)  # starts the VP, which queues its first resume
+    assert [e["fn"] for e in engine.heap_head()] == ["_resume_advance"]
+    engine.run_window(math.inf)
+    engine.finish_windowed_run()
+    assert engine.vps[0].end_time == 2.0
+    assert [e[3] for e in engine.event_trace.entries] == [
+        "start_vp", "resume_advance", "resume_advance",
+    ]
 
 
 def test_stale_events_are_skipped_not_executed():
