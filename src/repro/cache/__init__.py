@@ -9,9 +9,10 @@ Scenarios have stable content digests (:meth:`Scenario.scenario_digest
 digest-identical for the same scenario, so a completed cell can be
 memoized by content address and served instead of recomputed:
 
-* :class:`ResultCache` — the store itself (SQLite WAL index + pickled
-  filesystem blobs, safe under parallel workers and concurrent CLI
-  invocations; see :mod:`repro.cache.store`);
+* :class:`ResultCache` — the store itself (SQLite WAL index + filesystem
+  blobs whose raw hash is verified before anything is decoded, safe
+  under parallel workers and concurrent CLI invocations; see
+  :mod:`repro.cache.store`);
 * :func:`cache_key` — the content address: a normalized scenario digest
   (execution-parallelism fields removed) plus a schema/version/engine
   salt, so code changes invalidate rather than mis-serve;

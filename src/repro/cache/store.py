@@ -2,37 +2,58 @@
 
 Layout on disk (one directory per cache)::
 
-    <root>/index.sqlite3          SQLite index, WAL mode
-    <root>/blobs/<k[:2]>/<k>.pkl  pickled outcome payloads, keyed by cache key
+    <root>/index.sqlite3           SQLite index, WAL mode
+    <root>/blobs/<k[:2]>/<k>.blob  one outcome each, keyed by cache key
 
-The **index** maps a cache key to the entry's result digest, payload size,
-creation/last-hit times, and hit count; the **blob** holds everything a
-cache hit must reproduce bit-identically: the stripped
-:class:`~repro.pdes.engine.SimulationResult` (or the full
-:class:`~repro.core.restart.FailureRunResult` of a restart experiment),
-the run's sim-domain :class:`~repro.obs.ObsEvent` list (so warm exporter
-bytes equal cold ones), and the execution metadata.
+A **blob** is ``magic | head length | head | body``.  The **head** is
+canonical JSON of primitives — format, mode, result digest, the original
+compute wall time, the execution metadata and every result-derived fact
+an outcome's ``summary()`` reports (:func:`~repro.run.backends.outcome_facts`).
+The **body** is everything else a hit must reproduce bit-identically,
+pickled: the stripped :class:`~repro.pdes.engine.SimulationResult` (or
+the full :class:`~repro.core.restart.FailureRunResult` of a restart
+experiment) and the run's sim-domain :class:`~repro.obs.ObsEvent` list
+(so warm exporter bytes equal cold ones).  The **index** maps a cache
+key to the entry's result digest, blob size, SHA-256 of the raw blob
+bytes, creation/last-hit times, and hit count.
 
 Concurrency: SQLite runs in WAL mode with a generous busy timeout, every
 process gets its own connection (connections are keyed by pid, so a
-forked campaign worker transparently reopens), every index mutation is a
-single autocommit statement, and blobs are written to a temp file and
-atomically renamed — two `-j` workers or two concurrent CLI invocations
-sharing one cache directory cannot corrupt it, the worst case is both
-computing the same cell and one `INSERT OR REPLACE` winning.
+forked campaign worker transparently reopens), and a store renames its
+blob into place and writes its index row inside one write transaction —
+two `-j` workers or two concurrent CLI invocations sharing one cache
+directory cannot corrupt it, the worst case is both computing the same
+cell and the later blob-and-row pair replacing the earlier.
 
-Correctness before speed: a lookup re-derives the result digest from the
-unpickled payload and compares it against the index row; any mismatch —
-like a truncated or missing blob, an unpicklable payload, or an index
-row whose blob vanished — demotes the entry to a miss (the row is
-deleted, a ``RuntimeWarning`` is emitted, and the caller recomputes).
-A schema-version mismatch disables the cache for the process instead of
-guessing at the on-disk format.
+Correctness before speed — verified before decoded: a lookup compares
+the blob's size and then the SHA-256 of its raw bytes against the index
+row *before any byte reaches a decoder*, then parses the head and holds
+its result digest against the row's.  That answers ``digest()``,
+``summary()``, ``completed`` and ``metadata``.  The body decodes only
+from verified bytes and only through an unpickler that resolves nothing
+but classes defined in ``repro`` modules and a few builtin value types —
+no function, no ``os.system``.  A blob of at most
+:data:`EAGER_DECODE_BYTES` decodes its body at lookup, so the hit is
+complete when returned; a larger one (where the decode would be most of
+the answer) when ``result`` / ``run`` / ``observer`` are first asked
+for.  Any failed check — a truncated, missing or rewritten blob, a
+stale index row, a head that does not parse, a small body that does not
+decode — demotes the entry to a miss (row and blob deleted, a
+``RuntimeWarning`` emitted, the caller recomputes and re-stores); a
+large body that will not decode after its hash held is demoted the same
+way and the outcome recomputes itself.  Re-deriving the result digest
+from the decoded objects is an audit, not a hit-path step: ``cache
+verify`` and the ``cache-parity`` simcheck do it.  A schema-version
+mismatch disables the cache for the process instead of guessing at the
+on-disk format (version 1 directories, whose blobs were bare pickles,
+are refused this way; delete the directory to rebuild).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import json
 import os
 import pickle
 import sqlite3
@@ -47,10 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.run.backends import ScenarioOutcome
     from repro.run.scenario import Scenario
 
-#: On-disk format version (index schema + blob payload layout).  A cache
+#: On-disk format version (index schema + blob layout).  A cache
 #: directory written by a different version is never read or written —
 #: the open is disabled with a warning and every lookup is a miss.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Simulation-semantics salt.  Part of every cache key next to the package
 #: version: bump it when the engine's observable behavior changes without
@@ -86,22 +107,35 @@ def cache_key(scenario: "Scenario") -> str:
     serially must hit for the same cell requested on a sharded backend —
     that cross-backend sharing is most of a mixed sweep's hit rate.
     Result-relevant fields (machine, app, resilience, seed, engine) and
-    the instrumentation switches that change the cached payload
+    the instrumentation switches that change the cached blob
     (``observe``, ``trace_detail``, ``check``) stay in the key.
     """
-    normalized = scenario.with_(
+    normalized = scenario.digest_with(
         backend=None, shards=1, shard_transport=None, jobs=1, trace_out=""
     )
-    h = hashlib.sha256()
-    h.update(cache_salt().encode())
-    h.update(b"\n")
-    h.update(normalized.scenario_digest().encode())
-    return h.hexdigest()
+    return hashlib.sha256(f"{cache_salt()}\n{normalized}".encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
-# payload (what a blob stores)
+# blob format: magic | head length | head (JSON) | body (pickle)
 # ----------------------------------------------------------------------
+_MAGIC = b"XSIMRC2\n"
+_HEAD_AT = len(_MAGIC) + 4  # a 4-byte big-endian head length follows the magic
+
+#: A blob up to this size has its body decoded at lookup: that costs at
+#: most ~4 ms and the hit is complete when it is returned — a body that
+#: will not decode is an ordinary miss, recomputed and re-stored by the
+#: run path.  A larger blob (past ~4,400 heat3d ranks) keeps its body
+#: undecoded until ``result`` / ``run`` / ``observer`` are first asked
+#: for: there the decode would be most of the answer (7 ms of 8 at
+#: 8,000 ranks, 36 ms of 38 at 32,768) and a sweep never asks.
+EAGER_DECODE_BYTES = 256 * 1024
+
+
+def _canonical_json(value: Any) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
 def _strip_result(result):
     """A picklable copy of a SimulationResult: same observable content,
     log stream detached (streams are process-local file objects)."""
@@ -118,31 +152,107 @@ def _strip_run(run):
     return replace(run, segments=segments)
 
 
-def _payload_digest(payload: dict) -> str:
-    """The canonical result digest of a payload — same derivation as
-    :meth:`~repro.run.backends.ScenarioOutcome.digest`, recomputed from
-    the unpickled objects so a corrupted blob cannot satisfy the index."""
-    from repro.core.harness.experiment import campaign_digest, result_digest
-
-    if payload["run"] is not None:
-        return campaign_digest([result_digest(s.result) for s in payload["run"].segments])
-    return result_digest(payload["result"])
-
-
-def make_payload(outcome: "ScenarioOutcome", wall_s: float) -> dict:
-    """The blob body for one computed outcome."""
-    return {
+def encode_blob(outcome: "ScenarioOutcome", wall_s: float) -> tuple[bytes, dict]:
+    """The blob bytes for one computed outcome, and the head inside them."""
+    head = {
         "format": CACHE_SCHEMA_VERSION,
         "mode": outcome.mode,
-        "result": None if outcome.result is None else _strip_result(outcome.result),
-        "run": None if outcome.run is None else _strip_run(outcome.run),
-        "sim_events": (
-            None if outcome.observer is None else list(outcome.observer.sim_events())
-        ),
-        "metadata": dict(outcome.metadata),
         "result_digest": outcome.digest(),
         "wall_s": float(wall_s),
+        "metadata": dict(outcome.metadata),
+        "facts": outcome.facts(),
     }
+    head_bytes = _canonical_json(head)
+    body = pickle.dumps(
+        (
+            None if outcome.result is None else _strip_result(outcome.result),
+            None if outcome.run is None else _strip_run(outcome.run),
+            None if outcome.observer is None else list(outcome.observer.sim_events()),
+        ),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    blob = b"".join((_MAGIC, len(head_bytes).to_bytes(4, "big"), head_bytes, body))
+    return blob, head
+
+
+def _verified_head(
+    data: bytes, nbytes: int, blob_sha: str, result_digest: str
+) -> tuple[dict, int]:
+    """The head of a blob checked against its index row, and the offset
+    its body starts at.  Order: size, SHA-256 of the raw bytes, and only
+    then the first decoder (magic, head length, JSON, format, shape),
+    then the head's digest against the row's.  Raises ``ValueError``
+    naming the first check that failed."""
+    if len(data) != nbytes:
+        raise ValueError(
+            f"blob size {len(data)} != indexed {nbytes} (truncated or stale blob)"
+        )
+    sha = hashlib.sha256(data).hexdigest()
+    if sha != blob_sha:
+        raise ValueError(
+            f"blob hash {sha[:16]} != indexed {str(blob_sha)[:16]} "
+            "(damaged or stale blob)"
+        )
+    if len(data) < _HEAD_AT or data[: len(_MAGIC)] != _MAGIC:
+        raise ValueError("blob head undecodable: bad magic")
+    body_at = _HEAD_AT + int.from_bytes(data[len(_MAGIC) : _HEAD_AT], "big")
+    if body_at > len(data):
+        raise ValueError("blob head undecodable: head length runs past the blob")
+    try:
+        head = json.loads(data[_HEAD_AT:body_at])
+    except ValueError as exc:
+        raise ValueError(f"blob head undecodable: {exc}") from exc
+    if not isinstance(head, dict) or head.get("format") != CACHE_SCHEMA_VERSION:
+        raise ValueError("blob head undecodable: unexpected format")
+    from repro.run.backends import FACT_KEYS
+
+    mode, facts = head.get("mode"), head.get("facts")
+    if (
+        mode not in FACT_KEYS
+        or not isinstance(facts, dict)
+        or facts.keys() != FACT_KEYS[mode]
+        or not isinstance(head.get("metadata"), dict)
+        or not isinstance(head.get("wall_s"), float)
+    ):
+        raise ValueError("blob head undecodable: unexpected shape")
+    if head.get("result_digest") != result_digest:
+        raise ValueError(
+            f"head digest {str(head.get('result_digest'))[:16]} != indexed "
+            f"{str(result_digest)[:16]} (stale index row)"
+        )
+    return head, body_at
+
+
+#: Value types an exit value may hold beside ``repro`` classes.
+_BODY_VALUE_TYPES = frozenset(
+    {("builtins", n) for n in ("bytearray", "complex", "frozenset", "range", "set", "slice")}
+    | {("collections", n) for n in ("OrderedDict", "deque")}
+)
+
+
+class _BodyUnpickler(pickle.Unpickler):
+    """Decodes a blob body.  Resolves only classes defined in the
+    ``repro`` module the pickle names (result records, enums) and the
+    value types above — never a function, never a dotted path into a
+    module's imports — so the most a body can call is the constructor of
+    a class ``repro`` itself defines."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) in _BODY_VALUE_TYPES:
+            return super().find_class(module, name)
+        if module.startswith("repro.") and "." not in name:
+            found = super().find_class(module, name)
+            if isinstance(found, type) and found.__module__ == module:
+                return found
+        raise pickle.UnpicklingError(f"{module}.{name} is not an allowed body class")
+
+
+def _decode_body(data: bytes, body_at: int) -> tuple:
+    """``(result, run, sim_events)`` of a blob whose raw hash already held."""
+    stream = io.BytesIO(data)
+    stream.seek(body_at)
+    result, run, sim_events = _BodyUnpickler(stream).load()
+    return result, run, sim_events
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +333,7 @@ CREATE TABLE IF NOT EXISTS entries (
     result_digest   TEXT NOT NULL,
     mode            TEXT NOT NULL,
     nbytes          INTEGER NOT NULL,
+    blob_sha        TEXT NOT NULL,
     wall_s          REAL NOT NULL,
     created         REAL NOT NULL,
     last_hit        REAL NOT NULL,
@@ -304,7 +415,7 @@ class ResultCache:
     # blob paths
     # ------------------------------------------------------------------
     def blob_path(self, key: str) -> Path:
-        return self.blob_dir / key[:2] / f"{key}.pkl"
+        return self.blob_dir / key[:2] / f"{key}.blob"
 
     def _write_blob(self, key: str, data: bytes) -> None:
         path = self.blob_path(key)
@@ -327,103 +438,119 @@ class ResultCache:
     def lookup(self, scenario: "Scenario") -> "ScenarioOutcome | None":
         """The cached outcome for ``scenario``, or ``None`` (a miss).
 
-        Any unservable entry — truncated/missing blob, unpicklable
-        payload, digest mismatch against the index — is deleted, warned
-        about, and reported as a miss; the cache never raises into the
-        run path and never serves bytes it cannot re-verify.
+        Any unservable entry — truncated, missing or rewritten blob, a
+        head that does not parse, a digest that disagrees with the index,
+        a small body that does not decode — is deleted, warned about, and
+        reported as a miss; the cache
+        never raises into the run path and never decodes bytes whose raw
+        hash it has not checked against the index.
         """
         t0 = _time.perf_counter()
         try:
-            return self._lookup(scenario)
+            hit = self._lookup(scenario)
+            if hit is None:
+                self.stats.misses += 1
+            return hit
         finally:
             self.stats.lookup_s += _time.perf_counter() - t0
 
     def _lookup(self, scenario: "Scenario") -> "ScenarioOutcome | None":
         if not cacheable(scenario) or not self._check_enabled():
-            self.stats.misses += 1
             return None
         key = cache_key(scenario)
         try:
             row = self._conn().execute(
-                "SELECT result_digest, mode, nbytes FROM entries WHERE key = ?",
+                "SELECT nbytes, blob_sha, result_digest FROM entries WHERE key = ?",
                 (key,),
             ).fetchone()
         except sqlite3.Error as exc:
             self._corrupt(key, f"index read failed: {exc}", drop_row=False)
-            self.stats.misses += 1
             return None
         if row is None:
-            self.stats.misses += 1
             return None
-        indexed_digest, mode, nbytes = row
-        path = self.blob_path(key)
         try:
-            data = path.read_bytes()
+            data = self.blob_path(key).read_bytes()
         except OSError as exc:
             self._corrupt(key, f"blob unreadable ({exc.__class__.__name__}): {exc}")
-            self.stats.misses += 1
             return None
         try:
-            payload = pickle.loads(data)
-            if not isinstance(payload, dict) or payload.get("format") != CACHE_SCHEMA_VERSION:
-                raise ValueError(f"unexpected payload format {type(payload).__name__}")
-            digest = _payload_digest(payload)
-        except Exception as exc:  # noqa: BLE001 - any blob damage is a miss
-            self._corrupt(key, f"blob undecodable: {exc}")
-            self.stats.misses += 1
+            head, body_at = _verified_head(data, *row)
+        except ValueError as exc:
+            self._corrupt(key, str(exc))
             return None
-        if digest != indexed_digest:
-            self._corrupt(
-                key,
-                f"blob digest {digest[:16]} != indexed {indexed_digest[:16]} "
-                "(truncated or stale blob)",
-            )
-            self.stats.misses += 1
-            return None
+        decoded = None
+        if len(data) <= EAGER_DECODE_BYTES:
+            try:
+                decoded = _decode_body(data, body_at)
+            except Exception as exc:  # noqa: BLE001 - any decode failure is damage
+                self._corrupt(key, f"blob body undecodable: {exc}")
+                return None
         try:
             self._conn().execute(
                 "UPDATE entries SET hits = hits + 1, last_hit = ? WHERE key = ?",
                 (_time.time(), key),
             )
         except sqlite3.Error:
-            pass  # hit bookkeeping is best-effort; the payload is good
+            pass  # hit bookkeeping is best-effort; the blob is good
         self.stats.hits += 1
         self.stats.hit_bytes += len(data)
-        return self._rebuild(scenario, key, payload)
-
-    def _rebuild(self, scenario: "Scenario", key: str, payload: dict) -> "ScenarioOutcome":
         from repro.run.backends import ScenarioOutcome
 
+        metadata = dict(head["metadata"])
+        metadata["cache_hit"] = True
+        metadata["cache_key"] = key
+        metadata["cache_wall_s"] = head["wall_s"]
+        nbytes, hit_time = len(data), _time.perf_counter()
+        if decoded is not None:
+            load = lambda: self._hit_objects(scenario, key, nbytes, hit_time, decoded)  # noqa: E731
+        else:
+            load = lambda: self._load_body(scenario, key, data, body_at, hit_time)  # noqa: E731
+        return ScenarioOutcome.from_cache(
+            scenario, head["mode"], head["result_digest"], head["facts"], metadata, load
+        )
+
+    def _load_body(
+        self, scenario: "Scenario", key: str, data: bytes, body_at: int, hit_time: float
+    ) -> tuple:
+        """``(result, run, observer)`` of a large hit, decoded on first
+        access.  A body that will not decode although its hash held
+        (allow-list refusal, class drift) is demoted like any other
+        damage and the objects are recomputed from the scenario instead."""
+        try:
+            decoded = _decode_body(data, body_at)
+        except Exception as exc:  # noqa: BLE001 - any decode failure is damage
+            self._corrupt(key, f"blob body undecodable: {exc}")
+            from repro.run.backends import run_scenario
+
+            fresh = run_scenario(scenario, cache=False)
+            fresh.last_result.log.log(0.0, "cache", self.pop_warning(), level="warning")
+            return fresh.result, fresh.run, fresh.observer
+        return self._hit_objects(scenario, key, len(data), hit_time, decoded)
+
+    def _hit_objects(
+        self, scenario: "Scenario", key: str, nbytes: int, hit_time: float, decoded: tuple
+    ) -> tuple:
+        """``(result, run, observer)`` from a decoded body: the observer
+        rebuilt from the stored sim-domain events plus this hit's instant."""
+        result, run, sim_events = decoded
         observer = None
-        if scenario.observe and payload["sim_events"] is not None:
+        if scenario.observe and sim_events is not None:
             from repro.obs import Observer
 
             observer = Observer(detail=scenario.trace_detail)
-            observer.extend(payload["sim_events"])
+            observer.extend(sim_events)
             observer.host_instant(
-                _time.perf_counter(), "cache-hit", track="cache",
-                args={"key": key[:16], "bytes": self.stats.hit_bytes},
+                hit_time, "cache-hit", track="cache",
+                args={"key": key[:16], "bytes": nbytes},
             )
-        metadata = dict(payload["metadata"])
-        metadata["cache_hit"] = True
-        metadata["cache_key"] = key
-        metadata["cache_wall_s"] = payload["wall_s"]
-        return ScenarioOutcome(
-            scenario=scenario,
-            mode=payload["mode"],
-            result=payload["result"],
-            run=payload["run"],
-            sim=None,
-            observer=observer,
-            metadata=metadata,
-        )
+        return result, run, observer
 
     def store(
         self, scenario: "Scenario", outcome: "ScenarioOutcome", wall_s: float = 0.0
     ) -> bool:
         """Memoize one computed outcome; returns True when stored.
 
-        Never raises into the run path: an unpicklable payload or a full
+        Never raises into the run path: an unpicklable outcome or a full
         disk degrades to "not cached" with a warning.
         """
         t0 = _time.perf_counter()
@@ -432,25 +559,34 @@ class ResultCache:
                 return False
             key = cache_key(scenario)
             try:
-                payload = make_payload(outcome, wall_s)
-                data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-                self._write_blob(key, data)
-                self._conn().execute(
-                    "INSERT OR REPLACE INTO entries "
-                    "(key, scenario_digest, result_digest, mode, nbytes, wall_s, "
-                    " created, last_hit, hits) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, 0)",
-                    (
-                        key,
-                        scenario.scenario_digest(),
-                        payload["result_digest"],
-                        payload["mode"],
-                        len(data),
-                        float(wall_s),
-                        _time.time(),
-                        _time.time(),
-                    ),
+                data, head = encode_blob(outcome, wall_s)
+                now = _time.time()
+                row = (
+                    key,
+                    scenario.scenario_digest(),
+                    head["result_digest"],
+                    head["mode"],
+                    len(data),
+                    hashlib.sha256(data).hexdigest(),
+                    head["wall_s"],
+                    now,
+                    now,
                 )
+                # The blob and the row that hashes it land inside one
+                # write transaction: two processes storing the same cell
+                # (their blobs differ in wall time) cannot leave one's
+                # blob under the other's row.
+                conn = self._conn()
+                conn.execute("BEGIN IMMEDIATE")
+                with conn:  # COMMIT, or ROLLBACK if the write or the INSERT raises
+                    self._write_blob(key, data)
+                    conn.execute(
+                        "INSERT OR REPLACE INTO entries "
+                        "(key, scenario_digest, result_digest, mode, nbytes, blob_sha, "
+                        " wall_s, created, last_hit, hits) "
+                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, 0)",
+                        row,
+                    )
             except Exception as exc:  # noqa: BLE001 - degrade, never fail the run
                 self.stats.store_errors += 1
                 warnings.warn(
@@ -494,13 +630,13 @@ class ResultCache:
     def entries(self) -> list[dict[str, Any]]:
         """Every index row, LRU-first (the gc eviction order)."""
         rows = self._conn().execute(
-            "SELECT key, scenario_digest, result_digest, mode, nbytes, wall_s, "
-            "created, last_hit, hits FROM entries "
+            "SELECT key, scenario_digest, result_digest, mode, nbytes, blob_sha, "
+            "wall_s, created, last_hit, hits FROM entries "
             "ORDER BY last_hit ASC, created ASC, key ASC"
         ).fetchall()
         names = (
             "key", "scenario_digest", "result_digest", "mode", "nbytes",
-            "wall_s", "created", "last_hit", "hits",
+            "blob_sha", "wall_s", "created", "last_hit", "hits",
         )
         return [dict(zip(names, r)) for r in rows]
 
@@ -527,8 +663,13 @@ class ResultCache:
         }
 
     def verify(self, prune: bool = False) -> list[VerifyIssue]:
-        """Audit every entry: blob present, unpicklable-free, digest
-        matching the index.  ``prune`` deletes the failing entries."""
+        """Audit every entry, beyond what a lookup checks: size, raw
+        hash, head and head digest as a lookup does, then the body
+        decoded and the digest and facts re-derived from its objects
+        held against the head (and so the index).  ``prune`` deletes the
+        failing entries."""
+        from repro.run.backends import outcome_digest, outcome_facts
+
         issues: list[VerifyIssue] = []
         for entry in self.entries():
             key = entry["key"]
@@ -536,23 +677,28 @@ class ResultCache:
             problem = None
             try:
                 data = path.read_bytes()
+                head, body_at = _verified_head(
+                    data, entry["nbytes"], entry["blob_sha"], entry["result_digest"]
+                )
             except OSError as exc:
                 problem = f"blob missing/unreadable: {exc.__class__.__name__}"
+            except ValueError as exc:
+                problem = str(exc)
             else:
-                if len(data) != entry["nbytes"]:
-                    problem = f"blob size {len(data)} != indexed {entry['nbytes']}"
+                try:
+                    result, run, _ = _decode_body(data, body_at)
+                    digest = outcome_digest(result, run)
+                    facts = outcome_facts(result, run)
+                except Exception as exc:  # noqa: BLE001 - any decode failure is damage
+                    problem = f"blob body undecodable: {exc.__class__.__name__}: {exc}"
                 else:
-                    try:
-                        payload = pickle.loads(data)
-                        digest = _payload_digest(payload)
-                    except Exception as exc:  # noqa: BLE001
-                        problem = f"blob undecodable: {exc.__class__.__name__}: {exc}"
-                    else:
-                        if digest != entry["result_digest"]:
-                            problem = (
-                                f"digest mismatch: blob {digest[:16]} != "
-                                f"index {entry['result_digest'][:16]}"
-                            )
+                    if digest != head["result_digest"]:
+                        problem = (
+                            f"digest mismatch: body {digest[:16]} != "
+                            f"head {head['result_digest'][:16]}"
+                        )
+                    elif _canonical_json(facts) != _canonical_json(head["facts"]):
+                        problem = "head facts differ from the body's"
             if problem is not None:
                 issues.append(VerifyIssue(key, problem))
                 if prune:

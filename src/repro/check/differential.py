@@ -674,8 +674,10 @@ def check_cache_parity(
     scenario:
 
     * cold compute-and-store, then warm lookup — digest, summary, and
-      Chrome-JSON/JSONL export bytes all equal, and the store's counters
-      read exactly one miss, one store, one hit;
+      Chrome-JSON/JSONL export bytes all equal, the digest re-derived
+      from the decoded body equal to the blob head's and the index
+      row's, and the store's counters read exactly one miss, one store,
+      one hit;
     * the same cell requested on a ``shards``-shard backend — the key
       normalizes execution parallelism away, so the serial-computed entry
       must hit and serve the identical digest;
@@ -723,6 +725,16 @@ def check_cache_parity(
                 artifacts={
                     "cache-summaries.txt": f"cold {cold.summary()}\nwarm {warm.summary()}\n"
                 },
+            )
+        # The hit path trusts the blob's raw hash and its head; verify
+        # re-derives the digest (and facts) from the decoded body and
+        # holds them against the head's and the index row's.
+        damaged = store.verify()
+        if damaged:
+            return CheckResult(
+                "cache-parity",
+                False,
+                f"re-derived digest, head and index disagree: {damaged[0].problem}",
             )
         chrome_c, chrome_w = to_chrome(cold.observer), to_chrome(warm.observer)
         jsonl_c, jsonl_w = to_jsonl(cold.observer), to_jsonl(warm.observer)

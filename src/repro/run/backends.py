@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.util.errors import ConfigurationError
 
@@ -226,29 +225,131 @@ def backend_for(shards: int, shard_transport: str | None) -> Backend:
 # ----------------------------------------------------------------------
 # scenario execution (single run or full restart experiment)
 # ----------------------------------------------------------------------
-@dataclass
+def outcome_digest(
+    result: "SimulationResult | None", run: "FailureRunResult | None"
+) -> str:
+    """Canonical result fingerprint: :func:`result_digest` of a single
+    run, or the campaign digest over per-segment result digests of a
+    restart experiment."""
+    from repro.core.harness.experiment import campaign_digest, result_digest
+
+    if run is not None:
+        return campaign_digest([result_digest(s.result) for s in run.segments])
+    return result_digest(result)
+
+
+#: The keys of :func:`outcome_facts` by outcome mode — what a cache
+#: blob's head must carry before ``summary()`` may be answered from it.
+FACT_KEYS = {
+    "single": {"completed", "exit_time", "events", "failures", "restarts"},
+    "restart": {
+        "completed", "exit_time", "events", "failures", "restarts",
+        "e2", "mttf_a", "strategy_facts",
+    },
+}
+
+
+def outcome_facts(
+    result: "SimulationResult | None", run: "FailureRunResult | None"
+) -> dict[str, Any]:
+    """Every result-derived value an outcome's summary reports, plus the
+    event count — JSON-exact primitives only (keys: :data:`FACT_KEYS`)."""
+    if run is None:
+        return {
+            "completed": result.completed,
+            "exit_time": result.exit_time,
+            "events": result.event_count,
+            "failures": len(result.failures),
+            "restarts": 0,
+        }
+    return {
+        "completed": run.completed,
+        "exit_time": run.segments[-1].result.exit_time,
+        "events": sum(seg.result.event_count for seg in run.segments),
+        "e2": run.e2,
+        "failures": run.f,
+        "restarts": run.restarts,
+        "mttf_a": run.mttf_a,
+        "strategy_facts": dict(run.strategy_facts),
+    }
+
+
 class ScenarioOutcome:
     """What one scenario run produced.
 
     ``mode`` is ``"single"`` (one engine run; ``sim``/``result`` set) or
     ``"restart"`` (a full failure/restart experiment under
     :class:`~repro.core.restart.RestartDriver`; ``run`` set).
+
+    A computed outcome is built from its objects.  A cache hit
+    (:meth:`from_cache`) is built from a blob's verified head — its
+    :meth:`digest`, :meth:`facts`, :meth:`summary`, :attr:`completed` and
+    :attr:`metadata` never touch the per-rank tables — and takes
+    :attr:`result` / :attr:`run` / :attr:`observer` from the verified
+    body on first access (already decoded at lookup for a small blob,
+    decoded then for a large one; :mod:`repro.cache.store`).
     """
 
-    scenario: Scenario
-    mode: str
-    result: "SimulationResult | None" = None
-    run: "FailureRunResult | None" = None
-    sim: "XSim | None" = None
-    observer: Any = None
-    #: Execution facts that are *not* part of the result (and therefore
-    #: never of the digest): the transport the run actually used, whether
-    #: an unavailable fork start method forced a fallback, etc.
-    metadata: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        scenario: Scenario,
+        mode: str,
+        result: "SimulationResult | None" = None,
+        run: "FailureRunResult | None" = None,
+        sim: "XSim | None" = None,
+        observer: Any = None,
+        metadata: dict | None = None,
+    ) -> None:
+        self.scenario = scenario
+        self.mode = mode
+        self.sim = sim
+        #: Execution facts that are *not* part of the result (and therefore
+        #: never of the digest): the transport the run actually used, whether
+        #: an unavailable fork start method forced a fallback, etc.
+        self.metadata: dict = {} if metadata is None else metadata
+        self._objects = (result, run, observer)
+        #: Cache hits only, until first use: ``() -> (result, run, observer)``.
+        self._load_body: Callable[[], tuple] | None = None
+        self._digest: str | None = None
+        self._facts: dict[str, Any] | None = None
+
+    @classmethod
+    def from_cache(
+        cls,
+        scenario: Scenario,
+        mode: str,
+        digest: str,
+        facts: dict[str, Any],
+        metadata: dict,
+        load_body: Callable[[], tuple],
+    ) -> "ScenarioOutcome":
+        """A cache hit: ``digest``/``facts``/``metadata`` from the blob's
+        verified head, objects from ``load_body()`` when first asked for."""
+        outcome = cls(scenario, mode, metadata=metadata)
+        outcome._digest, outcome._facts, outcome._load_body = digest, facts, load_body
+        return outcome
+
+    def _object(self, index: int) -> Any:
+        if self._load_body is not None:
+            load, self._load_body = self._load_body, None
+            self._objects = load()
+        return self._objects[index]
+
+    @property
+    def result(self) -> "SimulationResult | None":
+        return self._object(0)
+
+    @property
+    def run(self) -> "FailureRunResult | None":
+        return self._object(1)
+
+    @property
+    def observer(self) -> Any:
+        return self._object(2)
 
     @property
     def completed(self) -> bool:
-        return self.run.completed if self.run is not None else self.result.completed
+        return self.facts()["completed"]
 
     @property
     def last_result(self) -> "SimulationResult":
@@ -256,37 +357,42 @@ class ScenarioOutcome:
         return self.run.segments[-1].result if self.run is not None else self.result
 
     def digest(self) -> str:
-        """Canonical result fingerprint: :func:`result_digest` of a single
-        run, or the campaign digest over per-segment result digests of a
-        restart experiment.  Equal across backends for equal scenarios."""
-        from repro.core.harness.experiment import campaign_digest, result_digest
+        """Canonical result fingerprint (:func:`outcome_digest`), derived
+        once per outcome.  Equal across backends for equal scenarios."""
+        if self._digest is None:
+            self._digest = outcome_digest(self.result, self.run)
+        return self._digest
 
-        if self.run is not None:
-            return campaign_digest([result_digest(s.result) for s in self.run.segments])
-        return result_digest(self.result)
+    def facts(self) -> dict[str, Any]:
+        """The result-derived values :meth:`summary` reports
+        (:func:`outcome_facts`) — a cache blob's head stores exactly this."""
+        if self._facts is None:
+            self._facts = outcome_facts(self.result, self.run)
+        return self._facts
 
     def summary(self) -> dict[str, Any]:
         """Primitive-only record of the outcome (campaign transport)."""
+        facts = self.facts()
         out: dict[str, Any] = {
             "mode": self.mode,
             "backend": self.scenario.backend_name(),
             "scenario_digest": self.scenario.scenario_digest(),
             "result_digest": self.digest(),
-            "completed": self.completed,
-            "exit_time": self.last_result.exit_time,
+            "completed": facts["completed"],
+            "exit_time": facts["exit_time"],
             "strategy": self.scenario.strategy,
         }
-        if self.run is not None:
+        if self.mode == "restart":
             out.update(
-                e2=self.run.e2,
-                failures=self.run.f,
-                restarts=self.run.restarts,
-                mttf_a=self.run.mttf_a,
+                e2=facts["e2"],
+                failures=facts["failures"],
+                restarts=facts["restarts"],
+                mttf_a=facts["mttf_a"],
             )
-            if self.run.strategy_facts:
-                out["strategy_facts"] = dict(self.run.strategy_facts)
+            if facts["strategy_facts"]:
+                out["strategy_facts"] = dict(facts["strategy_facts"])
         else:
-            out.update(failures=len(self.result.failures), restarts=0)
+            out.update(failures=facts["failures"], restarts=0)
         return out
 
 

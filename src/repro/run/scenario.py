@@ -295,17 +295,30 @@ class Scenario:
 
     def scenario_digest(self) -> str:
         """Stable sha256 fingerprint of the spec (floats via ``float.hex``
-        — two scenarios digest equal iff every field is identical)."""
+        — two scenarios digest equal iff every field is identical).
+        Computed once per instance: the spec is frozen, and the value
+        lives beside the fields, not among them (``==``, ``repr``,
+        ``to_dict`` and TOML never see it)."""
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = self.__dict__["_digest"] = self.digest_with()
+        return digest
+
+    def digest_with(self, **overrides: Any) -> str:
+        """:meth:`scenario_digest` of this spec with ``overrides``
+        standing in for the named fields — the digest ``with_`` would
+        give, without building and validating a second scenario (the
+        cache key normalizes the execution fields this way)."""
         h = hashlib.sha256()
-        for f in sorted(fields(self), key=lambda f: f.name):
-            value = getattr(self, f.name)
+        for name in _DIGEST_FIELDS:
+            value = overrides[name] if name in overrides else getattr(self, name)
             if isinstance(value, float):
                 rendered = value.hex()
             elif isinstance(value, tuple):
                 rendered = "x".join(str(v) for v in value)
             else:
                 rendered = repr(value)
-            h.update(f"{f.name}={rendered}\n".encode())
+            h.update(f"{name}={rendered}\n".encode())
         return h.hexdigest()
 
     # ------------------------------------------------------------------
@@ -423,6 +436,10 @@ class Scenario:
     def schedule(self) -> FailureSchedule:
         """The explicit failure schedule (may be empty)."""
         return FailureSchedule.parse(self.failures)
+
+
+#: Field names in the order :meth:`Scenario.digest_with` hashes them.
+_DIGEST_FIELDS = tuple(sorted(f.name for f in fields(Scenario)))
 
 
 # ----------------------------------------------------------------------

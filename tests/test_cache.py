@@ -10,7 +10,13 @@ Covers the correctness promises the cache makes over raw memoization:
   counts leak in);
 * damaged state (truncated blob, missing blob, stale index row, foreign
   schema version) degrades to recomputation with a warning, never to a
-  crash or a stale answer;
+  crash or a stale answer, and no byte of a blob reaches a decoder
+  before the SHA-256 of the raw file matched the index — a hostile body
+  under a correct hash is refused by the allow-list unpickler;
+* a hit answers ``summary()``/``digest()``/``completed`` from the blob's
+  head alone; a small blob's body decodes at lookup, a large one's on
+  first access, and either way what it decodes to equals the cold
+  objects field for field;
 * ``gc`` evicts in the documented order (age pass first, then LRU by
   last hit) and ``verify`` spots every kind of damage;
 * the sweep path partitions cached vs to-compute cells and annotates
@@ -20,11 +26,20 @@ Covers the correctness promises the cache makes over raw memoization:
 
 from __future__ import annotations
 
+import enum
+import hashlib
+import json
+import math
 import multiprocessing
+import os
+import pickle
 import sqlite3
+import threading
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import (
     cache_dir_from_env,
@@ -40,9 +55,10 @@ from repro.cache.store import (
     cache_salt,
     cacheable,
 )
-from repro.run.backends import run_scenario
+from repro.obs import to_chrome, to_jsonl
+from repro.run.backends import outcome_digest, run_scenario
 from repro.run.scenario import Scenario
-from repro.run.sweep import run_sweep
+from repro.run.sweep import run_cells, run_sweep
 
 
 SMALL = Scenario(ranks=8, iterations=30, interval=10)
@@ -56,6 +72,87 @@ def store(tmp_path):
 def _fill(store, scenario=SMALL):
     """Compute-and-store one cell; returns the cold outcome."""
     return run_scenario(scenario, cache=store)
+
+
+def _body_at(data):
+    """Offset of a blob's body: magic (8) | head length (4) | head | body."""
+    return 12 + int.from_bytes(data[8:12], "big")
+
+
+def _flip(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _reindex(store, scenario=SMALL):
+    """Make the index row agree with whatever the blob file now holds —
+    what a hostile (or foreign) writer to a shared directory can do."""
+    data = store.blob_path(cache_key(scenario)).read_bytes()
+    store._conn().execute(
+        "UPDATE entries SET nbytes = ?, blob_sha = ? WHERE key = ?",
+        (len(data), hashlib.sha256(data).hexdigest(), cache_key(scenario)),
+    )
+
+
+@pytest.fixture()
+def no_decoder(monkeypatch):
+    """Every decoder a blob byte could reach raises if called."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a decoder ran on bytes that were not verified")
+
+    monkeypatch.setattr("repro.cache.store._BodyUnpickler", refuse)
+    monkeypatch.setattr(pickle, "loads", refuse)
+    monkeypatch.setattr(pickle, "load", refuse)
+    monkeypatch.setattr(json, "loads", refuse)
+
+
+@pytest.fixture()
+def large_blobs(monkeypatch):
+    """Every blob counts as large: its body decodes on first access."""
+    monkeypatch.setattr("repro.cache.store.EAGER_DECODE_BYTES", 0)
+
+
+@pytest.fixture(params=["at-lookup", "on-access"])
+def decode_when(request, monkeypatch):
+    """Both sides of ``EAGER_DECODE_BYTES`` on the same small cells."""
+    if request.param == "on-access":
+        monkeypatch.setattr("repro.cache.store.EAGER_DECODE_BYTES", 0)
+    return request.param
+
+
+@pytest.fixture()
+def body_decodes(monkeypatch):
+    """Counts body decodes (a one-element list)."""
+    import repro.cache.store as store_module
+
+    count = [0]
+    real = store_module._decode_body
+
+    def counting(data, body_at):
+        count[0] += 1
+        return real(data, body_at)
+
+    monkeypatch.setattr(store_module, "_decode_body", counting)
+    return count
+
+
+def _canon(value):
+    """Every field of a result object tree, floats by ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, enum.Enum):
+        return (type(value).__name__, value.name)
+    if isinstance(value, dict):
+        return sorted((repr(k), _canon(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return [_canon(v) for v in value]
+    if hasattr(value, "__dict__"):
+        return (type(value).__name__, _canon(vars(value)))
+    if hasattr(value, "__slots__"):
+        return (type(value).__name__, [_canon(getattr(value, n)) for n in value.__slots__])
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -77,6 +174,21 @@ class TestCacheKey:
         assert cache_key(SMALL.with_(trace_out="/tmp/a.json")) == cache_key(
             SMALL.with_(trace_out="/tmp/b.jsonl")
         )
+
+    def test_key_is_the_digest_of_the_normalized_scenario(self):
+        """The key hashes the field stream directly; it must equal what
+        building the normalized scenario through ``with_`` gives."""
+        busy = SMALL.with_(
+            shards=2, shard_transport="inline", jobs=3, trace_out="/tmp/t.json",
+            failures="3@50s", strategy="ckpt-multilevel", strategy_params={"k": 4},
+        )
+        normalized = busy.with_(
+            backend=None, shards=1, shard_transport=None, jobs=1, trace_out=""
+        )
+        expected = hashlib.sha256(
+            f"{cache_salt()}\n{normalized.scenario_digest()}".encode()
+        ).hexdigest()
+        assert cache_key(busy) == expected == cache_key(normalized)
 
     def test_result_relevant_fields_stay_in_key(self):
         base = cache_key(SMALL)
@@ -148,6 +260,127 @@ class TestHitEquivalence:
 
 
 # ----------------------------------------------------------------------
+# head and body: what a hit answers from where
+# ----------------------------------------------------------------------
+STRATEGIES = ("ckpt", "ckpt-multilevel", "replication", "none")
+
+
+class TestHeadAndBody:
+    def test_warm_run_cells_never_decodes_a_large_body(
+        self, store, large_blobs, body_decodes
+    ):
+        cells = [
+            SMALL.with_(seed=0),
+            SMALL.with_(seed=1),
+            SMALL.with_(failures="3@50s"),
+            SMALL.with_(failures="3@50s", strategy="replication"),
+        ]
+        cold = run_cells(cells, cache=store)
+        warm = run_cells(cells, cache=store)
+        assert all(s["cached"] for s in warm) and store.stats.hits == len(cells)
+        strip = lambda d: {k: v for k, v in d.items() if k not in ("cached", "saved_s")}
+        assert [strip(s) for s in warm] == [strip(s) for s in cold]
+        assert body_decodes == [0]
+
+    def test_small_body_decodes_once_at_lookup(self, store, body_decodes, monkeypatch):
+        scenario = SMALL.with_(failures="3@50s")
+        cold = _fill(store, scenario)
+        warm = run_scenario(scenario, cache=store)
+        assert body_decodes == [1] and warm.metadata["cache_hit"] is True
+        assert warm.summary() == cold.summary() and warm.digest() == cold.digest()
+        assert warm.last_result.exit_time == cold.last_result.exit_time
+        assert body_decodes == [1]
+        # the blob's size decides: at the limit it decodes at lookup,
+        # one byte over the limit it waits for first access
+        size = store.blob_path(cache_key(scenario)).stat().st_size
+        monkeypatch.setattr("repro.cache.store.EAGER_DECODE_BYTES", size)
+        run_scenario(scenario, cache=store)
+        assert body_decodes == [2]
+        monkeypatch.setattr("repro.cache.store.EAGER_DECODE_BYTES", size - 1)
+        waiting = run_scenario(scenario, cache=store)
+        assert body_decodes == [2]
+        assert waiting.run is not None and body_decodes == [3]
+
+    def test_head_answers_and_large_body_decodes_once_on_first_access(
+        self, store, large_blobs, body_decodes
+    ):
+        cold = _fill(store, SMALL.with_(failures="3@50s"))
+        warm = run_scenario(SMALL.with_(failures="3@50s"), cache=store)
+        assert warm.summary() == cold.summary()
+        assert warm.digest() == cold.digest() and warm.completed is cold.completed
+        assert warm.facts() == cold.facts() and warm.metadata["cache_hit"] is True
+        assert body_decodes == [0]
+        assert warm.run is not None and warm.result is None and warm.observer is None
+        assert warm.last_result.exit_time == cold.last_result.exit_time
+        assert body_decodes == [1]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("failures", ["", "3@50s"], ids=["single", "restart"])
+    def test_decoded_objects_equal_cold_field_for_field(
+        self, store, decode_when, strategy, failures
+    ):
+        scenario = SMALL.with_(strategy=strategy, failures=failures, observe=True)
+        cold = _fill(store, scenario)
+        warm = run_scenario(scenario, cache=store)
+        assert warm.metadata["cache_hit"] is True
+        assert warm.mode == cold.mode == ("restart" if failures else "single")
+        assert _canon(warm.result) == _canon(cold.result)
+        assert _canon(warm.run) == _canon(cold.run)
+        assert _canon(warm.last_result) == _canon(cold.last_result)
+        assert to_jsonl(warm.observer) == to_jsonl(cold.observer)
+        assert to_chrome(warm.observer) == to_chrome(cold.observer)
+        assert outcome_digest(warm.result, warm.run) == warm.digest() == cold.digest()
+
+    def test_head_floats_round_trip_exactly(self, store):
+        """inf / nan / denormal / negative-zero facts survive the JSON
+        head bit for bit (compared by ``float.hex``)."""
+        scenario = SMALL.with_(failures="3@50s")
+        cold = run_scenario(scenario)
+        odd = dict(cold.facts(), e2=math.inf, mttf_a=math.nan, exit_time=5e-324)
+        odd["strategy_facts"] = dict(odd["strategy_facts"], drift=-0.0, third=1 / 3)
+        cold._facts = odd
+        assert store.store(scenario, cold)
+        warm = store.lookup(scenario)
+        assert _canon(warm.facts()) == _canon(odd)
+        assert _canon(warm.summary()) == _canon(cold.summary())
+        assert warm.summary()["e2"] == math.inf and math.isnan(warm.summary()["mttf_a"])
+
+    def test_cache_hit_instant_reports_this_blobs_size(self, store, decode_when):
+        scenarios = [SMALL.with_(observe=True), SMALL.with_(observe=True, ranks=27)]
+        for scenario in scenarios:
+            _fill(store, scenario)
+        for scenario in scenarios:  # the second hit must not report a running total
+            warm = run_scenario(scenario, cache=store)
+            (instant,) = [e for e in warm.observer.host_events() if e.name == "cache-hit"]
+            size = store.blob_path(cache_key(scenario)).stat().st_size
+            assert dict(instant.args)["bytes"] == size
+        assert store.stats.hit_bytes > size
+
+    @settings(max_examples=12)
+    @given(
+        ranks=st.sampled_from([2, 8, 12]),
+        strategy=st.sampled_from(STRATEGIES),
+        failures=st.sampled_from(["", "1@20s", "1@20s,0@90s", "straggler:1@10s+5s*2.0"]),
+        observe=st.booleans(),
+    )
+    def test_store_then_lookup_round_trips_summary(
+        self, tmp_path_factory, ranks, strategy, failures, observe
+    ):
+        scenario = Scenario(
+            ranks=ranks, iterations=20, interval=5, strategy=strategy,
+            failures=failures, observe=observe,
+        )
+        cache = ResultCache(tmp_path_factory.mktemp("prop"))
+        cold = run_scenario(scenario, cache=False)
+        assert cache.store(scenario, cold, wall_s=0.25)
+        warm = cache.lookup(scenario)
+        assert warm is not None and warm.metadata["cache_wall_s"] == 0.25
+        assert _canon(warm.summary()) == _canon(cold.summary())
+        assert list(warm.summary()) == list(cold.summary())  # key order too
+        cache.close()
+
+
+# ----------------------------------------------------------------------
 # robustness: damaged state degrades to recomputation
 # ----------------------------------------------------------------------
 class TestRobustness:
@@ -156,7 +389,7 @@ class TestRobustness:
         key = cache_key(SMALL)
         path = store.blob_path(key)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        with pytest.warns(RuntimeWarning, match="unusable"):
+        with pytest.warns(RuntimeWarning, match="unusable .*blob size"):
             again = run_scenario(SMALL, cache=store)
         assert not again.metadata.get("cache_hit")
         assert again.digest() == cold.digest()
@@ -174,22 +407,133 @@ class TestRobustness:
 
     def test_garbage_blob_recomputes(self, store):
         cold = _fill(store)
-        store.blob_path(cache_key(SMALL)).write_bytes(b"not a pickle")
-        with pytest.warns(RuntimeWarning, match="undecodable"):
+        path = store.blob_path(cache_key(SMALL))
+        path.write_bytes(b"not a blob")
+        with pytest.warns(RuntimeWarning, match="blob size"):
+            again = run_scenario(SMALL, cache=store)
+        assert not again.metadata.get("cache_hit")
+        assert again.digest() == cold.digest()
+        # the same garbage under an index row that vouches for it gets
+        # as far as the head decoder, and no further
+        path.write_bytes(b"not a blob, but the index says so")
+        _reindex(store)
+        with pytest.warns(RuntimeWarning, match="head undecodable"):
             again = run_scenario(SMALL, cache=store)
         assert not again.metadata.get("cache_hit")
         assert again.digest() == cold.digest()
 
     def test_stale_index_digest_recomputes(self, store):
-        """An index row whose digest disagrees with the blob must never be
-        served (the blob could be a stale atomic-rename survivor)."""
+        """An index row whose digest disagrees with the blob's head must
+        never be served (the blob could be a stale atomic-rename
+        survivor)."""
         _fill(store)
         store._conn().execute(
             "UPDATE entries SET result_digest = 'deadbeef'"
         )
-        with pytest.warns(RuntimeWarning, match="digest"):
+        with pytest.warns(RuntimeWarning, match="head digest .* != indexed deadbeef"):
             assert store.lookup(SMALL) is None
         assert store.stats.corrupt == 1
+
+    def test_stale_blob_sha_recomputes(self, store):
+        _fill(store)
+        store._conn().execute("UPDATE entries SET blob_sha = ?", ("0" * 64,))
+        with pytest.warns(RuntimeWarning, match="blob hash .* != indexed 0000"):
+            assert store.lookup(SMALL) is None
+        assert store.stats.corrupt == 1
+        assert store.index_stats()["entries"] == 0
+        assert not store.blob_path(cache_key(SMALL)).exists()
+
+    @pytest.mark.parametrize("where", ["length", "head", "body"])
+    def test_flipped_byte_is_refused_before_any_decoder(self, store, no_decoder, where):
+        """Verify-before-decode: one flipped bit anywhere is a miss, and
+        neither the head's JSON decoder nor the body's unpickler ran."""
+        _fill(store)
+        path = store.blob_path(cache_key(SMALL))
+        data = path.read_bytes()
+        offset = {"length": 11, "head": 20, "body": _body_at(data) + 5}[where]
+        _flip(path, offset)
+        with pytest.warns(RuntimeWarning, match="blob hash"):
+            assert store.lookup(SMALL) is None
+        assert (store.stats.corrupt, store.stats.hits) == (1, 0)
+        assert not path.exists()
+
+    def test_truncation_is_refused_before_hashing(self, store, monkeypatch):
+        _fill(store)
+        path = store.blob_path(cache_key(SMALL))
+        truncated = path.read_bytes()[:-1]
+        path.write_bytes(truncated)
+        real = hashlib.sha256
+
+        def guarded(data=b""):
+            assert data != truncated, "hashed a blob whose size already disagreed"
+            return real(data)
+
+        monkeypatch.setattr(hashlib, "sha256", guarded)
+        with pytest.warns(RuntimeWarning, match="blob size"):
+            assert store.lookup(SMALL) is None
+
+    @pytest.mark.parametrize("evil", ["os.system", "builtins.eval"])
+    def test_hostile_body_under_a_correct_hash_executes_nothing(
+        self, store, tmp_path, decode_when, evil
+    ):
+        """A body that names a callable, stored with a *correct*
+        ``blob_sha``: the allow-list unpickler refuses it and the entry
+        is demoted.  Decoded at lookup that is an ordinary miss (the run
+        path recomputes and re-stores); decoded on first access the hit
+        was already reported, and the outcome recomputes itself."""
+        cold = _fill(store)
+        sentinel = tmp_path / "sentinel"
+
+        class Evil:
+            def __reduce__(self):
+                if evil == "os.system":
+                    return os.system, (f"touch {sentinel}",)
+                return eval, (f"open({str(sentinel)!r}, 'w').close()",)
+
+        body = pickle.dumps((Evil(), None, None), protocol=pickle.HIGHEST_PROTOCOL)
+        path = store.blob_path(cache_key(SMALL))
+        data = path.read_bytes()
+        path.write_bytes(data[: _body_at(data)] + body)
+        _reindex(store)
+        if decode_when == "at-lookup":
+            with pytest.warns(RuntimeWarning, match="body undecodable"):
+                warm = run_scenario(SMALL, cache=store)
+            assert not warm.metadata.get("cache_hit") and store.stats.hits == 0
+            result = warm.result
+        else:
+            warm = run_scenario(SMALL, cache=store)
+            assert warm.metadata.get("cache_hit") is True  # head and hash are fine
+            with pytest.warns(RuntimeWarning, match="body undecodable"):
+                result = warm.result
+            assert store.index_stats()["entries"] == 0 and not path.exists()
+        assert not sentinel.exists()
+        assert outcome_digest(result, warm.run) == cold.digest() == warm.digest()
+        assert any(r.category == "cache" for r in result.log.entries)
+        assert store.stats.corrupt == 1
+        if decode_when == "at-lookup":  # the miss re-stored a good entry
+            assert run_scenario(SMALL, cache=store).metadata.get("cache_hit") is True
+            assert not sentinel.exists()
+
+    def test_body_unpickler_resolves_classes_of_repro_modules_only(self):
+        import io
+
+        from repro.cache.store import _BodyUnpickler
+        from repro.pdes.context import VpState
+
+        unpickler = _BodyUnpickler(io.BytesIO(b""))
+        assert unpickler.find_class("repro.pdes.context", "VpState") is VpState
+        assert unpickler.find_class("builtins", "complex") is complex
+        for module, name in [
+            ("os", "system"),
+            ("builtins", "eval"),
+            ("builtins", "getattr"),
+            ("repro.cache.store", "os.system"),  # a dotted path through an import
+            ("repro.cache.store", "Path"),  # a class, but not one defined there
+            ("repro.cache.store", "cache_key"),  # a function
+            ("reprox", "VpState"),
+        ]:
+            with pytest.raises(pickle.UnpicklingError, match="not an allowed"):
+                unpickler.find_class(module, name)
 
     def test_warning_logged_into_recomputed_run(self, store):
         _fill(store)
@@ -215,6 +559,55 @@ class TestRobustness:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # disabled warning fires once
             assert reopened.lookup(SMALL) is None
+
+    def test_schema_1_directory_is_refused_untouched(self, tmp_path):
+        """A directory written by the previous format (bare pickles, no
+        ``blob_sha`` column): disabled, one warning, recompute, nothing
+        read and nothing deleted."""
+        root = tmp_path / "old"
+        blob = root / "blobs" / "ab" / ("ab" * 32 + ".pkl")
+        blob.parent.mkdir(parents=True)
+        blob.write_bytes(pickle.dumps({"format": 1}))
+        conn = sqlite3.connect(root / "index.sqlite3")
+        conn.executescript(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+            "INSERT INTO meta VALUES ('schema', '1');"
+            "CREATE TABLE entries (key TEXT PRIMARY KEY, scenario_digest TEXT NOT NULL,"
+            " result_digest TEXT NOT NULL, mode TEXT NOT NULL, nbytes INTEGER NOT NULL,"
+            " wall_s REAL NOT NULL, created REAL NOT NULL, last_hit REAL NOT NULL,"
+            " hits INTEGER NOT NULL DEFAULT 0);"
+            "INSERT INTO entries VALUES ('" + "ab" * 32 + "', 's', 'r', 'single', 14,"
+            " 0.1, 1.0, 1.0, 0);"
+        )
+        conn.commit()
+        conn.close()
+        cache = ResultCache(root)
+        assert cache.disabled_reason is not None
+        with pytest.warns(RuntimeWarning, match="schema version 1 != supported 2") as caught:
+            outcome = run_scenario(SMALL, cache=cache)
+            assert cache.lookup(SMALL) is None
+        assert len(caught) == 1  # the disabled warning fires once
+        assert not outcome.metadata.get("cache_hit") and outcome.completed
+        assert cache.stats.stores == 0
+        assert blob.exists()
+        conn = sqlite3.connect(root / "index.sqlite3")
+        assert conn.execute("SELECT COUNT(*) FROM entries").fetchone() == (1,)
+        assert conn.execute("SELECT value FROM meta").fetchone() == ("1",)
+        conn.close()
+
+    def test_failed_store_rolls_back_and_the_next_one_lands(self, store, monkeypatch):
+        outcome = run_scenario(SMALL, cache=False)
+
+        def disk_full(key, data):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(store, "_write_blob", disk_full)
+            with pytest.warns(RuntimeWarning, match="store failed .* disk full"):
+                assert store.store(SMALL, outcome) is False
+        assert (store.stats.store_errors, store.index_stats()["entries"]) == (1, 0)
+        assert store.store(SMALL, outcome) is True  # no transaction left open
+        assert store.lookup(SMALL) is not None and store.verify() == []
 
     def test_lookup_never_raises_on_unreadable_index(self, tmp_path):
         root = tmp_path / "broken"
@@ -250,6 +643,32 @@ class TestVerifyGc:
         assert store.index_stats()["entries"] == 3  # audit-only
         store.verify(prune=True)
         assert store.index_stats()["entries"] == 2
+
+    def test_verify_audits_beyond_a_lookup(self, store):
+        """A lookup trusts a head whose blob hash matched; ``verify``
+        decodes the body too and re-derives digest and facts from it."""
+        scenarios = self._three_entries(store)
+        paths = [store.blob_path(cache_key(s)) for s in scenarios]
+        blobs = [p.read_bytes() for p in paths]
+        # entry 0: another cell's body under this cell's head
+        other = SMALL.with_(iterations=20)
+        _fill(store, other)
+        foreign = store.blob_path(cache_key(other)).read_bytes()
+        paths[0].write_bytes(blobs[0][: _body_at(blobs[0])] + foreign[_body_at(foreign) :])
+        _reindex(store, scenarios[0])
+        # entry 2: a head whose facts disagree with its own body
+        head = json.loads(blobs[2][12 : _body_at(blobs[2])])
+        head["facts"]["events"] += 1
+        lying = json.dumps(head, sort_keys=True, separators=(",", ":")).encode()
+        paths[2].write_bytes(
+            blobs[2][:8] + len(lying).to_bytes(4, "big") + lying + blobs[2][_body_at(blobs[2]) :]
+        )
+        _reindex(store, scenarios[2])
+        assert store.lookup(scenarios[0]) is not None  # hash, head and index agree
+        problems = {i.key: i.problem for i in store.verify()}
+        assert set(problems) == {cache_key(scenarios[0]), cache_key(scenarios[2])}
+        assert "digest mismatch" in problems[cache_key(scenarios[0])]
+        assert "facts differ" in problems[cache_key(scenarios[2])]
 
     def test_gc_max_age_evicts_idle_entries(self, store):
         scenarios = self._three_entries(store)
@@ -492,6 +911,70 @@ def _store_worker(args):
     for seed in seeds:
         run_scenario(SMALL.with_(seed=seed), cache=cache)
     return cache.stats.stores + cache.stats.hits
+
+
+def _same_key_worker(args):
+    root, rounds = args
+    from repro.cache.store import ResultCache
+    from repro.run.backends import run_scenario
+
+    cache = ResultCache(root)
+    outcome = run_scenario(SMALL, cache=False)
+    # every store writes different bytes (wall_s differs), so a blob left
+    # under another writer's row would fail its hash
+    return sum(
+        cache.store(SMALL, outcome, wall_s=os.getpid() + i / 1000) for i in range(rounds)
+    )
+
+
+def test_same_cell_stored_concurrently_stays_servable(tmp_path):
+    """More writers than cores, all replacing one entry with differing
+    bytes: blob rename and index row land in one write transaction, so
+    the survivors always belong together."""
+    root = str(tmp_path / "contended")
+    workers = (os.cpu_count() or 1) + 2
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers) as pool:
+        counts = pool.map_async(_same_key_worker, [(root, 40)] * workers).get(timeout=120)
+    assert counts == [40] * workers
+    cache = ResultCache(root)
+    assert cache.index_stats()["entries"] == 1
+    assert cache.verify() == []
+    assert cache.lookup(SMALL) is not None and cache.stats.corrupt == 0
+
+
+def test_blob_and_row_land_in_one_write_transaction(tmp_path):
+    """A second writer of the same cell is held out between the first
+    writer's blob rename and its index row; without that, the second
+    writer's blob would end up under the first writer's hash."""
+    root = tmp_path / "c"
+    first = ResultCache(root)
+    outcome = run_scenario(SMALL, cache=False)
+    entered, finished = threading.Event(), threading.Event()
+
+    def second_writer():
+        second = ResultCache(root)
+        entered.set()
+        second.store(SMALL, outcome, wall_s=2.0)
+        finished.set()
+        second.close()
+
+    thread = threading.Thread(target=second_writer)
+    write_blob = first._write_blob
+
+    def write_then_let_the_other_try(key, data):
+        write_blob(key, data)
+        thread.start()
+        assert entered.wait(10)
+        assert not finished.wait(0.3), "second store got in between blob and row"
+
+    first._write_blob = write_then_let_the_other_try
+    assert first.store(SMALL, outcome, wall_s=1.0)
+    thread.join(30)
+    assert not thread.is_alive() and finished.is_set()
+    audit = ResultCache(root)
+    assert audit.verify() == []
+    assert audit.lookup(SMALL).metadata["cache_wall_s"] == 2.0
 
 
 def test_concurrent_writers_one_directory(tmp_path):

@@ -137,6 +137,34 @@ class TestSerialization:
     def test_digest_changes_with_any_field(self):
         assert tiny().scenario_digest() != tiny(seed=1).scenario_digest()
 
+    def test_golden_digests(self):
+        """Scenario digests are an on-disk contract (cache keys, ledger
+        records): the values below were taken at the commit before the
+        digest became a once-per-instance value and ``cache_key``
+        stopped building a normalized scenario through ``with_``."""
+        busy = Scenario(
+            ranks=125, topology="mesh", dims=(5, 5, 5), app="cg", iterations=40,
+            interval=7, failures="3@50s,straggler:2@50s+10s*2.0", mttf=3000,
+            strategy="ckpt-multilevel", strategy_params={"k": 4}, seed=11,
+            shards=2, shard_transport="inline", jobs=3, check=True,
+            trace_out="/tmp/t.json", slowdown=2,
+        )
+        golden = "775c208ccdf5e7491484c12af185fb32c7a1d32424765320ed1447e61b0cf34b"
+        normalized = "48a68f82e48ba36d888bfa1b69cb29e5f6c50d9115afd2182f7954a535f7ea4d"
+        assert Scenario().scenario_digest() == (
+            "9aa39df03a7b3fd126e166c6062f1ab2f158e496e2eab80f37a591406e6718c4"
+        )
+        assert busy.scenario_digest() == golden
+        assert busy.scenario_digest() == golden  # second read: the kept value
+        execution = dict(backend=None, shards=1, shard_transport=None, jobs=1, trace_out="")
+        assert busy.digest_with(**execution) == normalized
+        assert busy.with_(**execution).scenario_digest() == normalized
+        # the kept digest is not a field: ==, repr, to_dict, TOML never see it
+        fresh = busy.with_()
+        assert fresh == busy and repr(fresh) == repr(busy)
+        assert fresh.to_dict() == busy.to_dict() and fresh.to_toml() == busy.to_toml()
+        assert "_digest" not in repr(busy) + busy.to_toml()
+
     def test_unknown_table_and_key_rejected(self):
         with pytest.raises(ConfigurationError, match=r"unknown scenario table"):
             Scenario.from_toml("[wardrobe]\nnarnia = true\n")
