@@ -149,3 +149,14 @@ def amr(mpi: MpiApi, cfg: AmrConfig, store: Any = None) -> Gen:
             yield from proto.checkpoint(it, payload, cfg.checkpoint_nbytes(cells))
     yield from mpi.finalize()
     return max_cells
+
+
+def scenario_workload(scenario: Any, interval: int) -> tuple[Any, Any]:
+    """``(app, make_args)`` for a :class:`~repro.run.scenario.Scenario`
+    that names this application (the ``APPS`` table entry): the generator
+    and the per-segment argument builder, given the strategy's store.
+    ``interval`` is the checkpoint cadence the strategy asks for."""
+    cfg = AmrConfig.for_ranks(
+        scenario.ranks, iterations=scenario.iterations, checkpoint_interval=interval
+    )
+    return amr, (lambda store: (cfg, store))

@@ -263,3 +263,14 @@ def cg(mpi: MpiApi, cfg: CgConfig, store: Any = None) -> Gen:
         solution_norm_sq=float((x * x).sum()) if real else None,
         restarted_from=start_iter,
     )
+
+
+def scenario_workload(scenario: Any, interval: int) -> tuple[Any, Any]:
+    """``(app, make_args)`` for a :class:`~repro.run.scenario.Scenario`
+    that names this application (the ``APPS`` table entry): the generator
+    and the per-segment argument builder, given the strategy's store.
+    ``interval`` is the checkpoint cadence the strategy asks for."""
+    cfg = CgConfig.for_ranks(
+        scenario.ranks, max_iterations=scenario.iterations, checkpoint_interval=interval
+    )
+    return cg, (lambda store: (cfg, store))

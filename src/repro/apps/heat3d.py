@@ -375,3 +375,22 @@ def heat3d(mpi: MpiApi, cfg: HeatConfig, store: Any = None) -> Gen:
     return HeatRunStats(
         rank=mpi.rank, iterations=it, restarted_from=start_iter, checksum=checksum
     )
+
+
+def scenario_workload(scenario: Any, interval: int) -> tuple[Any, Any]:
+    """``(app, make_args)`` for a :class:`~repro.run.scenario.Scenario`
+    that names this application (the ``APPS`` table entry): the generator
+    and the per-segment argument builder, given the strategy's store.
+    ``interval`` is the checkpoint cadence the strategy asks for."""
+    overrides: dict[str, Any] = {}
+    if interval != scenario.interval:
+        # Keep the halo-exchange cadence pinned to the nominal interval
+        # so communication is comparable across strategies.
+        overrides["exchange_interval"] = scenario.interval
+    workload = HeatConfig.paper_workload(
+        checkpoint_interval=interval,
+        nranks=scenario.ranks,
+        iterations=scenario.iterations,
+        **overrides,
+    )
+    return heat3d, (lambda store: (workload, store))

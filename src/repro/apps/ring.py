@@ -41,3 +41,12 @@ def ring(mpi: MpiApi, cfg: RingConfig) -> Generator[Any, Any, float]:
     done = mpi.wtime()
     yield from mpi.finalize()
     return done
+
+
+def scenario_workload(scenario: Any, interval: int) -> tuple[Any, Any]:
+    """``(app, make_args)`` for a :class:`~repro.run.scenario.Scenario`
+    that names this application (the ``APPS`` table entry): the generator
+    and the per-segment argument builder, given the strategy's store.
+    ``interval`` is unused: the ring keeps no checkpoints."""
+    cfg = RingConfig(rounds=scenario.iterations)
+    return ring, (lambda store: (cfg,))

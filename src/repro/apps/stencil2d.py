@@ -184,3 +184,12 @@ def stencil2d(mpi: MpiApi, cfg: Stencil2dConfig, store: Any = None) -> Gen:
             yield from proto.checkpoint(it, payload, cfg.checkpoint_nbytes)
     yield from mpi.finalize()
     return float(u[1:-1, 1:-1].sum()) if real else None
+
+
+def scenario_workload(scenario: Any, interval: int) -> tuple[Any, Any]:
+    """``(app, make_args)`` for a :class:`~repro.run.scenario.Scenario`
+    that names this application (the ``APPS`` table entry): the generator
+    and the per-segment argument builder, given the strategy's store.
+    ``interval`` is the checkpoint cadence the strategy asks for."""
+    cfg = Stencil2dConfig.for_ranks(scenario.ranks, checkpoint_interval=interval)
+    return stencil2d, (lambda store: (cfg, store))

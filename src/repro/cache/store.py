@@ -8,7 +8,8 @@ Layout on disk (one directory per cache)::
 A **blob** is ``magic | head length | head | body``.  The **head** is
 canonical JSON of primitives — format, mode, result digest, the original
 compute wall time, the execution metadata and every result-derived fact
-an outcome's ``summary()`` reports (:func:`~repro.run.backends.outcome_facts`).
+an outcome's ``summary()`` and run report print
+(:func:`~repro.run.backends.outcome_facts`).
 The **body** is everything else a hit must reproduce bit-identically,
 pickled: the stripped :class:`~repro.pdes.engine.SimulationResult` (or
 the full :class:`~repro.core.restart.FailureRunResult` of a restart
@@ -34,8 +35,11 @@ from verified bytes and only through an unpickler that resolves nothing
 but classes defined in ``repro`` modules and a few builtin value types —
 no function, no ``os.system``.  A blob of at most
 :data:`EAGER_DECODE_BYTES` decodes its body at lookup, so the hit is
-complete when returned; a larger one (where the decode would be most of
-the answer) when ``result`` / ``run`` / ``observer`` are first asked
+complete when returned — provided the process has already imported the
+classes a body holds (it has computed a run); a larger one (where the
+decode would be most of the answer), or any blob in a process that has
+only looked answers up (where the decode would first import the
+simulator), when ``result`` / ``run`` / ``observer`` are first asked
 for.  Any failed check — a truncated, missing or rewritten blob, a
 stale index row, a head that does not parse, a small body that does not
 decode — demotes the entry to a miss (row and blob deleted, a
@@ -57,6 +61,7 @@ import json
 import os
 import pickle
 import sqlite3
+import sys
 import tempfile
 import time as _time
 import warnings
@@ -130,6 +135,11 @@ _HEAD_AT = len(_MAGIC) + 4  # a 4-byte big-endian head length follows the magic
 #: for: there the decode would be most of the answer (7 ms of 8 at
 #: 8,000 ranks, 36 ms of 38 at 32,768) and a sweep never asks.
 EAGER_DECODE_BYTES = 256 * 1024
+
+#: Every body holds a ``SimulationResult``: until this module is loaded,
+#: decoding one means importing the simulator runtime (~0.25 s) — more
+#: than the whole of a warm CLI sweep, which never reads a body.
+_BODY_CLASSES_MODULE = "repro.pdes.engine"
 
 
 def _canonical_json(value: Any) -> bytes:
@@ -479,7 +489,7 @@ class ResultCache:
             self._corrupt(key, str(exc))
             return None
         decoded = None
-        if len(data) <= EAGER_DECODE_BYTES:
+        if len(data) <= EAGER_DECODE_BYTES and _BODY_CLASSES_MODULE in sys.modules:
             try:
                 decoded = _decode_body(data, body_at)
             except Exception as exc:  # noqa: BLE001 - any decode failure is damage

@@ -30,6 +30,16 @@ sanitizer (equivalent to ``XSIM_CHECK=1``); ``--record-trace FILE`` saves
 the full event-dispatch trace; ``--replay FILE`` re-runs and diffs against
 a saved trace, reporting the first divergence; ``--digest`` prints the
 canonical result fingerprint for cross-backend comparison.
+
+Start-up cost follows the command (``docs/INTERNALS.md``, "Import
+layers"): this module imports only the import-light layer — the scenario
+spec, the name tables the ``choices`` come from, the error types — so
+``--help``, a usage error and ``cache stats|gc`` load no simulator; each
+``_cmd_*`` imports the runtime or tool it drives, and a warm ``app`` /
+``sweep --cache`` is answered from the cache's JSON heads without the
+engine, the MPI layer or numpy.  One handler in :func:`main` turns every
+:class:`~repro.util.errors.ConfigurationError` into ``error: ...`` and
+exit status 2.
 """
 
 from __future__ import annotations
@@ -39,17 +49,37 @@ import os
 import sys
 from typing import Sequence
 
-from repro.check.trace import EventTrace
-from repro.core.faults.finject import FinjectCampaign
-from repro.core.harness.experiment import Table2Config, run_table2
-from repro.core.harness.parallel import default_jobs
-from repro.core.harness.report import format_table, render_table2
-from repro.core.simulator import XSim
-from repro.resilience import strategy_names
-from repro.run.backends import capped_shards, run_scenario  # noqa: F401 - capped_shards re-exported
-from repro.run.scenario import APP_NAMES, Scenario, load_scenario_file, parse_dims
-from repro.run.sweep import parse_set, run_sweep
+from repro.resilience.strategy import strategy_names
+from repro.run.envvars import default_jobs
+from repro.run.scenario import (
+    APP_NAMES,
+    ENGINE_NAMES,
+    SHARD_TRANSPORTS,
+    TOPOLOGY_NAMES,
+    Scenario,
+    load_scenario_file,
+    parse_dims,
+)
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import lazy_exports
+
+# Names this module used to import eagerly and callers still read off it
+# (``repro.cli.run_scenario``, ``repro.cli.capped_shards``, ...): resolved
+# on first use, so importing the CLI does not import what they live in.
+_EXPORTS = {
+    "EventTrace": "repro.check.trace",
+    "FinjectCampaign": "repro.core.faults.finject",
+    "Table2Config": "repro.core.harness.experiment",
+    "XSim": "repro.core.simulator",
+    "capped_shards": "repro.run.backends",
+    "format_table": "repro.core.harness.report",
+    "parse_set": "repro.run.sweep",
+    "render_table2": "repro.core.harness.report",
+    "run_scenario": "repro.run.backends",
+    "run_sweep": "repro.run.sweep",
+    "run_table2": "repro.core.harness.experiment",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 
 def _add_cache_args(p: argparse.ArgumentParser) -> None:
@@ -114,7 +144,7 @@ def _add_shards_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--shard-transport",
-        choices=["fork", "inline", "shm"],
+        choices=list(SHARD_TRANSPORTS),
         default=None,
         help="shard worker transport (default: XSIM_SHARD_TRANSPORT or fork): "
         "fork (one process per shard, pickled pipes), shm (forked workers "
@@ -124,7 +154,7 @@ def _add_shards_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--engine",
-        choices=["heap", "flat"],
+        choices=list(ENGINE_NAMES),
         default=None,
         help="event-core selection (default: XSIM_ENGINE or heap): heap is "
         "the tuple binary heap, flat the slab-pool flat core; results and "
@@ -140,7 +170,7 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ranks", type=int, default=None,
                    help="simulated MPI rank count (default 64)")
     p.add_argument("--topology", default=None,
-                   choices=["torus", "mesh", "fattree", "star", "crossbar"],
+                   choices=list(TOPOLOGY_NAMES),
                    help="interconnect topology (default torus)")
     p.add_argument("--dims", default=None, metavar="DxDxD",
                    help="explicit topology grid, e.g. 8x8x4 for a torus/mesh "
@@ -236,14 +266,12 @@ def _resolve_scenario(args: argparse.Namespace) -> tuple[Scenario, dict]:
 
 
 def _cmd_app(args: argparse.Namespace) -> int:
+    from repro.run.backends import run_scenario
+
     tracing = bool(args.record_trace or args.replay)
-    try:
-        scenario, _ = _resolve_scenario(args)
-        if tracing:
-            scenario = scenario.with_(record_events=True)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario, _ = _resolve_scenario(args)
+    if tracing:
+        scenario = scenario.with_(record_events=True)
     if tracing and scenario.mttf is not None:
         print(
             "--record-trace/--replay cover exactly one engine run; "
@@ -259,21 +287,25 @@ def _cmd_app(args: argparse.Namespace) -> int:
         force_single=tracing,
         cache=cache if cache is not None else False,
     )
+    # The report reads the outcome's facts, never ``result`` / ``run``: a
+    # cache hit prints it from the blob's head without decoding the body.
+    facts = outcome.facts()
+    print(outcome.timing_report())
     if outcome.mode == "restart":
-        run = outcome.run
-        print(run.segments[-1].result.timing_report())
+        mttf_a = facts["mttf_a"]
         print(
-            f"E2={run.e2:,.1f}s failures={run.f} restarts={run.restarts} "
-            f"MTTF_a={'-' if run.mttf_a is None else f'{run.mttf_a:,.1f}s'}"
+            f"E2={facts['e2']:,.1f}s failures={facts['failures']} "
+            f"restarts={facts['restarts']} "
+            f"MTTF_a={'-' if mttf_a is None else f'{mttf_a:,.1f}s'}"
         )
     else:
-        result = outcome.result
-        print(result.timing_report())
-        print(f"E1={result.exit_time:,.1f}s completed={result.completed}")
+        print(f"E1={facts['exit_time']:,.1f}s completed={facts['completed']}")
         if args.record_trace:
             outcome.sim.event_trace.save(args.record_trace)
             print(f"recorded {len(outcome.sim.event_trace)} events to {args.record_trace}")
         if args.replay:
+            from repro.check.trace import EventTrace
+
             reference = EventTrace.load(args.replay)
             divergence = reference.diff(outcome.sim.event_trace)
             if divergence is not None:
@@ -282,7 +314,7 @@ def _cmd_app(args: argparse.Namespace) -> int:
             print(f"replay matches {args.replay}: {len(reference)} events, 0 divergences")
     if args.digest:
         print(f"result digest: {outcome.digest()}")
-    if outcome.observer is not None and scenario.trace_out:
+    if scenario.trace_out and outcome.observer is not None:
         from repro.obs import write_export
 
         count = write_export(
@@ -304,25 +336,24 @@ def _cmd_app(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        base, grid = _resolve_scenario(args)
-        if args.jobs is not None:
-            base = base.with_(jobs=args.jobs)
-        for axis in args.set or []:
-            name, values = parse_set(axis)
-            grid[name] = values
-        if not grid:
-            print(
-                "error: nothing to sweep; pass --set field=v1,v2 or a "
-                "[sweep] table in the scenario file",
-                file=sys.stderr,
-            )
-            return 2
-        cache = _cache_from_args(args)
-        pairs = run_sweep(base, grid, cache=cache if cache is not None else False)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    from repro.core.harness.report import format_table
+    from repro.run.sweep import parse_set, run_sweep
+
+    base, grid = _resolve_scenario(args)
+    if args.jobs is not None:
+        base = base.with_(jobs=args.jobs)
+    for axis in args.set or []:
+        name, values = parse_set(axis)
+        grid[name] = values
+    if not grid:
+        print(
+            "error: nothing to sweep; pass --set field=v1,v2 or a "
+            "[sweep] table in the scenario file",
+            file=sys.stderr,
+        )
         return 2
+    cache = _cache_from_args(args)
+    pairs = run_sweep(base, grid, cache=cache if cache is not None else False)
     axes = list(grid)
     cache_on = cache is not None
     header = axes + ["mode", "completed", "time", "failures", "restarts", "digest"]
@@ -389,34 +420,30 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         max_cells=args.max_cells,
         seed=args.explore_seed,
     )
-    try:
-        if args.scenario:
-            spec = load_explore_file(
-                args.scenario,
-                scenario_overrides=_scenario_overrides(args),
-                **explore_flags,
-            )
-        else:
-            layers = read_explore_environment()
-            layers.update({k: v for k, v in explore_flags.items() if v is not None})
-            spec = ExploreSpec(
-                scenario=Scenario.resolve(**_scenario_overrides(args)), **layers
-            )
-        cache = _cache_from_args(args)
-        observer = None
-        if spec.scenario.trace_out:
-            from repro.obs import Observer
-
-            observer = Observer()
-        result = run_explore(
-            spec,
-            cache=cache if cache is not None else False,
-            jobs=args.jobs,
-            observer=observer,
+    if args.scenario:
+        spec = load_explore_file(
+            args.scenario,
+            scenario_overrides=_scenario_overrides(args),
+            **explore_flags,
         )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    else:
+        layers = read_explore_environment()
+        layers.update({k: v for k, v in explore_flags.items() if v is not None})
+        spec = ExploreSpec(
+            scenario=Scenario.resolve(**_scenario_overrides(args)), **layers
+        )
+    cache = _cache_from_args(args)
+    observer = None
+    if spec.scenario.trace_out:
+        from repro.obs import Observer
+
+        observer = Observer()
+    result = run_explore(
+        spec,
+        cache=cache if cache is not None else False,
+        jobs=args.jobs,
+        observer=observer,
+    )
     print(render_scorecard(result), end="")
     if args.out:
         payload = scorecard_json(result)
@@ -449,6 +476,9 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.core.faults.finject import FinjectCampaign
+    from repro.core.harness.report import format_table
+
     independent = args.independent_streams or args.jobs > 1
     if independent and not args.independent_streams:
         print(
@@ -458,7 +488,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     campaign = FinjectCampaign(
         victims=args.victims,
         max_injections=args.max_injections,
-        seed=args.seed,
+        seed=FinjectCampaign.seed if args.seed is None else args.seed,
         independent_streams=independent,
         jobs=args.jobs,
     )
@@ -469,6 +499,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from repro.core.harness.experiment import Table2Config, run_table2
+    from repro.core.harness.report import render_table2
+
     cfg = Table2Config(nranks=args.ranks, seed=args.seed, jobs=args.jobs)
     cells = run_table2(cfg)
     print(f"Table II reproduction at {args.ranks} simulated ranks "
@@ -478,13 +511,10 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_arch(args: argparse.Namespace) -> int:
-    try:
-        scenario, _ = _resolve_scenario(args)
-        sim = XSim.from_scenario(scenario)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(sim.render_architecture())
+    from repro.core.simulator import XSim
+
+    scenario, _ = _resolve_scenario(args)
+    print(XSim.from_scenario(scenario).render_architecture())
     return 0
 
 
@@ -613,12 +643,8 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
     if cache.disabled_reason:
         print(f"error: {cache.disabled_reason}", file=sys.stderr)
         return 1
-    try:
-        max_bytes = None if args.max_bytes is None else parse_size(args.max_bytes)
-        max_age = None if args.max_age is None else parse_time(args.max_age)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    max_bytes = None if args.max_bytes is None else parse_size(args.max_bytes)
+    max_age = None if args.max_age is None else parse_time(args.max_age)
     res = cache.gc(max_bytes=max_bytes, max_age=max_age)
     by_age = sum(1 for _, reason in res.removed if reason == "age")
     by_bytes = len(res.removed) - by_age
@@ -820,7 +846,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1 = sub.add_parser("table1", help="Finject bit-flip campaign (paper Table I)")
     p_t1.add_argument("--victims", type=int, default=100)
     p_t1.add_argument("--max-injections", type=int, default=100)
-    p_t1.add_argument("--seed", type=int, default=FinjectCampaign.seed)
+    # None = FinjectCampaign's calibrated seed (read where the campaign is
+    # imported, not here: building the parser loads no simulator).
+    p_t1.add_argument("--seed", type=int, default=None)
     _add_jobs_arg(p_t1)
     p_t1.add_argument(
         "--independent-streams",
@@ -950,9 +978,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    """Entry point; returns the process exit code.  A configuration
+    problem anywhere — an ``XSIM_*`` value read while the parser is
+    built, scenario resolution, a command's own argument checks — is one
+    ``error:`` line on stderr and exit status 2, never a traceback."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,15 +20,16 @@ substrates:
   experiment drivers that regenerate the paper's tables.
 """
 
-from repro.core.faults.schedule import FailureSchedule
-from repro.core.harness.config import SystemConfig
-from repro.core.restart import FailureRunResult, RestartDriver
-from repro.core.simulator import XSim
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "FailureRunResult",
-    "FailureSchedule",
-    "RestartDriver",
-    "SystemConfig",
-    "XSim",
-]
+#: Public name -> defining module (imported on first use).
+_EXPORTS = {
+    "FailureRunResult": "repro.core.restart",
+    "FailureSchedule": "repro.core.faults.schedule",
+    "RestartDriver": "repro.core.restart",
+    "SystemConfig": "repro.core.harness.config",
+    "XSim": "repro.core.simulator",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,46 +14,29 @@
   campaign reproduced for Table I.
 """
 
-from repro.core.faults.policies import (
-    InjectionPolicy,
-    ReliabilityInjectionPolicy,
-    SingleUniformFailurePolicy,
-)
-from repro.core.faults.reliability import (
-    ExponentialReliability,
-    MttfInjectionPolicy,
-    SystemReliability,
-    WeibullReliability,
-)
-from repro.core.faults.overlay import FaultOverlay
-from repro.core.faults.schedule import (
-    CorrelatedFailure,
-    FailureSchedule,
-    LinkDegradeFault,
-    ScheduledFailure,
-    StragglerFault,
-    expand_correlated,
-)
-from repro.core.faults.softerror import SoftErrorInjector, SoftErrorOutcome
-from repro.core.faults.finject import FinjectCampaign, VictimModel
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CorrelatedFailure",
-    "ExponentialReliability",
-    "FailureSchedule",
-    "FaultOverlay",
-    "FinjectCampaign",
-    "LinkDegradeFault",
-    "ScheduledFailure",
-    "StragglerFault",
-    "expand_correlated",
-    "InjectionPolicy",
-    "MttfInjectionPolicy",
-    "ReliabilityInjectionPolicy",
-    "SingleUniformFailurePolicy",
-    "SoftErrorInjector",
-    "SoftErrorOutcome",
-    "SystemReliability",
-    "VictimModel",
-    "WeibullReliability",
-]
+#: Public name -> defining module (imported on first use).
+_EXPORTS = {
+    "CorrelatedFailure": "repro.core.faults.schedule",
+    "ExponentialReliability": "repro.core.faults.reliability",
+    "FailureSchedule": "repro.core.faults.schedule",
+    "FaultOverlay": "repro.core.faults.overlay",
+    "FinjectCampaign": "repro.core.faults.finject",
+    "LinkDegradeFault": "repro.core.faults.schedule",
+    "ScheduledFailure": "repro.core.faults.schedule",
+    "StragglerFault": "repro.core.faults.schedule",
+    "expand_correlated": "repro.core.faults.schedule",
+    "InjectionPolicy": "repro.core.faults.policies",
+    "MttfInjectionPolicy": "repro.core.faults.reliability",
+    "ReliabilityInjectionPolicy": "repro.core.faults.policies",
+    "SingleUniformFailurePolicy": "repro.core.faults.policies",
+    "SoftErrorInjector": "repro.core.faults.softerror",
+    "SoftErrorOutcome": "repro.core.faults.softerror",
+    "SystemReliability": "repro.core.faults.reliability",
+    "VictimModel": "repro.core.faults.finject",
+    "WeibullReliability": "repro.core.faults.reliability",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -181,9 +181,12 @@ class FinjectCampaign:
                 "order, which cannot be partitioned across workers without "
                 "changing the draw"
             )
-        if self.independent_streams:
-            from repro.core.harness.parallel import CampaignExecutor, RunSpec
+        from repro.core.harness.parallel import CampaignExecutor, RunSpec
 
+        # Built before the draw so a worker count below 1 is refused on
+        # the shared-stream (serial) path too, which never uses it.
+        executor = CampaignExecutor(max_workers=self.jobs)
+        if self.independent_streams:
             specs = [
                 RunSpec(
                     "finject-victim",
@@ -197,7 +200,7 @@ class FinjectCampaign:
                 )
                 for victim_id in range(self.victims)
             ]
-            outcomes = CampaignExecutor(max_workers=self.jobs).run(specs)
+            outcomes = executor.run(specs)
         else:
             rng = RngStreams(self.seed).get("finject")
             outcomes = [

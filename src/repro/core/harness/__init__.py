@@ -14,36 +14,25 @@
 * :mod:`repro.core.harness.serialize` — JSON/CSV export of results.
 """
 
-from repro.core.harness.config import SystemConfig
-from repro.core.harness.metrics import ResilienceMetrics, compute_metrics
-from repro.core.harness.experiment import (
-    Table2Cell,
-    Table2Config,
-    run_table2,
-    run_table2_row,
-)
-from repro.core.harness.report import format_table, render_table2
-from repro.core.harness.serialize import (
-    failure_run_record,
-    simulation_result_record,
-    table2_records,
-    to_csv,
-    to_json,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ResilienceMetrics",
-    "SystemConfig",
-    "compute_metrics",
-    "Table2Cell",
-    "Table2Config",
-    "format_table",
-    "render_table2",
-    "run_table2",
-    "run_table2_row",
-    "failure_run_record",
-    "simulation_result_record",
-    "table2_records",
-    "to_csv",
-    "to_json",
-]
+#: Public name -> defining module (imported on first use).
+_EXPORTS = {
+    "ResilienceMetrics": "repro.core.harness.metrics",
+    "SystemConfig": "repro.core.harness.config",
+    "compute_metrics": "repro.core.harness.metrics",
+    "Table2Cell": "repro.core.harness.experiment",
+    "Table2Config": "repro.core.harness.experiment",
+    "format_table": "repro.core.harness.report",
+    "render_table2": "repro.core.harness.report",
+    "run_table2": "repro.core.harness.experiment",
+    "run_table2_row": "repro.core.harness.experiment",
+    "failure_run_record": "repro.core.harness.serialize",
+    "simulation_result_record": "repro.core.harness.serialize",
+    "table2_records": "repro.core.harness.serialize",
+    "to_csv": "repro.core.harness.serialize",
+    "to_json": "repro.core.harness.serialize",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,21 +28,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.models.filesystem import FileSystemModel
-from repro.models.network.model import NetworkModel
-from repro.models.network.topology import (
-    CrossbarTopology,
-    FatTreeTopology,
-    MeshTopology,
-    StarTopology,
-    Topology,
-    TorusTopology,
-)
-from repro.models.power import PowerModel
-from repro.models.processor import ProcessorModel
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import load
+
+# This module is part of the import-light layer (docs/INTERNALS.md,
+# "Import layers"): a Scenario validates its topology and dims against
+# it, so the model classes are imported by the builders that need them.
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.models.filesystem import FileSystemModel
+    from repro.models.network.model import NetworkModel
+    from repro.models.network.topology import Topology
+    from repro.models.power import PowerModel
+    from repro.models.processor import ProcessorModel
+
+#: Interconnect kinds: name -> (``"module:attr"`` of the topology class,
+#: how it is sized).  ``grid`` takes dims whose product holds the nodes
+#: (near-cubic when none are given), ``tree`` takes ``(arity, levels)``,
+#: ``nodes`` is sized by the node count alone and takes no dims.
+TOPOLOGIES: dict[str, tuple[str, str]] = {
+    "torus": ("repro.models.network.topology:TorusTopology", "grid"),
+    "mesh": ("repro.models.network.topology:MeshTopology", "grid"),
+    "fattree": ("repro.models.network.topology:FatTreeTopology", "tree"),
+    "star": ("repro.models.network.topology:StarTopology", "nodes"),
+    "crossbar": ("repro.models.network.topology:CrossbarTopology", "nodes"),
+}
 
 
 def balanced_dims(nnodes: int, ndims: int = 3) -> tuple[int, ...]:
@@ -75,7 +86,8 @@ def validate_dims(dims: tuple[int, ...], kind: str, nnodes: int) -> None:
     """
     if any(d < 1 for d in dims):
         raise ConfigurationError(f"topology dims must be >= 1, got {dims}")
-    if kind in ("torus", "mesh"):
+    sizing = TOPOLOGIES.get(kind, ("", "nodes"))[1]
+    if sizing == "grid":
         capacity = math.prod(dims)
         if capacity < nnodes:
             raise ConfigurationError(
@@ -83,7 +95,7 @@ def validate_dims(dims: tuple[int, ...], kind: str, nnodes: int) -> None:
                 f"job needs {nnodes}; increase the dims or lower the rank count"
             )
         return
-    if kind == "fattree":
+    if sizing == "tree":
         if len(dims) != 2:
             raise ConfigurationError(
                 f"fattree dims are (arity, levels); got {len(dims)} values"
@@ -125,8 +137,12 @@ class SystemConfig:
     slowdown: float = 1000.0
     collective_algorithm: str = "linear"
     congestion_factor: float = 1.0
-    filesystem: FileSystemModel = field(default_factory=FileSystemModel.disabled)
-    power: PowerModel = field(default_factory=PowerModel)
+    filesystem: FileSystemModel = field(
+        default_factory=lambda: load("repro.models.filesystem:FileSystemModel").disabled()
+    )
+    power: PowerModel = field(
+        default_factory=lambda: load("repro.models.power:PowerModel")()
+    )
     strict_finalize: bool = True
 
     def __post_init__(self) -> None:
@@ -176,25 +192,25 @@ class SystemConfig:
         kind = self.topology_kind
         if self.topology_dims is not None:
             validate_dims(tuple(self.topology_dims), kind, self.nnodes)
-        if kind == "torus":
-            return TorusTopology(self.topology_dims or balanced_dims(self.nnodes))
-        if kind == "mesh":
-            return MeshTopology(self.topology_dims or balanced_dims(self.nnodes))
-        if kind == "fattree":
+        if kind not in TOPOLOGIES:
+            raise ConfigurationError(f"unknown topology kind {self.topology_kind!r}")
+        target, sizing = TOPOLOGIES[kind]
+        topology = load(target)
+        if sizing == "grid":
+            return topology(self.topology_dims or balanced_dims(self.nnodes))
+        if sizing == "tree":
             if self.topology_dims is not None:
                 arity, levels = self.topology_dims
             else:
                 arity = 16
                 levels = max(1, math.ceil(math.log(self.nnodes, arity)))
-            return FatTreeTopology(arity=arity, levels=levels)
-        if kind == "star":
-            return StarTopology(self.nnodes)
-        if kind == "crossbar":
-            return CrossbarTopology(self.nnodes)
-        raise ConfigurationError(f"unknown topology kind {self.topology_kind!r}")
+            return topology(arity=arity, levels=levels)
+        return topology(self.nnodes)
 
     def make_network(self) -> NetworkModel:
         """Build the communication cost model (overheads pre-scaled)."""
+        from repro.models.network.model import NetworkModel
+
         return NetworkModel(
             self.make_topology(),
             latency=self.link_latency,
@@ -210,4 +226,6 @@ class SystemConfig:
 
     def make_processor(self) -> ProcessorModel:
         """Build the node speed model."""
+        from repro.models.processor import ProcessorModel
+
         return ProcessorModel(reference_hz=self.reference_hz, slowdown=self.slowdown)

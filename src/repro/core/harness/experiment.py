@@ -10,14 +10,14 @@
   observations: where a failure injected into a given phase is *detected*
   (halo exchange vs. barrier) and what it leaves behind in the checkpoint
   store (corrupted file, incomplete set, partially deleted old set).
-* :func:`result_digest` — canonical per-run fingerprint (exit times, event
-  counts, failures) used by the simcheck differential harness to assert
-  bit-identical outcomes across execution modes.
+* :func:`result_digest` / :func:`campaign_digest` — the canonical
+  fingerprints, defined in :mod:`repro.core.harness.digest` (a run that
+  only needs a digest does not import this module's drivers) and
+  re-exported here.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.checkpoint.store import CheckpointStore
 from repro.core.faults.schedule import FailureSchedule
 from repro.core.harness.config import SystemConfig
+from repro.core.harness.digest import campaign_digest, result_digest  # noqa: F401 - re-exported
 from repro.core.restart import FailureRunResult, RestartDriver
 from repro.core.simulator import XSim
 from repro.pdes.engine import SimulationResult
@@ -111,63 +112,6 @@ class Table2Config:
         return HeatConfig.paper_workload(
             checkpoint_interval=interval, nranks=self.nranks, iterations=self.iterations
         )
-
-
-def result_digest(result: SimulationResult) -> str:
-    """Canonical sha256 fingerprint of one run's observable outcome.
-
-    Covers exit/end/busy times (as exact ``float.hex`` strings — no
-    formatting round-off), per-VP states, activated failures, abort
-    status, and the event count.  Two runs digest equal iff they are
-    bit-identical in every one of those observables, which is what the
-    simcheck differential harness asserts across execution modes (serial
-    vs. worker pool, advance coalescing on vs. off).
-    """
-    h = hashlib.sha256()
-    h.update(f"exit {result.exit_time.hex()}\n".encode())
-    h.update(f"start {result.start_time.hex()}\n".encode())
-    h.update(f"events {result.event_count}\n".encode())
-    h.update(f"aborted {int(result.aborted)}\n".encode())
-    if result.abort_time is not None:
-        h.update(f"abort {result.abort_rank} {result.abort_time.hex()}\n".encode())
-    for rank, t in result.failures:
-        h.update(f"fail {rank} {t.hex()}\n".encode())
-    for rank in sorted(result.states):
-        h.update(
-            f"vp {rank} {result.states[rank].value} "
-            f"{result.end_times[rank].hex()} {result.busy_times[rank].hex()}\n".encode()
-        )
-    return h.hexdigest()
-
-
-def campaign_digest(values: Any) -> str:
-    """sha256 over an arbitrary nest of primitives/lists/tuples/dicts,
-    with floats rendered via ``float.hex`` and dict keys sorted — the
-    canonical fingerprint for campaign result lists (Table II sweeps,
-    Finject outcome tuples)."""
-    h = hashlib.sha256()
-
-    def feed(v: Any) -> None:
-        if isinstance(v, float):
-            h.update(f"f:{v.hex()};".encode())
-        elif isinstance(v, (bool, int, str)) or v is None:
-            h.update(f"{type(v).__name__}:{v!r};".encode())
-        elif isinstance(v, (list, tuple)):
-            h.update(b"[")
-            for item in v:
-                feed(item)
-            h.update(b"]")
-        elif isinstance(v, dict):
-            h.update(b"{")
-            for k in sorted(v, key=repr):
-                h.update(f"k:{k!r}=".encode())
-                feed(v[k])
-            h.update(b"}")
-        else:
-            h.update(f"o:{v!r};".encode())
-
-    feed(values)
-    return h.hexdigest()
 
 
 def measure_e1(system: SystemConfig, workload: "HeatConfig", seed: int = 0) -> float:

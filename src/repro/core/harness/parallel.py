@@ -34,13 +34,12 @@ bit-identical to serial.
 
 from __future__ import annotations
 
-import os
 import pickle
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from time import perf_counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.run.envvars import default_jobs
 from repro.util.errors import CampaignTaskError, ConfigurationError
 
 
@@ -61,7 +60,12 @@ class RunSpec:
 
     @classmethod
     def from_scenario(
-        cls, scenario, key: tuple = (), cache_dir: str | None = None
+        cls,
+        scenario,
+        key: tuple = (),
+        cache_dir: str | None = None,
+        known_miss: bool = False,
+        store: Any = None,
     ) -> "RunSpec":
         """A spec executing one :class:`~repro.run.scenario.Scenario` via
         the ``scenario`` task: the spec carries only the scenario's
@@ -70,12 +74,21 @@ class RunSpec:
 
         ``cache_dir`` (optional) names a shared content-addressed result
         store: the worker consults it before running and memoizes what it
-        computes (see :mod:`repro.cache`).  Omitted from ``params`` when
-        unset so pre-cache specs pickle and digest identically.
+        computes (see :mod:`repro.cache`).  ``known_miss`` marks a cell
+        the campaign's partition has just looked up there and missed, so
+        the worker skips its own lookup; ``store`` hands an in-process
+        campaign the already-open :class:`~repro.cache.ResultCache`
+        (never set on a spec bound for a pool: a store does not pickle).
+        All three are omitted from ``params`` when unset so pre-cache
+        specs pickle and digest identically.
         """
         params: dict[str, Any] = {"scenario": scenario.to_dict()}
         if cache_dir is not None:
             params["cache_dir"] = cache_dir
+        if known_miss:
+            params["known_miss"] = True
+        if store is not None:
+            params["store"] = store
         return cls(
             "scenario",
             key=key if key else ("scenario", scenario.scenario_digest()[:12]),
@@ -136,21 +149,6 @@ def _pool_run_spec(spec: RunSpec) -> tuple[str, Any]:
         return ("err", exc)
 
 
-def default_jobs() -> int:
-    """Worker count when none is given: the ``XSIM_JOBS`` environment
-    variable, else 1 (serial in-process execution)."""
-    raw = os.environ.get("XSIM_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"XSIM_JOBS must be an integer, got {raw!r}") from exc
-    if jobs < 1:
-        raise ConfigurationError(f"XSIM_JOBS must be >= 1, got {jobs}")
-    return jobs
-
-
 class CampaignExecutor:
     """Execute independent :class:`RunSpec` s, serially or on a pool.
 
@@ -185,6 +183,11 @@ class CampaignExecutor:
         #: task lifecycle; parent-side — pool spans include queueing).
         self.observe = observe
 
+    def runs_in_process(self, nspecs: int) -> bool:
+        """Whether :meth:`run` executes ``nspecs`` specs in the calling
+        process without trying a pool."""
+        return self.max_workers <= 1 or nspecs <= 1 or self.force_fallback
+
     def _run_serial(self, specs: "list[RunSpec]") -> list[Any]:
         if self.observe is None:
             return [run_spec(s) for s in specs]
@@ -207,12 +210,14 @@ class CampaignExecutor:
                     f"unknown task kind {spec.kind!r} for run {spec.key!r} "
                     f"(registered: {sorted(_TASKS)})"
                 )
-        if self.max_workers <= 1 or len(specs) <= 1:
-            self.last_mode = "serial"
+        if self.runs_in_process(len(specs)):
+            serial = self.max_workers <= 1 or len(specs) <= 1
+            self.last_mode = "serial" if serial else "fallback-serial"
             return self._run_serial(specs)
-        if self.force_fallback:
-            self.last_mode = "fallback-serial"
-            return self._run_serial(specs)
+        # Imported here: an in-process campaign (every cell of a ``-j 1``
+        # sweep) never pays for the pool machinery.
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
         t0 = perf_counter()
         try:
             with ProcessPoolExecutor(max_workers=min(self.max_workers, len(specs))) as pool:
@@ -274,24 +279,34 @@ def _task_selftest(
 
 
 @task("scenario")
-def _task_scenario(*, scenario: dict, cache_dir: str | None = None) -> dict[str, Any]:
+def _task_scenario(
+    *,
+    scenario: dict,
+    cache_dir: str | None = None,
+    known_miss: bool = False,
+    store: Any = None,
+) -> dict[str, Any]:
     """One declarative :class:`~repro.run.scenario.Scenario`, executed on
     its resolved backend; sweeps (``xsim-run sweep``) fan these out.
 
     ``cache_dir`` routes the run through the shared content-addressed
     result store at that path (lookup before compute, write-through
-    after); without it the worker falls back to the ``XSIM_CACHE``
-    environment policy.
+    after) — through ``store``, the campaign's own open handle, when the
+    task runs in the campaign's process; without either the worker falls
+    back to the ``XSIM_CACHE`` environment policy.  ``known_miss`` skips
+    the lookup (see :meth:`RunSpec.from_scenario`).
     """
     from repro.run.backends import run_scenario
     from repro.run.scenario import Scenario
 
-    cache = None
-    if cache_dir is not None:
+    cache = store
+    if cache is None and cache_dir is not None:
         from repro.cache import open_cache
 
         cache = open_cache(cache_dir)
-    return run_scenario(Scenario.from_dict(scenario), cache=cache).summary()
+    return run_scenario(
+        Scenario.from_dict(scenario), cache=cache, known_miss=known_miss
+    ).summary()
 
 
 @task("table2-e1")

@@ -1,10 +1,16 @@
-"""Plain-text table rendering with paper-value comparison columns."""
+"""Plain-text table rendering with paper-value comparison columns.
+
+:func:`format_table` prints every CLI table, warm cache answers
+included, so this module imports the Table II driver only inside
+:func:`render_table2` (``docs/INTERNALS.md``, "Import layers").
+"""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.harness.experiment import PAPER_TABLE2, Table2Cell
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.core.harness.experiment import Table2Cell
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -23,9 +29,11 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(out)
 
 
-def render_table2(cells: Sequence[Table2Cell], compare_paper: bool = True) -> str:
+def render_table2(cells: "Sequence[Table2Cell]", compare_paper: bool = True) -> str:
     """Table II in the paper's layout, optionally with the paper's values
     interleaved for side-by-side comparison."""
+    from repro.core.harness.experiment import PAPER_TABLE2
+
     headers = ["MTTF_s", "C", "E1", "E2", "F", "MTTF_a"]
     if compare_paper:
         headers += ["paper E1", "paper E2", "paper F", "paper MTTF_a"]

@@ -29,40 +29,30 @@ failed-process list; the default ``MPI_ERRORS_ARE_FATAL`` handler turns any
 such error into a simulated ``MPI_Abort``.
 """
 
-from repro.mpi.api import MpiApi
-from repro.mpi.communicator import Communicator
-from repro.mpi.constants import (
-    ANY_SOURCE,
-    ANY_TAG,
-    ERR_ABORT,
-    ERR_PROC_FAILED,
-    ERR_REVOKED,
-    PROC_NULL,
-    SUCCESS,
-)
-from repro.mpi.datatypes import BYTE, DOUBLE, FLOAT, INT, Datatype
-from repro.mpi.errhandler import ERRORS_ARE_FATAL, ERRORS_RETURN, MpiError
-from repro.mpi.group import Group
-from repro.mpi.world import MpiWorld
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "BYTE",
-    "Communicator",
-    "DOUBLE",
-    "Datatype",
-    "ERRORS_ARE_FATAL",
-    "ERRORS_RETURN",
-    "ERR_ABORT",
-    "ERR_PROC_FAILED",
-    "ERR_REVOKED",
-    "FLOAT",
-    "Group",
-    "INT",
-    "MpiApi",
-    "MpiError",
-    "MpiWorld",
-    "PROC_NULL",
-    "SUCCESS",
-]
+#: Public name -> defining module (imported on first use).
+_EXPORTS = {
+    "ANY_SOURCE": "repro.mpi.constants",
+    "ANY_TAG": "repro.mpi.constants",
+    "BYTE": "repro.mpi.datatypes",
+    "Communicator": "repro.mpi.communicator",
+    "DOUBLE": "repro.mpi.datatypes",
+    "Datatype": "repro.mpi.datatypes",
+    "ERRORS_ARE_FATAL": "repro.mpi.errhandler",
+    "ERRORS_RETURN": "repro.mpi.errhandler",
+    "ERR_ABORT": "repro.mpi.constants",
+    "ERR_PROC_FAILED": "repro.mpi.constants",
+    "ERR_REVOKED": "repro.mpi.constants",
+    "FLOAT": "repro.mpi.datatypes",
+    "Group": "repro.mpi.group",
+    "INT": "repro.mpi.datatypes",
+    "MpiApi": "repro.mpi.api",
+    "MpiError": "repro.mpi.errhandler",
+    "MpiWorld": "repro.mpi.world",
+    "PROC_NULL": "repro.mpi.constants",
+    "SUCCESS": "repro.mpi.constants",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

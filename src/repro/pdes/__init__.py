@@ -17,15 +17,17 @@ scheduled time (see :meth:`Engine.schedule_failure` and
 :meth:`Engine.request_abort`).
 """
 
-from repro.pdes.context import VirtualProcess, VpState
-from repro.pdes.engine import Engine, SimulationResult
-from repro.pdes.requests import Advance, Block
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Advance",
-    "Block",
-    "Engine",
-    "SimulationResult",
-    "VirtualProcess",
-    "VpState",
-]
+#: Public name -> defining module (imported on first use).
+_EXPORTS = {
+    "Advance": "repro.pdes.requests",
+    "Block": "repro.pdes.requests",
+    "Engine": "repro.pdes.engine",
+    "SimulationResult": "repro.pdes.engine",
+    "VirtualProcess": "repro.pdes.context",
+    "VpState": "repro.pdes.context",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

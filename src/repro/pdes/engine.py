@@ -44,7 +44,7 @@ from repro.pdes.context import VirtualProcess, VpState
 from repro.pdes.requests import Advance, Block
 from repro.util.errors import ConfigurationError, DeadlockError, SimulationError, XsimError
 from repro.util.simlog import SimLog
-from repro.util.stats import TimingStats
+from repro.util.stats import TimingStats, format_timing
 
 
 @dataclass
@@ -78,10 +78,7 @@ class SimulationResult:
     def timing_report(self) -> str:
         """The min/max/avg VP timing line xSim prints at shutdown."""
         t = self.timing
-        return (
-            f"simulated MPI process timing: min={t.minimum:.6f}s "
-            f"max={t.maximum:.6f}s avg={t.average:.6f}s ({t.count} processes)"
-        )
+        return format_timing(t.minimum, t.maximum, t.average, t.count)
 
 
 class Engine:

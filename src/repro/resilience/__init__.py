@@ -1,26 +1,24 @@
 """Pluggable resilience strategies (see :mod:`repro.resilience.strategy`).
 
-Importing the package registers the built-in strategies: ``ckpt``
-(single-level checkpoint/restart), ``ckpt-multilevel`` (local +
-partner-copy + PFS tiers), ``replication`` (factor-R warm failover with
-SDC hash compare), and ``none`` (restart from scratch).
+The built-in strategies — ``ckpt`` (single-level checkpoint/restart),
+``ckpt-multilevel`` (local + partner-copy + PFS tiers), ``replication``
+(factor-R warm failover with SDC hash compare), and ``none`` (restart
+from scratch) — are listed in the static
+:data:`~repro.resilience.strategy.STRATEGIES` table; importing the
+package imports none of them, :func:`make_strategy` imports the one a
+scenario names.
 """
 
-from repro.resilience import ckpt as _ckpt  # noqa: F401  (registers)
-from repro.resilience import multilevel as _multilevel  # noqa: F401
-from repro.resilience import replication as _replication  # noqa: F401
-from repro.resilience.strategy import (
-    STRATEGIES,
-    ResilienceStrategy,
-    make_strategy,
-    register,
-    strategy_names,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "STRATEGIES",
-    "ResilienceStrategy",
-    "make_strategy",
-    "register",
-    "strategy_names",
-]
+#: Public name -> defining module (imported on first use).
+_EXPORTS = {
+    "STRATEGIES": "repro.resilience.strategy",
+    "ResilienceStrategy": "repro.resilience.strategy",
+    "make_strategy": "repro.resilience.strategy",
+    "register": "repro.resilience.strategy",
+    "strategy_names": "repro.resilience.strategy",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

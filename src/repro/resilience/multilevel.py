@@ -215,13 +215,10 @@ class MultilevelCheckpoint(ResilienceStrategy):
     """Tiered checkpoint/restart: local + partner-copy + PFS."""
 
     name = "ckpt-multilevel"
-    PARAM_KEYS = ("k", "partner_every")
 
-    def _validate(self) -> None:
-        #: Local checkpoints per global (PFS) checkpoint.
-        self.k = self._int_param("k", 4, minimum=1)
-        #: Partner-copy cadence in local checkpoints (0 disables the tier).
-        self.partner_every = self._int_param("partner_every", 1, minimum=0)
+    def _configure(self) -> None:
+        self.k: int = self.values["k"]
+        self.partner_every: int = self.values["partner_every"]
         self.dropped_files = 0
 
     def app_interval(self, interval: int) -> int:

@@ -39,15 +39,11 @@ class Replication(ResilienceStrategy):
     """redMPI-style modular redundancy with warm failover."""
 
     name = "replication"
-    PARAM_KEYS = ("factor", "pause", "slowdown")
 
-    def _validate(self) -> None:
-        #: Replicas per logical rank.
-        self.factor = self._int_param("factor", 2, minimum=2)
-        #: Failover synchronization window: survivors of the hit logical
-        #: rank compute ``slowdown`` x slower for ``pause`` seconds.
-        self.pause = self._float_param("pause", 30.0, minimum=0.0)
-        self.slowdown = self._float_param("slowdown", 2.0, minimum=1.0)
+    def _configure(self) -> None:
+        self.factor: int = self.values["factor"]
+        self.pause: float = self.values["pause"]
+        self.slowdown: float = self.values["slowdown"]
         self.failovers = 0
         self.fatal = 0
         #: One monitor for the whole experiment, created at construction
@@ -55,9 +51,6 @@ class Replication(ResilienceStrategy):
         #: segments so SDC detections are never lost (regression-tested).
         self.monitor = RedundancyMonitor(factor=self.factor)
         self._dead: set[int] = set()
-
-    def physical_ranks(self, logical_ranks: int) -> int:
-        return logical_ranks * self.factor
 
     def begin_run(self) -> None:
         # Reset in place — the app wrapper holds a reference.

@@ -35,50 +35,34 @@ registry, so a new backend or instrument is one registry entry rather
 than an edit at every launcher.
 """
 
-from repro.run.backends import (
-    BACKENDS,
-    Backend,
-    ScenarioOutcome,
-    backend_names,
-    capped_shards,
-    get_backend,
-    register_backend,
-    run_scenario,
-)
-from repro.run.envvars import XSIM_ENV_VARS, EnvVar
-from repro.run.instruments import (
-    INSTRUMENTS,
-    AttachedInstruments,
-    attach_instruments,
-    coerce_observer,
-    instrument,
-    make_shard_observer,
-)
-from repro.run.scenario import Scenario, load_scenario_file, parse_dims
-from repro.run.sweep import expand_matrix, parse_set, run_sweep, sweep_specs
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "AttachedInstruments",
-    "Backend",
-    "EnvVar",
-    "INSTRUMENTS",
-    "Scenario",
-    "ScenarioOutcome",
-    "XSIM_ENV_VARS",
-    "attach_instruments",
-    "backend_names",
-    "capped_shards",
-    "coerce_observer",
-    "expand_matrix",
-    "get_backend",
-    "instrument",
-    "load_scenario_file",
-    "make_shard_observer",
-    "parse_dims",
-    "parse_set",
-    "register_backend",
-    "run_scenario",
-    "run_sweep",
-    "sweep_specs",
-]
+#: Public name -> defining module (imported on first use).
+_EXPORTS = {
+    "BACKENDS": "repro.run.backends",
+    "AttachedInstruments": "repro.run.instruments",
+    "Backend": "repro.run.backends",
+    "EnvVar": "repro.run.envvars",
+    "INSTRUMENTS": "repro.run.instruments",
+    "Scenario": "repro.run.scenario",
+    "ScenarioOutcome": "repro.run.backends",
+    "XSIM_ENV_VARS": "repro.run.envvars",
+    "attach_instruments": "repro.run.instruments",
+    "backend_names": "repro.run.backends",
+    "capped_shards": "repro.run.backends",
+    "coerce_observer": "repro.run.instruments",
+    "expand_matrix": "repro.run.sweep",
+    "get_backend": "repro.run.backends",
+    "instrument": "repro.run.instruments",
+    "load_scenario_file": "repro.run.scenario",
+    "make_shard_observer": "repro.run.instruments",
+    "parse_dims": "repro.run.scenario",
+    "parse_set": "repro.run.sweep",
+    "register_backend": "repro.run.backends",
+    "run_scenario": "repro.run.backends",
+    "run_sweep": "repro.run.sweep",
+    "sweep_specs": "repro.run.sweep",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,6 +28,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.util.errors import ConfigurationError
+from repro.util.stats import format_timing
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.restart import FailureRunResult
@@ -231,7 +232,7 @@ def outcome_digest(
     """Canonical result fingerprint: :func:`result_digest` of a single
     run, or the campaign digest over per-segment result digests of a
     restart experiment."""
-    from repro.core.harness.experiment import campaign_digest, result_digest
+    from repro.core.harness.digest import campaign_digest, result_digest
 
     if run is not None:
         return campaign_digest([result_digest(s.result) for s in run.segments])
@@ -241,9 +242,9 @@ def outcome_digest(
 #: The keys of :func:`outcome_facts` by outcome mode — what a cache
 #: blob's head must carry before ``summary()`` may be answered from it.
 FACT_KEYS = {
-    "single": {"completed", "exit_time", "events", "failures", "restarts"},
+    "single": {"completed", "exit_time", "events", "failures", "restarts", "timing"},
     "restart": {
-        "completed", "exit_time", "events", "failures", "restarts",
+        "completed", "exit_time", "events", "failures", "restarts", "timing",
         "e2", "mttf_a", "strategy_facts",
     },
 }
@@ -252,8 +253,13 @@ FACT_KEYS = {
 def outcome_facts(
     result: "SimulationResult | None", run: "FailureRunResult | None"
 ) -> dict[str, Any]:
-    """Every result-derived value an outcome's summary reports, plus the
-    event count — JSON-exact primitives only (keys: :data:`FACT_KEYS`)."""
+    """Every result-derived value an outcome's summary and the CLI's run
+    report print, plus the event count — JSON-exact primitives only
+    (keys: :data:`FACT_KEYS`).  ``timing`` is the final segment's per-VP
+    ``[min, max, avg, count]`` (:meth:`ScenarioOutcome.timing_report`)."""
+    last = result if run is None else run.segments[-1].result
+    t = last.timing
+    timing = [t.minimum, t.maximum, t.average, t.count]
     if run is None:
         return {
             "completed": result.completed,
@@ -261,10 +267,12 @@ def outcome_facts(
             "events": result.event_count,
             "failures": len(result.failures),
             "restarts": 0,
+            "timing": timing,
         }
     return {
         "completed": run.completed,
-        "exit_time": run.segments[-1].result.exit_time,
+        "exit_time": last.exit_time,
+        "timing": timing,
         "events": sum(seg.result.event_count for seg in run.segments),
         "e2": run.e2,
         "failures": run.f,
@@ -370,6 +378,13 @@ class ScenarioOutcome:
             self._facts = outcome_facts(self.result, self.run)
         return self._facts
 
+    def timing_report(self) -> str:
+        """The min/max/avg VP timing line of the (final-segment) result,
+        byte for byte :meth:`SimulationResult.timing_report
+        <repro.pdes.engine.SimulationResult.timing_report>` — from
+        :meth:`facts`, so a cache hit prints it without decoding its body."""
+        return format_timing(*self.facts()["timing"])
+
     def summary(self) -> dict[str, Any]:
         """Primitive-only record of the outcome (campaign transport)."""
         facts = self.facts()
@@ -417,6 +432,7 @@ def run_scenario(
     observe: Any = None,
     force_single: bool = False,
     cache: Any = None,
+    known_miss: bool = False,
 ) -> ScenarioOutcome:
     """Execute a scenario end to end on its resolved backend.
 
@@ -438,6 +454,9 @@ def run_scenario(
     Trace-recording runs (``record_events`` / ``force_single``) and
     calls with a caller-supplied observer bypass the cache, because a
     hit cannot repopulate live instrumentation objects.
+    ``known_miss=True`` says the caller has just looked this scenario up
+    in ``cache`` and missed (a campaign partitioning its cells): the run
+    is computed and stored without a second lookup.
     """
     from repro.cache import cacheable, resolve_cache
 
@@ -448,7 +467,7 @@ def run_scenario(
         and observe is None
         and cacheable(scenario)
     )
-    if use_cache:
+    if use_cache and not known_miss:
         hit = store.lookup(scenario)
         if hit is not None:
             return hit

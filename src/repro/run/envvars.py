@@ -16,7 +16,10 @@ Adding a variable here without documenting it (or vice versa) fails the
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+
+from repro.util.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -126,14 +129,30 @@ XSIM_ENV_SWITCHES: dict[str, str] = {
 }
 
 
+def _positive_int(env, name: str) -> int | None:
+    """``env[name]`` as an integer >= 1, or ``None`` when unset/empty."""
+    raw = env.get(name, "").strip()
+    if not raw:
+        return None
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"{name} must be an integer, got {raw!r}") from exc
+    if value < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def default_jobs() -> int:
+    """Worker count when none is given: the ``XSIM_JOBS`` environment
+    variable, else 1 (serial in-process execution)."""
+    return _positive_int(os.environ, "XSIM_JOBS") or 1
+
+
 def read_environment(environ=None) -> dict[str, object]:
     """The environment layer of the scenario precedence chain: a partial
     ``{field: value}`` mapping containing only the variables that are set
     (and non-empty) in ``environ`` (default ``os.environ``)."""
-    import os
-
-    from repro.util.errors import ConfigurationError
-
     env = os.environ if environ is None else environ
     out: dict[str, object] = {}
     raw = env.get("XSIM_FAILURES", "").strip()
@@ -143,16 +162,9 @@ def read_environment(environ=None) -> dict[str, object]:
     if raw:
         out["check"] = raw != "0"
     for name, field in (("XSIM_SHARDS", "shards"), ("XSIM_JOBS", "jobs")):
-        raw = env.get(name, "").strip()
-        if not raw:
-            continue
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"{name} must be an integer, got {raw!r}") from exc
-        if value < 1:
-            raise ConfigurationError(f"{name} must be >= 1, got {value}")
-        out[field] = value
+        value = _positive_int(env, name)
+        if value is not None:
+            out[field] = value
     raw = env.get("XSIM_SHARD_TRANSPORT", "").strip()
     if raw:
         if raw not in ("fork", "inline", "shm"):

@@ -27,6 +27,13 @@ the scenario itself) declares a parameter grid for ``xsim-run sweep``
     [sweep]
     interval = [500, 250, 125]
     mttf = [6000.0, 3000.0]
+
+This module is part of the import-light layer (``docs/INTERNALS.md``,
+"Import layers"): building, validating, digesting and (de)serializing a
+scenario imports nothing but the standard library.  What a scenario can
+*name* — applications, topologies, strategies, backends — it knows from
+static tables; the implementations are imported by :meth:`make_app`,
+:meth:`make_strategy` and :meth:`system_config` when a run needs them.
 """
 
 from __future__ import annotations
@@ -34,12 +41,17 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.faults.schedule import FailureSchedule
-from repro.core.harness.config import SystemConfig, validate_dims
+from repro.core.harness.config import TOPOLOGIES, validate_dims
+from repro.resilience.strategy import make_strategy, physical_ranks, strategy_values
 from repro.run.envvars import read_environment
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import load
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.core.harness.config import SystemConfig
 
 #: TOML table -> ordered (toml key, Scenario field) pairs.  This mapping
 #: *is* the file format; every Scenario field appears exactly once.
@@ -84,9 +96,31 @@ TOML_LAYOUT: dict[str, tuple[tuple[str, str], ...]] = {
     ),
 }
 
-APP_NAMES = ("heat3d", "cg", "stencil2d", "ring", "amr")
-TOPOLOGY_NAMES = ("torus", "mesh", "fattree", "star", "crossbar")
+#: Simulated applications a scenario can name -> ``"module:attr"`` of
+#: the module's ``scenario_workload(scenario, interval)``, which returns
+#: the generator function and the per-segment argument builder.  Adding
+#: an application is that function plus an entry here (a test walks
+#: ``repro.apps`` and fails if either is missing).
+APPS: dict[str, str] = {
+    "heat3d": "repro.apps.heat3d:scenario_workload",
+    "cg": "repro.apps.cg:scenario_workload",
+    "stencil2d": "repro.apps.stencil2d:scenario_workload",
+    "ring": "repro.apps.ring:scenario_workload",
+    "amr": "repro.apps.amr:scenario_workload",
+}
+#: Execution backends (:mod:`repro.run.backends`) -> the shard transport
+#: each one drives (``None``: the serial engine).
+BACKEND_TRANSPORTS: dict[str, str | None] = {
+    "serial": None,
+    "sharded-inline": "inline",
+    "sharded-fork": "fork",
+    "sharded-shm": "shm",
+}
+
+APP_NAMES = tuple(APPS)
+TOPOLOGY_NAMES = tuple(TOPOLOGIES)
 ENGINE_NAMES = ("heap", "flat")
+SHARD_TRANSPORTS = tuple(sorted(t for t in BACKEND_TRANSPORTS.values() if t is not None))
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
@@ -192,17 +226,15 @@ class Scenario:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.shard_transport not in (None, "fork", "inline", "shm"):
+        if self.shard_transport is not None and self.shard_transport not in SHARD_TRANSPORTS:
             raise ConfigurationError(
                 f"unknown shard transport {self.shard_transport!r}"
             )
-        # Validates the strategy name and parameter spellings eagerly,
-        # and yields the physical rank count (replication runs factor-R
-        # replicas, so the simulated machine is wider than the app).
-        strategy = self.make_strategy()
+        # Validate the strategy name and parameter spellings eagerly.
+        strategy_values(self.strategy, dict(self.strategy_params))
         if self.dims is not None:
             # paper_system places one rank per node, so nnodes == ranks.
-            validate_dims(self.dims, self.topology, strategy.physical_ranks(self.ranks))
+            validate_dims(self.dims, self.topology, self.physical_ranks())
         # Parse eagerly so a bad schedule fails at build, not at launch.
         FailureSchedule.parse(self.failures)
 
@@ -332,11 +364,7 @@ class Scenario:
         ``shard_transport`` exactly as the pre-registry launchers did.
         """
         if self.backend is not None:
-            implied = {
-                "sharded-fork": "fork",
-                "sharded-inline": "inline",
-                "sharded-shm": "shm",
-            }.get(self.backend)
+            implied = BACKEND_TRANSPORTS.get(self.backend)
             if (
                 self.shard_transport is not None
                 and implied is not None
@@ -347,26 +375,26 @@ class Scenario:
                     f"shard_transport {self.shard_transport!r}"
                 )
             return self.backend
-        if self.shards <= 1:
-            return "serial"
-        if self.shard_transport == "inline":
-            return "sharded-inline"
-        if self.shard_transport == "shm":
-            return "sharded-shm"
-        return "sharded-fork"
+        transport = None if self.shards <= 1 else (self.shard_transport or "fork")
+        return next(n for n, t in BACKEND_TRANSPORTS.items() if t == transport)
 
     def make_strategy(self):
         """Instantiate this scenario's resilience strategy (validated)."""
-        from repro.resilience import make_strategy
-
         return make_strategy(self)
 
-    def system_config(self) -> SystemConfig:
+    def physical_ranks(self) -> int:
+        """Simulated ranks the run occupies (replication runs factor-R
+        replicas, so the machine is wider than the application)."""
+        return physical_ranks(self.strategy, dict(self.strategy_params), self.ranks)
+
+    def system_config(self) -> "SystemConfig":
         """The simulated machine this scenario describes (sized for the
         strategy's *physical* rank count — replication runs factor-R
         replicas of the logical job)."""
+        from repro.core.harness.config import SystemConfig
+
         return SystemConfig.paper_system(
-            nranks=self.make_strategy().physical_ranks(self.ranks),
+            nranks=self.physical_ranks(),
             topology_kind=self.topology,
             topology_dims=self.dims,
             link_latency=self.latency,
@@ -389,48 +417,7 @@ class Scenario:
         """
         if strategy is None:
             strategy = self.make_strategy()
-        interval = strategy.app_interval(self.interval)
-        if self.app == "heat3d":
-            from repro.apps.heat3d import HeatConfig, heat3d
-
-            overrides: dict[str, Any] = {}
-            if interval != self.interval:
-                # Keep the halo-exchange cadence pinned to the nominal
-                # interval so communication is comparable across strategies.
-                overrides["exchange_interval"] = self.interval
-            workload = HeatConfig.paper_workload(
-                checkpoint_interval=interval,
-                nranks=self.ranks,
-                iterations=self.iterations,
-                **overrides,
-            )
-            app, make_args = heat3d, (lambda store: (workload, store))
-        elif self.app == "stencil2d":
-            from repro.apps.stencil2d import Stencil2dConfig, stencil2d
-
-            cfg = Stencil2dConfig.for_ranks(self.ranks, checkpoint_interval=interval)
-            app, make_args = stencil2d, (lambda store: (cfg, store))
-        elif self.app == "cg":
-            from repro.apps.cg import CgConfig, cg
-
-            cfg = CgConfig.for_ranks(
-                self.ranks, max_iterations=self.iterations,
-                checkpoint_interval=interval,
-            )
-            app, make_args = cg, (lambda store: (cfg, store))
-        elif self.app == "amr":
-            from repro.apps.amr import AmrConfig, amr
-
-            cfg = AmrConfig.for_ranks(
-                self.ranks, iterations=self.iterations,
-                checkpoint_interval=interval,
-            )
-            app, make_args = amr, (lambda store: (cfg, store))
-        else:
-            from repro.apps.ring import RingConfig, ring
-
-            cfg = RingConfig(rounds=self.iterations)
-            app, make_args = ring, (lambda store: (cfg,))
+        app, make_args = load(APPS[self.app])(self, strategy.app_interval(self.interval))
         return strategy.wrap_app(app), make_args
 
     def schedule(self) -> FailureSchedule:

@@ -188,7 +188,6 @@ def run_cells(
     identical either way.
     """
     from repro.cache import resolve_cache
-    from repro.core.harness.parallel import CampaignExecutor, RunSpec
 
     store = resolve_cache(cache)
     summaries: list[dict[str, Any] | None] = [None] * len(scenarios)
@@ -202,12 +201,22 @@ def run_cells(
                 summaries[i] = summary
     todo = [i for i, s in enumerate(summaries) if s is None]
     if todo:
+        # Imported here: a fully warm campaign runs nothing.
+        from repro.core.harness.parallel import CampaignExecutor, RunSpec
+
         executor = CampaignExecutor(max_workers=jobs)
         cache_dir = str(store.root) if store is not None else None
+        # Every cell below has just missed in ``store``: the task computes
+        # and stores it without a second lookup, and in-process through
+        # this handle instead of reopening the directory.
+        local = store if executor.runs_in_process(len(todo)) else None
         # Keyed by position in the *full* list so error messages and
         # observers name the original cell.
         specs = [
-            RunSpec.from_scenario(scenarios[i], key=(key_prefix, i), cache_dir=cache_dir)
+            RunSpec.from_scenario(
+                scenarios[i], key=(key_prefix, i), cache_dir=cache_dir,
+                known_miss=store is not None, store=local,
+            )
             for i in todo
         ]
         for i, summary in zip(todo, executor.run(specs)):

@@ -8,33 +8,23 @@ statistics in the shape xSim and Finject report them
 (:mod:`repro.util.errors`).
 """
 
-from repro.util.errors import (
-    CheckpointError,
-    ConfigurationError,
-    DeadlockError,
-    SimulationError,
-    XsimError,
-)
-from repro.util.rng import RngStreams
-from repro.util.stats import SummaryStats, summarize
-from repro.util.units import (
-    format_size,
-    format_time,
-    parse_size,
-    parse_time,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CheckpointError",
-    "ConfigurationError",
-    "DeadlockError",
-    "RngStreams",
-    "SimulationError",
-    "SummaryStats",
-    "XsimError",
-    "format_size",
-    "format_time",
-    "parse_size",
-    "parse_time",
-    "summarize",
-]
+#: Public name -> defining module (imported on first use).
+_EXPORTS = {
+    "CheckpointError": "repro.util.errors",
+    "ConfigurationError": "repro.util.errors",
+    "DeadlockError": "repro.util.errors",
+    "RngStreams": "repro.util.rng",
+    "SimulationError": "repro.util.errors",
+    "SummaryStats": "repro.util.stats",
+    "XsimError": "repro.util.errors",
+    "format_size": "repro.util.units",
+    "format_time": "repro.util.units",
+    "parse_size": "repro.util.units",
+    "parse_time": "repro.util.units",
+    "summarize": "repro.util.stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

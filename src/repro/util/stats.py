@@ -97,6 +97,14 @@ def summarize(samples: Iterable[float]) -> SummaryStats:
     )
 
 
+def format_timing(minimum: float, maximum: float, average: float, count: int) -> str:
+    """The min/max/avg VP timing line xSim prints at shutdown."""
+    return (
+        f"simulated MPI process timing: min={minimum:.6f}s "
+        f"max={maximum:.6f}s avg={average:.6f}s ({count} processes)"
+    )
+
+
 class TimingStats:
     """Online min/max/average accumulator for per-VP timing statistics.
 

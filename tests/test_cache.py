@@ -301,6 +301,51 @@ class TestHeadAndBody:
         assert body_decodes == [2]
         assert waiting.run is not None and body_decodes == [3]
 
+    def test_small_body_waits_where_decoding_would_import_the_simulator(
+        self, store, body_decodes, monkeypatch
+    ):
+        """A process that has only looked answers up (a warm CLI sweep)
+        has not imported the classes a body holds: there even a small
+        blob keeps its body for first access."""
+        import sys
+
+        scenario = SMALL.with_(failures="3@50s")
+        cold = _fill(store, scenario)
+        with monkeypatch.context() as only_lookups:
+            only_lookups.delitem(sys.modules, "repro.pdes.engine")
+            warm = run_scenario(scenario, cache=store)
+            assert body_decodes == [0] and warm.metadata["cache_hit"] is True
+            assert warm.summary() == cold.summary() and warm.digest() == cold.digest()
+            assert warm.timing_report() == cold.last_result.timing_report()
+            assert body_decodes == [0]
+        # first access decodes (importing what it needs)
+        assert warm.run.e2 == cold.run.e2 and body_decodes == [1]
+
+    @pytest.mark.parametrize("scenario", [SMALL, SMALL.with_(failures="3@50s")], ids=["single", "restart"])
+    def test_timing_report_is_a_head_fact(self, store, large_blobs, body_decodes, scenario):
+        cold = _fill(store, scenario)
+        assert cold.timing_report() == cold.last_result.timing_report()
+        warm = run_scenario(scenario, cache=store)
+        assert warm.timing_report() == cold.timing_report() and body_decodes == [0]
+
+    def test_a_campaign_looks_each_miss_up_once(self, store, monkeypatch):
+        """run_cells partitions by lookup; the in-process task then
+        computes and stores through the same handle — no second lookup,
+        no reopened directory."""
+        import repro.cache
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an in-process campaign reopened its cache directory")
+
+        monkeypatch.setattr(repro.cache, "open_cache", refuse)
+        cells = [SMALL.with_(seed=s) for s in range(3)]
+        cold = run_cells(cells, cache=store)
+        assert not any(s["cached"] for s in cold)
+        assert (store.stats.misses, store.stats.hits, store.stats.stores) == (3, 0, 3)
+        handle = ResultCache(store.root)
+        assert all(s["cached"] for s in run_cells(cells, cache=handle))
+        assert handle.stats.hit_rate == 1.0 and handle.stats.lookups == 3
+
     def test_head_answers_and_large_body_decodes_once_on_first_access(
         self, store, large_blobs, body_decodes
     ):

@@ -1,0 +1,347 @@
+"""Import layers (docs/INTERNALS.md, "Import layers").
+
+Two things are pinned here.  *Boundaries*: what each kind of command
+line is allowed to import, observed by running it in a fresh interpreter
+and dumping ``sys.modules`` — the cheap commands (help, usage errors,
+cache maintenance, fully warm ``--cache`` answers) load no simulator
+runtime and no tool, a cold run loads no tool.  *Tables*: the static
+name tables and lazy re-exports that make those boundaries possible
+cannot drift from the code they name — a strategy, app, backend or
+topology added in one place only fails here — and nothing the parser
+prints has moved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import inspect
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.cli import build_parser, main
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+REPO = Path(__file__).resolve().parents[1]
+EXAMPLE = str(REPO / "examples" / "heat3d_restart.toml")
+GOLDEN_HELP = Path(__file__).parent / "golden" / "cli_help"
+
+#: What the import-light layer must never pull in.
+RUNTIME_AND_TOOLS = (
+    "numpy",
+    "repro.pdes",
+    "repro.mpi",
+    "repro.apps",
+    "repro.models",
+    "repro.check",
+    "multiprocessing",
+    "concurrent.futures",
+)
+#: What a simulation run must never pull in.
+TOOLS = (
+    "repro.check.differential",
+    "repro.core.faults.finject",
+    "repro.core.harness.experiment",
+    "repro.core.harness.bench",
+    "repro.explore",
+    "multiprocessing",
+    "concurrent.futures",
+)
+SHARD_ENGINE = ("repro.pdes.sharded", "repro.pdes.shmring")
+
+_DRIVER = """
+import json, sys
+from repro.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:  # argparse: --help and usage errors
+    rc = exc.code
+sys.stderr.write("\\nMODULES " + json.dumps(sorted(sys.modules)) + "\\n")
+sys.exit(rc)
+"""
+
+
+def xsim(*argv: str) -> tuple[int, str, str, set[str]]:
+    """``xsim-run argv`` in a fresh interpreter: exit status, stdout,
+    stderr and the modules loaded by the time it finished."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("XSIM_")}
+    env.update(PYTHONPATH=SRC, COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, "-c", _DRIVER, *argv],
+        env=env, cwd=REPO, capture_output=True, text=True, timeout=120,
+    )
+    err, _, dump = proc.stderr.rpartition("\nMODULES ")
+    return proc.returncode, proc.stdout, err, set(json.loads(dump))
+
+
+def loaded(modules: set[str], names: tuple[str, ...]) -> list[str]:
+    """The members of ``names`` (modules or packages) present in ``modules``."""
+    return [
+        n for n in names if any(m == n or m.startswith(n + ".") for m in modules)
+    ]
+
+
+def subcommands(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """Every ``(command path, parser)`` below (and including) ``parser``."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from subcommands(sub, path + (name,))
+
+
+COMMAND_PATHS = [path for path, _ in subcommands(build_parser())]
+
+
+# ----------------------------------------------------------------------
+# boundaries
+# ----------------------------------------------------------------------
+class TestLightCommands:
+    @pytest.mark.parametrize("path", COMMAND_PATHS, ids=lambda p: " ".join(p) or "top")
+    def test_help_loads_no_runtime(self, path):
+        rc, out, _, mods = xsim(*path, "--help")
+        assert rc == 0 and out.startswith("usage: xsim-run")
+        assert loaded(mods, RUNTIME_AND_TOOLS) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["app", "--ranks", "many"], "invalid int value"),  # argparse's own
+            (["app", "--strategy", "prayer"], "invalid choice"),  # a table's choices
+            (["app", "--ranks", "0"], "error: ranks must be >= 1, got 0"),  # main()'s handler
+            (["sweep", "--set", "nonsense=1"], "error: unknown sweep field 'nonsense'"),
+        ],
+    )
+    def test_usage_error_loads_no_runtime(self, argv, message):
+        rc, _, err, mods = xsim(*argv)
+        assert rc == 2 and message in err and "Traceback" not in err
+        assert loaded(mods, RUNTIME_AND_TOOLS) == []
+
+    def test_cache_maintenance_loads_no_runtime(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        rc, out, _, mods = xsim("cache", "stats", "--cache-dir", cache_dir)
+        assert rc == 0 and "entries:  0" in out
+        assert loaded(mods, RUNTIME_AND_TOOLS) == []
+        rc, out, _, mods = xsim("cache", "gc", "--max-age", "7d", "--cache-dir", cache_dir)
+        assert rc == 0 and "evicted 0 entries" in out
+        assert loaded(mods, RUNTIME_AND_TOOLS) == []
+
+
+#: The import-light layer, module by module (INTERNALS section 17).
+LIGHT_MODULES = (
+    "repro.cli", "repro.cache", "repro.cache.store",
+    "repro.run.scenario", "repro.run.envvars", "repro.run.sweep", "repro.run.backends",
+    "repro.resilience.strategy", "repro.core.faults.schedule",
+    "repro.core.harness.config", "repro.core.harness.digest", "repro.core.harness.report",
+    "repro.util.errors", "repro.util.units", "repro.util.stats", "repro.util.lazy",
+)
+
+
+def test_light_layer_imports_only_itself_and_the_standard_library():
+    code = (
+        "import importlib, json, sys\n"
+        f"for name in {LIGHT_MODULES!r}: importlib.import_module(name)\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    mods = set(json.loads(proc.stdout))
+    assert loaded(mods, RUNTIME_AND_TOOLS) == []
+    packages = {m.rsplit(".", n)[0] for m in LIGHT_MODULES for n in range(1, m.count(".") + 1)}
+    assert {m for m in mods if m.startswith("repro")} == set(LIGHT_MODULES) | packages
+
+
+class TestRuns:
+    def test_cold_app_loads_no_tool_and_warm_app_no_runtime(self, tmp_path):
+        argv = ["app", "--scenario", EXAMPLE, "--digest",
+                "--cache", "--cache-dir", str(tmp_path / "cache")]
+        rc, cold, _, mods = xsim(*argv)
+        assert rc == 0 and "cache: miss" in cold
+        assert loaded(mods, ("numpy", "repro.pdes.engine", "repro.mpi.world")) != []
+        assert loaded(mods, TOOLS + SHARD_ENGINE) == []
+
+        rc, warm, _, mods = xsim(*argv)
+        assert rc == 0 and "cache: hit" in warm
+        assert loaded(mods, RUNTIME_AND_TOOLS) == []
+        # The report a hit prints from the blob's head is the computed
+        # one (timing line, E2 line, digest); only the live log lines of
+        # the run itself and the cache line differ.
+        report = [l for l in cold.splitlines() if not l.startswith(("[xsim", "cache:"))]
+        assert report == [l for l in warm.splitlines() if not l.startswith("cache:")]
+        assert len(report) == 3 and report[1].startswith("E2=")
+
+    def test_warm_sweep_loads_no_runtime(self, tmp_path):
+        argv = ["sweep", "--app", "heat3d", "--ranks", "16", "--iterations", "60",
+                "--set", "interval=10,20,30", "--set", "seed=0,1",
+                "--cache", "--cache-dir", str(tmp_path / "cache")]
+        rc, cold, _, mods = xsim(*argv)
+        assert rc == 0 and "cache: 0/6 cells served from cache" in cold
+        assert loaded(mods, TOOLS + SHARD_ENGINE) == []
+
+        rc, warm, _, mods = xsim(*argv)
+        assert rc == 0 and "cache: 6/6 cells served from cache (100% hit rate)" in warm
+        assert loaded(mods, RUNTIME_AND_TOOLS) == []
+        # Same table either way, up to the last (source) column.
+        table = lambda text: [l.rpartition("|")[0] for l in text.splitlines()[3:-1]]  # noqa: E731
+        assert table(cold) == table(warm) and len(table(warm)) == 6
+
+    def test_shard_engine_loads_only_when_sharded(self):
+        base = ["app", "--app", "ring", "--ranks", "8", "--iterations", "2"]
+        rc, _, _, mods = xsim(*base)
+        assert rc == 0 and loaded(mods, TOOLS + SHARD_ENGINE) == []
+        rc, _, _, mods = xsim(*base, "--shards", "2", "--shard-transport", "inline")
+        # (the shard engine itself imports multiprocessing for its workers)
+        assert rc == 0 and loaded(mods, TOOLS) in ([], ["multiprocessing"])
+        assert loaded(mods, ("repro.pdes.sharded",)) == ["repro.pdes.sharded"]
+
+
+class TestOneErrorHandler:
+    """Every ConfigurationError leaves through ``main()``: one line, exit 2."""
+
+    @pytest.mark.parametrize("argv", [["table2", "--ranks", "8", "-j", "0"], ["table1", "-j", "0"]])
+    def test_bad_worker_count(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: max_workers must be >= 1, got 0\n"
+
+    def test_bad_environment_while_building_the_parser(self, monkeypatch, capsys):
+        monkeypatch.setenv("XSIM_JOBS", "lots")
+        assert main(["table1", "--victims", "2"]) == 2
+        assert capsys.readouterr().err == "error: XSIM_JOBS must be an integer, got 'lots'\n"
+
+    def test_error_raised_after_resolution(self, capsys):
+        assert main(["app", "--ranks", "8", "--collectives", "analytic", "--shards", "2",
+                     "--shard-transport", "inline", "--iterations", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "analytic collectives" in err
+
+
+# ----------------------------------------------------------------------
+# tables
+# ----------------------------------------------------------------------
+LAZY_PACKAGES = [
+    "repro.util", "repro.core", "repro.core.harness", "repro.core.faults",
+    "repro.pdes", "repro.mpi", "repro.run", "repro.resilience", "repro.cli",
+]
+
+
+def _modules_of(package: str):
+    pkg = importlib.import_module(package)
+    for info in pkgutil.iter_modules(pkg.__path__, package + "."):
+        yield importlib.import_module(info.name)
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_every_name_resolves_and_is_listed(self, package):
+        module = importlib.import_module(package)
+        exports = module._EXPORTS
+        assert exports, package
+        if package != "repro.cli":
+            assert sorted(module.__all__) == sorted(exports)
+        for name, home in exports.items():
+            assert name in dir(module), f"{package}.{name} missing from dir()"
+            assert getattr(module, name) is getattr(importlib.import_module(home), name)
+
+    def test_names_the_issue_calls_out(self):
+        import repro.cli, repro.core, repro.run.backends as backends, repro.util  # noqa: E401
+
+        assert repro.core.XSim.__module__ == "repro.core.simulator"
+        assert repro.util.RngStreams.__module__ == "repro.util.rng"
+        assert repro.cli.run_scenario is backends.run_scenario
+        assert repro.cli.capped_shards is backends.capped_shards
+
+    def test_submodules_and_missing_names(self):
+        import repro.core.harness
+
+        assert repro.core.harness.metrics.__name__ == "repro.core.harness.metrics"
+        with pytest.raises(AttributeError):
+            repro.core.harness.no_such_thing
+        with pytest.raises(ImportError):
+            from repro.pdes import NoSuchName  # noqa: F401
+
+
+class TestTablesMatchCode:
+    def test_strategies(self):
+        from repro.resilience.strategy import STRATEGIES, ResilienceStrategy
+        from repro.util.lazy import load
+
+        defined = {
+            cls.name: f"{cls.__module__}:{cls.__qualname__}"
+            for module in _modules_of("repro.resilience")
+            for cls in vars(module).values()
+            if inspect.isclass(cls) and issubclass(cls, ResilienceStrategy)
+            and cls is not ResilienceStrategy and cls.__module__ == module.__name__
+        }
+        assert defined == {name: entry.target for name, entry in STRATEGIES.items()}
+        for name, entry in STRATEGIES.items():
+            assert load(entry.target).name == name
+            assert entry.ranks_factor in {None, *(p.key for p in entry.params)}
+
+    def test_strategy_outside_the_table_is_refused(self):
+        from repro.resilience.strategy import ResilienceStrategy, register
+        from repro.util.errors import ConfigurationError
+
+        class Rogue(ResilienceStrategy):
+            name = "rogue"
+
+        with pytest.raises(ConfigurationError, match="STRATEGIES table"):
+            register(Rogue)
+
+    def test_apps(self):
+        from repro.run.scenario import APP_NAMES, APPS
+
+        defined = {
+            module.__name__.rpartition(".")[2]: f"{module.__name__}:scenario_workload"
+            for module in _modules_of("repro.apps")
+            if hasattr(module, "scenario_workload")
+        }
+        assert defined == APPS and APP_NAMES == tuple(APPS)
+
+    def test_backends(self):
+        from repro.run.backends import BACKENDS
+        from repro.run.scenario import BACKEND_TRANSPORTS, SHARD_TRANSPORTS, Scenario
+
+        assert {n: b.transport for n, b in BACKENDS.items()} == BACKEND_TRANSPORTS
+        assert list(BACKENDS) == list(BACKEND_TRANSPORTS)  # registration order
+        assert SHARD_TRANSPORTS == ("fork", "inline", "shm")
+        for name, transport in BACKEND_TRANSPORTS.items():
+            shards = 1 if transport is None else 2
+            assert Scenario(shards=shards, shard_transport=transport).backend_name() == name
+        assert Scenario(shards=2).backend_name() == "sharded-fork"
+
+    def test_topologies(self):
+        from repro.core.harness.config import TOPOLOGIES, SystemConfig
+        from repro.models.network import topology
+        from repro.run.scenario import TOPOLOGY_NAMES
+
+        concrete = {
+            f"{topology.__name__}:{name}"
+            for name, cls in vars(topology).items()
+            if inspect.isclass(cls) and issubclass(cls, topology.Topology)
+            and cls is not topology.Topology and not name.startswith("_")
+        }
+        assert concrete == {target for target, _ in TOPOLOGIES.values()}
+        assert TOPOLOGY_NAMES == tuple(TOPOLOGIES)
+        for kind, (target, _) in TOPOLOGIES.items():
+            built = SystemConfig(nranks=8, topology_kind=kind).make_topology()
+            assert f"{type(built).__module__}:{type(built).__name__}" == target
+
+    def test_help_pages_are_the_parents(self, monkeypatch):
+        """Byte for byte what the commit before the tables printed,
+        ``choices`` in the same order."""
+        monkeypatch.setenv("COLUMNS", "80")
+        pages = {
+            "-".join(("xsim-run",) + path): parser.format_help()
+            for path, parser in subcommands(build_parser())
+        }
+        golden = {p.stem: p.read_text() for p in GOLDEN_HELP.glob("*.txt")}
+        assert pages == golden
