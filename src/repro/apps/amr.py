@@ -21,6 +21,7 @@ backends and the restart discipline is exactly the heat3d one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Generator
 
 from repro.core.checkpoint.protocol import resolve_protocol
@@ -81,7 +82,7 @@ class AmrConfig:
     def for_ranks(cls, nranks: int, **overrides: Any) -> "AmrConfig":
         return cls(nranks=nranks, **overrides)
 
-    @property
+    @cached_property
     def halfwidth(self) -> int:
         if self.front_halfwidth is not None:
             return self.front_halfwidth

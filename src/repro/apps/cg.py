@@ -24,11 +24,12 @@ write/barrier/prune discipline as the paper's target application.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Generator
 
 import numpy as np
 
-from repro.apps.heat3d import factor3, halo_exchange, halo_plan, rank_coords
+from repro.apps.heat3d import BlockDecomposed, factor3, halo_exchange, halo_plan, rank_coords
 from repro.core.checkpoint.protocol import resolve_protocol
 from repro.mpi import ops
 from repro.mpi.api import MpiApi
@@ -44,7 +45,7 @@ _HALO_TAGS = {(0, -1): 21, (0, +1): 22, (1, -1): 23, (1, +1): 24, (2, -1): 25, (
 
 
 @dataclass(frozen=True)
-class CgConfig:
+class CgConfig(BlockDecomposed):
     """Distributed CG solve parameters."""
 
     grid: tuple[int, int, int] = (64, 64, 64)
@@ -75,26 +76,7 @@ class CgConfig:
         )
         return replace(base, **overrides) if overrides else base
 
-    @property
-    def nranks(self) -> int:
-        px, py, pz = self.ranks
-        return px * py * pz
-
-    @property
-    def local_shape(self) -> tuple[int, int, int]:
-        return tuple(g // p for g, p in zip(self.grid, self.ranks))  # type: ignore[return-value]
-
-    @property
-    def points_per_rank(self) -> int:
-        lx, ly, lz = self.local_shape
-        return lx * ly * lz
-
-    def face_bytes(self, axis: int) -> int:
-        """Wire size of one halo face perpendicular to ``axis``."""
-        lx, ly, lz = self.local_shape
-        return {0: ly * lz, 1: lx * lz, 2: lx * ly}[axis] * self.item_bytes
-
-    @property
+    @cached_property
     def checkpoint_nbytes(self) -> int:
         """x, r, and p vectors plus the header."""
         return self.checkpoint_header_bytes + 3 * self.points_per_rank * self.item_bytes

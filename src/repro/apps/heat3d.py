@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Generator
+from functools import cached_property
+from typing import Any, Generator, Sequence
 
 import numpy as np
 
@@ -74,8 +75,52 @@ def factor3(n: int) -> tuple[int, int, int]:
     return best  # type: ignore[return-value]
 
 
+class BlockDecomposed:
+    """The derived sizes of a frozen config with ``grid``, ``ranks`` and
+    ``item_bytes`` fields (heat3d, cg, stencil2d).
+
+    Each is a pure function of the fields, computed on first read and
+    kept beside them, never among them (``==``, ``repr`` and ``replace``
+    see fields only): every rank of every segment reads them, and the
+    geometry is per config — nothing is kept per rank.
+    """
+
+    grid: tuple[int, ...]
+    ranks: tuple[int, ...]
+    item_bytes: int
+
+    @cached_property
+    def nranks(self) -> int:
+        return math.prod(self.ranks)
+
+    @cached_property
+    def local_shape(self) -> tuple[int, ...]:
+        return tuple(g // p for g, p in zip(self.grid, self.ranks))
+
+    @cached_property
+    def points_per_rank(self) -> int:
+        return math.prod(self.local_shape)
+
+    @cached_property
+    def halo_axes(self) -> tuple[tuple[int, int, int], ...]:
+        """Per axis of the row-major decomposition: ``(rank stride, ranks
+        along the axis, wire bytes of a face perpendicular to it)`` — all
+        a rank needs beside its own number to name its halo channels
+        (:func:`halo_rows`)."""
+        stride = self.nranks
+        axes = []
+        for extent, local in zip(self.ranks, self.local_shape):
+            stride //= extent
+            axes.append((stride, extent, self.points_per_rank // local * self.item_bytes))
+        return tuple(axes)
+
+    def face_bytes(self, axis: int) -> int:
+        """Wire size of one halo face perpendicular to ``axis``."""
+        return self.halo_axes[axis][2]
+
+
 @dataclass(frozen=True)
-class HeatConfig:
+class HeatConfig(BlockDecomposed):
     """Workload parameters (paper §V-B: problem size, total iteration
     count, halo exchange interval, checkpoint interval)."""
 
@@ -126,29 +171,10 @@ class HeatConfig:
         return replace(base, **overrides) if overrides else base
 
     @property
-    def nranks(self) -> int:
-        return self.ranks[0] * self.ranks[1] * self.ranks[2]
-
-    @property
-    def local_shape(self) -> tuple[int, int, int]:
-        return tuple(g // p for g, p in zip(self.grid, self.ranks))  # type: ignore[return-value]
-
-    @property
-    def points_per_rank(self) -> int:
-        lx, ly, lz = self.local_shape
-        return lx * ly * lz
-
-    @property
     def effective_exchange_interval(self) -> int:
         return self.exchange_interval if self.exchange_interval is not None else self.checkpoint_interval
 
-    def face_bytes(self, axis: int) -> int:
-        """Wire size of one halo face perpendicular to ``axis``."""
-        lx, ly, lz = self.local_shape
-        faces = {0: ly * lz, 1: lx * lz, 2: lx * ly}
-        return faces[axis] * self.item_bytes
-
-    @property
+    @cached_property
     def checkpoint_nbytes(self) -> int:
         """Per-rank checkpoint file size: configuration header plus the
         current iteration's data (paper §V-B)."""
@@ -280,17 +306,28 @@ _FACE_RECV = {
 _FACES = tuple(_HALO_TAGS)
 
 
+def halo_rows(
+    rank: int, axes: Sequence[tuple[int, int, int]], tags: dict[tuple[int, int], int]
+) -> list[tuple[int, int, int, int]]:
+    """``(peer, send_tag, recv_tag, nbytes)`` per face of ``rank``, faces
+    in ``(axis, -1), (axis, +1)`` order per axis of ``axes``
+    (:attr:`BlockDecomposed.halo_axes`); domain boundaries are ``PROC_NULL`` rows (the
+    heat equation's grid is regular, not periodic).  ``tags`` maps each
+    face to its message tag."""
+    rows = []
+    for axis, (stride, extent, nbytes) in enumerate(axes):
+        coord = rank // stride % extent
+        down, up = tags[axis, -1], tags[axis, +1]
+        rows.append((rank - stride if coord > 0 else PROC_NULL, down, up, nbytes))
+        rows.append((rank + stride if coord + 1 < extent else PROC_NULL, up, down, nbytes))
+    return rows
+
+
 def halo_plan(mpi: MpiApi, cfg: Any, tags: dict[tuple[int, int], int] = _HALO_TAGS) -> Any:
-    """Bind this rank's six halo channels once (one row per face, in
-    ``_FACES`` order; domain boundaries are ``PROC_NULL`` rows).  ``cfg``
-    supplies ``ranks`` and ``face_bytes(axis)``; ``tags`` maps each face
-    to its message tag (the cg proxy shares this with its own tags)."""
-    neighbors = neighbor_ranks(mpi.rank, cfg.ranks)
-    face_nbytes = [cfg.face_bytes(axis) for axis in range(3)]
-    return mpi.neighbor_plan(
-        (neighbors[(axis, step)], tags[(axis, step)], tags[(axis, -step)], face_nbytes[axis])
-        for axis, step in _FACES
-    )
+    """Bind this rank's halo channels once (one row per face, in
+    ``_FACES`` order).  ``cfg`` supplies ``halo_axes``; ``tags`` maps each
+    face to its message tag (the cg proxy shares this with its own tags)."""
+    return mpi.neighbor_plan(halo_rows(mpi.rank, cfg.halo_axes, tags))
 
 
 def halo_exchange(mpi: MpiApi, plan: Any, u: np.ndarray | None) -> Gen:
@@ -325,8 +362,6 @@ def heat3d(mpi: MpiApi, cfg: HeatConfig, store: Any = None) -> Gen:
     """
     yield from mpi.init()
     cfg.validate_for(mpi.size)
-    # The config's derived sizes are properties recomputed on every read:
-    # read each once per rank.
     points = cfg.points_per_rank
     ckpt_nbytes = cfg.checkpoint_nbytes
     real = cfg.data_mode == "real"

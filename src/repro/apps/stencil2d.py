@@ -10,14 +10,15 @@ balance for ablation studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Generator
 
 import numpy as np
 
+from repro.apps.heat3d import BlockDecomposed, halo_rows
 from repro.core.checkpoint.protocol import resolve_protocol
 from repro.mpi.api import MpiApi
-from repro.mpi.constants import PROC_NULL
 from repro.util.errors import ConfigurationError
 
 Gen = Generator[Any, Any, Any]
@@ -34,7 +35,7 @@ def factor2(n: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class Stencil2dConfig:
+class Stencil2dConfig(BlockDecomposed):
     grid: tuple[int, int] = (1024, 1024)
     ranks: tuple[int, int] = (4, 4)
     iterations: int = 100
@@ -56,45 +57,11 @@ class Stencil2dConfig:
     def for_ranks(cls, nranks: int, points_per_rank_side: int = 64, **overrides: Any) -> "Stencil2dConfig":
         px, py = factor2(nranks)
         base = cls(grid=(px * points_per_rank_side, py * points_per_rank_side), ranks=(px, py))
-        return base if not overrides else Stencil2dConfig(
-            **{**base.__dict__, **overrides}
-        )
+        return replace(base, **overrides) if overrides else base
 
-    @property
-    def nranks(self) -> int:
-        return self.ranks[0] * self.ranks[1]
-
-    @property
-    def local_shape(self) -> tuple[int, int]:
-        return tuple(g // p for g, p in zip(self.grid, self.ranks))  # type: ignore[return-value]
-
-    @property
-    def points_per_rank(self) -> int:
-        lx, ly = self.local_shape
-        return lx * ly
-
-    def face_bytes(self, axis: int) -> int:
-        """Wire size of one halo edge perpendicular to ``axis``."""
-        lx, ly = self.local_shape
-        return (ly if axis == 0 else lx) * self.item_bytes
-
-    @property
+    @cached_property
     def checkpoint_nbytes(self) -> int:
         return self.checkpoint_header_bytes + self.points_per_rank * self.item_bytes
-
-
-def _neighbors(rank: int, ranks: tuple[int, int]) -> dict[tuple[int, int], int]:
-    px, py = ranks
-    cx, cy = rank // py, rank % py
-    out: dict[tuple[int, int], int] = {}
-    for axis, (dx, dy) in ((0, (1, 0)), (1, (0, 1))):
-        for step in (-1, +1):
-            nx, ny = cx + dx * step, cy + dy * step
-            if 0 <= nx < px and 0 <= ny < py:
-                out[(axis, step)] = nx * py + ny
-            else:
-                out[(axis, step)] = PROC_NULL
-    return out
 
 
 #: Edge of each halo-plan row, ``(axis, step)``.
@@ -117,11 +84,7 @@ _EDGE_RECV = {
 
 def _halo_plan(mpi: MpiApi, cfg: Stencil2dConfig) -> Any:
     """Bind this rank's four halo channels once (rows in ``_EDGES`` order)."""
-    neighbors = _neighbors(mpi.rank, cfg.ranks)
-    return mpi.neighbor_plan(
-        (neighbors[(axis, step)], _TAGS[(axis, step)], _TAGS[(axis, -step)], cfg.face_bytes(axis))
-        for axis, step in _EDGES
-    )
+    return mpi.neighbor_plan(halo_rows(mpi.rank, cfg.halo_axes, _TAGS))
 
 
 def _halo(mpi: MpiApi, plan: Any, u: np.ndarray | None) -> Gen:

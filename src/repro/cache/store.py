@@ -24,7 +24,13 @@ forked campaign worker transparently reopens), and a store renames its
 blob into place and writes its index row inside one write transaction —
 two `-j` workers or two concurrent CLI invocations sharing one cache
 directory cannot corrupt it, the worst case is both computing the same
-cell and the later blob-and-row pair replacing the earlier.
+cell and the later blob-and-row pair replacing the earlier.  A writer
+killed between creating ``<k>.<pid>.tmp`` and renaming it, or an INSERT
+that raises after the rename, leaves a file no row names: an *orphan*.
+Lookups never see one; ``cache stats`` counts them, ``cache verify``
+lists them and ``cache gc`` removes them (a ``.tmp`` only once it is
+:data:`ORPHAN_TMP_AGE` old), the latter two holding the write lock so a
+store in flight is never mistaken for one.
 
 Correctness before speed — verified before decoded: a lookup compares
 the blob's size and then the SHA-256 of its raw bytes against the index
@@ -62,7 +68,6 @@ import os
 import pickle
 import sqlite3
 import sys
-import tempfile
 import time as _time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -115,10 +120,18 @@ def cache_key(scenario: "Scenario") -> str:
     the instrumentation switches that change the cached blob
     (``observe``, ``trace_detail``, ``check``) stay in the key.
     """
-    normalized = scenario.digest_with(
-        backend=None, shards=1, shard_transport=None, jobs=1, trace_out=""
-    )
-    return hashlib.sha256(f"{cache_salt()}\n{normalized}".encode()).hexdigest()
+    # Computed once per scenario instance and salt (a lookup and the store
+    # that follows its miss ask for the same key), beside the fields like
+    # the scenario's own digest.
+    salt = cache_salt()
+    memo = scenario.__dict__.get("_cache_key")
+    if memo is None or memo[0] != salt:
+        normalized = scenario.digest_with(
+            backend=None, shards=1, shard_transport=None, jobs=1, trace_out=""
+        )
+        key = hashlib.sha256(f"{salt}\n{normalized}".encode()).hexdigest()
+        memo = scenario.__dict__["_cache_key"] = (salt, key)
+    return memo[1]
 
 
 # ----------------------------------------------------------------------
@@ -136,6 +149,15 @@ _HEAD_AT = len(_MAGIC) + 4  # a 4-byte big-endian head length follows the magic
 #: 8,000 ranks, 36 ms of 38 at 32,768) and a sweep never asks.
 EAGER_DECODE_BYTES = 256 * 1024
 
+#: A temporary blob this old (seconds) belongs to no store in flight — a
+#: writer holds its temporary name for microseconds, inside its write
+#: transaction — so ``gc`` may remove it.
+ORPHAN_TMP_AGE = 3600.0
+
+#: How often a new connection asks for WAL mode before giving up (the
+#: waits add up to ~0.4 s).
+_WAL_SWITCH_TRIES = 20
+
 #: Every body holds a ``SimulationResult``: until this module is loaded,
 #: decoding one means importing the simulator runtime (~0.25 s) — more
 #: than the whole of a warm CLI sweep, which never reads a body.
@@ -147,17 +169,19 @@ def _canonical_json(value: Any) -> bytes:
 
 
 def _strip_result(result):
-    """A picklable copy of a SimulationResult: same observable content,
-    log stream detached (streams are process-local file objects)."""
-    log = result.log
-    if log.stream is not None:
-        log = replace(log, stream=None)
-    return replace(result, log=log)
+    """A picklable SimulationResult: same observable content, log stream
+    detached (streams are process-local file objects) — the result itself
+    when it has none."""
+    if result.log.stream is None:
+        return result
+    return replace(result, log=replace(result.log, stream=None))
 
 
 def _strip_run(run):
-    """A picklable copy of a FailureRunResult (per-segment log streams
-    detached)."""
+    """A picklable FailureRunResult (per-segment log streams detached) —
+    the run itself when no segment logs to a stream."""
+    if all(seg.result.log.stream is None for seg in run.segments):
+        return run
     segments = [replace(seg, result=_strip_result(seg.result)) for seg in run.segments]
     return replace(run, segments=segments)
 
@@ -322,6 +346,9 @@ class GcResult:
     freed_bytes: int = 0
     kept: int = 0
     kept_bytes: int = 0
+    #: Files no index row named (see :meth:`ResultCache.orphans`), removed.
+    orphans: int = 0
+    orphan_bytes: int = 0
 
 
 @dataclass
@@ -330,6 +357,8 @@ class VerifyIssue:
 
     key: str
     problem: str
+    #: A file no index row names (:meth:`ResultCache.orphans`), not an entry.
+    orphan: bool = False
 
 
 _SCHEMA = """
@@ -388,7 +417,21 @@ class ResultCache:
         conn = self._conns.get(pid)
         if conn is None:
             conn = sqlite3.connect(str(self.db_path), timeout=30.0, isolation_level=None)
-            conn.execute("PRAGMA journal_mode=WAL")
+            for attempt in range(_WAL_SWITCH_TRIES):
+                try:
+                    conn.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError:
+                    # Another handle is creating this index right now: the
+                    # switch to WAL wants the file to itself, and SQLite
+                    # refuses at once instead of waiting (no busy handler
+                    # where waiting could deadlock).  The other side needs
+                    # well under a millisecond; without this a ``-j``
+                    # worker opening a fresh directory beside its sibling
+                    # ran with its cache disabled.
+                    if attempt == _WAL_SWITCH_TRIES - 1:
+                        raise
+                    _time.sleep(0.002 * (attempt + 1))
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("PRAGMA busy_timeout=10000")
             self._conns[pid] = conn
@@ -428,13 +471,27 @@ class ResultCache:
         return self.blob_dir / key[:2] / f"{key}.blob"
 
     def _write_blob(self, key: str, data: bytes) -> None:
-        path = self.blob_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        """``data`` under a temporary name in the blob's own shard
+        directory, then renamed over the blob.  The name is the key plus
+        this pid, created exclusively: two processes storing one key
+        cannot share it, and a crashed writer's leftover says whose it
+        was.  Plain string paths and ``os`` calls — this runs once per
+        computed cell, and ``pathlib`` plus ``tempfile``'s random-name
+        machinery cost more than the four system calls they wrap."""
+        shard = f"{self.blob_dir}/{key[:2]}"
+        tmp = f"{shard}/{key}.{os.getpid()}.tmp"
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+        try:
+            fd = os.open(tmp, flags, 0o600)
+        except FileNotFoundError:
+            # First blob of this shard (or the directory was removed
+            # under us): make it and try once more.
+            os.makedirs(shard, exist_ok=True)
+            fd = os.open(tmp, flags, 0o600)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
-            os.replace(tmp, path)
+            os.replace(tmp, f"{shard}/{key}.blob")
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -660,6 +717,10 @@ class ResultCache:
         modes = dict(
             conn.execute("SELECT mode, COUNT(*) FROM entries GROUP BY mode").fetchall()
         )
+        # Without the write lock (``stats`` must work beside a running
+        # campaign): a store caught between rename and commit may be
+        # counted once.
+        orphans = self.orphans()
         return {
             "root": str(self.root),
             "schema": CACHE_SCHEMA_VERSION,
@@ -669,15 +730,75 @@ class ResultCache:
             "hits": hits,
             "saved_s": wall,
             "modes": modes,
+            "orphans": len(orphans),
+            "orphan_bytes": sum(nbytes for _path, _problem, nbytes in orphans),
             "disabled": self.disabled_reason,
         }
+
+    def orphans(self, now: float | None = None) -> list[tuple[str, str, int]]:
+        """``(path, problem, nbytes)`` of every file under the blob
+        directory that the index does not account for, in path order: a
+        ``.blob`` no row names (an INSERT that raised after the rename;
+        a row dropped while its unlink failed) and a ``.tmp`` older than
+        :data:`ORPHAN_TMP_AGE` (a writer killed before its rename).
+        Lookups never read either, so they cost disk, not correctness.
+
+        The files are listed before the index is read, so a store that
+        commits meanwhile is not reported; only a caller holding the
+        write lock (``gc``, ``verify``) is sure to see no store in
+        flight between its rename and its commit.
+        """
+        now = _time.time() if now is None else now
+        files: list[tuple[str, str, os.stat_result]] = []
+        try:
+            with os.scandir(self.blob_dir) as shards:
+                for shard in sorted(shards, key=lambda e: e.name):
+                    if not shard.is_dir(follow_symlinks=False):
+                        continue
+                    with os.scandir(shard.path) as entries:
+                        files += [
+                            (e.path, e.name, e.stat(follow_symlinks=False))
+                            for e in sorted(entries, key=lambda e: e.name)
+                            if e.is_file(follow_symlinks=False)
+                        ]
+        except OSError:
+            return []  # unreadable or vanished directory: nothing to report
+        named = {key for (key,) in self._conn().execute("SELECT key FROM entries")}
+        found = []
+        for path, name, stat in files:
+            if name.endswith(".blob"):
+                if name[: -len(".blob")] not in named:
+                    found.append((path, "orphan blob: no index row names it", stat.st_size))
+            elif name.endswith(".tmp") and now - stat.st_mtime > ORPHAN_TMP_AGE:
+                found.append(
+                    (path, "orphan temporary file of an interrupted store", stat.st_size)
+                )
+        return found
+
+    def _locked_orphans(self, now: float | None, remove: bool) -> list[tuple[str, str, int]]:
+        """:meth:`orphans` seen — and with ``remove`` unlinked — under the
+        write lock: a live writer renames its blob inside its own write
+        transaction, so while this one is open no blob is waiting for
+        its row."""
+        conn = self._conn()
+        conn.execute("BEGIN IMMEDIATE")
+        with conn:
+            found = self.orphans(now)
+            if remove:
+                for path, _problem, _nbytes in found:
+                    try:
+                        os.unlink(path)
+                    except OSError:
+                        pass
+        return found
 
     def verify(self, prune: bool = False) -> list[VerifyIssue]:
         """Audit every entry, beyond what a lookup checks: size, raw
         hash, head and head digest as a lookup does, then the body
         decoded and the digest and facts re-derived from its objects
-        held against the head (and so the index).  ``prune`` deletes the
-        failing entries."""
+        held against the head (and so the index) — and then the blob
+        directory for files no entry accounts for (:meth:`orphans`).
+        ``prune`` deletes the failing entries and the orphans."""
         from repro.run.backends import outcome_digest, outcome_facts
 
         issues: list[VerifyIssue] = []
@@ -717,6 +838,11 @@ class ResultCache:
                         path.unlink(missing_ok=True)
                     except OSError:
                         pass
+        for path, problem, nbytes in self._locked_orphans(None, remove=prune):
+            name = os.path.basename(path)
+            issues.append(
+                VerifyIssue(name.partition(".")[0], f"{problem} ({name}, {nbytes} bytes)", orphan=True)
+            )
         return issues
 
     def gc(
@@ -729,7 +855,8 @@ class ResultCache:
         seconds (by last hit), then — LRU by last hit — until the cache
         fits ``max_bytes``.  Eviction order within a policy is
         deterministic: oldest ``last_hit`` first, ties broken by
-        ``created`` then key."""
+        ``created`` then key.  Then, holding the write lock, every
+        orphan (:meth:`orphans`) is removed, whatever the policies."""
         now = _time.time() if now is None else now
         res = GcResult()
         survivors: list[dict[str, Any]] = []
@@ -758,6 +885,11 @@ class ResultCache:
                 pass
         res.kept = len(survivors)
         res.kept_bytes = sum(e["nbytes"] for e in survivors)
+        # Whatever the index never knew (or just forgot while an unlink
+        # above failed) is disk the policies above cannot see.
+        orphans = self._locked_orphans(now, remove=True)
+        res.orphans = len(orphans)
+        res.orphan_bytes = sum(nbytes for _path, _problem, nbytes in orphans)
         return res
 
     def close(self) -> None:

@@ -606,6 +606,8 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     modes = ", ".join(f"{n} {m}" for m, n in sorted(st["modes"].items())) or "empty"
     print(f"  entries:  {st['entries']:,} ({modes})")
     print(f"  size:     {format_size(st['bytes'])}")
+    print(f"  orphans:  orphan_bytes={st['orphan_bytes']} in {st['orphans']} files "
+          "the index does not name (cache gc removes them)")
     print(f"  hits:     {st['hits']:,} lifetime "
           f"(~{st['saved_s']:,.1f}s of compute served by lookup)")
     print(f"  salt:     {st['salt']}")
@@ -627,8 +629,13 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
     for issue in issues:
         action = "pruned" if args.prune else "unservable"
         print(f"{issue.key[:16]} {action}: {issue.problem}")
-    print(f"{len(issues)}/{total} entries "
-          f"{'pruned' if args.prune else 'unservable (re-run with --prune to delete)'}")
+    orphans = sum(issue.orphan for issue in issues)
+    if len(issues) > orphans:
+        print(f"{len(issues) - orphans}/{total} entries "
+              f"{'pruned' if args.prune else 'unservable (re-run with --prune to delete)'}")
+    if orphans:
+        print(f"{orphans} orphan files "
+              f"{'removed' if args.prune else 'found (re-run with --prune to delete)'}")
     return 0 if args.prune else 1
 
 
@@ -653,6 +660,9 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
         f"{by_age} by age, {by_bytes} by size); "
         f"kept {res.kept} ({format_size(res.kept_bytes)})"
     )
+    if res.orphans:
+        print(f"removed {res.orphans} orphan files ({format_size(res.orphan_bytes)}) "
+              "no index row named")
     return 0
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
 from repro.util.errors import ConfigurationError
@@ -188,30 +189,21 @@ class SystemConfig:
         return math.ceil(self.nranks / self.ranks_per_node)
 
     def make_topology(self) -> Topology:
-        """Build the interconnect topology object."""
-        kind = self.topology_kind
-        if self.topology_dims is not None:
-            validate_dims(tuple(self.topology_dims), kind, self.nnodes)
-        if kind not in TOPOLOGIES:
-            raise ConfigurationError(f"unknown topology kind {self.topology_kind!r}")
-        target, sizing = TOPOLOGIES[kind]
-        topology = load(target)
-        if sizing == "grid":
-            return topology(self.topology_dims or balanced_dims(self.nnodes))
-        if sizing == "tree":
-            if self.topology_dims is not None:
-                arity, levels = self.topology_dims
-            else:
-                arity = 16
-                levels = max(1, math.ceil(math.log(self.nnodes, arity)))
-            return topology(arity=arity, levels=levels)
-        return topology(self.nnodes)
+        """The interconnect topology object (shared, see :meth:`make_network`)."""
+        dims = None if self.topology_dims is None else tuple(self.topology_dims)
+        return _topology(self.topology_kind, dims, self.nnodes)
 
     def make_network(self) -> NetworkModel:
-        """Build the communication cost model (overheads pre-scaled)."""
-        from repro.models.network.model import NetworkModel
+        """The communication cost model (overheads pre-scaled).
 
-        return NetworkModel(
+        One immutable model per distinct set of cost inputs serves the
+        whole process — every segment of a restart experiment, every cell
+        of a campaign, every forked worker — so its route caches outlive
+        the run that filled them.  The table is keyed by the field values,
+        not by this object: two configs describing one machine borrow one
+        model.
+        """
+        return _network(
             self.make_topology(),
             latency=self.link_latency,
             bandwidth=self.link_bandwidth,
@@ -225,7 +217,44 @@ class SystemConfig:
         )
 
     def make_processor(self) -> ProcessorModel:
-        """Build the node speed model."""
-        from repro.models.processor import ProcessorModel
+        """The node speed model (shared, see :meth:`make_network`)."""
+        return _processor(self.reference_hz, self.slowdown)
 
-        return ProcessorModel(reference_hz=self.reference_hz, slowdown=self.slowdown)
+
+#: Distinct machines whose models the process keeps; the least recently
+#: borrowed goes first (a run in flight keeps its own reference).
+MODEL_TABLE_SIZE = 16
+
+
+@lru_cache(maxsize=MODEL_TABLE_SIZE)
+def _topology(kind: str, dims: tuple[int, ...] | None, nnodes: int) -> Topology:
+    if dims is not None:
+        validate_dims(dims, kind, nnodes)
+    if kind not in TOPOLOGIES:
+        raise ConfigurationError(f"unknown topology kind {kind!r}")
+    target, sizing = TOPOLOGIES[kind]
+    topology = load(target)
+    if sizing == "grid":
+        return topology(dims or balanced_dims(nnodes))
+    if sizing == "tree":
+        if dims is not None:
+            arity, levels = dims
+        else:
+            arity = 16
+            levels = max(1, math.ceil(math.log(nnodes, arity)))
+        return topology(arity=arity, levels=levels)
+    return topology(nnodes)
+
+
+@lru_cache(maxsize=MODEL_TABLE_SIZE)
+def _network(topology: Topology, **costs: Any) -> NetworkModel:
+    from repro.models.network.model import NetworkModel
+
+    return NetworkModel(topology, **costs)
+
+
+@lru_cache(maxsize=MODEL_TABLE_SIZE)
+def _processor(reference_hz: float, slowdown: float) -> ProcessorModel:
+    from repro.models.processor import ProcessorModel
+
+    return ProcessorModel(reference_hz=reference_hz, slowdown=slowdown)

@@ -11,10 +11,14 @@ runs execute serially in-process or fan out over a process pool.
 Design:
 
 * A run is described by a picklable :class:`RunSpec` naming a registered
-  *task kind* plus keyword parameters.  Specs carry only primitive
-  configuration (rank counts, seeds, intervals) — workers rebuild the
-  heavyweight objects (system config, workload, simulator) themselves, so
-  nothing that is awkward to pickle crosses the process boundary.
+  *task kind* plus keyword parameters.  Specs bound for a pool carry only
+  primitive configuration (rank counts, seeds, intervals) — a worker
+  builds the workload and the simulator itself and borrows the machine's
+  models from the process-wide table it inherited at fork
+  (:meth:`SystemConfig.make_network
+  <repro.core.harness.config.SystemConfig.make_network>`), so nothing
+  that is awkward to pickle crosses the process boundary.  A campaign
+  that runs in its own process hands each task its objects directly.
 * Task implementations are registered in a module-level table at import
   time (:func:`task`), which makes the dispatch function
   :func:`run_spec` picklable by qualified name: worker processes import
@@ -66,11 +70,16 @@ class RunSpec:
         cache_dir: str | None = None,
         known_miss: bool = False,
         store: Any = None,
+        in_process: bool = False,
     ) -> "RunSpec":
         """A spec executing one :class:`~repro.run.scenario.Scenario` via
-        the ``scenario`` task: the spec carries only the scenario's
-        primitive dict form, workers rebuild and run it on its resolved
-        backend and return :meth:`~repro.run.backends.ScenarioOutcome.summary`.
+        the ``scenario`` task, which runs it on its resolved backend and
+        returns :meth:`~repro.run.backends.ScenarioOutcome.summary`.  A
+        spec bound for a pool carries the scenario's primitive dict form
+        and the worker rebuilds it; ``in_process=True`` (the campaign
+        will run the spec in its own process) hands the task the
+        scenario itself — already validated, schedule parsed, digests
+        memoised.
 
         ``cache_dir`` (optional) names a shared content-addressed result
         store: the worker consults it before running and memoizes what it
@@ -82,7 +91,9 @@ class RunSpec:
         All three are omitted from ``params`` when unset so pre-cache
         specs pickle and digest identically.
         """
-        params: dict[str, Any] = {"scenario": scenario.to_dict()}
+        params: dict[str, Any] = {
+            "scenario": scenario if in_process else scenario.to_dict()
+        }
         if cache_dir is not None:
             params["cache_dir"] = cache_dir
         if known_miss:
@@ -281,13 +292,14 @@ def _task_selftest(
 @task("scenario")
 def _task_scenario(
     *,
-    scenario: dict,
+    scenario: Any,
     cache_dir: str | None = None,
     known_miss: bool = False,
     store: Any = None,
 ) -> dict[str, Any]:
-    """One declarative :class:`~repro.run.scenario.Scenario`, executed on
-    its resolved backend; sweeps (``xsim-run sweep``) fan these out.
+    """One declarative :class:`~repro.run.scenario.Scenario` — itself, or
+    its dict form when it crossed a process boundary — executed on its
+    resolved backend; sweeps (``xsim-run sweep``) fan these out.
 
     ``cache_dir`` routes the run through the shared content-addressed
     result store at that path (lookup before compute, write-through
@@ -304,9 +316,9 @@ def _task_scenario(
         from repro.cache import open_cache
 
         cache = open_cache(cache_dir)
-    return run_scenario(
-        Scenario.from_dict(scenario), cache=cache, known_miss=known_miss
-    ).summary()
+    if isinstance(scenario, dict):
+        scenario = Scenario.from_dict(scenario)
+    return run_scenario(scenario, cache=cache, known_miss=known_miss).summary()
 
 
 @task("table2-e1")

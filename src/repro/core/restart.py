@@ -260,7 +260,13 @@ class RestartDriver:
         budget is exhausted); see the module docstring for the loop."""
         strategy = self.strategy
         strategy.begin_run()
-        rng = RngStreams(self.seed).get("restart-failures")
+        # Only a draw policy consumes the stream; a run under an explicit
+        # schedule alone never builds the generator.
+        rng = (
+            RngStreams(self.seed).get("restart-failures")
+            if self.policy is not None
+            else None
+        )
         segments: list[SegmentRecord] = []
         start = 0.0
         for index in range(self.max_restarts + 1):

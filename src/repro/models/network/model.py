@@ -65,6 +65,13 @@ class NetworkModel:
     Parameters accept the human-readable unit strings from
     :mod:`repro.util.units` (``"1us"``, ``"32GB/s"``, ``"256kB"``).
 
+    A model is immutable: one instance per machine serves every run of a
+    process (:meth:`SystemConfig.make_network
+    <repro.core.harness.config.SystemConfig.make_network>`), so assigning
+    an attribute raises and a changed parameter is a new model.  What a
+    run degrades (link faults) lives in the run's
+    :class:`~repro.core.faults.overlay.FaultOverlay`, never here.
+
     Parameters
     ----------
     topology:
@@ -119,27 +126,43 @@ class NetworkModel:
             )
         if congestion_factor < 1.0:
             raise ConfigurationError(f"congestion_factor must be >= 1, got {congestion_factor}")
-        self.topology = topology
         lat = parse_time(latency)
         bw = parse_rate(bandwidth)
         timeout = parse_time(detection_timeout)
-        self.system = TierParams(latency=lat, bandwidth=bw, detection_timeout=timeout)
-        self.on_node = on_node or TierParams(
-            latency=lat / 10.0, bandwidth=bw * 4.0, detection_timeout=timeout / 10.0
+        # Written through the instance dict: ``__setattr__`` refuses.
+        vars(self).update(
+            topology=topology,
+            system=TierParams(latency=lat, bandwidth=bw, detection_timeout=timeout),
+            on_node=on_node or TierParams(
+                latency=lat / 10.0, bandwidth=bw * 4.0, detection_timeout=timeout / 10.0
+            ),
+            on_chip=on_chip or TierParams(
+                latency=lat / 100.0, bandwidth=bw * 16.0, detection_timeout=timeout / 100.0
+            ),
+            eager_threshold=parse_size(eager_threshold),
+            send_overhead=parse_time(send_overhead),
+            recv_overhead=parse_time(recv_overhead),
+            ranks_per_node=ranks_per_node,
+            chips_per_node=chips_per_node,
+            ranks_per_chip=ranks_per_node // chips_per_node,
+            congestion_factor=congestion_factor,
         )
-        self.on_chip = on_chip or TierParams(
-            latency=lat / 100.0, bandwidth=bw * 16.0, detection_timeout=timeout / 100.0
-        )
-        self.eager_threshold = parse_size(eager_threshold)
-        self.send_overhead = parse_time(send_overhead)
-        self.recv_overhead = parse_time(recv_overhead)
-        self.ranks_per_node = ranks_per_node
-        self.chips_per_node = chips_per_node
-        self.ranks_per_chip = ranks_per_node // chips_per_node
-        self.congestion_factor = congestion_factor
         self._install_caches()
 
-    #: Cost methods shadowed by per-instance LRU caches, with cache sizes.
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            f"NetworkModel is immutable (it is shared by every run of its "
+            f"machine); a changed {name!r} is a new model"
+        )
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("NetworkModel is immutable")
+
+    #: Cost methods shadowed by per-instance LRU caches, with the least
+    #: size of each; a machine of more than ``floor / 8`` ranks gets
+    #: ``8 * max_ranks()`` entries — a 3-D halo binds six pairs per rank
+    #: and a linear collective's root fan-in and fan-out two more, so one
+    #: run's working set always fits and the next segment's lookups hit.
     _CACHED_METHODS = (
         ("tier", 1 << 17),
         ("hops", 1 << 17),
@@ -153,39 +176,28 @@ class NetworkModel:
         """Shadow the pure cost methods with per-instance LRU caches.
 
         The cost inputs (topology, tier parameters, placement, congestion)
-        are fixed after construction, so every cost method is a pure
+        cannot change after construction, so every cost method is a pure
         function of its rank/size arguments; the torus hop computation and
         the tier dispatch dominate the simulated MPI layer's per-message
-        cost otherwise.  Mutating cost parameters afterwards (tests only)
-        requires calling :meth:`invalidate_caches`.
+        cost otherwise.
 
         Each cache binds the *class* function to a cycle-free snapshot of
         the model's state, never to ``self``: a ``lru_cache`` around the
         bound method ``self.method`` stored back onto ``self`` would
         strongly reference the instance from its own attribute, forming a
-        cycle that keeps the model — and up to 2^17 cached cost tuples —
-        alive until a *cyclic* gc pass.  The engine disables gc during
-        runs and campaigns build one model per task, so those cycles
-        previously accumulated into an unbounded memory ramp.  The
-        snapshot (a shallow copy sharing the immutable parameter objects)
-        holds no reference back to the instance, so a dropped model frees
-        by reference count alone.
+        cycle that keeps the model — and its cached cost tuples — alive
+        until a *cyclic* gc pass, and the engine disables gc during runs.
+        The snapshot (a shallow copy sharing the immutable parameter
+        objects) holds no reference back to the instance, so a model
+        nothing borrows any more frees by reference count alone.
         """
         state = copy.copy(self)
-        for name, _size in self._CACHED_METHODS:
-            # Drop wrappers a previous install left on the copied __dict__.
-            state.__dict__.pop(name, None)
         cls = type(self)
-        for name, size in self._CACHED_METHODS:
-            func = getattr(cls, name)
-            setattr(self, name, lru_cache(maxsize=size)(partial(func, state)))
-
-    def invalidate_caches(self) -> None:
-        """Drop all memoized cost results (after mutating cost parameters).
-
-        Rebuilds the caches against a fresh state snapshot, so parameter
-        mutations made on the instance take effect."""
-        self._install_caches()
+        working_set = 8 * self.max_ranks()
+        vars(self).update(
+            (name, lru_cache(maxsize=max(floor, working_set))(partial(getattr(cls, name), state)))
+            for name, floor in self._CACHED_METHODS
+        )
 
     # ------------------------------------------------------------------
     # placement

@@ -428,20 +428,26 @@ class MpiApi:
         comm = self._comm(comm)
         ctx = comm.context_id * 2
         network = self.world.network
+        eager_threshold = network.eager_threshold
+        transfer_time = network.transfer_time
+        world_rank = comm.world_rank
         me = self.rank
         bound = []
         for peer, send_tag, recv_tag, nbytes in rows:
-            self._check_tag(send_tag)
-            self._check_tag(recv_tag)
+            if not (0 <= send_tag <= TAG_UB and 0 <= recv_tag <= TAG_UB):
+                self._check_tag(send_tag)
+                self._check_tag(recv_tag)
             if nbytes is not None:
                 nbytes = payload_nbytes(None, nbytes)
             if peer == PROC_NULL:
                 bound.append((PROC_NULL, send_tag, (ctx, PROC_NULL, recv_tag), nbytes, None))
                 continue
-            dst = comm.world_rank(peer)
+            dst = world_rank(peer)
             wire = None
-            if nbytes is not None and network.is_eager(nbytes):
-                wire = network.transfer_time(nbytes, me, dst)
+            if nbytes is not None and nbytes <= eager_threshold:
+                # A hit from the machine's second segment on: the model
+                # and its route caches outlive the run.
+                wire = transfer_time(nbytes, me, dst)
             bound.append((dst, send_tag, (ctx, dst, recv_tag), nbytes, wire))
         return NeighborPlan(comm, ctx, tuple(bound))
 

@@ -216,11 +216,9 @@ class ShardedShmBackend(_ShardedBackend):
 def backend_for(shards: int, shard_transport: str | None) -> Backend:
     """The backend a legacy ``(shards, shard_transport)`` pair selects —
     the dispatch rule every pre-registry launcher hand-coded."""
-    from repro.run.scenario import Scenario
+    from repro.run.scenario import backend_name_for
 
-    return get_backend(
-        Scenario(shards=max(1, shards), shard_transport=shard_transport).backend_name()
-    )
+    return get_backend(backend_name_for(None, shards, shard_transport))
 
 
 # ----------------------------------------------------------------------

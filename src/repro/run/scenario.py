@@ -121,6 +121,32 @@ APP_NAMES = tuple(APPS)
 TOPOLOGY_NAMES = tuple(TOPOLOGIES)
 ENGINE_NAMES = ("heap", "flat")
 SHARD_TRANSPORTS = tuple(sorted(t for t in BACKEND_TRANSPORTS.values() if t is not None))
+_BACKEND_OF_TRANSPORT = {t: name for name, t in BACKEND_TRANSPORTS.items()}
+
+
+def backend_name_for(backend: str | None, shards: int, shard_transport: str | None) -> str:
+    """The registered backend a ``(backend, shards, shard_transport)``
+    triple selects.
+
+    Explicit ``backend`` wins (and must agree with ``shard_transport``
+    if both are given); otherwise the name derives from ``shards`` and
+    ``shard_transport`` exactly as the pre-registry launchers did.
+    """
+    if backend is not None:
+        implied = BACKEND_TRANSPORTS.get(backend)
+        if (
+            shard_transport is not None
+            and implied is not None
+            and implied != shard_transport
+        ):
+            raise ConfigurationError(
+                f"backend {backend!r} conflicts with "
+                f"shard_transport {shard_transport!r}"
+            )
+        return backend
+    if shard_transport is not None and shard_transport not in SHARD_TRANSPORTS:
+        raise ConfigurationError(f"unknown shard transport {shard_transport!r}")
+    return _BACKEND_OF_TRANSPORT[None if shards <= 1 else (shard_transport or "fork")]
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
@@ -235,8 +261,10 @@ class Scenario:
         if self.dims is not None:
             # paper_system places one rank per node, so nnodes == ranks.
             validate_dims(self.dims, self.topology, self.physical_ranks())
-        # Parse eagerly so a bad schedule fails at build, not at launch.
-        FailureSchedule.parse(self.failures)
+        # Parse eagerly so a bad schedule fails at build, not at launch —
+        # and once: kept beside the fields like the digest (never among
+        # them: ``==``, ``repr``, ``to_dict`` and TOML do not see it).
+        self.__dict__["_schedule"] = FailureSchedule.parse(self.failures)
 
     # ------------------------------------------------------------------
     # layered resolution
@@ -357,26 +385,8 @@ class Scenario:
     # derived objects
     # ------------------------------------------------------------------
     def backend_name(self) -> str:
-        """The registered backend this scenario runs on.
-
-        Explicit ``backend`` wins (and must agree with ``shard_transport``
-        if both are given); otherwise the name derives from ``shards`` and
-        ``shard_transport`` exactly as the pre-registry launchers did.
-        """
-        if self.backend is not None:
-            implied = BACKEND_TRANSPORTS.get(self.backend)
-            if (
-                self.shard_transport is not None
-                and implied is not None
-                and implied != self.shard_transport
-            ):
-                raise ConfigurationError(
-                    f"backend {self.backend!r} conflicts with "
-                    f"shard_transport {self.shard_transport!r}"
-                )
-            return self.backend
-        transport = None if self.shards <= 1 else (self.shard_transport or "fork")
-        return next(n for n, t in BACKEND_TRANSPORTS.items() if t == transport)
+        """The registered backend this scenario runs on (:func:`backend_name_for`)."""
+        return backend_name_for(self.backend, self.shards, self.shard_transport)
 
     def make_strategy(self):
         """Instantiate this scenario's resilience strategy (validated)."""
@@ -393,7 +403,9 @@ class Scenario:
         replicas of the logical job)."""
         from repro.core.harness.config import SystemConfig
 
-        return SystemConfig.paper_system(
+        # The paper's machine (``SystemConfig.paper_system``) with this
+        # scenario's [machine] table over it, built in one step.
+        return SystemConfig(
             nranks=self.physical_ranks(),
             topology_kind=self.topology,
             topology_dims=self.dims,
@@ -421,8 +433,10 @@ class Scenario:
         return strategy.wrap_app(app), make_args
 
     def schedule(self) -> FailureSchedule:
-        """The explicit failure schedule (may be empty)."""
-        return FailureSchedule.parse(self.failures)
+        """The explicit failure schedule (may be empty), parsed when the
+        scenario was built.  Every caller gets the same object: read it,
+        do not ``add`` to it."""
+        return self.__dict__["_schedule"]
 
 
 #: Field names in the order :meth:`Scenario.digest_with` hashes them.

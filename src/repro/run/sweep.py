@@ -207,15 +207,17 @@ def run_cells(
         executor = CampaignExecutor(max_workers=jobs)
         cache_dir = str(store.root) if store is not None else None
         # Every cell below has just missed in ``store``: the task computes
-        # and stores it without a second lookup, and in-process through
-        # this handle instead of reopening the directory.
-        local = store if executor.runs_in_process(len(todo)) else None
+        # and stores it without a second lookup, and in-process it is
+        # handed this handle and the scenario object itself instead of
+        # reopening the directory and rebuilding the spec from a dict.
+        in_process = executor.runs_in_process(len(todo))
         # Keyed by position in the *full* list so error messages and
         # observers name the original cell.
         specs = [
             RunSpec.from_scenario(
                 scenarios[i], key=(key_prefix, i), cache_dir=cache_dir,
-                known_miss=store is not None, store=local,
+                known_miss=store is not None, store=store if in_process else None,
+                in_process=in_process,
             )
             for i in todo
         ]

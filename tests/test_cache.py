@@ -35,6 +35,7 @@ import os
 import pickle
 import sqlite3
 import threading
+import time
 import warnings
 
 import pytest
@@ -654,6 +655,40 @@ class TestRobustness:
         assert store.store(SMALL, outcome) is True  # no transaction left open
         assert store.lookup(SMALL) is not None and store.verify() == []
 
+    def test_open_retries_the_wal_switch_a_sibling_blocks(self, tmp_path, monkeypatch):
+        """Two handles opening a fresh directory at once: the one that
+        loses the race for the WAL switch gets ``database is locked`` at
+        once (SQLite does not wait there) and used to disable itself."""
+        real_connect = sqlite3.connect
+        refused = []
+
+        class Contended:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def execute(self, sql, *args):
+                if sql == "PRAGMA journal_mode=WAL" and len(refused) < 3:
+                    refused.append(sql)
+                    raise sqlite3.OperationalError("database is locked")
+                return self._conn.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+            def __enter__(self):
+                return self._conn.__enter__()
+
+            def __exit__(self, *exc):
+                return self._conn.__exit__(*exc)
+
+        monkeypatch.setattr(
+            "repro.cache.store.sqlite3.connect", lambda *a, **k: Contended(real_connect(*a, **k))
+        )
+        cache = ResultCache(tmp_path / "fresh")
+        assert len(refused) == 3 and cache.disabled_reason is None
+        outcome = run_scenario(SMALL, cache=False)
+        assert cache.store(SMALL, outcome) and cache.lookup(SMALL) is not None
+
     def test_lookup_never_raises_on_unreadable_index(self, tmp_path):
         root = tmp_path / "broken"
         root.mkdir()
@@ -770,6 +805,131 @@ class TestVerifyGc:
         conn.execute("UPDATE entries SET last_hit = 1.0, created = 1.0")
         res = store.gc(max_bytes=0)
         assert [k for k, _ in res.removed] == sorted(k for k, _ in res.removed)
+
+
+# ----------------------------------------------------------------------
+# orphans: files in the blob directory that no index row names
+# ----------------------------------------------------------------------
+def _plant_orphans(store, now):
+    """One blob without a row, one temporary file two hours old, and one
+    written just now (a store in flight could still own it)."""
+    shard = store.blob_dir / "ab"
+    shard.mkdir(exist_ok=True)
+    blob = shard / ("ab" + "0" * 62 + ".blob")
+    stale = shard / ("ab" + "1" * 62 + ".4242.tmp")
+    fresh = shard / ("ab" + "2" * 62 + ".4243.tmp")
+    for path, size in ((blob, 100), (stale, 50), (fresh, 25)):
+        path.write_bytes(b"x" * size)
+    os.utime(stale, (now - 7200.0, now - 7200.0))
+    os.utime(fresh, (now - 60.0, now - 60.0))
+    return blob, stale, fresh
+
+
+class TestOrphans:
+    NOW = 2_000_000_000.0
+
+    def _entries(self, store):
+        scenarios = [SMALL, SMALL.with_(seed=1)]
+        for s in scenarios:
+            _fill(store, s)
+        return scenarios
+
+    def test_stats_count_them_verify_lists_them_gc_removes_them(self, store):
+        scenarios = self._entries(store)
+        blob, stale, fresh = _plant_orphans(store, self.NOW)
+        found = store.orphans(now=self.NOW)
+        assert [(os.path.basename(p), n) for p, _problem, n in found] == [
+            (blob.name, 100), (stale.name, 50),
+        ]
+        os.utime(stale, (time.time() - 7200.0,) * 2)  # stats and verify read the clock
+        stats = store.index_stats()
+        assert (stats["entries"], stats["orphans"], stats["orphan_bytes"]) == (2, 2, 150)
+        issues = store.verify()
+        assert [i.key for i in issues] == [blob.name[:64], stale.name[:64]]
+        assert all(i.orphan and i.problem.startswith("orphan") for i in issues)
+        assert blob.exists() and stale.exists()  # audit only
+        res = store.gc(max_age=1e12)  # a policy that evicts nothing
+        assert (res.removed, res.kept, res.orphans, res.orphan_bytes) == ([], 2, 2, 150)
+        assert not blob.exists() and not stale.exists()
+        assert fresh.exists(), "a temporary file younger than an hour may have a live writer"
+        assert store.verify() == [] and store.index_stats()["orphan_bytes"] == 0
+        fresh_handle = ResultCache(store.root)
+        assert all(fresh_handle.lookup(s) is not None for s in scenarios)
+
+    def test_verify_prune_removes_them_too(self, store):
+        self._entries(store)
+        blob, stale, fresh = _plant_orphans(store, self.NOW)
+        os.utime(stale, (time.time() - 7200.0,) * 2)
+        assert len(store.verify(prune=True)) == 2
+        assert not blob.exists() and not stale.exists() and fresh.exists()
+        assert store.verify() == [] and store.index_stats()["entries"] == 2
+
+    def test_a_row_that_fails_after_the_rename_leaves_an_orphan(self, store, monkeypatch):
+        """The INSERT raising rolls the row back; the renamed blob stays
+        until ``gc`` — and the next store of the cell simply replaces it."""
+        outcome = run_scenario(SMALL, cache=False)
+        with monkeypatch.context() as patched:
+            patched.setattr(Scenario, "scenario_digest", lambda self: None)
+            with pytest.warns(RuntimeWarning, match="store failed .* NOT NULL"):
+                assert store.store(SMALL, outcome) is False
+        path = store.blob_path(cache_key(SMALL))
+        assert path.exists() and store.index_stats()["entries"] == 0
+        assert store.lookup(SMALL) is None  # a miss, without a warning: no row, no read
+        assert [i.key for i in store.verify()] == [cache_key(SMALL)]
+        assert store.gc(max_age=1e12).orphans == 1 and not path.exists()
+        assert store.store(SMALL, outcome) is True and store.verify() == []
+
+    def test_a_killed_writer_leaves_a_named_temporary_file(self, store, monkeypatch):
+        """Dying between the temporary file and the rename: the leftover
+        is ``<key>.<pid>.tmp`` beside the blob it would have become."""
+        outcome = run_scenario(SMALL, cache=False)
+
+        def killed(src, dst):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "replace", killed)
+            patched.setattr(os, "unlink", lambda path: None)  # a kill cleans nothing up
+            with pytest.raises(KeyboardInterrupt):
+                store.store(SMALL, outcome)
+        key = cache_key(SMALL)
+        left = [p.name for p in store.blob_path(key).parent.iterdir()]
+        assert left == [f"{key}.{os.getpid()}.tmp"]
+        assert store.index_stats()["entries"] == 0
+        assert store.orphans() == []  # not yet an hour old
+        assert [os.path.basename(p) for p, *_ in store.orphans(now=self.NOW * 2)] == left
+
+    def test_gc_waits_for_a_store_in_flight(self, tmp_path):
+        """``gc`` from a second handle while a store sits between its
+        rename and its row: the blob has no row yet, and must survive."""
+        root = tmp_path / "c"
+        writer = ResultCache(root)
+        outcome = run_scenario(SMALL, cache=False)
+        collected: list = []
+        finished = threading.Event()
+
+        def collect():
+            other = ResultCache(root)
+            collected.append(other.gc(max_age=1e12))
+            other.close()
+            finished.set()
+
+        thread = threading.Thread(target=collect)
+        write_blob = writer._write_blob
+
+        def write_then_let_gc_try(key, data):
+            write_blob(key, data)
+            assert writer.blob_path(key).exists()
+            thread.start()
+            assert not finished.wait(0.3), "gc ran between the rename and the row"
+
+        writer._write_blob = write_then_let_gc_try
+        assert writer.store(SMALL, outcome, wall_s=1.0)
+        thread.join(30)
+        assert not thread.is_alive() and finished.is_set()
+        assert collected[0].orphans == 0
+        audit = ResultCache(root)
+        assert audit.verify() == [] and audit.lookup(SMALL) is not None
 
 
 # ----------------------------------------------------------------------
@@ -935,6 +1095,30 @@ class TestCli:
         assert main(["cache", "verify"] + dirflag) == 1
         assert "unservable" in capsys.readouterr().out
         assert main(["cache", "verify", "--prune"] + dirflag) == 0
+        assert main(["cache", "verify"] + dirflag) == 0
+
+    def test_cache_commands_report_orphans(self, tmp_path, capsys):
+        from repro.cli import main
+
+        root = tmp_path / "c"
+        dirflag = ["--cache-dir", str(root)]
+        main(self.SWEEP + ["--cache"] + dirflag)
+        shard = root / "blobs" / "ab"
+        shard.mkdir(exist_ok=True)
+        (shard / ("ab" + "0" * 62 + ".blob")).write_bytes(b"x" * 100)
+        capsys.readouterr()
+        assert main(["cache", "stats"] + dirflag) == 0
+        assert "orphan_bytes=100 in 1 files" in capsys.readouterr().out
+        assert main(["cache", "verify"] + dirflag) == 1
+        out = capsys.readouterr().out
+        assert "orphan blob" in out and "1 orphan files found" in out
+        assert "entries unservable" not in out
+        assert main(["cache", "gc", "--max-age", "7d"] + dirflag) == 0
+        out = capsys.readouterr().out
+        assert "evicted 0 entries" in out and "removed 1 orphan files (100 B)" in out
+        assert main(["cache", "stats"] + dirflag) == 0
+        out = capsys.readouterr().out
+        assert "entries:  2" in out and "orphan_bytes=0 in 0 files" in out
         assert main(["cache", "verify"] + dirflag) == 0
 
     def test_cache_gc_requires_a_policy(self, tmp_path, capsys):

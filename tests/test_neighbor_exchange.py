@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.heat3d import HeatConfig, heat3d, heat3d_serial_reference, neighbor_ranks
+from repro.apps.heat3d import (
+    HeatConfig,
+    factor3,
+    halo_rows,
+    heat3d,
+    heat3d_serial_reference,
+    neighbor_ranks,
+)
+from repro.apps.stencil2d import Stencil2dConfig
 from repro.core.faults.schedule import LinkDegradeFault
 from repro.core.harness.config import SystemConfig
 from repro.core.harness.experiment import result_digest
@@ -309,6 +317,57 @@ def test_fused_exchange_matches_explicit_sequence(dims, face_nbytes, overheads, 
         nranks=nranks, send_overhead_native=overheads[0], recv_overhead_native=overheads[1]
     )
     run_identical(dims, system=system, face_nbytes=face_nbytes, real=real, rounds=2)
+
+
+class TestRowBuilder:
+    """``halo_rows`` — strides and face sizes from the config, six integer
+    steps per rank — against the rows the apps used to build from
+    ``neighbor_ranks``' coordinate arithmetic, for every rank."""
+
+    @pytest.mark.parametrize(
+        "dims", [(1, 1, 1), (2, 3, 4), (8, 8, 8), factor3(120), (1, 5, 1), (7, 1, 2)]
+    )
+    def test_rows_equal_the_neighbor_ranks_rows_for_every_rank(self, dims):
+        # unequal local extents, so each axis has its own face size
+        cfg = HeatConfig(grid=(4 * dims[0], 6 * dims[1], 10 * dims[2]), ranks=dims)
+        lx, ly, lz = 4, 6, 10
+        face_nbytes = {0: ly * lz * 8, 1: lx * lz * 8, 2: lx * ly * 8}
+        assert [cfg.face_bytes(axis) for axis in range(3)] == list(face_nbytes.values())
+        null_rows = 0
+        for rank in range(cfg.nranks):
+            neighbors = neighbor_ranks(rank, dims)
+            expected = [
+                (neighbors[(axis, step)], TAGS[(axis, step)], TAGS[(axis, -step)], face_nbytes[axis])
+                for axis, step in FACES
+            ]
+            rows = halo_rows(rank, cfg.halo_axes, TAGS)
+            assert rows == expected, (dims, rank)
+            null_rows += sum(row[0] == PROC_NULL for row in rows)
+        # every rank on a domain face has one PROC_NULL row for it
+        px, py, pz = dims
+        assert null_rows == 2 * (py * pz + px * pz + px * py)
+
+    def test_factor3_gives_a_non_cubic_decomposition(self):
+        assert sorted(factor3(120)) == [4, 5, 6]
+
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 4), (5, 1)])
+    def test_two_dimensional_rows(self, dims):
+        px, py = dims
+        cfg = Stencil2dConfig(grid=(4 * px, 6 * py), ranks=dims)
+        tags = {(0, -1): 11, (0, +1): 12, (1, -1): 13, (1, +1): 14}
+        for rank in range(px * py):
+            cx, cy = divmod(rank, py)
+            expected = []
+            for axis, (dx, dy) in ((0, (1, 0)), (1, (0, 1))):
+                for step in (-1, +1):
+                    nx, ny = cx + dx * step, cy + dy * step
+                    inside = 0 <= nx < px and 0 <= ny < py
+                    expected.append((
+                        nx * py + ny if inside else PROC_NULL,
+                        tags[(axis, step)], tags[(axis, -step)],
+                        (6 if axis == 0 else 4) * 8,
+                    ))
+            assert halo_rows(rank, cfg.halo_axes, tags) == expected, (dims, rank)
 
 
 class TestRealHeatFaces:

@@ -177,13 +177,50 @@ class TestPerInstanceCaches:
             raw.transfer_time(net, 8192, 0, 500)
         )
 
-    def test_invalidate_caches_picks_up_mutation(self):
+    def test_cost_attributes_cannot_be_assigned(self):
+        # One model serves every run of its machine: a changed parameter
+        # is a new model, never an edit of a shared one.
         net = paper_net()
         before = net.transfer_time(1 << 20, 0, 1)
-        net.congestion_factor = 2.0
-        assert net.transfer_time(1 << 20, 0, 1) == pytest.approx(before)  # stale
-        net.invalidate_caches()
-        assert net.transfer_time(1 << 20, 0, 1) > before
+        for name in vars(net):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(net, name, 2.0)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(net, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            net.brand_new = 1
+        assert not hasattr(net, "invalidate_caches")
+        assert net.transfer_time(1 << 20, 0, 1) == before
+
+    def test_route_caches_hold_one_run_of_the_paper_machine(self):
+        # 32,768 ranks bind 196,608 halo pairs and a linear barrier's
+        # root fans 65,534 more: a second pass must find them all.
+        net = NetworkModel(TorusTopology((32, 32, 32)))
+        n = net.max_ranks()
+        pairs = []
+        for r in range(n):
+            for stride in (1024, 32, 1):
+                c = r // stride % 32
+                pairs.append((r, r + stride if c < 31 else r - 31 * stride))
+                pairs.append((r, r - stride if c > 0 else r + 31 * stride))
+        assert len(pairs) == 6 * 32768 and sorted(p[1] for p in pairs[:6]) == sorted(
+            net.topology.neighbors(0)
+        )
+        pairs += [(0, r) for r in range(1, n)] + [(r, 0) for r in range(1, n)]
+        assert len(pairs) == 262_142
+        distinct = len(set(pairs))
+        for _ in range(2):
+            for a, b in pairs:
+                net.transfer_time(4096, a, b)
+        info = net.transfer_time.cache_info()
+        assert info.misses == distinct and info.hits >= len(pairs)
+        for cached in (net.serialization_time, net.detection_timeout):
+            assert cached.cache_info().maxsize == info.maxsize >= len(pairs)
+
+    def test_small_machines_keep_the_floor_sizes(self):
+        net = NetworkModel(TorusTopology((20, 20, 20)))
+        assert net.transfer_time.cache_info().maxsize == 1 << 16
+        assert net.hops.cache_info().maxsize == 1 << 17
 
     def test_cache_info_available(self):
         net = paper_net()
