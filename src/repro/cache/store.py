@@ -116,9 +116,10 @@ def cache_key(scenario: "Scenario") -> str:
     enforces that they never change the result, so a cell computed
     serially must hit for the same cell requested on a sharded backend —
     that cross-backend sharing is most of a mixed sweep's hit rate.
-    Result-relevant fields (machine, app, resilience, seed, engine) and
-    the instrumentation switches that change the cached blob
-    (``observe``, ``trace_detail``, ``check``) stay in the key.
+    Result-relevant fields (machine, app, resilience, seed) and the
+    instrumentation switches that change the cached blob (``observe``,
+    ``trace_detail``, ``check``) stay in the key; what the engine itself
+    computes is covered by :data:`ENGINE_SALT`, not by a field.
     """
     # Computed once per scenario instance and salt (a lookup and the store
     # that follows its miss ask for the same key), beside the fields like
@@ -297,8 +298,8 @@ class CacheStats:
     """Per-process cache counters (EngineProfiler-style observability).
 
     ``lookup_s``/``store_s`` accumulate host wall time spent in the cache
-    itself, so ``xsim-run bench`` can report the lookup latency a warm
-    sweep pays instead of simulation time.
+    itself: the lookup latency a warm sweep pays instead of simulation
+    time.
     """
 
     hits: int = 0
@@ -321,7 +322,7 @@ class CacheStats:
         return self.hits / n if n else 0.0
 
     def as_record(self) -> dict[str, Any]:
-        """Primitive dict for bench records and reports."""
+        """Primitive dict for records and reports."""
         return {
             "hits": self.hits,
             "misses": self.misses,

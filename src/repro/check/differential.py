@@ -28,9 +28,6 @@ they do, bit-for-bit where the promise is bit-identity:
 * **scenario parity** — one :class:`~repro.run.scenario.Scenario` through
   the full TOML round trip and every registered backend: identical
   scenario digests and identical result digests.
-* **flat parity** — the slab-pool flat event core vs. the heap core:
-  identical result digests, event counts, dispatch traces, and obs export
-  bytes, serially and sharded, including a failure + restart cycle.
 * **cache parity** — a :mod:`repro.cache` hit vs. recomputation: identical
   result digest, summary, and obs export bytes on a cold/warm pair, with
   serial-computed entries serving sharded requests and vice versa.
@@ -45,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.check.trace import EventTrace
-from repro.util.errors import InvariantViolation
+from repro.util.errors import ConfigurationError, InvariantViolation
 
 
 @dataclass
@@ -544,124 +541,6 @@ def check_scenario_parity(
     )
 
 
-def check_flat_parity(
-    nranks: int = 16, iterations: int = 20, shards: int = 2
-) -> CheckResult:
-    """Heap event core vs. flat slab-pool core: observational bit-identity.
-
-    The flat core (:mod:`repro.pdes.flatcore`) replaces the heap engine's
-    per-event tuples with slab-allocated parallel arrays and batched
-    same-timestamp dispatch, and promises the swap is *observationally
-    invisible*: same result digest, same event count, same per-event
-    dispatch trace, and byte-identical :mod:`repro.obs` exports, on every
-    backend.  Checks, heap vs flat:
-
-    * serial run with the sanitizer and event trace attached — result
-      digest, event count, and full trace digest;
-    * ``shards``-shard inline run — result digest;
-    * observability export of a failure run — Chrome-JSON and JSONL bytes;
-    * a failure + restart cycle through the restart driver
-      (:func:`~repro.run.backends.run_scenario` with an explicit
-      schedule) — campaign digest across both segments.
-    """
-    from repro.core.harness.experiment import result_digest
-    from repro.run.backends import run_scenario
-    from repro.run.scenario import Scenario
-
-    # serial, instrumented
-    heap_sim, heap_res = _heat_sim(
-        nranks, iterations, 10, check=True, record_events=True, paper_timing=True
-    )
-    flat_sim, flat_res = _heat_sim(
-        nranks, iterations, 10, check=True, record_events=True, paper_timing=True,
-        engine="flat",
-    )
-    d_heap, d_flat = result_digest(heap_res), result_digest(flat_res)
-    if d_heap != d_flat or heap_res.event_count != flat_res.event_count:
-        return CheckResult(
-            "flat-parity",
-            False,
-            f"serial digest/count mismatch: heap {d_heap[:16]}/"
-            f"{heap_res.event_count} vs flat {d_flat[:16]}/{flat_res.event_count}",
-            artifacts={"flat-digests.txt": f"heap {d_heap}\nflat {d_flat}\n"},
-        )
-    t_heap, t_flat = heap_sim.event_trace.digest(), flat_sim.event_trace.digest()
-    if t_heap != t_flat:
-        divergence = heap_sim.event_trace.diff(flat_sim.event_trace)
-        return CheckResult(
-            "flat-parity",
-            False,
-            "dispatch traces differ between heap and flat cores",
-            artifacts={
-                "flat-trace-divergence.txt": (
-                    divergence.report() if divergence is not None else "(no diff?)"
-                )
-            },
-        )
-    # sharded inline
-    _, heap_sh = _heat_sim(
-        nranks, iterations, 10, paper_timing=True,
-        shards=shards, shard_transport="inline",
-    )
-    _, flat_sh = _heat_sim(
-        nranks, iterations, 10, paper_timing=True,
-        shards=shards, shard_transport="inline", engine="flat",
-    )
-    if result_digest(heap_sh) != result_digest(flat_sh):
-        return CheckResult(
-            "flat-parity",
-            False,
-            f"{shards}-shard digest mismatch: heap "
-            f"{result_digest(heap_sh)[:16]} vs flat {result_digest(flat_sh)[:16]}",
-        )
-    # obs export bytes on a failure run
-    from repro.obs import to_chrome, to_jsonl
-
-    failure = (nranks // 3, 0.4 * heap_res.exit_time)
-    obs_heap, _ = _heat_sim(
-        nranks, iterations, 10, failure=failure, paper_timing=True, observe=True
-    )
-    obs_flat, _ = _heat_sim(
-        nranks, iterations, 10, failure=failure, paper_timing=True, observe=True,
-        engine="flat",
-    )
-    chrome_h, chrome_f = to_chrome(obs_heap.observer), to_chrome(obs_flat.observer)
-    jsonl_h, jsonl_f = to_jsonl(obs_heap.observer), to_jsonl(obs_flat.observer)
-    if chrome_h != chrome_f or jsonl_h != jsonl_f:
-        which = "chrome" if chrome_h != chrome_f else "jsonl"
-        return CheckResult(
-            "flat-parity",
-            False,
-            f"{which} export differs between heap and flat cores",
-            artifacts={
-                "flat-obs-heap.json": chrome_h,
-                "flat-obs-flat.json": chrome_f,
-            },
-        )
-    # failure + restart cycle through the restart driver
-    base = Scenario(
-        ranks=nranks,
-        iterations=iterations,
-        interval=10,
-        failures=f"{nranks // 3}@{0.4 * heap_res.exit_time}s",
-    )
-    out_heap = run_scenario(base)
-    out_flat = run_scenario(base.with_(engine="flat"))
-    if out_heap.mode != "restart" or out_heap.digest() != out_flat.digest():
-        return CheckResult(
-            "flat-parity",
-            False,
-            f"restart-cycle mismatch: mode {out_heap.mode}/{out_flat.mode}, "
-            f"digest {out_heap.digest()[:16]} vs {out_flat.digest()[:16]}",
-        )
-    return CheckResult(
-        "flat-parity",
-        True,
-        f"flat == heap at {nranks} ranks ({heap_res.event_count} events; "
-        f"serial trace, {shards}-shard inline, obs bytes, restart cycle)",
-    )
-
-
 def check_cache_parity(
     nranks: int = 16, iterations: int = 20, shards: int = 2
 ) -> CheckResult:
@@ -809,39 +688,26 @@ def run_all(
     import os
 
     jobs = max(jobs, 2)  # pool-vs-serial checks need an actual pool
-    checks = [
-        check_rerun,
-        check_coalescing,
-        check_trace_replay,
-        lambda: check_campaign_parallel(jobs=jobs),
-        lambda: check_executor_fallback(jobs=jobs),
-        check_collectives,
-        check_sharded_parity,
-        check_obs_parity,
-        check_scenario_parity,
-        check_flat_parity,
-        check_cache_parity,
-    ]
-    names = [
-        "rerun",
-        "coalescing",
-        "trace-replay",
-        "campaign-parallel",
-        "executor-fallback",
-        "collectives",
-        "sharded-parity",
-        "obs-parity",
-        "scenario-parity",
-        "flat-parity",
-        "cache-parity",
-    ]
+    checks = {
+        "rerun": check_rerun,
+        "coalescing": check_coalescing,
+        "trace-replay": check_trace_replay,
+        "campaign-parallel": lambda: check_campaign_parallel(jobs=jobs),
+        "executor-fallback": lambda: check_executor_fallback(jobs=jobs),
+        "collectives": check_collectives,
+        "sharded-parity": check_sharded_parity,
+        "obs-parity": check_obs_parity,
+        "scenario-parity": check_scenario_parity,
+        "cache-parity": check_cache_parity,
+    }
     if only is not None:
-        if only not in names:
-            raise ValueError(f"unknown check {only!r}; one of {', '.join(names)}")
-        checks = [fn for n, fn in zip(names, checks) if n == only]
-        names = [only]
+        if only not in checks:
+            raise ConfigurationError(
+                f"unknown check {only!r}; one of {', '.join(checks)}"
+            )
+        checks = {only: checks[only]}
     results: list[CheckResult] = []
-    for name, fn in zip(names, checks):
+    for name, fn in checks.items():
         try:
             results.append(fn())
         except InvariantViolation as violation:

@@ -14,7 +14,6 @@ Subcommands::
     xsim-run table1  # Finject bit-flip campaign (paper Table I)
     xsim-run table2  --ranks 512  # checkpoint-interval x MTTF sweep
     xsim-run arch    --ranks 32768  # architecture self-description (Fig. 1)
-    xsim-run bench   # PDES throughput + sharded speedup -> BENCH_pdes.json
     xsim-run simcheck  # differential determinism harness (see repro.check)
 
 Every ``app``/``arch``/``sweep`` invocation resolves one
@@ -45,7 +44,6 @@ exit status 2.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -53,7 +51,6 @@ from repro.resilience.strategy import strategy_names
 from repro.run.envvars import default_jobs
 from repro.run.scenario import (
     APP_NAMES,
-    ENGINE_NAMES,
     SHARD_TRANSPORTS,
     TOPOLOGY_NAMES,
     Scenario,
@@ -152,14 +149,6 @@ def _add_shards_args(p: argparse.ArgumentParser) -> None:
         "(all shards in-process — same schedule, for debugging and "
         "single-core hosts); results are bit-identical across all three",
     )
-    p.add_argument(
-        "--engine",
-        choices=list(ENGINE_NAMES),
-        default=None,
-        help="event-core selection (default: XSIM_ENGINE or heap): heap is "
-        "the tuple binary heap, flat the slab-pool flat core; results and "
-        "traces are bit-identical",
-    )
 
 
 def _add_system_args(p: argparse.ArgumentParser) -> None:
@@ -240,7 +229,6 @@ def _scenario_overrides(args: argparse.Namespace) -> dict:
         seed=getattr(args, "seed", None),
         shards=getattr(args, "shards", None),
         shard_transport=getattr(args, "shard_transport", None),
-        engine=getattr(args, "engine", None),
         app=getattr(args, "app", None),
         iterations=getattr(args, "iterations", None),
         interval=getattr(args, "interval", None),
@@ -515,81 +503,6 @@ def _cmd_arch(args: argparse.Namespace) -> int:
 
     scenario, _ = _resolve_scenario(args)
     print(XSim.from_scenario(scenario).render_architecture())
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.core.harness import bench
-
-    from pathlib import Path
-
-    out = Path(args.out) if args.out else bench.BENCH_PATH
-    update: dict = {}
-    if not args.skip_cores:
-        print("heap vs flat event core at 512 ranks (paired, interleaved) ...")
-        cores = bench.measure_cores(nranks=512)
-        update["cores"] = cores
-        for core in ("heap", "flat"):
-            r = cores[core]
-            print(f"  {core}: {cores['events']:>9,} events in {r['host_s']:.3f}s "
-                  f"({r['events_per_sec']:,.0f} ev/s)")
-        fp = cores["flat"]["profile"]
-        print(f"  flat/heap ratio {cores['flat_vs_heap']:.3f}x; flat pool peak "
-              f"{fp['pool_peak']:,} slots, {fp['slab_grows']} slab grows, "
-              f"free-list reuse {fp['free_reuse_ratio']:.1%}, "
-              f"max batch {fp['batch_max']:,}")
-    if not args.skip_cache:
-        print("cold vs warm sweep through the result cache ...")
-        rec = bench.measure_cache()
-        update["cache"] = rec
-        print(f"  {rec['cells']} cells: cold {rec['cold_s']:.3f}s -> warm "
-              f"{rec['warm_s']:.3f}s ({rec['speedup']}x, hit rate "
-              f"{rec['hit_rate']:.0%}, mean lookup "
-              f"{rec['lookup']['lookup_mean_s'] * 1e3:.2f}ms, digests "
-              f"{'match' if rec['digests_equal'] else 'DIFFER'})")
-    if os.environ.get("XSIM_FULL_SCALE", "").strip() not in ("", "0"):
-        print("paper-exact 32,768-rank run (XSIM_FULL_SCALE=1) ...")
-        fs = bench.full_scale_record()
-        update["full_scale"] = fs
-        print(f"  {fs['events']:,} events in {fs['host_s']:.3f}s "
-              f"({fs['events_per_sec']:,.0f} ev/s, E1={fs['e1']:,.1f}s, "
-              f"{fs['engine']} core)")
-    if not args.skip_scaling:
-        print(f"scaling sweep at {', '.join(map(str, bench.SCALES))} ranks ...")
-        results = bench.run_scaling()
-        update.update(bench.scaling_record(results))
-        for n, r in results.items():
-            print(f"  {n:>6} ranks: {r['events']:>9,} events in {r['host_s']:.3f}s "
-                  f"({bench.rate(r['events'], r['host_s']):,.0f} ev/s)")
-        print(f"  512-rank throughput vs frozen seed baseline: "
-              f"{update['speedup_vs_seed']:.3f}x (host-state dependent; "
-              f"authoritative paired figure {bench.PAIRED_AB_512['speedup']}x)")
-    if not args.skip_sharded:
-        # No capped_shards here: the record carries host_cpus, the wall
-        # figure is explicitly host-qualified, and the projection comes
-        # from the single-process inline transport.
-        shards = args.shards
-        ncpu = os.cpu_count() or 1
-        if ncpu < shards:
-            print(f"note: host has {ncpu} CPUs < {shards} shards; "
-                  "speedup_wall will reflect timesharing — read "
-                  "projected_speedup (critical-path based) instead")
-        print(f"serial vs {shards}-shard run at {args.ranks} ranks "
-              f"({args.collectives} collectives) ...")
-        rec = bench.measure_sharded(
-            nranks=args.ranks, shards=shards, collective_algorithm=args.collectives
-        )
-        update["sharded"] = rec
-        for t, r in rec["transports"].items():
-            print(f"  {t:<7}: wall {r['wall_s']:.3f}s ({r['speedup_wall']:.2f}x), "
-                  f"critical path {r['critical_path_s']:.3f}s, "
-                  f"{r['windows']:,} windows, imbalance {r['imbalance']:.2f}")
-        print(f"  serial {rec['serial_s']:.3f}s -> wall speedup {rec['speedup_wall']:.2f}x "
-              f"(host has {rec['host_cpus']} CPUs), projected on >= {shards} cores: "
-              f"{rec['projected_speedup']:.2f}x, measured/projected "
-              f"{rec['measured_vs_projected']:.2f}")
-    bench.merge_bench(update, out)
-    print(f"wrote {out}")
     return 0
 
 
@@ -883,31 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="describe the machine/backend a scenario TOML file resolves to",
     )
     p_arch.set_defaults(fn=_cmd_arch)
-
-    p_bench = sub.add_parser(
-        "bench", help="measure PDES throughput and sharded speedup, "
-        "updating BENCH_pdes.json"
-    )
-    p_bench.add_argument("--ranks", type=int, default=4096,
-                         help="rank count of the serial-vs-sharded comparison")
-    p_bench.add_argument("--shards", type=int,
-                         default=int(os.environ.get("XSIM_SHARDS", "4") or 4),
-                         help="shard count of the comparison (default 4)")
-    p_bench.add_argument("--collectives", default="tree", choices=["linear", "tree"],
-                         help="collective algorithm of the benchmark workload "
-                         "(linear serializes at the barrier root and caps any "
-                         "parallel engine; tree is the scalable default)")
-    p_bench.add_argument("--skip-scaling", action="store_true",
-                         help="skip the serial throughput sweep")
-    p_bench.add_argument("--skip-sharded", action="store_true",
-                         help="skip the serial-vs-sharded comparison")
-    p_bench.add_argument("--skip-cores", action="store_true",
-                         help="skip the paired heap-vs-flat event-core comparison")
-    p_bench.add_argument("--skip-cache", action="store_true",
-                         help="skip the cold-vs-warm result-cache sweep comparison")
-    p_bench.add_argument("--out", default=None, metavar="FILE",
-                         help="output path (default: BENCH_pdes.json at the repo root)")
-    p_bench.set_defaults(fn=_cmd_bench)
 
     p_cache = sub.add_parser(
         "cache",

@@ -74,7 +74,6 @@ class XSim:
         observe: "bool | Observer | None" = None,
         trace_detail: bool = False,
         scenario: "Scenario | None" = None,
-        engine: str = "heap",
     ):
         self.system = system
         self.seed = seed
@@ -93,23 +92,12 @@ class XSim:
         #: came through :meth:`from_scenario`/:mod:`repro.run` (``None``
         #: for directly constructed instances).
         self.scenario = scenario
-        if engine not in ("heap", "flat"):
-            raise SimulationError(f"engine must be 'heap' or 'flat', got {engine!r}")
-        #: Event-core kind this simulation runs on (``"heap"``: the tuple
-        #: binary heap; ``"flat"``: the slab-pool flat core).  Shard
-        #: replicas are built with the same core (see
-        #: :func:`repro.pdes.sharded._build_replica`).
-        self.engine_name = engine
         if self.shards > 1:
             from repro.pdes.sharded import ShardedMpiWorld, WindowedEngine
 
             engine_cls, world_cls = WindowedEngine, ShardedMpiWorld
         else:
             engine_cls, world_cls = Engine, MpiWorld
-        if engine == "flat":
-            from repro.pdes.flatcore import flat_engine_class
-
-            engine_cls = flat_engine_class(windowed=self.shards > 1)
         self.engine = engine_cls(
             start_time=start_time,
             log=SimLog(stream=log_stream),

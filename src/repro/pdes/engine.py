@@ -220,9 +220,7 @@ class Engine:
     def post_event(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
         """Schedule ``fn(arg)`` at ``time`` — the unguarded single-payload
         fast path (per-message deliveries).  Callers validate ``time``
-        against their own clock; no past-check is repeated here.  Exists
-        as a method (rather than the callers pushing heap tuples inline)
-        so alternative event cores can intercept every scheduling path.
+        against their own clock; no past-check is repeated here.
         """
         self._seq += 1
         heappush(self._heap, (time, self._seq, None, 0, fn, (arg,)))
@@ -233,7 +231,7 @@ class Engine:
 
     def heap_head(self, n: int = 20) -> list[dict[str, Any]]:
         """The ``n`` earliest queued events as diagnostic records (the
-        sanitizer's dump snapshot) — core-representation independent."""
+        sanitizer's dump snapshot)."""
         out = []
         for time, seq, gvp, _, fn, _args in nsmallest(n, self._heap):
             out.append(
@@ -631,21 +629,10 @@ class Engine:
         vp.pending_delay += duration
         self.log.log(self.now, "delay", f"{reason} (+{duration:.6f}s)", rank=rank)
 
-    def _resume_advance(self, vp: VirtualProcess, epoch: int, new_clock: float) -> None:
-        """Advance resume as a callback.  The heap core's dispatch loops
-        inline this body (heap entries with ``fn is None``) and only borrow
-        its name for traces and :meth:`heap_head`; the flat core's
-        instrumented and windowed dispatch still call it."""
-        if vp.epoch != epoch or vp.state is not VpState.ADVANCING:
-            return  # VP died while advancing
-        vp.clock = new_clock
-        if vp.clock >= vp.time_of_failure:
-            self._kill_failure(vp, vp.clock)
-            return
-        if vp.clock >= vp.time_of_abort:
-            self._kill_abort(vp, vp.clock)
-            return
-        self._step(vp)
+    def _resume_advance(self) -> None:
+        """The name an advance resume carries in traces and
+        :meth:`heap_head`.  Never called: those heap entries have ``fn is
+        None`` and the dispatch loops run the resume inline."""
 
     # ------------------------------------------------------------------
     # waking blocked VPs

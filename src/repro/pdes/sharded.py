@@ -456,7 +456,7 @@ class _RemoteSendRef:
 
 
 # ----------------------------------------------------------------------
-# run statistics (consumed by EngineProfiler / bench)
+# run statistics (consumed by EngineProfiler)
 # ----------------------------------------------------------------------
 @dataclass
 class ShardStats:
@@ -1327,7 +1327,6 @@ def _build_replica(sim: "XSim", app, args: tuple, nranks: int) -> "XSim":
         shards=sim.shards,
         shard_transport="inline",
         observe=sim.observer,
-        engine=sim.engine_name,
     )
     replica.world.launch(app, nranks, args)
     for rank, time in sim._armed_failures:

@@ -127,7 +127,6 @@ class Backend:
             record_events=scenario.record_events,
             shards=self.resolve_shards(scenario, quiet=quiet),
             shard_transport=self.transport,
-            engine=scenario.engine,
             observe=observe if observe is not None else (scenario.observe or None),
             trace_detail=scenario.trace_detail,
             scenario=scenario,

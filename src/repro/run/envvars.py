@@ -76,13 +76,6 @@ XSIM_ENV_VARS: dict[str, EnvVar] = {
             "runs (1 = serial in-process)",
         ),
         EnvVar(
-            "XSIM_ENGINE",
-            field="engine",
-            cli_flag="--engine",
-            description='event-core selection: "heap" (tuple binary heap) '
-            'or "flat" (slab-pool flat core); digest-identical',
-        ),
-        EnvVar(
             "XSIM_STRATEGY",
             field="strategy",
             cli_flag="--strategy",
@@ -100,8 +93,9 @@ XSIM_ENV_VARS: dict[str, EnvVar] = {
 #: table and covered by the same docs-vs-code sync test.
 XSIM_ENV_SWITCHES: dict[str, str] = {
     "XSIM_FULL_SCALE": (
-        "any value other than empty/0 adds the paper-exact 32,768-rank "
-        "measurement to ``xsim-run bench`` (tens of seconds)"
+        "any value other than empty/0 runs the ``benchmarks/`` suite at "
+        "the paper-exact 32,768 ranks instead of 512 (tens of minutes "
+        "for the full Table II)"
     ),
     "XSIM_CACHE": (
         "any value other than empty/0 enables the content-addressed "
@@ -172,13 +166,6 @@ def read_environment(environ=None) -> dict[str, object]:
                 f"XSIM_SHARD_TRANSPORT must be 'fork', 'inline' or 'shm', got {raw!r}"
             )
         out["shard_transport"] = raw
-    raw = env.get("XSIM_ENGINE", "").strip()
-    if raw:
-        if raw not in ("heap", "flat"):
-            raise ConfigurationError(
-                f"XSIM_ENGINE must be 'heap' or 'flat', got {raw!r}"
-            )
-        out["engine"] = raw
     raw = env.get("XSIM_STRATEGY", "").strip()
     if raw:
         from repro.resilience import strategy_names

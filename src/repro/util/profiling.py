@@ -17,8 +17,7 @@ Usage::
     print(report.render())
 
 The report's ``events_per_sec`` is the end-to-end simulator throughput
-(dispatched plus coalesced events over wall-clock time) — the figure
-``BENCH_pdes.json`` records.
+(dispatched plus coalesced events over wall-clock time).
 """
 
 from __future__ import annotations
@@ -58,17 +57,6 @@ class ProfileReport:
     match_scan_length: int
     """Total queue length walked across all wildcard matching scans."""
     phases: tuple[PhaseStats, ...]
-    # -- flat-core pool/batch gauges (all zero on the heap engine) ------
-    pool_allocs: int = 0
-    """Event-slot allocations served by the flat core's slab pool."""
-    pool_reuses: int = 0
-    """Allocations served from the free list (no slab growth)."""
-    pool_peak: int = 0
-    """Peak simultaneously-live event slots (high-water occupancy)."""
-    slab_grows: int = 0
-    """Times the pool grew by one slab (steady state: 0 per run phase)."""
-    batch_max: int = 0
-    """Longest same-timestamp dispatch batch drained in one heap visit."""
     # -- sharded-run fields (all zero for a serial run) ----------------
     shards: int = 0
     """Worker count of the sharded engine (0: the run was serial)."""
@@ -96,16 +84,8 @@ class ProfileReport:
             return 0.0
         return self.match_scan_length / self.match_scan_calls
 
-    @property
-    def free_reuse_ratio(self) -> float:
-        """Fraction of slot allocations served from the free list (0.0
-        when no pool allocations happened — i.e. on the heap engine)."""
-        if self.pool_allocs == 0:
-            return 0.0
-        return self.pool_reuses / self.pool_allocs
-
     def as_record(self) -> dict[str, Any]:
-        """JSON-ready form (what the benchmark records emit)."""
+        """JSON-ready form."""
         return {
             "wall_seconds": self.wall_seconds,
             "event_count": self.event_count,
@@ -115,12 +95,6 @@ class ProfileReport:
             "match_scan_calls": self.match_scan_calls,
             "match_scan_length": self.match_scan_length,
             "mean_match_scan": self.mean_match_scan,
-            "pool_allocs": self.pool_allocs,
-            "pool_reuses": self.pool_reuses,
-            "pool_peak": self.pool_peak,
-            "slab_grows": self.slab_grows,
-            "batch_max": self.batch_max,
-            "free_reuse_ratio": self.free_reuse_ratio,
             "shards": self.shards,
             "shard_windows": self.shard_windows,
             "shard_lockstep_rounds": self.shard_lockstep_rounds,
@@ -149,16 +123,6 @@ class ProfileReport:
             f"coalesced adv.  {self.coalesced_advances:>12,}",
             f"matching scans  {self.match_scan_calls:>12,} (mean length {self.mean_match_scan:.1f})",
         ]
-        if self.pool_allocs:
-            lines.extend(
-                [
-                    f"pool peak       {self.pool_peak:>12,} slots"
-                    f" ({self.slab_grows:,} slab grows)",
-                    f"free-list reuse {self.free_reuse_ratio:>12.1%}"
-                    f" ({self.pool_reuses:,}/{self.pool_allocs:,} allocs)",
-                    f"max batch       {self.batch_max:>12,} events",
-                ]
-            )
         if self.shards:
             lines.extend(
                 [
@@ -231,13 +195,6 @@ class EngineProfiler:
             match_scan_calls=self.world.match_scan_calls if self.world is not None else 0,
             match_scan_length=self.world.match_scan_length if self.world is not None else 0,
             phases=tuple(phases),
-            # Flat-core slab/batch gauges; the heap engine has none of
-            # these attributes, so a heap run reports all-zero.
-            pool_allocs=getattr(engine, "pool_allocs", 0),
-            pool_reuses=getattr(engine, "pool_reuses", 0),
-            pool_peak=getattr(engine, "pool_peak", 0),
-            slab_grows=getattr(engine, "slab_grows", 0),
-            batch_max=getattr(engine, "batch_max", 0),
             shards=stats.nshards if stats is not None else 0,
             shard_windows=stats.windows if stats is not None else 0,
             shard_lockstep_rounds=stats.lockstep_rounds if stats is not None else 0,

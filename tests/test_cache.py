@@ -197,7 +197,6 @@ class TestCacheKey:
         assert cache_key(SMALL.with_(interval=20)) != base
         assert cache_key(SMALL.with_(ranks=16)) != base
         assert cache_key(SMALL.with_(failures="2@100s")) != base
-        assert cache_key(SMALL.with_(engine="flat")) != base
 
     def test_payload_relevant_instrumentation_stays_in_key(self):
         # observe/trace_detail/check change what the blob must contain.

@@ -60,6 +60,15 @@ class TestBenchUtil:
         monkeypatch.setenv("XSIM_FULL_SCALE", "1")
         assert bench_ranks() == 32768
 
+    @pytest.mark.parametrize("value, ranks", [("true", 32768), ("0", 4096), ("", 4096)])
+    def test_full_scale_follows_the_registry_rule(self, monkeypatch, value, ranks):
+        """Any value other than empty/0 (``XSIM_ENV_SWITCHES``), not only "1"."""
+        from benchmarks._util import bench_ranks
+
+        monkeypatch.setenv("XSIM_BENCH_RANKS", "4096")
+        monkeypatch.setenv("XSIM_FULL_SCALE", value)
+        assert bench_ranks() == ranks
+
     def test_report_buffers(self):
         from benchmarks import _util
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.check.trace import EventTrace
 from repro.pdes.engine import Engine
-from repro.pdes.flatcore import FlatEngine
 from repro.pdes.requests import Advance
 
 # One VP program: a sequence of (dt, busy) advances.  dt=0 is a legal
@@ -41,8 +40,10 @@ def _vp_main(program):
         yield Advance(dt, busy=busy)
 
 
-def _run(programs, failures, coalesce):
+def _run(programs, failures, coalesce, trace=False):
     engine = Engine(coalesce_advances=coalesce)
+    if trace:
+        engine.event_trace = EventTrace()
     for program in programs:
         engine.spawn(_vp_main(program))
     for rank, time in failures:
@@ -133,95 +134,6 @@ def test_failures_activate_at_or_after_their_scheduled_time(programs, failures):
 
 
 # ----------------------------------------------------------------------
-# heap core vs flat slab-pool core (repro.pdes.flatcore)
-# ----------------------------------------------------------------------
-def _run_core(engine_cls, programs, failures, coalesce, trace=False):
-    engine = engine_cls(coalesce_advances=coalesce)
-    if trace:
-        engine.event_trace = EventTrace()
-    for program in programs:
-        engine.spawn(_vp_main(program))
-    for rank, time in failures:
-        engine.schedule_failure(rank % len(programs), time)
-    return engine, engine.run()
-
-
-@given(
-    programs=programs_strategy,
-    failures=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=4),
-            st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
-        ),
-        max_size=3,
-    ),
-    coalesce=st.booleans(),
-)
-@settings(max_examples=120, deadline=None)
-def test_flat_core_preserves_simulation_semantics(programs, failures, coalesce):
-    """The flat slab-pool core must be observationally identical to the
-    heap core on every schedule: same SimulationResult fields, same
-    per-event dispatch trace (time, seq, rank, kind), same hot-path
-    counters — with and without advance coalescing, with failures."""
-    heap_engine, heap = _run_core(Engine, programs, failures, coalesce, trace=True)
-    flat_engine, flat = _run_core(FlatEngine, programs, failures, coalesce, trace=True)
-
-    assert flat.exit_time == heap.exit_time
-    assert flat.event_count == heap.event_count
-    assert flat.failures == heap.failures
-    assert flat.end_times == heap.end_times
-    assert flat.busy_times == heap.busy_times
-    assert flat.states == heap.states
-    assert flat.aborted == heap.aborted
-    assert flat_engine.stale_skipped == heap_engine.stale_skipped
-    assert flat_engine.coalesced_advances == heap_engine.coalesced_advances
-    assert flat_engine.event_trace.digest() == heap_engine.event_trace.digest()
-
-
-@given(
-    programs=programs_strategy,
-    failures=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=4),
-            st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
-        ),
-        min_size=1,
-        max_size=3,
-    ),
-)
-@settings(max_examples=80, deadline=None)
-def test_flat_core_abort_runs_match_heap_core(programs, failures):
-    """Abort/failure paths (epoch bumps, stale skips, kill sweeps) agree
-    between the cores on the uninstrumented fast path as well."""
-    _, heap = _run_core(Engine, programs, failures, coalesce=True)
-    _, flat = _run_core(FlatEngine, programs, failures, coalesce=True)
-    assert flat.exit_time == heap.exit_time
-    assert flat.event_count == heap.event_count
-    assert flat.failures == heap.failures
-    assert flat.states == heap.states
-    assert flat.aborted == heap.aborted
-
-
-@given(programs=programs_strategy)
-@settings(max_examples=40, deadline=None)
-def test_flat_core_pool_gauges_are_consistent(programs):
-    """Slab-pool accounting invariants on arbitrary workloads: every
-    allocation is a reuse or part of a slab grow, and the peak never
-    exceeds the capacity implied by the grow count."""
-    from repro.pdes import flatcore
-
-    engine, result = _run_core(FlatEngine, programs, failures=[], coalesce=True)
-    assert result.exit_time >= 0.0
-    # Each slab grow serves exactly one allocation directly; every other
-    # allocation pops the free list.
-    assert engine.pool_allocs == engine.pool_reuses + engine.slab_grows
-    assert engine.pool_peak <= engine.slab_grows * flatcore._SLAB
-    assert engine.batch_max <= result.event_count + engine.stale_skipped
-    # Steady state: every slot released, free list holds the whole pool.
-    assert len(engine._free) == engine._pool_cap
-
-
-# ----------------------------------------------------------------------
 # the three ways an Advance resumes: inline (coalesced), from the heap in
 # run(), and from the heap in windowed dispatch
 # ----------------------------------------------------------------------
@@ -258,8 +170,8 @@ def test_coalesced_heap_and_windowed_advance_paths_agree(programs, failures, wid
     """A heap-resumed Advance is dispatched inline by ``run()`` and by
     ``_dispatch_bounded()`` (no callback frame); both must reach the same
     clocks, event count and kill points as the coalesced inline path."""
-    heap_engine, heap = _run_core(Engine, programs, failures, coalesce=False, trace=True)
-    fast_engine, fast = _run_core(Engine, programs, failures, coalesce=True, trace=True)
+    heap_engine, heap = _run(programs, failures, coalesce=False, trace=True)
+    fast_engine, fast = _run(programs, failures, coalesce=True, trace=True)
     win_engine, win = _run_windowed(programs, failures, width)
 
     assert heap_engine.coalesced_advances == 0

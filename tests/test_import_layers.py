@@ -49,7 +49,6 @@ TOOLS = (
     "repro.check.differential",
     "repro.core.faults.finject",
     "repro.core.harness.experiment",
-    "repro.core.harness.bench",
     "repro.explore",
     "multiprocessing",
     "concurrent.futures",
@@ -117,6 +116,10 @@ class TestLightCommands:
             (["app", "--strategy", "prayer"], "invalid choice"),  # a table's choices
             (["app", "--ranks", "0"], "error: ranks must be >= 1, got 0"),  # main()'s handler
             (["sweep", "--set", "nonsense=1"], "error: unknown sweep field 'nonsense'"),
+            # removed with the second event core and the second bench system
+            (["app", "--engine", "flat"], "unrecognized arguments: --engine flat"),
+            (["sweep", "--set", "engine=flat"], "error: unknown sweep field 'engine'"),
+            (["bench"], "invalid choice: 'bench'"),
         ],
     )
     def test_usage_error_loads_no_runtime(self, argv, message):

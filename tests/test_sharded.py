@@ -499,19 +499,19 @@ class TestCappedShards:
     def test_inline_never_capped(self, monkeypatch):
         from repro import cli
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert cli.capped_shards(8, jobs=4, transport="inline") == 8
 
     def test_fork_capped_to_cpu_budget(self, monkeypatch, capsys):
         from repro import cli
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert cli.capped_shards(8, jobs=2, transport="fork") == 2
         assert "oversubscribe" in capsys.readouterr().err
 
     def test_fit_is_untouched(self, monkeypatch, capsys):
         from repro import cli
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert cli.capped_shards(4, jobs=2, transport="fork") == 4
         assert capsys.readouterr().err == ""

@@ -287,12 +287,23 @@ class TestDifferentialHarness:
             "sharded-parity",
             "obs-parity",
             "scenario-parity",
-            "flat-parity",
             "cache-parity",
         ]
         failed = [r for r in results if not r.passed]
         assert not failed, "\n".join(str(r) for r in failed)
         assert not artifacts.exists()  # artifacts only appear on failure
+
+    def test_unknown_check_is_one_error_line(self, capsys):
+        from repro.cli import main
+
+        assert main(["simcheck", "--only", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown check 'nope'; one of rerun, coalescing, trace-replay, "
+            "campaign-parallel, executor-fallback, collectives, sharded-parity, "
+            "obs-parity, scenario-parity, cache-parity\n"
+        )
 
     def test_failing_check_writes_artifacts(self, tmp_path, monkeypatch):
         import repro.check.differential as differential
