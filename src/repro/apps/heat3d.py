@@ -170,7 +170,7 @@ class HeatConfig(BlockDecomposed):
         )
         return replace(base, **overrides) if overrides else base
 
-    @property
+    @cached_property
     def effective_exchange_interval(self) -> int:
         return self.exchange_interval if self.exchange_interval is not None else self.checkpoint_interval
 
@@ -337,10 +337,14 @@ def halo_exchange(mpi: MpiApi, plan: Any, u: np.ndarray | None) -> Gen:
     Receives are posted first, then sends; a failed neighbor surfaces
     here — the paper's "failure during the computation phase is detected
     in the halo exchange due to failing communication".
+
+    A plain function: size-only faces have nothing to pack or unpack, so
+    the caller drives the exchange's own generator with no frame between.
     """
-    if u is None:
-        yield from mpi.neighbor_exchange(plan)
-        return
+    return mpi.neighbor_exchange(plan) if u is None else _exchange_faces(mpi, plan, u)
+
+
+def _exchange_faces(mpi: MpiApi, plan: Any, u: np.ndarray) -> Gen:
     faces = yield from mpi.neighbor_exchange(
         plan, [np.ascontiguousarray(_FACE_SEND[face](u)) for face in _FACES]
     )

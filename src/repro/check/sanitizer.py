@@ -506,7 +506,7 @@ def verify_store(store: "CheckpointStore") -> None:
     # (RestartDriver audits its store), so a top-level import would cycle.
     from repro.core.checkpoint.store import FileState
 
-    for (cid, rank), f in store._files.items():
+    for (cid, rank), f in store.files():
         if f.ckpt_id != cid or f.rank != rank:
             raise InvariantViolation(
                 "store-namespace",

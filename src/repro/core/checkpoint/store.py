@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Collection, Iterator
 
 from repro.util.errors import CheckpointError
 
@@ -48,18 +48,54 @@ class CheckpointFile:
 
 
 class CheckpointStore:
-    """Namespace of per-rank checkpoint files, keyed by (checkpoint id, rank).
+    """Namespace of per-rank checkpoint files, indexed by checkpoint id:
+    ``ckpt_id -> {rank: file}``.
 
     Checkpoint ids are application-chosen (the heat application uses the
     iteration number), and must be monotonically meaningful: "latest" means
     the numerically largest id.
+
+    Every rank of a (re)started job asks the same questions of the same
+    namespace, so a per-set question touches that set's files only and
+    "valid for n ranks" is answered once per state of the set, not once
+    per asking rank — a restart is linear in ranks, not quadratic.
     """
 
     def __init__(self) -> None:
-        self._files: dict[tuple[int, int], CheckpointFile] = {}
+        self._sets: dict[int, dict[int, CheckpointFile]] = {}
+        #: ckpt_id -> revision of that set (see :meth:`revision`); kept when
+        #: a set is deleted, so a re-created one never repeats a revision.
+        self._revs: dict[int, int] = {}
+        #: (ckpt_id, nranks) -> (revision, answer): :meth:`is_valid`'s memo.
+        self._valid: dict[tuple[int, int], tuple[int, bool]] = {}
         #: Cumulative operation counters (for reports and tests).
         self.writes = 0
         self.deletes = 0
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # A cached result carries its store.  One cached before the index
+        # existed holds the flat namespace ``{(ckpt_id, rank): file}`` under
+        # ``_files``; it is re-indexed here so a warm answer from an old
+        # cache directory still answers every query.
+        flat = state.pop("_files", None)
+        self.__init__()
+        self.__dict__.update(state)
+        if flat is not None:
+            self.replace_ranks((), flat)
+
+    def _file(self, ckpt_id: int, rank: int) -> CheckpointFile | None:
+        files = self._sets.get(ckpt_id)
+        return None if files is None else files.get(rank)
+
+    def _touch(self, ckpt_id: int) -> None:
+        """Every change to one set passes here."""
+        self._revs[ckpt_id] = self._revs.get(ckpt_id, 0) + 1
+
+    def revision(self, ckpt_id: int) -> int:
+        """A number that changes with every ``begin_write``, ``commit_write``
+        and ``delete`` on ``ckpt_id`` (0: never written) — what a memo of a
+        per-set answer is held against."""
+        return self._revs.get(ckpt_id, 0)
 
     # ------------------------------------------------------------------
     # write path
@@ -68,24 +104,26 @@ class CheckpointStore:
         """Create (or overwrite) the file in the PARTIAL state."""
         if nbytes < 0:
             raise CheckpointError(f"nbytes must be >= 0, got {nbytes}")
-        self._files[(ckpt_id, rank)] = CheckpointFile(
+        self._sets.setdefault(ckpt_id, {})[rank] = CheckpointFile(
             ckpt_id=ckpt_id, rank=rank, state=FileState.PARTIAL, data=data, nbytes=nbytes
         )
+        self._touch(ckpt_id)
         self.writes += 1
 
     def commit_write(self, ckpt_id: int, rank: int) -> None:
         """Promote the file to COMPLETE (the write finished)."""
-        f = self._files.get((ckpt_id, rank))
+        f = self._file(ckpt_id, rank)
         if f is None:
             raise CheckpointError(f"commit of unknown checkpoint file ({ckpt_id}, {rank})")
         f.state = FileState.COMPLETE
+        self._touch(ckpt_id)
 
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
     def read(self, ckpt_id: int, rank: int) -> CheckpointFile:
         """Return a COMPLETE file; corrupted or missing files raise."""
-        f = self._files.get((ckpt_id, rank))
+        f = self._file(ckpt_id, rank)
         if f is None:
             raise CheckpointError(f"checkpoint file ({ckpt_id}, {rank}) does not exist")
         if f.state is not FileState.COMPLETE:
@@ -94,23 +132,29 @@ class CheckpointStore:
 
     def exists(self, ckpt_id: int, rank: int) -> bool:
         """Does the file exist (in any state)?"""
-        return (ckpt_id, rank) in self._files
+        return self._file(ckpt_id, rank) is not None
 
     def state_of(self, ckpt_id: int, rank: int) -> FileState | None:
         """File state, or ``None`` when the file does not exist."""
-        f = self._files.get((ckpt_id, rank))
+        f = self._file(ckpt_id, rank)
         return None if f is None else f.state
 
     # ------------------------------------------------------------------
     # namespace queries
     # ------------------------------------------------------------------
+    def files(self) -> Iterator[tuple[tuple[int, int], CheckpointFile]]:
+        """Every file as ``((ckpt_id, rank), file)`` — the flat namespace."""
+        for cid, files in self._sets.items():
+            for rank, f in files.items():
+                yield (cid, rank), f
+
     def checkpoint_ids(self) -> list[int]:
         """All checkpoint ids with at least one file, ascending."""
-        return sorted({cid for cid, _ in self._files})
+        return sorted(self._sets)
 
     def ranks_present(self, ckpt_id: int) -> list[int]:
         """Ranks with a file (any state) for ``ckpt_id``."""
-        return sorted(r for cid, r in self._files if cid == ckpt_id)
+        return sorted(self._sets.get(ckpt_id, ()))
 
     def is_valid(self, ckpt_id: int, nranks: int) -> bool:
         """Complete file present for *exactly* ranks ``0..nranks-1``?
@@ -119,15 +163,19 @@ class CheckpointStore:
         (a set written by a wider job, before e.g. an ``MPI_Comm_shrink``
         restart) invalidate the set — restoring only its low-rank files
         would silently drop the part of the domain the lost ranks held.
+
+        One scan of the set per :meth:`revision` of it; every further ask
+        (each rank of a restarting job asks) is a memo hit.
         """
-        present = 0
-        for (cid, rank), f in self._files.items():
-            if cid != ckpt_id:
-                continue
-            if rank >= nranks or f.state is not FileState.COMPLETE:
-                return False
-            present += 1
-        return present == nranks
+        rev = self._revs.get(ckpt_id, 0)
+        memo = self._valid.get((ckpt_id, nranks))
+        if memo is None or memo[0] != rev:
+            files = self._sets.get(ckpt_id, {})
+            ok = len(files) == nranks and all(
+                rank < nranks and f.state is FileState.COMPLETE for rank, f in files.items()
+            )
+            memo = self._valid[(ckpt_id, nranks)] = (rev, ok)
+        return memo[1]
 
     def latest_valid(self, nranks: int) -> int | None:
         """Largest checkpoint id valid for an ``nranks``-wide restart
@@ -140,14 +188,12 @@ class CheckpointStore:
     def corrupted_files(self, ckpt_id: int) -> list[int]:
         """Ranks whose file for ``ckpt_id`` exists but is PARTIAL."""
         return sorted(
-            r
-            for (cid, r), f in self._files.items()
-            if cid == ckpt_id and f.state is FileState.PARTIAL
+            r for r, f in self._sets.get(ckpt_id, {}).items() if f.state is FileState.PARTIAL
         )
 
     def total_bytes(self) -> int:
         """Sum of all stored file sizes."""
-        return sum(f.nbytes for f in self._files.values())
+        return sum(f.nbytes for _, f in self.files())
 
     # ------------------------------------------------------------------
     # deletion
@@ -156,17 +202,19 @@ class CheckpointStore:
         """Delete one file (or, with ``rank=None``, the whole set).
         Returns the number of files removed (deleting nothing is fine —
         another rank may have cleaned up already)."""
-        if rank is not None:
-            removed = self._files.pop((ckpt_id, rank), None)
-            if removed is not None:
-                self.deletes += 1
-                return 1
+        files = self._sets.get(ckpt_id)
+        if files is None:
             return 0
-        keys = [k for k in self._files if k[0] == ckpt_id]
-        for k in keys:
-            del self._files[k]
-        self.deletes += len(keys)
-        return len(keys)
+        if rank is None:
+            removed = len(self._sets.pop(ckpt_id))
+        else:
+            removed = 0 if files.pop(rank, None) is None else 1
+            if not files:
+                del self._sets[ckpt_id]
+        if removed:
+            self._touch(ckpt_id)
+            self.deletes += removed
+        return removed
 
     def cleanup_incomplete(self, nranks: int) -> list[int]:
         """Delete every checkpoint set that is not valid for ``nranks``
@@ -181,5 +229,23 @@ class CheckpointStore:
                 removed.append(cid)
         return removed
 
+    def replace_ranks(
+        self, ranks: Collection[int], files: dict[tuple[int, int], CheckpointFile]
+    ) -> None:
+        """Drop every file of ``ranks`` and install ``files`` (flat, as
+        :meth:`files` yields them): how a shard's view of its owned ranks
+        replaces the pre-fork one.  Counters are the caller's to adjust."""
+        for cid, held in list(self._sets.items()):
+            stale = [rank for rank in held if rank in ranks]
+            for rank in stale:
+                del held[rank]
+            if stale:
+                self._touch(cid)
+                if not held:
+                    del self._sets[cid]
+        for (cid, rank), f in files.items():
+            self._sets.setdefault(cid, {})[rank] = f
+            self._touch(cid)
+
     def __len__(self) -> int:
-        return len(self._files)
+        return sum(len(files) for files in self._sets.values())

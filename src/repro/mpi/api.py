@@ -42,7 +42,7 @@ from repro.mpi import ops
 from repro.mpi.communicator import Communicator
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, SUCCESS, TAG_UB
 from repro.mpi.datatypes import payload_nbytes
-from repro.mpi.errhandler import Errhandler, MpiError
+from repro.mpi.errhandler import Errhandler
 from repro.mpi.group import Group
 from repro.mpi.messages import Msg, Request
 from repro.pdes.requests import Advance, Block
@@ -222,7 +222,15 @@ class MpiApi:
         world = self.world
         if world.network.send_overhead > 0.0:
             yield world.send_overhead_advance
-        return world.post_send(self.vp, comm, comm.context_id * 2, dst, tag, payload, size)
+        vp = self.vp
+        ctx = comm.context_id * 2
+        req = world.post_send(vp, comm, ctx, dst, tag, payload, size)
+        if req is None:
+            # An eager send completed at the post and left nothing behind
+            # (MpiWorld.post_send); the application is still owed a handle.
+            req = Request(Request.SEND, vp, comm, ctx, self.rank, dst, tag, size, vp.clock)
+            req.complete(vp.clock)
+        return req
 
     def irecv(
         self,
@@ -243,52 +251,20 @@ class MpiApi:
             self.vp, comm, (comm.context_id * 2, comm.world_rank(source), tag)
         )
 
-    def _wait_done_locally(self, request: Request) -> bool:
-        """True when ``request`` already completed successfully at-or-before
-        this rank's clock with no receive overhead left to pay — i.e.
-        waiting on it yields no control point at all (the common case for
-        eager sends), so the generator machinery can be skipped."""
-        return (
-            request.done
-            and request.error == SUCCESS
-            and request.completion_time <= self.vp.clock
-            and (request.kind != Request.RECV or self.world.network.recv_overhead <= 0.0)
-        )
-
     def wait(self, request: Request) -> Gen:
         """Complete one request; returns the received payload for receives."""
         self._check_active()
-        if self._wait_done_locally(request):
-            if self.world.check is not None:
-                self.world.check.on_wait_complete(self.vp, request)
-            msg = request.result
-            return msg.payload if isinstance(msg, Msg) else None
-        # Inline of MpiWorld.wait (saves one generator frame on every
-        # blocking completion, the per-message hot path).
-        vp = self.vp
         world = self.world
-        req = request
-        t0 = None
-        if not req.done:
-            obs = world.obs
-            if obs is not None and obs.detail:
-                t0 = vp.clock
-            req.waiting = True
-            yield Block(req)  # stringified lazily, only for reports
-            req.waiting = False
-        if req.completion_time > vp.clock:
-            yield Advance(req.completion_time - vp.clock, busy=False)
-        if t0 is not None:
-            world.obs.span(t0, vp.clock, "wait", rank=vp.rank)
-        if world.check is not None:
-            world.check.on_wait_complete(vp, req)
-        if req.error != SUCCESS:
-            yield from world.handle_error(
-                vp, req.comm, MpiError(req.error, req.describe(), req.failed_rank)
-            )
-        elif req.kind == Request.RECV and world.network.recv_overhead > 0.0:
-            yield world.recv_overhead_advance
-        msg = req.result
+        vp = self.vp
+        if request.done and request.completion_time <= vp.clock and request.error == SUCCESS:
+            # Fast path: nothing to wait for, only the overhead to pay.
+            if world.check is not None:
+                world.check.on_wait_complete(vp, request)
+            if request.kind == Request.RECV and world.network.recv_overhead > 0.0:
+                yield world.recv_overhead_advance
+            msg = request.result
+        else:
+            msg = yield from world.wait(vp, request)
         return msg.payload if isinstance(msg, Msg) else None
 
     def waitall(self, requests: Iterable[Request]) -> Gen:
@@ -296,11 +272,15 @@ class MpiApi:
         self._check_active()
         world = self.world
         vp = self.vp
+        recv_adv = world.recv_overhead_advance if world.network.recv_overhead > 0.0 else None
         out = []
         for req in requests:
-            if self._wait_done_locally(req):
+            if req.done and req.completion_time <= vp.clock and req.error == SUCCESS:
+                # Fast path: nothing to wait for, only the overhead to pay.
                 if world.check is not None:
                     world.check.on_wait_complete(vp, req)
+                if recv_adv is not None and req.kind == Request.RECV:
+                    yield recv_adv
                 msg = req.result
             else:
                 msg = yield from world.wait(vp, req)
@@ -469,9 +449,12 @@ class MpiApi:
 
         Event for event this is ``irecv`` per row, ``isend`` per row,
         ``waitall(sends)``, ``wait`` per receive — run inside this one
-        generator frame.  That includes a quirk of those calls: a receive
-        from ``PROC_NULL`` pays the receive software overhead, a send to
-        ``PROC_NULL`` pays nothing.
+        generator frame, minus what nobody looks at: an eager send leaves
+        no ``Request`` (:meth:`MpiWorld.post_send`), and a receive whose
+        face is already here pays its overhead inline; whatever is left
+        to wait for goes to :meth:`MpiWorld.wait`.  That includes a quirk
+        of those calls: a receive from ``PROC_NULL`` pays the receive
+        software overhead, a send to ``PROC_NULL`` pays nothing.
         """
         self._check_active()
         comm = plan.comm
@@ -482,12 +465,14 @@ class MpiApi:
         ctx = plan.ctx
         rows = plan.rows
         post_recv = world.post_recv
-        pending: list[Request | None] = [None] * len(rows)
-        for dst, _stag, key, _size, _wire in rows:
-            pending.append(post_recv(vp, comm, key) if dst != PROC_NULL else None)
+        recvs = [
+            post_recv(vp, comm, key) if dst != PROC_NULL else None
+            for dst, _stag, key, _size, _wire in rows
+        ]
         network = world.network
         send_adv = world.send_overhead_advance if network.send_overhead > 0.0 else None
         post_send = world.post_send
+        sends: list[Request | None] = [None] * len(rows)
         for i, (dst, stag, _key, size, wire) in enumerate(rows):
             if dst != PROC_NULL:
                 if send_adv is not None:
@@ -495,49 +480,36 @@ class MpiApi:
                 payload = None if payloads is None else payloads[i]
                 if size is None:
                     size = payload_nbytes(payload, nbytes)
-                pending[i] = post_send(vp, comm, ctx, dst, stag, payload, size, wire)
-        # Completion: the sends, then the receives (MpiWorld.wait inline).
-        recv_adv = world.recv_overhead_advance if network.recv_overhead > 0.0 else None
+                sends[i] = post_send(vp, comm, ctx, dst, stag, payload, size, wire)
+        # Completion: the sends, then the receives.  An eager send completed
+        # at its post and left nothing to wait for (None), like a PROC_NULL
+        # row; with a sanitizer attached every real send has its request.
         check = world.check
-        nrows = len(rows)
+        for i, req in enumerate(sends):
+            if req is not None:
+                yield from world.wait(vp, req)
+            elif check is not None:
+                check.on_wait_complete(vp, self._null_request(Request.SEND, comm, rows[i][1]))
+        recv_adv = world.recv_overhead_advance if network.recv_overhead > 0.0 else None
         received = []
-        for j, req in enumerate(pending):
-            is_recv = j >= nrows
+        for i, req in enumerate(recvs):
             if req is None:  # PROC_NULL: complete at the post, nothing on the wire
                 if check is not None:
-                    if is_recv:
-                        kind, tag = Request.RECV, rows[j - nrows][2][2]
-                    else:
-                        kind, tag = Request.SEND, rows[j][1]
-                    check.on_wait_complete(vp, self._null_request(kind, comm, tag))
-                if is_recv:
-                    if recv_adv is not None:
-                        yield recv_adv
-                    received.append(None)
-                continue
-            t0 = None
-            if not req.done:
-                obs = world.obs
-                if obs is not None and obs.detail:
-                    t0 = vp.clock
-                req.waiting = True
-                yield Block(req)  # stringified lazily, only for reports
-                req.waiting = False
-            if req.completion_time > vp.clock:
-                yield Advance(req.completion_time - vp.clock, busy=False)
-            if t0 is not None:
-                world.obs.span(t0, vp.clock, "wait", rank=vp.rank)
-            if check is not None:
-                check.on_wait_complete(vp, req)
-            if req.error != SUCCESS:
-                yield from world.handle_error(
-                    vp, req.comm, MpiError(req.error, req.describe(), req.failed_rank)
-                )
-            elif is_recv and recv_adv is not None:
-                yield recv_adv
-            if is_recv:
-                msg = req.result
-                received.append(msg.payload if isinstance(msg, Msg) else None)
+                    check.on_wait_complete(
+                        vp, self._null_request(Request.RECV, comm, rows[i][2][2])
+                    )
+                if recv_adv is not None:
+                    yield recv_adv
+                received.append(None)
+            elif req.done and req.completion_time <= vp.clock and req.error == SUCCESS:
+                # Fast path: the face is already here, only the overhead to pay.
+                if check is not None:
+                    check.on_wait_complete(vp, req)
+                if recv_adv is not None:
+                    yield recv_adv
+                received.append(req.result.payload)
+            else:
+                received.append((yield from world.wait(vp, req)).payload)
         return received
 
     def _null_request(self, kind: str, comm: Communicator, tag: int) -> Request:
@@ -548,10 +520,13 @@ class MpiApi:
     # ------------------------------------------------------------------
     # collectives (communicator rank order everywhere)
     # ------------------------------------------------------------------
+    # Plain functions: each validates its arguments at the call and hands
+    # back the collective's own generator for the caller's ``yield from``,
+    # so no pass-through frame sits on every message of the collective.
     def barrier(self, comm: Communicator | None = None) -> Gen:
         """``MPI_Barrier`` on ``comm`` (default ``MPI_COMM_WORLD``)."""
         self._check_active()
-        yield from coll.barrier(self, self._comm(comm))
+        return coll.barrier(self, self._comm(comm))
 
     def bcast(
         self,
@@ -564,7 +539,7 @@ class MpiApi:
         self._check_active()
         comm = self._comm(comm)
         size = payload_nbytes(value, nbytes) if comm.rank_of(self.rank) == root else (nbytes or 0)
-        return (yield from coll.bcast(self, comm, value, size, root))
+        return coll.bcast(self, comm, value, size, root)
 
     def reduce(
         self,
@@ -576,7 +551,7 @@ class MpiApi:
     ) -> Gen:
         """``MPI_Reduce``: the folded value at ``root``, ``None`` elsewhere."""
         self._check_active()
-        return (yield from coll.reduce(self, self._comm(comm), value, payload_nbytes(value, nbytes), op, root))
+        return coll.reduce(self, self._comm(comm), value, payload_nbytes(value, nbytes), op, root)
 
     def allreduce(
         self,
@@ -587,7 +562,7 @@ class MpiApi:
     ) -> Gen:
         """``MPI_Allreduce``: every member returns the folded value."""
         self._check_active()
-        return (yield from coll.allreduce(self, self._comm(comm), value, payload_nbytes(value, nbytes), op))
+        return coll.allreduce(self, self._comm(comm), value, payload_nbytes(value, nbytes), op)
 
     def gather(
         self,
@@ -598,14 +573,14 @@ class MpiApi:
     ) -> Gen:
         """``MPI_Gather``: rank-ordered value list at ``root``."""
         self._check_active()
-        return (yield from coll.gather(self, self._comm(comm), value, payload_nbytes(value, nbytes), root))
+        return coll.gather(self, self._comm(comm), value, payload_nbytes(value, nbytes), root)
 
     def allgather(
         self, value: Any = None, nbytes: int | None = None, comm: Communicator | None = None
     ) -> Gen:
         """``MPI_Allgather``: every member gets the rank-ordered list."""
         self._check_active()
-        return (yield from coll.allgather(self, self._comm(comm), value, payload_nbytes(value, nbytes)))
+        return coll.allgather(self, self._comm(comm), value, payload_nbytes(value, nbytes))
 
     def scatter(
         self,
@@ -620,7 +595,7 @@ class MpiApi:
         size = nbytes
         if size is None:
             size = payload_nbytes(values[0], None) if values else 0
-        return (yield from coll.scatter(self, comm, list(values) if values is not None else None, size, root))
+        return coll.scatter(self, comm, list(values) if values is not None else None, size, root)
 
     def alltoall(
         self,
@@ -640,7 +615,7 @@ class MpiApi:
             sizes = [int(n) for n in nbytes]
         else:
             sizes = int(nbytes)
-        return (yield from coll.alltoall(self, comm, vals, sizes))
+        return coll.alltoall(self, comm, vals, sizes)
 
     def scan(
         self,
@@ -651,7 +626,7 @@ class MpiApi:
     ) -> Gen:
         """``MPI_Scan`` (inclusive prefix reduction)."""
         self._check_active()
-        return (yield from coll.scan(self, self._comm(comm), value, payload_nbytes(value, nbytes), op))
+        return coll.scan(self, self._comm(comm), value, payload_nbytes(value, nbytes), op)
 
     # internal collective-context point-to-point helpers
     def _coll_send(self, comm: Communicator, dst: int, tag: int, payload: Any, nbytes: int) -> Gen:
@@ -661,25 +636,21 @@ class MpiApi:
         req = world.post_send(
             self.vp, comm, comm.context_id * 2 + 1, comm.world_rank(dst), tag, payload, nbytes
         )
-        if self._wait_done_locally(req):  # eager: complete at the post
-            if world.check is not None:
-                world.check.on_wait_complete(self.vp, req)
-        else:
+        if req is not None:  # an eager send left nothing to complete
             yield from world.wait(self.vp, req)
 
     def _coll_recv(self, comm: Communicator, src: int, tag: int) -> Gen:
-        req = self.world.post_recv(
-            self.vp, comm, (comm.context_id * 2 + 1, comm.world_rank(src), tag)
-        )
-        return (yield from self.world.wait(self.vp, req))
-
-    def _coll_isend(self, comm: Communicator, dst: int, tag: int, payload: Any, nbytes: int) -> Gen:
         world = self.world
-        if world.network.send_overhead > 0.0:
-            yield world.send_overhead_advance
-        return world.post_send(
-            self.vp, comm, comm.context_id * 2 + 1, comm.world_rank(dst), tag, payload, nbytes
-        )
+        vp = self.vp
+        req = world.post_recv(vp, comm, (comm.context_id * 2 + 1, comm.world_rank(src), tag))
+        if req.done and req.completion_time <= vp.clock and req.error == SUCCESS:
+            # Fast path: matched a buffered message at the post.
+            if world.check is not None:
+                world.check.on_wait_complete(vp, req)
+            if world.network.recv_overhead > 0.0:
+                yield world.recv_overhead_advance
+            return req.result
+        return (yield from world.wait(vp, req))
 
     def _coll_irecv(self, comm: Communicator, src: int, tag: int) -> Request:
         return self.world.post_recv(

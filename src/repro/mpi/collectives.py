@@ -148,8 +148,7 @@ def _alltoall_linear(
     ]
     for r in range(size):
         if r != me:
-            req = yield from api._coll_isend(comm, r, tag, values[r], sizes[r])
-            yield from api.world.wait(api.vp, req)
+            yield from api._coll_send(comm, r, tag, values[r], sizes[r])
     out: list[Any] = [None] * size
     out[me] = values[me]
     for r in range(size):
@@ -288,17 +287,18 @@ def _linear_cost(api: "MpiApi", size: int, nbytes: int, phases: int = 2) -> floa
 # public dispatchers
 # ----------------------------------------------------------------------
 def _observed(api: "MpiApi", name: str, inner: GenOp) -> GenOp:
-    """Wrap a collective's dispatch in an observer span.
-
-    The span covers this rank's virtual entry-to-exit interval.  When no
-    observer is attached the inner generator is delegated to directly; a
-    collective killed mid-flight by an abort emits no span (the serial
-    and sharded engines kill generators at the same virtual point, so
-    exports stay identical).
-    """
+    """A collective's dispatch generator, wrapped in an observer span only
+    when an observer is attached (plain function: without one the caller
+    drives ``inner`` itself, with no pass-through frame in between)."""
     obs = api.world.obs
-    if obs is None:
-        return (yield from inner)
+    return inner if obs is None else _spanned(api, obs, name, inner)
+
+
+def _spanned(api: "MpiApi", obs: Any, name: str, inner: GenOp) -> GenOp:
+    """The span covers this rank's virtual entry-to-exit interval; a
+    collective killed mid-flight by an abort emits no span (the serial and
+    sharded engines kill generators at the same virtual point, so exports
+    stay identical)."""
     t0 = api.vp.clock
     result = yield from inner
     obs.span(t0, api.vp.clock, name, rank=api.rank)
@@ -307,7 +307,7 @@ def _observed(api: "MpiApi", name: str, inner: GenOp) -> GenOp:
 
 def barrier(api: "MpiApi", comm: "Communicator") -> GenOp:
     """``MPI_Barrier``."""
-    return (yield from _observed(api, "coll:barrier", _barrier_dispatch(api, comm)))
+    return _observed(api, "coll:barrier", _barrier_dispatch(api, comm))
 
 
 def _barrier_dispatch(api: "MpiApi", comm: "Communicator") -> GenOp:
@@ -325,9 +325,7 @@ def _barrier_dispatch(api: "MpiApi", comm: "Communicator") -> GenOp:
 
 def bcast(api: "MpiApi", comm: "Communicator", value: Any, nbytes: int, root: int = 0) -> GenOp:
     """``MPI_Bcast``: returns the root's value on every member."""
-    return (
-        yield from _observed(api, "coll:bcast", _bcast_dispatch(api, comm, value, nbytes, root))
-    )
+    return _observed(api, "coll:bcast", _bcast_dispatch(api, comm, value, nbytes, root))
 
 
 def _bcast_dispatch(
@@ -352,11 +350,7 @@ def reduce(
     api: "MpiApi", comm: "Communicator", value: Any, nbytes: int, op: Op, root: int = 0
 ) -> GenOp:
     """``MPI_Reduce``: the folded value at the root, ``None`` elsewhere."""
-    return (
-        yield from _observed(
-            api, "coll:reduce", _reduce_dispatch(api, comm, value, nbytes, op, root)
-        )
-    )
+    return _observed(api, "coll:reduce", _reduce_dispatch(api, comm, value, nbytes, op, root))
 
 
 def _reduce_dispatch(
@@ -380,11 +374,7 @@ def _reduce_dispatch(
 
 def allreduce(api: "MpiApi", comm: "Communicator", value: Any, nbytes: int, op: Op) -> GenOp:
     """``MPI_Allreduce`` (reduce to rank 0, then broadcast)."""
-    return (
-        yield from _observed(
-            api, "coll:allreduce", _allreduce_dispatch(api, comm, value, nbytes, op)
-        )
-    )
+    return _observed(api, "coll:allreduce", _allreduce_dispatch(api, comm, value, nbytes, op))
 
 
 def _allreduce_dispatch(
@@ -410,9 +400,7 @@ def _allreduce_dispatch(
 
 def gather(api: "MpiApi", comm: "Communicator", value: Any, nbytes: int, root: int = 0) -> GenOp:
     """``MPI_Gather``: list of member values (rank order) at the root."""
-    return (
-        yield from _observed(api, "coll:gather", _gather_dispatch(api, comm, value, nbytes, root))
-    )
+    return _observed(api, "coll:gather", _gather_dispatch(api, comm, value, nbytes, root))
 
 
 def _gather_dispatch(
@@ -434,9 +422,7 @@ def _gather_dispatch(
 
 def allgather(api: "MpiApi", comm: "Communicator", value: Any, nbytes: int) -> GenOp:
     """``MPI_Allgather``: every member gets the rank-ordered value list."""
-    return (
-        yield from _observed(api, "coll:allgather", _allgather_dispatch(api, comm, value, nbytes))
-    )
+    return _observed(api, "coll:allgather", _allgather_dispatch(api, comm, value, nbytes))
 
 
 def _allgather_dispatch(api: "MpiApi", comm: "Communicator", value: Any, nbytes: int) -> GenOp:
@@ -457,11 +443,7 @@ def scatter(
     api: "MpiApi", comm: "Communicator", values: list[Any] | None, nbytes: int, root: int = 0
 ) -> GenOp:
     """``MPI_Scatter``: always message-level (per-destination payloads)."""
-    return (
-        yield from _observed(
-            api, "coll:scatter", _scatter_dispatch(api, comm, values, nbytes, root)
-        )
-    )
+    return _observed(api, "coll:scatter", _scatter_dispatch(api, comm, values, nbytes, root))
 
 
 def _scatter_dispatch(
@@ -480,9 +462,7 @@ def alltoall(
 ) -> GenOp:
     """``MPI_Alltoall``/``MPI_Alltoallv``: always message-level.  A list of
     sizes (one per destination) gives the variable-size semantics."""
-    return (
-        yield from _observed(api, "coll:alltoall", _alltoall_dispatch(api, comm, values, nbytes))
-    )
+    return _observed(api, "coll:alltoall", _alltoall_dispatch(api, comm, values, nbytes))
 
 
 def _alltoall_dispatch(
@@ -496,7 +476,7 @@ def _alltoall_dispatch(
 
 def scan(api: "MpiApi", comm: "Communicator", value: Any, nbytes: int, op: Op) -> GenOp:
     """``MPI_Scan`` (inclusive): always message-level (chain)."""
-    return (yield from _observed(api, "coll:scan", _scan_dispatch(api, comm, value, nbytes, op)))
+    return _observed(api, "coll:scan", _scan_dispatch(api, comm, value, nbytes, op))
 
 
 def _scan_dispatch(api: "MpiApi", comm: "Communicator", value: Any, nbytes: int, op: Op) -> GenOp:

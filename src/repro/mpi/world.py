@@ -37,6 +37,7 @@ file-system models — and implements the mechanics behind every MPI call:
 from __future__ import annotations
 
 import math
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 import numpy as np
@@ -226,6 +227,9 @@ class MpiWorld:
         # instance per world avoids an allocation on every send/receive.
         self.send_overhead_advance = Advance(network.send_overhead)
         self.recv_overhead_advance = Advance(network.recv_overhead)
+        # The delivery callback every message's heap entry carries, bound
+        # once: ``self._arrive`` would build a bound method per message.
+        self._deliver = self._arrive
 
     # ------------------------------------------------------------------
     # job launch
@@ -288,25 +292,6 @@ class MpiWorld:
     # ------------------------------------------------------------------
     # point-to-point: posting
     # ------------------------------------------------------------------
-    def isend(
-        self,
-        vp: VirtualProcess,
-        comm: Communicator,
-        ctx: int,
-        dst: int,
-        tag: int,
-        payload: Any,
-        nbytes: int,
-    ) -> Generator[Any, Any, Request]:
-        """Post a send (world-rank ``dst``); returns the pending request.
-
-        Pays the per-message send software overhead, then posts via
-        :meth:`post_send`.
-        """
-        if self.network.send_overhead > 0.0:
-            yield self.send_overhead_advance
-        return self.post_send(vp, comm, ctx, dst, tag, payload, nbytes)
-
     def post_send(
         self,
         vp: VirtualProcess,
@@ -317,13 +302,23 @@ class MpiWorld:
         payload: Any,
         nbytes: int,
         wire: float | None = None,
-    ) -> Request:
+    ) -> Request | None:
         """Post a send whose software overhead has already been paid (plain
         call, no generator frame — the point-to-point hot path).
 
-        Either buffers an eager message (request completes locally) or
-        emits a rendezvous RTS (request completes when the clear-to-send
-        round-trip and payload serialization finish).
+        Either buffers an eager message (the send completes locally, at
+        this post) or emits a rendezvous RTS (the send completes when the
+        clear-to-send round-trip and payload serialization finish).
+
+        Returns the send's :class:`Request` wherever somebody can look at
+        one — it failed at the post (revoked communicator, peer on the
+        failed list), it is still pending (rendezvous, or a peer whose
+        failure notification is in flight), or a sanitizer is attached
+        (its ``on_wait_complete`` takes the object) — and ``None`` for an
+        eager send that completed here and left nothing behind: there is
+        nothing to wait for, so nothing is built.  :meth:`MpiApi.isend`,
+        which owes the application a handle, materialises the completed
+        one.
 
         ``wire`` is the undegraded eager wire time
         ``network.transfer_time(nbytes, vp.rank, dst)`` when the caller
@@ -332,19 +327,21 @@ class MpiWorld:
         """
         clock = vp.clock
         src = vp.rank
-        req = Request(Request.SEND, vp, comm, ctx, src, dst, tag, nbytes, clock)
-        if comm.revoked:
-            req.fail(clock, ERR_REVOKED)
-            return req
-        failed_at = vp.failed_peers.get(dst) if vp.failed_peers else None
-        if failed_at is not None and self._failure_visible(vp, dst, failed_at):
-            self._fail_from_list(req, dst)
-            return req
         network = self.network
+        eager = nbytes <= network.eager_threshold
+        failed_at = vp.failed_peers.get(dst) if vp.failed_peers else None
+        req = None
+        if not eager or failed_at is not None or comm.revoked or self.check is not None:
+            req = Request(Request.SEND, vp, comm, ctx, src, dst, tag, nbytes, clock)
+            if comm.revoked:
+                req.fail(clock, ERR_REVOKED)
+                return req
+            if failed_at is not None and self._failure_visible(vp, dst, failed_at):
+                self._fail_from_list(req, dst)
+                return req
         seq = self._msg_seq = self._msg_seq + 1
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        eager = nbytes <= network.eager_threshold
         if self.trace is not None:
             self.trace.record_post(
                 seq, clock, src, dst, ctx, tag, nbytes, "eager" if eager else "rendezvous"
@@ -355,7 +352,8 @@ class MpiWorld:
             msg = Msg(ctx, src, dst, tag, nbytes, payload, seq, EAGER)
             if wire is None:
                 wire = network.transfer_time(nbytes, src, dst)
-            req.complete(clock)
+            if req is not None:
+                req.complete(clock)
         else:
             msg = Msg(ctx, src, dst, tag, nbytes, payload, seq, RTS, send_req=req)
             wire = network.wire_latency(src, dst)
@@ -371,11 +369,13 @@ class MpiWorld:
         if faults.active_links:
             wire = faults.link_factor(src, dst, clock) * wire
         arrival = clock + wire
-        # Per-message hot path: engine.schedule minus the varargs tuple.
         engine = self.engine
         if arrival < engine.now:
             raise SimulationError(f"cannot schedule into the past ({arrival} < {engine.now})")
-        engine.post_event(arrival, self._arrive, msg)
+        # Engine.post_event, inline: the one heap entry every message costs
+        # is pushed from the one function every message passes through.
+        engine._seq = eseq = engine._seq + 1
+        heappush(engine._heap, (arrival, eseq, None, 0, self._deliver, (msg,)))
         return req
 
     def post_recv(self, vp: VirtualProcess, comm: Communicator, key: MatchKey) -> Request:
@@ -388,7 +388,7 @@ class MpiWorld:
         """
         ctx, src, tag = key
         clock = vp.clock
-        state = self.states[vp.rank]
+        state = vp.userdata
         req = Request(Request.RECV, vp, comm, ctx, src, vp.rank, tag, 0, clock)
         self._post_seq += 1
         req.post_seq = self._post_seq
@@ -479,7 +479,7 @@ class MpiWorld:
         if self.check is not None:
             self.check.on_match_unexpected(state, req, msg)
         if msg.protocol == EAGER:
-            self._complete_recv(req, msg, req.post_time)
+            req.complete(req.post_time, result=msg)  # fresh post: nobody waits yet
         else:
             self._rendezvous(req, msg, req.post_time)
 
@@ -551,32 +551,24 @@ class MpiWorld:
     # ------------------------------------------------------------------
     def wait(self, vp: VirtualProcess, req: Request) -> Generator[Any, Any, Msg | None]:
         """Block until ``req`` completes; deliver its error (if any) through
-        the communicator's error handler; return the received message."""
-        t0 = None
+        the communicator's error handler; return the received message.
+
+        The one slow path of every completion.  Callers on the
+        per-message path (:meth:`MpiApi.neighbor_exchange`, ``_coll_recv``,
+        :meth:`MpiApi.wait`/``waitall``) test "done at or before the
+        owner's clock, no error" themselves and come here for the rest.
+        """
         if not req.done:
             obs = self.obs
-            if obs is not None and obs.detail:
-                t0 = vp.clock
+            t0 = vp.clock if obs is not None and obs.detail else None
             req.waiting = True
             yield Block(req)  # stringified lazily, only for reports
             req.waiting = False
-        # Inline of _finalize_request — this is the hot path of every
-        # point-to-point completion, so it avoids a nested generator frame.
-        if req.completion_time > vp.clock:
-            # waiting for completion (in-flight data, detection timeout)
-            yield Advance(req.completion_time - vp.clock, busy=False)
-        if t0 is not None:
-            self.obs.span(t0, vp.clock, "wait", rank=vp.rank)
-        if self.check is not None:
-            self.check.on_wait_complete(vp, req)
-        if req.error == SUCCESS:
-            if req.kind == Request.RECV and self.network.recv_overhead > 0.0:
-                yield self.recv_overhead_advance
-            return req.result
-        yield from self.handle_error(
-            vp, req.comm, MpiError(req.error, req.describe(), req.failed_rank)
-        )
-        return req.result
+            if t0 is not None:
+                # Every waker resumes the VP at the completion time, so the
+                # span ends where the data is there, before the overhead.
+                obs.span(t0, vp.clock, "wait", rank=vp.rank)
+        return (yield from self._finalize_request(vp, req))
 
     def test(
         self, vp: VirtualProcess, req: Request
@@ -590,23 +582,20 @@ class MpiWorld:
     def _finalize_request(
         self, vp: VirtualProcess, req: Request
     ) -> Generator[Any, Any, Msg | None]:
+        """What a completed request still owes its owner — the tail
+        :meth:`wait` and :meth:`test` share."""
         if req.completion_time > vp.clock:
             # waiting for completion (in-flight data, detection timeout)
             yield Advance(req.completion_time - vp.clock, busy=False)
         if self.check is not None:
             self.check.on_wait_complete(vp, req)
-        if req.error == SUCCESS and req.kind == Request.RECV and self.network.recv_overhead > 0.0:
-            yield Advance(self.network.recv_overhead)
         if req.error != SUCCESS:
             yield from self.handle_error(
                 vp, req.comm, MpiError(req.error, req.describe(), req.failed_rank)
             )
+        elif req.kind == Request.RECV and self.network.recv_overhead > 0.0:
+            yield self.recv_overhead_advance
         return req.result
-
-    def _complete_recv(self, req: Request, msg: Msg, time: float) -> None:
-        req.complete(time, result=msg)
-        if req.waiting:
-            self.engine.wake(req.vp, time)
 
     def _rendezvous(self, req: Request, rts: Msg, t_match: float) -> None:
         """Complete the RTS/CTS/payload hand-shake matched at ``t_match``.
@@ -640,9 +629,16 @@ class MpiWorld:
             self.engine.wake(req.vp, t_recv_done)
 
     def _arrive(self, msg: Msg) -> None:
-        """Delivery event: the message reached the destination NIC."""
+        """Delivery event: the message reached the destination NIC.
+
+        One function for the common arrival: with no wildcard receive
+        posted it matches, completes and wakes here — the indexed exact
+        match is the only candidate, so nothing is scanned and nothing
+        else is called.
+        """
         state = self.states[msg.dst]
-        vstate = state.vp.state
+        vp = state.vp
+        vstate = vp.state
         # Identity tests, likeliest first: ``not in LIVE_STATES`` would hash
         # the enum member (a Python-level call) on every message.
         if (
@@ -655,26 +651,41 @@ class MpiWorld:
             if self.trace is not None:
                 self.trace.record_delivery(msg.seq, self.engine.now, dropped=True)
             return
-        if msg.protocol == RTS and not self.states[msg.src].vp.alive:
+        eager = msg.protocol == EAGER
+        if not eager and not self.states[msg.src].vp.alive:
             if self.trace is not None:
                 self.trace.record_delivery(msg.seq, self.engine.now, dropped=True)
             return  # sender died in flight; the hand-shake can never complete
+        now = msg.arrival = self.engine.now
         if self.trace is not None:
-            self.trace.record_delivery(msg.seq, self.engine.now, dropped=False)
-        msg.arrival = self.engine.now
-        req = self._match_posted(state, msg)
+            self.trace.record_delivery(msg.seq, now, dropped=False)
+        key = (msg.ctx, msg.src, msg.tag)
+        if state.posted_wild:
+            req = self._match_posted(state, msg, key)
+        else:
+            req = None
+            exact = state.posted_exact.get(key)
+            if exact:
+                req = exact.pop(0)
+                if not exact:
+                    del state.posted_exact[key]
         if req is not None:
             if self.check is not None:
                 self.check.on_match_posted(state, msg, req)
-            if msg.protocol == EAGER:
-                self._complete_recv(req, msg, msg.arrival)
+            if eager:
+                # Request.complete and the wake, inline (req.vp is vp).
+                req.done = True
+                req.completion_time = now
+                req.result = msg
+                if req.waiting:
+                    self.engine.wake(vp, now)
             else:
-                self._rendezvous(req, msg, msg.arrival)
+                self._rendezvous(req, msg, now)
             return
         # Buffer, keeping each per-key list sorted by send sequence so
         # matching preserves non-overtaking order even when a larger,
         # earlier message arrives after a smaller, later one.
-        msgs = state.unexpected.setdefault((msg.ctx, msg.src, msg.tag), [])
+        msgs = state.unexpected.setdefault(key, [])
         if msgs and msgs[-1].seq > msg.seq:
             i = len(msgs) - 1
             while i > 0 and msgs[i - 1].seq > msg.seq:
@@ -685,19 +696,11 @@ class MpiWorld:
         if self.check is not None:
             self.check.on_buffer(state, msg)
 
-    def _match_posted(self, state: RankState, msg: Msg) -> Request | None:
-        """Pop the earliest-posted receive accepting ``msg``."""
-        key = (msg.ctx, msg.src, msg.tag)
+    def _match_posted(self, state: RankState, msg: Msg, key: MatchKey) -> Request | None:
+        """Pop the earliest-posted receive accepting ``msg`` when wildcard
+        receives are posted: the head of the exact index for ``key``
+        against the first matching wildcard, by post order."""
         exact = state.posted_exact.get(key)
-        if not state.posted_wild:
-            # Fast path (no wildcard receives posted): the indexed exact
-            # match is the only candidate.
-            if not exact:
-                return None
-            req = exact.pop(0)
-            if not exact:
-                del state.posted_exact[key]
-            return req
         self.match_scan_calls += 1
         self.match_scan_length += len(state.posted_wild)
         candidate: Request | None = exact[0] if exact else None

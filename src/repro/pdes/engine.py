@@ -46,6 +46,11 @@ from repro.util.errors import ConfigurationError, DeadlockError, SimulationError
 from repro.util.simlog import SimLog
 from repro.util.stats import TimingStats, format_timing
 
+# Module-level members for the per-event paths (_step, wake, _do_wake):
+# CPython 3.11 does not specialise an attribute load on an Enum class
+# (``EnumType`` defines ``__getattr__``), so ``VpState.X`` is ~8x a global.
+_RUNNING, _ADVANCING, _BLOCKED = VpState.RUNNING, VpState.ADVANCING, VpState.BLOCKED
+
 
 @dataclass
 class SimulationResult:
@@ -219,8 +224,10 @@ class Engine:
 
     def post_event(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
         """Schedule ``fn(arg)`` at ``time`` — the unguarded single-payload
-        fast path (per-message deliveries).  Callers validate ``time``
-        against their own clock; no past-check is repeated here.
+        fast path (message deliveries).  Callers validate ``time`` against
+        their own clock; no past-check is repeated here.
+        :meth:`MpiWorld.post_send` carries these two lines inline (a call
+        per message); a change to the entry layout changes both.
         """
         self._seq += 1
         heappush(self._heap, (time, self._seq, None, 0, fn, (arg,)))
@@ -500,14 +507,13 @@ class Engine:
             # Externally injected downtime (proactive migration et al.):
             # consumed before the VP executes again, like a forced Advance.
             delay, vp.pending_delay = vp.pending_delay, 0.0
-            vp.state = VpState.ADVANCING
+            vp.state = _ADVANCING
             self._schedule_vp(
                 vp.clock + delay, vp, self._resume_delayed, vp, vp.epoch, vp.clock + delay, value, exc
             )
             return
-        vp.state = VpState.RUNNING
+        vp.state = _RUNNING
         gen = vp.gen
-        send = gen.send
         heap = self._heap
         coalesce = self.coalesce_advances
         window_end = self._window_end
@@ -517,7 +523,10 @@ class Engine:
                     err, exc = exc, None
                     item = gen.throw(err)
                 else:
-                    item = send(value)
+                    # A method call, not a hoisted ``gen.send``: the loop
+                    # usually runs once, and binding the method costs more
+                    # than the call it would save.
+                    item = gen.send(value)
             except StopIteration as stop:
                 self._finish(vp, stop.value)
                 return
@@ -572,7 +581,7 @@ class Engine:
                         self._kill_abort(vp, new_clock)
                         return
                     continue
-                vp.state = VpState.ADVANCING
+                vp.state = _ADVANCING
                 # Inline of _schedule_vp; the past-check is unnecessary
                 # here because new_clock = vp.clock + dt with dt > 0 and
                 # vp.clock >= self.now inside a step.
@@ -581,7 +590,7 @@ class Engine:
                 heappush(heap, (new_clock, self._seq, vp, vp.epoch, None, None))
                 return
             if kind is Block:
-                vp.state = VpState.BLOCKED
+                vp.state = _BLOCKED
                 vp.wait_token += 1
                 vp.wait_tag = item.tag
                 return
@@ -650,9 +659,18 @@ class Engine:
         ``exc`` is raised at that yield instead when given.  Stale wakes
         (the VP died, or was already woken and blocked again) are dropped.
         """
-        if vp.state is not VpState.BLOCKED:
+        if vp.state is not _BLOCKED:
             raise SimulationError(f"wake() on non-blocked VP rank {vp.rank} ({vp.state})")
-        self._schedule_vp(time, vp, self._do_wake, vp, vp.epoch, vp.wait_token, time, value, exc)
+        if time < self.now:
+            raise SimulationError(f"cannot schedule into the past ({time} < {self.now})")
+        # _schedule_vp minus the varargs round-trip (one wake per blocked
+        # completion).
+        epoch = vp.epoch
+        self._seq += 1
+        heappush(
+            self._heap,
+            (time, self._seq, vp, epoch, self._do_wake, (vp, epoch, vp.wait_token, time, value, exc)),
+        )
 
     def _do_wake(
         self,
@@ -663,7 +681,7 @@ class Engine:
         value: Any,
         exc: BaseException | None,
     ) -> None:
-        if vp.epoch != epoch or vp.state is not VpState.BLOCKED or vp.wait_token != token:
+        if vp.epoch != epoch or vp.state is not _BLOCKED or vp.wait_token != token:
             return
         if time > vp.clock:
             vp.clock = time

@@ -712,19 +712,24 @@ class ShardedMpiWorld(MpiWorld):
         payload: Any,
         nbytes: int,
         wire: float | None = None,
-    ) -> Request:
+    ) -> Request | None:
         if self.shard_id is None:
             return super().post_send(vp, comm, ctx, dst, tag, payload, nbytes, wire)
         clock = vp.clock
-        req = Request(Request.SEND, vp, comm, ctx, vp.rank, dst, tag, nbytes, clock)
-        if comm.revoked:
-            req.fail(clock, ERR_REVOKED)
-            return req
-        failed_at = vp.failed_peers.get(dst)
-        if failed_at is not None and self._failure_visible(vp, dst, failed_at):
-            self._fail_from_list(req, dst)
-            return req
         network = self.network
+        eager = nbytes <= network.eager_threshold
+        failed_at = vp.failed_peers.get(dst)
+        # Same contract as the serial post: a request only where somebody
+        # can look at one, None for an eager send that completed here.
+        req = None
+        if not eager or failed_at is not None or comm.revoked or self.check is not None:
+            req = Request(Request.SEND, vp, comm, ctx, vp.rank, dst, tag, nbytes, clock)
+            if comm.revoked:
+                req.fail(clock, ERR_REVOKED)
+                return req
+            if failed_at is not None and self._failure_visible(vp, dst, failed_at):
+                self._fail_from_list(req, dst)
+                return req
         self._msg_seq += 1
         self.messages_sent += 1
         self.bytes_sent += nbytes
@@ -737,7 +742,6 @@ class ShardedMpiWorld(MpiWorld):
         self._src_counters[vp.rank] = counter
         seq = (clock, vp.rank, counter)
         engine = self.engine
-        eager = nbytes <= network.eager_threshold
         # Link degradation mirrors the serial cost computation exactly
         # (factors >= 1, so the undegraded lookahead stays a lower bound).
         link_f = (
@@ -749,7 +753,8 @@ class ShardedMpiWorld(MpiWorld):
             if wire is None:
                 wire = network.transfer_time(nbytes, vp.rank, dst)
             arrival = clock + link_f * wire
-            req.complete(clock)
+            if req is not None:
+                req.complete(clock)
         else:
             arrival = clock + link_f * network.wire_latency(vp.rank, dst)
             if failed_at is not None:
@@ -768,7 +773,7 @@ class ShardedMpiWorld(MpiWorld):
                 raise SimulationError(
                     f"cannot schedule into the past ({arrival} < {engine.now})"
                 )
-            engine.post_event(arrival, self._arrive, msg)
+            engine.post_event(arrival, self._deliver, msg)
         else:
             if isinstance(payload, Communicator):
                 raise ShardedParityError(
@@ -830,7 +835,7 @@ class ShardedMpiWorld(MpiWorld):
                 f"causality violation: envelope arriving at {arrival} behind "
                 f"shard clock {engine.now}"
             )
-        engine.post_event(arrival, self._arrive, msg)
+        engine.post_event(arrival, self._deliver, msg)
 
     def apply_rdv_done(self, req_id: int, t_send_done: float) -> None:
         """Complete a cross-shard rendezvous send (receiver matched it)."""
@@ -1024,7 +1029,7 @@ class ShardWorker:
         if self._stores:
             store_delta = tuple(
                 (
-                    {key: f for key, f in s._files.items() if key[1] in self.owned},
+                    {key: f for key, f in s.files() if key[1] in self.owned},
                     s.writes - base[0],
                     s.deletes - base[1],
                 )
@@ -1815,8 +1820,6 @@ def _merge_reports(
             for store, (files, writes_delta, deletes_delta) in zip(
                 stores, report.store_delta
             ):
-                for key in [k for k in store._files if k[1] in owned]:
-                    del store._files[key]
-                store._files.update(files)
+                store.replace_ranks(owned, files)
                 store.writes += writes_delta
                 store.deletes += deletes_delta

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.check.sanitizer import verify_store_cleaned
-from repro.core.checkpoint.store import CheckpointStore
+from repro.core.checkpoint.store import CheckpointStore, FileState
 from repro.resilience.strategy import ResilienceStrategy, register
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -72,9 +72,28 @@ class MultilevelStore:
         self.local = CheckpointStore()
         self.partner = CheckpointStore()
         self.global_ = CheckpointStore()
+        #: (ckpt_id, nranks) -> (tier revisions, answer): :meth:`recoverable`'s memo.
+        self._recoverable: dict[tuple[int, int], tuple[tuple[int, ...], bool]] = {}
 
     def component_stores(self) -> tuple[CheckpointStore, ...]:
         return (self.local, self.partner, self.global_)
+
+    def recoverable(self, ckpt_id: int, nranks: int) -> bool:
+        """Does every rank ``0..nranks-1`` hold a COMPLETE copy of
+        ``ckpt_id`` in some tier?  Every restoring rank asks; the tiers are
+        scanned once per state of that id's three sets
+        (:meth:`CheckpointStore.revision`), so a restart stays linear in
+        ranks."""
+        tiers = self.component_stores()
+        stamp = tuple(tier.revision(ckpt_id) for tier in tiers)
+        memo = self._recoverable.get((ckpt_id, nranks))
+        if memo is None or memo[0] != stamp:
+            ok = all(
+                any(tier.state_of(ckpt_id, rank) is FileState.COMPLETE for tier in tiers)
+                for rank in range(nranks)
+            )
+            memo = self._recoverable[(ckpt_id, nranks)] = (stamp, ok)
+        return memo[1]
 
     def make_protocol(self, api: "MpiApi") -> "MultilevelProtocol":
         return MultilevelProtocol(api, self)
@@ -169,8 +188,6 @@ class MultilevelProtocol:
     # ------------------------------------------------------------------
     def _tier_for(self, cid: int, rank: int) -> str | None:
         """Cheapest tier holding a COMPLETE copy of ``(cid, rank)``."""
-        from repro.core.checkpoint.store import FileState
-
         for tier in TIERS:
             if self.ml.tier_of(tier).state_of(cid, rank) is FileState.COMPLETE:
                 return tier
@@ -189,10 +206,9 @@ class MultilevelProtocol:
             reverse=True,
         )
         for cid in ids:
-            tiers = [self._tier_for(cid, q) for q in range(n)]
-            if any(t is None for t in tiers):
+            if not self.ml.recoverable(cid, n):
                 continue
-            tier = tiers[api.rank]
+            tier = self._tier_for(cid, api.rank)
             f = self.ml.tier_of(tier).read(cid, api.rank)
             if tier == "local":
                 yield from api.compute(f.nbytes / LOCAL_BANDWIDTH)

@@ -1,0 +1,363 @@
+"""What one message costs the host, and that nothing observable paid for it.
+
+An eager message is three events (send-overhead resume, arrival,
+receive-overhead resume); the second hot-path pass cut what the simulator
+spends around them: no send ``Request`` where nobody can look at one, one
+arrival function, no pass-through generator frames, one slow-path wait.
+These tests hold the two sides of that:
+
+* a **budget that is a count** — Python-level calls per message under
+  ``cProfile`` repeat exactly, so they hold on any host;
+* the **elided handle is there whenever somebody looks** — the sanitizer,
+  ``isend``'s caller, an error, a rendezvous, the observer's spans, and
+  ``test()`` against ``wait()``.
+"""
+
+import cProfile
+import hashlib
+import os
+import pstats
+
+import pytest
+
+import repro
+from repro.core.harness.config import SystemConfig
+from repro.core.simulator import XSim
+from repro.mpi.constants import ERR_PROC_FAILED, ERR_REVOKED, PROC_NULL, SUCCESS
+from repro.mpi.errhandler import ERRORS_RETURN, MpiError
+from repro.mpi.messages import Request
+from repro.obs import to_jsonl
+from repro.run import Scenario
+from repro.run.backends import get_backend
+
+SRC = os.path.dirname(repro.__file__) + os.sep
+
+
+def scenario_sim(**fields):
+    """A serial simulation of the scenario, built but not run, plus the
+    app and its arguments (what ``Backend.execute`` does, keeping ``sim``)."""
+    scenario = Scenario(**fields)
+    sim = get_backend("serial").make_sim(scenario)
+    strategy = scenario.make_strategy()
+    strategy.begin_run()
+    app, make_args = scenario.make_app(strategy=strategy)
+    return sim, app, make_args(strategy.segment_store())
+
+
+# ----------------------------------------------------------------------
+# the budget
+# ----------------------------------------------------------------------
+#: fields -> calls into ``src/repro`` functions per ``world.messages_sent``
+#: on this commit (a generator resume counts as a call).  At the parent:
+#: heat3d 36.648, cg 38.635.
+CALLS_PER_MESSAGE = [
+    (dict(ranks=64, iterations=200, interval=10), 27.709),
+    (dict(ranks=64, app="cg", iterations=32, interval=16), 27.906),
+]
+
+
+@pytest.mark.parametrize("fields, budget", CALLS_PER_MESSAGE, ids=["heat3d", "cg"])
+def test_calls_per_message_stay_inside_the_budget(fields, budget):
+    sim, app, args = scenario_sim(**fields)
+    profile = cProfile.Profile()
+    profile.enable()
+    result = sim.run(app, args=args)
+    profile.disable()
+    assert result.completed
+    calls = requests = 0
+    for (filename, _line, name), (_cc, ncalls, *_rest) in pstats.Stats(profile).stats.items():
+        if filename.startswith(SRC):
+            calls += ncalls
+            if name == "__init__" and filename.endswith("messages.py"):
+                requests += ncalls
+    messages = sim.world.messages_sent
+    assert calls / messages <= budget * 1.03, (calls, messages)
+    # Msg + Request constructions: every message here is eager, so each
+    # builds its Msg and exactly one Request — the receive's.  (PROC_NULL
+    # rows and completed sends build none.)
+    assert requests == 2 * messages
+
+
+# ----------------------------------------------------------------------
+# (a) the sanitizer sees every request it saw before
+# ----------------------------------------------------------------------
+#: ``Sanitizer.checks`` at the parent commit, 64 ranks x 40 iterations,
+#: interval 20.  ``on_wait_complete`` takes the send's Request, so with a
+#: sanitizer attached every send still builds one.
+SANITIZER_CHECKS = {"heat3d": 9_996, "cg": 176_206, "stencil2d": 16_281, "amr": 45_227}
+
+
+@pytest.mark.parametrize("app_name", sorted(SANITIZER_CHECKS))
+def test_sanitizer_check_counts_equal_the_parent(app_name):
+    sim, app, args = scenario_sim(ranks=64, app=app_name, iterations=40, interval=20, check=True)
+    result = sim.run(app, args=args)
+    assert result.completed
+    assert sim.checker.checks == SANITIZER_CHECKS[app_name]
+
+
+# ----------------------------------------------------------------------
+# (b) isend still hands out a handle; errors and rendezvous keep theirs
+# ----------------------------------------------------------------------
+T_FAIL = 0.01
+RENDEZVOUS = 300_000
+
+
+def two_ranks(app, failures=(), **xsim_kwargs):
+    system = SystemConfig.paper_system(nranks=2, strict_finalize=False)
+    sim = XSim(system, record_events=True, **xsim_kwargs)
+    for rank, time in failures:
+        sim.inject_failure(rank, time)
+    sim.result = sim.run(app)
+    return sim
+
+
+def handle_facts(mpi, req):
+    return (type(req), req.kind, req.done, req.error, req.failed_rank,
+            req.completion_time - mpi.wtime(), req.dst, req.tag, req.nbytes)
+
+
+def error_of(gen):
+    """Drive ``gen`` to its MpiError: ``(code, failed rank)``."""
+    try:
+        yield from gen
+    except MpiError as err:
+        return err.code, err.failed_rank
+    return None
+
+
+class TestIsendHandle:
+    def test_eager_isend_returns_a_completed_request(self):
+        def app(mpi):
+            yield from mpi.init()
+            if mpi.rank == 1:
+                return (yield from mpi.recv(0, tag=3))
+            yield from mpi.compute(1e-3)
+            req = yield from mpi.isend(1, payload="hi", nbytes=64, tag=3)
+            posted = mpi.wtime()
+            facts = handle_facts(mpi, req)
+            tested = yield from mpi.test(req)
+            waited = yield from mpi.wait(req)
+            many = yield from mpi.waitall([req, req])
+            return facts, tested, waited, many, mpi.wtime() - posted
+
+        sim = two_ranks(app)
+        facts, tested, waited, many, elapsed = sim.result.exit_values[0]
+        assert facts == (Request, Request.SEND, True, SUCCESS, None, 0.0, 1, 3, 64)
+        assert (tested, waited, many, elapsed) == ((True, None), None, [None, None], 0.0)
+        assert sim.result.exit_values[1] == "hi"
+
+    def test_post_send_leaves_nothing_for_an_eager_send_unless_watched(self):
+        posted = {}
+
+        def app(mpi):
+            yield from mpi.init()
+            if mpi.rank == 0:
+                comm = mpi.comm_world
+                for size in (64, RENDEZVOUS):
+                    posted[size] = mpi.world.post_send(
+                        mpi.vp, comm, comm.context_id * 2, 1, 0, None, size
+                    )
+                yield from mpi.world.wait(mpi.vp, posted[RENDEZVOUS])
+            else:
+                yield from mpi.recv(0)
+                yield from mpi.recv(0)
+
+        two_ranks(app)
+        assert posted[64] is None
+        assert posted[RENDEZVOUS].kind == Request.SEND and posted[RENDEZVOUS].done
+        two_ranks(app, check=True)
+        assert posted[64].done and posted[64].completion_time == posted[64].post_time
+
+    def test_revoked_communicator(self):
+        def app(mpi):
+            yield from mpi.init()
+            mpi.set_errhandler(ERRORS_RETURN)
+            if mpi.rank == 1:
+                return None
+            yield from mpi.comm_revoke()
+            req = yield from mpi.isend(1, nbytes=64)
+            facts = handle_facts(mpi, req)
+            plan = mpi.neighbor_plan([(1, 1, 2, 64), (PROC_NULL, 3, 4, 64)])
+            return facts, (yield from error_of(mpi.wait(req))), (
+                yield from error_of(mpi.neighbor_exchange(plan))
+            )
+
+        sim = two_ranks(app)
+        facts, waited, exchanged = sim.result.exit_values[0]
+        assert facts == (Request, Request.SEND, True, ERR_REVOKED, None, 0.0, 1, 0, 64)
+        assert waited == exchanged == (ERR_REVOKED, None)
+        assert sim.world.messages_sent == 0
+
+    @staticmethod
+    def sender_after_failure(post_clock, nbytes):
+        """Rank 1 dies at ``T_FAIL`` blocked in a receive; rank 0 posts an
+        ``isend`` and then a one-row exchange to it at ``post_clock``."""
+        def app(mpi):
+            yield from mpi.init()
+            mpi.set_errhandler(ERRORS_RETURN)
+            if mpi.rank == 1:
+                return (yield from mpi.recv(0, tag=99))
+            overhead = mpi.world.network.send_overhead
+            yield from mpi.compute(post_clock - overhead)
+            req = yield from mpi.isend(1, nbytes=nbytes)
+            facts = handle_facts(mpi, req)
+            waited = yield from error_of(mpi.wait(req))
+            t_waited = mpi.wtime()
+            plan = mpi.neighbor_plan([(1, 1, 2, nbytes)])
+            exchanged = yield from error_of(mpi.neighbor_exchange(plan))
+            return facts, waited, t_waited, exchanged, mpi.wtime()
+
+        return app
+
+    def test_visibly_failed_peer_fails_at_the_post(self):
+        sim = two_ranks(self.sender_after_failure(1.0, 64), failures=[(1, T_FAIL)])
+        facts, waited, t_waited, exchanged, t_end = sim.result.exit_values[0]
+        assert facts == (Request, Request.SEND, True, ERR_PROC_FAILED, 1, 0.0, 1, 0, 64)
+        assert waited == exchanged == (ERR_PROC_FAILED, 1)
+        # from the failed list: no detection timeout is paid again
+        assert t_waited == pytest.approx(1.0)
+        assert t_end == pytest.approx(1.0 + sim.world.network.send_overhead)
+        assert sim.world.messages_sent == 0
+
+    def test_notification_in_flight_an_eager_send_still_goes_out(self):
+        net = SystemConfig.paper_system(nranks=2).make_network()
+        post = T_FAIL + net.wire_latency(1, 0) / 2  # failed, not yet visible
+        sim = two_ranks(self.sender_after_failure(post, 64), failures=[(1, T_FAIL)])
+        facts, waited, t_waited, exchanged, t_end = sim.result.exit_values[0]
+        assert facts == (Request, Request.SEND, True, SUCCESS, None, 0.0, 1, 0, 64)
+        assert waited is None and t_waited == pytest.approx(post)
+        # one send overhead later the notification has landed: the
+        # exchange's send fails from the list, at its post
+        assert exchanged == (ERR_PROC_FAILED, 1)
+        assert t_end == pytest.approx(post + net.send_overhead)
+        assert sim.world.messages_sent == 1  # the isend's; dropped on arrival
+
+    def test_notification_in_flight_a_rendezvous_send_pays_the_timeout(self):
+        net = SystemConfig.paper_system(nranks=2).make_network()
+        post = T_FAIL + net.wire_latency(1, 0) / 2
+        sim = two_ranks(self.sender_after_failure(post, RENDEZVOUS), failures=[(1, T_FAIL)])
+        facts, waited, t_waited, _exchanged, _t_end = sim.result.exit_values[0]
+        timeout = net.detection_timeout(0, 1)
+        assert facts[:5] == (Request, Request.SEND, True, ERR_PROC_FAILED, 1)
+        assert facts[5] == pytest.approx(timeout)  # completes in the owner's future
+        assert waited == (ERR_PROC_FAILED, 1)
+        assert t_waited == pytest.approx(post + timeout)
+
+    def test_rendezvous_isend_is_pending_until_the_handshake(self):
+        def app(mpi):
+            yield from mpi.init()
+            if mpi.rank == 1:
+                yield from mpi.compute(0.05)
+                return (yield from mpi.recv(0))
+            req = yield from mpi.isend(1, payload="big", nbytes=RENDEZVOUS)
+            before = (req.done, req.waiting)
+            yield from mpi.wait(req)
+            return before, req.done, req.completion_time <= mpi.wtime(), mpi.wtime() > 0.05
+
+        sim = two_ranks(app)
+        assert sim.result.exit_values[0] == ((False, False), True, True, True)
+        assert sim.result.exit_values[1] == "big"
+
+
+# ----------------------------------------------------------------------
+# (c) the plain-function _observed: one span per rank per collective
+# ----------------------------------------------------------------------
+def collective_mix(mpi):
+    yield from mpi.init()
+    yield from mpi.compute(1e-3 * (1 + mpi.rank % 3))
+    yield from mpi.barrier()
+    total = yield from mpi.allreduce(mpi.rank, nbytes=8)
+    word = yield from mpi.bcast("w" if mpi.rank == 0 else None, nbytes=16)
+    yield from mpi.finalize()
+    return total, word
+
+
+#: SHA-256 of ``to_jsonl(observer)`` at the parent commit: (clean run,
+#: rank 5 failing at 0.5 ms — every collective killed by the abort).
+EXPORTS = {
+    "linear": ("af0b66b0330833a992ee374bf6ae4f8235624dccdcadd0a113ffeb5f35aef9c4",
+               "f765035bc2a405d952e43c33a57ee04b36497a7314f063fd9654fcae2a8935ba"),
+    "tree": ("78dd15f3b67639540b02a47daadc9b3982f8a652b181946ac7ba7373e241bffb",
+             "84fd1df8f105483938a8b5bb25d97943bd6a430c4cbc88b58f7bdf13dc769cde"),
+    "analytic": ("c619da45bd9d6fe39c27dc85d6316a90726fd326cde034c99dfaca1ffb680792",
+                 "78d3f7587621d4245fd83319212b745b8e62521bfa83b29fe9c1dbdb1b215255"),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(EXPORTS))
+def test_collective_spans_under_an_observer(algorithm):
+    def observed(failure=None):
+        system = SystemConfig.paper_system(nranks=8, collective_algorithm=algorithm)
+        sim = XSim(system, observe=True)
+        if failure is not None:
+            sim.inject_failure(*failure)
+        return sim, sim.run(collective_mix)
+
+    sim, result = observed()
+    assert result.exit_values[3] == (28, "w")
+    spans = [(e.name, e.rank) for e in sim.observer.sim_events() if e.name.startswith("coll:")]
+    expected = [("coll:barrier", r) for r in range(8)] * 2  # the app's and finalize's
+    expected += [("coll:allreduce", r) for r in range(8)] + [("coll:bcast", r) for r in range(8)]
+    assert sorted(spans) == sorted(expected)  # allreduce's inner bcast has no span of its own
+    clean_sha, aborted_sha = EXPORTS[algorithm]
+    assert hashlib.sha256(to_jsonl(sim.observer).encode()).hexdigest() == clean_sha
+
+    sim, result = observed(failure=(5, 0.0005))
+    assert result.aborted
+    assert not [e for e in sim.observer.sim_events() if e.name.startswith("coll:")]
+    assert hashlib.sha256(to_jsonl(sim.observer).encode()).hexdigest() == aborted_sha
+
+
+# ----------------------------------------------------------------------
+# test() and wait() complete a request through one body
+# ----------------------------------------------------------------------
+class TestTestAndWaitAgree:
+    @staticmethod
+    def ping_pong(use_test):
+        """Rank 0 pings, computes until the pong (or the failure's
+        detection) is in the past, then completes the receive with
+        ``test()`` or with ``wait()``."""
+        def app(mpi):
+            yield from mpi.init()
+            mpi.set_errhandler(ERRORS_RETURN)
+            if mpi.rank == 1:
+                ping = yield from mpi.recv(0, tag=1)
+                yield from mpi.send(0, payload=ping + 1, nbytes=8, tag=2)
+                return None
+            req = mpi.irecv(1, tag=2)
+            yield from mpi.send(1, payload=41, nbytes=8, tag=1)
+            yield from mpi.compute(20.0)
+            try:
+                if use_test:
+                    done, payload = yield from mpi.test(req)
+                else:
+                    done, payload = True, (yield from mpi.wait(req))
+            except MpiError as err:
+                done, payload = "error", (err.code, err.failed_rank)
+            return done, payload, mpi.wtime()
+
+        return app
+
+    @pytest.mark.parametrize("failures, outcome", [
+        ((), (True, 42)),
+        # rank 1 dies holding the ping, before its pong is posted
+        (((1, 0.006),), ("error", (ERR_PROC_FAILED, 1))),
+    ], ids=["success", "proc-failed"])
+    def test_equal_traces_and_clocks(self, failures, outcome):
+        tested = two_ranks(self.ping_pong(use_test=True), failures=failures)
+        waited = two_ranks(self.ping_pong(use_test=False), failures=failures)
+        divergence = waited.event_trace.diff(tested.event_trace)
+        assert divergence is None, divergence.report()
+        assert tested.result.exit_values == waited.result.exit_values
+        assert tested.result.exit_values[0][:2] == outcome
+        assert tested.result.end_times == waited.result.end_times
+        assert tested.engine._seq == waited.engine._seq
+
+    def test_the_receive_overhead_is_the_shared_advance(self):
+        # _finalize_request used to allocate an Advance per call where every
+        # other site yields the world's one instance
+        sim = two_ranks(self.ping_pong(use_test=True))
+        world = sim.world
+        req = Request(Request.RECV, world.states[0].vp, world.world_comm, 2, 1, 0, 2, 0, 0.0)
+        req.complete(0.0)
+        assert list(world._finalize_request(req.vp, req)) == [world.recv_overhead_advance]

@@ -28,6 +28,7 @@ from repro.core.harness.config import SystemConfig
 from repro.core.harness.experiment import result_digest
 from repro.core.redundancy import RedundancyMonitor, redundant
 from repro.core.simulator import XSim
+from repro.mpi.api import MpiApi
 from repro.mpi.constants import ERR_REVOKED, PROC_NULL
 from repro.mpi.errhandler import ERRORS_RETURN, MpiError
 from repro.run import Scenario, run_scenario
@@ -49,26 +50,18 @@ def stencil_rows(rank, dims, face_nbytes):
 def explicit_exchange(mpi, rows, payloads=None, nbytes=None):
     """The reference: what the apps spelled out before ``neighbor_exchange``.
 
-    On the plain facade the send is the overhead ``Advance`` plus
-    ``MpiWorld.post_send`` (no pre-bound wire time); wrapping facades
-    (redundancy) route through their own ``isend``.
+    Every send goes through the facade's own ``isend`` — on the plain
+    facade the overhead ``Advance`` plus ``MpiWorld.post_send`` with no
+    pre-bound wire time, and a real ``Request`` back for ``waitall`` even
+    where ``post_send`` left none (an eager send that completed at the
+    post); wrapping facades (redundancy) add their hash side channel.
     """
-    world = getattr(mpi, "world", None)
     recvs = [mpi.irecv(peer, tag=recv_tag) for peer, _stag, recv_tag, _size in rows]
     sends = []
     for i, (peer, send_tag, _rtag, size) in enumerate(rows):
         payload = None if payloads is None else payloads[i]
         size = nbytes if size is None else size
-        if world is None or peer == PROC_NULL:
-            req = yield from mpi.isend(peer, payload=payload, nbytes=size, tag=send_tag)
-        else:
-            if world.network.send_overhead > 0.0:
-                yield world.send_overhead_advance
-            comm = mpi.comm_world
-            req = world.post_send(
-                mpi.vp, comm, comm.context_id * 2, comm.world_rank(peer), send_tag, payload, size
-            )
-        sends.append(req)
+        sends.append((yield from mpi.isend(peer, payload=payload, nbytes=size, tag=send_tag)))
     yield from mpi.waitall(sends)
     out = []
     for req in recvs:
@@ -252,6 +245,61 @@ class TestEventIdentity:
         assert fused_mon.detections and fused_mon.detections == explicit_mon.detections
 
 
+class TestCollectivePointToPoint:
+    """The collectives' own point-to-point (``_coll_send`` / ``_coll_recv``:
+    no send ``Request`` for an eager message, the done-already receive
+    completed inline) against the spelled-out ``isend`` / ``irecv`` /
+    ``MpiWorld.wait`` sequence, under the same identity as the exchange.
+    The reference runs in the communicator's user context (``isend`` has
+    no other), which no event, sequence number or digest records."""
+
+    @staticmethod
+    def spelled_out_send(mpi, comm, dst, tag, payload, nbytes):
+        req = yield from mpi.isend(dst, payload, nbytes, tag, comm)
+        yield from mpi.world.wait(mpi.vp, req)
+
+    @staticmethod
+    def spelled_out_recv(mpi, comm, src, tag):
+        return (yield from mpi.world.wait(mpi.vp, mpi.irecv(src, tag, comm)))
+
+    @pytest.mark.parametrize("algorithm, nranks, check", [
+        ("linear", 16, False), ("tree", 13, False), ("linear", 9, True), ("tree", 8, True),
+    ])
+    def test_linear_barrier_and_tree_allreduce(self, monkeypatch, algorithm, nranks, check):
+        def app(mpi):
+            yield from mpi.init()
+            seen = []
+            for r in range(3):
+                # skew: some messages are buffered before their receive is
+                # posted (the inline completion), some block (the slow path)
+                yield from mpi.compute(1e-3 * (1 + (mpi.rank * 5 + r) % 4))
+                if algorithm == "linear":
+                    yield from mpi.barrier()
+                    seen.append(mpi.wtime())
+                else:
+                    seen.append((yield from mpi.allreduce(mpi.rank + r, nbytes=8)))
+            yield from mpi.finalize()
+            return seen
+
+        sims = []
+        for spelled_out in (False, True):
+            with monkeypatch.context() as patch:
+                if spelled_out:
+                    patch.setattr(MpiApi, "_coll_send", self.spelled_out_send)
+                    patch.setattr(MpiApi, "_coll_recv", self.spelled_out_recv)
+                system = SystemConfig.paper_system(nranks=nranks, collective_algorithm=algorithm)
+                sim = XSim(system, record_events=True, check=check)
+                sim.result = sim.run(app)
+            sims.append(sim)
+        assert_identical(*sims)
+        assert sims[0].result.completed
+        assert sims[0].world.messages_sent == 4 * 2 * (nranks - 1)  # finalize is the fourth
+        if algorithm == "tree":
+            assert sims[0].result.exit_values[0] == [sum(range(nranks)) + nranks * r for r in range(3)]
+        if check:
+            assert sims[0].checker.checks == sims[1].checker.checks > 0
+
+
 class TestShardedParity:
     def test_serial_vs_two_inline_shards(self):
         def app(mpi, dims, fused):
@@ -273,8 +321,9 @@ class TestShardedParity:
 
 class TestProcNullQuirk:
     def test_receive_from_proc_null_pays_overhead_send_does_not(self):
-        """Known model quirk, pinned: ``_wait_done_locally`` exempts only
-        sends, so a boundary face costs one receive overhead and no send
+        """Known model quirk, pinned: completing a receive pays the receive
+        overhead whoever the peer, posting a send to ``PROC_NULL`` pays
+        nothing, so a boundary face costs one receive overhead and no send
         overhead.  Fixing it moves every heat3d digest — not here."""
         def lonely(mpi):
             yield from mpi.init()

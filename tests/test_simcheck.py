@@ -169,7 +169,7 @@ class TestSanitizerCatchesBugs:
     def test_verify_store_rejects_inconsistent_namespace(self):
         s = CheckpointStore()
         s.begin_write(1, 0, None, 8)
-        s._files[(1, 0)].rank = 5  # corrupt the namespace key/field pairing
+        s._sets[1][0].rank = 5  # corrupt the namespace key/field pairing
         with pytest.raises(InvariantViolation, match="store-namespace"):
             verify_store(s)
 
