@@ -27,13 +27,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Generator
 
-import numpy as np
-
 from repro.apps.heat3d import BlockDecomposed, factor3, halo_exchange, halo_plan, rank_coords
 from repro.core.checkpoint.protocol import resolve_protocol
 from repro.mpi import ops
 from repro.mpi.api import MpiApi
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import np
 
 Gen = Generator[Any, Any, Any]
 

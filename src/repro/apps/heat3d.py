@@ -34,12 +34,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Generator, Sequence
 
-import numpy as np
-
 from repro.core.checkpoint.protocol import resolve_protocol
 from repro.mpi.api import MpiApi
 from repro.mpi.constants import PROC_NULL
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import np
 
 Gen = Generator[Any, Any, Any]
 

@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator
 
-import numpy as np
-
 from repro.mpi.api import MpiApi
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import np
 
 Gen = Generator[Any, Any, Any]
 

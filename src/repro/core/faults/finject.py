@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.models.memory import MemoryTracker, RegionKind
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import np
 from repro.util.rng import RngStreams
 from repro.util.stats import SummaryStats, summarize
 

@@ -20,14 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
-import numpy as np
-
 from repro.core.faults.reliability import (
     ExponentialReliability,
     MttfInjectionPolicy,
     WeibullReliability,
 )
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import np
 
 
 class InjectionPolicy(Protocol):

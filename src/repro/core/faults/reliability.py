@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import np
 
 
 @dataclass(frozen=True)

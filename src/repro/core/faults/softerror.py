@@ -24,11 +24,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.models.memory import FlipRecord, MemoryTracker, RegionKind
 from repro.pdes.engine import Engine
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import np
 
 
 class Effect(enum.Enum):

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.simulator import XSim
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import np
 from repro.util.rng import RngStreams
 
 

@@ -35,13 +35,12 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Generator
 
-import numpy as np
-
 from repro.mpi import ops
 from repro.mpi.api import MpiApi
 from repro.mpi.constants import ANY_SOURCE, PROC_NULL
 from repro.mpi.messages import Request
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import is_array, np
 
 Gen = Generator[Any, Any, Any]
 
@@ -64,7 +63,7 @@ def payload_hash(payload: Any) -> int:
     """
     if payload is None:
         return 0
-    if isinstance(payload, np.ndarray):
+    if is_array(payload):
         return zlib.crc32(np.ascontiguousarray(payload).tobytes())
     return zlib.crc32(repr(payload).encode("utf-8"))
 

@@ -25,9 +25,8 @@ Usage::
 
 from __future__ import annotations
 
+import gc
 from typing import IO, TYPE_CHECKING, Any
-
-import numpy as np
 
 from repro.check.sanitizer import Sanitizer
 from repro.check.trace import EventTrace
@@ -243,12 +242,22 @@ class XSim:
             raise SimulationError("XSim instances are single-shot; create a new one")
         self._ran = True
         nranks = nranks if nranks is not None else self.system.nranks
-        self.world.launch(app, nranks, args)
-        self._armed_failures = list(self._pending_failures)
-        for rank, time in self._pending_failures:
-            self.engine.schedule_failure(rank, time)
-        self._pending_failures.clear()
-        return self.backend.run_engine(self, app, args, nranks)
+        # One collector pause from launch to the last event: launch builds
+        # ~14 tracked objects a rank that the run keeps, and collections
+        # over a heap that only grows get longer as it does (the engine's
+        # own pause, see :meth:`Engine.run`, starts one call too late).
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.world.launch(app, nranks, args)
+            self._armed_failures = list(self._pending_failures)
+            for rank, time in self._pending_failures:
+                self.engine.schedule_failure(rank, time)
+            self._pending_failures.clear()
+            return self.backend.run_engine(self, app, args, nranks)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
     # ------------------------------------------------------------------
     # architecture self-description (Figure 1 reproduction)

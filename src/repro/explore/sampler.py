@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.core.faults.schedule import (
     CorrelatedFailure,
     LinkDegradeFault,
@@ -45,6 +43,7 @@ from repro.core.faults.schedule import (
 from repro.explore.spec import ExploreSpec
 from repro.run.sweep import run_cells
 from repro.util.errors import SimulationError
+from repro.util.lazy import np
 
 # ----------------------------------------------------------------------
 # confidence-interval machinery

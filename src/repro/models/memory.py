@@ -19,9 +19,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import np
 
 
 class RegionKind(enum.Enum):

@@ -158,28 +158,26 @@ class NetworkModel:
     def __delattr__(self, name: str) -> None:
         raise AttributeError("NetworkModel is immutable")
 
-    #: Cost methods shadowed by per-instance LRU caches, with the least
-    #: size of each; a machine of more than ``floor / 8`` ranks gets
-    #: ``8 * max_ranks()`` entries — a 3-D halo binds six pairs per rank
-    #: and a linear collective's root fan-in and fan-out two more, so one
-    #: run's working set always fits and the next segment's lookups hit.
+    #: The pure cost methods, memoised per instance on a machine of at
+    #: most ``_MEMO_RANKS`` ranks.  A run binds about eight pairs a rank
+    #: (six 3-D halo faces, a linear collective's root fan-in and
+    #: fan-out) and walks them cyclically: up to here they and their few
+    #: message sizes fit one LRU with room and nearly every lookup hits;
+    #: far above, an LRU smaller than the run never hits and one as large
+    #: costs more to hold (~170 B a pair) and to miss in than to compute.
     _CACHED_METHODS = (
-        ("tier", 1 << 17),
-        ("hops", 1 << 17),
-        ("wire_latency", 1 << 17),
-        ("transfer_time", 1 << 16),
-        ("serialization_time", 1 << 16),
-        ("detection_timeout", 1 << 16),
+        "tier", "hops", "wire_latency", "transfer_time", "serialization_time",
+        "detection_timeout",
     )
+    _MEMO_RANKS = 512
 
     def _install_caches(self) -> None:
-        """Shadow the pure cost methods with per-instance LRU caches.
+        """Shadow the pure cost methods with per-instance LRU caches on a
+        machine of at most ``_MEMO_RANKS`` ranks; a larger one computes.
 
         The cost inputs (topology, tier parameters, placement, congestion)
         cannot change after construction, so every cost method is a pure
-        function of its rank/size arguments; the torus hop computation and
-        the tier dispatch dominate the simulated MPI layer's per-message
-        cost otherwise.
+        function of its rank/size arguments.
 
         Each cache binds the *class* function to a cycle-free snapshot of
         the model's state, never to ``self``: a ``lru_cache`` around the
@@ -191,12 +189,13 @@ class NetworkModel:
         objects) holds no reference back to the instance, so a model
         nothing borrows any more frees by reference count alone.
         """
+        if self.max_ranks() > self._MEMO_RANKS:
+            return
         state = copy.copy(self)
         cls = type(self)
-        working_set = 8 * self.max_ranks()
         vars(self).update(
-            (name, lru_cache(maxsize=max(floor, working_set))(partial(getattr(cls, name), state)))
-            for name, floor in self._CACHED_METHODS
+            (name, lru_cache(maxsize=1 << 16)(partial(getattr(cls, name), state)))
+            for name in self._CACHED_METHODS
         )
 
     # ------------------------------------------------------------------
@@ -239,30 +238,39 @@ class NetworkModel:
             return 0
         return self.topology.hops(a, b)
 
-    def _route(self, src: int, dst: int) -> tuple[TierParams, float]:
-        """Tier parameters and end-to-end latency of ``src -> dst``: the
-        tier is resolved once (same rule as :meth:`tier`) and the hop
-        count only on the system tier."""
-        rpn = self.ranks_per_node
-        a = src // rpn
-        b = dst // rpn
-        if a != b:
-            p = self.system
-            return p, p.latency * max(1, self.topology.hops(a, b))
-        rpc = self.ranks_per_chip
-        p = self.on_chip if src // rpc == dst // rpc else self.on_node
-        return p, p.latency
-
     def wire_latency(self, src: int, dst: int) -> float:
         """End-to-end latency of a minimal (zero-payload) packet."""
-        return self._route(src, dst)[1]
+        return self.transfer_time(0, src, dst)
 
     def transfer_time(self, nbytes: int, src: int, dst: int) -> float:
         """Wire time of a ``nbytes`` payload from ``src`` to ``dst``
-        (latency plus serialization, excluding CPU software overheads)."""
+        (latency plus serialization, excluding CPU software overheads).
+
+        One frame per lookup — the tier rule of :meth:`tier` and the grid
+        hop count of ``_GridTopology.hops`` are repeated here — because
+        on a machine too large to memoise this *is* the per-message path.
+        """
         if nbytes < 0:
             raise ConfigurationError(f"message size must be >= 0, got {nbytes}")
-        p, latency = self._route(src, dst)
+        rpn = self.ranks_per_node
+        a = src // rpn
+        b = dst // rpn
+        if a == b:
+            rpc = self.ranks_per_chip
+            p = self.on_chip if src // rpc == dst // rpc else self.on_node
+            latency = p.latency
+        else:
+            p = self.system
+            topology = self.topology
+            n = topology.nnodes
+            if topology.axes is not None and 0 <= a < n and 0 <= b < n:
+                hops = 0
+                for coord, ring in topology.axes:
+                    d = abs(coord[a] - coord[b])
+                    hops += ring - d if ring - d < d else d
+            else:  # another interconnect, or a node off the machine (raises)
+                hops = topology.hops(a, b)
+            latency = p.latency * max(1, hops)
         return latency + self.congestion_factor * nbytes / p.bandwidth
 
     def serialization_time(self, nbytes: int, src: int, dst: int) -> float:

@@ -23,6 +23,8 @@ class Topology:
 
     #: Number of compute nodes.
     nnodes: int
+    #: Coordinate tables of a grid (``_GridTopology``); ``None`` elsewhere.
+    axes: tuple[tuple[tuple[int, ...], int], ...] | None = None
 
     def hops(self, a: int, b: int) -> int:
         """Link hops on a minimal route from node ``a`` to node ``b``.
@@ -61,8 +63,15 @@ class _GridTopology(Topology):
             strides.append(acc)
             acc *= d
         self._strides = tuple(reversed(strides))
-        #: (stride, dim) per axis — the per-pair hop loop's only input.
-        self._axes = tuple(zip(self._strides, self.dims))
+        #: Per axis ``(coordinate of every node, ring length)`` — all a hop
+        #: count reads (:meth:`hops`, ``NetworkModel.transfer_time``).  The
+        #: ring is the axis length on a torus and twice it on a mesh, where
+        #: going round (``ring - d``) is therefore never the shorter way.
+        self.axes = tuple(
+            (tuple((node // stride) % dim for node in range(self.nnodes)),
+             dim if wrap else 2 * dim)
+            for stride, dim in zip(self._strides, dims)
+        )
 
     def coords(self, node: int) -> tuple[int, ...]:
         """Grid coordinates of ``node`` (row-major layout)."""
@@ -93,13 +102,10 @@ class _GridTopology(Topology):
             self._check(b)
         if a == b:
             return 0
-        wrap = self.wrap
         total = 0
-        for stride, dim in self._axes:
-            d = abs((a // stride) % dim - (b // stride) % dim)
-            if wrap and dim - d < d:
-                d = dim - d  # the shorter way round the ring
-            total += d
+        for coord, ring in self.axes:
+            d = abs(coord[a] - coord[b])
+            total += ring - d if ring - d < d else d  # the shorter way round
         return total
 
     def neighbors(self, node: int) -> list[int]:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.util.errors import ConfigurationError
+from repro.util.lazy import is_array, np
 
 
 @dataclass(frozen=True)
@@ -21,11 +20,17 @@ class Datatype:
 
     name: str
     size: int
-    numpy: np.dtype | None = None
+    #: numpy dtype code of an element (``"f8"``), see :attr:`numpy`.
+    code: str | None = None
 
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ConfigurationError(f"datatype {self.name} must have size > 0")
+
+    @property
+    def numpy(self) -> np.dtype | None:
+        """The element's numpy dtype (numpy loads on this first read)."""
+        return None if self.code is None else np.dtype(self.code)
 
     def extent(self, count: int) -> int:
         """Bytes occupied by ``count`` elements."""
@@ -34,12 +39,12 @@ class Datatype:
         return count * self.size
 
 
-BYTE = Datatype("MPI_BYTE", 1, np.dtype(np.uint8))
-CHAR = Datatype("MPI_CHAR", 1, np.dtype(np.int8))
-INT = Datatype("MPI_INT", 4, np.dtype(np.int32))
-LONG = Datatype("MPI_LONG", 8, np.dtype(np.int64))
-FLOAT = Datatype("MPI_FLOAT", 4, np.dtype(np.float32))
-DOUBLE = Datatype("MPI_DOUBLE", 8, np.dtype(np.float64))
+BYTE = Datatype("MPI_BYTE", 1, "u1")
+CHAR = Datatype("MPI_CHAR", 1, "i1")
+INT = Datatype("MPI_INT", 4, "i4")
+LONG = Datatype("MPI_LONG", 8, "i8")
+FLOAT = Datatype("MPI_FLOAT", 4, "f4")
+DOUBLE = Datatype("MPI_DOUBLE", 8, "f8")
 
 
 def payload_nbytes(payload: object, nbytes: int | None) -> int:
@@ -55,7 +60,7 @@ def payload_nbytes(payload: object, nbytes: int | None) -> int:
         return int(nbytes)
     if payload is None:
         return 0
-    if isinstance(payload, np.ndarray):
+    if is_array(payload):
         return int(payload.nbytes)
     if isinstance(payload, (bytes, bytearray, memoryview)):
         return len(payload)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-import numpy as np
+from repro.util.lazy import is_array, np
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class Op:
 
 SUM = Op("MPI_SUM", lambda a, b: a + b)
 PROD = Op("MPI_PROD", lambda a, b: a * b)
-MIN = Op("MPI_MIN", lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b))
-MAX = Op("MPI_MAX", lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b))
+MIN = Op("MPI_MIN", lambda a, b: np.minimum(a, b) if is_array(a) else min(a, b))
+MAX = Op("MPI_MAX", lambda a, b: np.maximum(a, b) if is_array(a) else max(a, b))
 LAND = Op("MPI_LAND", lambda a, b: bool(a) and bool(b))
 LOR = Op("MPI_LOR", lambda a, b: bool(a) or bool(b))
 BAND = Op("MPI_BAND", lambda a, b: a & b)

@@ -40,8 +40,6 @@ import math
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
-import numpy as np
-
 from repro.models.filesystem import FileSystemModel
 from repro.models.memory import MemoryTracker
 from repro.models.network.model import NetworkModel
@@ -55,6 +53,7 @@ from repro.pdes.context import VirtualProcess, VpState
 from repro.pdes.engine import Engine
 from repro.pdes.requests import Advance, Block
 from repro.util.errors import ConfigurationError, SimulationError
+from repro.util.lazy import is_array
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.mpi.api import MpiApi
@@ -346,7 +345,7 @@ class MpiWorld:
             self.trace.record_post(
                 seq, clock, src, dst, ctx, tag, nbytes, "eager" if eager else "rendezvous"
             )
-        if isinstance(payload, np.ndarray):
+        if payload is not None and is_array(payload):
             payload = payload.copy()  # eager/rendezvous buffering semantics
         if eager:
             msg = Msg(ctx, src, dst, tag, nbytes, payload, seq, EAGER)

@@ -96,8 +96,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.core.checkpoint.store import CheckpointStore
 from repro.mpi.communicator import Communicator
 
@@ -137,6 +135,7 @@ from repro.util.errors import (
     ShardedParityError,
     SimulationError,
 )
+from repro.util.lazy import is_array
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.simulator import XSim
@@ -733,7 +732,7 @@ class ShardedMpiWorld(MpiWorld):
         self._msg_seq += 1
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        if isinstance(payload, np.ndarray):
+        if payload is not None and is_array(payload):
             payload = payload.copy()  # eager/rendezvous buffering semantics
         # Shard-local sequence: (post time, source, per-source counter)
         # orders identically to the serial global counter wherever ordering

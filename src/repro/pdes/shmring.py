@@ -16,7 +16,13 @@ Ring layout
 written and ``tail`` bytes ever read (both monotonic, taken modulo the data
 capacity for positions).  Exactly one process stores each counter, so a
 stale read is always *conservative* (the reader sees at most what was
-written, the writer at least what was consumed).  Records are u32
+written, the writer at least what was consumed) — provided a store is one
+8-byte copy.  Packing into the buffer with :mod:`struct` is not: CPython
+zero-fills the field before it packs, and the other process can read that
+0 (a reader then sees ``avail < 0``, a writer ``free > capacity`` — the
+ring's former "torn counter").  The counters are therefore native u64
+*items* of a ``"Q"`` memoryview over the header: an item store copies the
+value once, after the payload bytes it publishes.  Records are u32
 length-prefixed and may exceed the capacity: both sides stream chunks as
 space frees, which cannot deadlock because the coordinator/worker protocol
 always announces the record count on the pipe *before* either side touches
@@ -43,10 +49,9 @@ import time
 from multiprocessing import shared_memory
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.mpi.messages import EAGER, RTS
 from repro.util.errors import ConfigurationError, SimulationError
+from repro.util.lazy import np
 
 __all__ = [
     "RingPeerDead",
@@ -60,7 +65,6 @@ class RingPeerDead(SimulationError):
     """The process on the other end of a ring stopped making progress."""
 
 
-_CTRL = struct.Struct("<Q")
 _LEN = struct.Struct("<I")
 #: Bytes reserved for the head/tail counters at the start of the segment.
 HEADER_BYTES = 16
@@ -82,16 +86,8 @@ class ShmRing:
             raise ConfigurationError(f"ring capacity must be >= 64, got {capacity}")
         self.capacity = capacity
         self._shm = shared_memory.SharedMemory(create=True, size=HEADER_BYTES + capacity)
-        buf = self._shm.buf
-        _CTRL.pack_into(buf, 0, 0)
-        _CTRL.pack_into(buf, 8, 0)
-
-    # -- counters (one writer each; stale reads are conservative) -------
-    def _head(self) -> int:
-        return _CTRL.unpack_from(self._shm.buf, 0)[0]
-
-    def _tail(self) -> int:
-        return _CTRL.unpack_from(self._shm.buf, 8)[0]
+        #: ``[head, tail]``, one writer each (a fresh segment is zeroed).
+        self._ctr = self._shm.buf[:HEADER_BYTES].cast("Q")
 
     def _wait(self, spins: int, alive: Callable[[], bool] | None) -> int:
         if spins >= _SPINS:
@@ -107,11 +103,12 @@ class ShmRing:
         data = _LEN.pack(len(payload)) + payload
         cap = self.capacity
         buf = self._shm.buf
-        head = self._head()
+        ctr = self._ctr
+        head = ctr[0]
         off = 0
         spins = 0
         while off < len(data):
-            free = cap - (head - self._tail())
+            free = cap - (head - ctr[1])
             if free == 0:
                 spins = self._wait(spins, alive)
                 continue
@@ -120,7 +117,7 @@ class ShmRing:
             n = min(len(data) - off, free, cap - pos)
             buf[HEADER_BYTES + pos : HEADER_BYTES + pos + n] = data[off : off + n]
             head += n
-            _CTRL.pack_into(buf, 0, head)
+            ctr[0] = head
             off += n
 
     # -- consumer -------------------------------------------------------
@@ -133,11 +130,12 @@ class ShmRing:
         out = bytearray(n)
         cap = self.capacity
         buf = self._shm.buf
-        tail = self._tail()
+        ctr = self._ctr
+        tail = ctr[1]
         got = 0
         spins = 0
         while got < n:
-            avail = self._head() - tail
+            avail = ctr[0] - tail
             if avail == 0:
                 spins = self._wait(spins, alive)
                 continue
@@ -146,13 +144,14 @@ class ShmRing:
             take = min(n - got, avail, cap - pos)
             out[got : got + take] = buf[HEADER_BYTES + pos : HEADER_BYTES + pos + take]
             tail += take
-            _CTRL.pack_into(buf, 8, tail)
+            ctr[1] = tail
             got += take
         return out
 
     # -- lifecycle ------------------------------------------------------
     def destroy(self) -> None:
         """Close the mapping and unlink the segment (creator side)."""
+        self._ctr.release()  # an exported view would refuse the close
         try:
             self._shm.close()
         except Exception:

@@ -3,7 +3,7 @@
 
 The import graph has three layers (``docs/INTERNALS.md``, "Import
 layers"): a light one that imports nothing but the standard library, the
-simulator runtime, and the tools.  Two mechanisms keep a process from
+simulator runtime, and the tools.  Three mechanisms keep a process from
 paying for a layer it never reaches:
 
 * a package ``__init__`` lists its public names in a ``name -> module``
@@ -12,13 +12,41 @@ paying for a layer it never reaches:
   merely because ``repro.core`` also exports ``XSim``;
 * a registry that must be enumerable without its implementations (CLI
   ``choices``, scenario validation) is a static ``name -> "module:attr"``
-  table, and :func:`load` imports one entry when it is first needed.
+  table, and :func:`load` imports one entry when it is first needed;
+* numpy is the handle :data:`np`, imported when an array or a random
+  stream is first built — a size-only run builds neither — and
+  :func:`is_array` answers without it.
 """
 
 from __future__ import annotations
 
+import sys
 from importlib import import_module
 from typing import Any, Callable
+
+
+class _Deferred:
+    """A module imported when one of its attributes is first read (each
+    attribute once: it is then the handle's own)."""
+
+    def __init__(self, module: str):
+        self._module = module
+
+    def __getattr__(self, name: str) -> Any:
+        value = getattr(import_module(self._module), name)
+        vars(self)[name] = value
+        return value
+
+
+#: ``from repro.util.lazy import np`` in place of ``import numpy as np``.
+np: Any = _Deferred("numpy")
+
+
+def is_array(obj: object) -> bool:
+    """``isinstance(obj, numpy.ndarray)`` — false without importing numpy
+    in an interpreter that never did (it holds no arrays)."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(obj, numpy.ndarray)
 
 
 def load(target: str) -> Any:

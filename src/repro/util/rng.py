@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import zlib
 
-import numpy as np
+from repro.util.lazy import np
 
 
 class RngStreams:

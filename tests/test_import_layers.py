@@ -207,6 +207,105 @@ class TestRuns:
         assert loaded(mods, ("repro.pdes.sharded",)) == ["repro.pdes.sharded"]
 
 
+def in_fresh_interpreter(code: str) -> dict:
+    """The JSON value ``code`` prints last, run with a clean environment
+    (``XSIM_CHECK`` stays: the sanitized CI subset runs these too)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("XSIM_") or k == "XSIM_CHECK"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**env, "PYTHONPATH": SRC},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestNumpyLoadsWithItsObjects:
+    """numpy is a layer a *run* reaches (INTERNALS section 17): loaded
+    when an array or a random stream is first built, never by a
+    size-only, fault-free simulation — 16 MB and 0.1 s a process."""
+
+    _PRELUDE = (
+        "import json, sys\n"
+        "from repro.run import Scenario, run_scenario\n"
+        "from repro.util.lazy import is_array\n"
+        "loaded = lambda: 'numpy' in sys.modules\n"
+    )
+
+    def test_size_only_runs_never_load_it(self):
+        got = in_fresh_interpreter(
+            self._PRELUDE
+            + "out = {'is_array': [is_array([1.0]), is_array(b'\\0' * 8), is_array(None)]}\n"
+            "for app in ('heat3d', 'cg', 'stencil2d', 'amr'):\n"
+            "    run_scenario(Scenario(app=app, ranks=64, iterations=40, interval=20), cache=False)\n"
+            "    out[app] = loaded()\n"
+            "run_scenario(Scenario(ranks=64, iterations=40, interval=20, shards=2,\n"
+            "                      shard_transport='inline'), cache=False)\n"
+            "out['inline shards'] = loaded()\n"
+            "print(json.dumps(out))"
+        )
+        assert got == {
+            "is_array": [False, False, False], "heat3d": False, "cg": False,
+            "stencil2d": False, "amr": False, "inline shards": False,
+        }
+
+    def test_cli_app_run_never_loads_it(self):
+        rc, out, _, mods = xsim("app", "--app", "heat3d", "--ranks", "64", "--no-cache")
+        assert rc == 0 and "E1=" in out
+        assert loaded(mods, ("repro.pdes.engine", "repro.mpi.world")) != []
+        assert loaded(mods, ("numpy",)) == []
+
+    def test_real_data_loads_it_and_computes_what_it_computed(self):
+        got = in_fresh_interpreter(
+            self._PRELUDE
+            + "from repro.apps.heat3d import HeatConfig, heat3d\n"
+            "from repro.core.harness.config import SystemConfig\n"
+            "from repro.core.harness.digest import result_digest\n"
+            "from repro.core.simulator import XSim\n"
+            "cfg = HeatConfig(grid=(8, 8, 8), ranks=(2, 2, 2), iterations=6,\n"
+            "                 checkpoint_interval=3, exchange_interval=1, data_mode='real')\n"
+            "sim = XSim(SystemConfig.small_test_system(nranks=8))\n"
+            "before = loaded()\n"
+            "res = sim.run(heat3d, args=(cfg, None))\n"
+            "total = sum(s.checksum for s in res.exit_values.values())\n"
+            "import numpy\n"
+            "print(json.dumps([before, loaded(), result_digest(res), total.hex(),\n"
+            "                  is_array(numpy.array(2.5)), is_array([2.5])]))"
+        )
+        assert got == [
+            False, True,
+            "88b11730d81119501b9a73381d011814dceba5601e1815206f2ce30c37f986b2",
+            "0x1.c92a8e772ba17p+6", True, False,
+        ]
+
+    def test_a_failure_draw_loads_it_and_draws_what_it_drew(self):
+        got = in_fresh_interpreter(
+            self._PRELUDE
+            + "scenario = Scenario(ranks=64, mttf=3000.0, interval=250, seed=1)\n"
+            "before = loaded()\n"
+            "summary = run_scenario(scenario, cache=False).summary()\n"
+            "print(json.dumps([before, loaded(), summary['result_digest'],\n"
+            "                  summary['failures'], summary['e2'].hex()]))"
+        )
+        assert got == [
+            False, True,
+            "5f8eec33f8ee52d7afc1ea2beeae5e004d97edd47fbffce53487b9bda46eec4a",
+            1, (6555.399207999898).hex(),
+        ]
+
+    def test_a_bit_flip_loads_it(self):
+        got = in_fresh_interpreter(
+            self._PRELUDE
+            + "from repro.models.memory import MemoryTracker, RegionKind\n"
+            "from repro.util.rng import RngStreams\n"
+            "memory = MemoryTracker()\n"
+            "memory.allocate(0, 'grid', 4096, RegionKind.DATA)\n"
+            "streams = RngStreams(7)\n"
+            "before = loaded()\n"
+            "flip = memory.flip_random_bit(0, streams.get('soft-errors'))\n"
+            "print(json.dumps([before, loaded(), flip.region]))"
+        )
+        assert got == [False, True, "grid"]
+
+
 class TestOneErrorHandler:
     """Every ConfigurationError leaves through ``main()``: one line, exit 2."""
 

@@ -1,9 +1,17 @@
 """Communication cost model (repro.models.network.model)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.models.network.model import NetworkModel, NetworkTier, TierParams
-from repro.models.network.topology import CrossbarTopology, TorusTopology
+from repro.models.network.topology import (
+    CrossbarTopology,
+    FatTreeTopology,
+    MeshTopology,
+    StarTopology,
+    TorusTopology,
+)
 from repro.util.errors import ConfigurationError
 
 
@@ -192,9 +200,12 @@ class TestPerInstanceCaches:
         assert not hasattr(net, "invalidate_caches")
         assert net.transfer_time(1 << 20, 0, 1) == before
 
-    def test_route_caches_hold_one_run_of_the_paper_machine(self):
+    def test_paper_machine_computes_and_holds_no_pair(self):
         # 32,768 ranks bind 196,608 halo pairs and a linear barrier's
-        # root fans 65,534 more: a second pass must find them all.
+        # root fans 65,534 more, each used once or thrice a segment: a
+        # memo of them costs more to hold and to miss in than the
+        # arithmetic, so the machine gets none and two passes leave
+        # nothing behind.
         net = NetworkModel(TorusTopology((32, 32, 32)))
         n = net.max_ranks()
         pairs = []
@@ -208,23 +219,111 @@ class TestPerInstanceCaches:
         )
         pairs += [(0, r) for r in range(1, n)] + [(r, 0) for r in range(1, n)]
         assert len(pairs) == 262_142
-        distinct = len(set(pairs))
+        before = dict(vars(net))
         for _ in range(2):
             for a, b in pairs:
-                net.transfer_time(4096, a, b)
-        info = net.transfer_time.cache_info()
-        assert info.misses == distinct and info.hits >= len(pairs)
-        for cached in (net.serialization_time, net.detection_timeout):
-            assert cached.cache_info().maxsize == info.maxsize >= len(pairs)
+                assert net.transfer_time(4096, a, b) == parent_transfer_time(net, 4096, a, b)
+        assert vars(net) == before and not set(before) & set(NetworkModel._CACHED_METHODS)
+        assert net.transfer_time.__func__ is NetworkModel.transfer_time
 
-    def test_small_machines_keep_the_floor_sizes(self):
-        net = NetworkModel(TorusTopology((20, 20, 20)))
-        assert net.transfer_time.cache_info().maxsize == 1 << 16
-        assert net.hops.cache_info().maxsize == 1 << 17
+    def test_machines_up_to_512_ranks_memoise(self):
+        net = NetworkModel(TorusTopology((8, 8, 8)))
+        pairs = [(r, nb) for r in range(512) for nb in net.topology.neighbors(r)]
+        pairs += [(0, r) for r in range(1, 512)] + [(r, 0) for r in range(1, 512)]
+        for _ in range(2):
+            for a, b in pairs:
+                assert net.transfer_time(4096, a, b) == parent_transfer_time(net, 4096, a, b)
+        info = net.transfer_time.cache_info()
+        assert info.hits >= len(pairs) and info.currsize == info.misses == len(set(pairs))
+        # one bound for every method, and the next cube up is past it
+        assert all(hasattr(getattr(net, m), "cache_info") for m in NetworkModel._CACHED_METHODS)
+        assert not set(vars(NetworkModel(TorusTopology((9, 9, 9))))) & set(NetworkModel._CACHED_METHODS)
 
     def test_cache_info_available(self):
-        net = paper_net()
+        net = NetworkModel(TorusTopology((8, 8, 8)))
         net.tier(0, 1)
         net.tier(0, 1)
         info = net.tier.cache_info()
         assert info.hits >= 1 and info.misses >= 1
+
+
+# ----------------------------------------------------------------------
+# The costs are the ones the per-pair memo used to store: the formulas of
+# the commit before the coordinate tables, kept here as the reference.
+# ----------------------------------------------------------------------
+def parent_grid_hops(dims, wrap, a, b):
+    total, stride = 0, 1
+    for dim in reversed(dims):
+        d = abs((a // stride) % dim - (b // stride) % dim)
+        if wrap and dim - d < d:
+            d = dim - d
+        total += d
+        stride *= dim
+    return total
+
+
+def parent_route(net, src, dst):
+    a, b = src // net.ranks_per_node, dst // net.ranks_per_node
+    if a != b:
+        p = net.system
+        return p, p.latency * max(1, net.topology.hops(a, b))
+    rpc = net.ranks_per_chip
+    p = net.on_chip if src // rpc == dst // rpc else net.on_node
+    return p, p.latency
+
+
+def parent_transfer_time(net, nbytes, src, dst):
+    p, latency = parent_route(net, src, dst)
+    return latency + net.congestion_factor * nbytes / p.bandwidth
+
+
+grid_dims = st.lists(st.integers(1, 7), min_size=1, max_size=4).map(tuple)
+topologies = st.one_of(
+    grid_dims.map(TorusTopology),
+    grid_dims.map(MeshTopology),
+    st.builds(FatTreeTopology, arity=st.integers(2, 5), levels=st.integers(1, 4)),
+    st.integers(1, 700).map(StarTopology),
+)
+
+
+class TestCostsAreTheParents:
+    @given(dims=grid_dims, wrap=st.booleans(), data=st.data())
+    def test_table_driven_hops(self, dims, wrap, data):
+        topology = TorusTopology(dims) if wrap else MeshTopology(dims)
+        node = st.integers(0, topology.nnodes - 1)
+        a, b = data.draw(node), data.draw(node)
+        assert topology.hops(a, b) == parent_grid_hops(dims, wrap, a, b)
+        assert topology.hops(a, b) == topology.hops(b, a) <= topology.diameter()
+
+    @given(
+        topology=topologies,
+        placement=st.sampled_from([(1, 1), (4, 1), (4, 2)]),
+        congestion=st.sampled_from([1.0, 1.5, 2.75]),
+        nbytes=st.integers(0, 10**9),
+        data=st.data(),
+    )
+    def test_costs_bit_for_bit(self, topology, placement, congestion, nbytes, data):
+        """Memoised (up to 512 ranks) or computed, on the instance or
+        through the class function: the same floats, ``==``."""
+        net = NetworkModel(
+            topology, ranks_per_node=placement[0], chips_per_node=placement[1],
+            congestion_factor=congestion, latency="1.3us", bandwidth="7GB/s",
+        )
+        rank = st.integers(0, net.max_ranks() - 1)
+        src, dst = data.draw(rank), data.draw(rank)
+        p, latency = parent_route(net, src, dst)
+        expected = {
+            "transfer_time": (latency + congestion * nbytes / p.bandwidth, (nbytes, src, dst)),
+            "wire_latency": (latency, (src, dst)),
+            "serialization_time": (congestion * nbytes / p.bandwidth, (nbytes, src, dst)),
+            "detection_timeout": (p.detection_timeout, (src, dst)),
+        }
+        for name, (value, args) in expected.items():
+            assert getattr(net, name)(*args) == value, name
+            assert getattr(NetworkModel, name)(net, *args) == value, name
+
+    def test_a_node_off_the_machine_is_refused_not_wrapped(self):
+        net = NetworkModel(TorusTopology((9, 9, 9)))  # computed: tables indexed directly
+        for src, dst in ((0, 729), (0, -1), (-3, 5)):
+            with pytest.raises(ConfigurationError, match="outside topology"):
+                net.transfer_time(8, src, dst)

@@ -293,6 +293,51 @@ class TestShmRing:
         finally:
             ring.destroy()
 
+    @fork_required
+    def test_two_processes_never_read_a_half_written_counter(self):
+        """A forked writer streams 100,000 records through a 4 KiB ring
+        while this process checks every one.  A counter stored by
+        packing into the header reads as 0 for an instant (CPython
+        zero-fills the field first): the reader then takes a negative
+        count, the writer a slice wider than the ring."""
+        records = 100_000
+        record = lambda i: bytes([i % 251]) * (1 + i * 7919 % 300)  # noqa: E731
+        ring = ShmRing(capacity=4096)
+
+        def writer():
+            for i in range(records):
+                ring.write(record(i))
+
+        proc = mp.get_context("fork").Process(target=writer)
+        proc.start()
+        try:
+            for i in range(records):
+                assert ring.read(alive=proc.is_alive) == record(i), i
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+        finally:
+            proc.kill()
+            proc.join()
+            ring.destroy()
+
+    @fork_required
+    @pytest.mark.parametrize("attempt", range(5))
+    def test_ledger_canary_completes_with_the_serial_digest(self, attempt):
+        """The scenario the ledger counts ``pdes.shmring.canary_fail_share``
+        on: linear collectives at 1,728 ranks push enough envelopes
+        through the rings that the packed counters died in 7 runs of 8."""
+        from repro.run import Scenario, run_scenario
+
+        before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+        scenario = Scenario(ranks=12**3, iterations=1000, interval=500, collectives="linear",
+                            shards=2, shard_transport="shm")
+        outcome = run_scenario(scenario, cache=False)
+        assert outcome.summary()["result_digest"].startswith("80cfdd5c11853f8c")
+        assert outcome.metadata["shard_transport"] == "shm"
+        assert not outcome.metadata.get("transport_fallback")
+        if os.path.isdir("/dev/shm"):
+            assert set(os.listdir("/dev/shm")) <= before
+
     PAYLOADS = [
         None,
         True,

@@ -1,11 +1,14 @@
 """XSim facade, SystemConfig builders, and the simlog."""
 
+import gc
 import io
+import types
 
 import pytest
 
 from repro.core.faults.schedule import ENV_VAR, FailureSchedule
 from repro.core.harness.config import SystemConfig, balanced_dims
+from repro.core import simulator
 from repro.core.simulator import XSim
 from repro.models.network.topology import (
     CrossbarTopology,
@@ -14,7 +17,7 @@ from repro.models.network.topology import (
     StarTopology,
     TorusTopology,
 )
-from repro.util.errors import ConfigurationError, SimulationError
+from repro.util.errors import ConfigurationError, DeadlockError, SimulationError
 from repro.util.simlog import LogEntry, SimLog
 
 
@@ -137,6 +140,80 @@ class TestXSim:
         sim = XSim(SystemConfig.small_test_system(nranks=1), start_time=500.0)
         result = sim.run(trivial_app)
         assert result.exit_time == pytest.approx(501.0)
+
+
+class TestCollectorPause:
+    """``XSim.run`` is one cyclic-collector pause from the first object
+    ``launch`` builds to the last event, restored however it ends."""
+
+    @pytest.fixture
+    def collections(self, monkeypatch):
+        """Collections started while ``watch["on"]`` — from the first
+        line of ``launch`` to the moment ``XSim.run`` hands the collector
+        back (what it does with the backlog then is its own business) —
+        at a threshold a 64-rank launch (~14 tracked objects a rank)
+        would cross often."""
+        watch = {"on": False, "count": 0}
+
+        def started(phase, info):
+            if watch["on"] and phase == "start":
+                watch["count"] += 1
+
+        def hand_back():
+            watch["on"] = False
+            gc.enable()
+
+        monkeypatch.setattr(simulator, "gc", types.SimpleNamespace(
+            isenabled=gc.isenabled, disable=gc.disable, enable=hand_back))
+        threshold = gc.get_threshold()
+        gc.callbacks.append(started)
+        gc.set_threshold(50, *threshold[1:])
+        try:
+            yield watch
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(started)
+
+    def run_watched(self, watch, app, nranks=None):
+        sim = XSim(SystemConfig.small_test_system(nranks=64))
+        launch = sim.world.launch
+
+        def watched_launch(*args):
+            watch["on"] = True
+            return launch(*args)
+
+        sim.world.launch = watched_launch
+        assert gc.isenabled()
+        try:
+            return sim.run(app, nranks=nranks)
+        finally:
+            assert gc.isenabled() and not watch["on"], "collector not handed back"
+
+    def test_no_collection_between_launch_and_the_last_event(self, collections):
+        result = self.run_watched(collections, trivial_app)
+        assert result.completed and collections["count"] == 0
+
+    def test_restored_after_a_deadlock(self, collections):
+        def everyone_receives(mpi):
+            yield from mpi.init()
+            yield from mpi.recv(source=(mpi.rank + 1) % mpi.size)
+
+        with pytest.raises(DeadlockError):
+            self.run_watched(collections, everyone_receives)
+        assert collections["count"] == 0
+
+    def test_restored_after_a_launch_time_error(self, collections):
+        with pytest.raises(ConfigurationError, match="exceed the simulated machine"):
+            self.run_watched(collections, trivial_app, nranks=65)
+        assert collections["count"] == 0
+
+    def test_a_caller_who_disabled_the_collector_keeps_it_disabled(self):
+        gc.disable()
+        try:
+            XSim(SystemConfig.small_test_system(nranks=2)).run(trivial_app)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestArchitectureDescription:
