@@ -17,16 +17,14 @@ Default scale is 512 ranks (XSIM_BENCH_RANKS / XSIM_FULL_SCALE=1 for the
 paper-exact 32,768); the paper's 32,768-rank values are printed alongside.
 """
 
-from repro.core.harness.experiment import Table2Config, run_table2
-from repro.core.harness.report import render_table2
+from repro.run.table2 import BASELINE_INTERVAL, INTERVALS, MTTFS, render_table2, run_table2
 
 from benchmarks._util import bench_ranks, once, report
 
 
 def test_table2_checkpoint_interval_vs_mttf(benchmark):
     nranks = bench_ranks()
-    cfg = Table2Config(nranks=nranks)
-    cells = once(benchmark, run_table2, cfg)
+    cells = once(benchmark, run_table2, ranks=nranks, cache=False)
 
     report(
         "",
@@ -36,7 +34,7 @@ def test_table2_checkpoint_interval_vs_mttf(benchmark):
     )
 
     by_key = {(c.mttf, c.interval): c for c in cells}
-    baseline = by_key[(None, cfg.baseline_interval)]
+    baseline = by_key[(None, BASELINE_INTERVAL)]
 
     # E1 monotone: shorter checkpoint interval costs more without failures
     e1_500 = by_key[(6000.0, 500)].e1
@@ -44,8 +42,8 @@ def test_table2_checkpoint_interval_vs_mttf(benchmark):
     e1_125 = by_key[(6000.0, 125)].e1
     assert baseline.e1 <= e1_500 < e1_250 < e1_125
 
-    for mttf in cfg.mttfs:
-        rows = [by_key[(mttf, c)] for c in cfg.intervals]
+    for mttf in MTTFS:
+        rows = [by_key[(mttf, c)] for c in INTERVALS]
         # every failure row had failures and took longer than failure-free
         for cell in rows:
             assert cell.f >= 1
@@ -59,7 +57,7 @@ def test_table2_checkpoint_interval_vs_mttf(benchmark):
         assert e2s[0] > e2s[1] > e2s[2]
 
     # higher failure rate hurts: at equal C, E2(3000s) > E2(6000s)
-    for interval in cfg.intervals:
+    for interval in INTERVALS:
         assert by_key[(3000.0, interval)].e2 > by_key[(6000.0, interval)].e2
         assert by_key[(3000.0, interval)].f >= by_key[(6000.0, interval)].f
 

@@ -15,16 +15,14 @@ count to scale up, e.g.:
 import sys
 import time
 
-from repro.core.harness.experiment import Table2Config, run_table2
-from repro.core.harness.report import render_table2
+from repro.run.table2 import INTERVALS, MTTFS, render_table2, run_table2
 
 nranks = int(sys.argv[1]) if len(sys.argv) > 1 else 512
-cfg = Table2Config(nranks=nranks)
 
 print(f"Reproducing Table II at {nranks} simulated ranks "
       f"(paper: 32,768 ranks on a 32x32x32 torus) ...")
 t0 = time.time()
-cells = run_table2(cfg)
+cells = run_table2(ranks=nranks)
 print(f"... {time.time() - t0:.1f} s of host time\n")
 
 print(render_table2(cells))
@@ -40,13 +38,13 @@ print(bar_chart(
 print()
 print("Shape checks (the paper's observations):")
 by_key = {(c.mttf, c.interval): c for c in cells}
-# cfg.intervals is ordered largest-to-smallest C, so E1 should ascend
-e1s = [by_key[(6000.0, c)].e1 for c in cfg.intervals]
+# INTERVALS is ordered largest-to-smallest C, so E1 should ascend
+e1s = [by_key[(6000.0, c)].e1 for c in INTERVALS]
 print(f"  * E1 grows as C shrinks (checkpoint overhead): "
       f"{' < '.join(f'{v:,.0f}' for v in e1s)}  "
       f"{'OK' if e1s == sorted(e1s) else 'VIOLATED'}")
-for mttf in cfg.mttfs:
-    e2s = [by_key[(mttf, c)].e2 for c in cfg.intervals]
+for mttf in MTTFS:
+    e2s = [by_key[(mttf, c)].e2 for c in INTERVALS]
     ok = all(a >= b for a, b in zip(e2s, e2s[1:]))
     print(f"  * E2 shrinks as C shrinks at MTTF={mttf:,.0f}s "
           f"(less lost work): {'OK' if ok else 'VIOLATED'}")

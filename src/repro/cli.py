@@ -12,7 +12,7 @@ Subcommands::
     xsim-run app     --scenario run.toml  # declarative spec (repro.run)
     xsim-run sweep   --scenario run.toml --set interval=500,250 -j 4
     xsim-run table1  # Finject bit-flip campaign (paper Table I)
-    xsim-run table2  --ranks 512  # checkpoint-interval x MTTF sweep
+    xsim-run table2  --ranks 512  # checkpoint-interval x MTTF sweep (Table II)
     xsim-run arch    --ranks 32768  # architecture self-description (Fig. 1)
     xsim-run simcheck  # differential determinism harness (see repro.check)
 
@@ -35,8 +35,12 @@ layers"): this module imports only the import-light layer — the scenario
 spec, the name tables the ``choices`` come from, the error types — so
 ``--help``, a usage error and ``cache stats|gc`` load no simulator; each
 ``_cmd_*`` imports the runtime or tool it drives, and a warm ``app`` /
-``sweep --cache`` is answered from the cache's JSON heads without the
-engine, the MPI layer or numpy.  One handler in :func:`main` turns every
+``sweep --cache`` / ``table2`` under ``XSIM_CACHE=1`` is answered from
+the cache's JSON heads without the engine, the MPI layer or numpy.
+``table2`` is ten scenarios built by constructor
+(:mod:`repro.run.table2`): it follows the ``XSIM_CACHE`` /
+``XSIM_CACHE_DIR`` policy and reads no other scenario variable.  One
+handler in :func:`main` turns every
 :class:`~repro.util.errors.ConfigurationError` into ``error: ...`` and
 exit status 2.
 """
@@ -66,15 +70,14 @@ from repro.util.lazy import lazy_exports
 _EXPORTS = {
     "EventTrace": "repro.check.trace",
     "FinjectCampaign": "repro.core.faults.finject",
-    "Table2Config": "repro.core.harness.experiment",
     "XSim": "repro.core.simulator",
     "capped_shards": "repro.run.backends",
     "format_table": "repro.core.harness.report",
     "parse_set": "repro.run.sweep",
-    "render_table2": "repro.core.harness.report",
+    "render_table2": "repro.run.table2",
     "run_scenario": "repro.run.backends",
     "run_sweep": "repro.run.sweep",
-    "run_table2": "repro.core.harness.experiment",
+    "run_table2": "repro.run.table2",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
@@ -487,11 +490,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    from repro.core.harness.experiment import Table2Config, run_table2
-    from repro.core.harness.report import render_table2
+    from repro.run.table2 import render_table2, run_table2
 
-    cfg = Table2Config(nranks=args.ranks, seed=args.seed, jobs=args.jobs)
-    cells = run_table2(cfg)
+    cells = run_table2(ranks=args.ranks, seed=args.seed, jobs=args.jobs)
     print(f"Table II reproduction at {args.ranks} simulated ranks "
           f"(paper columns measured at 32,768):")
     print(render_table2(cells))

@@ -173,6 +173,8 @@ class FinjectCampaign:
         """Execute the campaign and compute the Table I statistics."""
         if self.victims < 1 or self.max_injections < 1:
             raise ConfigurationError("need victims >= 1 and max_injections >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.jobs > 1 and not self.independent_streams:
             raise ConfigurationError(
                 "parallel finject (jobs > 1) requires independent_streams=True: "

@@ -1,8 +1,8 @@
 """Parallel campaign executor: fan independent runs across worker processes.
 
 The paper's evaluation is a *campaign* of mutually independent simulator
-runs — Table II cells (checkpoint interval x system MTTF), Finject victim
-instances, soft-error trials, ablation sweep points.  Each run is
+runs — scenario cells (Table II's checkpoint interval x system MTTF grid,
+sweeps, explorer batches) and Finject victim instances.  Each run is
 deterministic given its configuration and seed ("the experiments are
 repeatable as the simulator and the application are deterministic"), so a
 campaign parallelizes trivially: results are bit-identical whether the
@@ -53,7 +53,7 @@ class RunSpec:
 
     ``kind`` selects a task registered with :func:`task`; ``params`` are
     its keyword arguments and must be picklable.  ``key`` identifies the
-    run within its campaign (e.g. ``("cell", 6000.0, 500)``) so callers
+    run within its campaign (e.g. ``("table2", 4)``) so callers
     can reassemble results; the executor itself only uses it in error
     messages.
     """
@@ -321,37 +321,6 @@ def _task_scenario(
     return run_scenario(scenario, cache=cache, known_miss=known_miss).summary()
 
 
-@task("table2-e1")
-def _task_table2_e1(*, nranks: int, interval: int, iterations: int, seed: int) -> float:
-    """E1: simulated execution time of one clean (failure-free) run."""
-    from repro.core.harness.experiment import Table2Config, measure_e1
-
-    cfg = Table2Config(nranks=nranks, iterations=iterations, seed=seed)
-    return measure_e1(cfg.system(), cfg.workload(interval), seed=seed)
-
-
-@task("table2-cell")
-def _task_table2_cell(
-    *, nranks: int, interval: int, iterations: int, mttf: float, seed: int
-) -> dict[str, Any]:
-    """One failure-and-restart Table II cell; E1 is measured separately."""
-    from repro.apps.heat3d import heat3d
-    from repro.core.harness.experiment import Table2Config
-    from repro.core.restart import RestartDriver
-
-    cfg = Table2Config(nranks=nranks, iterations=iterations, seed=seed)
-    workload = cfg.workload(interval)
-    driver = RestartDriver(
-        cfg.system(),
-        heat3d,
-        make_args=lambda store: (workload, store),
-        mttf=mttf,
-        seed=seed,
-    )
-    run = driver.run()
-    return {"e2": run.e2, "f": run.f, "mttf_a": run.mttf_a, "restarts": run.restarts}
-
-
 @task("finject-victim")
 def _task_finject_victim(
     *,
@@ -367,61 +336,3 @@ def _task_finject_victim(
 
     rng = RngStreams(seed).spawn_child("finject", victim_id)
     return run_victim(victim, victim_id, max_injections, rng)
-
-
-@task("soft-error-trial")
-def _task_soft_error_trial(
-    *,
-    nranks: int,
-    interval: int,
-    iterations: int,
-    rate_per_rank: float,
-    horizon: float,
-    seed: int,
-) -> dict[str, Any]:
-    """One soft-error trial: the heat workload under a Poisson bit-flip
-    process; returns the outcome histogram and the run's fate."""
-    from repro.apps.heat3d import HeatConfig, heat3d
-    from repro.core.checkpoint.store import CheckpointStore
-    from repro.core.harness.config import SystemConfig
-    from repro.core.simulator import XSim
-
-    system = SystemConfig.paper_system(nranks=nranks)
-    workload = HeatConfig.paper_workload(
-        checkpoint_interval=interval, nranks=nranks, iterations=iterations
-    )
-    sim = XSim(system, seed=seed)
-    flips = sim.soft_errors.schedule_poisson(
-        rate_per_rank, horizon, ranks=list(range(nranks))
-    )
-    result = sim.run(heat3d, args=(workload, CheckpointStore()))
-    counts = sim.soft_errors.counts()
-    return {
-        "scheduled_flips": flips,
-        "counts": {effect.value: n for effect, n in counts.items()},
-        "completed": result.completed,
-        "aborted": result.aborted,
-        "exit_time": result.exit_time,
-    }
-
-
-@task("sweep-e1")
-def _task_sweep_e1(
-    *,
-    nranks: int,
-    interval: int,
-    iterations: int,
-    seed: int,
-    system_overrides: dict[str, Any],
-) -> float:
-    """Ablation sweep point: E1 under modified machine parameters (e.g.
-    ``{"congestion_factor": 2.0}``)."""
-    from repro.apps.heat3d import HeatConfig
-    from repro.core.harness.config import SystemConfig
-    from repro.core.harness.experiment import measure_e1
-
-    system = SystemConfig.paper_system(nranks=nranks, **system_overrides)
-    workload = HeatConfig.paper_workload(
-        checkpoint_interval=interval, nranks=nranks, iterations=iterations
-    )
-    return measure_e1(system, workload, seed=seed)

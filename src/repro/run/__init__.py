@@ -26,6 +26,8 @@ and launched:
 * :mod:`repro.run.sweep` — cartesian scenario-matrix expansion behind
   ``xsim-run sweep``, executed as scenario-backed
   :class:`~repro.core.harness.parallel.RunSpec` campaigns.
+* :mod:`repro.run.table2` — the paper's Table II as ten scenarios through
+  that same campaign path (``xsim-run table2``).
 
 The classic entry points remain as thin facades:
 :class:`~repro.core.simulator.XSim` and
@@ -61,7 +63,7 @@ _EXPORTS = {
     "register_backend": "repro.run.backends",
     "run_scenario": "repro.run.backends",
     "run_sweep": "repro.run.sweep",
-    "sweep_specs": "repro.run.sweep",
+    "run_table2": "repro.run.table2",
 }
 
 __all__ = list(_EXPORTS)

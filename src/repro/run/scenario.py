@@ -39,6 +39,7 @@ static tables; the implementations are imported by :meth:`make_app`,
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
@@ -231,6 +232,13 @@ class Scenario:
             raise ConfigurationError(f"ranks must be >= 1, got {self.ranks}")
         if self.interval < 1:
             raise ConfigurationError(f"interval must be >= 1, got {self.interval}")
+        # Both reach a random draw (numpy's SeedSequence, Generator.uniform).
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.mttf is not None and not 0.0 < self.mttf < math.inf:
+            raise ConfigurationError(
+                f"mttf must be a positive finite number of seconds, got {self.mttf}"
+            )
         if self.app not in APP_NAMES:
             raise ConfigurationError(
                 f"unknown app {self.app!r} (choose from {', '.join(APP_NAMES)})"

@@ -128,17 +128,6 @@ def _coerce(name: str, value: str) -> Any:
     return value
 
 
-def sweep_specs(scenarios: list[Scenario], cache_dir: str | None = None) -> list:
-    """Scenario-backed run specs for a campaign executor.  ``cache_dir``
-    makes every worker write/read the shared result cache at that path."""
-    from repro.core.harness.parallel import RunSpec
-
-    return [
-        RunSpec.from_scenario(s, key=("sweep", i), cache_dir=cache_dir)
-        for i, s in enumerate(scenarios)
-    ]
-
-
 def run_sweep(
     base: Scenario,
     grid: dict[str, list],
@@ -189,6 +178,10 @@ def run_cells(
     """
     from repro.cache import resolve_cache
 
+    if jobs < 1:
+        # CampaignExecutor's own check and message, made before the
+        # lookups: a warm campaign refuses what a cold one refuses.
+        raise ConfigurationError(f"max_workers must be >= 1, got {jobs}")
     store = resolve_cache(cache)
     summaries: list[dict[str, Any] | None] = [None] * len(scenarios)
     if store is not None:
@@ -228,11 +221,3 @@ def run_cells(
                 summary["saved_s"] = 0.0
             summaries[i] = summary
     return summaries  # type: ignore[return-value]
-
-
-def replace_spec_key(spec, key: tuple):
-    """A copy of a :class:`~repro.core.harness.parallel.RunSpec` under a
-    different campaign key."""
-    from dataclasses import replace
-
-    return replace(spec, key=key)

@@ -4,19 +4,22 @@ import pytest
 
 from repro.apps.heat3d import HeatConfig
 from repro.core.harness.config import SystemConfig
-from repro.core.harness.experiment import (
+from repro.core.harness.experiment import classify_detection_phase, observe_failure_mode
+from repro.core.harness.report import format_table
+from repro.run.sweep import run_cells
+from repro.run.table2 import (
     PAPER_TABLE2,
     Table2Cell,
-    Table2Config,
-    classify_detection_phase,
-    measure_e1,
-    observe_failure_mode,
-    run_table2_row,
+    render_table2,
+    run_table2,
+    table2_scenarios,
 )
-from repro.core.harness.report import format_table, render_table2
 
-# A tiny, fast Table II configuration for tests (full runs are benchmarks).
-TINY = Table2Config(nranks=27, iterations=100, intervals=(50, 25), mttfs=(600.0,))
+
+@pytest.fixture(scope="module")
+def tiny_table():
+    """Table II at 27 ranks (full runs are benchmarks)."""
+    return run_table2(ranks=27, cache=False)
 
 
 class TestPaperReference:
@@ -33,38 +36,29 @@ class TestPaperReference:
 
 
 class TestRunRows:
-    def test_measure_e1_completes(self):
-        system = TINY.system()
-        wl = TINY.workload(50)
-        e1 = measure_e1(system, wl)
-        # 100 iterations x 4096 points x 1.28 us x 1000 ~ 524 s + phases
-        assert e1 == pytest.approx(524.3, rel=0.05)
-
-    def test_baseline_row(self):
-        cell, run = run_table2_row(TINY, 100, None)
-        assert run is None
+    def test_baseline_row(self, tiny_table):
+        cell = tiny_table[0]
+        assert (cell.mttf, cell.interval) == (None, 1000)
         assert cell.e2 is None
         assert cell.f == 0
 
-    def test_failure_row_invariants(self):
-        cell, run = run_table2_row(TINY, 25, 600.0)
-        assert run is not None
-        assert run.completed
-        assert cell.e2 >= cell.e1 or cell.f == 0
-        if cell.f > 0:
-            assert cell.mttf_a == pytest.approx(cell.e2 / (cell.f + 1))
+    def test_failure_row_invariants(self, tiny_table):
+        assert len(tiny_table) == 7  # baseline + 2 MTTFs x 3 intervals
+        failing = [s for s in table2_scenarios(27) if s.mttf is not None]
+        assert all(s["completed"] for s in run_cells(failing, cache=False))
+        for cell in tiny_table[1:]:
+            assert cell.e2 >= cell.e1 or cell.f == 0
+            if cell.f > 0:
+                assert cell.mttf_a == pytest.approx(cell.e2 / (cell.f + 1))
 
-    def test_rows_deterministic(self):
-        c1, _ = run_table2_row(TINY, 25, 600.0)
-        c2, _ = run_table2_row(TINY, 25, 600.0)
-        assert c1 == c2
+    def test_rows_deterministic(self, tiny_table):
+        assert run_table2(ranks=27, cache=False) == tiny_table
 
-    def test_shorter_interval_smaller_e2_under_failures(self):
+    def test_shorter_interval_smaller_e2_under_failures(self, tiny_table):
         """The paper's headline observation, at test scale: with failures
         present, a shorter checkpoint interval reduces E2."""
-        cfg = Table2Config(nranks=27, iterations=100, seed=1)
-        long_c, _ = run_table2_row(cfg, 100, 300.0)
-        short_c, _ = run_table2_row(cfg, 20, 300.0)
+        by_row = {(c.mttf, c.interval): c for c in tiny_table}
+        long_c, short_c = by_row[(3000.0, 500)], by_row[(3000.0, 125)]
         if long_c.f > 0 and short_c.f > 0:
             assert short_c.e2 < long_c.e2
 

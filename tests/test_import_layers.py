@@ -14,11 +14,13 @@ prints has moved.
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,11 +69,12 @@ sys.exit(rc)
 """
 
 
-def xsim(*argv: str) -> tuple[int, str, str, set[str]]:
+def xsim(*argv: str, **xsim_env: str) -> tuple[int, str, str, set[str]]:
     """``xsim-run argv`` in a fresh interpreter: exit status, stdout,
-    stderr and the modules loaded by the time it finished."""
+    stderr and the modules loaded by the time it finished.  No ``XSIM_*``
+    variable reaches it but the ones passed as ``xsim_env``."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("XSIM_")}
-    env.update(PYTHONPATH=SRC, COLUMNS="80")
+    env.update(xsim_env, PYTHONPATH=SRC, COLUMNS="80")
     proc = subprocess.run(
         [sys.executable, "-c", _DRIVER, *argv],
         env=env, cwd=REPO, capture_output=True, text=True, timeout=120,
@@ -141,6 +144,7 @@ class TestLightCommands:
 LIGHT_MODULES = (
     "repro.cli", "repro.cache", "repro.cache.store",
     "repro.run.scenario", "repro.run.envvars", "repro.run.sweep", "repro.run.backends",
+    "repro.run.table2",
     "repro.resilience.strategy", "repro.core.faults.schedule",
     "repro.core.harness.config", "repro.core.harness.digest", "repro.core.harness.report",
     "repro.util.errors", "repro.util.units", "repro.util.stats", "repro.util.lazy",
@@ -314,6 +318,24 @@ class TestOneErrorHandler:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: max_workers must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # numpy.random.SeedSequence refuses a negative seed ...
+            (["table2", "--ranks", "8", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["app", "--ranks", "8", "--seed", "-1", "--mttf", "3000"], "seed must be >= 0, got -1"),
+            (["table1", "--victims", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
+            # ... and Generator.uniform a non-finite bound (nan <= 0 is false).
+            (["app", "--ranks", "8", "--mttf", "nan"],
+             "mttf must be a positive finite number of seconds, got nan"),
+            (["app", "--ranks", "8", "--mttf", "inf"],
+             "mttf must be a positive finite number of seconds, got inf"),
+        ],
+    )
+    def test_input_that_reaches_a_draw_is_validated_first(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_environment_while_building_the_parser(self, monkeypatch, capsys):
         monkeypatch.setenv("XSIM_JOBS", "lots")
         assert main(["table1", "--victims", "2"]) == 2
@@ -447,3 +469,76 @@ class TestTablesMatchCode:
         }
         golden = {p.stem: p.read_text() for p in GOLDEN_HELP.glob("*.txt")}
         assert pages == golden
+
+
+# ----------------------------------------------------------------------
+# reachability
+# ----------------------------------------------------------------------
+#: Modules nothing reaches from ``repro.cli``, each with what decides its
+#: fate.  Register it (an ``APPS`` / ``STRATEGIES`` row, a command) or
+#: delete it — then drop its line here.
+UNREACHED = {
+    "repro.apps.collective_bench":
+        "the ledger's collective probe (ledger/probes.py) imports it",
+    "repro.apps.naive_cr":
+        "ROADMAP item 2(1)/4: an APPS row for the Daly oracle, or beside the bench",
+    "repro.core.checkpoint.incremental":
+        "ROADMAP item 4: a ckpt-incremental STRATEGIES row, or beside its benchmark",
+    "repro.core.migration":
+        "ROADMAP item 4: a migration STRATEGIES row, or beside its benchmark",
+    "repro.core.harness.metrics":
+        "ROADMAP item 5(3): the seed of `xsim-run explain`, or it goes (item 4)",
+    "repro.util.ascii_chart":
+        "ROADMAP item 4: beside its single user under examples/, or deleted",
+    "repro.util.profiling":
+        "ROADMAP item 5: EngineProfiler folds into the telemetry spine",
+}
+_TABLE_TARGET = re.compile(r"(repro(?:\.\w+)+):\w+")
+
+
+def _static_imports(name: str, path: Path, modules: dict[str, Path]) -> set[str]:
+    """Modules ``path`` names: every ``import`` / ``from`` statement at
+    any depth and, outside package ``__init__``s (whose ``lazy_exports``
+    tables are re-exports, not users), every ``"repro.x.y:attr"`` string
+    of a name table."""
+    is_package = path.name == "__init__.py"
+    package = name if is_package else name.rpartition(".")[0]
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and not is_package:
+            match = _TABLE_TARGET.fullmatch(node.value)
+            if match:
+                found.add(match.group(1))
+    return found & set(modules)
+
+
+def test_every_module_is_reached_from_the_cli_or_says_why_not():
+    root = Path(repro.__file__).parent
+    modules = {
+        ".".join(("repro", *p.relative_to(root).with_suffix("").parts)).removesuffix(".__init__"): p
+        for p in root.rglob("*.py")
+    }
+    reached: set[str] = set()
+    frontier = ["repro.cli"]
+    while frontier:
+        name = frontier.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        frontier.extend(_static_imports(name, modules[name], modules))
+        if "." in name:  # importing a module runs its packages' __init__
+            frontier.append(name.rpartition(".")[0])
+    unreached = set(modules) - reached
+    assert unreached == set(UNREACHED), (
+        f"unreachable and unexplained: {sorted(unreached - set(UNREACHED))}; "
+        f"listed but reached or gone: {sorted(set(UNREACHED) - unreached)}"
+    )

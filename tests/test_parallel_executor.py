@@ -10,7 +10,6 @@ full result objects.
 import pytest
 
 from repro.core.faults.finject import FinjectCampaign
-from repro.core.harness.experiment import Table2Config, run_table2
 from repro.core.harness.parallel import (
     CampaignExecutor,
     RunSpec,
@@ -18,6 +17,7 @@ from repro.core.harness.parallel import (
     run_spec,
     task,
 )
+from repro.run.table2 import run_table2
 from repro.util.errors import CampaignTaskError, ConfigurationError
 
 
@@ -170,8 +170,8 @@ class TestCampaignDeterminism:
     def test_table2_parallel_matches_serial(self):
         # Small Table II grid: every cell must be byte-identical —
         # E1, E2, F, and MTTF_a are exact float/int equality.
-        serial = run_table2(Table2Config(nranks=64, iterations=200, jobs=1))
-        parallel = run_table2(Table2Config(nranks=64, iterations=200, jobs=4))
+        serial = run_table2(ranks=64, jobs=1, cache=False)
+        parallel = run_table2(ranks=64, jobs=4, cache=False)
         assert serial == parallel
         assert len(serial) == 7  # baseline + 2 MTTFs x 3 intervals
 
@@ -191,52 +191,3 @@ class TestCampaignDeterminism:
     def test_finject_parallel_requires_independent_streams(self):
         with pytest.raises(ConfigurationError, match="independent_streams"):
             FinjectCampaign(victims=4, jobs=2).run()
-
-
-class TestCampaignTasks:
-    def test_soft_error_trial_task(self):
-        outcome = run_spec(
-            RunSpec(
-                "soft-error-trial",
-                params={
-                    "nranks": 8,
-                    "interval": 100,
-                    "iterations": 100,
-                    "rate_per_rank": 0.0005,
-                    "horizon": 2000.0,
-                    "seed": 3,
-                },
-            )
-        )
-        assert outcome["scheduled_flips"] >= 0
-        assert set(outcome["counts"]) == {"crash", "sdc", "benign", "no-target"}
-        assert outcome["exit_time"] > 0.0
-
-    def test_sweep_e1_task_reacts_to_overrides(self):
-        # A slower machine (2x slowdown) must lengthen the simulated run;
-        # this proves the overrides reach the worker's SystemConfig.
-        base = run_spec(
-            RunSpec(
-                "sweep-e1",
-                params={
-                    "nranks": 8,
-                    "interval": 100,
-                    "iterations": 100,
-                    "seed": 0,
-                    "system_overrides": {},
-                },
-            )
-        )
-        slowed = run_spec(
-            RunSpec(
-                "sweep-e1",
-                params={
-                    "nranks": 8,
-                    "interval": 100,
-                    "iterations": 100,
-                    "seed": 0,
-                    "system_overrides": {"slowdown": 2000.0},
-                },
-            )
-        )
-        assert slowed > base * 1.5

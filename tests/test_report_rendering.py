@@ -1,10 +1,9 @@
-"""Report rendering details and experiment-record consistency."""
+"""Report rendering details."""
 
 import pytest
 
-from repro.core.harness.experiment import PAPER_TABLE2, Table2Cell
-from repro.core.harness.report import format_table, render_table2
-from repro.core.harness.serialize import table2_records, to_csv
+from repro.core.harness.report import format_table
+from repro.run.table2 import PAPER_TABLE2, Table2Cell, render_table2
 
 
 def cells_from_paper():
@@ -35,19 +34,6 @@ class TestRenderTable2:
     def test_unknown_row_marked(self):
         out = render_table2([Table2Cell(1234.0, 77, 1.0, 2.0, 1, 1.0)])
         assert "?" in out
-
-
-class TestRecordsCsv:
-    def test_csv_of_paper_table(self):
-        csv = to_csv(table2_records(cells_from_paper()))
-        lines = csv.strip().splitlines()
-        assert len(lines) == 8
-        assert lines[0].startswith("e1,e2,f,interval")
-
-    def test_record_count_matches(self):
-        recs = table2_records(cells_from_paper())
-        assert len(recs) == 7
-        assert all("paper_e1" in r for r in recs)
 
 
 class TestFormatTableEdges:

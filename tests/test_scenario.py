@@ -469,6 +469,15 @@ class TestSweep:
         assert r0["completed"] and r1["completed"]
         assert r0["result_digest"] == r1["result_digest"]  # seed only feeds injection
 
+    def test_machine_override_reaches_a_pool_worker(self):
+        # A slower machine (2x slowdown) must lengthen the simulated run:
+        # the override crossed the process boundary into the worker's
+        # SystemConfig.
+        base = Scenario(ranks=8, iterations=100, interval=100)
+        pairs = run_sweep(base, {"slowdown": [1000.0, 2000.0]}, jobs=2, cache=False)
+        (_, plain), (_, slowed) = pairs
+        assert slowed["exit_time"] > plain["exit_time"] * 1.5
+
     def test_runspec_scenario_task_round_trips(self):
         from repro.core.harness.parallel import CampaignExecutor, RunSpec
 
