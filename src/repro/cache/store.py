@@ -87,7 +87,7 @@ CACHE_SCHEMA_VERSION = 2
 #: version: bump it when the engine's observable behavior changes without
 #: a version bump, and every old entry silently becomes a miss instead of
 #: serving results the current code would not reproduce.
-ENGINE_SALT = "pdes-2"
+ENGINE_SALT = "pdes-3"
 
 
 def cache_salt() -> str:
@@ -295,7 +295,7 @@ def _decode_body(data: bytes, body_at: int) -> tuple:
 # ----------------------------------------------------------------------
 @dataclass
 class CacheStats:
-    """Per-process cache counters (EngineProfiler-style observability).
+    """Per-process cache counters.
 
     ``lookup_s``/``store_s`` accumulate host wall time spent in the cache
     itself: the lookup latency a warm sweep pays instead of simulation

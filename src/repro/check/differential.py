@@ -26,7 +26,7 @@ they do, bit-for-bit where the promise is bit-identity:
 * **obs parity** — the :mod:`repro.obs` timeline export of a failure run,
   serial vs. sharded: byte-identical Chrome-JSON and JSONL files.
 * **scenario parity** — one :class:`~repro.run.scenario.Scenario` through
-  the full TOML round trip and every registered backend: identical
+  the full TOML round trip and every backend: identical
   scenario digests and identical result digests.
 * **cache parity** — a :mod:`repro.cache` hit vs. recomputation: identical
   result digest, summary, and obs export bytes on a cold/warm pair, with
@@ -488,12 +488,13 @@ def check_scenario_parity(
 
     The :mod:`repro.run` layer promises that a scenario is a complete
     description of a run: serializing it to TOML and back must preserve
-    the scenario digest, and executing it on any registered backend must
-    produce the same result digest.  Uses a failure run (explicit
-    schedule) so the restart loop is part of the compared behavior.
+    the scenario digest, and executing it on every backend of
+    ``BACKEND_TRANSPORTS`` must produce the same result digest.  Uses a
+    failure run (explicit schedule) so the restart loop is part of the
+    compared behavior.
     """
-    from repro.run.backends import backend_names, run_scenario
-    from repro.run.scenario import Scenario
+    from repro.run.backends import run_scenario
+    from repro.run.scenario import BACKEND_TRANSPORTS, Scenario
 
     _, clean = _heat_sim(nranks, iterations, 10, paper_timing=True)
     base = Scenario(
@@ -511,14 +512,9 @@ def check_scenario_parity(
             artifacts={"scenario.toml": base.to_toml()},
         )
     digests: dict[str, str] = {}
-    for name in backend_names():
+    for name, transport in BACKEND_TRANSPORTS.items():
         scenario = round_tripped.with_(
-            shards=1 if name == "serial" else shards,
-            shard_transport={
-                "sharded-inline": "inline",
-                "sharded-fork": "fork",
-                "sharded-shm": "shm",
-            }.get(name),
+            shards=1 if transport is None else shards, shard_transport=transport
         )
         digests[name] = run_scenario(scenario).digest()
     if len(set(digests.values())) != 1:

@@ -19,7 +19,7 @@ Subcommands::
 Every ``app``/``arch``/``sweep`` invocation resolves one
 :class:`~repro.run.scenario.Scenario` through the layered precedence
 chain — library defaults < ``--scenario`` TOML file < ``XSIM_*``
-environment < explicit flags — and executes it on its registered backend
+environment < explicit flags — and executes it on its backend
 (``serial``, ``sharded-inline``, ``sharded-fork``, ``sharded-shm``; pick
 with ``--shards`` / ``--shard-transport`` or the scenario's ``execution``
 table).  Results and traces are bit-identical across backends.

@@ -39,9 +39,8 @@ from repro.core.faults.schedule import (
 )
 from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
-from repro.obs import Observer
+from repro.obs import Observer, observer_for
 from repro.pdes.engine import SimulationResult
-from repro.run.instruments import coerce_observer
 from repro.util.errors import SimulationError
 from repro.util.rng import RngStreams
 
@@ -207,8 +206,11 @@ class RestartDriver:
         self.shard_transport = shard_transport
         #: One :class:`~repro.obs.Observer` shared by every segment, so
         #: the exported timeline covers the whole failure/restart
-        #: experiment on its continuous virtual clock.
-        self.observer: Observer | None = coerce_observer(observe)
+        #: experiment on its continuous virtual clock — at the scenario's
+        #: ``trace_detail`` when the driver builds it.
+        self.observer: Observer | None = observer_for(
+            observe, detail=scenario is not None and scenario.trace_detail
+        )
 
     @classmethod
     def from_scenario(
@@ -223,22 +225,21 @@ class RestartDriver:
 
         The scenario supplies the machine, the application, the explicit
         failure schedule and/or MTTF draw policy, the C/R budget, the
-        seed, the backend (shard count resolved through the registry's
-        CPU cap, once, here), and the instrumentation switches;
+        seed, the shard count and transport every segment's simulation is
+        built with (:func:`~repro.run.backends.shard_plan`, once, here),
+        and the instrumentation switches;
         ``overrides`` passes any extra constructor argument through (e.g.
         an ``interceptor`` or a component-model ``policy``).
         """
-        from repro.run.backends import get_backend
+        from repro.run.backends import shard_plan
 
-        backend = get_backend(scenario.backend_name())
+        shards, shard_transport = shard_plan(scenario)
         # One strategy instance serves the whole experiment: it wraps the
         # app here and rides through every segment of run() (so e.g. the
         # replication SDC monitor survives restarts).
         strategy = scenario.make_strategy()
         app, make_args = scenario.make_app(strategy=strategy)
         schedule = scenario.schedule()
-        if observe is None and scenario.observe:
-            observe = True
         kwargs: dict[str, Any] = dict(
             strategy=strategy,
             mttf=scenario.mttf,
@@ -247,9 +248,9 @@ class RestartDriver:
             max_restarts=scenario.max_restarts,
             log_stream=log_stream,
             check=scenario.check,
-            shards=backend.resolve_shards(scenario),
-            shard_transport=backend.transport,
-            observe=observe,
+            shards=shards,
+            shard_transport=shard_transport,
+            observe=observe if observe is not None else scenario.observe,
             scenario=scenario,
         )
         kwargs.update(overrides)

@@ -6,12 +6,11 @@ job execution (the engine is single-shot); the
 :class:`~repro.core.restart.RestartDriver` creates a fresh instance per
 failure/restart segment, carrying the simulated exit time forward.
 
-``XSim`` is a compatibility facade over the :mod:`repro.run` layer: its
-constructor keywords map onto a :class:`~repro.run.scenario.Scenario`'s
-fields, instrumentation (sanitizer, event trace, observer) attaches
-through the :mod:`repro.run.instruments` hook table, and :meth:`XSim.run`
-dispatches through the :mod:`repro.run.backends` registry — the serial
-and sharded engines are registry entries, not hand-coded branches here.
+A :class:`~repro.run.scenario.Scenario` becomes constructor arguments in
+one place, :meth:`XSim.from_scenario`; the constructor wires the
+instrumentation (sanitizer, event trace, observer) itself, and
+:meth:`XSim.run` dispatches itself — the serial engine for one shard,
+:func:`repro.pdes.sharded.run_sharded` otherwise.
 
 Usage::
 
@@ -26,8 +25,10 @@ Usage::
 from __future__ import annotations
 
 import gc
+from time import perf_counter
 from typing import IO, TYPE_CHECKING, Any
 
+from repro.check import checking_enabled
 from repro.check.sanitizer import Sanitizer
 from repro.check.trace import EventTrace
 from repro.core.faults.schedule import (
@@ -42,10 +43,9 @@ from repro.core.faults.softerror import SoftErrorInjector
 from repro.core.harness.config import SystemConfig
 from repro.mpi.world import MpiWorld
 from repro.models.memory import MemoryTracker
-from repro.obs import Observer
+from repro.obs import Observer, observer_for
 from repro.pdes.engine import Engine, SimulationResult
-from repro.run.backends import backend_for, get_backend
-from repro.run.instruments import attach_instruments
+from repro.run.scenario import BACKEND_TRANSPORTS, backend_name_for
 from repro.util.errors import SimulationError
 from repro.util.rng import RngStreams
 from repro.util.simlog import SimLog
@@ -80,8 +80,8 @@ class XSim:
         #: Worker-process count for the sharded conservative-parallel
         #: engine (``repro.pdes.sharded``); 1 = serial.  Scenario-driven
         #: construction (:meth:`from_scenario`, the CLI, campaigns) passes
-        #: a count already through the registry's jobs x shards CPU cap
-        #: (:func:`repro.run.backends.capped_shards`); direct construction
+        #: a count already through the jobs x shards CPU cap
+        #: (:func:`repro.run.backends.shard_plan`); direct construction
         #: takes the count literally (benchmarks measure deliberate
         #: oversubscription this way).
         self.shards = shards
@@ -113,26 +113,23 @@ class XSim:
             collective_algorithm=system.collective_algorithm,
             record_trace=record_trace,
         )
-        # Instrumentation wires through the repro.run hook table (one
-        # attach point shared by every backend and launcher):
-        # ``check=None`` defers to the ``XSIM_CHECK`` environment
-        # variable; ``record_events=True`` records the dispatch trace for
-        # replay diffing; ``observe`` accepts ``True`` or an existing
-        # :class:`~repro.obs.Observer` (e.g. shared across restart
-        # segments by the driver).
-        attached = attach_instruments(
-            self,
-            check=check,
-            record_events=record_events,
-            observe=observe,
-            trace_detail=trace_detail,
-        )
-        #: Runtime invariant sanitizer (simcheck), or ``None``.
-        self.checker: Sanitizer | None = attached.checker
-        #: Event-trace recorder, or ``None``.
-        self.event_trace: EventTrace | None = attached.event_trace
-        #: Observability bus, or ``None``.  See :mod:`repro.obs`.
-        self.observer: Observer | None = attached.observer
+        #: Runtime invariant sanitizer (simcheck), or ``None``;
+        #: ``check=None`` defers to the ``XSIM_CHECK`` environment variable.
+        self.checker: Sanitizer | None = None
+        if check if check is not None else checking_enabled():
+            self.checker = Sanitizer(self.engine, self.world)
+            self.engine.check = self.world.check = self.checker
+        #: Event-trace recorder (the dispatch trace replay diffing reads),
+        #: or ``None``.
+        self.event_trace: EventTrace | None = None
+        if record_events:
+            self.event_trace = self.engine.event_trace = EventTrace()
+        #: Observability bus, or ``None``: a fresh one for ``True``, the
+        #: caller's (e.g. one shared across restart segments) for an
+        #: :class:`~repro.obs.Observer`.  See :mod:`repro.obs`.
+        self.observer: Observer | None = observer_for(observe, detail=trace_detail)
+        if self.observer is not None:
+            self.engine.obs = self.world.obs = self.observer
         self._soft_errors: SoftErrorInjector | None = None
         self._pending_failures: list[tuple[int, float]] = []
         #: Snapshot of the failures armed before :meth:`run`; the sharded
@@ -223,21 +220,30 @@ class XSim:
         log_stream: IO[str] | None = None,
         observe: "bool | Observer | None" = None,
     ) -> "XSim":
-        """Build the simulation a scenario describes, on the scenario's
-        resolved backend (see :mod:`repro.run.backends`)."""
-        return get_backend(scenario.backend_name()).make_sim(
-            scenario, start_time=start_time, log_stream=log_stream, observe=observe
-        )
+        """Build the simulation a scenario describes — the one place a
+        scenario's fields become constructor arguments (``observe``
+        overrides the scenario's switch, e.g. with a caller's bus)."""
+        from repro.run.backends import shard_plan
 
-    @property
-    def backend(self):
-        """The registry backend this instance dispatches to."""
-        return backend_for(self.shards, self.shard_transport)
+        shards, shard_transport = shard_plan(scenario)
+        return cls(
+            scenario.system_config(),
+            seed=scenario.seed,
+            start_time=start_time,
+            log_stream=log_stream,
+            check=scenario.check,
+            record_events=scenario.record_events,
+            shards=shards,
+            shard_transport=shard_transport,
+            observe=observe if observe is not None else scenario.observe,
+            trace_detail=scenario.trace_detail,
+            scenario=scenario,
+        )
 
     def run(self, app, args: tuple = (), nranks: int | None = None) -> SimulationResult:
         """Launch ``app(mpi, *args)`` on ``nranks`` (default: the system's
-        full rank count) and simulate to completion or abort via the
-        backend registry."""
+        full rank count) and simulate to completion or abort: on the
+        serial engine for one shard, across shards otherwise."""
         if self._ran:
             raise SimulationError("XSim instances are single-shot; create a new one")
         self._ran = True
@@ -254,7 +260,18 @@ class XSim:
             for rank, time in self._pending_failures:
                 self.engine.schedule_failure(rank, time)
             self._pending_failures.clear()
-            return self.backend.run_engine(self, app, args, nranks)
+            if self.shards > 1:
+                from repro.pdes.sharded import run_sharded
+
+                return run_sharded(self, app, args, nranks)
+            t0 = perf_counter()
+            result = self.engine.run()
+            if self.observer is not None:
+                self.observer.host_span(
+                    t0, perf_counter(), "engine-run", track="engine",
+                    args={"events": self.engine.event_count},
+                )
+            return result
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -266,9 +283,13 @@ class XSim:
         """Structured description of the layered architecture, mirroring
         the paper's Figure 1 (a) architecture / (b) design diagrams."""
         net = self.world.network
-        backend = self.backend
+        backend = backend_name_for(None, self.shards, self.shard_transport)
         return {
-            "backend": backend.describe(self),
+            "backend": {
+                "name": backend,
+                "shards": self.shards,
+                "shard_transport": BACKEND_TRANSPORTS[backend],
+            },
             "layers": [
                 "application (simulated MPI processes / virtual processes)",
                 "simulated MPI layer (pt2pt matching, collectives, error handlers, ULFM)",

@@ -186,10 +186,6 @@ class MpiWorld:
         # traffic statistics
         self.messages_sent = 0
         self.bytes_sent = 0
-        # matching-scan statistics (wildcard-path scans only; the indexed
-        # exact-match fast paths never scan).  Read by repro.util.profiling.
-        self.match_scan_calls = 0
-        self.match_scan_length = 0
         #: Optional :class:`repro.check.sanitizer.Sanitizer` consulted at
         #: the MPI-layer boundaries (post/match/buffer/failure/sync); off
         #: by default at the cost of one attribute test per boundary.
@@ -529,8 +525,6 @@ class MpiWorld:
         """Pop the lowest-seq buffered message matching a fresh wildcard
         receive: scan the per-key heads for the lowest sequence number."""
         unexpected = state.unexpected
-        self.match_scan_calls += 1
-        self.match_scan_length += len(unexpected)
         best_key: MatchKey | None = None
         best: Msg | None = None
         for key, msgs in unexpected.items():
@@ -700,8 +694,6 @@ class MpiWorld:
         receives are posted: the head of the exact index for ``key``
         against the first matching wildcard, by post order."""
         exact = state.posted_exact.get(key)
-        self.match_scan_calls += 1
-        self.match_scan_length += len(state.posted_wild)
         candidate: Request | None = exact[0] if exact else None
         wild_i = -1
         for i, req in enumerate(state.posted_wild):

@@ -1,14 +1,15 @@
 """Unified observability layer (the run-telemetry analogue of DUMPI/OTF).
 
-The simulator's telemetry used to live in four disconnected fragments —
-:class:`~repro.util.simlog.SimLog`, the profiler phase marks,
-:class:`~repro.mpi.trace.CommTrace`, and the harness metrics — with no
-shared timeline or export format.  This package ties them together:
+The simulator's telemetry used to live in disconnected fragments —
+:class:`~repro.util.simlog.SimLog`, :class:`~repro.mpi.trace.CommTrace`,
+and the harness metrics — with no shared timeline or export format.
+This package ties them together:
 
-* :class:`Observer` — a low-overhead event bus (no-op when detached, like
-  ``Engine.mark_phase``) collecting :class:`ObsEvent` spans and instants
-  from the PDES engine, the MPI layer, the resilience path, the sharded
-  coordinator, and the campaign executor.
+* :class:`Observer` — a low-overhead event bus (no-op when detached)
+  collecting :class:`ObsEvent` spans and instants from the PDES engine,
+  the MPI layer, the resilience path, the sharded coordinator, and the
+  campaign executor; :func:`observer_for` is where a run decides which
+  bus it records into.
 * :mod:`repro.obs.export` — deterministic Chrome trace-event JSON
   (Perfetto-loadable), JSONL, and CSV exporters plus a loader.
 * :class:`TimelineReport` — per-rank resilience latency distributions and
@@ -19,7 +20,7 @@ sim-domain event set of a sharded run is byte-identical to the serial
 run's export (enforced by the ``obs-parity`` simcheck).
 """
 
-from repro.obs.events import HOST, SIM, ObsEvent, Observer
+from repro.obs.events import HOST, SIM, ObsEvent, Observer, observer_for
 from repro.obs.export import load_events, to_chrome, to_csv, to_jsonl, write_export
 from repro.obs.timeline import LatencyStats, TimelineReport
 
@@ -31,6 +32,7 @@ __all__ = [
     "Observer",
     "TimelineReport",
     "load_events",
+    "observer_for",
     "to_chrome",
     "to_csv",
     "to_jsonl",

@@ -2,7 +2,7 @@
 
 The :class:`Observer` follows the detached-instrumentation pattern used
 everywhere else in the simulator (``engine.check``, ``engine.event_trace``,
-``world.trace``, ``engine.mark_phase``): producers hold an ``obs``
+``world.trace``): producers hold an ``obs``
 attribute that defaults to ``None`` and pay exactly one attribute test per
 potential event when detached.  When attached, events are appended to a
 plain list — no locking, no I/O, no formatting until export time.
@@ -198,6 +198,27 @@ class Observer:
 
     def host_events(self) -> list[ObsEvent]:
         return [e for e in self.events if e.domain == HOST]
+
+
+def observer_for(
+    observe: "bool | Observer | None", detail: bool = False, shard_local: bool = False
+) -> Observer | None:
+    """The bus a run records into, and at which detail — asked by every
+    site that builds one (:class:`~repro.core.simulator.XSim`, the
+    restart driver, the shard worker).
+
+    ``None``/``False``: no observer.  ``True``: a fresh one at ``detail``.
+    An :class:`Observer` (one shared across restart segments, say):
+    itself — or, with ``shard_local``, a fresh bus at *its* detail: a
+    shard worker records locally and ships its events back in the shard
+    report, because the inline shard-0 worker shares the parent's sim and
+    recording into the parent bus would duplicate events at merge time.
+    """
+    if observe is None or observe is False:
+        return None
+    if isinstance(observe, Observer):
+        return Observer(detail=observe.detail) if shard_local else observe
+    return Observer(detail=detail)
 
 
 def _default_track(rank: int | None) -> str:

@@ -137,9 +137,6 @@ class Engine:
         #: sweep; applied once dispatch leaves the abort instant (see
         #: :meth:`request_abort`).
         self._pending_abort: float | None = None
-        #: Set to a list by :class:`repro.util.profiling.EngineProfiler` to
-        #: collect ``(label, virtual_time, event_count)`` phase marks.
-        self._phase_marks: list[tuple[str, float, int]] | None = None
         #: Optional :class:`repro.check.trace.EventTrace` recording every
         #: dispatched event (attach before :meth:`run`).
         self.event_trace = None
@@ -250,17 +247,6 @@ class Engine:
                 }
             )
         return out
-
-    def mark_phase(self, label: str) -> None:
-        """Record a named phase boundary for profiling.
-
-        No-op unless a :class:`repro.util.profiling.EngineProfiler` has
-        attached a mark list, so applications can mark phases
-        unconditionally at negligible cost.
-        """
-        marks = self._phase_marks
-        if marks is not None:
-            marks.append((label, self.now, self.event_count))
 
     # ------------------------------------------------------------------
     # main loop

@@ -125,9 +125,11 @@ from repro.models.network.topology import (
     _GridTopology,
 )
 from repro.mpi.world import MpiWorld
+from repro.obs import observer_for
 from repro.pdes.context import VirtualProcess, VpState
 from repro.pdes.engine import Engine, SimulationResult
 from repro.pdes.shmring import RingPeerDead, ShmRing, pack_envelope, unpack_envelope
+from repro.run.scenario import SHARD_TRANSPORTS
 from repro.util.errors import (
     ConfigurationError,
     DeadlockError,
@@ -144,7 +146,6 @@ __all__ = [
     "ShardStats",
     "ShardedMpiWorld",
     "WindowedEngine",
-    "derive_lookahead",
     "derive_lookahead_matrix",
     "partition_ranks",
     "partition_ranks_topology",
@@ -176,46 +177,6 @@ def partition_ranks(nranks: int, nshards: int) -> list[range]:
         parts.append(range(start, start + size))
         start += size
     return parts
-
-
-def derive_lookahead(network: NetworkModel, parts: list[range]) -> float:
-    """The provably safe conservative lookahead for a contiguous partition.
-
-    For a boundary between ranks ``b-1`` and ``b``: any cross-shard pair
-    ``(i, j)`` with ``i < b <= j`` that shares a node (or chip) forces
-    ``b-1`` and ``b`` to share it too (block rank placement + contiguity).
-    Contrapositively, the boundary pair's tier bounds how *close* any pair
-    crossing that boundary can be, so the minimum wire latency over the
-    admissible tiers is a lower bound on every cross-shard latency:
-
-    * boundary on different nodes  -> every crossing pair is inter-node:
-      latency >= system tier latency (>= one hop);
-    * boundary on one node, different chips -> crossing pairs are at
-      closest on-node;
-    * boundary on one chip -> no constraint, take the minimum tier.
-    """
-    sys_lat = network.system.latency
-    node_lat = network.on_node.latency
-    chip_lat = network.on_chip.latency
-    lookahead = math.inf
-    for part in parts[1:]:
-        b = part[0]
-        tier = network.tier(b - 1, b)
-        if tier is NetworkTier.SYSTEM:
-            bound = sys_lat
-        elif tier is NetworkTier.ON_NODE:
-            bound = min(node_lat, sys_lat)
-        else:
-            bound = min(chip_lat, node_lat, sys_lat)
-        lookahead = min(lookahead, bound)
-    if math.isinf(lookahead):
-        raise ConfigurationError("lookahead is only defined for >= 2 shards")
-    if lookahead <= 0.0:
-        raise ConfigurationError(
-            "sharded execution requires a positive minimum cross-shard wire "
-            f"latency; this network derives a lookahead of {lookahead!r}"
-        )
-    return lookahead
 
 
 def _arc_of(lo: int, hi: int, stride: int, dim: int) -> tuple[int, int] | None:
@@ -293,8 +254,9 @@ def derive_lookahead_matrix(
 
     1. *Pairwise bound.*  Block placement is monotone in the rank index,
        so the tier of the closest pair between blocks ``j < k`` is the
-       tier of ``(parts[j][-1], parts[k][0])`` — the same boundary-pair
-       argument :func:`derive_lookahead` makes per boundary.  For pairs
+       tier of ``(parts[j][-1], parts[k][0])``: a crossing pair that
+       shared a node (or chip) would force that boundary pair to share
+       it too.  For pairs
        whose closest tier is the system network, the bound is
        ``system latency x min-hops`` between the two shards' node ranges
        (:func:`_min_cross_hops`), not just one hop: distant shards get
@@ -303,8 +265,8 @@ def derive_lookahead_matrix(
        envelope *indirectly* — ``j`` wakes ``i``, ``i`` sends to ``k`` —
        so the matrix must satisfy the triangle inequality
        ``L[j][k] <= L[j][i] + L[i][k]``; closing it only ever lowers
-       entries, and every closed entry still dominates the global
-       :func:`derive_lookahead` bound (each summand does).
+       entries, and every closed entry still dominates the smallest
+       tier latency any boundary admits (each summand does).
 
     The diagonal is ``inf`` (a shard never bounds itself).
     """
@@ -455,7 +417,7 @@ class _RemoteSendRef:
 
 
 # ----------------------------------------------------------------------
-# run statistics (consumed by EngineProfiler)
+# run statistics
 # ----------------------------------------------------------------------
 @dataclass
 class ShardStats:
@@ -532,8 +494,6 @@ class ShardReport:
     event_count: int
     stale_skipped: int
     coalesced_advances: int
-    match_scan_calls: int
-    match_scan_length: int
     messages_sent: int
     bytes_sent: int
     cross_shard_msgs: int
@@ -929,17 +889,11 @@ class ShardWorker:
         # Workers record log entries only; the coordinator echoes the
         # merged, time-ordered stream once.
         engine.log.stream = None
-        # A fresh shard-local bus (None when observability is off): the
-        # inline shard-0 worker shares its sim (and hence observer) with
-        # the coordinator, so recording into the parent directly would
-        # duplicate events at merge time.  Events ship back via
-        # ShardReport.
-        from repro.run.instruments import make_shard_observer
-
-        self._obs = make_shard_observer(getattr(self.sim, "observer", None))
+        # A shard-local bus at the parent's detail (None when
+        # observability is off); its events ship back via ShardReport.
+        self._obs = observer_for(self.sim.observer, shard_local=True)
         if self._obs is not None:
-            engine.obs = self._obs
-            self.world.obs = self._obs
+            engine.obs = self.world.obs = self._obs
         self.world.configure_shard(
             self.shard_id, self.owned, self.lookahead, self.la_row, self.owner
         )
@@ -1046,8 +1000,6 @@ class ShardWorker:
             event_count=engine.event_count,
             stale_skipped=engine.stale_skipped,
             coalesced_advances=engine.coalesced_advances,
-            match_scan_calls=world.match_scan_calls,
-            match_scan_length=world.match_scan_length,
             messages_sent=world.messages_sent,
             bytes_sent=world.bytes_sent,
             cross_shard_msgs=world.cross_shard_msgs,
@@ -1331,6 +1283,7 @@ def _build_replica(sim: "XSim", app, args: tuple, nranks: int) -> "XSim":
         shards=sim.shards,
         shard_transport="inline",
         observe=sim.observer,
+        scenario=sim.scenario,
     )
     replica.world.launch(app, nranks, args)
     for rank, time in sim._armed_failures:
@@ -1665,10 +1618,10 @@ def run_sharded(sim: "XSim", app, args: tuple, nranks: int) -> SimulationResult:
     transport = requested
     if transport is None:
         transport = "fork" if "fork" in mp.get_all_start_methods() else "inline"
-    elif transport not in ("fork", "inline", "shm"):
+    elif transport not in SHARD_TRANSPORTS:
         raise ConfigurationError(f"unknown shard transport {transport!r}")
     fallback = False
-    if transport in ("fork", "shm") and "fork" not in mp.get_all_start_methods():
+    if transport != "inline" and "fork" not in mp.get_all_start_methods():
         fallback = True
         message = (
             f"{transport!r} shard transport needs the fork start method "
@@ -1768,8 +1721,6 @@ def _merge_reports(
     engine.event_count = sum(r.event_count for r in reports)
     engine.stale_skipped = sum(r.stale_skipped for r in reports)
     engine.coalesced_advances = sum(r.coalesced_advances for r in reports)
-    world.match_scan_calls = sum(r.match_scan_calls for r in reports)
-    world.match_scan_length = sum(r.match_scan_length for r in reports)
     world.messages_sent = sum(r.messages_sent for r in reports)
     world.bytes_sent = sum(r.bytes_sent for r in reports)
     stats.shard_events = [r.event_count for r in reports]
@@ -1810,7 +1761,7 @@ def _merge_reports(
             key=lambda entry: entry[0],
         )
         sim.event_trace.entries = merged_trace
-    if stores and transport in ("fork", "shm"):
+    if stores and transport != "inline":
         # Owned-rank checkpoint files replace the parent's pre-fork view;
         # counters advance by the per-shard deltas — per component
         # namespace (a multi-level store ships one delta per tier).

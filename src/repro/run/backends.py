@@ -1,23 +1,21 @@
-"""The runtime-backend registry: every way of executing a scenario.
+"""Executing a scenario: one run or the full restart experiment.
 
-A :class:`Backend` turns a :class:`~repro.run.scenario.Scenario` into a
-running simulation behind one interface — ``execute(scenario) ->
-SimulationResult`` — and is registered by name:
-
-* ``serial`` — the single-process PDES engine;
-* ``sharded-inline`` — the conservative-parallel engine with every shard
-  replica driven in one process (bit-exact, debuggable, no extra cores);
-* ``sharded-fork`` — one forked worker process per shard;
-* ``sharded-shm`` — forked workers exchanging envelopes through
-  shared-memory rings (:mod:`repro.pdes.shmring`) instead of pickled
-  pipes.
+:func:`run_scenario` takes a :class:`~repro.run.scenario.Scenario` to a
+:class:`ScenarioOutcome` — through the result cache when one is in
+force, else :meth:`XSim.from_scenario
+<repro.core.simulator.XSim.from_scenario>` (one engine run) or
+:meth:`RestartDriver.from_scenario
+<repro.core.restart.RestartDriver.from_scenario>` (a scenario with
+failure injection).  Which backends exist and which shard transport each
+drives is the :data:`~repro.run.scenario.BACKEND_TRANSPORTS` table; the
+simulation dispatches itself (:meth:`XSim.run
+<repro.core.simulator.XSim.run>`: the serial engine for one shard,
+:func:`~repro.pdes.sharded.run_sharded` otherwise).
 
 The jobs x shards CPU-capping guard (:func:`capped_shards`) lives here,
 so campaigns and direct API calls get the same oversubscription
-protection the CLI applies; :class:`~repro.core.simulator.XSim` also
-routes its ``run`` dispatch through this registry, which makes a new
-execution mode one ``@register_backend`` entry instead of an edit at
-every launcher.
+protection the CLI applies; :func:`shard_plan` applies it to a scenario,
+once, for both construction paths.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import sys
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.util.errors import ConfigurationError
+from repro.run.scenario import BACKEND_TRANSPORTS
 from repro.util.stats import format_timing
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -35,33 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.simulator import XSim
     from repro.pdes.engine import SimulationResult
     from repro.run.scenario import Scenario
-
-#: name -> Backend instance.
-BACKENDS: dict[str, "Backend"] = {}
-
-
-def register_backend(backend_cls: type) -> type:
-    """Class decorator: instantiate and register a backend by its name."""
-    backend = backend_cls()
-    if backend.name in BACKENDS:
-        raise ConfigurationError(f"duplicate backend {backend.name!r}")
-    BACKENDS[backend.name] = backend
-    return backend_cls
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names, registration-ordered."""
-    return tuple(BACKENDS)
-
-
-def get_backend(name: str) -> "Backend":
-    """Look a backend up by name."""
-    backend = BACKENDS.get(name)
-    if backend is None:
-        raise ConfigurationError(
-            f"unknown backend {name!r} (registered: {', '.join(BACKENDS)})"
-        )
-    return backend
 
 
 def capped_shards(
@@ -93,131 +64,12 @@ def capped_shards(
     return shards
 
 
-class Backend:
-    """One execution mode.  Subclasses set ``name`` and the shard
-    ``transport`` they imply, and implement :meth:`run_engine`."""
-
-    name: str = "?"
-    #: Shard transport this backend drives (``None`` for serial).
-    transport: str | None = None
-
-    def resolve_shards(self, scenario: Scenario, quiet: bool = False) -> int:
-        """The shard count this backend actually runs, after the CPU cap."""
-        return capped_shards(
-            scenario.shards, jobs=scenario.jobs, transport=self.transport, quiet=quiet
-        )
-
-    def make_sim(
-        self,
-        scenario: Scenario,
-        start_time: float = 0.0,
-        log_stream=None,
-        observe: Any = None,
-        quiet: bool = False,
-    ) -> "XSim":
-        """Build a configured (not yet run) simulation for the scenario."""
-        from repro.core.simulator import XSim
-
-        return XSim(
-            scenario.system_config(),
-            seed=scenario.seed,
-            start_time=start_time,
-            log_stream=log_stream,
-            check=scenario.check,
-            record_events=scenario.record_events,
-            shards=self.resolve_shards(scenario, quiet=quiet),
-            shard_transport=self.transport,
-            observe=observe if observe is not None else (scenario.observe or None),
-            trace_detail=scenario.trace_detail,
-            scenario=scenario,
-        )
-
-    def execute(
-        self, scenario: Scenario, *, log_stream=None, observe: Any = None
-    ) -> "SimulationResult":
-        """One single-segment run of the scenario on this backend: build
-        the simulation, arm the explicit failure schedule, launch the
-        strategy-armed app with a fresh store, and simulate to
-        completion/abort."""
-        sim = self.make_sim(scenario, log_stream=log_stream, observe=observe)
-        schedule = scenario.schedule()
-        if schedule:
-            sim.inject_schedule(schedule)
-        strategy = scenario.make_strategy()
-        strategy.begin_run()
-        app, make_args = scenario.make_app(strategy=strategy)
-        return sim.run(app, args=make_args(strategy.segment_store()))
-
-    def run_engine(self, sim: "XSim", app, args: tuple, nranks: int):
-        """Drive an already-launched simulation to its result (the
-        dispatch target of ``XSim.run``)."""
-        raise NotImplementedError
-
-    def describe(self, sim: "XSim") -> dict[str, Any]:
-        """Backend block of ``XSim.describe_architecture``."""
-        return {
-            "name": self.name,
-            "shards": sim.shards,
-            "shard_transport": self.transport,
-        }
-
-
-@register_backend
-class SerialBackend(Backend):
-    """The single-process PDES engine."""
-
-    name = "serial"
-    transport = None
-
-    def run_engine(self, sim: "XSim", app, args: tuple, nranks: int):
-        if sim.observer is not None:
-            t0 = perf_counter()
-            result = sim.engine.run()
-            sim.observer.host_span(
-                t0, perf_counter(), "engine-run", track="engine",
-                args={"events": sim.engine.event_count},
-            )
-            return result
-        return sim.engine.run()
-
-
-class _ShardedBackend(Backend):
-    def run_engine(self, sim: "XSim", app, args: tuple, nranks: int):
-        from repro.pdes.sharded import run_sharded
-
-        return run_sharded(sim, app, args, nranks)
-
-
-@register_backend
-class ShardedInlineBackend(_ShardedBackend):
-    """Conservative-parallel shards, all driven in one process."""
-
-    name = "sharded-inline"
-    transport = "inline"
-
-
-@register_backend
-class ShardedForkBackend(_ShardedBackend):
-    """Conservative-parallel shards, one forked worker process each."""
-
-    name = "sharded-fork"
-    transport = "fork"
-
-
-@register_backend
-class ShardedShmBackend(_ShardedBackend):
-    """Conservative-parallel shards over shared-memory envelope rings."""
-
-    name = "sharded-shm"
-    transport = "shm"
-
-
-def backend_for(shards: int, shard_transport: str | None) -> Backend:
-    """The backend a legacy ``(shards, shard_transport)`` pair selects —
-    the dispatch rule every pre-registry launcher hand-coded."""
-    from repro.run.scenario import backend_name_for
-
-    return get_backend(backend_name_for(None, shards, shard_transport))
+def shard_plan(scenario: "Scenario") -> tuple[int, str | None]:
+    """``(shards, shard_transport)`` the scenario's simulations are built
+    with: the transport of its :data:`BACKEND_TRANSPORTS` row and the
+    shard count after the jobs x shards CPU cap."""
+    transport = BACKEND_TRANSPORTS[scenario.backend_name()]
+    return capped_shards(scenario.shards, jobs=scenario.jobs, transport=transport), transport
 
 
 # ----------------------------------------------------------------------
@@ -437,11 +289,11 @@ def run_scenario(
     schedule) runs the full restart loop — one
     :class:`~repro.core.restart.RestartDriver` carrying this scenario
     across segments; otherwise (or with ``force_single=True``, the
-    trace-record/replay path) it is one engine run via
-    :meth:`Backend.execute`.
+    trace-record/replay path) it is one run of
+    :meth:`XSim.from_scenario <repro.core.simulator.XSim.from_scenario>`.
 
     ``cache`` selects the content-addressed result store consulted
-    *before* dispatching to any backend (and written through after a
+    *before* any simulation is built (and written through after a
     computed run): ``None`` defers to the ``XSIM_CACHE`` /
     ``XSIM_CACHE_DIR`` environment policy, ``False`` disables caching
     for this call, and a :class:`~repro.cache.ResultCache` is used
@@ -469,7 +321,6 @@ def run_scenario(
         if hit is not None:
             return hit
     t0 = perf_counter()
-    backend = get_backend(scenario.backend_name())
     wants_driver = scenario.mttf is not None or bool(scenario.schedule())
     if wants_driver and not force_single:
         from repro.core.restart import RestartDriver
@@ -483,7 +334,9 @@ def run_scenario(
             metadata=_execution_metadata(getattr(driver, "shard_stats", None)),
         )
     else:
-        sim = backend.make_sim(scenario, log_stream=log_stream, observe=observe)
+        from repro.core.simulator import XSim
+
+        sim = XSim.from_scenario(scenario, log_stream=log_stream, observe=observe)
         schedule = scenario.schedule()
         if schedule:
             sim.inject_schedule(schedule)

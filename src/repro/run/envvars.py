@@ -161,9 +161,12 @@ def read_environment(environ=None) -> dict[str, object]:
             out[field] = value
     raw = env.get("XSIM_SHARD_TRANSPORT", "").strip()
     if raw:
-        if raw not in ("fork", "inline", "shm"):
+        from repro.run.scenario import SHARD_TRANSPORTS  # it imports this module
+
+        if raw not in SHARD_TRANSPORTS:
             raise ConfigurationError(
-                f"XSIM_SHARD_TRANSPORT must be 'fork', 'inline' or 'shm', got {raw!r}"
+                f"XSIM_SHARD_TRANSPORT must be one of {', '.join(SHARD_TRANSPORTS)}, "
+                f"got {raw!r}"
             )
         out["shard_transport"] = raw
     raw = env.get("XSIM_STRATEGY", "").strip()

@@ -108,8 +108,9 @@ APPS: dict[str, str] = {
     "ring": "repro.apps.ring:scenario_workload",
     "amr": "repro.apps.amr:scenario_workload",
 }
-#: Execution backends (:mod:`repro.run.backends`) -> the shard transport
-#: each one drives (``None``: the serial engine).
+#: Execution backends -> the shard transport each one drives (``None``:
+#: the serial engine).  The only statement of which backends exist;
+#: adding one is adding the row.
 BACKEND_TRANSPORTS: dict[str, str | None] = {
     "serial": None,
     "sharded-inline": "inline",
@@ -123,29 +124,35 @@ SHARD_TRANSPORTS = tuple(sorted(t for t in BACKEND_TRANSPORTS.values() if t is n
 _BACKEND_OF_TRANSPORT = {t: name for name, t in BACKEND_TRANSPORTS.items()}
 
 
+def _check_execution_names(backend: str | None, shard_transport: str | None) -> None:
+    """Refuse a backend or shard transport :data:`BACKEND_TRANSPORTS`
+    does not list."""
+    if backend is not None and backend not in BACKEND_TRANSPORTS:
+        raise ConfigurationError(
+            f"unknown backend {backend!r} (known: {', '.join(BACKEND_TRANSPORTS)})"
+        )
+    if shard_transport is not None and shard_transport not in SHARD_TRANSPORTS:
+        raise ConfigurationError(f"unknown shard transport {shard_transport!r}")
+
+
 def backend_name_for(backend: str | None, shards: int, shard_transport: str | None) -> str:
-    """The registered backend a ``(backend, shards, shard_transport)``
-    triple selects.
+    """The :data:`BACKEND_TRANSPORTS` row a ``(backend, shards,
+    shard_transport)`` triple selects.
 
     Explicit ``backend`` wins (and must agree with ``shard_transport``
     if both are given); otherwise the name derives from ``shards`` and
-    ``shard_transport`` exactly as the pre-registry launchers did.
+    ``shard_transport``: one shard is ``serial``, more run on the named
+    transport (``fork`` when none is).
     """
-    if backend is not None:
-        implied = BACKEND_TRANSPORTS.get(backend)
-        if (
-            shard_transport is not None
-            and implied is not None
-            and implied != shard_transport
-        ):
-            raise ConfigurationError(
-                f"backend {backend!r} conflicts with "
-                f"shard_transport {shard_transport!r}"
-            )
-        return backend
-    if shard_transport is not None and shard_transport not in SHARD_TRANSPORTS:
-        raise ConfigurationError(f"unknown shard transport {shard_transport!r}")
-    return _BACKEND_OF_TRANSPORT[None if shards <= 1 else (shard_transport or "fork")]
+    _check_execution_names(backend, shard_transport)
+    if backend is None:
+        return _BACKEND_OF_TRANSPORT[None if shards <= 1 else (shard_transport or "fork")]
+    implied = BACKEND_TRANSPORTS[backend]
+    if shard_transport is not None and implied is not None and implied != shard_transport:
+        raise ConfigurationError(
+            f"backend {backend!r} conflicts with shard_transport {shard_transport!r}"
+        )
+    return backend
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
@@ -252,10 +259,7 @@ class Scenario:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.shard_transport is not None and self.shard_transport not in SHARD_TRANSPORTS:
-            raise ConfigurationError(
-                f"unknown shard transport {self.shard_transport!r}"
-            )
+        _check_execution_names(self.backend, self.shard_transport)
         # Validate the strategy name and parameter spellings eagerly.
         strategy_values(self.strategy, dict(self.strategy_params))
         if self.dims is not None:
@@ -388,7 +392,7 @@ class Scenario:
     # derived objects
     # ------------------------------------------------------------------
     def backend_name(self) -> str:
-        """The registered backend this scenario runs on (:func:`backend_name_for`)."""
+        """The backend this scenario runs on (:func:`backend_name_for`)."""
         return backend_name_for(self.backend, self.shards, self.shard_transport)
 
     def make_strategy(self):

@@ -431,11 +431,8 @@ class TestTablesMatchCode:
         assert defined == APPS and APP_NAMES == tuple(APPS)
 
     def test_backends(self):
-        from repro.run.backends import BACKENDS
         from repro.run.scenario import BACKEND_TRANSPORTS, SHARD_TRANSPORTS, Scenario
 
-        assert {n: b.transport for n, b in BACKENDS.items()} == BACKEND_TRANSPORTS
-        assert list(BACKENDS) == list(BACKEND_TRANSPORTS)  # registration order
         assert SHARD_TRANSPORTS == ("fork", "inline", "shm")
         for name, transport in BACKEND_TRANSPORTS.items():
             shards = 1 if transport is None else 2
@@ -490,8 +487,6 @@ UNREACHED = {
         "ROADMAP item 5(3): the seed of `xsim-run explain`, or it goes (item 4)",
     "repro.util.ascii_chart":
         "ROADMAP item 4: beside its single user under examples/, or deleted",
-    "repro.util.profiling":
-        "ROADMAP item 5: EngineProfiler folds into the telemetry spine",
 }
 _TABLE_TARGET = re.compile(r"(repro(?:\.\w+)+):\w+")
 

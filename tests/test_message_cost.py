@@ -28,16 +28,15 @@ from repro.mpi.errhandler import ERRORS_RETURN, MpiError
 from repro.mpi.messages import Request
 from repro.obs import to_jsonl
 from repro.run import Scenario
-from repro.run.backends import get_backend
 
 SRC = os.path.dirname(repro.__file__) + os.sep
 
 
 def scenario_sim(**fields):
     """A serial simulation of the scenario, built but not run, plus the
-    app and its arguments (what ``Backend.execute`` does, keeping ``sim``)."""
+    app and its arguments (``run_scenario``'s single run, keeping ``sim``)."""
     scenario = Scenario(**fields)
-    sim = get_backend("serial").make_sim(scenario)
+    sim = XSim.from_scenario(scenario)
     strategy = scenario.make_strategy()
     strategy.begin_run()
     app, make_args = scenario.make_app(strategy=strategy)

@@ -289,6 +289,26 @@ class TestShardedExportParity:
         assert sum(1 for e in res if e.name == "abort") == 1
 
 
+    def test_restart_run_keeps_trace_detail_on_every_backend(self):
+        """``trace_detail`` used to be dropped whenever a scenario had
+        failures: the restart driver built ``Observer(detail=False)``."""
+        from repro.run import Scenario, run_scenario
+
+        scenario = Scenario(
+            ranks=8, iterations=40, interval=10, failures="3@50s",
+            observe=True, trace_detail=True,
+        )
+        serial = run_scenario(scenario, cache=False)
+        sharded = run_scenario(
+            scenario.with_(shards=2, shard_transport="inline"), cache=False
+        )
+        assert serial.mode == "restart" and serial.run.restarts == 1
+        assert serial.observer.detail is True
+        assert any(e.name == "wait" for e in serial.observer.sim_events())
+        assert to_chrome(serial.observer) == to_chrome(sharded.observer)
+        assert to_jsonl(serial.observer) == to_jsonl(sharded.observer)
+
+
 class TestTimelineReport:
     def test_latency_stats(self):
         s = LatencyStats.of([1.0, 3.0, 2.0])

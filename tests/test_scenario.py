@@ -10,13 +10,9 @@ import pytest
 from repro.cli import main
 from repro.run import (
     XSIM_ENV_VARS,
-    AttachedInstruments,
     Scenario,
-    attach_instruments,
-    backend_names,
     capped_shards,
     expand_matrix,
-    get_backend,
     load_scenario_file,
     parse_dims,
     parse_set,
@@ -24,6 +20,7 @@ from repro.run import (
     run_sweep,
 )
 from repro.run.envvars import read_environment
+from repro.run.scenario import BACKEND_TRANSPORTS
 from repro.util.errors import ConfigurationError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -225,13 +222,18 @@ class TestEngineSelectorIsGone:
 # ----------------------------------------------------------------------
 class TestBackends:
     def test_registry_names(self):
-        assert set(backend_names()) == {
-            "serial", "sharded-inline", "sharded-fork", "sharded-shm",
+        assert BACKEND_TRANSPORTS == {
+            "serial": None,
+            "sharded-inline": "inline",
+            "sharded-fork": "fork",
+            "sharded-shm": "shm",
         }
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            get_backend("quantum")
+        with pytest.raises(ConfigurationError) as refused:
+            tiny(backend="quantum")
+        assert "unknown backend 'quantum'" in str(refused.value)
+        assert all(name in str(refused.value) for name in BACKEND_TRANSPORTS)
 
     def test_backend_name_derivation(self):
         assert tiny().backend_name() == "serial"
@@ -270,10 +272,6 @@ class TestBackends:
         )
         assert a.digest() == b.digest()
 
-    def test_backend_execute_single_run(self):
-        result = get_backend("serial").execute(tiny())
-        assert result.completed
-
     def test_outcome_metadata_records_actual_transport(self):
         outcome = run_scenario(tiny(shards=2, shard_transport="inline"))
         assert outcome.metadata == {
@@ -304,6 +302,62 @@ class TestBackends:
         assert described == {
             "name": "sharded-inline", "shards": 2, "shard_transport": "inline",
         }
+
+
+#: Scenario field -> how a built simulation shows it carries the value.
+CARRIED = {
+    "check": lambda sim: sim.checker is not None,
+    "observe": lambda sim: sim.observer is not None,
+    "trace_detail": lambda sim: sim.observer.detail,
+    "seed": lambda sim: sim.seed,
+    "shards": lambda sim: sim.shards,
+    "shard_transport": lambda sim: sim.shard_transport,
+}
+
+
+class TestConstructionParity:
+    """Every simulation a scenario causes to be built carries the
+    scenario's values, whichever of the three sites built it:
+    ``XSim.from_scenario`` (a single run), ``RestartDriver`` (each
+    restart segment) and ``_build_replica`` (each inline shard)."""
+
+    SCENARIO = dict(
+        check=True, observe=True, trace_detail=True, seed=7,
+        shards=2, shard_transport="inline",
+    )
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        """mode -> every XSim constructed while running it."""
+        from repro.core.simulator import XSim
+
+        sims: list = []
+        init = XSim.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            sims.append(self)
+
+        runs = {"single": tiny(**self.SCENARIO)}
+        runs["restart"] = runs["single"].with_(iterations=40, failures="3@50s")
+        out = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(XSim, "__init__", recording_init)
+            for mode, scenario in runs.items():
+                del sims[:]
+                outcome = run_scenario(scenario, cache=False)
+                assert outcome.mode == mode
+                out[mode] = list(sims)
+        # parent + one replica; two segments of parent + one replica
+        assert [len(out[mode]) for mode in ("single", "restart")] == [2, 4]
+        return out
+
+    @pytest.mark.parametrize("mode", ["single", "restart"])
+    @pytest.mark.parametrize("field", list(CARRIED))
+    def test_every_built_sim_carries_the_field(self, built, mode, field):
+        assert [CARRIED[field](sim) for sim in built[mode]] == (
+            [self.SCENARIO[field]] * len(built[mode])
+        )
 
 
 class TestCappedShards:
@@ -377,31 +431,17 @@ class TestInstruments:
         sim = XSim(SystemConfig.small_test_system(nranks=2), check=False)
         assert sim.checker is None and sim.event_trace is None and sim.observer is None
 
-    def test_attach_returns_slots(self):
-        from repro.core.harness.config import SystemConfig
-        from repro.core.simulator import XSim
-
-        sim = XSim(SystemConfig.small_test_system(nranks=2), check=False)
-        attached = attach_instruments(sim, check=False)
-        assert isinstance(attached, AttachedInstruments)
-        assert attached.checker is None
-
     def test_observer_instance_passes_through(self):
-        from repro.obs import Observer
-        from repro.run.instruments import coerce_observer
+        from repro.obs import Observer, observer_for
 
         obs = Observer(detail=True)
-        assert coerce_observer(obs) is obs
-        assert coerce_observer(None) is None
-        assert coerce_observer(False) is None
-        assert coerce_observer(True, detail=True).detail is True
-
-    def test_duplicate_hook_rejected(self):
-        from repro.run.instruments import INSTRUMENTS, instrument
-
-        assert set(INSTRUMENTS) >= {"sanitizer", "event-trace", "observer"}
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            instrument("sanitizer")(lambda host, **kw: None)
+        assert observer_for(obs) is obs
+        assert observer_for(None) is None
+        assert observer_for(False) is None
+        assert observer_for(True, detail=True).detail is True
+        local = observer_for(obs, shard_local=True)
+        assert local is not obs and local.detail is True and local.events == []
+        assert observer_for(None, shard_local=True) is None
 
 
 # ----------------------------------------------------------------------

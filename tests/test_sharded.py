@@ -31,9 +31,9 @@ from repro.core.restart import RestartDriver
 from repro.core.simulator import XSim
 from repro.mpi.errhandler import ERRORS_ARE_FATAL, ERRORS_RETURN
 from repro.mpi.messages import EAGER, RTS
+from repro.models.network.model import NetworkModel, NetworkTier
 from repro.pdes.sharded import (
     ShardWorker,
-    derive_lookahead,
     derive_lookahead_matrix,
     partition_ranks,
     partition_ranks_topology,
@@ -49,6 +49,49 @@ fork_required = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
     reason="fork start method unavailable on this platform",
 )
+
+
+def derive_lookahead(network: NetworkModel, parts: list[range]) -> float:
+    """Test oracle: the provably safe *global* lookahead of a contiguous
+    partition — the independent lower bound every entry of
+    ``derive_lookahead_matrix`` must dominate, and the uniform window the
+    ``shard_lookahead`` override is scaled from.
+
+    For a boundary between ranks ``b-1`` and ``b``: any cross-shard pair
+    ``(i, j)`` with ``i < b <= j`` that shares a node (or chip) forces
+    ``b-1`` and ``b`` to share it too (block rank placement + contiguity).
+    Contrapositively, the boundary pair's tier bounds how *close* any pair
+    crossing that boundary can be, so the minimum wire latency over the
+    admissible tiers is a lower bound on every cross-shard latency:
+
+    * boundary on different nodes  -> every crossing pair is inter-node:
+      latency >= system tier latency (>= one hop);
+    * boundary on one node, different chips -> crossing pairs are at
+      closest on-node;
+    * boundary on one chip -> no constraint, take the minimum tier.
+    """
+    sys_lat = network.system.latency
+    node_lat = network.on_node.latency
+    chip_lat = network.on_chip.latency
+    lookahead = math.inf
+    for part in parts[1:]:
+        b = part[0]
+        tier = network.tier(b - 1, b)
+        if tier is NetworkTier.SYSTEM:
+            bound = sys_lat
+        elif tier is NetworkTier.ON_NODE:
+            bound = min(node_lat, sys_lat)
+        else:
+            bound = min(chip_lat, node_lat, sys_lat)
+        lookahead = min(lookahead, bound)
+    if math.isinf(lookahead):
+        raise ConfigurationError("lookahead is only defined for >= 2 shards")
+    if lookahead <= 0.0:
+        raise ConfigurationError(
+            "sharded execution requires a positive minimum cross-shard wire "
+            f"latency; this network derives a lookahead of {lookahead!r}"
+        )
+    return lookahead
 
 
 def paper_network(nranks, **overrides):
