@@ -161,7 +161,7 @@ class Sanitizer:
                 )
         else:
             key = (req.ctx, req.src, req.tag)
-            if req not in state.posted_exact.get(key, ()):
+            if req not in state.posted_at(key):
                 self._violate(
                     "posted-queue-consistency",
                     f"rank {state.rank}: {req.describe()} not under its exact key {key}",
@@ -206,8 +206,8 @@ class Sanitizer:
                 "match-correctness",
                 f"rank {state.rank}: {msg!r} matched non-matching {req.describe()}",
             )
-        if req in state.posted_wild or req in state.posted_exact.get(
-            (req.ctx, req.src, req.tag), ()
+        if req in state.posted_wild or req in state.posted_at(
+            (req.ctx, req.src, req.tag)
         ):
             self._violate(
                 "posted-queue-consistency",
@@ -262,8 +262,8 @@ class Sanitizer:
         if self.world is not None:
             state = self.world.states[vp.rank]
             if req.kind == Request.RECV:
-                in_queues = req in state.posted_wild or req in state.posted_exact.get(
-                    (req.ctx, req.src, req.tag), ()
+                in_queues = req in state.posted_wild or req in state.posted_at(
+                    (req.ctx, req.src, req.tag)
                 )
             else:
                 in_queues = req in state.rdv_sends
@@ -355,7 +355,8 @@ class Sanitizer:
     def sweep_rank(self, state: "RankState") -> None:
         """Full matching-queue consistency sweep of one rank."""
         wild_ids = {id(r) for r in state.posted_wild}
-        for key, reqs in state.posted_exact.items():
+        for key in state.posted_exact:
+            reqs = state.posted_at(key)
             if not reqs:
                 self._violate(
                     "posted-queue-consistency", f"rank {state.rank}: empty exact bucket {key}"
@@ -475,7 +476,7 @@ class Sanitizer:
     def _posted_match(self, state: "RankState", msg: Msg) -> Request | None:
         """Earliest-posted receive accepting ``msg``, without popping it."""
         best: Request | None = None
-        exact = state.posted_exact.get((msg.ctx, msg.src, msg.tag))
+        exact = state.posted_at((msg.ctx, msg.src, msg.tag))
         if exact:
             best = exact[0]
         for req in state.posted_wild:

@@ -51,6 +51,8 @@ def resolve_protocol(api: "MpiApi", store: Any) -> "CheckpointProtocol | Any | N
 class CheckpointProtocol:
     """Per-rank view of the application checkpoint discipline."""
 
+    __slots__ = ("api", "store", "previous_id")
+
     def __init__(self, api: "MpiApi", store: CheckpointStore):
         self.api = api
         self.store = store

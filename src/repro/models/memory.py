@@ -34,9 +34,10 @@ class RegionKind(enum.Enum):
     """Allocated but dead memory: a flip is benign."""
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class MemoryRegion:
-    """One tracked allocation of a simulated process."""
+    """One tracked allocation of a simulated process (an immutable
+    record: a size-only one is shared by every rank that allocates it)."""
 
     name: str
     nbytes: int
@@ -49,7 +50,7 @@ class MemoryRegion:
                 raise ConfigurationError(
                     f"region {self.name!r}: backing arrays must be C-contiguous"
                 )
-            self.nbytes = int(self.array.nbytes)
+            object.__setattr__(self, "nbytes", int(self.array.nbytes))
         if self.nbytes <= 0:
             raise ConfigurationError(f"region {self.name!r} must have nbytes > 0")
 
@@ -71,7 +72,11 @@ class MemoryTracker:
     """Tracks live allocations per rank and applies random bit flips."""
 
     def __init__(self) -> None:
-        self._regions: dict[int, dict[str, MemoryRegion]] = {}
+        #: rank -> its one live region, or name -> region from a second
+        #: name on (a modeled rank registers its grid and nothing else).
+        self._regions: dict[int, MemoryRegion | dict[str, MemoryRegion]] = {}
+        #: The size-only records, one per ``(name, nbytes, kind)``.
+        self._size_only: dict[tuple[str, int, RegionKind], MemoryRegion] = {}
 
     def allocate(
         self,
@@ -82,16 +87,31 @@ class MemoryTracker:
         array: np.ndarray | None = None,
     ) -> MemoryRegion:
         """Register an allocation; re-allocating a name replaces it."""
-        region = MemoryRegion(name=name, nbytes=nbytes, kind=kind, array=array)
-        self._regions.setdefault(rank, {})[name] = region
+        if array is None:
+            key = (name, nbytes, kind)
+            region = self._size_only.get(key)
+            if region is None:
+                region = self._size_only[key] = MemoryRegion(name, nbytes, kind)
+        else:
+            region = MemoryRegion(name, nbytes, kind, array)
+        held = self._regions.get(rank)
+        if type(held) is dict:
+            held[name] = region
+        elif held is None or held.name == name:
+            self._regions[rank] = region
+        else:
+            self._regions[rank] = {held.name: held, name: region}
         return region
 
     def free(self, rank: int, name: str) -> None:
         """Release one named allocation."""
-        regions = self._regions.get(rank, {})
-        if name not in regions:
+        held = self._regions.get(rank)
+        if type(held) is dict and name in held:
+            del held[name]
+        elif type(held) is MemoryRegion and held.name == name:
+            del self._regions[rank]
+        else:
             raise ConfigurationError(f"rank {rank} has no region {name!r}")
-        del regions[name]
 
     def free_all(self, rank: int) -> None:
         """Drop every allocation of ``rank`` (e.g. the process died)."""
@@ -99,11 +119,14 @@ class MemoryTracker:
 
     def regions(self, rank: int) -> list[MemoryRegion]:
         """Live allocations of ``rank``."""
-        return list(self._regions.get(rank, {}).values())
+        held = self._regions.get(rank)
+        if held is None:
+            return []
+        return list(held.values()) if type(held) is dict else [held]
 
     def footprint(self, rank: int) -> int:
         """Total live bytes of ``rank``."""
-        return sum(r.nbytes for r in self._regions.get(rank, {}).values())
+        return sum(r.nbytes for r in self.regions(rank))
 
     def flip_random_bit(self, rank: int, rng: np.random.Generator) -> FlipRecord:
         """Flip one uniformly random bit across ``rank``'s live footprint.

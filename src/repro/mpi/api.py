@@ -44,7 +44,7 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, SUCCESS, TAG_UB
 from repro.mpi.datatypes import payload_nbytes
 from repro.mpi.errhandler import Errhandler
 from repro.mpi.group import Group
-from repro.mpi.messages import Msg, Request
+from repro.mpi.messages import PAYLOAD_ONLY, Msg, Request
 from repro.pdes.requests import Advance, Block
 from repro.util.errors import ConfigurationError
 
@@ -65,21 +65,31 @@ class Status:
 
 
 class NeighborPlan:
-    """Channels bound by :meth:`MpiApi.neighbor_plan`: per row the world
-    rank of the peer (or ``PROC_NULL``), the send tag, the receive match
-    key ``(ctx, src, tag)``, the fixed wire size and its eager wire time
-    (``None`` where unbound)."""
+    """Channels bound by :meth:`MpiApi.neighbor_plan`, as a flyweight.
 
-    __slots__ = ("comm", "ctx", "rows")
+    ``shape`` holds per row ``(delta, send_tag, recv_tag, nbytes)`` —
+    ``delta`` the peer's world rank minus ``me`` (``None`` for
+    ``PROC_NULL``), ``nbytes`` the fixed wire size or ``None`` — and
+    ``wires`` the row's eager wire time (``None`` where unbound).  Both
+    tuples are interned per run (:attr:`MpiWorld.plan_parts`): every rank
+    at the same position of a decomposition borrows the same two, and a
+    rank owns this one small object.
+    """
 
-    def __init__(self, comm: Communicator, ctx: int, rows: tuple):
+    __slots__ = ("comm", "ctx", "me", "shape", "wires")
+
+    def __init__(self, comm: Communicator, ctx: int, me: int, shape: tuple, wires: tuple):
         self.comm = comm
         self.ctx = ctx
-        self.rows = rows
+        self.me = me
+        self.shape = shape
+        self.wires = wires
 
 
 class MpiApi:
     """The simulated MPI interface of one rank."""
+
+    __slots__ = ("world", "rank", "vp", "_rs", "_wc")
 
     def __init__(self, world: "MpiWorld", rank: int):
         self.world = world
@@ -400,19 +410,21 @@ class MpiApi:
         it with ``recv_tag``; ``PROC_NULL`` peers are allowed (domain
         boundaries).  ``nbytes`` is the fixed wire size of the row's send,
         or ``None`` when the size is only known per exchange.  Tags are
-        validated, ranks translated, the receive match keys built and —
-        for fixed eager sizes — the wire time looked up here, so
-        :meth:`neighbor_exchange` repeats none of it per message.
+        validated, ranks translated and — for fixed eager sizes — the wire
+        time looked up here, so :meth:`neighbor_exchange` repeats none of
+        it per message; what it still forms at the post is the peer's rank
+        from its offset and the receive's match key.
         """
         self._check_active()
         comm = self._comm(comm)
-        ctx = comm.context_id * 2
-        network = self.world.network
+        world = self.world
+        network = world.network
         eager_threshold = network.eager_threshold
         transfer_time = network.transfer_time
         world_rank = comm.world_rank
         me = self.rank
-        bound = []
+        shape = []
+        wires = []
         for peer, send_tag, recv_tag, nbytes in rows:
             if not (0 <= send_tag <= TAG_UB and 0 <= recv_tag <= TAG_UB):
                 self._check_tag(send_tag)
@@ -420,7 +432,8 @@ class MpiApi:
             if nbytes is not None:
                 nbytes = payload_nbytes(None, nbytes)
             if peer == PROC_NULL:
-                bound.append((PROC_NULL, send_tag, (ctx, PROC_NULL, recv_tag), nbytes, None))
+                shape.append((None, send_tag, recv_tag, nbytes))
+                wires.append(None)
                 continue
             dst = world_rank(peer)
             wire = None
@@ -428,8 +441,14 @@ class MpiApi:
                 # A hit from the machine's second segment on: the model
                 # and its route caches outlive the run.
                 wire = transfer_time(nbytes, me, dst)
-            bound.append((dst, send_tag, (ctx, dst, recv_tag), nbytes, wire))
-        return NeighborPlan(comm, ctx, tuple(bound))
+            shape.append((dst - me, send_tag, recv_tag, nbytes))
+            wires.append(wire)
+        intern = world.plan_parts.setdefault
+        shape = tuple(shape)
+        wires = tuple(wires)
+        return NeighborPlan(
+            comm, comm.context_id * 2, me, intern(shape, shape), intern(wires, wires)
+        )
 
     def neighbor_exchange(
         self,
@@ -463,24 +482,35 @@ class MpiApi:
         world = self.world
         vp = self.vp
         ctx = plan.ctx
-        rows = plan.rows
-        post_recv = world.post_recv
-        recvs = [
-            post_recv(vp, comm, key) if dst != PROC_NULL else None
-            for dst, _stag, key, _size, _wire in rows
-        ]
+        me = plan.me
+        shape = plan.shape
+        wires = plan.wires
+        # A receive posted here completes into its payload and lets the
+        # Msg go at the match: nothing else of it is read below.  (A loop,
+        # not a comprehension: a closure would turn this generator's
+        # locals into cells, one allocation each per rank per exchange.)
+        recvs: list[Request | None] = []
+        for delta, _stag, rtag, _size in shape:
+            recvs.append(
+                None
+                if delta is None
+                else world.post_recv(vp, comm, (ctx, me + delta, rtag), PAYLOAD_ONLY)
+            )
         network = world.network
         send_adv = world.send_overhead_advance if network.send_overhead > 0.0 else None
-        post_send = world.post_send
-        sends: list[Request | None] = [None] * len(rows)
-        for i, (dst, stag, _key, size, wire) in enumerate(rows):
-            if dst != PROC_NULL:
+        sends: list[Request | None] = [None] * len(shape)
+        for i, recv in enumerate(recvs):
+            if recv is not None:
                 if send_adv is not None:
                     yield send_adv
+                _delta, stag, _rtag, size = shape[i]
                 payload = None if payloads is None else payloads[i]
                 if size is None:
                     size = payload_nbytes(payload, nbytes)
-                sends[i] = post_send(vp, comm, ctx, dst, stag, payload, size, wire)
+                # recv.src is this row's peer, formed once at the post
+                sends[i] = world.post_send(
+                    vp, comm, ctx, recv.src, stag, payload, size, wires[i]
+                )
         # Completion: the sends, then the receives.  An eager send completed
         # at its post and left nothing to wait for (None), like a PROC_NULL
         # row; with a sanitizer attached every real send has its request.
@@ -489,14 +519,14 @@ class MpiApi:
             if req is not None:
                 yield from world.wait(vp, req)
             elif check is not None:
-                check.on_wait_complete(vp, self._null_request(Request.SEND, comm, rows[i][1]))
+                check.on_wait_complete(vp, self._null_request(Request.SEND, comm, shape[i][1]))
         recv_adv = world.recv_overhead_advance if network.recv_overhead > 0.0 else None
         received = []
         for i, req in enumerate(recvs):
             if req is None:  # PROC_NULL: complete at the post, nothing on the wire
                 if check is not None:
                     check.on_wait_complete(
-                        vp, self._null_request(Request.RECV, comm, rows[i][2][2])
+                        vp, self._null_request(Request.RECV, comm, shape[i][2])
                     )
                 if recv_adv is not None:
                     yield recv_adv
@@ -507,9 +537,9 @@ class MpiApi:
                     check.on_wait_complete(vp, req)
                 if recv_adv is not None:
                     yield recv_adv
-                received.append(req.result.payload)
+                received.append(req.result)
             else:
-                received.append((yield from world.wait(vp, req)).payload)
+                received.append((yield from world.wait(vp, req)))
         return received
 
     def _null_request(self, kind: str, comm: Communicator, tag: int) -> Request:

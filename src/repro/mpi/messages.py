@@ -24,6 +24,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 EAGER = "eager"
 RTS = "rts"
 
+#: Preset in :attr:`Request.result` by a poster that reads nothing of the
+#: message but its payload (:meth:`MpiApi.neighbor_exchange`): the receive
+#: then completes into the payload alone and the :class:`Msg` is released
+#: at the match, not when the owner gets round to the request.
+PAYLOAD_ONLY: Any = object()
+
 
 class Msg:
     """One simulated network message (eager payload or rendezvous RTS)."""
@@ -117,7 +123,8 @@ class Request:
         #: Virtual time the operation completed (may be in the owner's
         #: future; wait() advances the owner's clock to it).
         self.completion_time = math.nan
-        #: Received payload (recv requests).
+        #: What a receive completed into: the matched :class:`Msg`, or its
+        #: payload alone where the poster preset :data:`PAYLOAD_ONLY`.
         self.result: Any = None
         #: Monotonic post order among this rank's receives (matching tie-break).
         self.post_seq = 0
@@ -129,12 +136,20 @@ class Request:
         self.completion_time = time
         self.result = result
 
+    def deliver(self, time: float, msg: Msg) -> None:
+        """Complete this receive at ``time`` against the message it
+        matched (:meth:`MpiWorld._arrive` carries these lines inline)."""
+        self.done = True
+        self.completion_time = time
+        self.result = msg if self.result is None else msg.payload
+
     def fail(self, time: float, error: int, failed_rank: int | None = None) -> None:
         """Mark completion-with-error at virtual ``time``."""
         self.done = True
         self.completion_time = time
         self.error = error
         self.failed_rank = failed_rank
+        self.result = None  # a failed receive holds nothing, PAYLOAD_ONLY included
 
     # -- matching keys -----------------------------------------------------
     def matches_msg(self, msg: Msg) -> bool:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
 
 from repro.models.filesystem import FileSystemModel
 from repro.models.memory import MemoryTracker
@@ -49,7 +49,7 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG, ERR_PROC_FAILED, ERR_REVOKE
 from repro.mpi.errhandler import ERRORS_ARE_FATAL, ERRORS_RETURN, MpiError
 from repro.mpi.group import Group
 from repro.mpi.messages import EAGER, RTS, Msg, Request
-from repro.pdes.context import VirtualProcess, VpState
+from repro.pdes.context import EMPTY_MAP, VirtualProcess, VpState
 from repro.pdes.engine import Engine
 from repro.pdes.requests import Advance, Block
 from repro.util.errors import ConfigurationError, SimulationError
@@ -65,7 +65,13 @@ _RUNNING, _READY = VpState.RUNNING, VpState.READY
 
 
 class RankState:
-    """Per-rank MPI-layer state (hangs off the VP's userdata slot)."""
+    """Per-rank MPI-layer state (hangs off the VP's userdata slot).
+
+    A rank owns a queue from its first entry: until then ``posted_wild``
+    and ``rdv_sends`` are the empty tuple and ``unexpected`` the shared
+    read-only :data:`~repro.pdes.context.EMPTY_MAP` — readers test
+    truthiness, iterate or ``.get``; writers create on the first write.
+    """
 
     __slots__ = (
         "rank",
@@ -81,22 +87,34 @@ class RankState:
     def __init__(self, rank: int, vp: VirtualProcess):
         self.rank = rank
         self.vp = vp
-        #: Posted receives with fully specified (ctx, src, tag), FIFO per key.
-        self.posted_exact: dict[MatchKey, list[Request]] = {}
+        #: Posted receives with fully specified (ctx, src, tag): the
+        #: ``Request`` itself under its key, and a FIFO list of them only
+        #: from a second post to the same key on.
+        self.posted_exact: dict[MatchKey, Request | list[Request]] = {}
         #: Posted receives using ANY_SOURCE/ANY_TAG, in post order.
-        self.posted_wild: list[Request] = []
+        self.posted_wild: Sequence[Request] = ()
         #: Arrived-but-unmatched messages per (ctx, src, tag), sorted by seq.
-        self.unexpected: dict[MatchKey, list[Msg]] = {}
+        self.unexpected: Mapping[MatchKey, list[Msg]] = EMPTY_MAP
         #: This rank's pending rendezvous sends (awaiting their CTS).
-        self.rdv_sends: list[Request] = []
+        self.rdv_sends: Sequence[Request] = ()
         self.initialized = False
         self.finalized = False
+
+    def posted_at(self, key: MatchKey) -> Sequence[Request]:
+        """The exact receives posted under ``key``, in post order."""
+        entry = self.posted_exact.get(key)
+        if entry is None:
+            return ()
+        return entry if type(entry) is list else (entry,)
 
     def iter_posted(self) -> list[Request]:
         """All posted receives (exact and wildcard), unordered."""
         out: list[Request] = []
-        for reqs in self.posted_exact.values():
-            out.extend(reqs)
+        for entry in self.posted_exact.values():
+            if type(entry) is list:
+                out.extend(entry)
+            else:
+                out.append(entry)
         out.extend(self.posted_wild)
         return out
 
@@ -104,13 +122,29 @@ class RankState:
         """Drop a posted receive from whichever index holds it."""
         if req.src != ANY_SOURCE and req.tag != ANY_TAG:
             key = (req.ctx, req.src, req.tag)
-            reqs = self.posted_exact.get(key)
-            if reqs and req in reqs:
-                reqs.remove(req)
-                if not reqs:
+            entry = self.posted_exact.get(key)
+            if entry is req:
+                del self.posted_exact[key]
+            elif type(entry) is list and req in entry:
+                entry.remove(req)
+                if not entry:
                     del self.posted_exact[key]
         elif req in self.posted_wild:
             self.posted_wild.remove(req)
+
+    def add_rdv_send(self, req: Request) -> None:
+        """File a rendezvous send that now awaits its clear-to-send."""
+        if self.rdv_sends:
+            self.rdv_sends.append(req)
+        else:
+            self.rdv_sends = [req]
+
+    def clear(self) -> None:
+        """Drop every queue (the rank died)."""
+        self.posted_exact.clear()
+        self.posted_wild = ()
+        self.unexpected = EMPTY_MAP
+        self.rdv_sends = ()
 
 
 class SyncPoint:
@@ -225,6 +259,10 @@ class MpiWorld:
         # The delivery callback every message's heap entry carries, bound
         # once: ``self._arrive`` would build a bound method per message.
         self._deliver = self._arrive
+        #: The ``shape`` and ``wires`` tuples of this run's neighbour plans,
+        #: by value (:meth:`MpiApi.neighbor_plan`): every rank at the same
+        #: position of a decomposition borrows the same two tuples.
+        self.plan_parts: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # job launch
@@ -359,7 +397,7 @@ class MpiWorld:
                 # instead of failing at the post.
                 self._release_failed(req, dst, failed_at)
             else:
-                self.states[src].rdv_sends.append(req)
+                self.states[src].add_rdv_send(req)
         faults = self.faults
         if faults.active_links:
             wire = faults.link_factor(src, dst, clock) * wire
@@ -373,18 +411,23 @@ class MpiWorld:
         heappush(engine._heap, (arrival, eseq, None, 0, self._deliver, (msg,)))
         return req
 
-    def post_recv(self, vp: VirtualProcess, comm: Communicator, key: MatchKey) -> Request:
+    def post_recv(
+        self, vp: VirtualProcess, comm: Communicator, key: MatchKey, result: Any = None
+    ) -> Request:
         """Post a receive for a fully specified ``(ctx, src, tag)`` match
         key (world-rank source, no wildcards); local call.
 
         The per-message path of collectives and pre-bound neighbour
-        exchanges, which hold their match keys already; :meth:`irecv`
-        routes every exact receive here.
+        exchanges; :meth:`irecv` routes every exact receive here.
+        ``result`` presets :attr:`Request.result` —
+        :data:`~repro.mpi.messages.PAYLOAD_ONLY` where the poster reads
+        the payload and nothing else of the message.
         """
         ctx, src, tag = key
         clock = vp.clock
         state = vp.userdata
         req = Request(Request.RECV, vp, comm, ctx, src, vp.rank, tag, 0, clock)
+        req.result = result
         self._post_seq += 1
         req.post_seq = self._post_seq
         if comm.revoked:
@@ -409,11 +452,13 @@ class MpiWorld:
         if failed_at is not None and self._failure_visible(vp, src, failed_at):
             self._fail_from_list(req, src)
             return req
-        posted = state.posted_exact.get(key)
-        if posted is None:
-            state.posted_exact[key] = [req]
-        else:
-            posted.append(req)
+        posted = state.posted_exact
+        earlier = posted.setdefault(key, req)
+        if earlier is not req:  # a second post to one key: FIFO from here on
+            if type(earlier) is list:
+                earlier.append(req)
+            else:
+                posted[key] = [earlier, req]
         if self.check is not None:
             self.check.on_post(state, req)
         if failed_at is not None:
@@ -461,7 +506,10 @@ class MpiWorld:
                     self._fail_from_list(req, src)
                     return req
                 in_flight = src
-        state.posted_wild.append(req)
+        if state.posted_wild:
+            state.posted_wild.append(req)
+        else:
+            state.posted_wild = [req]
         if self.check is not None:
             self.check.on_post(state, req)
         if in_flight is not None:
@@ -474,7 +522,7 @@ class MpiWorld:
         if self.check is not None:
             self.check.on_match_unexpected(state, req, msg)
         if msg.protocol == EAGER:
-            req.complete(req.post_time, result=msg)  # fresh post: nobody waits yet
+            req.deliver(req.post_time, msg)  # fresh post: nobody waits yet
         else:
             self._rendezvous(req, msg, req.post_time)
 
@@ -617,7 +665,7 @@ class MpiWorld:
         send_req.complete(t_send_done)
         if send_req.waiting:
             self.engine.wake(send_req.vp, t_send_done)
-        req.complete(t_recv_done, result=rts)
+        req.deliver(t_recv_done, rts)
         if req.waiting:
             self.engine.wake(req.vp, t_recv_done)
 
@@ -656,20 +704,30 @@ class MpiWorld:
         if state.posted_wild:
             req = self._match_posted(state, msg, key)
         else:
-            req = None
-            exact = state.posted_exact.get(key)
-            if exact:
-                req = exact.pop(0)
-                if not exact:
-                    del state.posted_exact[key]
+            posted = state.posted_exact
+            req = posted.get(key)
+            if type(req) is list:
+                # Several posts to this key: the earliest, and the key
+                # keeps its place in the dict while any remain (the order
+                # ``_on_failure`` releases in).
+                reqs = req
+                req = reqs.pop(0)
+                if not reqs:
+                    del posted[key]
+            elif req is not None:
+                del posted[key]
         if req is not None:
             if self.check is not None:
                 self.check.on_match_posted(state, msg, req)
             if eager:
-                # Request.complete and the wake, inline (req.vp is vp).
+                # Request.deliver and the wake, inline (req.vp is vp; a call
+                # here is one more frame a message, which the call budget of
+                # tests/test_message_cost.py counts): the last reference to
+                # a payload-only receive's Msg goes with this event's heap
+                # entry.
                 req.done = True
                 req.completion_time = now
-                req.result = msg
+                req.result = msg if req.result is None else msg.payload
                 if req.waiting:
                     self.engine.wake(vp, now)
             else:
@@ -678,6 +736,8 @@ class MpiWorld:
         # Buffer, keeping each per-key list sorted by send sequence so
         # matching preserves non-overtaking order even when a larger,
         # earlier message arrives after a smaller, later one.
+        if state.unexpected is EMPTY_MAP:
+            state.unexpected = {}
         msgs = state.unexpected.setdefault(key, [])
         if msgs and msgs[-1].seq > msg.seq:
             i = len(msgs) - 1
@@ -693,7 +753,7 @@ class MpiWorld:
         """Pop the earliest-posted receive accepting ``msg`` when wildcard
         receives are posted: the head of the exact index for ``key``
         against the first matching wildcard, by post order."""
-        exact = state.posted_exact.get(key)
+        exact = state.posted_at(key)
         candidate: Request | None = exact[0] if exact else None
         wild_i = -1
         for i, req in enumerate(state.posted_wild):
@@ -709,9 +769,7 @@ class MpiWorld:
         if wild_i >= 0 and candidate is state.posted_wild[wild_i]:
             del state.posted_wild[wild_i]
         else:
-            exact.pop(0)
-            if not exact:
-                del state.posted_exact[key]
+            state.remove_posted(candidate)
         return candidate
 
     # ------------------------------------------------------------------
@@ -730,16 +788,15 @@ class MpiWorld:
         f = fvp.rank
         fstate = self.states[f]
         # Delete messages directed to (and state of) the failed process.
-        fstate.posted_exact.clear()
-        fstate.posted_wild.clear()
-        fstate.unexpected.clear()
-        fstate.rdv_sends.clear()
+        fstate.clear()
         self.memory.free_all(f)
         # Simulator-internal notification broadcast: every VP maintains its
         # own list of failed processes and their failure times.
         obs = self.obs
         for state in self.states:
             if state.vp.alive:
+                if state.vp.failed_peers is EMPTY_MAP:
+                    state.vp.failed_peers = {}
                 state.vp.failed_peers[f] = t_fail
                 if obs is not None and self._obs_owns(state.rank):
                     # Visible one wire latency after the failure, matching
@@ -770,7 +827,8 @@ class MpiWorld:
             if state.posted_exact:
                 dead_exact = [key for key in state.posted_exact if key[1] == f]
                 for key in dead_exact:
-                    released.extend(state.posted_exact.pop(key))
+                    released.extend(state.posted_at(key))
+                    del state.posted_exact[key]
             if state.posted_wild:
                 # Single pass, preserving the release order (ANY_SOURCE
                 # receives on communicators containing f first, then

@@ -12,7 +12,15 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Any, Generator
+from types import MappingProxyType
+from typing import Any, Generator, Mapping
+
+#: The one empty mapping every rank starts from where it has nothing to
+#: record yet (failed peers, buffered messages).  Read-only: a reader sees
+#: an empty dict (``.get``, iteration, truthiness), a writer that forgets
+#: to create its own on the first entry fails loudly instead of writing
+#: into every rank's state.
+EMPTY_MAP: Mapping[Any, Any] = MappingProxyType({})
 
 
 class VpState(enum.Enum):
@@ -73,8 +81,9 @@ class VirtualProcess:
         #: the power model's energy-accounting input.
         self.busy_time = 0.0
         #: rank -> virtual time of that peer's failure, as known to this VP
-        #: (populated by the simulator-internal failure notification broadcast).
-        self.failed_peers: dict[int, float] = {}
+        #: (populated by the simulator-internal failure notification
+        #: broadcast, which creates the rank's own dict on the first one).
+        self.failed_peers: Mapping[int, float] = EMPTY_MAP
         #: Monotonic token guarding against stale wake events.
         self.wait_token = 0
         self.wait_tag = ""

@@ -502,7 +502,6 @@ class Engine:
         gen = vp.gen
         heap = self._heap
         coalesce = self.coalesce_advances
-        window_end = self._window_end
         while True:
             try:
                 if exc is not None:
@@ -544,7 +543,11 @@ class Engine:
                 if item.busy:
                     vp.busy_time += dt
                 new_clock = vp.clock + dt
-                if coalesce and new_clock < window_end and (not heap or heap[0][0] > new_clock):
+                # ``_window_end`` is read here, not once per step: a
+                # cross-shard post earlier in this very step tightens it.
+                if coalesce and new_clock < self._window_end and (
+                    not heap or heap[0][0] > new_clock
+                ):
                     # No other event can fire strictly before this VP's
                     # resume (strict > keeps equal-time FIFO order intact),
                     # so take the control point inline: same clock update,

@@ -430,8 +430,10 @@ class ShardStats:
     windows: int = 0
     #: LOCKSTEP rounds (per-timestamp exact steps + directive deliveries).
     lockstep_rounds: int = 0
-    #: Wall time the coordinator spent beyond the slowest worker per round —
-    #: the protocol/IPC overhead the windows add on top of useful work.
+    #: Wall time the coordinator spent per round beyond its workers' own —
+    #: the slowest one's where they run side by side, their sum on the
+    #: inline transport: the protocol/IPC overhead the windows add on top
+    #: of useful work.
     barrier_seconds: float = 0.0
     #: Sum over rounds of the *slowest participating worker's* wall time —
     #: the inherent serial fraction of the run.  With ``nshards`` real cores
@@ -722,7 +724,7 @@ class ShardedMpiWorld(MpiWorld):
                 # serial :meth:`MpiWorld.post_send`).
                 self._release_failed(req, dst, failed_at)
             else:
-                self.states[vp.rank].rdv_sends.append(req)
+                self.states[vp.rank].add_rdv_send(req)
         if dst in self.owned:
             msg = Msg(
                 ctx, vp.rank, dst, tag, nbytes, payload, seq,
@@ -776,7 +778,7 @@ class ShardedMpiWorld(MpiWorld):
             # window-safe because t_send_done >= t_match + lookahead.
             self.outbox.append(("r", src, ref.req_id, t_send_done))
             self._tighten_window(t_send_done, src)
-            req.complete(t_recv_done, result=rts)
+            req.deliver(t_recv_done, rts)
             if req.waiting:
                 self.engine.wake(req.vp, t_recv_done)
             return
@@ -1496,7 +1498,10 @@ class _Coordinator:
         self.stats.windows += 1
         self.stats.critical_path_seconds += max(walls)
         self.stats.worker_busy_seconds += sum(walls)
-        self.stats.barrier_seconds += max(0.0, (perf_counter() - t0) - max(walls))
+        # Inline workers run one after another inside this loop, so the
+        # round's wall holds all of their run times, not the slowest one's.
+        worked = sum(walls) if self.stats.transport == "inline" else max(walls)
+        self.stats.barrier_seconds += max(0.0, (perf_counter() - t0) - worked)
         if self.obs is not None:
             self.obs.host_span(
                 t0, perf_counter(), "window-round", track="coordinator",

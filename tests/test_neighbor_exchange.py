@@ -9,6 +9,8 @@ requires an empty :class:`EventTrace` diff: same dispatch times, same heap
 sequence numbers, same kinds, in the same order.
 """
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,6 +368,97 @@ def test_fused_exchange_matches_explicit_sequence(dims, face_nbytes, overheads, 
         nranks=nranks, send_overhead_native=overheads[0], recv_overhead_native=overheads[1]
     )
     run_identical(dims, system=system, face_nbytes=face_nbytes, real=real, rounds=2)
+
+
+def parent_rows(mpi, rows, comm):
+    """The per-rank rows ``neighbor_plan`` built and kept before plans
+    became flyweights (the reference): world rank of the peer, send tag,
+    receive match key, fixed wire size, eager wire time."""
+    comm = comm if comm is not None else mpi.comm_world
+    ctx = comm.context_id * 2
+    network = mpi.world.network
+    bound = []
+    for peer, send_tag, recv_tag, nbytes in rows:
+        if peer == PROC_NULL:
+            bound.append((PROC_NULL, send_tag, (ctx, PROC_NULL, recv_tag), nbytes, None))
+            continue
+        dst = comm.world_rank(peer)
+        wire = None
+        if nbytes is not None and nbytes <= network.eager_threshold:
+            wire = network.transfer_time(nbytes, mpi.rank, dst)
+        bound.append((dst, send_tag, (ctx, dst, recv_tag), nbytes, wire))
+    return bound
+
+
+@given(
+    extents=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    sizes=st.lists(st.sampled_from([None, 0, 8, 4096, 300_000]), min_size=3, max_size=3),
+    split=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_flyweight_plan_posts_the_rows_the_parent_kept(extents, sizes, split):
+    """What ``neighbor_exchange`` hands ``post_recv`` / ``post_send`` from a
+    shared ``shape`` and a rank offset equals, field for field, the rows
+    every rank used to own — on ``MPI_COMM_WORLD`` and on the halves of an
+    interleaved split (communicator ranks are not world ranks there)."""
+    members = int(np.prod(extents))
+    stride, axes = members, []
+    for axis, extent in enumerate(extents):
+        stride //= extent
+        axes.append((stride, extent, sizes[axis]))
+    tags = {(axis, step): 10 * axis + step + 2 for axis in range(len(extents)) for step in (-1, 1)}
+    per_call = 64  # the wire size of rows bound without one
+    plans, expected = {}, {}
+
+    def app(mpi):
+        yield from mpi.init()
+        comm = (yield from mpi.comm_split(mpi.rank % 2)) if split else None
+        rows = halo_rows(mpi.comm_rank(comm), axes, tags)
+        plans[mpi.rank] = mpi.neighbor_plan(rows, comm)
+        expected[mpi.rank] = parent_rows(mpi, rows, comm)
+        yield from mpi.neighbor_exchange(plans[mpi.rank], nbytes=per_call)
+        yield from mpi.finalize()
+
+    sim = XSim(SystemConfig.paper_system(nranks=members * (2 if split else 1)))
+    world = sim.world
+    keys, sends = defaultdict(list), defaultdict(list)
+    post_recv, post_send = world.post_recv, world.post_send
+
+    def spy_recv(vp, comm, key, *rest):
+        if key[0] % 2 == 0:  # point-to-point contexts; collectives use the odd ones
+            keys[vp.rank].append(key)
+        return post_recv(vp, comm, key, *rest)
+
+    def spy_send(vp, comm, ctx, dst, tag, payload, nbytes, wire=None):
+        if ctx % 2 == 0:
+            sends[vp.rank].append((dst, tag, nbytes, wire))
+        return post_send(vp, comm, ctx, dst, tag, payload, nbytes, wire)
+
+    world.post_recv, world.post_send = spy_recv, spy_send
+    assert sim.run(app).completed
+
+    for rank, rows in expected.items():
+        plan = plans[rank]
+        posted_keys, posted_sends = iter(keys[rank]), iter(sends[rank])
+        for i, (dst, send_tag, key, nbytes, wire) in enumerate(rows):
+            if dst == PROC_NULL:
+                assert plan.shape[i] == (None, send_tag, key[2], nbytes), (rank, i)
+                assert plan.wires[i] is None
+                continue
+            assert next(posted_keys) == key, (rank, i)
+            got_dst, got_tag, got_nbytes, got_wire = next(posted_sends)
+            assert (got_dst, got_tag) == (dst, send_tag), (rank, i)
+            assert got_nbytes == (per_call if nbytes is None else nbytes), (rank, i)
+            assert plan.shape[i][3] == nbytes
+            assert (got_wire is None) == (wire is None), (rank, i)
+            assert wire is None or got_wire.hex() == wire.hex(), (rank, i)
+        assert next(posted_keys, None) is None and next(posted_sends, None) is None
+    # one shape, one object: ranks at the same position borrow the same tuples
+    for plan in plans.values():
+        same = [p for p in plans.values() if p.shape == plan.shape]
+        assert all(p.shape is plan.shape for p in same)
+        assert all(p.wires is plan.wires for p in same if p.wires == plan.wires)
+    assert len({id(p.shape) for p in plans.values()}) <= 4 ** len(extents)
 
 
 class TestRowBuilder:

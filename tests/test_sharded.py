@@ -16,6 +16,7 @@ import multiprocessing as mp
 import os
 import pickle
 import threading
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.mpi.messages import EAGER, RTS
 from repro.models.network.model import NetworkModel, NetworkTier
 from repro.pdes.sharded import (
     ShardWorker,
+    _Coordinator,
     derive_lookahead_matrix,
     partition_ranks,
     partition_ranks_topology,
@@ -521,6 +523,68 @@ class TestParityProperty:
         )
         assert result_digest(sharded) == result_digest(serial)
         assert sharded.event_count == serial.event_count
+
+
+def ping_then_compute(mpi, dt):
+    """Rank 0 posts across the shard boundary and, *in the same step*,
+    advances by ``dt``; rank 1 answers the ping at once."""
+    yield from mpi.init()
+    if mpi.rank == 0:
+        yield from mpi.compute(1.0)
+        yield from mpi.send(1, nbytes=8, tag=1)
+        yield from mpi.compute(dt)
+        yield from mpi.recv(1, tag=2)
+    else:
+        yield from mpi.recv(0, tag=1)
+        yield from mpi.send(0, nbytes=8, tag=2)
+    yield from mpi.finalize()
+
+
+class TestWindowTightenedInsideAStep:
+    """``Engine._step`` used to read ``_window_end`` once at entry, so the
+    send's ``_tighten_window`` did not cap the coalescing of the compute
+    after it: shard 0 ran past the pong's arrival (``ShardedParityError:
+    causality violation`` for every ``dt`` above the round trip)."""
+
+    @pytest.mark.parametrize(
+        "transport", ["inline", pytest.param("fork", marks=fork_required)]
+    )
+    @pytest.mark.parametrize("dt", [1e-7, 5e-6, 1e-3])
+    def test_a_post_caps_the_advance_coalesced_after_it(self, transport, dt):
+        def run(**kw):
+            sim = XSim(SystemConfig.small_test_system(nranks=2), **kw)
+            return sim.run(ping_then_compute, args=(dt,))
+
+        serial = run()
+        sharded = run(shards=2, shard_transport=transport)
+        assert result_digest(sharded) == result_digest(serial)
+        assert sharded.event_count == serial.event_count
+        if dt == 5e-6:
+            assert (serial.exit_time, serial.event_count) == (1.000006, 10)
+
+
+class TestInlineBarrierTime:
+    def test_barrier_seconds_exclude_the_other_shards_run_time(self, monkeypatch):
+        # Inline workers run one after another inside a round: what the
+        # coordinator spent beyond them is the drive's wall less *all* of
+        # their walls (it used to subtract the slowest one's only, and
+        # report the other shard's run time as barrier).
+        drive = _Coordinator.drive
+        drive_walls = []
+
+        def timed(self):
+            t0 = perf_counter()
+            try:
+                return drive(self)
+            finally:
+                drive_walls.append(perf_counter() - t0)
+
+        monkeypatch.setattr(_Coordinator, "drive", timed)
+        # tree collectives: most windows have work on more than one shard
+        sim, _ = run_heat(nranks=216, collective="tree", shards=3, shard_transport="inline")
+        stats = sim.shard_stats
+        assert stats.windows > 0
+        assert 0.0 <= stats.barrier_seconds <= drive_walls[0] - stats.worker_busy_seconds + 1e-3
 
 
 class TestRestartCycleParity:
