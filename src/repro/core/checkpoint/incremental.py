@@ -85,8 +85,8 @@ class IncrementalCheckpointProtocol:
     """Per-rank incremental checkpoint discipline.
 
     Interface mirrors :class:`~repro.core.checkpoint.protocol.
-    CheckpointProtocol` (write / synchronize-and-prune / restore-latest)
-    but with chain-aware pruning and restore costs.
+    CheckpointProtocol` (``checkpoint`` / ``restore_latest``) but with
+    chain-aware pruning and restore costs.
     """
 
     def __init__(self, api: "MpiApi", store: CheckpointStore, plan: IncrementalPlan):

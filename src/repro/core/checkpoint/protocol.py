@@ -3,16 +3,16 @@
 Encapsulates the paper's target-application checkpoint discipline so other
 simulated applications can reuse it:
 
-* **write** — create the per-rank file, pay the (modeled) file-system write
-  time, commit; a failure mid-write leaves a corrupted file;
-* **synchronize-and-prune** — "after writing out a checkpoint, a global
-  barrier synchronizes all processes, such that the previous checkpoint can
-  be deleted safely";
+* **checkpoint** — write: create the per-rank file, pay the (modeled)
+  file-system write time, commit (a failure mid-write leaves a corrupted
+  file); then synchronize and prune: "after writing out a checkpoint, a
+  global barrier synchronizes all processes, such that the previous
+  checkpoint can be deleted safely";
 * **restore** — at (re)start, scan for the newest valid checkpoint set,
   "automatically delete any corrupted checkpoint", and return the restored
   payload (or ``None`` for a cold start).
 
-All methods are generators to be driven with ``yield from`` inside the
+Both are generators to be driven with ``yield from`` inside the
 application coroutine.
 """
 
@@ -60,32 +60,26 @@ class CheckpointProtocol:
         self.previous_id: int | None = None
 
     # ------------------------------------------------------------------
-    def write(self, ckpt_id: int, data: Any, nbytes: int) -> Gen:
-        """Write this rank's checkpoint file (may die mid-write)."""
+    def checkpoint(self, ckpt_id: int, data: Any, nbytes: int) -> Gen:
+        """The full per-interval sequence: write, barrier, prune.
+
+        One generator frame, so a rank waiting in the barrier keeps no
+        pass-through frame between the application and the collective.
+        A failure during the barrier aborts *before* the deletes, leaving
+        "only partially deleted old checkpoints" — the third failure mode
+        the paper's First Impressions section observes.
+        """
         api = self.api
         self.store.begin_write(ckpt_id, api.rank, data, nbytes)
         # The I/O time is where a failure during the checkpoint phase lands,
         # leaving the file in the corrupted (PARTIAL) state.
         yield from api.file_write(nbytes, concurrent_clients=api.size)
         self.store.commit_write(ckpt_id, api.rank)
-
-    def synchronize_and_prune(self, ckpt_id: int) -> Gen:
-        """Barrier, then delete this rank's previous checkpoint file.
-
-        A failure during the barrier aborts *before* the deletes, leaving
-        "only partially deleted old checkpoints" — the third failure mode
-        the paper's First Impressions section observes.
-        """
-        yield from self.api.barrier()
+        yield from api.barrier()
         if self.previous_id is not None and self.previous_id != ckpt_id:
-            if self.store.delete(self.previous_id, self.api.rank):
-                yield from self.api.file_delete()
+            if self.store.delete(self.previous_id, api.rank):
+                yield from api.file_delete()
         self.previous_id = ckpt_id
-
-    def checkpoint(self, ckpt_id: int, data: Any, nbytes: int) -> Gen:
-        """The full per-interval sequence: write, barrier, prune."""
-        yield from self.write(ckpt_id, data, nbytes)
-        yield from self.synchronize_and_prune(ckpt_id)
 
     # ------------------------------------------------------------------
     def restore_latest(self) -> Gen:

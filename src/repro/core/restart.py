@@ -25,6 +25,7 @@ Table II:
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Any, Callable
 
@@ -258,7 +259,27 @@ class RestartDriver:
 
     def run(self) -> FailureRunResult:
         """Execute segments until the application completes (or the restart
-        budget is exhausted); see the module docstring for the loop."""
+        budget is exhausted); see the module docstring for the loop.
+
+        One cyclic-collector pause covers the whole experiment (each
+        segment's :meth:`XSim.run` would otherwise re-enable it between
+        segments).  A segment's engine, world, VPs and rank states form
+        reference cycles, so reference counting alone never frees them:
+        at each boundary the finished segment is dropped and generation 0
+        collected *before* the next one is built.  Nothing was collected
+        since that segment was built, so its whole graph is still in
+        generation 0; any later and its world has been promoted and pins
+        the rest of the cycle.
+        """
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._run_segments()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _run_segments(self) -> FailureRunResult:
         strategy = self.strategy
         strategy.begin_run()
         # Only a draw policy consumes the stream; a run under an explicit
@@ -357,6 +378,8 @@ class RestartDriver:
                 observer=self.observer,
             )
             start = result.exit_time
+            del sim
+            gc.collect(0)
         raise SimulationError(
             f"application did not complete within {self.max_restarts} restarts"
         )

@@ -498,8 +498,14 @@ class MpiApi:
             )
         network = world.network
         send_adv = world.send_overhead_advance if network.send_overhead > 0.0 else None
-        sends: list[Request | None] = [None] * len(shape)
-        for i, recv in enumerate(recvs):
+        # Rows are walked by index (no enumerate iterator and tuple held
+        # across every send overhead), and the send list exists only once
+        # a post left a Request to complete: an eager send completed at its
+        # post and left nothing (None), like a PROC_NULL row.
+        rows = len(shape)
+        sends: list[Request | None] | None = None
+        for i in range(rows):
+            recv = recvs[i]
             if recv is not None:
                 if send_adv is not None:
                     yield send_adv
@@ -508,21 +514,26 @@ class MpiApi:
                 if size is None:
                     size = payload_nbytes(payload, nbytes)
                 # recv.src is this row's peer, formed once at the post
-                sends[i] = world.post_send(
-                    vp, comm, ctx, recv.src, stag, payload, size, wires[i]
-                )
-        # Completion: the sends, then the receives.  An eager send completed
-        # at its post and left nothing to wait for (None), like a PROC_NULL
-        # row; with a sanitizer attached every real send has its request.
+                req = world.post_send(vp, comm, ctx, recv.src, stag, payload, size, wires[i])
+                if req is not None:
+                    if sends is None:
+                        sends = [None] * rows
+                    sends[i] = req
+        # Completion: the sends, then the receives.  With a sanitizer
+        # attached every real send has its request and every PROC_NULL row
+        # is shown a completed one, in row order.
         check = world.check
-        for i, req in enumerate(sends):
-            if req is not None:
-                yield from world.wait(vp, req)
-            elif check is not None:
-                check.on_wait_complete(vp, self._null_request(Request.SEND, comm, shape[i][1]))
+        if sends is not None or check is not None:
+            for i in range(rows):
+                req = None if sends is None else sends[i]
+                if req is not None:
+                    yield from world.wait(vp, req)
+                elif check is not None:
+                    check.on_wait_complete(vp, self._null_request(Request.SEND, comm, shape[i][1]))
         recv_adv = world.recv_overhead_advance if network.recv_overhead > 0.0 else None
         received = []
-        for i, req in enumerate(recvs):
+        for i in range(rows):
+            req = recvs[i]
             if req is None:  # PROC_NULL: complete at the post, nothing on the wire
                 if check is not None:
                     check.on_wait_complete(
@@ -670,17 +681,14 @@ class MpiApi:
             yield from world.wait(self.vp, req)
 
     def _coll_recv(self, comm: Communicator, src: int, tag: int) -> Gen:
+        # A plain function: it posts the receive at the call and hands back
+        # the generator that completes it — the tail ``wait`` ends in alone
+        # when the post matched a buffered message, ``wait`` otherwise — so
+        # a rank blocked in a collective keeps no frame of its own here.
         world = self.world
         vp = self.vp
         req = world.post_recv(vp, comm, (comm.context_id * 2 + 1, comm.world_rank(src), tag))
-        if req.done and req.completion_time <= vp.clock and req.error == SUCCESS:
-            # Fast path: matched a buffered message at the post.
-            if world.check is not None:
-                world.check.on_wait_complete(vp, req)
-            if world.network.recv_overhead > 0.0:
-                yield world.recv_overhead_advance
-            return req.result
-        return (yield from world.wait(vp, req))
+        return world._finalize_request(vp, req) if req.done else world.wait(vp, req)
 
     def _coll_irecv(self, comm: Communicator, src: int, tag: int) -> Request:
         return self.world.post_recv(

@@ -43,7 +43,12 @@ GenOp = Generator[Any, Any, Any]
 
 def _setup(api: "MpiApi", comm: "Communicator") -> tuple[int, int, int]:
     """Per-call (me, size, tag): the tag is the communicator's collective
-    sequence number, which SPMD symmetry keeps consistent across members."""
+    sequence number, which SPMD symmetry keeps consistent across members.
+
+    A plain-function dispatcher (:func:`_barrier_dispatch`) takes it at
+    the call, a generator dispatcher at its first resume; for a caller
+    that drives the collective with ``yield from`` the two are the same
+    instant."""
     me = comm.rank_of(api.rank)
     tag = comm.next_collective_seq(api.rank)
     return me, comm.size, tag
@@ -311,16 +316,18 @@ def barrier(api: "MpiApi", comm: "Communicator") -> GenOp:
 
 
 def _barrier_dispatch(api: "MpiApi", comm: "Communicator") -> GenOp:
+    """The barrier's algorithm generator, or an empty iterator on a
+    one-rank communicator (a plain function: nothing is left to do after
+    the algorithm, so no frame of its own waits on it)."""
     me, size, tag = _setup(api, comm)
     if size == 1:
-        return
+        return iter(())
     algo = api.world.collective_algorithm
     if algo == "linear":
-        yield from _barrier_linear(api, comm, me, size, tag)
-    elif algo == "tree":
-        yield from _barrier_tree(api, comm, me, size, tag)
-    else:
-        yield from _analytic(api, comm, "barrier", tag, None, _linear_cost(api, size, 0))
+        return _barrier_linear(api, comm, me, size, tag)
+    if algo == "tree":
+        return _barrier_tree(api, comm, me, size, tag)
+    return _analytic(api, comm, "barrier", tag, None, _linear_cost(api, size, 0))
 
 
 def bcast(api: "MpiApi", comm: "Communicator", value: Any, nbytes: int, root: int = 0) -> GenOp:

@@ -479,6 +479,8 @@ UNREACHED = {
         "the ledger's collective probe (ledger/probes.py) imports it",
     "repro.apps.naive_cr":
         "ROADMAP item 2(1)/4: an APPS row for the Daly oracle, or beside the bench",
+    "repro.check.oracle":
+        "ROADMAP item 2(1): closed forms tier-1 holds the simulator to; a simcheck check next",
     "repro.core.checkpoint.incremental":
         "ROADMAP item 4: a ckpt-incremental STRATEGIES row, or beside its benchmark",
     "repro.core.migration":
@@ -516,12 +518,17 @@ def _static_imports(name: str, path: Path, modules: dict[str, Path]) -> set[str]
     return found & set(modules)
 
 
-def test_every_module_is_reached_from_the_cli_or_says_why_not():
+def _source_modules() -> dict[str, Path]:
+    """Every module under ``src/repro``, by dotted name."""
     root = Path(repro.__file__).parent
-    modules = {
+    return {
         ".".join(("repro", *p.relative_to(root).with_suffix("").parts)).removesuffix(".__init__"): p
         for p in root.rglob("*.py")
     }
+
+
+def test_every_module_is_reached_from_the_cli_or_says_why_not():
+    modules = _source_modules()
     reached: set[str] = set()
     frontier = ["repro.cli"]
     while frontier:
@@ -537,3 +544,27 @@ def test_every_module_is_reached_from_the_cli_or_says_why_not():
         f"unreachable and unexplained: {sorted(unreached - set(UNREACHED))}; "
         f"listed but reached or gone: {sorted(set(UNREACHED) - unreached)}"
     )
+
+
+#: What an oracle never reaches: the code it is an oracle for.
+SIMULATOR = ("repro.mpi", "repro.pdes", "repro.models")
+
+
+def test_the_oracle_reaches_none_of_the_simulator():
+    """``repro.check.oracle`` computes expectations from ``SystemConfig``
+    values; it is a second derivation only while it shares no code with
+    what it checks.  Its import statements at any depth, followed through
+    every module they name, reach no simulated-MPI, engine or
+    machine-model module.  (A package's ``__init__`` is followed only
+    where a statement names it: ``repro.check``'s imports the sanitizer,
+    which sits beside the oracle and is not its code.)"""
+    modules = _source_modules()
+    reached: set[str] = set()
+    frontier = ["repro.check.oracle"]
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier.extend(_static_imports(name, modules[name], modules))
+    assert "repro.util.units" in reached  # the walk follows the oracle's imports
+    assert loaded(reached, SIMULATOR) == []

@@ -16,19 +16,41 @@ the matching queues and the records:
 * ``posted_wild`` / ``unexpected`` / ``rdv_sends`` / ``failed_peers`` are
   shared empties until a rank's first entry, its own from then on;
 * size-only ``MemoryRegion``s are one record per ``(name, nbytes, kind)``.
+
+The phase rules (one checkpoint frame, no frame that only picks a
+generator, no send list where nothing is left to complete) changed how
+many frames a waiting rank keeps, not what it does; a restart frees the
+segment it replaces:
+
+* a blocked rank keeps 3 frames in the halo exchange, 4 in a linear
+  barrier and 5 in a tree one;
+* the single checkpoint frame matches the parent's frames, spelled out,
+  event for event and file for file — a failure inside the barrier
+  included;
+* no earlier segment's world is alive when the next one launches.
 """
+
+import inspect
+import weakref
 
 import pytest
 
+from repro.apps.heat3d import HeatConfig, heat3d
 from repro.core.checkpoint.protocol import CheckpointProtocol
+from repro.core.checkpoint.store import CheckpointStore
 from repro.core.harness.config import SystemConfig
+from repro.core.harness.digest import result_digest
 from repro.core.simulator import XSim
 from repro.models.memory import MemoryTracker, RegionKind
+from repro.mpi import collectives as coll
+from repro.mpi.api import MpiApi
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, ERR_PROC_FAILED, ERR_REVOKED
 from repro.mpi.errhandler import ERRORS_RETURN, MpiError
 from repro.mpi.messages import PAYLOAD_ONLY, Msg, Request
 from repro.mpi.world import MpiWorld
-from repro.pdes.context import EMPTY_MAP
+from repro.pdes.context import EMPTY_MAP, VpState
+from repro.pdes.engine import Engine
+from repro.run import Scenario, run_scenario
 from repro.util.errors import ConfigurationError
 
 RENDEZVOUS = 300_000
@@ -329,3 +351,201 @@ class TestRecords:
             return [hasattr(r, "__dict__") for r in records]
 
         assert checked_run(app).result.exit_values[0] == [False, False, False]
+
+
+# ----------------------------------------------------------------------
+# the frames a blocked rank keeps
+# ----------------------------------------------------------------------
+def suspended_chain(gen) -> list[str]:
+    """The generator frames a suspended VP keeps, outermost first."""
+    names = []
+    while inspect.isgenerator(gen):
+        names.append(gen.gi_code.co_name)
+        gen = gen.gi_yieldfrom
+    return names
+
+
+class TestFramesABlockedRankKeeps:
+    @pytest.mark.parametrize("collectives, barrier", [
+        ("linear", ["_barrier_linear", "wait"]),
+        ("tree", ["_barrier_tree", "_reduce_tree", "wait"]),
+    ])
+    def test_the_deepest_chain_of_each_phase(self, monkeypatch, collectives, barrier):
+        deepest: dict[str, list[str]] = {}
+        step = Engine._step
+
+        def spy(self, vp, value=None, exc=None):
+            step(self, vp, value, exc)
+            if vp.state is VpState.BLOCKED:
+                chain = suspended_chain(vp.gen)
+                phase = "halo" if "neighbor_exchange" in chain else chain[1]
+                if len(chain) > len(deepest.get(phase, ())):
+                    deepest[phase] = chain
+
+        monkeypatch.setattr(Engine, "_step", spy)
+        scenario = Scenario(ranks=64, iterations=40, interval=20, collectives=collectives)
+        assert run_scenario(scenario, cache=False).result.completed
+        # 7 / 8 frames in the checkpoint barrier and 6 / 7 in finalize's
+        # at the parent: checkpoint -> synchronize_and_prune ->
+        # _barrier_dispatch -> algorithm -> _coll_recv -> wait
+        assert deepest == {
+            "halo": ["heat3d", "neighbor_exchange", "wait"],
+            "checkpoint": ["heat3d", "checkpoint", *barrier],
+            "finalize": ["heat3d", "finalize", *barrier],
+        }
+
+
+@pytest.mark.parametrize("observe", [False, True], ids=["plain", "observed"])
+@pytest.mark.parametrize("algorithm", ["linear", "tree", "analytic"])
+def test_a_one_rank_barrier_is_a_no_op(algorithm, observe):
+    def app(mpi):
+        yield from mpi.init()
+        alone = yield from mpi.comm_split(mpi.rank)
+        before = mpi.wtime()
+        yield from mpi.barrier(alone)
+        after = mpi.wtime()
+        yield from mpi.barrier()  # the world's collective sequence still agrees
+        yield from mpi.finalize()
+        return after - before
+
+    system = SystemConfig.paper_system(nranks=4, collective_algorithm=algorithm)
+    result = XSim(system, observe=observe).run(app)
+    assert result.completed
+    assert result.exit_values == {r: 0.0 for r in range(4)}
+
+
+class TestOneCheckpointFrame:
+    """The parent's checkpoint path, spelled out as the reference:
+    ``write`` then ``synchronize_and_prune``, the barrier dispatcher and
+    ``_coll_recv`` each a generator frame of its own."""
+
+    @staticmethod
+    def parent_frames(patch):
+        plain_dispatch = coll._barrier_dispatch
+        plain_recv = MpiApi._coll_recv
+
+        def write(proto, ckpt_id, data, nbytes):
+            api = proto.api
+            proto.store.begin_write(ckpt_id, api.rank, data, nbytes)
+            yield from api.file_write(nbytes, concurrent_clients=api.size)
+            proto.store.commit_write(ckpt_id, api.rank)
+
+        def synchronize_and_prune(proto, ckpt_id):
+            yield from proto.api.barrier()
+            if proto.previous_id is not None and proto.previous_id != ckpt_id:
+                if proto.store.delete(proto.previous_id, proto.api.rank):
+                    yield from proto.api.file_delete()
+            proto.previous_id = ckpt_id
+
+        def checkpoint(proto, ckpt_id, data, nbytes):
+            yield from write(proto, ckpt_id, data, nbytes)
+            yield from synchronize_and_prune(proto, ckpt_id)
+
+        def barrier_dispatch(api, comm):
+            yield from plain_dispatch(api, comm)
+
+        def coll_recv(api, comm, src, tag):
+            return (yield from plain_recv(api, comm, src, tag))
+
+        patch.setattr(CheckpointProtocol, "checkpoint", checkpoint)
+        patch.setattr(coll, "_barrier_dispatch", barrier_dispatch)
+        patch.setattr(MpiApi, "_coll_recv", coll_recv)
+
+    @staticmethod
+    def heat(failure=None):
+        """64 ranks, checkpoints at iterations 20 / 40 / 60; the sim, with
+        the store's file states attached."""
+        cfg = HeatConfig.paper_workload(checkpoint_interval=20, nranks=64, iterations=60)
+        store = CheckpointStore()
+        sim = XSim(SystemConfig.paper_system(nranks=64), record_events=True)
+        if failure is not None:
+            sim.inject_failure(*failure)
+        sim.result = sim.run(heat3d, args=(cfg, store))
+        sim.files = {key: f.state for key, f in store.files()}
+        return sim
+
+    def root_fan_out(self, monkeypatch):
+        """A time inside the root's fan-out of the second checkpoint's
+        barrier: between rank 1's first prune and the root's."""
+        pruned: dict[int, float] = {}
+        file_delete = MpiApi.file_delete
+
+        def spy(api):
+            pruned.setdefault(api.rank, api.vp.clock)
+            return file_delete(api)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MpiApi, "file_delete", spy)
+            self.heat()
+        assert pruned[1] < pruned[0]  # rank 1 is released first, the root last
+        return (pruned[1] + pruned[0]) / 2
+
+    @pytest.mark.parametrize("failure", [False, True], ids=["fault-free", "root-fails-in-the-barrier"])
+    def test_equal_to_the_parent_frames(self, monkeypatch, failure):
+        armed = (0, self.root_fan_out(monkeypatch)) if failure else None
+        sim = self.heat(armed)
+        with monkeypatch.context() as patch:
+            self.parent_frames(patch)
+            parent = self.heat(armed)
+        divergence = parent.event_trace.diff(sim.event_trace)
+        assert divergence is None, divergence.report()
+        assert sim.engine._seq == parent.engine._seq
+        assert result_digest(sim.result) == result_digest(parent.result)
+        assert sim.files == parent.files
+        if not failure:
+            assert sim.result.completed and {cid for cid, _ in sim.files} == {60}
+            return
+        # The root died releasing the ranks: the ones it reached pruned
+        # checkpoint 20, the rest aborted before the delete — "only
+        # partially deleted old checkpoints"; checkpoint 40 is complete.
+        assert sim.result.aborted
+        old = sorted(rank for cid, rank in sim.files if cid == 20)
+        assert 0 < len(old) < 64 and old[0] == 0 and 1 not in old
+        assert sorted(rank for cid, rank in sim.files if cid == 40) == list(range(64))
+
+
+# ----------------------------------------------------------------------
+# a restart frees the segment it replaces
+# ----------------------------------------------------------------------
+#: 64 ranks, C = 125, MTTF 1,500 s, seed 1: five failures, six segments
+#: (three with ckpt-multilevel).  At the parent up to 3 earlier worlds
+#: were alive at a launch, 5 under the sanitizer or an observer, 4 on two
+#: inline shards.
+RESTART_DIGESTS = {
+    "ckpt": "f88cc6d2ab87d926bccc850db01c5c1bab21ec4e651fc1ff80bec6066c28231f",
+    "ckpt-multilevel": "f453542b2573f5edd96dcdca6345a26d4ed415f69fd41698faa2c2955e2a2e6a",
+    "check": "f88cc6d2ab87d926bccc850db01c5c1bab21ec4e651fc1ff80bec6066c28231f",
+    "observe": "f88cc6d2ab87d926bccc850db01c5c1bab21ec4e651fc1ff80bec6066c28231f",
+    "inline-shards": "f88cc6d2ab87d926bccc850db01c5c1bab21ec4e651fc1ff80bec6066c28231f",
+}
+RESTART_FIELDS = {
+    "ckpt": {},
+    "ckpt-multilevel": dict(strategy="ckpt-multilevel"),
+    "check": dict(check=True),
+    "observe": dict(observe=True),
+    "inline-shards": dict(shards=2, shard_transport="inline"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESTART_DIGESTS))
+def test_no_earlier_world_is_alive_when_a_segment_launches(monkeypatch, case):
+    worlds: list[weakref.ref] = []  # every world launched, shard replicas included
+    alive_at_launch: list[int] = []
+    launch = MpiWorld.launch
+    run = XSim.run
+
+    def launching(world, *args, **kwargs):
+        worlds.append(weakref.ref(world))
+        return launch(world, *args, **kwargs)
+
+    def segment(sim, *args, **kwargs):  # before this segment builds anything
+        alive_at_launch.append(sum(ref() is not None for ref in worlds))
+        return run(sim, *args, **kwargs)
+
+    monkeypatch.setattr(MpiWorld, "launch", launching)
+    monkeypatch.setattr(XSim, "run", segment)
+    scenario = Scenario(ranks=64, interval=125, mttf=1500.0, seed=1, **RESTART_FIELDS[case])
+    summary = run_scenario(scenario, cache=False).summary()
+    assert summary["result_digest"] == RESTART_DIGESTS[case]
+    assert len(alive_at_launch) > 3
+    assert alive_at_launch == [0] * len(alive_at_launch)
