@@ -1,9 +1,10 @@
 """The content-addressed result store behind :mod:`repro.cache`.
 
-Layout on disk (one directory per cache)::
+A cache directory holds one SQLite file, in WAL mode, and nothing else::
 
-    <root>/index.sqlite3           SQLite index, WAL mode
-    <root>/blobs/<k[:2]>/<k>.blob  one outcome each, keyed by cache key
+    <root>/index.sqlite3   (+ its -wal and -shm)
+        entries(key, ..., nbytes, blob_sha, ...)   one index row per outcome
+        blobs(key, data)                           that outcome's blob
 
 A **blob** is ``magic | head length | head | body``.  The **head** is
 canonical JSON of primitives — format, mode, result digest, the original
@@ -14,27 +15,27 @@ The **body** is everything else a hit must reproduce bit-identically,
 pickled: the stripped :class:`~repro.pdes.engine.SimulationResult` (or
 the full :class:`~repro.core.restart.FailureRunResult` of a restart
 experiment) and the run's sim-domain :class:`~repro.obs.ObsEvent` list
-(so warm exporter bytes equal cold ones).  The **index** maps a cache
-key to the entry's result digest, blob size, SHA-256 of the raw blob
-bytes, creation/last-hit times, and hit count.
+(so warm exporter bytes equal cold ones).  The **index** row maps a
+cache key to the entry's result digest, blob size, SHA-256 of the raw
+blob bytes, creation/last-hit times, and hit count.  The blob has a
+table of its own because every hit rewrites its index row (hit count,
+last hit): in one record with the bytes, that rewrite copies the blob.
 
 Concurrency: SQLite runs in WAL mode with a generous busy timeout, every
 process gets its own connection (connections are keyed by pid, so a
-forked campaign worker transparently reopens), and a store renames its
-blob into place and writes its index row inside one write transaction —
-two `-j` workers or two concurrent CLI invocations sharing one cache
+forked campaign worker transparently reopens), and a store writes the
+blob and its index row inside one ``BEGIN IMMEDIATE`` transaction — two
+`-j` workers or two concurrent CLI invocations sharing one cache
 directory cannot corrupt it, the worst case is both computing the same
-cell and the later blob-and-row pair replacing the earlier.  A writer
-killed between creating ``<k>.<pid>.tmp`` and renaming it, or an INSERT
-that raises after the rename, leaves a file no row names: an *orphan*.
-Lookups never see one; ``cache stats`` counts them, ``cache verify``
-lists them and ``cache gc`` removes them (a ``.tmp`` only once it is
-:data:`ORPHAN_TMP_AGE` old), the latter two holding the write lock so a
-store in flight is never mistaken for one.
+cell and the later blob-and-row pair replacing the earlier.  A store
+killed or failing before its COMMIT leaves nothing behind: SQLite rolls
+the transaction back, and no file outside the index was written.  Every
+deletion removes both rows in one transaction.
 
-Correctness before speed — verified before decoded: a lookup compares
-the blob's size and then the SHA-256 of its raw bytes against the index
-row *before any byte reaches a decoder*, then parses the head and holds
+Correctness before speed — verified before decoded: a lookup reads the
+index row and the blob in one read transaction, compares the blob's size
+and then the SHA-256 of its raw bytes against the row *before any byte
+reaches a decoder*, then parses the head and holds
 its result digest against the row's.  That answers ``digest()``,
 ``summary()``, ``completed`` and ``metadata``.  The body decodes only
 from verified bytes and only through an unpickler that resolves nothing
@@ -48,15 +49,15 @@ only looked answers up (where the decode would first import the
 simulator), when ``result`` / ``run`` / ``observer`` are first asked
 for.  Any failed check — a truncated, missing or rewritten blob, a
 stale index row, a head that does not parse, a small body that does not
-decode — demotes the entry to a miss (row and blob deleted, a
+decode — demotes the entry to a miss (both rows deleted, a
 ``RuntimeWarning`` emitted, the caller recomputes and re-stores); a
 large body that will not decode after its hash held is demoted the same
 way and the outcome recomputes itself.  Re-deriving the result digest
 from the decoded objects is an audit, not a hit-path step: ``cache
 verify`` and the ``cache-parity`` simcheck do it.  A schema-version
 mismatch disables the cache for the process instead of guessing at the
-on-disk format (version 1 directories, whose blobs were bare pickles,
-are refused this way; delete the directory to rebuild).
+on-disk format (version 1 and 2 directories, whose blobs were files
+beside the index, are refused this way; delete the directory to rebuild).
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 #: On-disk format version (index schema + blob layout).  A cache
 #: directory written by a different version is never read or written —
 #: the open is disabled with a warning and every lookup is a miss.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 #: Simulation-semantics salt.  Part of every cache key next to the package
 #: version: bump it when the engine's observable behavior changes without
@@ -150,10 +151,12 @@ _HEAD_AT = len(_MAGIC) + 4  # a 4-byte big-endian head length follows the magic
 #: 8,000 ranks, 36 ms of 38 at 32,768) and a sweep never asks.
 EAGER_DECODE_BYTES = 256 * 1024
 
-#: A temporary blob this old (seconds) belongs to no store in flight — a
-#: writer holds its temporary name for microseconds, inside its write
-#: transaction — so ``gc`` may remove it.
-ORPHAN_TMP_AGE = 3600.0
+#: Page size of a schema-3 index, fixed when the file is created.  A
+#: cell's store and a hit's bookkeeping each write a handful of pages to
+#: the WAL: at 16 KiB they cost half as much again, and a large blob
+#: reads no faster (docs/INTERNALS.md §15 has the measurements, and why
+#: the index is not memory-mapped).
+_PAGE_SIZE = 4096
 
 #: How often a new connection asks for WAL mode before giving up (the
 #: waits add up to ~0.4 s).
@@ -347,9 +350,6 @@ class GcResult:
     freed_bytes: int = 0
     kept: int = 0
     kept_bytes: int = 0
-    #: Files no index row named (see :meth:`ResultCache.orphans`), removed.
-    orphans: int = 0
-    orphan_bytes: int = 0
 
 
 @dataclass
@@ -358,14 +358,16 @@ class VerifyIssue:
 
     key: str
     problem: str
-    #: A file no index row names (:meth:`ResultCache.orphans`), not an entry.
-    orphan: bool = False
 
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS blobs (
+    key  TEXT PRIMARY KEY,
+    data BLOB NOT NULL
 );
 CREATE TABLE IF NOT EXISTS entries (
     key             TEXT PRIMARY KEY,
@@ -388,13 +390,12 @@ class ResultCache:
 
     The object is safe to share across forked workers: connections are
     opened lazily per pid, and all cross-process coordination happens in
-    SQLite (WAL) and atomic blob renames.  :attr:`stats` counts this
+    SQLite (WAL) transactions.  :attr:`stats` counts this
     process's traffic only.
     """
 
     def __init__(self, root: "str | Path") -> None:
         self.root = Path(root)
-        self.blob_dir = self.root / "blobs"
         self.db_path = self.root / "index.sqlite3"
         self.stats = CacheStats()
         self._conns: dict[int, sqlite3.Connection] = {}
@@ -405,7 +406,7 @@ class ResultCache:
         #: Last corruption note, popped by the runner to SimLog it.
         self._pending_warning: str | None = None
         try:
-            self.blob_dir.mkdir(parents=True, exist_ok=True)
+            self.root.mkdir(parents=True, exist_ok=True)
             self._init_schema()
         except (OSError, sqlite3.Error) as exc:
             self.disabled_reason = f"cache directory unusable: {exc}"
@@ -418,6 +419,12 @@ class ResultCache:
         conn = self._conns.get(pid)
         if conn is None:
             conn = sqlite3.connect(str(self.db_path), timeout=30.0, isolation_level=None)
+            if not conn.execute("PRAGMA page_count").fetchone()[0]:
+                # A new index: both are fixed by its first write (the
+                # switch to WAL below), and on an existing one the second
+                # would take the write lock to rewrite its header.
+                conn.execute(f"PRAGMA page_size={_PAGE_SIZE}")
+                conn.execute("PRAGMA auto_vacuum=INCREMENTAL")
             for attempt in range(_WAL_SWITCH_TRIES):
                 try:
                     conn.execute("PRAGMA journal_mode=WAL")
@@ -440,9 +447,14 @@ class ResultCache:
 
     def _init_schema(self) -> None:
         conn = self._conn()
-        conn.executescript(_SCHEMA)
-        row = conn.execute("SELECT value FROM meta WHERE key = 'schema'").fetchone()
+        try:
+            row = conn.execute("SELECT value FROM meta WHERE key = 'schema'").fetchone()
+        except sqlite3.OperationalError:  # no meta table: a new index
+            row = None
         if row is None:
+            # Only a directory without a schema is given one: a foreign
+            # version's index is refused below, not written to.
+            conn.executescript(_SCHEMA)
             conn.execute(
                 "INSERT OR IGNORE INTO meta (key, value) VALUES ('schema', ?)",
                 (str(CACHE_SCHEMA_VERSION),),
@@ -464,41 +476,6 @@ class ResultCache:
             self._pending_warning = self.disabled_reason
             self._warned_disabled = True
         return False
-
-    # ------------------------------------------------------------------
-    # blob paths
-    # ------------------------------------------------------------------
-    def blob_path(self, key: str) -> Path:
-        return self.blob_dir / key[:2] / f"{key}.blob"
-
-    def _write_blob(self, key: str, data: bytes) -> None:
-        """``data`` under a temporary name in the blob's own shard
-        directory, then renamed over the blob.  The name is the key plus
-        this pid, created exclusively: two processes storing one key
-        cannot share it, and a crashed writer's leftover says whose it
-        was.  Plain string paths and ``os`` calls — this runs once per
-        computed cell, and ``pathlib`` plus ``tempfile``'s random-name
-        machinery cost more than the four system calls they wrap."""
-        shard = f"{self.blob_dir}/{key[:2]}"
-        tmp = f"{shard}/{key}.{os.getpid()}.tmp"
-        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-        try:
-            fd = os.open(tmp, flags, 0o600)
-        except FileNotFoundError:
-            # First blob of this shard (or the directory was removed
-            # under us): make it and try once more.
-            os.makedirs(shard, exist_ok=True)
-            fd = os.open(tmp, flags, 0o600)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, f"{shard}/{key}.blob")
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     # ------------------------------------------------------------------
     # lookup / store
@@ -527,22 +504,18 @@ class ResultCache:
             return None
         key = cache_key(scenario)
         try:
-            row = self._conn().execute(
-                "SELECT nbytes, blob_sha, result_digest FROM entries WHERE key = ?",
-                (key,),
-            ).fetchone()
+            row = self._read_entry(key)
         except sqlite3.Error as exc:
             self._corrupt(key, f"index read failed: {exc}", drop_row=False)
             return None
         if row is None:
             return None
-        try:
-            data = self.blob_path(key).read_bytes()
-        except OSError as exc:
-            self._corrupt(key, f"blob unreadable ({exc.__class__.__name__}): {exc}")
+        *indexed, data = row
+        if data is None:
+            self._corrupt(key, "blob missing: the entry has no blobs row")
             return None
         try:
-            head, body_at = _verified_head(data, *row)
+            head, body_at = _verified_head(data, *indexed)
         except ValueError as exc:
             self._corrupt(key, str(exc))
             return None
@@ -576,6 +549,31 @@ class ResultCache:
         return ScenarioOutcome.from_cache(
             scenario, head["mode"], head["result_digest"], head["facts"], metadata, load
         )
+
+    def _read_entry(self, key: str) -> tuple | None:
+        """``(nbytes, blob_sha, result_digest, blob bytes)`` of ``key``'s
+        entry — the bytes ``None`` when its blobs row is missing — or
+        ``None`` without an entry.  Row and blob come from one read
+        transaction, so a store replacing both meanwhile is seen whole or
+        not at all.  The blob is read through an incremental-I/O handle
+        into one buffer: a ``SELECT`` of the column fills SQLite's buffer
+        and then Python's, and two large buffers freed together are given
+        back to the system and page-faulted in again on the next hit."""
+        conn = self._conn()
+        conn.execute("BEGIN")
+        with conn:
+            row = conn.execute(
+                "SELECT e.nbytes, e.blob_sha, e.result_digest, b.rowid "
+                "FROM entries e LEFT JOIN blobs b ON b.key = e.key WHERE e.key = ?",
+                (key,),
+            ).fetchone()
+            if row is None:
+                return None
+            *indexed, rowid = row
+            if rowid is None:
+                return (*indexed, None)
+            with conn.blobopen("blobs", "data", rowid, readonly=True) as blob:
+                return (*indexed, blob.read())
 
     def _load_body(
         self, scenario: "Scenario", key: str, data: bytes, body_at: int, hit_time: float
@@ -643,11 +641,14 @@ class ResultCache:
                 # The blob and the row that hashes it land inside one
                 # write transaction: two processes storing the same cell
                 # (their blobs differ in wall time) cannot leave one's
-                # blob under the other's row.
+                # blob under the other's row, and a store that dies
+                # before its COMMIT leaves neither.
                 conn = self._conn()
                 conn.execute("BEGIN IMMEDIATE")
-                with conn:  # COMMIT, or ROLLBACK if the write or the INSERT raises
-                    self._write_blob(key, data)
+                with conn:  # COMMIT, or ROLLBACK if an INSERT raises
+                    conn.execute(
+                        "INSERT OR REPLACE INTO blobs (key, data) VALUES (?, ?)", (key, data)
+                    )
                     conn.execute(
                         "INSERT OR REPLACE INTO entries "
                         "(key, scenario_digest, result_digest, mode, nbytes, blob_sha, "
@@ -678,13 +679,25 @@ class ResultCache:
         self._pending_warning = message
         if drop_row:
             try:
-                self._conn().execute("DELETE FROM entries WHERE key = ?", (key,))
+                self._delete([key])
             except sqlite3.Error:
                 pass
-            try:
-                self.blob_path(key).unlink(missing_ok=True)
-            except OSError:
-                pass
+
+    def _delete(self, keys: list[str]) -> None:
+        """Both rows of every key, in one write transaction."""
+        conn = self._conn()
+        conn.execute("BEGIN IMMEDIATE")
+        with conn:
+            for table in ("entries", "blobs"):
+                conn.executemany(f"DELETE FROM {table} WHERE key = ?", [(k,) for k in keys])
+
+    def _give_back(self) -> None:
+        """Freed pages returned to the file system: the index file is cut
+        to what its rows use and the WAL emptied (a reader in flight may
+        keep either from shrinking until the next call)."""
+        conn = self._conn()
+        conn.execute("PRAGMA incremental_vacuum").fetchall()
+        conn.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchall()
 
     def pop_warning(self) -> str | None:
         """The last corruption/disable note (cleared on read) — the
@@ -718,103 +731,41 @@ class ResultCache:
         modes = dict(
             conn.execute("SELECT mode, COUNT(*) FROM entries GROUP BY mode").fetchall()
         )
-        # Without the write lock (``stats`` must work beside a running
-        # campaign): a store caught between rename and commit may be
-        # counted once.
-        orphans = self.orphans()
+        wal = self.db_path.with_name(self.db_path.name + "-wal")
         return {
             "root": str(self.root),
             "schema": CACHE_SCHEMA_VERSION,
             "salt": cache_salt(),
             "entries": n,
             "bytes": nbytes,
+            "file_bytes": sum(p.stat().st_size for p in (self.db_path, wal) if p.exists()),
             "hits": hits,
             "saved_s": wall,
             "modes": modes,
-            "orphans": len(orphans),
-            "orphan_bytes": sum(nbytes for _path, _problem, nbytes in orphans),
             "disabled": self.disabled_reason,
         }
-
-    def orphans(self, now: float | None = None) -> list[tuple[str, str, int]]:
-        """``(path, problem, nbytes)`` of every file under the blob
-        directory that the index does not account for, in path order: a
-        ``.blob`` no row names (an INSERT that raised after the rename;
-        a row dropped while its unlink failed) and a ``.tmp`` older than
-        :data:`ORPHAN_TMP_AGE` (a writer killed before its rename).
-        Lookups never read either, so they cost disk, not correctness.
-
-        The files are listed before the index is read, so a store that
-        commits meanwhile is not reported; only a caller holding the
-        write lock (``gc``, ``verify``) is sure to see no store in
-        flight between its rename and its commit.
-        """
-        now = _time.time() if now is None else now
-        files: list[tuple[str, str, os.stat_result]] = []
-        try:
-            with os.scandir(self.blob_dir) as shards:
-                for shard in sorted(shards, key=lambda e: e.name):
-                    if not shard.is_dir(follow_symlinks=False):
-                        continue
-                    with os.scandir(shard.path) as entries:
-                        files += [
-                            (e.path, e.name, e.stat(follow_symlinks=False))
-                            for e in sorted(entries, key=lambda e: e.name)
-                            if e.is_file(follow_symlinks=False)
-                        ]
-        except OSError:
-            return []  # unreadable or vanished directory: nothing to report
-        named = {key for (key,) in self._conn().execute("SELECT key FROM entries")}
-        found = []
-        for path, name, stat in files:
-            if name.endswith(".blob"):
-                if name[: -len(".blob")] not in named:
-                    found.append((path, "orphan blob: no index row names it", stat.st_size))
-            elif name.endswith(".tmp") and now - stat.st_mtime > ORPHAN_TMP_AGE:
-                found.append(
-                    (path, "orphan temporary file of an interrupted store", stat.st_size)
-                )
-        return found
-
-    def _locked_orphans(self, now: float | None, remove: bool) -> list[tuple[str, str, int]]:
-        """:meth:`orphans` seen — and with ``remove`` unlinked — under the
-        write lock: a live writer renames its blob inside its own write
-        transaction, so while this one is open no blob is waiting for
-        its row."""
-        conn = self._conn()
-        conn.execute("BEGIN IMMEDIATE")
-        with conn:
-            found = self.orphans(now)
-            if remove:
-                for path, _problem, _nbytes in found:
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-        return found
 
     def verify(self, prune: bool = False) -> list[VerifyIssue]:
         """Audit every entry, beyond what a lookup checks: size, raw
         hash, head and head digest as a lookup does, then the body
         decoded and the digest and facts re-derived from its objects
-        held against the head (and so the index) — and then the blob
-        directory for files no entry accounts for (:meth:`orphans`).
-        ``prune`` deletes the failing entries and the orphans."""
+        held against the head (and so the index).  ``prune`` deletes the
+        failing entries and gives their pages back."""
         from repro.run.backends import outcome_digest, outcome_facts
 
         issues: list[VerifyIssue] = []
         for entry in self.entries():
             key = entry["key"]
-            path = self.blob_path(key)
             problem = None
             try:
-                data = path.read_bytes()
-                head, body_at = _verified_head(
-                    data, entry["nbytes"], entry["blob_sha"], entry["result_digest"]
-                )
-            except OSError as exc:
-                problem = f"blob missing/unreadable: {exc.__class__.__name__}"
-            except ValueError as exc:
+                row = self._read_entry(key)
+                if row is None:
+                    continue  # evicted since the list was read
+                *indexed, data = row
+                if data is None:
+                    raise ValueError("blob missing: the entry has no blobs row")
+                head, body_at = _verified_head(data, *indexed)
+            except (ValueError, sqlite3.Error) as exc:
                 problem = str(exc)
             else:
                 try:
@@ -833,17 +784,9 @@ class ResultCache:
                         problem = "head facts differ from the body's"
             if problem is not None:
                 issues.append(VerifyIssue(key, problem))
-                if prune:
-                    self._conn().execute("DELETE FROM entries WHERE key = ?", (key,))
-                    try:
-                        path.unlink(missing_ok=True)
-                    except OSError:
-                        pass
-        for path, problem, nbytes in self._locked_orphans(None, remove=prune):
-            name = os.path.basename(path)
-            issues.append(
-                VerifyIssue(name.partition(".")[0], f"{problem} ({name}, {nbytes} bytes)", orphan=True)
-            )
+        if prune and issues:
+            self._delete([issue.key for issue in issues])
+            self._give_back()
         return issues
 
     def gc(
@@ -856,8 +799,8 @@ class ResultCache:
         seconds (by last hit), then — LRU by last hit — until the cache
         fits ``max_bytes``.  Eviction order within a policy is
         deterministic: oldest ``last_hit`` first, ties broken by
-        ``created`` then key.  Then, holding the write lock, every
-        orphan (:meth:`orphans`) is removed, whatever the policies."""
+        ``created`` then key.  The evicted entries' pages go back to the
+        file system."""
         now = _time.time() if now is None else now
         res = GcResult()
         survivors: list[dict[str, Any]] = []
@@ -878,19 +821,11 @@ class ResultCache:
                 else:
                     still.append(entry)
             survivors = still
-        for key, _reason in res.removed:
-            self._conn().execute("DELETE FROM entries WHERE key = ?", (key,))
-            try:
-                self.blob_path(key).unlink(missing_ok=True)
-            except OSError:
-                pass
+        if res.removed:
+            self._delete([key for key, _reason in res.removed])
+            self._give_back()
         res.kept = len(survivors)
         res.kept_bytes = sum(e["nbytes"] for e in survivors)
-        # Whatever the index never knew (or just forgot while an unlink
-        # above failed) is disk the policies above cannot see.
-        orphans = self._locked_orphans(now, remove=True)
-        res.orphans = len(orphans)
-        res.orphan_bytes = sum(nbytes for _path, _problem, nbytes in orphans)
         return res
 
     def close(self) -> None:

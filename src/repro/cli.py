@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import Sequence
 
 from repro.resilience.strategy import strategy_names
@@ -519,9 +520,8 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
         return 1
     modes = ", ".join(f"{n} {m}" for m, n in sorted(st["modes"].items())) or "empty"
     print(f"  entries:  {st['entries']:,} ({modes})")
-    print(f"  size:     {format_size(st['bytes'])}")
-    print(f"  orphans:  orphan_bytes={st['orphan_bytes']} in {st['orphans']} files "
-          "the index does not name (cache gc removes them)")
+    print(f"  size:     {format_size(st['bytes'])} in entries, "
+          f"{format_size(st['file_bytes'])} on disk (index.sqlite3 + WAL)")
     print(f"  hits:     {st['hits']:,} lifetime "
           f"(~{st['saved_s']:,.1f}s of compute served by lookup)")
     print(f"  salt:     {st['salt']}")
@@ -543,13 +543,8 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
     for issue in issues:
         action = "pruned" if args.prune else "unservable"
         print(f"{issue.key[:16]} {action}: {issue.problem}")
-    orphans = sum(issue.orphan for issue in issues)
-    if len(issues) > orphans:
-        print(f"{len(issues) - orphans}/{total} entries "
-              f"{'pruned' if args.prune else 'unservable (re-run with --prune to delete)'}")
-    if orphans:
-        print(f"{orphans} orphan files "
-              f"{'removed' if args.prune else 'found (re-run with --prune to delete)'}")
+    print(f"{len(issues)}/{total} entries "
+          f"{'pruned' if args.prune else 'unservable (re-run with --prune to delete)'}")
     return 0 if args.prune else 1
 
 
@@ -574,9 +569,6 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
         f"{by_age} by age, {by_bytes} by size); "
         f"kept {res.kept} ({format_size(res.kept_bytes)})"
     )
-    if res.orphans:
-        print(f"removed {res.orphans} orphan files ({format_size(res.orphan_bytes)}) "
-              "no index row named")
     return 0
 
 
@@ -876,17 +868,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code.  A configuration
     problem anywhere — an ``XSIM_*`` value read while the parser is
     built, scenario resolution, a command's own argument checks — is one
-    ``error:`` line on stderr and exit status 2, never a traceback."""
+    ``error:`` line on stderr and exit status 2, never a traceback.  A
+    warning (an unusable cache directory, a damaged entry recomputed) is
+    one ``warning:`` line, not the source line that raised it."""
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -449,7 +449,8 @@ class Scenario:
 #: Hashed verbatim where the ``engine`` field's line stood while a second
 #: event core could be selected.  The digest is an on-disk contract —
 #: cache keys hash it and explore scorecards print it — so dropping the
-#: line would orphan every stored result and move every pinned scorecard.
+#: line would turn every stored result into a miss and move every pinned
+#: scorecard.
 _DIGEST_ENGINE_LINE = b"engine='heap'\n"
 #: Names in the order :meth:`Scenario.digest_with` hashes them: every
 #: field, plus the place of :data:`_DIGEST_ENGINE_LINE`.

@@ -11,8 +11,11 @@ Covers the correctness promises the cache makes over raw memoization:
 * damaged state (truncated blob, missing blob, stale index row, foreign
   schema version) degrades to recomputation with a warning, never to a
   crash or a stale answer, and no byte of a blob reaches a decoder
-  before the SHA-256 of the raw file matched the index — a hostile body
+  before the SHA-256 of its raw bytes matched the index — a hostile body
   under a correct hash is refused by the allow-list unpickler;
+* host faults around a store — the writer killed before its COMMIT, a
+  full disk, a read-only directory — leave nothing behind and cost only
+  the cache, never the run;
 * a hit answers ``summary()``/``digest()``/``completed`` from the blob's
   head alone; a small blob's body decodes at lookup, a large one's on
   first access, and either way what it decodes to equals the cold
@@ -26,20 +29,28 @@ Covers the correctness promises the cache makes over raw memoization:
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import functools
 import hashlib
+import io
 import json
 import math
 import multiprocessing
 import os
 import pickle
+import signal
 import sqlite3
+import sys
+import tempfile
 import threading
-import time
+import traceback
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.cache import (
@@ -60,6 +71,7 @@ from repro.obs import to_chrome, to_jsonl
 from repro.run.backends import outcome_digest, run_scenario
 from repro.run.scenario import Scenario
 from repro.run.sweep import run_cells, run_sweep
+from repro.util.units import format_size
 
 
 SMALL = Scenario(ranks=8, iterations=30, interval=10)
@@ -75,21 +87,51 @@ def _fill(store, scenario=SMALL):
     return run_scenario(scenario, cache=store)
 
 
+@functools.cache
+def _cold_small():
+    """SMALL computed once, uncached."""
+    return run_scenario(SMALL, cache=False)
+
+
 def _body_at(data):
     """Offset of a blob's body: magic (8) | head length (4) | head | body."""
     return 12 + int.from_bytes(data[8:12], "big")
 
 
-def _flip(path, offset):
-    data = bytearray(path.read_bytes())
+def _blob(store, scenario=SMALL):
+    """The stored blob's bytes, read straight from its row."""
+    (data,) = store._conn().execute(
+        "SELECT data FROM blobs WHERE key = ?", (cache_key(scenario),)
+    ).fetchone()
+    return data
+
+
+def _put_blob(store, data, scenario=SMALL):
+    """Overwrite the stored blob's bytes and leave its index row alone."""
+    store._conn().execute(
+        "UPDATE blobs SET data = ? WHERE key = ?", (data, cache_key(scenario))
+    )
+
+
+def _flip(store, offset, scenario=SMALL):
+    data = bytearray(_blob(store, scenario))
     data[offset] ^= 0x01
-    path.write_bytes(bytes(data))
+    _put_blob(store, bytes(data), scenario)
+
+
+def _rows(store, scenario=SMALL):
+    """``(entries rows, blobs rows)`` under the scenario's key."""
+    conn, key = store._conn(), cache_key(scenario)
+    return tuple(
+        conn.execute(f"SELECT COUNT(*) FROM {table} WHERE key = ?", (key,)).fetchone()[0]
+        for table in ("entries", "blobs")
+    )
 
 
 def _reindex(store, scenario=SMALL):
-    """Make the index row agree with whatever the blob file now holds —
+    """Make the index row agree with whatever the blob row now holds —
     what a hostile (or foreign) writer to a shared directory can do."""
-    data = store.blob_path(cache_key(scenario)).read_bytes()
+    data = _blob(store, scenario)
     store._conn().execute(
         "UPDATE entries SET nbytes = ?, blob_sha = ? WHERE key = ?",
         (len(data), hashlib.sha256(data).hexdigest(), cache_key(scenario)),
@@ -292,7 +334,7 @@ class TestHeadAndBody:
         assert body_decodes == [1]
         # the blob's size decides: at the limit it decodes at lookup,
         # one byte over the limit it waits for first access
-        size = store.blob_path(cache_key(scenario)).stat().st_size
+        size = len(_blob(store, scenario))
         monkeypatch.setattr("repro.cache.store.EAGER_DECODE_BYTES", size)
         run_scenario(scenario, cache=store)
         assert body_decodes == [2]
@@ -397,7 +439,7 @@ class TestHeadAndBody:
         for scenario in scenarios:  # the second hit must not report a running total
             warm = run_scenario(scenario, cache=store)
             (instant,) = [e for e in warm.observer.host_events() if e.name == "cache-hit"]
-            size = store.blob_path(cache_key(scenario)).stat().st_size
+            size = len(_blob(store, scenario))
             assert dict(instant.args)["bytes"] == size
         assert store.stats.hit_bytes > size
 
@@ -431,9 +473,8 @@ class TestHeadAndBody:
 class TestRobustness:
     def test_truncated_blob_recomputes(self, store):
         cold = _fill(store)
-        key = cache_key(SMALL)
-        path = store.blob_path(key)
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        data = _blob(store)
+        _put_blob(store, data[: len(data) // 2])
         with pytest.warns(RuntimeWarning, match="unusable .*blob size"):
             again = run_scenario(SMALL, cache=store)
         assert not again.metadata.get("cache_hit")
@@ -443,24 +484,25 @@ class TestRobustness:
         assert run_scenario(SMALL, cache=store).metadata.get("cache_hit") is True
 
     def test_missing_blob_recomputes(self, store):
+        """An ``entries`` row without its ``blobs`` row."""
         cold = _fill(store)
-        store.blob_path(cache_key(SMALL)).unlink()
-        with pytest.warns(RuntimeWarning, match="blob unreadable"):
+        store._conn().execute("DELETE FROM blobs")
+        with pytest.warns(RuntimeWarning, match="blob missing"):
             again = run_scenario(SMALL, cache=store)
         assert not again.metadata.get("cache_hit")
         assert again.digest() == cold.digest()
+        assert _rows(store) == (1, 1)  # demoted, then re-stored whole
 
     def test_garbage_blob_recomputes(self, store):
         cold = _fill(store)
-        path = store.blob_path(cache_key(SMALL))
-        path.write_bytes(b"not a blob")
+        _put_blob(store, b"not a blob")
         with pytest.warns(RuntimeWarning, match="blob size"):
             again = run_scenario(SMALL, cache=store)
         assert not again.metadata.get("cache_hit")
         assert again.digest() == cold.digest()
         # the same garbage under an index row that vouches for it gets
         # as far as the head decoder, and no further
-        path.write_bytes(b"not a blob, but the index says so")
+        _put_blob(store, b"not a blob, but the index says so")
         _reindex(store)
         with pytest.warns(RuntimeWarning, match="head undecodable"):
             again = run_scenario(SMALL, cache=store)
@@ -486,27 +528,24 @@ class TestRobustness:
             assert store.lookup(SMALL) is None
         assert store.stats.corrupt == 1
         assert store.index_stats()["entries"] == 0
-        assert not store.blob_path(cache_key(SMALL)).exists()
+        assert _rows(store) == (0, 0)
 
     @pytest.mark.parametrize("where", ["length", "head", "body"])
     def test_flipped_byte_is_refused_before_any_decoder(self, store, no_decoder, where):
         """Verify-before-decode: one flipped bit anywhere is a miss, and
         neither the head's JSON decoder nor the body's unpickler ran."""
         _fill(store)
-        path = store.blob_path(cache_key(SMALL))
-        data = path.read_bytes()
-        offset = {"length": 11, "head": 20, "body": _body_at(data) + 5}[where]
-        _flip(path, offset)
+        offset = {"length": 11, "head": 20, "body": _body_at(_blob(store)) + 5}[where]
+        _flip(store, offset)
         with pytest.warns(RuntimeWarning, match="blob hash"):
             assert store.lookup(SMALL) is None
         assert (store.stats.corrupt, store.stats.hits) == (1, 0)
-        assert not path.exists()
+        assert _rows(store) == (0, 0)
 
     def test_truncation_is_refused_before_hashing(self, store, monkeypatch):
         _fill(store)
-        path = store.blob_path(cache_key(SMALL))
-        truncated = path.read_bytes()[:-1]
-        path.write_bytes(truncated)
+        truncated = _blob(store)[:-1]
+        _put_blob(store, truncated)
         real = hashlib.sha256
 
         def guarded(data=b""):
@@ -516,6 +555,57 @@ class TestRobustness:
         monkeypatch.setattr(hashlib, "sha256", guarded)
         with pytest.warns(RuntimeWarning, match="blob size"):
             assert store.lookup(SMALL) is None
+
+    @seed(26)
+    @settings(max_examples=40)
+    @given(
+        damage=st.one_of(
+            st.tuples(st.just("data"), st.binary(max_size=2048)),
+            st.tuples(st.just("truncate"), st.integers(min_value=0)),
+            st.tuples(
+                st.sampled_from(["nbytes", "blob_sha", "result_digest"]),
+                st.one_of(
+                    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                    st.floats(allow_nan=False),
+                    st.text(max_size=80),
+                    st.binary(max_size=80),
+                ),
+            ),
+        )
+    )
+    def test_any_damage_to_a_stored_entry_is_one_warned_miss(self, tmp_path_factory, damage):
+        """The blob's bytes replaced or truncated, or any value in the
+        index row's checked columns: a miss with exactly one warning, the
+        lookup never raises, no body decodes unless the SHA-256 held, and
+        the next run recomputes the same summary."""
+        import repro.cache.store as store_module
+
+        cold = _cold_small()
+        cache = ResultCache(tmp_path_factory.mktemp("fuzz"))
+        assert cache.store(SMALL, cold)
+        checked = "SELECT nbytes, blob_sha, result_digest FROM entries"
+        before = cache._conn().execute(checked).fetchone() + (_blob(cache),)
+        what, value = damage
+        if what == "data":
+            _put_blob(cache, value)
+        elif what == "truncate":
+            _put_blob(cache, before[3][: value % len(before[3])])
+        else:
+            cache._conn().execute(f"UPDATE entries SET {what} = ?", (value,))
+        after = cache._conn().execute(checked).fetchone() + (_blob(cache),)
+        assume(after != before)
+        nbytes, blob_sha, _digest, data = after
+        sha_held = len(data) == nbytes and hashlib.sha256(data).hexdigest() == blob_sha
+        with mock.patch.object(
+            store_module, "_decode_body", wraps=store_module._decode_body
+        ) as decode, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cache.lookup(SMALL) is None
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert decode.call_count == 0 or sha_held
+        again = run_scenario(SMALL, cache=cache)
+        assert not again.metadata.get("cache_hit") and again.summary() == cold.summary()
+        cache.close()
 
     @pytest.mark.parametrize("evil", ["os.system", "builtins.eval"])
     def test_hostile_body_under_a_correct_hash_executes_nothing(
@@ -536,9 +626,8 @@ class TestRobustness:
                 return eval, (f"open({str(sentinel)!r}, 'w').close()",)
 
         body = pickle.dumps((Evil(), None, None), protocol=pickle.HIGHEST_PROTOCOL)
-        path = store.blob_path(cache_key(SMALL))
-        data = path.read_bytes()
-        path.write_bytes(data[: _body_at(data)] + body)
+        data = _blob(store)
+        _put_blob(store, data[: _body_at(data)] + body)
         _reindex(store)
         if decode_when == "at-lookup":
             with pytest.warns(RuntimeWarning, match="body undecodable"):
@@ -550,7 +639,7 @@ class TestRobustness:
             assert warm.metadata.get("cache_hit") is True  # head and hash are fine
             with pytest.warns(RuntimeWarning, match="body undecodable"):
                 result = warm.result
-            assert store.index_stats()["entries"] == 0 and not path.exists()
+            assert store.index_stats()["entries"] == 0 and _rows(store) == (0, 0)
         assert not sentinel.exists()
         assert outcome_digest(result, warm.run) == cold.digest() == warm.digest()
         assert any(r.category == "cache" for r in result.log.entries)
@@ -582,7 +671,7 @@ class TestRobustness:
 
     def test_warning_logged_into_recomputed_run(self, store):
         _fill(store)
-        store.blob_path(cache_key(SMALL)).write_bytes(b"junk")
+        _put_blob(store, b"junk")
         with pytest.warns(RuntimeWarning):
             again = run_scenario(SMALL, cache=store)
         log = again.last_result.log
@@ -605,30 +694,37 @@ class TestRobustness:
             warnings.simplefilter("ignore")  # disabled warning fires once
             assert reopened.lookup(SMALL) is None
 
-    def test_schema_1_directory_is_refused_untouched(self, tmp_path):
-        """A directory written by the previous format (bare pickles, no
-        ``blob_sha`` column): disabled, one warning, recompute, nothing
-        read and nothing deleted."""
-        root = tmp_path / "old"
-        blob = root / "blobs" / "ab" / ("ab" * 32 + ".pkl")
+    @staticmethod
+    def _foreign_directory(root, version, blob_name, columns):
+        """A cache directory an older format wrote: its index (in its own
+        journal mode) and one blob file beside it."""
+        blob = root / "blobs" / "ab" / blob_name
         blob.parent.mkdir(parents=True)
-        blob.write_bytes(pickle.dumps({"format": 1}))
+        blob.write_bytes(pickle.dumps({"format": version}))
         conn = sqlite3.connect(root / "index.sqlite3")
+        if version == 2:
+            conn.execute("PRAGMA journal_mode=WAL")
         conn.executescript(
             "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
-            "INSERT INTO meta VALUES ('schema', '1');"
+            f"INSERT INTO meta VALUES ('schema', '{version}');"
             "CREATE TABLE entries (key TEXT PRIMARY KEY, scenario_digest TEXT NOT NULL,"
             " result_digest TEXT NOT NULL, mode TEXT NOT NULL, nbytes INTEGER NOT NULL,"
-            " wall_s REAL NOT NULL, created REAL NOT NULL, last_hit REAL NOT NULL,"
+            f" {columns} wall_s REAL NOT NULL, created REAL NOT NULL, last_hit REAL NOT NULL,"
             " hits INTEGER NOT NULL DEFAULT 0);"
-            "INSERT INTO entries VALUES ('" + "ab" * 32 + "', 's', 'r', 'single', 14,"
-            " 0.1, 1.0, 1.0, 0);"
+            "INSERT INTO entries (key, scenario_digest, result_digest, mode, nbytes,"
+            " wall_s, created, last_hit) VALUES ('" + "ab" * 32 + "', 's', 'r', 'single',"
+            " 14, 0.1, 1.0, 1.0);"
         )
         conn.commit()
         conn.close()
+        return blob
+
+    def _assert_refused_untouched(self, root, version, blob):
         cache = ResultCache(root)
         assert cache.disabled_reason is not None
-        with pytest.warns(RuntimeWarning, match="schema version 1 != supported 2") as caught:
+        with pytest.warns(
+            RuntimeWarning, match=f"schema version {version} != supported 3"
+        ) as caught:
             outcome = run_scenario(SMALL, cache=cache)
             assert cache.lookup(SMALL) is None
         assert len(caught) == 1  # the disabled warning fires once
@@ -637,22 +733,47 @@ class TestRobustness:
         assert blob.exists()
         conn = sqlite3.connect(root / "index.sqlite3")
         assert conn.execute("SELECT COUNT(*) FROM entries").fetchone() == (1,)
-        assert conn.execute("SELECT value FROM meta").fetchone() == ("1",)
+        assert conn.execute("SELECT value FROM meta").fetchone() == (str(version),)
+        tables = {name for (name,) in conn.execute("SELECT name FROM sqlite_master")}
+        assert "blobs" not in tables  # no schema-3 table was added
         conn.close()
+        cache.close()
+
+    def test_schema_1_directory_is_refused_untouched(self, tmp_path):
+        """A directory written by the first format (bare pickles, no
+        ``blob_sha`` column): disabled, one warning, recompute, nothing
+        read and nothing deleted."""
+        root = tmp_path / "old"
+        blob = self._foreign_directory(root, 1, "ab" * 32 + ".pkl", "")
+        self._assert_refused_untouched(root, 1, blob)
+
+    def test_schema_2_directory_is_refused_untouched(self, tmp_path):
+        """A directory written by the second format (blob files beside a
+        WAL index): refused the same way, and not one byte of its index
+        file changes."""
+        root = tmp_path / "old"
+        blob = self._foreign_directory(
+            root, 2, "ab" * 32 + ".blob", "blob_sha TEXT NOT NULL DEFAULT '',"
+        )
+        before = (root / "index.sqlite3").read_bytes()
+        self._assert_refused_untouched(root, 2, blob)
+        assert (root / "index.sqlite3").read_bytes() == before
 
     def test_failed_store_rolls_back_and_the_next_one_lands(self, store, monkeypatch):
+        """The index row's INSERT raising after the blob's: the rollback
+        takes the blob row with it, and nothing else was written."""
         outcome = run_scenario(SMALL, cache=False)
-
-        def disk_full(key, data):
-            raise OSError("disk full")
-
         with monkeypatch.context() as patched:
-            patched.setattr(store, "_write_blob", disk_full)
-            with pytest.warns(RuntimeWarning, match="store failed .* disk full"):
+            patched.setattr(Scenario, "scenario_digest", lambda self: None)
+            with pytest.warns(RuntimeWarning, match="store failed .* NOT NULL"):
                 assert store.store(SMALL, outcome) is False
-        assert (store.stats.store_errors, store.index_stats()["entries"]) == (1, 0)
+        assert (store.stats.store_errors, _rows(store)) == (1, (0, 0))
+        assert store.lookup(SMALL) is None  # a miss, without a warning: no row, no read
         assert store.store(SMALL, outcome) is True  # no transaction left open
         assert store.lookup(SMALL) is not None and store.verify() == []
+        assert sorted(os.listdir(store.root)) == [
+            "index.sqlite3", "index.sqlite3-shm", "index.sqlite3-wal",
+        ]
 
     def test_open_retries_the_wal_switch_a_sibling_blocks(self, tmp_path, monkeypatch):
         """Two handles opening a fresh directory at once: the one that
@@ -715,32 +836,38 @@ class TestVerifyGc:
 
     def test_verify_finds_and_prunes_damage(self, store):
         scenarios = self._three_entries(store)
-        bad_key = cache_key(scenarios[1])
-        store.blob_path(bad_key).write_bytes(b"junk")
-        issues = store.verify()
-        assert [i.key for i in issues] == [bad_key]
+        bad_key, missing_key = cache_key(scenarios[1]), cache_key(scenarios[2])
+        _put_blob(store, b"junk", scenarios[1])
+        store._conn().execute("DELETE FROM blobs WHERE key = ?", (missing_key,))
+        problems = {i.key: i.problem for i in store.verify()}
+        assert set(problems) == {bad_key, missing_key}
+        assert problems[bad_key].startswith("blob size 4 != indexed")
+        assert problems[missing_key].startswith("blob missing")
         assert store.index_stats()["entries"] == 3  # audit-only
         store.verify(prune=True)
-        assert store.index_stats()["entries"] == 2
+        assert store.index_stats()["entries"] == 1
+        assert _rows(store, scenarios[1]) == _rows(store, scenarios[2]) == (0, 0)
+        assert store.verify() == []
 
     def test_verify_audits_beyond_a_lookup(self, store):
         """A lookup trusts a head whose blob hash matched; ``verify``
         decodes the body too and re-derives digest and facts from it."""
         scenarios = self._three_entries(store)
-        paths = [store.blob_path(cache_key(s)) for s in scenarios]
-        blobs = [p.read_bytes() for p in paths]
+        blobs = [_blob(store, s) for s in scenarios]
         # entry 0: another cell's body under this cell's head
         other = SMALL.with_(iterations=20)
         _fill(store, other)
-        foreign = store.blob_path(cache_key(other)).read_bytes()
-        paths[0].write_bytes(blobs[0][: _body_at(blobs[0])] + foreign[_body_at(foreign) :])
+        foreign = _blob(store, other)
+        _put_blob(store, blobs[0][: _body_at(blobs[0])] + foreign[_body_at(foreign) :], scenarios[0])
         _reindex(store, scenarios[0])
         # entry 2: a head whose facts disagree with its own body
         head = json.loads(blobs[2][12 : _body_at(blobs[2])])
         head["facts"]["events"] += 1
         lying = json.dumps(head, sort_keys=True, separators=(",", ":")).encode()
-        paths[2].write_bytes(
-            blobs[2][:8] + len(lying).to_bytes(4, "big") + lying + blobs[2][_body_at(blobs[2]) :]
+        _put_blob(
+            store,
+            blobs[2][:8] + len(lying).to_bytes(4, "big") + lying + blobs[2][_body_at(blobs[2]) :],
+            scenarios[2],
         )
         _reindex(store, scenarios[2])
         assert store.lookup(scenarios[0]) is not None  # hash, head and index agree
@@ -807,128 +934,151 @@ class TestVerifyGc:
 
 
 # ----------------------------------------------------------------------
-# orphans: files in the blob directory that no index row names
+# host faults around a store: the writer killed, the disk full, the
+# directory read-only
 # ----------------------------------------------------------------------
-def _plant_orphans(store, now):
-    """One blob without a row, one temporary file two hours old, and one
-    written just now (a store in flight could still own it)."""
-    shard = store.blob_dir / "ab"
-    shard.mkdir(exist_ok=True)
-    blob = shard / ("ab" + "0" * 62 + ".blob")
-    stale = shard / ("ab" + "1" * 62 + ".4242.tmp")
-    fresh = shard / ("ab" + "2" * 62 + ".4243.tmp")
-    for path, size in ((blob, 100), (stale, 50), (fresh, 25)):
-        path.write_bytes(b"x" * size)
-    os.utime(stale, (now - 7200.0, now - 7200.0))
-    os.utime(fresh, (now - 60.0, now - 60.0))
-    return blob, stale, fresh
+def _store_killed_before_commit(root, outcome):
+    """Store one cell, and die by SIGKILL as the COMMIT after its two
+    INSERTs starts: a blob written in a transaction of its own would
+    survive this."""
+    cache = ResultCache(root)
+    inserted = set()
+
+    def trace(sql):
+        if sql.startswith("INSERT OR REPLACE INTO"):
+            inserted.add(sql.split()[4])
+        elif sql.startswith("COMMIT") and inserted == {"blobs", "entries"}:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    cache._conn().set_trace_callback(trace)
+    cache.store(SMALL, outcome)
 
 
-class TestOrphans:
-    NOW = 2_000_000_000.0
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """What an interpreter without pytest's warning capture prints."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
-    def _entries(self, store):
-        scenarios = [SMALL, SMALL.with_(seed=1)]
-        for s in scenarios:
-            _fill(store, s)
-        return scenarios
 
-    def test_stats_count_them_verify_lists_them_gc_removes_them(self, store):
-        scenarios = self._entries(store)
-        blob, stale, fresh = _plant_orphans(store, self.NOW)
-        found = store.orphans(now=self.NOW)
-        assert [(os.path.basename(p), n) for p, _problem, n in found] == [
-            (blob.name, 100), (stale.name, 50),
-        ]
-        os.utime(stale, (time.time() - 7200.0,) * 2)  # stats and verify read the clock
-        stats = store.index_stats()
-        assert (stats["entries"], stats["orphans"], stats["orphan_bytes"]) == (2, 2, 150)
-        issues = store.verify()
-        assert [i.key for i in issues] == [blob.name[:64], stale.name[:64]]
-        assert all(i.orphan and i.problem.startswith("orphan") for i in issues)
-        assert blob.exists() and stale.exists()  # audit only
-        res = store.gc(max_age=1e12)  # a policy that evicts nothing
-        assert (res.removed, res.kept, res.orphans, res.orphan_bytes) == ([], 2, 2, 150)
-        assert not blob.exists() and not stale.exists()
-        assert fresh.exists(), "a temporary file younger than an hour may have a live writer"
-        assert store.verify() == [] and store.index_stats()["orphan_bytes"] == 0
-        fresh_handle = ResultCache(store.root)
-        assert all(fresh_handle.lookup(s) is not None for s in scenarios)
+def _main_without_write_access(root, argv):
+    """``(status, stdout, stderr)`` of ``main(argv)`` in a forked child
+    that cannot write ``root``.  Root writes through permission bits, so
+    as root the child becomes ``nobody`` (``root`` must be readable to
+    it); otherwise ``root`` and its files are made read-only for the
+    run.  The parent has imported what the command runs."""
+    from repro.cli import main
 
-    def test_verify_prune_removes_them_too(self, store):
-        self._entries(store)
-        blob, stale, fresh = _plant_orphans(store, self.NOW)
-        os.utime(stale, (time.time() - 7200.0,) * 2)
-        assert len(store.verify(prune=True)) == 2
-        assert not blob.exists() and not stale.exists() and fresh.exists()
-        assert store.verify() == [] and store.index_stats()["entries"] == 2
+    files = [root / name for name in os.listdir(root)]
+    privileged = os.geteuid() == 0
+    if not privileged:
+        for path in files + [root]:
+            path.chmod(0o555 if path == root else 0o444)
+    readable, writable = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child's coverage is its output
+        try:
+            os.close(readable)
+            if privileged:
+                os.setgroups([])
+                os.setgid(65534)
+                os.setuid(65534)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("default")
+                    warnings.showwarning = _show_warning
+                    try:
+                        status = main(argv)
+                    except BaseException:  # noqa: BLE001 - a traceback is the failure
+                        traceback.print_exc()
+                        status = -1
+            os.write(writable, json.dumps([status, out.getvalue(), err.getvalue()]).encode())
+        finally:
+            os._exit(0)
+    os.close(writable)
+    try:
+        data = b""
+        while chunk := os.read(readable, 1 << 16):
+            data += chunk
+        os.waitpid(pid, 0)
+    finally:
+        os.close(readable)
+        if not privileged:
+            for path in files + [root]:
+                path.chmod(0o755 if path == root else 0o644)
+    return json.loads(data)
 
-    def test_a_row_that_fails_after_the_rename_leaves_an_orphan(self, store, monkeypatch):
-        """The INSERT raising rolls the row back; the renamed blob stays
-        until ``gc`` — and the next store of the cell simply replaces it."""
-        outcome = run_scenario(SMALL, cache=False)
-        with monkeypatch.context() as patched:
-            patched.setattr(Scenario, "scenario_digest", lambda self: None)
-            with pytest.warns(RuntimeWarning, match="store failed .* NOT NULL"):
-                assert store.store(SMALL, outcome) is False
-        path = store.blob_path(cache_key(SMALL))
-        assert path.exists() and store.index_stats()["entries"] == 0
-        assert store.lookup(SMALL) is None  # a miss, without a warning: no row, no read
-        assert [i.key for i in store.verify()] == [cache_key(SMALL)]
-        assert store.gc(max_age=1e12).orphans == 1 and not path.exists()
-        assert store.store(SMALL, outcome) is True and store.verify() == []
 
-    def test_a_killed_writer_leaves_a_named_temporary_file(self, store, monkeypatch):
-        """Dying between the temporary file and the rename: the leftover
-        is ``<key>.<pid>.tmp`` beside the blob it would have become."""
-        outcome = run_scenario(SMALL, cache=False)
+def _table(out, cached):
+    """A sweep's table rows, without the cache's source column."""
+    rows = [line for line in out.splitlines() if "|" in line]
+    return [(line.rsplit("|", 1)[0] if cached else line).rstrip() for line in rows]
 
-        def killed(src, dst):
-            raise KeyboardInterrupt
 
-        with monkeypatch.context() as patched:
-            patched.setattr(os, "replace", killed)
-            patched.setattr(os, "unlink", lambda path: None)  # a kill cleans nothing up
-            with pytest.raises(KeyboardInterrupt):
-                store.store(SMALL, outcome)
-        key = cache_key(SMALL)
-        left = [p.name for p in store.blob_path(key).parent.iterdir()]
-        assert left == [f"{key}.{os.getpid()}.tmp"]
-        assert store.index_stats()["entries"] == 0
-        assert store.orphans() == []  # not yet an hour old
-        assert [os.path.basename(p) for p, *_ in store.orphans(now=self.NOW * 2)] == left
-
-    def test_gc_waits_for_a_store_in_flight(self, tmp_path):
-        """``gc`` from a second handle while a store sits between its
-        rename and its row: the blob has no row yet, and must survive."""
+class TestHostFaults:
+    def test_a_store_killed_before_its_commit_leaves_nothing(self, tmp_path):
         root = tmp_path / "c"
-        writer = ResultCache(root)
         outcome = run_scenario(SMALL, cache=False)
-        collected: list = []
-        finished = threading.Event()
+        child = multiprocessing.get_context("fork").Process(
+            target=_store_killed_before_commit, args=(root, outcome)
+        )
+        child.start()
+        child.join(60)
+        assert child.exitcode == -signal.SIGKILL
+        assert set(os.listdir(root)) <= {"index.sqlite3", "index.sqlite3-wal", "index.sqlite3-shm"}
+        cache = ResultCache(root)
+        assert cache.disabled_reason is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a clean miss: nothing to warn about
+            assert cache.lookup(SMALL) is None
+        assert _rows(cache) == (0, 0) and cache.verify() == []
+        again = run_scenario(SMALL, cache=cache)
+        assert not again.metadata.get("cache_hit") and cache.stats.stores == 1
+        assert run_scenario(SMALL, cache=cache).metadata.get("cache_hit") is True
 
-        def collect():
-            other = ResultCache(root)
-            collected.append(other.gc(max_age=1e12))
-            other.close()
-            finished.set()
+    def test_a_full_disk_costs_the_cache_not_the_run(self, store):
+        """The blob's INSERT raising ``database or disk is full`` (the
+        index may not grow by a page, and this blob is larger than one):
+        one warning, the computed outcome returned, and the next lookup a
+        plain miss."""
+        scenario = SMALL.with_(ranks=64)
+        cold = run_scenario(scenario, cache=False)
+        conn = store._conn()
+        (pages,) = conn.execute("PRAGMA page_count").fetchone()
+        conn.execute(f"PRAGMA max_page_count = {pages}")
+        with pytest.warns(RuntimeWarning) as caught:
+            outcome = run_scenario(scenario, cache=store)
+        assert len(caught) == 1
+        assert "store failed" in str(caught[0].message)
+        assert "database or disk is full" in str(caught[0].message)
+        assert outcome.digest() == cold.digest() and not outcome.metadata.get("cache_hit")
+        assert store.stats.store_errors == 1 and _rows(store, scenario) == (0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.lookup(scenario) is None
+        assert store.verify() == []
 
-        thread = threading.Thread(target=collect)
-        write_blob = writer._write_blob
+    def test_a_read_only_directory_prints_one_line_and_the_uncached_table(self, capsys):
+        from repro.cli import main
 
-        def write_then_let_gc_try(key, data):
-            write_blob(key, data)
-            assert writer.blob_path(key).exists()
-            thread.start()
-            assert not finished.wait(0.3), "gc ran between the rename and the row"
-
-        writer._write_blob = write_then_let_gc_try
-        assert writer.store(SMALL, outcome, wall_s=1.0)
-        thread.join(30)
-        assert not thread.is_alive() and finished.is_set()
-        assert collected[0].orphans == 0
-        audit = ResultCache(root)
-        assert audit.verify() == [] and audit.lookup(SMALL) is not None
+        sweep = TestCli.SWEEP
+        assert main(sweep + ["--no-cache"]) == 0  # and imports what the child runs
+        uncached = capsys.readouterr().out
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chmod(tmp, 0o755)
+            root = Path(tmp) / "c"
+            filled = ResultCache(root)
+            run_sweep(Scenario.resolve(ranks=8, iterations=30), {"interval": [10, 20]}, cache=filled)
+            filled.close()
+            status, out, err = _main_without_write_access(
+                root, sweep + ["--cache", "--cache-dir", str(root)]
+            )
+            assert os.listdir(root) == ["index.sqlite3"]
+        assert status == 0
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("warning: cache directory unusable: ")
+        assert _table(out, cached=True) == _table(uncached, cached=False)
+        assert "cache: 0/2 cells served from cache" in out
 
 
 # ----------------------------------------------------------------------
@@ -1090,34 +1240,43 @@ class TestCli:
         capsys.readouterr()
         cache = ResultCache(root)
         victim = cache.entries()[0]["key"]
-        cache.blob_path(victim).write_bytes(b"junk")
+        cache._conn().execute("UPDATE blobs SET data = x'00' WHERE key = ?", (victim,))
         assert main(["cache", "verify"] + dirflag) == 1
-        assert "unservable" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "unservable" in out and "1/2 entries unservable" in out
         assert main(["cache", "verify", "--prune"] + dirflag) == 0
         assert main(["cache", "verify"] + dirflag) == 0
 
-    def test_cache_commands_report_orphans(self, tmp_path, capsys):
+    def test_cache_gc_gives_the_disk_back(self, tmp_path, capsys):
+        """``gc --max-bytes`` leaves ``index.sqlite3`` and its WAL smaller
+        on disk than before, and ``stats`` reports that size."""
         from repro.cli import main
 
         root = tmp_path / "c"
         dirflag = ["--cache-dir", str(root)]
-        main(self.SWEEP + ["--cache"] + dirflag)
-        shard = root / "blobs" / "ab"
-        shard.mkdir(exist_ok=True)
-        (shard / ("ab" + "0" * 62 + ".blob")).write_bytes(b"x" * 100)
+        grid = ["--set", "interval=10,20,30", "--set", "seed=0,1"]
+        main(self.SWEEP[:-2] + grid + ["--cache"] + dirflag)
+
+        def on_disk():
+            return sum(
+                (root / name).stat().st_size
+                for name in ("index.sqlite3", "index.sqlite3-wal")
+                if (root / name).exists()
+            )
+
+        before = on_disk()
         capsys.readouterr()
         assert main(["cache", "stats"] + dirflag) == 0
-        assert "orphan_bytes=100 in 1 files" in capsys.readouterr().out
-        assert main(["cache", "verify"] + dirflag) == 1
-        out = capsys.readouterr().out
-        assert "orphan blob" in out and "1 orphan files found" in out
-        assert "entries unservable" not in out
-        assert main(["cache", "gc", "--max-age", "7d"] + dirflag) == 0
-        out = capsys.readouterr().out
-        assert "evicted 0 entries" in out and "removed 1 orphan files (100 B)" in out
+        assert f"{format_size(before)} on disk" in capsys.readouterr().out
+        probe = ResultCache(root)
+        keep = max(e["nbytes"] for e in probe.entries())
+        probe.close()
+        assert main(["cache", "gc", "--max-bytes", str(keep)] + dirflag) == 0
+        assert "evicted 5 entries" in capsys.readouterr().out
+        assert on_disk() < before
         assert main(["cache", "stats"] + dirflag) == 0
         out = capsys.readouterr().out
-        assert "entries:  2" in out and "orphan_bytes=0 in 0 files" in out
+        assert "entries:  1 " in out and f"{format_size(on_disk())} on disk" in out
         assert main(["cache", "verify"] + dirflag) == 0
 
     def test_cache_gc_requires_a_policy(self, tmp_path, capsys):
@@ -1173,12 +1332,13 @@ def test_same_cell_stored_concurrently_stays_servable(tmp_path):
 
 def test_blob_and_row_land_in_one_write_transaction(tmp_path):
     """A second writer of the same cell is held out between the first
-    writer's blob rename and its index row; without that, the second
+    writer's blob INSERT and its index row; without that, the second
     writer's blob would end up under the first writer's hash."""
     root = tmp_path / "c"
     first = ResultCache(root)
     outcome = run_scenario(SMALL, cache=False)
     entered, finished = threading.Event(), threading.Event()
+    held_out: list[bool] = []
 
     def second_writer():
         second = ResultCache(root)
@@ -1188,17 +1348,18 @@ def test_blob_and_row_land_in_one_write_transaction(tmp_path):
         second.close()
 
     thread = threading.Thread(target=second_writer)
-    write_blob = first._write_blob
 
-    def write_then_let_the_other_try(key, data):
-        write_blob(key, data)
-        thread.start()
-        assert entered.wait(10)
-        assert not finished.wait(0.3), "second store got in between blob and row"
+    def let_the_other_try(sql):
+        # As the index row's INSERT starts, the blob row is written.  (An
+        # assert here would be swallowed by SQLite's callback.)
+        if sql.startswith("INSERT OR REPLACE INTO entries"):
+            thread.start()
+            held_out.append(entered.wait(10) and not finished.wait(0.3))
 
-    first._write_blob = write_then_let_the_other_try
+    first._conn().set_trace_callback(let_the_other_try)
     assert first.store(SMALL, outcome, wall_s=1.0)
     thread.join(30)
+    assert held_out == [True], "second store got in between blob and row"
     assert not thread.is_alive() and finished.is_set()
     audit = ResultCache(root)
     assert audit.verify() == []
