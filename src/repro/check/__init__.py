@@ -25,10 +25,9 @@ run).
 
 from __future__ import annotations
 
-import os
-
 from repro.check.sanitizer import Sanitizer, verify_store, verify_store_cleaned
 from repro.check.trace import EventTrace, TraceDivergence
+from repro.run.envvars import environment_value
 from repro.util.errors import InvariantViolation
 
 __all__ = [
@@ -45,8 +44,8 @@ __all__ = [
 def checking_enabled() -> bool:
     """Is invariant checking requested via the environment?
 
-    ``XSIM_CHECK=1`` (or any value other than ``0``/empty) turns the
-    runtime sanitizer on for every simulation that does not explicitly
-    override the setting.
+    ``XSIM_CHECK=1`` (``true``/``yes``/``on``; the scenario field
+    ``check``'s spellings) turns the runtime sanitizer on for every
+    simulation that does not explicitly override the setting.
     """
-    return os.environ.get("XSIM_CHECK", "").strip() not in ("", "0")
+    return bool(environment_value("XSIM_CHECK"))

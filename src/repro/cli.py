@@ -16,13 +16,16 @@ Subcommands::
     xsim-run arch    --ranks 32768  # architecture self-description (Fig. 1)
     xsim-run simcheck  # differential determinism harness (see repro.check)
 
-Every ``app``/``arch``/``sweep`` invocation resolves one
+Every ``app``/``arch``/``sweep``/``explore`` invocation resolves one
 :class:`~repro.run.scenario.Scenario` through the layered precedence
 chain — library defaults < ``--scenario`` TOML file < ``XSIM_*``
-environment < explicit flags — and executes it on its backend
-(``serial``, ``sharded-inline``, ``sharded-fork``, ``sharded-shm``; pick
-with ``--shards`` / ``--shard-transport`` or the scenario's ``execution``
-table).  Results and traces are bit-identical across backends.
+environment < explicit flags — and executes it on the backend its row
+of ``BACKEND_TRANSPORTS`` names.  A flag that sets a Scenario field is
+that field's row of :data:`repro.run.scenario.FIELDS` — spelling, type,
+choices, help, and the default the help states, read off the dataclass
+— and each command names the fields it takes, in help order
+(:func:`_add_field_flags`); the flag layer is those flags the user
+passed.  Results and traces are bit-identical across backends.
 
 Debugging aids on ``app``: ``--check`` enables the runtime invariant
 sanitizer (equivalent to ``XSIM_CHECK=1``); ``--record-trace FILE`` saves
@@ -32,7 +35,7 @@ canonical result fingerprint for cross-backend comparison.
 
 Start-up cost follows the command (``docs/INTERNALS.md``, "Import
 layers"): this module imports only the import-light layer — the scenario
-spec, the name tables the ``choices`` come from, the error types — so
+spec and its field table, the error types — so
 ``--help``, a usage error and ``cache stats|gc`` load no simulator; each
 ``_cmd_*`` imports the runtime or tool it drives, and a warm ``app`` /
 ``sweep --cache`` / ``table2`` under ``XSIM_CACHE=1`` is answered from
@@ -50,18 +53,11 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import fields
 from typing import Sequence
 
-from repro.resilience.strategy import strategy_names
 from repro.run.envvars import default_jobs
-from repro.run.scenario import (
-    APP_NAMES,
-    SHARD_TRANSPORTS,
-    TOPOLOGY_NAMES,
-    Scenario,
-    load_scenario_file,
-    parse_dims,
-)
+from repro.run.scenario import FIELDS, Scenario, load_scenario_file, parse_dims
 from repro.util.errors import ConfigurationError
 from repro.util.lazy import lazy_exports
 
@@ -134,117 +130,61 @@ def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shards_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="partition the simulated ranks across N conservative-parallel "
-        "engine shards (default: XSIM_SHARDS or 1); the event trace is "
-        "bit-identical to a serial run",
-    )
-    p.add_argument(
-        "--shard-transport",
-        choices=list(SHARD_TRANSPORTS),
-        default=None,
-        help="shard worker transport (default: XSIM_SHARD_TRANSPORT or fork): "
-        "fork (one process per shard, pickled pipes), shm (forked workers "
-        "with shared-memory envelope rings — lowest overhead), or inline "
-        "(all shards in-process — same schedule, for debugging and "
-        "single-core hosts); results are bit-identical across all three",
-    )
+#: Scenario-field flags each command takes, in the order its help lists
+#: them (``app`` and ``sweep`` add more further down their pages).
+_MACHINE = (
+    "ranks", "topology", "dims", "latency", "bandwidth", "eager_threshold",
+    "detection_timeout", "slowdown", "collectives", "seed", "shards", "shard_transport",
+)
+_WORKLOAD = ("app", "iterations", "interval", "strategy")
+_FAULTS = ("mttf", "failures", "check")
+#: argparse ``type`` per field kind (``str``: the text itself).  A bad
+#: ``--dims`` raises ``ConfigurationError``, which argparse lets through
+#: to :func:`main`'s handler.
+_FLAG_TYPES = {"int": int, "float": float, "dims": parse_dims, "str": None}
+_DEFAULTS = {f.name: f.default for f in fields(Scenario)}
 
 
-def _add_system_args(p: argparse.ArgumentParser) -> None:
-    # Defaults are None sentinels: an unset flag leaves the field to the
-    # lower precedence layers (scenario file, environment, library
-    # defaults — see repro.run.scenario).  The help text states the
-    # library default.
-    p.add_argument("--ranks", type=int, default=None,
-                   help="simulated MPI rank count (default 64)")
-    p.add_argument("--topology", default=None,
-                   choices=list(TOPOLOGY_NAMES),
-                   help="interconnect topology (default torus)")
-    p.add_argument("--dims", default=None, metavar="DxDxD",
-                   help="explicit topology grid, e.g. 8x8x4 for a torus/mesh "
-                   "or 16x3 (arity x levels) for a fattree; must be "
-                   "consistent with --ranks/--topology (default: derived "
-                   "near-cubic dims)")
-    p.add_argument("--latency", default=None, help="link latency (default 1us)")
-    p.add_argument("--bandwidth", default=None, help="link bandwidth (default 32GB/s)")
-    p.add_argument("--eager-threshold", default=None,
-                   help="eager/rendezvous threshold (default 256kB)")
-    p.add_argument("--detection-timeout", default=None,
-                   help="failure detection timeout (default 10s)")
-    p.add_argument("--slowdown", type=float, default=None,
-                   help="simulated node slowdown (default 1000)")
-    p.add_argument("--collectives", default=None,
-                   choices=["linear", "tree", "analytic"],
-                   help="collective algorithm family (default linear)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="deterministic experiment seed (default 0)")
+def _add_field_flags(
+    p: argparse.ArgumentParser, names: tuple[str, ...], helps: dict[str, str] | None = None
+) -> None:
+    """Add the flags of Scenario fields ``names``, each as its
+    :data:`FIELDS` row says (``helps`` replaces a row's text on this
+    command), and record them in ``scenario_fields``.  Every default is
+    ``None`` — not given: the lower layers decide — and the help states
+    the library default instead."""
+    for name in names:
+        spec = FIELDS[name]
+        default = _DEFAULTS[name]
+        text = (helps or {}).get(name, spec.help).format(
+            default=f"{default:g}" if isinstance(default, float) else default,
+            env=spec.env,
+        )
+        if spec.kind == "bool":
+            p.add_argument(*spec.flag, dest=name, action="store_true", default=None, help=text)
+        else:
+            p.add_argument(
+                *spec.flag, dest=name, type=_FLAG_TYPES[spec.kind],
+                choices=list(spec.choices) or None, metavar=spec.metavar,
+                default=None, help=text,
+            )
+    p.set_defaults(scenario_fields=(p.get_default("scenario_fields") or ()) + names)
 
 
-def _add_workload_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--app", default=None, choices=list(APP_NAMES),
-                   help="simulated application (default heat3d)")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="application iterations (default 1000)")
-    p.add_argument("--interval", type=int, default=None,
-                   help="checkpoint interval (default 1000)")
-    p.add_argument("--strategy", default=None, choices=list(strategy_names()),
-                   help="resilience strategy (default ckpt; also: "
-                   "XSIM_STRATEGY env var); parameters come from the "
-                   "scenario file's [resilience] strategy table")
-    p.add_argument("--mttf", type=float, default=None,
-                   help="system MTTF for random injection (s)")
-    p.add_argument(
-        "--xsim-failures",
-        default=None,
-        help='failure schedule as "rank@time,rank@time" (also: XSIM_FAILURES env var)',
-    )
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="enable the runtime invariant sanitizer (same as XSIM_CHECK=1)",
-    )
-    p.add_argument(
-        "--scenario",
-        metavar="FILE",
-        default=None,
-        help="load a scenario TOML file; explicit flags and XSIM_* variables "
-        "override its values (defaults < file < env < flags)",
-    )
+_SCENARIO_HELP = (
+    "load a scenario TOML file; explicit flags and XSIM_* variables "
+    "override its values (defaults < file < env < flags)"
+)
 
 
 def _scenario_overrides(args: argparse.Namespace) -> dict:
-    """The flag layer of the precedence chain: every scenario-mapped
-    option the user actually passed (``None`` = not given)."""
-    ov = dict(
-        ranks=getattr(args, "ranks", None),
-        topology=getattr(args, "topology", None),
-        dims=parse_dims(args.dims) if getattr(args, "dims", None) else None,
-        latency=getattr(args, "latency", None),
-        bandwidth=getattr(args, "bandwidth", None),
-        eager_threshold=getattr(args, "eager_threshold", None),
-        detection_timeout=getattr(args, "detection_timeout", None),
-        slowdown=getattr(args, "slowdown", None),
-        collectives=getattr(args, "collectives", None),
-        seed=getattr(args, "seed", None),
-        shards=getattr(args, "shards", None),
-        shard_transport=getattr(args, "shard_transport", None),
-        app=getattr(args, "app", None),
-        iterations=getattr(args, "iterations", None),
-        interval=getattr(args, "interval", None),
-        mttf=getattr(args, "mttf", None),
-        strategy=getattr(args, "strategy", None),
-        failures=getattr(args, "xsim_failures", None),
-        # store_true flags: only an explicitly passed flag overrides.
-        check=True if getattr(args, "check", False) else None,
-        trace_detail=True if getattr(args, "trace_detail", False) else None,
-        trace_out=getattr(args, "trace_out", None) or None,
-    )
-    return ov
+    """The flag layer of the precedence chain: the Scenario-field flags
+    of this command the user passed."""
+    return {
+        name: getattr(args, name)
+        for name in args.scenario_fields
+        if getattr(args, name) is not None
+    }
 
 
 def _resolve_scenario(args: argparse.Namespace) -> tuple[Scenario, dict]:
@@ -332,8 +272,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.run.sweep import parse_set, run_sweep
 
     base, grid = _resolve_scenario(args)
-    if args.jobs is not None:
-        base = base.with_(jobs=args.jobs)
     for axis in args.set or []:
         name, values = parse_set(axis)
         grid[name] = values
@@ -382,7 +320,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             render_strategy_study(
                 pairs,
                 axes=tuple(axes),
-                jobs=base.jobs if args.jobs is None else args.jobs,
+                jobs=base.jobs,
                 cache=cache if cache is not None else False,
             )
         )
@@ -426,14 +364,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         )
     cache = _cache_from_args(args)
     observer = None
-    if spec.scenario.trace_out:
+    if args.campaign_trace_out:
         from repro.obs import Observer
 
         observer = Observer()
     result = run_explore(
         spec,
         cache=cache if cache is not None else False,
-        jobs=args.jobs,
+        jobs=args.campaign_jobs,
         observer=observer,
     )
     print(render_scorecard(result), end="")
@@ -445,8 +383,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     if observer is not None:
         from repro.obs import write_export
 
-        count = write_export(observer, spec.scenario.trace_out, include_host=True)
-        print(f"exported {count} events to {spec.scenario.trace_out}")
+        count = write_export(observer, args.campaign_trace_out, include_host=True)
+        print(f"exported {count} events to {args.campaign_trace_out}")
     if cache is not None:
         # + one fault-free baseline cell per campaign
         total = result.spent + getattr(result, "baselines", 1)
@@ -596,9 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_app = sub.add_parser("app", help="run a simulated application")
-    _add_system_args(p_app)
-    _add_shards_args(p_app)
-    _add_workload_args(p_app)
+    _add_field_flags(p_app, _MACHINE + _WORKLOAD + _FAULTS)
+    p_app.add_argument("--scenario", metavar="FILE", default=None, help=_SCENARIO_HELP)
     p_app.add_argument(
         "--record-trace",
         metavar="FILE",
@@ -618,21 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the canonical result digest (bit-identical across "
         "backends for the same scenario)",
     )
-    p_app.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        default="",
-        help="export the run's observability timeline (collectives, "
-        "resilience instants, restart segments) to FILE: .json = Chrome "
-        "trace-event JSON (open in Perfetto), .jsonl, .csv; byte-identical "
-        "for serial and sharded runs",
-    )
-    p_app.add_argument(
-        "--trace-detail",
-        action="store_true",
-        help="also record per-request blocking-wait spans in --trace-out "
-        "(high volume on large runs)",
-    )
+    _add_field_flags(p_app, ("trace_out", "trace_detail"))
     p_app.add_argument(
         "--trace-host",
         action="store_true",
@@ -647,9 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="expand a scenario matrix (cartesian parameter grid) into a "
         "campaign of independent runs",
     )
-    _add_system_args(p_sw)
-    _add_shards_args(p_sw)
-    _add_workload_args(p_sw)
+    _add_field_flags(p_sw, _MACHINE + _WORKLOAD + _FAULTS)
+    p_sw.add_argument("--scenario", metavar="FILE", default=None, help=_SCENARIO_HELP)
     p_sw.add_argument(
         "--set",
         action="append",
@@ -658,14 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repeatable, combined cartesian with any [sweep] table in the "
         "scenario file",
     )
-    p_sw.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the campaign (default: XSIM_JOBS or 1); "
-        "results are identical to a serial sweep",
-    )
+    _add_field_flags(p_sw, ("jobs",))
     _add_cache_args(p_sw)
     p_sw.set_defaults(fn=_cmd_sweep)
 
@@ -675,19 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(kind x rank x time x magnitude) with CI-driven stopping, "
         "emitting a deterministic resilience scorecard",
     )
-    _add_system_args(p_ex)
-    _add_shards_args(p_ex)
-    p_ex.add_argument("--app", default=None,
-                      choices=list(APP_NAMES),
-                      help="simulated application (default heat3d)")
-    p_ex.add_argument("--iterations", type=int, default=None,
-                      help="application iterations (default 1000)")
-    p_ex.add_argument("--interval", type=int, default=None,
-                      help="checkpoint interval (default 1000)")
-    p_ex.add_argument("--strategy", default=None,
-                      choices=list(strategy_names()),
-                      help="resilience strategy under test (default ckpt); "
-                      "the [explore] table's strategies list sweeps several")
+    _add_field_flags(p_ex, _MACHINE + _WORKLOAD, helps={
+        "strategy": "resilience strategy under test (default {default}); "
+        "the [explore] table's strategies list sweeps several",
+    })
     p_ex.add_argument(
         "--scenario",
         metavar="FILE",
@@ -727,8 +633,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the scorecard as canonical JSON (byte-identical "
         "across reruns of the same spec)",
     )
+    # The campaign's own settings, not fields of its cells: a cell
+    # resolves as it does without them.
     p_ex.add_argument(
         "--trace-out",
+        dest="campaign_trace_out",
         metavar="FILE",
         default="",
         help="export the campaign's host-domain timeline (one instant per "
@@ -737,6 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument(
         "-j",
         "--jobs",
+        dest="campaign_jobs",
+        metavar="JOBS",
         type=int,
         default=default_jobs(),
         help="worker processes for each batch (default: XSIM_JOBS or 1); "
@@ -780,8 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t2.set_defaults(fn=_cmd_table2)
 
     p_arch = sub.add_parser("arch", help="architecture self-description (paper Figure 1)")
-    _add_system_args(p_arch)
-    _add_shards_args(p_arch)
+    _add_field_flags(p_arch, _MACHINE)
     p_arch.add_argument(
         "--scenario",
         metavar="FILE",

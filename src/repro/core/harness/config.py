@@ -55,6 +55,10 @@ TOPOLOGIES: dict[str, tuple[str, str]] = {
     "star": ("repro.models.network.topology:StarTopology", "nodes"),
     "crossbar": ("repro.models.network.topology:CrossbarTopology", "nodes"),
 }
+#: Collective algorithm families (``collective_algorithm``; the paper's
+#: machine runs ``linear``): what ``MpiWorld`` accepts, what a scenario's
+#: ``collectives`` may name.
+COLLECTIVES = ("linear", "tree", "analytic")
 
 
 def balanced_dims(nnodes: int, ndims: int = 3) -> tuple[int, ...]:

@@ -40,6 +40,7 @@ import math
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
 
+from repro.core.harness.config import COLLECTIVES
 from repro.models.filesystem import FileSystemModel
 from repro.models.memory import MemoryTracker
 from repro.models.network.model import NetworkModel
@@ -191,9 +192,10 @@ class MpiWorld:
         collective_algorithm: str = "linear",
         record_trace: bool = False,
     ):
-        if collective_algorithm not in ("linear", "tree", "analytic"):
+        if collective_algorithm not in COLLECTIVES:
             raise ConfigurationError(
-                f"collective_algorithm must be linear/tree/analytic, got {collective_algorithm!r}"
+                f"collective_algorithm must be {'/'.join(COLLECTIVES)}, "
+                f"got {collective_algorithm!r}"
             )
         #: Algorithm family used by the collectives (paper: "MPI collectives
         #: utilize linear algorithms").

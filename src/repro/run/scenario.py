@@ -10,12 +10,16 @@ Layered resolution (:meth:`Scenario.resolve`)::
     library defaults  <  scenario file (TOML)  <  XSIM_* environment
                       <  CLI flags / explicit kwargs
 
-Each layer overrides the previous one per field; the environment layer is
-the :mod:`repro.run.envvars` registry.  The TOML form groups fields into
-``[machine]``, ``[app]``, ``[resilience]``, ``[execution]``, and
-``[instrumentation]`` tables; an optional ``[sweep]`` table (not part of
-the scenario itself) declares a parameter grid for ``xsim-run sweep``
-(see :mod:`repro.run.sweep`)::
+Each layer overrides the previous one per field.  What a field is beyond
+its type and default — how its text parses, what it must satisfy, its
+``xsim-run`` flag and help, its ``XSIM_*`` variable — is one row of
+:data:`FIELDS`: the constructor checks from it, ``xsim-run`` builds its
+flags from it, and the environment layer (:mod:`repro.run.envvars`) and
+``--set`` axes parse text through :func:`parse_text`.  The TOML form
+groups fields into ``[machine]``, ``[app]``, ``[resilience]``,
+``[execution]``, and ``[instrumentation]`` tables; an optional
+``[sweep]`` table (not part of the scenario itself) declares a parameter
+grid for ``xsim-run sweep`` (see :mod:`repro.run.sweep`)::
 
     [machine]
     ranks = 64
@@ -41,15 +45,21 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.core.faults.schedule import FailureSchedule
-from repro.core.harness.config import TOPOLOGIES, validate_dims
-from repro.resilience.strategy import make_strategy, physical_ranks, strategy_values
-from repro.run.envvars import read_environment
+from repro.core.harness.config import COLLECTIVES, TOPOLOGIES, validate_dims
+from repro.resilience.strategy import (
+    make_strategy,
+    physical_ranks,
+    strategy_names,
+    strategy_values,
+)
 from repro.util.errors import ConfigurationError
 from repro.util.lazy import load
+from repro.util.units import parse_rate, parse_size, parse_time
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.harness.config import SystemConfig
@@ -124,17 +134,6 @@ SHARD_TRANSPORTS = tuple(sorted(t for t in BACKEND_TRANSPORTS.values() if t is n
 _BACKEND_OF_TRANSPORT = {t: name for name, t in BACKEND_TRANSPORTS.items()}
 
 
-def _check_execution_names(backend: str | None, shard_transport: str | None) -> None:
-    """Refuse a backend or shard transport :data:`BACKEND_TRANSPORTS`
-    does not list."""
-    if backend is not None and backend not in BACKEND_TRANSPORTS:
-        raise ConfigurationError(
-            f"unknown backend {backend!r} (known: {', '.join(BACKEND_TRANSPORTS)})"
-        )
-    if shard_transport is not None and shard_transport not in SHARD_TRANSPORTS:
-        raise ConfigurationError(f"unknown shard transport {shard_transport!r}")
-
-
 def backend_name_for(backend: str | None, shards: int, shard_transport: str | None) -> str:
     """The :data:`BACKEND_TRANSPORTS` row a ``(backend, shards,
     shard_transport)`` triple selects.
@@ -144,7 +143,8 @@ def backend_name_for(backend: str | None, shards: int, shard_transport: str | No
     ``shard_transport``: one shard is ``serial``, more run on the named
     transport (``fork`` when none is).
     """
-    _check_execution_names(backend, shard_transport)
+    check_value("backend", backend)
+    check_value("shard_transport", shard_transport)
     if backend is None:
         return _BACKEND_OF_TRANSPORT[None if shards <= 1 else (shard_transport or "fork")]
     implied = BACKEND_TRANSPORTS[backend]
@@ -169,6 +169,214 @@ def parse_dims(text: str) -> tuple[int, ...]:
     if any(d < 1 for d in dims):
         raise ConfigurationError(f"dims must be >= 1, got {dims}")
     return dims
+
+
+# ----------------------------------------------------------------------
+# the field table
+# ----------------------------------------------------------------------
+#: A check: ``(subject, value) -> problem`` (``None`` when the value is
+#: fine).  The problem names ``subject``: the field itself in the
+#: constructor and on the command line, else the place the value came
+#: from — ``XSIM_SHARDS``, ``machine.ranks``, ``--set ranks``.
+Check = Callable[[str, Any], "str | None"]
+
+
+def _at_least(low: int) -> Check:
+    return lambda subject, value: (
+        None if value >= low else f"{subject} must be >= {low}, got {value}"
+    )
+
+
+def _one_of(choices: tuple[str, ...]) -> Check:
+    return lambda subject, value: (
+        None if value in choices
+        else f"unknown {subject} {value!r} (expected one of {', '.join(choices)})"
+    )
+
+
+def _parses(parse: Callable[[Any], Any], what: str) -> Check:
+    # Memoised: every cell of a campaign spells the same few units, and
+    # parsing one costs a construction ~1 us.  The text is what the
+    # constructor keeps (a TOML number becomes its ``str``).
+    @lru_cache(maxsize=256)
+    def parses(text: str) -> bool:
+        try:
+            parse(text)
+        except ConfigurationError:
+            return False
+        return True
+
+    return lambda subject, value: (
+        None if parses(str(value)) else f"{subject} must be {what}, got {value!r}"
+    )
+
+
+def _positive_seconds(subject: str, value: float | None) -> str | None:
+    # Reaches Generator.uniform, which refuses a non-finite bound.
+    if value is None or 0.0 < value < math.inf:
+        return None
+    return f"{subject} must be a positive finite number of seconds, got {value}"
+
+
+def _schedule(subject: str, value: str) -> str | None:
+    try:
+        FailureSchedule.parse(value)
+    except ConfigurationError as exc:
+        return f"{subject}: {exc}"
+    return None
+
+
+class FieldSpec(NamedTuple):
+    """What one :class:`Scenario` field is beyond its type and default
+    (the dataclass's) and its TOML key (:data:`TOML_LAYOUT`'s)."""
+
+    name: str
+    #: How its text parses (a :data:`_KINDS` key); ``None``: it has no
+    #: text form and is set only by a file or a constructor call.
+    kind: str | None
+    check: Check | None = None
+    #: The allowed names, when it is one: its check and its flag's
+    #: ``choices``.
+    choices: tuple[str, ...] = ()
+    #: What the constructor's messages call it, when not its name.
+    label: str = ""
+    #: ``xsim-run`` option strings (none: no flag), help text and
+    #: metavar.  ``{default}`` / ``{env}`` in the help are this field's
+    #: library default and variable.
+    flag: tuple[str, ...] = ()
+    help: str = ""
+    metavar: str | None = None
+    #: The ``XSIM_*`` variable that sets it (the environment layer).
+    env: str | None = None
+
+
+#: Every Scenario field, once, in dataclass order.  Adding a field is the
+#: dataclass field, its :data:`TOML_LAYOUT` row and a row here.
+FIELD_TABLE: tuple[FieldSpec, ...] = (
+    # -- machine -------------------------------------------------------
+    FieldSpec("ranks", "int", _at_least(1), flag=("--ranks",),
+              help="simulated MPI rank count (default {default})"),
+    FieldSpec("topology", "str", choices=TOPOLOGY_NAMES, flag=("--topology",),
+              help="interconnect topology (default {default})"),
+    FieldSpec("dims", "dims", flag=("--dims",), metavar="DxDxD",
+              help="explicit topology grid, e.g. 8x8x4 for a torus/mesh or 16x3 "
+              "(arity x levels) for a fattree; must be consistent with "
+              "--ranks/--topology (default: derived near-cubic dims)"),
+    FieldSpec("latency", "str", _parses(parse_time, "a time such as 1us"),
+              flag=("--latency",), help="link latency (default {default})"),
+    FieldSpec("bandwidth", "str", _parses(parse_rate, "a rate such as 32GB/s"),
+              flag=("--bandwidth",), help="link bandwidth (default {default})"),
+    FieldSpec("eager_threshold", "str", _parses(parse_size, "a size such as 256kB"),
+              flag=("--eager-threshold",),
+              help="eager/rendezvous threshold (default {default})"),
+    FieldSpec("detection_timeout", "str", _parses(parse_time, "a time such as 10s"),
+              flag=("--detection-timeout",),
+              help="failure detection timeout (default {default})"),
+    FieldSpec("slowdown", "float", flag=("--slowdown",),
+              help="simulated node slowdown (default {default})"),
+    FieldSpec("collectives", "str", choices=COLLECTIVES, flag=("--collectives",),
+              help="collective algorithm family (default {default})"),
+    # -- application ---------------------------------------------------
+    FieldSpec("app", "str", choices=APP_NAMES, flag=("--app",),
+              help="simulated application (default {default})"),
+    FieldSpec("iterations", "int", flag=("--iterations",),
+              help="application iterations (default {default})"),
+    FieldSpec("interval", "int", _at_least(1), flag=("--interval",),
+              help="checkpoint interval (default {default})"),
+    # -- resilience ----------------------------------------------------
+    FieldSpec("failures", "str", _schedule, flag=("--xsim-failures",),
+              metavar="XSIM_FAILURES", env="XSIM_FAILURES",
+              help='failure schedule as "rank@time,rank@time" (also: {env} env var)'),
+    FieldSpec("mttf", "float", _positive_seconds, flag=("--mttf",),
+              help="system MTTF for random injection (s)"),
+    FieldSpec("max_restarts", "int"),
+    FieldSpec("strategy", "str", choices=strategy_names(), label="resilience strategy",
+              flag=("--strategy",), env="XSIM_STRATEGY",
+              help="resilience strategy (default {default}; also: {env} env var); "
+              "parameters come from the scenario file's [resilience] strategy table"),
+    FieldSpec("strategy_params", None),
+    # -- execution -----------------------------------------------------
+    # (numpy's SeedSequence refuses a negative seed.)
+    FieldSpec("seed", "int", _at_least(0), flag=("--seed",),
+              help="deterministic experiment seed (default {default})"),
+    FieldSpec("backend", "str", choices=tuple(BACKEND_TRANSPORTS)),
+    FieldSpec("shards", "int", _at_least(1), flag=("--shards",), env="XSIM_SHARDS",
+              help="partition the simulated ranks across N conservative-parallel "
+              "engine shards (default: {env} or {default}); the event trace is "
+              "bit-identical to a serial run"),
+    FieldSpec("shard_transport", "str", choices=SHARD_TRANSPORTS, label="shard transport",
+              flag=("--shard-transport",), env="XSIM_SHARD_TRANSPORT",
+              help="shard worker transport (default: {env} or fork): fork (one process "
+              "per shard, pickled pipes), shm (forked workers with shared-memory "
+              "envelope rings — lowest overhead), or inline (all shards in-process — "
+              "same schedule, for debugging and single-core hosts); results are "
+              "bit-identical across all three"),
+    FieldSpec("jobs", "int", _at_least(1), flag=("-j", "--jobs"), env="XSIM_JOBS",
+              help="worker processes for the campaign (default: {env} or {default}); "
+              "results are identical to a serial sweep"),
+    # -- instrumentation -----------------------------------------------
+    FieldSpec("check", "bool", flag=("--check",), env="XSIM_CHECK",
+              help="enable the runtime invariant sanitizer (same as {env}=1)"),
+    FieldSpec("record_events", "bool"),
+    FieldSpec("observe", "bool"),
+    FieldSpec("trace_detail", "bool", flag=("--trace-detail",),
+              help="also record per-request blocking-wait spans in --trace-out "
+              "(high volume on large runs)"),
+    FieldSpec("trace_out", "str", flag=("--trace-out",), metavar="FILE",
+              help="export the run's observability timeline (collectives, "
+              "resilience instants, restart segments) to FILE: .json = Chrome "
+              "trace-event JSON (open in Perfetto), .jsonl, .csv; byte-identical "
+              "for serial and sharded runs"),
+)
+FIELDS: dict[str, FieldSpec] = {spec.name: spec for spec in FIELD_TABLE}
+
+
+def _integer(text: str) -> int:
+    # Sweep axes are often written 1e3: an integral float is an integer.
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+        if not value.is_integer():
+            raise
+        return int(value)
+
+
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+#: Field kind -> (text parser, what a text that fails it should have been).
+_KINDS: dict[str, tuple[Callable[[str], Any], str]] = {
+    "int": (_integer, "an integer"),
+    "float": (float, "a number"),
+    "bool": (lambda text: _BOOLEANS[text.lower()], "a boolean (1/0, true/false, yes/no, on/off)"),
+    "dims": (parse_dims, "a grid such as 8x8x4"),
+    "str": (str, "text"),
+}
+
+
+def parse_text(name: str, text: str, subject: str) -> Any:
+    """Field ``name``'s value spelled ``text`` — an ``XSIM_*`` value or
+    one ``--set`` axis value — parsed by its kind and checked by its
+    row.  Every error names ``subject``, the text's source."""
+    parse, what = _KINDS[FIELDS[name].kind]
+    try:
+        value = parse(text)
+    except (ValueError, KeyError, ConfigurationError):
+        raise ConfigurationError(f"{subject} must be {what}, got {text!r}") from None
+    check_value(name, value, subject)
+    return value
+
+
+def check_value(name: str, value: Any, subject: str = "") -> None:
+    """Refuse what field ``name``'s row refuses, naming ``subject`` (by
+    default what the constructor calls the field)."""
+    check = _CHECKS.get(name)
+    subject = subject or FIELDS[name].label or name
+    problem = check(subject, value) if check is not None else None
+    if problem is not None:
+        raise ConfigurationError(problem)
 
 
 @dataclass(frozen=True)
@@ -235,32 +443,11 @@ class Scenario:
             "strategy_params",
             tuple(sorted((str(k), v) for k, v in items)),
         )
-        if self.ranks < 1:
-            raise ConfigurationError(f"ranks must be >= 1, got {self.ranks}")
-        if self.interval < 1:
-            raise ConfigurationError(f"interval must be >= 1, got {self.interval}")
-        # Both reach a random draw (numpy's SeedSequence, Generator.uniform).
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.mttf is not None and not 0.0 < self.mttf < math.inf:
-            raise ConfigurationError(
-                f"mttf must be a positive finite number of seconds, got {self.mttf}"
-            )
-        if self.app not in APP_NAMES:
-            raise ConfigurationError(
-                f"unknown app {self.app!r} (choose from {', '.join(APP_NAMES)})"
-            )
-        if self.topology not in TOPOLOGY_NAMES:
-            raise ConfigurationError(
-                f"unknown topology {self.topology!r} "
-                f"(choose from {', '.join(TOPOLOGY_NAMES)})"
-            )
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        _check_execution_names(self.backend, self.shard_transport)
-        # Validate the strategy name and parameter spellings eagerly.
+        for name, label, check in _CONSTRUCTOR_CHECKS:
+            problem = check(label, getattr(self, name))
+            if problem is not None:
+                raise ConfigurationError(problem)
+        # The parameter spellings, types and bounds of the named strategy.
         strategy_values(self.strategy, dict(self.strategy_params))
         if self.dims is not None:
             # paper_system places one rank per node, so nnodes == ranks.
@@ -288,19 +475,8 @@ class Scenario:
         with ``use_environment=False``); ``overrides`` is the flag/kwarg
         layer, where ``None`` values mean "not given at this layer".
         """
-        layers: dict[str, Any] = {}
-        if file is not None:
-            layers.update(_toml_fields(Path(file).read_text()))
-        if use_environment:
-            layers.update(read_environment(environ))
-        layers.update({k: v for k, v in overrides.items() if v is not None})
-        known = {f.name for f in fields(cls)}
-        unknown = set(layers) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario field(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(**layers)
+        layer = {} if file is None else _toml_fields(Path(file).read_text())
+        return _layered(layer, environ, use_environment, overrides)
 
     def with_(self, **overrides: Any) -> "Scenario":
         """Copy with field overrides (sweep expansion uses this)."""
@@ -457,6 +633,53 @@ _DIGEST_ENGINE_LINE = b"engine='heap'\n"
 _DIGEST_FIELDS = tuple(sorted([f.name for f in fields(Scenario)] + ["engine"]))
 
 
+def _row_check(spec: FieldSpec, default: Any) -> Check | None:
+    if spec.check is not None or not spec.choices:
+        return spec.check
+    check = _one_of(spec.choices)
+    if default is not None:
+        return check
+    return lambda subject, value: None if value is None else check(subject, value)
+
+
+#: Field name -> its check (a ``choices`` row checks membership, and
+#: takes ``None`` too where that is the field's default).
+_CHECKS: dict[str, Check] = {
+    f.name: check
+    for f in fields(Scenario)
+    if (check := _row_check(FIELDS[f.name], f.default)) is not None
+}
+#: What ``__post_init__`` runs, in table order.  The failure schedule is
+#: not among them: the constructor parses it once and keeps it.
+_CONSTRUCTOR_CHECKS = tuple(
+    (spec.name, spec.label or spec.name, _CHECKS[spec.name])
+    for spec in FIELD_TABLE
+    if spec.name in _CHECKS and spec.name != "failures"
+)
+
+
+def _layered(
+    layer: dict[str, Any],
+    environ: dict[str, str] | None,
+    use_environment: bool,
+    overrides: dict[str, Any],
+) -> Scenario:
+    """The precedence chain over a file layer (``{field: value}``, already
+    checked against its TOML keys): the ``XSIM_*`` environment, then the
+    flag/kwarg ``overrides`` whose value is not ``None``."""
+    if use_environment:
+        from repro.run.envvars import read_environment  # it imports this module
+
+        layer.update(read_environment(environ))
+    layer.update({k: v for k, v in overrides.items() if v is not None})
+    unknown = layer.keys() - FIELDS.keys()
+    if unknown:
+        raise ConfigurationError(
+            f"unknown scenario field(s): {', '.join(sorted(unknown))}"
+        )
+    return Scenario(**layer)
+
+
 # ----------------------------------------------------------------------
 # TOML plumbing
 # ----------------------------------------------------------------------
@@ -487,7 +710,8 @@ def _dict_fields(
 ) -> dict[str, Any]:
     """Flatten a nested ``{table: {key: value}}`` document into Scenario
     constructor kwargs, rejecting unknown tables/keys (except ``sweep``
-    and any ``ignore_tables`` a caller owns, e.g. ``explore``)."""
+    and any ``ignore_tables`` a caller owns, e.g. ``explore``) and
+    values their field's check refuses, by ``table.key``."""
     out: dict[str, Any] = {}
     for table, body in doc.items():
         if table == "sweep" or table in ignore_tables:
@@ -513,9 +737,11 @@ def _dict_fields(
                         "[resilience.strategy] needs a string 'name' key "
                         '(e.g. strategy = {name = "ckpt-multilevel", k = 4})'
                     )
+                check_value("strategy", name, f"{table}.{key}.name")
                 out["strategy"] = name
                 out.setdefault("strategy_params", params)
                 continue
+            check_value(field_name, value, f"{table}.{key}")
             out[field_name] = value
     return out
 
@@ -553,23 +779,16 @@ def load_scenario_file(
     grid_raw = doc.get("sweep", {})
     if not isinstance(grid_raw, dict):
         raise ConfigurationError("[sweep] must be a table of field = [values]")
-    known = {f.name for f in fields(Scenario)}
     grid: dict[str, list] = {}
     for key, values in grid_raw.items():
-        if key not in known:
+        if key not in FIELDS:
             raise ConfigurationError(f"unknown sweep field {key!r}")
         if not isinstance(values, list) or not values:
             raise ConfigurationError(
                 f"sweep field {key!r} must map to a non-empty list"
             )
+        for value in values:
+            check_value(key, value, f"sweep.{key}")
         grid[key] = values
-    layers = _dict_fields(doc, ignore_tables=ignore_tables)
-    if use_environment:
-        layers.update(read_environment(environ))
-    layers.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(layers) - known
-    if unknown:
-        raise ConfigurationError(
-            f"unknown scenario field(s): {', '.join(sorted(unknown))}"
-        )
-    return Scenario(**layers), grid
+    layer = _dict_fields(doc, ignore_tables=ignore_tables)
+    return _layered(layer, environ, use_environment, overrides), grid

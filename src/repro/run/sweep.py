@@ -14,11 +14,10 @@ Grids come from a ``[sweep]`` table in the scenario TOML or from repeated
 
 from __future__ import annotations
 
-from dataclasses import fields
 from itertools import product
 from typing import Any
 
-from repro.run.scenario import Scenario, parse_dims
+from repro.run.scenario import FIELDS, Scenario, parse_text
 from repro.util.errors import ConfigurationError
 
 
@@ -39,93 +38,32 @@ def expand_matrix(base: Scenario, grid: dict[str, list]) -> list[Scenario]:
     ]
 
 
-def parse_set(text: str, base: Scenario | None = None) -> tuple[str, list]:
-    """Parse one ``--set field=v1,v2,...`` grid axis, coercing values to
-    the scenario field's type (``--set mttf=6000,3000`` yields floats)."""
+def parse_set(text: str) -> tuple[str, list]:
+    """Parse one ``--set field=v1,v2,...`` grid axis: each value is the
+    field's text form, parsed and checked as an ``XSIM_*`` value is
+    (:func:`~repro.run.scenario.parse_text`; ``--set mttf=6000,3000``
+    yields floats, ``--set iterations=1e3`` the integer 1000)."""
     if "=" not in text:
         raise ConfigurationError(
             f"bad --set {text!r}; expected field=value[,value...]"
         )
     name, _, raw = text.partition("=")
     name = name.strip()
-    known = {f.name for f in fields(Scenario)}
-    if name not in known:
+    if name not in FIELDS:
         raise ConfigurationError(
             f"unknown sweep field {name!r} (scenario fields: "
-            f"{', '.join(sorted(known))})"
+            f"{', '.join(sorted(FIELDS))})"
         )
-    if name == "strategy_params":
+    if FIELDS[name].kind is None:
         raise ConfigurationError(
-            "strategy_params cannot be a sweep axis; sweep 'strategy' and "
+            f"{name} cannot be a sweep axis; sweep 'strategy' and "
             "set per-strategy parameters in the scenario file's "
             "[resilience] strategy table"
         )
     items = [v.strip() for v in raw.split(",") if v.strip()]
     if not items:
         raise ConfigurationError(f"--set {text!r} names no values")
-    return name, [_coerce(name, v) for v in items]
-
-
-def _field_kinds() -> dict[str, str]:
-    """Scenario field name -> coercion kind, derived from the dataclass
-    annotations so a new field can never silently fall through as ``str``
-    (the old hand-maintained sets did exactly that, and a stray string in
-    a numeric field changes the scenario digest)."""
-    kinds: dict[str, str] = {}
-    for f in fields(Scenario):
-        ann = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", "")
-        if "tuple" in ann:
-            kinds[f.name] = "dims"
-        elif "bool" in ann:
-            kinds[f.name] = "bool"
-        elif "int" in ann:
-            kinds[f.name] = "int"
-        elif "float" in ann:
-            kinds[f.name] = "float"
-        else:
-            kinds[f.name] = "str"
-    return kinds
-
-
-_FIELD_KINDS = _field_kinds()
-
-
-def _coerce(name: str, value: str) -> Any:
-    """Coerce one ``--set`` value to the scenario field's declared type.
-
-    Booleans are parsed from the usual spellings (``"False"`` is False,
-    not a truthy non-empty string), and integer fields accept scientific
-    notation for integral values (``"1e3"`` -> 1000) since that is how
-    sweep axes are often written.
-    """
-    kind = _FIELD_KINDS[name]
-    if kind == "bool":
-        lowered = value.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigurationError(f"bad boolean {value!r} for sweep field {name!r}")
-    if kind == "dims":
-        return parse_dims(value)
-    try:
-        if kind == "int":
-            try:
-                return int(value)
-            except ValueError:
-                as_float = float(value)
-                if not as_float.is_integer():
-                    raise ConfigurationError(
-                        f"bad value {value!r} for integer sweep field {name!r}"
-                    )
-                return int(as_float)
-        if kind == "float":
-            return float(value)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigurationError(
-            f"bad value {value!r} for sweep field {name!r}"
-        ) from exc
-    return value
+    return name, [parse_text(name, v, f"--set {name}") for v in items]
 
 
 def run_sweep(

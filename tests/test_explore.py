@@ -3,6 +3,8 @@ deterministic sampling, stopping, and the scorecard."""
 
 import json
 import math
+import os
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.explore.sampler import required_n
 from repro.run.scenario import Scenario
 from repro.util.errors import ConfigurationError
 
+REPO = Path(__file__).resolve().parents[1]
 BASE = Scenario(ranks=8, app="heat3d", iterations=10)
 
 #: Small but non-degenerate campaign: every kind, 2x2 strata per kind.
@@ -232,6 +235,37 @@ class TestExplorerEndToEnd:
             assert kind["impact_p"] == 1.0  # a killed rank always restarts
             assert kind["mttf_samples"] > 0
             assert kind["e2_delta_mean"] > 0.5  # restart re-runs the job
+
+
+class TestCampaignTraceOut:
+    """``explore --trace-out`` exports the campaign's own timeline; its
+    cells resolve exactly as they do without it (it used to become every
+    cell's ``trace_out``, turning on an observer nothing exported and
+    moving the scenario digest and every cache key)."""
+
+    def explore(self, capsys, tmp_path, cache: str, card: str, *extra: str) -> str:
+        from repro.cli import main
+
+        assert main([
+            "explore", "--scenario", str(REPO / "examples" / "explore_reference.toml"),
+            "--max-cells", "32", "--cache", "--cache-dir", str(tmp_path / cache),
+            "--out", str(tmp_path / card), *extra,
+        ]) == 0
+        return capsys.readouterr().out
+
+    def test_same_scorecard_and_every_cell_a_hit_both_ways(self, capsys, tmp_path, monkeypatch):
+        for name in [n for n in os.environ if n.startswith("XSIM_")]:
+            monkeypatch.delenv(name)
+        traced = ("--trace-out", str(tmp_path / "campaign.json"))
+        self.explore(capsys, tmp_path, "plain-first", "a.json")
+        warm = self.explore(capsys, tmp_path, "plain-first", "b.json", *traced)
+        cold = self.explore(capsys, tmp_path, "traced-first", "c.json", *traced)
+        again = self.explore(capsys, tmp_path, "traced-first", "d.json")
+        assert "cache: 33/33 cells served from cache (100% hit rate)" in warm
+        assert "cache: 33/33 cells served from cache (100% hit rate)" in again
+        assert "exported 1 events to" in warm and "exported 1 events to" in cold
+        cards = {(tmp_path / f).read_bytes() for f in ("a.json", "b.json", "c.json", "d.json")}
+        assert len(cards) == 1
 
 
 # ----------------------------------------------------------------------

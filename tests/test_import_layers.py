@@ -479,8 +479,14 @@ UNREACHED = {
         "the ledger's collective probe (ledger/probes.py) imports it",
     "repro.apps.naive_cr":
         "ROADMAP item 2(1)/4: an APPS row for the Daly oracle, or beside the bench",
+    "repro.apps.samplesort":
+        "only re-exported by repro.apps and tested: an APPS row (it has no "
+        "scenario_workload yet), or beside its tests",
     "repro.check.oracle":
         "ROADMAP item 2(1): closed forms tier-1 holds the simulator to; a simcheck check next",
+    "repro.core.checkpoint.daly":
+        "only re-exported by repro.core.checkpoint: ROADMAP item 3(b) moves it "
+        "into repro.check.oracle as the Daly reference",
     "repro.core.checkpoint.incremental":
         "ROADMAP item 4: a ckpt-incremental STRATEGIES row, or beside its benchmark",
     "repro.core.migration":
@@ -493,25 +499,55 @@ UNREACHED = {
 _TABLE_TARGET = re.compile(r"(repro(?:\.\w+)+):\w+")
 
 
-def _static_imports(name: str, path: Path, modules: dict[str, Path]) -> set[str]:
-    """Modules ``path`` names: every ``import`` / ``from`` statement at
-    any depth and, outside package ``__init__``s (whose ``lazy_exports``
-    tables are re-exports, not users), every ``"repro.x.y:attr"`` string
-    of a name table."""
-    is_package = path.name == "__init__.py"
-    package = name if is_package else name.rpartition(".")[0]
+def _imported_from(node: ast.ImportFrom, package: str) -> str:
+    """The absolute module a ``from ... import`` statement reads."""
+    base = node.module or ""
+    if node.level:
+        parent = package.rsplit(".", node.level - 1)[0]
+        base = f"{parent}.{base}" if base else parent
+    return base
+
+
+def _reexports(modules: dict[str, Path]) -> dict[str, dict[str, str]]:
+    """Package -> the names its ``__init__`` binds by an eager ``from``
+    import, each -> the module it came from (the package's re-exports)."""
+    out: dict[str, dict[str, str]] = {}
+    for name, path in modules.items():
+        if path.name != "__init__.py":
+            continue
+        bound = out[name] = {}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                base = _imported_from(node, name)
+                for alias in node.names:
+                    module = f"{base}.{alias.name}"
+                    bound[alias.asname or alias.name] = module if module in modules else base
+    return out
+
+
+def _static_imports(
+    name: str, path: Path, modules: dict[str, Path], reexports: dict[str, dict[str, str]]
+) -> set[str]:
+    """Modules ``path`` uses: every ``import`` / ``from`` statement at any
+    depth, where ``from package import name`` also uses the module the
+    package's ``__init__`` re-exports ``name`` from, and every
+    ``"repro.x.y:attr"`` string of a name table.  A package ``__init__``
+    uses nothing: its imports (and its ``lazy_exports`` tables) are
+    re-exports, which count where a module imports the name."""
+    if path.name == "__init__.py":
+        return set()
+    package = name.rpartition(".")[0]
     found: set[str] = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                parent = package.rsplit(".", node.level - 1)[0]
-                base = f"{parent}.{base}" if base else parent
+            base = _imported_from(node, package)
             found.add(base)
-            found.update(f"{base}.{alias.name}" for alias in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and not is_package:
+            for alias in node.names:
+                found.add(f"{base}.{alias.name}")
+                found.add(reexports.get(base, {}).get(alias.name, base))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             match = _TABLE_TARGET.fullmatch(node.value)
             if match:
                 found.add(match.group(1))
@@ -527,8 +563,9 @@ def _source_modules() -> dict[str, Path]:
     }
 
 
-def test_every_module_is_reached_from_the_cli_or_says_why_not():
-    modules = _source_modules()
+def _reached(modules: dict[str, Path]) -> set[str]:
+    """What ``repro.cli`` uses, directly or through what it uses."""
+    reexports = _reexports(modules)
     reached: set[str] = set()
     frontier = ["repro.cli"]
     while frontier:
@@ -536,13 +573,33 @@ def test_every_module_is_reached_from_the_cli_or_says_why_not():
         if name in reached:
             continue
         reached.add(name)
-        frontier.extend(_static_imports(name, modules[name], modules))
+        frontier.extend(_static_imports(name, modules[name], modules, reexports))
         if "." in name:  # importing a module runs its packages' __init__
             frontier.append(name.rpartition(".")[0])
-    unreached = set(modules) - reached
+    return reached
+
+
+def test_every_module_is_reached_from_the_cli_or_says_why_not():
+    modules = _source_modules()
+    unreached = set(modules) - _reached(modules)
     assert unreached == set(UNREACHED), (
         f"unreachable and unexplained: {sorted(unreached - set(UNREACHED))}; "
         f"listed but reached or gone: {sorted(set(UNREACHED) - unreached)}"
+    )
+
+
+def test_a_package_reexport_is_not_a_use(tmp_path):
+    """An ``__init__`` that imports a module eagerly does not make it used
+    (the loophole that hid ``apps.samplesort`` and ``checkpoint.daly``);
+    a module that imports a name the ``__init__`` re-exports does."""
+    modules = _source_modules()
+    reexports = _reexports(modules)
+    assert reexports["repro.apps"]["samplesort"] == "repro.apps.samplesort"
+    assert _static_imports("repro.apps", modules["repro.apps"], modules, reexports) == set()
+    user = tmp_path / "user.py"
+    user.write_text("from repro.core.checkpoint import daly_simple_interval\n")
+    assert "repro.core.checkpoint.daly" in _static_imports(
+        "repro.user", user, modules, reexports
     )
 
 
@@ -559,12 +616,13 @@ def test_the_oracle_reaches_none_of_the_simulator():
     where a statement names it: ``repro.check``'s imports the sanitizer,
     which sits beside the oracle and is not its code.)"""
     modules = _source_modules()
+    reexports = _reexports(modules)
     reached: set[str] = set()
     frontier = ["repro.check.oracle"]
     while frontier:
         name = frontier.pop()
         if name not in reached:
             reached.add(name)
-            frontier.extend(_static_imports(name, modules[name], modules))
+            frontier.extend(_static_imports(name, modules[name], modules, reexports))
     assert "repro.util.units" in reached  # the walk follows the oracle's imports
     assert loaded(reached, SIMULATOR) == []

@@ -494,11 +494,12 @@ class TestSweep:
         assert [type(v) for v in values] == [type(v) for v in expected[1]]
 
     def test_parse_set_rejects_non_integral_int(self):
-        with pytest.raises(ConfigurationError, match="integer sweep field"):
+        # The message an XSIM_* value gets, naming the axis instead.
+        with pytest.raises(ConfigurationError, match="--set iterations must be an integer, got '2.5'"):
             parse_set("iterations=2.5")
-        with pytest.raises(ConfigurationError, match="bad boolean"):
+        with pytest.raises(ConfigurationError, match="--set check must be a boolean"):
             parse_set("check=maybe")
-        with pytest.raises(ConfigurationError, match="bad value"):
+        with pytest.raises(ConfigurationError, match="--set interval must be an integer, got 'fast'"):
             parse_set("interval=fast")
 
     def test_run_sweep_serial_matches_grid(self):

@@ -1,0 +1,231 @@
+"""The Scenario field table (``repro.run.scenario.FIELDS``).
+
+One row a field says how its text parses, what it must satisfy, its
+``xsim-run`` flag and its ``XSIM_*`` variable.  Held here: the table
+covers the dataclass exactly; no command declares a flag for a field
+outside it; a text reaches the same Scenario as a flag, as a variable
+and as a ``--set`` axis; a bad value is refused before any cell runs,
+naming where it came from.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+from dataclasses import fields
+
+import pytest
+
+from repro import cli
+from repro.cli import build_parser, main
+from repro.run.envvars import XSIM_ENV_VARS, read_environment
+from repro.run.scenario import FIELD_TABLE, FIELDS, Scenario, load_scenario_file
+from repro.run.sweep import parse_set
+from repro.util.errors import ConfigurationError
+
+#: A text for every field with a flag or a variable, other than its default.
+SAMPLES = {
+    "ranks": "16", "topology": "mesh", "dims": "8x8", "latency": "5us",
+    "bandwidth": "16GB/s", "eager_threshold": "128kB", "detection_timeout": "20s",
+    "slowdown": "2", "collectives": "tree", "app": "cg", "iterations": "40",
+    "interval": "7", "failures": "3@50s", "mttf": "3000", "strategy": "none",
+    "seed": "5", "shards": "2", "shard_transport": "inline", "jobs": "3",
+    "check": "1", "trace_detail": "1", "trace_out": "t.json",
+}
+#: The command that takes each flag (``app`` has all but ``--jobs``).
+COMMAND = {name: "sweep" if name == "jobs" else "app" for name in SAMPLES}
+
+
+@pytest.fixture(autouse=True)
+def no_xsim_environment(monkeypatch):
+    for name in [n for n in os.environ if n.startswith("XSIM_")]:
+        monkeypatch.delenv(name)
+
+
+def subcommands(parser: argparse.ArgumentParser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            yield from action.choices.items()
+
+
+# ----------------------------------------------------------------------
+# one table
+# ----------------------------------------------------------------------
+def test_every_field_has_exactly_one_row():
+    rows = sorted(spec.name for spec in FIELD_TABLE)
+    assert rows == sorted(f.name for f in fields(Scenario))
+    assert len(rows) == len(set(rows)) == len(FIELDS)
+
+
+def test_every_flag_or_variable_has_a_sample():
+    assert set(SAMPLES) == {spec.name for spec in FIELD_TABLE if spec.flag or spec.env}
+
+
+def test_no_flag_for_a_field_is_declared_outside_the_table():
+    """On the commands that resolve a Scenario, an option that stores
+    into a field's name is that field's row, and is in the flag layer."""
+    for command, parser in subcommands(build_parser()):
+        taken = parser.get_default("scenario_fields")
+        if taken is None:
+            continue  # table1, table2, ...: they resolve no Scenario
+        stored = {a.dest: a for a in parser._actions if a.dest in FIELDS}
+        assert set(stored) == set(taken), command
+        for name, action in stored.items():
+            assert tuple(action.option_strings) == FIELDS[name].flag, (command, name)
+            assert action.default is None, (command, name)
+
+
+def test_variables_are_the_tables():
+    assert {v.name: (v.field, v.cli_flag) for v in XSIM_ENV_VARS.values()} == {
+        spec.env: (spec.name, spec.flag[-1]) for spec in FIELD_TABLE if spec.env
+    }
+
+
+def test_help_states_the_dataclass_default():
+    app = dict(subcommands(build_parser()))["app"]
+    ranks = next(a for a in app._actions if a.dest == "ranks")
+    assert ranks.help == f"simulated MPI rank count (default {Scenario().ranks})"
+
+
+# ----------------------------------------------------------------------
+# same text, same Scenario, from every layer
+# ----------------------------------------------------------------------
+def from_flag(name: str, text: str) -> Scenario:
+    flag = FIELDS[name].flag[-1]
+    argv = [flag] if FIELDS[name].kind == "bool" else [flag, text]
+    args = build_parser().parse_args([COMMAND[name], *argv])
+    return Scenario.resolve(use_environment=False, **cli._scenario_overrides(args))
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_same_text_same_scenario_from_every_layer(name):
+    text = SAMPLES[name]
+    built = [from_flag(name, text)] if FIELDS[name].flag else []
+    if FIELDS[name].env:
+        built.append(Scenario.resolve(environ={FIELDS[name].env: text}))
+    field, values = parse_set(f"{name}={text}")
+    built.append(Scenario().with_(**{field: values[0]}))
+    assert len(built) >= 2
+    assert all(s == built[0] for s in built)
+    assert {s.scenario_digest() for s in built} == {built[0].scenario_digest()}
+    assert built[0] != Scenario()
+
+
+# ----------------------------------------------------------------------
+# a bad value names its source
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "environ, message",
+    [
+        ({"XSIM_JOBS": "lots"}, "XSIM_JOBS must be an integer, got 'lots'"),
+        ({"XSIM_SHARDS": "0"}, "XSIM_SHARDS must be >= 1, got 0"),
+        ({"XSIM_STRATEGY": "raid5"}, "unknown XSIM_STRATEGY 'raid5' (expected one of"),
+        ({"XSIM_SHARD_TRANSPORT": "morse"}, "unknown XSIM_SHARD_TRANSPORT 'morse'"),
+        ({"XSIM_CHECK": "maybe"}, "XSIM_CHECK must be a boolean"),
+        ({"XSIM_FAILURES": "3@soon"}, "XSIM_FAILURES: cannot parse time 'soon'"),
+    ],
+)
+def test_a_bad_variable_is_named(environ, message):
+    with pytest.raises(ConfigurationError) as refused:
+        read_environment(environ)
+    assert str(refused.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ("latency=1us,fast", "--set latency must be a time such as 1us, got 'fast'"),
+        ("collectives=linear,ring", "unknown --set collectives 'ring' (expected one of linear, tree, analytic)"),
+        ("ranks=8,0", "--set ranks must be >= 1, got 0"),
+        ("mttf=3000,-1", "--set mttf must be a positive finite number of seconds, got -1.0"),
+    ],
+)
+def test_a_bad_axis_value_is_named(axis, message):
+    with pytest.raises(ConfigurationError) as refused:
+        parse_set(axis)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "toml, message",
+    [
+        ('[machine]\ncollectives = "ring"\n', "unknown machine.collectives 'ring'"),
+        ('[machine]\nlatency = "fast"\n', "machine.latency must be a time such as 1us, got 'fast'"),
+        ("[execution]\nshards = 0\n", "execution.shards must be >= 1, got 0"),
+        ('[resilience]\nstrategy = {name = "raid5"}\n', "unknown resilience.strategy.name 'raid5'"),
+        ('[sweep]\neager_threshold = ["256kB", "big"]\n',
+         "sweep.eager_threshold must be a size such as 256kB, got 'big'"),
+    ],
+)
+def test_a_bad_toml_value_is_named(tmp_path, toml, message):
+    path = tmp_path / "s.toml"
+    path.write_text(toml)
+    with pytest.raises(ConfigurationError) as refused:
+        load_scenario_file(path, use_environment=False)
+    assert str(refused.value).startswith(message)
+
+
+# ----------------------------------------------------------------------
+# [machine] strings are checked when the scenario is built
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("collectives", "ring", "unknown collectives 'ring' (expected one of linear, tree, analytic)"),
+        ("latency", "fast", "latency must be a time such as 1us, got 'fast'"),
+        ("bandwidth", "wide", "bandwidth must be a rate such as 32GB/s, got 'wide'"),
+        ("eager_threshold", "3 qB", "eager_threshold must be a size such as 256kB, got '3 qB'"),
+        ("detection_timeout", "3 fortnights",
+         "detection_timeout must be a time such as 10s, got '3 fortnights'"),
+    ],
+)
+def test_a_constructor_call_refuses_it(field, value, message):
+    with pytest.raises(ConfigurationError) as refused:
+        Scenario(**{field: value})
+    assert str(refused.value) == message
+
+
+class TestRefusedBeforeAnyCellRuns:
+    """A sweep whose second cell names an unknown collective family or
+    an unparseable latency used to run its first cell and then fail; every
+    way of naming the value now fails before the campaign starts."""
+
+    @pytest.fixture(autouse=True)
+    def cells(self, monkeypatch):
+        import repro.run.sweep as sweep
+
+        ran: list = []
+        monkeypatch.setattr(sweep, "run_cells", lambda scenarios, **kw: ran.append(scenarios))
+        return ran
+
+    BASE = ["sweep", "--app", "ring", "--ranks", "4", "--iterations", "2"]
+
+    @pytest.mark.parametrize("axis", ["collectives=linear,ring", "latency=1us,fast"])
+    def test_a_set_axis(self, cells, capsys, axis):
+        assert main([*self.BASE, "--set", axis]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cells == []
+
+    def test_a_flag(self, cells, capsys):
+        assert main([*self.BASE, "--latency", "fast", "--set", "seed=0,1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: latency must be a time such as 1us, got 'fast'\n"
+        )
+        with pytest.raises(SystemExit):  # argparse's choices
+            main([*self.BASE, "--collectives", "ring", "--set", "seed=0,1"])
+        assert cells == []
+
+    @pytest.mark.parametrize(
+        "toml, message",
+        [
+            ('[machine]\ncollectives = "ring"\n\n[sweep]\nseed = [0, 1]\n',
+             "unknown machine.collectives 'ring'"),
+            ('[sweep]\nlatency = ["1us", "fast"]\n', "sweep.latency must be a time"),
+        ],
+    )
+    def test_a_toml_file(self, cells, capsys, tmp_path, toml, message):
+        path = tmp_path / "s.toml"
+        path.write_text(toml)
+        assert main(["sweep", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert cells == []
