@@ -33,7 +33,7 @@ def _profile(app, cfg, label):
             send_overhead_native=overhead,
             recv_overhead_native=overhead,
         )
-        sim = XSim(system, record_trace=(variant == "with-overheads"))
+        sim = XSim(system)
         result = sim.run(app, args=(cfg, CheckpointStore()))
         assert result.completed
         out[variant] = result.exit_time

@@ -15,6 +15,7 @@ count to scale up, e.g.:
 import sys
 import time
 
+from ascii_chart import bar_chart
 from repro.run.table2 import INTERVALS, MTTFS, render_table2, run_table2
 
 nranks = int(sys.argv[1]) if len(sys.argv) > 1 else 512
@@ -27,8 +28,6 @@ print(f"... {time.time() - t0:.1f} s of host time\n")
 
 print(render_table2(cells))
 print()
-from repro.util.ascii_chart import bar_chart
-
 with_failures = [c for c in cells if c.mttf is not None]
 print("E2 by (MTTF_s, C) - shorter checkpoint intervals win under failures:")
 print(bar_chart(

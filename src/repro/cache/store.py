@@ -88,7 +88,7 @@ CACHE_SCHEMA_VERSION = 3
 #: version: bump it when the engine's observable behavior changes without
 #: a version bump, and every old entry silently becomes a miss instead of
 #: serving results the current code would not reproduce.
-ENGINE_SALT = "pdes-3"
+ENGINE_SALT = "pdes-4"
 
 
 def cache_salt() -> str:

@@ -422,16 +422,19 @@ def check_obs_parity(
     sim-domain timeline — Chrome trace-event JSON and JSONL alike — are a
     pure function of the run, independent of the shard count or the order
     worker reports arrive in (canonical sort + canonical JSON encoding).
-    Runs a failure workload so the resilience track (inject, notify,
-    detect, abort) is part of the compared payload, under the paper
-    timing model for the same reason as ``check_sharded_parity``.
+    Runs a failure workload at ``trace_detail`` so the resilience track
+    (inject, notify, detect, abort), the wait spans and the ``msg:post``
+    / ``msg:deliver`` / ``msg:drop`` instants are all part of the
+    compared payload, under the paper timing model for the same reason
+    as ``check_sharded_parity``.
     """
     from repro.obs import to_chrome, to_jsonl
 
     _, clean = _heat_sim(nranks, iterations, 5, paper_timing=True)
     failure = (nranks // 3, 0.4 * clean.exit_time)
     serial_sim, serial = _heat_sim(
-        nranks, iterations, 5, failure=failure, paper_timing=True, observe=True
+        nranks, iterations, 5, failure=failure, paper_timing=True, observe=True,
+        trace_detail=True,
     )
     sharded_sim, sharded = _heat_sim(
         nranks,
@@ -440,6 +443,7 @@ def check_obs_parity(
         failure=failure,
         paper_timing=True,
         observe=True,
+        trace_detail=True,
         shards=shards,
         shard_transport="inline",
     )
@@ -466,12 +470,11 @@ def check_obs_parity(
             f"serial {serial.exit_time} vs sharded {sharded.exit_time}",
         )
     n = len(serial_sim.observer.sim_events())
-    if not any(
-        e.track == "resilience" and e.name == "inject"
-        for e in serial_sim.observer.events
-    ):
+    names = {e.name for e in serial_sim.observer.events}
+    missing = {"inject", "wait", "msg:post", "msg:deliver", "msg:drop"} - names
+    if missing:
         return CheckResult(
-            "obs-parity", False, "no inject instant recorded on a failure run"
+            "obs-parity", False, f"failure run recorded no {sorted(missing)} events"
         )
     return CheckResult(
         "obs-parity",

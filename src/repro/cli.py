@@ -51,6 +51,7 @@ exit status 2.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import fields
@@ -197,11 +198,23 @@ def _resolve_scenario(args: argparse.Namespace) -> tuple[Scenario, dict]:
     return Scenario.resolve(**overrides), {}
 
 
+def _check_output_dir(path: str, flag: str) -> None:
+    """Refuse ``path`` before anything runs when its directory does not
+    exist or cannot be written: the file is only written at the end."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+        raise ConfigurationError(
+            f"{flag} {path}: directory {directory} does not exist or is not writable"
+        )
+
+
 def _cmd_app(args: argparse.Namespace) -> int:
     from repro.run.backends import run_scenario
 
     tracing = bool(args.record_trace or args.replay)
     scenario, _ = _resolve_scenario(args)
+    if scenario.trace_out:
+        _check_output_dir(scenario.trace_out, "--trace-out")
     if tracing:
         scenario = scenario.with_(record_events=True)
     if tracing and scenario.mttf is not None:
@@ -365,6 +378,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     cache = _cache_from_args(args)
     observer = None
     if args.campaign_trace_out:
+        _check_output_dir(args.campaign_trace_out, "--trace-out")
         from repro.obs import Observer
 
         observer = Observer()

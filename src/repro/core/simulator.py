@@ -63,7 +63,6 @@ class XSim:
         seed: int = 0,
         start_time: float = 0.0,
         log_stream: IO[str] | None = None,
-        record_trace: bool = False,
         check: bool | None = None,
         record_events: bool = False,
         coalesce_advances: bool = True,
@@ -111,7 +110,6 @@ class XSim:
             memory=self.memory,
             strict_finalize=system.strict_finalize,
             collective_algorithm=system.collective_algorithm,
-            record_trace=record_trace,
         )
         #: Runtime invariant sanitizer (simcheck), or ``None``;
         #: ``check=None`` defers to the ``XSIM_CHECK`` environment variable.

@@ -190,7 +190,6 @@ class MpiWorld:
         memory: MemoryTracker | None = None,
         strict_finalize: bool = True,
         collective_algorithm: str = "linear",
-        record_trace: bool = False,
     ):
         if collective_algorithm not in COLLECTIVES:
             raise ConfigurationError(
@@ -240,17 +239,11 @@ class MpiWorld:
         from repro.core.faults.overlay import FaultOverlay
 
         self.faults = FaultOverlay()
-        #: Optional full communication trace (DUMPI-style; see
-        #: :mod:`repro.mpi.trace`).
-        self.trace = None
-        if record_trace:
-            from repro.mpi.trace import CommTrace
-
-            self.trace = CommTrace()
         #: Optional :class:`repro.obs.Observer` collecting collective
-        #: spans, blocking-wait spans (``detail``), and resilience
-        #: instants (detect/notify/revoke).  Off by default at the cost
-        #: of one attribute test per emission site.
+        #: spans, resilience instants (detect/notify/revoke) and, at
+        #: ``detail``, blocking-wait spans and one ``msg:post`` /
+        #: ``msg:deliver`` / ``msg:drop`` instant per message event.  Off
+        #: by default at the cost of one attribute test per emission site.
         self.obs = None
         # Shared Advance instances for the fixed per-message software
         # overheads.  The engine only reads ``dt``/``busy`` from a yielded
@@ -294,10 +287,6 @@ class MpiWorld:
                 f"{self.network.ranks_per_node} ranks/node)"
             )
         self._launched = True
-        if self.trace is not None and len(self.trace) == 0:
-            # The trace provably sees every message, so delivery of an
-            # unknown seq is a sequencing bug, not a mid-run attach.
-            self.trace.from_start = True
         self.world_comm = Communicator(Group(range(nranks)), self.alloc_context(), "MPI_COMM_WORLD")
         apis: list[MpiApi] = []
         for rank in range(nranks):
@@ -377,10 +366,8 @@ class MpiWorld:
         seq = self._msg_seq = self._msg_seq + 1
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        if self.trace is not None:
-            self.trace.record_post(
-                seq, clock, src, dst, ctx, tag, nbytes, "eager" if eager else "rendezvous"
-            )
+        if self.obs is not None and self.obs.detail:
+            self._record_post(clock, src, dst, ctx, tag, nbytes, eager)
         if payload is not None and is_array(payload):
             payload = payload.copy()  # eager/rendezvous buffering semantics
         if eager:
@@ -412,6 +399,26 @@ class MpiWorld:
         engine._seq = eseq = engine._seq + 1
         heappush(engine._heap, (arrival, eseq, None, 0, self._deliver, (msg,)))
         return req
+
+    def _record_post(
+        self, clock: float, src: int, dst: int, ctx: int, tag: int, nbytes: int, eager: bool
+    ) -> None:
+        """A ``msg:post`` instant on the sender's track (``detail`` only).
+        No sequence number: a sharded run's are tuples, the serial run's
+        integers, and the two exports must be the same bytes."""
+        self.obs.instant(
+            clock, "msg:post", rank=src,
+            args={"dst": dst, "ctx": ctx, "tag": tag, "nbytes": nbytes,
+                  "protocol": "eager" if eager else "rendezvous"},
+        )
+
+    def _record_arrival(self, name: str, msg: Msg) -> None:
+        """A ``msg:deliver`` / ``msg:drop`` instant on the receiver's track
+        at the arrival time (``detail`` only)."""
+        self.obs.instant(
+            self.engine.now, name, rank=msg.dst,
+            args={"src": msg.src, "ctx": msg.ctx, "tag": msg.tag, "nbytes": msg.nbytes},
+        )
 
     def post_recv(
         self, vp: VirtualProcess, comm: Communicator, key: MatchKey, result: Any = None
@@ -691,17 +698,17 @@ class MpiWorld:
             and vstate is not _READY
         ):
             # "all messages directed to this simulated MPI process are deleted"
-            if self.trace is not None:
-                self.trace.record_delivery(msg.seq, self.engine.now, dropped=True)
+            if self.obs is not None and self.obs.detail:
+                self._record_arrival("msg:drop", msg)
             return
         eager = msg.protocol == EAGER
         if not eager and not self.states[msg.src].vp.alive:
-            if self.trace is not None:
-                self.trace.record_delivery(msg.seq, self.engine.now, dropped=True)
+            if self.obs is not None and self.obs.detail:
+                self._record_arrival("msg:drop", msg)
             return  # sender died in flight; the hand-shake can never complete
         now = msg.arrival = self.engine.now
-        if self.trace is not None:
-            self.trace.record_delivery(msg.seq, now, dropped=False)
+        if self.obs is not None and self.obs.detail:
+            self._record_arrival("msg:deliver", msg)
         key = (msg.ctx, msg.src, msg.tag)
         if state.posted_wild:
             req = self._match_posted(state, msg, key)

@@ -1,19 +1,18 @@
 """Unified observability layer (the run-telemetry analogue of DUMPI/OTF).
 
-The simulator's telemetry used to live in disconnected fragments —
-:class:`~repro.util.simlog.SimLog`, :class:`~repro.mpi.trace.CommTrace`,
-and the harness metrics — with no shared timeline or export format.
-This package ties them together:
+One timeline for a run, with one export format:
 
 * :class:`Observer` — a low-overhead event bus (no-op when detached)
   collecting :class:`ObsEvent` spans and instants from the PDES engine,
   the MPI layer, the resilience path, the sharded coordinator, and the
   campaign executor; :func:`observer_for` is where a run decides which
-  bus it records into.
+  bus it records into.  At ``detail`` it also carries every blocking
+  wait and every message (``msg:post`` / ``msg:deliver`` /
+  ``msg:drop`` instants on the ranks' tracks).
 * :mod:`repro.obs.export` — deterministic Chrome trace-event JSON
   (Perfetto-loadable), JSONL, and CSV exporters plus a loader.
 * :class:`TimelineReport` — per-rank resilience latency distributions and
-  a join of Observer/CommTrace/SimLog records onto one clock.
+  every track's events in one time-sorted list.
 
 Attach via ``XSim(observe=...)`` or ``xsim-run app --trace-out``; the
 sim-domain event set of a sharded run is byte-identical to the serial

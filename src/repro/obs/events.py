@@ -1,8 +1,8 @@
 """Observability event model and bus.
 
 The :class:`Observer` follows the detached-instrumentation pattern used
-everywhere else in the simulator (``engine.check``, ``engine.event_trace``,
-``world.trace``): producers hold an ``obs``
+everywhere else in the simulator (``engine.check``, ``engine.event_trace``):
+producers hold an ``obs``
 attribute that defaults to ``None`` and pay exactly one attribute test per
 potential event when detached.  When attached, events are appended to a
 plain list — no locking, no I/O, no formatting until export time.
@@ -93,10 +93,13 @@ class Observer:
     Parameters
     ----------
     detail:
-        Enables high-volume instrumentation (per-request blocking-wait
-        spans).  Off by default: a default heat3d run generates hundreds
-        of thousands of waits, versus tens of thousands of collective
-        spans and a handful of resilience instants.
+        Enables high-volume instrumentation: per-request blocking-wait
+        spans and per-message ``msg:post`` (sender's track: dst, ctx,
+        tag, nbytes, protocol) and ``msg:deliver`` / ``msg:drop``
+        (receiver's track: src, ctx, tag, nbytes) instants.  Off by
+        default: a default heat3d run generates hundreds of thousands of
+        waits and messages, versus tens of thousands of collective spans
+        and a handful of resilience instants.
     """
 
     def __init__(self, detail: bool = False) -> None:

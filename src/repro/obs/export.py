@@ -28,6 +28,7 @@ import json
 from typing import Iterable
 
 from repro.obs.events import HOST, INSTANT, SIM, SPAN, ObsEvent
+from repro.util.errors import ConfigurationError
 
 #: Chrome trace process ids for the two event domains.
 _PID = {SIM: 1, HOST: 2}
@@ -217,9 +218,22 @@ def load_events(path: str) -> list[ObsEvent]:
     JSONL and CSV round-trip exactly.  Chrome JSON stores timestamps in
     microseconds, so start/duration are recovered to within float
     rescaling error — fine for reports, not for byte-level comparison.
+    A file that cannot be read, or is not an export, raises
+    :class:`~repro.util.errors.ConfigurationError` naming it.
     """
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            return _parse(fh.read())
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        what = f"no {exc} field" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigurationError(
+            f"{path} is not an event export written by --trace-out ({what})"
+        ) from None
+
+
+def _parse(text: str) -> list[ObsEvent]:
     stripped = text.lstrip()
     if stripped.startswith("domain,"):
         return _from_csv(text)

@@ -4,9 +4,8 @@
 ``MPI_Abort`` shutdown — how did the failure unfold, per rank? — from the
 unified event stream: per-rank failure-detection latency distributions,
 the resilience instant sequence (inject -> detect -> notify -> revoke ->
-abort -> restart), and a join of :class:`~repro.mpi.trace.CommTrace`,
-:class:`~repro.util.simlog.SimLog`, and observer records onto one virtual
-clock.
+abort -> restart), and every track's sim events (collectives, waits and
+``msg:*`` instants at ``trace_detail``) as one list on the virtual clock.
 """
 
 from __future__ import annotations
@@ -40,41 +39,22 @@ class LatencyStats:
 
 
 class TimelineReport:
-    """Joined view of a run's telemetry on the virtual clock.
+    """One run's observer events, read on the virtual clock.
 
-    Parameters
-    ----------
-    events:
-        Observer events (or an :class:`~repro.obs.events.Observer`).
-    log_entries:
-        Optional :class:`~repro.util.simlog.LogEntry` sequence to join.
-    comm_records:
-        Optional :class:`~repro.mpi.trace.MsgRecord` sequence to join.
+    ``events`` is an :class:`~repro.obs.events.Observer` or any iterable
+    of :class:`~repro.obs.events.ObsEvent`.
     """
 
-    def __init__(
-        self,
-        events: "Iterable[ObsEvent] | object",
-        log_entries: Iterable | None = None,
-        comm_records: Iterable | None = None,
-    ) -> None:
+    def __init__(self, events: "Iterable[ObsEvent] | object") -> None:
         inner = getattr(events, "events", events)
         self.events: list[ObsEvent] = sorted(inner, key=ObsEvent.sort_key)
-        self.log_entries = list(log_entries) if log_entries is not None else []
-        self.comm_records = list(comm_records) if comm_records is not None else []
 
     @classmethod
     def from_sim(cls, sim) -> "TimelineReport":
         """Build from a finished :class:`~repro.core.simulator.XSim`."""
-        observer = getattr(sim, "observer", None)
-        if observer is None:
+        if sim.observer is None:
             raise ValueError("simulation was not run with observe=...")
-        trace = getattr(sim.world, "trace", None)
-        return cls(
-            observer,
-            log_entries=list(sim.engine.log),
-            comm_records=list(trace) if trace is not None else None,
-        )
+        return cls(sim.observer)
 
     # -- resilience ------------------------------------------------------
     def resilience_events(self) -> list[ObsEvent]:
@@ -104,39 +84,20 @@ class TimelineReport:
         }
 
     # -- joined timeline -------------------------------------------------
-    def joined_rows(self) -> list[tuple[float, str, str]]:
-        """(time, source, description) rows from every joined stream.
-
-        Observer spans contribute their start; communication records
-        contribute the post instant (and the drop instant for dropped
-        messages).  Rows are sorted by time then content, so the join is
-        deterministic.
-        """
-        rows: list[tuple[float, str, str]] = []
+    def joined_rows(self) -> list[tuple[float, str]]:
+        """(time, description) rows of every sim event on every track,
+        sorted by time then content, so the list is deterministic.
+        Spans contribute their start and duration."""
+        rows: list[tuple[float, str]] = []
         for e in self.events:
             if e.domain != SIM:
                 continue
             where = f"rank {e.rank}" if e.rank is not None else e.track
             if e.kind == "span":
-                rows.append((e.start, "obs", f"{e.name} [{where}] dur={e.duration:.6f}s"))
+                rows.append((e.start, f"{e.name} [{where}] dur={e.duration:.6f}s"))
             else:
                 extras = " ".join(f"{k}={v}" for k, v in e.args)
-                rows.append((e.start, "obs", f"{e.name} [{where}]{' ' + extras if extras else ''}"))
-        for entry in self.log_entries:
-            where = f"rank {entry.rank}" if entry.rank is not None else "simulator"
-            rows.append((entry.time, "log", f"{entry.category} [{where}]: {entry.message}"))
-        for rec in self.comm_records:
-            rows.append(
-                (
-                    rec.post_time,
-                    "comm",
-                    f"post seq={rec.seq} {rec.src}->{rec.dst} {rec.nbytes}B {rec.protocol}",
-                )
-            )
-            if rec.dropped:
-                rows.append(
-                    (rec.drop_time, "comm", f"drop seq={rec.seq} {rec.src}->{rec.dst}")
-                )
+                rows.append((e.start, f"{e.name} [{where}]{' ' + extras if extras else ''}"))
         rows.sort()
         return rows
 
@@ -146,11 +107,7 @@ class TimelineReport:
         lines = ["== timeline report =="]
         sim = [e for e in self.events if e.domain == SIM]
         host = [e for e in self.events if e.domain == "host"]
-        lines.append(
-            f"events: {len(sim)} sim, {len(host)} host; "
-            f"log entries: {len(self.log_entries)}; "
-            f"comm records: {len(self.comm_records)}"
-        )
+        lines.append(f"events: {len(sim)} sim, {len(host)} host")
         tracks: dict[str, int] = {}
         for e in sim:
             tracks[e.track] = tracks.get(e.track, 0) + 1
@@ -180,6 +137,6 @@ class TimelineReport:
 
         if max_rows:
             lines.append("-- joined timeline (head) --")
-            for time, source, desc in self.joined_rows()[:max_rows]:
-                lines.append(f"  {time:14.6f}s [{source:>4}] {desc}")
+            for time, desc in self.joined_rows()[:max_rows]:
+                lines.append(f"  {time:14.6f}s {desc}")
         return "\n".join(lines) + "\n"

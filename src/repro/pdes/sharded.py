@@ -694,6 +694,8 @@ class ShardedMpiWorld(MpiWorld):
         self._msg_seq += 1
         self.messages_sent += 1
         self.bytes_sent += nbytes
+        if self.obs is not None and self.obs.detail:
+            self._record_post(clock, vp.rank, dst, ctx, tag, nbytes, eager)
         if payload is not None and is_array(payload):
             payload = payload.copy()  # eager/rendezvous buffering semantics
         # Shard-local sequence: (post time, source, per-source counter)
@@ -1278,7 +1280,6 @@ def _build_replica(sim: "XSim", app, args: tuple, nranks: int) -> "XSim":
         seed=sim.seed,
         start_time=sim.engine.start_time,
         log_stream=None,
-        record_trace=False,
         check=sim.checker is not None,
         record_events=sim.event_trace is not None,
         coalesce_advances=sim.engine.coalesce_advances,
@@ -1581,11 +1582,6 @@ def run_sharded(sim: "XSim", app, args: tuple, nranks: int) -> SimulationResult:
             "analytic collectives complete through global simulator-internal "
             "sync points and cannot be sharded; use 'linear'/'tree' "
             "collectives or --shards 1"
-        )
-    if world.trace is not None:
-        raise ConfigurationError(
-            "record_trace (CommTrace) is not supported with --shards > 1; "
-            "use record_events (EventTrace) for sharded replay diffing"
         )
     if sim._soft_errors is not None:
         raise ConfigurationError(

@@ -320,8 +320,8 @@ FIELD_TABLE: tuple[FieldSpec, ...] = (
     FieldSpec("record_events", "bool"),
     FieldSpec("observe", "bool"),
     FieldSpec("trace_detail", "bool", flag=("--trace-detail",),
-              help="also record per-request blocking-wait spans in --trace-out "
-              "(high volume on large runs)"),
+              help="also record per-request blocking-wait spans and per-message "
+              "post/deliver/drop instants in --trace-out (high volume on large runs)"),
     FieldSpec("trace_out", "str", flag=("--trace-out",), metavar="FILE",
               help="export the run's observability timeline (collectives, "
               "resilience instants, restart segments) to FILE: .json = Chrome "

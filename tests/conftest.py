@@ -56,6 +56,22 @@ def run_app(
     return AppRun(sim=sim, result=result)
 
 
+def messages(sim: XSim, name: str = "msg:post", **match: Any) -> list[dict]:
+    """The ``name`` instants (``msg:post`` / ``msg:deliver`` /
+    ``msg:drop``) of a ``trace_detail`` run, each as a dict of its args
+    plus ``time``, ``src`` and ``dst``, in time order and keeping those
+    whose fields equal ``match`` (``ctx=2``, ``dst=1``, ...)."""
+    out = []
+    for e in sorted(sim.observer.sim_events(), key=lambda e: e.sort_key()):
+        if e.name == name:
+            m = dict(e.args, time=e.start)
+            m.setdefault("src", e.rank)  # a post is on its sender's track,
+            m.setdefault("dst", e.rank)  # an arrival on its receiver's
+            if all(m[k] == v for k, v in match.items()):
+                out.append(m)
+    return out
+
+
 @pytest.fixture
 def small_system() -> SystemConfig:
     """An 8-rank zero-overhead machine with a 1 s detection timeout."""

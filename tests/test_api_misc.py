@@ -6,7 +6,7 @@ from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
 from repro.models.memory import RegionKind
 from repro.util.errors import ConfigurationError
-from tests.conftest import run_app
+from tests.conftest import messages, run_app
 
 
 class TestLifecycleGuards:
@@ -193,7 +193,7 @@ class TestXsimTraceIntegration:
                 yield from mpi.recv(0, tag=0)
             yield from mpi.finalize()
 
-        sim = XSim(SystemConfig.small_test_system(nranks=2), record_trace=True)
+        sim = XSim(SystemConfig.small_test_system(nranks=2), observe=True, trace_detail=True)
         result = sim.run(app)
         assert result.completed
-        assert len(sim.world.trace) >= 3
+        assert len(messages(sim)) >= 3

@@ -1,9 +1,17 @@
-"""ASCII chart rendering."""
+"""ASCII chart rendering (``examples/ascii_chart.py``, the examples' helper)."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
-from repro.util.ascii_chart import bar_chart, sparkline
 from repro.util.errors import ConfigurationError
+
+_PATH = Path(__file__).resolve().parents[1] / "examples" / "ascii_chart.py"
+_SPEC = importlib.util.spec_from_file_location("ascii_chart", _PATH)
+ascii_chart = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ascii_chart)
+bar_chart, sparkline = ascii_chart.bar_chart, ascii_chart.sparkline
 
 
 class TestBarChart:

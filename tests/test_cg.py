@@ -9,7 +9,7 @@ from repro.core.faults.schedule import FailureSchedule
 from repro.core.harness.config import SystemConfig
 from repro.core.restart import RestartDriver
 from repro.util.errors import ConfigurationError
-from tests.conftest import run_app
+from tests.conftest import messages, run_app
 
 
 class TestCgConfig:
@@ -47,10 +47,10 @@ class TestModeledCg:
         from repro.core.simulator import XSim
 
         cfg = CgConfig.for_ranks(8, max_iterations=10, checkpoint_interval=10)
-        sim = XSim(SystemConfig.small_test_system(nranks=8), record_trace=True)
+        sim = XSim(SystemConfig.small_test_system(nranks=8), observe=True, trace_detail=True)
         sim.run(cg, args=(cfg, None))
-        coll = sim.world.trace.messages(ctx=3)  # collective context
-        pt2pt = [m for m in sim.world.trace.messages(ctx=2) if 21 <= m.tag <= 26]
+        coll = messages(sim, ctx=3)  # collective context
+        pt2pt = [m for m in messages(sim, ctx=2) if 21 <= m["tag"] <= 26]
         assert len(coll) > len(pt2pt) / 2  # collectives are a big share
 
 

@@ -6,15 +6,15 @@ from repro.apps.heat3d import HeatConfig, heat3d
 from repro.core.checkpoint.store import CheckpointStore
 from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
-from tests.conftest import run_app
+from tests.conftest import messages, run_app
 
 
 def traced_run(cfg, nranks=8):
-    sim = XSim(SystemConfig.small_test_system(nranks=nranks), record_trace=True)
+    sim = XSim(SystemConfig.small_test_system(nranks=nranks), observe=True, trace_detail=True)
     store = CheckpointStore()
     result = sim.run(heat3d, args=(cfg, store))
     assert result.completed
-    halos = [m for m in sim.world.trace.messages(ctx=2) if 1 <= m.tag <= 6]
+    halos = [m for m in messages(sim, ctx=2) if 1 <= m["tag"] <= 6]
     return halos, store, result
 
 

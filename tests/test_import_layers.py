@@ -493,8 +493,6 @@ UNREACHED = {
         "ROADMAP item 4: a migration STRATEGIES row, or beside its benchmark",
     "repro.core.harness.metrics":
         "ROADMAP item 5(3): the seed of `xsim-run explain`, or it goes (item 4)",
-    "repro.util.ascii_chart":
-        "ROADMAP item 4: beside its single user under examples/, or deleted",
 }
 _TABLE_TARGET = re.compile(r"(repro(?:\.\w+)+):\w+")
 

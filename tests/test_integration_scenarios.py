@@ -9,6 +9,7 @@ from repro.core.faults.schedule import FailureSchedule
 from repro.core.harness.config import SystemConfig
 from repro.core.restart import RestartDriver
 from repro.core.simulator import XSim
+from tests.conftest import messages
 
 
 class TestHeatUnderComponentReliability:
@@ -112,13 +113,14 @@ class TestFullStackTrace:
 
         nranks = 27
         workload = HeatConfig.paper_workload(checkpoint_interval=500, nranks=nranks)
-        sim = XSim(SystemConfig.paper_system(nranks=nranks), record_trace=True)
+        sim = XSim(SystemConfig.paper_system(nranks=nranks), observe=True, trace_detail=True)
         result = sim.run(heat3d, args=(workload, None))
         assert result.completed
-        halo = [m for m in sim.world.trace.messages(ctx=2) if 1 <= m.tag <= 6]
+        halo = [m for m in messages(sim, ctx=2) if 1 <= m["tag"] <= 6]
         assert halo
         for m in halo:
-            assert m.dst in neighbor_ranks(m.src, workload.ranks).values()
-            assert m.delivered
+            assert m["dst"] in neighbor_ranks(m["src"], workload.ranks).values()
+        delivered = [m for m in messages(sim, "msg:deliver", ctx=2) if 1 <= m["tag"] <= 6]
+        assert len(delivered) == len(halo)
         # face sizes match the decomposition (16x16 points x 8 B)
-        assert {m.nbytes for m in halo} == {16 * 16 * 8}
+        assert {m["nbytes"] for m in halo} == {16 * 16 * 8}

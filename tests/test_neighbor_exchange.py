@@ -34,6 +34,7 @@ from repro.mpi.api import MpiApi
 from repro.mpi.constants import ERR_REVOKED, PROC_NULL
 from repro.mpi.errhandler import ERRORS_RETURN, MpiError
 from repro.run import Scenario, run_scenario
+from tests.conftest import messages
 
 #: (axis, step) of each plan row; tags as the stencil apps assign them.
 FACES = ((0, -1), (0, +1), (1, -1), (1, +1), (2, -1), (2, +1))
@@ -141,7 +142,6 @@ def run_identical(dims, system=None, failures=(), faults=(), wrap=None, sim_kwar
     if sim_kwargs:  # instrumented: every hook fired the same number of times
         fused, explicit = sims
         assert fused.checker.checks == explicit.checker.checks > 0
-        assert fused.world.trace.to_rows() == explicit.world.trace.to_rows()
         assert fused.observer.sim_events() == explicit.observer.sim_events()
     return sims[0]
 
@@ -195,9 +195,9 @@ class TestEventIdentity:
         assert sim.result.log.category("detect")
 
     def test_sanitizer_commtrace_and_obs_hooks_stay_on_the_path(self):
-        hooks = dict(check=True, record_trace=True, observe=True, trace_detail=True)
+        hooks = dict(check=True, observe=True, trace_detail=True)
         sim = run_identical((3, 3, 1), sim_kwargs=hooks, failures=[(4, 0.0135)], rounds=4)
-        assert len(sim.world.trace) == sim.world.messages_sent
+        assert len(messages(sim)) == sim.world.messages_sent
         assert any(e.name == "wait" for e in sim.observer.events)
         assert any(e.name == "detect" for e in sim.observer.events)
 

@@ -1,13 +1,11 @@
 """The repro.obs observability layer: event bus, exporters, timeline."""
 
 import json
-import math
 
 import pytest
 
 from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
-from repro.mpi.trace import CommTrace
 from repro.obs import (
     HOST,
     SIM,
@@ -21,7 +19,6 @@ from repro.obs import (
     to_jsonl,
     write_export,
 )
-from repro.util.errors import InvariantViolation
 from tests.conftest import run_app
 
 
@@ -339,11 +336,13 @@ class TestTimelineReport:
             TimelineReport.from_sim(run.sim)
 
     def test_joined_rows_include_drop_instant(self):
-        trace = CommTrace()
-        trace.record_post(0, 1.0, src=0, dst=1, ctx=2, tag=0, nbytes=64, protocol="eager")
-        trace.record_delivery(0, 2.5, dropped=True)
-        rows = TimelineReport([], comm_records=list(trace)).joined_rows()
-        assert (2.5, "comm", "drop seq=0 0->1") in rows
+        obs = Observer(detail=True)
+        obs.instant(1.0, "msg:post", rank=0, args={"dst": 1, "ctx": 2, "tag": 0,
+                                                   "nbytes": 64, "protocol": "eager"})
+        obs.instant(2.5, "msg:drop", rank=1, args={"src": 0, "ctx": 2, "tag": 0, "nbytes": 64})
+        rows = TimelineReport(obs).joined_rows()
+        assert (2.5, "msg:drop [rank 1] ctx=2 nbytes=64 src=0 tag=0") in rows
+        assert rows[0][0] == 1.0
 
 
 class TestRestartObservation:
@@ -396,43 +395,6 @@ class TestCampaignObservation:
         assert executor.last_mode == "serial"
 
 
-class TestSanitizerOrphanCheck:
-    def app(self, mpi):
-        yield from mpi.init()
-        if mpi.rank == 0:
-            yield from mpi.send(1, nbytes=10, tag=0)
-        else:
-            yield from mpi.recv(0, tag=0)
-        yield from mpi.finalize()
-
-    def test_from_start_set_when_traced_from_launch(self):
-        system = SystemConfig.small_test_system(nranks=2)
-        sim = XSim(system, record_trace=True, check=True)
-        result = sim.run(self.app)
-        assert result.completed
-        assert sim.world.trace.from_start
-        assert sim.world.trace.orphan_deliveries == 0
-
-    def test_orphans_violate_when_traced_from_launch(self):
-        """Regression: orphan deliveries used to be silently ignored even
-        when the trace provably saw every post."""
-        system = SystemConfig.small_test_system(nranks=2)
-        sim = XSim(system, record_trace=True, check=True)
-        sim.run(self.app)
-        sim.world.trace.record_delivery(10_000, 1.0, dropped=False)
-        assert sim.world.trace.orphan_deliveries == 1
-        with pytest.raises(InvariantViolation, match="comm-trace-orphans"):
-            sim.engine.check.on_run_end()
-
-    def test_midrun_attach_orphans_tolerated(self):
-        system = SystemConfig.small_test_system(nranks=2)
-        sim = XSim(system, record_trace=True, check=True)
-        sim.run(self.app)
-        sim.world.trace.from_start = False  # as if attached mid-run
-        sim.world.trace.record_delivery(10_000, 1.0, dropped=False)
-        sim.engine.check.on_run_end()  # no violation
-
-
 class TestCli:
     def test_trace_out_and_timeline(self, tmp_path, capsys):
         from repro.cli import main
@@ -481,3 +443,41 @@ class TestCli:
         capsys.readouterr()
         events = load_events(path)
         assert events and all(e.domain == SIM for e in events)
+
+    @pytest.mark.parametrize(
+        "content", [None, "not json at all\n", '{"bad": 1}\n'],
+        ids=["missing", "not-json", "no-event-keys"],
+    )
+    def test_timeline_of_a_bad_file_is_one_error_line(self, tmp_path, capsys, content):
+        from repro.cli import main
+
+        path = tmp_path / "trace.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["timeline", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and str(path) in line
+
+    @pytest.mark.parametrize("command", [
+        ["app", "--ranks", "4", "--iterations", "4", "--interval", "2", "--no-cache"],
+        ["explore", "--ranks", "4", "--iterations", "4", "--max-cells", "4", "--no-cache"],
+    ], ids=["app", "explore"])
+    def test_trace_out_into_a_missing_directory_fails_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        import repro.explore
+        import repro.run.backends
+        from repro.cli import main
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(repro.run.backends, "run_scenario", must_not_run)
+        monkeypatch.setattr(repro.explore, "run_explore", must_not_run)
+        target = str(tmp_path / "nonexistent" / "dir" / "x.json")
+        assert main(command + ["--trace-out", target]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: --trace-out ") and target in line

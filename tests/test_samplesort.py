@@ -7,7 +7,7 @@ from repro.apps.samplesort import SampleSortConfig, SampleSortResult, local_bloc
 from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
 from repro.util.errors import ConfigurationError
-from tests.conftest import run_app
+from tests.conftest import messages, run_app
 
 
 class TestConfig:
@@ -68,7 +68,7 @@ class TestModeledSort:
     def test_runs_and_costs_time(self):
         cfg = SampleSortConfig(keys_per_rank=4096, data_mode="modeled")
         system = SystemConfig.paper_system(nranks=8)
-        sim = XSim(system, record_trace=True)
+        sim = XSim(system, observe=True, trace_detail=True)
         result = sim.run(samplesort, args=(cfg,))
         assert result.completed
         out = result.exit_values[0]
@@ -77,8 +77,8 @@ class TestModeledSort:
         # sort + merge dominate virtual time (49k ops x 0.1 us x 1000)
         assert result.exit_time > 1.0
         # the exchange really was all-to-all: every ordered pair appears
-        pt2pt = sim.world.trace.messages(ctx=3)  # collective context
-        pairs = {(m.src, m.dst) for m in pt2pt}
+        pt2pt = messages(sim, ctx=3)  # collective context
+        pairs = {(m["src"], m["dst"]) for m in pt2pt}
         assert len(pairs) >= 8 * 7  # gather/bcast/alltoall cover all pairs
 
     def test_failure_aborts_sort(self):
@@ -95,12 +95,12 @@ class TestVariableVolumes:
         """Skewed input -> skewed partitions -> unequal per-pair bytes."""
         cfg = SampleSortConfig(keys_per_rank=300, data_mode="real", seed=3)
         system = SystemConfig.small_test_system(nranks=4)
-        sim = XSim(system, record_trace=True)
+        sim = XSim(system, observe=True, trace_detail=True)
         result = sim.run(samplesort, args=(cfg,))
         assert result.completed
         volumes = {}
-        for m in sim.world.trace.messages(ctx=3):
-            volumes.setdefault((m.src, m.dst), 0)
-            volumes[(m.src, m.dst)] += m.nbytes
+        for m in messages(sim, ctx=3):
+            volumes.setdefault((m["src"], m["dst"]), 0)
+            volumes[(m["src"], m["dst"])] += m["nbytes"]
         sizes = [v for v in volumes.values() if v > 0]
         assert len(set(sizes)) > 1  # genuinely variable

@@ -33,6 +33,7 @@ from repro.core.simulator import XSim
 from repro.mpi.errhandler import ERRORS_ARE_FATAL, ERRORS_RETURN
 from repro.mpi.messages import EAGER, RTS
 from repro.models.network.model import NetworkModel, NetworkTier
+from repro.obs import to_jsonl
 from repro.pdes.sharded import (
     ShardWorker,
     _Coordinator,
@@ -621,9 +622,14 @@ class TestGuards:
         with pytest.raises(ConfigurationError, match="analytic"):
             run_heat(collective="analytic", shards=2, shard_transport="inline")
 
-    def test_comm_trace_rejected(self):
-        with pytest.raises(ConfigurationError, match="record_trace"):
-            run_heat(shards=2, shard_transport="inline", record_trace=True)
+    def test_message_events_match_serial(self, failure_point):
+        def msg_jsonl(**kw):
+            sim, _ = run_heat(failure=failure_point, observe=True, trace_detail=True, **kw)
+            return to_jsonl(e for e in sim.observer.events if e.name.startswith("msg:"))
+
+        serial = msg_jsonl()
+        assert all(f'"name":"{n}"' in serial for n in ("msg:post", "msg:deliver", "msg:drop"))
+        assert msg_jsonl(shards=2, shard_transport="inline") == serial
 
     def test_soft_errors_rejected(self):
         sim, workload = build_sim(shards=2, shard_transport="inline")

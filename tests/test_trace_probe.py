@@ -1,23 +1,26 @@
-"""Communication tracing (DUMPI analogue) and probe operations."""
+"""Per-message events on the obs bus (the DUMPI-trace analogue) and probe
+operations."""
 
-import math
+import csv
+import io
+import json
 
 import pytest
 
 from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
-from repro.mpi.trace import ROW_HEADER, CommTrace
-from tests.conftest import run_app
+from repro.obs import Observer, to_csv
+from tests.conftest import messages, run_app
 
 
 def traced_run(app, nranks=2, failures=None, **overrides):
     system = SystemConfig.small_test_system(nranks=nranks, **overrides)
-    sim = XSim(system, record_trace=True)
+    sim = XSim(system, observe=True, trace_detail=True)
     for rank, time in failures or []:
         sim.inject_failure(rank, time)
     result = sim.run(app)
-    return sim.world.trace, result
+    return sim, result
 
 
 def pingpong(mpi):
@@ -31,108 +34,62 @@ def pingpong(mpi):
     yield from mpi.finalize()
 
 
-class TestCommTrace:
+def send_to_the_dead(mpi):
+    yield from mpi.init()
+    if mpi.rank == 0:
+        yield from mpi.send(1, nbytes=64, tag=0)
+        yield from mpi.compute(10.0)
+    yield from mpi.finalize()
+
+
+class TestMessageEvents:
     def test_records_posts_and_deliveries(self):
-        trace, result = traced_run(pingpong)
+        sim, result = traced_run(pingpong)
         assert result.completed
-        app_msgs = trace.messages(ctx=2)  # world pt2pt context
-        assert len(app_msgs) == 2
-        first = app_msgs[0]
-        assert (first.src, first.dst, first.tag, first.nbytes) == (0, 1, 7, 100)
-        assert first.delivered
-        assert first.latency > 0
+        posts = messages(sim, ctx=2)  # world pt2pt context
+        assert len(posts) == 2
+        first = posts[0]
+        assert (first["src"], first["dst"], first["tag"], first["nbytes"]) == (0, 1, 7, 100)
+        (delivered,) = messages(sim, "msg:deliver", ctx=2, tag=7)
+        assert (delivered["src"], delivered["dst"], delivered["nbytes"]) == (0, 1, 100)
+        assert delivered["time"] > first["time"]
+
+    def test_posts_equal_messages_sent(self):
+        sim, _ = traced_run(pingpong)
+        assert len(messages(sim)) == sim.world.messages_sent == 4
+        assert len(messages(sim, "msg:deliver")) == sim.world.messages_sent
 
     def test_collective_traffic_traced_separately(self):
-        trace, _ = traced_run(pingpong)
+        sim, _ = traced_run(pingpong)
         # finalize's barrier runs on the collective context (odd)
-        assert len(trace.messages(ctx=3)) == 2  # linear barrier, 2 ranks
+        assert len(messages(sim, ctx=3)) == 2  # linear barrier, 2 ranks
 
     def test_traffic_matrix_and_totals(self):
-        trace, _ = traced_run(pingpong)
-        matrix = trace.traffic_matrix()
-        assert matrix[(0, 1)] == 100
-        assert matrix[(1, 0)] == 200
-        assert trace.total_bytes() == 300
-        assert trace.busiest_pairs(1)[0] == ((1, 0), 200)
+        sim, _ = traced_run(pingpong)
+        matrix = {}
+        for m in messages(sim, ctx=2):
+            matrix[m["src"], m["dst"]] = matrix.get((m["src"], m["dst"]), 0) + m["nbytes"]
+        assert matrix == {(0, 1): 100, (1, 0): 200}
 
     def test_dropped_messages_marked(self):
-        """Messages to a failed process are deleted - and the trace says so."""
-
-        def app(mpi):
-            yield from mpi.init()
-            if mpi.rank == 0:
-                yield from mpi.send(1, nbytes=64, tag=0)
-                yield from mpi.compute(10.0)
-            yield from mpi.finalize()
-
-        trace, result = traced_run(app, failures=[(1, 0.0)])
+        """Messages to a failed process are deleted - and the bus says so,
+        at the instant the message reached the dead rank."""
+        sim, result = traced_run(send_to_the_dead, failures=[(1, 0.0)])
         assert result.aborted
-        dropped = trace.dropped_messages()
-        assert len(dropped) == 1
-        assert dropped[0].dst == 1
-        assert not dropped[0].delivered
-
-    def test_dropped_latency_is_nan_with_drop_time(self):
-        """Regression: a dropped message's latency used to be computed
-        from the drop instant, reporting a bogus finite 'delivery'
-        latency.  The drop instant now lives in drop_time instead."""
-
-        def app(mpi):
-            yield from mpi.init()
-            if mpi.rank == 0:
-                yield from mpi.send(1, nbytes=64, tag=0)
-                yield from mpi.compute(10.0)
-            yield from mpi.finalize()
-
-        trace, _ = traced_run(app, failures=[(1, 0.0)])
-        (rec,) = trace.dropped_messages()
-        assert math.isnan(rec.latency)
-        assert math.isnan(rec.arrival_time)
-        assert not math.isnan(rec.drop_time)
-        assert rec.drop_time >= rec.post_time
-        # delivered messages: the other way around
-        clean, _ = traced_run(pingpong)
-        delivered = [r for r in clean if r.delivered]
-        assert delivered
-        assert all(math.isnan(r.drop_time) for r in delivered)
-        assert all(r.latency > 0 for r in delivered)
+        (post,) = messages(sim, dst=1)
+        (drop,) = messages(sim, "msg:drop")
+        assert (drop["src"], drop["dst"], drop["ctx"], drop["nbytes"]) == (0, 1, 2, 64)
+        wire = sim.world.network.transfer_time(64, 0, 1)
+        assert drop["time"] == post["time"] + wire
+        assert not messages(sim, "msg:deliver", dst=1)
 
     def test_drop_time_exported_in_rows(self):
-        t = CommTrace()
-        t.record_post(0, 1.0, 0, 1, 2, 0, 64, "eager")
-        t.record_delivery(0, 3.5, dropped=True)
-        row = t.to_rows()[0]
-        assert row[ROW_HEADER.index("dropped")] == 1
-        assert row[ROW_HEADER.index("drop_time")] == 3.5
-        assert math.isnan(row[ROW_HEADER.index("arrival_time")])
-
-    def test_busiest_pairs_ties_broken_by_endpoints(self):
-        """Regression: equal-byte pairs were returned in traffic-matrix
-        insertion order, so reports differed between runs with the same
-        traffic."""
-        t = CommTrace()
-        # same byte totals, inserted in scrambled order
-        for seq, (src, dst) in enumerate([(3, 0), (1, 2), (0, 3), (2, 1)]):
-            t.record_post(seq, 0.0, src, dst, 2, 0, 100, "eager")
-        assert t.busiest_pairs() == [
-            ((0, 3), 100),
-            ((1, 2), 100),
-            ((2, 1), 100),
-            ((3, 0), 100),
-        ]
-        assert t.busiest_pairs(2) == [((0, 3), 100), ((1, 2), 100)]
-
-    def test_rows_export(self):
-        trace, _ = traced_run(pingpong)
-        rows = trace.to_rows()
-        assert len(rows) == len(trace)
-        assert len(rows[0]) == len(ROW_HEADER)
-        assert rows == sorted(rows)  # seq order
-
-    def test_time_window_filter(self):
-        trace, _ = traced_run(pingpong)
-        assert trace.messages(until=0.0) == []
-        assert len(trace.messages(since=0.0)) == len(trace)
+        sim, _ = traced_run(send_to_the_dead, failures=[(1, 0.0)])
+        (drop,) = messages(sim, "msg:drop")
+        rows = csv.reader(io.StringIO(to_csv(sim.observer)))
+        (row,) = [r for r in rows if r[3] == "msg:drop"]
+        assert (row[2], float(row[4]), row[6]) == ("rank 1", drop["time"], "1")
+        assert json.loads(row[7]) == {"ctx": 2, "nbytes": 64, "src": 0, "tag": 0}
 
     def test_rendezvous_protocol_labelled(self):
         def app(mpi):
@@ -143,28 +100,41 @@ class TestCommTrace:
                 yield from mpi.recv(0, tag=0)
             yield from mpi.finalize()
 
-        trace, _ = traced_run(app, eager_threshold=100)
-        big = trace.messages(src=0, dst=1, ctx=2)
-        assert big[0].protocol == "rendezvous"
-
-    def test_delivery_of_unknown_seq_counted_as_orphan(self):
-        """Regression: unknown-seq deliveries were silently swallowed;
-        they are now counted so the sanitizer can tell mid-run attach
-        from a sequencing bug."""
-        t = CommTrace()
-        t.record_delivery(99, 1.0, dropped=False)  # no crash
-        assert len(t) == 0
-        assert t.orphan_deliveries == 1
-        assert t.from_start is False
-
-    def test_trace_attached_before_launch_is_from_start(self):
-        trace, _ = traced_run(pingpong)
-        assert trace.from_start
-        assert trace.orphan_deliveries == 0
+        sim, _ = traced_run(app, eager_threshold=100)
+        (big,) = messages(sim, src=0, dst=1, ctx=2)
+        assert big["protocol"] == "rendezvous"
+        assert {m["protocol"] for m in messages(sim, ctx=3)} == {"eager"}
 
     def test_tracing_disabled_by_default(self):
         run = run_app(pingpong, nranks=2)
-        assert run.world.trace is None
+        assert run.world.obs is None
+        sim = XSim(SystemConfig.small_test_system(nranks=2), observe=Observer())
+        sim.run(pingpong)
+        assert not any(e.name.startswith("msg:") for e in sim.observer.events)
+
+    def test_record_trace_is_gone(self):
+        with pytest.raises(TypeError):
+            XSim(SystemConfig.small_test_system(nranks=2), record_trace=True)
+
+    def test_cache_hit_returns_the_cold_runs_message_events(self, tmp_path):
+        from repro.cache import ResultCache
+        from repro.run import Scenario, run_scenario
+
+        scenario = Scenario(
+            ranks=8, iterations=20, interval=10, failures="3@20s",
+            observe=True, trace_detail=True,
+        )
+        cache = ResultCache(tmp_path / "cache")
+
+        def msg_events(outcome):
+            return [e for e in outcome.observer.sim_events() if e.name.startswith("msg:")]
+
+        cold = run_scenario(scenario, cache=cache)
+        warm = run_scenario(scenario, cache=cache)
+        assert not cold.metadata.get("cache_hit") and warm.metadata.get("cache_hit")
+        names = {e.name for e in msg_events(cold)}
+        assert names == {"msg:post", "msg:deliver", "msg:drop"}
+        assert msg_events(warm) == msg_events(cold)
 
 
 class TestProbe:
