@@ -37,27 +37,23 @@ index row and the blob in one read transaction, compares the blob's size
 and then the SHA-256 of its raw bytes against the row *before any byte
 reaches a decoder*, then parses the head and holds
 its result digest against the row's.  That answers ``digest()``,
-``summary()``, ``completed`` and ``metadata``.  The body decodes only
-from verified bytes and only through an unpickler that resolves nothing
-but classes defined in ``repro`` modules and a few builtin value types —
-no function, no ``os.system``.  A blob of at most
-:data:`EAGER_DECODE_BYTES` decodes its body at lookup, so the hit is
-complete when returned — provided the process has already imported the
-classes a body holds (it has computed a run); a larger one (where the
-decode would be most of the answer), or any blob in a process that has
-only looked answers up (where the decode would first import the
-simulator), when ``result`` / ``run`` / ``observer`` are first asked
-for.  Any failed check — a truncated, missing or rewritten blob, a
-stale index row, a head that does not parse, a small body that does not
-decode — demotes the entry to a miss (both rows deleted, a
-``RuntimeWarning`` emitted, the caller recomputes and re-stores); a
-large body that will not decode after its hash held is demoted the same
-way and the outcome recomputes itself.  Re-deriving the result digest
-from the decoded objects is an audit, not a hit-path step: ``cache
-verify`` and the ``cache-parity`` simcheck do it.  A schema-version
-mismatch disables the cache for the process instead of guessing at the
-on-disk format (version 1 and 2 directories, whose blobs were files
-beside the index, are refused this way; delete the directory to rebuild).
+``summary()``, ``completed`` and ``metadata``.  The body decodes on
+first access to ``result`` / ``run`` / ``observer``, whatever the blob's
+size — a campaign reads summaries only, so a warm one decodes none —
+only from verified bytes and only through an unpickler that resolves
+nothing but classes defined in ``repro`` modules and a few builtin value
+types — no function, no ``os.system``.  Any failed check — a truncated,
+missing or rewritten blob, a stale index row, a head that does not
+parse — demotes the entry to a miss (both rows deleted, a
+``RuntimeWarning`` emitted, the caller recomputes and re-stores); a body
+that will not decode after its hash held is demoted the same way, and
+the outcome recomputes its objects and stores them back.  Re-deriving
+the result digest from the decoded objects is an audit, not a hit-path
+step: ``cache verify`` and the ``cache-parity`` simcheck do it.  A
+schema-version mismatch disables the cache for the process instead of
+guessing at the on-disk format (version 1 and 2 directories, whose blobs
+were files beside the index, are refused this way; delete the directory
+to rebuild).
 """
 
 from __future__ import annotations
@@ -68,7 +64,6 @@ import json
 import os
 import pickle
 import sqlite3
-import sys
 import time as _time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -142,15 +137,6 @@ def cache_key(scenario: "Scenario") -> str:
 _MAGIC = b"XSIMRC2\n"
 _HEAD_AT = len(_MAGIC) + 4  # a 4-byte big-endian head length follows the magic
 
-#: A blob up to this size has its body decoded at lookup: that costs at
-#: most ~4 ms and the hit is complete when it is returned — a body that
-#: will not decode is an ordinary miss, recomputed and re-stored by the
-#: run path.  A larger blob (past ~4,400 heat3d ranks) keeps its body
-#: undecoded until ``result`` / ``run`` / ``observer`` are first asked
-#: for: there the decode would be most of the answer (7 ms of 8 at
-#: 8,000 ranks, 36 ms of 38 at 32,768) and a sweep never asks.
-EAGER_DECODE_BYTES = 256 * 1024
-
 #: Page size of a schema-3 index, fixed when the file is created.  A
 #: cell's store and a hit's bookkeeping each write a handful of pages to
 #: the WAL: at 16 KiB they cost half as much again, and a large blob
@@ -161,11 +147,6 @@ _PAGE_SIZE = 4096
 #: How often a new connection asks for WAL mode before giving up (the
 #: waits add up to ~0.4 s).
 _WAL_SWITCH_TRIES = 20
-
-#: Every body holds a ``SimulationResult``: until this module is loaded,
-#: decoding one means importing the simulator runtime (~0.25 s) — more
-#: than the whole of a warm CLI sweep, which never reads a body.
-_BODY_CLASSES_MODULE = "repro.pdes.engine"
 
 
 def _canonical_json(value: Any) -> bytes:
@@ -285,14 +266,6 @@ class _BodyUnpickler(pickle.Unpickler):
         raise pickle.UnpicklingError(f"{module}.{name} is not an allowed body class")
 
 
-def _decode_body(data: bytes, body_at: int) -> tuple:
-    """``(result, run, sim_events)`` of a blob whose raw hash already held."""
-    stream = io.BytesIO(data)
-    stream.seek(body_at)
-    result, run, sim_events = _BodyUnpickler(stream).load()
-    return result, run, sim_events
-
-
 # ----------------------------------------------------------------------
 # stats
 # ----------------------------------------------------------------------
@@ -302,7 +275,8 @@ class CacheStats:
 
     ``lookup_s``/``store_s`` accumulate host wall time spent in the cache
     itself: the lookup latency a warm sweep pays instead of simulation
-    time.
+    time.  ``decodes`` counts bodies handed to the unpickler (a hit's
+    first access to its objects, or ``verify``); a lookup decodes none.
     """
 
     hits: int = 0
@@ -310,6 +284,7 @@ class CacheStats:
     stores: int = 0
     corrupt: int = 0
     store_errors: int = 0
+    decodes: int = 0
     hit_bytes: int = 0
     store_bytes: int = 0
     lookup_s: float = 0.0
@@ -332,6 +307,7 @@ class CacheStats:
             "stores": self.stores,
             "corrupt": self.corrupt,
             "store_errors": self.store_errors,
+            "decodes": self.decodes,
             "hit_bytes": self.hit_bytes,
             "store_bytes": self.store_bytes,
             "hit_rate": round(self.hit_rate, 4),
@@ -484,11 +460,11 @@ class ResultCache:
         """The cached outcome for ``scenario``, or ``None`` (a miss).
 
         Any unservable entry — truncated, missing or rewritten blob, a
-        head that does not parse, a digest that disagrees with the index,
-        a small body that does not decode — is deleted, warned about, and
-        reported as a miss; the cache
+        head that does not parse, a digest that disagrees with the index
+        — is deleted, warned about, and reported as a miss; the cache
         never raises into the run path and never decodes bytes whose raw
-        hash it has not checked against the index.
+        hash it has not checked against the index.  A hit's body waits
+        for first access (:meth:`_load_body`).
         """
         t0 = _time.perf_counter()
         try:
@@ -519,13 +495,6 @@ class ResultCache:
         except ValueError as exc:
             self._corrupt(key, str(exc))
             return None
-        decoded = None
-        if len(data) <= EAGER_DECODE_BYTES and _BODY_CLASSES_MODULE in sys.modules:
-            try:
-                decoded = _decode_body(data, body_at)
-            except Exception as exc:  # noqa: BLE001 - any decode failure is damage
-                self._corrupt(key, f"blob body undecodable: {exc}")
-                return None
         try:
             self._conn().execute(
                 "UPDATE entries SET hits = hits + 1, last_hit = ? WHERE key = ?",
@@ -541,11 +510,8 @@ class ResultCache:
         metadata["cache_hit"] = True
         metadata["cache_key"] = key
         metadata["cache_wall_s"] = head["wall_s"]
-        nbytes, hit_time = len(data), _time.perf_counter()
-        if decoded is not None:
-            load = lambda: self._hit_objects(scenario, key, nbytes, hit_time, decoded)  # noqa: E731
-        else:
-            load = lambda: self._load_body(scenario, key, data, body_at, hit_time)  # noqa: E731
+        hit_time = _time.perf_counter()
+        load = lambda: self._load_body(scenario, key, data, body_at, hit_time)  # noqa: E731
         return ScenarioOutcome.from_cache(
             scenario, head["mode"], head["result_digest"], head["facts"], metadata, load
         )
@@ -578,27 +544,20 @@ class ResultCache:
     def _load_body(
         self, scenario: "Scenario", key: str, data: bytes, body_at: int, hit_time: float
     ) -> tuple:
-        """``(result, run, observer)`` of a large hit, decoded on first
-        access.  A body that will not decode although its hash held
-        (allow-list refusal, class drift) is demoted like any other
-        damage and the objects are recomputed from the scenario instead."""
+        """``(result, run, observer)`` of a hit, decoded on its first
+        access: the observer rebuilt from the stored sim-domain events
+        plus this hit's instant.  A body that will not decode although
+        its hash held (allow-list refusal, a class that moved) is demoted
+        like any other damage, and the cell is recomputed and stored back
+        in its place (the warning in the recomputed run's SimLog)."""
         try:
-            decoded = _decode_body(data, body_at)
+            result, run, sim_events = self._decode_body(data, body_at)
         except Exception as exc:  # noqa: BLE001 - any decode failure is damage
             self._corrupt(key, f"blob body undecodable: {exc}")
             from repro.run.backends import run_scenario
 
-            fresh = run_scenario(scenario, cache=False)
-            fresh.last_result.log.log(0.0, "cache", self.pop_warning(), level="warning")
+            fresh = run_scenario(scenario, cache=self, known_miss=True)
             return fresh.result, fresh.run, fresh.observer
-        return self._hit_objects(scenario, key, len(data), hit_time, decoded)
-
-    def _hit_objects(
-        self, scenario: "Scenario", key: str, nbytes: int, hit_time: float, decoded: tuple
-    ) -> tuple:
-        """``(result, run, observer)`` from a decoded body: the observer
-        rebuilt from the stored sim-domain events plus this hit's instant."""
-        result, run, sim_events = decoded
         observer = None
         if scenario.observe and sim_events is not None:
             from repro.obs import Observer
@@ -607,9 +566,18 @@ class ResultCache:
             observer.extend(sim_events)
             observer.host_instant(
                 hit_time, "cache-hit", track="cache",
-                args={"key": key[:16], "bytes": nbytes},
+                args={"key": key[:16], "bytes": len(data)},
             )
         return result, run, observer
+
+    def _decode_body(self, data: bytes, body_at: int) -> tuple:
+        """``(result, run, sim_events)`` of a blob whose raw hash already
+        held, counted in :attr:`CacheStats.decodes`."""
+        self.stats.decodes += 1
+        stream = io.BytesIO(data)
+        stream.seek(body_at)
+        result, run, sim_events = _BodyUnpickler(stream).load()
+        return result, run, sim_events
 
     def store(
         self, scenario: "Scenario", outcome: "ScenarioOutcome", wall_s: float = 0.0
@@ -769,7 +737,7 @@ class ResultCache:
                 problem = str(exc)
             else:
                 try:
-                    result, run, _ = _decode_body(data, body_at)
+                    result, run, _ = self._decode_body(data, body_at)
                     digest = outcome_digest(result, run)
                     facts = outcome_facts(result, run)
                 except Exception as exc:  # noqa: BLE001 - any decode failure is damage

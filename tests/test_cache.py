@@ -12,14 +12,16 @@ Covers the correctness promises the cache makes over raw memoization:
   schema version) degrades to recomputation with a warning, never to a
   crash or a stale answer, and no byte of a blob reaches a decoder
   before the SHA-256 of its raw bytes matched the index — a hostile body
-  under a correct hash is refused by the allow-list unpickler;
+  under a correct hash is refused by the allow-list unpickler, and the
+  entry heals: the recomputed cell is stored back in its place;
 * host faults around a store — the writer killed before its COMMIT, a
   full disk, a read-only directory — leave nothing behind and cost only
   the cache, never the run;
 * a hit answers ``summary()``/``digest()``/``completed`` from the blob's
-  head alone; a small blob's body decodes at lookup, a large one's on
-  first access, and either way what it decodes to equals the cold
-  objects field for field;
+  head alone and decodes its body on first access to ``result`` /
+  ``run`` / ``observer``, once, whatever its size and whatever the
+  process has imported (``CacheStats.decodes`` counts it); what it
+  decodes to equals the cold objects field for field;
 * ``gc`` evicts in the documented order (age pass first, then LRU by
   last hit) and ``verify`` spots every kind of damage;
 * the sweep path partitions cached vs to-compute cells and annotates
@@ -34,6 +36,7 @@ import enum
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -47,7 +50,6 @@ import threading
 import traceback
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -151,34 +153,21 @@ def no_decoder(monkeypatch):
     monkeypatch.setattr(json, "loads", refuse)
 
 
-@pytest.fixture()
-def large_blobs(monkeypatch):
-    """Every blob counts as large: its body decodes on first access."""
-    monkeypatch.setattr("repro.cache.store.EAGER_DECODE_BYTES", 0)
-
-
 @pytest.fixture(params=["at-lookup", "on-access"])
-def decode_when(request, monkeypatch):
-    """Both sides of ``EAGER_DECODE_BYTES`` on the same small cells."""
-    if request.param == "on-access":
-        monkeypatch.setattr("repro.cache.store.EAGER_DECODE_BYTES", 0)
-    return request.param
+def first_read(request):
+    """What a caller reads first off a hit: its objects, straight after
+    the lookup returns, or its head, with the objects read later.  The
+    returned function reads the head (``on-access`` only) and checks
+    that this decoded nothing; either way the body decodes on the first
+    access to an object."""
 
+    def read_head(outcome, cache):
+        if request.param == "on-access":
+            decodes = cache.stats.decodes
+            outcome.summary(), outcome.digest(), outcome.facts(), outcome.timing_report()
+            assert cache.stats.decodes == decodes
 
-@pytest.fixture()
-def body_decodes(monkeypatch):
-    """Counts body decodes (a one-element list)."""
-    import repro.cache.store as store_module
-
-    count = [0]
-    real = store_module._decode_body
-
-    def counting(data, body_at):
-        count[0] += 1
-        return real(data, body_at)
-
-    monkeypatch.setattr(store_module, "_decode_body", counting)
-    return count
+    return read_head
 
 
 def _canon(value):
@@ -307,10 +296,13 @@ class TestHitEquivalence:
 STRATEGIES = ("ckpt", "ckpt-multilevel", "replication", "none")
 
 
+def _uncached(summary):
+    """A campaign summary without the cache's annotations."""
+    return {k: v for k, v in summary.items() if k not in ("cached", "saved_s")}
+
+
 class TestHeadAndBody:
-    def test_warm_run_cells_never_decodes_a_large_body(
-        self, store, large_blobs, body_decodes
-    ):
+    def test_warm_run_cells_never_decodes_a_large_body(self, store):
         cells = [
             SMALL.with_(seed=0),
             SMALL.with_(seed=1),
@@ -320,55 +312,48 @@ class TestHeadAndBody:
         cold = run_cells(cells, cache=store)
         warm = run_cells(cells, cache=store)
         assert all(s["cached"] for s in warm) and store.stats.hits == len(cells)
-        strip = lambda d: {k: v for k, v in d.items() if k not in ("cached", "saved_s")}
-        assert [strip(s) for s in warm] == [strip(s) for s in cold]
-        assert body_decodes == [0]
+        assert [_uncached(s) for s in warm] == [_uncached(s) for s in cold]
+        assert store.stats.decodes == 0
 
-    def test_small_body_decodes_once_at_lookup(self, store, body_decodes, monkeypatch):
-        scenario = SMALL.with_(failures="3@50s")
+    def test_warm_campaign_in_a_computing_process_decodes_nothing(self, store):
+        """A rerun in a process that has computed cells — the simulator's
+        classes loaded, so a decode would import nothing — still decodes
+        no body: a campaign reads summaries only."""
+        cells = [
+            SMALL.with_(strategy=strategy, failures=failures, observe=observe)
+            for strategy in STRATEGIES
+            for failures in ("", "3@50s")
+            for observe in (False, True)
+        ]
+        cold = run_cells(cells, cache=store)
+        assert "repro.pdes.engine" in sys.modules
+        assert {s["mode"] for s in cold} == {"single", "restart"}
+        warm = run_cells(cells, cache=store)
+        assert all(s["cached"] for s in warm) and store.stats.hits == len(cells)
+        assert [_uncached(s) for s in warm] == [_uncached(s) for s in cold]
+        assert store.stats.decodes == 0
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(("result", "run", "observer"))), ids="-".join
+    )
+    def test_reading_the_objects_in_any_order_decodes_once(self, store, order):
+        scenario = SMALL.with_(failures="3@50s", observe=True)
         cold = _fill(store, scenario)
         warm = run_scenario(scenario, cache=store)
-        assert body_decodes == [1] and warm.metadata["cache_hit"] is True
-        assert warm.summary() == cold.summary() and warm.digest() == cold.digest()
-        assert warm.last_result.exit_time == cold.last_result.exit_time
-        assert body_decodes == [1]
-        # the blob's size decides: at the limit it decodes at lookup,
-        # one byte over the limit it waits for first access
-        size = len(_blob(store, scenario))
-        monkeypatch.setattr("repro.cache.store.EAGER_DECODE_BYTES", size)
-        run_scenario(scenario, cache=store)
-        assert body_decodes == [2]
-        monkeypatch.setattr("repro.cache.store.EAGER_DECODE_BYTES", size - 1)
-        waiting = run_scenario(scenario, cache=store)
-        assert body_decodes == [2]
-        assert waiting.run is not None and body_decodes == [3]
-
-    def test_small_body_waits_where_decoding_would_import_the_simulator(
-        self, store, body_decodes, monkeypatch
-    ):
-        """A process that has only looked answers up (a warm CLI sweep)
-        has not imported the classes a body holds: there even a small
-        blob keeps its body for first access."""
-        import sys
-
-        scenario = SMALL.with_(failures="3@50s")
-        cold = _fill(store, scenario)
-        with monkeypatch.context() as only_lookups:
-            only_lookups.delitem(sys.modules, "repro.pdes.engine")
-            warm = run_scenario(scenario, cache=store)
-            assert body_decodes == [0] and warm.metadata["cache_hit"] is True
-            assert warm.summary() == cold.summary() and warm.digest() == cold.digest()
-            assert warm.timing_report() == cold.last_result.timing_report()
-            assert body_decodes == [0]
-        # first access decodes (importing what it needs)
-        assert warm.run.e2 == cold.run.e2 and body_decodes == [1]
+        assert warm.summary() == cold.summary() and store.stats.decodes == 0
+        for name in order + order:
+            getattr(warm, name)
+            assert store.stats.decodes == 1
+        assert warm.result is None and _canon(warm.run) == _canon(cold.run)
+        assert to_jsonl(warm.observer) == to_jsonl(cold.observer)
+        assert store.stats.decodes == 1
 
     @pytest.mark.parametrize("scenario", [SMALL, SMALL.with_(failures="3@50s")], ids=["single", "restart"])
-    def test_timing_report_is_a_head_fact(self, store, large_blobs, body_decodes, scenario):
+    def test_timing_report_is_a_head_fact(self, store, scenario):
         cold = _fill(store, scenario)
         assert cold.timing_report() == cold.last_result.timing_report()
         warm = run_scenario(scenario, cache=store)
-        assert warm.timing_report() == cold.timing_report() and body_decodes == [0]
+        assert warm.timing_report() == cold.timing_report() and store.stats.decodes == 0
 
     def test_a_campaign_looks_each_miss_up_once(self, store, monkeypatch):
         """run_cells partitions by lookup; the in-process task then
@@ -388,27 +373,26 @@ class TestHeadAndBody:
         assert all(s["cached"] for s in run_cells(cells, cache=handle))
         assert handle.stats.hit_rate == 1.0 and handle.stats.lookups == 3
 
-    def test_head_answers_and_large_body_decodes_once_on_first_access(
-        self, store, large_blobs, body_decodes
-    ):
+    def test_head_answers_and_large_body_decodes_once_on_first_access(self, store):
         cold = _fill(store, SMALL.with_(failures="3@50s"))
         warm = run_scenario(SMALL.with_(failures="3@50s"), cache=store)
         assert warm.summary() == cold.summary()
         assert warm.digest() == cold.digest() and warm.completed is cold.completed
         assert warm.facts() == cold.facts() and warm.metadata["cache_hit"] is True
-        assert body_decodes == [0]
+        assert store.stats.decodes == 0
         assert warm.run is not None and warm.result is None and warm.observer is None
         assert warm.last_result.exit_time == cold.last_result.exit_time
-        assert body_decodes == [1]
+        assert store.stats.decodes == 1
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("failures", ["", "3@50s"], ids=["single", "restart"])
     def test_decoded_objects_equal_cold_field_for_field(
-        self, store, decode_when, strategy, failures
+        self, store, first_read, strategy, failures
     ):
         scenario = SMALL.with_(strategy=strategy, failures=failures, observe=True)
         cold = _fill(store, scenario)
         warm = run_scenario(scenario, cache=store)
+        first_read(warm, store)
         assert warm.metadata["cache_hit"] is True
         assert warm.mode == cold.mode == ("restart" if failures else "single")
         assert _canon(warm.result) == _canon(cold.result)
@@ -417,6 +401,7 @@ class TestHeadAndBody:
         assert to_jsonl(warm.observer) == to_jsonl(cold.observer)
         assert to_chrome(warm.observer) == to_chrome(cold.observer)
         assert outcome_digest(warm.result, warm.run) == warm.digest() == cold.digest()
+        assert store.stats.decodes == 1
 
     def test_head_floats_round_trip_exactly(self, store):
         """inf / nan / denormal / negative-zero facts survive the JSON
@@ -432,12 +417,13 @@ class TestHeadAndBody:
         assert _canon(warm.summary()) == _canon(cold.summary())
         assert warm.summary()["e2"] == math.inf and math.isnan(warm.summary()["mttf_a"])
 
-    def test_cache_hit_instant_reports_this_blobs_size(self, store, decode_when):
+    def test_cache_hit_instant_reports_this_blobs_size(self, store, first_read):
         scenarios = [SMALL.with_(observe=True), SMALL.with_(observe=True, ranks=27)]
         for scenario in scenarios:
             _fill(store, scenario)
         for scenario in scenarios:  # the second hit must not report a running total
             warm = run_scenario(scenario, cache=store)
+            first_read(warm, store)
             (instant,) = [e for e in warm.observer.host_events() if e.name == "cache-hit"]
             size = len(_blob(store, scenario))
             assert dict(instant.args)["bytes"] == size
@@ -576,10 +562,8 @@ class TestRobustness:
     def test_any_damage_to_a_stored_entry_is_one_warned_miss(self, tmp_path_factory, damage):
         """The blob's bytes replaced or truncated, or any value in the
         index row's checked columns: a miss with exactly one warning, the
-        lookup never raises, no body decodes unless the SHA-256 held, and
+        lookup never raises, no body decodes (a lookup decodes none), and
         the next run recomputes the same summary."""
-        import repro.cache.store as store_module
-
         cold = _cold_small()
         cache = ResultCache(tmp_path_factory.mktemp("fuzz"))
         assert cache.store(SMALL, cold)
@@ -594,28 +578,23 @@ class TestRobustness:
             cache._conn().execute(f"UPDATE entries SET {what} = ?", (value,))
         after = cache._conn().execute(checked).fetchone() + (_blob(cache),)
         assume(after != before)
-        nbytes, blob_sha, _digest, data = after
-        sha_held = len(data) == nbytes and hashlib.sha256(data).hexdigest() == blob_sha
-        with mock.patch.object(
-            store_module, "_decode_body", wraps=store_module._decode_body
-        ) as decode, warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert cache.lookup(SMALL) is None
         assert [w.category for w in caught] == [RuntimeWarning]
-        assert decode.call_count == 0 or sha_held
+        assert cache.stats.decodes == 0
         again = run_scenario(SMALL, cache=cache)
         assert not again.metadata.get("cache_hit") and again.summary() == cold.summary()
         cache.close()
 
     @pytest.mark.parametrize("evil", ["os.system", "builtins.eval"])
     def test_hostile_body_under_a_correct_hash_executes_nothing(
-        self, store, tmp_path, decode_when, evil
+        self, store, tmp_path, first_read, evil
     ):
         """A body that names a callable, stored with a *correct*
-        ``blob_sha``: the allow-list unpickler refuses it and the entry
-        is demoted.  Decoded at lookup that is an ordinary miss (the run
-        path recomputes and re-stores); decoded on first access the hit
-        was already reported, and the outcome recomputes itself."""
+        ``blob_sha``: the hit is reported from the head, the allow-list
+        unpickler refuses the body on first access, and the entry is
+        demoted and healed — the recomputed cell stored in its place."""
         cold = _fill(store)
         sentinel = tmp_path / "sentinel"
 
@@ -629,24 +608,43 @@ class TestRobustness:
         data = _blob(store)
         _put_blob(store, data[: _body_at(data)] + body)
         _reindex(store)
-        if decode_when == "at-lookup":
-            with pytest.warns(RuntimeWarning, match="body undecodable"):
-                warm = run_scenario(SMALL, cache=store)
-            assert not warm.metadata.get("cache_hit") and store.stats.hits == 0
+        warm = run_scenario(SMALL, cache=store)
+        assert warm.metadata.get("cache_hit") is True  # head and hash are fine
+        first_read(warm, store)
+        with pytest.warns(RuntimeWarning, match="body undecodable"):
             result = warm.result
-        else:
-            warm = run_scenario(SMALL, cache=store)
-            assert warm.metadata.get("cache_hit") is True  # head and hash are fine
-            with pytest.warns(RuntimeWarning, match="body undecodable"):
-                result = warm.result
-            assert store.index_stats()["entries"] == 0 and _rows(store) == (0, 0)
         assert not sentinel.exists()
         assert outcome_digest(result, warm.run) == cold.digest() == warm.digest()
         assert any(r.category == "cache" for r in result.log.entries)
-        assert store.stats.corrupt == 1
-        if decode_when == "at-lookup":  # the miss re-stored a good entry
-            assert run_scenario(SMALL, cache=store).metadata.get("cache_hit") is True
-            assert not sentinel.exists()
+        assert (store.stats.corrupt, store.stats.stores, _rows(store)) == (1, 2, (1, 1))
+        healed = run_scenario(SMALL, cache=store)
+        assert healed.metadata.get("cache_hit") is True
+        assert outcome_digest(healed.result, healed.run) == cold.digest()
+        assert not sentinel.exists() and store.stats.decodes == 2
+
+    def test_a_body_that_will_not_decode_heals_its_entry(self, store):
+        """A body cut short under a correct ``blob_sha`` fails on first
+        access: the outcome recomputes its objects, stores them back with
+        the recomputation's own wall time, and the next lookup hits."""
+        assert store.store(SMALL, _cold_small(), wall_s=1e6)
+        data = _blob(store)
+        _put_blob(store, data[:-8])
+        _reindex(store)
+        warm = run_scenario(SMALL, cache=store)
+        assert warm.metadata["cache_hit"] is True and warm.metadata["cache_wall_s"] == 1e6
+        with pytest.warns(RuntimeWarning, match="body undecodable"):
+            result = warm.result
+        assert any(
+            r.category == "cache" and "recomputing" in r.message for r in result.log.entries
+        )
+        assert (store.stats.corrupt, store.stats.stores, _rows(store)) == (1, 2, (1, 1))
+        (entry,) = store.entries()
+        assert 0.0 < entry["wall_s"] < 1e6  # the recomputation's, not the lost entry's
+        healed = run_scenario(SMALL, cache=store)
+        assert healed.metadata["cache_hit"] is True
+        assert healed.metadata["cache_wall_s"] == entry["wall_s"]
+        assert _canon(healed.result) == _canon(_cold_small().result)
+        assert store.stats.decodes == 2 and store.verify() == []
 
     def test_body_unpickler_resolves_classes_of_repro_modules_only(self):
         import io
@@ -1095,8 +1093,7 @@ class TestSweepPartition:
         assert all(s["cached"] for _, s in warm)
         assert all(s["saved_s"] > 0.0 for _, s in warm)
         assert (warm_store.stats.hits, warm_store.stats.misses) == (4, 0)
-        strip = lambda d: {k: v for k, v in d.items() if k not in ("cached", "saved_s")}
-        assert [strip(s) for _, s in cold] == [strip(s) for _, s in warm]
+        assert [_uncached(s) for _, s in cold] == [_uncached(s) for _, s in warm]
 
     def test_partial_warm(self, store):
         run_sweep(SMALL, {"interval": [10], "seed": [0, 1]}, cache=store)
