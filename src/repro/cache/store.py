@@ -32,22 +32,28 @@ killed or failing before its COMMIT leaves nothing behind: SQLite rolls
 the transaction back, and no file outside the index was written.  Every
 deletion removes both rows in one transaction.
 
-Correctness before speed — verified before decoded: a lookup reads the
-index row and the blob in one read transaction, compares the blob's size
-and then the SHA-256 of its raw bytes against the row *before any byte
-reaches a decoder*, then parses the head and holds
-its result digest against the row's.  That answers ``digest()``,
-``summary()``, ``completed`` and ``metadata``.  The body decodes on
-first access to ``result`` / ``run`` / ``observer``, whatever the blob's
-size — a campaign reads summaries only, so a warm one decodes none —
-only from verified bytes and only through an unpickler that resolves
-nothing but classes defined in ``repro`` modules and a few builtin value
-types — no function, no ``os.system``.  Any failed check — a truncated,
-missing or rewritten blob, a stale index row, a head that does not
-parse — demotes the entry to a miss (both rows deleted, a
-``RuntimeWarning`` emitted, the caller recomputes and re-stores); a body
-that will not decode after its hash held is demoted the same way, and
-the outcome recomputes its objects and stores them back.  Re-deriving
+A lookup is a batch (:meth:`ResultCache.lookup_many`; ``lookup`` is the
+batch of one): a campaign partition reads every index row and blob it
+needs in one read transaction, each distinct key once and one blob in
+memory at a time, then records its hits and deletes its demoted entries
+in one write transaction — two transactions a partition, not two a cell.
+
+Correctness before speed — verified before decoded: for each entry the
+lookup compares the blob's size and then the SHA-256 of its raw bytes
+against the index row *before any byte reaches a decoder*, then parses
+the head and holds its result digest against the row's.  That answers
+``digest()``, ``summary()``, ``completed`` and ``metadata``, and the
+blob is dropped.  The body decodes on first access to ``result`` /
+``run`` / ``observer``, whatever the blob's size — a campaign reads
+summaries only, so a warm one decodes none — from the entry read and
+verified again, and only through an unpickler that resolves nothing but
+classes defined in ``repro`` modules and a few builtin value types — no
+function, no ``os.system``.  Any failed check — a truncated, missing or
+rewritten blob, a stale index row, a head that does not parse — demotes
+the entry to a miss (both rows deleted, a ``RuntimeWarning`` emitted,
+the caller recomputes and re-stores); a body that will not decode after
+its hash held is demoted the same way, and the outcome recomputes its
+objects and stores them back.  Re-deriving
 the result digest from the decoded objects is an audit, not a hit-path
 step: ``cache verify`` and the ``cache-parity`` simcheck do it.  A
 schema-version mismatch disables the cache for the process instead of
@@ -58,6 +64,7 @@ to rebuild).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -68,7 +75,7 @@ import time as _time
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.run.backends import ScenarioOutcome
@@ -457,103 +464,161 @@ class ResultCache:
     # lookup / store
     # ------------------------------------------------------------------
     def lookup(self, scenario: "Scenario") -> "ScenarioOutcome | None":
-        """The cached outcome for ``scenario``, or ``None`` (a miss).
+        """The cached outcome for ``scenario``, or ``None`` (a miss):
+        :meth:`lookup_many` of one scenario."""
+        return self.lookup_many([scenario])[0]
 
+    def lookup_many(self, scenarios: "list[Scenario]") -> "list[ScenarioOutcome | None]":
+        """The cached outcome of each scenario, ``None`` for a miss, in
+        input order.
+
+        One read transaction reads each distinct key once and checks its
+        entry against the index row (:func:`_verified_head`); a blob is
+        dropped once its head is checked, so one is in memory at a time.
+        One write transaction then records every hit (``hits``,
+        ``last_hit``) and deletes every demoted entry — best-effort: when
+        the index refuses the write, the hits are served all the same.
         Any unservable entry — truncated, missing or rewritten blob, a
         head that does not parse, a digest that disagrees with the index
-        — is deleted, warned about, and reported as a miss; the cache
-        never raises into the run path and never decodes bytes whose raw
-        hash it has not checked against the index.  A hit's body waits
-        for first access (:meth:`_load_body`).
+        — is warned about and reported as a miss; the cache never raises
+        into the run path and never decodes bytes whose raw hash it has
+        not checked against the index.  A hit's body waits for first
+        access (:meth:`_load_body`).  A scenario the cache cannot hold
+        (:func:`cacheable`) is ``None`` and counts as neither hit nor
+        miss.
         """
         t0 = _time.perf_counter()
+        outcomes: list[ScenarioOutcome | None] = [None] * len(scenarios)
         try:
-            hit = self._lookup(scenario)
-            if hit is None:
-                self.stats.misses += 1
-            return hit
+            held = [i for i, s in enumerate(scenarios) if cacheable(s)]
+            if held and self._check_enabled():
+                wanted: dict[str, list[int]] = {}
+                for i in held:
+                    wanted.setdefault(cache_key(scenarios[i]), []).append(i)
+                served, demoted = self._read_hits(scenarios, wanted, outcomes)
+                try:
+                    self._write_index(hits=served, deleted=demoted)
+                except sqlite3.Error:
+                    pass  # bookkeeping and demotion wait; every hit is good
+            hits = len(outcomes) - outcomes.count(None)
+            self.stats.hits += hits
+            self.stats.misses += len(held) - hits
+            return outcomes
         finally:
             self.stats.lookup_s += _time.perf_counter() - t0
 
-    def _lookup(self, scenario: "Scenario") -> "ScenarioOutcome | None":
-        if not cacheable(scenario) or not self._check_enabled():
-            return None
-        key = cache_key(scenario)
-        try:
-            row = self._read_entry(key)
-        except sqlite3.Error as exc:
-            self._corrupt(key, f"index read failed: {exc}", drop_row=False)
-            return None
-        if row is None:
-            return None
-        *indexed, data = row
-        if data is None:
-            self._corrupt(key, "blob missing: the entry has no blobs row")
-            return None
-        try:
-            head, body_at = _verified_head(data, *indexed)
-        except ValueError as exc:
-            self._corrupt(key, str(exc))
-            return None
-        try:
-            self._conn().execute(
-                "UPDATE entries SET hits = hits + 1, last_hit = ? WHERE key = ?",
-                (_time.time(), key),
-            )
-        except sqlite3.Error:
-            pass  # hit bookkeeping is best-effort; the blob is good
-        self.stats.hits += 1
-        self.stats.hit_bytes += len(data)
+    def _read_hits(
+        self, scenarios: "list[Scenario]", wanted: dict[str, list[int]], outcomes: list
+    ) -> tuple[list[tuple[str, int]], list[str]]:
+        """Fill ``outcomes`` at the positions of every servable key of
+        ``wanted`` (key -> positions), all from one read transaction.
+        Returns ``(key, times served)`` of the hits and the keys to
+        demote."""
         from repro.run.backends import ScenarioOutcome
 
-        metadata = dict(head["metadata"])
-        metadata["cache_hit"] = True
-        metadata["cache_key"] = key
-        metadata["cache_wall_s"] = head["wall_s"]
-        hit_time = _time.perf_counter()
-        load = lambda: self._load_body(scenario, key, data, body_at, hit_time)  # noqa: E731
-        return ScenarioOutcome.from_cache(
-            scenario, head["mode"], head["result_digest"], head["facts"], metadata, load
-        )
+        served: list[tuple[str, int]] = []
+        demoted: list[str] = []
+        conn = self._conn()
+        key = next(iter(wanted))
+        try:
+            conn.execute("BEGIN")
+            with conn:
+                for key, positions in wanted.items():
+                    try:
+                        entry = self._verified_entry(conn, key)
+                    except ValueError as exc:
+                        self._corrupt(key, str(exc))
+                        demoted.append(key)
+                        continue
+                    if entry is None:
+                        continue
+                    head, nbytes = entry[0], len(entry[1])
+                    del entry  # this blob goes before the next one is read
+                    served.append((key, len(positions)))
+                    self.stats.hit_bytes += nbytes * len(positions)
+                    for i in positions:
+                        metadata = dict(head["metadata"])
+                        metadata["cache_hit"] = True
+                        metadata["cache_key"] = key
+                        metadata["cache_wall_s"] = head["wall_s"]
+                        load = functools.partial(
+                            self._load_body, scenarios[i], key, head["result_digest"],
+                            _time.perf_counter(),
+                        )
+                        outcomes[i] = ScenarioOutcome.from_cache(
+                            scenarios[i], head["mode"], head["result_digest"],
+                            head["facts"], metadata, load,
+                        )
+        except sqlite3.Error as exc:
+            self._corrupt(key, f"index read failed: {exc}")
+        return served, demoted
 
-    def _read_entry(self, key: str) -> tuple | None:
-        """``(nbytes, blob_sha, result_digest, blob bytes)`` of ``key``'s
-        entry — the bytes ``None`` when its blobs row is missing — or
-        ``None`` without an entry.  Row and blob come from one read
-        transaction, so a store replacing both meanwhile is seen whole or
-        not at all.  The blob is read through an incremental-I/O handle
-        into one buffer: a ``SELECT`` of the column fills SQLite's buffer
-        and then Python's, and two large buffers freed together are given
-        back to the system and page-faulted in again on the next hit."""
+    @staticmethod
+    def _verified_entry(conn: sqlite3.Connection, key: str) -> tuple[dict, bytes, int] | None:
+        """``(head, blob bytes, body offset)`` of ``key``'s entry, checked
+        against its index row (:func:`_verified_head`), or ``None``
+        without an entry; raises ``ValueError`` naming the failed check.
+        Called inside a read transaction, so a store replacing row and
+        blob meanwhile is seen whole or not at all.  The blob is read
+        through an incremental-I/O handle into one buffer: a ``SELECT``
+        of the column fills SQLite's buffer and then Python's, and two
+        large buffers freed together are given back to the system and
+        page-faulted in again on the next hit."""
+        row = conn.execute(
+            "SELECT e.nbytes, e.blob_sha, e.result_digest, b.rowid "
+            "FROM entries e LEFT JOIN blobs b ON b.key = e.key WHERE e.key = ?",
+            (key,),
+        ).fetchone()
+        if row is None:
+            return None
+        *indexed, rowid = row
+        if rowid is None:
+            raise ValueError("blob missing: the entry has no blobs row")
+        with conn.blobopen("blobs", "data", rowid, readonly=True) as blob:
+            data = blob.read()
+        head, body_at = _verified_head(data, *indexed)
+        return head, data, body_at
+
+    def _read_verified(self, key: str) -> tuple[dict, bytes, int] | None:
+        """:meth:`_verified_entry` in a read transaction of its own."""
         conn = self._conn()
         conn.execute("BEGIN")
         with conn:
-            row = conn.execute(
-                "SELECT e.nbytes, e.blob_sha, e.result_digest, b.rowid "
-                "FROM entries e LEFT JOIN blobs b ON b.key = e.key WHERE e.key = ?",
-                (key,),
-            ).fetchone()
-            if row is None:
-                return None
-            *indexed, rowid = row
-            if rowid is None:
-                return (*indexed, None)
-            with conn.blobopen("blobs", "data", rowid, readonly=True) as blob:
-                return (*indexed, blob.read())
+            return self._verified_entry(conn, key)
 
     def _load_body(
-        self, scenario: "Scenario", key: str, data: bytes, body_at: int, hit_time: float
+        self, scenario: "Scenario", key: str, result_digest: str, hit_time: float
     ) -> tuple:
-        """``(result, run, observer)`` of a hit, decoded on its first
-        access: the observer rebuilt from the stored sim-domain events
-        plus this hit's instant.  A body that will not decode although
-        its hash held (allow-list refusal, a class that moved) is demoted
-        like any other damage, and the cell is recomputed and stored back
-        in its place (the warning in the recomputed run's SimLog)."""
+        """``(result, run, observer)`` of a hit, on its first access: the
+        entry read and checked again (the lookup kept no blob), its body
+        decoded, and the observer rebuilt from the stored sim-domain
+        events plus this hit's instant.  An entry that is gone, damaged or
+        holds another result since the lookup, or a body that will not
+        decode although its hash held (allow-list refusal, a class that
+        moved), is demoted like any other damage, and the cell is
+        recomputed and stored back in its place (the warning in the
+        recomputed run's SimLog)."""
         try:
-            result, run, sim_events = self._decode_body(data, body_at)
-        except Exception as exc:  # noqa: BLE001 - any decode failure is damage
-            self._corrupt(key, f"blob body undecodable: {exc}")
+            entry = self._read_verified(key)
+            if entry is None:
+                raise ValueError("entry evicted since its lookup")
+            head, data, body_at = entry
+            if head["result_digest"] != result_digest:
+                raise ValueError("entry replaced by another result since its lookup")
+        except (ValueError, sqlite3.Error) as exc:
+            problem = str(exc)
+        else:
+            try:
+                result, run, sim_events = self._decode_body(data, body_at)
+                problem = None
+            except Exception as exc:  # noqa: BLE001 - any decode failure is damage
+                problem = f"blob body undecodable: {exc}"
+        if problem is not None:
+            self._corrupt(key, problem)
+            try:
+                self._write_index(deleted=[key])
+            except sqlite3.Error:
+                pass
             from repro.run.backends import run_scenario
 
             fresh = run_scenario(scenario, cache=self, known_miss=True)
@@ -638,26 +703,37 @@ class ResultCache:
         finally:
             self.stats.store_s += _time.perf_counter() - t0
 
-    def _corrupt(self, key: str, problem: str, drop_row: bool = True) -> None:
-        """Demote a damaged entry: drop index row + blob, warn once per
-        event, and remember the note for the runner's SimLog."""
+    def _corrupt(self, key: str, problem: str) -> None:
+        """Count and warn about a damaged entry (once per event), and
+        remember the note for the runner's SimLog; the caller deletes
+        it."""
         self.stats.corrupt += 1
         message = f"result cache entry {key[:16]} unusable ({problem}); recomputing"
         warnings.warn(message, RuntimeWarning, stacklevel=4)
         self._pending_warning = message
-        if drop_row:
-            try:
-                self._delete([key])
-            except sqlite3.Error:
-                pass
 
-    def _delete(self, keys: list[str]) -> None:
-        """Both rows of every key, in one write transaction."""
+    def _write_index(
+        self, hits: Sequence[tuple[str, int]] = (), deleted: Sequence[str] = ()
+    ) -> None:
+        """One write transaction: each ``(key, n)`` of ``hits`` served
+        ``n`` more times as of now, and both rows of every ``deleted``
+        key removed.  Nothing to write opens no transaction."""
+        if not hits and not deleted:
+            return
+        now = _time.time()
         conn = self._conn()
         conn.execute("BEGIN IMMEDIATE")
         with conn:
-            for table in ("entries", "blobs"):
-                conn.executemany(f"DELETE FROM {table} WHERE key = ?", [(k,) for k in keys])
+            if hits:
+                conn.executemany(
+                    "UPDATE entries SET hits = hits + ?, last_hit = ? WHERE key = ?",
+                    [(n, now, key) for key, n in hits],
+                )
+            if deleted:
+                for table in ("entries", "blobs"):
+                    conn.executemany(
+                        f"DELETE FROM {table} WHERE key = ?", [(k,) for k in deleted]
+                    )
 
     def _give_back(self) -> None:
         """Freed pages returned to the file system: the index file is cut
@@ -726,13 +802,10 @@ class ResultCache:
             key = entry["key"]
             problem = None
             try:
-                row = self._read_entry(key)
-                if row is None:
+                found = self._read_verified(key)
+                if found is None:
                     continue  # evicted since the list was read
-                *indexed, data = row
-                if data is None:
-                    raise ValueError("blob missing: the entry has no blobs row")
-                head, body_at = _verified_head(data, *indexed)
+                head, data, body_at = found
             except (ValueError, sqlite3.Error) as exc:
                 problem = str(exc)
             else:
@@ -753,7 +826,7 @@ class ResultCache:
             if problem is not None:
                 issues.append(VerifyIssue(key, problem))
         if prune and issues:
-            self._delete([issue.key for issue in issues])
+            self._write_index(deleted=[issue.key for issue in issues])
             self._give_back()
         return issues
 
@@ -790,7 +863,7 @@ class ResultCache:
                     still.append(entry)
             survivors = still
         if res.removed:
-            self._delete([key for key, _reason in res.removed])
+            self._write_index(deleted=[key for key, _reason in res.removed])
             self._give_back()
         res.kept = len(survivors)
         res.kept_bytes = sum(e["nbytes"] for e in survivors)

@@ -141,9 +141,9 @@ class ScenarioOutcome:
     A computed outcome is built from its objects.  A cache hit
     (:meth:`from_cache`) is built from a blob's verified head — its
     :meth:`digest`, :meth:`facts`, :meth:`summary`, :attr:`completed` and
-    :attr:`metadata` never touch the per-rank tables — and decodes
-    :attr:`result` / :attr:`run` / :attr:`observer` from the verified
-    body on first access, once (:mod:`repro.cache.store`).
+    :attr:`metadata` never touch the per-rank tables — and reads its
+    entry again to decode :attr:`result` / :attr:`run` / :attr:`observer`
+    from the verified body on first access, once (:mod:`repro.cache.store`).
     """
 
     def __init__(

@@ -541,28 +541,27 @@ class Scenario:
         ``to_dict`` and TOML never see it)."""
         digest = self.__dict__.get("_digest")
         if digest is None:
-            digest = self.__dict__["_digest"] = self.digest_with()
+            digest = self.__dict__["_digest"] = _field_digest(self, {})
         return digest
 
     def digest_with(self, **overrides: Any) -> str:
         """:meth:`scenario_digest` of this spec with ``overrides``
         standing in for the named fields — the digest ``with_`` would
         give, without building and validating a second scenario (the
-        cache key normalizes the execution fields this way)."""
-        h = hashlib.sha256()
-        for name in _DIGEST_FIELDS:
-            if name == "engine":
-                h.update(_DIGEST_ENGINE_LINE)
-                continue
-            value = overrides[name] if name in overrides else getattr(self, name)
-            if isinstance(value, float):
-                rendered = value.hex()
-            elif isinstance(value, tuple):
-                rendered = "x".join(str(v) for v in value)
-            else:
-                rendered = repr(value)
-            h.update(f"{name}={rendered}\n".encode())
-        return h.hexdigest()
+        cache key normalizes the execution fields this way).  A name
+        that is not a field raises the ``TypeError`` ``with_`` raises.
+        Overrides that hash as the fields' own values change nothing:
+        the kept :meth:`scenario_digest` is returned, so a scenario
+        already in normal form is hashed once for its key and its
+        summary."""
+        for name in overrides.keys() - _FIELD_NAMES:
+            raise TypeError(
+                f"{type(self).__name__}.__init__() got an unexpected keyword argument {name!r}"
+            )
+        own = vars(self)
+        if all(v is own[n] or _rendered(v) == _rendered(own[n]) for n, v in overrides.items()):
+            return self.scenario_digest()
+        return _field_digest(self, overrides)
 
     # ------------------------------------------------------------------
     # derived objects
@@ -627,10 +626,32 @@ class Scenario:
 #: cache keys hash it and explore scorecards print it — so dropping the
 #: line would turn every stored result into a miss and move every pinned
 #: scorecard.
-_DIGEST_ENGINE_LINE = b"engine='heap'\n"
-#: Names in the order :meth:`Scenario.digest_with` hashes them: every
-#: field, plus the place of :data:`_DIGEST_ENGINE_LINE`.
-_DIGEST_FIELDS = tuple(sorted([f.name for f in fields(Scenario)] + ["engine"]))
+_DIGEST_ENGINE_LINE = "engine='heap'\n"
+_FIELD_NAMES = frozenset(f.name for f in fields(Scenario))
+#: Names in the order :func:`_field_digest` hashes them: every field,
+#: plus the place of :data:`_DIGEST_ENGINE_LINE`.
+_DIGEST_FIELDS = tuple(sorted(_FIELD_NAMES | {"engine"}))
+
+
+def _rendered(value: Any) -> str:
+    """A field value as its digest line spells it (floats by ``float.hex``)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return "x".join(str(v) for v in value)
+    return repr(value)
+
+
+def _field_digest(scenario: Scenario, overrides: dict[str, Any]) -> str:
+    """SHA-256 of the field stream — one ``name=value`` line per name of
+    :data:`_DIGEST_FIELDS`, hashed as one text — with ``overrides``
+    standing in for fields."""
+    values = vars(scenario) | overrides
+    text = "".join([
+        _DIGEST_ENGINE_LINE if name == "engine" else f"{name}={_rendered(values[name])}\n"
+        for name in _DIGEST_FIELDS
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _row_check(spec: FieldSpec, default: Any) -> Check | None:

@@ -108,7 +108,8 @@ def run_cells(
 
     This is the shared execution core of :func:`run_sweep` and the
     adaptive explorer (:mod:`repro.explore`): cells already in the
-    content-addressed store are answered by lookup, the misses fan out to
+    content-addressed store are answered by one batched lookup
+    (:meth:`~repro.cache.ResultCache.lookup_many`), the misses fan out to
     a :class:`~repro.core.harness.parallel.CampaignExecutor` pool whose
     workers write the same store.  With a cache active every summary
     gains presentation keys ``cached``/``saved_s``; result values are
@@ -123,8 +124,9 @@ def run_cells(
     store = resolve_cache(cache)
     summaries: list[dict[str, Any] | None] = [None] * len(scenarios)
     if store is not None:
-        for i, scenario in enumerate(scenarios):
-            outcome = store.lookup(scenario)
+        # One batch: its read and write transactions are both closed
+        # before any miss below is computed or any worker forks.
+        for i, outcome in enumerate(store.lookup_many(scenarios)):
             if outcome is not None:
                 summary = outcome.summary()
                 summary["cached"] = True

@@ -42,6 +42,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import shutil
 import signal
 import sqlite3
 import sys
@@ -1116,6 +1117,159 @@ class TestSweepPartition:
         assert [s["result_digest"] for _, s in cold] == [
             s["result_digest"] for _, s in warm
         ]
+
+    def test_a_cell_the_cache_cannot_hold_is_not_a_miss(self, store):
+        """A ``record_events`` cell never touches the store, so a warm
+        campaign around it reads a hit rate of 1; it still runs."""
+        stored = [SMALL, SMALL.with_(seed=1)]
+        run_cells(stored, cache=store)
+        handle = ResultCache(store.root)
+        warm = run_cells(stored + [SMALL.with_(record_events=True)], cache=handle)
+        assert [s["cached"] for s in warm] == [True, True, False]
+        assert warm[2]["completed"]
+        assert (handle.stats.hits, handle.stats.misses, handle.stats.hit_rate) == (2, 0, 1.0)
+
+
+# ----------------------------------------------------------------------
+# batched lookup: one read and one write transaction a partition
+# ----------------------------------------------------------------------
+def _transactions(cache):
+    """The ``BEGIN`` statements ``cache``'s connection issues from now
+    on, as a list that fills while the caller runs."""
+    begun: list[str] = []
+    cache._conn().set_trace_callback(
+        lambda sql: begun.append(sql) if sql.startswith("BEGIN") else None
+    )
+    return begun
+
+
+def _hits(cache):
+    """``{key: (hits, last_hit)}`` of every index row."""
+    return {e["key"]: (e["hits"], e["last_hit"]) for e in cache.entries()}
+
+
+class TestBatchedLookup:
+    CELLS = [SMALL.with_(seed=s) for s in range(4)]
+
+    def test_a_partition_costs_one_read_and_one_write_transaction(self, store):
+        cold_begun = _transactions(store)
+        run_cells(self.CELLS, cache=store)
+        assert cold_begun == ["BEGIN"] + ["BEGIN IMMEDIATE"] * len(self.CELLS)
+        handle = ResultCache(store.root)
+        begun = _transactions(handle)
+        assert all(s["cached"] for s in run_cells(self.CELLS, cache=handle))
+        assert begun == ["BEGIN", "BEGIN IMMEDIATE"]
+
+    def test_one_damaged_entry_is_the_only_one_demoted(self, store):
+        run_cells(self.CELLS, cache=store)
+        _flip(store, 20, self.CELLS[2])
+        handle = ResultCache(store.root)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warm = run_cells(self.CELLS, cache=handle)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "blob hash" in str(caught[0].message)
+        assert [s["cached"] for s in warm] == [True, True, False, True]
+        assert (handle.stats.corrupt, handle.stats.hits, handle.stats.stores) == (1, 3, 1)
+        again = ResultCache(store.root)
+        assert all(s["cached"] for s in run_cells(self.CELLS, cache=again))
+        assert again.stats.hit_rate == 1.0 and again.verify() == []
+
+    def test_a_key_named_twice_is_read_once(self, store, monkeypatch):
+        """Two scenarios with one key (a serial and a sharded request of
+        one cell): one read, two hits, and the row counts both; damaged,
+        one warning and one demotion."""
+        _fill(store)
+        twins = [SMALL, SMALL.with_(shards=2, shard_transport="inline")]
+        reads = []
+        real = ResultCache._verified_entry
+        monkeypatch.setattr(
+            ResultCache, "_verified_entry",
+            staticmethod(lambda conn, key: reads.append(key) or real(conn, key)),
+        )
+        hits = store.lookup_many(twins)
+        assert reads == [cache_key(SMALL)] and all(h.metadata["cache_hit"] for h in hits)
+        assert hits[1].scenario is twins[1] and store.stats.hits == 2
+        assert _hits(store)[cache_key(SMALL)][0] == 2
+        _flip(store, 20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert store.lookup_many(twins) == [None, None]
+        assert len(caught) == 1 and len(reads) == 2
+        assert (store.stats.corrupt, store.stats.misses, _rows(store)) == (1, 3, (0, 0))
+
+    def test_every_hit_is_recorded_and_a_refused_record_costs_no_hit(self, store):
+        run_cells(self.CELLS, cache=store)
+        before = _hits(store)
+        handle = ResultCache(store.root)
+        assert all(s["cached"] for s in run_cells(self.CELLS, cache=handle))
+        after = _hits(handle)
+        assert after.keys() == before.keys()
+        for key, (hits, last_hit) in after.items():
+            assert hits == before[key][0] + 1 and last_hit >= before[key][1]
+        # Another writer holds the index past this handle's busy timeout.
+        handle._conn().execute("PRAGMA busy_timeout=50")
+        holder = sqlite3.connect(handle.db_path, isolation_level=None)
+        holder.execute("BEGIN IMMEDIATE")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                warm = run_cells(self.CELLS, cache=handle)
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert all(s["cached"] for s in warm) and handle.stats.hits == 2 * len(self.CELLS)
+        assert _hits(handle) == after  # the bookkeeping waits for the next partition
+
+    def test_a_warm_partition_holds_one_blob_at_a_time(self, store):
+        import tracemalloc
+
+        cells = [Scenario(ranks=512, iterations=5, interval=1000, seed=s) for s in range(8)]
+        run_cells(cells, cache=store)
+        blob = min(e["nbytes"] for e in store.entries())
+        assert blob > 20_000
+        handle = ResultCache(store.root)
+        run_cells(cells[:1], cache=handle)  # the handle's connection and imports
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            warm = run_cells(cells, cache=handle)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(s["cached"] for s in warm)
+        assert peak < 3 * blob, f"peak {peak} B over a partition of {blob} B blobs"
+
+    @pytest.mark.parametrize("case", ["hit", "miss", "damaged", "disabled"])
+    def test_lookup_is_the_batch_of_one(self, tmp_path, case):
+        def prepared():
+            shutil.rmtree(tmp_path / "c", ignore_errors=True)
+            cache = ResultCache(tmp_path / "c")
+            if case != "miss":
+                assert cache.store(SMALL, _cold_small(), wall_s=0.5)
+            if case == "damaged":
+                _flip(cache, 20)
+            if case == "disabled":
+                cache._conn().execute("UPDATE meta SET value = '999' WHERE key = 'schema'")
+                cache = ResultCache(cache.root)
+            return cache
+
+        answers = []
+        for ask in (lambda c: c.lookup(SMALL), lambda c: c.lookup_many([SMALL])[0]):
+            cache = prepared()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcome = ask(cache)
+            record = cache.stats.as_record()
+            for timing in ("lookup_s", "lookup_mean_s", "store_s"):
+                record.pop(timing)
+            answers.append((
+                None if outcome is None else (outcome.summary(), outcome.metadata),
+                record, [str(w.message) for w in caught], _rows(cache),
+            ))
+            cache.close()
+        assert answers[0] == answers[1]
+        assert (answers[0][0] is not None) is (case == "hit")
 
 
 # ----------------------------------------------------------------------

@@ -165,6 +165,38 @@ class TestSerialization:
         assert fresh.to_dict() == busy.to_dict() and fresh.to_toml() == busy.to_toml()
         assert "_digest" not in repr(busy) + busy.to_toml()
 
+    def test_digest_with_refuses_a_name_that_is_not_a_field(self):
+        """A misspelt stand-in would silently hash the field it meant to
+        replace, so two keys that should differ would collide: it raises
+        what ``with_`` raises instead."""
+        with pytest.raises(TypeError) as from_with:
+            Scenario().with_(shard=4)
+        with pytest.raises(TypeError) as from_digest:
+            Scenario().digest_with(shard=4)
+        assert str(from_digest.value) == str(from_with.value)
+        with pytest.raises(TypeError, match="'engine'"):
+            Scenario().digest_with(engine="heap")  # hashed, but not a field
+
+    def test_stand_ins_that_change_nothing_return_the_kept_digest(self, monkeypatch):
+        """A scenario already in normal form is hashed once for its cache
+        key and its summary; stand-ins that hash alike but are spelt
+        differently (``-0.0`` for ``0.0``) are not the field's value."""
+        import repro.run.scenario as module
+
+        hashed = []
+        real = module._field_digest
+        monkeypatch.setattr(
+            module, "_field_digest", lambda s, o: hashed.append(o) or real(s, o)
+        )
+        s = tiny(seed=3)
+        assert s.digest_with(backend=None, shards=1, jobs=1, trace_out="") == s.scenario_digest()
+        assert hashed == [{}]
+        assert s.digest_with(slowdown=s.slowdown) == s.scenario_digest() and len(hashed) == 1
+        odd = tiny(slowdown=0.0)
+        assert odd.digest_with(slowdown=-0.0) == odd.with_(slowdown=-0.0).scenario_digest()
+        assert odd.digest_with(slowdown=-0.0) != odd.scenario_digest()
+        assert s.digest_with(shards=2) == s.with_(shards=2).scenario_digest() != s.scenario_digest()
+
     def test_unknown_table_and_key_rejected(self):
         with pytest.raises(ConfigurationError, match=r"unknown scenario table"):
             Scenario.from_toml("[wardrobe]\nnarnia = true\n")
