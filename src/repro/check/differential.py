@@ -13,9 +13,6 @@ they do, bit-for-bit where the promise is bit-identity:
   rerun, and diff: zero divergence (first divergence reported otherwise).
 * **campaign parallelism** — Finject with independent streams, serial vs.
   a 4-worker pool: identical campaign digest.
-* **executor fallback** — the pool path vs. the degraded in-process
-  fallback of :class:`~repro.core.harness.parallel.CampaignExecutor`:
-  identical campaign digest.
 * **collectives** — analytic vs. event-level (linear) collectives: each
   mode is bit-identical to itself across reruns, and the modes agree
   semantically (same completion, same failures) with exit times within a
@@ -213,45 +210,6 @@ def check_campaign_parallel(jobs: int = 4, victims: int = 16) -> CheckResult:
         f"serial == -j {jobs} ({serial[:16]})"
         if passed
         else f"serial {serial} != -j {jobs} {pooled}",
-    )
-
-
-def check_executor_fallback(jobs: int = 4, victims: int = 12) -> CheckResult:
-    """Pool path vs. degraded in-process fallback: identical digests."""
-    from repro.core.faults.finject import VictimModel
-    from repro.core.harness.experiment import campaign_digest
-    from repro.core.harness.parallel import CampaignExecutor, RunSpec
-
-    specs = [
-        RunSpec(
-            "finject-victim",
-            key=("victim", i),
-            params={
-                "victim": VictimModel(),
-                "victim_id": i,
-                "max_injections": 100,
-                "seed": 7,
-            },
-        )
-        for i in range(victims)
-    ]
-    pool_exec = CampaignExecutor(max_workers=jobs)
-    pool_digest = campaign_digest(pool_exec.run(specs))
-    fb_exec = CampaignExecutor(max_workers=jobs, force_fallback=True)
-    fb_digest = campaign_digest(fb_exec.run(specs))
-    if pool_exec.last_mode != "pool" or fb_exec.last_mode != "fallback-serial":
-        return CheckResult(
-            "executor-fallback",
-            False,
-            f"unexpected modes: {pool_exec.last_mode}/{fb_exec.last_mode}",
-        )
-    passed = pool_digest == fb_digest
-    return CheckResult(
-        "executor-fallback",
-        passed,
-        f"pool == fallback ({pool_digest[:16]})"
-        if passed
-        else f"pool {pool_digest} != fallback {fb_digest}",
     )
 
 
@@ -692,7 +650,6 @@ def run_all(
         "coalescing": check_coalescing,
         "trace-replay": check_trace_replay,
         "campaign-parallel": lambda: check_campaign_parallel(jobs=jobs),
-        "executor-fallback": lambda: check_executor_fallback(jobs=jobs),
         "collectives": check_collectives,
         "sharded-parity": check_sharded_parity,
         "obs-parity": check_obs_parity,

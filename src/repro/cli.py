@@ -120,12 +120,19 @@ def _cache_from_args(args: argparse.Namespace):
     return cache_mod.open_cache(getattr(args, "cache_dir", None))
 
 
+def _jobs(given: int | None) -> int:
+    """A ``-j`` command's worker count: the flag, else ``XSIM_JOBS`` —
+    read here, when the command runs, so a bad value breaks only the
+    commands that use it."""
+    return default_jobs() if given is None else given
+
+
 def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "-j",
         "--jobs",
         type=int,
-        default=default_jobs(),
+        default=None,
         help="worker processes for independent runs (default: XSIM_JOBS or 1); "
         "results are identical to a serial run",
     )
@@ -385,7 +392,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     result = run_explore(
         spec,
         cache=cache if cache is not None else False,
-        jobs=args.campaign_jobs,
+        jobs=_jobs(args.campaign_jobs),
         observer=observer,
     )
     print(render_scorecard(result), end="")
@@ -423,10 +430,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.core.faults.finject import FinjectCampaign
     from repro.core.harness.report import format_table
 
-    independent = args.independent_streams or args.jobs > 1
+    jobs = _jobs(args.jobs)
+    independent = args.independent_streams or jobs > 1
     if independent and not args.independent_streams:
         print(
-            f"note: -j {args.jobs} implies independent per-victim RNG streams; "
+            f"note: -j {jobs} implies independent per-victim RNG streams; "
             "statistics differ from the calibrated single-stream draw"
         )
     campaign = FinjectCampaign(
@@ -434,7 +442,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         max_injections=args.max_injections,
         seed=FinjectCampaign.seed if args.seed is None else args.seed,
         independent_streams=independent,
-        jobs=args.jobs,
+        jobs=jobs,
     )
     result = campaign.run()
     rows = [(f, v, d) for f, v, d in result.table_rows()]
@@ -445,7 +453,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_table2(args: argparse.Namespace) -> int:
     from repro.run.table2 import render_table2, run_table2
 
-    cells = run_table2(ranks=args.ranks, seed=args.seed, jobs=args.jobs)
+    cells = run_table2(ranks=args.ranks, seed=args.seed, jobs=_jobs(args.jobs))
     print(f"Table II reproduction at {args.ranks} simulated ranks "
           f"(paper columns measured at 32,768):")
     print(render_table2(cells))
@@ -663,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="campaign_jobs",
         metavar="JOBS",
         type=int,
-        default=default_jobs(),
+        default=None,
         help="worker processes for each batch (default: XSIM_JOBS or 1); "
         "the scorecard is identical at any -j",
     )
@@ -798,11 +806,11 @@ def _warning_line(message, category, filename, lineno, line=None) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code.  A configuration
-    problem anywhere — an ``XSIM_*`` value read while the parser is
-    built, scenario resolution, a command's own argument checks — is one
-    ``error:`` line on stderr and exit status 2, never a traceback.  A
-    warning (an unusable cache directory, a damaged entry recomputed) is
-    one ``warning:`` line, not the source line that raised it."""
+    problem anywhere — an ``XSIM_*`` value, scenario resolution, a
+    command's own argument checks — is one ``error:`` line on stderr
+    and exit status 2, never a traceback.  A warning (an unusable cache
+    directory, a damaged entry recomputed) is one ``warning:`` line, not
+    the source line that raised it."""
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = build_parser().parse_args(argv)

@@ -20,6 +20,7 @@ paper's (mean ~22 injections-to-failure).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.models.memory import MemoryTracker, RegionKind
 from repro.util.errors import ConfigurationError
@@ -119,7 +120,7 @@ def run_victim(
     Returns ``(injections_to_failure, sdc_hits, benign_hits)``;
     injections-to-failure is ``-1`` when the victim survived the cap.
     This is the unit of work a parallel campaign fans out (see
-    :mod:`repro.core.harness.parallel`).
+    :func:`_independent_victim`).
     """
     tracker = MemoryTracker()
     victim.build(tracker, victim_id)
@@ -134,6 +135,15 @@ def run_victim(
         else:
             benign += 1
     return -1, sdc, benign
+
+
+def _independent_victim(
+    victim: VictimModel, max_injections: int, seed: int, victim_id: int
+) -> tuple[int, int, int]:
+    """One victim on its own RNG sub-stream (module-level: a worker pool
+    pickles it by name)."""
+    rng = RngStreams(seed).spawn_child("finject", victim_id)
+    return run_victim(victim, victim_id, max_injections, rng)
 
 
 @dataclass
@@ -182,26 +192,18 @@ class FinjectCampaign:
                 "order, which cannot be partitioned across workers without "
                 "changing the draw"
             )
-        from repro.core.harness.parallel import CampaignExecutor, RunSpec
+        from repro.run.scenario import check_value
 
-        # Built before the draw so a worker count below 1 is refused on
+        # Checked before the draw so a worker count below 1 is refused on
         # the shared-stream (serial) path too, which never uses it.
-        executor = CampaignExecutor(max_workers=self.jobs)
+        check_value("jobs", self.jobs)
         if self.independent_streams:
-            specs = [
-                RunSpec(
-                    "finject-victim",
-                    key=("victim", victim_id),
-                    params={
-                        "victim": self.victim,
-                        "victim_id": victim_id,
-                        "max_injections": self.max_injections,
-                        "seed": self.seed,
-                    },
-                )
-                for victim_id in range(self.victims)
-            ]
-            outcomes = executor.run(specs)
+            from repro.core.harness.parallel import fan_out
+
+            victim = partial(
+                _independent_victim, self.victim, self.max_injections, self.seed
+            )
+            outcomes = fan_out(victim, range(self.victims), self.jobs)
         else:
             rng = RngStreams(self.seed).get("finject")
             outcomes = [

@@ -41,6 +41,7 @@ from repro.core.faults.schedule import (
     StragglerFault,
 )
 from repro.explore.spec import ExploreSpec
+from repro.run.scenario import check_value
 from repro.run.sweep import run_cells
 from repro.util.errors import SimulationError
 from repro.util.lazy import np
@@ -329,14 +330,13 @@ class Explorer:
         self.spec = spec
         self.cache = cache
         self.jobs = spec.scenario.jobs if jobs is None else jobs
+        check_value("jobs", self.jobs)  # before the baseline cell runs
         self.observer = observer
         self.z = z_score(spec.confidence)
 
     # -- internals -----------------------------------------------------
     def _measure_baseline(self) -> dict[str, Any]:
-        summary = run_cells(
-            [self.spec.scenario], jobs=1, cache=self.cache, key_prefix="explore-base"
-        )[0]
+        summary = run_cells([self.spec.scenario], jobs=1, cache=self.cache)[0]
         if not summary["completed"]:
             raise SimulationError(
                 "the fault-free base scenario did not complete; an "
@@ -408,9 +408,7 @@ class Explorer:
             scenarios = [
                 spec.scenario.with_(failures=failures) for _, failures in cells
             ]
-            summaries = run_cells(
-                scenarios, jobs=self.jobs, cache=self.cache, key_prefix="explore"
-            )
+            summaries = run_cells(scenarios, jobs=self.jobs, cache=self.cache)
             for (s_idx, _), summary in zip(cells, summaries):
                 state = states[s_idx]
                 t_done = float(summary.get("e2", summary["exit_time"]))

@@ -4,9 +4,9 @@ One timeline for a run, with one export format:
 
 * :class:`Observer` — a low-overhead event bus (no-op when detached)
   collecting :class:`ObsEvent` spans and instants from the PDES engine,
-  the MPI layer, the resilience path, the sharded coordinator, and the
-  campaign executor; :func:`observer_for` is where a run decides which
-  bus it records into.  At ``detail`` it also carries every blocking
+  the MPI layer, the resilience path, the sharded coordinator, and an
+  exploration campaign; :func:`observer_for` is where a run decides
+  which bus it records into.  At ``detail`` it also carries every blocking
   wait and every message (``msg:post`` / ``msg:deliver`` /
   ``msg:drop`` instants on the ranks' tracks).
 * :mod:`repro.obs.export` — deterministic Chrome trace-event JSON

@@ -56,9 +56,7 @@ def strategy_study_rows(
         wanted.append(digests)
 
     order = sorted(twins)
-    summaries = run_cells(
-        [twins[d] for d in order], jobs=jobs, cache=cache, key_prefix="study"
-    )
+    summaries = run_cells([twins[d] for d in order], jobs=jobs, cache=cache)
     e1_of = {d: _time_of(s) for d, s in zip(order, summaries)}
 
     extra = [a for a in axes if a != "strategy"]

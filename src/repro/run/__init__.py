@@ -23,8 +23,9 @@ and launched:
   :mod:`repro.run.scenario`; the jobs x shards CPU-capping guard lives
   here, so the API and the CLI share it.
 * :mod:`repro.run.sweep` — cartesian scenario-matrix expansion behind
-  ``xsim-run sweep``, executed as scenario-backed
-  :class:`~repro.core.harness.parallel.RunSpec` campaigns.
+  ``xsim-run sweep``, executed by :func:`~repro.run.sweep.run_cells`:
+  cache lookups, then the misses in-process or through
+  :func:`~repro.core.harness.parallel.fan_out`.
 * :mod:`repro.run.table2` — the paper's Table II as ten scenarios through
   that same campaign path (``xsim-run table2``).
 

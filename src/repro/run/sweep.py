@@ -4,9 +4,10 @@ The unit of a real resilience experiment is a *matrix* of scenarios —
 checkpoint interval x system MTTF in the paper's Table II, fault schedule
 x machine parameters in FINJ-style campaigns.  This module expands a base
 :class:`~repro.run.scenario.Scenario` and a ``{field: [values]}`` grid
-into the full cartesian list of scenarios and executes them as
-scenario-backed :class:`~repro.core.harness.parallel.RunSpec` campaigns
-(serial or fanned out over a worker pool — results identical either way).
+into the full cartesian list of scenarios and executes them as one
+campaign (:func:`run_cells`: serial, or fanned out over a worker pool by
+:func:`~repro.core.harness.parallel.fan_out` — results identical either
+way).
 
 Grids come from a ``[sweep]`` table in the scenario TOML or from repeated
 ``--set field=v1,v2`` flags on ``xsim-run sweep``.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Any
 
-from repro.run.scenario import FIELDS, Scenario, parse_text
+from repro.run.scenario import FIELDS, Scenario, check_value, parse_text
 from repro.util.errors import ConfigurationError
 
 
@@ -81,19 +82,14 @@ def run_sweep(
     :class:`~repro.cache.ResultCache`) partitions the matrix up front:
     cells already in the content-addressed store are answered by lookup
     — their summaries are identical to recomputation — and only the
-    misses fan out to the campaign executor (whose workers write the
-    same store, so a rerun of the sweep is pure lookups).  With a cache
-    active every summary gains presentation keys ``cached`` (served
-    from the store?) and ``saved_s`` (the original compute wall time a
-    hit avoided); the result values themselves are unchanged.
+    misses are computed, into the same store (so a rerun of the sweep
+    is pure lookups).  With a cache active every summary gains
+    presentation keys ``cached`` (served from the store?) and
+    ``saved_s`` (the original compute wall time a hit avoided); the
+    result values themselves are unchanged.
     """
     scenarios = expand_matrix(base, grid)
-    summaries = run_cells(
-        scenarios,
-        jobs=base.jobs if jobs is None else jobs,
-        cache=cache,
-        key_prefix="sweep",
-    )
+    summaries = run_cells(scenarios, jobs=base.jobs if jobs is None else jobs, cache=cache)
     return list(zip(scenarios, summaries))
 
 
@@ -101,7 +97,6 @@ def run_cells(
     scenarios: list[Scenario],
     jobs: int = 1,
     cache: Any = None,
-    key_prefix: str = "cells",
 ) -> list[dict[str, Any]]:
     """Execute an arbitrary list of scenarios as one cache-partitioned
     campaign; returns summaries in input order.
@@ -109,18 +104,18 @@ def run_cells(
     This is the shared execution core of :func:`run_sweep` and the
     adaptive explorer (:mod:`repro.explore`): cells already in the
     content-addressed store are answered by one batched lookup
-    (:meth:`~repro.cache.ResultCache.lookup_many`), the misses fan out to
-    a :class:`~repro.core.harness.parallel.CampaignExecutor` pool whose
-    workers write the same store.  With a cache active every summary
-    gains presentation keys ``cached``/``saved_s``; result values are
-    identical either way.
+    (:meth:`~repro.cache.ResultCache.lookup_many`), the misses run
+    in-process (``jobs=1`` or one miss) or are fanned out over ``jobs``
+    workers (:func:`~repro.core.harness.parallel.fan_out` of
+    :func:`_run_cell`) that write the same store.  With a cache active
+    every summary gains presentation keys ``cached``/``saved_s``; result
+    values are identical either way.
     """
     from repro.cache import resolve_cache
 
-    if jobs < 1:
-        # CampaignExecutor's own check and message, made before the
-        # lookups: a warm campaign refuses what a cold one refuses.
-        raise ConfigurationError(f"max_workers must be >= 1, got {jobs}")
+    # fan_out's own check, made before the lookups: a warm campaign
+    # refuses what a cold one refuses.
+    check_value("jobs", jobs)
     store = resolve_cache(cache)
     summaries: list[dict[str, Any] | None] = [None] * len(scenarios)
     if store is not None:
@@ -134,30 +129,45 @@ def run_cells(
                 summaries[i] = summary
     todo = [i for i, s in enumerate(summaries) if s is None]
     if todo:
-        # Imported here: a fully warm campaign runs nothing.
-        from repro.core.harness.parallel import CampaignExecutor, RunSpec
+        # Every cell below has just missed in ``store``: it is computed
+        # and stored without a second lookup.  In-process that is this
+        # handle and the scenario object itself; a pool worker rebuilds
+        # the scenario from its dict form and reopens the directory.
+        if jobs <= 1 or len(todo) <= 1:
+            # Imported here: a fully warm campaign runs nothing.
+            from repro.run.backends import run_scenario
 
-        executor = CampaignExecutor(max_workers=jobs)
-        cache_dir = str(store.root) if store is not None else None
-        # Every cell below has just missed in ``store``: the task computes
-        # and stores it without a second lookup, and in-process it is
-        # handed this handle and the scenario object itself instead of
-        # reopening the directory and rebuilding the spec from a dict.
-        in_process = executor.runs_in_process(len(todo))
-        # Keyed by position in the *full* list so error messages and
-        # observers name the original cell.
-        specs = [
-            RunSpec.from_scenario(
-                scenarios[i], key=(key_prefix, i), cache_dir=cache_dir,
-                known_miss=store is not None, store=store if in_process else None,
-                in_process=in_process,
+            computed = [
+                run_scenario(scenarios[i], cache=store, known_miss=store is not None).summary()
+                for i in todo
+            ]
+        else:
+            from repro.core.harness.parallel import fan_out
+
+            cache_dir = str(store.root) if store is not None else None
+            computed = fan_out(
+                _run_cell, [(scenarios[i].to_dict(), cache_dir) for i in todo], jobs
             )
-            for i in todo
-        ]
-        for i, summary in zip(todo, executor.run(specs)):
+        for i, summary in zip(todo, computed):
             if store is not None:
                 summary = dict(summary)
                 summary["cached"] = False
                 summary["saved_s"] = 0.0
             summaries[i] = summary
     return summaries  # type: ignore[return-value]
+
+
+def _run_cell(cell: tuple[dict[str, Any], str | None]) -> dict[str, Any]:
+    """One pool cell of :func:`run_cells`: a scenario's dict form and the
+    campaign's cache directory (``None``: the ``XSIM_CACHE`` policy),
+    where the cell has just missed."""
+    from repro.run.backends import run_scenario
+
+    data, cache_dir = cell
+    cache = None
+    if cache_dir is not None:
+        from repro.cache import open_cache
+
+        cache = open_cache(cache_dir)
+    scenario = Scenario.from_dict(data)
+    return run_scenario(scenario, cache=cache, known_miss=cache is not None).summary()

@@ -118,7 +118,7 @@ def run_table2(
     policy, ``False`` = off, or a :class:`~repro.cache.ResultCache`).
     """
     scenarios = table2_scenarios(ranks, seed)
-    summaries = run_cells(scenarios, jobs=jobs, cache=cache, key_prefix="table2")
+    summaries = run_cells(scenarios, jobs=jobs, cache=cache)
     e1: dict[int, float] = {}  # filled first: the fault-free scenarios lead
     cells: list[Table2Cell] = []
     for scenario, summary in zip(scenarios, summaries):

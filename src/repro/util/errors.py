@@ -92,21 +92,20 @@ class InvariantViolation(SimulationError):
 
 
 class CampaignTaskError(XsimError):
-    """A campaign task raised inside a worker process.
+    """A campaign's function raised inside a worker process.
 
     Substituted for the original exception only when that exception itself
     cannot cross the process boundary (fails to pickle); otherwise the
     original is re-raised in the parent.  Keeping a dedicated type ensures
-    a task's own ``TypeError``/``AttributeError`` is never mistaken for
-    pool breakage by the executor's fallback logic.
+    a function's own ``TypeError``/``AttributeError`` is never mistaken
+    for pool breakage by the fan-out's rerun logic.
     """
 
-    def __init__(self, kind: str, key: tuple, exc_type: str, detail: str):
-        self.kind = kind
-        self.key = key
+    def __init__(self, item: object, exc_type: str, detail: str):
+        self.item = item
         self.exc_type = exc_type
         self.detail = detail
-        super().__init__(f"task {kind!r} {key!r} raised {exc_type}: {detail}")
+        super().__init__(f"campaign item {item!r} raised {exc_type}: {detail}")
 
     def __reduce__(self):
-        return (CampaignTaskError, (self.kind, self.key, self.exc_type, self.detail))
+        return (CampaignTaskError, (self.item, self.exc_type, self.detail))

@@ -189,4 +189,4 @@ class TestTable2IsTheParents:
         # (cold: tests/test_import_layers.py::TestOneErrorHandler)
         self.table2(capsys, "--ranks", "8")
         assert main(["table2", "--ranks", "8", "-j", "0"]) == 2
-        assert capsys.readouterr().err == "error: max_workers must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"

@@ -271,7 +271,7 @@ class TestCampaignTraceOut:
 # ----------------------------------------------------------------------
 # stopping behavior (synthetic cells: fast, exhaustive)
 # ----------------------------------------------------------------------
-def _fake_run_cells(scenarios, jobs=1, cache=None, key_prefix="cells"):
+def _fake_run_cells(scenarios, jobs=1, cache=None):
     """Deterministic synthetic campaign: the baseline completes at 100.0;
     a faulted cell's stretch is a pure hash of its failures string."""
     out = []

@@ -313,10 +313,32 @@ class TestNumpyLoadsWithItsObjects:
 class TestOneErrorHandler:
     """Every ConfigurationError leaves through ``main()``: one line, exit 2."""
 
-    @pytest.mark.parametrize("argv", [["table2", "--ranks", "8", "-j", "0"], ["table1", "-j", "0"]])
+    @pytest.mark.parametrize("argv", [
+        ["table2", "--ranks", "8", "-j", "0"], ["table1", "-j", "0"],
+        ["explore", "--ranks", "8", "-j", "0"], ["sweep", "--set", "seed=1,2", "-j", "0"],
+    ])
     def test_bad_worker_count(self, argv, capsys):
+        # One wording, the Scenario field's, from every -j command.
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: max_workers must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+
+    def test_bad_xsim_jobs_breaks_only_the_commands_that_use_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        trace = str(tmp_path / "trace.json")
+        assert main(["app", "--ranks", "8", "--iterations", "4", "--trace-out", trace]) == 0
+        monkeypatch.setenv("XSIM_JOBS", "zero")
+        with pytest.raises(SystemExit) as help_exit:
+            main(["--help"])
+        assert help_exit.value.code == 0
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert main(["timeline", trace]) == 0
+        capsys.readouterr()
+        for argv in (["table1", "--victims", "2"], ["table2", "--ranks", "8"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: XSIM_JOBS must be an integer, got 'zero'\n"
+            )
 
     @pytest.mark.parametrize(
         "argv, message",

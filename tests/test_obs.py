@@ -372,29 +372,6 @@ class TestRestartObservation:
         assert any(e.name == "inject" for e in obs.events)
 
 
-class TestCampaignObservation:
-    def test_serial_executor_emits_task_spans(self):
-        from repro.core.harness.parallel import CampaignExecutor, RunSpec
-
-        obs = Observer()
-        specs = [
-            RunSpec("selftest", key=("echo", i), params={"value": i}) for i in range(3)
-        ]
-        executor = CampaignExecutor(max_workers=1, observe=obs)
-        assert executor.run(specs) == [0, 1, 2]
-        spans = [e for e in obs.events if e.name == "task"]
-        assert len(spans) == 3
-        assert all(e.domain == HOST and e.track == "campaign" for e in spans)
-        assert [dict(e.args)["key"] for e in spans] == [("echo", i) for i in range(3)]
-
-    def test_detached_executor_unchanged(self):
-        from repro.core.harness.parallel import CampaignExecutor, RunSpec
-
-        executor = CampaignExecutor(max_workers=1)
-        assert executor.run([RunSpec("selftest", key="k", params={"value": 9})]) == [9]
-        assert executor.last_mode == "serial"
-
-
 class TestCli:
     def test_trace_out_and_timeline(self, tmp_path, capsys):
         from repro.cli import main

@@ -222,7 +222,7 @@ def test_explorer_spend_monotone_in_ci_target(widths, seed):
     from repro.explore import ExploreSpec, run_explore
     from repro.run.scenario import Scenario
 
-    def fake_run_cells(scenarios, jobs=1, cache=None, key_prefix="cells"):
+    def fake_run_cells(scenarios, jobs=1, cache=None):
         out = []
         for s in scenarios:
             if not s.failures:

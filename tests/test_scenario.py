@@ -551,16 +551,6 @@ class TestSweep:
         (_, plain), (_, slowed) = pairs
         assert slowed["exit_time"] > plain["exit_time"] * 1.5
 
-    def test_runspec_scenario_task_round_trips(self):
-        from repro.core.harness.parallel import CampaignExecutor, RunSpec
-
-        spec = RunSpec.from_scenario(tiny())
-        assert spec.kind == "scenario"
-        [summary] = CampaignExecutor(max_workers=1).run([spec])
-        assert summary["completed"] is True
-        assert summary["backend"] == "serial"
-        assert summary["result_digest"] == run_scenario(tiny()).digest()
-
 
 # ----------------------------------------------------------------------
 # dims (satellite d)

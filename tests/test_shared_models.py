@@ -162,14 +162,6 @@ class TestCounts:
         assert len(parses) <= 24 and len(builds) <= 24
         assert store.stats.stores == 48
 
-    def test_a_pool_campaign_still_ships_dicts(self, monkeypatch):
-        from repro.core.harness.parallel import RunSpec
-
-        spec = RunSpec.from_scenario(MACHINE, key=("cells", 0))
-        assert spec.params["scenario"] == MACHINE.to_dict()
-        local = RunSpec.from_scenario(MACHINE, key=("cells", 0), in_process=True)
-        assert local.params["scenario"] is MACHINE
-
     def test_geometry_is_derived_once_per_config_not_per_rank(self, monkeypatch):
         derivations = {
             name: _count(monkeypatch, owner.__dict__[name], "func")

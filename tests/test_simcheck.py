@@ -282,7 +282,6 @@ class TestDifferentialHarness:
             "coalescing",
             "trace-replay",
             "campaign-parallel",
-            "executor-fallback",
             "collectives",
             "sharded-parity",
             "obs-parity",
@@ -301,8 +300,8 @@ class TestDifferentialHarness:
         assert captured.out == ""
         assert captured.err == (
             "error: unknown check 'nope'; one of rerun, coalescing, trace-replay, "
-            "campaign-parallel, executor-fallback, collectives, sharded-parity, "
-            "obs-parity, scenario-parity, cache-parity\n"
+            "campaign-parallel, collectives, sharded-parity, obs-parity, "
+            "scenario-parity, cache-parity\n"
         )
 
     def test_failing_check_writes_artifacts(self, tmp_path, monkeypatch):
