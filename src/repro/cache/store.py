@@ -8,11 +8,13 @@ A cache directory holds one SQLite file, in WAL mode, and nothing else::
 
 A **blob** is ``magic | head length | head | body``.  The **head** is
 canonical JSON of primitives — format, mode, result digest, the original
-compute wall time, the execution metadata and every result-derived fact
+compute wall time, the execution metadata, every result-derived fact
 an outcome's ``summary()`` and run report print
-(:func:`~repro.run.backends.outcome_facts`).
+(:func:`~repro.run.backends.outcome_facts`) and ``body_nbytes``, the
+body's length before compression.
 The **body** is everything else a hit must reproduce bit-identically,
-pickled: the stripped :class:`~repro.pdes.engine.SimulationResult` (or
+pickled and then deflated (:data:`_BODY_LEVEL`): the stripped
+:class:`~repro.pdes.engine.SimulationResult` (or
 the full :class:`~repro.core.restart.FailureRunResult` of a restart
 experiment) and the run's sim-domain :class:`~repro.obs.ObsEvent` list
 (so warm exporter bytes equal cold ones).  The **index** row maps a
@@ -43,10 +45,13 @@ lookup compares the blob's size and then the SHA-256 of its raw bytes
 against the index row *before any byte reaches a decoder*, then parses
 the head and holds its result digest against the row's.  That answers
 ``digest()``, ``summary()``, ``completed`` and ``metadata``, and the
-blob is dropped.  The body decodes on first access to ``result`` /
-``run`` / ``observer``, whatever the blob's size — a campaign reads
-summaries only, so a warm one decodes none — from the entry read and
-verified again, and only through an unpickler that resolves nothing but
+blob is dropped; a lookup inflates nothing.  The body decodes on first
+access to ``result`` / ``run`` / ``observer``, whatever the blob's
+size — a campaign reads summaries only, so a warm one decodes none —
+from the entry read and verified again: it is inflated to at most
+``body_nbytes + 1`` bytes (so a zlib bomb costs what its head declares,
+not what it expands to) and must come to exactly ``body_nbytes``, and
+then passes only through an unpickler that resolves nothing but
 classes defined in ``repro`` modules and a few builtin value types — no
 function, no ``os.system``.  Any failed check — a truncated, missing or
 rewritten blob, a stale index row, a head that does not parse — demotes
@@ -58,8 +63,8 @@ the result digest from the decoded objects is an audit, not a hit-path
 step: ``cache verify`` and the ``cache-parity`` simcheck do it.  A
 schema-version mismatch disables the cache for the process instead of
 guessing at the on-disk format (version 1 and 2 directories, whose blobs
-were files beside the index, are refused this way; delete the directory
-to rebuild).
+were files beside the index, and version 3 ones, whose bodies were not
+compressed, are refused this way; delete the directory to rebuild).
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ import pickle
 import sqlite3
 import time as _time
 import warnings
+import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
@@ -84,7 +90,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 #: On-disk format version (index schema + blob layout).  A cache
 #: directory written by a different version is never read or written —
 #: the open is disabled with a warning and every lookup is a miss.
-CACHE_SCHEMA_VERSION = 3
+CACHE_SCHEMA_VERSION = 4
 
 #: Simulation-semantics salt.  Part of every cache key next to the package
 #: version: bump it when the engine's observable behavior changes without
@@ -139,16 +145,21 @@ def cache_key(scenario: "Scenario") -> str:
 
 
 # ----------------------------------------------------------------------
-# blob format: magic | head length | head (JSON) | body (pickle)
+# blob format: magic | head length | head (JSON) | body (deflated pickle)
 # ----------------------------------------------------------------------
 _MAGIC = b"XSIMRC2\n"
 _HEAD_AT = len(_MAGIC) + 4  # a 4-byte big-endian head length follows the magic
 
-#: Page size of a schema-3 index, fixed when the file is created.  A
+#: zlib level of a blob's body, one for every blob size.  Level 1 shrinks
+#: a result pickle 4-8x at paper scale for a few milliseconds a large
+#: store, and every hit hashes all the stored bytes.
+_BODY_LEVEL = 1
+
+#: Page size of an index, fixed when the file is created.  A
 #: cell's store and a hit's bookkeeping each write a handful of pages to
 #: the WAL: at 16 KiB they cost half as much again, and a large blob
-#: reads no faster (docs/INTERNALS.md §15 has the measurements, and why
-#: the index is not memory-mapped).
+#: reads no faster (docs/INTERNALS.md §15, with why the index is not
+#: memory-mapped).
 _PAGE_SIZE = 4096
 
 #: How often a new connection asks for WAL mode before giving up (the
@@ -188,7 +199,6 @@ def encode_blob(outcome: "ScenarioOutcome", wall_s: float) -> tuple[bytes, dict]
         "metadata": dict(outcome.metadata),
         "facts": outcome.facts(),
     }
-    head_bytes = _canonical_json(head)
     body = pickle.dumps(
         (
             None if outcome.result is None else _strip_result(outcome.result),
@@ -197,7 +207,12 @@ def encode_blob(outcome: "ScenarioOutcome", wall_s: float) -> tuple[bytes, dict]
         ),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
-    blob = b"".join((_MAGIC, len(head_bytes).to_bytes(4, "big"), head_bytes, body))
+    head["body_nbytes"] = len(body)
+    head_bytes = _canonical_json(head)
+    blob = b"".join((
+        _MAGIC, len(head_bytes).to_bytes(4, "big"), head_bytes,
+        zlib.compress(body, _BODY_LEVEL),
+    ))
     return blob, head
 
 
@@ -232,13 +247,15 @@ def _verified_head(
         raise ValueError("blob head undecodable: unexpected format")
     from repro.run.backends import FACT_KEYS
 
-    mode, facts = head.get("mode"), head.get("facts")
+    mode, facts, body_nbytes = head.get("mode"), head.get("facts"), head.get("body_nbytes")
     if (
         mode not in FACT_KEYS
         or not isinstance(facts, dict)
         or facts.keys() != FACT_KEYS[mode]
         or not isinstance(head.get("metadata"), dict)
         or not isinstance(head.get("wall_s"), float)
+        or type(body_nbytes) is not int
+        or body_nbytes < 0
     ):
         raise ValueError("blob head undecodable: unexpected shape")
     if head.get("result_digest") != result_digest:
@@ -609,7 +626,7 @@ class ResultCache:
             problem = str(exc)
         else:
             try:
-                result, run, sim_events = self._decode_body(data, body_at)
+                result, run, sim_events = self._decode_body(data, body_at, head["body_nbytes"])
                 problem = None
             except Exception as exc:  # noqa: BLE001 - any decode failure is damage
                 problem = f"blob body undecodable: {exc}"
@@ -635,13 +652,18 @@ class ResultCache:
             )
         return result, run, observer
 
-    def _decode_body(self, data: bytes, body_at: int) -> tuple:
+    def _decode_body(self, data: bytes, body_at: int, body_nbytes: int) -> tuple:
         """``(result, run, sim_events)`` of a blob whose raw hash already
-        held, counted in :attr:`CacheStats.decodes`."""
+        held, counted in :attr:`CacheStats.decodes`.  The body is inflated
+        to at most ``body_nbytes + 1`` bytes, and anything but one whole
+        zlib stream of exactly ``body_nbytes`` bytes is refused before the
+        unpickler sees a byte."""
         self.stats.decodes += 1
-        stream = io.BytesIO(data)
-        stream.seek(body_at)
-        result, run, sim_events = _BodyUnpickler(stream).load()
+        inflater = zlib.decompressobj()
+        body = inflater.decompress(memoryview(data)[body_at:], body_nbytes + 1)
+        if len(body) != body_nbytes or not inflater.eof or inflater.unused_data:
+            raise ValueError(f"not one zlib stream of {body_nbytes} bytes")
+        result, run, sim_events = _BodyUnpickler(io.BytesIO(body)).load()
         return result, run, sim_events
 
     def store(
@@ -810,7 +832,7 @@ class ResultCache:
                 problem = str(exc)
             else:
                 try:
-                    result, run, _ = self._decode_body(data, body_at)
+                    result, run, _ = self._decode_body(data, body_at, head["body_nbytes"])
                     digest = outcome_digest(result, run)
                     facts = outcome_facts(result, run)
                 except Exception as exc:  # noqa: BLE001 - any decode failure is damage

@@ -12,8 +12,11 @@ Covers the correctness promises the cache makes over raw memoization:
   schema version) degrades to recomputation with a warning, never to a
   crash or a stale answer, and no byte of a blob reaches a decoder
   before the SHA-256 of its raw bytes matched the index — a hostile body
-  under a correct hash is refused by the allow-list unpickler, and the
-  entry heals: the recomputed cell is stored back in its place;
+  under a correct hash is refused by the allow-list unpickler, a body
+  that is not one zlib stream of the head's ``body_nbytes`` by the
+  inflater before the unpickler runs, a zlib bomb after inflating no
+  more than its head declares, and the entry heals: the recomputed cell
+  is stored back in its place;
 * host faults around a store — the writer killed before its COMMIT, a
   full disk, a read-only directory — leave nothing behind and cost only
   the cache, never the run;
@@ -49,7 +52,9 @@ import sys
 import tempfile
 import threading
 import traceback
+import tracemalloc
 import warnings
+import zlib
 from pathlib import Path
 
 import pytest
@@ -99,6 +104,25 @@ def _cold_small():
 def _body_at(data):
     """Offset of a blob's body: magic (8) | head length (4) | head | body."""
     return 12 + int.from_bytes(data[8:12], "big")
+
+
+def _head(data):
+    """A blob's head, decoded."""
+    return json.loads(data[12 : _body_at(data)])
+
+
+def _assemble(head, body):
+    """A blob of ``head`` (a dict) and ``body`` (its stored bytes, as
+    given): what a writer that knows the layout can put under a correct
+    hash."""
+    head_bytes = json.dumps(head, sort_keys=True, separators=(",", ":")).encode()
+    return b"XSIMRC2\n" + len(head_bytes).to_bytes(4, "big") + head_bytes + body
+
+
+@functools.cache
+def _zlib_bomb(nbytes):
+    """``nbytes`` zeros, deflated."""
+    return zlib.compress(bytes(nbytes), 9)
 
 
 def _blob(store, scenario=SMALL):
@@ -152,6 +176,8 @@ def no_decoder(monkeypatch):
     monkeypatch.setattr(pickle, "loads", refuse)
     monkeypatch.setattr(pickle, "load", refuse)
     monkeypatch.setattr(json, "loads", refuse)
+    monkeypatch.setattr(zlib, "decompressobj", refuse)
+    monkeypatch.setattr(zlib, "decompress", refuse)
 
 
 @pytest.fixture(params=["at-lookup", "on-access"])
@@ -520,7 +546,8 @@ class TestRobustness:
     @pytest.mark.parametrize("where", ["length", "head", "body"])
     def test_flipped_byte_is_refused_before_any_decoder(self, store, no_decoder, where):
         """Verify-before-decode: one flipped bit anywhere is a miss, and
-        neither the head's JSON decoder nor the body's unpickler ran."""
+        neither the head's JSON decoder nor the body's inflater or
+        unpickler ran."""
         _fill(store)
         offset = {"length": 11, "head": 20, "body": _body_at(_blob(store)) + 5}[where]
         _flip(store, offset)
@@ -592,9 +619,10 @@ class TestRobustness:
     def test_hostile_body_under_a_correct_hash_executes_nothing(
         self, store, tmp_path, first_read, evil
     ):
-        """A body that names a callable, stored with a *correct*
-        ``blob_sha``: the hit is reported from the head, the allow-list
-        unpickler refuses the body on first access, and the entry is
+        """A body that names a callable, deflated and declared by its head
+        like a real one, under a *correct* ``blob_sha``: the hit is
+        reported from the head, the inflater lets it through, the
+        allow-list unpickler refuses it on first access, and the entry is
         demoted and healed — the recomputed cell stored in its place."""
         cold = _fill(store)
         sentinel = tmp_path / "sentinel"
@@ -606,13 +634,13 @@ class TestRobustness:
                 return eval, (f"open({str(sentinel)!r}, 'w').close()",)
 
         body = pickle.dumps((Evil(), None, None), protocol=pickle.HIGHEST_PROTOCOL)
-        data = _blob(store)
-        _put_blob(store, data[: _body_at(data)] + body)
+        head = dict(_head(_blob(store)), body_nbytes=len(body))
+        _put_blob(store, _assemble(head, zlib.compress(body)))
         _reindex(store)
         warm = run_scenario(SMALL, cache=store)
         assert warm.metadata.get("cache_hit") is True  # head and hash are fine
         first_read(warm, store)
-        with pytest.warns(RuntimeWarning, match="body undecodable"):
+        with pytest.warns(RuntimeWarning, match="body undecodable: .* is not an allowed body"):
             result = warm.result
         assert not sentinel.exists()
         assert outcome_digest(result, warm.run) == cold.digest() == warm.digest()
@@ -622,6 +650,65 @@ class TestRobustness:
         assert healed.metadata.get("cache_hit") is True
         assert outcome_digest(healed.result, healed.run) == cold.digest()
         assert not sentinel.exists() and store.stats.decodes == 2
+
+    def test_an_uncompressed_body_is_refused_before_the_unpickler(self, store, monkeypatch):
+        """A body stored as a plain pickle, as schema 3 stored it, under a
+        head that declares its length and a correct ``blob_sha``: the
+        inflater refuses it, no ``_BodyUnpickler.load`` runs, and the
+        entry heals."""
+        cold = _fill(store)
+        data = _blob(store)
+        plain = zlib.decompress(data[_body_at(data) :])
+        assert len(plain) == _head(data)["body_nbytes"]
+        _put_blob(store, data[: _body_at(data)] + plain)
+        _reindex(store)
+        from repro.cache.store import _BodyUnpickler
+
+        loads = []
+        real_load = _BodyUnpickler.load
+        monkeypatch.setattr(
+            _BodyUnpickler, "load", lambda self: loads.append(self) or real_load(self)
+        )
+        warm = run_scenario(SMALL, cache=store)
+        assert warm.metadata.get("cache_hit") is True
+        with pytest.warns(RuntimeWarning, match="body undecodable: .* while decompressing"):
+            result = warm.result
+        assert loads == []
+        assert outcome_digest(result, warm.run) == cold.digest()
+        healed = run_scenario(SMALL, cache=store)
+        assert healed.metadata.get("cache_hit") is True
+        assert _canon(healed.result) == _canon(cold.result) and len(loads) == 1
+
+    @pytest.mark.parametrize("declared", ["honest", "lying"])
+    def test_a_zlib_bomb_inflates_no_more_than_its_head_declares(self, store, declared):
+        """32 MiB of zeros deflated to ~32 kB under a correct hash, its
+        head declaring either all 32 MiB or the real body's few hundred
+        bytes: ``cache verify`` reports it, first access refuses it having
+        inflated at most ``body_nbytes + 1`` bytes (the traced peak holds
+        the inflater's output twice, its blocks and their join, and the
+        recomputation), and the entry heals."""
+        cold = _fill(store)
+        data = _blob(store)
+        bomb = 32 << 20
+        nbytes = bomb if declared == "honest" else _head(data)["body_nbytes"]
+        _put_blob(store, _assemble(dict(_head(data), body_nbytes=nbytes), _zlib_bomb(bomb)))
+        _reindex(store)
+        (issue,) = store.verify()
+        assert issue.key == cache_key(SMALL)
+        assert issue.problem.startswith("blob body undecodable")
+        warm = run_scenario(SMALL, cache=store)
+        assert warm.metadata.get("cache_hit") is True
+        tracemalloc.start()
+        try:
+            with pytest.warns(RuntimeWarning, match="body undecodable"):
+                result = warm.result
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (nbytes + 1) + (1 << 20), f"inflated {peak} B for {nbytes} declared"
+        assert outcome_digest(result, warm.run) == cold.digest()
+        healed = run_scenario(SMALL, cache=store)
+        assert healed.metadata.get("cache_hit") is True and store.verify() == []
 
     def test_a_body_that_will_not_decode_heals_its_entry(self, store):
         """A body cut short under a correct ``blob_sha`` fails on first
@@ -718,23 +805,65 @@ class TestRobustness:
         conn.close()
         return blob
 
+    @staticmethod
+    def _schema_3_directory(root):
+        """A cache directory the third format wrote: its WAL index with
+        the tables of today's, and one entry — SMALL's, under today's
+        key — whose blob holds its body as a plain pickle."""
+        cold = _cold_small()
+        head = {
+            "format": 3, "mode": cold.mode, "result_digest": cold.digest(), "wall_s": 0.1,
+            "metadata": dict(cold.metadata), "facts": cold.facts(),
+        }
+        blob = _assemble(head, pickle.dumps((cold.result, None, None), pickle.HIGHEST_PROTOCOL))
+        root.mkdir(parents=True)
+        conn = sqlite3.connect(root / "index.sqlite3")
+        conn.execute("PRAGMA page_size=4096")
+        conn.execute("PRAGMA auto_vacuum=INCREMENTAL")
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.executescript(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+            "CREATE TABLE blobs (key TEXT PRIMARY KEY, data BLOB NOT NULL);"
+            "CREATE TABLE entries (key TEXT PRIMARY KEY, scenario_digest TEXT NOT NULL,"
+            " result_digest TEXT NOT NULL, mode TEXT NOT NULL, nbytes INTEGER NOT NULL,"
+            " blob_sha TEXT NOT NULL, wall_s REAL NOT NULL, created REAL NOT NULL,"
+            " last_hit REAL NOT NULL, hits INTEGER NOT NULL DEFAULT 0);"
+            "CREATE INDEX entries_last_hit ON entries(last_hit);"
+            "INSERT INTO meta VALUES ('schema', '3');"
+        )
+        key = cache_key(SMALL)
+        conn.execute("INSERT INTO blobs VALUES (?, ?)", (key, blob))
+        conn.execute(
+            "INSERT INTO entries VALUES (?, ?, ?, 'single', ?, ?, 0.1, 1.0, 1.0, 0)",
+            (key, SMALL.scenario_digest(), cold.digest(), len(blob),
+             hashlib.sha256(blob).hexdigest()),
+        )
+        conn.commit()
+        conn.close()
+        return blob
+
     def _assert_refused_untouched(self, root, version, blob):
+        """``blob`` is the foreign directory's blob file, or (schema 3)
+        the bytes of its ``blobs`` row."""
         cache = ResultCache(root)
         assert cache.disabled_reason is not None
         with pytest.warns(
-            RuntimeWarning, match=f"schema version {version} != supported 3"
+            RuntimeWarning, match=f"schema version {version} != supported 4"
         ) as caught:
             outcome = run_scenario(SMALL, cache=cache)
             assert cache.lookup(SMALL) is None
         assert len(caught) == 1  # the disabled warning fires once
         assert not outcome.metadata.get("cache_hit") and outcome.completed
         assert cache.stats.stores == 0
-        assert blob.exists()
         conn = sqlite3.connect(root / "index.sqlite3")
         assert conn.execute("SELECT COUNT(*) FROM entries").fetchone() == (1,)
         assert conn.execute("SELECT value FROM meta").fetchone() == (str(version),)
-        tables = {name for (name,) in conn.execute("SELECT name FROM sqlite_master")}
-        assert "blobs" not in tables  # no schema-3 table was added
+        if isinstance(blob, Path):
+            assert blob.exists()
+            tables = {name for (name,) in conn.execute("SELECT name FROM sqlite_master")}
+            assert "blobs" not in tables  # no table of a later schema was added
+        else:
+            assert conn.execute("SELECT data FROM blobs").fetchall() == [(blob,)]
         conn.close()
         cache.close()
 
@@ -756,6 +885,16 @@ class TestRobustness:
         )
         before = (root / "index.sqlite3").read_bytes()
         self._assert_refused_untouched(root, 2, blob)
+        assert (root / "index.sqlite3").read_bytes() == before
+
+    def test_schema_3_directory_is_refused_untouched(self, tmp_path):
+        """A directory written by the third format (one SQLite file, the
+        body a plain pickle): refused the same way, its entry neither read
+        nor demoted, and not one byte of its index file changes."""
+        root = tmp_path / "old"
+        blob = self._schema_3_directory(root)
+        before = (root / "index.sqlite3").read_bytes()
+        self._assert_refused_untouched(root, 3, blob)
         assert (root / "index.sqlite3").read_bytes() == before
 
     def test_failed_store_rolls_back_and_the_next_one_lands(self, store, monkeypatch):
@@ -853,21 +992,18 @@ class TestVerifyGc:
         decodes the body too and re-derives digest and facts from it."""
         scenarios = self._three_entries(store)
         blobs = [_blob(store, s) for s in scenarios]
-        # entry 0: another cell's body under this cell's head
+        # entry 0: another cell's body under this cell's head (and its
+        # body length, so the body inflates)
         other = SMALL.with_(iterations=20)
         _fill(store, other)
         foreign = _blob(store, other)
-        _put_blob(store, blobs[0][: _body_at(blobs[0])] + foreign[_body_at(foreign) :], scenarios[0])
+        head = dict(_head(blobs[0]), body_nbytes=_head(foreign)["body_nbytes"])
+        _put_blob(store, _assemble(head, foreign[_body_at(foreign) :]), scenarios[0])
         _reindex(store, scenarios[0])
         # entry 2: a head whose facts disagree with its own body
-        head = json.loads(blobs[2][12 : _body_at(blobs[2])])
+        head = _head(blobs[2])
         head["facts"]["events"] += 1
-        lying = json.dumps(head, sort_keys=True, separators=(",", ":")).encode()
-        _put_blob(
-            store,
-            blobs[2][:8] + len(lying).to_bytes(4, "big") + lying + blobs[2][_body_at(blobs[2]) :],
-            scenarios[2],
-        )
+        _put_blob(store, _assemble(head, blobs[2][_body_at(blobs[2]) :]), scenarios[2])
         _reindex(store, scenarios[2])
         assert store.lookup(scenarios[0]) is not None  # hash, head and index agree
         problems = {i.key: i.problem for i in store.verify()}
@@ -1039,10 +1175,14 @@ class TestHostFaults:
         index may not grow by a page, and this blob is larger than one):
         one warning, the computed outcome returned, and the next lookup a
         plain miss."""
-        scenario = SMALL.with_(ranks=64)
+        from repro.cache.store import encode_blob
+
+        scenario = SMALL.with_(ranks=512)
         cold = run_scenario(scenario, cache=False)
         conn = store._conn()
         (pages,) = conn.execute("PRAGMA page_count").fetchone()
+        (page_size,) = conn.execute("PRAGMA page_size").fetchone()
+        assert len(encode_blob(cold, 0.0)[0]) > 2 * page_size
         conn.execute(f"PRAGMA max_page_count = {pages}")
         with pytest.warns(RuntimeWarning) as caught:
             outcome = run_scenario(scenario, cache=store)
@@ -1222,9 +1362,7 @@ class TestBatchedLookup:
         assert _hits(handle) == after  # the bookkeeping waits for the next partition
 
     def test_a_warm_partition_holds_one_blob_at_a_time(self, store):
-        import tracemalloc
-
-        cells = [Scenario(ranks=512, iterations=5, interval=1000, seed=s) for s in range(8)]
+        cells = [Scenario(ranks=1331, iterations=5, interval=1000, seed=s) for s in range(8)]
         run_cells(cells, cache=store)
         blob = min(e["nbytes"] for e in store.entries())
         assert blob > 20_000
