@@ -13,11 +13,13 @@ Simulation model:
 * :class:`FailurePredictor` — an oracle with ``recall`` (fraction of
   failures predicted) and ``lead_time``; optionally raises false alarms
   that cost a migration without any failure behind them.
-* :class:`ProactiveMigration` — a failure *interceptor* for
-  :class:`~repro.core.restart.RestartDriver`: for each failure the policy
-  drew, either arm the real process failure (unpredicted / no spare /
-  warning too late) or replace it with an injected migration pause at the
-  warning time (:meth:`Engine.inject_delay`).
+* :class:`ProactiveMigration` — single-level checkpoint/restart whose
+  :meth:`~repro.resilience.strategy.ResilienceStrategy.transform_failures`
+  decides each fail-stop's fate: either pass the real process failure
+  through (unpredicted / no spare / warning too late) or replace it with
+  the stop-and-copy pause at the warning time.  The pause is a 2x
+  straggler window twice the downtime long, so a rank that computes
+  through it is charged exactly the downtime.
 
 The trade-off this exposes is exactly the proactive-FT literature's:
 perfect prediction turns failures into ~seconds of migration downtime;
@@ -28,11 +30,17 @@ imperfect recall leaves residual failures for checkpoint/restart to absorb
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.simulator import XSim
+from repro.core.faults.schedule import StragglerFault
+from repro.resilience.ckpt import SingleLevelCheckpoint
 from repro.util.errors import ConfigurationError
 from repro.util.lazy import np
 from repro.util.rng import RngStreams
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.core.simulator import XSim
+    from repro.obs import Observer
 
 
 @dataclass(frozen=True)
@@ -70,11 +78,11 @@ class MigrationStats:
     events: list[tuple[str, int, float]] = field(default_factory=list)
 
 
-class ProactiveMigration:
-    """Failure interceptor implementing predict-and-migrate.
+class ProactiveMigration(SingleLevelCheckpoint):
+    """Single-level checkpoint/restart with predict-and-migrate.
 
-    Use as ``RestartDriver(..., interceptor=manager.intercept)``; the
-    manager inspects every drawn failure before it is armed.
+    Use as ``RestartDriver(..., strategy=ProactiveMigration(...))``; every
+    fail-stop, scheduled or drawn, is inspected before it is armed.
 
     Parameters
     ----------
@@ -106,6 +114,7 @@ class ProactiveMigration:
             raise ConfigurationError("spares and state_bytes must be >= 0")
         if migration_bandwidth <= 0 or migration_latency < 0:
             raise ConfigurationError("invalid migration channel parameters")
+        super().__init__(None)
         self.predictor = predictor
         self.spares = spares
         self.state_bytes = state_bytes
@@ -120,16 +129,19 @@ class ProactiveMigration:
         return self.migration_latency + self.state_bytes / self.migration_bandwidth
 
     # ------------------------------------------------------------------
-    def intercept(
-        self, sim: XSim, drawn: list[tuple[int, float]]
+    def transform_failures(
+        self,
+        sim: "XSim",
+        failstops: list[tuple[int, float]],
+        observer: "Observer | None" = None,
     ) -> list[tuple[int, float]]:
-        """Decide each drawn failure's fate; returns those to really arm.
+        """Decide each fail-stop's fate; returns those to really arm.
 
-        Migrations are injected directly into ``sim`` as execution delays
-        at the warning time.
+        Migrations are armed directly on ``sim`` as pauses at the warning
+        time.
         """
         inject: list[tuple[int, float]] = []
-        for rank, t_fail in drawn:
+        for rank, t_fail in failstops:
             t_warn = t_fail - self.predictor.lead_time
             if not self.predictor.predicts(self.rng):
                 self.stats.unpredicted += 1
@@ -147,14 +159,8 @@ class ProactiveMigration:
                 inject.append((rank, t_fail))
                 continue
             # migrate: the node still dies, but nobody lives there anymore
-            self.spares -= 1
-            self.stats.migrations += 1
             self.stats.avoided_failures += 1
-            self.stats.downtime += self.migration_downtime
-            self.stats.events.append(("migrated", rank, t_warn))
-            sim.engine.inject_delay(
-                rank, t_warn, self.migration_downtime, reason="proactive migration"
-            )
+            self._migrate(sim, rank, t_warn, "migrated")
         # false alarms: spurious warnings also cost migrations
         n_false = int(self.rng.poisson(self.predictor.false_alarms_per_segment))
         for _ in range(n_false):
@@ -164,12 +170,20 @@ class ProactiveMigration:
             t_warn = sim.engine.start_time + float(
                 self.rng.uniform(0.0, max(self.predictor.lead_time, 1.0) * 100.0)
             )
-            self.spares -= 1
-            self.stats.migrations += 1
             self.stats.false_alarm_migrations += 1
-            self.stats.downtime += self.migration_downtime
-            self.stats.events.append(("false-alarm", rank, t_warn))
-            sim.engine.inject_delay(
-                rank, t_warn, self.migration_downtime, reason="proactive migration (false alarm)"
-            )
+            self._migrate(sim, rank, t_warn, "false-alarm")
         return inject
+
+    def _migrate(self, sim: "XSim", rank: int, t_warn: float, kind: str) -> None:
+        """Spend a spare and pause ``rank`` for the stop-and-copy from
+        ``t_warn``: computing at half speed for twice the downtime costs
+        a computing rank exactly the downtime."""
+        downtime = self.migration_downtime
+        self.spares -= 1
+        self.stats.migrations += 1
+        self.stats.downtime += downtime
+        self.stats.events.append((kind, rank, t_warn))
+        if downtime > 0.0:
+            sim.inject_perturbation(
+                StragglerFault(rank, t_warn, factor=2.0, duration=2 * downtime)
+            )

@@ -9,10 +9,10 @@ hybrid).  E2 should fall monotonically as prediction improves.
 
 from repro.apps.heat3d import HeatConfig, heat3d
 from repro.core.harness.config import SystemConfig
-from repro.core.migration import FailurePredictor, ProactiveMigration
 from repro.core.restart import RestartDriver
 
 from benchmarks._util import once, report
+from benchmarks.migration import FailurePredictor, ProactiveMigration
 
 NRANKS = 64
 WORKLOAD = HeatConfig.paper_workload(checkpoint_interval=250, nranks=NRANKS)
@@ -36,7 +36,7 @@ def _run(recall: float):
         make_args=lambda store: (WORKLOAD, store),
         mttf=MTTF,
         seed=2,
-        interceptor=manager.intercept,
+        strategy=manager,
     )
     run = driver.run()
     return run, manager.stats

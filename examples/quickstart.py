@@ -57,14 +57,3 @@ print(f"E2 (with failure + restart) = {run.e2:,.1f} simulated seconds")
 print(f"activated failures F = {run.f}, restarts = {run.restarts}")
 print(f"application MTTF  = {run.mttf_a:,.1f} s  (= E2 / (F + 1))")
 print(f"lost work paid for: E2 - E1 = {run.e2 - result.exit_time:,.1f} s")
-
-# ----------------------------------------------------------------------
-# 5. The cost/benefit metrics the paper's co-design goal calls for.
-# ----------------------------------------------------------------------
-from repro.core.harness.metrics import compute_metrics
-
-useful = workload.iterations * workload.points_per_rank *     workload.native_seconds_per_point * system.slowdown
-metrics = compute_metrics(run, useful_time=useful, e1=result.exit_time,
-                          nranks=system.nranks)
-print()
-print(metrics.summary())

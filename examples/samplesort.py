@@ -20,6 +20,9 @@ The algorithm (classic p-splitter sample sort):
 ``real`` mode carries actual numpy data end to end (validated against
 ``np.sort`` of the concatenated inputs); ``modeled`` mode ships the same
 expected volumes as size-only messages.
+
+It sits beside ``trace_analysis.py``, which imports it; tests and the
+workload-sensitivity benchmark load it by path.
 """
 
 from __future__ import annotations

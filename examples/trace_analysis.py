@@ -22,7 +22,7 @@ import sys
 from ascii_chart import bar_chart, sparkline
 from repro.apps.cg import CgConfig, cg
 from repro.apps.heat3d import HeatConfig, heat3d
-from repro.apps.samplesort import SampleSortConfig, samplesort
+from samplesort import SampleSortConfig, samplesort
 from repro.core import SystemConfig, XSim
 from repro.obs import load_events
 

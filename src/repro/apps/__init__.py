@@ -9,9 +9,6 @@
 * :mod:`repro.apps.cg` — a Mantevo-style conjugate-gradient proxy whose
   per-iteration allreduces give the opposite communication profile
   (collective/latency-bound; validated against a serial solve).
-* :mod:`repro.apps.samplesort` — distributed sample sort, an
-  alltoallv-dominated redistribution workload (validated against
-  ``np.sort``).
 * :mod:`repro.apps.stencil2d` — a 2-D five-point stencil with the same
   checkpoint discipline (a second stencil workload for the harness).
 * :mod:`repro.apps.ring` — token ring microbenchmark (latency paths).
@@ -22,13 +19,10 @@
 
 from repro.apps.cg import CgConfig, cg
 from repro.apps.heat3d import HeatConfig, heat3d
-from repro.apps.samplesort import SampleSortConfig, samplesort
 
 __all__ = [
     "CgConfig",
     "HeatConfig",
-    "SampleSortConfig",
     "cg",
     "heat3d",
-    "samplesort",
 ]

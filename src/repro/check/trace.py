@@ -95,7 +95,7 @@ class EventTrace:
             dst = getattr(a0, "dst", None)
             if dst is not None:  # message delivery
                 rank, origin = dst, a0.src
-            elif isinstance(a0, int):  # e.g. an injected per-rank delay
+            elif isinstance(a0, int):  # e.g. a soft-error bit flip
                 rank = a0
         self.entries.append((time, seq, rank, fn.__name__.lstrip("_"), origin))
 

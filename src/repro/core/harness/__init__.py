@@ -7,8 +7,6 @@
 * :mod:`repro.core.harness.experiment` — the First Impressions
   failure-mode observations (paper section V-D).
 * :mod:`repro.core.harness.report` — fixed-width table formatting.
-* :mod:`repro.core.harness.metrics` — the resilience cost/benefit metrics
-  (efficiency, waste breakdown, availability, application MTTF).
 
 Table II is :mod:`repro.run.table2`.
 """
@@ -17,9 +15,7 @@ from repro.util.lazy import lazy_exports
 
 #: Public name -> defining module (imported on first use).
 _EXPORTS = {
-    "ResilienceMetrics": "repro.core.harness.metrics",
     "SystemConfig": "repro.core.harness.config",
-    "compute_metrics": "repro.core.harness.metrics",
     "format_table": "repro.core.harness.report",
 }
 

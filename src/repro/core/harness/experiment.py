@@ -38,18 +38,23 @@ def classify_detection_phase(result: SimulationResult) -> str | None:
     contexts odd — so halo-exchange detections report ``pt2pt`` and
     checkpoint-barrier detections report ``collective``.  Returns
     ``None`` when nothing was detected (e.g. no failure activated).
+
+    The abort is triggered by the earliest detection, which is not
+    always the first one logged: a timeout detection is logged when it
+    is scheduled, stamped up to one detection timeout ahead, and one
+    stamped after the abort never happened.
     """
-    kinds = set()
-    for entry in result.log.category("detect"):
-        m = _CTX_RE.search(entry.message)
-        if m:
-            kinds.add("pt2pt" if int(m.group(1)) % 2 == 0 else "collective")
-    if not kinds:
+    detections = [
+        (entry.time, int(m.group(1)))
+        for entry in result.log.category("detect")
+        if (m := _CTX_RE.search(entry.message))
+    ]
+    if result.abort_time is not None:
+        detections = [d for d in detections if d[0] <= result.abort_time]
+    if not detections:
         return None
-    # The abort is triggered by the first detection; log order preserves it.
-    first = result.log.category("detect")[0]
-    m = _CTX_RE.search(first.message)
-    return "pt2pt" if m and int(m.group(1)) % 2 == 0 else "collective"
+    _, ctx = min(detections, key=lambda d: d[0])
+    return "pt2pt" if ctx % 2 == 0 else "collective"
 
 
 @dataclass(frozen=True)

@@ -153,8 +153,6 @@ class RestartDriver:
         seed: int = 0,
         max_restarts: int = 1000,
         draw_horizon: float | None = None,
-        interceptor: Callable[[XSim, list[tuple[int, float]]], list[tuple[int, float]]]
-        | None = None,
         log_stream: IO[str] | None = None,
         check: bool | None = None,
         shards: int = 1,
@@ -192,10 +190,6 @@ class RestartDriver:
         #: (unbounded by default; activations beyond the segment's end are
         #: naturally inert).
         self.draw_horizon = draw_horizon if draw_horizon is not None else float("inf")
-        #: Optional hook inspecting each segment's drawn failures before
-        #: they are armed (e.g. proactive migration replaces predicted
-        #: failures with migration pauses); returns the failures to inject.
-        self.interceptor = interceptor
         self.log_stream = log_stream
         #: Run every segment under the invariant sanitizer and audit the
         #: checkpoint namespace after each pre-restart cleanup.  ``None``
@@ -230,7 +224,7 @@ class RestartDriver:
         built with (:func:`~repro.run.backends.shard_plan`, once, here),
         and the instrumentation switches;
         ``overrides`` passes any extra constructor argument through (e.g.
-        an ``interceptor`` or a component-model ``policy``).
+        a component-model ``policy``).
         """
         from repro.run.backends import shard_plan
 
@@ -333,9 +327,8 @@ class RestartDriver:
                         rng, self.system.nranks, self.draw_horizon
                     )
                 ]
-            to_inject = drawn if self.interceptor is None else self.interceptor(sim, drawn)
             failstops = strategy.transform_failures(
-                sim, sched_failstops + list(to_inject), observer=self.observer
+                sim, sched_failstops + drawn, observer=self.observer
             )
             for rank, t_abs in failstops:
                 sim.inject_failure(rank, t_abs)

@@ -56,7 +56,6 @@ class VirtualProcess:
         "state",
         "time_of_failure",
         "time_of_abort",
-        "pending_delay",
         "busy_time",
         "failed_peers",
         "wait_token",
@@ -74,9 +73,6 @@ class VirtualProcess:
         self.state = VpState.READY
         self.time_of_failure = math.inf
         self.time_of_abort = math.inf
-        #: Externally injected downtime (e.g. a proactive migration pause),
-        #: consumed at the VP's next execution control point.
-        self.pending_delay = 0.0
         #: Accumulated CPU-busy virtual time (``Advance(..., busy=True)``),
         #: the power model's energy-accounting input.
         self.busy_time = 0.0

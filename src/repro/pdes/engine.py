@@ -432,10 +432,7 @@ class Engine:
         its coroutine is closed, and its state is pinned to BLOCKED so the
         message-delivery and matching paths still see it as *alive* — the
         owning shard decides its fate and broadcasts it as a directive.
-        The heap is rebuilt dropping the now-stale guarded entries and any
-        unguarded injected-delay events addressed to non-owned ranks (an
-        unguarded event would otherwise fire — and be counted — in every
-        shard).
+        The heap is rebuilt dropping the now-stale guarded entries.
         """
         for vp in self.vps:
             if vp.rank in owned:
@@ -448,16 +445,7 @@ class Engine:
             if gen is not None:
                 gen.close()
                 vp.gen = None
-        delay_due = self._delay_due
-        self._heap = [
-            e
-            for e in self._heap
-            if (
-                e[2].epoch == e[3]
-                if e[2] is not None
-                else not (e[4] == delay_due and e[5][0] not in owned)
-            )
-        ]
+        self._heap = [e for e in self._heap if e[2] is None or e[2].epoch == e[3]]
         heapify(self._heap)
 
     def _result(self) -> SimulationResult:
@@ -489,15 +477,6 @@ class Engine:
     # ------------------------------------------------------------------
     def _step(self, vp: VirtualProcess, value: Any = None, exc: BaseException | None = None) -> None:
         """Run ``vp`` until it yields Advance/Block or terminates."""
-        if vp.pending_delay > 0.0:
-            # Externally injected downtime (proactive migration et al.):
-            # consumed before the VP executes again, like a forced Advance.
-            delay, vp.pending_delay = vp.pending_delay, 0.0
-            vp.state = _ADVANCING
-            self._schedule_vp(
-                vp.clock + delay, vp, self._resume_delayed, vp, vp.epoch, vp.clock + delay, value, exc
-            )
-            return
         vp.state = _RUNNING
         gen = vp.gen
         heap = self._heap
@@ -587,45 +566,6 @@ class Engine:
 
     def _crash(self, vp: VirtualProcess, why: str) -> None:
         raise SimulationError(f"VP rank {vp.rank}: {why}")
-
-    def _resume_delayed(
-        self,
-        vp: VirtualProcess,
-        epoch: int,
-        new_clock: float,
-        value: Any,
-        exc: BaseException | None,
-    ) -> None:
-        if vp.epoch != epoch or vp.state is not VpState.ADVANCING:
-            return
-        vp.clock = new_clock
-        if vp.clock >= vp.time_of_failure:
-            self._kill_failure(vp, vp.clock)
-            return
-        if vp.clock >= vp.time_of_abort:
-            self._kill_abort(vp, vp.clock)
-            return
-        self._step(vp, value, exc)
-
-    def inject_delay(self, rank: int, time: float, duration: float, reason: str = "delay") -> None:
-        """Pause ``rank`` for ``duration`` at its first execution control
-        point at-or-after ``time`` (same activation semantics as failure
-        injection).  Used for externally imposed downtime such as a
-        proactive live migration's stop-and-copy phase."""
-        if duration < 0:
-            raise ConfigurationError(f"delay duration must be >= 0, got {duration}")
-        if time < self.start_time:
-            raise ConfigurationError(
-                f"delay time {time} precedes simulation start {self.start_time}"
-            )
-        self.schedule(time, self._delay_due, rank, duration, reason)
-
-    def _delay_due(self, rank: int, duration: float, reason: str) -> None:
-        vp = self.vps[rank]
-        if not vp.alive:
-            return
-        vp.pending_delay += duration
-        self.log.log(self.now, "delay", f"{reason} (+{duration:.6f}s)", rank=rank)
 
     def _resume_advance(self) -> None:
         """The name an advance resume carries in traces and

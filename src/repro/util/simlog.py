@@ -5,22 +5,12 @@ simulated events occur — e.g. the time and rank of an injected process
 failure, or of an ``MPI_Abort``.  :class:`SimLog` records those messages as
 structured entries (so tests and the experiment harness can assert on them)
 and optionally echoes them to a stream like the original tool.
-
-Long campaigns can bound the memory the log holds: ``max_entries`` turns
-the backing store into a ring buffer keeping only the newest entries
-(``dropped`` counts evictions), and ``min_level`` filters out low-severity
-entries before they are stored at all.  Both default off — an unbounded
-log recording every entry, the historical behavior.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Iterator, MutableSequence
-
-#: Severity order of log levels, least to most severe.
-LEVELS: dict[str, int] = {"debug": 0, "info": 1, "warning": 2, "error": 3}
+from typing import IO, Iterator
 
 
 @dataclass(frozen=True)
@@ -35,7 +25,7 @@ class LogEntry:
     """Simulated MPI rank concerned, or ``None`` for whole-simulation events."""
     message: str
     level: str = "info"
-    """Severity (see :data:`LEVELS`); informational by default."""
+    """Severity (``"info"``, ``"warning"``, ...); informational by default."""
 
     def render(self) -> str:
         """The command-line form of the message."""
@@ -45,43 +35,17 @@ class LogEntry:
 
 @dataclass
 class SimLog:
-    """Event log with category filtering, optionally bounded.
+    """Event log with category filtering.
 
     Parameters
     ----------
     stream:
         If given, every recorded entry is also written there as it is
         logged, mirroring xSim's command-line output.
-    max_entries:
-        When set, keep only the newest ``max_entries`` entries (ring
-        buffer); :attr:`dropped` counts the evicted ones.  ``None`` (the
-        default) keeps everything.
-    min_level:
-        Entries below this severity are discarded instead of recorded
-        (they are not echoed to ``stream`` either).  The default
-        (``"debug"``) records every entry.
     """
 
     stream: IO[str] | None = None
-    max_entries: int | None = None
-    min_level: str = "debug"
-    entries: MutableSequence[LogEntry] = field(default_factory=list)
-    #: Entries evicted by the ring buffer (0 when unbounded).
-    dropped: int = 0
-
-    def __post_init__(self) -> None:
-        if self.min_level not in LEVELS:
-            raise ValueError(
-                f"min_level must be one of {sorted(LEVELS)}, got {self.min_level!r}"
-            )
-        if self.max_entries is not None:
-            if self.max_entries < 1:
-                raise ValueError(f"max_entries must be >= 1, got {self.max_entries}")
-            seeded = len(self.entries)
-            self.entries = deque(self.entries, maxlen=self.max_entries)
-            # Seed entries evicted by the maxlen cap count as dropped too,
-            # keeping len(log) + log.dropped equal to the events ever logged.
-            self.dropped += seeded - len(self.entries)
+    entries: list[LogEntry] = field(default_factory=list)
 
     def log(
         self,
@@ -91,12 +55,8 @@ class SimLog:
         rank: int | None = None,
         level: str = "info",
     ) -> None:
-        """Record (and optionally echo) one entry, subject to the filters."""
-        if LEVELS[level] < LEVELS[self.min_level]:
-            return
+        """Record (and optionally echo) one entry."""
         entry = LogEntry(time=time, category=category, rank=rank, message=message, level=level)
-        if self.max_entries is not None and len(self.entries) == self.max_entries:
-            self.dropped += 1
         self.entries.append(entry)
         if self.stream is not None:
             print(entry.render(), file=self.stream)

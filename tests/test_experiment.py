@@ -81,6 +81,14 @@ class TestFailureModes:
         assert obs.detected_phase == "pt2pt"
         assert obs.activated is not None
 
+    def test_phase_is_the_earliest_detection_not_the_first_logged(self):
+        """A recv timeout is logged when it is scheduled, stamped one
+        detection timeout ahead (272.334 s here); the barrier's send
+        detects at 262.336 s and aborts the job first."""
+        obs = observe_failure_mode(self._system(), self._workload(), rank=0, time=134.0)
+        assert obs.aborted
+        assert obs.detected_phase == "collective"
+
     def test_checkpoint_phase_failure_detected_in_barrier(self):
         """"A failure during the checkpoint phase is detected in the
         following barrier.""" """"""

@@ -408,7 +408,7 @@ class TestLazyExports:
     def test_submodules_and_missing_names(self):
         import repro.core.harness
 
-        assert repro.core.harness.metrics.__name__ == "repro.core.harness.metrics"
+        assert repro.core.harness.experiment.__name__ == "repro.core.harness.experiment"
         with pytest.raises(AttributeError):
             repro.core.harness.no_such_thing
         with pytest.raises(ImportError):
@@ -501,20 +501,11 @@ UNREACHED = {
         "the ledger's collective probe (ledger/probes.py) imports it",
     "repro.apps.naive_cr":
         "ROADMAP item 2(1)/4: an APPS row for the Daly oracle, or beside the bench",
-    "repro.apps.samplesort":
-        "only re-exported by repro.apps and tested: an APPS row (it has no "
-        "scenario_workload yet), or beside its tests",
     "repro.check.oracle":
         "ROADMAP item 2(1): closed forms tier-1 holds the simulator to; a simcheck check next",
     "repro.core.checkpoint.daly":
         "only re-exported by repro.core.checkpoint: ROADMAP item 3(b) moves it "
         "into repro.check.oracle as the Daly reference",
-    "repro.core.checkpoint.incremental":
-        "ROADMAP item 4: a ckpt-incremental STRATEGIES row, or beside its benchmark",
-    "repro.core.migration":
-        "ROADMAP item 4: a migration STRATEGIES row, or beside its benchmark",
-    "repro.core.harness.metrics":
-        "ROADMAP item 5(3): the seed of `xsim-run explain`, or it goes (item 4)",
 }
 _TABLE_TARGET = re.compile(r"(repro(?:\.\w+)+):\w+")
 
@@ -614,8 +605,9 @@ def test_a_package_reexport_is_not_a_use(tmp_path):
     a module that imports a name the ``__init__`` re-exports does."""
     modules = _source_modules()
     reexports = _reexports(modules)
-    assert reexports["repro.apps"]["samplesort"] == "repro.apps.samplesort"
-    assert _static_imports("repro.apps", modules["repro.apps"], modules, reexports) == set()
+    checkpoint = "repro.core.checkpoint"
+    assert reexports[checkpoint]["daly_simple_interval"] == "repro.core.checkpoint.daly"
+    assert _static_imports(checkpoint, modules[checkpoint], modules, reexports) == set()
     user = tmp_path / "user.py"
     user.write_text("from repro.core.checkpoint import daly_simple_interval\n")
     assert "repro.core.checkpoint.daly" in _static_imports(

@@ -1,96 +1,14 @@
-"""Proactive migration: engine delay injection and the intercept policy."""
+"""Proactive migration (``benchmarks/migration.py``): the predictor and
+the migrate-or-fail decision a strategy makes for each fail-stop."""
 
 import pytest
 
+from benchmarks.migration import FailurePredictor, ProactiveMigration
 from repro.apps.naive_cr import NaiveCrConfig, naive_cr
 from repro.core.faults.schedule import FailureSchedule
 from repro.core.harness.config import SystemConfig
-from repro.core.migration import FailurePredictor, ProactiveMigration
 from repro.core.restart import RestartDriver
-from repro.pdes.engine import Engine
-from repro.pdes.requests import Advance, Block
 from repro.util.errors import ConfigurationError
-
-
-class TestEngineDelayInjection:
-    def test_delay_applied_at_next_control_point(self):
-        eng = Engine()
-
-        def worker():
-            yield Advance(10.0)
-            yield Advance(10.0)
-
-        vp = eng.spawn(worker())
-        eng.inject_delay(0, 3.0, duration=5.0)
-        result = eng.run()
-        # delay lands mid first advance, applied when control returns at 10
-        assert vp.clock == pytest.approx(25.0)
-        assert result.completed
-        assert result.log.category("delay")
-
-    def test_delay_on_blocked_vp_applies_after_wake(self):
-        eng = Engine()
-
-        def waiter():
-            yield Block("w")
-            yield Advance(1.0)
-
-        vp = eng.spawn(waiter())
-        eng.inject_delay(0, 1.0, duration=4.0)
-        eng.schedule(10.0, lambda: eng.wake(vp, 10.0))
-        eng.run()
-        assert vp.clock == pytest.approx(15.0)  # 10 wake + 4 delay + 1 work
-
-    def test_delays_accumulate(self):
-        eng = Engine()
-
-        def worker():
-            yield Advance(10.0)
-            yield Advance(0.0)
-
-        vp = eng.spawn(worker())
-        eng.inject_delay(0, 1.0, 2.0)
-        eng.inject_delay(0, 2.0, 3.0)
-        eng.run()
-        assert vp.clock == pytest.approx(15.0)
-
-    def test_delay_on_dead_vp_ignored(self):
-        eng = Engine()
-
-        def worker():
-            yield Advance(1.0)
-
-        eng.spawn(worker())
-
-        def straggler():
-            yield Advance(20.0)
-
-        eng.spawn(straggler())
-        eng.inject_delay(0, 5.0, 100.0)  # rank 0 already finished
-        result = eng.run()
-        assert result.end_times[0] == pytest.approx(1.0)
-
-    def test_validation(self):
-        eng = Engine(start_time=10.0)
-        eng.spawn(iter(()))
-        with pytest.raises(ConfigurationError):
-            eng.inject_delay(0, 5.0, 1.0)  # before start
-        with pytest.raises(ConfigurationError):
-            eng.inject_delay(0, 20.0, -1.0)
-
-    def test_failure_beats_pending_delay(self):
-        eng = Engine()
-
-        def worker():
-            yield Advance(10.0)
-            yield Advance(10.0)
-
-        vp = eng.spawn(worker())
-        eng.inject_delay(0, 1.0, 5.0)
-        eng.schedule_failure(0, 2.0)
-        result = eng.run()
-        # control point at t=10: the failure activates; the delay never runs
-        assert result.failures == [(0, 10.0)]
 
 
 class TestPredictor:
@@ -126,7 +44,7 @@ class TestProactiveMigration:
             schedule=None,
             mttf=None,
             policy=_FixedPolicy(schedule),
-            interceptor=manager.intercept,
+            strategy=manager,
         )
 
     def test_perfect_prediction_avoids_failure(self):
@@ -145,6 +63,22 @@ class TestProactiveMigration:
         assert manager.stats.avoided_failures == 1
         # the victim paid the stop-and-copy downtime (2 s) but nobody else
         assert run.e2 == pytest.approx(110.0 + 2.0, abs=1.0)
+
+    def test_a_scheduled_failstop_is_migrated_too(self):
+        """Every fail-stop reaches the strategy, not just policy draws."""
+        manager = ProactiveMigration(
+            FailurePredictor(lead_time=10.0, recall=1.0), spares=2
+        )
+        run = RestartDriver(
+            SystemConfig.small_test_system(nranks=4),
+            naive_cr,
+            make_args=lambda store: (NaiveCrConfig(work=100.0, tau=10.0, delta=1.0), store),
+            schedule=FailureSchedule.of((2, 50.0)),
+            strategy=manager,
+        ).run()
+        assert run.f == 0
+        assert run.restarts == 0
+        assert manager.stats.migrations == 1
 
     def test_unpredicted_failure_still_kills(self):
         manager = ProactiveMigration(

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.checkpoint.incremental import IncrementalPlan
 from repro.mpi.constants import ERR_PROC_FAILED, SUCCESS, error_name
 from repro.mpi.errhandler import ERRORS_ARE_FATAL, ERRORS_RETURN, MpiError
 
@@ -27,30 +26,6 @@ class TestErrhandlerObjects:
         assert err.failed_rank == 3
         assert "MPI_ERR_PROC_FAILED" in str(err)
         assert "recv src=3" in str(err)
-
-
-@given(
-    full_interval=st.integers(min_value=1, max_value=16),
-    dirty=st.floats(min_value=0.01, max_value=1.0),
-    index=st.integers(min_value=0, max_value=64),
-    nbytes=st.integers(min_value=1, max_value=10**9),
-)
-@settings(max_examples=200)
-def test_incremental_plan_invariants(full_interval, dirty, index, nbytes):
-    plan = IncrementalPlan(full_interval=full_interval, dirty_fraction=dirty)
-    w = plan.write_nbytes(index, nbytes)
-    assert 1 <= w <= nbytes
-    # restores read at least one full dump and at most the whole chain
-    r = plan.restore_nbytes(index, nbytes)
-    assert r >= nbytes
-    assert r <= nbytes * plan.chain_length(index)
-    # chain length cycles within [1, full_interval]
-    assert 1 <= plan.chain_length(index) <= full_interval
-    if plan.is_full(index):
-        assert w == nbytes
-        assert plan.chain_length(index) == 1
-    # the average write cost never exceeds the full dump
-    assert plan.mean_write_nbytes(nbytes) <= nbytes + 1e-9
 
 
 @given(st.integers(min_value=1, max_value=200))

@@ -1,13 +1,24 @@
-"""The distributed sample-sort application."""
+"""The distributed sample-sort application (``examples/samplesort.py``)."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.apps.samplesort import SampleSortConfig, SampleSortResult, local_block, samplesort
 from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
 from repro.util.errors import ConfigurationError
 from tests.conftest import messages, run_app
+
+_PATH = Path(__file__).resolve().parents[1] / "examples" / "samplesort.py"
+_SPEC = importlib.util.spec_from_file_location("samplesort", _PATH)
+# Registered before it runs: its dataclasses look their module up.
+_MODULE = sys.modules["samplesort"] = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_MODULE)
+SampleSortConfig, SampleSortResult = _MODULE.SampleSortConfig, _MODULE.SampleSortResult
+local_block, samplesort = _MODULE.local_block, _MODULE.samplesort
 
 
 class TestConfig:

@@ -1,10 +1,6 @@
-"""SimLog bounding: ring buffer and severity filtering."""
+"""SimLog: entries in order, the default level, the command-line form."""
 
-import io
-
-import pytest
-
-from repro.util.simlog import LEVELS, LogEntry, SimLog
+from repro.util.simlog import LogEntry, SimLog
 
 
 class TestUnboundedDefault:
@@ -13,7 +9,6 @@ class TestUnboundedDefault:
         for i in range(5):
             log.log(float(i), "tick", f"n={i}")
         assert len(log) == 5
-        assert log.dropped == 0
         assert [e.time for e in log] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_default_level_is_info(self):
@@ -25,92 +20,3 @@ class TestUnboundedDefault:
     def test_render_unchanged(self):
         entry = LogEntry(time=1.5, category="failure", rank=2, message="boom")
         assert entry.render() == "[xsim       1.500000s rank 2] failure: boom"
-
-
-class TestRingBuffer:
-    def test_keeps_newest_and_counts_drops(self):
-        log = SimLog(max_entries=3)
-        for i in range(7):
-            log.log(float(i), "tick", f"n={i}")
-        assert len(log) == 3
-        assert log.dropped == 4
-        assert [e.message for e in log] == ["n=4", "n=5", "n=6"]
-
-    def test_no_drops_below_capacity(self):
-        log = SimLog(max_entries=10)
-        log.log(0.0, "tick", "one")
-        assert len(log) == 1
-        assert log.dropped == 0
-
-    def test_category_query_sees_only_retained(self):
-        log = SimLog(max_entries=2)
-        log.log(0.0, "failure", "old")
-        log.log(1.0, "abort", "mid")
-        log.log(2.0, "failure", "new")
-        assert [e.message for e in log.category("failure")] == ["new"]
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            SimLog(max_entries=0)
-
-
-class TestLevelFilter:
-    def test_below_threshold_discarded_entirely(self):
-        stream = io.StringIO()
-        log = SimLog(stream=stream, min_level="warning")
-        log.log(0.0, "trace", "noise", level="debug")
-        log.log(1.0, "note", "fyi", level="info")
-        log.log(2.0, "failure", "rank died", level="warning")
-        log.log(3.0, "abort", "fatal", level="error")
-        assert [e.category for e in log] == ["failure", "abort"]
-        # filtered entries are not echoed to the stream either
-        assert "noise" not in stream.getvalue()
-        assert "rank died" in stream.getvalue()
-
-    def test_filtered_entries_do_not_count_as_dropped(self):
-        log = SimLog(max_entries=5, min_level="info")
-        log.log(0.0, "trace", "noise", level="debug")
-        assert len(log) == 0
-        assert log.dropped == 0
-
-    def test_levels_are_totally_ordered(self):
-        assert LEVELS["debug"] < LEVELS["info"] < LEVELS["warning"] < LEVELS["error"]
-
-    def test_invalid_min_level_rejected(self):
-        with pytest.raises(ValueError, match="min_level"):
-            SimLog(min_level="verbose")
-
-    def test_unknown_log_level_rejected(self):
-        log = SimLog()
-        with pytest.raises(KeyError):
-            log.log(0.0, "x", "y", level="loud")
-
-
-class TestSeededEntries:
-    def test_seed_eviction_counts_as_dropped(self):
-        """Regression: entries evicted by the maxlen cap at construction
-        time were not counted, breaking len(log) + dropped == logged."""
-        seed = [
-            LogEntry(time=float(i), category="tick", rank=None, message=f"n={i}")
-            for i in range(5)
-        ]
-        log = SimLog(max_entries=3, entries=seed)
-        assert len(log) == 3
-        assert log.dropped == 2
-        assert [e.message for e in log] == ["n=2", "n=3", "n=4"]
-
-    def test_accounting_stays_exact_as_logging_continues(self):
-        seed = [
-            LogEntry(time=0.0, category="tick", rank=None, message="seed")
-            for _ in range(4)
-        ]
-        log = SimLog(max_entries=2, entries=seed)
-        for i in range(3):
-            log.log(float(i), "tick", f"n={i}")
-        assert len(log) + log.dropped == 4 + 3
-
-    def test_seed_below_capacity_drops_nothing(self):
-        seed = [LogEntry(time=0.0, category="tick", rank=None, message="x")]
-        log = SimLog(max_entries=3, entries=seed)
-        assert log.dropped == 0
-        assert len(log) == 1
