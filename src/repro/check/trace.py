@@ -6,7 +6,7 @@ tuple ``(time, seq, rank, kind, origin)``:
 * ``time`` — virtual time of the dispatch (exact; serialized as
   ``float.hex`` so a saved trace round-trips bit-identically);
 * ``seq`` — the engine's global event sequence number (``-1`` for
-  coalesced advances, which never visit the heap);
+  coalesced advances, which never visit the queue);
 * ``rank`` — the guarded VP's rank, or the destination rank for message
   deliveries, or ``-1`` for rankless events (e.g. sync-point checks);
 * ``kind`` — the dispatched callback's name (``arrive``, ``do_wake``,
@@ -86,7 +86,7 @@ class EventTrace:
         fn: Callable[..., None],
         args: tuple,
     ) -> None:
-        """Record one heap dispatch, deriving rank/origin from the event."""
+        """Record one queued dispatch, deriving rank/origin from the event."""
         rank = origin = -1
         if gvp is not None:
             rank = gvp.rank
@@ -100,7 +100,7 @@ class EventTrace:
         self.entries.append((time, seq, rank, fn.__name__.lstrip("_"), origin))
 
     def record_coalesced(self, time: float, rank: int) -> None:
-        """Record an inline (coalesced) advance resume; no heap seq exists."""
+        """Record an inline (coalesced) advance resume; no queue seq exists."""
         self.entries.append((time, -1, rank, "coalesced_advance", -1))
 
     # ------------------------------------------------------------------

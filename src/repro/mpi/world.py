@@ -251,7 +251,7 @@ class MpiWorld:
         # instance per world avoids an allocation on every send/receive.
         self.send_overhead_advance = Advance(network.send_overhead)
         self.recv_overhead_advance = Advance(network.recv_overhead)
-        # The delivery callback every message's heap entry carries, bound
+        # The delivery callback every message's queue entry carries, bound
         # once: ``self._arrive`` would build a bound method per message.
         self._deliver = self._arrive
         #: The ``shape`` and ``wires`` tuples of this run's neighbour plans,
@@ -394,10 +394,16 @@ class MpiWorld:
         engine = self.engine
         if arrival < engine.now:
             raise SimulationError(f"cannot schedule into the past ({arrival} < {engine.now})")
-        # Engine.post_event, inline: the one heap entry every message costs
-        # is pushed from the one function every message passes through.
+        # Engine.post_event, inline: the one queue entry every message
+        # costs is pushed from the one function every message passes
+        # through, onto its arrival instant's list (opened if new).
         engine._seq = eseq = engine._seq + 1
-        heappush(engine._heap, (arrival, eseq, None, 0, self._deliver, (msg,)))
+        batch = engine._slots.get(arrival)
+        if batch is None:
+            engine._slots[arrival] = [(eseq, None, 0, self._deliver, (msg,))]
+            heappush(engine._times, arrival)
+        else:
+            batch.append((eseq, None, 0, self._deliver, (msg,)))
         return req
 
     def _record_post(
@@ -732,7 +738,7 @@ class MpiWorld:
                 # Request.deliver and the wake, inline (req.vp is vp; a call
                 # here is one more frame a message, which the call budget of
                 # tests/test_message_cost.py counts): the last reference to
-                # a payload-only receive's Msg goes with this event's heap
+                # a payload-only receive's Msg goes with this event's queue
                 # entry.
                 req.done = True
                 req.completion_time = now

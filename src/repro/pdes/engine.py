@@ -11,9 +11,9 @@ Execution model (paper §IV-A, reproduced exactly):
   simulator-internal wake-up), or until it terminates.
 * "Context switches between simulated MPI processes are only performed upon
   receiving an MPI message, receiving a simulator-internal message, or
-  termination" — i.e. at those yields.  The engine interleaves VPs from a
-  single binary-heap event queue ordered by virtual time ("a schedule based
-  on message receive time stamps").
+  termination" — i.e. at those yields.  The engine interleaves VPs from one
+  event queue ordered by virtual time ("a schedule based on message receive
+  time stamps"): a FIFO list per pending instant, under a heap of instants.
 
 Failure activation (paper §IV-B): each VP has a ``time_of_failure``
 (infinity = never).  "A scheduled simulated MPI process failure is activated
@@ -37,7 +37,8 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush, nsmallest
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from typing import Any, Callable, Generator
 
 from repro.pdes.context import VirtualProcess, VpState
@@ -99,7 +100,7 @@ class Engine:
         Structured simulator log; a fresh one is created when omitted.
     coalesce_advances:
         When True (default), an Advance whose resume time precedes every
-        queued event is taken inline instead of going through the heap.
+        queued event is taken inline instead of going through the queue.
         The resume is still a full control point (clock update, failure
         and abort checks) and still counts as an event, so results and
         ``event_count`` are identical to the un-coalesced path; the knob
@@ -126,7 +127,7 @@ class Engine:
         self.event_count = 0
         #: Queued events dropped at dispatch because their VP died first.
         self.stale_skipped = 0
-        #: Advance resumes taken inline without a heap round-trip.
+        #: Advance resumes taken inline without a queue round-trip.
         self.coalesced_advances = 0
         #: Upper bound (exclusive) on inline-coalesced resume times.  The
         #: serial run leaves it at infinity; the sharded engine caps it at
@@ -158,7 +159,10 @@ class Engine:
         #: (paper: "returning from main() or calling exit() without having
         #: called MPI_Finalize()" is a failure-injection condition).
         self.exit_policy: Callable[[VirtualProcess], str] | None = None
-        # Heap entries are (time, seq, guard_vp, guard_epoch, fn, args).
+        # The event queue: ``_slots`` maps each pending virtual time to the
+        # FIFO list of its entries (seq, guard_vp, guard_epoch, fn, args),
+        # and ``_times`` is a heap of those times, each pushed once.  seq
+        # is the push counter, so a list's order *is* (time, seq) order.
         # guard_vp is None for unguarded events; otherwise the event is
         # dropped at dispatch when guard_vp.epoch no longer matches
         # guard_epoch (the VP died or finished), so dead-VP callbacks never
@@ -166,9 +170,13 @@ class Engine:
         # marks an Advance resume of guard_vp at the entry's time: the
         # dispatch loops take that control point inline (no callback
         # frame, no args tuple) — see :meth:`_step`.
-        self._heap: list[
-            tuple[float, int, VirtualProcess | None, int, Callable[..., None] | None, tuple | None]
-        ] = []
+        self._slots: dict[float, list[tuple | None]] = {}
+        self._times: list[float] = []
+        #: The list of the instant being dispatched.  Its key stays in
+        #: ``_slots`` until it drains, so a push at ``now`` joins it; each
+        #: entry becomes None as it dispatches, so ``_cur[-1] is None``
+        #: says nothing of the instant is left (see :meth:`_step`).
+        self._cur: list = [None]
         self._seq = 0
         self._live = 0
         self._ran = False
@@ -206,7 +214,7 @@ class Engine:
         if time < self.now:
             raise SimulationError(f"cannot schedule into the past ({time} < {self.now})")
         self._seq += 1
-        heappush(self._heap, (time, self._seq, None, 0, fn, args))
+        self._push(time, (self._seq, None, 0, fn, args))
 
     def _schedule_vp(
         self, time: float, vp: VirtualProcess, fn: Callable[..., None], *args: Any
@@ -217,36 +225,56 @@ class Engine:
         if time < self.now:
             raise SimulationError(f"cannot schedule into the past ({time} < {self.now})")
         self._seq += 1
-        heappush(self._heap, (time, self._seq, vp, vp.epoch, fn, args))
+        self._push(time, (self._seq, vp, vp.epoch, fn, args))
+
+    def _push(self, time: float, entry: tuple) -> None:
+        """Append ``entry`` to ``time``'s list, opening the instant if new.
+        ``_step``, :meth:`wake`, :meth:`post_event` and
+        :meth:`MpiWorld.post_send` carry these lines inline (one push per
+        event); a change to the queue layout changes all five."""
+        batch = self._slots.get(time)
+        if batch is None:
+            self._slots[time] = [entry]
+            heappush(self._times, time)
+        else:
+            batch.append(entry)
 
     def post_event(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
         """Schedule ``fn(arg)`` at ``time`` — the unguarded single-payload
         fast path (message deliveries).  Callers validate ``time`` against
-        their own clock; no past-check is repeated here.
-        :meth:`MpiWorld.post_send` carries these two lines inline (a call
-        per message); a change to the entry layout changes both.
-        """
-        self._seq += 1
-        heappush(self._heap, (time, self._seq, None, 0, fn, (arg,)))
+        their own clock; no past-check is repeated here."""
+        self._seq = seq = self._seq + 1
+        batch = self._slots.get(time)
+        if batch is None:
+            self._slots[time] = [(seq, None, 0, fn, (arg,))]
+            heappush(self._times, time)
+        else:
+            batch.append((seq, None, 0, fn, (arg,)))
+
+    def _queued(self):
+        """Every queued (possibly stale) entry as ``(time, entry)``, in
+        dispatch order; the instant being dispatched comes first."""
+        for time in sorted(self._slots):
+            for entry in self._slots[time]:
+                if entry is not None:
+                    yield time, entry
 
     def queue_size(self) -> int:
         """Number of queued (possibly stale) events."""
-        return len(self._heap)
+        return sum(1 for _ in self._queued())
 
     def heap_head(self, n: int = 20) -> list[dict[str, Any]]:
         """The ``n`` earliest queued events as diagnostic records (the
         sanitizer's dump snapshot)."""
-        out = []
-        for time, seq, gvp, _, fn, _args in nsmallest(n, self._heap):
-            out.append(
-                {
-                    "time": time,
-                    "seq": seq,
-                    "rank": None if gvp is None else gvp.rank,
-                    "fn": (fn or self._resume_advance).__name__,
-                }
-            )
-        return out
+        return [
+            {
+                "time": time,
+                "seq": seq,
+                "rank": None if gvp is None else gvp.rank,
+                "fn": (fn or self._resume_advance).__name__,
+            }
+            for time, (seq, gvp, _, fn, _args) in islice(self._queued(), n)
+        ]
 
     # ------------------------------------------------------------------
     # main loop
@@ -256,9 +284,7 @@ class Engine:
         if self._ran:
             raise SimulationError("Engine.run() may only be called once")
         self._ran = True
-        heap = self._heap
-        pop = heappop
-        # The event loop allocates only short-lived, acyclic objects (heap
+        # The event loop allocates only short-lived, acyclic objects (queue
         # tuples, messages, requests) that reference counting reclaims on
         # its own; cyclic-GC passes over the live heap are pure overhead
         # (~10% of run time at 512 VPs), so collection is deferred to the
@@ -266,53 +292,25 @@ class Engine:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
-        trace = self.event_trace
-        check = self.check
-        step = self._step
         try:
             # Run to quiescence: the queue is drained completely rather than
             # stopping at the last VP termination.  Post-termination events
             # are harmless (guarded events are stale-skipped, arrivals to
             # dead VPs are dropped) and draining gives the serial run the
             # same event accounting as a sharded run, where no worker can
-            # observe the global live-VP count.
-            while heap:
-                time, seq, gvp, gepoch, fn, args = pop(heap)
-                if self._pending_abort is not None and time > self._pending_abort:
-                    self._apply_abort_sweep()
-                if gvp is not None and gvp.epoch != gepoch:
-                    self.stale_skipped += 1  # lazily deleted dead-VP event
-                    continue
-                if trace is not None:
-                    trace.record_dispatch(time, seq, gvp, fn or self._resume_advance, args)
-                if check is not None:
-                    check.on_dispatch(time, seq, gvp)
-                self.now = time
-                self.event_count += 1
-                if fn is not None:
-                    fn(*args)
-                    continue
-                # Advance resume: the epoch guard above already proved the
-                # VP is still mid-advance, so this is the control point.
-                gvp.clock = time
-                if time >= gvp.time_of_failure:
-                    self._kill_failure(gvp, time)
-                elif time >= gvp.time_of_abort:
-                    self._kill_abort(gvp, time)
-                else:
-                    step(gvp)
+            # observe the global live-VP count.  An abort at the last
+            # instant sweeps once the unbounded window is past it.
+            self._dispatch_bounded(math.inf, inclusive=True)
         finally:
             if gc_was_enabled:
                 gc.enable()
-        if self._pending_abort is not None:  # abort at the last instant
-            self._apply_abort_sweep()
         if self._live > 0:
             blocked = [
                 (vp.rank, str(vp.wait_tag), vp.state.value) for vp in self.vps if vp.alive
             ]
             raise DeadlockError(blocked)
-        if check is not None:
-            check.on_run_end()
+        if self.check is not None:
+            self.check.on_run_end()
         return self._result()
 
     # ------------------------------------------------------------------
@@ -322,8 +320,7 @@ class Engine:
     # bounded dispatch windows under the coordinator's safe-window
     # protocol: begin_windowed_run() once, then any interleaving of
     # next_event_time() / run_window(end) / run_exact(t), and finally
-    # finish_windowed_run().  The dispatch body is identical to run()'s
-    # (trace, sanitizer, event accounting), only the loop bound differs.
+    # finish_windowed_run().  run() is one inclusive window to infinity.
 
     def begin_windowed_run(self) -> None:
         """Enter windowed dispatch mode (one-shot, like :meth:`run`)."""
@@ -338,56 +335,71 @@ class Engine:
         """Earliest non-stale queued event time; ``inf`` when drained.
 
         Stale (dead-VP) heads are pruned here so the reported time is a
-        true lower bound on the shard's next dispatch.
+        true lower bound on the shard's next dispatch; an instant whose
+        entries are all stale is dropped whole.
         """
-        heap = self._heap
-        while heap:
-            if heap[0][2] is not None and heap[0][2].epoch != heap[0][3]:
-                heappop(heap)
-                self.stale_skipped += 1
-                continue
-            return heap[0][0]
+        times = self._times
+        while times:
+            batch = self._slots[times[0]]
+            for live, (_, gvp, gepoch, _, _) in enumerate(batch):
+                if gvp is None or gvp.epoch == gepoch:
+                    del batch[:live]
+                    self.stale_skipped += live
+                    return times[0]
+            del self._slots[heappop(times)]
+            self.stale_skipped += len(batch)
         return math.inf
 
     def _dispatch_bounded(self, bound: float, inclusive: bool) -> None:
-        heap = self._heap
+        slots = self._slots
+        times = self._times
         pop = heappop
         trace = self.event_trace
         check = self.check
         step = self._step
         try:
-            # Non-inclusive windows re-read ``_window_end`` every iteration:
+            # Non-inclusive windows re-read ``_window_end`` every instant:
             # a sharded world *tightens* it mid-dispatch when an event emits
             # a cross-shard envelope (another shard may react to the message
             # and send something back as early as its receive time plus the
-            # lookahead — events beyond that are no longer safe).
-            while heap and (
-                heap[0][0] <= bound if inclusive else heap[0][0] < self._window_end
+            # lookahead — events beyond that are no longer safe).  The
+            # lookahead is positive, so the instant being drained stays safe.
+            while times and (
+                times[0] <= bound if inclusive else times[0] < self._window_end
             ):
-                time, seq, gvp, gepoch, fn, args = pop(heap)
+                time = pop(times)
                 if self._pending_abort is not None and time > self._pending_abort:
                     self._apply_abort_sweep()
-                if gvp is not None and gvp.epoch != gepoch:
-                    self.stale_skipped += 1
-                    continue
-                if trace is not None:
-                    trace.record_dispatch(time, seq, gvp, fn or self._resume_advance, args)
-                if check is not None:
-                    check.on_dispatch(time, seq, gvp)
                 self.now = time
-                self.event_count += 1
-                if fn is not None:
-                    fn(*args)
-                    continue
-                # Advance resume: the epoch guard above already proved the
-                # VP is still mid-advance, so this is the control point.
-                gvp.clock = time
-                if time >= gvp.time_of_failure:
-                    self._kill_failure(gvp, time)
-                elif time >= gvp.time_of_abort:
-                    self._kill_abort(gvp, time)
-                else:
-                    step(gvp)
+                # The list grows while it drains (a wake at ``now`` joins
+                # it); the iterator reads its length at every step.  An
+                # index beside it is cheaper than enumerate() per instant.
+                self._cur = batch = slots[time]
+                i = 0
+                for seq, gvp, gepoch, fn, args in batch:
+                    batch[i] = None
+                    i += 1
+                    if gvp is not None and gvp.epoch != gepoch:
+                        self.stale_skipped += 1  # lazily deleted dead-VP event
+                        continue
+                    if trace is not None:
+                        trace.record_dispatch(time, seq, gvp, fn or self._resume_advance, args)
+                    if check is not None:
+                        check.on_dispatch(time, seq, gvp)
+                    self.event_count += 1
+                    if fn is not None:
+                        fn(*args)
+                        continue
+                    # Advance resume: the epoch guard above already proved
+                    # the VP is still mid-advance, so this is the control point.
+                    gvp.clock = time
+                    if time >= gvp.time_of_failure:
+                        self._kill_failure(gvp, time)
+                    elif time >= gvp.time_of_abort:
+                        self._kill_abort(gvp, time)
+                    else:
+                        step(gvp)
+                del slots[time]
             # A bound at-or-past the abort instant proves no same-instant
             # event remains (queued or arriving from another shard), so the
             # deferred sweep applies before control returns to the worker.
@@ -432,7 +444,7 @@ class Engine:
         its coroutine is closed, and its state is pinned to BLOCKED so the
         message-delivery and matching paths still see it as *alive* — the
         owning shard decides its fate and broadcasts it as a directive.
-        The heap is rebuilt dropping the now-stale guarded entries.
+        The queue is rebuilt dropping the now-stale guarded entries.
         """
         for vp in self.vps:
             if vp.rank in owned:
@@ -445,8 +457,12 @@ class Engine:
             if gen is not None:
                 gen.close()
                 vp.gen = None
-        self._heap = [e for e in self._heap if e[2] is None or e[2].epoch == e[3]]
-        heapify(self._heap)
+        for time, batch in list(self._slots.items()):
+            batch[:] = [e for e in batch if e[1] is None or e[1].epoch == e[2]]
+            if not batch:
+                del self._slots[time]
+        self._times[:] = self._slots
+        heapify(self._times)
 
     def _result(self) -> SimulationResult:
         timing = TimingStats()
@@ -479,7 +495,7 @@ class Engine:
         """Run ``vp`` until it yields Advance/Block or terminates."""
         vp.state = _RUNNING
         gen = vp.gen
-        heap = self._heap
+        times = self._times
         coalesce = self.coalesce_advances
         while True:
             try:
@@ -524,14 +540,18 @@ class Engine:
                 new_clock = vp.clock + dt
                 # ``_window_end`` is read here, not once per step: a
                 # cross-shard post earlier in this very step tightens it.
-                if coalesce and new_clock < self._window_end and (
-                    not heap or heap[0][0] > new_clock
+                if (
+                    coalesce
+                    and new_clock < self._window_end
+                    and (not times or times[0] > new_clock)
+                    and self._cur[-1] is None
                 ):
                     # No other event can fire strictly before this VP's
-                    # resume (strict > keeps equal-time FIFO order intact),
+                    # resume (strict > keeps equal-time FIFO order intact;
+                    # the last test sees the rest of the current instant),
                     # so take the control point inline: same clock update,
                     # failure/abort checks, and event accounting as the
-                    # dispatch loops' heap resume, minus the round-trip.
+                    # dispatch loops' queued resume, minus the round-trip.
                     if self.event_trace is not None:
                         self.event_trace.record_coalesced(new_clock, vp.rank)
                     if self.check is not None:
@@ -554,8 +574,13 @@ class Engine:
                 # here because new_clock = vp.clock + dt with dt > 0 and
                 # vp.clock >= self.now inside a step.
                 # fn=None: the dispatch loops resume the VP inline.
-                self._seq += 1
-                heappush(heap, (new_clock, self._seq, vp, vp.epoch, None, None))
+                self._seq = seq = self._seq + 1
+                batch = self._slots.get(new_clock)
+                if batch is None:
+                    self._slots[new_clock] = [(seq, vp, vp.epoch, None, None)]
+                    heappush(times, new_clock)
+                else:
+                    batch.append((seq, vp, vp.epoch, None, None))
                 return
             if kind is Block:
                 vp.state = _BLOCKED
@@ -569,7 +594,7 @@ class Engine:
 
     def _resume_advance(self) -> None:
         """The name an advance resume carries in traces and
-        :meth:`heap_head`.  Never called: those heap entries have ``fn is
+        :meth:`heap_head`.  Never called: those queue entries have ``fn is
         None`` and the dispatch loops run the resume inline."""
 
     # ------------------------------------------------------------------
@@ -595,11 +620,14 @@ class Engine:
         # _schedule_vp minus the varargs round-trip (one wake per blocked
         # completion).
         epoch = vp.epoch
-        self._seq += 1
-        heappush(
-            self._heap,
-            (time, self._seq, vp, epoch, self._do_wake, (vp, epoch, vp.wait_token, time, value, exc)),
-        )
+        self._seq = seq = self._seq + 1
+        entry = (seq, vp, epoch, self._do_wake, (vp, epoch, vp.wait_token, time, value, exc))
+        batch = self._slots.get(time)
+        if batch is None:
+            self._slots[time] = [entry]
+            heappush(self._times, time)
+        else:
+            batch.append(entry)
 
     def _do_wake(
         self,
@@ -720,7 +748,7 @@ class Engine:
         instant*: every event already due at exactly ``time`` still
         dispatches normally, then the kill sweep runs before the clock
         advances past ``time``.  This makes the outcome a function of the
-        event *times* alone rather than of heap insertion order among
+        event *times* alone rather than of queue insertion order among
         same-instant events — the property the sharded engine
         (:mod:`repro.pdes.sharded`) relies on to reproduce aborts
         bit-identically, since shards do not share a global sequence

@@ -42,7 +42,7 @@ Envelopes
 Cross-shard traffic uses two picklable tuple forms:
 
 * ``("a", arrival, ctx, src, dst, tag, nbytes, payload, seq, protocol,
-  req_id)`` — a message delivery, pushed onto the destination shard's heap
+  req_id)`` — a message delivery, pushed onto the destination shard's queue
   exactly like a local ``_arrive`` event.  ``seq`` is a
   ``(post_time, src, per-source counter)`` tuple: unlike the serial global
   integer sequence it can be generated shard-locally, while preserving
@@ -788,7 +788,7 @@ class ShardedMpiWorld(MpiWorld):
 
     # -- envelope application (barrier side) ----------------------------
     def apply_arrival(self, env: tuple) -> None:
-        """Queue a cross-shard message delivery on the local heap."""
+        """Queue a cross-shard message delivery on the local queue."""
         _, arrival, ctx, src, dst, tag, nbytes, payload, seq, protocol, req_id = env
         send_ref = _RemoteSendRef(req_id) if protocol == RTS else None
         msg = Msg(ctx, src, dst, tag, nbytes, payload, seq, protocol, send_req=send_ref)

@@ -61,9 +61,9 @@ def parse_set(text: str) -> tuple[str, list]:
             "set per-strategy parameters in the scenario file's "
             "[resilience] strategy table"
         )
-    items = [v.strip() for v in raw.split(",") if v.strip()]
-    if not items:
-        raise ConfigurationError(f"--set {text!r} names no values")
+    items = [v.strip() for v in raw.split(",")]
+    if "" in items:
+        raise ConfigurationError(f"--set {name} has an empty value in {text!r}")
     return name, [parse_text(name, v, f"--set {name}") for v in items]
 
 

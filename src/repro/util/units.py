@@ -13,6 +13,7 @@ kilobytes (256,000 bytes) exactly as written; callers wanting 2**18 can say
 
 from __future__ import annotations
 
+import math
 import re
 
 from repro.util.errors import ConfigurationError
@@ -34,6 +35,14 @@ _TIME_UNITS = {
 _SIZE_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-zµ]*)\s*$")
 
 
+def _finite(number: float, what: str, value: object) -> float:
+    # ``float("1e400")`` is inf: a spelling the pattern admits can still
+    # overflow, and round() of it raises OverflowError.
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{what} {value!r} is not finite")
+    return number
+
+
 def parse_size(value: int | float | str) -> int:
     """Parse a byte size such as ``"256 kB"`` or ``"64 MiB"`` into bytes.
 
@@ -42,7 +51,7 @@ def parse_size(value: int | float | str) -> int:
     means bytes (bits are not supported).
     """
     if isinstance(value, (int, float)):
-        if value < 0:
+        if _finite(value, "size", value) < 0:
             raise ConfigurationError(f"size must be non-negative, got {value!r}")
         return int(round(value))
     m = _SIZE_RE.match(value)
@@ -58,13 +67,13 @@ def parse_size(value: int | float | str) -> int:
         scale = _BINARY[unit]
     else:
         raise ConfigurationError(f"unknown size unit in {value!r}")
-    return int(round(number * scale))
+    return int(round(_finite(number * scale, "size", value)))
 
 
 def parse_time(value: int | float | str) -> float:
     """Parse a duration such as ``"1us"`` or ``"3,000 s"`` into seconds."""
     if isinstance(value, (int, float)):
-        return float(value)
+        return _finite(float(value), "time", value)
     text = value.replace(",", "").strip()
     m = _SIZE_RE.match(text)
     if not m:
@@ -76,13 +85,13 @@ def parse_time(value: int | float | str) -> float:
     key = unit if unit in _TIME_UNITS else unit.lower()
     if key not in _TIME_UNITS:
         raise ConfigurationError(f"unknown time unit in {value!r}")
-    return number * _TIME_UNITS[key]
+    return _finite(number * _TIME_UNITS[key], "time", value)
 
 
 def parse_rate(value: int | float | str) -> float:
     """Parse a bandwidth such as ``"32 GB/s"`` into bytes/second."""
     if isinstance(value, (int, float)):
-        return float(value)
+        return _finite(float(value), "rate", value)
     text = value.strip()
     if text.lower().endswith("/s"):
         text = text[:-2]

@@ -4,6 +4,8 @@ serial <-> sharded digest parity for every kind."""
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.faults import (
     CorrelatedFailure,
@@ -22,6 +24,29 @@ from repro.util.errors import ConfigurationError
 # ----------------------------------------------------------------------
 # grammar
 # ----------------------------------------------------------------------
+time_text = st.one_of(
+    st.builds("{}e{}{}".format, st.integers(0, 99), st.integers(-3, 400), st.sampled_from(["", "s", "h"])),
+    st.floats(min_value=0.0).map(repr),
+)
+entry_text = st.one_of(
+    st.builds("{}@{}".format, st.integers(0, 7), time_text),
+    st.builds("straggler:{}@{}+{}*2".format, st.integers(0, 7), time_text, time_text),
+    st.builds("link:0-{}@{}+{}*3".format, st.integers(1, 7), time_text, time_text),
+    st.builds("corr:{}@{}~1+{}".format, st.integers(0, 7), time_text, time_text),
+)
+
+
+@given(st.lists(entry_text, min_size=1, max_size=3).map(",".join))
+def test_every_parsed_time_is_finite_or_the_schedule_is_refused(text):
+    try:
+        schedule = FailureSchedule.parse(text)
+    except ConfigurationError:
+        return
+    for entry in schedule.entries:  # every entry here spells its duration
+        for name in ("time", "duration", "spread"):
+            assert math.isfinite(getattr(entry, name, 0.0)), (text, entry)
+
+
 class TestGrammar:
     def test_all_kinds_roundtrip(self):
         text = "3@100.0,straggler:1@10.0+50.0*2.5,link:2-4@10.0+5.0*4.0,corr:5@200.0~2+1.0"

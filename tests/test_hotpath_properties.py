@@ -11,14 +11,16 @@ random multi-VP advance programs and failure injections and compares a
 coalescing engine against a non-coalescing one event for event.
 """
 
+import heapq
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check.trace import EventTrace
+from repro.pdes.context import VpState
 from repro.pdes.engine import Engine
-from repro.pdes.requests import Advance
+from repro.pdes.requests import Advance, Block
 
 # One VP program: a sequence of (dt, busy) advances.  dt=0 is a legal
 # zero-cost control point; equal dts across VPs exercise the strict-'>'
@@ -220,3 +222,175 @@ def test_stale_events_are_skipped_not_executed():
     assert result.failures == [(0, 3.0)]
     assert result.end_times[1] == 10.0
     assert engine.stale_skipped >= 1
+
+
+# ----------------------------------------------------------------------
+# queue order: one FIFO list per instant dispatches exactly what a plain
+# (time, seq) min-heap of the same pushes would
+# ----------------------------------------------------------------------
+class _ReferenceQueue:
+    """A ``heapq`` of every entry the engine pushes, checked at every
+    dispatch: the entries ahead of the dispatched one must all be stale,
+    and what stays queued must be what the engine reports queued."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.heap = []
+        self.skipped = 0
+        engine._slots = _RecordingSlots(self)
+        engine.event_trace = _CheckingTrace(self)
+
+    def push(self, time, entry):
+        seq, gvp, gepoch, fn, _args = entry
+        if fn is None and self.engine.coalesce_advances and time < self.engine._window_end:
+            # A queued Advance resume: something queued fires first.
+            assert self.heap and self.heap[0][0] <= time, "a coalescable resume was queued"
+        heapq.heappush(self.heap, (time, seq, gvp, gepoch))
+
+    def coalesced(self, time):
+        assert not self.heap or self.heap[0][0] > time, "coalesced past a queued entry"
+
+    def _prune_to(self, key):
+        while self.heap and self.heap[0][:2] != key:
+            _, _, gvp, gepoch = heapq.heappop(self.heap)
+            assert gvp is not None and gvp.epoch != gepoch, "a live entry was passed over"
+            self.skipped += 1
+
+    def dispatched(self, time, seq):
+        self._prune_to((time, seq))
+        assert self.heap, f"dispatched ({time}, {seq}), which was never pushed"
+        heapq.heappop(self.heap)
+        self.agrees()
+
+    def next_time(self):
+        while self.heap and self.heap[0][2] is not None and self.heap[0][2].epoch != self.heap[0][3]:
+            heapq.heappop(self.heap)
+            self.skipped += 1
+        return self.heap[0][0] if self.heap else math.inf
+
+    def agrees(self):
+        engine = self.engine
+        assert engine.queue_size() == len(self.heap)
+        assert [(e["time"], e["seq"]) for e in engine.heap_head(4)] == [
+            entry[:2] for entry in heapq.nsmallest(4, self.heap)
+        ]
+        assert engine.stale_skipped == self.skipped
+
+
+class _RecordingList(list):
+    def __init__(self, ref, time, entries):
+        super().__init__()
+        self.ref, self.time = ref, time
+        for entry in entries:
+            self.append(entry)
+
+    def append(self, entry):
+        self.ref.push(self.time, entry)
+        super().append(entry)
+
+
+class _RecordingSlots(dict):
+    """``Engine._slots`` that reports every push to the reference."""
+
+    def __init__(self, ref):
+        super().__init__()
+        self.ref = ref
+
+    def __setitem__(self, time, batch):
+        super().__setitem__(time, _RecordingList(self.ref, time, batch))
+
+
+class _CheckingTrace(EventTrace):
+    def __init__(self, ref):
+        super().__init__()
+        self.ref = ref
+
+    def record_dispatch(self, time, seq, gvp, fn, args):
+        self.ref.dispatched(time, seq)
+        super().record_dispatch(time, seq, gvp, fn, args)
+
+    def record_coalesced(self, time, rank):
+        self.ref.coalesced(time)
+        super().record_coalesced(time, rank)
+
+
+def _wake_if_blocked(engine, vp):
+    if vp.state is VpState.BLOCKED:
+        engine.wake(vp, engine.now)  # zero delay: pushed at the instant draining
+
+
+def _tie_vp(engine, rank, program):
+    # ("adv", dt) advances; ("block", delay) queues its own wake-up
+    # ``delay`` later (0: at the instant being drained) and blocks.
+    for op, x in program:
+        if op == "adv":
+            yield Advance(x)
+        else:
+            vp = engine.vps[rank]
+            engine.schedule(vp.clock + x, _wake_if_blocked, engine, vp)
+            yield Block("tie")
+
+
+tie_op = st.one_of(
+    st.tuples(st.just("adv"), st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0])),
+    st.tuples(st.just("block"), st.sampled_from([0.0, 0.0, 1.0])),
+)
+tie_programs = st.lists(st.lists(tie_op, min_size=1, max_size=6), min_size=2, max_size=7)
+tie_failures = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=6), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
+    max_size=4,
+)
+
+
+@given(
+    programs=tie_programs,
+    failures=tie_failures,
+    coalesce=st.booleans(),
+    width=st.sampled_from([None, 0.5, 2.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_queue_dispatches_what_a_plain_heap_of_the_same_pushes_would(
+    programs, failures, coalesce, width
+):
+    engine = Engine(coalesce_advances=coalesce)
+    ref = _ReferenceQueue(engine)
+    for rank, program in enumerate(programs):
+        engine.spawn(_tie_vp(engine, rank, program))
+    for rank, time in failures:
+        engine.schedule_failure(rank % len(programs), time)
+    ref.agrees()
+    if width is None:
+        engine.run()
+    else:  # the shard worker's drive: next_event_time is the model's
+        engine.begin_windowed_run()
+        while (t := engine.next_event_time()) == ref.next_time() and t < math.inf:
+            ref.agrees()
+            engine.run_exact(t)
+            engine.run_window(t + width)
+        assert t == ref.next_time() == math.inf
+        engine.finish_windowed_run()
+    # Drained: what the model still holds was never live when reached.
+    ref.next_time()
+    assert not ref.heap
+    assert engine.stale_skipped == ref.skipped
+    assert engine.queue_size() == 0 and engine.heap_head() == []
+    stream = [entry[:2] for entry in engine.event_trace.entries if entry[1] >= 0]
+    assert all(a < b for a, b in zip(stream, stream[1:]))
+
+
+def test_next_event_time_skips_an_instant_whose_entries_are_all_stale():
+    engine = Engine(coalesce_advances=False)
+    engine.spawn(_vp_main([(1.0, True)] * 3))
+    engine.spawn(_vp_main([(1.0, True)] * 6))
+    engine.schedule_failure(0, 0.5)  # VP 0 dies at its resume at 1.0
+    engine.schedule_failure(0, 3.5)  # alone at 3.5, stale once VP 0 is dead
+    engine.begin_windowed_run()
+    engine.run_window(3.2)
+    assert [e["time"] for e in engine.heap_head()] == [3.5, 4.0]
+    skipped = engine.stale_skipped
+    assert engine.next_event_time() == 4.0
+    assert engine.stale_skipped == skipped + 1
+    assert [e["time"] for e in engine.heap_head()] == [4.0]
+    engine.run_window(math.inf)
+    engine.finish_windowed_run()
+    assert engine._result().failures == [(0, 1.0)]

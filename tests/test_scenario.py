@@ -6,6 +6,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.run import (
@@ -497,6 +499,18 @@ class TestSweep:
             parse_set("warp=9")
         with pytest.raises(ConfigurationError, match="expected field="):
             parse_set("interval")
+
+    @given(st.lists(st.sampled_from(["", " ", "1", "8", " 27 ", "1e1"]), min_size=1, max_size=4))
+    def test_parse_set_keeps_every_value_or_refuses(self, values):
+        # "ranks=1,,2" used to read as [1, 2]: an empty value is refused.
+        text = "ranks=" + ",".join(values)
+        try:
+            name, parsed = parse_set(text)
+        except ConfigurationError as err:
+            assert "" in [v.strip() for v in values]
+            assert str(err).startswith("--set ranks ")
+            return
+        assert (name, parsed) == ("ranks", [int(float(v)) for v in values])
 
     @pytest.mark.parametrize(
         "text, expected",

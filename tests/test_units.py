@@ -1,6 +1,10 @@
 """Unit parsing and formatting (repro.util.units)."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.util.errors import ConfigurationError
 from repro.util.units import format_size, format_time, parse_rate, parse_size, parse_time
@@ -101,6 +105,49 @@ class TestParseRate:
 
     def test_numeric_passthrough(self):
         assert parse_rate(5e9) == 5e9
+
+
+# A number as a user may spell it: exponents past a float's range
+# (``1e400`` is inf), overflow only after the unit's scale (``1e300PB``),
+# float reprs (``inf`` among them) and digit soup.
+number_text = st.one_of(
+    st.builds("{}e{}".format, st.integers(0, 999), st.integers(-400, 400)),
+    st.floats(min_value=0.0).map(repr),
+    st.text("0123456789.e+-", max_size=8),
+)
+size_units = st.sampled_from(["", "B", "kB", "MB", "GiB", "PB", "PiB", "x"])
+time_units = st.sampled_from(["", "s", "ns", "us", "ms", "min", "h", "d", "fortnights"])
+
+
+def _finite_or_refused(parse, value):
+    try:
+        out = parse(value)
+    except ConfigurationError:
+        return
+    assert math.isfinite(out)
+
+
+class TestParsersAreFiniteOrRefuse:
+    """Every parser returns a finite value or raises ConfigurationError:
+    an ``OverflowError`` or an infinite time reached the CLI as a
+    traceback or a run that never ends."""
+
+    @given(st.one_of(st.builds("{}{}".format, number_text, size_units), st.floats()))
+    def test_parse_size(self, value):
+        _finite_or_refused(parse_size, value)
+
+    @given(st.one_of(st.builds("{}{}/s".format, number_text, size_units), st.floats()))
+    def test_parse_rate(self, value):
+        _finite_or_refused(parse_rate, value)
+
+    @given(st.one_of(st.builds("{} {}".format, number_text, time_units), st.floats()))
+    def test_parse_time(self, value):
+        _finite_or_refused(parse_time, value)
+
+    def test_the_overflows_that_reached_the_cli(self):
+        for parse, text in ((parse_size, "1e400"), (parse_rate, "1e400GB/s"), (parse_time, "1e400s")):
+            with pytest.raises(ConfigurationError, match="not finite"):
+                parse(text)
 
 
 class TestFormat:
