@@ -72,17 +72,6 @@ class CheckpointStore:
         self.writes = 0
         self.deletes = 0
 
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        # A cached result carries its store.  One cached before the index
-        # existed holds the flat namespace ``{(ckpt_id, rank): file}`` under
-        # ``_files``; it is re-indexed here so a warm answer from an old
-        # cache directory still answers every query.
-        flat = state.pop("_files", None)
-        self.__init__()
-        self.__dict__.update(state)
-        if flat is not None:
-            self.replace_ranks((), flat)
-
     def _file(self, ckpt_id: int, rank: int) -> CheckpointFile | None:
         files = self._sets.get(ckpt_id)
         return None if files is None else files.get(rank)

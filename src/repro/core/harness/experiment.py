@@ -32,29 +32,20 @@ _CTX_RE = re.compile(r"ctx=(\d+)")
 
 
 def classify_detection_phase(result: SimulationResult) -> str | None:
-    """Where the failure was detected, from the detection log entries.
+    """Where the failure was detected: the context of the first ``detect``
+    record.
 
     Point-to-point contexts are even (``2 * context_id``), collective
     contexts odd — so halo-exchange detections report ``pt2pt`` and
     checkpoint-barrier detections report ``collective``.  Returns
-    ``None`` when nothing was detected (e.g. no failure activated).
-
-    The abort is triggered by the earliest detection, which is not
-    always the first one logged: a timeout detection is logged when it
-    is scheduled, stamped up to one detection timeout ahead, and one
-    stamped after the abort never happened.
+    ``None`` when nothing was detected (e.g. no failure activated).  A
+    rank records a detection when it learns of it, so the log's first is
+    the earliest, and the one that aborted the run.
     """
-    detections = [
-        (entry.time, int(m.group(1)))
-        for entry in result.log.category("detect")
-        if (m := _CTX_RE.search(entry.message))
-    ]
-    if result.abort_time is not None:
-        detections = [d for d in detections if d[0] <= result.abort_time]
-    if not detections:
-        return None
-    _, ctx = min(detections, key=lambda d: d[0])
-    return "pt2pt" if ctx % 2 == 0 else "collective"
+    for entry in result.log.category("detect"):
+        if m := _CTX_RE.search(entry.message):
+            return "pt2pt" if int(m.group(1)) % 2 == 0 else "collective"
+    return None
 
 
 @dataclass(frozen=True)

@@ -756,27 +756,26 @@ class MpiApi:
     # ------------------------------------------------------------------
     # resilience / ULFM
     # ------------------------------------------------------------------
+    def _known_failed(self, comm: Communicator) -> list[int]:
+        """World ranks of ``comm`` this process knows to have failed: a
+        request posted now against one would fail at once
+        (``MpiWorld.detection_time``)."""
+        vp, clock = self.vp, self.vp.clock
+        return [
+            w for w, t in vp.failed_peers.items()
+            if comm.contains(w) and self.world.detection_time(vp, w, t, clock) == clock
+        ]
+
     def failed_ranks(self, comm: Communicator | None = None) -> list[int]:
-        """Communicator ranks this process knows to have failed (i.e.
-        whose failure notification has reached this rank — see
-        ``MpiWorld._failure_visible``)."""
+        """Communicator ranks this process knows to have failed."""
         comm = self._comm(comm)
-        return sorted(
-            comm.rank_of(w)
-            for w, t in self.vp.failed_peers.items()
-            if comm.contains(w) and self.world._failure_visible(self.vp, w, t)
-        )
+        return sorted(comm.rank_of(w) for w in self._known_failed(comm))
 
     def comm_failure_ack(self, comm: Communicator | None = None) -> Gen:
         """``MPI_Comm_failure_ack``: acknowledge currently known failures,
         re-enabling ``MPI_ANY_SOURCE`` receives on ``comm``."""
         comm = self._comm(comm)
-        known = frozenset(
-            w
-            for w, t in self.vp.failed_peers.items()
-            if comm.contains(w) and self.world._failure_visible(self.vp, w, t)
-        )
-        comm.ack_failures(self.rank, known)
+        comm.ack_failures(self.rank, frozenset(self._known_failed(comm)))
         yield Advance(0.0)
 
     def comm_failure_get_acked(self, comm: Communicator | None = None) -> list[int]:

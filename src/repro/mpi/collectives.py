@@ -29,9 +29,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.mpi.constants import ERR_PROC_FAILED
-from repro.mpi.errhandler import MpiError
+from repro.mpi.messages import Request
 from repro.mpi.ops import Op, fold
-from repro.pdes.requests import Advance
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -239,32 +238,22 @@ def _analytic(
     value: Any,
     cost: float,
 ) -> GenOp:
-    """Join the sync point, then enforce failure semantics: any dead
-    communicator member surfaces as MPI_ERR_PROC_FAILED after the
-    detection timeout, mirroring the message-level algorithms."""
+    """Join the sync point, then enforce failure semantics: a dead
+    communicator member fails the collective as a receive from it that was
+    pending when the point completed (``MpiWorld.detection_time``), so it
+    surfaces after the detection timeout, as in the message-level
+    algorithms."""
     world = api.world
     result = yield from world.sync_arrive(
         api.vp, comm, kind, tag, value=value, cost_fn=lambda n: cost
     )
     dead = [r for r in comm.group if r not in result.values]
     if dead:
-        f = dead[0]
-        timeout = world.network.detection_timeout(api.rank, f)
-        yield Advance(timeout, busy=False)
-        world.engine.log.log(
-            api.vp.clock,
-            "detect",
-            f"detected failure of rank {f} ({kind} ctx={comm.context_id * 2 + 1})",
-            rank=api.rank,
-        )
-        if world.obs is not None:
-            world.obs.instant(
-                api.vp.clock, "detect", rank=api.rank, track="resilience",
-                args={"failed_rank": f, "latency": timeout},
-            )
-        yield from world.handle_error(
-            api.vp, comm, MpiError(ERR_PROC_FAILED, f"{kind} with failed rank {f}", f)
-        )
+        f, vp, clock = dead[0], api.vp, api.vp.clock
+        req = Request(Request.RECV, vp, comm, comm.context_id * 2 + 1, f, vp.rank, tag, 0, clock)
+        failed_at = vp.failed_peers.get(f, clock)
+        req.fail(world.detection_time(vp, f, failed_at, clock, pending=True), ERR_PROC_FAILED, f)
+        yield from world.wait(vp, req)
     return result
 
 

@@ -13,15 +13,17 @@ file-system models — and implements the mechanics behind every MPI call:
   Exact receives are matched through per-``(context, source, tag)`` indexes
   so linear-algorithm collectives stay O(N) at 32,768 ranks.
 * **Failure propagation** (paper §IV-B/C) — when a virtual process fails,
-  all messages directed to it are deleted, a simulator-internal broadcast
-  records the failure (with its time) in every surviving rank's
-  failed-process list, and every blocked or posted request involving the
-  failed rank — including ``MPI_ANY_SOURCE`` receives on communicators
-  containing it and rendezvous sends to it — is *released and failed* at
-  ``max(failure time, post time) + detection timeout`` per the network
-  model's per-tier timeout.  Requests posted after the notification fail
-  from the failed-process list immediately at post time — the detection
-  delay was already paid when the notification was delivered.
+  all messages directed to it are deleted and a simulator-internal
+  broadcast records the failure (with its time) in every surviving rank's
+  failed-process list.  One function, :meth:`MpiWorld.detection_time`,
+  decides when any request against a failed peer fails: at its post time
+  if the failure is already visible on the rank's list (§IV-B: requests
+  "fail based on the per-process list of failed simulated MPI
+  processes"), else — pre-posted, or posted while the notification was in
+  flight — at ``max(failure time, post time) + detection timeout`` (§IV-C:
+  detection "is purely based on simulated network communication
+  timeouts").  The rank records the ``detect`` when it learns of it, in
+  :meth:`MpiWorld.wait`'s tail.
 * **Error delivery** (paper §IV-D) — a failed request consults the
   communicator's error handler: ``MPI_ERRORS_ARE_FATAL`` (the default)
   invokes the simulated ``MPI_Abort``; ``MPI_ERRORS_RETURN`` and user
@@ -228,7 +230,7 @@ class MpiWorld:
         #: Degraded-performance fault windows (stragglers, link degrade);
         #: consulted on the compute and message-cost paths.  Empty by
         #: default at the cost of one attribute test per site.  Failure
-        #: *notification* propagation (:meth:`_failure_visible`, ``revoke``)
+        #: *notification* propagation (:meth:`detection_time`, ``revoke``)
         #: deliberately stays undegraded: notifications model an
         #: out-of-band resilience channel, and keeping them a pure function
         #: of the undegraded wire latency preserves serial/sharded parity.
@@ -360,9 +362,11 @@ class MpiWorld:
             if comm.revoked:
                 req.fail(clock, ERR_REVOKED)
                 return req
-            if failed_at is not None and self._failure_visible(vp, dst, failed_at):
-                self._fail_from_list(req, dst)
-                return req
+            if failed_at is not None:
+                failed_by = self.detection_time(vp, dst, failed_at, clock)
+                if failed_by == clock:
+                    req.fail(clock, ERR_PROC_FAILED, failed_rank=dst)
+                    return req
         seq = self._msg_seq = self._msg_seq + 1
         self.messages_sent += 1
         self.bytes_sent += nbytes
@@ -379,12 +383,8 @@ class MpiWorld:
         else:
             msg = Msg(ctx, src, dst, tag, nbytes, payload, seq, RTS, send_req=req)
             wire = network.wire_latency(src, dst)
-            if failed_at is not None:
-                # Posted before the failure notification became visible
-                # (see :meth:`_failure_visible`): the request behaves as if
-                # pre-posted — it pays the modeled detection timeout
-                # instead of failing at the post.
-                self._release_failed(req, dst, failed_at)
+            if failed_at is not None:  # notification in flight: the timeout
+                req.fail(failed_by, ERR_PROC_FAILED, failed_rank=dst)
             else:
                 self.states[src].add_rdv_send(req)
         faults = self.faults
@@ -455,18 +455,15 @@ class MpiWorld:
                 del state.unexpected[key]
             self._accept_buffered(state, req, msg)
             return req
-        # No buffered match: fail from the per-process failed list
-        # ("any similar receive requests waited on after receiving the
-        # simulator-internal notification message fail based on the
-        # per-process list of failed simulated MPI processes").  A peer
-        # whose failure notification is still in flight (see
-        # :meth:`_failure_visible`) is *not* on the visible list yet; such
-        # a receive is posted normally and then released with the modeled
-        # detection timeout, exactly as if it had been pre-posted.
+        # No buffered match: a failed peer decides the receive's fate
+        # (:meth:`detection_time`) — at the post, or posted and then
+        # released at the timeout.
         failed_at = vp.failed_peers.get(src) if vp.failed_peers else None
-        if failed_at is not None and self._failure_visible(vp, src, failed_at):
-            self._fail_from_list(req, src)
-            return req
+        if failed_at is not None:
+            failed_by = self.detection_time(vp, src, failed_at, clock)
+            if failed_by == clock:
+                req.fail(clock, ERR_PROC_FAILED, failed_rank=src)
+                return req
         posted = state.posted_exact
         earlier = posted.setdefault(key, req)
         if earlier is not req:  # a second post to one key: FIFO from here on
@@ -478,7 +475,7 @@ class MpiWorld:
             self.check.on_post(state, req)
         if failed_at is not None:
             state.remove_posted(req)
-            self._release_failed(req, src, failed_at)
+            req.fail(failed_by, ERR_PROC_FAILED, failed_rank=src)
         return req
 
     def irecv(
@@ -498,38 +495,33 @@ class MpiWorld:
         if msg is not None:
             self._accept_buffered(state, req, msg)
             return req
-        # Same failed-list rules as :meth:`post_recv`, over every member a
-        # wildcard source could stand for.
-        in_flight: int | None = None
+        # The rule of :meth:`post_recv`, over every failed peer the source
+        # could stand for: the lowest one visible fails it at the post,
+        # else the lowest one in flight at its timeout.
+        failed_by: float | None = None
         if vp.failed_peers:
+            clock = vp.clock
             if src == ANY_SOURCE:
-                failed_members = {
-                    r for r, t in vp.failed_peers.items()
-                    if comm.contains(r) and self._failure_visible(vp, r, t)
-                } - comm.acked_failures(vp.rank)
-                if failed_members:
-                    self._fail_from_list(req, min(failed_members))
+                acked = comm.acked_failures(vp.rank)
+                peers = [r for r in vp.failed_peers if comm.contains(r) and r not in acked]
+            else:
+                peers = [src] if src in vp.failed_peers else []
+            fates = {r: self.detection_time(vp, r, vp.failed_peers[r], clock) for r in peers}
+            if fates:
+                peer = min([r for r, t in fates.items() if t == clock] or fates)
+                failed_by = fates[peer]
+                if failed_by == clock:
+                    req.fail(clock, ERR_PROC_FAILED, failed_rank=peer)
                     return req
-                pending_members = [
-                    r for r, t in vp.failed_peers.items()
-                    if comm.contains(r) and not self._failure_visible(vp, r, t)
-                ]
-                if pending_members:
-                    in_flight = min(pending_members)
-            elif src in vp.failed_peers:
-                if self._failure_visible(vp, src, vp.failed_peers[src]):
-                    self._fail_from_list(req, src)
-                    return req
-                in_flight = src
         if state.posted_wild:
             state.posted_wild.append(req)
         else:
             state.posted_wild = [req]
         if self.check is not None:
             self.check.on_post(state, req)
-        if in_flight is not None:
+        if failed_by is not None:
             state.remove_posted(req)
-            self._release_failed(req, in_flight, vp.failed_peers[in_flight])
+            req.fail(failed_by, ERR_PROC_FAILED, failed_rank=peer)
         return req
 
     def _accept_buffered(self, state: RankState, req: Request, msg: Msg) -> None:
@@ -541,48 +533,36 @@ class MpiWorld:
         else:
             self._rendezvous(req, msg, req.post_time)
 
-    def _failure_visible(self, vp: VirtualProcess, peer: int, failed_at: float) -> bool:
-        """Whether ``vp`` has received the simulator-internal notification
-        of ``peer``'s failure at ``failed_at``.
+    def detection_time(
+        self,
+        vp: VirtualProcess,
+        peer: int,
+        failed_at: float,
+        post_time: float,
+        pending: bool = False,
+    ) -> float:
+        """When a request of ``vp``'s against ``peer``, which failed at
+        ``failed_at``, fails — the one detection rule (paper §IV-B/C).
 
-        The notification propagates like any other simulator-internal
-        message — one wire latency from the failed rank (the same modeled
-        delay :meth:`revoke` uses).  Making visibility a pure function of
-        *time* (rather than of the engine's dispatch order among
-        same-instant events) is what lets the sharded engine reproduce the
-        serial engine's behavior exactly: whether the death or a
-        same-instant post is dispatched first is a heap artifact, but both
-        engines agree on the clocks.
+        The failure notification reaches ``vp`` one wire latency after the
+        failure (the undegraded delay :meth:`revoke` uses): a pure function
+        of time, so whether a death or a same-instant post dispatches first
+        — a queue artifact — decides nothing, and sharded runs agree.
+
+        * Posted once the notification is in: the request fails at
+          ``post_time``, from the per-process list of failed processes.
+        * ``pending`` when the peer failed, or posted while the notification
+          was in flight: it fails at ``max(failed_at, post_time)`` plus the
+          network model's detection timeout.
+
+        Callers read a result equal to ``post_time`` as "fails at the
+        post" (a zero timeout makes every failure so) and a later one as
+        "stays pending until then".  Charging every request post time +
+        timeout instead is a change to the first ``return`` alone.
         """
-        return vp.clock >= failed_at + self.network.wire_latency(peer, vp.rank)
-
-    def _fail_from_list(self, req: Request, failed_rank: int) -> None:
-        """Fail a freshly posted request against a peer already known (from
-        the per-process failed list) to be dead.
-
-        The simulator-internal failure notification has been delivered to
-        this rank before the post (:meth:`_failure_visible`), so no
-        detection timeout is paid again: the request fails immediately at
-        its post time (paper §IV-B — requests posted after the
-        notification "fail based on the per-process list of failed
-        simulated MPI processes").  Requests *pre-posted* when the failure
-        occurred — or posted while the notification was still in flight —
-        instead pay the modeled timeout in :meth:`_release_failed`.
-        """
-        detect = req.post_time
-        req.fail(detect, ERR_PROC_FAILED, failed_rank=failed_rank)
-        self.engine.log.log(
-            detect,
-            "detect",
-            f"detected failure of rank {failed_rank} ({req.describe()})",
-            rank=req.vp.rank,
-        )
-        if self.obs is not None:
-            failed_at = req.vp.failed_peers.get(failed_rank, detect)
-            self.obs.instant(
-                detect, "detect", rank=req.vp.rank, track="resilience",
-                args={"failed_rank": failed_rank, "latency": detect - failed_at},
-            )
+        if not pending and post_time >= failed_at + self.network.wire_latency(peer, vp.rank):
+            return post_time
+        return max(failed_at, post_time) + self.network.detection_timeout(vp.rank, peer)
 
     def _match_unexpected(self, state: RankState, req: Request) -> Msg | None:
         """Pop the lowest-seq buffered message matching a fresh wildcard
@@ -646,6 +626,16 @@ class MpiWorld:
         if self.check is not None:
             self.check.on_wait_complete(vp, req)
         if req.error != SUCCESS:
+            if req.error == ERR_PROC_FAILED:
+                # The rank learns of the failure here, and only here: the
+                # one place a detection is recorded, so one that never
+                # takes effect (its owner aborted first) never is.
+                failed = req.failed_rank
+                latency = vp.clock - vp.failed_peers.get(failed, vp.clock)
+                self.engine.record(
+                    vp.clock, "detect", f"detected failure of rank {failed} ({req.describe()})",
+                    vp.rank, args={"failed_rank": failed, "latency": latency},
+                )
             yield from self.handle_error(
                 vp, req.comm, MpiError(req.error, req.describe(), req.failed_rank)
             )
@@ -815,7 +805,7 @@ class MpiWorld:
                 state.vp.failed_peers[f] = t_fail
                 if obs is not None and self._obs_owns(state.rank):
                     # Visible one wire latency after the failure, matching
-                    # _failure_visible; owner-filtered so sharded runs
+                    # detection_time; owner-filtered so sharded runs
                     # emit each rank's notification exactly once.
                     obs.instant(
                         t_fail + self.network.wire_latency(f, state.rank),
@@ -863,16 +853,19 @@ class MpiWorld:
                     state.posted_wild[:] = kept
                     released.extend(rel_any)
                     released.extend(rel_src)
-            for req in released:
-                self._release_failed(req, f, t_fail)
             if state.rdv_sends:
                 kept_sends: list[Request] = []
                 for req in state.rdv_sends:
-                    if req.dst == f:
-                        self._release_failed(req, f, t_fail)
-                    else:
-                        kept_sends.append(req)
+                    (released if req.dst == f else kept_sends).append(req)
                 state.rdv_sends[:] = kept_sends
+            # "The simulated network communication time of the waiting
+            # simulated MPI process is adjusted for the time of failure,
+            # simulating a configurable network communication timeout."
+            for req in released:
+                detect = self.detection_time(state.vp, f, t_fail, req.post_time, pending=True)
+                req.fail(detect, ERR_PROC_FAILED, failed_rank=f)
+                if req.waiting:
+                    self.engine.wake(state.vp, detect)
         # Re-check open synchronization points that were waiting on it.
         for key in list(self._sync_points):
             sp = self._sync_points.get(key)
@@ -880,31 +873,6 @@ class MpiWorld:
                 self._check_sync(sp)
         if self.check is not None:
             self.check.on_failure(f, t_fail)
-
-    def _release_failed(self, req: Request, failed_rank: int, t_fail: float) -> None:
-        """Release-and-fail a request after the failure-detection timeout.
-
-        "The simulated network communication time of the waiting simulated
-        MPI process is adjusted for the time of failure, simulating a
-        configurable network communication timeout according to the network
-        model."
-        """
-        timeout = self.network.detection_timeout(req.vp.rank, failed_rank)
-        detect = max(t_fail, req.post_time) + timeout
-        req.fail(detect, ERR_PROC_FAILED, failed_rank=failed_rank)
-        self.engine.log.log(
-            detect,
-            "detect",
-            f"detected failure of rank {failed_rank} ({req.describe()})",
-            rank=req.vp.rank,
-        )
-        if self.obs is not None:
-            self.obs.instant(
-                detect, "detect", rank=req.vp.rank, track="resilience",
-                args={"failed_rank": failed_rank, "latency": detect - t_fail},
-            )
-        if req.waiting:
-            self.engine.wake(req.vp, detect)
 
     # ------------------------------------------------------------------
     # revocation (ULFM)
@@ -918,12 +886,7 @@ class MpiWorld:
         if comm.revoked:
             return
         comm.revoked = True
-        self.engine.log.log(t, "revoke", f"{comm.name} revoked", rank=initiator)
-        if self.obs is not None:
-            self.obs.instant(
-                t, "revoke", rank=initiator, track="resilience",
-                args={"comm": comm.name},
-            )
+        self.engine.record(t, "revoke", f"{comm.name} revoked", initiator, args={"comm": comm.name})
         ctxs = (comm.context_id * 2, comm.context_id * 2 + 1)
         for state in self.states:
             if not state.vp.alive or not comm.contains(state.rank):

@@ -684,12 +684,10 @@ class Engine:
         self.failures.append((vp.rank, vp.end_time))
         # "An informational message is printed out ... to let the user know
         # of the time and location (rank) of the failure."
-        self.log.log(vp.end_time, "failure", f"MPI process failure ({reason})", rank=vp.rank)
-        if self.obs is not None:
-            self.obs.instant(
-                vp.end_time, "inject", rank=vp.rank, track="resilience",
-                args={"reason": reason},
-            )
+        self.record(
+            vp.end_time, "failure", f"MPI process failure ({reason})", vp.rank,
+            instant="inject", args={"reason": reason},
+        )
         for listener in self.failure_listeners:
             listener(vp, vp.end_time)
 
@@ -702,6 +700,25 @@ class Engine:
     # ------------------------------------------------------------------
     # resilience control surface (used by repro.core)
     # ------------------------------------------------------------------
+    def record(
+        self,
+        time: float,
+        category: str,
+        message: str,
+        rank: int,
+        instant: str | None = None,
+        args: dict[str, Any] | None = None,
+    ) -> None:
+        """One resilience record: a :class:`SimLog` line of ``category``
+        and, with an observer attached, a ``resilience``-track instant
+        named ``instant`` (default: the category).  Every failure, detect,
+        revoke and abort is written here."""
+        self.log.log(time, category, message, rank=rank)
+        if self.obs is not None:
+            self.obs.instant(
+                time, instant or category, rank=rank, track="resilience", args=args
+            )
+
     def schedule_failure(self, rank: int, time: float) -> None:
         """Arm an MPI process failure for ``rank`` at earliest ``time``.
 
@@ -761,9 +778,7 @@ class Engine:
         self.aborting = True
         self.abort_time = time
         self.abort_rank = initiator
-        self.log.log(time, "abort", "MPI_Abort invoked", rank=initiator)
-        if self.obs is not None:
-            self.obs.instant(time, "abort", rank=initiator, track="resilience")
+        self.record(time, "abort", "MPI_Abort invoked", initiator)
         self._pending_abort = time
 
     def _apply_abort_sweep(self) -> None:

@@ -115,7 +115,7 @@ def _extract_stores(args: tuple) -> tuple[CheckpointStore, ...]:
             if callable(components):
                 stores.extend(s for s in components() if isinstance(s, CheckpointStore))
     return tuple(stores)
-from repro.mpi.constants import ERR_REVOKED
+from repro.mpi.constants import ERR_PROC_FAILED, ERR_REVOKED
 from repro.mpi.messages import EAGER, RTS, Msg, Request
 from repro.models.network.model import NetworkModel, NetworkTier
 from repro.models.network.topology import (
@@ -534,26 +534,16 @@ class WindowedEngine(Engine):
 
     # -- resilience surface overrides ---------------------------------
     def request_abort(self, time: float, initiator: int) -> None:
-        if self.shard_id is None:
-            super().request_abort(time, initiator)
-            return
-        if not self.lockstep:
+        if self.shard_id is not None and not self.lockstep:
             raise ShardedParityError(
                 f"MPI_Abort from rank {initiator} at {time} inside a "
                 "conservative window; aborts can only follow armed failures "
                 "under --shards > 1"
             )
-        if self.aborting:
-            return
-        self.aborting = True
-        self.abort_time = time
-        self.abort_rank = initiator
-        # Logged only in the initiating shard so the merged log carries the
-        # line exactly once, like the serial run.
-        self.log.log(time, "abort", "MPI_Abort invoked", rank=initiator)
-        if self.obs is not None:
-            self.obs.instant(time, "abort", rank=initiator, track="resilience")
-        self._pending_abort = time
+        # Recorded only in the initiating shard (other shards arm the sweep
+        # through apply_remote_abort), so the merged log carries the line
+        # exactly once, like the serial run.
+        super().request_abort(time, initiator)
 
     def apply_remote_abort(self, time: float, initiator: int) -> None:
         """Abort broadcast relayed from another shard (directive path).
@@ -688,9 +678,11 @@ class ShardedMpiWorld(MpiWorld):
             if comm.revoked:
                 req.fail(clock, ERR_REVOKED)
                 return req
-            if failed_at is not None and self._failure_visible(vp, dst, failed_at):
-                self._fail_from_list(req, dst)
-                return req
+            if failed_at is not None:
+                failed_by = self.detection_time(vp, dst, failed_at, clock)
+                if failed_by == clock:
+                    req.fail(clock, ERR_PROC_FAILED, failed_rank=dst)
+                    return req
         self._msg_seq += 1
         self.messages_sent += 1
         self.bytes_sent += nbytes
@@ -720,11 +712,8 @@ class ShardedMpiWorld(MpiWorld):
                 req.complete(clock)
         else:
             arrival = clock + link_f * network.wire_latency(vp.rank, dst)
-            if failed_at is not None:
-                # Posted before the notification became visible: behaves
-                # as pre-posted, paying the detection timeout (mirrors the
-                # serial :meth:`MpiWorld.post_send`).
-                self._release_failed(req, dst, failed_at)
+            if failed_at is not None:  # notification in flight: the timeout
+                req.fail(failed_by, ERR_PROC_FAILED, failed_rank=dst)
             else:
                 self.states[vp.rank].add_rdv_send(req)
         if dst in self.owned:

@@ -211,11 +211,13 @@ def _parses(parse: Callable[[Any], Any], what: str) -> Check:
     )
 
 
-def _positive_seconds(subject: str, value: float | None) -> str | None:
-    # Reaches Generator.uniform, which refuses a non-finite bound.
-    if value is None or 0.0 < value < math.inf:
-        return None
-    return f"{subject} must be a positive finite number of seconds, got {value}"
+def _positive_finite(what: str) -> Check:
+    # mttf reaches Generator.uniform and slowdown the network model's
+    # times, and both refuse a non-finite value.
+    return lambda subject, value: (
+        None if value is None or 0.0 < value < math.inf
+        else f"{subject} must be a positive finite {what}, got {value}"
+    )
 
 
 def _schedule(subject: str, value: str) -> str | None:
@@ -272,7 +274,7 @@ FIELD_TABLE: tuple[FieldSpec, ...] = (
     FieldSpec("detection_timeout", "str", _parses(parse_time, "a time such as 10s"),
               flag=("--detection-timeout",),
               help="failure detection timeout (default {default})"),
-    FieldSpec("slowdown", "float", flag=("--slowdown",),
+    FieldSpec("slowdown", "float", _positive_finite("number"), flag=("--slowdown",),
               help="simulated node slowdown (default {default})"),
     FieldSpec("collectives", "str", choices=COLLECTIVES, flag=("--collectives",),
               help="collective algorithm family (default {default})"),
@@ -287,7 +289,7 @@ FIELD_TABLE: tuple[FieldSpec, ...] = (
     FieldSpec("failures", "str", _schedule, flag=("--xsim-failures",),
               metavar="XSIM_FAILURES", env="XSIM_FAILURES",
               help='failure schedule as "rank@time,rank@time" (also: {env} env var)'),
-    FieldSpec("mttf", "float", _positive_seconds, flag=("--mttf",),
+    FieldSpec("mttf", "float", _positive_finite("number of seconds"), flag=("--mttf",),
               help="system MTTF for random injection (s)"),
     FieldSpec("max_restarts", "int"),
     FieldSpec("strategy", "str", choices=strategy_names(), label="resilience strategy",

@@ -1,5 +1,7 @@
 """Experiment drivers (Table II machinery, First Impressions) and reports."""
 
+import re
+
 import pytest
 
 from repro.apps.heat3d import HeatConfig
@@ -82,9 +84,9 @@ class TestFailureModes:
         assert obs.activated is not None
 
     def test_phase_is_the_earliest_detection_not_the_first_logged(self):
-        """A recv timeout is logged when it is scheduled, stamped one
-        detection timeout ahead (272.334 s here); the barrier's send
-        detects at 262.336 s and aborts the job first."""
+        """A recv would time out at 272.334 s here, but the barrier's send
+        detects at 262.336 s and aborts the job first: the recv's
+        detection never takes effect, so it is never recorded."""
         obs = observe_failure_mode(self._system(), self._workload(), rank=0, time=134.0)
         assert obs.aborted
         assert obs.detected_phase == "collective"
@@ -124,6 +126,28 @@ class TestFailureModes:
             or obs.incomplete_checkpoint
             or obs.partially_deleted_old
         )
+
+    @pytest.mark.parametrize("rank", [0, 4, 13])
+    def test_every_detect_record_precedes_the_abort(self, rank):
+        """A detection is recorded when its rank learns of it, so none is
+        stamped after the abort, and the log's first is the phase."""
+        from repro.apps.heat3d import heat3d
+        from repro.core.checkpoint.store import CheckpointStore
+        from repro.core.faults.schedule import FailureSchedule
+        from repro.core.simulator import XSim
+
+        for time in range(5, 546, 20):
+            sim = XSim(self._system())
+            sim.inject_schedule(FailureSchedule.of((rank, float(time))))
+            result = sim.run(heat3d, args=(self._workload(), CheckpointStore()))
+            detects = result.log.category("detect")
+            assert bool(detects) == result.aborted, time  # 545 s: after the run
+            assert all(d.time <= result.abort_time for d in detects), time
+            phase = None
+            if detects:
+                first = int(re.search(r"ctx=(\d+)", detects[0].message).group(1))
+                phase = "pt2pt" if first % 2 == 0 else "collective"
+            assert classify_detection_phase(result) == phase, time
 
     def test_no_failure_no_damage(self):
         obs = observe_failure_mode(

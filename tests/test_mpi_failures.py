@@ -7,6 +7,7 @@ observe when a simulated MPI process fails.
 import pytest
 
 from repro.core.harness.config import SystemConfig
+from repro.core.simulator import XSim
 from repro.mpi.constants import ANY_SOURCE, ERR_PROC_FAILED
 from repro.mpi.errhandler import ERRORS_RETURN, MpiError
 from repro.pdes.context import VpState
@@ -246,6 +247,84 @@ class TestDetectionAndAbort:
         run = run_app(app, nranks=2)
         assert run.result.failures == [(1, 2.0)]
         assert run.result.aborted
+
+
+class TestOneDetectPerFailedRequest:
+    """A rank records a detection when it learns of it — in the tail every
+    wait, test and collective completion shares — and only then."""
+
+    @staticmethod
+    def detects(consume, algorithm="linear", nranks=2):
+        """Rank 1 dies blocked at t=0.5; rank 0 runs ``consume(mpi)``."""
+
+        def app(mpi):
+            yield from mpi.init()
+            if mpi.rank == 1:
+                yield from mpi.recv(0, tag=99)
+            elif mpi.rank == 0:
+                yield from consume(mpi)
+            else:
+                yield from consume(mpi, mpi.rank)
+            yield from mpi.finalize()
+
+        system = SystemConfig.small_test_system(
+            nranks=nranks, collective_algorithm=algorithm
+        )
+        sim = XSim(system, observe=True)
+        sim.inject_failure(1, 0.5)
+        result = sim.run(app)
+        assert result.aborted
+        logged = [(e.time, e.rank) for e in result.log.category("detect")]
+        observed = sorted(
+            (e.start, e.rank) for e in sim.observer.sim_events() if e.name == "detect"
+        )
+        assert logged == observed
+        assert all(t <= result.abort_time for t, _ in logged)
+        return logged
+
+    def test_wait(self):
+        def consume(mpi):
+            yield from mpi.wait(mpi.irecv(1, tag=0))
+
+        assert [r for _, r in self.detects(consume)] == [0]
+
+    def test_waitall_stops_at_the_first(self):
+        def consume(mpi):
+            yield from mpi.waitall([mpi.irecv(1, tag=0), mpi.irecv(1, tag=1)])
+
+        assert [r for _, r in self.detects(consume)] == [0]
+
+    def test_test_records_when_it_learns(self):
+        def consume(mpi):
+            req = mpi.irecv(1, tag=0)
+            yield from mpi.compute(5.0)
+            yield from mpi.test(req)
+
+        # failed at 0.5 + the timeout; learnt at the test
+        assert self.detects(consume) == [(pytest.approx(5.0), 0)]
+
+    def test_neighbor_exchange(self):
+        def consume(mpi):
+            yield from mpi.neighbor_exchange(mpi.neighbor_plan([(1, 0, 0, 8)]))
+
+        assert [r for _, r in self.detects(consume)] == [0]
+
+    @pytest.mark.parametrize("algorithm", ["linear", "analytic"])
+    def test_collective(self, algorithm):
+        def consume(mpi):
+            yield from mpi.barrier()
+
+        assert [r for _, r in self.detects(consume, algorithm)] == [0]
+
+    def test_a_receive_whose_owner_aborts_first_records_none(self):
+        def consume(mpi, rank=0):
+            if rank == 0:  # would detect at 0.5 + the timeout
+                yield from mpi.wait(mpi.irecv(1, tag=0))
+            else:  # the failure is on rank 2's list by 0.6: the send fails at once
+                yield from mpi.compute(0.6)
+                yield from mpi.send(1, nbytes=8)
+
+        assert self.detects(consume, nranks=3) == [(pytest.approx(0.6), 2)]
 
 
 class TestErrorsReturn:

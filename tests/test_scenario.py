@@ -182,7 +182,7 @@ class TestSerialization:
     def test_stand_ins_that_change_nothing_return_the_kept_digest(self, monkeypatch):
         """A scenario already in normal form is hashed once for its cache
         key and its summary; stand-ins that hash alike but are spelt
-        differently (``-0.0`` for ``0.0``) are not the field's value."""
+        differently (``True`` for ``1``) are not the field's value."""
         import repro.run.scenario as module
 
         hashed = []
@@ -194,9 +194,9 @@ class TestSerialization:
         assert s.digest_with(backend=None, shards=1, jobs=1, trace_out="") == s.scenario_digest()
         assert hashed == [{}]
         assert s.digest_with(slowdown=s.slowdown) == s.scenario_digest() and len(hashed) == 1
-        odd = tiny(slowdown=0.0)
-        assert odd.digest_with(slowdown=-0.0) == odd.with_(slowdown=-0.0).scenario_digest()
-        assert odd.digest_with(slowdown=-0.0) != odd.scenario_digest()
+        odd = tiny(iterations=1)
+        assert odd.digest_with(iterations=True) == odd.with_(iterations=True).scenario_digest()
+        assert odd.digest_with(iterations=True) != odd.scenario_digest()
         assert s.digest_with(shards=2) == s.with_(shards=2).scenario_digest() != s.scenario_digest()
 
     def test_unknown_table_and_key_rejected(self):

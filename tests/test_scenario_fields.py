@@ -11,15 +11,18 @@ naming where it came from.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import cli
 from repro.cli import build_parser, main
 from repro.run.envvars import XSIM_ENV_VARS, read_environment
-from repro.run.scenario import FIELD_TABLE, FIELDS, Scenario, load_scenario_file
+from repro.run.scenario import FIELD_TABLE, FIELDS, Scenario, load_scenario_file, parse_text
 from repro.run.sweep import parse_set
 from repro.util.errors import ConfigurationError
 
@@ -144,6 +147,60 @@ def test_a_bad_axis_value_is_named(axis, message):
     with pytest.raises(ConfigurationError) as refused:
         parse_set(axis)
     assert str(refused.value) == message
+
+
+NUMERIC_ROWS = sorted(spec.name for spec in FIELD_TABLE if spec.kind in ("int", "float", "dims"))
+#: Spellings of numbers that are not finite, or barely are.
+EDGES = ["inf", "-inf", "nan", "1e400", "-1e400", "1e308", "0", "-0", "1e3", "2.5",
+         "8x8", "0x4", "1e400x2", "99999999999999999999999", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(NUMERIC_ROWS),
+    text=st.one_of(
+        st.sampled_from(EDGES),
+        st.floats().map(repr),
+        st.integers().map(str),
+        st.text(alphabet="0123456789.eEx+-nainf ", max_size=12),
+    ),
+)
+def test_a_number_parses_finite_or_is_refused_by_name(name, text):
+    """Every int / float / dims row: a finite value, or one
+    ConfigurationError that names where the text came from."""
+    subject = f"--set {name}"
+    try:
+        value = parse_text(name, text, subject)
+    except ConfigurationError as refused:
+        assert subject in str(refused)
+        return
+    values = value if isinstance(value, tuple) else (value,)
+    assert all(isinstance(v, int) or math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize(
+    "argv, toml",
+    [
+        (["--slowdown", "1e400"], None),
+        (["--slowdown", "nan"], None),
+        (None, "[machine]\nslowdown = inf\n"),
+    ],
+)
+def test_a_slowdown_that_is_not_finite_is_refused_at_the_field(tmp_path, capsys, argv, toml):
+    if toml is not None:
+        path = tmp_path / "s.toml"
+        path.write_text(toml)
+        argv = ["--scenario", str(path)]
+    assert main(["app", "--ranks", "8", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "slowdown must be a positive finite number" in err
+
+
+def test_a_slowdown_that_is_not_finite_is_refused_by_the_axis_and_the_constructor():
+    with pytest.raises(ConfigurationError, match="^--set slowdown must be"):
+        parse_set("slowdown=1,inf")
+    with pytest.raises(ConfigurationError, match="^slowdown must be"):
+        Scenario(slowdown=math.inf)
 
 
 @pytest.mark.parametrize(
