@@ -275,7 +275,7 @@ def check_sharded_parity(
     and seq numbers legitimately differ across shards — see
     :meth:`~repro.check.trace.EventTrace.rank_projection`).  Checks the
     in-process transport's trace projection against serial, then the
-    forked-worker transport's result digest, both with a mid-run injected
+    shm transport's result digest, both with a mid-run injected
     failure so the resilience envelope path (failure broadcast, detection,
     abort) is exercised.
 
@@ -331,22 +331,6 @@ def check_sharded_parity(
             False,
             f"inline-shard digest {d_sharded} != serial {d_serial}",
         )
-    _, forked = _heat_sim(
-        nranks,
-        iterations,
-        10,
-        failure=failure,
-        shards=shards,
-        shard_transport="fork",
-        paper_timing=True,
-    )
-    d_forked = result_digest(forked)
-    if d_forked != d_serial:
-        return CheckResult(
-            "sharded-parity",
-            False,
-            f"fork-shard digest {d_forked} != serial {d_serial}",
-        )
     _, shm = _heat_sim(
         nranks,
         iterations,
@@ -367,7 +351,7 @@ def check_sharded_parity(
         "sharded-parity",
         True,
         f"{shards} shards == serial at {nranks} ranks with injected failure "
-        f"({serial.event_count} events; inline trace + fork/shm digests)",
+        f"({serial.event_count} events; inline trace + shm digest)",
     )
 
 

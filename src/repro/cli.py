@@ -149,7 +149,7 @@ _FAULTS = ("mttf", "failures", "check")
 #: argparse ``type`` per field kind (``str``: the text itself).  A bad
 #: ``--dims`` raises ``ConfigurationError``, which argparse lets through
 #: to :func:`main`'s handler.
-_FLAG_TYPES = {"int": int, "float": float, "dims": parse_dims, "str": None}
+_FLAG_TYPES = {"int": int, "float": float, "dims": parse_dims, "str": None, "quantity": None}
 _DEFAULTS = {f.name: f.default for f in fields(Scenario)}
 
 

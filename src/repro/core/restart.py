@@ -333,8 +333,8 @@ class RestartDriver:
             for rank, t_abs in failstops:
                 sim.inject_failure(rank, t_abs)
             result = sim.run(self.app, args=self.make_args(strategy.segment_store()))
-            # Execution facts of the most recent segment (actual shard
-            # transport, fallback flag) for ScenarioOutcome.metadata.
+            # Execution facts of the most recent segment (shard transport
+            # and count) for ScenarioOutcome.metadata.
             self.shard_stats = getattr(sim, "shard_stats", None)
             if self.observer is not None:
                 self.observer.span(

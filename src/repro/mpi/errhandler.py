@@ -40,7 +40,7 @@ class _FatalHandler:
         return "MPI_ERRORS_ARE_FATAL"
 
     def __reduce__(self):
-        # Pickle to the module-global name so the sharded engine's fork
+        # Pickle to the module-global name so the sharded engine's shm
         # transport (and checkpoint stores) round-trip the sentinel to the
         # *same* object — handler dispatch compares with ``is``.
         return "ERRORS_ARE_FATAL"

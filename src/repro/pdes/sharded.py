@@ -70,18 +70,16 @@ handles crossing shards, and cross-shard revocation.
 
 Transports
 ----------
-``fork`` (default where available): workers are forked from the launched
-parent simulation, so construction cost is paid once and copy-on-write
-shares the launch state; envelopes travel over ``multiprocessing`` pipes.
-``shm``: forked workers exchanging envelopes through shared-memory ring
-buffers with a fixed packed encoding (:mod:`repro.pdes.shmring`) — the
-pipe carries only small control headers, so the per-envelope pickle and
-syscall costs of the fork transport disappear.
-``inline``: every shard is an independently constructed replica driven in
-one process — no parallelism, but bit-exact and debuggable, and the
-mechanism the property tests use.
+``inline`` (the default): every shard is an independently constructed
+replica driven in one process — no parallelism, but bit-exact and
+debuggable, and the mechanism the property tests use.
+``shm``: workers forked from the launched parent simulation (construction
+is paid once, copy-on-write shares the launch state) exchanging envelopes
+through shared-memory ring buffers with a fixed packed encoding
+(:mod:`repro.pdes.shmring`); the pipe carries only small control headers.
+It needs the fork start method and is refused where that is missing.
 
-All three transports produce bit-identical digests; a worker process that
+Both transports produce bit-identical digests; a worker process that
 dies mid-protocol raises :class:`~repro.util.errors.ShardWorkerDied`
 (liveness polling) instead of blocking the coordinator forever.
 """
@@ -91,7 +89,6 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
@@ -452,11 +449,6 @@ class ShardStats:
     #: Largest entry of the per-pair lookahead matrix (``lookahead`` holds
     #: the smallest — the old global bound every pair dominates).
     lookahead_max: float = 0.0
-    #: Transport the caller asked for (``None`` = auto-select).
-    requested_transport: str | None = None
-    #: True when an unavailable fork start method forced the requested
-    #: fork/shm transport down to inline (surfaced via SimLog/obs too).
-    transport_fallback: bool = False
     #: Shard sizes of the (possibly topology-slid) partition.
     partition: list[int] = field(default_factory=list)
 
@@ -504,7 +496,7 @@ class ShardReport:
     #: Observer events collected by this worker's shard-local
     #: :class:`~repro.obs.Observer` (``None`` when observability is off).
     obs_entries: list | None
-    #: (owned checkpoint files, writes delta, deletes delta) — fork only.
+    #: (owned checkpoint files, writes delta, deletes delta) — shm only.
     store_delta: tuple | None
 
 
@@ -1018,37 +1010,6 @@ def _handle_op(worker: ShardWorker, msg: tuple) -> Any:
     raise SimulationError(f"unknown shard op {op!r}")
 
 
-def _forked_worker_main(
-    conn, worker: ShardWorker, stores: tuple[CheckpointStore, ...]
-) -> None:
-    """Child-process loop of the fork transport."""
-    status = 0
-    try:
-        try:
-            conn.send(("ok", worker.setup(stores=stores)))
-            while True:
-                msg = conn.recv()
-                if msg[0] == "close":
-                    break
-                conn.send(("ok", _handle_op(worker, msg)))
-        except EOFError:
-            pass
-        except BaseException as err:
-            status = 1
-            try:
-                conn.send(("error", f"{type(err).__name__}: {err}"))
-            except Exception:
-                pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-        # Skip the parent's interpreter teardown (atexit hooks, pytest
-        # machinery) inherited by the fork.
-        os._exit(status)
-
-
 def _shm_worker_main(
     conn,
     worker: ShardWorker,
@@ -1136,8 +1097,13 @@ class _InlineConn:
         return _handle_op(self.worker, msg)
 
 
-class _ProcConn:
-    """Shared liveness machinery of the process-backed transports.
+class _ShmConn:
+    """Pipe for control + shared-memory rings for envelope payloads.
+
+    Both directions announce the record count on the pipe first, then
+    stream packed envelopes through the ring — the announced side is
+    already draining by the time the ring could fill, so streaming cannot
+    deadlock even for batches larger than the ring.
 
     Replies are awaited with bounded ``conn.poll`` + ``proc.is_alive``
     checks: a worker that dies mid-window raises
@@ -1149,13 +1115,16 @@ class _ProcConn:
     #: Seconds between liveness checks while waiting on the pipe.
     poll_interval = 0.05
 
-    def __init__(self, conn, proc, shard_id: int):
+    def __init__(self, conn, proc, shard_id: int, ring_out: ShmRing, ring_in: ShmRing):
         self.conn = conn
         self.proc = proc
         self.shard_id = shard_id
         self.initial_min = math.inf
         #: Protocol rounds (setup/window/lockstep/apply replies) completed.
         self.completed_rounds = 0
+        self.ring_out = ring_out
+        self.ring_in = ring_in
+        self._last_op: str | None = None
 
     def _alive(self) -> bool:
         return self.proc.is_alive()
@@ -1187,40 +1156,6 @@ class _ProcConn:
                     pass
                 self._worker_died()
 
-    def _checked_reply(self) -> Any:
-        reply = self._recv()
-        if reply[0] == "error":
-            raise SimulationError(f"shard {self.shard_id} worker failed: {reply[1]}")
-        return reply[1]
-
-
-class _ForkConn(_ProcConn):
-    """Pipe to a forked worker process (envelopes pickled in-band)."""
-
-    def send(self, msg: tuple) -> None:
-        self._send(msg)
-
-    def recv_payload(self) -> Any:
-        payload = self._checked_reply()
-        self.completed_rounds += 1
-        return payload
-
-
-class _ShmConn(_ProcConn):
-    """Pipe for control + shared-memory rings for envelope payloads.
-
-    Both directions announce the record count on the pipe first, then
-    stream packed envelopes through the ring — the announced side is
-    already draining by the time the ring could fill, so streaming cannot
-    deadlock even for batches larger than the ring.
-    """
-
-    def __init__(self, conn, proc, shard_id: int, ring_out: ShmRing, ring_in: ShmRing):
-        super().__init__(conn, proc, shard_id)
-        self.ring_out = ring_out
-        self.ring_in = ring_in
-        self._last_op: str | None = None
-
     def _stream(self, envelopes: list[tuple]) -> None:
         try:
             for env in envelopes:
@@ -1241,7 +1176,10 @@ class _ShmConn(_ProcConn):
             self._send(msg)
 
     def recv_payload(self) -> Any:
-        payload = self._checked_reply()
+        reply = self._recv()
+        if reply[0] == "error":
+            raise SimulationError(f"shard {self.shard_id} worker failed: {reply[1]}")
+        payload = reply[1]
         if self._last_op in ("window", "exact"):
             m_next, n_out, fails, abort, wall = payload
             try:
@@ -1325,28 +1263,17 @@ def _make_transport(
     rings: list[ShmRing] = []
     for k, part in enumerate(parts):
         parent_conn, child_conn = ctx.Pipe()
-        worker = make_worker(sim, k, part)
-        if transport == "shm":
-            # Created before the fork so the child inherits the mappings.
-            c2w, w2c = ShmRing(_SHM_RING_BYTES), ShmRing(_SHM_RING_BYTES)
-            rings += [c2w, w2c]
-            proc = ctx.Process(
-                target=_shm_worker_main,
-                args=(child_conn, worker, stores, c2w, w2c),
-                daemon=True,
-            )
-        else:
-            proc = ctx.Process(
-                target=_forked_worker_main,
-                args=(child_conn, worker, stores),
-                daemon=True,
-            )
+        # Created before the fork so the child inherits the mappings.
+        c2w, w2c = ShmRing(_SHM_RING_BYTES), ShmRing(_SHM_RING_BYTES)
+        rings += [c2w, w2c]
+        proc = ctx.Process(
+            target=_shm_worker_main,
+            args=(child_conn, make_worker(sim, k, part), stores, c2w, w2c),
+            daemon=True,
+        )
         proc.start()  # forks the fully launched, not-yet-run simulation
         child_conn.close()
-        if transport == "shm":
-            conns.append(_ShmConn(parent_conn, proc, k, ring_out=c2w, ring_in=w2c))
-        else:
-            conns.append(_ForkConn(parent_conn, proc, k))
+        conns.append(_ShmConn(parent_conn, proc, k, ring_out=c2w, ring_in=w2c))
         procs.append(proc)
     # The parent engine is consumed by the forked workers; mark it run so a
     # stray Engine.run() cannot double-execute the launch state.  (Set only
@@ -1604,40 +1531,20 @@ def run_sharded(sim: "XSim", app, args: tuple, nranks: int) -> SimulationResult:
     stores = _extract_stores(args)
     orig_stream = engine.log.stream
 
-    requested = sim.shard_transport
-    transport = requested
-    if transport is None:
-        transport = "fork" if "fork" in mp.get_all_start_methods() else "inline"
-    elif transport not in SHARD_TRANSPORTS:
+    transport = sim.shard_transport or "inline"
+    if transport not in SHARD_TRANSPORTS:
         raise ConfigurationError(f"unknown shard transport {transport!r}")
-    fallback = False
-    if transport != "inline" and "fork" not in mp.get_all_start_methods():
-        fallback = True
-        message = (
-            f"{transport!r} shard transport needs the fork start method "
-            "(unavailable on this host); falling back to the inline "
-            "single-process transport"
+    if transport == "shm" and "fork" not in mp.get_all_start_methods():
+        raise ConfigurationError(
+            "the shm shard transport needs the fork start method, which this "
+            "host lacks; use the inline transport"
         )
-        transport = "inline"
-        # Surfaced once through every channel the run exposes: a Python
-        # warning for API callers, a SimLog line (merged into the run's
-        # log via the shard-0 report), and a host-domain obs instant.
-        # Never in the digest — SimulationResult carries none of these.
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
-        engine.log.log(engine.now, "shards", message)
-        if sim.observer is not None:
-            sim.observer.host_instant(
-                perf_counter(), "shard-transport-fallback", track="coordinator",
-                args={"requested": requested, "actual": transport},
-            )
 
     stats = ShardStats(
         nshards=nshards,
         lookahead=lookahead,
         transport=transport,
         lookahead_max=max(pairs) if sim.shard_lookahead is None else lookahead,
-        requested_transport=requested,
-        transport_fallback=fallback,
         partition=[len(part) for part in parts],
     )
     if sim.observer is not None:

@@ -1,12 +1,10 @@
 """Shared-memory rings and packed envelopes for the ``shm`` shard transport.
 
-The fork transport moves every cross-shard envelope through a
-``multiprocessing.Pipe``: one pickle per batch, one ``write(2)``/``read(2)``
-round trip per message direction, all serialized through the kernel.  This
-module replaces the data path with single-producer/single-consumer byte
-rings over ``multiprocessing.shared_memory`` plus a fixed packed encoding
-for the two envelope forms, so a window's envelopes are memcpys into a
-mapped page instead of pickled syscalls.  Control traffic (ops, directives,
+Forked shard workers exchange cross-shard envelopes through
+single-producer/single-consumer byte rings over
+``multiprocessing.shared_memory`` in a fixed packed encoding for the two
+envelope forms, so a window's envelopes are memcpys into a mapped page
+instead of one pickle and one pipe round trip per batch.  Control traffic (ops, directives,
 final :class:`~repro.pdes.sharded.ShardReport`) stays on the pipe — it is
 rare and structure-rich, exactly what pickle is for.
 

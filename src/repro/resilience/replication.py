@@ -109,7 +109,7 @@ class Replication(ResilienceStrategy):
 
     def facts(self):
         # Parent-side counters only: RedundancyMonitor tallies accrue in
-        # the shard workers under the fork/shm transports and are not
+        # the shard workers under the shm transport and are not
         # merged back, so they stay off the (transport-independent) run
         # summary; tests read ``self.monitor`` directly on serial runs.
         return {

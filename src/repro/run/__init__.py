@@ -19,7 +19,7 @@ and launched:
   :meth:`~repro.core.restart.RestartDriver.from_scenario` (failure
   injection), and comes back a :class:`ScenarioOutcome`.  Which backends
   exist (serial engine; sharded conservative-parallel engine over the
-  inline, fork or shm transport) is the ``BACKEND_TRANSPORTS`` table of
+  inline or shm transport) is the ``BACKEND_TRANSPORTS`` table of
   :mod:`repro.run.scenario`; the jobs x shards CPU-capping guard lives
   here, so the API and the CLI share it.
 * :mod:`repro.run.sweep` — cartesian scenario-matrix expansion behind

@@ -38,14 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 def capped_shards(
     shards: int, jobs: int = 1, transport: str | None = None, quiet: bool = False
 ) -> int:
-    """Cap ``jobs * shards`` at the host's CPU count (process transports).
+    """Cap ``jobs * shards`` at the host's CPU count (the shm transport).
 
-    Every forked/shm shard worker is a full process; running ``jobs`` pool
+    Every shm shard worker is a full process; running ``jobs`` pool
     workers that each fork ``shards`` engine workers silently oversubscribes
-    the host and makes *everything* slower.  The inline transport stays in
-    one process and is never capped.
+    the host and makes *everything* slower.  The inline transport (also
+    what ``None`` runs) stays in one process and is never capped.
     """
-    if shards <= 1 or transport == "inline":
+    if shards <= 1 or transport != "shm":
         return shards
     # os.cpu_count() may return None (undeterminable); treat that as one
     # core — capping hard beats silently oversubscribing an unknown host.
@@ -160,8 +160,8 @@ class ScenarioOutcome:
         self.mode = mode
         self.sim = sim
         #: Execution facts that are *not* part of the result (and therefore
-        #: never of the digest): the transport the run actually used, whether
-        #: an unavailable fork start method forced a fallback, etc.
+        #: never of the digest): the transport the run used and its shard
+        #: count.
         self.metadata: dict = {} if metadata is None else metadata
         self._objects = (result, run, observer)
         #: Cache hits only, until first use: ``() -> (result, run, observer)``.
@@ -267,8 +267,6 @@ def _execution_metadata(stats) -> dict:
         return {}
     return {
         "shard_transport": stats.transport,
-        "requested_transport": stats.requested_transport,
-        "transport_fallback": stats.transport_fallback,
         "nshards": stats.nshards,
     }
 

@@ -44,10 +44,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from repro.core.faults.schedule import FailureSchedule
 from repro.core.harness.config import COLLECTIVES, TOPOLOGIES, validate_dims
@@ -124,7 +126,6 @@ APPS: dict[str, str] = {
 BACKEND_TRANSPORTS: dict[str, str | None] = {
     "serial": None,
     "sharded-inline": "inline",
-    "sharded-fork": "fork",
     "sharded-shm": "shm",
 }
 
@@ -141,12 +142,12 @@ def backend_name_for(backend: str | None, shards: int, shard_transport: str | No
     Explicit ``backend`` wins (and must agree with ``shard_transport``
     if both are given); otherwise the name derives from ``shards`` and
     ``shard_transport``: one shard is ``serial``, more run on the named
-    transport (``fork`` when none is).
+    transport (``inline`` when none is).
     """
     check_value("backend", backend)
     check_value("shard_transport", shard_transport)
     if backend is None:
-        return _BACKEND_OF_TRANSPORT[None if shards <= 1 else (shard_transport or "fork")]
+        return _BACKEND_OF_TRANSPORT[None if shards <= 1 else (shard_transport or "inline")]
     implied = BACKEND_TRANSPORTS[backend]
     if shard_transport is not None and implied is not None and implied != shard_transport:
         raise ConfigurationError(
@@ -181,10 +182,15 @@ def parse_dims(text: str) -> tuple[int, ...]:
 Check = Callable[[str, Any], "str | None"]
 
 
-def _at_least(low: int) -> Check:
-    return lambda subject, value: (
-        None if value >= low else f"{subject} must be >= {low}, got {value}"
-    )
+def _at_least(low: int, high: int | None = None) -> Check:
+    def check(subject: str, value: int) -> str | None:
+        if value < low:
+            return f"{subject} must be >= {low}, got {value}"
+        if high is not None and value > high:
+            return f"{subject} must be <= {high}, got {value}"
+        return None
+
+    return check
 
 
 def _one_of(choices: tuple[str, ...]) -> Check:
@@ -252,11 +258,15 @@ class FieldSpec(NamedTuple):
     env: str | None = None
 
 
+#: The largest ``ranks`` a scenario takes.
+MAX_RANKS = 2**27
+
 #: Every Scenario field, once, in dataclass order.  Adding a field is the
 #: dataclass field, its :data:`TOML_LAYOUT` row and a row here.
 FIELD_TABLE: tuple[FieldSpec, ...] = (
     # -- machine -------------------------------------------------------
-    FieldSpec("ranks", "int", _at_least(1), flag=("--ranks",),
+    # (2^27 ranks: the largest job xSim has simulated.)
+    FieldSpec("ranks", "int", _at_least(1, MAX_RANKS), flag=("--ranks",),
               help="simulated MPI rank count (default {default})"),
     FieldSpec("topology", "str", choices=TOPOLOGY_NAMES, flag=("--topology",),
               help="interconnect topology (default {default})"),
@@ -264,14 +274,14 @@ FIELD_TABLE: tuple[FieldSpec, ...] = (
               help="explicit topology grid, e.g. 8x8x4 for a torus/mesh or 16x3 "
               "(arity x levels) for a fattree; must be consistent with "
               "--ranks/--topology (default: derived near-cubic dims)"),
-    FieldSpec("latency", "str", _parses(parse_time, "a time such as 1us"),
+    FieldSpec("latency", "quantity", _parses(parse_time, "a time such as 1us"),
               flag=("--latency",), help="link latency (default {default})"),
-    FieldSpec("bandwidth", "str", _parses(parse_rate, "a rate such as 32GB/s"),
+    FieldSpec("bandwidth", "quantity", _parses(parse_rate, "a rate such as 32GB/s"),
               flag=("--bandwidth",), help="link bandwidth (default {default})"),
-    FieldSpec("eager_threshold", "str", _parses(parse_size, "a size such as 256kB"),
+    FieldSpec("eager_threshold", "quantity", _parses(parse_size, "a size such as 256kB"),
               flag=("--eager-threshold",),
               help="eager/rendezvous threshold (default {default})"),
-    FieldSpec("detection_timeout", "str", _parses(parse_time, "a time such as 10s"),
+    FieldSpec("detection_timeout", "quantity", _parses(parse_time, "a time such as 10s"),
               flag=("--detection-timeout",),
               help="failure detection timeout (default {default})"),
     FieldSpec("slowdown", "float", _positive_finite("number"), flag=("--slowdown",),
@@ -281,7 +291,7 @@ FIELD_TABLE: tuple[FieldSpec, ...] = (
     # -- application ---------------------------------------------------
     FieldSpec("app", "str", choices=APP_NAMES, flag=("--app",),
               help="simulated application (default {default})"),
-    FieldSpec("iterations", "int", flag=("--iterations",),
+    FieldSpec("iterations", "int", _at_least(1), flag=("--iterations",),
               help="application iterations (default {default})"),
     FieldSpec("interval", "int", _at_least(1), flag=("--interval",),
               help="checkpoint interval (default {default})"),
@@ -308,11 +318,10 @@ FIELD_TABLE: tuple[FieldSpec, ...] = (
               "bit-identical to a serial run"),
     FieldSpec("shard_transport", "str", choices=SHARD_TRANSPORTS, label="shard transport",
               flag=("--shard-transport",), env="XSIM_SHARD_TRANSPORT",
-              help="shard worker transport (default: {env} or fork): fork (one process "
-              "per shard, pickled pipes), shm (forked workers with shared-memory "
-              "envelope rings — lowest overhead), or inline (all shards in-process — "
-              "same schedule, for debugging and single-core hosts); results are "
-              "bit-identical across all three"),
+              help="shard worker transport (default: {env} or inline): inline (all "
+              "shards in one process) or shm (one forked worker per shard, "
+              "envelopes through shared-memory rings); results are bit-identical "
+              "across both"),
     FieldSpec("jobs", "int", _at_least(1), flag=("-j", "--jobs"), env="XSIM_JOBS",
               help="worker processes for the campaign (default: {env} or {default}); "
               "results are identical to a serial sweep"),
@@ -355,6 +364,45 @@ _KINDS: dict[str, tuple[Callable[[str], Any], str]] = {
     "bool": (lambda text: _BOOLEANS[text.lower()], "a boolean (1/0, true/false, yes/no, on/off)"),
     "dims": (parse_dims, "a grid such as 8x8x4"),
     "str": (str, "text"),
+    "quantity": (str, "text"),
+}
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    # An integer past the float range (a TOML 1 followed by 400 zeros)
+    # is no number: the constructor could not make it a float.
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
+
+
+def _is_params(value: Any) -> bool:
+    # A table, or the (name, value) pairs a built scenario keeps.
+    if isinstance(value, dict):
+        return True
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[0], str) for p in value
+    ) and len({p[0] for p in value}) == len(value)
+
+
+#: Field kind -> (does a Python value have it, what one should have been).
+#: Every check tests this before its row's own: a file or a constructor
+#: call hands over values of any type, a text parser only its kind's.
+_TYPES: dict[str | None, tuple[Callable[[Any], bool], str]] = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda value: isinstance(value, bool), "true or false"),
+    "dims": (
+        lambda value: isinstance(value, (list, tuple)) and bool(value)
+        and all(_is_int(d) and d >= 1 for d in value),
+        "a list of integers >= 1 such as [8, 8, 4]",
+    ),
+    "str": (lambda value: isinstance(value, str), "text"),
+    # A time, rate or size: text with its unit, or a number in base units.
+    "quantity": (lambda value: isinstance(value, str) or _is_number(value), "text"),
+    None: (_is_params, "a table of strategy parameters"),
 }
 
 
@@ -425,6 +473,10 @@ class Scenario:
     trace_out: str = ""
 
     def __post_init__(self) -> None:
+        for name, label, check in _CONSTRUCTOR_CHECKS:
+            problem = check(label, getattr(self, name))
+            if problem is not None:
+                raise ConfigurationError(problem)
         # Normalize representation-equivalent inputs (TOML integers,
         # list-form dims) so equality and the digest are canonical.
         object.__setattr__(self, "slowdown", float(self.slowdown))
@@ -445,15 +497,15 @@ class Scenario:
             "strategy_params",
             tuple(sorted((str(k), v) for k, v in items)),
         )
-        for name, label, check in _CONSTRUCTOR_CHECKS:
-            problem = check(label, getattr(self, name))
-            if problem is not None:
-                raise ConfigurationError(problem)
-        # The parameter spellings, types and bounds of the named strategy.
-        strategy_values(self.strategy, dict(self.strategy_params))
+        # The checks across fields, each on behalf of one of them: the
+        # one a scenario file's error names (``_layered``).
+        with _on_behalf_of("strategy_params"):
+            # The parameter spellings, types and bounds of the named strategy.
+            strategy_values(self.strategy, dict(self.strategy_params))
         if self.dims is not None:
-            # paper_system places one rank per node, so nnodes == ranks.
-            validate_dims(self.dims, self.topology, self.physical_ranks())
+            with _on_behalf_of("dims"):
+                # paper_system places one rank per node, so nnodes == ranks.
+                validate_dims(self.dims, self.topology, self.physical_ranks())
         # Parse eagerly so a bad schedule fails at build, not at launch —
         # and once: kept beside the fields like the digest (never among
         # them: ``==``, ``repr``, ``to_dict`` and TOML do not see it).
@@ -656,29 +708,51 @@ def _field_digest(scenario: Scenario, overrides: dict[str, Any]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _row_check(spec: FieldSpec, default: Any) -> Check | None:
-    if spec.check is not None or not spec.choices:
-        return spec.check
-    check = _one_of(spec.choices)
-    if default is not None:
-        return check
-    return lambda subject, value: None if value is None else check(subject, value)
+def _typed(spec: FieldSpec, default: Any, own: Check | None) -> Check:
+    """The value's type against the row's kind, then ``own``; ``None``
+    passes where it is the field's default."""
+    accepts, what = _TYPES[spec.kind]
+
+    def check(subject: str, value: Any) -> str | None:
+        if value is None and default is None:
+            return None
+        if not accepts(value):
+            return f"{subject} must be {what}, got {value!r}"
+        return None if own is None else own(subject, value)
+
+    return check
 
 
-#: Field name -> its check (a ``choices`` row checks membership, and
-#: takes ``None`` too where that is the field's default).
+#: Field name -> its check: the type, then the row's check (a
+#: ``choices`` row checks membership).
 _CHECKS: dict[str, Check] = {
-    f.name: check
+    f.name: _typed(
+        spec := FIELDS[f.name],
+        f.default,
+        spec.check or (_one_of(spec.choices) if spec.choices else None),
+    )
     for f in fields(Scenario)
-    if (check := _row_check(FIELDS[f.name], f.default)) is not None
 }
-#: What ``__post_init__`` runs, in table order.  The failure schedule is
-#: not among them: the constructor parses it once and keeps it.
+#: What ``__post_init__`` runs, in table order.  The failure schedule's
+#: check is its type only: the constructor parses it once and keeps it.
 _CONSTRUCTOR_CHECKS = tuple(
-    (spec.name, spec.label or spec.name, _CHECKS[spec.name])
+    (
+        spec.name,
+        spec.label or spec.name,
+        _typed(spec, "", None) if spec.name == "failures" else _CHECKS[spec.name],
+    )
     for spec in FIELD_TABLE
-    if spec.name in _CHECKS and spec.name != "failures"
 )
+
+
+@contextmanager
+def _on_behalf_of(name: str) -> Iterator[None]:
+    """Mark a ``ConfigurationError`` raised inside as field ``name``'s."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        exc.field = name  # type: ignore[attr-defined]
+        raise
 
 
 def _layered(
@@ -689,18 +763,29 @@ def _layered(
 ) -> Scenario:
     """The precedence chain over a file layer (``{field: value}``, already
     checked against its TOML keys): the ``XSIM_*`` environment, then the
-    flag/kwarg ``overrides`` whose value is not ``None``."""
+    flag/kwarg ``overrides`` whose value is not ``None``.  A check across
+    fields that refuses a value the file set names its ``table.key``."""
+    env: dict[str, Any] = {}
     if use_environment:
         from repro.run.envvars import read_environment  # it imports this module
 
-        layer.update(read_environment(environ))
-    layer.update({k: v for k, v in overrides.items() if v is not None})
+        env = read_environment(environ)
+    given = {k: v for k, v in overrides.items() if v is not None}
+    from_file = layer.keys() - env.keys() - given.keys()
+    layer.update(env)
+    layer.update(given)
     unknown = layer.keys() - FIELDS.keys()
     if unknown:
         raise ConfigurationError(
             f"unknown scenario field(s): {', '.join(sorted(unknown))}"
         )
-    return Scenario(**layer)
+    try:
+        return Scenario(**layer)
+    except ConfigurationError as exc:
+        name = getattr(exc, "field", None)
+        if name not in from_file:
+            raise
+        raise ConfigurationError(f"{_TOML_KEYS[name]}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -711,6 +796,8 @@ _FIELD_BY_TABLE_KEY = {
     for table, pairs in TOML_LAYOUT.items()
     for key, field_name in pairs
 }
+#: Field name -> its ``table.key``.
+_TOML_KEYS = {name: f"{table}.{key}" for (table, key), name in _FIELD_BY_TABLE_KEY.items()}
 
 
 def _toml_value(value: Any) -> str:

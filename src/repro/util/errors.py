@@ -55,7 +55,7 @@ class ShardedParityError(SimulationError):
 
 
 class ShardWorkerDied(SimulationError):
-    """A forked/shm shard worker process died mid-protocol.
+    """An shm shard worker process died mid-protocol.
 
     Raised by the coordinator's liveness polling instead of blocking on
     ``Conn.recv`` forever; names the shard and how many protocol rounds

@@ -220,7 +220,7 @@ def _canon(value):
 class TestCacheKey:
     def test_execution_fields_normalized_out(self):
         base = cache_key(SMALL)
-        assert cache_key(SMALL.with_(shards=4, shard_transport="fork")) == base
+        assert cache_key(SMALL.with_(shards=4, shard_transport="shm")) == base
         assert cache_key(SMALL.with_(shards=2, shard_transport="inline")) == base
         assert cache_key(SMALL.with_(jobs=8)) == base
         assert cache_key(SMALL.with_(backend="sharded-shm", shards=2)) == base

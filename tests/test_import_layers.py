@@ -455,11 +455,11 @@ class TestTablesMatchCode:
     def test_backends(self):
         from repro.run.scenario import BACKEND_TRANSPORTS, SHARD_TRANSPORTS, Scenario
 
-        assert SHARD_TRANSPORTS == ("fork", "inline", "shm")
+        assert SHARD_TRANSPORTS == ("inline", "shm")
         for name, transport in BACKEND_TRANSPORTS.items():
             shards = 1 if transport is None else 2
             assert Scenario(shards=shards, shard_transport=transport).backend_name() == name
-        assert Scenario(shards=2).backend_name() == "sharded-fork"
+        assert Scenario(shards=2).backend_name() == "sharded-inline"
 
     def test_topologies(self):
         from repro.core.harness.config import TOPOLOGIES, SystemConfig

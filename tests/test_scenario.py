@@ -195,8 +195,9 @@ class TestSerialization:
         assert hashed == [{}]
         assert s.digest_with(slowdown=s.slowdown) == s.scenario_digest() and len(hashed) == 1
         odd = tiny(iterations=1)
-        assert odd.digest_with(iterations=True) == odd.with_(iterations=True).scenario_digest()
         assert odd.digest_with(iterations=True) != odd.scenario_digest()
+        with pytest.raises(ConfigurationError, match="^iterations must be an integer, got True$"):
+            odd.with_(iterations=True)  # a bool is no iterations count
         assert s.digest_with(shards=2) == s.with_(shards=2).scenario_digest() != s.scenario_digest()
 
     def test_unknown_table_and_key_rejected(self):
@@ -259,7 +260,6 @@ class TestBackends:
         assert BACKEND_TRANSPORTS == {
             "serial": None,
             "sharded-inline": "inline",
-            "sharded-fork": "fork",
             "sharded-shm": "shm",
         }
 
@@ -271,7 +271,7 @@ class TestBackends:
 
     def test_backend_name_derivation(self):
         assert tiny().backend_name() == "serial"
-        assert tiny(shards=2).backend_name() == "sharded-fork"
+        assert tiny(shards=2).backend_name() == "sharded-inline"
         assert tiny(shards=2, shard_transport="inline").backend_name() == "sharded-inline"
         assert tiny(shards=2, shard_transport="shm").backend_name() == "sharded-shm"
         assert tiny(backend="serial").backend_name() == "serial"
@@ -282,7 +282,7 @@ class TestBackends:
 
     def test_backend_transport_conflict(self):
         with pytest.raises(ConfigurationError, match="conflicts"):
-            tiny(backend="sharded-fork", shard_transport="inline").backend_name()
+            tiny(backend="sharded-shm", shard_transport="inline").backend_name()
 
     def test_serial_vs_sharded_inline_digest_parity(self):
         serial = run_scenario(tiny())
@@ -308,12 +308,7 @@ class TestBackends:
 
     def test_outcome_metadata_records_actual_transport(self):
         outcome = run_scenario(tiny(shards=2, shard_transport="inline"))
-        assert outcome.metadata == {
-            "shard_transport": "inline",
-            "requested_transport": "inline",
-            "transport_fallback": False,
-            "nshards": 2,
-        }
+        assert outcome.metadata == {"shard_transport": "inline", "nshards": 2}
         # Execution facts stay out of the result digest: a serial run of
         # the same workload (empty metadata) produces the same digest.
         serial = run_scenario(tiny())
@@ -325,8 +320,7 @@ class TestBackends:
             tiny(iterations=40, failures="3@50s", shards=2, shard_transport="inline")
         )
         assert outcome.mode == "restart"
-        assert outcome.metadata["shard_transport"] == "inline"
-        assert outcome.metadata["transport_fallback"] is False
+        assert outcome.metadata == {"shard_transport": "inline", "nshards": 2}
 
     def test_xsim_from_scenario_backend_described(self):
         from repro.core.simulator import XSim
@@ -401,7 +395,7 @@ class TestCappedShards:
         import repro.run.backends as backends
 
         monkeypatch.setattr(backends.os, "cpu_count", lambda: 8)
-        assert capped_shards(4, jobs=2, transport="fork") == 4
+        assert capped_shards(4, jobs=2, transport="shm") == 4
 
     def test_inline_never_capped(self, monkeypatch):
         import repro.run.backends as backends
@@ -413,7 +407,7 @@ class TestCappedShards:
         import repro.run.backends as backends
 
         monkeypatch.setattr(backends.os, "cpu_count", lambda: 4)
-        assert capped_shards(2, jobs=8, transport="fork", quiet=True) == 1
+        assert capped_shards(2, jobs=8, transport="shm", quiet=True) == 1
         assert capsys.readouterr().err == ""  # quiet suppresses the warning
 
     def test_undeterminable_cpu_count_caps_hard(self, monkeypatch, capsys):
@@ -422,9 +416,8 @@ class TestCappedShards:
         import repro.run.backends as backends
 
         monkeypatch.setattr(backends.os, "cpu_count", lambda: None)
-        for transport in ("fork", "shm"):
-            assert capped_shards(4, jobs=1, transport=transport) == 1
-            assert capped_shards(4, jobs=3, transport=transport) == 1
+        assert capped_shards(4, jobs=1, transport="shm") == 1
+        assert capped_shards(4, jobs=3, transport="shm") == 1
         assert "oversubscribe" in capsys.readouterr().err
         # The inline transport needs no extra processes, so it is exempt.
         assert capped_shards(4, jobs=3, transport="inline") == 4
@@ -433,7 +426,7 @@ class TestCappedShards:
         import repro.run.backends as backends
 
         monkeypatch.setattr(backends.os, "cpu_count", lambda: None)
-        assert capped_shards(1, jobs=64, transport="fork") == 1
+        assert capped_shards(1, jobs=64, transport="shm") == 1
 
     def test_cli_reexport_is_registry_function(self):
         from repro import cli

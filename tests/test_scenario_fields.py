@@ -11,9 +11,11 @@ naming where it came from.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 from dataclasses import fields
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,14 @@ from hypothesis import strategies as st
 from repro import cli
 from repro.cli import build_parser, main
 from repro.run.envvars import XSIM_ENV_VARS, read_environment
-from repro.run.scenario import FIELD_TABLE, FIELDS, Scenario, load_scenario_file, parse_text
+from repro.run.scenario import (
+    FIELD_TABLE,
+    FIELDS,
+    TOML_LAYOUT,
+    Scenario,
+    load_scenario_file,
+    parse_text,
+)
 from repro.run.sweep import parse_set
 from repro.util.errors import ConfigurationError
 
@@ -220,6 +229,78 @@ def test_a_bad_toml_value_is_named(tmp_path, toml, message):
     with pytest.raises(ConfigurationError) as refused:
         load_scenario_file(path, use_environment=False)
     assert str(refused.value).startswith(message)
+
+
+# ----------------------------------------------------------------------
+# a scenario file of any key and value
+# ----------------------------------------------------------------------
+TOML_KEYS = [(table, key) for table, pairs in TOML_LAYOUT.items() for key, _ in pairs]
+
+
+def toml_text(value) -> str:
+    """``value`` spelt in TOML: a string JSON-escaped (TOML reads those
+    escapes; DEL it wants escaped too), a table inline."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False).replace("\x7f", "\\u007f")
+    if isinstance(value, list):
+        return "[" + ", ".join(map(toml_text, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k} = {toml_text(v)}" for k, v in value.items()) + "}"
+    return value.isoformat()  # a date
+
+
+#: Values a field might mistake for its own, beside arbitrary ones.
+NEAR_MISSES = ["64", "8x8", "1us", "3@50s", "", "inline", "shm", "fork", "ckpt-multilevel",
+               "replication", 0, -1, 1, 2**27, 2**27 + 1, 10**22, 10**400, 3.5, 1e300]
+TOML_VALUES = st.recursive(
+    st.one_of(
+        st.sampled_from(NEAR_MISSES),
+        st.integers(),
+        st.floats(),
+        st.booleans(),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+        st.dates(),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["name", "k", "factor", "a", "x-1"]), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_key=st.sampled_from(TOML_KEYS), value=TOML_VALUES)
+def test_a_scenario_file_builds_a_runnable_scenario_or_names_its_key(
+    tmp_path_factory, table_key, value
+):
+    """Any one key and value: a scenario whose machine and application
+    build within a second, or one ConfigurationError naming the key."""
+    table, key = table_key
+    path = tmp_path_factory.getbasetemp() / "one_key.toml"
+    path.write_text(f"[{table}]\n{key} = {toml_text(value)}\n")
+    try:
+        scenario, _ = load_scenario_file(path, use_environment=False)
+    except ConfigurationError as refused:
+        assert f"{table}.{key}" in str(refused)
+        return
+    start = perf_counter()
+    scenario.system_config()
+    scenario.make_app()
+    assert perf_counter() - start < 1.0
+
+
+def test_a_mistyped_value_in_a_scenario_file_is_one_line_naming_its_key(tmp_path, capsys):
+    path = tmp_path / "s.toml"
+    path.write_text('[machine]\nranks = "64"\n')
+    assert main(["app", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "error: machine.ranks must be an integer, got '64'\n"
 
 
 # ----------------------------------------------------------------------

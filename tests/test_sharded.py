@@ -8,7 +8,7 @@ digest, and the same resilience behavior (failure broadcast, detection,
 abort) as ``shards=1``.  ``xsim-run simcheck`` verifies one 64-rank
 configuration; this module sweeps the parameter space with Hypothesis
 and exercises the integration seams (restart driver, tree collectives,
-fork-transport pickling, CLI capping).
+worker pickling, CLI capping, the two transports' refusals).
 """
 
 import math
@@ -16,6 +16,7 @@ import multiprocessing as mp
 import os
 import pickle
 import threading
+import warnings
 from time import perf_counter
 
 import numpy as np
@@ -241,7 +242,6 @@ class TestLookaheadMatrix:
         "transport",
         [
             "inline",
-            pytest.param("fork", marks=fork_required),
             pytest.param("shm", marks=fork_required),
         ],
     )
@@ -432,7 +432,7 @@ class TestShmRing:
 class TestWorkerLiveness:
     """A dying worker must raise ShardWorkerDied, not hang the run."""
 
-    @pytest.mark.parametrize("transport", ["fork", "shm"])
+    @pytest.mark.parametrize("transport", ["shm"])
     def test_dead_worker_is_detected_and_named(self, transport, monkeypatch):
         original = ShardWorker.run_window
 
@@ -450,35 +450,57 @@ class TestWorkerLiveness:
         assert "last completed" in str(excinfo.value)
 
 
-class TestTransportFallback:
-    """fork/shm on a fork-less host: fall back loudly, never silently."""
+class TestTransportRefusal:
+    """Two transports, inline by default: a run never goes on one it was
+    not asked for, and a transport that cannot run is refused."""
 
-    @pytest.mark.parametrize("requested", ["fork", "shm"])
-    def test_fallback_is_surfaced_once_everywhere(
-        self, serial_digests, monkeypatch, requested
-    ):
+    def test_shm_without_fork_is_refused(self, serial_digests, monkeypatch):
         import repro.pdes.sharded as sharded_mod
 
         monkeypatch.setattr(
             sharded_mod.mp, "get_all_start_methods", lambda: ["spawn"]
         )
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            sim, res = run_heat(shards=2, shard_transport=requested)
-        stats = sim.shard_stats
-        assert stats.transport == "inline"
-        assert stats.requested_transport == requested
-        assert stats.transport_fallback is True
-        entries = [e for e in sim.engine.log.entries if e.category == "shards"]
-        assert len(entries) == 1
-        assert "falling back" in entries[0].message
-        # The fallback is an execution fact, never a result fact.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="needs the fork start method"):
+                run_heat(shards=2, shard_transport="shm")
+            sim, res = run_heat(shards=2, shard_transport="inline")
+        assert sim.shard_stats.transport == "inline"
         assert result_digest(res) == serial_digests[False]
 
-    def test_no_fallback_flags_on_a_normal_run(self):
-        sim, _ = run_heat(shards=2, shard_transport="inline")
-        assert sim.shard_stats.transport_fallback is False
-        assert sim.shard_stats.requested_transport == "inline"
-        assert [e for e in sim.engine.log.entries if e.category == "shards"] == []
+    def test_fork_is_refused_at_every_entry(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.run import Scenario
+        from repro.run.envvars import read_environment
+        from repro.run.scenario import load_scenario_file
+
+        path = tmp_path / "s.toml"
+        path.write_text('[execution]\nshards = 2\nshard_transport = "fork"\n')
+        entries = {
+            "constructor": lambda: Scenario(shards=2, shard_transport="fork"),
+            "file": lambda: load_scenario_file(path, use_environment=False),
+            "variable": lambda: read_environment({"XSIM_SHARD_TRANSPORT": "fork"}),
+            "backend": lambda: Scenario(shards=2, backend="sharded-fork"),
+        }
+        for entry, build in entries.items():
+            with pytest.raises(ConfigurationError) as refused:
+                build()
+            assert type(refused.value) is ConfigurationError, entry
+            assert "fork" in str(refused.value) and refused.value.__cause__ is None, entry
+        with pytest.raises(SystemExit) as exited:
+            main(["app", "--ranks", "4", "--shards", "2", "--shard-transport", "fork"])
+        assert exited.value.code == 2
+        assert "--shard-transport" in capsys.readouterr().err
+
+    def test_shards_run_inline_by_default(self):
+        from repro.run import Scenario, run_scenario
+
+        scenario = Scenario(ranks=NRANKS, iterations=ITERATIONS, interval=INTERVAL, shards=2)
+        assert scenario.backend_name() == "sharded-inline"
+        outcome = run_scenario(scenario, cache=False)
+        assert outcome.metadata == {"shard_transport": "inline", "nshards": 2}
+        serial = run_scenario(scenario.with_(shards=1), cache=False)
+        assert outcome.digest() == serial.digest()
 
 
 class TestParityProperty:
@@ -512,10 +534,6 @@ class TestParityProperty:
         assert serial_sim.event_trace.diff_ranks(sharded_sim.event_trace) is None
         assert sharded.event_count == serial.event_count
 
-    def test_fork_transport_matches_serial(self, serial_digests, failure_point):
-        _, res = run_heat(failure=failure_point, shards=3, shard_transport="fork")
-        assert result_digest(res) == serial_digests[True]
-
     def test_tree_collectives_parity(self):
         """The bench scenario (tree collectives) holds parity too."""
         _, serial = run_heat(collective="tree")
@@ -548,7 +566,7 @@ class TestWindowTightenedInsideAStep:
     causality violation`` for every ``dt`` above the round trip)."""
 
     @pytest.mark.parametrize(
-        "transport", ["inline", pytest.param("fork", marks=fork_required)]
+        "transport", ["inline", pytest.param("shm", marks=fork_required)]
     )
     @pytest.mark.parametrize("dt", [1e-7, 5e-6, 1e-3])
     def test_a_post_caps_the_advance_coalesced_after_it(self, transport, dt):
@@ -660,16 +678,16 @@ class TestCappedShards:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert cli.capped_shards(8, jobs=4, transport="inline") == 8
 
-    def test_fork_capped_to_cpu_budget(self, monkeypatch, capsys):
+    def test_shm_capped_to_cpu_budget(self, monkeypatch, capsys):
         from repro import cli
 
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert cli.capped_shards(8, jobs=2, transport="fork") == 2
+        assert cli.capped_shards(8, jobs=2, transport="shm") == 2
         assert "oversubscribe" in capsys.readouterr().err
 
     def test_fit_is_untouched(self, monkeypatch, capsys):
         from repro import cli
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert cli.capped_shards(4, jobs=2, transport="fork") == 4
+        assert cli.capped_shards(4, jobs=2, transport="shm") == 4
         assert capsys.readouterr().err == ""
