@@ -1,7 +1,8 @@
 """Extension (paper future work 1): soft-error injection campaigns.
 
 Injects Poisson bit flips into heat3d's tracked memory and reports the
-outcome distribution (crashes / silent data corruption / benign), plus the
+outcome distribution (crashes / silent data corruption / benign / no
+target: the victim was already dead), plus the
 crash-driven abort behaviour: a flip in a critical region feeds the
 ordinary process-failure machinery, so the job aborts exactly as for an
 injected process failure.
@@ -39,25 +40,31 @@ def test_soft_error_campaign(benchmark):
         benchmark, lambda: (_campaign(0.0, 0), _campaign(2e-4, 0))
     )
 
+    columns = (Effect.CRASH, Effect.SDC, Effect.BENIGN, Effect.NO_TARGET)
+
+    def row(rate, counts, result):
+        cells = " ".join(f"{counts[e]:>9}" for e in columns)
+        return f"{rate:>12} {sum(counts.values()):>6} {cells} {str(result.aborted):>8}"
+
     report(
         "",
         f"=== Soft-error campaign on heat3d ({NRANKS} ranks) ===",
-        f"{'rate/rank/s':>12} {'flips':>6} {'crash':>6} {'sdc':>6} {'benign':>7} {'aborted':>8}",
-        f"{'0':>12} {sum(benign_counts.values()):>6} {benign_counts[Effect.CRASH]:>6} "
-        f"{benign_counts[Effect.SDC]:>6} {benign_counts[Effect.BENIGN]:>7} "
-        f"{str(clean_result.aborted):>8}",
-        f"{'2e-4':>12} {sum(hot_counts.values()):>6} {hot_counts[Effect.CRASH]:>6} "
-        f"{hot_counts[Effect.SDC]:>6} {hot_counts[Effect.BENIGN]:>7} "
-        f"{str(hot_result.aborted):>8}",
+        f"{'rate/rank/s':>12} {'flips':>6} "
+        + " ".join(f"{e.value:>9}" for e in columns) + f" {'aborted':>8}",
+        row("0", benign_counts, clean_result),
+        row("2e-4", hot_counts, hot_result),
     )
 
     # no flips -> clean completion
     assert sum(benign_counts.values()) == 0
     assert clean_result.completed
 
-    # with flips: some landed, outcomes split across the classes
+    # every flip is in exactly one column
     total = sum(hot_counts.values())
-    assert total > 10
+    assert sum(hot_counts[e] for e in columns) == total
+    # with flips: some landed on a live rank, outcomes split across the
+    # classes (the rest find their victim already dead)
+    assert total - hot_counts[Effect.NO_TARGET] > 10
     assert hot_counts[Effect.SDC] > 0
     # the grid (DATA, 32 kB) is ~1/3 of the tracked footprint beside the
     # 64 kB critical runtime region, so both classes appear

@@ -9,9 +9,6 @@
 * :mod:`repro.apps.cg` — a Mantevo-style conjugate-gradient proxy whose
   per-iteration allreduces give the opposite communication profile
   (collective/latency-bound; validated against a serial solve).
-* :mod:`repro.apps.stencil2d` — a 2-D five-point stencil with the same
-  checkpoint discipline (a second stencil workload for the harness).
-* :mod:`repro.apps.ring` — token ring microbenchmark (latency paths).
 * :mod:`repro.apps.collective_bench` — collective-operation sweep app.
 * :mod:`repro.apps.naive_cr` — a minimal compute/checkpoint loop with an
   analytically known optimum (Daly validation).

@@ -76,7 +76,7 @@ def factor3(n: int) -> tuple[int, int, int]:
 
 class BlockDecomposed:
     """The derived sizes of a frozen config with ``grid``, ``ranks`` and
-    ``item_bytes`` fields (heat3d, cg, stencil2d).
+    ``item_bytes`` fields (heat3d, cg).
 
     Each is a pure function of the fields, computed on first read and
     kept beside them, never among them (``==``, ``repr`` and ``replace``

@@ -84,7 +84,8 @@ def validate_dims(dims: tuple[int, ...], kind: str, nnodes: int) -> None:
     """Reject an explicit topology-dims grid that cannot hold ``nnodes``.
 
     Torus/mesh grids need ``prod(dims) >= nnodes``; a fat tree's dims are
-    ``(arity, levels)`` and need ``arity ** levels >= nnodes``; star and
+    ``(arity, levels)`` and need ``arity ** levels >= nnodes`` with a
+    non-empty top level, ``arity ** (levels - 1) < nnodes``; star and
     crossbar topologies are sized by the node count alone and take no
     dims.  Raises :class:`~repro.util.errors.ConfigurationError` with the
     inconsistency spelled out.
@@ -108,10 +109,21 @@ def validate_dims(dims: tuple[int, ...], kind: str, nnodes: int) -> None:
         arity, levels = dims
         if arity < 2:
             raise ConfigurationError(f"fattree arity must be >= 2, got {arity}")
-        if arity**levels < nnodes:
+        # Level by level, stopping once the job fits: ``levels`` may be
+        # far too large for ``arity ** levels`` to be computed at all.
+        capacity, needed = arity, 1
+        while capacity < nnodes and needed < levels:
+            capacity *= arity
+            needed += 1
+        if capacity < nnodes:
             raise ConfigurationError(
-                f"fattree {arity}^{levels} holds {arity ** levels} nodes but "
+                f"fattree {arity}^{levels} holds {capacity} nodes but "
                 f"the job needs {nnodes}"
+            )
+        if needed < levels:
+            raise ConfigurationError(
+                f"fattree {arity}^{levels} leaves its top level empty: "
+                f"{arity}^{needed} already holds the job's {nnodes} nodes"
             )
         return
     raise ConfigurationError(

@@ -268,7 +268,7 @@ class RedundantApi:
             self._check(recv_tag, comm)
         return plan
 
-    def neighbor_exchange(self, plan: tuple, payloads=None, nbytes: int | None = None) -> Gen:
+    def neighbor_exchange(self, plan: tuple, payloads=None) -> Gen:
         """Counterpart of :meth:`MpiApi.neighbor_exchange` over the
         replicated channels: every face crosses per replica pair and is
         compared against its watcher hash."""
@@ -276,9 +276,7 @@ class RedundantApi:
         sends = []
         for i, (peer, send_tag, _rtag, size) in enumerate(plan):
             payload = None if payloads is None else payloads[i]
-            req = yield from self.isend(
-                peer, payload, nbytes if size is None else size, send_tag
-            )
+            req = yield from self.isend(peer, payload, size, send_tag)
             sends.append(req)
         yield from self.waitall(sends)
         return (yield from self.waitall(recvs))

@@ -69,11 +69,11 @@ class NeighborPlan:
 
     ``shape`` holds per row ``(delta, send_tag, recv_tag, nbytes)`` —
     ``delta`` the peer's world rank minus ``me`` (``None`` for
-    ``PROC_NULL``), ``nbytes`` the fixed wire size or ``None`` — and
-    ``wires`` the row's eager wire time (``None`` where unbound).  Both
-    tuples are interned per run (:attr:`MpiWorld.plan_parts`): every rank
-    at the same position of a decomposition borrows the same two, and a
-    rank owns this one small object.
+    ``PROC_NULL``), ``nbytes`` the fixed wire size — and ``wires`` the
+    row's eager wire time (``None`` for rendezvous and ``PROC_NULL``
+    rows).  Both tuples are interned per run (:attr:`MpiWorld.plan_parts`):
+    every rank at the same position of a decomposition borrows the same
+    two, and a rank owns this one small object.
     """
 
     __slots__ = ("comm", "ctx", "me", "shape", "wires")
@@ -399,7 +399,7 @@ class MpiApi:
     # ------------------------------------------------------------------
     def neighbor_plan(
         self,
-        rows: Iterable[tuple[int, int, int, int | None]],
+        rows: Iterable[tuple[int, int, int, int]],
         comm: Communicator | None = None,
     ) -> "NeighborPlan":
         """Bind a fixed set of neighbour channels once, like
@@ -408,12 +408,12 @@ class MpiApi:
         Each row is ``(peer, send_tag, recv_tag, nbytes)``: this rank sends
         to communicator rank ``peer`` with ``send_tag`` and receives from
         it with ``recv_tag``; ``PROC_NULL`` peers are allowed (domain
-        boundaries).  ``nbytes`` is the fixed wire size of the row's send,
-        or ``None`` when the size is only known per exchange.  Tags are
-        validated, ranks translated and — for fixed eager sizes — the wire
-        time looked up here, so :meth:`neighbor_exchange` repeats none of
-        it per message; what it still forms at the post is the peer's rank
-        from its offset and the receive's match key.
+        boundaries).  ``nbytes`` is the fixed wire size of the row's send
+        (heat3d and cg bind a face's size).  Tags are validated, ranks
+        translated and — for eager sizes — the wire time looked up here,
+        so :meth:`neighbor_exchange` repeats none of it per message; what
+        it still forms at the post is the peer's rank from its offset and
+        the receive's match key.
         """
         self._check_active()
         comm = self._comm(comm)
@@ -429,15 +429,16 @@ class MpiApi:
             if not (0 <= send_tag <= TAG_UB and 0 <= recv_tag <= TAG_UB):
                 self._check_tag(send_tag)
                 self._check_tag(recv_tag)
-            if nbytes is not None:
-                nbytes = payload_nbytes(None, nbytes)
+            if nbytes is None:
+                raise ConfigurationError("a neighbor_plan row needs its fixed nbytes")
+            nbytes = payload_nbytes(None, nbytes)
             if peer == PROC_NULL:
                 shape.append((None, send_tag, recv_tag, nbytes))
                 wires.append(None)
                 continue
             dst = world_rank(peer)
             wire = None
-            if nbytes is not None and nbytes <= eager_threshold:
+            if nbytes <= eager_threshold:
                 # A hit from the machine's second segment on: the model
                 # and its route caches outlive the run.
                 wire = transfer_time(nbytes, me, dst)
@@ -454,7 +455,6 @@ class MpiApi:
         self,
         plan: "NeighborPlan",
         payloads: Sequence[Any] | None = None,
-        nbytes: int | None = None,
     ) -> Gen:
         """Start and complete every channel of ``plan`` (``MPI_Startall``
         + ``MPI_Waitall``): post all receives, then pay each send's
@@ -463,8 +463,7 @@ class MpiApi:
         (``None`` for ``PROC_NULL`` rows and size-only messages).
 
         ``payloads`` supplies one send payload per row (``None``: size-only
-        sends); ``nbytes`` is the per-exchange wire size of rows bound
-        without a fixed one (inferred from the payload when omitted).
+        sends); each goes on the wire at its row's bound size.
 
         Event for event this is ``irecv`` per row, ``isend`` per row,
         ``waitall(sends)``, ``wait`` per receive — run inside this one
@@ -511,8 +510,6 @@ class MpiApi:
                     yield send_adv
                 _delta, stag, _rtag, size = shape[i]
                 payload = None if payloads is None else payloads[i]
-                if size is None:
-                    size = payload_nbytes(payload, nbytes)
                 # recv.src is this row's peer, formed once at the post
                 req = world.post_send(vp, comm, ctx, recv.src, stag, payload, size, wires[i])
                 if req is not None:

@@ -116,9 +116,6 @@ TOML_LAYOUT: dict[str, tuple[tuple[str, str], ...]] = {
 APPS: dict[str, str] = {
     "heat3d": "repro.apps.heat3d:scenario_workload",
     "cg": "repro.apps.cg:scenario_workload",
-    "stencil2d": "repro.apps.stencil2d:scenario_workload",
-    "ring": "repro.apps.ring:scenario_workload",
-    "amr": "repro.apps.amr:scenario_workload",
 }
 #: Execution backends -> the shard transport each one drives (``None``:
 #: the serial engine).  The only statement of which backends exist;

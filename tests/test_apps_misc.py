@@ -1,4 +1,6 @@
-"""The ring, stencil2d, collective_bench, and naive_cr applications."""
+"""Token-ring MPI facts, and the collective_bench and naive_cr applications."""
+
+from dataclasses import dataclass
 
 import pytest
 
@@ -8,12 +10,37 @@ from repro.apps.collective_bench import (
     collective_bench,
 )
 from repro.apps.naive_cr import NaiveCrConfig, naive_cr
-from repro.apps.ring import RingConfig, ring
-from repro.apps.stencil2d import Stencil2dConfig, factor2, stencil2d
 from repro.core.checkpoint.store import CheckpointStore
 from repro.core.harness.config import SystemConfig
 from repro.util.errors import ConfigurationError
 from tests.conftest import run_app
+
+
+@dataclass(frozen=True)
+class RingConfig:
+    rounds: int = 1
+    #: Modeled work between hops (simulated seconds).
+    compute_per_hop: float = 0.0
+
+
+def ring(mpi, cfg):
+    """A token goes 0 -> 1 -> ... -> N-1 -> 0 ``rounds`` times; each rank
+    returns the virtual time it finished its part."""
+    yield from mpi.init()
+    left = (mpi.rank - 1) % mpi.size
+    right = (mpi.rank + 1) % mpi.size
+    for round_no in range(cfg.rounds):
+        if mpi.rank == 0:
+            yield from mpi.send(right, nbytes=8, tag=round_no)
+            yield from mpi.recv(left, tag=round_no)
+        else:
+            yield from mpi.recv(left, tag=round_no)
+            if cfg.compute_per_hop > 0.0:
+                yield from mpi.compute(cfg.compute_per_hop)
+            yield from mpi.send(right, nbytes=8, tag=round_no)
+    done = mpi.wtime()
+    yield from mpi.finalize()
+    return done
 
 
 class TestRing:
@@ -39,61 +66,6 @@ class TestRing:
     def test_single_rank_ring(self):
         run = run_app(ring, nranks=1, args=(RingConfig(rounds=2),))
         assert run.result.completed
-
-
-class TestStencil2d:
-    def test_factor2(self):
-        assert factor2(12) == (4, 3)
-        assert factor2(9) == (3, 3)
-        assert factor2(7) == (7, 1)
-
-    def test_for_ranks(self):
-        cfg = Stencil2dConfig.for_ranks(6)
-        assert cfg.nranks == 6
-
-    def test_modeled_run_completes(self):
-        cfg = Stencil2dConfig.for_ranks(4, iterations=10, checkpoint_interval=5)
-        store = CheckpointStore()
-        run = run_app(stencil2d, nranks=4, args=(cfg, store))
-        assert run.result.completed
-        assert store.latest_valid(4) == 10
-
-    def test_real_mode_conserves_only_interior_changes(self):
-        cfg = Stencil2dConfig(
-            grid=(8, 8),
-            ranks=(2, 2),
-            iterations=4,
-            checkpoint_interval=2,
-            data_mode="real",
-        )
-        run = run_app(stencil2d, nranks=4, args=(cfg, None))
-        assert run.result.completed
-        checks = run.result.exit_values
-        assert all(isinstance(v, float) for v in checks.values())
-
-    def test_real_mode_deterministic(self):
-        cfg = Stencil2dConfig(
-            grid=(8, 8), ranks=(2, 2), iterations=3, checkpoint_interval=3, data_mode="real"
-        )
-        a = run_app(stencil2d, nranks=4, args=(cfg, None)).result.exit_values
-        b = run_app(stencil2d, nranks=4, args=(cfg, None)).result.exit_values
-        assert a == b
-
-    def test_wrong_rank_count_rejected(self):
-        cfg = Stencil2dConfig.for_ranks(4)
-        with pytest.raises(ConfigurationError):
-            run_app(stencil2d, nranks=2, args=(cfg, None))
-
-    def test_grid_divisibility_validated(self):
-        with pytest.raises(ConfigurationError):
-            Stencil2dConfig(grid=(10, 10), ranks=(3, 3))
-
-    def test_face_and_checkpoint_sizes(self):
-        cfg = Stencil2dConfig(grid=(16, 8), ranks=(2, 2))
-        assert cfg.local_shape == (8, 4)
-        assert cfg.face_bytes(0) == 4 * 8
-        assert cfg.face_bytes(1) == 8 * 8
-        assert cfg.checkpoint_nbytes == 256 + 32 * 8
 
 
 class TestCollectiveBench:

@@ -18,7 +18,7 @@ class TestCliApps:
         assert "restarts=" in out
 
     def test_system_overrides_plumbed(self, capsys):
-        assert main(["app", "--app", "ring", "--ranks", "4", "--iterations", "1",
+        assert main(["app", "--app", "heat3d", "--ranks", "4", "--iterations", "1",
                      "--topology", "crossbar", "--latency", "5us",
                      "--collectives", "tree", "--slowdown", "1"]) == 0
         assert "completed=True" in capsys.readouterr().out

@@ -202,7 +202,7 @@ class TestRuns:
         assert table(cold) == table(warm) and len(table(warm)) == 6
 
     def test_shard_engine_loads_only_when_sharded(self):
-        base = ["app", "--app", "ring", "--ranks", "8", "--iterations", "2"]
+        base = ["app", "--app", "heat3d", "--ranks", "8", "--iterations", "2"]
         rc, _, _, mods = xsim(*base)
         assert rc == 0 and loaded(mods, TOOLS + SHARD_ENGINE) == []
         rc, _, _, mods = xsim(*base, "--shards", "2", "--shard-transport", "inline")
@@ -238,7 +238,7 @@ class TestNumpyLoadsWithItsObjects:
         got = in_fresh_interpreter(
             self._PRELUDE
             + "out = {'is_array': [is_array([1.0]), is_array(b'\\0' * 8), is_array(None)]}\n"
-            "for app in ('heat3d', 'cg', 'stencil2d', 'amr'):\n"
+            "for app in ('heat3d', 'cg'):\n"
             "    run_scenario(Scenario(app=app, ranks=64, iterations=40, interval=20), cache=False)\n"
             "    out[app] = loaded()\n"
             "run_scenario(Scenario(ranks=64, iterations=40, interval=20, shards=2,\n"
@@ -248,7 +248,7 @@ class TestNumpyLoadsWithItsObjects:
         )
         assert got == {
             "is_array": [False, False, False], "heat3d": False, "cg": False,
-            "stencil2d": False, "amr": False, "inline shards": False,
+            "inline shards": False,
         }
 
     def test_cli_app_run_never_loads_it(self):
@@ -597,6 +597,22 @@ def test_every_module_is_reached_from_the_cli_or_says_why_not():
         f"unreachable and unexplained: {sorted(unreached - set(UNREACHED))}; "
         f"listed but reached or gone: {sorted(set(UNREACHED) - unreached)}"
     )
+
+
+def test_every_app_row_is_run_by_a_benchmark_or_the_ledger():
+    """Reach is not enough for an ``APPS`` row: some file under
+    ``benchmarks/`` or ``ledger/`` runs it, by ``app="<row>"`` or by
+    importing ``repro.apps.<row>``.  A row nothing measures goes."""
+    from repro.run.scenario import APPS
+
+    sources = "\n".join(
+        path.read_text() for top in ("benchmarks", "ledger") for path in (REPO / top).rglob("*.py")
+    )
+    unclaimed = [
+        name for name in APPS
+        if not re.search(rf"""app\s*=\s*["']{name}["']|\brepro\.apps\.{name}\b""", sources)
+    ]
+    assert unclaimed == []
 
 
 def test_a_package_reexport_is_not_a_use(tmp_path):

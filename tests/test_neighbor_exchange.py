@@ -10,6 +10,7 @@ sequence numbers, same kinds, in the same order.
 """
 
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.heat3d import (
+    BlockDecomposed,
     HeatConfig,
     factor3,
     halo_rows,
@@ -24,7 +26,6 @@ from repro.apps.heat3d import (
     heat3d_serial_reference,
     neighbor_ranks,
 )
-from repro.apps.stencil2d import Stencil2dConfig
 from repro.core.faults.schedule import LinkDegradeFault
 from repro.core.harness.config import SystemConfig
 from repro.core.harness.experiment import result_digest
@@ -34,6 +35,7 @@ from repro.mpi.api import MpiApi
 from repro.mpi.constants import ERR_REVOKED, PROC_NULL
 from repro.mpi.errhandler import ERRORS_RETURN, MpiError
 from repro.run import Scenario, run_scenario
+from repro.util.errors import ConfigurationError
 from tests.conftest import messages
 
 #: (axis, step) of each plan row; tags as the stencil apps assign them.
@@ -50,7 +52,7 @@ def stencil_rows(rank, dims, face_nbytes):
     ]
 
 
-def explicit_exchange(mpi, rows, payloads=None, nbytes=None):
+def explicit_exchange(mpi, rows, payloads=None):
     """The reference: what the apps spelled out before ``neighbor_exchange``.
 
     Every send goes through the facade's own ``isend`` — on the plain
@@ -63,7 +65,6 @@ def explicit_exchange(mpi, rows, payloads=None, nbytes=None):
     sends = []
     for i, (peer, send_tag, _rtag, size) in enumerate(rows):
         payload = None if payloads is None else payloads[i]
-        size = nbytes if size is None else size
         sends.append((yield from mpi.isend(peer, payload=payload, nbytes=size, tag=send_tag)))
     yield from mpi.waitall(sends)
     out = []
@@ -72,13 +73,13 @@ def explicit_exchange(mpi, rows, payloads=None, nbytes=None):
     return out
 
 
-def stencil_app(mpi, dims, fused, rounds=3, face_nbytes=512, real=False, per_call=False,
+def stencil_app(mpi, dims, fused, rounds=3, face_nbytes=512, real=False,
                 returns_errors=False, revoke_at=None, corrupt_replica=None):
     """``rounds`` of skewed compute + one exchange; returns what arrived."""
     yield from mpi.init()
     if returns_errors:
         mpi.set_errhandler(ERRORS_RETURN)
-    rows = stencil_rows(mpi.rank, dims, None if per_call else face_nbytes)
+    rows = stencil_rows(mpi.rank, dims, face_nbytes)
     plan = mpi.neighbor_plan(rows) if fused else None
     seen = []
     try:
@@ -93,11 +94,10 @@ def stencil_app(mpi, dims, fused, rounds=3, face_nbytes=512, real=False, per_cal
                 payloads = [np.full(4, 1000.0 * mpi.rank + 10 * i + r) for i in range(len(rows))]
                 if corrupt_replica is not None and mpi.replica == corrupt_replica:
                     payloads[1][0] += 0.5  # silent corruption in one replica's copy
-            size = face_nbytes * (1 + r) if per_call else None
             if fused:
-                got = yield from mpi.neighbor_exchange(plan, payloads, nbytes=size)
+                got = yield from mpi.neighbor_exchange(plan, payloads)
             else:
-                got = yield from explicit_exchange(mpi, rows, payloads, nbytes=size)
+                got = yield from explicit_exchange(mpi, rows, payloads)
             if payloads is not None:
                 for buf in payloads:
                     buf[:] = -1.0  # the wire copy was taken at the post
@@ -182,11 +182,6 @@ class TestEventIdentity:
         system = SystemConfig.small_test_system(nranks=27)
         assert system.make_network().send_overhead == 0.0
         run_identical((3, 3, 3), system=system)
-
-    def test_per_call_sizes(self):
-        # amr-style: rows bound without a size, one given per exchange
-        sim = run_identical((3, 1, 1), per_call=True, rounds=4)
-        assert sim.world.bytes_sent == sum(4 * 512 * (1 + r) for r in range(4))
 
     def test_neighbour_fails_mid_exchange(self):
         # Rank 13 (interior) dies while its six neighbours are exchanging.
@@ -321,6 +316,15 @@ class TestShardedParity:
         assert sharded.shard_stats.cross_shard_messages > 0
 
 
+def test_a_row_without_a_fixed_size_is_refused():
+    def app(mpi):
+        yield from mpi.init()
+        mpi.neighbor_plan([(PROC_NULL, 1, 2, None)])
+
+    with pytest.raises(ConfigurationError, match="needs its fixed nbytes"):
+        XSim(SystemConfig.small_test_system(nranks=1)).run(app)
+
+
 class TestProcNullQuirk:
     def test_receive_from_proc_null_pays_overhead_send_does_not(self):
         """Known model quirk, pinned: completing a receive pays the receive
@@ -384,7 +388,7 @@ def parent_rows(mpi, rows, comm):
             continue
         dst = comm.world_rank(peer)
         wire = None
-        if nbytes is not None and nbytes <= network.eager_threshold:
+        if nbytes <= network.eager_threshold:
             wire = network.transfer_time(nbytes, mpi.rank, dst)
         bound.append((dst, send_tag, (ctx, dst, recv_tag), nbytes, wire))
     return bound
@@ -392,7 +396,7 @@ def parent_rows(mpi, rows, comm):
 
 @given(
     extents=st.lists(st.integers(1, 6), min_size=1, max_size=3),
-    sizes=st.lists(st.sampled_from([None, 0, 8, 4096, 300_000]), min_size=3, max_size=3),
+    sizes=st.lists(st.sampled_from([0, 8, 4096, 300_000]), min_size=3, max_size=3),
     split=st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
@@ -407,7 +411,6 @@ def test_flyweight_plan_posts_the_rows_the_parent_kept(extents, sizes, split):
         stride //= extent
         axes.append((stride, extent, sizes[axis]))
     tags = {(axis, step): 10 * axis + step + 2 for axis in range(len(extents)) for step in (-1, 1)}
-    per_call = 64  # the wire size of rows bound without one
     plans, expected = {}, {}
 
     def app(mpi):
@@ -416,7 +419,7 @@ def test_flyweight_plan_posts_the_rows_the_parent_kept(extents, sizes, split):
         rows = halo_rows(mpi.comm_rank(comm), axes, tags)
         plans[mpi.rank] = mpi.neighbor_plan(rows, comm)
         expected[mpi.rank] = parent_rows(mpi, rows, comm)
-        yield from mpi.neighbor_exchange(plans[mpi.rank], nbytes=per_call)
+        yield from mpi.neighbor_exchange(plans[mpi.rank])
         yield from mpi.finalize()
 
     sim = XSim(SystemConfig.paper_system(nranks=members * (2 if split else 1)))
@@ -448,8 +451,7 @@ def test_flyweight_plan_posts_the_rows_the_parent_kept(extents, sizes, split):
             assert next(posted_keys) == key, (rank, i)
             got_dst, got_tag, got_nbytes, got_wire = next(posted_sends)
             assert (got_dst, got_tag) == (dst, send_tag), (rank, i)
-            assert got_nbytes == (per_call if nbytes is None else nbytes), (rank, i)
-            assert plan.shape[i][3] == nbytes
+            assert got_nbytes == plan.shape[i][3] == nbytes, (rank, i)
             assert (got_wire is None) == (wire is None), (rank, i)
             assert wire is None or got_wire.hex() == wire.hex(), (rank, i)
         assert next(posted_keys, None) is None and next(posted_sends, None) is None
@@ -459,6 +461,15 @@ def test_flyweight_plan_posts_the_rows_the_parent_kept(extents, sizes, split):
         assert all(p.shape is plan.shape for p in same)
         assert all(p.wires is plan.wires for p in same if p.wires == plan.wires)
     assert len({id(p.shape) for p in plans.values()}) <= 4 ** len(extents)
+
+
+@dataclass(frozen=True)
+class Grid2d(BlockDecomposed):
+    """A 2-D block decomposition: ``halo_rows`` takes any number of axes."""
+
+    grid: tuple[int, int]
+    ranks: tuple[int, int]
+    item_bytes: int = 8
 
 
 class TestRowBuilder:
@@ -495,7 +506,7 @@ class TestRowBuilder:
     @pytest.mark.parametrize("dims", [(1, 1), (3, 4), (5, 1)])
     def test_two_dimensional_rows(self, dims):
         px, py = dims
-        cfg = Stencil2dConfig(grid=(4 * px, 6 * py), ranks=dims)
+        cfg = Grid2d(grid=(4 * px, 6 * py), ranks=dims)
         tags = {(0, -1): 11, (0, +1): 12, (1, -1): 13, (1, +1): 14}
         for rank in range(px * py):
             cx, cy = divmod(rank, py)
@@ -533,10 +544,6 @@ GOLDEN = {
                    "c02e4129f9e80c90785cc4559af09687b449c2a44cc56c75bb41d4f6dabf0fd3"),
     "cg": (dict(ranks=64, app="cg", iterations=32, interval=16), 64453,
            "7b015ad44d3eb9796020864010b80e369b8d5668101fcc109247456f1f833d50"),
-    "stencil2d": (dict(ranks=64, app="stencil2d", iterations=100, interval=25), 6231,
-                  "a450504bc059e83e0a2a885349dea23cdecb6df468e536d0609dec2345bdf930"),
-    "amr": (dict(ranks=64, app="amr", iterations=100, interval=25), 53495,
-            "6982e0f626845464d182b8f25496cbef65650fab0d0f27d9006dfdaab3ae06e6"),
 }
 
 

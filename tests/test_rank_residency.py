@@ -220,8 +220,8 @@ class TestWhatAReceiveCompletesInto:
             seen[mpi.rank] = req.result
             waited = yield from mpi.wait(req)
             # the same channel through a plan: the receive holds no Msg
-            plan = mpi.neighbor_plan([(peer, 4, 4, None)])
-            got = yield from mpi.neighbor_exchange(plan, [("face", mpi.rank)], nbytes=16)
+            plan = mpi.neighbor_plan([(peer, 4, 4, 16)])
+            got = yield from mpi.neighbor_exchange(plan, [("face", mpi.rank)])
             return done, tested, waited, got
 
         sim = checked_run(app, paper=True)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.restart import RestartDriver
 from repro.resilience import STRATEGIES, make_strategy, strategy_names
 from repro.run.backends import run_scenario
-from repro.run.scenario import APP_NAMES, Scenario
+from repro.run.scenario import Scenario
 from repro.run.sweep import parse_set, run_sweep
 from repro.util.errors import ConfigurationError
 
@@ -30,9 +30,8 @@ FAILURE = "1@120s"
 ALL = ("ckpt", "ckpt-multilevel", "replication", "none")
 
 
-def scenario_for(strategy: str, app: str = "heat3d", **overrides) -> Scenario:
+def scenario_for(strategy: str, **overrides) -> Scenario:
     kwargs = dict(
-        app=app,
         ranks=RANKS,
         iterations=ITERATIONS,
         interval=INTERVAL,
@@ -204,7 +203,7 @@ class TestParity:
 
     @given(
         strategy=st.sampled_from(ALL),
-        app=st.sampled_from(("heat3d", "cg", "amr")),
+        app=st.sampled_from(("heat3d", "cg")),
         seed=st.integers(min_value=0, max_value=3),
     )
     @settings(max_examples=10, deadline=None)
@@ -221,51 +220,6 @@ class TestParity:
             s.with_(backend="sharded-inline", shards=2)
         ).summary()["result_digest"]
         assert first == again == sharded
-
-
-# ----------------------------------------------------------------------
-# the AMR workload
-# ----------------------------------------------------------------------
-class TestAmr:
-    def test_registered(self):
-        assert "amr" in APP_NAMES
-
-    def test_config_validation(self):
-        from repro.apps.amr import AmrConfig
-
-        with pytest.raises(ConfigurationError):
-            AmrConfig(refine_factor=0)
-        with pytest.raises(ConfigurationError):
-            AmrConfig(regrid_interval=0)
-
-    def test_load_is_imbalanced_and_moving(self):
-        from repro.apps.amr import AmrConfig
-
-        cfg = AmrConfig(nranks=8)
-        # The front boosts ranks near its centre and leaves the rest at
-        # the base load.
-        loads0 = [cfg.cells_at(r, 0) for r in range(8)]
-        assert loads0[0] == max(loads0) > cfg.base_cells
-        assert min(loads0) == cfg.base_cells
-        # ... and it moves: a later epoch has a different profile.
-        later = [cfg.cells_at(r, 5 * cfg.regrid_interval) for r in range(8)]
-        assert later != loads0 and later[5] == max(later)
-
-    def test_completes_and_restarts(self):
-        clean = run_scenario(scenario_for("ckpt", app="amr", failures="")).summary()
-        faulty = run_scenario(scenario_for("ckpt", app="amr")).summary()
-        assert clean["completed"] and faulty["completed"]
-        assert faulty["restarts"] == 1
-        assert faulty["e2"] > clean["exit_time"]
-
-    @pytest.mark.parametrize("strategy", ALL)
-    def test_per_strategy_parity(self, strategy):
-        serial = run_scenario(scenario_for(strategy, app="amr")).summary()
-        sharded = run_scenario(
-            scenario_for(strategy, app="amr", backend="sharded-inline", shards=2)
-        ).summary()
-        assert serial["completed"]
-        assert serial["result_digest"] == sharded["result_digest"]
 
 
 # ----------------------------------------------------------------------

@@ -521,7 +521,7 @@ class TestSweep:
             ("iterations=1e3,250", ("iterations", [1000, 250])),
             ("seed=2e1", ("seed", [20])),
             # Strings and dims stay themselves.
-            ("app=ring,heat3d", ("app", ["ring", "heat3d"])),
+            ("app=cg,heat3d", ("app", ["cg", "heat3d"])),
             ("failures=3@5s", ("failures", ["3@5s"])),
             ("dims=4x2", ("dims", [(4, 2)])),
         ],
@@ -600,7 +600,7 @@ class TestDims:
 
     def test_cli_dims_accepted(self, capsys):
         assert main([
-            "app", "--app", "ring", "--ranks", "4", "--iterations", "2",
+            "app", "--app", "heat3d", "--ranks", "4", "--iterations", "2",
             "--dims", "2x2", "--topology", "mesh",
         ]) == 0
         assert "completed=True" in capsys.readouterr().out
@@ -630,7 +630,7 @@ class TestScenarioCli:
         f = tmp_path / "s.toml"
         f.write_text("[machine]\nranks = 8\n\n[app]\nname = \"heat3d\"\n")
         assert main([
-            "app", "--scenario", str(f), "--app", "ring", "--iterations", "2",
+            "app", "--scenario", str(f), "--app", "heat3d", "--iterations", "2",
             "--ranks", "4",
         ]) == 0
         assert "4 processes" in capsys.readouterr().out

@@ -18,7 +18,7 @@ from dataclasses import fields
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import cli
@@ -28,6 +28,7 @@ from repro.run.scenario import (
     FIELD_TABLE,
     FIELDS,
     TOML_LAYOUT,
+    TOPOLOGY_NAMES,
     Scenario,
     load_scenario_file,
     parse_text,
@@ -296,6 +297,31 @@ def test_a_scenario_file_builds_a_runnable_scenario_or_names_its_key(
     assert perf_counter() - start < 1.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    topology=st.sampled_from(TOPOLOGY_NAMES),
+    dims=st.lists(st.one_of(st.integers(-1, 9), st.sampled_from([64, 10**5, 10**7])),
+                  min_size=1, max_size=3),
+)
+@example(topology="fattree", dims=[3, 10**7])
+def test_a_topology_and_its_dims_build_a_machine_or_name_the_dims(
+    tmp_path_factory, topology, dims
+):
+    """Two keys, ``topology`` and ``dims``: a scenario whose machine
+    builds within a second, or one ConfigurationError naming
+    ``machine.dims`` (a fat tree's ``arity ** levels`` is never computed
+    for a ``levels`` far beyond the job)."""
+    path = tmp_path_factory.getbasetemp() / "two_keys.toml"
+    path.write_text(f'[machine]\ntopology = "{topology}"\ndims = {toml_text(dims)}\n')
+    start = perf_counter()
+    try:
+        scenario, _ = load_scenario_file(path, use_environment=False)
+        scenario.system_config()
+    except ConfigurationError as refused:
+        assert "machine.dims" in str(refused)
+    assert perf_counter() - start < 1.0
+
+
 def test_a_mistyped_value_in_a_scenario_file_is_one_line_naming_its_key(tmp_path, capsys):
     path = tmp_path / "s.toml"
     path.write_text('[machine]\nranks = "64"\n')
@@ -323,6 +349,25 @@ def test_a_constructor_call_refuses_it(field, value, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("name", ["amr", "stencil2d", "ring"])
+def test_a_removed_app_is_refused_at_every_entry(tmp_path, capsys, name):
+    """The apps no claim ran are gone, refused by the ``app`` row's own
+    choices: at the constructor, from a file and on the command line."""
+    expected = "(expected one of heat3d, cg)"
+    with pytest.raises(ConfigurationError) as refused:
+        Scenario(app=name)
+    assert str(refused.value) == f"unknown app {name!r} {expected}"
+    path = tmp_path / "s.toml"
+    path.write_text(f'[app]\nname = "{name}"\n')
+    with pytest.raises(ConfigurationError) as refused:
+        load_scenario_file(path, use_environment=False)
+    assert str(refused.value) == f"unknown app.name {name!r} {expected}"
+    with pytest.raises(SystemExit) as exited:
+        main(["app", "--app", name])
+    assert exited.value.code == 2
+    assert f"argument --app: invalid choice: {name!r}" in capsys.readouterr().err
+
+
 class TestRefusedBeforeAnyCellRuns:
     """A sweep whose second cell names an unknown collective family or
     an unparseable latency used to run its first cell and then fail; every
@@ -336,7 +381,7 @@ class TestRefusedBeforeAnyCellRuns:
         monkeypatch.setattr(sweep, "run_cells", lambda scenarios, **kw: ran.append(scenarios))
         return ran
 
-    BASE = ["sweep", "--app", "ring", "--ranks", "4", "--iterations", "2"]
+    BASE = ["sweep", "--app", "heat3d", "--ranks", "4", "--iterations", "2"]
 
     @pytest.mark.parametrize("axis", ["collectives=linear,ring", "latency=1us,fast"])
     def test_a_set_axis(self, cells, capsys, axis):

@@ -338,7 +338,7 @@ class TestCli:
         from repro.cli import main
 
         trace = str(tmp_path / "run.trace")
-        base = ["app", "--app", "ring", "--ranks", "4", "--iterations", "5"]
+        base = ["app", "--app", "heat3d", "--ranks", "4", "--iterations", "5"]
         assert main(base + ["--record-trace", trace]) == 0
         assert "recorded" in capsys.readouterr().out
         assert main(base + ["--replay", trace]) == 0
@@ -348,7 +348,7 @@ class TestCli:
         from repro.cli import main
 
         trace = str(tmp_path / "run.trace")
-        base = ["app", "--app", "ring", "--ranks", "4"]
+        base = ["app", "--app", "heat3d", "--ranks", "4"]
         assert main(base + ["--iterations", "5", "--record-trace", trace]) == 0
         capsys.readouterr()
         assert main(base + ["--iterations", "6", "--replay", trace]) == 1
@@ -358,7 +358,7 @@ class TestCli:
         from repro.cli import main
 
         rc = main(
-            ["app", "--app", "ring", "--ranks", "4", "--mttf", "100",
+            ["app", "--app", "heat3d", "--ranks", "4", "--mttf", "100",
              "--record-trace", str(tmp_path / "t")]
         )
         assert rc == 2
@@ -367,7 +367,7 @@ class TestCli:
     def test_check_flag_runs_sanitized(self, capsys):
         from repro.cli import main
 
-        assert main(["app", "--app", "ring", "--ranks", "4", "--iterations", "5", "--check"]) == 0
+        assert main(["app", "--app", "heat3d", "--ranks", "4", "--iterations", "5", "--check"]) == 0
 
     def test_simcheck_parser_wired(self):
         from repro.cli import build_parser
