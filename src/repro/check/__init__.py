@@ -13,9 +13,9 @@ This package provides three cooperating facilities:
   :class:`~repro.util.errors.InvariantViolation` carrying a structured
   diagnostic dump.
 * :mod:`~repro.check.differential` — a harness of differential runs
-  (serial vs parallel campaigns, advance-coalescing on vs off, analytic vs
-  event-level collectives, trace record vs replay) asserting that paths
-  which must agree do agree.
+  (serial vs parallel campaigns, advance-coalescing on vs off, trace
+  record vs replay, serial vs sharded) asserting that paths which must
+  agree do agree.
 
 Checking is off by default and costs one attribute test per event when
 disabled; the sanitizer's per-event work is O(1) with full-state sweeps

@@ -13,11 +13,6 @@ they do, bit-for-bit where the promise is bit-identity:
   rerun, and diff: zero divergence (first divergence reported otherwise).
 * **campaign parallelism** — Finject with independent streams, serial vs.
   a 4-worker pool: identical campaign digest.
-* **collectives** — analytic vs. event-level (linear) collectives: each
-  mode is bit-identical to itself across reruns, and the modes agree
-  semantically (same completion, same failures) with exit times within a
-  small tolerance — the analytic model is a ~1%-accurate closed form of
-  the linear schedule, so cross-mode bit-identity is not promised.
 * **sharded parity** — the conservative-parallel engine vs. serial on a
   failure run: identical per-rank traces and result digests.
 * **obs parity** — the :mod:`repro.obs` timeline export of a failure run,
@@ -210,58 +205,6 @@ def check_campaign_parallel(jobs: int = 4, victims: int = 16) -> CheckResult:
         f"serial == -j {jobs} ({serial[:16]})"
         if passed
         else f"serial {serial} != -j {jobs} {pooled}",
-    )
-
-
-def check_collectives(
-    nranks: int = 8, iterations: int = 30, tolerance: float = 0.05
-) -> CheckResult:
-    """Analytic vs. event-level collectives: within-mode bit-identity,
-    cross-mode semantic agreement (exit time within ``tolerance``)."""
-    from repro.apps.heat3d import HeatConfig, heat3d
-    from repro.core.checkpoint.store import CheckpointStore
-    from repro.core.harness.config import SystemConfig
-    from repro.core.harness.experiment import result_digest
-    from repro.core.simulator import XSim
-
-    workload = HeatConfig.paper_workload(
-        checkpoint_interval=10, nranks=nranks, iterations=iterations
-    )
-
-    def run(algo: str):
-        system = SystemConfig.small_test_system(
-            nranks=nranks, collective_algorithm=algo
-        )
-        sim = XSim(system, check=True)
-        return sim.run(heat3d, args=(workload, CheckpointStore()))
-
-    results = {algo: (run(algo), run(algo)) for algo in ("linear", "analytic")}
-    for algo, (a, b) in results.items():
-        if result_digest(a) != result_digest(b):
-            return CheckResult(
-                "collectives", False, f"{algo} collectives not deterministic"
-            )
-    lin, ana = results["linear"][0], results["analytic"][0]
-    if lin.completed != ana.completed or lin.failures != ana.failures:
-        return CheckResult(
-            "collectives",
-            False,
-            f"modes disagree semantically: completed {lin.completed}/{ana.completed}, "
-            f"failures {lin.failures}/{ana.failures}",
-        )
-    lo, hi = sorted((lin.exit_time, ana.exit_time))
-    rel = (hi - lo) / hi if hi > 0 else 0.0
-    if rel > tolerance:
-        return CheckResult(
-            "collectives",
-            False,
-            f"exit times diverge by {rel:.2%} (> {tolerance:.0%}): "
-            f"linear {lin.exit_time} vs analytic {ana.exit_time}",
-        )
-    return CheckResult(
-        "collectives",
-        True,
-        f"both modes deterministic; exit times agree within {rel:.2%}",
     )
 
 
@@ -634,7 +577,6 @@ def run_all(
         "coalescing": check_coalescing,
         "trace-replay": check_trace_replay,
         "campaign-parallel": lambda: check_campaign_parallel(jobs=jobs),
-        "collectives": check_collectives,
         "sharded-parity": check_sharded_parity,
         "obs-parity": check_obs_parity,
         "scenario-parity": check_scenario_parity,

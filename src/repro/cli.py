@@ -774,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser(
         "simcheck", help="differential determinism harness (serial vs pool, "
-        "coalescing on/off, trace replay, collective modes)"
+        "coalescing on/off, trace replay, sharded parity)"
     )
     p_chk.add_argument(
         "-j",

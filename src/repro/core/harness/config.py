@@ -58,7 +58,7 @@ TOPOLOGIES: dict[str, tuple[str, str]] = {
 #: Collective algorithm families (``collective_algorithm``; the paper's
 #: machine runs ``linear``): what ``MpiWorld`` accepts, what a scenario's
 #: ``collectives`` may name.
-COLLECTIVES = ("linear", "tree", "analytic")
+COLLECTIVES = ("linear", "tree")
 
 
 def balanced_dims(nnodes: int, ndims: int = 3) -> tuple[int, ...]:
@@ -83,7 +83,10 @@ def balanced_dims(nnodes: int, ndims: int = 3) -> tuple[int, ...]:
 def validate_dims(dims: tuple[int, ...], kind: str, nnodes: int) -> None:
     """Reject an explicit topology-dims grid that cannot hold ``nnodes``.
 
-    Torus/mesh grids need ``prod(dims) >= nnodes``; a fat tree's dims are
+    Torus/mesh grids need ``prod(dims) >= nnodes`` and every layer of
+    every axis: one layer fewer along any axis must not hold the job too
+    (the topology builds a coordinate table per node, so a grid far larger
+    than the job would not build); a fat tree's dims are
     ``(arity, levels)`` and need ``arity ** levels >= nnodes`` with a
     non-empty top level, ``arity ** (levels - 1) < nnodes``; star and
     crossbar topologies are sized by the node count alone and take no
@@ -100,6 +103,13 @@ def validate_dims(dims: tuple[int, ...], kind: str, nnodes: int) -> None:
                 f"dims {'x'.join(map(str, dims))} hold {capacity} nodes but the "
                 f"job needs {nnodes}; increase the dims or lower the rank count"
             )
+        for axis, dim in enumerate(dims):
+            if capacity // dim * (dim - 1) >= nnodes:
+                shorter = dims[:axis] + (dim - 1,) + dims[axis + 1:]
+                raise ConfigurationError(
+                    f"dims {'x'.join(map(str, dims))} are larger than the job: "
+                    f"{'x'.join(map(str, shorter))} already holds its {nnodes} nodes"
+                )
         return
     if sizing == "tree":
         if len(dims) != 2:

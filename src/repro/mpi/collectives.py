@@ -1,6 +1,6 @@
 """Simulated MPI collective operations.
 
-Three algorithm families, selected by ``MpiWorld.collective_algorithm``:
+Two algorithm families, selected by ``MpiWorld.collective_algorithm``:
 
 * ``"linear"`` — the paper's configuration ("MPI collectives utilize
   linear algorithms"): rooted operations are a flat fan-in/fan-out at the
@@ -8,15 +8,9 @@ Three algorithm families, selected by ``MpiWorld.collective_algorithm``:
   ranks the root's per-message software overheads serialize, which is what
   makes the paper's checkpoint-phase barriers expensive.
 * ``"tree"`` — binomial-tree variants (the ablation baseline quantifying
-  the paper's linear-algorithm choice).
-* ``"analytic"`` — an O(1)-events-per-rank fast path for full-scale runs:
-  members join a simulator-internal synchronization point and all complete
-  at ``max(arrival) + modeled linear-algorithm cost``.  Failure semantics
-  are preserved: if any communicator member is dead when the point
-  completes, every participant experiences ``MPI_ERR_PROC_FAILED`` after
-  the detection timeout (so the heat application still aborts in the
-  barrier after a checkpoint-phase failure).  ``scatter``, ``alltoall``
-  and ``scan`` always use their message-level implementations.
+  the paper's linear-algorithm choice).  ``gather``, ``scatter``,
+  ``alltoall`` and ``scan`` are linear under either; ``allgather`` is a
+  linear gather and the family's bcast.
 
 Every function is a generator to be driven with ``yield from`` inside an
 application coroutine; ``comm`` ranks (not world ranks) are used
@@ -28,8 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.mpi.constants import ERR_PROC_FAILED
-from repro.mpi.messages import Request
 from repro.mpi.ops import Op, fold
 from repro.util.errors import ConfigurationError
 
@@ -228,56 +220,6 @@ _NOOP = Op("NOOP", lambda a, b: None)
 
 
 # ----------------------------------------------------------------------
-# analytic fast path (simulator-internal synchronization points)
-# ----------------------------------------------------------------------
-def _analytic(
-    api: "MpiApi",
-    comm: "Communicator",
-    kind: str,
-    tag: int,
-    value: Any,
-    cost: float,
-) -> GenOp:
-    """Join the sync point, then enforce failure semantics: a dead
-    communicator member fails the collective as a receive from it that was
-    pending when the point completed (``MpiWorld.detection_time``), so it
-    surfaces after the detection timeout, as in the message-level
-    algorithms."""
-    world = api.world
-    result = yield from world.sync_arrive(
-        api.vp, comm, kind, tag, value=value, cost_fn=lambda n: cost
-    )
-    dead = [r for r in comm.group if r not in result.values]
-    if dead:
-        f, vp, clock = dead[0], api.vp, api.vp.clock
-        req = Request(Request.RECV, vp, comm, comm.context_id * 2 + 1, f, vp.rank, tag, 0, clock)
-        failed_at = vp.failed_peers.get(f, clock)
-        req.fail(world.detection_time(vp, f, failed_at, clock, pending=True), ERR_PROC_FAILED, f)
-        yield from world.wait(vp, req)
-    return result
-
-
-def _linear_cost(api: "MpiApi", size: int, nbytes: int, phases: int = 2) -> float:
-    """Modeled completion cost of a linear fan-in/fan-out at the root.
-
-    In the message-level linear algorithms the root serializes (size-1)
-    receives at its receive overhead (fan-in) and (size-1) sends at its
-    send overhead (fan-out); the members' own per-message overheads are
-    paid in parallel.  ``phases=2`` models fan-in + fan-out (barrier,
-    allreduce), ``phases=1`` a single rooted phase (bcast, reduce,
-    gather)."""
-    net = api.world.network
-    per_msg = net.send_overhead + net.recv_overhead
-    avg_hops = max(1, net.topology.diameter() // 2)
-    wire = avg_hops * net.system.latency + nbytes / net.system.bandwidth
-    if phases >= 2:
-        root_serial = (size - 1) * per_msg
-    else:
-        root_serial = (size - 1) * per_msg / 2.0
-    return root_serial + phases * wire + per_msg
-
-
-# ----------------------------------------------------------------------
 # public dispatchers
 # ----------------------------------------------------------------------
 def _observed(api: "MpiApi", name: str, inner: GenOp) -> GenOp:
@@ -311,12 +253,9 @@ def _barrier_dispatch(api: "MpiApi", comm: "Communicator") -> GenOp:
     me, size, tag = _setup(api, comm)
     if size == 1:
         return iter(())
-    algo = api.world.collective_algorithm
-    if algo == "linear":
+    if api.world.collective_algorithm == "linear":
         return _barrier_linear(api, comm, me, size, tag)
-    if algo == "tree":
-        return _barrier_tree(api, comm, me, size, tag)
-    return _analytic(api, comm, "barrier", tag, None, _linear_cost(api, size, 0))
+    return _barrier_tree(api, comm, me, size, tag)
 
 
 def bcast(api: "MpiApi", comm: "Communicator", value: Any, nbytes: int, root: int = 0) -> GenOp:
@@ -330,16 +269,9 @@ def _bcast_dispatch(
     me, size, tag = _setup(api, comm)
     if size == 1:
         return value
-    algo = api.world.collective_algorithm
-    if algo == "linear":
+    if api.world.collective_algorithm == "linear":
         return (yield from _bcast_linear(api, comm, me, size, tag, value, nbytes, root))
-    if algo == "tree":
-        return (yield from _bcast_tree(api, comm, me, size, tag, value, nbytes, root))
-    result = yield from _analytic(
-        api, comm, "bcast", tag, value if me == root else None,
-        _linear_cost(api, size, nbytes, phases=1),
-    )
-    return result.values[comm.world_rank(root)]
+    return (yield from _bcast_tree(api, comm, me, size, tag, value, nbytes, root))
 
 
 def reduce(
@@ -355,17 +287,9 @@ def _reduce_dispatch(
     me, size, tag = _setup(api, comm)
     if size == 1:
         return fold(op, [value])
-    algo = api.world.collective_algorithm
-    if algo == "linear":
+    if api.world.collective_algorithm == "linear":
         return (yield from _reduce_linear(api, comm, me, size, tag, value, nbytes, op, root))
-    if algo == "tree":
-        return (yield from _reduce_tree(api, comm, me, size, tag, value, nbytes, op, root))
-    result = yield from _analytic(
-        api, comm, "reduce", tag, value, _linear_cost(api, size, nbytes, phases=1)
-    )
-    if me != root:
-        return None
-    return fold(op, [result.values[w] for w in comm.group if w in result.values])
+    return (yield from _reduce_tree(api, comm, me, size, tag, value, nbytes, op, root))
 
 
 def allreduce(api: "MpiApi", comm: "Communicator", value: Any, nbytes: int, op: Op) -> GenOp:
@@ -379,13 +303,7 @@ def _allreduce_dispatch(
     me, size, tag = _setup(api, comm)
     if size == 1:
         return fold(op, [value])
-    algo = api.world.collective_algorithm
-    if algo == "analytic":
-        result = yield from _analytic(
-            api, comm, "allreduce", tag, value, _linear_cost(api, size, nbytes)
-        )
-        return fold(op, [result.values[w] for w in comm.group if w in result.values])
-    if algo == "linear":
+    if api.world.collective_algorithm == "linear":
         acc = yield from _reduce_linear(api, comm, me, size, tag, value, nbytes, op, 0)
     else:
         acc = yield from _reduce_tree(api, comm, me, size, tag, value, nbytes, op, 0)
@@ -405,14 +323,6 @@ def _gather_dispatch(
     me, size, tag = _setup(api, comm)
     if size == 1:
         return [value]
-    algo = api.world.collective_algorithm
-    if algo == "analytic":
-        result = yield from _analytic(
-            api, comm, "gather", tag, value, _linear_cost(api, size, nbytes, phases=1)
-        )
-        if me != root:
-            return None
-        return [result.values.get(w) for w in comm.group]
     return (yield from _gather_linear(api, comm, me, size, tag, value, nbytes, root))
 
 
@@ -425,12 +335,6 @@ def _allgather_dispatch(api: "MpiApi", comm: "Communicator", value: Any, nbytes:
     me, size, tag = _setup(api, comm)
     if size == 1:
         return [value]
-    algo = api.world.collective_algorithm
-    if algo == "analytic":
-        result = yield from _analytic(
-            api, comm, "allgather", tag, value, _linear_cost(api, size, nbytes)
-        )
-        return [result.values.get(w) for w in comm.group]
     out = yield from _gather_linear(api, comm, me, size, tag, value, nbytes, 0)
     return (yield from _bcast_dispatch(api, comm, out, nbytes * size, root=0))
 

@@ -32,15 +32,14 @@ file-system models — and implements the mechanics behind every MPI call:
 * **Synchronization points** — a simulator-internal rendezvous facility
   (:meth:`MpiWorld.sync_arrive`) that completes when every *currently
   alive* expected member has arrived.  It backs the failure-tolerant ULFM
-  ``MPI_Comm_shrink``/``MPI_Comm_agree`` and the analytic (O(1)-event)
-  collective mode used for full-scale runs.
+  ``MPI_Comm_shrink``/``MPI_Comm_agree``.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Generator, Mapping, Sequence
 
 from repro.core.harness.config import COLLECTIVES
 from repro.models.filesystem import FileSystemModel
@@ -153,16 +152,15 @@ class RankState:
 class SyncPoint:
     """One open simulator-internal synchronization point."""
 
-    __slots__ = ("key", "comm", "arrived", "values", "cost_fn", "completing")
+    __slots__ = ("key", "comm", "arrived", "values", "completing")
 
-    def __init__(self, key: tuple, comm: Communicator, cost_fn: Callable[[int], float]):
+    def __init__(self, key: tuple, comm: Communicator):
         self.key = key
         self.comm = comm
         #: world rank -> arrival virtual time
         self.arrived: dict[int, float] = {}
         #: world rank -> contributed value
         self.values: dict[int, Any] = {}
-        self.cost_fn = cost_fn
         self.completing = False
 
 
@@ -940,7 +938,6 @@ class MpiWorld:
         kind: str,
         seq: int,
         value: Any = None,
-        cost_fn: Callable[[int], float] | None = None,
     ) -> Generator[Any, Any, SyncResult]:
         """Join synchronization point ``(comm, kind, seq)`` and block until
         every *currently alive* member of ``comm`` has joined.
@@ -948,13 +945,13 @@ class MpiWorld:
         Members that fail while the point is open are dropped from the
         expectation, so the point still completes — the property ULFM
         shrink/agree need.  All participants are woken at
-        ``max(arrival times) + cost_fn(n_alive)`` with the same
+        ``max(arrival times) + default_sync_cost(n_alive)`` with the same
         :class:`SyncResult`.
         """
         key = (comm.context_id, kind, seq)
         sp = self._sync_points.get(key)
         if sp is None:
-            sp = SyncPoint(key, comm, cost_fn or self.default_sync_cost)
+            sp = SyncPoint(key, comm)
             self._sync_points[key] = sp
         sp.arrived[vp.rank] = vp.clock
         sp.values[vp.rank] = value
@@ -982,7 +979,8 @@ class MpiWorld:
             return  # still waiting for members
         # Completion waits for the last arrival — or, when a failure is what
         # unblocked the point, for the failure to become known (now).
-        t_done = max(max(sp.arrived[r] for r in alive), self.engine.now) + sp.cost_fn(len(alive))
+        t_done = max(max(sp.arrived[r] for r in alive), self.engine.now)
+        t_done += self.default_sync_cost(len(alive))
         result = SyncResult(
             alive=tuple(alive),
             values={r: sp.values[r] for r in alive},

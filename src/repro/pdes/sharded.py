@@ -65,8 +65,8 @@ A sharded run must be observably identical to the serial run:
 protocol cannot mirror raises :class:`~repro.util.errors.ShardedParityError`
 instead of diverging: unscheduled failures inside a NORMAL window (e.g.
 ``fail_now`` or exit-without-finalize), simulator-internal sync points
-spanning shards (ULFM shrink/agree, analytic collectives), communicator
-handles crossing shards, and cross-shard revocation.
+spanning shards (ULFM shrink/agree), communicator handles crossing
+shards, and cross-shard revocation.
 
 Transports
 ----------
@@ -815,14 +815,13 @@ class ShardedMpiWorld(MpiWorld):
         self._on_failure(vp, t_kill)
 
     # -- unsupported-across-shards guards -------------------------------
-    def sync_arrive(self, vp, comm, kind, seq, value=None, cost_fn=None):
+    def sync_arrive(self, vp, comm, kind, seq, value=None):
         if self.shard_id is not None and any(r not in self.owned for r in comm.group):
             raise ShardedParityError(
                 f"simulator-internal sync point ({kind}) on {comm.name} spans "
-                "shard boundaries; MPI_Comm_shrink/MPI_Comm_agree and "
-                "analytic collectives require --shards 1"
+                "shard boundaries; MPI_Comm_shrink/MPI_Comm_agree require --shards 1"
             )
-        return super().sync_arrive(vp, comm, kind, seq, value=value, cost_fn=cost_fn)
+        return super().sync_arrive(vp, comm, kind, seq, value=value)
 
     def revoke(self, comm: Communicator, t: float, initiator: int) -> None:
         if self.shard_id is not None and any(r not in self.owned for r in comm.group):
@@ -1493,12 +1492,6 @@ def run_sharded(sim: "XSim", app, args: tuple, nranks: int) -> SimulationResult:
     nshards = min(sim.shards, nranks)
     if nshards < 2:
         return engine.run()
-    if world.collective_algorithm == "analytic":
-        raise ConfigurationError(
-            "analytic collectives complete through global simulator-internal "
-            "sync points and cannot be sharded; use 'linear'/'tree' "
-            "collectives or --shards 1"
-        )
     if sim._soft_errors is not None:
         raise ConfigurationError(
             "soft-error injection is not supported with --shards > 1"

@@ -8,7 +8,7 @@ from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
 from tests.conftest import run_app
 
-ALGOS = ["linear", "tree", "analytic"]
+ALGOS = ["linear", "tree"]
 
 
 def barrier_app(mpi):
@@ -57,9 +57,8 @@ class TestBarrierWithFailure:
 
 
 class TestAlgorithmConsistency:
-    """The three families must produce identical results and closely
-    agreeing timings on the heat workload (the full-scale fast-path
-    argument)."""
+    """Both families must produce identical results on the heat
+    workload, the tree's timing no slower than the linear one's."""
 
     def _e1(self, algo, nranks=64, interval=125):
         system = SystemConfig.paper_system(nranks=nranks, collective_algorithm=algo)
@@ -68,11 +67,6 @@ class TestAlgorithmConsistency:
         res = sim.run(heat3d, args=(wl, CheckpointStore()))
         assert res.completed
         return res.exit_time
-
-    def test_analytic_tracks_linear_on_heat3d(self):
-        lin = self._e1("linear")
-        ana = self._e1("analytic")
-        assert ana == pytest.approx(lin, rel=0.01)
 
     def test_tree_is_fastest_on_heat3d(self):
         assert self._e1("tree") <= self._e1("linear") + 1e-9

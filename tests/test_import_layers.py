@@ -363,11 +363,22 @@ class TestOneErrorHandler:
         assert main(["table1", "--victims", "2"]) == 2
         assert capsys.readouterr().err == "error: XSIM_JOBS must be an integer, got 'lots'\n"
 
-    def test_error_raised_after_resolution(self, capsys):
-        assert main(["app", "--ranks", "8", "--collectives", "analytic", "--shards", "2",
+    def test_error_raised_after_resolution(self, monkeypatch, capsys):
+        """A refusal the sharded run raises once the scenario resolved:
+        soft-error injection armed on every simulation."""
+        from repro.core.simulator import XSim
+
+        init = XSim.__init__
+
+        def with_soft_errors(sim, *args, **kwargs):
+            init(sim, *args, **kwargs)
+            sim.soft_errors  # the property arms the injector
+
+        monkeypatch.setattr(XSim, "__init__", with_soft_errors)
+        assert main(["app", "--ranks", "8", "--shards", "2",
                      "--shard-transport", "inline", "--iterations", "2"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "analytic collectives" in err
+        assert err == "error: soft-error injection is not supported with --shards > 1\n"
 
 
 # ----------------------------------------------------------------------
@@ -600,17 +611,24 @@ def test_every_module_is_reached_from_the_cli_or_says_why_not():
 
 
 def test_every_app_row_is_run_by_a_benchmark_or_the_ledger():
-    """Reach is not enough for an ``APPS`` row: some file under
-    ``benchmarks/`` or ``ledger/`` runs it, by ``app="<row>"`` or by
-    importing ``repro.apps.<row>``.  A row nothing measures goes."""
+    """Reach is not enough for an ``APPS`` row or a ``COLLECTIVES``
+    family: some file under ``benchmarks/`` or ``ledger/`` runs it.  An
+    app by ``app="<row>"`` or by importing ``repro.apps.<row>``; a family
+    by ``collectives="<name>"`` or ``collective_algorithm="<name>"``.  A
+    row nothing measures goes."""
+    from repro.core.harness.config import COLLECTIVES
     from repro.run.scenario import APPS
 
     sources = "\n".join(
         path.read_text() for top in ("benchmarks", "ledger") for path in (REPO / top).rglob("*.py")
     )
+    tables = [
+        (APPS, r"""app\s*=\s*["']{name}["']|\brepro\.apps\.{name}\b"""),
+        (COLLECTIVES, r"""collective(?:s|_algorithm)\s*=\s*["']{name}["']"""),
+    ]
     unclaimed = [
-        name for name in APPS
-        if not re.search(rf"""app\s*=\s*["']{name}["']|\brepro\.apps\.{name}\b""", sources)
+        name for names, claim in tables for name in names
+        if not re.search(claim.format(name=name), sources)
     ]
     assert unclaimed == []
 

@@ -359,14 +359,12 @@ def collective_mix(mpi):
 
 #: SHA-256 of ``to_jsonl(observer)``: (clean run, rank 5 failing at
 #: 0.5 ms — every collective killed by the abort).  Every ``detect``
-#: latency, an analytic collective's included, counts from the failure.
+#: latency counts from the failure.
 EXPORTS = {
     "linear": ("af0b66b0330833a992ee374bf6ae4f8235624dccdcadd0a113ffeb5f35aef9c4",
                "f765035bc2a405d952e43c33a57ee04b36497a7314f063fd9654fcae2a8935ba"),
     "tree": ("78dd15f3b67639540b02a47daadc9b3982f8a652b181946ac7ba7373e241bffb",
              "84fd1df8f105483938a8b5bb25d97943bd6a430c4cbc88b58f7bdf13dc769cde"),
-    "analytic": ("c619da45bd9d6fe39c27dc85d6316a90726fd326cde034c99dfaca1ffb680792",
-                 "d57adce675e1bee3bb8df9a1bc4ce19a55ebc275ffb117f2be4e6ba317b4deb6"),
 }
 
 

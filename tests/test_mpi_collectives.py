@@ -7,7 +7,7 @@ from repro.core.harness.config import SystemConfig
 from repro.mpi import ops
 from tests.conftest import run_app
 
-ALGOS = ["linear", "tree", "analytic"]
+ALGOS = ["linear", "tree"]
 
 
 def finishing(body):
@@ -186,11 +186,6 @@ class TestAlgorithmCosts:
         """The ablation the paper's fixed linear-algorithm choice implies:
         binomial trees parallelize the root's per-message overhead."""
         assert self._barrier_time("tree") < self._barrier_time("linear")
-
-    def test_analytic_approximates_linear(self):
-        lin = self._barrier_time("linear")
-        ana = self._barrier_time("analytic")
-        assert ana == pytest.approx(lin, rel=0.5)
 
 
 class TestCommManagement:

@@ -309,7 +309,7 @@ class TestOneDetectPerFailedRequest:
 
         assert [r for _, r in self.detects(consume)] == [0]
 
-    @pytest.mark.parametrize("algorithm", ["linear", "analytic"])
+    @pytest.mark.parametrize("algorithm", ["linear", "tree"])
     def test_collective(self, algorithm):
         def consume(mpi):
             yield from mpi.barrier()

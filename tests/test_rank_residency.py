@@ -396,7 +396,7 @@ class TestFramesABlockedRankKeeps:
 
 
 @pytest.mark.parametrize("observe", [False, True], ids=["plain", "observed"])
-@pytest.mark.parametrize("algorithm", ["linear", "tree", "analytic"])
+@pytest.mark.parametrize("algorithm", ["linear", "tree"])
 def test_a_one_rank_barrier_is_a_no_op(algorithm, observe):
     def app(mpi):
         yield from mpi.init()

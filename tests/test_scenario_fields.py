@@ -148,7 +148,7 @@ def test_a_bad_variable_is_named(environ, message):
     "axis, message",
     [
         ("latency=1us,fast", "--set latency must be a time such as 1us, got 'fast'"),
-        ("collectives=linear,ring", "unknown --set collectives 'ring' (expected one of linear, tree, analytic)"),
+        ("collectives=linear,ring", "unknown --set collectives 'ring' (expected one of linear, tree)"),
         ("ranks=8,0", "--set ranks must be >= 1, got 0"),
         ("mttf=3000,-1", "--set mttf must be a positive finite number of seconds, got -1.0"),
     ],
@@ -304,19 +304,22 @@ def test_a_scenario_file_builds_a_runnable_scenario_or_names_its_key(
                   min_size=1, max_size=3),
 )
 @example(topology="fattree", dims=[3, 10**7])
+@example(topology="torus", dims=[100000, 100000, 100000])
 def test_a_topology_and_its_dims_build_a_machine_or_name_the_dims(
     tmp_path_factory, topology, dims
 ):
     """Two keys, ``topology`` and ``dims``: a scenario whose machine
-    builds within a second, or one ConfigurationError naming
-    ``machine.dims`` (a fat tree's ``arity ** levels`` is never computed
-    for a ``levels`` far beyond the job)."""
+    builds within a second, network model included, or one
+    ConfigurationError naming ``machine.dims`` (a fat tree's
+    ``arity ** levels`` is never computed for a ``levels`` far beyond the
+    job, nor a grid's per-node coordinate tables for a grid far larger
+    than it)."""
     path = tmp_path_factory.getbasetemp() / "two_keys.toml"
     path.write_text(f'[machine]\ntopology = "{topology}"\ndims = {toml_text(dims)}\n')
     start = perf_counter()
     try:
         scenario, _ = load_scenario_file(path, use_environment=False)
-        scenario.system_config()
+        scenario.system_config().make_network()
     except ConfigurationError as refused:
         assert "machine.dims" in str(refused)
     assert perf_counter() - start < 1.0
@@ -335,7 +338,7 @@ def test_a_mistyped_value_in_a_scenario_file_is_one_line_naming_its_key(tmp_path
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("collectives", "ring", "unknown collectives 'ring' (expected one of linear, tree, analytic)"),
+        ("collectives", "ring", "unknown collectives 'ring' (expected one of linear, tree)"),
         ("latency", "fast", "latency must be a time such as 1us, got 'fast'"),
         ("bandwidth", "wide", "bandwidth must be a rate such as 32GB/s, got 'wide'"),
         ("eager_threshold", "3 qB", "eager_threshold must be a size such as 256kB, got '3 qB'"),
@@ -349,23 +352,34 @@ def test_a_constructor_call_refuses_it(field, value, message):
     assert str(refused.value) == message
 
 
-@pytest.mark.parametrize("name", ["amr", "stencil2d", "ring"])
-def test_a_removed_app_is_refused_at_every_entry(tmp_path, capsys, name):
-    """The apps no claim ran are gone, refused by the ``app`` row's own
-    choices: at the constructor, from a file and on the command line."""
-    expected = "(expected one of heat3d, cg)"
+@pytest.mark.parametrize(
+    "field, table, key, name",
+    [
+        ("app", "app", "name", "amr"),
+        ("app", "app", "name", "stencil2d"),
+        ("app", "app", "name", "ring"),
+        ("collectives", "machine", "collectives", "analytic"),
+    ],
+    ids=["amr", "stencil2d", "ring", "analytic"],
+)
+def test_a_removed_app_is_refused_at_every_entry(tmp_path, capsys, field, table, key, name):
+    """The apps and the collective family no claim ran are gone, refused
+    by their row's own choices: at the constructor, from a file and on
+    the command line."""
+    expected = {"app": "(expected one of heat3d, cg)",
+                "collectives": "(expected one of linear, tree)"}[field]
     with pytest.raises(ConfigurationError) as refused:
-        Scenario(app=name)
-    assert str(refused.value) == f"unknown app {name!r} {expected}"
+        Scenario(**{field: name})
+    assert str(refused.value) == f"unknown {field} {name!r} {expected}"
     path = tmp_path / "s.toml"
-    path.write_text(f'[app]\nname = "{name}"\n')
+    path.write_text(f'[{table}]\n{key} = "{name}"\n')
     with pytest.raises(ConfigurationError) as refused:
         load_scenario_file(path, use_environment=False)
-    assert str(refused.value) == f"unknown app.name {name!r} {expected}"
+    assert str(refused.value) == f"unknown {table}.{key} {name!r} {expected}"
     with pytest.raises(SystemExit) as exited:
-        main(["app", "--app", name])
+        main(["app", f"--{field}", name])
     assert exited.value.code == 2
-    assert f"argument --app: invalid choice: {name!r}" in capsys.readouterr().err
+    assert f"argument --{field}: invalid choice: {name!r}" in capsys.readouterr().err
 
 
 class TestRefusedBeforeAnyCellRuns:

@@ -636,10 +636,6 @@ class TestRestartCycleParity:
 
 
 class TestGuards:
-    def test_analytic_collectives_rejected(self):
-        with pytest.raises(ConfigurationError, match="analytic"):
-            run_heat(collective="analytic", shards=2, shard_transport="inline")
-
     def test_message_events_match_serial(self, failure_point):
         def msg_jsonl(**kw):
             sim, _ = run_heat(failure=failure_point, observe=True, trace_detail=True, **kw)

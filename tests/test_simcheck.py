@@ -107,20 +107,6 @@ class TestSanitizerCleanRuns:
         assert result.aborted
         assert sim.checker.checks > 0
 
-    def test_analytic_collectives_run_clean(self):
-        from repro.apps.heat3d import HeatConfig, heat3d
-
-        system = SystemConfig.small_test_system(
-            nranks=8, collective_algorithm="analytic"
-        )
-        workload = HeatConfig.paper_workload(
-            checkpoint_interval=10, nranks=8, iterations=20
-        )
-        sim = XSim(system, check=True)
-        result = sim.run(heat3d, args=(workload, CheckpointStore()))
-        assert result.completed
-        assert sim.checker.checks > 0
-
 
 class TestSanitizerCatchesBugs:
     def test_heap_pop_ordering_violation(self):
@@ -282,7 +268,6 @@ class TestDifferentialHarness:
             "coalescing",
             "trace-replay",
             "campaign-parallel",
-            "collectives",
             "sharded-parity",
             "obs-parity",
             "scenario-parity",
@@ -300,7 +285,7 @@ class TestDifferentialHarness:
         assert captured.out == ""
         assert captured.err == (
             "error: unknown check 'nope'; one of rerun, coalescing, trace-replay, "
-            "campaign-parallel, collectives, sharded-parity, obs-parity, "
+            "campaign-parallel, sharded-parity, obs-parity, "
             "scenario-parity, cache-parity\n"
         )
 

@@ -64,14 +64,15 @@ class TestSyncPoints:
     def test_sync_cost_function_applied(self):
         def app(mpi):
             yield from mpi.init()
-            result = yield from mpi.world.sync_arrive(
-                mpi.vp, mpi.comm_world, "costly", 0, cost_fn=lambda n: 5.0
-            )
+            yield from mpi.compute(1.0 + mpi.rank)
+            result = yield from mpi.world.sync_arrive(mpi.vp, mpi.comm_world, "costly", 0)
             yield from mpi.finalize()
-            return result.time
+            return result.time, mpi.world.default_sync_cost(2)
 
         run = run_app(app, nranks=2)
-        assert run.result.exit_values[0] == pytest.approx(5.0)
+        done, cost = run.result.exit_values[0]
+        assert cost > 0.0
+        assert done == pytest.approx(2.0 + cost)  # the last arrival, plus the cost
 
 
 class TestMultiFailure:
