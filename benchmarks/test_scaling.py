@@ -76,10 +76,11 @@ def test_vp_count_scaling(benchmark):
 def test_sharded_speedup(benchmark):
     """Serial vs 4 inline shards on one 4096-rank simulation.
 
-    The inline transport runs every shard in one process, so each
-    round's per-worker wall times are free of preemption on any host and
-    the critical path (sum over rounds of the slowest worker) is what a
-    host with one core per shard would wait for.
+    The critical path is counted in dispatched events: per window round
+    the busiest shard's, plus every lockstep step's.  It is what a host
+    with one core per shard would wait for, in a unit that repeats
+    exactly: wall seconds of the same rounds grow with whatever else the
+    host is running.  The wall readings are printed beside it.
     """
     serial, serial_s = _timed(_paper_heat3d(SHARDED_RANKS, collectives="tree"))
     sharded, wall_s = once(
@@ -97,13 +98,16 @@ def test_sharded_speedup(benchmark):
            f"{SHARDED_RANKS} ranks (tree collectives) ===",
            f"  serial {serial_s:.3f}s, inline wall {wall_s:.3f}s, critical path "
            f"{st.critical_path_seconds:.3f}s, {st.windows:,} windows, "
-           f"imbalance {st.imbalance:.2f}, parallelism {st.parallelism:.2f}")
+           f"imbalance {st.imbalance:.2f}, parallelism {st.parallelism:.2f}",
+           f"  serial {serial.result.event_count:,} events, critical path "
+           f"{st.critical_path_events:,} events, parallelism "
+           f"{sum(st.shard_events) / st.critical_path_events:.2f}")
 
     # The partition is balanced and genuinely parallel.
     assert st.imbalance < 1.25
-    assert st.parallelism > 2.0
+    assert sum(st.shard_events) / st.critical_path_events > 2.0
     # What a 4-core host's wall clock would show, measurable on any host.
-    assert serial_s / st.critical_path_seconds >= 1.8
+    assert serial.result.event_count / st.critical_path_events >= 1.8
     # Sharding must not burn host work: total worker busy time stays
     # within 2x of the serial run.
     assert st.worker_busy_seconds < 2.0 * serial_s

@@ -119,7 +119,7 @@ def cacheable(scenario: "Scenario") -> bool:
 def cache_key(scenario: "Scenario") -> str:
     """Content address of a scenario's *result*.
 
-    Execution-parallelism fields (backend, shards, shard transport, the
+    Execution-parallelism fields (shards, shard transport, the
     campaign ``jobs`` width) and the trace destination path are
     normalized out before digesting: the simcheck parity harness
     enforces that they never change the result, so a cell computed
@@ -137,7 +137,7 @@ def cache_key(scenario: "Scenario") -> str:
     memo = scenario.__dict__.get("_cache_key")
     if memo is None or memo[0] != salt:
         normalized = scenario.digest_with(
-            backend=None, shards=1, shard_transport=None, jobs=1, trace_out=""
+            shards=1, shard_transport=None, jobs=1, trace_out=""
         )
         key = hashlib.sha256(f"{salt}\n{normalized}".encode()).hexdigest()
         memo = scenario.__dict__["_cache_key"] = (salt, key)

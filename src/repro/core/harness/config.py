@@ -52,7 +52,6 @@ TOPOLOGIES: dict[str, tuple[str, str]] = {
     "torus": ("repro.models.network.topology:TorusTopology", "grid"),
     "mesh": ("repro.models.network.topology:MeshTopology", "grid"),
     "fattree": ("repro.models.network.topology:FatTreeTopology", "tree"),
-    "star": ("repro.models.network.topology:StarTopology", "nodes"),
     "crossbar": ("repro.models.network.topology:CrossbarTopology", "nodes"),
 }
 #: Collective algorithm families (``collective_algorithm``; the paper's
@@ -88,9 +87,8 @@ def validate_dims(dims: tuple[int, ...], kind: str, nnodes: int) -> None:
     (the topology builds a coordinate table per node, so a grid far larger
     than the job would not build); a fat tree's dims are
     ``(arity, levels)`` and need ``arity ** levels >= nnodes`` with a
-    non-empty top level, ``arity ** (levels - 1) < nnodes``; star and
-    crossbar topologies are sized by the node count alone and take no
-    dims.  Raises :class:`~repro.util.errors.ConfigurationError` with the
+    non-empty top level, ``arity ** (levels - 1) < nnodes``; a crossbar
+    is sized by the node count alone and takes no dims.  Raises :class:`~repro.util.errors.ConfigurationError` with the
     inconsistency spelled out.
     """
     if any(d < 1 for d in dims):

@@ -281,7 +281,7 @@ class XSim:
         """Structured description of the layered architecture, mirroring
         the paper's Figure 1 (a) architecture / (b) design diagrams."""
         net = self.world.network
-        backend = backend_name_for(None, self.shards, self.shard_transport)
+        backend = backend_name_for(self.shards, self.shard_transport)
         return {
             "backend": {
                 "name": backend,

@@ -10,7 +10,7 @@ on-node, and system-wide network, has its own network communication
 timeout."
 
 :mod:`~repro.models.network.topology` defines the topology interface and
-the concrete torus/mesh/fat-tree/star/crossbar topologies;
+the concrete torus/mesh/fat-tree/crossbar topologies;
 :mod:`~repro.models.network.model` defines :class:`NetworkModel`, the
 latency/bandwidth/protocol/timeout cost model consumed by the simulated
 MPI layer.
@@ -21,7 +21,6 @@ from repro.models.network.topology import (
     CrossbarTopology,
     FatTreeTopology,
     MeshTopology,
-    StarTopology,
     Topology,
     TorusTopology,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "MeshTopology",
     "NetworkModel",
     "NetworkTier",
-    "StarTopology",
     "Topology",
     "TorusTopology",
 ]

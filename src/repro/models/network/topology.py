@@ -198,27 +198,6 @@ class FatTreeTopology(Topology):
         return f"FatTreeTopology(arity={self.arity}, levels={self.levels})"
 
 
-class StarTopology(Topology):
-    """All nodes hang off one central switch: every route is 2 hops."""
-
-    def __init__(self, nnodes: int):
-        if nnodes < 1:
-            raise ConfigurationError(f"star needs >= 1 node, got {nnodes}")
-        self.nnodes = nnodes
-
-    def hops(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        return 0 if a == b else 2
-
-    def neighbors(self, node: int) -> list[int]:
-        self._check(node)
-        return [n for n in range(self.nnodes) if n != node]
-
-    def diameter(self) -> int:
-        return 0 if self.nnodes == 1 else 2
-
-
 class CrossbarTopology(Topology):
     """Ideal full crossbar: every distinct pair is directly linked (1 hop)."""
 

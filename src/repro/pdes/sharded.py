@@ -118,7 +118,6 @@ from repro.models.network.model import NetworkModel, NetworkTier
 from repro.models.network.topology import (
     CrossbarTopology,
     FatTreeTopology,
-    StarTopology,
     _GridTopology,
 )
 from repro.mpi.world import MpiWorld
@@ -145,7 +144,6 @@ __all__ = [
     "WindowedEngine",
     "derive_lookahead_matrix",
     "partition_ranks",
-    "partition_ranks_topology",
     "run_sharded",
 ]
 
@@ -218,7 +216,7 @@ def _min_cross_hops(topology, nodes_a: tuple[int, int], nodes_b: tuple[int, int]
     block rank placement.  Grids get the per-axis arc distance sum (exact
     for dimension-order routing between arcs), fat trees the boundary pair
     (contiguous leaf blocks minimize the common-ancestor climb at their
-    facing edge), star/crossbar any pair (all pairs are equidistant).
+    facing edge), a crossbar any pair (all pairs are equidistant).
     Unknown topologies fall back to 1 hop — any lower bound is safe, a
     loose one merely costs window width.
     """
@@ -236,7 +234,7 @@ def _min_cross_hops(topology, nodes_a: tuple[int, int], nodes_b: tuple[int, int]
         if nodes_a[0] > nodes_b[0]:
             nodes_a, nodes_b = nodes_b, nodes_a
         return max(1, topology.hops(nodes_a[1], nodes_b[0]))
-    if isinstance(topology, (StarTopology, CrossbarTopology)):
+    if isinstance(topology, CrossbarTopology):
         return max(1, topology.hops(nodes_a[1], nodes_b[0]))
     return 1
 
@@ -315,90 +313,6 @@ def derive_lookahead_matrix(
     return la
 
 
-# ----------------------------------------------------------------------
-# topology-aware partitioning
-# ----------------------------------------------------------------------
-#: Cost charged to a candidate boundary that splits the ranks of one
-#: compute node across shards (every such split turns loopback traffic
-#: into network traffic and voids the node-boundary link count).
-_INTRA_NODE_CUT = 1 << 30
-
-
-def _boundary_cut_costs(network: NetworkModel, nranks: int) -> list[int] | None:
-    """Cross-shard link count for every candidate rank boundary.
-
-    ``costs[b]`` is the number of direct topology links joining nodes on
-    either side of a cut between ranks ``b-1`` and ``b`` (valid for
-    ``1 <= b < nranks``).  Computed with a difference array over
-    ``topology.neighbors``: a link ``{u, v}`` with ``u < v`` is cut by
-    exactly the node boundaries in ``(u, v]`` — which counts wrap links
-    correctly (a torus ring's wrap edge is cut by *every* interior
-    boundary, matching contiguous-block reality).  Returns ``None`` when
-    the topology carries no placement signal (all-pairs graphs like
-    star/crossbar, where every balanced cut is equivalent) or would be
-    quadratic to scan.
-    """
-    topology = network.topology
-    rpn = network.ranks_per_node
-    nnodes = (nranks + rpn - 1) // rpn
-    if nnodes < 2:
-        return None
-    degree = len(topology.neighbors(0))
-    if degree >= nnodes - 1 or nnodes * degree > 4_000_000:
-        return None
-    diff = [0] * (nnodes + 1)
-    for u in range(nnodes):
-        for v in topology.neighbors(u):
-            if v <= u or v >= nnodes:
-                continue  # counted from the lower endpoint; unused nodes hold no ranks
-            diff[u + 1] += 1
-            diff[v + 1] -= 1
-    node_cuts = [0] * (nnodes + 1)
-    acc = 0
-    for b in range(1, nnodes):
-        acc += diff[b]
-        node_cuts[b] = acc
-    costs = [0] * nranks
-    for b in range(1, nranks):
-        costs[b] = node_cuts[b // rpn] if b % rpn == 0 else _INTRA_NODE_CUT
-    return costs
-
-
-def partition_ranks_topology(
-    nranks: int, nshards: int, network: NetworkModel, slack: float = 0.125
-) -> list[range]:
-    """Contiguous partition whose cuts minimize cross-shard wire count.
-
-    Starts from the balanced :func:`partition_ranks` split and slides each
-    boundary independently within ``+- floor(base_size * slack)`` ranks to
-    the position cutting the fewest topology links (ties broken toward
-    balance, then the lower index — so a featureless topology degenerates
-    to the equal split exactly).  The slide windows are disjoint
-    (``slack < 0.5``), which preserves ordering and the contiguity
-    invariant the lookahead derivation relies on, and bounds the imbalance
-    at ``1 + 2*slack``.
-    """
-    parts = partition_ranks(nranks, nshards)
-    if len(parts) < 2:
-        return parts
-    costs = _boundary_cut_costs(network, nranks)
-    if costs is None:
-        return parts
-    width = int((nranks // len(parts)) * slack)
-    if width <= 0:
-        return parts
-    edges = [0]
-    for part in parts[1:]:
-        b0 = part[0]
-        lo = max(edges[-1] + 1, b0 - width)
-        hi = min(nranks - 1, b0 + width)
-        edges.append(
-            min(range(lo, hi + 1), key=lambda b: (costs[b], abs(b - b0), b))
-        )
-    edges.append(nranks)
-    return [range(a, b) for a, b in zip(edges, edges[1:])]
-
-
 class _RemoteSendRef:
     """Stand-in for a rendezvous send request living in another shard.
 
@@ -442,6 +356,12 @@ class ShardStats:
     #: Sum of every worker's wall time across all rounds (the total useful
     #: work; on a single-core host this approximates the serial run time).
     worker_busy_seconds: float = 0.0
+    #: The critical path in events instead of seconds: per window round
+    #: the largest per-shard dispatch count, plus every lockstep exact
+    #: step's.  It repeats exactly, whatever else the host runs, so
+    #: ``sum(shard_events) / critical_path_events`` is the partition's
+    #: parallelism in a unit host load cannot inflate.
+    critical_path_events: int = 0
     #: Events dispatched per shard (filled at merge).
     shard_events: list[int] = field(default_factory=list)
     #: Messages that crossed a shard boundary, summed over shards.
@@ -449,7 +369,7 @@ class ShardStats:
     #: Largest entry of the per-pair lookahead matrix (``lookahead`` holds
     #: the smallest — the old global bound every pair dominates).
     lookahead_max: float = 0.0
-    #: Shard sizes of the (possibly topology-slid) partition.
+    #: Shard sizes of the partition.
     partition: list[int] = field(default_factory=list)
 
     @property
@@ -592,14 +512,11 @@ class ShardedMpiWorld(MpiWorld):
         super().__init__(*args, **kwargs)
         self.shard_id: int | None = None
         self.owned: frozenset[int] = frozenset()
-        #: Conservative lookahead floor (min cross-shard wire latency);
-        #: bounds how soon another shard can react to an emitted envelope.
-        self.lookahead = 0.0
         #: Per-destination-shard lookahead (this shard's row of the closed
-        #: matrix) and the rank -> shard map backing it; ``None`` falls
-        #: back to the scalar floor for every destination.
-        self._la_row: tuple[float, ...] | None = None
-        self._owner: tuple[int, ...] | None = None
+        #: matrix) and the rank -> shard map backing it: how soon another
+        #: shard can react to an emitted envelope.
+        self._la_row: tuple[float, ...] = ()
+        self._owner: tuple[int, ...] = ()
         #: Envelopes produced since the last barrier (drained per round).
         self.outbox: list[tuple] = []
         #: Per-source message counters backing the tuple sequence numbers.
@@ -613,13 +530,11 @@ class ShardedMpiWorld(MpiWorld):
         self,
         shard_id: int,
         owned: frozenset[int],
-        lookahead: float = 0.0,
-        la_row: tuple[float, ...] | None = None,
-        owner: tuple[int, ...] | None = None,
+        la_row: tuple[float, ...],
+        owner: tuple[int, ...],
     ) -> None:
         self.shard_id = shard_id
         self.owned = frozenset(owned)
-        self.lookahead = lookahead
         self._la_row = la_row
         self._owner = owner
 
@@ -637,10 +552,7 @@ class ShardedMpiWorld(MpiWorld):
         is the step time itself).
         """
         engine = self.engine
-        if self._la_row is not None and self._owner is not None:
-            cap = t_effective + self._la_row[self._owner[dst]]
-        else:
-            cap = t_effective + self.lookahead
+        cap = t_effective + self._la_row[self._owner[dst]]
         if cap < engine._window_end:
             engine._window_end = cap
 
@@ -849,15 +761,13 @@ class ShardWorker:
         sim: "XSim",
         shard_id: int,
         owned: range,
-        lookahead: float = 0.0,
-        la_row: tuple[float, ...] | None = None,
-        owner: tuple[int, ...] | None = None,
+        la_row: tuple[float, ...],
+        owner: tuple[int, ...],
     ):
         self.sim = sim
         self.engine: WindowedEngine = sim.engine  # type: ignore[assignment]
         self.world: ShardedMpiWorld = sim.world  # type: ignore[assignment]
         self.shard_id = shard_id
-        self.lookahead = lookahead
         self.la_row = la_row
         self.owner = owner
         self.owned = frozenset(owned)
@@ -878,9 +788,7 @@ class ShardWorker:
         self._obs = observer_for(self.sim.observer, shard_local=True)
         if self._obs is not None:
             engine.obs = self.world.obs = self._obs
-        self.world.configure_shard(
-            self.shard_id, self.owned, self.lookahead, self.la_row, self.owner
-        )
+        self.world.configure_shard(self.shard_id, self.owned, self.la_row, self.owner)
         engine.configure_shard(self.shard_id, self.owned)
         engine.begin_windowed_run()
         self._stores = tuple(stores)
@@ -942,7 +850,10 @@ class ShardWorker:
         if engine.aborting and not self._abort_reported:
             self._abort_reported = True
             abort = (engine.abort_time, engine.abort_rank)
-        return (engine.next_event_time(), out, fails, abort, perf_counter() - t0)
+        return (
+            engine.next_event_time(), out, fails, abort, perf_counter() - t0,
+            engine.event_count,
+        )
 
     def finish(self) -> ShardReport:
         engine = self.engine
@@ -1040,9 +951,9 @@ def _shm_worker_main(
                         for _ in range(msg[2])
                     ]
                     worker.apply(envs, ())
-                    m_next, out, fails, abort, wall = worker.run_window(msg[1])
+                    m_next, out, fails, abort, wall, events = worker.run_window(msg[1])
                 elif op == "exact":
-                    m_next, out, fails, abort, wall = worker.run_exact(msg[1])
+                    m_next, out, fails, abort, wall, events = worker.run_exact(msg[1])
                 elif op == "apply":
                     envs = [
                         unpack_envelope(ring_in.read(alive=alive))
@@ -1056,7 +967,7 @@ def _shm_worker_main(
                     continue
                 else:
                     raise SimulationError(f"unknown shard op {op!r}")
-                conn.send(("ok", (m_next, len(out), fails, abort, wall)))
+                conn.send(("ok", (m_next, len(out), fails, abort, wall, events)))
                 for env in out:
                     ring_out.write(pack_envelope(env), alive=alive)
         except EOFError:
@@ -1180,7 +1091,7 @@ class _ShmConn:
             raise SimulationError(f"shard {self.shard_id} worker failed: {reply[1]}")
         payload = reply[1]
         if self._last_op in ("window", "exact"):
-            m_next, n_out, fails, abort, wall = payload
+            m_next, n_out, fails, abort, wall, events = payload
             try:
                 out = [
                     unpack_envelope(self.ring_in.read(alive=self._alive))
@@ -1188,7 +1099,7 @@ class _ShmConn:
                 ]
             except RingPeerDead:
                 self._worker_died()
-            payload = (m_next, out, fails, abort, wall)
+            payload = (m_next, out, fails, abort, wall, events)
         self.completed_rounds += 1
         return payload
 
@@ -1235,7 +1146,6 @@ def _make_transport(
     nranks: int,
     parts: list[range],
     stores: tuple[CheckpointStore, ...],
-    lookahead: float,
     matrix: list[list[float]],
     owner: list[int],
 ):
@@ -1243,9 +1153,7 @@ def _make_transport(
     owner_t = tuple(owner)
 
     def make_worker(shard_sim: "XSim", k: int, part: range) -> ShardWorker:
-        return ShardWorker(
-            shard_sim, k, part, lookahead, la_row=tuple(matrix[k]), owner=owner_t
-        )
+        return ShardWorker(shard_sim, k, part, tuple(matrix[k]), owner_t)
 
     if transport == "inline":
         conns: list = []
@@ -1330,6 +1238,8 @@ class _Coordinator:
         #: per-round events (workers have their own shard-local buses).
         self.obs = obs
         self.mins = [c.initial_min for c in conns]
+        #: Each shard's engine event count at its last reply.
+        self.events = [0] * len(conns)
         self.pending: list[list[tuple]] = [[] for _ in conns]
         self.directives: list[list[tuple]] = [[] for _ in conns]
 
@@ -1399,8 +1309,9 @@ class _Coordinator:
             self.conns[k].send(("window", end, self.pending[k]))
             self.pending[k] = []
         walls = []
+        dispatched = []
         for k, _end in targets:
-            m_next, out, fails, abort, wall = self.conns[k].recv_payload()
+            m_next, out, fails, abort, wall, events = self.conns[k].recv_payload()
             if fails or abort:
                 raise ShardedParityError(
                     f"shard {k} produced an unscheduled failure/abort inside a "
@@ -1410,9 +1321,12 @@ class _Coordinator:
                 )
             self.mins[k] = m_next
             walls.append(wall)
+            dispatched.append(events - self.events[k])
+            self.events[k] = events
             self._route(out)
         self.stats.windows += 1
         self.stats.critical_path_seconds += max(walls)
+        self.stats.critical_path_events += max(dispatched)
         self.stats.worker_busy_seconds += sum(walls)
         # Inline workers run one after another inside this loop, so the
         # round's wall holds all of their run times, not the slowest one's.
@@ -1460,9 +1374,11 @@ class _Coordinator:
         k = candidates[0]
         conn = self.conns[k]
         conn.send(("exact", t1))
-        m_next, out, fails, abort, wall = conn.recv_payload()
+        m_next, out, fails, abort, wall, events = conn.recv_payload()
         self.stats.critical_path_seconds += wall  # exact steps are serial
         self.stats.worker_busy_seconds += wall
+        self.stats.critical_path_events += events - self.events[k]
+        self.events[k] = events
         self.mins[k] = m_next
         self._route(out)
         for rank, t_kill in fails:
@@ -1496,7 +1412,7 @@ def run_sharded(sim: "XSim", app, args: tuple, nranks: int) -> SimulationResult:
         raise ConfigurationError(
             "soft-error injection is not supported with --shards > 1"
         )
-    parts = partition_ranks_topology(nranks, nshards, world.network)
+    parts = partition_ranks(nranks, nshards)
     nshards = len(parts)
     owner = [0] * nranks
     for k, part in enumerate(parts):
@@ -1551,7 +1467,7 @@ def run_sharded(sim: "XSim", app, args: tuple, nranks: int) -> SimulationResult:
             },
         )
     conns, cleanup = _make_transport(
-        transport, sim, app, args, nranks, parts, stores, lookahead, matrix, owner
+        transport, sim, app, args, nranks, parts, stores, matrix, owner
     )
     try:
         coordinator = _Coordinator(

@@ -94,7 +94,6 @@ TOML_LAYOUT: dict[str, tuple[tuple[str, str], ...]] = {
     ),
     "execution": (
         ("seed", "seed"),
-        ("backend", "backend"),
         ("shards", "shards"),
         ("shard_transport", "shard_transport"),
         ("jobs", "jobs"),
@@ -118,8 +117,9 @@ APPS: dict[str, str] = {
     "cg": "repro.apps.cg:scenario_workload",
 }
 #: Execution backends -> the shard transport each one drives (``None``:
-#: the serial engine).  The only statement of which backends exist;
-#: adding one is adding the row.
+#: the serial engine).  The only statement of which backends exist; a
+#: scenario's is named by its ``shards`` and ``shard_transport``
+#: (:func:`backend_name_for`), never chosen on its own.
 BACKEND_TRANSPORTS: dict[str, str | None] = {
     "serial": None,
     "sharded-inline": "inline",
@@ -132,25 +132,12 @@ SHARD_TRANSPORTS = tuple(sorted(t for t in BACKEND_TRANSPORTS.values() if t is n
 _BACKEND_OF_TRANSPORT = {t: name for name, t in BACKEND_TRANSPORTS.items()}
 
 
-def backend_name_for(backend: str | None, shards: int, shard_transport: str | None) -> str:
-    """The :data:`BACKEND_TRANSPORTS` row a ``(backend, shards,
-    shard_transport)`` triple selects.
-
-    Explicit ``backend`` wins (and must agree with ``shard_transport``
-    if both are given); otherwise the name derives from ``shards`` and
-    ``shard_transport``: one shard is ``serial``, more run on the named
-    transport (``inline`` when none is).
-    """
-    check_value("backend", backend)
+def backend_name_for(shards: int, shard_transport: str | None) -> str:
+    """The :data:`BACKEND_TRANSPORTS` row ``shards`` and
+    ``shard_transport`` select: one shard is ``serial``, more run on the
+    named transport (``inline`` when none is)."""
     check_value("shard_transport", shard_transport)
-    if backend is None:
-        return _BACKEND_OF_TRANSPORT[None if shards <= 1 else (shard_transport or "inline")]
-    implied = BACKEND_TRANSPORTS[backend]
-    if shard_transport is not None and implied is not None and implied != shard_transport:
-        raise ConfigurationError(
-            f"backend {backend!r} conflicts with shard_transport {shard_transport!r}"
-        )
-    return backend
+    return _BACKEND_OF_TRANSPORT[None if shards <= 1 else (shard_transport or "inline")]
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
@@ -308,7 +295,6 @@ FIELD_TABLE: tuple[FieldSpec, ...] = (
     # (numpy's SeedSequence refuses a negative seed.)
     FieldSpec("seed", "int", _at_least(0), flag=("--seed",),
               help="deterministic experiment seed (default {default})"),
-    FieldSpec("backend", "str", choices=tuple(BACKEND_TRANSPORTS)),
     FieldSpec("shards", "int", _at_least(1), flag=("--shards",), env="XSIM_SHARDS",
               help="partition the simulated ranks across N conservative-parallel "
               "engine shards (default: {env} or {default}); the event trace is "
@@ -458,7 +444,6 @@ class Scenario:
     strategy_params: tuple = ()
     # -- execution -----------------------------------------------------
     seed: int = 0
-    backend: str | None = None
     shards: int = 1
     shard_transport: str | None = None
     jobs: int = 1
@@ -619,7 +604,7 @@ class Scenario:
     # ------------------------------------------------------------------
     def backend_name(self) -> str:
         """The backend this scenario runs on (:func:`backend_name_for`)."""
-        return backend_name_for(self.backend, self.shards, self.shard_transport)
+        return backend_name_for(self.shards, self.shard_transport)
 
     def make_strategy(self):
         """Instantiate this scenario's resilience strategy (validated)."""
@@ -672,16 +657,17 @@ class Scenario:
         return self.__dict__["_schedule"]
 
 
-#: Hashed verbatim where the ``engine`` field's line stood while a second
-#: event core could be selected.  The digest is an on-disk contract —
-#: cache keys hash it and explore scorecards print it — so dropping the
-#: line would turn every stored result into a miss and move every pinned
-#: scorecard.
-_DIGEST_ENGINE_LINE = "engine='heap'\n"
+#: Hashed verbatim where a retired field's line stood: ``engine`` while
+#: a second event core could be selected, ``backend`` while a backend
+#: could be named apart from ``shards`` and ``shard_transport``.  The
+#: digest is an on-disk contract — cache keys hash it and explore
+#: scorecards print it — so dropping a line would turn every stored
+#: result into a miss and move every pinned scorecard.
+_DIGEST_RETIRED_LINES = {"backend": "backend=None\n", "engine": "engine='heap'\n"}
 _FIELD_NAMES = frozenset(f.name for f in fields(Scenario))
 #: Names in the order :func:`_field_digest` hashes them: every field,
-#: plus the place of :data:`_DIGEST_ENGINE_LINE`.
-_DIGEST_FIELDS = tuple(sorted(_FIELD_NAMES | {"engine"}))
+#: plus the places of :data:`_DIGEST_RETIRED_LINES`.
+_DIGEST_FIELDS = tuple(sorted(_FIELD_NAMES | _DIGEST_RETIRED_LINES.keys()))
 
 
 def _rendered(value: Any) -> str:
@@ -699,7 +685,7 @@ def _field_digest(scenario: Scenario, overrides: dict[str, Any]) -> str:
     standing in for fields."""
     values = vars(scenario) | overrides
     text = "".join([
-        _DIGEST_ENGINE_LINE if name == "engine" else f"{name}={_rendered(values[name])}\n"
+        _DIGEST_RETIRED_LINES.get(name) or f"{name}={_rendered(values[name])}\n"
         for name in _DIGEST_FIELDS
     ])
     return hashlib.sha256(text.encode()).hexdigest()

@@ -223,7 +223,7 @@ class TestCacheKey:
         assert cache_key(SMALL.with_(shards=4, shard_transport="shm")) == base
         assert cache_key(SMALL.with_(shards=2, shard_transport="inline")) == base
         assert cache_key(SMALL.with_(jobs=8)) == base
-        assert cache_key(SMALL.with_(backend="sharded-shm", shards=2)) == base
+        assert cache_key(SMALL.with_(shards=2, shard_transport="shm")) == base
         # trace_out implies observe=True (payload-relevant), so it shares
         # the *observed* entry, not the bare one — the path itself is
         # normalized out.
@@ -241,9 +241,7 @@ class TestCacheKey:
             shards=2, shard_transport="inline", jobs=3, trace_out="/tmp/t.json",
             failures="3@50s", strategy="ckpt-multilevel", strategy_params={"k": 4},
         )
-        normalized = busy.with_(
-            backend=None, shards=1, shard_transport=None, jobs=1, trace_out=""
-        )
+        normalized = busy.with_(shards=1, shard_transport=None, jobs=1, trace_out="")
         expected = hashlib.sha256(
             f"{cache_salt()}\n{normalized.scenario_digest()}".encode()
         ).hexdigest()

@@ -611,12 +611,14 @@ def test_every_module_is_reached_from_the_cli_or_says_why_not():
 
 
 def test_every_app_row_is_run_by_a_benchmark_or_the_ledger():
-    """Reach is not enough for an ``APPS`` row or a ``COLLECTIVES``
-    family: some file under ``benchmarks/`` or ``ledger/`` runs it.  An
-    app by ``app="<row>"`` or by importing ``repro.apps.<row>``; a family
-    by ``collectives="<name>"`` or ``collective_algorithm="<name>"``.  A
-    row nothing measures goes."""
-    from repro.core.harness.config import COLLECTIVES
+    """Reach is not enough for an ``APPS`` row, a ``COLLECTIVES`` family
+    or a ``TOPOLOGIES`` kind: some file under ``benchmarks/`` or
+    ``ledger/`` runs it.  An app by ``app="<row>"`` or by importing
+    ``repro.apps.<row>``; a family by ``collectives="<name>"`` or
+    ``collective_algorithm="<name>"``; a kind by ``topology="<name>"``,
+    ``topology_kind="<name>"`` or a ``KINDS`` tuple naming it.  A row
+    nothing measures goes."""
+    from repro.core.harness.config import COLLECTIVES, TOPOLOGIES
     from repro.run.scenario import APPS
 
     sources = "\n".join(
@@ -625,6 +627,7 @@ def test_every_app_row_is_run_by_a_benchmark_or_the_ledger():
     tables = [
         (APPS, r"""app\s*=\s*["']{name}["']|\brepro\.apps\.{name}\b"""),
         (COLLECTIVES, r"""collective(?:s|_algorithm)\s*=\s*["']{name}["']"""),
+        (TOPOLOGIES, r"""topology(?:_kind)?\s*=\s*["']{name}["']|KINDS\s*=\s*\([^)]*["']{name}["']"""),
     ]
     unclaimed = [
         name for names, claim in tables for name in names

@@ -9,7 +9,6 @@ from repro.models.network.topology import (
     CrossbarTopology,
     FatTreeTopology,
     MeshTopology,
-    StarTopology,
     TorusTopology,
 )
 from repro.util.errors import ConfigurationError
@@ -282,7 +281,7 @@ topologies = st.one_of(
     grid_dims.map(TorusTopology),
     grid_dims.map(MeshTopology),
     st.builds(FatTreeTopology, arity=st.integers(2, 5), levels=st.integers(1, 4)),
-    st.integers(1, 700).map(StarTopology),
+    st.integers(1, 700).map(CrossbarTopology),
 )
 
 

@@ -181,7 +181,7 @@ class TestParity:
     @pytest.mark.parametrize("strategy", ALL)
     def test_serial_vs_inline_shards(self, strategy, faulty_summaries):
         sharded = run_scenario(
-            scenario_for(strategy, backend="sharded-inline", shards=2)
+            scenario_for(strategy, shards=2, shard_transport="inline")
         ).summary()
         assert sharded["result_digest"] == faulty_summaries[strategy]["result_digest"]
 
@@ -217,7 +217,7 @@ class TestParity:
         first = run_scenario(s).summary()["result_digest"]
         again = run_scenario(s).summary()["result_digest"]
         sharded = run_scenario(
-            s.with_(backend="sharded-inline", shards=2)
+            s.with_(shards=2, shard_transport="inline")
         ).summary()["result_digest"]
         assert first == again == sharded
 

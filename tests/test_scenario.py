@@ -158,7 +158,7 @@ class TestSerialization:
         )
         assert busy.scenario_digest() == golden
         assert busy.scenario_digest() == golden  # second read: the kept value
-        execution = dict(backend=None, shards=1, shard_transport=None, jobs=1, trace_out="")
+        execution = dict(shards=1, shard_transport=None, jobs=1, trace_out="")
         assert busy.digest_with(**execution) == normalized
         assert busy.with_(**execution).scenario_digest() == normalized
         # the kept digest is not a field: ==, repr, to_dict, TOML never see it
@@ -178,6 +178,8 @@ class TestSerialization:
         assert str(from_digest.value) == str(from_with.value)
         with pytest.raises(TypeError, match="'engine'"):
             Scenario().digest_with(engine="heap")  # hashed, but not a field
+        with pytest.raises(TypeError, match="'backend'"):
+            Scenario().digest_with(backend=None)  # likewise
 
     def test_stand_ins_that_change_nothing_return_the_kept_digest(self, monkeypatch):
         """A scenario already in normal form is hashed once for its cache
@@ -191,7 +193,7 @@ class TestSerialization:
             module, "_field_digest", lambda s, o: hashed.append(o) or real(s, o)
         )
         s = tiny(seed=3)
-        assert s.digest_with(backend=None, shards=1, jobs=1, trace_out="") == s.scenario_digest()
+        assert s.digest_with(shards=1, jobs=1, trace_out="") == s.scenario_digest()
         assert hashed == [{}]
         assert s.digest_with(slowdown=s.slowdown) == s.scenario_digest() and len(hashed) == 1
         odd = tiny(iterations=1)
@@ -263,26 +265,15 @@ class TestBackends:
             "sharded-shm": "shm",
         }
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError) as refused:
-            tiny(backend="quantum")
-        assert "unknown backend 'quantum'" in str(refused.value)
-        assert all(name in str(refused.value) for name in BACKEND_TRANSPORTS)
-
     def test_backend_name_derivation(self):
         assert tiny().backend_name() == "serial"
         assert tiny(shards=2).backend_name() == "sharded-inline"
         assert tiny(shards=2, shard_transport="inline").backend_name() == "sharded-inline"
         assert tiny(shards=2, shard_transport="shm").backend_name() == "sharded-shm"
-        assert tiny(backend="serial").backend_name() == "serial"
 
     def test_unknown_transport_rejected_at_resolution(self):
         with pytest.raises(ConfigurationError, match="unknown shard transport"):
             tiny(shards=2, shard_transport="carrier-pigeon")
-
-    def test_backend_transport_conflict(self):
-        with pytest.raises(ConfigurationError, match="conflicts"):
-            tiny(backend="sharded-shm", shard_transport="inline").backend_name()
 
     def test_serial_vs_sharded_inline_digest_parity(self):
         serial = run_scenario(tiny())
@@ -589,9 +580,9 @@ class TestDims:
         with pytest.raises(ConfigurationError, match="arity must be >= 2"):
             tiny(topology="fattree", dims=(1, 8))
 
-    def test_star_takes_no_dims(self):
+    def test_crossbar_takes_no_dims(self):
         with pytest.raises(ConfigurationError, match="takes no dims"):
-            tiny(topology="star", dims=(8,))
+            tiny(topology="crossbar", dims=(8,))
 
     def test_cli_dims_error_message(self, capsys):
         assert main(["app", "--ranks", "64", "--dims", "2x2x2"]) == 2

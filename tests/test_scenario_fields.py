@@ -359,15 +359,17 @@ def test_a_constructor_call_refuses_it(field, value, message):
         ("app", "app", "name", "stencil2d"),
         ("app", "app", "name", "ring"),
         ("collectives", "machine", "collectives", "analytic"),
+        ("topology", "machine", "topology", "star"),
     ],
-    ids=["amr", "stencil2d", "ring", "analytic"],
+    ids=["amr", "stencil2d", "ring", "analytic", "star"],
 )
 def test_a_removed_app_is_refused_at_every_entry(tmp_path, capsys, field, table, key, name):
-    """The apps and the collective family no claim ran are gone, refused
-    by their row's own choices: at the constructor, from a file and on
-    the command line."""
+    """The apps, the collective family and the topology no claim ran are
+    gone, refused by their row's own choices: at the constructor, from a
+    file and on the command line."""
     expected = {"app": "(expected one of heat3d, cg)",
-                "collectives": "(expected one of linear, tree)"}[field]
+                "collectives": "(expected one of linear, tree)",
+                "topology": "(expected one of torus, mesh, fattree, crossbar)"}[field]
     with pytest.raises(ConfigurationError) as refused:
         Scenario(**{field: name})
     assert str(refused.value) == f"unknown {field} {name!r} {expected}"

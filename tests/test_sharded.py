@@ -40,7 +40,6 @@ from repro.pdes.sharded import (
     _Coordinator,
     derive_lookahead_matrix,
     partition_ranks,
-    partition_ranks_topology,
 )
 from repro.pdes.shmring import RingPeerDead, ShmRing, pack_envelope, unpack_envelope
 from repro.util.errors import ConfigurationError, ShardWorkerDied
@@ -176,6 +175,28 @@ class TestPartition:
                     for dst in other:
                         assert net.wire_latency(src, dst) >= la
 
+    def test_parity_with_packed_nodes(self):
+        """Per-pair lookahead on a machine of four ranks a node reproduces
+        the serial digest, where the balanced cuts fall on node edges (4
+        shards: ranks 8, 16, 24) and where they split a node (3 shards:
+        ranks 11 and 22)."""
+
+        def run(**kw):
+            system = SystemConfig.paper_system(nranks=32, ranks_per_node=4)
+            workload = HeatConfig.paper_workload(
+                checkpoint_interval=INTERVAL, nranks=32, iterations=ITERATIONS
+            )
+            sim = XSim(system, **kw)
+            return sim, sim.run(heat3d, args=(workload, CheckpointStore()))
+
+        serial = result_digest(run()[1])
+        transports = ["inline"] + (["shm"] if "fork" in mp.get_all_start_methods() else [])
+        for sizes in ([8, 8, 8, 8], [11, 11, 10]):
+            for transport in transports:
+                sim, sharded = run(shards=len(sizes), shard_transport=transport)
+                assert sim.shard_stats.partition == sizes, transport
+                assert result_digest(sharded) == serial, (sizes, transport)
+
 
 class TestLookaheadMatrix:
     """The per-shard-pair lookahead matrix: safety and window economy.
@@ -255,55 +276,6 @@ class TestLookaheadMatrix:
             la_frac=1.0 if scheme == "global" else None,
         )
         assert result_digest(res) == serial_digests[False]
-
-
-class TestTopologyPartition:
-    """Topology-aware shard cuts: contiguity, balance, wire awareness."""
-
-    def test_contiguous_and_covering(self):
-        network = paper_network(64)
-        for nshards in (2, 3, 4, 7):
-            parts = partition_ranks_topology(64, nshards, network)
-            assert len(parts) == nshards
-            assert [r for part in parts for r in part] == list(range(64))
-
-    def test_balance_bounded_by_slack(self):
-        for nranks, nshards in ((64, 4), (65, 4), (96, 5)):
-            network = paper_network(nranks)
-            parts = partition_ranks_topology(nranks, nshards, network)
-            base = nranks // nshards
-            width = int(base * 0.125)
-            sizes = [len(p) for p in parts]
-            assert sum(sizes) == nranks
-            assert max(sizes) - min(sizes) <= 1 + 2 * width
-
-    def test_cuts_land_on_node_boundaries(self):
-        """With several ranks per node, splitting a node across shards
-        costs more than any link cut — boundaries snap to node edges."""
-        network = paper_network(64, ranks_per_node=4)
-        parts = partition_ranks_topology(64, 4, network)
-        for part in parts[1:]:
-            assert part[0] % 4 == 0
-
-    def test_featureless_topology_keeps_equal_split(self):
-        network = paper_network(64, topology_kind="crossbar")
-        assert partition_ranks_topology(64, 4, network) == partition_ranks(64, 4)
-
-    def test_parity_with_packed_nodes(self):
-        """Node-aligned cuts + per-pair lookahead on a multi-rank-per-node
-        machine still reproduce the serial digest."""
-
-        def run(**kw):
-            system = SystemConfig.paper_system(nranks=32, ranks_per_node=4)
-            workload = HeatConfig.paper_workload(
-                checkpoint_interval=INTERVAL, nranks=32, iterations=ITERATIONS
-            )
-            sim = XSim(system, **kw)
-            return sim.run(heat3d, args=(workload, CheckpointStore()))
-
-        serial = run()
-        sharded = run(shards=4, shard_transport="inline")
-        assert result_digest(sharded) == result_digest(serial)
 
 
 class TestShmRing:
@@ -480,7 +452,6 @@ class TestTransportRefusal:
             "constructor": lambda: Scenario(shards=2, shard_transport="fork"),
             "file": lambda: load_scenario_file(path, use_environment=False),
             "variable": lambda: read_environment({"XSIM_SHARD_TRANSPORT": "fork"}),
-            "backend": lambda: Scenario(shards=2, backend="sharded-fork"),
         }
         for entry, build in entries.items():
             with pytest.raises(ConfigurationError) as refused:
@@ -604,6 +575,24 @@ class TestInlineBarrierTime:
         stats = sim.shard_stats
         assert stats.windows > 0
         assert 0.0 <= stats.barrier_seconds <= drive_walls[0] - stats.worker_busy_seconds + 1e-3
+
+
+class TestCriticalPathEvents:
+    @pytest.mark.parametrize(
+        "transport", ["inline", pytest.param("shm", marks=fork_required)]
+    )
+    def test_counted_in_events_it_repeats_and_bounds_the_work(self, transport):
+        """The critical path in dispatched events is the same on every
+        run and transport (host load cannot move it), at least the
+        busiest shard's work and at most all of it."""
+        runs = [
+            run_heat(nranks=64, collective="tree", shards=3, shard_transport=t)[0].shard_stats
+            for t in ("inline", transport)
+        ]
+        assert runs[0].critical_path_events == runs[1].critical_path_events
+        stats = runs[1]
+        assert max(stats.shard_events) <= stats.critical_path_events
+        assert stats.critical_path_events < sum(stats.shard_events)
 
 
 class TestRestartCycleParity:

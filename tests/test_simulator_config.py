@@ -14,7 +14,6 @@ from repro.models.network.topology import (
     CrossbarTopology,
     FatTreeTopology,
     MeshTopology,
-    StarTopology,
     TorusTopology,
 )
 from repro.util.errors import ConfigurationError, DeadlockError, SimulationError
@@ -77,7 +76,6 @@ class TestSystemConfig:
             ("torus", TorusTopology),
             ("mesh", MeshTopology),
             ("fattree", FatTreeTopology),
-            ("star", StarTopology),
             ("crossbar", CrossbarTopology),
         ]:
             cfg = SystemConfig(nranks=16, topology_kind=kind, topology_dims=None)

@@ -6,7 +6,6 @@ from repro.models.network.topology import (
     CrossbarTopology,
     FatTreeTopology,
     MeshTopology,
-    StarTopology,
     TorusTopology,
 )
 from repro.util.errors import ConfigurationError
@@ -129,26 +128,21 @@ class TestFatTree:
             FatTreeTopology(arity=1, levels=2)
 
 
-class TestStarAndCrossbar:
-    def test_star_two_hops(self):
-        s = StarTopology(10)
-        assert s.hops(2, 7) == 2
-        assert s.hops(3, 3) == 0
-
-    def test_star_all_others_are_neighbors(self):
-        assert len(StarTopology(10).neighbors(0)) == 9
-
+class TestCrossbar:
     def test_crossbar_one_hop(self):
         x = CrossbarTopology(10)
         assert x.hops(2, 7) == 1
+        assert x.hops(3, 3) == 0
         assert x.diameter() == 1
 
+    def test_all_others_are_neighbors(self):
+        assert len(CrossbarTopology(10).neighbors(0)) == 9
+
     def test_single_node_machines(self):
-        assert StarTopology(1).diameter() == 0
         assert CrossbarTopology(1).diameter() == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
-            StarTopology(0)
+            CrossbarTopology(0)
         with pytest.raises(ConfigurationError):
             CrossbarTopology(-1)

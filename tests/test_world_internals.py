@@ -162,7 +162,7 @@ class TestPlacementEndToEnd:
 
     def test_capacity_validated(self):
         system = SystemConfig.small_test_system(nranks=4)
-        cfg = system.scaled(topology_kind="star", topology_dims=None)
+        cfg = system.scaled(topology_kind="crossbar", topology_dims=None)
         # machine of ceil(4/1)=4 nodes: asking for 5 ranks must fail
         from repro.core.simulator import XSim
 
