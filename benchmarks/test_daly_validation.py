@@ -12,7 +12,7 @@ pay overhead).
 import numpy as np
 
 from repro.apps.naive_cr import NaiveCrConfig, naive_cr
-from repro.core.checkpoint.daly import daly_higher_order_interval, expected_completion_time
+from repro.check.oracle import daly_higher_order_interval, expected_completion_time
 from repro.core.harness.config import SystemConfig
 from repro.core.restart import RestartDriver
 

@@ -5,12 +5,11 @@ substrates:
 
 * :mod:`repro.core.faults` — MPI process failure schedules (rank/time
   pairs via API, environment variable, or command line), MTTF-driven
-  random injection, component reliability models, the soft-error (bit
-  flip) injector, and the Finject-style campaign behind Table I;
+  random injection, the soft-error (bit flip) injector, and the
+  Finject-style campaign behind Table I;
 * :mod:`repro.core.checkpoint` — the simulated parallel-file-system
-  checkpoint store with *complete/corrupted/missing* file states, the
-  application-level checkpoint protocol helpers, and Daly's optimal
-  checkpoint interval analysis;
+  checkpoint store with *complete/corrupted/missing* file states and the
+  application-level checkpoint protocol helpers;
 * :mod:`repro.core.simulator` — :class:`XSim`, the single-run facade
   combining engine, models, MPI layer, and injection;
 * :mod:`repro.core.restart` — the failure/restart driver that persists

@@ -10,16 +10,11 @@
   applications use, reproducing the paper's target application protocol
   (write, barrier, delete previous; on restart load the last valid set
   and delete corrupted files).
-* :mod:`repro.core.checkpoint.daly` — Daly's optimal checkpoint interval
-  estimates, the canonical checkpoint/restart optimization the paper's
-  related-work section cites.
+
+Daly's optimal checkpoint interval estimates live in
+:mod:`repro.check.oracle`, beside the other closed forms.
 """
 
-from repro.core.checkpoint.daly import (
-    daly_higher_order_interval,
-    daly_simple_interval,
-    expected_completion_time,
-)
 from repro.core.checkpoint.protocol import CheckpointProtocol
 from repro.core.checkpoint.store import CheckpointStore, FileState
 
@@ -27,7 +22,4 @@ __all__ = [
     "CheckpointProtocol",
     "CheckpointStore",
     "FileState",
-    "daly_higher_order_interval",
-    "daly_simple_interval",
-    "expected_completion_time",
 ]

@@ -4,10 +4,9 @@
   schedules ("xSim additionally offers to pass a simulated MPI process
   failure schedule in the form of rank/time pairs on the command line or
   via an environment variable on startup").
-* :mod:`repro.core.faults.reliability` — component reliability models
-  (exponential and Weibull) and the paper's Table II placement policy:
-  a uniformly random rank at a uniformly random time within 2x the system
-  MTTF, drawn independently for every run segment.
+* :mod:`repro.core.faults.reliability` — the paper's Table II placement
+  policy: a uniformly random rank at a uniformly random time within 2x
+  the system MTTF, drawn independently for every run segment.
 * :mod:`repro.core.faults.softerror` — bit-flip injection into tracked
   process memory (paper future work 1 / the redMPI-style studies).
 * :mod:`repro.core.faults.finject` — the Finject robustness-testing
@@ -19,7 +18,6 @@ from repro.util.lazy import lazy_exports
 #: Public name -> defining module (imported on first use).
 _EXPORTS = {
     "CorrelatedFailure": "repro.core.faults.schedule",
-    "ExponentialReliability": "repro.core.faults.reliability",
     "FailureSchedule": "repro.core.faults.schedule",
     "FaultOverlay": "repro.core.faults.overlay",
     "FinjectCampaign": "repro.core.faults.finject",
@@ -27,15 +25,10 @@ _EXPORTS = {
     "ScheduledFailure": "repro.core.faults.schedule",
     "StragglerFault": "repro.core.faults.schedule",
     "expand_correlated": "repro.core.faults.schedule",
-    "InjectionPolicy": "repro.core.faults.policies",
     "MttfInjectionPolicy": "repro.core.faults.reliability",
-    "ReliabilityInjectionPolicy": "repro.core.faults.policies",
-    "SingleUniformFailurePolicy": "repro.core.faults.policies",
     "SoftErrorInjector": "repro.core.faults.softerror",
     "SoftErrorOutcome": "repro.core.faults.softerror",
-    "SystemReliability": "repro.core.faults.reliability",
     "VictimModel": "repro.core.faults.finject",
-    "WeibullReliability": "repro.core.faults.reliability",
 }
 
 __all__ = list(_EXPORTS)

@@ -31,15 +31,11 @@ repeated entry.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 from repro.util.errors import ConfigurationError
 from repro.util.units import parse_time
-
-#: Environment variable consulted by :meth:`FailureSchedule.from_environment`.
-ENV_VAR = "XSIM_FAILURES"
 
 
 def _fmt(value: float) -> str:
@@ -325,22 +321,11 @@ class FailureSchedule:
         rank_s, time_s = item.split("@", 1)
         return ScheduledFailure(_parse_rank(rank_s, item), parse_time(time_s))
 
-    @classmethod
-    def from_environment(cls, environ: dict[str, str] | None = None) -> "FailureSchedule":
-        """Read the schedule from the ``XSIM_FAILURES`` environment variable
-        (empty schedule when unset)."""
-        env = environ if environ is not None else os.environ
-        return cls.parse(env.get(ENV_VAR, ""))
-
     # -- use -------------------------------------------------------------
     def add(self, rank: int, time: float) -> None:
         """Add one fail-stop rank/time pair (idempotent: a duplicate of an
         existing entry is dropped)."""
-        self.add_entry(ScheduledFailure(rank, float(time)))
-
-    def add_entry(self, entry: FaultEntry) -> None:
-        """Add one fault entry, keeping the schedule canonical."""
-        self.entries = _canonical(self.entries + [entry])
+        self.entries = _canonical(self.entries + [ScheduledFailure(rank, float(time))])
 
     def extend(self, other: "FailureSchedule") -> None:
         """Merge another schedule in (duplicates collapse instead of

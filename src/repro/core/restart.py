@@ -31,13 +31,8 @@ from typing import IO, TYPE_CHECKING, Any, Callable
 
 from repro.check import checking_enabled
 from repro.core.checkpoint.store import CheckpointStore
-from repro.core.faults.policies import InjectionPolicy, SingleUniformFailurePolicy
-from repro.core.faults.schedule import (
-    CorrelatedFailure,
-    FailureSchedule,
-    ScheduledFailure,
-    expand_correlated,
-)
+from repro.core.faults.reliability import MttfInjectionPolicy
+from repro.core.faults.schedule import FailureSchedule
 from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
 from repro.obs import Observer, observer_for
@@ -57,12 +52,12 @@ class SegmentRecord:
     start_time: float
     result: SimulationResult
     drawn_failures: tuple[tuple[int, float], ...]
-    """(rank, absolute time) pairs drawn for this segment (may be empty;
-    component-model policies can draw several)."""
+    """The (rank, absolute time) pair drawn for this segment: zero pairs
+    without an MTTF, one with."""
 
     @property
     def drawn_failure(self) -> tuple[int, float] | None:
-        """The first drawn failure (the Table II policy draws exactly one)."""
+        """The drawn failure, if any."""
         return self.drawn_failures[0] if self.drawn_failures else None
 
     @property
@@ -131,12 +126,11 @@ class RestartDriver:
         checkpoint store (persisted across segments like a real PFS).
     mttf:
         Optional system MTTF: draw one random failure per segment per the
-        paper's policy (shorthand for
-        ``policy=SingleUniformFailurePolicy(mttf)``).  ``policy`` accepts
-        any :class:`~repro.core.faults.policies.InjectionPolicy`, e.g. the
-        component-reliability-driven one.  ``schedule`` may be given
-        instead of (or in addition to) either; schedule times are absolute
-        virtual times and apply to the first segment.
+        paper's Table II policy
+        (:class:`~repro.core.faults.reliability.MttfInjectionPolicy`).
+        ``schedule`` may be given instead of (or in addition to) it;
+        schedule times are absolute virtual times and apply to the first
+        segment.
     seed:
         Seeds the failure-draw stream ("the experiments are repeatable as
         the simulator and the application are deterministic").
@@ -148,11 +142,9 @@ class RestartDriver:
         app,
         make_args: Callable[[CheckpointStore], tuple],
         mttf: float | None = None,
-        policy: InjectionPolicy | None = None,
         schedule: FailureSchedule | None = None,
         seed: int = 0,
         max_restarts: int = 1000,
-        draw_horizon: float | None = None,
         log_stream: IO[str] | None = None,
         check: bool | None = None,
         shards: int = 1,
@@ -161,8 +153,6 @@ class RestartDriver:
         scenario: "Scenario | None" = None,
         strategy=None,
     ):
-        if mttf is not None and policy is not None:
-            raise SimulationError("pass either mttf or policy, not both")
         if strategy is None:
             if scenario is not None:
                 strategy = scenario.make_strategy()
@@ -181,15 +171,10 @@ class RestartDriver:
         self.system = system
         self.app = app
         self.make_args = make_args
-        self.policy: InjectionPolicy | None
-        self.policy = SingleUniformFailurePolicy(mttf) if mttf is not None else policy
+        self.mttf_policy = MttfInjectionPolicy(mttf) if mttf is not None else None
         self.schedule = schedule
         self.seed = seed
         self.max_restarts = max_restarts
-        #: How far past each segment start the policy should bother drawing
-        #: (unbounded by default; activations beyond the segment's end are
-        #: naturally inert).
-        self.draw_horizon = draw_horizon if draw_horizon is not None else float("inf")
         self.log_stream = log_stream
         #: Run every segment under the invariant sanitizer and audit the
         #: checkpoint namespace after each pre-restart cleanup.  ``None``
@@ -219,12 +204,11 @@ class RestartDriver:
         across every failure/restart segment.
 
         The scenario supplies the machine, the application, the explicit
-        failure schedule and/or MTTF draw policy, the C/R budget, the
-        seed, the shard count and transport every segment's simulation is
-        built with (:func:`~repro.run.backends.shard_plan`, once, here),
-        and the instrumentation switches;
-        ``overrides`` passes any extra constructor argument through (e.g.
-        a component-model ``policy``).
+        failure schedule and/or MTTF, the C/R budget, the seed, the shard
+        count and transport every segment's simulation is built with
+        (:func:`~repro.run.backends.shard_plan`, once, here), and the
+        instrumentation switches; ``overrides`` passes any extra
+        constructor argument through.
         """
         from repro.run.backends import shard_plan
 
@@ -276,11 +260,11 @@ class RestartDriver:
     def _run_segments(self) -> FailureRunResult:
         strategy = self.strategy
         strategy.begin_run()
-        # Only a draw policy consumes the stream; a run under an explicit
+        # Only the MTTF draw consumes the stream; a run under an explicit
         # schedule alone never builds the generator.
         rng = (
             RngStreams(self.seed).get("restart-failures")
-            if self.policy is not None
+            if self.mttf_policy is not None
             else None
         )
         segments: list[SegmentRecord] = []
@@ -303,35 +287,15 @@ class RestartDriver:
                 observe=self.observer,
                 scenario=self.scenario,
             )
-            # Classify the explicit schedule (first segment only) so every
-            # fail-stop — scheduled or drawn — routes through the strategy,
-            # which may absorb it (replication's warm failover); degraded-
-            # performance faults arm the world overlay directly.
-            sched_failstops: list[tuple[int, float]] = []
-            if self.schedule is not None and index == 0:
-                self.schedule.validate(self.system.nranks)
-                for entry in self.schedule:
-                    if isinstance(entry, ScheduledFailure):
-                        sched_failstops.append((entry.rank, entry.time))
-                    elif isinstance(entry, CorrelatedFailure):
-                        sched_failstops.extend(
-                            expand_correlated(entry, sim.world.network, self.system.nranks)
-                        )
-                    else:
-                        sim.inject_perturbation(entry)
+            # The explicit schedule applies to the first segment only; every
+            # fail-stop, scheduled or drawn, goes through the strategy.
             drawn: list[tuple[int, float]] = []
-            if self.policy is not None:
-                drawn = [
-                    (rank, start + t_rel)
-                    for rank, t_rel in self.policy.draw_segment(
-                        rng, self.system.nranks, self.draw_horizon
-                    )
-                ]
-            failstops = strategy.transform_failures(
-                sim, sched_failstops + drawn, observer=self.observer
+            if self.mttf_policy is not None:
+                rank, t_rel = self.mttf_policy.draw(rng, self.system.nranks)
+                drawn.append((rank, start + t_rel))
+            sim.inject_schedule(
+                self.schedule if index == 0 else None, strategy, drawn
             )
-            for rank, t_abs in failstops:
-                sim.inject_failure(rank, t_abs)
             result = sim.run(self.app, args=self.make_args(strategy.segment_store()))
             # Execution facts of the most recent segment (shard transport
             # and count) for ScenarioOutcome.metadata.

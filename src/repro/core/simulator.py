@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import gc
 from time import perf_counter
-from typing import IO, TYPE_CHECKING, Any
+from typing import IO, TYPE_CHECKING, Any, Iterable
 
 from repro.check import checking_enabled
 from repro.check.sanitizer import Sanitizer
@@ -50,7 +50,8 @@ from repro.util.errors import SimulationError
 from repro.util.rng import RngStreams
 from repro.util.simlog import SimLog
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.resilience.strategy import ResilienceStrategy
     from repro.run.scenario import Scenario
 
 
@@ -156,22 +157,40 @@ class XSim:
         else:
             self._pending_failures.append((rank, time))
 
-    def inject_schedule(self, schedule: FailureSchedule) -> None:
-        """Arm every entry of a schedule, dispatching by fault kind:
-        fail-stops go to the engine's failure machinery, correlated
-        failures expand over the topology neighborhood into fail-stops,
-        and degraded-performance faults arm the world's fault overlay."""
-        schedule.validate(self.system.nranks)
-        for entry in schedule:
-            if isinstance(entry, ScheduledFailure):
-                self.inject_failure(entry.rank, entry.time)
-            elif isinstance(entry, CorrelatedFailure):
-                for rank, time in expand_correlated(
-                    entry, self.world.network, self.system.nranks
-                ):
-                    self.inject_failure(rank, time)
-            else:
-                self.inject_perturbation(entry)
+    def inject_schedule(
+        self,
+        schedule: FailureSchedule | None,
+        strategy: "ResilienceStrategy | None" = None,
+        drawn: Iterable[tuple[int, float]] = (),
+    ) -> None:
+        """Arm one run segment's faults: the one way a fault reaches a run.
+
+        ``schedule`` is validated and its degraded-performance faults arm
+        the world's fault overlay.  Its fail-stops (correlated failures
+        expanded over the topology neighborhood), then the ``drawn`` ones,
+        go through ``strategy.transform_failures`` once — which may absorb
+        some (replication's warm failover) — and what it returns is armed.
+        ``strategy=None`` arms every fail-stop as given.
+        """
+        failstops: list[tuple[int, float]] = []
+        if schedule is not None:
+            schedule.validate(self.system.nranks)
+            for entry in schedule:
+                if isinstance(entry, ScheduledFailure):
+                    failstops.append((entry.rank, entry.time))
+                elif isinstance(entry, CorrelatedFailure):
+                    failstops.extend(
+                        expand_correlated(entry, self.world.network, self.system.nranks)
+                    )
+                else:
+                    self.inject_perturbation(entry)
+        failstops.extend(drawn)
+        if strategy is not None:
+            failstops = strategy.transform_failures(
+                self, failstops, observer=self.observer
+            )
+        for rank, time in failstops:
+            self.inject_failure(rank, time)
 
     def inject_perturbation(self, fault: "StragglerFault | LinkDegradeFault") -> None:
         """Arm a degraded-performance fault (straggler or link degrade) on
@@ -187,12 +206,6 @@ class XSim:
             )
         self._armed_perturbations.append(fault)
         self.world.faults.arm(fault)
-
-    def inject_from_environment(self) -> FailureSchedule:
-        """Arm the ``XSIM_FAILURES`` environment schedule; returns it."""
-        schedule = FailureSchedule.from_environment()
-        self.inject_schedule(schedule)
-        return schedule
 
     @property
     def soft_errors(self) -> SoftErrorInjector:

@@ -334,11 +334,9 @@ def run_scenario(
         from repro.core.simulator import XSim
 
         sim = XSim.from_scenario(scenario, log_stream=log_stream, observe=observe)
-        schedule = scenario.schedule()
-        if schedule:
-            sim.inject_schedule(schedule)
         strategy = scenario.make_strategy()
         strategy.begin_run()
+        sim.inject_schedule(scenario.schedule(), strategy)
         app, make_args = scenario.make_app(strategy=strategy)
         result = sim.run(app, args=make_args(strategy.segment_store()))
         outcome = ScenarioOutcome(

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.checkpoint.daly import (
+from repro.check.oracle import (
     daly_higher_order_interval,
     daly_simple_interval,
     expected_completion_time,

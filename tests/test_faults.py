@@ -1,19 +1,12 @@
-"""Fault injection machinery: schedules, reliability models, soft errors,
-and the Finject campaign."""
-
-import math
+"""Fault injection machinery: schedules, the Table II failure draw, soft
+errors, and the Finject campaign."""
 
 import numpy as np
 import pytest
 
 from repro.core.faults.finject import FinjectCampaign, VictimModel
-from repro.core.faults.reliability import (
-    ExponentialReliability,
-    MttfInjectionPolicy,
-    SystemReliability,
-    WeibullReliability,
-)
-from repro.core.faults.schedule import ENV_VAR, FailureSchedule
+from repro.core.faults.reliability import MttfInjectionPolicy
+from repro.core.faults.schedule import FailureSchedule
 from repro.core.faults.softerror import Effect, SoftErrorInjector
 from repro.models.memory import MemoryTracker, RegionKind
 from repro.pdes.engine import Engine
@@ -42,11 +35,6 @@ class TestFailureSchedule:
             FailureSchedule.parse("x@100")
         with pytest.raises(ConfigurationError):
             FailureSchedule.parse("1@soon")
-
-    def test_from_environment(self):
-        s = FailureSchedule.from_environment({ENV_VAR: "2@5s"})
-        assert [(e.rank, e.time) for e in s] == [(2, 5.0)]
-        assert len(FailureSchedule.from_environment({})) == 0
 
     def test_of_and_render_roundtrip(self):
         s = FailureSchedule.of((1, 10.0), (2, 20.5))
@@ -89,90 +77,6 @@ class TestFailureSchedule:
         s = FailureSchedule.parse("3@5,3@9")
         with pytest.raises(ConfigurationError, match="rank 3 is scheduled to fail twice"):
             s.validate(8)
-
-
-class TestDrawFirstFailureTieBreak:
-    class _ConstantTtf:
-        """Reliability stub: every component draws the same TTF."""
-
-        def draw_ttf(self, rng):
-            rng.random()  # consume, like a real draw
-            return 42.0
-
-    def test_tie_breaks_to_lowest_rank(self):
-        system = SystemReliability(self._ConstantTtf(), 8)
-        rng = np.random.default_rng(1234)
-        idx, ttf = system.draw_first_failure(rng)
-        assert idx == 0
-        assert ttf == 42.0
-
-    def test_seeded_draw_unchanged(self):
-        # The explicit tie-break must not perturb the usual no-tie path:
-        # the winner and TTF match a straight (ttf, index) minimum over
-        # the same seeded stream.
-        system = SystemReliability(ExponentialReliability(mttf=100.0), 16)
-        rng = np.random.default_rng(77)
-        idx, ttf = system.draw_first_failure(rng)
-        rng2 = np.random.default_rng(77)
-        draws = [system.component.draw_ttf(rng2) for _ in range(16)]
-        expect = min(range(16), key=lambda i: (draws[i], i))
-        assert (idx, ttf) == (expect, draws[expect])
-
-
-class TestReliabilityModels:
-    def test_exponential_fit_roundtrip(self):
-        r = ExponentialReliability.from_fit(1000.0)
-        assert r.fit == pytest.approx(1000.0)
-        assert r.mttf == pytest.approx(1e9 * 3600 / 1000)
-
-    def test_exponential_survival(self):
-        r = ExponentialReliability(mttf=100.0)
-        assert r.survival(0.0) == 1.0
-        assert r.survival(100.0) == pytest.approx(math.exp(-1))
-        assert r.hazard(50.0) == pytest.approx(0.01)
-
-    def test_weibull_shape_one_is_exponential(self):
-        w = WeibullReliability(scale=100.0, shape=1.0)
-        assert w.mttf == pytest.approx(100.0)
-        assert w.survival(100.0) == pytest.approx(math.exp(-1))
-
-    def test_weibull_aging_hazard_increases(self):
-        w = WeibullReliability(scale=100.0, shape=2.0)
-        assert w.hazard(10.0) < w.hazard(50.0)
-
-    def test_weibull_infant_mortality_hazard_decreases(self):
-        w = WeibullReliability(scale=100.0, shape=0.5)
-        assert w.hazard(10.0) > w.hazard(50.0)
-
-    def test_system_mttf_scales_inversely(self):
-        """The exascale scaling argument: n components, 1/n the MTTF."""
-        sys = SystemReliability(ExponentialReliability(mttf=1e6), ncomponents=1000)
-        assert sys.system_mttf == pytest.approx(1000.0)
-
-    def test_system_first_failure_draw(self):
-        sys = SystemReliability(ExponentialReliability(mttf=100.0), ncomponents=10)
-        rng = RngStreams(0).get("t")
-        idx, t = sys.draw_first_failure(rng)
-        assert 0 <= idx < 10
-        assert t > 0
-
-    def test_weibull_system_mttf(self):
-        sys = SystemReliability(WeibullReliability(scale=100.0, shape=1.0), ncomponents=4)
-        assert sys.system_mttf == pytest.approx(25.0)
-
-    def test_draws_ttf_deterministic(self):
-        r = ExponentialReliability(mttf=10.0)
-        assert r.draw_ttf(RngStreams(1).get("x")) == r.draw_ttf(RngStreams(1).get("x"))
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ExponentialReliability(mttf=0.0)
-        with pytest.raises(ConfigurationError):
-            WeibullReliability(scale=1.0, shape=0.0)
-        with pytest.raises(ConfigurationError):
-            SystemReliability(ExponentialReliability(1.0), 0)
-        with pytest.raises(ConfigurationError):
-            ExponentialReliability.from_fit(0.0)
 
 
 class TestMttfPolicy:

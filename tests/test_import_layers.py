@@ -514,9 +514,6 @@ UNREACHED = {
         "ROADMAP item 2(1)/4: an APPS row for the Daly oracle, or beside the bench",
     "repro.check.oracle":
         "ROADMAP item 2(1): closed forms tier-1 holds the simulator to; a simcheck check next",
-    "repro.core.checkpoint.daly":
-        "only re-exported by repro.core.checkpoint: ROADMAP item 3(b) moves it "
-        "into repro.check.oracle as the Daly reference",
 }
 _TABLE_TARGET = re.compile(r"(repro(?:\.\w+)+):\w+")
 
@@ -611,14 +608,16 @@ def test_every_module_is_reached_from_the_cli_or_says_why_not():
 
 
 def test_every_app_row_is_run_by_a_benchmark_or_the_ledger():
-    """Reach is not enough for an ``APPS`` row, a ``COLLECTIVES`` family
-    or a ``TOPOLOGIES`` kind: some file under ``benchmarks/`` or
-    ``ledger/`` runs it.  An app by ``app="<row>"`` or by importing
-    ``repro.apps.<row>``; a family by ``collectives="<name>"`` or
-    ``collective_algorithm="<name>"``; a kind by ``topology="<name>"``,
-    ``topology_kind="<name>"`` or a ``KINDS`` tuple naming it.  A row
+    """Reach is not enough for an ``APPS`` row, a ``COLLECTIVES`` family,
+    a ``TOPOLOGIES`` kind or a resilience strategy: some file under
+    ``benchmarks/`` or ``ledger/`` runs it.  An app by ``app="<row>"`` or
+    by importing ``repro.apps.<row>``; a family by ``collectives="<name>"``
+    or ``collective_algorithm="<name>"``; a kind by ``topology="<name>"``,
+    ``topology_kind="<name>"`` or a ``KINDS`` tuple naming it; a strategy
+    by ``strategy="<name>"`` or a ``STRATEGIES`` tuple naming it.  A row
     nothing measures goes."""
     from repro.core.harness.config import COLLECTIVES, TOPOLOGIES
+    from repro.resilience import strategy_names
     from repro.run.scenario import APPS
 
     sources = "\n".join(
@@ -628,6 +627,7 @@ def test_every_app_row_is_run_by_a_benchmark_or_the_ledger():
         (APPS, r"""app\s*=\s*["']{name}["']|\brepro\.apps\.{name}\b"""),
         (COLLECTIVES, r"""collective(?:s|_algorithm)\s*=\s*["']{name}["']"""),
         (TOPOLOGIES, r"""topology(?:_kind)?\s*=\s*["']{name}["']|KINDS\s*=\s*\([^)]*["']{name}["']"""),
+        (strategy_names(), r"""strategy\s*=\s*["']{name}["']|STRATEGIES\s*=\s*\([^)]*["']{name}["']"""),
     ]
     unclaimed = [
         name for names, claim in tables for name in names
@@ -643,11 +643,11 @@ def test_a_package_reexport_is_not_a_use(tmp_path):
     modules = _source_modules()
     reexports = _reexports(modules)
     checkpoint = "repro.core.checkpoint"
-    assert reexports[checkpoint]["daly_simple_interval"] == "repro.core.checkpoint.daly"
+    assert reexports[checkpoint]["CheckpointProtocol"] == "repro.core.checkpoint.protocol"
     assert _static_imports(checkpoint, modules[checkpoint], modules, reexports) == set()
     user = tmp_path / "user.py"
-    user.write_text("from repro.core.checkpoint import daly_simple_interval\n")
-    assert "repro.core.checkpoint.daly" in _static_imports(
+    user.write_text("from repro.core.checkpoint import CheckpointProtocol\n")
+    assert "repro.core.checkpoint.protocol" in _static_imports(
         "repro.user", user, modules, reexports
     )
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.apps.heat3d import HeatConfig, heat3d
 from repro.apps.naive_cr import NaiveCrConfig, naive_cr
-from repro.core.faults.policies import ReliabilityInjectionPolicy
 from repro.core.faults.schedule import FailureSchedule
 from repro.core.harness.config import SystemConfig
 from repro.core.restart import RestartDriver
@@ -12,24 +11,20 @@ from repro.core.simulator import XSim
 from tests.conftest import messages
 
 
-class TestHeatUnderComponentReliability:
-    """Future-work 2 end to end: component-model-driven multi-failure runs
-    of the paper's application, through detection, abort, and restart."""
+class TestHeatRestart:
+    """Multi-failure runs of the paper's application, through detection,
+    abort, and restart."""
 
     def test_completes_under_weibull_aging_components(self):
         nranks = 27
         system = SystemConfig.paper_system(nranks=nranks)
         workload = HeatConfig.paper_workload(checkpoint_interval=125, nranks=nranks)
-        policy = ReliabilityInjectionPolicy.for_system_mttf(
-            2000.0, nranks=nranks, shape=1.5
-        )
         driver = RestartDriver(
             system,
             heat3d,
             make_args=lambda store: (workload, store),
-            policy=policy,
+            mttf=2000.0,
             seed=11,
-            draw_horizon=20_000.0,
             max_restarts=200,
         )
         run = driver.run()

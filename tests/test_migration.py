@@ -34,16 +34,14 @@ class TestPredictor:
 
 
 class TestProactiveMigration:
-    def _driver(self, manager, schedule):
+    def _driver(self, manager, pairs):
         system = SystemConfig.small_test_system(nranks=4)
         cfg = NaiveCrConfig(work=100.0, tau=10.0, delta=1.0)
         return RestartDriver(
             system,
             naive_cr,
             make_args=lambda store: (cfg, store),
-            schedule=None,
-            mttf=None,
-            policy=_FixedPolicy(schedule),
+            schedule=FailureSchedule.of(*pairs),
             strategy=manager,
         )
 
@@ -118,17 +116,3 @@ class TestProactiveMigration:
             ProactiveMigration(FailurePredictor(), spares=-1)
         with pytest.raises(ConfigurationError):
             ProactiveMigration(FailurePredictor(), migration_bandwidth=0.0)
-
-
-class _FixedPolicy:
-    """Injection policy replaying a fixed relative schedule once."""
-
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
-        self.done = False
-
-    def draw_segment(self, rng, nranks, horizon):
-        if self.done:
-            return []
-        self.done = True
-        return list(self.pairs)

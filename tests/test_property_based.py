@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.checkpoint.daly import (
+from repro.check.oracle import (
     daly_higher_order_interval,
     daly_simple_interval,
     expected_completion_time,

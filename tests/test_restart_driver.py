@@ -105,6 +105,16 @@ class TestWithMttfPolicy:
         assert run.completed
         assert run.e2 >= 55.0
 
+    def test_reliability_policy_through_driver(self):
+        run = make_driver(mttf=80.0, seed=3, nranks=8, max_restarts=500).run()
+        assert run.completed
+        assert run.f >= 1  # at MTTF 80 over a ~110 s run, failures occur
+        for seg in run.segments:
+            # drawn failures recorded with absolute times, sorted
+            times = [t for _, t in seg.drawn_failures]
+            assert times == sorted(times)
+            assert all(t >= seg.start_time for t in times)
+
 
 class TestGuards:
     def test_max_restarts_exceeded(self):

@@ -6,7 +6,6 @@ import types
 
 import pytest
 
-from repro.core.faults.schedule import ENV_VAR, FailureSchedule
 from repro.core.harness.config import SystemConfig, balanced_dims
 from repro.core import simulator
 from repro.core.simulator import XSim
@@ -111,14 +110,6 @@ class TestXSim:
         sim = XSim(SystemConfig.small_test_system(nranks=2))
         with pytest.raises(SimulationError):
             sim.inject_failure(5, 1.0)
-
-    def test_inject_from_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "1@0.5s")
-        sim = XSim(SystemConfig.small_test_system(nranks=2))
-        schedule = sim.inject_from_environment()
-        assert len(schedule) == 1
-        result = sim.run(trivial_app)
-        assert result.failures == [(1, 1.0)]
 
     def test_log_stream_receives_messages(self):
         stream = io.StringIO()
