@@ -13,11 +13,12 @@ an outcome's ``summary()`` and run report print
 (:func:`~repro.run.backends.outcome_facts`) and ``body_nbytes``, the
 body's length before compression.
 The **body** is everything else a hit must reproduce bit-identically,
-pickled and then deflated (:data:`_BODY_LEVEL`): the stripped
-:class:`~repro.pdes.engine.SimulationResult` (or
-the full :class:`~repro.core.restart.FailureRunResult` of a restart
-experiment) and the run's sim-domain :class:`~repro.obs.ObsEvent` list
-(so warm exporter bytes equal cold ones).  The **index** row maps a
+pickled and then deflated (:data:`_BODY_LEVEL`): the stripped final
+:class:`~repro.pdes.engine.SimulationResult` of a ``"single"`` run
+(decoded into its one-segment run) or the full
+:class:`~repro.core.restart.FailureRunResult` of a ``"restart"`` run,
+and the run's sim-domain :class:`~repro.obs.ObsEvent` list (so warm
+exporter bytes equal cold ones).  The **index** row maps a
 cache key to the entry's result digest, blob size, SHA-256 of the raw
 blob bytes, creation/last-hit times, and hit count.  The blob has a
 table of its own because every hit rewrites its index row (hit count,
@@ -46,7 +47,7 @@ against the index row *before any byte reaches a decoder*, then parses
 the head and holds its result digest against the row's.  That answers
 ``digest()``, ``summary()``, ``completed`` and ``metadata``, and the
 blob is dropped; a lookup inflates nothing.  The body decodes on first
-access to ``result`` / ``run`` / ``observer``, whatever the blob's
+access to ``run`` / ``result`` / ``observer``, whatever the blob's
 size — a campaign reads summaries only, so a warm one decodes none —
 from the entry read and verified again: it is inflated to at most
 ``body_nbytes + 1`` bytes (so a zlib bomb costs what its head declares,
@@ -110,7 +111,7 @@ def cacheable(scenario: "Scenario") -> bool:
     """Whether a scenario's outcome can be served from the cache.
 
     ``record_events`` runs are excluded: their purpose is the live
-    ``sim.event_trace`` object (record/replay debugging), which a cache
+    ``event_trace`` object (record/replay debugging), which a cache
     hit cannot supply.
     """
     return not scenario.record_events
@@ -199,10 +200,12 @@ def encode_blob(outcome: "ScenarioOutcome", wall_s: float) -> tuple[bytes, dict]
         "metadata": dict(outcome.metadata),
         "facts": outcome.facts(),
     }
+    # A "single" body is the result alone, not its one-segment run.
+    single = outcome.mode == "single"
     body = pickle.dumps(
         (
-            None if outcome.result is None else _strip_result(outcome.result),
-            None if outcome.run is None else _strip_run(outcome.run),
+            _strip_result(outcome.result) if single else None,
+            None if single else _strip_run(outcome.run),
             None if outcome.observer is None else list(outcome.observer.sim_events()),
         ),
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -563,7 +566,7 @@ class ResultCache:
                             _time.perf_counter(),
                         )
                         outcomes[i] = ScenarioOutcome.from_cache(
-                            scenarios[i], head["mode"], head["result_digest"],
+                            scenarios[i], head["result_digest"],
                             head["facts"], metadata, load,
                         )
         except sqlite3.Error as exc:
@@ -606,7 +609,7 @@ class ResultCache:
     def _load_body(
         self, scenario: "Scenario", key: str, result_digest: str, hit_time: float
     ) -> tuple:
-        """``(result, run, observer)`` of a hit, on its first access: the
+        """``(run, observer)`` of a hit, on its first access: the
         entry read and checked again (the lookup kept no blob), its body
         decoded, and the observer rebuilt from the stored sim-domain
         events plus this hit's instant.  An entry that is gone, damaged or
@@ -626,7 +629,7 @@ class ResultCache:
             problem = str(exc)
         else:
             try:
-                result, run, sim_events = self._decode_body(data, body_at, head["body_nbytes"])
+                run, sim_events = self._decode_body(data, body_at, head["body_nbytes"])
                 problem = None
             except Exception as exc:  # noqa: BLE001 - any decode failure is damage
                 problem = f"blob body undecodable: {exc}"
@@ -639,7 +642,7 @@ class ResultCache:
             from repro.run.backends import run_scenario
 
             fresh = run_scenario(scenario, cache=self, known_miss=True)
-            return fresh.result, fresh.run, fresh.observer
+            return fresh.run, fresh.observer
         observer = None
         if scenario.observe and sim_events is not None:
             from repro.obs import Observer
@@ -650,11 +653,12 @@ class ResultCache:
                 hit_time, "cache-hit", track="cache",
                 args={"key": key[:16], "bytes": len(data)},
             )
-        return result, run, observer
+        return run, observer
 
     def _decode_body(self, data: bytes, body_at: int, body_nbytes: int) -> tuple:
-        """``(result, run, sim_events)`` of a blob whose raw hash already
-        held, counted in :attr:`CacheStats.decodes`.  The body is inflated
+        """``(run, sim_events)`` of a blob whose raw hash already held,
+        counted in :attr:`CacheStats.decodes` — a ``"single"`` body's
+        result wrapped into its one-segment run.  The body is inflated
         to at most ``body_nbytes + 1`` bytes, and anything but one whole
         zlib stream of exactly ``body_nbytes`` bytes is refused before the
         unpickler sees a byte."""
@@ -664,7 +668,11 @@ class ResultCache:
         if len(body) != body_nbytes or not inflater.eof or inflater.unused_data:
             raise ValueError(f"not one zlib stream of {body_nbytes} bytes")
         result, run, sim_events = _BodyUnpickler(io.BytesIO(body)).load()
-        return result, run, sim_events
+        if run is None:
+            from repro.core.restart import FailureRunResult
+
+            run = FailureRunResult.one_segment(result)
+        return run, sim_events
 
     def store(
         self, scenario: "Scenario", outcome: "ScenarioOutcome", wall_s: float = 0.0
@@ -808,7 +816,6 @@ class ResultCache:
             "hits": hits,
             "saved_s": wall,
             "modes": modes,
-            "disabled": self.disabled_reason,
         }
 
     def verify(self, prune: bool = False) -> list[VerifyIssue]:
@@ -832,9 +839,9 @@ class ResultCache:
                 problem = str(exc)
             else:
                 try:
-                    result, run, _ = self._decode_body(data, body_at, head["body_nbytes"])
-                    digest = outcome_digest(result, run)
-                    facts = outcome_facts(result, run)
+                    run, _ = self._decode_body(data, body_at, head["body_nbytes"])
+                    digest = outcome_digest(run, head["mode"])
+                    facts = outcome_facts(run, head["mode"])
                 except Exception as exc:  # noqa: BLE001 - any decode failure is damage
                     problem = f"blob body undecodable: {exc.__class__.__name__}: {exc}"
                 else:

@@ -215,17 +215,20 @@ class EventTrace:
 
     @classmethod
     def load(cls, path: str) -> "EventTrace":
-        """Read a trace written by :meth:`save`."""
+        """Read a trace written by :meth:`save`.  A file that is not one
+        raises ``ValueError`` naming it (and the line of a bad entry)."""
         entries: list[TraceEntry] = []
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline()
-            if not header.startswith(_HEADER):
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
+            if not fh.readline().startswith(_HEADER):
                 raise ValueError(f"{path} is not an xsim event trace")
-            for line in fh:
-                t, seq, rank, kind, origin = line.split()
-                entries.append(
-                    (float.fromhex(t), int(seq), int(rank), kind, int(origin))
-                )
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    t, seq, rank, kind, origin = line.split()
+                    entries.append(
+                        (float.fromhex(t), int(seq), int(rank), kind, int(origin))
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad trace entry ({exc})") from None
         return cls(entries)
 
     def __len__(self) -> int:

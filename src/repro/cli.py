@@ -29,9 +29,11 @@ passed.  Results and traces are bit-identical across backends.
 
 Debugging aids on ``app``: ``--check`` enables the runtime invariant
 sanitizer (equivalent to ``XSIM_CHECK=1``); ``--record-trace FILE`` saves
-the full event-dispatch trace; ``--replay FILE`` re-runs and diffs against
-a saved trace, reporting the first divergence; ``--digest`` prints the
-canonical result fingerprint for cross-backend comparison.
+the event-dispatch trace of the whole run, every failure/restart segment
+in order; ``--replay FILE`` re-runs and diffs against a saved trace,
+reporting the first divergence (a trace file that cannot be read is
+refused before the run); ``--digest`` prints the canonical result
+fingerprint for cross-backend comparison.
 
 Start-up cost follows the command (``docs/INTERNALS.md``, "Import
 layers"): this module imports only the import-light layer — the scenario
@@ -218,32 +220,32 @@ def _check_output_dir(path: str, flag: str) -> None:
 def _cmd_app(args: argparse.Namespace) -> int:
     from repro.run.backends import run_scenario
 
-    tracing = bool(args.record_trace or args.replay)
     scenario, _ = _resolve_scenario(args)
     if scenario.trace_out:
         _check_output_dir(scenario.trace_out, "--trace-out")
+    if args.record_trace:
+        _check_output_dir(args.record_trace, "--record-trace")
+    reference = None
+    if args.replay:
+        from repro.check.trace import EventTrace
+
+        try:
+            reference = EventTrace.load(args.replay)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"--replay: {exc}") from None
+    tracing = bool(args.record_trace or args.replay)
     if tracing:
         scenario = scenario.with_(record_events=True)
-    if tracing and scenario.mttf is not None:
-        print(
-            "--record-trace/--replay cover exactly one engine run; "
-            "combine them with --xsim-failures, not --mttf",
-            file=sys.stderr,
-        )
-        return 2
 
     cache = _cache_from_args(args)
     outcome = run_scenario(
-        scenario,
-        log_stream=sys.stdout,
-        force_single=tracing,
-        cache=cache if cache is not None else False,
+        scenario, log_stream=sys.stdout, cache=cache if cache is not None else False
     )
     # The report reads the outcome's facts, never ``result`` / ``run``: a
     # cache hit prints it from the blob's head without decoding the body.
     facts = outcome.facts()
     print(outcome.timing_report())
-    if outcome.mode == "restart":
+    if "e2" in facts:
         mttf_a = facts["mttf_a"]
         print(
             f"E2={facts['e2']:,.1f}s failures={facts['failures']} "
@@ -252,18 +254,15 @@ def _cmd_app(args: argparse.Namespace) -> int:
         )
     else:
         print(f"E1={facts['exit_time']:,.1f}s completed={facts['completed']}")
-        if args.record_trace:
-            outcome.sim.event_trace.save(args.record_trace)
-            print(f"recorded {len(outcome.sim.event_trace)} events to {args.record_trace}")
-        if args.replay:
-            from repro.check.trace import EventTrace
-
-            reference = EventTrace.load(args.replay)
-            divergence = reference.diff(outcome.sim.event_trace)
-            if divergence is not None:
-                print(divergence.report())
-                return 1
-            print(f"replay matches {args.replay}: {len(reference)} events, 0 divergences")
+    if args.record_trace:
+        outcome.event_trace.save(args.record_trace)
+        print(f"recorded {len(outcome.event_trace)} events to {args.record_trace}")
+    if reference is not None:
+        divergence = reference.diff(outcome.event_trace)
+        if divergence is not None:
+            print(divergence.report())
+            return 1
+        print(f"replay matches {args.replay}: {len(reference)} events, 0 divergences")
     if args.digest:
         print(f"result digest: {outcome.digest()}")
     if scenario.trace_out and outcome.observer is not None:
@@ -473,11 +472,11 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     from repro.util.units import format_size
 
     cache = open_cache(args.cache_dir)
+    if cache.disabled_reason:
+        print(f"error: {cache.disabled_reason}", file=sys.stderr)
+        return 1
     st = cache.index_stats()
     print(f"result cache at {st['root']}")
-    if st["disabled"]:
-        print(f"  disabled: {st['disabled']}")
-        return 1
     modes = ", ".join(f"{n} {m}" for m, n in sorted(st["modes"].items())) or "empty"
     print(f"  entries:  {st['entries']:,} ({modes})")
     print(f"  size:     {format_size(st['bytes'])} in entries, "
@@ -562,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--record-trace",
         metavar="FILE",
         default="",
-        help="save the event-dispatch trace of a single run to FILE",
+        help="save the event-dispatch trace of the whole run to FILE, every "
+        "segment's events in order",
     )
     p_app.add_argument(
         "--replay",

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Any, Callable
 
 from repro.check import checking_enabled
+from repro.check.trace import EventTrace
 from repro.core.checkpoint.store import CheckpointStore
 from repro.core.faults.reliability import MttfInjectionPolicy
 from repro.core.faults.schedule import FailureSchedule
@@ -75,6 +76,17 @@ class FailureRunResult:
     #: Deterministic strategy-side counters (replica failovers, dropped
     #: tier files, ...) — see :meth:`ResilienceStrategy.facts`.
     strategy_facts: dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def one_segment(cls, result: SimulationResult) -> "FailureRunResult":
+        """The run of one segment from time zero that ended in ``result``
+        (a fault-free run as the result cache stores it: no checkpoint
+        store, no strategy counters)."""
+        return cls(
+            segments=[SegmentRecord(0, 0.0, result, ())],
+            store=None,
+            exit_values=result.exit_values,
+        )
 
     @property
     def completed(self) -> bool:
@@ -150,6 +162,7 @@ class RestartDriver:
         shards: int = 1,
         shard_transport: str | None = None,
         observe: "bool | Observer | None" = None,
+        record_events: bool = False,
         scenario: "Scenario | None" = None,
         strategy=None,
     ):
@@ -191,6 +204,12 @@ class RestartDriver:
         self.observer: Observer | None = observer_for(
             observe, detail=scenario is not None and scenario.trace_detail
         )
+        #: The whole run's event-dispatch trace, or ``None``: each segment's
+        #: entries are appended after it ends (a sharded segment replaces
+        #: its own trace's entries, so segments cannot share one object).
+        self.event_trace: EventTrace | None = EventTrace() if record_events else None
+        #: The final segment's simulation, once :meth:`run` returned.
+        self.sim: XSim | None = None
 
     @classmethod
     def from_scenario(
@@ -230,6 +249,7 @@ class RestartDriver:
             shards=shards,
             shard_transport=shard_transport,
             observe=observe if observe is not None else scenario.observe,
+            record_events=scenario.record_events,
             scenario=scenario,
         )
         kwargs.update(overrides)
@@ -285,6 +305,7 @@ class RestartDriver:
                 shards=self.shards,
                 shard_transport=self.shard_transport,
                 observe=self.observer,
+                record_events=self.event_trace is not None,
                 scenario=self.scenario,
             )
             # The explicit schedule applies to the first segment only; every
@@ -297,9 +318,8 @@ class RestartDriver:
                 self.schedule if index == 0 else None, strategy, drawn
             )
             result = sim.run(self.app, args=self.make_args(strategy.segment_store()))
-            # Execution facts of the most recent segment (shard transport
-            # and count) for ScenarioOutcome.metadata.
-            self.shard_stats = getattr(sim, "shard_stats", None)
+            if self.event_trace is not None:
+                self.event_trace.entries.extend(sim.event_trace.entries)
             if self.observer is not None:
                 self.observer.span(
                     start, result.exit_time, "segment", track="simulator",
@@ -314,6 +334,7 @@ class RestartDriver:
                 )
             )
             if result.completed:
+                self.sim = sim
                 return FailureRunResult(
                     segments=segments,
                     store=strategy.result_store(),

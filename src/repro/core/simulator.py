@@ -7,7 +7,8 @@ job execution (the engine is single-shot); the
 failure/restart segment, carrying the simulated exit time forward.
 
 A :class:`~repro.run.scenario.Scenario` becomes constructor arguments in
-one place, :meth:`XSim.from_scenario`; the constructor wires the
+:meth:`XSim.from_scenario` (one standalone simulation) and in the restart
+driver (each segment of a scenario's run); the constructor wires the
 instrumentation (sanitizer, event trace, observer) itself, and
 :meth:`XSim.run` dispatches itself — the serial engine for one shard,
 :func:`repro.pdes.sharded.run_sharded` otherwise.

@@ -15,9 +15,9 @@ and launched:
   :meth:`Scenario.scenario_digest`.
 * :mod:`repro.run.backends` — :func:`run_scenario`: a scenario goes to
   the result cache, else to
-  :meth:`~repro.core.simulator.XSim.from_scenario` (one run) or
-  :meth:`~repro.core.restart.RestartDriver.from_scenario` (failure
-  injection), and comes back a :class:`ScenarioOutcome`.  Which backends
+  :meth:`~repro.core.restart.RestartDriver.from_scenario` (every run; a
+  fault-free one is a single segment), and comes back a
+  :class:`ScenarioOutcome`.  Which backends
   exist (serial engine; sharded conservative-parallel engine over the
   inline or shm transport) is the ``BACKEND_TRANSPORTS`` table of
   :mod:`repro.run.scenario`; the jobs x shards CPU-capping guard lives

@@ -1,21 +1,20 @@
-"""Executing a scenario: one run or the full restart experiment.
+"""Executing a scenario: the full run, one segment or more.
 
 :func:`run_scenario` takes a :class:`~repro.run.scenario.Scenario` to a
 :class:`ScenarioOutcome` — through the result cache when one is in
-force, else :meth:`XSim.from_scenario
-<repro.core.simulator.XSim.from_scenario>` (one engine run) or
-:meth:`RestartDriver.from_scenario
-<repro.core.restart.RestartDriver.from_scenario>` (a scenario with
-failure injection).  Which backends exist and which shard transport each
-drives is the :data:`~repro.run.scenario.BACKEND_TRANSPORTS` table; the
-simulation dispatches itself (:meth:`XSim.run
-<repro.core.simulator.XSim.run>`: the serial engine for one shard,
-:func:`~repro.pdes.sharded.run_sharded` otherwise).
+force, else :meth:`RestartDriver.from_scenario
+<repro.core.restart.RestartDriver.from_scenario>`, the one place a run
+is built: a fault-free scenario is its one-segment case.  Which backends
+exist and which shard transport each drives is the
+:data:`~repro.run.scenario.BACKEND_TRANSPORTS` table; the simulation
+dispatches itself (:meth:`XSim.run <repro.core.simulator.XSim.run>`:
+the serial engine for one shard, :func:`~repro.pdes.sharded.run_sharded`
+otherwise).
 
 The jobs x shards CPU-capping guard (:func:`capped_shards`) lives here,
 so campaigns and direct API calls get the same oversubscription
 protection the CLI applies; :func:`shard_plan` applies it to a scenario,
-once, for both construction paths.
+once, wherever a simulation is built from one.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from repro.run.scenario import BACKEND_TRANSPORTS
 from repro.util.stats import format_timing
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.check.trace import EventTrace
     from repro.core.restart import FailureRunResult
     from repro.core.simulator import XSim
     from repro.pdes.engine import SimulationResult
@@ -73,19 +73,26 @@ def shard_plan(scenario: "Scenario") -> tuple[int, str | None]:
 
 
 # ----------------------------------------------------------------------
-# scenario execution (single run or full restart experiment)
+# scenario execution: every run is the restart driver's, one segment or more
 # ----------------------------------------------------------------------
-def outcome_digest(
-    result: "SimulationResult | None", run: "FailureRunResult | None"
-) -> str:
-    """Canonical result fingerprint: :func:`result_digest` of a single
-    run, or the campaign digest over per-segment result digests of a
-    restart experiment."""
+def run_mode(scenario: "Scenario") -> str:
+    """The label an outcome of ``scenario`` carries: ``"restart"`` when it
+    injects failures (an MTTF or an explicit schedule), else
+    ``"single"``.  It picks the digest and fact set an outcome reports
+    and is printed by summaries, sweep tables and the cache index; every
+    scenario runs on the same path whatever it reads."""
+    return "restart" if scenario.mttf is not None or scenario.schedule() else "single"
+
+
+def outcome_digest(run: "FailureRunResult", mode: str) -> str:
+    """Canonical result fingerprint: :func:`result_digest` of a
+    ``"single"`` run's one segment, or the campaign digest over
+    per-segment result digests of a ``"restart"`` run."""
     from repro.core.harness.digest import campaign_digest, result_digest
 
-    if run is not None:
+    if mode == "restart":
         return campaign_digest([result_digest(s.result) for s in run.segments])
-    return result_digest(result)
+    return result_digest(run.segments[-1].result)
 
 
 #: The keys of :func:`outcome_facts` by outcome mode — what a cache
@@ -99,72 +106,63 @@ FACT_KEYS = {
 }
 
 
-def outcome_facts(
-    result: "SimulationResult | None", run: "FailureRunResult | None"
-) -> dict[str, Any]:
+def outcome_facts(run: "FailureRunResult", mode: str) -> dict[str, Any]:
     """Every result-derived value an outcome's summary and the CLI's run
     report print, plus the event count — JSON-exact primitives only
     (keys: :data:`FACT_KEYS`).  ``timing`` is the final segment's per-VP
     ``[min, max, avg, count]`` (:meth:`ScenarioOutcome.timing_report`)."""
-    last = result if run is None else run.segments[-1].result
+    last = run.segments[-1].result
     t = last.timing
-    timing = [t.minimum, t.maximum, t.average, t.count]
-    if run is None:
-        return {
-            "completed": result.completed,
-            "exit_time": result.exit_time,
-            "events": result.event_count,
-            "failures": len(result.failures),
-            "restarts": 0,
-            "timing": timing,
-        }
-    return {
+    facts: dict[str, Any] = {
         "completed": run.completed,
         "exit_time": last.exit_time,
-        "timing": timing,
+        "timing": [t.minimum, t.maximum, t.average, t.count],
         "events": sum(seg.result.event_count for seg in run.segments),
-        "e2": run.e2,
         "failures": run.f,
         "restarts": run.restarts,
-        "mttf_a": run.mttf_a,
-        "strategy_facts": dict(run.strategy_facts),
     }
+    if mode == "restart":
+        facts.update(
+            e2=run.e2, mttf_a=run.mttf_a, strategy_facts=dict(run.strategy_facts)
+        )
+    return facts
 
 
 class ScenarioOutcome:
-    """What one scenario run produced.
-
-    ``mode`` is ``"single"`` (one engine run; ``sim``/``result`` set) or
-    ``"restart"`` (a full failure/restart experiment under
-    :class:`~repro.core.restart.RestartDriver`; ``run`` set).
+    """What one scenario run produced: the driver's
+    :class:`~repro.core.restart.FailureRunResult` (:attr:`run`; a
+    fault-free run is its one-segment case), its final segment's result
+    (:attr:`result`) and simulation (:attr:`sim`), the observer and, for
+    a ``record_events`` run, the event trace of every segment in order
+    (:attr:`event_trace`).  :attr:`mode` is :func:`run_mode`'s label.
 
     A computed outcome is built from its objects.  A cache hit
     (:meth:`from_cache`) is built from a blob's verified head — its
     :meth:`digest`, :meth:`facts`, :meth:`summary`, :attr:`completed` and
     :attr:`metadata` never touch the per-rank tables — and reads its
-    entry again to decode :attr:`result` / :attr:`run` / :attr:`observer`
-    from the verified body on first access, once (:mod:`repro.cache.store`).
+    entry again to decode :attr:`run` / :attr:`observer` from the
+    verified body on first access, once (:mod:`repro.cache.store`).
     """
 
     def __init__(
         self,
         scenario: Scenario,
-        mode: str,
-        result: "SimulationResult | None" = None,
         run: "FailureRunResult | None" = None,
         sim: "XSim | None" = None,
         observer: Any = None,
+        event_trace: "EventTrace | None" = None,
         metadata: dict | None = None,
     ) -> None:
         self.scenario = scenario
-        self.mode = mode
+        self.mode = run_mode(scenario)
         self.sim = sim
+        self.event_trace = event_trace
         #: Execution facts that are *not* part of the result (and therefore
         #: never of the digest): the transport the run used and its shard
         #: count.
         self.metadata: dict = {} if metadata is None else metadata
-        self._objects = (result, run, observer)
-        #: Cache hits only, until first use: ``() -> (result, run, observer)``.
+        self._objects = (run, observer)
+        #: Cache hits only, until first use: ``() -> (run, observer)``.
         self._load_body: Callable[[], tuple] | None = None
         self._digest: str | None = None
         self._facts: dict[str, Any] | None = None
@@ -173,7 +171,6 @@ class ScenarioOutcome:
     def from_cache(
         cls,
         scenario: Scenario,
-        mode: str,
         digest: str,
         facts: dict[str, Any],
         metadata: dict,
@@ -181,7 +178,7 @@ class ScenarioOutcome:
     ) -> "ScenarioOutcome":
         """A cache hit: ``digest``/``facts``/``metadata`` from the blob's
         verified head, objects from ``load_body()`` when first asked for."""
-        outcome = cls(scenario, mode, metadata=metadata)
+        outcome = cls(scenario, metadata=metadata)
         outcome._digest, outcome._facts, outcome._load_body = digest, facts, load_body
         return outcome
 
@@ -192,38 +189,34 @@ class ScenarioOutcome:
         return self._objects[index]
 
     @property
-    def result(self) -> "SimulationResult | None":
+    def run(self) -> "FailureRunResult":
         return self._object(0)
 
     @property
-    def run(self) -> "FailureRunResult | None":
+    def observer(self) -> Any:
         return self._object(1)
 
     @property
-    def observer(self) -> Any:
-        return self._object(2)
+    def result(self) -> "SimulationResult":
+        """The final segment's simulation result."""
+        return self.run.segments[-1].result
 
     @property
     def completed(self) -> bool:
         return self.facts()["completed"]
 
-    @property
-    def last_result(self) -> "SimulationResult":
-        """The (final-segment) simulation result."""
-        return self.run.segments[-1].result if self.run is not None else self.result
-
     def digest(self) -> str:
         """Canonical result fingerprint (:func:`outcome_digest`), derived
         once per outcome.  Equal across backends for equal scenarios."""
         if self._digest is None:
-            self._digest = outcome_digest(self.result, self.run)
+            self._digest = outcome_digest(self.run, self.mode)
         return self._digest
 
     def facts(self) -> dict[str, Any]:
         """The result-derived values :meth:`summary` reports
         (:func:`outcome_facts`) — a cache blob's head stores exactly this."""
         if self._facts is None:
-            self._facts = outcome_facts(self.result, self.run)
+            self._facts = outcome_facts(self.run, self.mode)
         return self._facts
 
     def timing_report(self) -> str:
@@ -255,7 +248,7 @@ class ScenarioOutcome:
             if facts["strategy_facts"]:
                 out["strategy_facts"] = dict(facts["strategy_facts"])
         else:
-            out.update(failures=facts["failures"], restarts=0)
+            out.update(failures=facts["failures"], restarts=facts["restarts"])
         return out
 
 
@@ -276,18 +269,12 @@ def run_scenario(
     *,
     log_stream=None,
     observe: Any = None,
-    force_single: bool = False,
     cache: Any = None,
     known_miss: bool = False,
 ) -> ScenarioOutcome:
-    """Execute a scenario end to end on its resolved backend.
-
-    A scenario with failure injection (an ``mttf`` or an explicit
-    schedule) runs the full restart loop — one
-    :class:`~repro.core.restart.RestartDriver` carrying this scenario
-    across segments; otherwise (or with ``force_single=True``, the
-    trace-record/replay path) it is one run of
-    :meth:`XSim.from_scenario <repro.core.simulator.XSim.from_scenario>`.
+    """Execute a scenario end to end: one
+    :class:`~repro.core.restart.RestartDriver` carrying it across every
+    failure/restart segment (one segment for a fault-free run).
 
     ``cache`` selects the content-addressed result store consulted
     *before* any simulation is built (and written through after a
@@ -297,9 +284,9 @@ def run_scenario(
     directly.  A hit is bit-identical to recomputation (result digest,
     summary, sim-domain exporter bytes — the ``cache-parity`` simcheck)
     and is marked in :attr:`ScenarioOutcome.metadata` as ``cache_hit``.
-    Trace-recording runs (``record_events`` / ``force_single``) and
-    calls with a caller-supplied observer bypass the cache, because a
-    hit cannot repopulate live instrumentation objects.
+    Trace-recording runs (``record_events``) and calls with a
+    caller-supplied observer bypass the cache, because a hit cannot
+    repopulate live instrumentation objects.
     ``known_miss=True`` says the caller has just looked this scenario up
     in ``cache`` and missed (a campaign partitioning its cells): the run
     is computed and stored without a second lookup.
@@ -307,43 +294,21 @@ def run_scenario(
     from repro.cache import cacheable, resolve_cache
 
     store = resolve_cache(cache)
-    use_cache = (
-        store is not None
-        and not force_single
-        and observe is None
-        and cacheable(scenario)
-    )
+    use_cache = store is not None and observe is None and cacheable(scenario)
     if use_cache and not known_miss:
         hit = store.lookup(scenario)
         if hit is not None:
             return hit
     t0 = perf_counter()
-    wants_driver = scenario.mttf is not None or bool(scenario.schedule())
-    if wants_driver and not force_single:
-        from repro.core.restart import RestartDriver
+    from repro.core.restart import RestartDriver
 
-        driver = RestartDriver.from_scenario(
-            scenario, log_stream=log_stream, observe=observe
-        )
-        run = driver.run()
-        outcome = ScenarioOutcome(
-            scenario=scenario, mode="restart", run=run, observer=driver.observer,
-            metadata=_execution_metadata(getattr(driver, "shard_stats", None)),
-        )
-    else:
-        from repro.core.simulator import XSim
-
-        sim = XSim.from_scenario(scenario, log_stream=log_stream, observe=observe)
-        strategy = scenario.make_strategy()
-        strategy.begin_run()
-        sim.inject_schedule(scenario.schedule(), strategy)
-        app, make_args = scenario.make_app(strategy=strategy)
-        result = sim.run(app, args=make_args(strategy.segment_store()))
-        outcome = ScenarioOutcome(
-            scenario=scenario, mode="single", result=result, sim=sim,
-            observer=sim.observer,
-            metadata=_execution_metadata(getattr(sim, "shard_stats", None)),
-        )
+    driver = RestartDriver.from_scenario(scenario, log_stream=log_stream, observe=observe)
+    run = driver.run()
+    outcome = ScenarioOutcome(
+        scenario, run, sim=driver.sim, observer=driver.observer,
+        event_trace=driver.event_trace,
+        metadata=_execution_metadata(driver.sim.shard_stats),
+    )
     if use_cache:
         if outcome.observer is not None:
             outcome.observer.host_instant(
@@ -355,5 +320,5 @@ def run_scenario(
         if note is not None:
             # Surface the corruption/disable fallback in the run's own
             # SimLog (the recomputation the warning promised happened).
-            outcome.last_result.log.log(0.0, "cache", note, level="warning")
+            outcome.result.log.log(0.0, "cache", note, level="warning")
     return outcome

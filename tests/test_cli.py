@@ -176,3 +176,79 @@ class TestTable2IsTheParents:
         self.table2(capsys, "--ranks", "8")
         assert main(["table2", "--ranks", "8", "-j", "0"]) == 2
         assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+
+
+def _report(out: str) -> list[str]:
+    """The run report lines of ``app``'s stdout: E1/E2 and the digest."""
+    return [line for line in out.splitlines() if line.startswith(("E1=", "E2=", "result digest:"))]
+
+
+class TestRecordedTraceIsTheRun:
+    """``--record-trace`` records the run the scenario describes, every
+    failure/restart segment in order, and ``--replay`` of it matches: a
+    schedule run used to record its first segment only (``E1=26.2s
+    completed=False``) and an MTTF run was refused."""
+
+    @pytest.mark.parametrize(
+        "argv, line, digest",
+        [
+            (["--iterations", "5"], "E1=26.3s completed=True", "1d7bb9286c77edef"),
+            (["--iterations", "5", "--xsim-failures", "1@1s"],
+             "E2=52.6s failures=1 restarts=1", "fcf8f7550ae31667"),
+            (["--iterations", "20", "--interval", "5", "--mttf", "40", "--seed", "3"],
+             "E2=131.4s failures=2 restarts=2", "e5644a5436e74c09"),
+            # replication absorbs the failure: once recorded as an abort
+            (["--iterations", "20", "--interval", "10", "--strategy", "replication",
+              "--xsim-failures", "1@1s"], "E2=120.0s failures=0 restarts=0", "f544baa5dfb44a7e"),
+        ],
+        ids=["fault-free", "schedule", "mttf", "replication"],
+    )
+    def test_recording_changes_nothing_and_replays(self, tmp_path, capsys, argv, line, digest):
+        base = ["app", "--ranks", "8", *argv, "--digest"]
+        trace = str(tmp_path / "run.trace")
+        assert main(base) == 0
+        plain = _report(capsys.readouterr().out)
+        assert plain[0].startswith(line) and plain[1].startswith(f"result digest: {digest}")
+        assert main(base + ["--record-trace", trace]) == 0
+        out = capsys.readouterr().out
+        assert _report(out) == plain and f"to {trace}" in out
+        assert main(base + ["--replay", trace]) == 0
+        out = capsys.readouterr().out
+        assert _report(out) == plain and "0 divergences" in out
+
+    def test_an_mttf_replay_under_another_draw_diverges(self, tmp_path, capsys):
+        base = ["app", "--ranks", "8", "--iterations", "20", "--interval", "5", "--mttf", "40"]
+        trace = str(tmp_path / "run.trace")
+        assert main(base + ["--seed", "3", "--record-trace", trace]) == 0
+        capsys.readouterr()
+        assert main(base + ["--seed", "4", "--replay", trace]) == 1
+        assert "traces diverge at event #" in capsys.readouterr().out
+
+
+class TestHostileValues:
+    """Every command refuses a hostile value with a non-zero exit and one
+    stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["app", "--replay", "{missing}"],
+            ["sweep", "--set", "ranks=abc"],
+            ["explore", "--max-cells", "-1"],
+            ["timeline", "{text}"],
+            ["table1", "--victims", "-3"],
+            ["table2", "--ranks", "0"],
+            ["arch", "--ranks", "0"],
+            ["cache", "stats", "--cache-dir", "{text}"],
+            ["simcheck", "--only", "nosuch"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_line_and_no_traceback(self, tmp_path, capsys, argv):
+        text = tmp_path / "plain.txt"
+        text.write_text("not a trace, an export or a directory\n")
+        paths = {"missing": tmp_path / "missing", "text": text}
+        rc = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc != 0
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -551,5 +551,5 @@ GOLDEN = {
 def test_result_digests_equal_the_parent_commit(name):
     fields, events, digest = GOLDEN[name]
     outcome = run_scenario(Scenario(**fields), cache=False)
-    assert outcome.last_result.event_count == events
+    assert outcome.result.event_count == events
     assert outcome.digest() == digest

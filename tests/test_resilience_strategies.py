@@ -222,37 +222,6 @@ class TestParity:
         assert first == again == sharded
 
 
-class TestTracePath:
-    """``force_single`` (the ``--record-trace`` / ``--replay`` path) arms
-    the schedule through the scenario's strategy, as the driver does."""
-
-    @staticmethod
-    def _scenario(strategy: str) -> Scenario:
-        return Scenario(
-            ranks=8, iterations=20, interval=10, failures="1@1s", strategy=strategy
-        )
-
-    def _single(self, strategy):
-        return run_scenario(
-            self._scenario(strategy).with_(record_events=True),
-            force_single=True, cache=False,
-        )
-
-    def test_replication_absorbs_the_failure_as_the_driver_does(self):
-        single = self._single("replication")
-        driver = RestartDriver.from_scenario(self._scenario("replication")).run()
-        assert driver.f == 0 and driver.restarts == 0
-        assert single.result.completed
-        assert single.result.exit_time == driver.e2
-
-    def test_ckpt_single_run_keeps_its_digest(self):
-        single = self._single("ckpt")
-        assert not single.result.completed
-        assert single.digest() == (
-            "a78dcaa4d34954fb7744d435ddc4698a4f35f9560fb71acfd8abcac2715c4902"
-        )
-
-
 # ----------------------------------------------------------------------
 # the head-to-head study table
 # ----------------------------------------------------------------------

@@ -331,18 +331,19 @@ CARRIED = {
     "seed": lambda sim: sim.seed,
     "shards": lambda sim: sim.shards,
     "shard_transport": lambda sim: sim.shard_transport,
+    "record_events": lambda sim: sim.event_trace is not None,
 }
 
 
 class TestConstructionParity:
     """Every simulation a scenario causes to be built carries the
-    scenario's values, whichever of the three sites built it:
-    ``XSim.from_scenario`` (a single run), ``RestartDriver`` (each
-    restart segment) and ``_build_replica`` (each inline shard)."""
+    scenario's values, whichever of the two sites built it:
+    ``RestartDriver`` (each segment of every run, a fault-free one
+    included) and ``_build_replica`` (each inline shard)."""
 
     SCENARIO = dict(
         check=True, observe=True, trace_detail=True, seed=7,
-        shards=2, shard_transport="inline",
+        shards=2, shard_transport="inline", record_events=True,
     )
 
     @pytest.fixture(scope="class")

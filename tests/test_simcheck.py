@@ -339,15 +339,30 @@ class TestCli:
         assert main(base + ["--iterations", "6", "--replay", trace]) == 1
         assert "diverge" in capsys.readouterr().out
 
-    def test_trace_flags_reject_mttf(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag, content, says",
+        [
+            ("--replay", None, "Is a directory"),
+            ("--replay", "plain text\n", "is not an xsim event trace"),
+            ("--replay", "# xsim-event-trace v1 1\n0x0p+0 1 2 arrive\n", ":2: bad trace entry"),
+            ("--replay", "# xsim-event-trace v1 1\n0x0p+0 x 2 arrive -1\n", ":2: bad trace entry"),
+            ("--record-trace", None, "does not exist"),
+        ],
+        ids=["directory", "not-a-trace", "short-line", "non-integer", "missing-directory"],
+    )
+    def test_a_trace_file_is_refused_before_the_run(self, tmp_path, capsys, flag, content, says):
+        path = tmp_path / "t"
+        if content is not None:
+            path.write_text(content)
+        elif flag == "--replay":
+            path.mkdir()
+        else:
+            path = path / "missing" / "run.trace"
         from repro.cli import main
 
-        rc = main(
-            ["app", "--app", "heat3d", "--ranks", "4", "--mttf", "100",
-             "--record-trace", str(tmp_path / "t")]
-        )
-        assert rc == 2
-        assert "--record-trace" in capsys.readouterr().err
+        assert main(["app", "--ranks", "4", flag, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and says in err
 
     def test_check_flag_runs_sanitized(self, capsys):
         from repro.cli import main
