@@ -22,8 +22,9 @@ memoized by content address and served instead of recomputed:
   campaign workers.
 
 A hit is bit-identical to recomputation — result digest, summary, and
-sim-domain exporter bytes — which the ``cache-parity`` simcheck enforces
-(cold vs. warm, serial and sharded).  Hits/misses surface as host-domain
+sim-domain exporter bytes — which ``tests/test_cache.py``'s
+``TestHitEquivalence`` and ``TestHeadAndBody`` enforce (cold vs. warm,
+serial and sharded).  Hits/misses surface as host-domain
 obs instants and in :class:`~repro.cache.store.CacheStats`.
 """
 

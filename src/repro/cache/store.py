@@ -61,7 +61,7 @@ the caller recomputes and re-stores); a body that will not decode after
 its hash held is demoted the same way, and the outcome recomputes its
 objects and stores them back.  Re-deriving
 the result digest from the decoded objects is an audit, not a hit-path
-step: ``cache verify`` and the ``cache-parity`` simcheck do it.  A
+step: ``cache verify`` does it.  A
 schema-version mismatch disables the cache for the process instead of
 guessing at the on-disk format (version 1 and 2 directories, whose blobs
 were files beside the index, and version 3 ones, whose bodies were not
@@ -122,8 +122,8 @@ def cache_key(scenario: "Scenario") -> str:
 
     Execution-parallelism fields (shards, shard transport, the
     campaign ``jobs`` width) and the trace destination path are
-    normalized out before digesting: the simcheck parity harness
-    enforces that they never change the result, so a cell computed
+    normalized out before digesting: the serial-vs-sharded parity
+    tests enforce that they never change the result, so a cell computed
     serially must hit for the same cell requested on a sharded backend —
     that cross-backend sharing is most of a mixed sweep's hit rate.
     Result-relevant fields (machine, app, resilience, seed) and the

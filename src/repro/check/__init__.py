@@ -1,8 +1,8 @@
-"""simcheck: determinism and invariant tooling for the PDES/MPI core.
+"""Determinism and invariant tooling for the PDES/MPI core.
 
 The toolkit's value proposition is *trustworthy* failure-injection results,
 which requires runs to be provably deterministic and internally consistent.
-This package provides three cooperating facilities:
+This package provides two cooperating facilities:
 
 * :class:`~repro.check.trace.EventTrace` — a compact recorder of every
   event the engine dispatches (virtual time, sequence number, VP, kind,
@@ -12,10 +12,11 @@ This package provides three cooperating facilities:
   enforced at engine dispatch and MPI-layer boundaries; violations raise
   :class:`~repro.util.errors.InvariantViolation` carrying a structured
   diagnostic dump.
-* :mod:`~repro.check.differential` — a harness of differential runs
-  (serial vs parallel campaigns, advance-coalescing on vs off, trace
-  record vs replay, serial vs sharded) asserting that paths which must
-  agree do agree.
+
+The paths that must agree (rerun, advance coalescing on vs off, trace
+record vs replay, serial vs pooled campaigns, serial vs sharded, cache
+hit vs recomputation) are held to each other by tests, one per path;
+``docs/INTERNALS.md`` section 10 names them.
 
 Checking is off by default and costs one attribute test per event when
 disabled; the sanitizer's per-event work is O(1) with full-state sweeps

@@ -14,7 +14,6 @@ Subcommands::
     xsim-run table1  # Finject bit-flip campaign (paper Table I)
     xsim-run table2  --ranks 512  # checkpoint-interval x MTTF sweep (Table II)
     xsim-run arch    --ranks 32768  # architecture self-description (Fig. 1)
-    xsim-run simcheck  # differential determinism harness (see repro.check)
 
 Every ``app``/``arch``/``sweep``/``explore`` invocation resolves one
 :class:`~repro.run.scenario.Scenario` through the layered precedence
@@ -467,15 +466,21 @@ def _cmd_arch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache_stats(args: argparse.Namespace) -> int:
+def _maintained_cache(args: argparse.Namespace):
+    """The store ``cache stats|verify|gc`` work on; a directory that
+    cannot be used is refused like any other bad argument (exit 2)."""
     from repro.cache import open_cache
-    from repro.util.units import format_size
 
     cache = open_cache(args.cache_dir)
     if cache.disabled_reason:
-        print(f"error: {cache.disabled_reason}", file=sys.stderr)
-        return 1
-    st = cache.index_stats()
+        raise ConfigurationError(cache.disabled_reason)
+    return cache
+
+
+def _cmd_cache_stats(args: argparse.Namespace) -> int:
+    from repro.util.units import format_size
+
+    st = _maintained_cache(args).index_stats()
     print(f"result cache at {st['root']}")
     modes = ", ".join(f"{n} {m}" for m, n in sorted(st["modes"].items())) or "empty"
     print(f"  entries:  {st['entries']:,} ({modes})")
@@ -488,12 +493,7 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_verify(args: argparse.Namespace) -> int:
-    from repro.cache import open_cache
-
-    cache = open_cache(args.cache_dir)
-    if cache.disabled_reason:
-        print(f"error: {cache.disabled_reason}", file=sys.stderr)
-        return 1
+    cache = _maintained_cache(args)
     total = cache.index_stats()["entries"]
     issues = cache.verify(prune=args.prune)
     if not issues:
@@ -508,16 +508,11 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_gc(args: argparse.Namespace) -> int:
-    from repro.cache import open_cache
     from repro.util.units import format_size, parse_size, parse_time
 
     if args.max_bytes is None and args.max_age is None:
-        print("error: pass --max-bytes and/or --max-age", file=sys.stderr)
-        return 2
-    cache = open_cache(args.cache_dir)
-    if cache.disabled_reason:
-        print(f"error: {cache.disabled_reason}", file=sys.stderr)
-        return 1
+        raise ConfigurationError("pass --max-bytes and/or --max-age")
+    cache = _maintained_cache(args)
     max_bytes = None if args.max_bytes is None else parse_size(args.max_bytes)
     max_age = None if args.max_age is None else parse_time(args.max_age)
     res = cache.gc(max_bytes=max_bytes, max_age=max_age)
@@ -528,21 +523,6 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
         f"{by_age} by age, {by_bytes} by size); "
         f"kept {res.kept} ({format_size(res.kept_bytes)})"
     )
-    return 0
-
-
-def _cmd_simcheck(args: argparse.Namespace) -> int:
-    from repro.check.differential import run_all
-
-    results = run_all(jobs=args.jobs, artifacts_dir=args.artifacts, only=args.only)
-    for r in results:
-        print(r)
-    failed = [r for r in results if not r.passed]
-    if failed:
-        where = f"; artifacts in {args.artifacts}" if args.artifacts else ""
-        print(f"{len(failed)}/{len(results)} differential checks FAILED{where}")
-        return 1
-    print(f"all {len(results)} differential checks passed")
     return 0
 
 
@@ -771,31 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
         help='evict entries whose last hit is older than this, e.g. "7d", "12h"',
     )
     p_cg.set_defaults(fn=_cmd_cache_gc)
-
-    p_chk = sub.add_parser(
-        "simcheck", help="differential determinism harness (serial vs pool, "
-        "coalescing on/off, trace replay, sharded parity)"
-    )
-    p_chk.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=4,
-        help="pool width for the parallel-vs-serial checks (>= 2; default 4)",
-    )
-    p_chk.add_argument(
-        "--artifacts",
-        metavar="DIR",
-        default=None,
-        help="write divergence reports/traces here when a check fails",
-    )
-    p_chk.add_argument(
-        "--only",
-        metavar="NAME",
-        default=None,
-        help="run a single named check (e.g. sharded-parity, obs-parity)",
-    )
-    p_chk.set_defaults(fn=_cmd_simcheck)
 
     return parser
 

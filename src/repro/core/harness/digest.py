@@ -3,8 +3,8 @@
 :func:`result_digest` fingerprints one run's observable outcome and
 :func:`campaign_digest` a nest of primitives (a restart experiment's
 per-segment digests, a Table II sweep, Finject outcome tuples).  They are
-what the simcheck differential harness compares across execution modes
-and what the result cache stores beside every blob.  Standard library
+what the parity tests compare across execution modes and what the
+result cache stores beside every blob.  Standard library
 only: every computed run takes a digest, few need the experiment drivers
 in :mod:`repro.core.harness.experiment`, which re-exports both.
 """
@@ -25,8 +25,8 @@ def result_digest(result: "SimulationResult") -> str:
     formatting round-off), per-VP states, activated failures, abort
     status, and the event count.  Two runs digest equal iff they are
     bit-identical in every one of those observables, which is what the
-    simcheck differential harness asserts across execution modes (serial
-    vs. worker pool, advance coalescing on vs. off).
+    parity tests assert across execution modes (serial vs. sharded,
+    advance coalescing on vs. off; ``docs/INTERNALS.md`` section 10).
     """
     h = hashlib.sha256()
     h.update(f"exit {result.exit_time.hex()}\n".encode())

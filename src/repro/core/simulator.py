@@ -67,7 +67,6 @@ class XSim:
         log_stream: IO[str] | None = None,
         check: bool | None = None,
         record_events: bool = False,
-        coalesce_advances: bool = True,
         shards: int = 1,
         shard_transport: str | None = None,
         shard_lookahead: float | None = None,
@@ -98,11 +97,7 @@ class XSim:
             engine_cls, world_cls = WindowedEngine, ShardedMpiWorld
         else:
             engine_cls, world_cls = Engine, MpiWorld
-        self.engine = engine_cls(
-            start_time=start_time,
-            log=SimLog(stream=log_stream),
-            coalesce_advances=coalesce_advances,
-        )
+        self.engine = engine_cls(start_time=start_time, log=SimLog(stream=log_stream))
         self.memory = MemoryTracker()
         self.world = world_cls(
             self.engine,
@@ -113,7 +108,7 @@ class XSim:
             strict_finalize=system.strict_finalize,
             collective_algorithm=system.collective_algorithm,
         )
-        #: Runtime invariant sanitizer (simcheck), or ``None``;
+        #: Runtime invariant sanitizer, or ``None``;
         #: ``check=None`` defers to the ``XSIM_CHECK`` environment variable.
         self.checker: Sanitizer | None = None
         if check if check is not None else checking_enabled():

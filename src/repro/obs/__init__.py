@@ -16,7 +16,7 @@ One timeline for a run, with one export format:
 
 Attach via ``XSim(observe=...)`` or ``xsim-run app --trace-out``; the
 sim-domain event set of a sharded run is byte-identical to the serial
-run's export (enforced by the ``obs-parity`` simcheck).
+run's export (enforced by ``tests/test_obs.py::TestShardedExportParity``).
 """
 
 from repro.obs.events import HOST, SIM, ObsEvent, Observer, observer_for

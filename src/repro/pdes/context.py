@@ -96,7 +96,7 @@ class VirtualProcess:
         return self.state in LIVE_STATES
 
     def snapshot(self) -> dict[str, Any]:
-        """Compact state dump for diagnostics (simcheck violation reports)."""
+        """Compact state dump for diagnostics (sanitizer violation reports)."""
         return {
             "rank": self.rank,
             "state": self.state.value,

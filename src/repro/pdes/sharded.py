@@ -1119,7 +1119,6 @@ def _build_replica(sim: "XSim", app, args: tuple, nranks: int) -> "XSim":
         log_stream=None,
         check=sim.checker is not None,
         record_events=sim.event_trace is not None,
-        coalesce_advances=sim.engine.coalesce_advances,
         shards=sim.shards,
         shard_transport="inline",
         observe=sim.observer,

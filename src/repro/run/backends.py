@@ -282,7 +282,7 @@ def run_scenario(
     ``XSIM_CACHE_DIR`` environment policy, ``False`` disables caching
     for this call, and a :class:`~repro.cache.ResultCache` is used
     directly.  A hit is bit-identical to recomputation (result digest,
-    summary, sim-domain exporter bytes — the ``cache-parity`` simcheck)
+    summary, sim-domain exporter bytes — ``tests/test_cache.py``)
     and is marked in :attr:`ScenarioOutcome.metadata` as ``cache_hit``.
     Trace-recording runs (``record_events``) and calls with a
     caller-supplied observer bypass the cache, because a hit cannot

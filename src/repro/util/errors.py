@@ -76,7 +76,7 @@ class CheckpointError(XsimError):
 
 
 class InvariantViolation(SimulationError):
-    """A runtime invariant check (simcheck, ``XSIM_CHECK=1``) failed.
+    """A runtime invariant check (``XSIM_CHECK=1``, ``--check``) failed.
 
     Carries the invariant name and a structured diagnostic ``dump`` (SimLog
     tail, VP states, heap snapshot — see

@@ -283,12 +283,21 @@ class TestHitEquivalence:
         assert warm.metadata.get("cache_hit") is True
         assert warm.digest() == cold.digest()
         assert warm.summary() == cold.summary()
-        assert (store.stats.hits, store.stats.misses, store.stats.stores) == (1, 1, 1)
+        st = store.stats
+        assert (st.hits, st.misses, st.stores, st.corrupt) == (1, 1, 1, 0)
+        assert store.verify() == []  # the digest re-derived from the body agrees
 
-    def test_cross_backend_sharing(self, store):
-        cold = _fill(store)
-        sharded = SMALL.with_(shards=2, shard_transport="inline")
-        warm = run_scenario(sharded, cache=store)
+    SHARDED = SMALL.with_(shards=2, shard_transport="inline")
+
+    @pytest.mark.parametrize(
+        "computed, requested", [(SMALL, SHARDED), (SHARDED, SMALL)],
+        ids=["serial-cold", "sharded-cold"],
+    )
+    def test_cross_backend_sharing(self, store, computed, requested):
+        """The key leaves execution parallelism out: an entry computed on
+        either backend serves the same cell requested on the other."""
+        cold = _fill(store, computed)
+        warm = run_scenario(requested, cache=store)
         assert warm.metadata.get("cache_hit") is True
         assert warm.digest() == cold.digest()
 

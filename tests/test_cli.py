@@ -226,7 +226,7 @@ class TestRecordedTraceIsTheRun:
 
 
 class TestHostileValues:
-    """Every command refuses a hostile value with a non-zero exit and one
+    """Every command refuses a hostile value with exit status 2 and one
     stderr line, never a traceback."""
 
     @pytest.mark.parametrize(
@@ -240,9 +240,11 @@ class TestHostileValues:
             ["table2", "--ranks", "0"],
             ["arch", "--ranks", "0"],
             ["cache", "stats", "--cache-dir", "{text}"],
-            ["simcheck", "--only", "nosuch"],
+            ["cache", "verify", "--cache-dir", "{text}"],
+            ["cache", "gc", "--max-age", "7d", "--cache-dir", "{text}"],
         ],
-        ids=lambda argv: argv[0],
+        ids=["app", "sweep", "explore", "timeline", "table1", "table2", "arch",
+             "cache", "cache-verify", "cache-gc"],
     )
     def test_one_line_and_no_traceback(self, tmp_path, capsys, argv):
         text = tmp_path / "plain.txt"
@@ -250,5 +252,5 @@ class TestHostileValues:
         paths = {"missing": tmp_path / "missing", "text": text}
         rc = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
-        assert rc != 0
+        assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err

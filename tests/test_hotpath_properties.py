@@ -8,7 +8,8 @@ of the simulation semantics — same exit time, same event count, same
 failure activation times, same per-VP end states — on *every* schedule,
 not just the ones the MPI layer happens to produce.  Hypothesis generates
 random multi-VP advance programs and failure injections and compares a
-coalescing engine against a non-coalescing one event for event.
+coalescing engine against a non-coalescing one event for event; one
+full-stack heat3d run makes the same comparison through the MPI layer.
 """
 
 import heapq
@@ -17,7 +18,12 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.heat3d import HeatConfig, heat3d
 from repro.check.trace import EventTrace
+from repro.core.checkpoint.store import CheckpointStore
+from repro.core.harness.config import SystemConfig
+from repro.core.harness.digest import result_digest
+from repro.core.simulator import XSim
 from repro.pdes.context import VpState
 from repro.pdes.engine import Engine
 from repro.pdes.requests import Advance, Block
@@ -190,6 +196,25 @@ def test_coalesced_heap_and_windowed_advance_paths_agree(programs, failures, wid
     assert heap_engine.event_trace.diff_ranks(win_engine.event_trace) is None
     kinds = {entry[3] for entry in heap_engine.event_trace.entries}
     assert kinds <= {"start_vp", "resume_advance", "failure_due"}
+
+
+def test_heat3d_digest_and_event_count_do_not_depend_on_coalescing():
+    """The programs above stand in for the MPI layer; a sanitized 8-rank
+    heat3d run must digest the same, in as many events, with the engine's
+    advance coalescing switched off.  The paper's timing model, because
+    on the zero-overhead test system no advance is ever coalesced."""
+
+    def run(coalesce):
+        sim = XSim(SystemConfig.paper_system(nranks=8), check=True)
+        sim.engine.coalesce_advances = coalesce
+        workload = HeatConfig.paper_workload(checkpoint_interval=10, nranks=8, iterations=40)
+        return sim.engine, sim.run(heat3d, args=(workload, CheckpointStore()))
+
+    on_engine, on = run(True)
+    off_engine, off = run(False)
+    assert on_engine.coalesced_advances > 0 and off_engine.coalesced_advances == 0
+    assert result_digest(on) == result_digest(off)
+    assert on.event_count == off.event_count
 
 
 def test_heap_resumed_advance_is_named_in_trace_and_heap_head():

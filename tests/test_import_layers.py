@@ -48,7 +48,6 @@ RUNTIME_AND_TOOLS = (
 )
 #: What a simulation run must never pull in.
 TOOLS = (
-    "repro.check.differential",
     "repro.core.faults.finject",
     "repro.core.harness.experiment",
     "repro.explore",
@@ -513,7 +512,9 @@ UNREACHED = {
     "repro.apps.naive_cr":
         "ROADMAP item 2(1)/4: an APPS row for the Daly oracle, or beside the bench",
     "repro.check.oracle":
-        "ROADMAP item 2(1): closed forms tier-1 holds the simulator to; a simcheck check next",
+        "ROADMAP item 2(1): closed forms tier-1 holds the simulator to; a parity test next",
+    "repro.core.harness.experiment":
+        "ROADMAP item 5: the section V-D census maps observe_failure_mode over a grid",
 }
 _TABLE_TARGET = re.compile(r"(repro(?:\.\w+)+):\w+")
 

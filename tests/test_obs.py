@@ -27,14 +27,14 @@ def noop(mpi):
     yield from mpi.finalize()
 
 
-def heat_sim(nranks=8, iterations=6, failure=None, observe=True, **xsim_kwargs):
+def heat_sim(nranks=8, iterations=6, failure=None, observe=True, interval=3, **xsim_kwargs):
     """A small heat3d run under the paper timing model, observed."""
     from repro.apps.heat3d import HeatConfig, heat3d
     from repro.core.checkpoint.store import CheckpointStore
 
     system = SystemConfig.paper_system(nranks=nranks)
     workload = HeatConfig.paper_workload(
-        checkpoint_interval=3, nranks=nranks, iterations=iterations
+        checkpoint_interval=interval, nranks=nranks, iterations=iterations
     )
     sim = XSim(system, observe=observe, **xsim_kwargs)
     if failure is not None:
@@ -273,13 +273,18 @@ class TestSimObservation:
 
 class TestShardedExportParity:
     def test_sharded_export_byte_identical_to_serial(self):
-        _, clean = heat_sim(observe=None)
-        failure = (2, 0.4 * clean.exit_time)
-        serial, r1 = heat_sim(failure=failure)
-        sharded, r2 = heat_sim(failure=failure, shards=2, shard_transport="inline")
+        """At ``trace_detail``, so the wait spans and the per-message
+        instants are part of the compared bytes."""
+        _, clean = heat_sim(nranks=16, iterations=10, interval=5, observe=None)
+        failure = (5, 0.4 * clean.exit_time)
+        run = dict(nranks=16, iterations=10, interval=5, failure=failure, trace_detail=True)
+        serial, r1 = heat_sim(**run)
+        sharded, r2 = heat_sim(**run, shards=2, shard_transport="inline")
         assert r1.exit_time == r2.exit_time
         assert to_chrome(serial.observer) == to_chrome(sharded.observer)
         assert to_jsonl(serial.observer) == to_jsonl(sharded.observer)
+        names = {e.name for e in serial.observer.events}
+        assert {"inject", "wait", "msg:post", "msg:deliver", "msg:drop"} <= names
         # resilience instants survive sharding exactly once each
         res = [e for e in sharded.observer.sim_events() if e.track == "resilience"]
         assert sum(1 for e in res if e.name == "inject") == 1

@@ -188,6 +188,25 @@ def test_a_number_parses_finite_or_is_refused_by_name(name, text):
     assert all(isinstance(v, int) or math.isfinite(v) for v in values)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(XSIM_ENV_VARS)),
+    text=st.one_of(
+        st.sampled_from(EDGES + sorted(set(SAMPLES.values())) + ["fork", "yes", "off"]),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=16),
+    ),
+)
+def test_any_text_in_a_variable_resolves_or_names_it(name, text):
+    """Every ``XSIM_*`` variable, any text: a Scenario, or one
+    ConfigurationError that names the variable — no other exception."""
+    try:
+        scenario = Scenario.resolve(environ={name: text})
+    except ConfigurationError as refused:
+        assert name in str(refused)
+        return
+    assert isinstance(scenario, Scenario)
+
+
 @pytest.mark.parametrize(
     "argv, toml",
     [

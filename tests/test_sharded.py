@@ -5,9 +5,10 @@ equivalence with the serial engine* under the paper's timing model: for
 any shard count and any lookahead within the derived safe bound, a
 sharded run produces the same per-rank event sequences, the same result
 digest, and the same resilience behavior (failure broadcast, detection,
-abort) as ``shards=1``.  ``xsim-run simcheck`` verifies one 64-rank
-configuration; this module sweeps the parameter space with Hypothesis
-and exercises the integration seams (restart driver, tree collectives,
+abort) as ``shards=1``.  ``TestParityProperty`` sweeps the parameter
+space with Hypothesis and diffs per-rank traces of a failure run,
+``TestRestartCycleParity`` holds a failure -> restart cycle to the serial
+one, and the rest exercises the integration seams (tree collectives,
 worker pickling, CLI capping, the two transports' refusals).
 """
 

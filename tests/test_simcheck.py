@@ -1,10 +1,10 @@
-"""simcheck: event tracing, the invariant sanitizer, differential harness.
+"""Event tracing, record/replay and the invariant sanitizer.
 
 Covers the determinism/replay tooling in :mod:`repro.check`: the event
-trace round-trips and diffs, the sanitizer stays silent on clean runs and
-actually fires on corrupted state (including a deliberately re-introduced
-checkpoint-cleanup bug), and the differential harness's cross-mode
-equivalences hold.
+trace round-trips and diffs, a failure run records and replays with zero
+divergence, and the sanitizer stays silent on clean runs and actually
+fires on corrupted state (including a deliberately re-introduced
+checkpoint-cleanup bug).
 """
 
 import json
@@ -257,67 +257,6 @@ class TestSpawnChild:
             RngStreams(0).spawn_child("x", -1)
 
 
-class TestDifferentialHarness:
-    def test_run_all_passes_and_writes_no_artifacts(self, tmp_path):
-        from repro.check.differential import run_all
-
-        artifacts = tmp_path / "artifacts"
-        results = run_all(jobs=2, artifacts_dir=str(artifacts))
-        assert [r.name for r in results] == [
-            "rerun",
-            "coalescing",
-            "trace-replay",
-            "campaign-parallel",
-            "sharded-parity",
-            "obs-parity",
-            "scenario-parity",
-            "cache-parity",
-        ]
-        failed = [r for r in results if not r.passed]
-        assert not failed, "\n".join(str(r) for r in failed)
-        assert not artifacts.exists()  # artifacts only appear on failure
-
-    def test_unknown_check_is_one_error_line(self, capsys):
-        from repro.cli import main
-
-        assert main(["simcheck", "--only", "nope"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: unknown check 'nope'; one of rerun, coalescing, trace-replay, "
-            "campaign-parallel, sharded-parity, obs-parity, "
-            "scenario-parity, cache-parity\n"
-        )
-
-    def test_failing_check_writes_artifacts(self, tmp_path, monkeypatch):
-        import repro.check.differential as differential
-
-        def fake_rerun(*args, **kwargs):
-            return differential.CheckResult(
-                "rerun", False, "forced failure", artifacts={"rerun.txt": "boom\n"}
-            )
-
-        monkeypatch.setattr(differential, "check_rerun", fake_rerun)
-        results = differential.run_all(jobs=2, artifacts_dir=str(tmp_path / "a"))
-        assert not results[0].passed
-        assert (tmp_path / "a" / "rerun.txt").read_text() == "boom\n"
-        summary = (tmp_path / "a" / "summary.txt").read_text()
-        assert "[FAIL] rerun" in summary
-
-    def test_invariant_violation_inside_check_becomes_failure(self, monkeypatch):
-        import repro.check.differential as differential
-
-        def raising_check(*args, **kwargs):
-            raise InvariantViolation("fake", "synthetic", dump={"checks": 1})
-
-        monkeypatch.setattr(differential, "check_coalescing", raising_check)
-        results = differential.run_all(jobs=2)
-        by_name = {r.name: r for r in results}
-        assert not by_name["coalescing"].passed
-        assert "invariant violation" in by_name["coalescing"].detail
-        assert "coalescing-violation.json" in by_name["coalescing"].artifacts
-
-
 class TestCli:
     def test_record_and_replay_round_trip(self, tmp_path, capsys):
         from repro.cli import main
@@ -368,9 +307,3 @@ class TestCli:
         from repro.cli import main
 
         assert main(["app", "--app", "heat3d", "--ranks", "4", "--iterations", "5", "--check"]) == 0
-
-    def test_simcheck_parser_wired(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["simcheck", "-j", "2", "--artifacts", "x"])
-        assert args.jobs == 2 and args.artifacts == "x" and callable(args.fn)
