@@ -5,8 +5,6 @@ detection -> MPI_Abort -> checkpoint/restart cycle.
 Run:  python examples/quickstart.py
 """
 
-import sys
-
 from repro.apps.heat3d import HeatConfig, heat3d
 from repro.core import RestartDriver, SystemConfig, XSim
 from repro.core.checkpoint.store import CheckpointStore
@@ -48,9 +46,12 @@ driver = RestartDriver(
     heat3d,
     make_args=lambda store: (workload, store),
     schedule=FailureSchedule.parse("13@2000s"),
-    log_stream=sys.stdout,
 )
 run = driver.run()
+# The simulator's log is a record of each segment's messages.
+for segment in run.segments:
+    for entry in segment.result.log:
+        print(entry.render())
 
 print()
 print(f"E2 (with failure + restart) = {run.e2:,.1f} simulated seconds")

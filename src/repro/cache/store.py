@@ -80,7 +80,7 @@ import sqlite3
 import time as _time
 import warnings
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -172,24 +172,6 @@ def _canonical_json(value: Any) -> bytes:
     return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _strip_result(result):
-    """A picklable SimulationResult: same observable content, log stream
-    detached (streams are process-local file objects) — the result itself
-    when it has none."""
-    if result.log.stream is None:
-        return result
-    return replace(result, log=replace(result.log, stream=None))
-
-
-def _strip_run(run):
-    """A picklable FailureRunResult (per-segment log streams detached) —
-    the run itself when no segment logs to a stream."""
-    if all(seg.result.log.stream is None for seg in run.segments):
-        return run
-    segments = [replace(seg, result=_strip_result(seg.result)) for seg in run.segments]
-    return replace(run, segments=segments)
-
-
 def encode_blob(outcome: "ScenarioOutcome", wall_s: float) -> tuple[bytes, dict]:
     """The blob bytes for one computed outcome, and the head inside them."""
     head = {
@@ -204,8 +186,8 @@ def encode_blob(outcome: "ScenarioOutcome", wall_s: float) -> tuple[bytes, dict]
     single = outcome.mode == "single"
     body = pickle.dumps(
         (
-            _strip_result(outcome.result) if single else None,
-            None if single else _strip_run(outcome.run),
+            outcome.result if single else None,
+            None if single else outcome.run,
             None if outcome.observer is None else list(outcome.observer.sim_events()),
         ),
         protocol=pickle.HIGHEST_PROTOCOL,

@@ -128,17 +128,6 @@ def _jobs(given: int | None) -> int:
     return default_jobs() if given is None else given
 
 
-def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for independent runs (default: XSIM_JOBS or 1); "
-        "results are identical to a serial run",
-    )
-
-
 #: Scenario-field flags each command takes, in the order its help lists
 #: them (``app`` and ``sweep`` add more further down their pages).
 _MACHINE = (
@@ -206,6 +195,15 @@ def _resolve_scenario(args: argparse.Namespace) -> tuple[Scenario, dict]:
     return Scenario.resolve(**overrides), {}
 
 
+def _check_trace_out(path: str) -> None:
+    """Refuse a ``--trace-out`` destination before anything runs: a
+    ``.csv`` name, or a directory :func:`_check_output_dir` refuses."""
+    from repro.obs.export import check_export_path
+
+    check_export_path(path)
+    _check_output_dir(path, "--trace-out")
+
+
 def _check_output_dir(path: str, flag: str) -> None:
     """Refuse ``path`` before anything runs when its directory does not
     exist or cannot be written: the file is only written at the end."""
@@ -221,7 +219,7 @@ def _cmd_app(args: argparse.Namespace) -> int:
 
     scenario, _ = _resolve_scenario(args)
     if scenario.trace_out:
-        _check_output_dir(scenario.trace_out, "--trace-out")
+        _check_trace_out(scenario.trace_out)
     if args.record_trace:
         _check_output_dir(args.record_trace, "--record-trace")
     reference = None
@@ -237,11 +235,14 @@ def _cmd_app(args: argparse.Namespace) -> int:
         scenario = scenario.with_(record_events=True)
 
     cache = _cache_from_args(args)
-    outcome = run_scenario(
-        scenario, log_stream=sys.stdout, cache=cache if cache is not None else False
-    )
+    outcome = run_scenario(scenario, cache=cache if cache is not None else False)
+    # A computed run's log, segment by segment; a cache hit prints none.
     # The report reads the outcome's facts, never ``result`` / ``run``: a
-    # cache hit prints it from the blob's head without decoding the body.
+    # hit prints it from the blob's head without decoding the body.
+    if not outcome.metadata.get("cache_hit"):
+        for segment in outcome.run.segments:
+            for entry in segment.result.log:
+                print(entry.render())
     facts = outcome.facts()
     print(outcome.timing_report())
     if "e2" in facts:
@@ -383,7 +384,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     cache = _cache_from_args(args)
     observer = None
     if args.campaign_trace_out:
-        _check_output_dir(args.campaign_trace_out, "--trace-out")
+        _check_trace_out(args.campaign_trace_out)
         from repro.obs import Observer
 
         observer = Observer()
@@ -428,19 +429,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.core.faults.finject import FinjectCampaign
     from repro.core.harness.report import format_table
 
-    jobs = _jobs(args.jobs)
-    independent = args.independent_streams or jobs > 1
-    if independent and not args.independent_streams:
-        print(
-            f"note: -j {jobs} implies independent per-victim RNG streams; "
-            "statistics differ from the calibrated single-stream draw"
-        )
     campaign = FinjectCampaign(
         victims=args.victims,
         max_injections=args.max_injections,
         seed=FinjectCampaign.seed if args.seed is None else args.seed,
-        independent_streams=independent,
-        jobs=jobs,
     )
     result = campaign.run()
     rows = [(f, v, d) for f, v, d in result.table_rows()]
@@ -678,18 +670,19 @@ def build_parser() -> argparse.ArgumentParser:
     # None = FinjectCampaign's calibrated seed (read where the campaign is
     # imported, not here: building the parser loads no simulator).
     p_t1.add_argument("--seed", type=int, default=None)
-    _add_jobs_arg(p_t1)
-    p_t1.add_argument(
-        "--independent-streams",
-        action="store_true",
-        help="one RNG sub-stream per victim (order-independent; implied by -j > 1)",
-    )
     p_t1.set_defaults(fn=_cmd_table1)
 
     p_t2 = sub.add_parser("table2", help="checkpoint interval x MTTF sweep (paper Table II)")
     p_t2.add_argument("--ranks", type=int, default=512)
     p_t2.add_argument("--seed", type=int, default=0)
-    _add_jobs_arg(p_t2)
+    p_t2.add_argument(
+        "-j",
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes for independent runs (default: XSIM_JOBS or 1); "
+        "results are identical to a serial run",
+    )
     p_t2.set_defaults(fn=_cmd_table2)
 
     p_arch = sub.add_parser("arch", help="architecture self-description (paper Figure 1)")

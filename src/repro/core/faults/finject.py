@@ -20,7 +20,6 @@ paper's (mean ~22 injections-to-failure).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.models.memory import MemoryTracker, RegionKind
 from repro.util.errors import ConfigurationError
@@ -119,8 +118,6 @@ def run_victim(
 
     Returns ``(injections_to_failure, sdc_hits, benign_hits)``;
     injections-to-failure is ``-1`` when the victim survived the cap.
-    This is the unit of work a parallel campaign fans out (see
-    :func:`_independent_victim`).
     """
     tracker = MemoryTracker()
     victim.build(tracker, victim_id)
@@ -137,15 +134,6 @@ def run_victim(
     return -1, sdc, benign
 
 
-def _independent_victim(
-    victim: VictimModel, max_injections: int, seed: int, victim_id: int
-) -> tuple[int, int, int]:
-    """One victim on its own RNG sub-stream (module-level: a worker pool
-    pickles it by name)."""
-    rng = RngStreams(seed).spawn_child("finject", victim_id)
-    return run_victim(victim, victim_id, max_injections, rng)
-
-
 @dataclass
 class FinjectCampaign:
     """Run ``victims`` independent bit-flip injection experiments.
@@ -155,14 +143,10 @@ class FinjectCampaign:
     cap is reached ("an arbitrary maximum of 100 injected faults was
     set").
 
-    By default every victim draws from one shared RNG stream consumed in
-    victim order — the calibrated draw whose statistics match the paper's
-    Table I.  ``independent_streams=True`` instead gives each victim its
-    own ``SeedSequence``-spawned sub-stream (see
-    :meth:`~repro.util.rng.RngStreams.spawn_child`), making the
-    per-victim draws order-independent; that is required for (and implied
-    by) parallel execution with ``jobs > 1``, and produces the same
-    result whether the victims run serially or on a worker pool.
+    Every victim draws from one shared RNG stream consumed in victim
+    order — the calibrated draw whose statistics match the paper's
+    Table I.  A 100-victim campaign takes a fraction of a second, so it
+    runs in-process.
     """
 
     victims: int = 100
@@ -173,11 +157,6 @@ class FinjectCampaign:
     #: (mean 23.3 vs 21.97, median 17.5 vs 17, mode 4 vs 4, min 1 vs 1,
     #: max 97 vs 98, sigma 21.2 vs 21.4, no censored victims).
     seed: int = 29
-    #: One RNG sub-stream per victim instead of the shared sequential
-    #: stream (see class docstring).
-    independent_streams: bool = False
-    #: Worker processes for the campaign (1 = in-process serial).
-    jobs: int = 1
 
     def run(self) -> FinjectResult:
         """Execute the campaign and compute the Table I statistics."""
@@ -185,31 +164,11 @@ class FinjectCampaign:
             raise ConfigurationError("need victims >= 1 and max_injections >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.jobs > 1 and not self.independent_streams:
-            raise ConfigurationError(
-                "parallel finject (jobs > 1) requires independent_streams=True: "
-                "the default campaign consumes one shared RNG stream in victim "
-                "order, which cannot be partitioned across workers without "
-                "changing the draw"
-            )
-        from repro.run.scenario import check_value
-
-        # Checked before the draw so a worker count below 1 is refused on
-        # the shared-stream (serial) path too, which never uses it.
-        check_value("jobs", self.jobs)
-        if self.independent_streams:
-            from repro.core.harness.parallel import fan_out
-
-            victim = partial(
-                _independent_victim, self.victim, self.max_injections, self.seed
-            )
-            outcomes = fan_out(victim, range(self.victims), self.jobs)
-        else:
-            rng = RngStreams(self.seed).get("finject")
-            outcomes = [
-                run_victim(self.victim, victim_id, self.max_injections, rng)
-                for victim_id in range(self.victims)
-            ]
+        rng = RngStreams(self.seed).get("finject")
+        outcomes = [
+            run_victim(self.victim, victim_id, self.max_injections, rng)
+            for victim_id in range(self.victims)
+        ]
         samples: list[int] = []
         censored = 0
         sdc = 0

@@ -3,17 +3,18 @@ on a worker pool.
 
 The paper's evaluation is a *campaign* of mutually independent simulator
 runs — scenario cells (Table II's checkpoint interval x system MTTF grid,
-sweeps, explorer batches) and Finject victim instances.  Each run is
+sweeps, explorer batches).  Each run is
 deterministic given its configuration and seed ("the experiments are
 repeatable as the simulator and the application are deterministic"), so a
 campaign parallelizes trivially: results are bit-identical whether the
 runs execute serially in-process or fan out over a process pool.
 
 A campaign is :func:`fan_out` of a module-level function over picklable
-items (a scenario's dict form, a victim id).  The function seeds its own
-RNG streams from its item (e.g. one :class:`~repro.util.rng.RngStreams`
-sub-stream per Finject victim), never from shared mutable state — this is
-what makes parallel execution bit-identical to serial.
+items (a scenario's dict form).  The function seeds its own RNG streams
+from its item (the scenario's seed), never from shared mutable state —
+this is what makes parallel execution bit-identical to serial.  Table I's
+Finject campaign is not one: its victims share one calibrated stream and
+run in-process.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.check import checking_enabled
 from repro.check.trace import EventTrace
@@ -60,10 +60,6 @@ class SegmentRecord:
     def drawn_failure(self) -> tuple[int, float] | None:
         """The drawn failure, if any."""
         return self.drawn_failures[0] if self.drawn_failures else None
-
-    @property
-    def activated_failures(self) -> list[tuple[int, float]]:
-        return self.result.failures
 
 
 @dataclass
@@ -157,7 +153,6 @@ class RestartDriver:
         schedule: FailureSchedule | None = None,
         seed: int = 0,
         max_restarts: int = 1000,
-        log_stream: IO[str] | None = None,
         check: bool | None = None,
         shards: int = 1,
         shard_transport: str | None = None,
@@ -178,9 +173,6 @@ class RestartDriver:
         #: (replication's warm failover), and owns the pre-restart
         #: cleanup.  Defaults to single-level checkpoint/restart.
         self.strategy = strategy
-        #: The one declarative spec every segment of this experiment runs
-        #: under, when the driver was built via :meth:`from_scenario`.
-        self.scenario = scenario
         self.system = system
         self.app = app
         self.make_args = make_args
@@ -188,7 +180,6 @@ class RestartDriver:
         self.schedule = schedule
         self.seed = seed
         self.max_restarts = max_restarts
-        self.log_stream = log_stream
         #: Run every segment under the invariant sanitizer and audit the
         #: checkpoint namespace after each pre-restart cleanup.  ``None``
         #: defers to the ``XSIM_CHECK`` environment variable (per segment).
@@ -215,7 +206,6 @@ class RestartDriver:
     def from_scenario(
         cls,
         scenario: "Scenario",
-        log_stream: IO[str] | None = None,
         observe: "bool | Observer | None" = None,
         **overrides: Any,
     ) -> "RestartDriver":
@@ -244,7 +234,6 @@ class RestartDriver:
             schedule=schedule if schedule else None,
             seed=scenario.seed,
             max_restarts=scenario.max_restarts,
-            log_stream=log_stream,
             check=scenario.check,
             shards=shards,
             shard_transport=shard_transport,
@@ -300,13 +289,11 @@ class RestartDriver:
                 self.system,
                 seed=self.seed,
                 start_time=start,
-                log_stream=self.log_stream,
                 check=self.check,
                 shards=self.shards,
                 shard_transport=self.shard_transport,
                 observe=self.observer,
                 record_events=self.event_trace is not None,
-                scenario=self.scenario,
             )
             # The explicit schedule applies to the first segment only; every
             # fail-stop, scheduled or drawn, goes through the strategy.

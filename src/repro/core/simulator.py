@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import gc
 from time import perf_counter
-from typing import IO, TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.check import checking_enabled
 from repro.check.sanitizer import Sanitizer
@@ -49,7 +49,6 @@ from repro.pdes.engine import Engine, SimulationResult
 from repro.run.scenario import BACKEND_TRANSPORTS, backend_name_for
 from repro.util.errors import SimulationError
 from repro.util.rng import RngStreams
-from repro.util.simlog import SimLog
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.resilience.strategy import ResilienceStrategy
@@ -64,7 +63,6 @@ class XSim:
         system: SystemConfig,
         seed: int = 0,
         start_time: float = 0.0,
-        log_stream: IO[str] | None = None,
         check: bool | None = None,
         record_events: bool = False,
         shards: int = 1,
@@ -72,7 +70,6 @@ class XSim:
         shard_lookahead: float | None = None,
         observe: "bool | Observer | None" = None,
         trace_detail: bool = False,
-        scenario: "Scenario | None" = None,
     ):
         self.system = system
         self.seed = seed
@@ -87,17 +84,13 @@ class XSim:
         self.shards = shards
         self.shard_transport = shard_transport
         self.shard_lookahead = shard_lookahead
-        #: The declarative spec this simulation was built from, when it
-        #: came through :meth:`from_scenario`/:mod:`repro.run` (``None``
-        #: for directly constructed instances).
-        self.scenario = scenario
         if self.shards > 1:
             from repro.pdes.sharded import ShardedMpiWorld, WindowedEngine
 
             engine_cls, world_cls = WindowedEngine, ShardedMpiWorld
         else:
             engine_cls, world_cls = Engine, MpiWorld
-        self.engine = engine_cls(start_time=start_time, log=SimLog(stream=log_stream))
+        self.engine = engine_cls(start_time=start_time)
         self.memory = MemoryTracker()
         self.world = world_cls(
             self.engine,
@@ -224,7 +217,6 @@ class XSim:
         cls,
         scenario: "Scenario",
         start_time: float = 0.0,
-        log_stream: IO[str] | None = None,
         observe: "bool | Observer | None" = None,
     ) -> "XSim":
         """Build the simulation a scenario describes — the one place a
@@ -237,14 +229,12 @@ class XSim:
             scenario.system_config(),
             seed=scenario.seed,
             start_time=start_time,
-            log_stream=log_stream,
             check=scenario.check,
             record_events=scenario.record_events,
             shards=shards,
             shard_transport=shard_transport,
             observe=observe if observe is not None else scenario.observe,
             trace_detail=scenario.trace_detail,
-            scenario=scenario,
         )
 
     def run(self, app, args: tuple = (), nranks: int | None = None) -> SimulationResult:

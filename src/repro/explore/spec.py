@@ -27,7 +27,9 @@ or ``mttf`` — the explorer owns the fault axis.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
@@ -37,6 +39,9 @@ from repro.util.errors import ConfigurationError
 
 #: Fault kinds the explorer can sample.
 KINDS = ("failstop", "straggler", "link_degrade", "correlated")
+
+#: The count fields, each >= 1.
+_COUNT_KEYS = ("rank_bins", "time_bins", "magnitude_bins", "batch", "min_samples", "max_cells")
 
 
 @dataclass(frozen=True)
@@ -97,16 +102,17 @@ class ExploreSpec:
             for name in self.strategies:
                 if name not in strategy_names():
                     raise ConfigurationError(
-                        f"unknown explore strategy {name!r} (expected one "
-                        f"of {', '.join(strategy_names())})"
+                        f"explore.strategies: unknown explore strategy {name!r} "
+                        f"(expected one of {', '.join(strategy_names())})"
                     )
         for kind in self.kinds:
             if kind not in KINDS:
                 raise ConfigurationError(
-                    f"unknown explore kind {kind!r} (expected one of {', '.join(KINDS)})"
+                    f"explore.kinds: unknown explore kind {kind!r} "
+                    f"(expected one of {', '.join(KINDS)})"
                 )
         if not self.kinds:
-            raise ConfigurationError("explore needs at least one fault kind")
+            raise ConfigurationError("explore.kinds needs at least one fault kind")
         if self.scenario.failures:
             raise ConfigurationError(
                 "the explore base scenario must not set failures "
@@ -122,43 +128,57 @@ class ExploreSpec:
                 "explore needs scenario max_restarts >= 1 (a sampled "
                 "fail-stop cell must be able to restart and finish)"
             )
-        for name in ("rank_bins", "time_bins", "magnitude_bins", "batch",
-                     "min_samples", "max_cells"):
+        for name in _COUNT_KEYS:
             if getattr(self, name) < 1:
-                raise ConfigurationError(f"explore {name} must be >= 1")
+                raise ConfigurationError(
+                    f"explore.{name} must be >= 1, got {getattr(self, name)}"
+                )
+        if self.seed < 0:
+            raise ConfigurationError(f"explore.seed must be >= 0, got {self.seed}")
         if self.rank_bins > self.scenario.ranks:
             raise ConfigurationError(
-                f"rank_bins ({self.rank_bins}) cannot exceed the job's "
+                f"explore.rank_bins ({self.rank_bins}) cannot exceed the job's "
                 f"{self.scenario.ranks} ranks"
             )
         if not 0.0 < self.ci_width < 0.5:
             raise ConfigurationError(
-                f"ci_width must be in (0, 0.5), got {self.ci_width}"
+                f"explore.ci_width must be in (0, 0.5), got {self.ci_width}"
             )
         if not 0.5 < self.confidence < 1.0:
             raise ConfigurationError(
-                f"confidence must be in (0.5, 1), got {self.confidence}"
+                f"explore.confidence must be in (0.5, 1), got {self.confidence}"
             )
-        if self.time_lo < 0 or (self.time_hi is not None and self.time_hi <= self.time_lo):
-            raise ConfigurationError("explore needs 0 <= time_lo < time_hi")
+        # Written so that nan fails too.
+        if not 0.0 <= self.time_lo < math.inf:
+            raise ConfigurationError(
+                f"explore.time_lo must be finite and >= 0, got {self.time_lo}"
+            )
+        if self.time_hi is not None and not self.time_lo < self.time_hi < math.inf:
+            raise ConfigurationError(
+                f"explore.time_hi must be finite and > time_lo ({self.time_lo}), "
+                f"got {self.time_hi}"
+            )
         for lo, hi, name in (
             (*self.straggler_factor, "straggler_factor"),
             (*self.link_factor, "link_factor"),
         ):
-            if not 1.0 <= lo <= hi:
+            if not 1.0 <= lo <= hi < math.inf:
                 raise ConfigurationError(
-                    f"explore {name} must satisfy 1 <= lo <= hi, got ({lo}, {hi})"
+                    f"explore.{name} must satisfy 1 <= lo <= hi, got ({lo}, {hi})"
                 )
         if any(r < 0 for r in self.radii) or not self.radii:
-            raise ConfigurationError("explore radii must be non-empty, each >= 0")
-        if self.spread < 0:
-            raise ConfigurationError(f"explore spread must be >= 0, got {self.spread}")
+            raise ConfigurationError("explore.radii must be non-empty, each >= 0")
+        if not 0.0 <= self.spread < math.inf:
+            raise ConfigurationError(f"explore.spread must be >= 0, got {self.spread}")
         if not 0.0 < self.straggler_duration_frac <= 1.0:
             raise ConfigurationError(
-                "explore straggler_duration_frac must be in (0, 1]"
+                "explore.straggler_duration_frac must be in (0, 1], "
+                f"got {self.straggler_duration_frac}"
             )
-        if self.impact_threshold < 0:
-            raise ConfigurationError("explore impact_threshold must be >= 0")
+        if not 0.0 <= self.impact_threshold < math.inf:
+            raise ConfigurationError(
+                f"explore.impact_threshold must be >= 0, got {self.impact_threshold}"
+            )
 
     def with_(self, **overrides: Any) -> "ExploreSpec":
         return replace(self, **overrides)
@@ -201,16 +221,37 @@ def read_explore_environment(environ=None) -> dict[str, Any]:
     return out
 
 
+#: What an ``[explore]`` value (or each item of a list key) must be.  A
+#: number is a float or an integer a float can hold.
+_IS = {
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max),
+    "a string": lambda v: type(v) is str,
+}
+_LIST_ITEM = {"kinds": "a string", "radii": "an integer", "strategies": "a string"}
+_PAIRS = ("straggler_factor", "link_factor")
+_INTEGER_KEYS = (*_COUNT_KEYS, "seed")
+
+
 def _coerce_explore(key: str, value: Any) -> Any:
-    """TOML value -> ExploreSpec field value (lists become tuples)."""
-    if key in ("kinds", "radii", "strategies"):
-        if not isinstance(value, list):
-            raise ConfigurationError(f"explore.{key} must be a list")
+    """TOML value -> ExploreSpec field value (lists become tuples); a
+    value of the wrong type is refused naming ``explore.<key>``."""
+    if key in _LIST_ITEM:
+        item = _LIST_ITEM[key]
+        if type(value) is not list or not all(map(_IS[item], value)):
+            raise ConfigurationError(
+                f"explore.{key} must be a list, each item {item}, got {value!r}"
+            )
         return tuple(value)
-    if key in ("straggler_factor", "link_factor"):
-        if not isinstance(value, list) or len(value) != 2:
-            raise ConfigurationError(f"explore.{key} must be a [lo, hi] pair")
+    if key in _PAIRS:
+        if type(value) is not list or len(value) != 2 or not all(map(_IS["a number"], value)):
+            raise ConfigurationError(
+                f"explore.{key} must be a [lo, hi] pair of numbers, got {value!r}"
+            )
         return (float(value[0]), float(value[1]))
+    what = "an integer" if key in _INTEGER_KEYS else "a number"
+    if not _IS[what](value):
+        raise ConfigurationError(f"explore.{key} must be {what}, got {value!r}")
     return value
 
 

@@ -10,7 +10,7 @@ One timeline for a run, with one export format:
   wait and every message (``msg:post`` / ``msg:deliver`` /
   ``msg:drop`` instants on the ranks' tracks).
 * :mod:`repro.obs.export` — deterministic Chrome trace-event JSON
-  (Perfetto-loadable), JSONL, and CSV exporters plus a loader.
+  (Perfetto-loadable) and JSONL exporters plus a loader.
 * :class:`TimelineReport` — per-rank resilience latency distributions and
   every track's events in one time-sorted list.
 
@@ -20,7 +20,7 @@ run's export (enforced by ``tests/test_obs.py::TestShardedExportParity``).
 """
 
 from repro.obs.events import HOST, SIM, ObsEvent, Observer, observer_for
-from repro.obs.export import load_events, to_chrome, to_csv, to_jsonl, write_export
+from repro.obs.export import load_events, to_chrome, to_jsonl, write_export
 from repro.obs.timeline import LatencyStats, TimelineReport
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "load_events",
     "observer_for",
     "to_chrome",
-    "to_csv",
     "to_jsonl",
     "write_export",
 ]

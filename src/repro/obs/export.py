@@ -1,6 +1,6 @@
 """Deterministic exporters for observer events.
 
-Three formats, all derived from the same canonical ordering:
+Two formats, both derived from the same canonical ordering:
 
 * **Chrome trace-event JSON** (``.json``) — loadable in Perfetto or
   ``chrome://tracing``.  Sim-domain events land in a "simulation
@@ -9,8 +9,10 @@ Three formats, all derived from the same canonical ordering:
   trace microseconds.
 * **JSONL** (``.jsonl``) — one canonical JSON object per event; the
   lossless interchange format (:func:`load_events` round-trips it
-  exactly).
-* **CSV** (``.csv``) — flat rows for spreadsheet/pandas consumption.
+  exactly; ``pandas.read_json(path, lines=True)`` reads it as a table).
+
+A ``.csv`` destination is refused (:func:`check_export_path`): there is
+no CSV writer, and writing Chrome JSON under that name would mislead.
 
 Determinism contract: output is a pure function of the event *multiset*.
 Events are sorted by :meth:`ObsEvent.sort_key` (full content) before
@@ -22,8 +24,6 @@ nondeterministic and excluded unless ``include_host=True``.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import Iterable
 
@@ -163,47 +163,30 @@ def to_jsonl(events: Iterable[ObsEvent], include_host: bool = False) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# -- CSV ------------------------------------------------------------------
-CSV_HEADER = ("domain", "kind", "track", "name", "start", "duration", "rank", "args")
-
-
-def to_csv(events: Iterable[ObsEvent], include_host: bool = False) -> str:
-    """Flat CSV rows (args JSON-encoded in the last column)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for e in canonical_events(events, include_host=include_host):
-        writer.writerow(
-            (
-                e.domain,
-                e.kind,
-                e.track,
-                e.name,
-                repr(e.start),
-                repr(e.duration),
-                "" if e.rank is None else e.rank,
-                json.dumps(dict(e.args), sort_keys=True, separators=(",", ":")),
-            )
-        )
-    return out.getvalue()
-
-
 # -- dispatch -------------------------------------------------------------
+def check_export_path(path: str) -> None:
+    """Refuse a ``--trace-out`` destination no exporter writes (``.csv``);
+    the CLI calls this before the run, :func:`write_export` again."""
+    if path.lower().endswith(".csv"):
+        raise ConfigurationError(
+            f"--trace-out {path}: there is no CSV trace export; "
+            "write .jsonl (one JSON object per event) or .json (Chrome trace)"
+        )
+
+
 def write_export(
     events: "Iterable[ObsEvent] | object", path: str, include_host: bool = False
 ) -> int:
     """Write events to ``path``, format chosen by extension.
 
-    ``.jsonl`` -> JSONL, ``.csv`` -> CSV, anything else (canonically
-    ``.json``) -> Chrome trace-event JSON.  Returns the number of events
-    exported.
+    ``.jsonl`` -> JSONL, ``.csv`` refused (:func:`check_export_path`),
+    anything else (canonically ``.json``) -> Chrome trace-event JSON.
+    Returns the number of events exported.
     """
+    check_export_path(path)
     resolved = _as_events(events)
-    lowered = path.lower()
-    if lowered.endswith(".jsonl"):
+    if path.lower().endswith(".jsonl"):
         text = to_jsonl(resolved, include_host=include_host)
-    elif lowered.endswith(".csv"):
-        text = to_csv(resolved, include_host=include_host)
     else:
         text = to_chrome(resolved, include_host=include_host)
     with open(path, "w") as fh:
@@ -213,9 +196,9 @@ def write_export(
 
 # -- loading --------------------------------------------------------------
 def load_events(path: str) -> list[ObsEvent]:
-    """Load events back from an exported file (chrome JSON, JSONL, or CSV).
+    """Load events back from an exported file (chrome JSON or JSONL).
 
-    JSONL and CSV round-trip exactly.  Chrome JSON stores timestamps in
+    JSONL round-trips exactly.  Chrome JSON stores timestamps in
     microseconds, so start/duration are recovered to within float
     rescaling error — fine for reports, not for byte-level comparison.
     A file that cannot be read, or is not an export, raises
@@ -235,8 +218,6 @@ def load_events(path: str) -> list[ObsEvent]:
 
 def _parse(text: str) -> list[ObsEvent]:
     stripped = text.lstrip()
-    if stripped.startswith("domain,"):
-        return _from_csv(text)
     try:
         doc = json.loads(stripped)
     except json.JSONDecodeError:
@@ -257,26 +238,6 @@ def _from_obj(obj: dict) -> ObsEvent:
         rank=obj["rank"],
         args=tuple(sorted((str(k), v) for k, v in obj.get("args", {}).items())),
     )
-
-
-def _from_csv(text: str) -> list[ObsEvent]:
-    rows = list(csv.reader(io.StringIO(text)))
-    out = []
-    for row in rows[1:]:
-        domain, kind, track, name, start, duration, rank, args = row
-        out.append(
-            ObsEvent(
-                domain=domain,
-                kind=kind,
-                track=track,
-                name=name,
-                start=float(start),
-                duration=float(duration),
-                rank=None if rank == "" else int(rank),
-                args=tuple(sorted((str(k), v) for k, v in json.loads(args).items())),
-            )
-        )
-    return out
 
 
 def _from_chrome(doc: dict) -> list[ObsEvent]:

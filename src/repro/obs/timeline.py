@@ -49,13 +49,6 @@ class TimelineReport:
         inner = getattr(events, "events", events)
         self.events: list[ObsEvent] = sorted(inner, key=ObsEvent.sort_key)
 
-    @classmethod
-    def from_sim(cls, sim) -> "TimelineReport":
-        """Build from a finished :class:`~repro.core.simulator.XSim`."""
-        if sim.observer is None:
-            raise ValueError("simulation was not run with observe=...")
-        return cls(sim.observer)
-
     # -- resilience ------------------------------------------------------
     def resilience_events(self) -> list[ObsEvent]:
         """All resilience-track instants, in causal then time order."""

@@ -37,6 +37,7 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import Any, Callable, Generator
@@ -76,9 +77,11 @@ class SimulationResult:
     log: SimLog
     timing: TimingStats = field(repr=False, default_factory=TimingStats)
 
-    @property
+    @cached_property
     def completed(self) -> bool:
-        """True when every VP terminated normally (no failure, no abort)."""
+        """True when every VP terminated normally (no failure, no abort);
+        one scan of the states per result (the restart driver and
+        :func:`~repro.run.backends.outcome_facts` both read it)."""
         return all(s is VpState.DONE for s in self.states.values())
 
     def timing_report(self) -> str:

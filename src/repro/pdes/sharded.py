@@ -780,9 +780,6 @@ class ShardWorker:
 
     def setup(self, stores: tuple[CheckpointStore, ...] = ()) -> float:
         engine = self.engine
-        # Workers record log entries only; the coordinator echoes the
-        # merged, time-ordered stream once.
-        engine.log.stream = None
         # A shard-local bus at the parent's detail (None when
         # observability is off); its events ship back via ShardReport.
         self._obs = observer_for(self.sim.observer, shard_local=True)
@@ -1116,13 +1113,11 @@ def _build_replica(sim: "XSim", app, args: tuple, nranks: int) -> "XSim":
         sim.system,
         seed=sim.seed,
         start_time=sim.engine.start_time,
-        log_stream=None,
         check=sim.checker is not None,
         record_events=sim.event_trace is not None,
         shards=sim.shards,
         shard_transport="inline",
         observe=sim.observer,
-        scenario=sim.scenario,
     )
     replica.world.launch(app, nranks, args)
     for rank, time in sim._armed_failures:
@@ -1437,7 +1432,6 @@ def run_sharded(sim: "XSim", app, args: tuple, nranks: int) -> SimulationResult:
     armed = list(sim._armed_failures)
     h_min = min((t for _, t in armed), default=math.inf)
     stores = _extract_stores(args)
-    orig_stream = engine.log.stream
 
     transport = sim.shard_transport or "inline"
     if transport not in SHARD_TRANSPORTS:
@@ -1476,7 +1470,7 @@ def run_sharded(sim: "XSim", app, args: tuple, nranks: int) -> SimulationResult:
     finally:
         cleanup()
 
-    _merge_reports(sim, reports, parts, stores, transport, orig_stream, stats)
+    _merge_reports(sim, reports, parts, stores, transport, stats)
     blocked = [
         (vp.rank, str(vp.wait_tag), vp.state.value) for vp in engine.vps if vp.alive
     ]
@@ -1493,7 +1487,6 @@ def _merge_reports(
     parts: list[range],
     stores: tuple[CheckpointStore, ...],
     transport: str,
-    orig_stream,
     stats: ShardStats,
 ) -> None:
     """Fold the shard reports back into the parent engine/world so the
@@ -1534,18 +1527,13 @@ def _merge_reports(
         engine.now = max(
             vp.end_time if vp.end_time is not None else vp.clock for vp in engine.vps
         )
-    # Merged log: stable time sort of the per-shard streams (shard order
+    # Merged log: stable time sort of the per-shard logs (shard order
     # breaks exact ties, matching the serial rank-order dispatch at equal
-    # timestamps); echoed once to the original stream.
-    merged_log = sorted(
+    # timestamps).
+    engine.log.entries = sorted(
         (entry for report in reports for entry in report.log_entries),
         key=lambda entry: entry.time,
     )
-    engine.log.stream = orig_stream
-    engine.log.entries = merged_log
-    if orig_stream is not None:
-        for entry in merged_log:
-            print(entry.render(), file=orig_stream)
     if sim.observer is not None:
         # Shard-local buses ship their events in the reports; export-time
         # canonical sorting makes the merge order irrelevant.  The inline

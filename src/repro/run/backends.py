@@ -267,7 +267,6 @@ def _execution_metadata(stats) -> dict:
 def run_scenario(
     scenario: Scenario,
     *,
-    log_stream=None,
     observe: Any = None,
     cache: Any = None,
     known_miss: bool = False,
@@ -302,7 +301,7 @@ def run_scenario(
     t0 = perf_counter()
     from repro.core.restart import RestartDriver
 
-    driver = RestartDriver.from_scenario(scenario, log_stream=log_stream, observe=observe)
+    driver = RestartDriver.from_scenario(scenario, observe=observe)
     run = driver.run()
     outcome = ScenarioOutcome(
         scenario, run, sim=driver.sim, observer=driver.observer,

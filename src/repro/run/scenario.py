@@ -319,8 +319,8 @@ FIELD_TABLE: tuple[FieldSpec, ...] = (
     FieldSpec("trace_out", "str", flag=("--trace-out",), metavar="FILE",
               help="export the run's observability timeline (collectives, "
               "resilience instants, restart segments) to FILE: .json = Chrome "
-              "trace-event JSON (open in Perfetto), .jsonl, .csv; byte-identical "
-              "for serial and sharded runs"),
+              "trace-event JSON (open in Perfetto), .jsonl = one JSON object per "
+              "event; byte-identical for serial and sharded runs"),
 )
 FIELDS: dict[str, FieldSpec] = {spec.name: spec for spec in FIELD_TABLE}
 

@@ -52,25 +52,5 @@ class RngStreams:
         self._streams.pop(name, None)
         return self.get(name)
 
-    def spawn_child(self, name: str, index: int) -> np.random.Generator:
-        """Sub-stream ``index`` of the named stream family, per
-        :meth:`numpy.random.SeedSequence.spawn` semantics.
-
-        ``SeedSequence.spawn`` derives child ``i`` by appending ``i`` to
-        the parent's spawn key, so this constructs
-        ``SeedSequence(entropy=seed, spawn_key=(crc32(name),)).spawn(index + 1)[index]``
-        directly in O(1) — no predecessor children are materialized.
-        Children are pairwise independent and collision-free by
-        construction, unlike ad-hoc name-mangled keys (``f"{name}/{i}"``),
-        whose 32-bit CRC keys can collide between sub-streams.  A fresh
-        generator is returned on every call (campaign workers own their
-        positions), unlike the cached :meth:`get` streams.
-        """
-        if index < 0:
-            raise ValueError(f"spawn index must be >= 0, got {index}")
-        key = zlib.crc32(name.encode("utf-8"))
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(key, index))
-        return np.random.Generator(np.random.PCG64(seq))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStreams(seed={self.seed}, streams={sorted(self._streams)})"

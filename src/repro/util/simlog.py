@@ -3,14 +3,15 @@
 xSim prints informational messages on the command line when notable
 simulated events occur — e.g. the time and rank of an injected process
 failure, or of an ``MPI_Abort``.  :class:`SimLog` records those messages as
-structured entries (so tests and the experiment harness can assert on them)
-and optionally echoes them to a stream like the original tool.
+structured entries (so tests and the experiment harness can assert on them);
+:meth:`LogEntry.render` gives each its command-line form, which the CLI
+prints once a run is over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -35,16 +36,8 @@ class LogEntry:
 
 @dataclass
 class SimLog:
-    """Event log with category filtering.
+    """Event log with category filtering."""
 
-    Parameters
-    ----------
-    stream:
-        If given, every recorded entry is also written there as it is
-        logged, mirroring xSim's command-line output.
-    """
-
-    stream: IO[str] | None = None
     entries: list[LogEntry] = field(default_factory=list)
 
     def log(
@@ -55,11 +48,10 @@ class SimLog:
         rank: int | None = None,
         level: str = "info",
     ) -> None:
-        """Record (and optionally echo) one entry."""
-        entry = LogEntry(time=time, category=category, rank=rank, message=message, level=level)
-        self.entries.append(entry)
-        if self.stream is not None:
-            print(entry.render(), file=self.stream)
+        """Record one entry."""
+        self.entries.append(
+            LogEntry(time=time, category=category, rank=rank, message=message, level=level)
+        )
 
     def category(self, category: str) -> list[LogEntry]:
         """All entries of one category, in log order."""

@@ -178,6 +178,41 @@ class TestTable2IsTheParents:
         assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
 
 
+class TestReportsArePinned:
+    """``table1`` and ``app`` print, byte for byte, what they printed while
+    ``table1`` still had a worker-pool path and ``app`` echoed its log as
+    a live stream (first 16 hex of sha256(stdout)): the calibrated Table I
+    draw whatever ``XSIM_JOBS`` says, and a run's log entries, every
+    segment in order, before its timing line — serial or sharded."""
+
+    @pytest.fixture(autouse=True)
+    def clean_environment(self, monkeypatch):
+        for name in [n for n in os.environ if n.startswith("XSIM_") and n != "XSIM_CHECK"]:
+            monkeypatch.delenv(name)
+
+    @pytest.mark.parametrize("jobs", [None, "1", "2"])
+    def test_table1_ignores_xsim_jobs(self, capsys, monkeypatch, jobs):
+        if jobs is not None:
+            monkeypatch.setenv("XSIM_JOBS", jobs)
+        assert main(["table1"]) == 0
+        assert sha16(capsys.readouterr().out) == "7928dff5b54f08c0"
+
+    @pytest.mark.parametrize(
+        "argv, pin",
+        [
+            (["--iterations", "5", "--xsim-failures", "1@1s"], "dd321ea3a5c0afd5"),
+            (["--iterations", "5", "--xsim-failures", "1@1s", "--shards", "2"],
+             "dd321ea3a5c0afd5"),
+            (["--iterations", "20", "--interval", "5", "--mttf", "40", "--seed", "3"],
+             "da90f179790dff30"),
+        ],
+        ids=["schedule", "schedule-2-shards", "mttf"],
+    )
+    def test_app_stdout_pinned(self, capsys, argv, pin):
+        assert main(["app", "--ranks", "8", *argv, "--digest"]) == 0
+        assert sha16(capsys.readouterr().out) == pin
+
+
 def _report(out: str) -> list[str]:
     """The run report lines of ``app``'s stdout: E1/E2 and the digest."""
     return [line for line in out.splitlines() if line.startswith(("E1=", "E2=", "result digest:"))]

@@ -15,10 +15,10 @@ from repro.obs import (
     TimelineReport,
     load_events,
     to_chrome,
-    to_csv,
     to_jsonl,
     write_export,
 )
+from repro.util.errors import ConfigurationError
 from tests.conftest import run_app
 
 
@@ -162,7 +162,6 @@ class TestExportDeterminism:
         reversed_.extend(reversed(forward.events))
         assert to_chrome(forward) == to_chrome(reversed_)
         assert to_jsonl(forward) == to_jsonl(reversed_)
-        assert to_csv(forward) == to_csv(reversed_)
 
     def test_jsonl_golden(self):
         obs = Observer()
@@ -173,18 +172,18 @@ class TestExportDeterminism:
             '"track":"resilience"}\n'
         )
 
-    def test_csv_golden(self):
+    def test_jsonl_span_golden(self):
+        # A span's duration is written as its shortest round-tripping repr.
         obs = Observer()
         obs.span(0.1, 0.30000000000000004, "w", rank=2)
-        assert to_csv(obs) == (
-            "domain,kind,track,name,start,duration,rank,args\n"
-            'sim,span,rank 2,w,0.1,0.20000000000000004,2,{}\n'
+        assert to_jsonl(obs) == (
+            '{"args":{},"domain":"sim","duration":0.20000000000000004,'
+            '"kind":"span","name":"w","rank":2,"start":0.1,"track":"rank 2"}\n'
         )
 
     def test_empty_exports(self):
         obs = Observer()
         assert to_jsonl(obs) == ""
-        assert to_csv(obs).splitlines() == ["domain,kind,track,name,start,duration,rank,args"]
         assert json.loads(to_chrome(obs))["traceEvents"] == []
 
 
@@ -198,12 +197,12 @@ class TestRoundTrip:
         assert loaded == expected
         assert count == len(expected)
 
-    def test_csv_roundtrip_exact(self, tmp_path):
-        """repr() floats in the CSV make the round-trip bit-exact."""
-        obs = sample_observer()
-        path = str(tmp_path / "t.csv")
-        write_export(obs, path)
-        assert load_events(path) == sorted(obs.sim_events(), key=ObsEvent.sort_key)
+    def test_csv_destination_refused(self, tmp_path):
+        # No exporter writes CSV: the name is refused, and nothing is written.
+        path = tmp_path / "t.CSV"
+        with pytest.raises(ConfigurationError, match=r"^--trace-out .*t\.CSV: there is no CSV"):
+            write_export(sample_observer(), str(path))
+        assert not path.exists()
 
     def test_chrome_roundtrip_recovers_tracks_and_ranks(self, tmp_path):
         obs = sample_observer()
@@ -334,11 +333,6 @@ class TestTimelineReport:
         assert "-- resilience timeline --" in text
         assert "-- per-rank detection latency --" in text
         assert "-- joined timeline (head) --" in text
-
-    def test_from_sim_requires_observer(self):
-        run = run_app(noop, nranks=2)
-        with pytest.raises(ValueError, match="observe"):
-            TimelineReport.from_sim(run.sim)
 
     def test_joined_rows_include_drop_instant(self):
         obs = Observer(detail=True)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.explore.spec import ExploreSpec, load_explore_file
 from repro.run.envvars import XSIM_ENV_VARS, read_environment
 from repro.run.scenario import (
     FIELD_TABLE,
@@ -314,6 +315,44 @@ def test_a_scenario_file_builds_a_runnable_scenario_or_names_its_key(
     scenario.system_config()
     scenario.make_app()
     assert perf_counter() - start < 1.0
+
+
+EXPLORE_KEYS = sorted(f.name for f in fields(ExploreSpec) if f.name != "scenario")
+#: The type of each item of a tuple-valued [explore] field.
+EXPLORE_ITEM_TYPES = {"kinds": str, "strategies": str, "radii": int,
+                      "straggler_factor": float, "link_factor": float}
+#: Values an [explore] key might mistake for its own.
+EXPLORE_NEAR_MISSES = ["abc", 2.5, [1.5, 2], ["a", 2], [1, 2, 3], ["failstop"], [0, 1],
+                       ["ckpt"], 1e400, 10**400, -1, 0, 0.2, 0.9, True]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key=st.sampled_from(EXPLORE_KEYS),
+    value=st.one_of(st.sampled_from(EXPLORE_NEAR_MISSES), TOML_VALUES),
+)
+@example(key="ci_width", value="abc")
+@example(key="straggler_factor", value=["a", 2])
+@example(key="batch", value=2.5)
+def test_an_explore_file_builds_a_spec_or_names_its_key(tmp_path_factory, key, value):
+    """Any one ``[explore]`` key and value: a spec, or one
+    ConfigurationError naming ``explore.<key>`` — never a TypeError, a
+    ValueError, or a wrong type accepted."""
+    path = tmp_path_factory.getbasetemp() / "one_explore_key.toml"
+    path.write_text(f"[machine]\nranks = 8\n\n[explore]\n{key} = {toml_text(value)}\n")
+    try:
+        spec = load_explore_file(path, use_environment=False)
+    except ConfigurationError as refused:
+        assert f"explore.{key}" in str(refused)
+        return
+    loaded = getattr(spec, key)
+    if key in EXPLORE_ITEM_TYPES:
+        assert type(loaded) is tuple
+        assert all(type(item) is EXPLORE_ITEM_TYPES[key] for item in loaded)
+    elif type(getattr(ExploreSpec(), key)) is int:
+        assert type(loaded) is int
+    else:
+        assert type(loaded) in (int, float)
 
 
 @settings(max_examples=100, deadline=None)

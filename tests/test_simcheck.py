@@ -8,9 +8,7 @@ checkpoint-cleanup bug).
 """
 
 import json
-import zlib
 
-import numpy as np
 import pytest
 
 from repro.check import InvariantViolation, checking_enabled
@@ -21,7 +19,6 @@ from repro.core.harness.config import SystemConfig
 from repro.core.harness.experiment import result_digest
 from repro.core.simulator import XSim
 from repro.pdes.engine import Engine
-from repro.util.rng import RngStreams
 
 
 def _heat(nranks, iterations, interval=10, failure=None, **kwargs):
@@ -227,34 +224,6 @@ class TestWiring:
         run = driver.run()
         assert run.completed
         verify_store_cleaned(run.store, 8)
-
-
-class TestSpawnChild:
-    def test_matches_seed_sequence_spawn_semantics(self):
-        streams = RngStreams(1234)
-        parent = np.random.SeedSequence(
-            entropy=1234, spawn_key=(zlib.crc32(b"finject"),)
-        )
-        children = parent.spawn(10)
-        for i in (0, 3, 9):
-            expected = np.random.Generator(np.random.PCG64(children[i])).random()
-            assert streams.spawn_child("finject", i).random() == expected
-
-    def test_first_draws_pairwise_distinct(self):
-        draws = [
-            float(RngStreams(0).spawn_child("finject", i).random()) for i in range(100)
-        ]
-        assert len(set(draws)) == 100
-
-    def test_fresh_generator_each_call(self):
-        streams = RngStreams(7)
-        assert (
-            streams.spawn_child("x", 0).random() == streams.spawn_child("x", 0).random()
-        )
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            RngStreams(0).spawn_child("x", -1)
 
 
 class TestCli:

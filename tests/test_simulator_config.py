@@ -1,7 +1,6 @@
 """XSim facade, SystemConfig builders, and the simlog."""
 
 import gc
-import io
 import types
 
 import pytest
@@ -111,12 +110,11 @@ class TestXSim:
         with pytest.raises(SimulationError):
             sim.inject_failure(5, 1.0)
 
-    def test_log_stream_receives_messages(self):
-        stream = io.StringIO()
-        sim = XSim(SystemConfig.small_test_system(nranks=2), log_stream=stream)
+    def test_log_renders_messages(self):
+        sim = XSim(SystemConfig.small_test_system(nranks=2))
         sim.inject_failure(0, 0.5)
-        sim.run(trivial_app)
-        text = stream.getvalue()
+        result = sim.run(trivial_app)
+        text = "\n".join(entry.render() for entry in result.log)
         assert "failure" in text
         assert "rank 0" in text
 
@@ -240,9 +238,3 @@ class TestSimLog:
         e = LogEntry(time=1.5, category="failure", rank=7, message="x")
         assert "rank 7" in e.render()
         assert "failure" in e.render()
-
-    def test_stream_echo(self):
-        stream = io.StringIO()
-        log = SimLog(stream=stream)
-        log.log(0.0, "detect", "timeout", rank=1)
-        assert "detect" in stream.getvalue()

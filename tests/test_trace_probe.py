@@ -1,8 +1,6 @@
 """Per-message events on the obs bus (the DUMPI-trace analogue) and probe
 operations."""
 
-import csv
-import io
 import json
 
 import pytest
@@ -10,7 +8,7 @@ import pytest
 from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
-from repro.obs import Observer, to_csv
+from repro.obs import Observer, to_jsonl
 from tests.conftest import messages, run_app
 
 
@@ -86,10 +84,10 @@ class TestMessageEvents:
     def test_drop_time_exported_in_rows(self):
         sim, _ = traced_run(send_to_the_dead, failures=[(1, 0.0)])
         (drop,) = messages(sim, "msg:drop")
-        rows = csv.reader(io.StringIO(to_csv(sim.observer)))
-        (row,) = [r for r in rows if r[3] == "msg:drop"]
-        assert (row[2], float(row[4]), row[6]) == ("rank 1", drop["time"], "1")
-        assert json.loads(row[7]) == {"ctx": 2, "nbytes": 64, "src": 0, "tag": 0}
+        rows = [json.loads(line) for line in to_jsonl(sim.observer).splitlines()]
+        (row,) = [r for r in rows if r["name"] == "msg:drop"]
+        assert (row["track"], row["start"], row["rank"]) == ("rank 1", drop["time"], 1)
+        assert row["args"] == {"ctx": 2, "nbytes": 64, "src": 0, "tag": 0}
 
     def test_rendezvous_protocol_labelled(self):
         def app(mpi):
