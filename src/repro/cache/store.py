@@ -120,12 +120,12 @@ def cacheable(scenario: "Scenario") -> bool:
 def cache_key(scenario: "Scenario") -> str:
     """Content address of a scenario's *result*.
 
-    Execution-parallelism fields (shards, shard transport, the
-    campaign ``jobs`` width) and the trace destination path are
-    normalized out before digesting: the serial-vs-sharded parity
-    tests enforce that they never change the result, so a cell computed
-    serially must hit for the same cell requested on a sharded backend —
-    that cross-backend sharing is most of a mixed sweep's hit rate.
+    Execution-parallelism fields (shards, shard transport) and the
+    trace destination path are normalized out before digesting: the
+    serial-vs-sharded parity tests enforce that they never change the
+    result, so a cell computed serially must hit for the same cell
+    requested on a sharded backend — that cross-backend sharing is most
+    of a mixed sweep's hit rate.
     Result-relevant fields (machine, app, resilience, seed) and the
     instrumentation switches that change the cached blob (``observe``,
     ``trace_detail``, ``check``) stay in the key; what the engine itself
@@ -137,9 +137,7 @@ def cache_key(scenario: "Scenario") -> str:
     salt = cache_salt()
     memo = scenario.__dict__.get("_cache_key")
     if memo is None or memo[0] != salt:
-        normalized = scenario.digest_with(
-            shards=1, shard_transport=None, jobs=1, trace_out=""
-        )
+        normalized = scenario.digest_with(shards=1, shard_transport=None, trace_out="")
         key = hashlib.sha256(f"{salt}\n{normalized}".encode()).hexdigest()
         memo = scenario.__dict__["_cache_key"] = (salt, key)
     return memo[1]

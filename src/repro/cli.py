@@ -121,10 +121,24 @@ def _cache_from_args(args: argparse.Namespace):
     return cache_mod.open_cache(getattr(args, "cache_dir", None))
 
 
+def _add_jobs_arg(p: argparse.ArgumentParser, what: str) -> None:
+    """The ``-j`` of a campaign command: how many worker processes run
+    its independent cells.  A campaign's argument, never a field of the
+    scenarios it runs."""
+    p.add_argument(
+        "-j",
+        "--jobs",
+        type=int,
+        default=None,
+        help=f"worker processes for {what} (default: XSIM_JOBS or 1); "
+        "the output is identical at any -j",
+    )
+
+
 def _jobs(given: int | None) -> int:
     """A ``-j`` command's worker count: the flag, else ``XSIM_JOBS`` —
     read here, when the command runs, so a bad value breaks only the
-    commands that use it."""
+    commands that use it.  The campaign checks either value."""
     return default_jobs() if given is None else given
 
 
@@ -291,6 +305,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.run.sweep import parse_set, run_sweep
 
     base, grid = _resolve_scenario(args)
+    jobs = _jobs(args.jobs)
     for axis in args.set or []:
         name, values = parse_set(axis)
         grid[name] = values
@@ -302,7 +317,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         return 2
     cache = _cache_from_args(args)
-    pairs = run_sweep(base, grid, cache=cache if cache is not None else False)
+    pairs = run_sweep(base, grid, jobs=jobs, cache=cache if cache is not None else False)
     axes = list(grid)
     cache_on = cache is not None
     header = axes + ["mode", "completed", "time", "failures", "restarts", "digest"]
@@ -339,7 +354,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             render_strategy_study(
                 pairs,
                 axes=tuple(axes),
-                jobs=base.jobs,
+                jobs=jobs,
                 cache=cache if cache is not None else False,
             )
         )
@@ -357,12 +372,13 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.explore import (
         ExploreSpec,
         load_explore_file,
-        read_explore_environment,
         render_scorecard,
         run_explore,
         scorecard_json,
     )
+    from repro.run.envvars import refuse_retired
 
+    refuse_retired()
     explore_flags = dict(
         ci_width=args.ci_width,
         batch=args.batch,
@@ -376,11 +392,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             **explore_flags,
         )
     else:
-        layers = read_explore_environment()
-        layers.update({k: v for k, v in explore_flags.items() if v is not None})
         spec = ExploreSpec(
-            scenario=Scenario.resolve(**_scenario_overrides(args)), **layers
+            scenario=Scenario.resolve(**_scenario_overrides(args)),
+            **{k: v for k, v in explore_flags.items() if v is not None},
         )
+    jobs = _jobs(args.jobs)
     cache = _cache_from_args(args)
     observer = None
     if args.campaign_trace_out:
@@ -391,7 +407,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     result = run_explore(
         spec,
         cache=cache if cache is not None else False,
-        jobs=_jobs(args.campaign_jobs),
+        jobs=jobs,
         observer=observer,
     )
     print(render_scorecard(result), end="")
@@ -574,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repeatable, combined cartesian with any [sweep] table in the "
         "scenario file",
     )
-    _add_field_flags(p_sw, ("jobs",))
+    _add_jobs_arg(p_sw, "the campaign's cells")
     _add_cache_args(p_sw)
     p_sw.set_defaults(fn=_cmd_sweep)
 
@@ -600,19 +616,19 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="stop when every stratum's Wilson half-width is within this "
-        "(default 0.15; also XSIM_EXPLORE_CI)",
+        "(default 0.15)",
     )
     p_ex.add_argument(
         "--batch",
         type=int,
         default=None,
-        help="cells per refinement batch (default 16; also XSIM_EXPLORE_BATCH)",
+        help="cells per refinement batch (default 16)",
     )
     p_ex.add_argument(
         "--max-cells",
         type=int,
         default=None,
-        help="simulation budget (default 1024; also XSIM_EXPLORE_MAX_CELLS)",
+        help="simulation budget (default 1024)",
     )
     p_ex.add_argument(
         "--explore-seed",
@@ -637,16 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="export the campaign's host-domain timeline (one instant per "
         "batch: cells, budget spent, widest CI)",
     )
-    p_ex.add_argument(
-        "-j",
-        "--jobs",
-        dest="campaign_jobs",
-        metavar="JOBS",
-        type=int,
-        default=None,
-        help="worker processes for each batch (default: XSIM_JOBS or 1); "
-        "the scorecard is identical at any -j",
-    )
+    _add_jobs_arg(p_ex, "each batch")
     _add_cache_args(p_ex)
     p_ex.set_defaults(fn=_cmd_explore)
 
@@ -675,14 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t2 = sub.add_parser("table2", help="checkpoint interval x MTTF sweep (paper Table II)")
     p_t2.add_argument("--ranks", type=int, default=512)
     p_t2.add_argument("--seed", type=int, default=0)
-    p_t2.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for independent runs (default: XSIM_JOBS or 1); "
-        "results are identical to a serial run",
-    )
+    _add_jobs_arg(p_t2, "the ten cells")
     p_t2.set_defaults(fn=_cmd_table2)
 
     p_arch = sub.add_parser("arch", help="architecture self-description (paper Figure 1)")

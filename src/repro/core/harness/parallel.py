@@ -22,8 +22,16 @@ from __future__ import annotations
 import pickle
 from typing import Any, Callable, Iterable
 
-from repro.run.scenario import check_value
-from repro.util.errors import CampaignTaskError
+from repro.util.errors import CampaignTaskError, ConfigurationError
+
+
+def check_jobs(jobs: Any, subject: str = "jobs") -> None:
+    """Refuse a worker count that is not an integer >= 1, naming
+    ``subject`` (the ``-j`` value, or ``XSIM_JOBS``)."""
+    if not isinstance(jobs, int) or isinstance(jobs, bool):
+        raise ConfigurationError(f"{subject} must be an integer, got {jobs!r}")
+    if jobs < 1:
+        raise ConfigurationError(f"{subject} must be >= 1, got {jobs}")
 
 
 def _tagged(fn: Callable[[Any], Any], item: Any) -> tuple[str, Any]:
@@ -61,7 +69,7 @@ def fan_out(fn: Callable[[Any], Any], items: Iterable[Any], jobs: int) -> list[A
     the campaign is rerun in-process: ``fn`` is a pure function of its
     item, so the results are the same, only slower.
     """
-    check_value("jobs", jobs)
+    check_jobs(jobs)
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]

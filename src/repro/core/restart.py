@@ -38,6 +38,7 @@ from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
 from repro.obs import Observer, observer_for
 from repro.pdes.engine import SimulationResult
+from repro.run.scenario import BACKEND_TRANSPORTS
 from repro.util.errors import SimulationError
 from repro.util.rng import RngStreams
 
@@ -203,46 +204,37 @@ class RestartDriver:
         self.sim: XSim | None = None
 
     @classmethod
-    def from_scenario(
-        cls,
-        scenario: "Scenario",
-        observe: "bool | Observer | None" = None,
-        **overrides: Any,
-    ) -> "RestartDriver":
+    def from_scenario(cls, scenario: "Scenario") -> "RestartDriver":
         """A driver that carries one :class:`~repro.run.scenario.Scenario`
         across every failure/restart segment.
 
         The scenario supplies the machine, the application, the explicit
         failure schedule and/or MTTF, the C/R budget, the seed, the shard
-        count and transport every segment's simulation is built with
-        (:func:`~repro.run.backends.shard_plan`, once, here), and the
-        instrumentation switches; ``overrides`` passes any extra
-        constructor argument through.
+        count and the transport of the backend it names (every segment's
+        simulation is built with them), and the instrumentation switches.
         """
-        from repro.run.backends import shard_plan
-
-        shards, shard_transport = shard_plan(scenario)
         # One strategy instance serves the whole experiment: it wraps the
         # app here and rides through every segment of run() (so e.g. the
         # replication SDC monitor survives restarts).
         strategy = scenario.make_strategy()
         app, make_args = scenario.make_app(strategy=strategy)
         schedule = scenario.schedule()
-        kwargs: dict[str, Any] = dict(
+        return cls(
+            scenario.system_config(),
+            app,
+            make_args,
             strategy=strategy,
             mttf=scenario.mttf,
             schedule=schedule if schedule else None,
             seed=scenario.seed,
             max_restarts=scenario.max_restarts,
             check=scenario.check,
-            shards=shards,
-            shard_transport=shard_transport,
-            observe=observe if observe is not None else scenario.observe,
+            shards=scenario.shards,
+            shard_transport=BACKEND_TRANSPORTS[scenario.backend_name()],
+            observe=scenario.observe,
             record_events=scenario.record_events,
             scenario=scenario,
         )
-        kwargs.update(overrides)
-        return cls(scenario.system_config(), app, make_args, **kwargs)
 
     def run(self) -> FailureRunResult:
         """Execute segments until the application completes (or the restart

@@ -75,12 +75,9 @@ class XSim:
         self.seed = seed
         self.rng = RngStreams(seed)
         #: Worker-process count for the sharded conservative-parallel
-        #: engine (``repro.pdes.sharded``); 1 = serial.  Scenario-driven
-        #: construction (:meth:`from_scenario`, the CLI, campaigns) passes
-        #: a count already through the jobs x shards CPU cap
-        #: (:func:`repro.run.backends.shard_plan`); direct construction
-        #: takes the count literally (benchmarks measure deliberate
-        #: oversubscription this way).
+        #: engine (``repro.pdes.sharded``); 1 = serial.  Taken literally:
+        #: only a campaign's worker pool caps it, per cell
+        #: (:func:`repro.run.sweep.run_cells`).
         self.shards = shards
         self.shard_transport = shard_transport
         self.shard_lookahead = shard_lookahead
@@ -213,27 +210,17 @@ class XSim:
     # execution
     # ------------------------------------------------------------------
     @classmethod
-    def from_scenario(
-        cls,
-        scenario: "Scenario",
-        start_time: float = 0.0,
-        observe: "bool | Observer | None" = None,
-    ) -> "XSim":
-        """Build the simulation a scenario describes — the one place a
-        scenario's fields become constructor arguments (``observe``
-        overrides the scenario's switch, e.g. with a caller's bus)."""
-        from repro.run.backends import shard_plan
-
-        shards, shard_transport = shard_plan(scenario)
+    def from_scenario(cls, scenario: "Scenario") -> "XSim":
+        """Build the simulation a scenario describes, on the shard count
+        and the transport of the backend it names."""
         return cls(
             scenario.system_config(),
             seed=scenario.seed,
-            start_time=start_time,
             check=scenario.check,
             record_events=scenario.record_events,
-            shards=shards,
-            shard_transport=shard_transport,
-            observe=observe if observe is not None else scenario.observe,
+            shards=scenario.shards,
+            shard_transport=BACKEND_TRANSPORTS[scenario.backend_name()],
+            observe=scenario.observe,
             trace_detail=scenario.trace_detail,
         )
 

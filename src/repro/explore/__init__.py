@@ -23,12 +23,7 @@ from repro.explore.sampler import (
     wilson_interval,
     z_score,
 )
-from repro.explore.spec import (
-    KINDS,
-    ExploreSpec,
-    load_explore_file,
-    read_explore_environment,
-)
+from repro.explore.spec import KINDS, ExploreSpec, load_explore_file
 
 __all__ = [
     "KINDS",
@@ -40,7 +35,6 @@ __all__ = [
     "StratumState",
     "build_strata",
     "load_explore_file",
-    "read_explore_environment",
     "render_scorecard",
     "run_explore",
     "scorecard",

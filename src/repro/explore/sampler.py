@@ -40,8 +40,8 @@ from repro.core.faults.schedule import (
     ScheduledFailure,
     StragglerFault,
 )
+from repro.core.harness.parallel import check_jobs
 from repro.explore.spec import ExploreSpec
-from repro.run.scenario import check_value
 from repro.run.sweep import run_cells
 from repro.util.errors import SimulationError
 from repro.util.lazy import np
@@ -324,13 +324,13 @@ class Explorer:
         self,
         spec: ExploreSpec,
         cache: Any = None,
-        jobs: int | None = None,
+        jobs: int = 1,
         observer: Any = None,
     ):
         self.spec = spec
         self.cache = cache
-        self.jobs = spec.scenario.jobs if jobs is None else jobs
-        check_value("jobs", self.jobs)  # before the baseline cell runs
+        check_jobs(jobs)  # before the baseline cell runs
+        self.jobs = jobs
         self.observer = observer
         self.z = z_score(spec.confidence)
 
@@ -498,7 +498,7 @@ class StrategyExploreResult:
 def run_explore(
     spec: ExploreSpec,
     cache: Any = None,
-    jobs: int | None = None,
+    jobs: int = 1,
     observer: Any = None,
 ) -> "ExploreResult | StrategyExploreResult":
     """Run one adaptive exploration campaign end to end.  A spec with a

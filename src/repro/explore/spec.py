@@ -20,15 +20,16 @@ in an ordinary scenario TOML file::
     ci_width = 0.15
     batch = 16
 
-Resolution follows the scenario layering: spec file < environment
-(``XSIM_EXPLORE_CI`` and friends) < explicit flags.  The base scenario must not pin ``failures``
-or ``mttf`` — the explorer owns the fault axis.
+The ``[explore]`` values come from the file, then explicit flags
+(``--ci-width``, ``--batch``, ``--max-cells``, ``--explore-seed``); the
+base scenario resolves through the scenario layering.  The base
+scenario must not pin ``failures`` or ``mttf`` — the explorer owns the
+fault axis.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -196,31 +197,6 @@ class ExploreSpec:
 
 _EXPLORE_KEYS = {f.name for f in fields(ExploreSpec)} - {"scenario"}
 
-#: Environment overrides: variable -> (field, caster).
-_ENV_FIELDS = {
-    "XSIM_EXPLORE_CI": ("ci_width", float),
-    "XSIM_EXPLORE_BATCH": ("batch", int),
-    "XSIM_EXPLORE_MAX_CELLS": ("max_cells", int),
-}
-
-
-def read_explore_environment(environ=None) -> dict[str, Any]:
-    """The environment layer of the explore precedence chain."""
-    env = os.environ if environ is None else environ
-    out: dict[str, Any] = {}
-    for name, (field_name, cast) in _ENV_FIELDS.items():
-        raw = env.get(name, "").strip()
-        if not raw:
-            continue
-        try:
-            out[field_name] = cast(raw)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{name} must be a {cast.__name__}, got {raw!r}"
-            ) from exc
-    return out
-
-
 #: What an ``[explore]`` value (or each item of a list key) must be.  A
 #: number is a float or an integer a float can hold.
 _IS = {
@@ -263,8 +239,10 @@ def load_explore_file(
     **overrides: Any,
 ) -> ExploreSpec:
     """Load an exploration spec: scenario tables + ``[explore]`` table,
-    with environment (``XSIM_EXPLORE_CI`` and friends) and explicit
-    overrides layered on top (file < environment < flags, like scenarios)."""
+    with explicit ``overrides`` of ``[explore]`` values layered on top.
+    ``environ`` / ``use_environment`` / ``scenario_overrides`` are the
+    base scenario's environment and flag layers
+    (:func:`~repro.run.scenario.load_scenario_file`)."""
     scenario, grid = load_scenario_file(
         path,
         environ=environ,
@@ -288,8 +266,6 @@ def load_explore_file(
                 f"{', '.join(sorted(_EXPLORE_KEYS))})"
             )
         layers[key] = _coerce_explore(key, value)
-    if use_environment:
-        layers.update(read_explore_environment(environ))
     layers.update({k: v for k, v in overrides.items() if v is not None})
     unknown = set(layers) - _EXPLORE_KEYS
     if unknown:

@@ -99,8 +99,6 @@ class Engine:
         Initial virtual clock of every VP.  The checkpoint/restart driver
         passes the persisted exit time of the previous (aborted) run here so
         virtual time is continuous across failure/restart cycles.
-    log:
-        Structured simulator log; a fresh one is created when omitted.
     coalesce_advances:
         When True (default), an Advance whose resume time precedes every
         queued event is taken inline instead of going through the queue.
@@ -113,14 +111,14 @@ class Engine:
     def __init__(
         self,
         start_time: float = 0.0,
-        log: SimLog | None = None,
         coalesce_advances: bool = True,
     ):
         if not math.isfinite(start_time) or start_time < 0.0:
             raise ConfigurationError(f"start_time must be finite and >= 0, got {start_time!r}")
         self.start_time = float(start_time)
         self.now = float(start_time)
-        self.log = log if log is not None else SimLog()
+        #: Structured simulator log of this run.
+        self.log = SimLog()
         self.coalesce_advances = coalesce_advances
         self.vps: list[VirtualProcess] = []
         self.failures: list[tuple[int, float]] = []

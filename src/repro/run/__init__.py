@@ -21,11 +21,13 @@ and launched:
   exist (serial engine; sharded conservative-parallel engine over the
   inline or shm transport) is the ``BACKEND_TRANSPORTS`` table of
   :mod:`repro.run.scenario`; the jobs x shards CPU-capping guard lives
-  here, so the API and the CLI share it.
+  here.
 * :mod:`repro.run.sweep` — cartesian scenario-matrix expansion behind
   ``xsim-run sweep``, executed by :func:`~repro.run.sweep.run_cells`:
   cache lookups, then the misses in-process or through
-  :func:`~repro.core.harness.parallel.fan_out`.
+  :func:`~repro.core.harness.parallel.fan_out` (``jobs``, the campaign's
+  worker count, is its argument; the pool's cells are the ones the CPU
+  cap applies to).
 * :mod:`repro.run.table2` — the paper's Table II as ten scenarios through
   that same campaign path (``xsim-run table2``).
 

@@ -11,10 +11,9 @@ dispatches itself (:meth:`XSim.run <repro.core.simulator.XSim.run>`:
 the serial engine for one shard, :func:`~repro.pdes.sharded.run_sharded`
 otherwise).
 
-The jobs x shards CPU-capping guard (:func:`capped_shards`) lives here,
-so campaigns and direct API calls get the same oversubscription
-protection the CLI applies; :func:`shard_plan` applies it to a scenario,
-once, wherever a simulation is built from one.
+The jobs x shards CPU-capping guard (:func:`capped_shards`) lives here;
+:func:`~repro.run.sweep.run_cells` applies it to the cells it hands a
+worker pool, where processes multiply.  A single run is never capped.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import sys
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.run.scenario import BACKEND_TRANSPORTS
 from repro.util.stats import format_timing
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -62,14 +60,6 @@ def capped_shards(
             )
         return capped
     return shards
-
-
-def shard_plan(scenario: "Scenario") -> tuple[int, str | None]:
-    """``(shards, shard_transport)`` the scenario's simulations are built
-    with: the transport of its :data:`BACKEND_TRANSPORTS` row and the
-    shard count after the jobs x shards CPU cap."""
-    transport = BACKEND_TRANSPORTS[scenario.backend_name()]
-    return capped_shards(scenario.shards, jobs=scenario.jobs, transport=transport), transport
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +257,6 @@ def _execution_metadata(stats) -> dict:
 def run_scenario(
     scenario: Scenario,
     *,
-    observe: Any = None,
     cache: Any = None,
     known_miss: bool = False,
 ) -> ScenarioOutcome:
@@ -283,9 +272,8 @@ def run_scenario(
     directly.  A hit is bit-identical to recomputation (result digest,
     summary, sim-domain exporter bytes — ``tests/test_cache.py``)
     and is marked in :attr:`ScenarioOutcome.metadata` as ``cache_hit``.
-    Trace-recording runs (``record_events``) and calls with a
-    caller-supplied observer bypass the cache, because a hit cannot
-    repopulate live instrumentation objects.
+    Trace-recording runs (``record_events``) bypass the cache, because a
+    hit cannot repopulate a live event trace.
     ``known_miss=True`` says the caller has just looked this scenario up
     in ``cache`` and missed (a campaign partitioning its cells): the run
     is computed and stored without a second lookup.
@@ -293,7 +281,7 @@ def run_scenario(
     from repro.cache import cacheable, resolve_cache
 
     store = resolve_cache(cache)
-    use_cache = store is not None and observe is None and cacheable(scenario)
+    use_cache = store is not None and cacheable(scenario)
     if use_cache and not known_miss:
         hit = store.lookup(scenario)
         if hit is not None:
@@ -301,7 +289,7 @@ def run_scenario(
     t0 = perf_counter()
     from repro.core.restart import RestartDriver
 
-    driver = RestartDriver.from_scenario(scenario, observe=observe)
+    driver = RestartDriver.from_scenario(scenario)
     run = driver.run()
     outcome = ScenarioOutcome(
         scenario, run, sim=driver.sim, observer=driver.observer,

@@ -96,7 +96,6 @@ TOML_LAYOUT: dict[str, tuple[tuple[str, str], ...]] = {
         ("seed", "seed"),
         ("shards", "shards"),
         ("shard_transport", "shard_transport"),
-        ("jobs", "jobs"),
     ),
     "instrumentation": (
         ("check", "check"),
@@ -305,9 +304,6 @@ FIELD_TABLE: tuple[FieldSpec, ...] = (
               "shards in one process) or shm (one forked worker per shard, "
               "envelopes through shared-memory rings); results are bit-identical "
               "across both"),
-    FieldSpec("jobs", "int", _at_least(1), flag=("-j", "--jobs"), env="XSIM_JOBS",
-              help="worker processes for the campaign (default: {env} or {default}); "
-              "results are identical to a serial sweep"),
     # -- instrumentation -----------------------------------------------
     FieldSpec("check", "bool", flag=("--check",), env="XSIM_CHECK",
               help="enable the runtime invariant sanitizer (same as {env}=1)"),
@@ -446,7 +442,6 @@ class Scenario:
     seed: int = 0
     shards: int = 1
     shard_transport: str | None = None
-    jobs: int = 1
     # -- instrumentation -----------------------------------------------
     check: bool | None = None
     record_events: bool = False
@@ -659,11 +654,14 @@ class Scenario:
 
 #: Hashed verbatim where a retired field's line stood: ``engine`` while
 #: a second event core could be selected, ``backend`` while a backend
-#: could be named apart from ``shards`` and ``shard_transport``.  The
+#: could be named apart from ``shards`` and ``shard_transport``, ``jobs``
+#: while a campaign's worker count was a field of each of its runs.  The
 #: digest is an on-disk contract — cache keys hash it and explore
 #: scorecards print it — so dropping a line would turn every stored
 #: result into a miss and move every pinned scorecard.
-_DIGEST_RETIRED_LINES = {"backend": "backend=None\n", "engine": "engine='heap'\n"}
+_DIGEST_RETIRED_LINES = {
+    "backend": "backend=None\n", "engine": "engine='heap'\n", "jobs": "jobs=1\n",
+}
 _FIELD_NAMES = frozenset(f.name for f in fields(Scenario))
 #: Names in the order :func:`_field_digest` hashes them: every field,
 #: plus the places of :data:`_DIGEST_RETIRED_LINES`.

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Any
 
-from repro.run.scenario import FIELDS, Scenario, check_value, parse_text
+from repro.run.scenario import FIELDS, Scenario, parse_text
 from repro.util.errors import ConfigurationError
 
 
@@ -70,13 +70,13 @@ def parse_set(text: str) -> tuple[str, list]:
 def run_sweep(
     base: Scenario,
     grid: dict[str, list],
-    jobs: int | None = None,
+    jobs: int = 1,
     cache: Any = None,
 ) -> list[tuple[Scenario, dict[str, Any]]]:
-    """Expand and execute the matrix; returns ``(scenario, summary)``
-    pairs in grid order.  ``jobs`` defaults to the base scenario's
-    ``jobs`` field; every cell is an independent deterministic run, so
-    pool results are identical to serial ones.
+    """Expand and execute the matrix over ``jobs`` workers; returns
+    ``(scenario, summary)`` pairs in grid order.  Every cell is an
+    independent deterministic run, so pool results are identical to
+    serial ones.
 
     ``cache`` (``None`` = environment policy, ``False`` = off, or a
     :class:`~repro.cache.ResultCache`) partitions the matrix up front:
@@ -89,7 +89,7 @@ def run_sweep(
     result values themselves are unchanged.
     """
     scenarios = expand_matrix(base, grid)
-    summaries = run_cells(scenarios, jobs=base.jobs if jobs is None else jobs, cache=cache)
+    summaries = run_cells(scenarios, jobs=jobs, cache=cache)
     return list(zip(scenarios, summaries))
 
 
@@ -107,15 +107,19 @@ def run_cells(
     (:meth:`~repro.cache.ResultCache.lookup_many`), the misses run
     in-process (``jobs=1`` or one miss) or are fanned out over ``jobs``
     workers (:func:`~repro.core.harness.parallel.fan_out` of
-    :func:`_run_cell`) that write the same store.  With a cache active
-    every summary gains presentation keys ``cached``/``saved_s``; result
-    values are identical either way.
+    :func:`_run_cell`) that write the same store.  A pool cell on the shm
+    transport runs on at most as many shards as fit the host beside the
+    pool's other workers (:func:`~repro.run.backends.capped_shards`); an
+    in-process cell is never capped.  With a cache active every summary
+    gains presentation keys ``cached``/``saved_s``; result values are
+    identical either way.
     """
     from repro.cache import resolve_cache
+    from repro.core.harness.parallel import check_jobs
 
     # fan_out's own check, made before the lookups: a warm campaign
     # refuses what a cold one refuses.
-    check_value("jobs", jobs)
+    check_jobs(jobs)
     store = resolve_cache(cache)
     summaries: list[dict[str, Any] | None] = [None] * len(scenarios)
     if store is not None:
@@ -143,11 +147,16 @@ def run_cells(
             ]
         else:
             from repro.core.harness.parallel import fan_out
+            from repro.run.backends import capped_shards
 
             cache_dir = str(store.root) if store is not None else None
-            computed = fan_out(
-                _run_cell, [(scenarios[i].to_dict(), cache_dir) for i in todo], jobs
-            )
+            workers = min(jobs, len(todo))
+            cells = [
+                (s.to_dict(), cache_dir,
+                 capped_shards(s.shards, jobs=workers, transport=s.shard_transport))
+                for s in (scenarios[i] for i in todo)
+            ]
+            computed = fan_out(_run_cell, cells, jobs)
         for i, summary in zip(todo, computed):
             if store is not None:
                 summary = dict(summary)
@@ -157,17 +166,21 @@ def run_cells(
     return summaries  # type: ignore[return-value]
 
 
-def _run_cell(cell: tuple[dict[str, Any], str | None]) -> dict[str, Any]:
-    """One pool cell of :func:`run_cells`: a scenario's dict form and the
+def _run_cell(cell: tuple[dict[str, Any], str | None, int]) -> dict[str, Any]:
+    """One pool cell of :func:`run_cells`: a scenario's dict form, the
     campaign's cache directory (``None``: the ``XSIM_CACHE`` policy),
-    where the cell has just missed."""
+    where the cell has just missed, and the shard count it runs on.  Its
+    summary names the scenario as given, whatever that count."""
     from repro.run.backends import run_scenario
 
-    data, cache_dir = cell
+    data, cache_dir, shards = cell
     cache = None
     if cache_dir is not None:
         from repro.cache import open_cache
 
         cache = open_cache(cache_dir)
     scenario = Scenario.from_dict(data)
-    return run_scenario(scenario, cache=cache, known_miss=cache is not None).summary()
+    run = scenario if shards == scenario.shards else scenario.with_(shards=shards)
+    outcome = run_scenario(run, cache=cache, known_miss=cache is not None)
+    outcome.scenario = scenario
+    return outcome.summary()

@@ -222,7 +222,6 @@ class TestCacheKey:
         base = cache_key(SMALL)
         assert cache_key(SMALL.with_(shards=4, shard_transport="shm")) == base
         assert cache_key(SMALL.with_(shards=2, shard_transport="inline")) == base
-        assert cache_key(SMALL.with_(jobs=8)) == base
         assert cache_key(SMALL.with_(shards=2, shard_transport="shm")) == base
         # trace_out implies observe=True (payload-relevant), so it shares
         # the *observed* entry, not the bare one — the path itself is
@@ -238,10 +237,10 @@ class TestCacheKey:
         """The key hashes the field stream directly; it must equal what
         building the normalized scenario through ``with_`` gives."""
         busy = SMALL.with_(
-            shards=2, shard_transport="inline", jobs=3, trace_out="/tmp/t.json",
+            shards=2, shard_transport="inline", trace_out="/tmp/t.json",
             failures="3@50s", strategy="ckpt-multilevel", strategy_params={"k": 4},
         )
-        normalized = busy.with_(shards=1, shard_transport=None, jobs=1, trace_out="")
+        normalized = busy.with_(shards=1, shard_transport=None, trace_out="")
         expected = hashlib.sha256(
             f"{cache_salt()}\n{normalized.scenario_digest()}".encode()
         ).hexdigest()
@@ -1260,8 +1259,8 @@ class TestSweepPartition:
         assert "cached" not in pairs[0][1]
 
     def test_parallel_workers_share_store(self, store):
-        cold = run_sweep(SMALL.with_(jobs=2), self.GRID, cache=store)
-        warm = run_sweep(SMALL.with_(jobs=2), self.GRID, cache=ResultCache(store.root))
+        cold = run_sweep(SMALL, self.GRID, jobs=2, cache=store)
+        warm = run_sweep(SMALL, self.GRID, jobs=2, cache=ResultCache(store.root))
         assert all(s["cached"] for _, s in warm)
         assert [s["result_digest"] for _, s in cold] == [
             s["result_digest"] for _, s in warm

@@ -13,7 +13,6 @@ from repro.explore import (
     Explorer,
     build_strata,
     load_explore_file,
-    read_explore_environment,
     run_explore,
     scorecard,
     scorecard_json,
@@ -21,6 +20,7 @@ from repro.explore import (
     wilson_interval,
     z_score,
 )
+from repro.cli import main
 from repro.explore.sampler import required_n
 from repro.run.scenario import Scenario
 from repro.util.errors import ConfigurationError
@@ -122,14 +122,17 @@ class TestSpec:
         assert d["scenario_digest"] == BASE.scenario_digest()
         assert d["kinds"] == list(ExploreSpec().kinds)
 
-    def test_environment_layer(self):
-        env = {"XSIM_EXPLORE_CI": "0.2", "XSIM_EXPLORE_BATCH": "8",
-               "XSIM_EXPLORE_MAX_CELLS": "99"}
-        assert read_explore_environment(env) == {
-            "ci_width": 0.2, "batch": 8, "max_cells": 99,
-        }
-        with pytest.raises(ConfigurationError, match="XSIM_EXPLORE_BATCH"):
-            read_explore_environment({"XSIM_EXPLORE_BATCH": "many"})
+    def test_retired_variables_are_refused(self, monkeypatch, capsys):
+        """The stopping rule is set by flags and the [explore] table
+        only: a variable that once set it is refused by name, before any
+        cell runs, not silently ignored."""
+        for name, value in (("XSIM_EXPLORE_CI", "0.2"), ("XSIM_EXPLORE_BATCH", "many"),
+                            ("XSIM_EXPLORE_MAX_CELLS", "99")):
+            monkeypatch.setenv(name, value)
+            assert main(["explore", "--ranks", "8"]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(f"error: {name} is no longer read")
+            monkeypatch.delenv(name)
 
     def test_load_explore_file(self, tmp_path):
         path = tmp_path / "explore.toml"
@@ -147,12 +150,21 @@ class TestSpec:
 
     def test_load_layers_env_and_flags_over_file(self, tmp_path):
         path = tmp_path / "explore.toml"
-        path.write_text("[explore]\nci_width = 0.3\nbatch = 4\n")
+        path.write_text("[execution]\nshards = 4\n\n[explore]\nci_width = 0.3\nbatch = 4\n")
         spec = load_explore_file(
-            path, environ={"XSIM_EXPLORE_CI": "0.2"}, batch=12
+            path, environ={"XSIM_SHARDS": "2", "XSIM_EXPLORE_CI": "0.2"}, batch=12
         )
-        assert spec.ci_width == 0.2  # env beats file
+        assert spec.scenario.shards == 2  # env beats file (a scenario field)
+        assert spec.ci_width == 0.3  # no variable sets an [explore] value
         assert spec.batch == 12  # flag beats file
+
+    def test_worker_count_does_not_change_the_spec(self):
+        """A campaign's worker count is no field of its base scenario:
+        XSIM_JOBS leaves the spec's description, scenario digest included,
+        as it is."""
+        path = REPO / "examples" / "explore_reference.toml"
+        with_jobs = load_explore_file(path, environ={"XSIM_JOBS": "2"})
+        assert with_jobs.describe() == load_explore_file(path, environ={}).describe()
 
     def test_load_rejects_sweep_table(self, tmp_path):
         path = tmp_path / "explore.toml"

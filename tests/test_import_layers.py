@@ -317,7 +317,7 @@ class TestOneErrorHandler:
         ["explore", "--ranks", "8", "-j", "0"], ["sweep", "--set", "seed=1,2", "-j", "0"],
     ])
     def test_bad_worker_count(self, argv, capsys):
-        # One wording, the Scenario field's, from every -j command.
+        # One wording, check_jobs', from every -j command.
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
 
@@ -333,9 +333,13 @@ class TestOneErrorHandler:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path / "cache")]) == 0
         assert main(["timeline", trace]) == 0
         assert main(["table1", "--victims", "2"]) == 0
+        # A single run has no pool: the campaign's worker count is not its.
+        assert main(["app", "--ranks", "8", "--iterations", "4"]) == 0
         capsys.readouterr()
-        assert main(["table2", "--ranks", "8"]) == 2
-        assert capsys.readouterr().err == "error: XSIM_JOBS must be an integer, got 'zero'\n"
+        for argv in (["table2", "--ranks", "8"], ["sweep", "--ranks", "8", "--set", "seed=1,2"],
+                     ["explore", "--ranks", "8"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: XSIM_JOBS must be an integer, got 'zero'\n"
 
     @pytest.mark.parametrize(
         "argv, message",

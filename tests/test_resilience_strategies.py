@@ -187,15 +187,16 @@ class TestParity:
 
     @pytest.mark.parametrize("strategy", ALL)
     def test_serial_vs_shm_shards(self, strategy, faulty_summaries):
-        # Bypasses the CLI's CPU cap: the driver accepts the shard spec
-        # directly, so this exercises real shm workers on any host.
+        # A single run is never capped, so this exercises real shm
+        # workers on any host.
         driver = RestartDriver.from_scenario(
-            scenario_for(strategy), shards=2, shard_transport="shm"
+            scenario_for(strategy, shards=2, shard_transport="shm")
         )
         result = driver.run()
         from repro.core.harness.experiment import campaign_digest, result_digest
 
         assert result.completed
+        assert driver.sim.shard_stats.nshards == 2
         assert (
             campaign_digest([result_digest(s.result) for s in result.segments])
             == faulty_summaries[strategy]["result_digest"]

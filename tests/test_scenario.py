@@ -43,9 +43,7 @@ class TestResolutionPrecedence:
     def test_defaults_match_bare_cli(self):
         s = Scenario()
         assert (s.ranks, s.topology, s.app) == (64, "torus", "heat3d")
-        assert (s.iterations, s.interval, s.seed, s.shards, s.jobs) == (
-            1000, 1000, 0, 1, 1,
-        )
+        assert (s.iterations, s.interval, s.seed, s.shards) == (1000, 1000, 0, 1)
 
     def test_file_overrides_defaults(self, tmp_path):
         f = tmp_path / "s.toml"
@@ -68,13 +66,25 @@ class TestResolutionPrecedence:
         f.write_text("[machine]\nranks = 16\n")
         s = Scenario.resolve(
             file=f,
-            environ={"XSIM_FAILURES": "2@9s", "XSIM_JOBS": "3"},
+            environ={"XSIM_FAILURES": "2@9s", "XSIM_SHARDS": "3"},
             failures="5@1s",
             ranks=32,
         )
         assert s.failures == "5@1s"
-        assert s.jobs == 3  # env layer, no flag
+        assert s.shards == 3  # env layer, no flag
         assert s.ranks == 32  # flag beats file
+
+    def test_the_worker_count_is_no_field(self):
+        """A campaign's worker count is its own argument: XSIM_JOBS moves
+        no scenario, and neither a constructor call nor a digest stand-in
+        takes one."""
+        assert Scenario.resolve(environ={"XSIM_JOBS": "2"}).scenario_digest() == (
+            Scenario().scenario_digest()
+        )
+        with pytest.raises(TypeError, match="'jobs'"):
+            Scenario(jobs=2)
+        with pytest.raises(TypeError, match="'jobs'"):
+            Scenario().digest_with(jobs=1)
 
     def test_none_override_means_not_given(self):
         assert Scenario.resolve(use_environment=False, ranks=None).ranks == 64
@@ -143,22 +153,24 @@ class TestSerialization:
         digest became a once-per-instance value and ``cache_key``
         stopped building a normalized scenario through ``with_``.  They
         predate the removal of the ``engine`` field, which is why the
-        digest still hashes the line ``engine='heap'`` in its place."""
+        digest still hashes the line ``engine='heap'`` in its place (and
+        ``jobs=1`` where the worker count was a field; ``busy``'s value
+        is the one it had at ``jobs=1``)."""
         busy = Scenario(
             ranks=125, topology="mesh", dims=(5, 5, 5), app="cg", iterations=40,
             interval=7, failures="3@50s,straggler:2@50s+10s*2.0", mttf=3000,
             strategy="ckpt-multilevel", strategy_params={"k": 4}, seed=11,
-            shards=2, shard_transport="inline", jobs=3, check=True,
+            shards=2, shard_transport="inline", check=True,
             trace_out="/tmp/t.json", slowdown=2,
         )
-        golden = "775c208ccdf5e7491484c12af185fb32c7a1d32424765320ed1447e61b0cf34b"
+        golden = "d9dea4ff92f1f07d39b861d21e13e87ca65bbadef8e9aeeea080b3d1eaa668bd"
         normalized = "48a68f82e48ba36d888bfa1b69cb29e5f6c50d9115afd2182f7954a535f7ea4d"
         assert Scenario().scenario_digest() == (
             "9aa39df03a7b3fd126e166c6062f1ab2f158e496e2eab80f37a591406e6718c4"
         )
         assert busy.scenario_digest() == golden
         assert busy.scenario_digest() == golden  # second read: the kept value
-        execution = dict(shards=1, shard_transport=None, jobs=1, trace_out="")
+        execution = dict(shards=1, shard_transport=None, trace_out="")
         assert busy.digest_with(**execution) == normalized
         assert busy.with_(**execution).scenario_digest() == normalized
         # the kept digest is not a field: ==, repr, to_dict, TOML never see it
@@ -181,6 +193,49 @@ class TestSerialization:
         with pytest.raises(TypeError, match="'backend'"):
             Scenario().digest_with(backend=None)  # likewise
 
+    def test_random_scenarios_keep_their_digests_and_keys(self):
+        """400 scenarios drawn from a fixed seed hash to the digests and
+        cache keys they had while the worker count was a field (at its
+        default, 1): every stored entry and pinned scorecard still hits."""
+        import hashlib
+        import random
+
+        from repro.cache.store import cache_key
+
+        rng = random.Random(49)
+        digests, keys = hashlib.sha256(), hashlib.sha256()
+        for _ in range(400):
+            shards = rng.choice([1, 1, 2, 4])
+            s = Scenario(
+                ranks=rng.choice([8, 16, 27, 64, 125]),
+                topology=rng.choice(["torus", "mesh", "fattree"]),
+                latency=rng.choice(["1us", "500ns", "2us"]),
+                bandwidth=rng.choice(["32GB/s", "10GB/s"]),
+                slowdown=rng.choice([1000.0, 1.0, 2.5]),
+                collectives=rng.choice(["linear", "tree"]),
+                app=rng.choice(["heat3d", "cg"]),
+                iterations=rng.randint(1, 2000),
+                interval=rng.randint(1, 500),
+                failures=rng.choice(["", "3@50s", "1@5s,2@9s"]),
+                mttf=rng.choice([None, 3000.0, 125.5]),
+                strategy=rng.choice(["ckpt", "none", "ckpt-multilevel"]),
+                seed=rng.randint(0, 2**31),
+                shards=shards,
+                shard_transport=rng.choice([None, "inline", "shm"]) if shards > 1 else None,
+                check=rng.choice([None, True, False]),
+                observe=rng.choice([True, False]),
+                trace_detail=rng.choice([True, False]),
+                trace_out=rng.choice(["", "t.json"]),
+            )
+            digests.update(f"{s.scenario_digest()}\n".encode())
+            keys.update(f"{cache_key(s)}\n".encode())
+        assert digests.hexdigest() == (
+            "226b4e00c9b52379b0c28a56fea9925adba62a5dd5702ceb848d28eecaa1dc07"
+        )
+        assert keys.hexdigest() == (
+            "06c21986442f322bafec9c757ce2cbdb2150d1bf4acbe03e378d708a0d2b8ad5"
+        )
+
     def test_stand_ins_that_change_nothing_return_the_kept_digest(self, monkeypatch):
         """A scenario already in normal form is hashed once for its cache
         key and its summary; stand-ins that hash alike but are spelt
@@ -193,7 +248,7 @@ class TestSerialization:
             module, "_field_digest", lambda s, o: hashed.append(o) or real(s, o)
         )
         s = tiny(seed=3)
-        assert s.digest_with(shards=1, jobs=1, trace_out="") == s.scenario_digest()
+        assert s.digest_with(shards=1, trace_out="") == s.scenario_digest()
         assert hashed == [{}]
         assert s.digest_with(slowdown=s.slowdown) == s.scenario_digest() and len(hashed) == 1
         odd = tiny(iterations=1)
@@ -431,6 +486,42 @@ class TestCappedShards:
 
         assert cli.capped_shards is backends.capped_shards
 
+    def test_a_pool_of_shm_cells_is_capped(self, monkeypatch, capfd):
+        """Where processes multiply: two pool workers x two shm shards
+        on two CPUs run one shard a cell, with a warning, and the
+        summaries match a serial campaign's.  (The cells resolve under
+        ``XSIM_JOBS=2`` so a campaign that read the worker count off its
+        cells caps them alike.)"""
+        import repro.run.backends as backends
+        from repro.run.sweep import run_cells
+
+        monkeypatch.setattr(backends.os, "cpu_count", lambda: 2)
+        cells = [
+            Scenario.resolve(environ={"XSIM_JOBS": "2"}, ranks=8, iterations=10,
+                             interval=5, seed=seed, shards=2, shard_transport="shm")
+            for seed in (0, 1)
+        ]
+        pooled = run_cells(cells, jobs=2, cache=False)
+        assert "capping shards to 1" in capfd.readouterr().err
+        serial = run_cells([c.with_(shards=1) for c in cells], jobs=1, cache=False)
+        for got, want in zip(pooled, serial):
+            assert got["result_digest"] == want["result_digest"]
+            assert got["backend"] == "sharded-shm"  # the cell as given
+
+    def test_a_single_run_is_never_capped(self, monkeypatch, capsys):
+        """One run forks only its own shards: ``XSIM_JOBS`` (a campaign's
+        setting) neither caps it nor warns about it."""
+        import repro.run.backends as backends
+
+        monkeypatch.setattr(backends.os, "cpu_count", lambda: 2)
+        scenario = Scenario.resolve(
+            environ={"XSIM_JOBS": "8"}, ranks=8, iterations=4, shards=2,
+            shard_transport="shm",
+        )
+        outcome = run_scenario(scenario, cache=False)
+        assert outcome.metadata["nshards"] == 2
+        assert "oversubscribe" not in capsys.readouterr().err
+
 
 # ----------------------------------------------------------------------
 # instruments
@@ -664,20 +755,24 @@ class TestScenarioCli:
 class TestEnvVarDocs:
     def test_env_var_docs_match_code(self):
         """Every XSIM_* variable the source reads is in the registry, and
-        every registry entry is documented in the INTERNALS table."""
-        from repro.run.envvars import XSIM_ENV_SWITCHES
+        every registry entry is documented in the INTERNALS table; a
+        retired variable (read only to be refused) is named there too,
+        outside the table."""
+        from repro.run.envvars import XSIM_ENV_RETIRED, XSIM_ENV_SWITCHES
 
         registered = set(XSIM_ENV_VARS) | set(XSIM_ENV_SWITCHES)
         read_in_source = set()
         for path in SRC.rglob("*.py"):
             for name in re.findall(r"\bXSIM_[A-Z_]+\b", path.read_text()):
-                if name not in ("XSIM_ENV_VARS", "XSIM_ENV_SWITCHES"):
+                if name not in ("XSIM_ENV_VARS", "XSIM_ENV_SWITCHES", "XSIM_ENV_RETIRED"):
                     read_in_source.add(name)
-        assert read_in_source == registered
+        assert read_in_source == registered | set(XSIM_ENV_RETIRED)
+        assert not registered & set(XSIM_ENV_RETIRED)
 
         table = (DOCS / "INTERNALS.md").read_text()
         documented = set(re.findall(r"^\| `(XSIM_[A-Z_]+)` \|", table, re.M))
         assert documented == registered
+        assert all(f"`{name}`" in table for name in XSIM_ENV_RETIRED)
 
     def test_registry_flags_exist_in_cli(self):
         from repro.cli import build_parser

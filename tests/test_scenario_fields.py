@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro import cli
 from repro.cli import build_parser, main
 from repro.explore.spec import ExploreSpec, load_explore_file
-from repro.run.envvars import XSIM_ENV_VARS, read_environment
+from repro.run.envvars import XSIM_ENV_VARS, default_jobs, read_environment
 from repro.run.scenario import (
     FIELD_TABLE,
     FIELDS,
@@ -43,11 +43,9 @@ SAMPLES = {
     "bandwidth": "16GB/s", "eager_threshold": "128kB", "detection_timeout": "20s",
     "slowdown": "2", "collectives": "tree", "app": "cg", "iterations": "40",
     "interval": "7", "failures": "3@50s", "mttf": "3000", "strategy": "none",
-    "seed": "5", "shards": "2", "shard_transport": "inline", "jobs": "3",
+    "seed": "5", "shards": "2", "shard_transport": "inline",
     "check": "1", "trace_detail": "1", "trace_out": "t.json",
 }
-#: The command that takes each flag (``app`` has all but ``--jobs``).
-COMMAND = {name: "sweep" if name == "jobs" else "app" for name in SAMPLES}
 
 
 @pytest.fixture(autouse=True)
@@ -107,7 +105,7 @@ def test_help_states_the_dataclass_default():
 def from_flag(name: str, text: str) -> Scenario:
     flag = FIELDS[name].flag[-1]
     argv = [flag] if FIELDS[name].kind == "bool" else [flag, text]
-    args = build_parser().parse_args([COMMAND[name], *argv])
+    args = build_parser().parse_args(["app", *argv])
     return Scenario.resolve(use_environment=False, **cli._scenario_overrides(args))
 
 
@@ -140,8 +138,10 @@ def test_same_text_same_scenario_from_every_layer(name):
     ],
 )
 def test_a_bad_variable_is_named(environ, message):
+    # XSIM_JOBS is no Scenario field: only a campaign's -j default reads it.
     with pytest.raises(ConfigurationError) as refused:
         read_environment(environ)
+        default_jobs(environ)
     assert str(refused.value).startswith(message)
 
 
@@ -191,21 +191,24 @@ def test_a_number_parses_finite_or_is_refused_by_name(name, text):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    name=st.sampled_from(sorted(XSIM_ENV_VARS)),
+    name=st.sampled_from(sorted(XSIM_ENV_VARS) + ["XSIM_JOBS"]),
     text=st.one_of(
         st.sampled_from(EDGES + sorted(set(SAMPLES.values())) + ["fork", "yes", "off"]),
         st.text(st.characters(blacklist_categories=("Cs",)), max_size=16),
     ),
 )
 def test_any_text_in_a_variable_resolves_or_names_it(name, text):
-    """Every ``XSIM_*`` variable, any text: a Scenario, or one
-    ConfigurationError that names the variable — no other exception."""
+    """Every ``XSIM_*`` variable that sets a field, and ``XSIM_JOBS``,
+    any text: a Scenario and a worker count, or one ConfigurationError
+    that names the variable — no other exception."""
     try:
         scenario = Scenario.resolve(environ={name: text})
+        jobs = default_jobs({name: text})
     except ConfigurationError as refused:
         assert name in str(refused)
         return
     assert isinstance(scenario, Scenario)
+    assert type(jobs) is int and jobs >= 1
 
 
 @pytest.mark.parametrize(
@@ -239,6 +242,8 @@ def test_a_slowdown_that_is_not_finite_is_refused_by_the_axis_and_the_constructo
         ('[machine]\ncollectives = "ring"\n', "unknown machine.collectives 'ring'"),
         ('[machine]\nlatency = "fast"\n', "machine.latency must be a time such as 1us, got 'fast'"),
         ("[execution]\nshards = 0\n", "execution.shards must be >= 1, got 0"),
+        # A campaign's worker count is no scenario key.
+        ("[execution]\njobs = 2\n", "unknown scenario key execution.jobs"),
         ('[resilience]\nstrategy = {name = "raid5"}\n', "unknown resilience.strategy.name 'raid5'"),
         ('[sweep]\neager_threshold = ["256kB", "big"]\n',
          "sweep.eager_threshold must be a size such as 256kB, got 'big'"),
