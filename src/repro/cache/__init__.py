@@ -10,8 +10,8 @@ digest-identical for the same scenario, so a completed cell can be
 memoized by content address and served instead of recomputed:
 
 * :class:`ResultCache` — the store itself (one SQLite file in WAL mode
-  holding each index row beside its blob, whose raw hash is verified
-  before anything is decoded; safe under parallel workers and
+  holding each index row beside its blob, whose head and body hashes
+  are verified before either is decoded; safe under parallel workers and
   concurrent CLI invocations; see :mod:`repro.cache.store`);
 * :func:`cache_key` — the content address: a normalized scenario digest
   (execution-parallelism fields removed) plus a schema/version/engine

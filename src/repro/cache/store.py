@@ -3,15 +3,16 @@
 A cache directory holds one SQLite file, in WAL mode, and nothing else::
 
     <root>/index.sqlite3   (+ its -wal and -shm)
-        entries(key, ..., nbytes, blob_sha, ...)   one index row per outcome
+        entries(key, ..., nbytes, head_sha, ...)   one index row per outcome
         blobs(key, data)                           that outcome's blob
 
 A **blob** is ``magic | head length | head | body``.  The **head** is
 canonical JSON of primitives — format, mode, result digest, the original
 compute wall time, the execution metadata, every result-derived fact
 an outcome's ``summary()`` and run report print
-(:func:`~repro.run.backends.outcome_facts`) and ``body_nbytes``, the
-body's length before compression.
+(:func:`~repro.run.backends.outcome_facts`), ``body_nbytes``, the
+body's length before compression, and ``body_sha``, the SHA-256 of the
+stored (deflated) body.
 The **body** is everything else a hit must reproduce bit-identically,
 pickled and then deflated (:data:`_BODY_LEVEL`): the stripped final
 :class:`~repro.pdes.engine.SimulationResult` of a ``"single"`` run
@@ -19,9 +20,10 @@ pickled and then deflated (:data:`_BODY_LEVEL`): the stripped final
 :class:`~repro.core.restart.FailureRunResult` of a ``"restart"`` run,
 and the run's sim-domain :class:`~repro.obs.ObsEvent` list (so warm
 exporter bytes equal cold ones).  The **index** row maps a
-cache key to the entry's result digest, blob size, SHA-256 of the raw
-blob bytes, creation/last-hit times, and hit count.  The blob has a
-table of its own because every hit rewrites its index row (hit count,
+cache key to the entry's result digest, blob size, SHA-256 of the
+blob's ``magic | head length | head`` prefix (the row vouches for the
+head, the head for the body), creation/last-hit times, and hit count.
+The blob has a table of its own because every hit rewrites its index row (hit count,
 last hit): in one record with the bytes, that rewrite copies the blob.
 
 Concurrency: SQLite runs in WAL mode with a generous busy timeout, every
@@ -36,20 +38,22 @@ the transaction back, and no file outside the index was written.  Every
 deletion removes both rows in one transaction.
 
 A lookup is a batch (:meth:`ResultCache.lookup_many`; ``lookup`` is the
-batch of one): a campaign partition reads every index row and blob it
-needs in one read transaction, each distinct key once and one blob in
-memory at a time, then records its hits and deletes its demoted entries
-in one write transaction — two transactions a partition, not two a cell.
+batch of one): a campaign partition reads every index row and blob head
+it needs in one read transaction, each distinct key once, then records
+its hits and deletes its demoted entries in one write transaction — two
+transactions a partition, not two a cell.
 
 Correctness before speed — verified before decoded: for each entry the
-lookup compares the blob's size and then the SHA-256 of its raw bytes
-against the index row *before any byte reaches a decoder*, then parses
-the head and holds its result digest against the row's.  That answers
-``digest()``, ``summary()``, ``completed`` and ``metadata``, and the
-blob is dropped; a lookup inflates nothing.  The body decodes on first
-access to ``run`` / ``result`` / ``observer``, whatever the blob's
-size — a campaign reads summaries only, so a warm one decodes none —
-from the entry read and verified again: it is inflated to at most
+lookup compares the blob's size against the index row, reads only the
+head prefix and holds its SHA-256 against the row's *before any byte
+reaches a decoder*, then parses the head and holds its shape and result
+digest against the row's.  That answers ``digest()``, ``summary()``,
+``completed`` and ``metadata``; a lookup hashes a few hundred bytes
+whatever the blob's size, and inflates nothing.  The body decodes on
+first access to ``run`` / ``result`` / ``observer`` — a campaign reads
+summaries only, so a warm one decodes none — from the entry read and
+verified again, its bytes held against the head's ``body_sha`` before
+the inflater sees one: it is inflated to at most
 ``body_nbytes + 1`` bytes (so a zlib bomb costs what its head declares,
 not what it expands to) and must come to exactly ``body_nbytes``, and
 then passes only through an unpickler that resolves nothing but
@@ -57,15 +61,16 @@ classes defined in ``repro`` modules and a few builtin value types — no
 function, no ``os.system``.  Any failed check — a truncated, missing or
 rewritten blob, a stale index row, a head that does not parse — demotes
 the entry to a miss (both rows deleted, a ``RuntimeWarning`` emitted,
-the caller recomputes and re-stores); a body that will not decode after
-its hash held is demoted the same way, and the outcome recomputes its
-objects and stores them back.  Re-deriving
-the result digest from the decoded objects is an audit, not a hit-path
-step: ``cache verify`` does it.  A
-schema-version mismatch disables the cache for the process instead of
-guessing at the on-disk format (version 1 and 2 directories, whose blobs
-were files beside the index, and version 3 ones, whose bodies were not
-compressed, are refused this way; delete the directory to rebuild).
+the caller recomputes and re-stores); a body damaged under an intact
+head is found when it is read, not at lookup, and is demoted the same
+way, the outcome recomputing its objects and storing them back.
+Re-deriving the result digest from the decoded objects is an audit, not
+a hit-path step: ``cache verify`` does it.  A schema-version mismatch
+disables the cache for the process instead of guessing at the on-disk
+format (version 1 and 2 directories, whose blobs were files beside the
+index, version 3 ones, whose bodies were not compressed, and version 4
+ones, whose index row hashed the whole blob, are refused this way;
+delete the directory to rebuild).
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 #: On-disk format version (index schema + blob layout).  A cache
 #: directory written by a different version is never read or written —
 #: the open is disabled with a warning and every lookup is a miss.
-CACHE_SCHEMA_VERSION = 4
+CACHE_SCHEMA_VERSION = 5
 
 #: Simulation-semantics salt.  Part of every cache key next to the package
 #: version: bump it when the engine's observable behavior changes without
@@ -149,9 +154,13 @@ def cache_key(scenario: "Scenario") -> str:
 _MAGIC = b"XSIMRC2\n"
 _HEAD_AT = len(_MAGIC) + 4  # a 4-byte big-endian head length follows the magic
 
+#: Bytes a lookup reads from the front of a blob: magic, head length and
+#: a head of a few hundred bytes.  A longer head costs one more read.
+_HEAD_READ = 1024
+
 #: zlib level of a blob's body, one for every blob size.  Level 1 shrinks
 #: a result pickle 4-8x at paper scale for a few milliseconds a large
-#: store, and every hit hashes all the stored bytes.
+#: store, and every first access to a body hashes all its stored bytes.
 _BODY_LEVEL = 1
 
 #: Page size of an index, fixed when the file is created.  A
@@ -170,8 +179,9 @@ def _canonical_json(value: Any) -> bytes:
     return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
 
 
-def encode_blob(outcome: "ScenarioOutcome", wall_s: float) -> tuple[bytes, dict]:
-    """The blob bytes for one computed outcome, and the head inside them."""
+def encode_blob(outcome: "ScenarioOutcome", wall_s: float) -> tuple[bytes, dict, str]:
+    """The blob bytes for one computed outcome, the head inside them, and
+    the SHA-256 of the blob's head prefix (its index row's ``head_sha``)."""
     head = {
         "format": CACHE_SCHEMA_VERSION,
         "mode": outcome.mode,
@@ -190,41 +200,31 @@ def encode_blob(outcome: "ScenarioOutcome", wall_s: float) -> tuple[bytes, dict]
         ),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
+    stored = zlib.compress(body, _BODY_LEVEL)
     head["body_nbytes"] = len(body)
+    head["body_sha"] = hashlib.sha256(stored).hexdigest()
     head_bytes = _canonical_json(head)
-    blob = b"".join((
-        _MAGIC, len(head_bytes).to_bytes(4, "big"), head_bytes,
-        zlib.compress(body, _BODY_LEVEL),
-    ))
-    return blob, head
+    prefix = b"".join((_MAGIC, len(head_bytes).to_bytes(4, "big"), head_bytes))
+    return prefix + stored, head, hashlib.sha256(prefix).hexdigest()
 
 
-def _verified_head(
-    data: bytes, nbytes: int, blob_sha: str, result_digest: str
-) -> tuple[dict, int]:
-    """The head of a blob checked against its index row, and the offset
-    its body starts at.  Order: size, SHA-256 of the raw bytes, and only
-    then the first decoder (magic, head length, JSON, format, shape),
-    then the head's digest against the row's.  Raises ``ValueError``
-    naming the first check that failed."""
-    if len(data) != nbytes:
+def _verified_head(prefix: bytes, head_sha: str, result_digest: str) -> dict:
+    """The head of a blob checked against its index row, from the blob's
+    ``magic | head length | head`` prefix.  Order: SHA-256 of the prefix,
+    and only then the first decoder (magic, JSON, format, shape), then the
+    head's digest against the row's.  Raises ``ValueError`` naming the
+    first check that failed."""
+    sha = hashlib.sha256(prefix).hexdigest()
+    if sha != head_sha:
         raise ValueError(
-            f"blob size {len(data)} != indexed {nbytes} (truncated or stale blob)"
+            f"blob hash {sha[:16]} != indexed {str(head_sha)[:16]} "
+            "(damaged or stale head)"
         )
-    sha = hashlib.sha256(data).hexdigest()
-    if sha != blob_sha:
-        raise ValueError(
-            f"blob hash {sha[:16]} != indexed {str(blob_sha)[:16]} "
-            "(damaged or stale blob)"
-        )
-    if len(data) < _HEAD_AT or data[: len(_MAGIC)] != _MAGIC:
+    if prefix[: len(_MAGIC)] != _MAGIC:
         raise ValueError("blob head undecodable: bad magic")
-    body_at = _HEAD_AT + int.from_bytes(data[len(_MAGIC) : _HEAD_AT], "big")
-    if body_at > len(data):
-        raise ValueError("blob head undecodable: head length runs past the blob")
     try:
-        head = json.loads(data[_HEAD_AT:body_at])
-    except ValueError as exc:
+        head = json.loads(prefix[_HEAD_AT:])
+    except (ValueError, RecursionError) as exc:  # a head nested past the stack, too
         raise ValueError(f"blob head undecodable: {exc}") from exc
     if not isinstance(head, dict) or head.get("format") != CACHE_SCHEMA_VERSION:
         raise ValueError("blob head undecodable: unexpected format")
@@ -232,13 +232,15 @@ def _verified_head(
 
     mode, facts, body_nbytes = head.get("mode"), head.get("facts"), head.get("body_nbytes")
     if (
-        mode not in FACT_KEYS
+        mode not in ("single", "restart")  # compared, not hashed: a mode may be a list
         or not isinstance(facts, dict)
         or facts.keys() != FACT_KEYS[mode]
+        or not isinstance(facts.get("strategy_facts", {}), dict)  # summary() copies it
         or not isinstance(head.get("metadata"), dict)
         or not isinstance(head.get("wall_s"), float)
         or type(body_nbytes) is not int
         or body_nbytes < 0
+        or not isinstance(head.get("body_sha"), str)
     ):
         raise ValueError("blob head undecodable: unexpected shape")
     if head.get("result_digest") != result_digest:
@@ -246,7 +248,7 @@ def _verified_head(
             f"head digest {str(head.get('result_digest'))[:16]} != indexed "
             f"{str(result_digest)[:16]} (stale index row)"
         )
-    return head, body_at
+    return head
 
 
 #: Value types an exit value may hold beside ``repro`` classes.
@@ -358,7 +360,7 @@ CREATE TABLE IF NOT EXISTS entries (
     result_digest   TEXT NOT NULL,
     mode            TEXT NOT NULL,
     nbytes          INTEGER NOT NULL,
-    blob_sha        TEXT NOT NULL,
+    head_sha        TEXT NOT NULL,
     wall_s          REAL NOT NULL,
     created         REAL NOT NULL,
     last_hit        REAL NOT NULL,
@@ -473,19 +475,19 @@ class ResultCache:
         input order.
 
         One read transaction reads each distinct key once and checks its
-        entry against the index row (:func:`_verified_head`); a blob is
-        dropped once its head is checked, so one is in memory at a time.
+        entry's head against the index row (:func:`_verified_head`); no
+        body is read.
         One write transaction then records every hit (``hits``,
         ``last_hit``) and deletes every demoted entry — best-effort: when
         the index refuses the write, the hits are served all the same.
         Any unservable entry — truncated, missing or rewritten blob, a
         head that does not parse, a digest that disagrees with the index
         — is warned about and reported as a miss; the cache never raises
-        into the run path and never decodes bytes whose raw hash it has
-        not checked against the index.  A hit's body waits for first
-        access (:meth:`_load_body`).  A scenario the cache cannot hold
-        (:func:`cacheable`) is ``None`` and counts as neither hit nor
-        miss.
+        into the run path and never decodes a head whose hash it has not
+        checked against the index.  A hit's body waits for first access
+        (:meth:`_load_body`), where it is held against the head's hash.
+        A scenario the cache cannot hold (:func:`cacheable`) is ``None``
+        and counts as neither hit nor miss.
         """
         t0 = _time.perf_counter()
         outcomes: list[ScenarioOutcome | None] = [None] * len(scenarios)
@@ -514,7 +516,7 @@ class ResultCache:
         ``wanted`` (key -> positions), all from one read transaction.
         Returns ``(key, times served)`` of the hits and the keys to
         demote."""
-        from repro.run.backends import ScenarioOutcome
+        from repro.run.backends import ScenarioOutcome, run_mode
 
         served: list[tuple[str, int]] = []
         demoted: list[str] = []
@@ -526,14 +528,16 @@ class ResultCache:
                 for key, positions in wanted.items():
                     try:
                         entry = self._verified_entry(conn, key)
+                        # summary() reads the facts of the scenario's mode
+                        if entry and entry[0]["mode"] != run_mode(scenarios[positions[0]]):
+                            raise ValueError("blob head undecodable: another mode's head")
                     except ValueError as exc:
                         self._corrupt(key, str(exc))
                         demoted.append(key)
                         continue
                     if entry is None:
                         continue
-                    head, nbytes = entry[0], len(entry[1])
-                    del entry  # this blob goes before the next one is read
+                    head, nbytes, _ = entry
                     served.append((key, len(positions)))
                     self.stats.hit_bytes += nbytes * len(positions)
                     for i in positions:
@@ -554,43 +558,64 @@ class ResultCache:
         return served, demoted
 
     @staticmethod
-    def _verified_entry(conn: sqlite3.Connection, key: str) -> tuple[dict, bytes, int] | None:
-        """``(head, blob bytes, body offset)`` of ``key``'s entry, checked
+    def _verified_entry(
+        conn: sqlite3.Connection, key: str, body: bool = False
+    ) -> tuple[dict, int, bytes | None] | None:
+        """``(head, blob size, body)`` of ``key``'s entry, checked
         against its index row (:func:`_verified_head`), or ``None``
         without an entry; raises ``ValueError`` naming the failed check.
-        Called inside a read transaction, so a store replacing row and
-        blob meanwhile is seen whole or not at all.  The blob is read
-        through an incremental-I/O handle into one buffer: a ``SELECT``
-        of the column fills SQLite's buffer and then Python's, and two
-        large buffers freed together are given back to the system and
-        page-faulted in again on the next hit."""
+        ``body`` is ``None`` unless asked for, and then the stored body,
+        held against the head's ``body_sha``.  Called inside a read
+        transaction, so a store replacing row and blob meanwhile is seen
+        whole or not at all.  The blob is read through an incremental-I/O
+        handle: its size first, then its head prefix, then (if asked) the
+        body into one buffer, where a ``SELECT`` would fill two."""
         row = conn.execute(
-            "SELECT e.nbytes, e.blob_sha, e.result_digest, b.rowid "
+            "SELECT e.nbytes, e.head_sha, e.result_digest, b.rowid "
             "FROM entries e LEFT JOIN blobs b ON b.key = e.key WHERE e.key = ?",
             (key,),
         ).fetchone()
         if row is None:
             return None
-        *indexed, rowid = row
+        nbytes, head_sha, result_digest, rowid = row
         if rowid is None:
             raise ValueError("blob missing: the entry has no blobs row")
         with conn.blobopen("blobs", "data", rowid, readonly=True) as blob:
-            data = blob.read()
-        head, body_at = _verified_head(data, *indexed)
-        return head, data, body_at
+            if len(blob) != nbytes:
+                raise ValueError(
+                    f"blob size {len(blob)} != indexed {nbytes} (truncated or stale blob)"
+                )
+            prefix = blob.read(_HEAD_READ)
+            body_at = _HEAD_AT + int.from_bytes(prefix[len(_MAGIC) : _HEAD_AT], "big")
+            if body_at > nbytes:
+                raise ValueError("blob head undecodable: head length runs past the blob")
+            if body_at > len(prefix):
+                prefix += blob.read(body_at - len(prefix))
+            head = _verified_head(prefix[:body_at], head_sha, result_digest)
+            if not body:
+                return head, nbytes, None
+            blob.seek(body_at)
+            stored = blob.read()
+        sha = hashlib.sha256(stored).hexdigest()
+        if sha != head["body_sha"]:
+            raise ValueError(
+                f"body hash {sha[:16]} != head's {head['body_sha'][:16]} (damaged body)"
+            )
+        return head, nbytes, stored
 
-    def _read_verified(self, key: str) -> tuple[dict, bytes, int] | None:
-        """:meth:`_verified_entry` in a read transaction of its own."""
+    def _read_verified(self, key: str) -> tuple[dict, int, bytes] | None:
+        """:meth:`_verified_entry` with its body, in a read transaction
+        of its own."""
         conn = self._conn()
         conn.execute("BEGIN")
         with conn:
-            return self._verified_entry(conn, key)
+            return self._verified_entry(conn, key, body=True)
 
     def _load_body(
         self, scenario: "Scenario", key: str, result_digest: str, hit_time: float
     ) -> tuple:
         """``(run, observer)`` of a hit, on its first access: the
-        entry read and checked again (the lookup kept no blob), its body
+        entry read and checked again (the lookup read no body), its body
         decoded, and the observer rebuilt from the stored sim-domain
         events plus this hit's instant.  An entry that is gone, damaged or
         holds another result since the lookup, or a body that will not
@@ -602,14 +627,14 @@ class ResultCache:
             entry = self._read_verified(key)
             if entry is None:
                 raise ValueError("entry evicted since its lookup")
-            head, data, body_at = entry
+            head, nbytes, body = entry
             if head["result_digest"] != result_digest:
                 raise ValueError("entry replaced by another result since its lookup")
         except (ValueError, sqlite3.Error) as exc:
             problem = str(exc)
         else:
             try:
-                run, sim_events = self._decode_body(data, body_at, head["body_nbytes"])
+                run, sim_events = self._decode_body(body, head["body_nbytes"])
                 problem = None
             except Exception as exc:  # noqa: BLE001 - any decode failure is damage
                 problem = f"blob body undecodable: {exc}"
@@ -631,12 +656,12 @@ class ResultCache:
             observer.extend(sim_events)
             observer.host_instant(
                 hit_time, "cache-hit", track="cache",
-                args={"key": key[:16], "bytes": len(data)},
+                args={"key": key[:16], "bytes": nbytes},
             )
         return run, observer
 
-    def _decode_body(self, data: bytes, body_at: int, body_nbytes: int) -> tuple:
-        """``(run, sim_events)`` of a blob whose raw hash already held,
+    def _decode_body(self, body: bytes, body_nbytes: int) -> tuple:
+        """``(run, sim_events)`` of a stored body whose hash already held,
         counted in :attr:`CacheStats.decodes` — a ``"single"`` body's
         result wrapped into its one-segment run.  The body is inflated
         to at most ``body_nbytes + 1`` bytes, and anything but one whole
@@ -644,10 +669,10 @@ class ResultCache:
         unpickler sees a byte."""
         self.stats.decodes += 1
         inflater = zlib.decompressobj()
-        body = inflater.decompress(memoryview(data)[body_at:], body_nbytes + 1)
-        if len(body) != body_nbytes or not inflater.eof or inflater.unused_data:
+        raw = inflater.decompress(body, body_nbytes + 1)
+        if len(raw) != body_nbytes or not inflater.eof or inflater.unused_data:
             raise ValueError(f"not one zlib stream of {body_nbytes} bytes")
-        result, run, sim_events = _BodyUnpickler(io.BytesIO(body)).load()
+        result, run, sim_events = _BodyUnpickler(io.BytesIO(raw)).load()
         if run is None:
             from repro.core.restart import FailureRunResult
 
@@ -668,7 +693,7 @@ class ResultCache:
                 return False
             key = cache_key(scenario)
             try:
-                data, head = encode_blob(outcome, wall_s)
+                data, head, head_sha = encode_blob(outcome, wall_s)
                 now = _time.time()
                 row = (
                     key,
@@ -676,12 +701,12 @@ class ResultCache:
                     head["result_digest"],
                     head["mode"],
                     len(data),
-                    hashlib.sha256(data).hexdigest(),
+                    head_sha,
                     head["wall_s"],
                     now,
                     now,
                 )
-                # The blob and the row that hashes it land inside one
+                # The blob and the row that hashes its head land inside one
                 # write transaction: two processes storing the same cell
                 # (their blobs differ in wall time) cannot leave one's
                 # blob under the other's row, and a store that dies
@@ -694,7 +719,7 @@ class ResultCache:
                     )
                     conn.execute(
                         "INSERT OR REPLACE INTO entries "
-                        "(key, scenario_digest, result_digest, mode, nbytes, blob_sha, "
+                        "(key, scenario_digest, result_digest, mode, nbytes, head_sha, "
                         " wall_s, created, last_hit, hits) "
                         "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, 0)",
                         row,
@@ -765,13 +790,13 @@ class ResultCache:
     def entries(self) -> list[dict[str, Any]]:
         """Every index row, LRU-first (the gc eviction order)."""
         rows = self._conn().execute(
-            "SELECT key, scenario_digest, result_digest, mode, nbytes, blob_sha, "
+            "SELECT key, scenario_digest, result_digest, mode, nbytes, head_sha, "
             "wall_s, created, last_hit, hits FROM entries "
             "ORDER BY last_hit ASC, created ASC, key ASC"
         ).fetchall()
         names = (
             "key", "scenario_digest", "result_digest", "mode", "nbytes",
-            "blob_sha", "wall_s", "created", "last_hit", "hits",
+            "head_sha", "wall_s", "created", "last_hit", "hits",
         )
         return [dict(zip(names, r)) for r in rows]
 
@@ -799,9 +824,9 @@ class ResultCache:
         }
 
     def verify(self, prune: bool = False) -> list[VerifyIssue]:
-        """Audit every entry, beyond what a lookup checks: size, raw
-        hash, head and head digest as a lookup does, then the body
-        decoded and the digest and facts re-derived from its objects
+        """Audit every entry, beyond what a lookup checks: size, head
+        hash, head and head digest as a lookup does, then the body's hash
+        against the head, the body decoded and the digest and facts re-derived from its objects
         held against the head (and so the index).  ``prune`` deletes the
         failing entries and gives their pages back."""
         from repro.run.backends import outcome_digest, outcome_facts
@@ -814,12 +839,12 @@ class ResultCache:
                 found = self._read_verified(key)
                 if found is None:
                     continue  # evicted since the list was read
-                head, data, body_at = found
+                head, _, body = found
             except (ValueError, sqlite3.Error) as exc:
                 problem = str(exc)
             else:
                 try:
-                    run, _ = self._decode_body(data, body_at, head["body_nbytes"])
+                    run, _ = self._decode_body(body, head["body_nbytes"])
                     digest = outcome_digest(run, head["mode"])
                     facts = outcome_facts(run, head["mode"])
                 except Exception as exc:  # noqa: BLE001 - any decode failure is damage

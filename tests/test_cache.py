@@ -11,8 +11,9 @@ Covers the correctness promises the cache makes over raw memoization:
 * damaged state (truncated blob, missing blob, stale index row, foreign
   schema version) degrades to recomputation with a warning, never to a
   crash or a stale answer, and no byte of a blob reaches a decoder
-  before the SHA-256 of its raw bytes matched the index — a hostile body
-  under a correct hash is refused by the allow-list unpickler, a body
+  before its hash matched — the head's against the index row at lookup,
+  the body's against the head when the body is first read — a hostile
+  body under a correct hash is refused by the allow-list unpickler, a body
   that is not one zlib stream of the head's ``body_nbytes`` by the
   inflater before the unpickler runs, a zlib bomb after inflating no
   more than its head declares, and the entry heals: the recomputed cell
@@ -95,10 +96,9 @@ def _fill(store, scenario=SMALL):
     return run_scenario(scenario, cache=store)
 
 
-@functools.cache
 def _cold_small():
     """SMALL computed once, uncached."""
-    return run_scenario(SMALL, cache=False)
+    return _cold(SMALL)
 
 
 def _body_at(data):
@@ -116,7 +116,46 @@ def _assemble(head, body):
     given): what a writer that knows the layout can put under a correct
     hash."""
     head_bytes = json.dumps(head, sort_keys=True, separators=(",", ":")).encode()
+    return _assemble_bytes(head_bytes, body)
+
+
+def _assemble_bytes(head_bytes, body):
+    """A blob of ``head_bytes`` (any bytes, JSON or not) and ``body``."""
     return b"XSIMRC2\n" + len(head_bytes).to_bytes(4, "big") + head_bytes + body
+
+
+@functools.cache
+def _cold(scenario):
+    """``scenario`` computed once, uncached."""
+    return run_scenario(scenario, cache=False)
+
+
+@functools.cache
+def _blob_of(scenario):
+    """The blob a store of ``scenario``'s cold outcome writes."""
+    from repro.cache.store import encode_blob
+
+    return encode_blob(_cold(scenario), 0.1)[0]
+
+
+#: A fault-free and a restart cell: their heads differ in mode and facts.
+HOSTILE_CELLS = (SMALL, SMALL.with_(failures="3@50s"))
+#: Every key of a head, and of its facts and metadata.
+HEAD_PATHS = [
+    (key,) for key in ("format", "mode", "result_digest", "wall_s", "metadata", "facts",
+                       "body_nbytes", "body_sha")
+] + [
+    ("facts", key) for key in ("completed", "exit_time", "events", "failures", "restarts",
+                               "timing", "e2", "mttf_a", "strategy_facts")
+] + [("metadata", "nshards"), ("facts", "strategy_facts", "strategy")]
+DELETE = object()
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+#: What an edit puts at a head path: nothing (the key removed), a value
+#: of any JSON type, or a list or object of them.
+HEAD_VALUES = st.one_of(
+    st.just(DELETE), JSON_LEAVES, st.lists(JSON_LEAVES, max_size=2),
+    st.dictionaries(st.text(max_size=6), JSON_LEAVES, max_size=2),
+)
 
 
 @functools.cache
@@ -155,29 +194,68 @@ def _rows(store, scenario=SMALL):
     )
 
 
-def _reindex(store, scenario=SMALL):
-    """Make the index row agree with whatever the blob row now holds —
-    what a hostile (or foreign) writer to a shared directory can do."""
-    data = _blob(store, scenario)
+def _vouch(store, data, scenario=SMALL):
+    """Store ``data`` as the blob under an index row that vouches for it:
+    its size, and the SHA-256 of its head prefix (magic | head length |
+    head, cut at the blob's end)."""
+    _put_blob(store, data, scenario)
     store._conn().execute(
-        "UPDATE entries SET nbytes = ?, blob_sha = ? WHERE key = ?",
-        (len(data), hashlib.sha256(data).hexdigest(), cache_key(scenario)),
+        "UPDATE entries SET nbytes = ?, head_sha = ? WHERE key = ?",
+        (len(data), hashlib.sha256(data[: _body_at(data)]).hexdigest(), cache_key(scenario)),
     )
+
+
+def _reindex(store, scenario=SMALL):
+    """Make every hash agree with whatever the blob row now holds — the
+    head's ``body_sha`` (when the head is a JSON object) and the index
+    row — what a hostile (or foreign) writer to a shared directory can
+    do."""
+    data = _blob(store, scenario)
+    try:
+        head = _head(data)
+    except ValueError:
+        head = None
+    if isinstance(head, dict):
+        body = data[_body_at(data) :]
+        data = _assemble(dict(head, body_sha=hashlib.sha256(body).hexdigest()), body)
+    _vouch(store, data, scenario)
 
 
 @pytest.fixture()
 def no_decoder(monkeypatch):
-    """Every decoder a blob byte could reach raises if called."""
+    """A context in which every decoder a blob byte could reach raises if
+    called — save the JSON decoder on ``head``, the bytes of a head whose
+    hash the caller knows held."""
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("a decoder ran on bytes that were not verified")
 
-    monkeypatch.setattr("repro.cache.store._BodyUnpickler", refuse)
-    monkeypatch.setattr(pickle, "loads", refuse)
-    monkeypatch.setattr(pickle, "load", refuse)
-    monkeypatch.setattr(json, "loads", refuse)
-    monkeypatch.setattr(zlib, "decompressobj", refuse)
-    monkeypatch.setattr(zlib, "decompress", refuse)
+    @contextlib.contextmanager
+    def refusing(head=None):
+        real_loads = json.loads
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.cache.store._BodyUnpickler", refuse)
+            for module, name in [
+                (pickle, "loads"), (pickle, "load"),
+                (zlib, "decompressobj"), (zlib, "decompress"),
+            ]:
+                patched.setattr(module, name, refuse)
+            patched.setattr(
+                json, "loads", lambda data: real_loads(data) if data == head else refuse()
+            )
+            yield
+
+    return refusing
+
+
+@pytest.fixture(scope="module")
+def hostile_stores(tmp_path_factory):
+    """One store per cell of ``HOSTILE_CELLS``, shared by a property's
+    examples: each stores its entry afresh and counts from zero."""
+    stores = {cell: ResultCache(tmp_path_factory.mktemp("head")) for cell in HOSTILE_CELLS}
+    yield stores
+    for store in stores.values():
+        store.close()
 
 
 @pytest.fixture(params=["at-lookup", "on-access"])
@@ -544,7 +622,7 @@ class TestRobustness:
 
     def test_stale_blob_sha_recomputes(self, store):
         _fill(store)
-        store._conn().execute("UPDATE entries SET blob_sha = ?", ("0" * 64,))
+        store._conn().execute("UPDATE entries SET head_sha = ?", ("0" * 64,))
         with pytest.warns(RuntimeWarning, match="blob hash .* != indexed 0000"):
             assert store.lookup(SMALL) is None
         assert store.stats.corrupt == 1
@@ -553,16 +631,36 @@ class TestRobustness:
 
     @pytest.mark.parametrize("where", ["length", "head", "body"])
     def test_flipped_byte_is_refused_before_any_decoder(self, store, no_decoder, where):
-        """Verify-before-decode: one flipped bit anywhere is a miss, and
-        neither the head's JSON decoder nor the body's inflater or
-        unpickler ran."""
-        _fill(store)
+        """Verify-before-decode: one flipped bit in the head prefix is a
+        miss, and neither the head's JSON decoder nor the body's inflater
+        or unpickler ran.  A flipped body bit under an intact head is a
+        hit (a lookup reads no body); ``cache verify`` names it, and first
+        access refuses it on the body hash before any decoder, then
+        demotes, recomputes and heals the entry."""
+        cold = _fill(store)
         offset = {"length": 11, "head": 20, "body": _body_at(_blob(store)) + 5}[where]
         _flip(store, offset)
-        with pytest.warns(RuntimeWarning, match="blob hash"):
-            assert store.lookup(SMALL) is None
-        assert (store.stats.corrupt, store.stats.hits) == (1, 0)
-        assert _rows(store) == (0, 0)
+        if where != "body":
+            with no_decoder(), pytest.warns(RuntimeWarning, match="blob hash"):
+                assert store.lookup(SMALL) is None
+            assert (store.stats.corrupt, store.stats.hits) == (1, 0)
+            assert _rows(store) == (0, 0)
+            return
+        warm = store.lookup(SMALL)
+        assert warm is not None and warm.summary() == cold.summary()
+        (issue,) = store.verify()
+        assert issue.key == cache_key(SMALL) and "body hash" in issue.problem
+        head = _blob(store)[12 : _body_at(_blob(store))]  # intact: its hash held
+        with no_decoder(head), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = warm.result
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "body hash" in str(caught[0].message)
+        assert store.stats.decodes == 0  # refused before the inflater
+        assert outcome_digest(warm.run, warm.mode) == cold.digest()
+        assert any(r.category == "cache" for r in result.log.entries)
+        assert (store.stats.corrupt, store.stats.stores, _rows(store)) == (1, 2, (1, 1))
+        assert store.lookup(SMALL).metadata["cache_hit"] is True
 
     def test_truncation_is_refused_before_hashing(self, store, monkeypatch):
         _fill(store)
@@ -578,6 +676,27 @@ class TestRobustness:
         with pytest.warns(RuntimeWarning, match="blob size"):
             assert store.lookup(SMALL) is None
 
+    def test_a_lookup_hashes_its_head_prefix_only(self, store, monkeypatch):
+        """A hit on a 1,000-rank cell hashes nothing longer than its
+        blob's head prefix: the body waits for first access."""
+        scenario = Scenario(ranks=1000, iterations=5, interval=1000)
+        _fill(store, scenario)
+        data = _blob(store, scenario)
+        prefix = _body_at(data)
+        assert len(data) > 20 * prefix
+        real = hashlib.sha256
+        hashed = []
+
+        def guarded(data=b""):
+            hashed.append(len(data))
+            assert len(data) <= prefix, f"hashed {len(data)} B of a {prefix} B head prefix"
+            return real(data)
+
+        monkeypatch.setattr(hashlib, "sha256", guarded)
+        warm = store.lookup(scenario)
+        assert warm is not None and warm.metadata["cache_hit"] is True
+        assert prefix in hashed and store.stats.decodes == 0
+
     @seed(26)
     @settings(max_examples=40)
     @given(
@@ -585,7 +704,7 @@ class TestRobustness:
             st.tuples(st.just("data"), st.binary(max_size=2048)),
             st.tuples(st.just("truncate"), st.integers(min_value=0)),
             st.tuples(
-                st.sampled_from(["nbytes", "blob_sha", "result_digest"]),
+                st.sampled_from(["nbytes", "head_sha", "result_digest"]),
                 st.one_of(
                     st.integers(min_value=-(2**63), max_value=2**63 - 1),
                     st.floats(allow_nan=False),
@@ -603,7 +722,7 @@ class TestRobustness:
         cold = _cold_small()
         cache = ResultCache(tmp_path_factory.mktemp("fuzz"))
         assert cache.store(SMALL, cold)
-        checked = "SELECT nbytes, blob_sha, result_digest FROM entries"
+        checked = "SELECT nbytes, head_sha, result_digest FROM entries"
         before = cache._conn().execute(checked).fetchone() + (_blob(cache),)
         what, value = damage
         if what == "data":
@@ -623,12 +742,61 @@ class TestRobustness:
         assert not again.metadata.get("cache_hit") and again.summary() == cold.summary()
         cache.close()
 
+    @seed(50)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        cell=st.sampled_from(HOSTILE_CELLS),
+        base=st.sampled_from(HOSTILE_CELLS),
+        edits=st.lists(
+            st.tuples(st.sampled_from(HEAD_PATHS), HEAD_VALUES), min_size=1, max_size=2
+        ),
+        extra=st.dictionaries(st.text(max_size=6), JSON_LEAVES, max_size=2),
+        raw=st.one_of(
+            st.none(), st.none(), st.binary(max_size=64),
+            st.integers(1, 50_000).map(lambda n: b"[" * n),
+        ),
+    )
+    def test_any_head_under_a_correct_hash_is_served_whole_or_one_warned_miss(
+        self, hostile_stores, cell, base, edits, extra, raw
+    ):
+        """A hostile writer to a shared directory puts any head under a
+        correct ``head_sha`` — another cell's head under this cell's key
+        and digest, keys added, removed or given values of the wrong type,
+        or raw bytes: the lookup never raises and decodes no body, and
+        either serves an outcome whose digest, summary, completion and
+        metadata all read, or is a miss with exactly one warning."""
+        cold, cache = _cold(cell), hostile_stores[cell]
+        cache.stats = CacheStats()
+        assert cache.store(cell, cold)
+        data = _blob(cache, cell)
+        head = json.loads(json.dumps(_head(_blob_of(base)) | {"result_digest": cold.digest()}))
+        head.update(extra)
+        for path, value in edits:
+            *parents, leaf = path
+            node = functools.reduce(
+                lambda n, k: n.get(k) if isinstance(n, dict) else None, parents, head
+            )
+            if isinstance(node, dict):
+                if value is DELETE:
+                    node.pop(leaf, None)
+                else:
+                    node[leaf] = value
+        head_bytes = raw if raw is not None else json.dumps(head).encode()
+        _vouch(cache, _assemble_bytes(head_bytes, data[_body_at(data) :]), cell)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warm = cache.lookup(cell)
+            if warm is not None:
+                warm.digest(), warm.summary(), warm.completed, dict(warm.metadata)
+        assert [w.category for w in caught] == ([] if warm else [RuntimeWarning])
+        assert cache.stats.decodes == 0
+
     @pytest.mark.parametrize("evil", ["os.system", "builtins.eval"])
     def test_hostile_body_under_a_correct_hash_executes_nothing(
         self, store, tmp_path, first_read, evil
     ):
         """A body that names a callable, deflated and declared by its head
-        like a real one, under a *correct* ``blob_sha``: the hit is
+        like a real one, under *correct* head and body hashes: the hit is
         reported from the head, the inflater lets it through, the
         allow-list unpickler refuses it on first access, and the entry is
         demoted and healed — the recomputed cell stored in its place."""
@@ -661,7 +829,7 @@ class TestRobustness:
 
     def test_an_uncompressed_body_is_refused_before_the_unpickler(self, store, monkeypatch):
         """A body stored as a plain pickle, as schema 3 stored it, under a
-        head that declares its length and a correct ``blob_sha``: the
+        head that declares its length and correct hashes: the
         inflater refuses it, no ``_BodyUnpickler.load`` runs, and the
         entry heals."""
         cold = _fill(store)
@@ -719,7 +887,7 @@ class TestRobustness:
         assert healed.metadata.get("cache_hit") is True and store.verify() == []
 
     def test_a_body_that_will_not_decode_heals_its_entry(self, store):
-        """A body cut short under a correct ``blob_sha`` fails on first
+        """A body cut short under correct hashes fails on first
         access: the outcome recomputes its objects, stores them back with
         the recomputation's own wall time, and the next lookup hits."""
         assert store.store(SMALL, _cold_small(), wall_s=1e6)
@@ -814,16 +982,20 @@ class TestRobustness:
         return blob
 
     @staticmethod
-    def _schema_3_directory(root):
-        """A cache directory the third format wrote: its WAL index with
-        the tables of today's, and one entry — SMALL's, under today's
-        key — whose blob holds its body as a plain pickle."""
+    def _one_file_directory(root, version):
+        """A cache directory the third or fourth format wrote: its WAL
+        index with the tables of today's (the index row hashing the whole
+        blob), and one entry — SMALL's, under today's key — whose blob
+        holds its body as a plain pickle (3) or deflated (4)."""
         cold = _cold_small()
         head = {
-            "format": 3, "mode": cold.mode, "result_digest": cold.digest(), "wall_s": 0.1,
-            "metadata": dict(cold.metadata), "facts": cold.facts(),
+            "format": version, "mode": cold.mode, "result_digest": cold.digest(),
+            "wall_s": 0.1, "metadata": dict(cold.metadata), "facts": cold.facts(),
         }
-        blob = _assemble(head, pickle.dumps((cold.result, None, None), pickle.HIGHEST_PROTOCOL))
+        body = pickle.dumps((cold.result, None, None), pickle.HIGHEST_PROTOCOL)
+        if version == 4:
+            head["body_nbytes"], body = len(body), zlib.compress(body, 1)
+        blob = _assemble(head, body)
         root.mkdir(parents=True)
         conn = sqlite3.connect(root / "index.sqlite3")
         conn.execute("PRAGMA page_size=4096")
@@ -837,7 +1009,7 @@ class TestRobustness:
             " blob_sha TEXT NOT NULL, wall_s REAL NOT NULL, created REAL NOT NULL,"
             " last_hit REAL NOT NULL, hits INTEGER NOT NULL DEFAULT 0);"
             "CREATE INDEX entries_last_hit ON entries(last_hit);"
-            "INSERT INTO meta VALUES ('schema', '3');"
+            f"INSERT INTO meta VALUES ('schema', '{version}');"
         )
         key = cache_key(SMALL)
         conn.execute("INSERT INTO blobs VALUES (?, ?)", (key, blob))
@@ -856,7 +1028,7 @@ class TestRobustness:
         cache = ResultCache(root)
         assert cache.disabled_reason is not None
         with pytest.warns(
-            RuntimeWarning, match=f"schema version {version} != supported 4"
+            RuntimeWarning, match=f"schema version {version} != supported {CACHE_SCHEMA_VERSION}"
         ) as caught:
             outcome = run_scenario(SMALL, cache=cache)
             assert cache.lookup(SMALL) is None
@@ -900,9 +1072,20 @@ class TestRobustness:
         body a plain pickle): refused the same way, its entry neither read
         nor demoted, and not one byte of its index file changes."""
         root = tmp_path / "old"
-        blob = self._schema_3_directory(root)
+        blob = self._one_file_directory(root, 3)
         before = (root / "index.sqlite3").read_bytes()
         self._assert_refused_untouched(root, 3, blob)
+        assert (root / "index.sqlite3").read_bytes() == before
+
+    def test_schema_4_directory_is_refused_untouched(self, tmp_path):
+        """A directory written by the fourth format (one SQLite file, the
+        index row hashing the whole blob): refused the same way, its entry
+        neither read nor demoted, and not one byte of its index file
+        changes."""
+        root = tmp_path / "old"
+        blob = self._one_file_directory(root, 4)
+        before = (root / "index.sqlite3").read_bytes()
+        self._assert_refused_untouched(root, 4, blob)
         assert (root / "index.sqlite3").read_bytes() == before
 
     def test_failed_store_rolls_back_and_the_next_one_lands(self, store, monkeypatch):
@@ -1384,7 +1567,7 @@ class TestBatchedLookup:
         finally:
             tracemalloc.stop()
         assert all(s["cached"] for s in warm)
-        assert peak < 3 * blob, f"peak {peak} B over a partition of {blob} B blobs"
+        assert peak < blob, f"peak {peak} B over a partition of {blob} B blobs"
 
     @pytest.mark.parametrize("case", ["hit", "miss", "damaged", "disabled"])
     def test_lookup_is_the_batch_of_one(self, tmp_path, case):
