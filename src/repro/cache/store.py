@@ -208,6 +208,16 @@ def encode_blob(outcome: "ScenarioOutcome", wall_s: float) -> tuple[bytes, dict,
     return prefix + stored, head, hashlib.sha256(prefix).hexdigest()
 
 
+#: The ``(fact, type)`` pairs a head may hold, held by ``type`` (a bool
+#: is no count); ``timing`` is ``[min, max, avg, count]``, four numbers.
+_FACT_TYPES = frozenset([
+    ("completed", bool), ("exit_time", float), ("e2", float), ("events", int),
+    ("failures", int), ("restarts", int), ("timing", list), ("mttf_a", float),
+    ("mttf_a", type(None)), ("strategy_facts", dict),
+])
+_NUMBERS = frozenset([int, float])
+
+
 def _verified_head(prefix: bytes, head_sha: str, result_digest: str) -> dict:
     """The head of a blob checked against its index row, from the blob's
     ``magic | head length | head`` prefix.  Order: SHA-256 of the prefix,
@@ -235,7 +245,9 @@ def _verified_head(prefix: bytes, head_sha: str, result_digest: str) -> dict:
         mode not in ("single", "restart")  # compared, not hashed: a mode may be a list
         or not isinstance(facts, dict)
         or facts.keys() != FACT_KEYS[mode]
-        or not isinstance(facts.get("strategy_facts", {}), dict)  # summary() copies it
+        or not _FACT_TYPES.issuperset(zip(facts, map(type, facts.values())))
+        or len(facts["timing"]) != 4
+        or not _NUMBERS.issuperset(map(type, facts["timing"]))
         or not isinstance(head.get("metadata"), dict)
         or not isinstance(head.get("wall_s"), float)
         or type(body_nbytes) is not int

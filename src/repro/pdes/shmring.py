@@ -87,9 +87,12 @@ class ShmRing:
         #: ``[head, tail]``, one writer each (a fresh segment is zeroed).
         self._ctr = self._shm.buf[:HEADER_BYTES].cast("Q")
 
-    def _wait(self, spins: int, alive: Callable[[], bool] | None) -> int:
+    def _wait(self, spins: int, alive: Callable[[], bool] | None, peer: int, seen: int) -> int:
+        """One idle turn while the peer's counter ``_ctr[peer]`` reads
+        ``seen``.  A peer found dead may have moved it just before it
+        exited, so the counter is read again before that is an error."""
         if spins >= _SPINS:
-            if alive is not None and not alive():
+            if alive is not None and not alive() and self._ctr[peer] == seen:
                 raise RingPeerDead("ring peer process died")
             time.sleep(_SLEEP_S)
         return spins + 1
@@ -108,7 +111,7 @@ class ShmRing:
         while off < len(data):
             free = cap - (head - ctr[1])
             if free == 0:
-                spins = self._wait(spins, alive)
+                spins = self._wait(spins, alive, 1, head - cap)
                 continue
             spins = 0
             pos = head % cap
@@ -135,7 +138,7 @@ class ShmRing:
         while got < n:
             avail = ctr[0] - tail
             if avail == 0:
-                spins = self._wait(spins, alive)
+                spins = self._wait(spins, alive, 0, tail)
                 continue
             spins = 0
             pos = tail % cap

@@ -33,9 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.run.scenario import Scenario
 
 
-def capped_shards(
-    shards: int, jobs: int = 1, transport: str | None = None, quiet: bool = False
-) -> int:
+def capped_shards(shards: int, jobs: int = 1, transport: str | None = None) -> int:
     """Cap ``jobs * shards`` at the host's CPU count (the shm transport).
 
     Every shm shard worker is a full process; running ``jobs`` pool
@@ -51,13 +49,12 @@ def capped_shards(
     jobs = max(1, jobs)
     if jobs * shards > ncpu:
         capped = max(1, ncpu // jobs)
-        if not quiet:
-            print(
-                f"warning: --jobs {jobs} x --shards {shards} would oversubscribe "
-                f"{ncpu} CPUs; capping shards to {capped} "
-                "(use --shard-transport inline to shard without extra processes)",
-                file=sys.stderr,
-            )
+        print(
+            f"warning: --jobs {jobs} x --shards {shards} would oversubscribe "
+            f"{ncpu} CPUs; capping shards to {capped} "
+            "(use --shard-transport inline to shard without extra processes)",
+            file=sys.stderr,
+        )
         return capped
     return shards
 

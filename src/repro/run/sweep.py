@@ -15,6 +15,7 @@ Grids come from a ``[sweep]`` table in the scenario TOML or from repeated
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 from typing import Any
 
@@ -150,10 +151,10 @@ def run_cells(
             from repro.run.backends import capped_shards
 
             cache_dir = str(store.root) if store is not None else None
-            workers = min(jobs, len(todo))
+            # One cap (and at most one warning) a shard layout, not a cell.
+            cap = functools.cache(functools.partial(capped_shards, jobs=min(jobs, len(todo))))
             cells = [
-                (s.to_dict(), cache_dir,
-                 capped_shards(s.shards, jobs=workers, transport=s.shard_transport))
+                (s.to_dict(), cache_dir, cap(s.shards, transport=s.shard_transport))
                 for s in (scenarios[i] for i in todo)
             ]
             computed = fan_out(_run_cell, cells, jobs)

@@ -46,6 +46,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import shutil
 import signal
 import sqlite3
@@ -59,7 +60,7 @@ import zlib
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.cache import (
@@ -156,6 +157,29 @@ HEAD_VALUES = st.one_of(
     st.just(DELETE), JSON_LEAVES, st.lists(JSON_LEAVES, max_size=2),
     st.dictionaries(st.text(max_size=6), JSON_LEAVES, max_size=2),
 )
+
+
+@functools.cache
+def _cli_parser():
+    from repro.cli import build_parser
+
+    return build_parser()
+
+
+def _cli_reports(cell, cache_dir):
+    """``cell`` through ``xsim-run app --cache`` and a one-cell ``sweep
+    --cache`` against ``cache_dir``: the two commands' stdout.  (The
+    command functions ``main`` calls, under one parser built once.)"""
+    argv = ["--ranks", str(cell.ranks), "--iterations", str(cell.iterations),
+            "--interval", str(cell.interval), "--xsim-failures", cell.failures,
+            "--cache", "--cache-dir", str(cache_dir)]
+    out = []
+    for command in (["app"], ["sweep", "--set", f"seed={cell.seed}"]):
+        args = _cli_parser().parse_args(command + argv)
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert args.fn(args) == 0
+        out.append(text.getvalue())
+    return out
 
 
 @functools.cache
@@ -662,6 +686,46 @@ class TestRobustness:
         assert (store.stats.corrupt, store.stats.stores, _rows(store)) == (1, 2, (1, 1))
         assert store.lookup(SMALL).metadata["cache_hit"] is True
 
+    def test_a_flipped_body_bit_at_4096_ranks_is_found_by_verify_and_recomputed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The same through the CLI on one stored 4,096-rank cell, whose
+        blob is under a third of the raw body its head declares (bodies
+        are stored deflated), with one bit flipped mid-body: the warm
+        sweep still serves it from its intact head with the same table,
+        ``cache verify`` names the body hash (exit 1), and once pruned
+        the sweep recomputes the identical output; the next run is a hit
+        again."""
+        from repro.cli import main
+
+        for name in [n for n in os.environ if n.startswith("XSIM_") and n != "XSIM_CHECK"]:
+            monkeypatch.delenv(name)
+        root = tmp_path / "cache"
+        sweep = ["sweep", "--app", "heat3d", "--ranks", "4096", "--iterations", "5",
+                 "--set", "interval=1000", "--cache", "--cache-dir", str(root)]
+
+        def cli(*argv, status=0):
+            assert main(list(argv)) == status
+            return capsys.readouterr().out
+
+        def table(out):  # without the source column
+            return [re.sub(r" *\|[^|]*$", "", line) for line in out.splitlines() if "|" in line]
+
+        cold = cli(*sweep)
+        store, cell = ResultCache(root), Scenario(ranks=4096, iterations=5, interval=1000)
+        data = _blob(store, cell)
+        assert 3 * len(data) < _head(data)["body_nbytes"]
+        _flip(store, _body_at(data) + (len(data) - _body_at(data)) // 2, cell)
+        store.close()
+        warm = cli(*sweep)
+        assert "cache: 1/1 cells served from cache" in warm and table(warm) == table(cold)
+        verify = cli("cache", "verify", "--cache-dir", str(root), status=1)
+        assert re.search(r"unservable: body hash .* != head's", verify), verify
+        cli("cache", "verify", "--prune", "--cache-dir", str(root))
+        again = cli(*sweep)
+        assert "cache: 0/1 cells served from cache" in again and again == cold
+        assert "cache: 1/1 cells served from cache (100% hit rate)" in cli(*sweep)
+
     def test_truncation_is_refused_before_hashing(self, store, monkeypatch):
         _fill(store)
         truncated = _blob(store)[:-1]
@@ -744,6 +808,7 @@ class TestRobustness:
 
     @seed(50)
     @settings(max_examples=400, deadline=None)
+    @example(cell=SMALL, base=SMALL, edits=[(("facts", "timing"), "x")], extra={}, raw=None)
     @given(
         cell=st.sampled_from(HOSTILE_CELLS),
         base=st.sampled_from(HOSTILE_CELLS),
@@ -763,8 +828,10 @@ class TestRobustness:
         correct ``head_sha`` — another cell's head under this cell's key
         and digest, keys added, removed or given values of the wrong type,
         or raw bytes: the lookup never raises and decodes no body, and
-        either serves an outcome whose digest, summary, completion and
-        metadata all read, or is a miss with exactly one warning."""
+        either serves an outcome whose digest, summary, completion,
+        metadata and timing line all read, and whose ``app --cache`` and
+        ``sweep --cache`` reports print as hits, or is a miss with
+        exactly one warning."""
         cold, cache = _cold(cell), hostile_stores[cell]
         cache.stats = CacheStats()
         assert cache.store(cell, cold)
@@ -788,6 +855,9 @@ class TestRobustness:
             warm = cache.lookup(cell)
             if warm is not None:
                 warm.digest(), warm.summary(), warm.completed, dict(warm.metadata)
+                warm.timing_report()
+                app, sweep = _cli_reports(cell, cache.root)
+                assert "cache: hit" in app and "cache: 1/1 cells served" in sweep
         assert [w.category for w in caught] == ([] if warm else [RuntimeWarning])
         assert cache.stats.decodes == 0
 

@@ -105,6 +105,7 @@ class TestTable2IsTheParents:
     ``-j``, whatever the environment says, from any state of the cache."""
 
     TINY = "ede2c816e6ce1460"  # table2 --ranks 8
+    RANKS_64 = "db74b624dd62fcf2"  # table2 --ranks 64
 
     @pytest.fixture(autouse=True)
     def clean_environment(self, monkeypatch):
@@ -126,7 +127,7 @@ class TestTable2IsTheParents:
         [
             (["--ranks", "8"], TINY),
             (["--ranks", "27", "--seed", "3"], "2982aa88fc2d246a"),  # rows with F = 0 print "-"
-            (["--ranks", "64", "-j", "2"], "db74b624dd62fcf2"),
+            (["--ranks", "64", "-j", "2"], RANKS_64),
             (["--ranks", "125"], "a6c25ef015c8fb96"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
@@ -157,6 +158,16 @@ class TestTable2IsTheParents:
         )
         assert rc == 0 and out == warm
         assert loaded(mods, ("repro.pdes", "repro.mpi", "numpy")) == []
+
+    def test_table2_cold_on_two_workers_then_warm_at_64_ranks(self, capsys, cache_dir):
+        """Computed into the cache on two workers (each stores the cells
+        it computes), then read back from it: the uncached table's bytes
+        both times, and ten entries in the cache."""
+        cold = self.table2(capsys, "--ranks", "64", "-j", "2")
+        warm = self.table2(capsys, "--ranks", "64")
+        assert cold == warm and sha16(warm) == self.RANKS_64
+        assert main(["cache", "stats"]) == 0
+        assert "entries:  10 " in capsys.readouterr().out
 
     def test_table2_resumes_from_a_half_filled_cache(self, capsys, cache_dir):
         from repro.cache import open_cache
@@ -262,30 +273,82 @@ class TestRecordedTraceIsTheRun:
 
 class TestHostileValues:
     """Every command refuses a hostile value with exit status 2 and one
-    stderr line, never a traceback."""
+    stderr line, never a traceback, naming the field, flag, key or
+    variable at fault where a case gives one.  ``$T`` is the test's
+    directory, holding ``FILES``; an entry may start with one
+    ``VAR=value`` the command runs under."""
+
+    FILES = {
+        "plain.txt": "not a trace, an export or a directory\n",
+        "ranks.toml": '[machine]\nranks = "64"\n',
+        "app.toml": '[app]\nname = "amr"\n',
+        "dims.toml": '[machine]\ntopology = "fattree"\ndims = [3, 100000000]\nranks = 8\n',
+        "collectives.toml": '[machine]\ncollectives = "analytic"\n',
+        "torus.toml": '[machine]\ntopology = "torus"\ndims = [100000, 100000, 100000]\nranks = 8\n',
+        "backend.toml": '[execution]\nbackend = "serial"\n',
+        "star.toml": '[machine]\ntopology = "star"\n',
+        "explore.toml": '[machine]\nranks = 8\n[explore]\nci_width = "abc"\n',
+        "jobs.toml": "[execution]\njobs = 2\n",
+    }
 
     @pytest.mark.parametrize(
-        "argv",
+        "entry, naming",
         [
-            ["app", "--replay", "{missing}"],
-            ["sweep", "--set", "ranks=abc"],
-            ["explore", "--max-cells", "-1"],
-            ["timeline", "{text}"],
-            ["table1", "--victims", "-3"],
-            ["table2", "--ranks", "0"],
-            ["arch", "--ranks", "0"],
-            ["cache", "stats", "--cache-dir", "{text}"],
-            ["cache", "verify", "--cache-dir", "{text}"],
-            ["cache", "gc", "--max-age", "7d", "--cache-dir", "{text}"],
+            pytest.param("app --replay $T/missing", None, id="app"),
+            pytest.param("sweep --set ranks=abc", None, id="sweep"),
+            pytest.param("explore --max-cells -1", None, id="explore"),
+            pytest.param("timeline $T/plain.txt", None, id="timeline"),
+            pytest.param("table1 --victims -3", None, id="table1"),
+            pytest.param("table2 --ranks 0", None, id="table2"),
+            pytest.param("arch --ranks 0", None, id="arch"),
+            pytest.param("cache stats --cache-dir $T/plain.txt", "cache directory unusable",
+                         id="cache"),
+            pytest.param("cache verify --cache-dir $T/plain.txt", None, id="cache-verify"),
+            pytest.param("cache gc --max-age 7d --cache-dir $T/plain.txt", None, id="cache-gc"),
+            # 1e400 is inf as a float: it escaped as an OverflowError
+            # traceback or an infinite time, and an empty --set value was
+            # silently dropped.
+            ("app --ranks 8 --bandwidth 1e400GB/s", None),
+            ("app --ranks 8 --detection-timeout 1e400s", None),
+            ("sweep --set ranks=1,,2", None),
+            # A slowdown is refused by its field, not later by the network
+            # model as an infinite time.
+            ("app --ranks 8 --slowdown 1e400", "slowdown"),
+            ("app --ranks 8 --slowdown nan", "slowdown"),
+            # A file's value of the wrong type was a TypeError traceback.
+            ("app --scenario $T/ranks.toml", "machine.ranks"),
+            # A removed app or collective family is refused by its row.
+            ("app --scenario $T/app.toml", "app.name"),
+            ("app --scenario $T/collectives.toml", "machine.collectives"),
+            # A fat tree with levels far beyond the job hung computing
+            # arity**levels; a torus far larger than the job building its
+            # per-node coordinate tables.
+            ("app --scenario $T/dims.toml", "machine.dims"),
+            ("app --scenario $T/torus.toml", "machine.dims"),
+            # A backend named apart from shards could disagree with them.
+            ("app --scenario $T/backend.toml", "execution.backend"),
+            ("app --scenario $T/star.toml", "machine.topology"),
+            # An unreadable replay file was a traceback after the run.
+            ("app --ranks 8 --replay /nonexistent", "--replay"),
+            ("explore --scenario $T/explore.toml", "explore.ci_width"),
+            # There is no CSV trace export: refused before the run.
+            ("app --ranks 8 --trace-out $T/x.csv", "--trace-out"),
+            # A campaign's worker count is no scenario key, and the explore
+            # stopping rule is set by flags and [explore] only.
+            ("app --scenario $T/jobs.toml", "execution.jobs"),
+            ("XSIM_EXPLORE_CI=0.2 explore --ranks 8", "XSIM_EXPLORE_CI"),
         ],
-        ids=["app", "sweep", "explore", "timeline", "table1", "table2", "arch",
-             "cache", "cache-verify", "cache-gc"],
     )
-    def test_one_line_and_no_traceback(self, tmp_path, capsys, argv):
-        text = tmp_path / "plain.txt"
-        text.write_text("not a trace, an export or a directory\n")
-        paths = {"missing": tmp_path / "missing", "text": text}
-        rc = main([arg.format(**paths) for arg in argv])
+    def test_one_line_and_no_traceback(self, tmp_path, capsys, monkeypatch, entry, naming):
+        for name in [n for n in os.environ if n.startswith("XSIM_") and n != "XSIM_CHECK"]:
+            monkeypatch.delenv(name)
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        argv = entry.replace("$T", str(tmp_path)).split()
+        if "=" in argv[0]:
+            monkeypatch.setenv(*argv.pop(0).split("=", 1))
+        rc = main(argv)
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert naming is None or naming in err, err

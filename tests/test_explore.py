@@ -4,6 +4,7 @@ deterministic sampling, stopping, and the scorecard."""
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,35 @@ class TestCampaignTraceOut:
         assert "exported 1 events to" in warm and "exported 1 events to" in cold
         cards = {(tmp_path / f).read_bytes() for f in ("a.json", "b.json", "c.json", "d.json")}
         assert len(cards) == 1
+
+
+class TestReferenceCampaign:
+    """``examples/explore_reference.toml`` cold on two workers, then warm
+    from the same cache: one scorecard byte for byte, at least 90 % of
+    the warm cells served from the cache, and the sampler stops at its
+    confidence-interval target (``ci-target``) within half the cells a
+    uniform grid sized for the hardest stratum would spend (252 of 580
+    now, 0.434)."""
+
+    def test_cold_and_warm_are_one_scorecard_within_half_the_grid(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        for name in [n for n in os.environ if n.startswith("XSIM_") and n != "XSIM_CHECK"]:
+            monkeypatch.delenv(name)
+        argv = ["explore", "--scenario", str(REPO / "examples" / "explore_reference.toml"),
+                "--cache", "--cache-dir", str(tmp_path / "cache"), "-j", "2"]
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        assert main([*argv, "--out", str(cold)]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--out", str(warm)]) == 0
+        hits, total = map(int, re.search(
+            r"^cache: (\d+)/(\d+) cells", capsys.readouterr().out, re.M
+        ).groups())
+        assert cold.read_bytes() == warm.read_bytes()
+        assert hits / total >= 0.90, f"warm hit rate {hits}/{total}"
+        budget = json.loads(cold.read_text())["budget"]
+        assert budget["stopped"] == "ci-target"
+        assert budget["cells_ratio"] <= 0.5, budget
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,9 @@ from scratch.
 
 from __future__ import annotations
 
+import os
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -261,6 +264,55 @@ class TestStudy:
         out = capsys.readouterr().out
         assert "strategy head-to-head" in out
         assert "overhead" in out and "E2/E1" in out
+
+
+class TestHeadToHeadSweep:
+    """The four strategies over heat3d and cg with a mid-run fail-stop,
+    swept twice against one cache directory: byte-identical sweep and
+    study tables (E1, overhead vs none, E2, E2/E1, MTTF_a) once the
+    cache-status column and summary line are stripped, at least 90 % of
+    the warm cells served from the cache, and the recovery each
+    strategy promises: replication absorbs the fail-stop with no
+    restart and no activated failure, ckpt restarts once, and
+    multilevel recovery beats single-level."""
+
+    @pytest.fixture(autouse=True)
+    def clean_environment(self, monkeypatch):
+        for name in [n for n in os.environ if n.startswith("XSIM_") and n != "XSIM_CHECK"]:
+            monkeypatch.delenv(name)
+
+    @pytest.mark.parametrize("app", ["heat3d", "cg"])
+    def test_one_table_cold_and_warm_and_each_recovery_as_promised(self, capsys, tmp_path, app):
+        from repro.cache import open_cache
+        from repro.cli import main
+
+        argv = ["sweep", "--app", app, "--ranks", "8", "--iterations", "60",
+                "--interval", "15", "--xsim-failures", "3@60s",
+                "--set", "strategy=" + ",".join(ALL), "--cache", "--cache-dir", str(tmp_path)]
+        out = []
+        for _ in ("cold", "warm"):
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out)
+        cold, warm = ([
+            re.sub(r" ?\| (source|cached|computed) *$|\+-+$", "", line)
+            for line in text.splitlines() if not line.startswith("cache:")
+        ] for text in out)
+        assert cold == warm
+        assert "strategy head-to-head" in out[0]
+        hits, total = map(int, re.search(r"^cache: (\d+)/(\d+) cells", out[1], re.M).groups())
+        assert hits / total >= 0.90, f"warm hit rate {hits}/{total}"
+
+        base = Scenario(app=app, ranks=8, iterations=60, interval=15, failures="3@60s")
+        by_strategy = {
+            s.strategy: summary
+            for s, summary in run_sweep(base, {"strategy": list(ALL)}, cache=open_cache(tmp_path))
+        }
+        rep, ck, ml = (by_strategy[s] for s in ("replication", "ckpt", "ckpt-multilevel"))
+        assert all(summary["cached"] for summary in by_strategy.values())
+        assert rep["restarts"] == 0 and rep["failures"] == 0
+        assert rep["strategy_facts"]["failovers"] == 1
+        assert ck["restarts"] == 1
+        assert ml["e2"] < ck["e2"]
 
 
 # ----------------------------------------------------------------------

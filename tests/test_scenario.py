@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -460,8 +461,8 @@ class TestCappedShards:
         import repro.run.backends as backends
 
         monkeypatch.setattr(backends.os, "cpu_count", lambda: 4)
-        assert capped_shards(2, jobs=8, transport="shm", quiet=True) == 1
-        assert capsys.readouterr().err == ""  # quiet suppresses the warning
+        assert capped_shards(2, jobs=8, transport="shm") == 1
+        assert "capping shards to 1" in capsys.readouterr().err
 
     def test_undeterminable_cpu_count_caps_hard(self, monkeypatch, capsys):
         """os.cpu_count() may return None; the cap must neither crash nor
@@ -489,10 +490,10 @@ class TestCappedShards:
 
     def test_a_pool_of_shm_cells_is_capped(self, monkeypatch, capfd):
         """Where processes multiply: two pool workers x two shm shards
-        on two CPUs run one shard a cell, with a warning, and the
-        summaries match a serial campaign's.  (The cells resolve under
-        ``XSIM_JOBS=2`` so a campaign that read the worker count off its
-        cells caps them alike.)"""
+        on two CPUs run one shard a cell, with one warning line for the
+        campaign, and the summaries match a serial campaign's.  (The
+        cells resolve under ``XSIM_JOBS=2`` so a campaign that read the
+        worker count off its cells caps them alike.)"""
         import repro.run.backends as backends
         from repro.run.sweep import run_cells
 
@@ -503,7 +504,7 @@ class TestCappedShards:
             for seed in (0, 1)
         ]
         pooled = run_cells(cells, jobs=2, cache=False)
-        assert "capping shards to 1" in capfd.readouterr().err
+        assert capfd.readouterr().err.count("capping shards to 1") == 1
         serial = run_cells([c.with_(shards=1) for c in cells], jobs=1, cache=False)
         for got, want in zip(pooled, serial):
             assert got["result_digest"] == want["result_digest"]
@@ -714,6 +715,29 @@ class TestScenarioCli:
         ]) == 0
         out = capsys.readouterr().out
         assert re.search(r"result digest: ([0-9a-f]{64})", out).group(1) == serial
+
+    def test_a_failure_scenario_file_is_one_digest_serial_and_sharded(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A scenario file is a complete description of a restart run:
+        serially and on 2 inline shards it prints one result digest, and
+        its TOML round trip keeps the scenario and its digest."""
+        for name in [n for n in os.environ if n.startswith("XSIM_") and n != "XSIM_CHECK"]:
+            monkeypatch.delenv(name)
+        f = tmp_path / "scenario.toml"
+        f.write_text(
+            '[machine]\nranks = 8\n\n[app]\nname = "heat3d"\niterations = 40\n'
+            'interval = 10\n\n[resilience]\nfailures = "3@50s"\n'
+        )
+        digests = []
+        for extra in ([], ["--shards", "2", "--shard-transport", "inline"]):
+            assert main(["app", "--scenario", str(f), "--digest", *extra]) == 0
+            digests += re.findall(r"^result digest: .*$", capsys.readouterr().out, re.M)
+        assert len(digests) == 2 and digests[0] == digests[1]
+        loaded, _ = load_scenario_file(f, use_environment=False)
+        round_tripped = Scenario.from_toml(loaded.to_toml())
+        assert round_tripped == loaded
+        assert round_tripped.scenario_digest() == loaded.scenario_digest()
 
     def test_app_flags_override_scenario_file(self, tmp_path, capsys):
         f = tmp_path / "s.toml"

@@ -312,6 +312,26 @@ class TestShmRing:
         finally:
             ring.destroy()
 
+    def test_a_record_landed_before_the_peer_died_is_read(self):
+        """The writer lands its last record and exits between the
+        reader's empty look and its liveness check: the record is read,
+        not reported as a dead peer."""
+        ring = ShmRing(capacity=64)
+        landed = []
+
+        def write_then_die():
+            if not landed:
+                ring.write(b"last words")
+                landed.append(True)
+            return False
+
+        try:
+            assert ring.read(alive=write_then_die) == b"last words"
+            with pytest.raises(RingPeerDead):  # nothing more will come
+                ring.read(alive=write_then_die)
+        finally:
+            ring.destroy()
+
     @fork_required
     def test_two_processes_never_read_a_half_written_counter(self):
         """A forked writer streams 100,000 records through a 4 KiB ring
