@@ -26,20 +26,21 @@ run).
 
 from __future__ import annotations
 
-from repro.check.sanitizer import Sanitizer, verify_store, verify_store_cleaned
-from repro.check.trace import EventTrace, TraceDivergence
 from repro.run.envvars import environment_value
-from repro.util.errors import InvariantViolation
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "EventTrace",
-    "InvariantViolation",
-    "Sanitizer",
-    "TraceDivergence",
-    "checking_enabled",
-    "verify_store",
-    "verify_store_cleaned",
-]
+#: Public name -> defining module (imported on first use, not by every run).
+_EXPORTS = {
+    "EventTrace": "repro.check.trace",
+    "InvariantViolation": "repro.util.errors",
+    "Sanitizer": "repro.check.sanitizer",
+    "TraceDivergence": "repro.check.trace",
+    "verify_store": "repro.check.sanitizer",
+    "verify_store_cleaned": "repro.check.sanitizer",
+}
+
+__all__ = [*_EXPORTS, "checking_enabled"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 
 def checking_enabled() -> bool:

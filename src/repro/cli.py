@@ -35,9 +35,11 @@ refused before the run); ``--digest`` prints the canonical result
 fingerprint for cross-backend comparison.
 
 Start-up cost follows the command (``docs/INTERNALS.md``, "Import
-layers"): this module imports only the import-light layer — the scenario
-spec and its field table, the error types — so
-``--help``, a usage error and ``cache stats|gc`` load no simulator; each
+layers"): this module imports only the error types and the lazy loader,
+and :func:`main` builds only the parser its command names — the scenario
+spec and its field table load inside :func:`_add_field_flags`, for a
+command that takes scenario fields — so ``--help`` loads this module
+alone, and a usage error and ``cache stats|gc`` load no simulator; each
 ``_cmd_*`` imports the runtime or tool it drives, and a warm ``app`` /
 ``sweep --cache`` / ``table2`` under ``XSIM_CACHE=1`` is answered from
 the cache's JSON heads without the engine, the MPI layer or numpy.
@@ -55,13 +57,13 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import fields
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.run.envvars import default_jobs
-from repro.run.scenario import FIELDS, Scenario, load_scenario_file, parse_dims
 from repro.util.errors import ConfigurationError
 from repro.util.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.run.scenario import Scenario
 
 # Names this module used to import eagerly and callers still read off it
 # (``repro.cli.run_scenario``, ``repro.cli.capped_shards``, ...): resolved
@@ -139,6 +141,8 @@ def _jobs(given: int | None) -> int:
     """A ``-j`` command's worker count: the flag, else ``XSIM_JOBS`` —
     read here, when the command runs, so a bad value breaks only the
     commands that use it.  The campaign checks either value."""
+    from repro.run.envvars import default_jobs
+
     return default_jobs() if given is None else given
 
 
@@ -150,11 +154,6 @@ _MACHINE = (
 )
 _WORKLOAD = ("app", "iterations", "interval", "strategy")
 _FAULTS = ("mttf", "failures", "check")
-#: argparse ``type`` per field kind (``str``: the text itself).  A bad
-#: ``--dims`` raises ``ConfigurationError``, which argparse lets through
-#: to :func:`main`'s handler.
-_FLAG_TYPES = {"int": int, "float": float, "dims": parse_dims, "str": None, "quantity": None}
-_DEFAULTS = {f.name: f.default for f in fields(Scenario)}
 
 
 def _add_field_flags(
@@ -165,9 +164,18 @@ def _add_field_flags(
     command), and record them in ``scenario_fields``.  Every default is
     ``None`` — not given: the lower layers decide — and the help states
     the library default instead."""
+    from dataclasses import fields
+
+    from repro.run.scenario import FIELDS, Scenario, parse_dims
+
+    # argparse ``type`` per field kind (``str``: the text itself).  A bad
+    # ``--dims`` raises ``ConfigurationError``, which argparse lets through
+    # to :func:`main`'s handler.
+    types = {"int": int, "float": float, "dims": parse_dims, "str": None, "quantity": None}
+    defaults = {f.name: f.default for f in fields(Scenario)}
     for name in names:
         spec = FIELDS[name]
-        default = _DEFAULTS[name]
+        default = defaults[name]
         text = (helps or {}).get(name, spec.help).format(
             default=f"{default:g}" if isinstance(default, float) else default,
             env=spec.env,
@@ -176,7 +184,7 @@ def _add_field_flags(
             p.add_argument(*spec.flag, dest=name, action="store_true", default=None, help=text)
         else:
             p.add_argument(
-                *spec.flag, dest=name, type=_FLAG_TYPES[spec.kind],
+                *spec.flag, dest=name, type=types[spec.kind],
                 choices=list(spec.choices) or None, metavar=spec.metavar,
                 default=None, help=text,
             )
@@ -202,6 +210,8 @@ def _scenario_overrides(args: argparse.Namespace) -> dict:
 def _resolve_scenario(args: argparse.Namespace) -> tuple[Scenario, dict]:
     """Resolve the invocation's scenario (and ``[sweep]`` grid, if any)
     through the full precedence chain."""
+    from repro.run.scenario import Scenario, load_scenario_file
+
     overrides = _scenario_overrides(args)
     file = getattr(args, "scenario", None)
     if file:
@@ -377,6 +387,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         scorecard_json,
     )
     from repro.run.envvars import refuse_retired
+    from repro.run.scenario import Scenario
 
     refuse_retired()
     explore_flags = dict(
@@ -534,58 +545,39 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the ``xsim-run`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="xsim-run",
-        description="xsim-resilience: performance/resilience co-design simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_app = sub.add_parser("app", help="run a simulated application")
+def _app_parser(p_app: argparse.ArgumentParser) -> None:
     _add_field_flags(p_app, _MACHINE + _WORKLOAD + _FAULTS)
     p_app.add_argument("--scenario", metavar="FILE", default=None, help=_SCENARIO_HELP)
     p_app.add_argument(
-        "--record-trace",
-        metavar="FILE",
-        default="",
+        "--record-trace", metavar="FILE", default="",
         help="save the event-dispatch trace of the whole run to FILE, every "
         "segment's events in order",
     )
     p_app.add_argument(
-        "--replay",
-        metavar="FILE",
-        default="",
+        "--replay", metavar="FILE", default="",
         help="re-run and diff against a trace saved with --record-trace; "
         "exit 1 at the first divergence",
     )
     p_app.add_argument(
-        "--digest",
-        action="store_true",
+        "--digest", action="store_true",
         help="print the canonical result digest (bit-identical across "
         "backends for the same scenario)",
     )
     _add_field_flags(p_app, ("trace_out", "trace_detail"))
     p_app.add_argument(
-        "--trace-host",
-        action="store_true",
+        "--trace-host", action="store_true",
         help="include host-domain (wall clock) events in --trace-out; these "
         "are nondeterministic, so exports are no longer byte-comparable",
     )
     _add_cache_args(p_app)
     p_app.set_defaults(fn=_cmd_app)
 
-    p_sw = sub.add_parser(
-        "sweep",
-        help="expand a scenario matrix (cartesian parameter grid) into a "
-        "campaign of independent runs",
-    )
+
+def _sweep_parser(p_sw: argparse.ArgumentParser) -> None:
     _add_field_flags(p_sw, _MACHINE + _WORKLOAD + _FAULTS)
     p_sw.add_argument("--scenario", metavar="FILE", default=None, help=_SCENARIO_HELP)
     p_sw.add_argument(
-        "--set",
-        action="append",
-        metavar="FIELD=V1,V2",
+        "--set", action="append", metavar="FIELD=V1,V2",
         help="sweep axis, e.g. --set interval=500,250 --set mttf=6000,3000; "
         "repeatable, combined cartesian with any [sweep] table in the "
         "scenario file",
@@ -594,62 +586,43 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(p_sw)
     p_sw.set_defaults(fn=_cmd_sweep)
 
-    p_ex = sub.add_parser(
-        "explore",
-        help="adaptive fault-space exploration: stratified sampling over "
-        "(kind x rank x time x magnitude) with CI-driven stopping, "
-        "emitting a deterministic resilience scorecard",
-    )
+
+def _explore_parser(p_ex: argparse.ArgumentParser) -> None:
     _add_field_flags(p_ex, _MACHINE + _WORKLOAD, helps={
         "strategy": "resilience strategy under test (default {default}); "
         "the [explore] table's strategies list sweeps several",
     })
     p_ex.add_argument(
-        "--scenario",
-        metavar="FILE",
-        default=None,
+        "--scenario", metavar="FILE", default=None,
         help="scenario TOML file; its [explore] table configures the "
         "campaign (kinds, bins, stopping rule)",
     )
     p_ex.add_argument(
-        "--ci-width",
-        type=float,
-        default=None,
+        "--ci-width", type=float, default=None,
         help="stop when every stratum's Wilson half-width is within this "
         "(default 0.15)",
     )
     p_ex.add_argument(
-        "--batch",
-        type=int,
-        default=None,
+        "--batch", type=int, default=None,
         help="cells per refinement batch (default 16)",
     )
     p_ex.add_argument(
-        "--max-cells",
-        type=int,
-        default=None,
+        "--max-cells", type=int, default=None,
         help="simulation budget (default 1024)",
     )
     p_ex.add_argument(
-        "--explore-seed",
-        type=int,
-        default=None,
+        "--explore-seed", type=int, default=None,
         help="sampler root seed (independent of the scenario seed; default 0)",
     )
     p_ex.add_argument(
-        "--out",
-        metavar="FILE",
-        default="",
+        "--out", metavar="FILE", default="",
         help="also write the scorecard as canonical JSON (byte-identical "
         "across reruns of the same spec)",
     )
     # The campaign's own settings, not fields of its cells: a cell
     # resolves as it does without them.
     p_ex.add_argument(
-        "--trace-out",
-        dest="campaign_trace_out",
-        metavar="FILE",
-        default="",
+        "--trace-out", dest="campaign_trace_out", metavar="FILE", default="",
         help="export the campaign's host-domain timeline (one instant per "
         "batch: cells, budget spent, widest CI)",
     )
@@ -657,21 +630,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(p_ex)
     p_ex.set_defaults(fn=_cmd_explore)
 
-    p_tl = sub.add_parser(
-        "timeline", help="summarize an exported observability trace "
-        "(per-rank detection latencies, resilience sequence)"
-    )
+
+def _timeline_parser(p_tl: argparse.ArgumentParser) -> None:
     p_tl.add_argument("trace", help="file written by xsim-run app --trace-out")
     p_tl.add_argument(
-        "--rows",
-        type=int,
-        default=0,
-        metavar="N",
+        "--rows", type=int, default=0, metavar="N",
         help="also print the first N rows of the joined timeline",
     )
     p_tl.set_defaults(fn=_cmd_timeline)
 
-    p_t1 = sub.add_parser("table1", help="Finject bit-flip campaign (paper Table I)")
+
+def _table1_parser(p_t1: argparse.ArgumentParser) -> None:
     p_t1.add_argument("--victims", type=int, default=100)
     p_t1.add_argument("--max-injections", type=int, default=100)
     # None = FinjectCampaign's calibrated seed (read where the campaign is
@@ -679,27 +648,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1.add_argument("--seed", type=int, default=None)
     p_t1.set_defaults(fn=_cmd_table1)
 
-    p_t2 = sub.add_parser("table2", help="checkpoint interval x MTTF sweep (paper Table II)")
+
+def _table2_parser(p_t2: argparse.ArgumentParser) -> None:
     p_t2.add_argument("--ranks", type=int, default=512)
     p_t2.add_argument("--seed", type=int, default=0)
     _add_jobs_arg(p_t2, "the ten cells")
     p_t2.set_defaults(fn=_cmd_table2)
 
-    p_arch = sub.add_parser("arch", help="architecture self-description (paper Figure 1)")
+
+def _arch_parser(p_arch: argparse.ArgumentParser) -> None:
     _add_field_flags(p_arch, _MACHINE)
     p_arch.add_argument(
-        "--scenario",
-        metavar="FILE",
-        default=None,
+        "--scenario", metavar="FILE", default=None,
         help="describe the machine/backend a scenario TOML file resolves to",
     )
     p_arch.set_defaults(fn=_cmd_arch)
 
-    p_cache = sub.add_parser(
-        "cache",
-        help="inspect and maintain the content-addressed result cache "
-        "(stats, verify, gc)",
-    )
+
+def _cache_parser(p_cache: argparse.ArgumentParser) -> None:
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
 
     def _cache_dir_arg(p: argparse.ArgumentParser) -> None:
@@ -732,19 +698,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _cache_dir_arg(p_cg)
     p_cg.add_argument(
-        "--max-bytes",
-        metavar="SIZE",
-        default=None,
+        "--max-bytes", metavar="SIZE", default=None,
         help='target cache size with unit suffix, e.g. "256MB" or "1GB"',
     )
     p_cg.add_argument(
-        "--max-age",
-        metavar="TIME",
-        default=None,
+        "--max-age", metavar="TIME", default=None,
         help='evict entries whose last hit is older than this, e.g. "7d", "12h"',
     )
     p_cg.set_defaults(fn=_cmd_cache_gc)
 
+
+#: Every command, in help order: name, one-line help, and the function
+#: that fills its parser.
+_COMMANDS = (
+    ("app", "run a simulated application", _app_parser),
+    ("sweep", "expand a scenario matrix (cartesian parameter grid) into a "
+     "campaign of independent runs", _sweep_parser),
+    ("explore", "adaptive fault-space exploration: stratified sampling over "
+     "(kind x rank x time x magnitude) with CI-driven stopping, "
+     "emitting a deterministic resilience scorecard", _explore_parser),
+    ("timeline", "summarize an exported observability trace "
+     "(per-rank detection latencies, resilience sequence)", _timeline_parser),
+    ("table1", "Finject bit-flip campaign (paper Table I)", _table1_parser),
+    ("table2", "checkpoint interval x MTTF sweep (paper Table II)", _table2_parser),
+    ("arch", "architecture self-description (paper Figure 1)", _arch_parser),
+    ("cache", "inspect and maintain the content-addressed result cache "
+     "(stats, verify, gc)", _cache_parser),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Construct the ``xsim-run`` argument parser.  Every command is a
+    choice, but only ``command``'s parser gets its arguments (``""``:
+    none; ``None``: every one), so a command line builds, and imports
+    for, only the parser it names."""
+    parser = argparse.ArgumentParser(
+        prog="xsim-run",
+        description="xsim-resilience: performance/resilience co-design simulator",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text, fill in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            fill(p)
     return parser
 
 
@@ -760,8 +756,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     directory, a damaged entry recomputed) is one ``warning:`` line, not
     the source line that raised it."""
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no option that takes a value, so the first
+    # word that is not an option names the command.
+    command = next((word for word in argv if not word.startswith("-")), "")
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.fn(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,19 +30,19 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.check import checking_enabled
-from repro.check.trace import EventTrace
 from repro.core.checkpoint.store import CheckpointStore
 from repro.core.faults.reliability import MttfInjectionPolicy
 from repro.core.faults.schedule import FailureSchedule
 from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
-from repro.obs import Observer, observer_for
 from repro.pdes.engine import SimulationResult
 from repro.run.scenario import BACKEND_TRANSPORTS
 from repro.util.errors import SimulationError
 from repro.util.rng import RngStreams
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.check.trace import EventTrace
+    from repro.obs import Observer
     from repro.run.scenario import Scenario
 
 
@@ -193,13 +193,21 @@ class RestartDriver:
         #: the exported timeline covers the whole failure/restart
         #: experiment on its continuous virtual clock — at the scenario's
         #: ``trace_detail`` when the driver builds it.
-        self.observer: Observer | None = observer_for(
-            observe, detail=scenario is not None and scenario.trace_detail
-        )
+        self.observer: Observer | None = None
+        if observe is not None and observe is not False:
+            from repro.obs import observer_for
+
+            self.observer = observer_for(
+                observe, detail=scenario is not None and scenario.trace_detail
+            )
         #: The whole run's event-dispatch trace, or ``None``: each segment's
         #: entries are appended after it ends (a sharded segment replaces
         #: its own trace's entries, so segments cannot share one object).
-        self.event_trace: EventTrace | None = EventTrace() if record_events else None
+        self.event_trace: EventTrace | None = None
+        if record_events:
+            from repro.check.trace import EventTrace
+
+            self.event_trace = EventTrace()
         #: The final segment's simulation, once :meth:`run` returned.
         self.sim: XSim | None = None
 

@@ -30,8 +30,6 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.check import checking_enabled
-from repro.check.sanitizer import Sanitizer
-from repro.check.trace import EventTrace
 from repro.core.faults.schedule import (
     CorrelatedFailure,
     FailureSchedule,
@@ -40,17 +38,19 @@ from repro.core.faults.schedule import (
     StragglerFault,
     expand_correlated,
 )
-from repro.core.faults.softerror import SoftErrorInjector
 from repro.core.harness.config import SystemConfig
 from repro.mpi.world import MpiWorld
 from repro.models.memory import MemoryTracker
-from repro.obs import Observer, observer_for
 from repro.pdes.engine import Engine, SimulationResult
 from repro.run.scenario import BACKEND_TRANSPORTS, backend_name_for
 from repro.util.errors import SimulationError
 from repro.util.rng import RngStreams
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.check.sanitizer import Sanitizer
+    from repro.check.trace import EventTrace
+    from repro.core.faults.softerror import SoftErrorInjector
+    from repro.obs import Observer
     from repro.resilience.strategy import ResilienceStrategy
     from repro.run.scenario import Scenario
 
@@ -102,18 +102,25 @@ class XSim:
         #: ``check=None`` defers to the ``XSIM_CHECK`` environment variable.
         self.checker: Sanitizer | None = None
         if check if check is not None else checking_enabled():
+            from repro.check.sanitizer import Sanitizer
+
             self.checker = Sanitizer(self.engine, self.world)
             self.engine.check = self.world.check = self.checker
         #: Event-trace recorder (the dispatch trace replay diffing reads),
         #: or ``None``.
         self.event_trace: EventTrace | None = None
         if record_events:
+            from repro.check.trace import EventTrace
+
             self.event_trace = self.engine.event_trace = EventTrace()
         #: Observability bus, or ``None``: a fresh one for ``True``, the
         #: caller's (e.g. one shared across restart segments) for an
         #: :class:`~repro.obs.Observer`.  See :mod:`repro.obs`.
-        self.observer: Observer | None = observer_for(observe, detail=trace_detail)
-        if self.observer is not None:
+        self.observer: Observer | None = None
+        if observe is not None and observe is not False:
+            from repro.obs import observer_for
+
+            self.observer = observer_for(observe, detail=trace_detail)
             self.engine.obs = self.world.obs = self.observer
         self._soft_errors: SoftErrorInjector | None = None
         self._pending_failures: list[tuple[int, float]] = []
@@ -197,6 +204,8 @@ class XSim:
     def soft_errors(self) -> SoftErrorInjector:
         """The lazily created soft-error injector bound to this run."""
         if self._soft_errors is None:
+            from repro.core.faults.softerror import SoftErrorInjector
+
             self._soft_errors = SoftErrorInjector(
                 engine=self.engine, memory=self.memory, rng=self.rng.get("soft-errors")
             )

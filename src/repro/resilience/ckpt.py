@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.check.sanitizer import verify_store_cleaned
 from repro.core.checkpoint.store import CheckpointStore
 from repro.resilience.strategy import ResilienceStrategy, register
 
@@ -47,6 +46,8 @@ class SingleLevelCheckpoint(ResilienceStrategy):
             # every remaining set must hold exactly ranks 0..nranks-1,
             # all COMPLETE — a regression to subset-match semantics
             # (leftover wide/corrupt sets) is caught here.
+            from repro.check.sanitizer import verify_store_cleaned
+
             verify_store_cleaned(self.store, nranks)
 
     def facts(self):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.check.sanitizer import verify_store_cleaned
 from repro.core.checkpoint.store import CheckpointStore, FileState
 from repro.resilience.strategy import ResilienceStrategy, register
 
@@ -277,6 +276,8 @@ class MultilevelCheckpoint(ResilienceStrategy):
         # PFS tier: the standard pre-restart shell-script cleanup.
         ml.global_.cleanup_incomplete(nranks)
         if check:
+            from repro.check.sanitizer import verify_store_cleaned
+
             verify_store_cleaned(ml.global_, nranks)
         if observer is not None:
             observer.instant(

@@ -68,15 +68,19 @@ sys.exit(rc)
 """
 
 
+def cli_env(**xsim_env: str) -> dict[str, str]:
+    """This environment without its ``XSIM_*`` variables, plus ``xsim_env``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("XSIM_")}
+    return {**env, **xsim_env, "PYTHONPATH": SRC, "COLUMNS": "80"}
+
+
 def xsim(*argv: str, **xsim_env: str) -> tuple[int, str, str, set[str]]:
     """``xsim-run argv`` in a fresh interpreter: exit status, stdout,
     stderr and the modules loaded by the time it finished.  No ``XSIM_*``
     variable reaches it but the ones passed as ``xsim_env``."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("XSIM_")}
-    env.update(xsim_env, PYTHONPATH=SRC, COLUMNS="80")
     proc = subprocess.run(
         [sys.executable, "-c", _DRIVER, *argv],
-        env=env, cwd=REPO, capture_output=True, text=True, timeout=120,
+        env=cli_env(**xsim_env), cwd=REPO, capture_output=True, text=True, timeout=120,
     )
     err, _, dump = proc.stderr.rpartition("\nMODULES ")
     return proc.returncode, proc.stdout, err, set(json.loads(dump))
@@ -104,28 +108,61 @@ COMMAND_PATHS = [path for path, _ in subcommands(build_parser())]
 # ----------------------------------------------------------------------
 # boundaries
 # ----------------------------------------------------------------------
+USAGE_ERRORS = [
+    (["app", "--ranks", "many"], "invalid int value"),  # argparse's own
+    (["app", "--strategy", "prayer"], "invalid choice"),  # a table's choices
+    (["app", "--ranks", "0"], "error: ranks must be >= 1, got 0"),  # main()'s handler
+    (["sweep", "--set", "nonsense=1"], "error: unknown sweep field 'nonsense'"),
+    # removed with the second event core and the second bench system
+    (["app", "--engine", "flat"], "unrecognized arguments: --engine flat"),
+    (["sweep", "--set", "engine=flat"], "error: unknown sweep field 'engine'"),
+    (["bench"], "invalid choice: 'bench'"),
+]
+
+_SHARED_DRIVER = """
+import contextlib, io, json, sys
+from repro.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse: --help and usage errors
+            rc = exc.code
+    runs.append([rc, out.getvalue(), err.getvalue(), sorted(sys.modules)])
+print(json.dumps(runs))
+"""
+
+
+@pytest.fixture(scope="module")
+def light_runs() -> dict[tuple[str, ...], tuple[int, str, str, set[str]]]:
+    """Every help page and usage error below, called one after another
+    in one fresh interpreter: argv -> exit status, stdout, stderr and
+    the modules loaded by the end of that call (its own and every
+    earlier call's, so a boundary holds at least as strictly as in an
+    interpreter of its own)."""
+    argvs = [[*path, "--help"] for path in COMMAND_PATHS] + [argv for argv, _ in USAGE_ERRORS]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SHARED_DRIVER, json.dumps(argvs)],
+        env=cli_env(), cwd=REPO, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return {
+        tuple(argv): (rc, out, err, set(mods))
+        for argv, (rc, out, err, mods) in zip(argvs, json.loads(proc.stdout))
+    }
+
+
 class TestLightCommands:
     @pytest.mark.parametrize("path", COMMAND_PATHS, ids=lambda p: " ".join(p) or "top")
-    def test_help_loads_no_runtime(self, path):
-        rc, out, _, mods = xsim(*path, "--help")
+    def test_help_loads_no_runtime(self, path, light_runs):
+        rc, out, _, mods = light_runs[(*path, "--help")]
         assert rc == 0 and out.startswith("usage: xsim-run")
         assert loaded(mods, RUNTIME_AND_TOOLS) == []
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["app", "--ranks", "many"], "invalid int value"),  # argparse's own
-            (["app", "--strategy", "prayer"], "invalid choice"),  # a table's choices
-            (["app", "--ranks", "0"], "error: ranks must be >= 1, got 0"),  # main()'s handler
-            (["sweep", "--set", "nonsense=1"], "error: unknown sweep field 'nonsense'"),
-            # removed with the second event core and the second bench system
-            (["app", "--engine", "flat"], "unrecognized arguments: --engine flat"),
-            (["sweep", "--set", "engine=flat"], "error: unknown sweep field 'engine'"),
-            (["bench"], "invalid choice: 'bench'"),
-        ],
-    )
-    def test_usage_error_loads_no_runtime(self, argv, message):
-        rc, _, err, mods = xsim(*argv)
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+    def test_usage_error_loads_no_runtime(self, argv, message, light_runs):
+        rc, _, err, mods = light_runs[tuple(argv)]
         assert rc == 2 and message in err and "Traceback" not in err
         assert loaded(mods, RUNTIME_AND_TOOLS) == []
 
@@ -137,6 +174,35 @@ class TestLightCommands:
         rc, out, _, mods = xsim("cache", "gc", "--max-age", "7d", "--cache-dir", cache_dir)
         assert rc == 0 and "evicted 0 entries" in out
         assert loaded(mods, RUNTIME_AND_TOOLS) == []
+
+
+#: All a command line loads before it names a command that takes
+#: scenario fields: the CLI module, the error types and the lazy loader.
+CLI_ONLY = {"repro", "repro.cli", "repro.util", "repro.util.errors", "repro.util.lazy"}
+
+
+class TestScenarioFreeCommands:
+    """Commands that take no scenario field build only their own parser
+    and never load the scenario layer (each in an interpreter of its
+    own: a shared one would have loaded it for an earlier command)."""
+
+    @pytest.mark.parametrize("argv, rc", [(["--help"], 0), (["bench"], 2)])
+    def test_top_level_loads_only_the_cli(self, argv, rc):
+        got, _, _, mods = xsim(*argv)
+        assert got == rc
+        assert {m for m in mods if m.startswith("repro")} == CLI_ONLY
+
+    @pytest.mark.parametrize("command", ["table1", "table2", "timeline", "cache"])
+    def test_help_loads_no_scenario(self, command):
+        rc, out, _, mods = xsim(command, "--help")
+        assert rc == 0 and out.startswith(f"usage: xsim-run {command}")
+        assert loaded(mods, ("repro.run.scenario",)) == []
+
+    def test_cache_maintenance_loads_no_scenario(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        for argv in (["stats"], ["gc", "--max-age", "7d"]):
+            rc, _, _, mods = xsim("cache", *argv, "--cache-dir", cache_dir)
+            assert rc == 0 and loaded(mods, ("repro.run.scenario",)) == []
 
 
 #: The import-light layer, module by module (INTERNALS section 17).
@@ -192,10 +258,14 @@ class TestRuns:
         rc, cold, _, mods = xsim(*argv)
         assert rc == 0 and "cache: 0/6 cells served from cache" in cold
         assert loaded(mods, TOOLS + SHARD_ENGINE) == []
+        cold_bytes = source_bytes(mods)
 
         rc, warm, _, mods = xsim(*argv)
         assert rc == 0 and "cache: 6/6 cells served from cache (100% hit rate)" in warm
         assert loaded(mods, RUNTIME_AND_TOOLS) == []
+        # A count, not a wall: the warm process compiles under half the
+        # package source the cold one does, on any host.
+        assert source_bytes(mods) < 0.5 * cold_bytes
         # Same table either way, up to the last (source) column.
         table = lambda text: [l.rpartition("|")[0] for l in text.splitlines()[3:-1]]  # noqa: E731
         assert table(cold) == table(warm) and len(table(warm)) == 6
@@ -208,6 +278,24 @@ class TestRuns:
         # (the shard engine itself imports multiprocessing for its workers)
         assert rc == 0 and loaded(mods, TOOLS) in ([], ["multiprocessing"])
         assert loaded(mods, ("repro.pdes.sharded",)) == ["repro.pdes.sharded"]
+
+    def test_checker_tracer_and_observer_load_only_when_asked(self, tmp_path):
+        base = ["app", "--app", "heat3d", "--ranks", "8", "--iterations", "2"]
+        tools = ("repro.check.sanitizer", "repro.check.trace", "repro.obs",
+                 "repro.core.faults.softerror")
+        for extra, wanted in [
+            ([], []),
+            (["--check"], ["repro.check.sanitizer"]),
+            (["--record-trace", str(tmp_path / "run.trace")], ["repro.check.trace"]),
+            (["--trace-out", str(tmp_path / "run.json")], ["repro.obs"]),
+        ]:
+            rc, _, _, mods = xsim(*base, *extra)
+            assert rc == 0 and loaded(mods, tools) == wanted, extra
+
+
+def source_bytes(modules: set[str]) -> int:
+    """The size of the ``repro`` source files behind ``modules``."""
+    return sum(os.path.getsize(path) for name, path in _source_modules().items() if name in modules)
 
 
 def in_fresh_interpreter(code: str) -> dict:
@@ -498,6 +586,19 @@ class TestTablesMatchCode:
             "-".join(("xsim-run",) + path): parser.format_help()
             for path, parser in subcommands(build_parser())
         }
+        golden = {p.stem: p.read_text() for p in GOLDEN_HELP.glob("*.txt")}
+        assert pages == golden
+
+    def test_help_pages_are_what_main_prints(self, monkeypatch, capsys):
+        """The same pages through the path a user runs, where ``main``
+        fills only the parser its command line names."""
+        monkeypatch.setenv("COLUMNS", "80")
+        pages = {}
+        for path in COMMAND_PATHS:
+            with pytest.raises(SystemExit) as done:
+                main([*path, "--help"])
+            assert done.value.code == 0
+            pages["-".join(("xsim-run",) + path)] = capsys.readouterr().out
         golden = {p.stem: p.read_text() for p in GOLDEN_HELP.glob("*.txt")}
         assert pages == golden
 
