@@ -45,20 +45,20 @@ def naive_cr(mpi: MpiApi, cfg: NaiveCrConfig, store: CheckpointStore | None = No
     """Compute/checkpoint loop; checkpoint ids count completed segments."""
     yield from mpi.init()
     proto = CheckpointProtocol(mpi, store) if store is not None else None
-    done_segments = 0
+    segments_done = 0
     if proto is not None:
         cid, payload = yield from proto.restore_latest()
         if cid is not None:
-            done_segments = cid
-    while done_segments < cfg.segments:
-        remaining = cfg.work - done_segments * cfg.tau
+            segments_done = cid
+    while segments_done < cfg.segments:
+        remaining = cfg.work - segments_done * cfg.tau
         yield from mpi.compute(min(cfg.tau, remaining))
-        done_segments += 1
+        segments_done += 1
         if proto is not None:
             if cfg.delta > 0:
                 yield from mpi.compute(cfg.delta)  # modeled checkpoint cost
             yield from proto.checkpoint(
-                done_segments, {"segment": done_segments}, cfg.checkpoint_nbytes
+                segments_done, {"segment": segments_done}, cfg.checkpoint_nbytes
             )
     yield from mpi.finalize()
-    return done_segments
+    return segments_done

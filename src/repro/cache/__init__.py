@@ -10,9 +10,9 @@ digest-identical for the same scenario, so a completed cell can be
 memoized by content address and served instead of recomputed:
 
 * :class:`ResultCache` — the store itself (one SQLite file in WAL mode
-  holding each index row beside its blob, whose head and body hashes
-  are verified before either is decoded; safe under parallel workers and
-  concurrent CLI invocations; see :mod:`repro.cache.store`);
+  holding one row per outcome: the outcome's JSON head, whose size and
+  hash are verified before it is decoded; safe under parallel workers
+  and concurrent CLI invocations; see :mod:`repro.cache.store`);
 * :func:`cache_key` — the content address: a normalized scenario digest
   (execution-parallelism fields removed) plus a schema/version/engine
   salt, so code changes invalidate rather than mis-serve;
@@ -21,28 +21,37 @@ memoized by content address and served instead of recomputed:
   :func:`~repro.run.backends.run_scenario`, ``xsim-run --cache``, and
   campaign workers.
 
-A hit is bit-identical to recomputation — result digest, summary, and
-sim-domain exporter bytes — which ``tests/test_cache.py``'s
+A hit answers from its head, and its objects are its recomputation,
+held to that head — result digest, summary, and sim-domain exporter
+bytes are the computed ones, which ``tests/test_cache.py``'s
 ``TestHitEquivalence`` and ``TestHeadAndBody`` enforce (cold vs. warm,
 serial and sharded).  Hits/misses surface as host-domain
 obs instants and in :class:`~repro.cache.store.CacheStats`.
+
+The store's names are served lazily (:func:`~repro.util.lazy.lazy_exports`):
+the environment policy below is standard library only, so a run with
+caching off loads neither :mod:`repro.cache.store` nor ``sqlite3``.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.cache.store import (
-    CACHE_SCHEMA_VERSION,
-    CacheStats,
-    GcResult,
-    ResultCache,
-    VerifyIssue,
-    cache_key,
-    cache_salt,
-    cacheable,
-)
+from repro.util.lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.cache.store import ResultCache
+
+_EXPORTS = {
+    name: "repro.cache.store"
+    for name in (
+        "CACHE_SCHEMA_VERSION", "CacheStats", "GcResult", "ResultCache", "VerifyIssue",
+        "cache_key", "cache_salt", "cacheable",
+    )
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -87,6 +96,8 @@ _OPEN: dict[str, ResultCache] = {}
 def open_cache(root: "str | Path | None" = None) -> ResultCache:
     """Open (and memoize) the store at ``root`` (default: environment
     directory policy)."""
+    from repro.cache.store import ResultCache
+
     path = Path(root) if root is not None else cache_dir_from_env()
     key = str(path.expanduser().resolve())
     store = _OPEN.get(key)

@@ -3,88 +3,63 @@
 A cache directory holds one SQLite file, in WAL mode, and nothing else::
 
     <root>/index.sqlite3   (+ its -wal and -shm)
-        entries(key, ..., nbytes, head_sha, ...)   one index row per outcome
-        blobs(key, data)                           that outcome's blob
+        entries(key, ..., nbytes, head, head_sha, ...)   one row per outcome
 
-A **blob** is ``magic | head length | head | body``.  The **head** is
-canonical JSON of primitives — format, mode, result digest, the original
-compute wall time, the execution metadata, every result-derived fact
-an outcome's ``summary()`` and run report print
-(:func:`~repro.run.backends.outcome_facts`), ``body_nbytes``, the
-body's length before compression, and ``body_sha``, the SHA-256 of the
-stored (deflated) body.
-The **body** is everything else a hit must reproduce bit-identically,
-pickled and then deflated (:data:`_BODY_LEVEL`): the stripped final
-:class:`~repro.pdes.engine.SimulationResult` of a ``"single"`` run
-(decoded into its one-segment run) or the full
-:class:`~repro.core.restart.FailureRunResult` of a ``"restart"`` run,
-and the run's sim-domain :class:`~repro.obs.ObsEvent` list (so warm
-exporter bytes equal cold ones).  The **index** row maps a
-cache key to the entry's result digest, blob size, SHA-256 of the
-blob's ``magic | head length | head`` prefix (the row vouches for the
-head, the head for the body), creation/last-hit times, and hit count.
-The blob has a table of its own because every hit rewrites its index row (hit count,
-last hit): in one record with the bytes, that rewrite copies the blob.
+An entry is its answer.  Its **head** is canonical JSON of primitives —
+format, mode, result digest, the original compute wall time, the
+execution metadata and every result-derived fact an outcome's
+``summary()`` and run report print
+(:func:`~repro.run.backends.outcome_facts`) — held in the row beside its
+size (``nbytes``) and SHA-256 (``head_sha``), the key, the scenario
+digest, the result digest, the mode, creation/last-hit times and hit
+count.  No object of the run is stored: the simulator is deterministic,
+so a hit's ``run`` / ``result`` / ``observer`` are its scenario computed
+again on first access, once, and held to the head
+(:meth:`ResultCache._recompute`).
 
 Concurrency: SQLite runs in WAL mode with a generous busy timeout, every
 process gets its own connection (connections are keyed by pid, so a
-forked campaign worker transparently reopens), and a store writes the
-blob and its index row inside one ``BEGIN IMMEDIATE`` transaction — two
-`-j` workers or two concurrent CLI invocations sharing one cache
-directory cannot corrupt it, the worst case is both computing the same
-cell and the later blob-and-row pair replacing the earlier.  A store
-killed or failing before its COMMIT leaves nothing behind: SQLite rolls
-the transaction back, and no file outside the index was written.  Every
-deletion removes both rows in one transaction.
+forked campaign worker transparently reopens), and a store writes its
+row inside one ``BEGIN IMMEDIATE`` transaction — two `-j` workers or two
+concurrent CLI invocations sharing one cache directory cannot corrupt
+it, the worst case is both computing the same cell and the later row
+replacing the earlier.  A store killed or failing before its COMMIT
+leaves nothing behind: SQLite rolls the transaction back, and no file
+outside the index was written.
 
 A lookup is a batch (:meth:`ResultCache.lookup_many`; ``lookup`` is the
-batch of one): a campaign partition reads every index row and blob head
-it needs in one read transaction, each distinct key once, then records
-its hits and deletes its demoted entries in one write transaction — two
-transactions a partition, not two a cell.
+batch of one): a campaign partition reads every row it needs in one read
+transaction, each distinct key once, then records its hits and deletes
+its demoted entries in one write transaction — two transactions a
+partition, not two a cell.
 
-Correctness before speed — verified before decoded: for each entry the
-lookup compares the blob's size against the index row, reads only the
-head prefix and holds its SHA-256 against the row's *before any byte
-reaches a decoder*, then parses the head and holds its shape and result
-digest against the row's.  That answers ``digest()``, ``summary()``,
-``completed`` and ``metadata``; a lookup hashes a few hundred bytes
-whatever the blob's size, and inflates nothing.  The body decodes on
-first access to ``run`` / ``result`` / ``observer`` — a campaign reads
-summaries only, so a warm one decodes none — from the entry read and
-verified again, its bytes held against the head's ``body_sha`` before
-the inflater sees one: it is inflated to at most
-``body_nbytes + 1`` bytes (so a zlib bomb costs what its head declares,
-not what it expands to) and must come to exactly ``body_nbytes``, and
-then passes only through an unpickler that resolves nothing but
-classes defined in ``repro`` modules and a few builtin value types — no
-function, no ``os.system``.  Any failed check — a truncated, missing or
-rewritten blob, a stale index row, a head that does not parse — demotes
-the entry to a miss (both rows deleted, a ``RuntimeWarning`` emitted,
-the caller recomputes and re-stores); a body damaged under an intact
-head is found when it is read, not at lookup, and is demoted the same
-way, the outcome recomputing its objects and storing them back.
-Re-deriving the result digest from the decoded objects is an audit, not
-a hit-path step: ``cache verify`` does it.  A schema-version mismatch
-disables the cache for the process instead of guessing at the on-disk
-format (version 1 and 2 directories, whose blobs were files beside the
-index, version 3 ones, whose bodies were not compressed, and version 4
-ones, whose index row hashed the whole blob, are refused this way;
-delete the directory to rebuild).
+Verified before trusted: for each entry the lookup holds the head's size
+against ``nbytes`` and its SHA-256 against ``head_sha`` *before any byte
+reaches the JSON decoder*, then parses the head and holds its shape,
+mode and result digest against the row's and the scenario's.  That
+answers ``digest()``, ``summary()``, ``completed`` and ``metadata``.
+Any failed check — a truncated, emptied or rewritten head, a stale row,
+a head that does not parse — demotes the entry to a miss (the row
+deleted, a ``RuntimeWarning`` emitted, the caller recomputes and
+re-stores).  A head that passes them all but disagrees with its
+recomputation (a digest or fact rewritten under a correct hash) is
+found on first access to the objects and demoted the same way, the
+computed outcome stored in its place.  ``cache verify`` runs the
+lookup's checks over every row.  A schema-version mismatch disables the
+cache for the process instead of guessing at the on-disk format
+(versions 1 to 5, which stored the run's objects beside its head, are
+refused this way; delete the directory to rebuild).
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import json
 import os
-import pickle
 import sqlite3
 import time as _time
 import warnings
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
@@ -93,10 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.run.backends import ScenarioOutcome
     from repro.run.scenario import Scenario
 
-#: On-disk format version (index schema + blob layout).  A cache
+#: On-disk format version (index schema + head layout).  A cache
 #: directory written by a different version is never read or written —
 #: the open is disabled with a warning and every lookup is a miss.
-CACHE_SCHEMA_VERSION = 5
+CACHE_SCHEMA_VERSION = 6
 
 #: Simulation-semantics salt.  Part of every cache key next to the package
 #: version: bump it when the engine's observable behavior changes without
@@ -132,9 +107,10 @@ def cache_key(scenario: "Scenario") -> str:
     requested on a sharded backend — that cross-backend sharing is most
     of a mixed sweep's hit rate.
     Result-relevant fields (machine, app, resilience, seed) and the
-    instrumentation switches that change the cached blob (``observe``,
-    ``trace_detail``, ``check``) stay in the key; what the engine itself
-    computes is covered by :data:`ENGINE_SALT`, not by a field.
+    instrumentation switches that change what a hit must reproduce
+    (``observe``, ``trace_detail``, ``check``) stay in the key; what the
+    engine itself computes is covered by :data:`ENGINE_SALT`, not by a
+    field.
     """
     # Computed once per scenario instance and salt (a lookup and the store
     # that follows its miss ask for the same key), beside the fields like
@@ -148,26 +124,10 @@ def cache_key(scenario: "Scenario") -> str:
     return memo[1]
 
 
-# ----------------------------------------------------------------------
-# blob format: magic | head length | head (JSON) | body (deflated pickle)
-# ----------------------------------------------------------------------
-_MAGIC = b"XSIMRC2\n"
-_HEAD_AT = len(_MAGIC) + 4  # a 4-byte big-endian head length follows the magic
-
-#: Bytes a lookup reads from the front of a blob: magic, head length and
-#: a head of a few hundred bytes.  A longer head costs one more read.
-_HEAD_READ = 1024
-
-#: zlib level of a blob's body, one for every blob size.  Level 1 shrinks
-#: a result pickle 4-8x at paper scale for a few milliseconds a large
-#: store, and every first access to a body hashes all its stored bytes.
-_BODY_LEVEL = 1
-
 #: Page size of an index, fixed when the file is created.  A
 #: cell's store and a hit's bookkeeping each write a handful of pages to
-#: the WAL: at 16 KiB they cost half as much again, and a large blob
-#: reads no faster (docs/INTERNALS.md §15, with why the index is not
-#: memory-mapped).
+#: the WAL: at 16 KiB they cost half as much again (docs/INTERNALS.md
+#: §15, with why the index is not memory-mapped).
 _PAGE_SIZE = 4096
 
 #: How often a new connection asks for WAL mode before giving up (the
@@ -179,33 +139,17 @@ def _canonical_json(value: Any) -> bytes:
     return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
 
 
-def encode_blob(outcome: "ScenarioOutcome", wall_s: float) -> tuple[bytes, dict, str]:
-    """The blob bytes for one computed outcome, the head inside them, and
-    the SHA-256 of the blob's head prefix (its index row's ``head_sha``)."""
-    head = {
+def encode_head(outcome: "ScenarioOutcome", wall_s: float) -> bytes:
+    """The head of one computed outcome: everything a hit answers from,
+    as canonical JSON."""
+    return _canonical_json({
         "format": CACHE_SCHEMA_VERSION,
         "mode": outcome.mode,
         "result_digest": outcome.digest(),
         "wall_s": float(wall_s),
         "metadata": dict(outcome.metadata),
         "facts": outcome.facts(),
-    }
-    # A "single" body is the result alone, not its one-segment run.
-    single = outcome.mode == "single"
-    body = pickle.dumps(
-        (
-            outcome.result if single else None,
-            None if single else outcome.run,
-            None if outcome.observer is None else list(outcome.observer.sim_events()),
-        ),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    stored = zlib.compress(body, _BODY_LEVEL)
-    head["body_nbytes"] = len(body)
-    head["body_sha"] = hashlib.sha256(stored).hexdigest()
-    head_bytes = _canonical_json(head)
-    prefix = b"".join((_MAGIC, len(head_bytes).to_bytes(4, "big"), head_bytes))
-    return prefix + stored, head, hashlib.sha256(prefix).hexdigest()
+    })
 
 
 #: The ``(fact, type)`` pairs a head may hold, held by ``type`` (a bool
@@ -218,29 +162,28 @@ _FACT_TYPES = frozenset([
 _NUMBERS = frozenset([int, float])
 
 
-def _verified_head(prefix: bytes, head_sha: str, result_digest: str) -> dict:
-    """The head of a blob checked against its index row, from the blob's
-    ``magic | head length | head`` prefix.  Order: SHA-256 of the prefix,
-    and only then the first decoder (magic, JSON, format, shape), then the
-    head's digest against the row's.  Raises ``ValueError`` naming the
-    first check that failed."""
-    sha = hashlib.sha256(prefix).hexdigest()
+def _verified_head(head: Any, nbytes: Any, head_sha: Any, result_digest: Any) -> dict:
+    """A row's head checked against the rest of its row.  Order: the
+    head's size, its SHA-256, and only then the decoder (JSON, format,
+    shape), then the head's digest against the row's.  Raises
+    ``ValueError`` naming the first check that failed."""
+    size = len(head) if isinstance(head, bytes) else None
+    if size != nbytes:
+        raise ValueError(f"head size {size} != indexed {nbytes} (truncated or stale head)")
+    sha = hashlib.sha256(head).hexdigest()
     if sha != head_sha:
         raise ValueError(
-            f"blob hash {sha[:16]} != indexed {str(head_sha)[:16]} "
-            "(damaged or stale head)"
+            f"head hash {sha[:16]} != indexed {str(head_sha)[:16]} (damaged or stale head)"
         )
-    if prefix[: len(_MAGIC)] != _MAGIC:
-        raise ValueError("blob head undecodable: bad magic")
     try:
-        head = json.loads(prefix[_HEAD_AT:])
+        parsed = json.loads(head)
     except (ValueError, RecursionError) as exc:  # a head nested past the stack, too
-        raise ValueError(f"blob head undecodable: {exc}") from exc
-    if not isinstance(head, dict) or head.get("format") != CACHE_SCHEMA_VERSION:
-        raise ValueError("blob head undecodable: unexpected format")
+        raise ValueError(f"head undecodable: {exc}") from exc
+    if not isinstance(parsed, dict) or parsed.get("format") != CACHE_SCHEMA_VERSION:
+        raise ValueError("head undecodable: unexpected format")
     from repro.run.backends import FACT_KEYS
 
-    mode, facts, body_nbytes = head.get("mode"), head.get("facts"), head.get("body_nbytes")
+    mode, facts = parsed.get("mode"), parsed.get("facts")
     if (
         mode not in ("single", "restart")  # compared, not hashed: a mode may be a list
         or not isinstance(facts, dict)
@@ -248,43 +191,16 @@ def _verified_head(prefix: bytes, head_sha: str, result_digest: str) -> dict:
         or not _FACT_TYPES.issuperset(zip(facts, map(type, facts.values())))
         or len(facts["timing"]) != 4
         or not _NUMBERS.issuperset(map(type, facts["timing"]))
-        or not isinstance(head.get("metadata"), dict)
-        or not isinstance(head.get("wall_s"), float)
-        or type(body_nbytes) is not int
-        or body_nbytes < 0
-        or not isinstance(head.get("body_sha"), str)
+        or not isinstance(parsed.get("metadata"), dict)
+        or not isinstance(parsed.get("wall_s"), float)
     ):
-        raise ValueError("blob head undecodable: unexpected shape")
-    if head.get("result_digest") != result_digest:
+        raise ValueError("head undecodable: unexpected shape")
+    if parsed.get("result_digest") != result_digest:
         raise ValueError(
-            f"head digest {str(head.get('result_digest'))[:16]} != indexed "
+            f"head digest {str(parsed.get('result_digest'))[:16]} != indexed "
             f"{str(result_digest)[:16]} (stale index row)"
         )
-    return head
-
-
-#: Value types an exit value may hold beside ``repro`` classes.
-_BODY_VALUE_TYPES = frozenset(
-    {("builtins", n) for n in ("bytearray", "complex", "frozenset", "range", "set", "slice")}
-    | {("collections", n) for n in ("OrderedDict", "deque")}
-)
-
-
-class _BodyUnpickler(pickle.Unpickler):
-    """Decodes a blob body.  Resolves only classes defined in the
-    ``repro`` module the pickle names (result records, enums) and the
-    value types above — never a function, never a dotted path into a
-    module's imports — so the most a body can call is the constructor of
-    a class ``repro`` itself defines."""
-
-    def find_class(self, module: str, name: str) -> Any:
-        if (module, name) in _BODY_VALUE_TYPES:
-            return super().find_class(module, name)
-        if module.startswith("repro.") and "." not in name:
-            found = super().find_class(module, name)
-            if isinstance(found, type) and found.__module__ == module:
-                return found
-        raise pickle.UnpicklingError(f"{module}.{name} is not an allowed body class")
+    return parsed
 
 
 # ----------------------------------------------------------------------
@@ -296,8 +212,7 @@ class CacheStats:
 
     ``lookup_s``/``store_s`` accumulate host wall time spent in the cache
     itself: the lookup latency a warm sweep pays instead of simulation
-    time.  ``decodes`` counts bodies handed to the unpickler (a hit's
-    first access to its objects, or ``verify``); a lookup decodes none.
+    time.
     """
 
     hits: int = 0
@@ -305,7 +220,6 @@ class CacheStats:
     stores: int = 0
     corrupt: int = 0
     store_errors: int = 0
-    decodes: int = 0
     hit_bytes: int = 0
     store_bytes: int = 0
     lookup_s: float = 0.0
@@ -328,7 +242,6 @@ class CacheStats:
             "stores": self.stores,
             "corrupt": self.corrupt,
             "store_errors": self.store_errors,
-            "decodes": self.decodes,
             "hit_bytes": self.hit_bytes,
             "store_bytes": self.store_bytes,
             "hit_rate": round(self.hit_rate, 4),
@@ -362,16 +275,13 @@ CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS blobs (
-    key  TEXT PRIMARY KEY,
-    data BLOB NOT NULL
-);
 CREATE TABLE IF NOT EXISTS entries (
     key             TEXT PRIMARY KEY,
     scenario_digest TEXT NOT NULL,
     result_digest   TEXT NOT NULL,
     mode            TEXT NOT NULL,
     nbytes          INTEGER NOT NULL,
+    head            BLOB NOT NULL,
     head_sha        TEXT NOT NULL,
     wall_s          REAL NOT NULL,
     created         REAL NOT NULL,
@@ -487,19 +397,18 @@ class ResultCache:
         input order.
 
         One read transaction reads each distinct key once and checks its
-        entry's head against the index row (:func:`_verified_head`); no
-        body is read.
+        head against the rest of its row (:func:`_verified_head`).
         One write transaction then records every hit (``hits``,
         ``last_hit``) and deletes every demoted entry — best-effort: when
         the index refuses the write, the hits are served all the same.
-        Any unservable entry — truncated, missing or rewritten blob, a
-        head that does not parse, a digest that disagrees with the index
-        — is warned about and reported as a miss; the cache never raises
-        into the run path and never decodes a head whose hash it has not
-        checked against the index.  A hit's body waits for first access
-        (:meth:`_load_body`), where it is held against the head's hash.
-        A scenario the cache cannot hold (:func:`cacheable`) is ``None``
-        and counts as neither hit nor miss.
+        Any unservable entry — a truncated or rewritten head, a head
+        that does not parse, a digest that disagrees with the row — is
+        warned about and reported as a miss; the cache never raises into
+        the run path and never decodes a head whose hash it has not
+        checked against the row.  A hit's objects wait for first access
+        (:meth:`_recompute`).  A scenario the cache cannot hold
+        (:func:`cacheable`) is ``None`` and counts as neither hit nor
+        miss.
         """
         t0 = _time.perf_counter()
         outcomes: list[ScenarioOutcome | None] = [None] * len(scenarios)
@@ -542,14 +451,14 @@ class ResultCache:
                         entry = self._verified_entry(conn, key)
                         # summary() reads the facts of the scenario's mode
                         if entry and entry[0]["mode"] != run_mode(scenarios[positions[0]]):
-                            raise ValueError("blob head undecodable: another mode's head")
+                            raise ValueError("head undecodable: another mode's head")
                     except ValueError as exc:
                         self._corrupt(key, str(exc))
                         demoted.append(key)
                         continue
                     if entry is None:
                         continue
-                    head, nbytes, _ = entry
+                    head, nbytes = entry
                     served.append((key, len(positions)))
                     self.stats.hit_bytes += nbytes * len(positions)
                     for i in positions:
@@ -557,147 +466,67 @@ class ResultCache:
                         metadata["cache_hit"] = True
                         metadata["cache_key"] = key
                         metadata["cache_wall_s"] = head["wall_s"]
-                        load = functools.partial(
-                            self._load_body, scenarios[i], key, head["result_digest"],
+                        recompute = functools.partial(
+                            self._recompute, scenarios[i], key, head, nbytes,
                             _time.perf_counter(),
                         )
                         outcomes[i] = ScenarioOutcome.from_cache(
                             scenarios[i], head["result_digest"],
-                            head["facts"], metadata, load,
+                            head["facts"], metadata, recompute,
                         )
         except sqlite3.Error as exc:
             self._corrupt(key, f"index read failed: {exc}")
         return served, demoted
 
     @staticmethod
-    def _verified_entry(
-        conn: sqlite3.Connection, key: str, body: bool = False
-    ) -> tuple[dict, int, bytes | None] | None:
-        """``(head, blob size, body)`` of ``key``'s entry, checked
-        against its index row (:func:`_verified_head`), or ``None``
-        without an entry; raises ``ValueError`` naming the failed check.
-        ``body`` is ``None`` unless asked for, and then the stored body,
-        held against the head's ``body_sha``.  Called inside a read
-        transaction, so a store replacing row and blob meanwhile is seen
-        whole or not at all.  The blob is read through an incremental-I/O
-        handle: its size first, then its head prefix, then (if asked) the
-        body into one buffer, where a ``SELECT`` would fill two."""
+    def _verified_entry(conn: sqlite3.Connection, key: str) -> tuple[dict, int] | None:
+        """``(head, head size)`` of ``key``'s entry, checked against its
+        row (:func:`_verified_head`), or ``None`` without an entry;
+        raises ``ValueError`` naming the failed check."""
         row = conn.execute(
-            "SELECT e.nbytes, e.head_sha, e.result_digest, b.rowid "
-            "FROM entries e LEFT JOIN blobs b ON b.key = e.key WHERE e.key = ?",
-            (key,),
+            "SELECT head, nbytes, head_sha, result_digest FROM entries WHERE key = ?", (key,)
         ).fetchone()
         if row is None:
             return None
-        nbytes, head_sha, result_digest, rowid = row
-        if rowid is None:
-            raise ValueError("blob missing: the entry has no blobs row")
-        with conn.blobopen("blobs", "data", rowid, readonly=True) as blob:
-            if len(blob) != nbytes:
-                raise ValueError(
-                    f"blob size {len(blob)} != indexed {nbytes} (truncated or stale blob)"
-                )
-            prefix = blob.read(_HEAD_READ)
-            body_at = _HEAD_AT + int.from_bytes(prefix[len(_MAGIC) : _HEAD_AT], "big")
-            if body_at > nbytes:
-                raise ValueError("blob head undecodable: head length runs past the blob")
-            if body_at > len(prefix):
-                prefix += blob.read(body_at - len(prefix))
-            head = _verified_head(prefix[:body_at], head_sha, result_digest)
-            if not body:
-                return head, nbytes, None
-            blob.seek(body_at)
-            stored = blob.read()
-        sha = hashlib.sha256(stored).hexdigest()
-        if sha != head["body_sha"]:
-            raise ValueError(
-                f"body hash {sha[:16]} != head's {head['body_sha'][:16]} (damaged body)"
-            )
-        return head, nbytes, stored
+        return _verified_head(*row), row[1]
 
-    def _read_verified(self, key: str) -> tuple[dict, int, bytes] | None:
-        """:meth:`_verified_entry` with its body, in a read transaction
-        of its own."""
-        conn = self._conn()
-        conn.execute("BEGIN")
-        with conn:
-            return self._verified_entry(conn, key, body=True)
+    def _recompute(
+        self, scenario: "Scenario", key: str, head: dict, nbytes: int, hit_time: float
+    ) -> "ScenarioOutcome":
+        """A hit's objects, on first access: ``scenario`` computed again
+        (the simulator is deterministic, so this is the run the entry was
+        stored from) and held to the head.  A digest or facts that
+        disagree are the warned demotion: the row is deleted, the
+        computed outcome stored in its place and the note logged into
+        its SimLog.  An observed hit's observer also gets this hit's
+        ``cache-hit`` instant."""
+        from repro.run.backends import run_scenario
 
-    def _load_body(
-        self, scenario: "Scenario", key: str, result_digest: str, hit_time: float
-    ) -> tuple:
-        """``(run, observer)`` of a hit, on its first access: the
-        entry read and checked again (the lookup read no body), its body
-        decoded, and the observer rebuilt from the stored sim-domain
-        events plus this hit's instant.  An entry that is gone, damaged or
-        holds another result since the lookup, or a body that will not
-        decode although its hash held (allow-list refusal, a class that
-        moved), is demoted like any other damage, and the cell is
-        recomputed and stored back in its place (the warning in the
-        recomputed run's SimLog)."""
-        try:
-            entry = self._read_verified(key)
-            if entry is None:
-                raise ValueError("entry evicted since its lookup")
-            head, nbytes, body = entry
-            if head["result_digest"] != result_digest:
-                raise ValueError("entry replaced by another result since its lookup")
-        except (ValueError, sqlite3.Error) as exc:
-            problem = str(exc)
-        else:
-            try:
-                run, sim_events = self._decode_body(body, head["body_nbytes"])
-                problem = None
-            except Exception as exc:  # noqa: BLE001 - any decode failure is damage
-                problem = f"blob body undecodable: {exc}"
-        if problem is not None:
-            self._corrupt(key, problem)
+        t0 = _time.perf_counter()
+        fresh = run_scenario(scenario, cache=False)
+        if fresh.digest() != head["result_digest"] or (
+            _canonical_json(fresh.facts()) != _canonical_json(head["facts"])
+        ):
+            self._corrupt(key, "head disagrees with its recomputation")
             try:
                 self._write_index(deleted=[key])
             except sqlite3.Error:
                 pass
-            from repro.run.backends import run_scenario
-
-            fresh = run_scenario(scenario, cache=self, known_miss=True)
-            return fresh.run, fresh.observer
-        observer = None
-        if scenario.observe and sim_events is not None:
-            from repro.obs import Observer
-
-            observer = Observer(detail=scenario.trace_detail)
-            observer.extend(sim_events)
-            observer.host_instant(
-                hit_time, "cache-hit", track="cache",
-                args={"key": key[:16], "bytes": nbytes},
+            self.store(scenario, fresh, wall_s=_time.perf_counter() - t0)
+            fresh.result.log.log(0.0, "cache", self.pop_warning(), level="warning")
+        elif fresh.observer is not None:
+            fresh.observer.host_instant(
+                hit_time, "cache-hit", track="cache", args={"key": key[:16], "bytes": nbytes},
             )
-        return run, observer
-
-    def _decode_body(self, body: bytes, body_nbytes: int) -> tuple:
-        """``(run, sim_events)`` of a stored body whose hash already held,
-        counted in :attr:`CacheStats.decodes` — a ``"single"`` body's
-        result wrapped into its one-segment run.  The body is inflated
-        to at most ``body_nbytes + 1`` bytes, and anything but one whole
-        zlib stream of exactly ``body_nbytes`` bytes is refused before the
-        unpickler sees a byte."""
-        self.stats.decodes += 1
-        inflater = zlib.decompressobj()
-        raw = inflater.decompress(body, body_nbytes + 1)
-        if len(raw) != body_nbytes or not inflater.eof or inflater.unused_data:
-            raise ValueError(f"not one zlib stream of {body_nbytes} bytes")
-        result, run, sim_events = _BodyUnpickler(io.BytesIO(raw)).load()
-        if run is None:
-            from repro.core.restart import FailureRunResult
-
-            run = FailureRunResult.one_segment(result)
-        return run, sim_events
+        return fresh
 
     def store(
         self, scenario: "Scenario", outcome: "ScenarioOutcome", wall_s: float = 0.0
     ) -> bool:
         """Memoize one computed outcome; returns True when stored.
 
-        Never raises into the run path: an unpicklable outcome or a full
-        disk degrades to "not cached" with a warning.
+        Never raises into the run path: a full disk or a read-only
+        directory degrades to "not cached" with a warning.
         """
         t0 = _time.perf_counter()
         try:
@@ -705,36 +534,21 @@ class ResultCache:
                 return False
             key = cache_key(scenario)
             try:
-                data, head, head_sha = encode_blob(outcome, wall_s)
+                head = encode_head(outcome, wall_s)
                 now = _time.time()
-                row = (
-                    key,
-                    scenario.scenario_digest(),
-                    head["result_digest"],
-                    head["mode"],
-                    len(data),
-                    head_sha,
-                    head["wall_s"],
-                    now,
-                    now,
-                )
-                # The blob and the row that hashes its head land inside one
-                # write transaction: two processes storing the same cell
-                # (their blobs differ in wall time) cannot leave one's
-                # blob under the other's row, and a store that dies
-                # before its COMMIT leaves neither.
                 conn = self._conn()
                 conn.execute("BEGIN IMMEDIATE")
-                with conn:  # COMMIT, or ROLLBACK if an INSERT raises
-                    conn.execute(
-                        "INSERT OR REPLACE INTO blobs (key, data) VALUES (?, ?)", (key, data)
-                    )
+                with conn:  # COMMIT, or ROLLBACK if the INSERT raises
                     conn.execute(
                         "INSERT OR REPLACE INTO entries "
-                        "(key, scenario_digest, result_digest, mode, nbytes, head_sha, "
-                        " wall_s, created, last_hit, hits) "
-                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, 0)",
-                        row,
+                        "(key, scenario_digest, result_digest, mode, nbytes, head, "
+                        " head_sha, wall_s, created, last_hit, hits) "
+                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0)",
+                        (
+                            key, scenario.scenario_digest(), outcome.digest(), outcome.mode,
+                            len(head), head, hashlib.sha256(head).hexdigest(),
+                            float(wall_s), now, now,
+                        ),
                     )
             except Exception as exc:  # noqa: BLE001 - degrade, never fail the run
                 self.stats.store_errors += 1
@@ -745,7 +559,7 @@ class ResultCache:
                 )
                 return False
             self.stats.stores += 1
-            self.stats.store_bytes += len(data)
+            self.stats.store_bytes += len(head)
             return True
         finally:
             self.stats.store_s += _time.perf_counter() - t0
@@ -763,8 +577,8 @@ class ResultCache:
         self, hits: Sequence[tuple[str, int]] = (), deleted: Sequence[str] = ()
     ) -> None:
         """One write transaction: each ``(key, n)`` of ``hits`` served
-        ``n`` more times as of now, and both rows of every ``deleted``
-        key removed.  Nothing to write opens no transaction."""
+        ``n`` more times as of now, and the row of every ``deleted`` key
+        removed.  Nothing to write opens no transaction."""
         if not hits and not deleted:
             return
         now = _time.time()
@@ -777,10 +591,7 @@ class ResultCache:
                     [(n, now, key) for key, n in hits],
                 )
             if deleted:
-                for table in ("entries", "blobs"):
-                    conn.executemany(
-                        f"DELETE FROM {table} WHERE key = ?", [(k,) for k in deleted]
-                    )
+                conn.executemany("DELETE FROM entries WHERE key = ?", [(k,) for k in deleted])
 
     def _give_back(self) -> None:
         """Freed pages returned to the file system: the index file is cut
@@ -800,7 +611,8 @@ class ResultCache:
     # maintenance (CLI: cache stats / verify / gc)
     # ------------------------------------------------------------------
     def entries(self) -> list[dict[str, Any]]:
-        """Every index row, LRU-first (the gc eviction order)."""
+        """Every index row but its head, LRU-first (the gc eviction
+        order)."""
         rows = self._conn().execute(
             "SELECT key, scenario_digest, result_digest, mode, nbytes, head_sha, "
             "wall_s, created, last_hit, hits FROM entries "
@@ -836,41 +648,20 @@ class ResultCache:
         }
 
     def verify(self, prune: bool = False) -> list[VerifyIssue]:
-        """Audit every entry, beyond what a lookup checks: size, head
-        hash, head and head digest as a lookup does, then the body's hash
-        against the head, the body decoded and the digest and facts re-derived from its objects
-        held against the head (and so the index).  ``prune`` deletes the
-        failing entries and gives their pages back."""
-        from repro.run.backends import outcome_digest, outcome_facts
-
+        """Audit every entry as a lookup checks it (:func:`_verified_head`:
+        size, hash, shape and digest of its head against its row), LRU
+        first.  ``prune`` deletes the failing entries and gives their
+        pages back."""
         issues: list[VerifyIssue] = []
-        for entry in self.entries():
-            key = entry["key"]
-            problem = None
+        rows = self._conn().execute(
+            "SELECT key, head, nbytes, head_sha, result_digest FROM entries "
+            "ORDER BY last_hit ASC, created ASC, key ASC"
+        ).fetchall()
+        for key, *row in rows:
             try:
-                found = self._read_verified(key)
-                if found is None:
-                    continue  # evicted since the list was read
-                head, _, body = found
-            except (ValueError, sqlite3.Error) as exc:
-                problem = str(exc)
-            else:
-                try:
-                    run, _ = self._decode_body(body, head["body_nbytes"])
-                    digest = outcome_digest(run, head["mode"])
-                    facts = outcome_facts(run, head["mode"])
-                except Exception as exc:  # noqa: BLE001 - any decode failure is damage
-                    problem = f"blob body undecodable: {exc.__class__.__name__}: {exc}"
-                else:
-                    if digest != head["result_digest"]:
-                        problem = (
-                            f"digest mismatch: body {digest[:16]} != "
-                            f"head {head['result_digest'][:16]}"
-                        )
-                    elif _canonical_json(facts) != _canonical_json(head["facts"]):
-                        problem = "head facts differ from the body's"
-            if problem is not None:
-                issues.append(VerifyIssue(key, problem))
+                _verified_head(*row)
+            except ValueError as exc:
+                issues.append(VerifyIssue(key, str(exc)))
         if prune and issues:
             self._write_index(deleted=[issue.key for issue in issues])
             self._give_back()

@@ -262,7 +262,7 @@ def _cmd_app(args: argparse.Namespace) -> int:
     outcome = run_scenario(scenario, cache=cache if cache is not None else False)
     # A computed run's log, segment by segment; a cache hit prints none.
     # The report reads the outcome's facts, never ``result`` / ``run``: a
-    # hit prints it from the blob's head without decoding the body.
+    # hit prints it from its entry's head without computing the run.
     if not outcome.metadata.get("cache_hit"):
         for segment in outcome.run.segments:
             for entry in segment.result.log:

@@ -2,8 +2,8 @@
 
 :class:`SystemConfig` collects every knob of the simulated system —
 topology, link parameters, protocol thresholds, per-message software
-overheads, processor slowdown, collective algorithm family, file-system and
-power models — and builds the model objects.  The paper's exact machine is
+overheads, processor slowdown, collective algorithm family, file-system
+model — and builds the model objects.  The paper's exact machine is
 :meth:`SystemConfig.paper_system`:
 
     "The simulated future HPC system is configured with 32,768 (2^15)
@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.models.filesystem import FileSystemModel
     from repro.models.network.model import NetworkModel
     from repro.models.network.topology import Topology
-    from repro.models.power import PowerModel
     from repro.models.processor import ProcessorModel
 
 #: Interconnect kinds: name -> (``"module:attr"`` of the topology class,
@@ -164,9 +163,6 @@ class SystemConfig:
     congestion_factor: float = 1.0
     filesystem: FileSystemModel = field(
         default_factory=lambda: load("repro.models.filesystem:FileSystemModel").disabled()
-    )
-    power: PowerModel = field(
-        default_factory=lambda: load("repro.models.power:PowerModel")()
     )
     strict_finalize: bool = True
 

@@ -74,17 +74,6 @@ class FailureRunResult:
     #: tier files, ...) — see :meth:`ResilienceStrategy.facts`.
     strategy_facts: dict[str, Any] = field(default_factory=dict)
 
-    @classmethod
-    def one_segment(cls, result: SimulationResult) -> "FailureRunResult":
-        """The run of one segment from time zero that ended in ``result``
-        (a fault-free run as the result cache stores it: no checkpoint
-        store, no strategy counters)."""
-        return cls(
-            segments=[SegmentRecord(0, 0.0, result, ())],
-            store=None,
-            exit_values=result.exit_values,
-        )
-
     @property
     def completed(self) -> bool:
         return bool(self.segments) and self.segments[-1].result.completed

@@ -18,17 +18,18 @@ soft-error injector:
   piece needed for the soft-error injector).
 """
 
-from repro.models.filesystem import FileSystemModel
-from repro.models.memory import FlipRecord, MemoryRegion, MemoryTracker, RegionKind
-from repro.models.power import PowerModel
-from repro.models.processor import ProcessorModel
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "FileSystemModel",
-    "FlipRecord",
-    "MemoryRegion",
-    "MemoryTracker",
-    "PowerModel",
-    "ProcessorModel",
-    "RegionKind",
-]
+#: Public name -> defining module (imported on first use).
+_EXPORTS = {
+    "FileSystemModel": "repro.models.filesystem",
+    "FlipRecord": "repro.models.memory",
+    "MemoryRegion": "repro.models.memory",
+    "MemoryTracker": "repro.models.memory",
+    "PowerModel": "repro.models.power",
+    "ProcessorModel": "repro.models.processor",
+    "RegionKind": "repro.models.memory",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

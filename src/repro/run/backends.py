@@ -83,7 +83,7 @@ def outcome_digest(run: "FailureRunResult", mode: str) -> str:
 
 
 #: The keys of :func:`outcome_facts` by outcome mode — what a cache
-#: blob's head must carry before ``summary()`` may be answered from it.
+#: entry's head must carry before ``summary()`` may be answered from it.
 FACT_KEYS = {
     "single": {"completed", "exit_time", "events", "failures", "restarts", "timing"},
     "restart": {
@@ -124,11 +124,13 @@ class ScenarioOutcome:
     (:attr:`event_trace`).  :attr:`mode` is :func:`run_mode`'s label.
 
     A computed outcome is built from its objects.  A cache hit
-    (:meth:`from_cache`) is built from a blob's verified head — its
+    (:meth:`from_cache`) is built from its entry's verified head — its
     :meth:`digest`, :meth:`facts`, :meth:`summary`, :attr:`completed` and
-    :attr:`metadata` never touch the per-rank tables — and reads its
-    entry again to decode :attr:`run` / :attr:`observer` from the
-    verified body on first access, once (:mod:`repro.cache.store`).
+    :attr:`metadata` never touch the per-rank tables — and builds
+    :attr:`run` / :attr:`observer` on first access, once, by computing
+    its scenario again, held to the head (:mod:`repro.cache.store`).
+    An unobserved hit's :attr:`observer` is ``None`` and computes
+    nothing.
     """
 
     def __init__(
@@ -149,8 +151,8 @@ class ScenarioOutcome:
         #: count.
         self.metadata: dict = {} if metadata is None else metadata
         self._objects = (run, observer)
-        #: Cache hits only, until first use: ``() -> (run, observer)``.
-        self._load_body: Callable[[], tuple] | None = None
+        #: Cache hits only, until first use: ``() -> computed outcome``.
+        self._recompute: Callable[[], ScenarioOutcome] | None = None
         self._digest: str | None = None
         self._facts: dict[str, Any] | None = None
 
@@ -161,18 +163,22 @@ class ScenarioOutcome:
         digest: str,
         facts: dict[str, Any],
         metadata: dict,
-        load_body: Callable[[], tuple],
+        recompute: Callable[[], ScenarioOutcome],
     ) -> "ScenarioOutcome":
-        """A cache hit: ``digest``/``facts``/``metadata`` from the blob's
-        verified head, objects from ``load_body()`` when first asked for."""
+        """A cache hit: ``digest``/``facts``/``metadata`` from its entry's
+        verified head, objects from ``recompute()`` when first asked for
+        (whose digest and facts then stand, should they differ)."""
         outcome = cls(scenario, metadata=metadata)
-        outcome._digest, outcome._facts, outcome._load_body = digest, facts, load_body
+        outcome._digest, outcome._facts, outcome._recompute = digest, facts, recompute
         return outcome
 
     def _object(self, index: int) -> Any:
-        if self._load_body is not None:
-            load, self._load_body = self._load_body, None
-            self._objects = load()
+        if self._recompute is not None:
+            if index == 1 and not self.scenario.observe:
+                return None  # an unobserved run has no observer to compute
+            fresh, self._recompute = self._recompute(), None
+            self._objects = (fresh.run, fresh.observer)
+            self._digest, self._facts = fresh.digest(), fresh.facts()
         return self._objects[index]
 
     @property
@@ -201,7 +207,7 @@ class ScenarioOutcome:
 
     def facts(self) -> dict[str, Any]:
         """The result-derived values :meth:`summary` reports
-        (:func:`outcome_facts`) — a cache blob's head stores exactly this."""
+        (:func:`outcome_facts`) — a cache entry's head stores exactly this."""
         if self._facts is None:
             self._facts = outcome_facts(self.run, self.mode)
         return self._facts
@@ -210,7 +216,7 @@ class ScenarioOutcome:
         """The min/max/avg VP timing line of the (final-segment) result,
         byte for byte :meth:`SimulationResult.timing_report
         <repro.pdes.engine.SimulationResult.timing_report>` — from
-        :meth:`facts`, so a cache hit prints it without decoding its body."""
+        :meth:`facts`, so a cache hit prints it without computing its run."""
         return format_timing(*self.facts()["timing"])
 
     def summary(self) -> dict[str, Any]:
@@ -266,8 +272,8 @@ def run_scenario(
     computed run): ``None`` defers to the ``XSIM_CACHE`` /
     ``XSIM_CACHE_DIR`` environment policy, ``False`` disables caching
     for this call, and a :class:`~repro.cache.ResultCache` is used
-    directly.  A hit is bit-identical to recomputation (result digest,
-    summary, sim-domain exporter bytes — ``tests/test_cache.py``)
+    directly.  A hit is its recomputation field for field (result
+    digest, summary, sim-domain exporter bytes — ``tests/test_cache.py``)
     and is marked in :attr:`ScenarioOutcome.metadata` as ``cache_hit``.
     Trace-recording runs (``record_events``) bypass the cache, because a
     hit cannot repopulate a live event trace.
@@ -275,10 +281,15 @@ def run_scenario(
     in ``cache`` and missed (a campaign partitioning its cells): the run
     is computed and stored without a second lookup.
     """
-    from repro.cache import cacheable, resolve_cache
+    from repro.cache import resolve_cache
 
+    # Caching off (the default) loads nothing of the store.
     store = resolve_cache(cache)
-    use_cache = store is not None and cacheable(scenario)
+    use_cache = False
+    if store is not None:
+        from repro.cache.store import cacheable
+
+        use_cache = cacheable(scenario)
     if use_cache and not known_miss:
         hit = store.lookup(scenario)
         if hit is not None:

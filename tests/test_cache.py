@@ -8,26 +8,23 @@ Covers the correctness promises the cache makes over raw memoization:
 * a warm hit is equal to recomputation — digest, summary — and the
   result digest is host-independent (no wall times, transports, or CPU
   counts leak in);
-* damaged state (truncated blob, missing blob, stale index row, foreign
-  schema version) degrades to recomputation with a warning, never to a
-  crash or a stale answer, and no byte of a blob reaches a decoder
-  before its hash matched — the head's against the index row at lookup,
-  the body's against the head when the body is first read — a hostile
-  body under a correct hash is refused by the allow-list unpickler, a body
-  that is not one zlib stream of the head's ``body_nbytes`` by the
-  inflater before the unpickler runs, a zlib bomb after inflating no
-  more than its head declares, and the entry heals: the recomputed cell
-  is stored back in its place;
+* damaged state (a truncated, emptied or rewritten head, a stale index
+  row, a foreign schema version) degrades to recomputation with a
+  warning, never to a crash or a stale answer, and no byte of a head
+  reaches the JSON decoder before its size and hash matched the row's;
+  a head that passes every check but disagrees with its recomputation is
+  demoted when its objects are first read, and the entry heals: the
+  recomputed cell is stored back in its place;
 * host faults around a store — the writer killed before its COMMIT, a
   full disk, a read-only directory — leave nothing behind and cost only
   the cache, never the run;
-* a hit answers ``summary()``/``digest()``/``completed`` from the blob's
-  head alone and decodes its body on first access to ``result`` /
-  ``run`` / ``observer``, once, whatever its size and whatever the
-  process has imported (``CacheStats.decodes`` counts it); what it
-  decodes to equals the cold objects field for field;
+* a hit answers ``summary()``/``digest()``/``completed`` from its head
+  alone and builds ("decodes") ``result`` / ``run`` / ``observer`` on
+  first access, once, by computing its scenario again — an unobserved
+  hit's ``observer`` computes nothing — and what it builds equals the
+  cold objects field for field;
 * ``gc`` evicts in the documented order (age pass first, then LRU by
-  last hit) and ``verify`` spots every kind of damage;
+  last hit) and ``verify`` finds what a lookup refuses;
 * the sweep path partitions cached vs to-compute cells and annotates
   summaries without changing the result values;
 * concurrent writers sharing one directory cannot corrupt it.
@@ -46,7 +43,6 @@ import math
 import multiprocessing
 import os
 import pickle
-import re
 import shutil
 import signal
 import sqlite3
@@ -76,7 +72,9 @@ from repro.cache.store import (
     cache_key,
     cache_salt,
     cacheable,
+    encode_head,
 )
+from repro.core.restart import RestartDriver
 from repro.obs import to_chrome, to_jsonl
 from repro.run.backends import outcome_digest, run_scenario
 from repro.run.scenario import Scenario
@@ -102,29 +100,6 @@ def _cold_small():
     return _cold(SMALL)
 
 
-def _body_at(data):
-    """Offset of a blob's body: magic (8) | head length (4) | head | body."""
-    return 12 + int.from_bytes(data[8:12], "big")
-
-
-def _head(data):
-    """A blob's head, decoded."""
-    return json.loads(data[12 : _body_at(data)])
-
-
-def _assemble(head, body):
-    """A blob of ``head`` (a dict) and ``body`` (its stored bytes, as
-    given): what a writer that knows the layout can put under a correct
-    hash."""
-    head_bytes = json.dumps(head, sort_keys=True, separators=(",", ":")).encode()
-    return _assemble_bytes(head_bytes, body)
-
-
-def _assemble_bytes(head_bytes, body):
-    """A blob of ``head_bytes`` (any bytes, JSON or not) and ``body``."""
-    return b"XSIMRC2\n" + len(head_bytes).to_bytes(4, "big") + head_bytes + body
-
-
 @functools.cache
 def _cold(scenario):
     """``scenario`` computed once, uncached."""
@@ -132,19 +107,36 @@ def _cold(scenario):
 
 
 @functools.cache
-def _blob_of(scenario):
-    """The blob a store of ``scenario``'s cold outcome writes."""
-    from repro.cache.store import encode_blob
+def _head_of(scenario):
+    """The head a store of ``scenario``'s cold outcome writes, decoded."""
+    return json.loads(encode_head(_cold(scenario), 0.1))
 
-    return encode_blob(_cold(scenario), 0.1)[0]
+
+@contextlib.contextmanager
+def _counting_runs():
+    """A list that gains one entry per simulation run
+    (``RestartDriver.run``) inside the block."""
+    real = RestartDriver.run
+    ran = []
+    RestartDriver.run = lambda self: ran.append(None) or real(self)
+    try:
+        yield ran
+    finally:
+        RestartDriver.run = real
+
+
+@pytest.fixture()
+def runs():
+    """The simulations run during the test, counted."""
+    with _counting_runs() as ran:
+        yield ran
 
 
 #: A fault-free and a restart cell: their heads differ in mode and facts.
 HOSTILE_CELLS = (SMALL, SMALL.with_(failures="3@50s"))
 #: Every key of a head, and of its facts and metadata.
 HEAD_PATHS = [
-    (key,) for key in ("format", "mode", "result_digest", "wall_s", "metadata", "facts",
-                       "body_nbytes", "body_sha")
+    (key,) for key in ("format", "mode", "result_digest", "wall_s", "metadata", "facts")
 ] + [
     ("facts", key) for key in ("completed", "exit_time", "events", "failures", "restarts",
                                "timing", "e2", "mttf_a", "strategy_facts")
@@ -182,74 +174,48 @@ def _cli_reports(cell, cache_dir):
     return out
 
 
-@functools.cache
-def _zlib_bomb(nbytes):
-    """``nbytes`` zeros, deflated."""
-    return zlib.compress(bytes(nbytes), 9)
-
-
-def _blob(store, scenario=SMALL):
-    """The stored blob's bytes, read straight from its row."""
+def _head(store, scenario=SMALL):
+    """The stored head's bytes, read straight from its row."""
     (data,) = store._conn().execute(
-        "SELECT data FROM blobs WHERE key = ?", (cache_key(scenario),)
+        "SELECT head FROM entries WHERE key = ?", (cache_key(scenario),)
     ).fetchone()
     return data
 
 
-def _put_blob(store, data, scenario=SMALL):
-    """Overwrite the stored blob's bytes and leave its index row alone."""
+def _put_head(store, data, scenario=SMALL):
+    """Overwrite the stored head and leave the rest of its row alone."""
     store._conn().execute(
-        "UPDATE blobs SET data = ? WHERE key = ?", (data, cache_key(scenario))
+        "UPDATE entries SET head = ? WHERE key = ?", (data, cache_key(scenario))
     )
 
 
 def _flip(store, offset, scenario=SMALL):
-    data = bytearray(_blob(store, scenario))
+    data = bytearray(_head(store, scenario))
     data[offset] ^= 0x01
-    _put_blob(store, bytes(data), scenario)
+    _put_head(store, bytes(data), scenario)
 
 
 def _rows(store, scenario=SMALL):
-    """``(entries rows, blobs rows)`` under the scenario's key."""
-    conn, key = store._conn(), cache_key(scenario)
-    return tuple(
-        conn.execute(f"SELECT COUNT(*) FROM {table} WHERE key = ?", (key,)).fetchone()[0]
-        for table in ("entries", "blobs")
-    )
+    """The number of index rows under the scenario's key."""
+    return store._conn().execute(
+        "SELECT COUNT(*) FROM entries WHERE key = ?", (cache_key(scenario),)
+    ).fetchone()[0]
 
 
 def _vouch(store, data, scenario=SMALL):
-    """Store ``data`` as the blob under an index row that vouches for it:
-    its size, and the SHA-256 of its head prefix (magic | head length |
-    head, cut at the blob's end)."""
-    _put_blob(store, data, scenario)
+    """Store ``data`` as the head under a row that vouches for it: its
+    size and SHA-256 — what a hostile (or foreign) writer to a shared
+    directory can do."""
     store._conn().execute(
-        "UPDATE entries SET nbytes = ?, head_sha = ? WHERE key = ?",
-        (len(data), hashlib.sha256(data[: _body_at(data)]).hexdigest(), cache_key(scenario)),
+        "UPDATE entries SET head = ?, nbytes = ?, head_sha = ? WHERE key = ?",
+        (data, len(data), hashlib.sha256(data).hexdigest(), cache_key(scenario)),
     )
-
-
-def _reindex(store, scenario=SMALL):
-    """Make every hash agree with whatever the blob row now holds — the
-    head's ``body_sha`` (when the head is a JSON object) and the index
-    row — what a hostile (or foreign) writer to a shared directory can
-    do."""
-    data = _blob(store, scenario)
-    try:
-        head = _head(data)
-    except ValueError:
-        head = None
-    if isinstance(head, dict):
-        body = data[_body_at(data) :]
-        data = _assemble(dict(head, body_sha=hashlib.sha256(body).hexdigest()), body)
-    _vouch(store, data, scenario)
 
 
 @pytest.fixture()
 def no_decoder(monkeypatch):
-    """A context in which every decoder a blob byte could reach raises if
-    called — save the JSON decoder on ``head``, the bytes of a head whose
-    hash the caller knows held."""
+    """A context in which the JSON decoder raises if called — save on
+    ``head``, the bytes of a head whose hash the caller knows held."""
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("a decoder ran on bytes that were not verified")
@@ -258,12 +224,6 @@ def no_decoder(monkeypatch):
     def refusing(head=None):
         real_loads = json.loads
         with monkeypatch.context() as patched:
-            patched.setattr("repro.cache.store._BodyUnpickler", refuse)
-            for module, name in [
-                (pickle, "loads"), (pickle, "load"),
-                (zlib, "decompressobj"), (zlib, "decompress"),
-            ]:
-                patched.setattr(module, name, refuse)
             patched.setattr(
                 json, "loads", lambda data: real_loads(data) if data == head else refuse()
             )
@@ -283,18 +243,18 @@ def hostile_stores(tmp_path_factory):
 
 
 @pytest.fixture(params=["at-lookup", "on-access"])
-def first_read(request):
+def first_read(request, runs):
     """What a caller reads first off a hit: its objects, straight after
     the lookup returns, or its head, with the objects read later.  The
     returned function reads the head (``on-access`` only) and checks
-    that this decoded nothing; either way the body decodes on the first
-    access to an object."""
+    that this computed nothing; either way the objects are computed on
+    the first access to one."""
 
-    def read_head(outcome, cache):
+    def read_head(outcome):
         if request.param == "on-access":
-            decodes = cache.stats.decodes
+            ran = len(runs)
             outcome.summary(), outcome.digest(), outcome.facts(), outcome.timing_report()
-            assert cache.stats.decodes == decodes
+            assert len(runs) == ran
 
     return read_head
 
@@ -356,7 +316,7 @@ class TestCacheKey:
         assert cache_key(SMALL.with_(failures="2@100s")) != base
 
     def test_payload_relevant_instrumentation_stays_in_key(self):
-        # observe/trace_detail/check change what the blob must contain.
+        # observe/trace_detail/check change what a hit must reproduce.
         base = cache_key(SMALL)
         assert cache_key(SMALL.with_(observe=True)) != base
         assert cache_key(SMALL.with_(observe=True, trace_detail=True)) != base
@@ -386,7 +346,7 @@ class TestHitEquivalence:
         assert warm.summary() == cold.summary()
         st = store.stats
         assert (st.hits, st.misses, st.stores, st.corrupt) == (1, 1, 1, 0)
-        assert store.verify() == []  # the digest re-derived from the body agrees
+        assert store.verify() == []  # the row passes every check a lookup makes
 
     SHARDED = SMALL.with_(shards=2, shard_transport="inline")
 
@@ -426,7 +386,7 @@ class TestHitEquivalence:
 
 
 # ----------------------------------------------------------------------
-# head and body: what a hit answers from where
+# head and objects: what a hit answers from where
 # ----------------------------------------------------------------------
 STRATEGIES = ("ckpt", "ckpt-multilevel", "replication", "none")
 
@@ -437,7 +397,7 @@ def _uncached(summary):
 
 
 class TestHeadAndBody:
-    def test_warm_run_cells_never_decodes_a_large_body(self, store):
+    def test_warm_run_cells_never_decodes_a_large_body(self, store, runs):
         cells = [
             SMALL.with_(seed=0),
             SMALL.with_(seed=1),
@@ -445,15 +405,16 @@ class TestHeadAndBody:
             SMALL.with_(failures="3@50s", strategy="replication"),
         ]
         cold = run_cells(cells, cache=store)
+        assert len(runs) == len(cells)
         warm = run_cells(cells, cache=store)
         assert all(s["cached"] for s in warm) and store.stats.hits == len(cells)
         assert [_uncached(s) for s in warm] == [_uncached(s) for s in cold]
-        assert store.stats.decodes == 0
+        assert len(runs) == len(cells)  # the warm campaign computed nothing
 
-    def test_warm_campaign_in_a_computing_process_decodes_nothing(self, store):
+    def test_warm_campaign_in_a_computing_process_decodes_nothing(self, store, runs):
         """A rerun in a process that has computed cells — the simulator's
-        classes loaded, so a decode would import nothing — still decodes
-        no body: a campaign reads summaries only."""
+        classes loaded, so building a hit's objects would import nothing
+        — still computes no cell: a campaign reads summaries only."""
         cells = [
             SMALL.with_(strategy=strategy, failures=failures, observe=observe)
             for strategy in STRATEGIES
@@ -463,32 +424,33 @@ class TestHeadAndBody:
         cold = run_cells(cells, cache=store)
         assert "repro.pdes.engine" in sys.modules
         assert {s["mode"] for s in cold} == {"single", "restart"}
+        computed = len(runs)
         warm = run_cells(cells, cache=store)
         assert all(s["cached"] for s in warm) and store.stats.hits == len(cells)
         assert [_uncached(s) for s in warm] == [_uncached(s) for s in cold]
-        assert store.stats.decodes == 0
+        assert len(runs) == computed
 
     @pytest.mark.parametrize(
         "order", list(itertools.permutations(("result", "run", "observer"))), ids="-".join
     )
-    def test_reading_the_objects_in_any_order_decodes_once(self, store, order):
+    def test_reading_the_objects_in_any_order_decodes_once(self, store, runs, order):
         scenario = SMALL.with_(failures="3@50s", observe=True)
         cold = _fill(store, scenario)
         warm = run_scenario(scenario, cache=store)
-        assert warm.summary() == cold.summary() and store.stats.decodes == 0
+        assert warm.summary() == cold.summary() and len(runs) == 1
         for name in order + order:
             getattr(warm, name)
-            assert store.stats.decodes == 1
+            assert len(runs) == 2
         assert _canon(warm.run) == _canon(cold.run)
         assert to_jsonl(warm.observer) == to_jsonl(cold.observer)
-        assert store.stats.decodes == 1
+        assert len(runs) == 2
 
     @pytest.mark.parametrize("scenario", [SMALL, SMALL.with_(failures="3@50s")], ids=["single", "restart"])
-    def test_timing_report_is_a_head_fact(self, store, scenario):
+    def test_timing_report_is_a_head_fact(self, store, runs, scenario):
         cold = _fill(store, scenario)
         assert cold.timing_report() == cold.result.timing_report()
         warm = run_scenario(scenario, cache=store)
-        assert warm.timing_report() == cold.timing_report() and store.stats.decodes == 0
+        assert warm.timing_report() == cold.timing_report() and len(runs) == 1
 
     def test_a_campaign_looks_each_miss_up_once(self, store, monkeypatch):
         """run_cells partitions by lookup; the in-process task then
@@ -508,37 +470,34 @@ class TestHeadAndBody:
         assert all(s["cached"] for s in run_cells(cells, cache=handle))
         assert handle.stats.hit_rate == 1.0 and handle.stats.lookups == 3
 
-    def test_head_answers_and_large_body_decodes_once_on_first_access(self, store):
+    def test_head_answers_and_large_body_decodes_once_on_first_access(self, store, runs):
         cold = _fill(store, SMALL.with_(failures="3@50s"))
         warm = run_scenario(SMALL.with_(failures="3@50s"), cache=store)
         assert warm.summary() == cold.summary()
         assert warm.digest() == cold.digest() and warm.completed is cold.completed
         assert warm.facts() == cold.facts() and warm.metadata["cache_hit"] is True
-        assert store.stats.decodes == 0
-        assert warm.run is not None and warm.observer is None
+        assert warm.observer is None and len(runs) == 1  # unobserved: nothing to compute
+        assert warm.run is not None and len(runs) == 2
         assert warm.result.exit_time == cold.result.exit_time
-        assert store.stats.decodes == 1
+        assert len(runs) == 2
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("failures", ["", "3@50s"], ids=["single", "restart"])
     def test_decoded_objects_equal_cold_field_for_field(
-        self, store, first_read, strategy, failures
+        self, store, runs, first_read, strategy, failures
     ):
         scenario = SMALL.with_(strategy=strategy, failures=failures, observe=True)
         cold = _fill(store, scenario)
         warm = run_scenario(scenario, cache=store)
-        first_read(warm, store)
+        first_read(warm)
         assert warm.metadata["cache_hit"] is True
         assert warm.mode == cold.mode == ("restart" if failures else "single")
         assert _canon(warm.result) == _canon(cold.result)
-        if failures:
-            assert _canon(warm.run) == _canon(cold.run)
-        else:  # a fault-free body is its result alone: no store, no strategy counters
-            assert _canon(warm.run.segments) == _canon(cold.run.segments)
+        assert _canon(warm.run) == _canon(cold.run)  # store and strategy counters too
         assert to_jsonl(warm.observer) == to_jsonl(cold.observer)
         assert to_chrome(warm.observer) == to_chrome(cold.observer)
         assert outcome_digest(warm.run, warm.mode) == warm.digest() == cold.digest()
-        assert store.stats.decodes == 1
+        assert len(runs) == 2
 
     def test_head_floats_round_trip_exactly(self, store):
         """inf / nan / denormal / negative-zero facts survive the JSON
@@ -560,9 +519,9 @@ class TestHeadAndBody:
             _fill(store, scenario)
         for scenario in scenarios:  # the second hit must not report a running total
             warm = run_scenario(scenario, cache=store)
-            first_read(warm, store)
+            first_read(warm)
             (instant,) = [e for e in warm.observer.host_events() if e.name == "cache-hit"]
-            size = len(_blob(store, scenario))
+            size = len(_head(store, scenario))
             assert dict(instant.args)["bytes"] == size
         assert store.stats.hit_bytes > size
 
@@ -596,9 +555,9 @@ class TestHeadAndBody:
 class TestRobustness:
     def test_truncated_blob_recomputes(self, store):
         cold = _fill(store)
-        data = _blob(store)
-        _put_blob(store, data[: len(data) // 2])
-        with pytest.warns(RuntimeWarning, match="unusable .*blob size"):
+        data = _head(store)
+        _put_head(store, data[: len(data) // 2])
+        with pytest.warns(RuntimeWarning, match="unusable .*head size"):
             again = run_scenario(SMALL, cache=store)
         assert not again.metadata.get("cache_hit")
         assert again.digest() == cold.digest()
@@ -607,35 +566,34 @@ class TestRobustness:
         assert run_scenario(SMALL, cache=store).metadata.get("cache_hit") is True
 
     def test_missing_blob_recomputes(self, store):
-        """An ``entries`` row without its ``blobs`` row."""
+        """A row whose head is gone (emptied)."""
         cold = _fill(store)
-        store._conn().execute("DELETE FROM blobs")
-        with pytest.warns(RuntimeWarning, match="blob missing"):
+        _put_head(store, b"")
+        with pytest.warns(RuntimeWarning, match="head size 0 != indexed"):
             again = run_scenario(SMALL, cache=store)
         assert not again.metadata.get("cache_hit")
         assert again.digest() == cold.digest()
-        assert _rows(store) == (1, 1)  # demoted, then re-stored whole
+        assert _rows(store) == 1  # demoted, then re-stored whole
+        assert store.verify() == []
 
     def test_garbage_blob_recomputes(self, store):
         cold = _fill(store)
-        _put_blob(store, b"not a blob")
-        with pytest.warns(RuntimeWarning, match="blob size"):
+        _put_head(store, b"not a head")
+        with pytest.warns(RuntimeWarning, match="head size"):
             again = run_scenario(SMALL, cache=store)
         assert not again.metadata.get("cache_hit")
         assert again.digest() == cold.digest()
-        # the same garbage under an index row that vouches for it gets
-        # as far as the head decoder, and no further
-        _put_blob(store, b"not a blob, but the index says so")
-        _reindex(store)
+        # the same garbage under a row that vouches for it gets as far as
+        # the head decoder, and no further
+        _vouch(store, b"not a head, but the index says so")
         with pytest.warns(RuntimeWarning, match="head undecodable"):
             again = run_scenario(SMALL, cache=store)
         assert not again.metadata.get("cache_hit")
         assert again.digest() == cold.digest()
 
     def test_stale_index_digest_recomputes(self, store):
-        """An index row whose digest disagrees with the blob's head must
-        never be served (the blob could be a stale atomic-rename
-        survivor)."""
+        """An index row whose digest disagrees with its head must never
+        be served."""
         _fill(store)
         store._conn().execute(
             "UPDATE entries SET result_digest = 'deadbeef'"
@@ -647,125 +605,43 @@ class TestRobustness:
     def test_stale_blob_sha_recomputes(self, store):
         _fill(store)
         store._conn().execute("UPDATE entries SET head_sha = ?", ("0" * 64,))
-        with pytest.warns(RuntimeWarning, match="blob hash .* != indexed 0000"):
+        with pytest.warns(RuntimeWarning, match="head hash .* != indexed 0000"):
             assert store.lookup(SMALL) is None
         assert store.stats.corrupt == 1
         assert store.index_stats()["entries"] == 0
-        assert _rows(store) == (0, 0)
+        assert _rows(store) == 0
 
-    @pytest.mark.parametrize("where", ["length", "head", "body"])
+    @pytest.mark.parametrize("where", ["head", "last"])
     def test_flipped_byte_is_refused_before_any_decoder(self, store, no_decoder, where):
-        """Verify-before-decode: one flipped bit in the head prefix is a
-        miss, and neither the head's JSON decoder nor the body's inflater
-        or unpickler ran.  A flipped body bit under an intact head is a
-        hit (a lookup reads no body); ``cache verify`` names it, and first
-        access refuses it on the body hash before any decoder, then
-        demotes, recomputes and heals the entry."""
-        cold = _fill(store)
-        offset = {"length": 11, "head": 20, "body": _body_at(_blob(store)) + 5}[where]
-        _flip(store, offset)
-        if where != "body":
-            with no_decoder(), pytest.warns(RuntimeWarning, match="blob hash"):
-                assert store.lookup(SMALL) is None
-            assert (store.stats.corrupt, store.stats.hits) == (1, 0)
-            assert _rows(store) == (0, 0)
-            return
-        warm = store.lookup(SMALL)
-        assert warm is not None and warm.summary() == cold.summary()
-        (issue,) = store.verify()
-        assert issue.key == cache_key(SMALL) and "body hash" in issue.problem
-        head = _blob(store)[12 : _body_at(_blob(store))]  # intact: its hash held
-        with no_decoder(head), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = warm.result
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert "body hash" in str(caught[0].message)
-        assert store.stats.decodes == 0  # refused before the inflater
-        assert outcome_digest(warm.run, warm.mode) == cold.digest()
-        assert any(r.category == "cache" for r in result.log.entries)
-        assert (store.stats.corrupt, store.stats.stores, _rows(store)) == (1, 2, (1, 1))
-        assert store.lookup(SMALL).metadata["cache_hit"] is True
-
-    def test_a_flipped_body_bit_at_4096_ranks_is_found_by_verify_and_recomputed(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        """The same through the CLI on one stored 4,096-rank cell, whose
-        blob is under a third of the raw body its head declares (bodies
-        are stored deflated), with one bit flipped mid-body: the warm
-        sweep still serves it from its intact head with the same table,
-        ``cache verify`` names the body hash (exit 1), and once pruned
-        the sweep recomputes the identical output; the next run is a hit
-        again."""
-        from repro.cli import main
-
-        for name in [n for n in os.environ if n.startswith("XSIM_") and n != "XSIM_CHECK"]:
-            monkeypatch.delenv(name)
-        root = tmp_path / "cache"
-        sweep = ["sweep", "--app", "heat3d", "--ranks", "4096", "--iterations", "5",
-                 "--set", "interval=1000", "--cache", "--cache-dir", str(root)]
-
-        def cli(*argv, status=0):
-            assert main(list(argv)) == status
-            return capsys.readouterr().out
-
-        def table(out):  # without the source column
-            return [re.sub(r" *\|[^|]*$", "", line) for line in out.splitlines() if "|" in line]
-
-        cold = cli(*sweep)
-        store, cell = ResultCache(root), Scenario(ranks=4096, iterations=5, interval=1000)
-        data = _blob(store, cell)
-        assert 3 * len(data) < _head(data)["body_nbytes"]
-        _flip(store, _body_at(data) + (len(data) - _body_at(data)) // 2, cell)
-        store.close()
-        warm = cli(*sweep)
-        assert "cache: 1/1 cells served from cache" in warm and table(warm) == table(cold)
-        verify = cli("cache", "verify", "--cache-dir", str(root), status=1)
-        assert re.search(r"unservable: body hash .* != head's", verify), verify
-        cli("cache", "verify", "--prune", "--cache-dir", str(root))
-        again = cli(*sweep)
-        assert "cache: 0/1 cells served from cache" in again and again == cold
-        assert "cache: 1/1 cells served from cache (100% hit rate)" in cli(*sweep)
+        """Verify-before-decode: one flipped bit in the head — inside it,
+        or its closing brace — is a miss, and the JSON decoder never
+        ran."""
+        _fill(store)
+        _flip(store, {"head": 20, "last": -1}[where])
+        with no_decoder(), pytest.warns(RuntimeWarning, match="head hash"):
+            assert store.lookup(SMALL) is None
+        assert (store.stats.corrupt, store.stats.hits) == (1, 0)
+        assert _rows(store) == 0
 
     def test_truncation_is_refused_before_hashing(self, store, monkeypatch):
         _fill(store)
-        truncated = _blob(store)[:-1]
-        _put_blob(store, truncated)
+        truncated = _head(store)[:-1]
+        _put_head(store, truncated)
         real = hashlib.sha256
 
         def guarded(data=b""):
-            assert data != truncated, "hashed a blob whose size already disagreed"
+            assert data != truncated, "hashed a head whose size already disagreed"
             return real(data)
 
         monkeypatch.setattr(hashlib, "sha256", guarded)
-        with pytest.warns(RuntimeWarning, match="blob size"):
+        with pytest.warns(RuntimeWarning, match="head size"):
             assert store.lookup(SMALL) is None
-
-    def test_a_lookup_hashes_its_head_prefix_only(self, store, monkeypatch):
-        """A hit on a 1,000-rank cell hashes nothing longer than its
-        blob's head prefix: the body waits for first access."""
-        scenario = Scenario(ranks=1000, iterations=5, interval=1000)
-        _fill(store, scenario)
-        data = _blob(store, scenario)
-        prefix = _body_at(data)
-        assert len(data) > 20 * prefix
-        real = hashlib.sha256
-        hashed = []
-
-        def guarded(data=b""):
-            hashed.append(len(data))
-            assert len(data) <= prefix, f"hashed {len(data)} B of a {prefix} B head prefix"
-            return real(data)
-
-        monkeypatch.setattr(hashlib, "sha256", guarded)
-        warm = store.lookup(scenario)
-        assert warm is not None and warm.metadata["cache_hit"] is True
-        assert prefix in hashed and store.stats.decodes == 0
 
     @seed(26)
     @settings(max_examples=40)
     @given(
         damage=st.one_of(
-            st.tuples(st.just("data"), st.binary(max_size=2048)),
+            st.tuples(st.just("head"), st.one_of(st.binary(max_size=2048), st.text(max_size=80))),
             st.tuples(st.just("truncate"), st.integers(min_value=0)),
             st.tuples(
                 st.sampled_from(["nbytes", "head_sha", "result_digest"]),
@@ -779,29 +655,26 @@ class TestRobustness:
         )
     )
     def test_any_damage_to_a_stored_entry_is_one_warned_miss(self, tmp_path_factory, damage):
-        """The blob's bytes replaced or truncated, or any value in the
-        index row's checked columns: a miss with exactly one warning, the
-        lookup never raises, no body decodes (a lookup decodes none), and
-        the next run recomputes the same summary."""
+        """The head replaced (by bytes or text) or truncated, or any value
+        in the row's other checked columns: a miss with exactly one
+        warning, the lookup never raises and computes nothing, and the
+        next run recomputes the same summary."""
         cold = _cold_small()
         cache = ResultCache(tmp_path_factory.mktemp("fuzz"))
         assert cache.store(SMALL, cold)
-        checked = "SELECT nbytes, head_sha, result_digest FROM entries"
-        before = cache._conn().execute(checked).fetchone() + (_blob(cache),)
+        checked = "SELECT head, nbytes, head_sha, result_digest FROM entries"
+        before = cache._conn().execute(checked).fetchone()
         what, value = damage
-        if what == "data":
-            _put_blob(cache, value)
-        elif what == "truncate":
-            _put_blob(cache, before[3][: value % len(before[3])])
+        if what == "truncate":
+            _put_head(cache, before[0][: value % len(before[0])])
         else:
             cache._conn().execute(f"UPDATE entries SET {what} = ?", (value,))
-        after = cache._conn().execute(checked).fetchone() + (_blob(cache),)
+        after = cache._conn().execute(checked).fetchone()
         assume(after != before)
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, _counting_runs() as ran:
             warnings.simplefilter("always")
             assert cache.lookup(SMALL) is None
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert cache.stats.decodes == 0
+        assert [w.category for w in caught] == [RuntimeWarning] and ran == []
         again = run_scenario(SMALL, cache=cache)
         assert not again.metadata.get("cache_hit") and again.summary() == cold.summary()
         cache.close()
@@ -827,7 +700,7 @@ class TestRobustness:
         """A hostile writer to a shared directory puts any head under a
         correct ``head_sha`` — another cell's head under this cell's key
         and digest, keys added, removed or given values of the wrong type,
-        or raw bytes: the lookup never raises and decodes no body, and
+        or raw bytes: the lookup never raises and computes nothing, and
         either serves an outcome whose digest, summary, completion,
         metadata and timing line all read, and whose ``app --cache`` and
         ``sweep --cache`` reports print as hits, or is a miss with
@@ -835,8 +708,7 @@ class TestRobustness:
         cold, cache = _cold(cell), hostile_stores[cell]
         cache.stats = CacheStats()
         assert cache.store(cell, cold)
-        data = _blob(cache, cell)
-        head = json.loads(json.dumps(_head(_blob_of(base)) | {"result_digest": cold.digest()}))
+        head = json.loads(json.dumps(_head_of(base) | {"result_digest": cold.digest()}))
         head.update(extra)
         for path, value in edits:
             *parents, leaf = path
@@ -848,9 +720,8 @@ class TestRobustness:
                     node.pop(leaf, None)
                 else:
                     node[leaf] = value
-        head_bytes = raw if raw is not None else json.dumps(head).encode()
-        _vouch(cache, _assemble_bytes(head_bytes, data[_body_at(data) :]), cell)
-        with warnings.catch_warnings(record=True) as caught:
+        _vouch(cache, raw if raw is not None else json.dumps(head).encode(), cell)
+        with warnings.catch_warnings(record=True) as caught, _counting_runs() as ran:
             warnings.simplefilter("always")
             warm = cache.lookup(cell)
             if warm is not None:
@@ -859,151 +730,45 @@ class TestRobustness:
                 app, sweep = _cli_reports(cell, cache.root)
                 assert "cache: hit" in app and "cache: 1/1 cells served" in sweep
         assert [w.category for w in caught] == ([] if warm else [RuntimeWarning])
-        assert cache.stats.decodes == 0
+        assert ran == []
 
-    @pytest.mark.parametrize("evil", ["os.system", "builtins.eval"])
-    def test_hostile_body_under_a_correct_hash_executes_nothing(
-        self, store, tmp_path, first_read, evil
-    ):
-        """A body that names a callable, deflated and declared by its head
-        like a real one, under *correct* head and body hashes: the hit is
-        reported from the head, the inflater lets it through, the
-        allow-list unpickler refuses it on first access, and the entry is
-        demoted and healed — the recomputed cell stored in its place."""
-        cold = _fill(store)
-        sentinel = tmp_path / "sentinel"
-
-        class Evil:
-            def __reduce__(self):
-                if evil == "os.system":
-                    return os.system, (f"touch {sentinel}",)
-                return eval, (f"open({str(sentinel)!r}, 'w').close()",)
-
-        body = pickle.dumps((Evil(), None, None), protocol=pickle.HIGHEST_PROTOCOL)
-        head = dict(_head(_blob(store)), body_nbytes=len(body))
-        _put_blob(store, _assemble(head, zlib.compress(body)))
-        _reindex(store)
-        warm = run_scenario(SMALL, cache=store)
-        assert warm.metadata.get("cache_hit") is True  # head and hash are fine
-        first_read(warm, store)
-        with pytest.warns(RuntimeWarning, match="body undecodable: .* is not an allowed body"):
-            result = warm.result
-        assert not sentinel.exists()
-        assert outcome_digest(warm.run, warm.mode) == cold.digest() == warm.digest()
-        assert any(r.category == "cache" for r in result.log.entries)
-        assert (store.stats.corrupt, store.stats.stores, _rows(store)) == (1, 2, (1, 1))
-        healed = run_scenario(SMALL, cache=store)
-        assert healed.metadata.get("cache_hit") is True
-        assert outcome_digest(healed.run, healed.mode) == cold.digest()
-        assert not sentinel.exists() and store.stats.decodes == 2
-
-    def test_an_uncompressed_body_is_refused_before_the_unpickler(self, store, monkeypatch):
-        """A body stored as a plain pickle, as schema 3 stored it, under a
-        head that declares its length and correct hashes: the
-        inflater refuses it, no ``_BodyUnpickler.load`` runs, and the
-        entry heals."""
-        cold = _fill(store)
-        data = _blob(store)
-        plain = zlib.decompress(data[_body_at(data) :])
-        assert len(plain) == _head(data)["body_nbytes"]
-        _put_blob(store, data[: _body_at(data)] + plain)
-        _reindex(store)
-        from repro.cache.store import _BodyUnpickler
-
-        loads = []
-        real_load = _BodyUnpickler.load
-        monkeypatch.setattr(
-            _BodyUnpickler, "load", lambda self: loads.append(self) or real_load(self)
-        )
-        warm = run_scenario(SMALL, cache=store)
-        assert warm.metadata.get("cache_hit") is True
-        with pytest.warns(RuntimeWarning, match="body undecodable: .* while decompressing"):
-            result = warm.result
-        assert loads == []
-        assert outcome_digest(warm.run, warm.mode) == cold.digest()
-        healed = run_scenario(SMALL, cache=store)
-        assert healed.metadata.get("cache_hit") is True
-        assert _canon(healed.result) == _canon(cold.result) and len(loads) == 1
-
-    @pytest.mark.parametrize("declared", ["honest", "lying"])
-    def test_a_zlib_bomb_inflates_no_more_than_its_head_declares(self, store, declared):
-        """32 MiB of zeros deflated to ~32 kB under a correct hash, its
-        head declaring either all 32 MiB or the real body's few hundred
-        bytes: ``cache verify`` reports it, first access refuses it having
-        inflated at most ``body_nbytes + 1`` bytes (the traced peak holds
-        the inflater's output twice, its blocks and their join, and the
-        recomputation), and the entry heals."""
-        cold = _fill(store)
-        data = _blob(store)
-        bomb = 32 << 20
-        nbytes = bomb if declared == "honest" else _head(data)["body_nbytes"]
-        _put_blob(store, _assemble(dict(_head(data), body_nbytes=nbytes), _zlib_bomb(bomb)))
-        _reindex(store)
-        (issue,) = store.verify()
-        assert issue.key == cache_key(SMALL)
-        assert issue.problem.startswith("blob body undecodable")
-        warm = run_scenario(SMALL, cache=store)
-        assert warm.metadata.get("cache_hit") is True
-        tracemalloc.start()
-        try:
-            with pytest.warns(RuntimeWarning, match="body undecodable"):
-                result = warm.result
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * (nbytes + 1) + (1 << 20), f"inflated {peak} B for {nbytes} declared"
-        assert outcome_digest(warm.run, warm.mode) == cold.digest()
-        healed = run_scenario(SMALL, cache=store)
-        assert healed.metadata.get("cache_hit") is True and store.verify() == []
-
-    def test_a_body_that_will_not_decode_heals_its_entry(self, store):
-        """A body cut short under correct hashes fails on first
-        access: the outcome recomputes its objects, stores them back with
-        the recomputation's own wall time, and the next lookup hits."""
-        assert store.store(SMALL, _cold_small(), wall_s=1e6)
-        data = _blob(store)
-        _put_blob(store, data[:-8])
-        _reindex(store)
+    def test_a_head_with_wrong_facts_heals_its_entry_on_first_access(self, store, runs):
+        """A head whose facts disagree with its run, under a correct
+        ``head_sha``: the lookup serves it, and the first read of the
+        hit's objects computes the run, finds the disagreement, warns once
+        and demotes the entry, storing the computed outcome with the
+        recomputation's own wall time in its place; the outcome and the
+        next lookup report the computed facts."""
+        cold = _cold_small()
+        assert store.store(SMALL, cold, wall_s=1e6)
+        head = json.loads(_head(store))
+        head["facts"]["events"] += 1
+        _vouch(store, json.dumps(head).encode())
         warm = run_scenario(SMALL, cache=store)
         assert warm.metadata["cache_hit"] is True and warm.metadata["cache_wall_s"] == 1e6
-        with pytest.warns(RuntimeWarning, match="body undecodable"):
-            result = warm.result
+        assert warm.facts()["events"] == cold.facts()["events"] + 1 and runs == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = warm.run
+        assert [w.category for w in caught] == [RuntimeWarning] and len(runs) == 1
+        assert "disagrees with its recomputation" in str(caught[0].message)
         assert any(
-            r.category == "cache" and "recomputing" in r.message for r in result.log.entries
+            r.category == "cache" and "recomputing" in r.message
+            for r in run.segments[-1].result.log.entries
         )
-        assert (store.stats.corrupt, store.stats.stores, _rows(store)) == (1, 2, (1, 1))
+        assert outcome_digest(run, warm.mode) == cold.digest() and warm.facts() == cold.facts()
+        assert (store.stats.corrupt, store.stats.stores, _rows(store)) == (1, 2, 1)
         (entry,) = store.entries()
         assert 0.0 < entry["wall_s"] < 1e6  # the recomputation's, not the lost entry's
         healed = run_scenario(SMALL, cache=store)
         assert healed.metadata["cache_hit"] is True
         assert healed.metadata["cache_wall_s"] == entry["wall_s"]
-        assert _canon(healed.result) == _canon(_cold_small().result)
-        assert store.stats.decodes == 2 and store.verify() == []
-
-    def test_body_unpickler_resolves_classes_of_repro_modules_only(self):
-        import io
-
-        from repro.cache.store import _BodyUnpickler
-        from repro.pdes.context import VpState
-
-        unpickler = _BodyUnpickler(io.BytesIO(b""))
-        assert unpickler.find_class("repro.pdes.context", "VpState") is VpState
-        assert unpickler.find_class("builtins", "complex") is complex
-        for module, name in [
-            ("os", "system"),
-            ("builtins", "eval"),
-            ("builtins", "getattr"),
-            ("repro.cache.store", "os.system"),  # a dotted path through an import
-            ("repro.cache.store", "Path"),  # a class, but not one defined there
-            ("repro.cache.store", "cache_key"),  # a function
-            ("reprox", "VpState"),
-        ]:
-            with pytest.raises(pickle.UnpicklingError, match="not an allowed"):
-                unpickler.find_class(module, name)
+        assert healed.facts() == cold.facts() and healed.summary() == cold.summary()
+        assert store.verify() == [] and len(runs) == 1
 
     def test_warning_logged_into_recomputed_run(self, store):
         _fill(store)
-        _put_blob(store, b"junk")
+        _put_head(store, b"junk")
         with pytest.warns(RuntimeWarning):
             again = run_scenario(SMALL, cache=store)
         log = again.result.log
@@ -1053,30 +818,36 @@ class TestRobustness:
 
     @staticmethod
     def _one_file_directory(root, version):
-        """A cache directory the third or fourth format wrote: its WAL
-        index with the tables of today's (the index row hashing the whole
-        blob), and one entry — SMALL's, under today's key — whose blob
-        holds its body as a plain pickle (3) or deflated (4)."""
+        """A cache directory the third, fourth or fifth format wrote: its
+        WAL index with a ``blobs`` table beside ``entries``, and one entry
+        — SMALL's, under today's key — whose blob holds its body as a
+        plain pickle (3) or deflated (4, 5), under a row hashing the
+        whole blob (3, 4) or its head prefix (5)."""
         cold = _cold_small()
         head = {
             "format": version, "mode": cold.mode, "result_digest": cold.digest(),
             "wall_s": 0.1, "metadata": dict(cold.metadata), "facts": cold.facts(),
         }
         body = pickle.dumps((cold.result, None, None), pickle.HIGHEST_PROTOCOL)
-        if version == 4:
+        if version >= 4:
             head["body_nbytes"], body = len(body), zlib.compress(body, 1)
-        blob = _assemble(head, body)
+        if version == 5:
+            head["body_sha"] = hashlib.sha256(body).hexdigest()
+        head_bytes = json.dumps(head, sort_keys=True, separators=(",", ":")).encode()
+        prefix = b"XSIMRC2\n" + len(head_bytes).to_bytes(4, "big") + head_bytes
+        blob = prefix + body
         root.mkdir(parents=True)
         conn = sqlite3.connect(root / "index.sqlite3")
         conn.execute("PRAGMA page_size=4096")
         conn.execute("PRAGMA auto_vacuum=INCREMENTAL")
         conn.execute("PRAGMA journal_mode=WAL")
+        column = "head_sha" if version == 5 else "blob_sha"
         conn.executescript(
             "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
             "CREATE TABLE blobs (key TEXT PRIMARY KEY, data BLOB NOT NULL);"
             "CREATE TABLE entries (key TEXT PRIMARY KEY, scenario_digest TEXT NOT NULL,"
             " result_digest TEXT NOT NULL, mode TEXT NOT NULL, nbytes INTEGER NOT NULL,"
-            " blob_sha TEXT NOT NULL, wall_s REAL NOT NULL, created REAL NOT NULL,"
+            f" {column} TEXT NOT NULL, wall_s REAL NOT NULL, created REAL NOT NULL,"
             " last_hit REAL NOT NULL, hits INTEGER NOT NULL DEFAULT 0);"
             "CREATE INDEX entries_last_hit ON entries(last_hit);"
             f"INSERT INTO meta VALUES ('schema', '{version}');"
@@ -1086,15 +857,15 @@ class TestRobustness:
         conn.execute(
             "INSERT INTO entries VALUES (?, ?, ?, 'single', ?, ?, 0.1, 1.0, 1.0, 0)",
             (key, SMALL.scenario_digest(), cold.digest(), len(blob),
-             hashlib.sha256(blob).hexdigest()),
+             hashlib.sha256(prefix if version == 5 else blob).hexdigest()),
         )
         conn.commit()
         conn.close()
         return blob
 
     def _assert_refused_untouched(self, root, version, blob):
-        """``blob`` is the foreign directory's blob file, or (schema 3)
-        the bytes of its ``blobs`` row."""
+        """``blob`` is the foreign directory's blob file, or (schemas 3
+        to 5) the bytes of its ``blobs`` row."""
         cache = ResultCache(root)
         assert cache.disabled_reason is not None
         with pytest.warns(
@@ -1158,15 +929,26 @@ class TestRobustness:
         self._assert_refused_untouched(root, 4, blob)
         assert (root / "index.sqlite3").read_bytes() == before
 
+    def test_schema_5_directory_is_refused_untouched(self, tmp_path):
+        """A directory written by the fifth format (the run's objects
+        pickled and deflated in a ``blobs`` row behind a head the index
+        row hashed): refused the same way, its entry neither read nor
+        demoted, and not one byte of its index file changes."""
+        root = tmp_path / "old"
+        blob = self._one_file_directory(root, 5)
+        before = (root / "index.sqlite3").read_bytes()
+        self._assert_refused_untouched(root, 5, blob)
+        assert (root / "index.sqlite3").read_bytes() == before
+
     def test_failed_store_rolls_back_and_the_next_one_lands(self, store, monkeypatch):
-        """The index row's INSERT raising after the blob's: the rollback
-        takes the blob row with it, and nothing else was written."""
+        """The row's INSERT raising inside its transaction: the rollback
+        leaves no row, and nothing else was written."""
         outcome = run_scenario(SMALL, cache=False)
         with monkeypatch.context() as patched:
             patched.setattr(Scenario, "scenario_digest", lambda self: None)
             with pytest.warns(RuntimeWarning, match="store failed .* NOT NULL"):
                 assert store.store(SMALL, outcome) is False
-        assert (store.stats.store_errors, _rows(store)) == (1, (0, 0))
+        assert (store.stats.store_errors, _rows(store)) == (1, 0)
         assert store.lookup(SMALL) is None  # a miss, without a warning: no row, no read
         assert store.store(SMALL, outcome) is True  # no transaction left open
         assert store.lookup(SMALL) is not None and store.verify() == []
@@ -1235,42 +1017,42 @@ class TestVerifyGc:
 
     def test_verify_finds_and_prunes_damage(self, store):
         scenarios = self._three_entries(store)
-        bad_key, missing_key = cache_key(scenarios[1]), cache_key(scenarios[2])
-        _put_blob(store, b"junk", scenarios[1])
-        store._conn().execute("DELETE FROM blobs WHERE key = ?", (missing_key,))
+        bad_key, stale_key = cache_key(scenarios[1]), cache_key(scenarios[2])
+        _put_head(store, b"junk", scenarios[1])
+        store._conn().execute("UPDATE entries SET head_sha = '0' WHERE key = ?", (stale_key,))
         problems = {i.key: i.problem for i in store.verify()}
-        assert set(problems) == {bad_key, missing_key}
-        assert problems[bad_key].startswith("blob size 4 != indexed")
-        assert problems[missing_key].startswith("blob missing")
+        assert set(problems) == {bad_key, stale_key}
+        assert problems[bad_key].startswith("head size 4 != indexed")
+        assert problems[stale_key].startswith("head hash")
         assert store.index_stats()["entries"] == 3  # audit-only
         store.verify(prune=True)
         assert store.index_stats()["entries"] == 1
-        assert _rows(store, scenarios[1]) == _rows(store, scenarios[2]) == (0, 0)
+        assert _rows(store, scenarios[1]) == _rows(store, scenarios[2]) == 0
         assert store.verify() == []
 
-    def test_verify_audits_beyond_a_lookup(self, store):
-        """A lookup trusts a head whose blob hash matched; ``verify``
-        decodes the body too and re-derives digest and facts from it."""
-        scenarios = self._three_entries(store)
-        blobs = [_blob(store, s) for s in scenarios]
-        # entry 0: another cell's body under this cell's head (and its
-        # body length, so the body inflates)
-        other = SMALL.with_(iterations=20)
-        _fill(store, other)
-        foreign = _blob(store, other)
-        head = dict(_head(blobs[0]), body_nbytes=_head(foreign)["body_nbytes"])
-        _put_blob(store, _assemble(head, foreign[_body_at(foreign) :]), scenarios[0])
-        _reindex(store, scenarios[0])
-        # entry 2: a head whose facts disagree with its own body
-        head = _head(blobs[2])
-        head["facts"]["events"] += 1
-        _put_blob(store, _assemble(head, blobs[2][_body_at(blobs[2]) :]), scenarios[2])
-        _reindex(store, scenarios[2])
-        assert store.lookup(scenarios[0]) is not None  # hash, head and index agree
+    def test_verify_finds_what_a_lookup_refuses(self, store):
+        """``verify`` makes a lookup's checks on every row: each entry it
+        names is one a lookup refuses, for the reason the lookup's warning
+        gives, and each row it passes is a hit."""
+        scenarios = self._three_entries(store) + [SMALL.with_(seed=3)]
+        _fill(store, scenarios[3])
+        _put_head(store, b"junk", scenarios[0])
+        _flip(store, 20, scenarios[1])
+        store._conn().execute(
+            "UPDATE entries SET result_digest = 'deadbeef' WHERE key = ?",
+            (cache_key(scenarios[2]),),
+        )
         problems = {i.key: i.problem for i in store.verify()}
-        assert set(problems) == {cache_key(scenarios[0]), cache_key(scenarios[2])}
-        assert "digest mismatch" in problems[cache_key(scenarios[0])]
-        assert "facts differ" in problems[cache_key(scenarios[2])]
+        assert len(problems) == 3
+        for scenario in scenarios:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                hit = store.lookup(scenario)
+            problem = problems.get(cache_key(scenario))
+            if problem is None:
+                assert hit is not None and caught == []
+            else:
+                assert hit is None and f"({problem})" in str(caught[0].message)
 
     def test_gc_max_age_evicts_idle_entries(self, store):
         scenarios = self._three_entries(store)
@@ -1334,16 +1116,15 @@ class TestVerifyGc:
 # directory read-only
 # ----------------------------------------------------------------------
 def _store_killed_before_commit(root, outcome):
-    """Store one cell, and die by SIGKILL as the COMMIT after its two
-    INSERTs starts: a blob written in a transaction of its own would
-    survive this."""
+    """Store one cell, and die by SIGKILL as the COMMIT after its
+    INSERT starts."""
     cache = ResultCache(root)
     inserted = set()
 
     def trace(sql):
         if sql.startswith("INSERT OR REPLACE INTO"):
             inserted.add(sql.split()[4])
-        elif sql.startswith("COMMIT") and inserted == {"blobs", "entries"}:
+        elif sql.startswith("COMMIT") and inserted == {"entries"}:
             os.kill(os.getpid(), signal.SIGKILL)
 
     cache._conn().set_trace_callback(trace)
@@ -1426,35 +1207,35 @@ class TestHostFaults:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a clean miss: nothing to warn about
             assert cache.lookup(SMALL) is None
-        assert _rows(cache) == (0, 0) and cache.verify() == []
+        assert _rows(cache) == 0 and cache.verify() == []
         again = run_scenario(SMALL, cache=cache)
         assert not again.metadata.get("cache_hit") and cache.stats.stores == 1
         assert run_scenario(SMALL, cache=cache).metadata.get("cache_hit") is True
 
     def test_a_full_disk_costs_the_cache_not_the_run(self, store):
-        """The blob's INSERT raising ``database or disk is full`` (the
-        index may not grow by a page, and this blob is larger than one):
-        one warning, the computed outcome returned, and the next lookup a
-        plain miss."""
-        from repro.cache.store import encode_blob
-
-        scenario = SMALL.with_(ranks=512)
-        cold = run_scenario(scenario, cache=False)
+        """The row's INSERT raising ``database or disk is full`` (the
+        index may not grow by a page, and a filler row leaves the page
+        the row would go to no room for it): one warning, the computed
+        outcome returned, and the next lookup a plain miss."""
+        cold = run_scenario(SMALL, cache=False)
         conn = store._conn()
+        conn.execute(
+            "INSERT INTO entries VALUES ('filler', '', '', 'single', 0, ?, '', 0.0, 0.0, 0.0, 0)",
+            (bytes(3800),),
+        )
         (pages,) = conn.execute("PRAGMA page_count").fetchone()
-        (page_size,) = conn.execute("PRAGMA page_size").fetchone()
-        assert len(encode_blob(cold, 0.0)[0]) > 2 * page_size
         conn.execute(f"PRAGMA max_page_count = {pages}")
         with pytest.warns(RuntimeWarning) as caught:
-            outcome = run_scenario(scenario, cache=store)
+            outcome = run_scenario(SMALL, cache=store)
         assert len(caught) == 1
         assert "store failed" in str(caught[0].message)
         assert "database or disk is full" in str(caught[0].message)
         assert outcome.digest() == cold.digest() and not outcome.metadata.get("cache_hit")
-        assert store.stats.store_errors == 1 and _rows(store, scenario) == (0, 0)
+        assert store.stats.store_errors == 1 and _rows(store) == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert store.lookup(scenario) is None
+            assert store.lookup(SMALL) is None
+        conn.execute("DELETE FROM entries WHERE key = 'filler'")
         assert store.verify() == []
 
     def test_a_read_only_directory_prints_one_line_and_the_uncached_table(self, capsys):
@@ -1569,7 +1350,7 @@ class TestBatchedLookup:
             warnings.simplefilter("always")
             warm = run_cells(self.CELLS, cache=handle)
         assert [w.category for w in caught] == [RuntimeWarning]
-        assert "blob hash" in str(caught[0].message)
+        assert "head hash" in str(caught[0].message)
         assert [s["cached"] for s in warm] == [True, True, False, True]
         assert (handle.stats.corrupt, handle.stats.hits, handle.stats.stores) == (1, 3, 1)
         again = ResultCache(store.root)
@@ -1597,7 +1378,7 @@ class TestBatchedLookup:
             warnings.simplefilter("always")
             assert store.lookup_many(twins) == [None, None]
         assert len(caught) == 1 and len(reads) == 2
-        assert (store.stats.corrupt, store.stats.misses, _rows(store)) == (1, 3, (0, 0))
+        assert (store.stats.corrupt, store.stats.misses, _rows(store)) == (1, 3, 0)
 
     def test_every_hit_is_recorded_and_a_refused_record_costs_no_hit(self, store):
         run_cells(self.CELLS, cache=store)
@@ -1623,21 +1404,27 @@ class TestBatchedLookup:
         assert _hits(handle) == after  # the bookkeeping waits for the next partition
 
     def test_a_warm_partition_holds_one_blob_at_a_time(self, store):
-        cells = [Scenario(ranks=1331, iterations=5, interval=1000, seed=s) for s in range(8)]
-        run_cells(cells, cache=store)
-        blob = min(e["nbytes"] for e in store.entries())
-        assert blob > 20_000
-        handle = ResultCache(store.root)
-        run_cells(cells[:1], cache=handle)  # the handle's connection and imports
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            warm = run_cells(cells, cache=handle)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert all(s["cached"] for s in warm)
-        assert peak < blob, f"peak {peak} B over a partition of {blob} B blobs"
+        """A warm partition holds heads, never a cell's objects: its traced
+        peak over eight 1,331-rank cells is that over eight 8-rank ones."""
+
+        def warm_peak(ranks):
+            cells = [Scenario(ranks=ranks, iterations=5, interval=1000, seed=s) for s in range(8)]
+            run_cells(cells, cache=store)
+            handle = ResultCache(store.root)
+            run_cells(cells[:1], cache=handle)  # the handle's connection and imports
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                warm = run_cells(cells, cache=handle)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert all(s["cached"] for s in warm)
+            handle.close()
+            return peak
+
+        small, large = warm_peak(8), warm_peak(1331)
+        assert large < 1.5 * small, f"peak {large} B at 1,331 ranks, {small} B at 8"
 
     @pytest.mark.parametrize("case", ["hit", "miss", "damaged", "disabled"])
     def test_lookup_is_the_batch_of_one(self, tmp_path, case):
@@ -1790,7 +1577,7 @@ class TestCli:
         capsys.readouterr()
         cache = ResultCache(root)
         victim = cache.entries()[0]["key"]
-        cache._conn().execute("UPDATE blobs SET data = x'00' WHERE key = ?", (victim,))
+        cache._conn().execute("UPDATE entries SET head = x'00' WHERE key = ?", (victim,))
         assert main(["cache", "verify"] + dirflag) == 1
         out = capsys.readouterr().out
         assert "unservable" in out and "1/2 entries unservable" in out

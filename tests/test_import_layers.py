@@ -280,11 +280,18 @@ class TestRuns:
         assert loaded(mods, ("repro.pdes.sharded",)) == ["repro.pdes.sharded"]
 
     def test_checker_tracer_and_observer_load_only_when_asked(self, tmp_path):
+        """A plain run (``XSIM_CACHE`` unset) loads no tool, no power
+        model and, like ``--no-cache``, no cache store; ``--cache`` loads
+        the store and ``sqlite3``."""
         base = ["app", "--app", "heat3d", "--ranks", "8", "--iterations", "2"]
         tools = ("repro.check.sanitizer", "repro.check.trace", "repro.obs",
-                 "repro.core.faults.softerror")
+                 "repro.core.faults.softerror", "repro.models.power",
+                 "repro.cache.store", "sqlite3")
+        store = ["repro.cache.store", "sqlite3"]
         for extra, wanted in [
             ([], []),
+            (["--no-cache"], []),
+            (["--cache", "--cache-dir", str(tmp_path / "cache")], store),
             (["--check"], ["repro.check.sanitizer"]),
             (["--record-trace", str(tmp_path / "run.trace")], ["repro.check.trace"]),
             (["--trace-out", str(tmp_path / "run.json")], ["repro.obs"]),
@@ -475,7 +482,7 @@ class TestOneErrorHandler:
 # ----------------------------------------------------------------------
 LAZY_PACKAGES = [
     "repro.util", "repro.core", "repro.core.harness", "repro.core.faults",
-    "repro.pdes", "repro.mpi", "repro.run", "repro.resilience", "repro.cli",
+    "repro.pdes", "repro.mpi", "repro.run", "repro.resilience", "repro.cli", "repro.models",
 ]
 
 
@@ -618,6 +625,9 @@ UNREACHED = {
         "ROADMAP item 2(1): closed forms tier-1 holds the simulator to; a parity test next",
     "repro.core.harness.experiment":
         "ROADMAP item 5: the section V-D census maps observe_failure_mode over a grid",
+    "repro.models.power":
+        "no run reads one: benchmarks/test_power_model.py and examples/codesign_study.py "
+        "build a PowerModel from a run's busy times",
 }
 _TABLE_TARGET = re.compile(r"(repro(?:\.\w+)+):\w+")
 

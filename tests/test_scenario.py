@@ -194,21 +194,22 @@ class TestSerialization:
         with pytest.raises(TypeError, match="'backend'"):
             Scenario().digest_with(backend=None)  # likewise
 
-    def test_random_scenarios_keep_their_digests_and_keys(self):
+    def test_random_scenarios_keep_their_digests_and_keys(self, monkeypatch):
         """400 scenarios drawn from a fixed seed hash to the digests they
         had while the worker count was a field (at its default, 1), and to
-        the cache keys of cache schema 5 (the schema is in every key's
-        salt): every pinned scorecard still matches."""
+        the cache keys of cache schema 5 with that schema in the salt (the
+        schema is in every key's salt): every pinned scorecard still
+        matches.  Under schema 6 they hash to keys of their own."""
         import hashlib
         import random
 
         from repro.cache.store import cache_key
 
         rng = random.Random(49)
-        digests, keys = hashlib.sha256(), hashlib.sha256()
+        scenarios = []
         for _ in range(400):
             shards = rng.choice([1, 1, 2, 4])
-            s = Scenario(
+            scenarios.append(Scenario(
                 ranks=rng.choice([8, 16, 27, 64, 125]),
                 topology=rng.choice(["torus", "mesh", "fattree"]),
                 latency=rng.choice(["1us", "500ns", "2us"]),
@@ -228,13 +229,19 @@ class TestSerialization:
                 observe=rng.choice([True, False]),
                 trace_detail=rng.choice([True, False]),
                 trace_out=rng.choice(["", "t.json"]),
-            )
-            digests.update(f"{s.scenario_digest()}\n".encode())
-            keys.update(f"{cache_key(s)}\n".encode())
-        assert digests.hexdigest() == (
+            ))
+
+        def hashed(values):
+            return hashlib.sha256("".join(f"{v}\n" for v in values).encode()).hexdigest()
+
+        assert hashed(s.scenario_digest() for s in scenarios) == (
             "226b4e00c9b52379b0c28a56fea9925adba62a5dd5702ceb848d28eecaa1dc07"
         )
-        assert keys.hexdigest() == (
+        assert hashed(cache_key(s) for s in scenarios) == (
+            "b3fada73e1b3a1161547fcfa3c14e7dc63c703f7f9109bcc445ebb728da2eb3f"
+        )
+        monkeypatch.setattr("repro.cache.store.CACHE_SCHEMA_VERSION", 5)
+        assert hashed(cache_key(s) for s in scenarios) == (
             "e69ac55b9c5ec7f411cdc1c5c36ca8ddf0522531ea0205b1cb4a4ec3a7887acf"
         )
 
