@@ -35,8 +35,7 @@ from typing import TYPE_CHECKING
 from repro.core.faults.schedule import StragglerFault
 from repro.resilience.ckpt import SingleLevelCheckpoint
 from repro.util.errors import ConfigurationError
-from repro.util.lazy import np
-from repro.util.rng import RngStreams
+from repro.util.rng import RngStreams, Stream
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.simulator import XSim
@@ -59,7 +58,7 @@ class FailurePredictor:
         if self.false_alarms_per_segment < 0:
             raise ConfigurationError("false_alarms_per_segment must be >= 0")
 
-    def predicts(self, rng: np.random.Generator) -> bool:
+    def predicts(self, rng: Stream) -> bool:
         """Bernoulli draw: is this failure predicted in time?"""
         return bool(rng.random() < self.recall)
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.models.memory import MemoryTracker, RegionKind
 from repro.util.errors import ConfigurationError
-from repro.util.lazy import np
-from repro.util.rng import RngStreams
+from repro.util.rng import RngStreams, Stream
 from repro.util.stats import SummaryStats, summarize
 
 
@@ -112,7 +111,7 @@ class FinjectResult:
 
 
 def run_victim(
-    victim: VictimModel, victim_id: int, max_injections: int, rng: np.random.Generator
+    victim: VictimModel, victim_id: int, max_injections: int, rng: Stream
 ) -> tuple[int, int, int]:
     """Inject one victim until failure or the cap.
 

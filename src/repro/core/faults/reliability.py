@@ -11,10 +11,11 @@ with F smaller than the restart count arise.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.util.errors import ConfigurationError
-from repro.util.lazy import np
+from repro.util.rng import Stream
 
 
 @dataclass(frozen=True)
@@ -25,10 +26,12 @@ class MttfInjectionPolicy:
     system_mttf: float
 
     def __post_init__(self) -> None:
-        if self.system_mttf <= 0:
-            raise ConfigurationError(f"system_mttf must be > 0, got {self.system_mttf}")
+        # A failure time is drawn in [0, 2 * system_mttf): a finite bound.
+        most = sys.float_info.max / 2
+        if not 0 < self.system_mttf <= most:
+            raise ConfigurationError(f"system_mttf must be in (0, {most!r}], got {self.system_mttf}")
 
-    def draw(self, rng: np.random.Generator, nranks: int) -> tuple[int, float]:
+    def draw(self, rng: Stream, nranks: int) -> tuple[int, float]:
         """(rank, time-relative-to-segment-start).  The expectation of the
         drawn time equals the system MTTF, hence "evenly distributed
         simulated system MTTF"."""

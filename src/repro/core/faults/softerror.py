@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.models.memory import FlipRecord, MemoryTracker, RegionKind
 from repro.pdes.engine import Engine
 from repro.util.errors import ConfigurationError
-from repro.util.lazy import np
+from repro.util.rng import Stream
 
 
 class Effect(enum.Enum):
@@ -60,7 +60,7 @@ class SoftErrorInjector:
 
     engine: Engine
     memory: MemoryTracker
-    rng: np.random.Generator
+    rng: Stream
     #: When False, CRITICAL hits are recorded but do not kill the process
     #: (Finject-style counting experiments).
     crash_on_critical: bool = True

@@ -288,7 +288,7 @@ class XSim:
                 "simulated MPI layer (pt2pt matching, collectives, error handlers, ULFM)",
                 "resilience extensions (failure injection, detection/notification, abort, C/R)",
                 "PDES engine (virtual clocks, event queue, conservative synchronization)",
-                "hardware models (processor, network, file system, power, memory)",
+                "hardware models (processor, network, file system, memory)",
             ],
             "virtual_processes": self.system.nranks,
             "topology": type(net.topology).__name__,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.util.errors import ConfigurationError
 from repro.util.lazy import np
+from repro.util.rng import Stream
 
 
 class RegionKind(enum.Enum):
@@ -128,7 +129,7 @@ class MemoryTracker:
         """Total live bytes of ``rank``."""
         return sum(r.nbytes for r in self.regions(rank))
 
-    def flip_random_bit(self, rank: int, rng: np.random.Generator) -> FlipRecord:
+    def flip_random_bit(self, rank: int, rng: Stream) -> FlipRecord:
         """Flip one uniformly random bit across ``rank``'s live footprint.
 
         Uniform over *bytes* (so big regions are proportionally likelier

@@ -200,11 +200,12 @@ def _parses(parse: Callable[[Any], Any], what: str) -> Check:
     )
 
 
-def _positive_finite(what: str) -> Check:
-    # mttf reaches Generator.uniform and slowdown the network model's
+def _positive_finite(what: str, most: float = sys.float_info.max) -> Check:
+    # mttf reaches the failure draw and slowdown the network model's
     # times, and both refuse a non-finite value.
     return lambda subject, value: (
-        None if value is None or 0.0 < value < math.inf
+        None if value is None or 0.0 < value <= most
+        else f"{subject} must be <= {most!r}, got {value}" if 0.0 < value < math.inf
         else f"{subject} must be a positive finite {what}, got {value}"
     )
 
@@ -282,7 +283,9 @@ FIELD_TABLE: tuple[FieldSpec, ...] = (
     FieldSpec("failures", "str", _schedule, flag=("--xsim-failures",),
               metavar="XSIM_FAILURES", env="XSIM_FAILURES",
               help='failure schedule as "rank@time,rank@time" (also: {env} env var)'),
-    FieldSpec("mttf", "float", _positive_finite("number of seconds"), flag=("--mttf",),
+    # A failure time is drawn in [0, 2 * mttf), a bound that must be finite.
+    FieldSpec("mttf", "float", _positive_finite("number of seconds", sys.float_info.max / 2),
+              flag=("--mttf",),
               help="system MTTF for random injection (s)"),
     FieldSpec("max_restarts", "int"),
     FieldSpec("strategy", "str", choices=strategy_names(), label="resilience strategy",

@@ -13,8 +13,9 @@ paying for a layer it never reaches:
 * a registry that must be enumerable without its implementations (CLI
   ``choices``, scenario validation) is a static ``name -> "module:attr"``
   table, and :func:`load` imports one entry when it is first needed;
-* numpy is the handle :data:`np`, imported when an array or a random
-  stream is first built — a size-only run builds neither — and
+* numpy is the handle :data:`np`, imported when an array is first built
+  or a random stream first makes a draw :mod:`repro.util.rng` has no
+  pure-Python port of — a size-only or failure run does neither — and
   :func:`is_array` answers without it.
 """
 

@@ -311,6 +311,10 @@ class TestHostileValues:
             ("app --ranks 8 --bandwidth 1e400GB/s", None),
             ("app --ranks 8 --detection-timeout 1e400s", None),
             ("sweep --set ranks=1,,2", None),
+            # 2 * mttf bounds the failure-time draw: 1e308 passed the
+            # field check and ended in the draw's OverflowError traceback.
+            ("app --app heat3d --ranks 8 --iterations 20 --mttf 1e308 --no-cache", "mttf"),
+            ("sweep --set mttf=1e308", "mttf"),
             # A slowdown is refused by its field, not later by the network
             # model as an infinite time.
             ("app --ranks 8 --slowdown 1e400", "slowdown"),

@@ -318,8 +318,9 @@ def in_fresh_interpreter(code: str) -> dict:
 
 class TestNumpyLoadsWithItsObjects:
     """numpy is a layer a *run* reaches (INTERNALS section 17): loaded
-    when an array or a random stream is first built, never by a
-    size-only, fault-free simulation — 16 MB and 0.1 s a process."""
+    when an array is first built or a stream first makes a draw with no
+    pure-Python port, never by a size-only simulation nor by a failure
+    or bit-flip draw — 16 MB and 0.1 s a process."""
 
     _PRELUDE = (
         "import json, sys\n"
@@ -374,7 +375,7 @@ class TestNumpyLoadsWithItsObjects:
             "0x1.c92a8e772ba17p+6", True, False,
         ]
 
-    def test_a_failure_draw_loads_it_and_draws_what_it_drew(self):
+    def test_a_failure_draw_loads_none_and_draws_what_it_drew(self):
         got = in_fresh_interpreter(
             self._PRELUDE
             + "scenario = Scenario(ranks=64, mttf=3000.0, interval=250, seed=1)\n"
@@ -384,12 +385,12 @@ class TestNumpyLoadsWithItsObjects:
             "                  summary['failures'], summary['e2'].hex()]))"
         )
         assert got == [
-            False, True,
+            False, False,
             "5f8eec33f8ee52d7afc1ea2beeae5e004d97edd47fbffce53487b9bda46eec4a",
             1, (6555.399207999898).hex(),
         ]
 
-    def test_a_bit_flip_loads_it(self):
+    def test_a_bit_flip_loads_none(self):
         got = in_fresh_interpreter(
             self._PRELUDE
             + "from repro.models.memory import MemoryTracker, RegionKind\n"
@@ -399,9 +400,49 @@ class TestNumpyLoadsWithItsObjects:
             "streams = RngStreams(7)\n"
             "before = loaded()\n"
             "flip = memory.flip_random_bit(0, streams.get('soft-errors'))\n"
-            "print(json.dumps([before, loaded(), flip.region]))"
+            "print(json.dumps([before, loaded(), flip.region, flip.byte_offset, flip.bit]))"
         )
-        assert got == [False, True, "grid"]
+        assert got == [False, False, "grid", 1024, 0]
+
+    def test_a_soft_error_run_loads_it_at_its_first_exponential_draw(self):
+        # The stream hands its state to numpy mid-word (an integers draw
+        # left the high half of a 64-bit word) and draws on as numpy.
+        got = in_fresh_interpreter(
+            self._PRELUDE
+            + "import zlib\n"
+            "from repro.core.harness.config import SystemConfig\n"
+            "from repro.core.simulator import XSim\n"
+            "injector = XSim(SystemConfig.small_test_system(nranks=4), seed=3).soft_errors\n"
+            "first = injector.rng.integers(0, 1000)\n"
+            "before = loaded()\n"
+            "count = injector.schedule_poisson(0.5, 10.0, ranks=[0, 1, 2, 3])\n"
+            "after = loaded()\n"
+            "import numpy as np\n"
+            "ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(\n"
+            "    3, spawn_key=(zlib.crc32(b'soft-errors'),))))\n"
+            "want = [int(ref.integers(0, 1000)), 0]\n"
+            "for _ in range(4):\n"
+            "    t = ref.exponential(2.0)\n"
+            "    while t < 10.0:\n"
+            "        want[1] += 1\n"
+            "        t += ref.exponential(2.0)\n"
+            "tail = [int(injector.rng.integers(0, 1000)), float(injector.rng.random())]\n"
+            "print(json.dumps([before, after, count > 0, [first, count] == want,\n"
+            "                  tail == [int(ref.integers(0, 1000)), ref.random()]]))"
+        )
+        assert got == [False, True, True, True, True]
+
+    @pytest.mark.parametrize("argv, line", [
+        pytest.param(("app", "--app", "heat3d", "--ranks", "64", "--iterations", "100",
+                      "--interval", "25", "--mttf", "300", "--no-cache"),
+                     "E2=798.3s failures=2 restarts=2 MTTF_a=266.1s", id="app-mttf"),
+        pytest.param(("table1",), "Median     | 17.5  | # of injections to victim failure",
+                     id="table1"),
+    ])
+    def test_a_cli_draw_loads_none(self, argv, line):
+        rc, out, _, mods = xsim(*argv)
+        assert rc == 0 and line in out
+        assert loaded(mods, ("numpy",)) == []
 
 
 class TestOneErrorHandler:

@@ -1,5 +1,10 @@
 """Deterministic named RNG streams (repro.util.rng)."""
 
+import pickle
+import random
+import zlib
+
+import numpy as np
 import pytest
 
 from repro.util.rng import RngStreams
@@ -53,3 +58,84 @@ class TestRngStreams:
     def test_bool_seed_allowed_as_int(self):
         # bools are ints in Python; document the behaviour
         assert RngStreams(True).seed is True
+
+
+#: Every stream a consumer draws from: MTTF restarts, FINJ bit flips,
+#: soft errors and migration predictions.
+CONSUMER_STREAMS = ("restart-failures", "finject", "soft-errors", "migration-predictions")
+
+
+def numpy_stream(seed, name):
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(zlib.crc32(name.encode("utf-8")),))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+class TestStreamIsNumpys:
+    """A stream draws what numpy's PCG64 generator of the same seed and
+    name draws, bit for bit: in pure Python for scalar ``integers``,
+    ``uniform`` and ``random``, and as numpy itself after any other draw."""
+
+    SEEDS = [0, True, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 10**40] + [
+        random.Random(seed).getrandbits(1 + seed * 3) for seed in range(56)
+    ]
+    SPANS = (1, 8, 125, 2**31, 2**32 - 1, 2**32, 3, 1000003)
+    LOWS = (0, 0, -7, 12345, -(2**40))
+
+    @staticmethod
+    def draw(rng, stream, reference):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return stream.random(), reference.random()
+        if kind == 1:
+            low = rng.choice((0.0, -5.5, 3, 1e-300))
+            high = low + rng.choice((1.0, 6000.0, 1e300, 0.0, 3))
+            return stream.uniform(low, high), reference.uniform(low, high)
+        span = rng.choice(TestStreamIsNumpys.SPANS)
+        if kind == 2:
+            return stream.integers(span), reference.integers(span)
+        low = rng.choice(TestStreamIsNumpys.LOWS)
+        return stream.integers(low, low + span), reference.integers(low, low + span)
+
+    def test_mixed_draws_match_numpy(self):
+        rng = random.Random(55)
+        draws = 0
+        for seed in self.SEEDS:
+            for name in CONSUMER_STREAMS + ("x",):
+                stream, reference = RngStreams(seed).get(name), numpy_stream(seed, name)
+                for _ in range(160):
+                    got, want = self.draw(rng, stream, reference)
+                    assert got == want and type(got) in (int, float), (seed, name, draws)
+                    draws += 1
+                assert stream._generator is None  # no draw left pure Python
+        assert draws >= 50_000 and len(self.SEEDS) >= 60
+
+    @pytest.mark.parametrize("handoff", [
+        lambda g: g.exponential(2.0), lambda g: g.poisson(0.3),
+        lambda g: tuple(g.integers(0, 9, size=3)), lambda g: g.integers(0, 2**40),
+        lambda g: g.integers(5, endpoint=True), lambda g: tuple(g.random(2)),
+    ])
+    def test_a_handoff_keeps_the_stream_and_pickles(self, handoff):
+        rng = random.Random(7)
+        stream, reference = RngStreams(11).get("soft-errors"), numpy_stream(11, "soft-errors")
+        for round_ in range(3):
+            for _ in range(rng.randrange(1, 6)):
+                got, want = self.draw(rng, stream, reference)
+                assert got == want
+            stream = pickle.loads(pickle.dumps(stream))
+            assert handoff(stream) == handoff(reference)
+            stream = pickle.loads(pickle.dumps(stream))
+        assert stream._generator is not None
+
+    def test_refusals_are_numpys(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            RngStreams(-1).get("x")
+        with pytest.raises(OverflowError, match="high - low range exceeds valid bounds"):
+            RngStreams(0).get("x").uniform(0.0, 2.0 * 1e308)
+        with pytest.raises(ValueError):
+            RngStreams(0).get("x").integers(5, 2)
+
+    def test_true_seeds_as_one_and_fresh_rewinds(self):
+        assert RngStreams(True).get("x").random() == RngStreams(1).get("x").random()
+        streams = RngStreams(3)
+        first = streams.get("x").exponential(1.0)
+        assert streams.fresh("x").exponential(1.0) == first

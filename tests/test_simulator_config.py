@@ -217,6 +217,20 @@ class TestArchitectureDescription:
         assert "PDES engine" in " ".join(d["layers"])
         assert d["components"]["engine"] == "Engine"
 
+    def test_hardware_models_named_are_the_models_built(self):
+        # No SystemConfig carries a power model, so the line names none.
+        sim = XSim(SystemConfig.paper_system(nranks=8))
+        line = sim.describe_architecture()["layers"][-1]
+        assert line.startswith("hardware models (")
+        built = {
+            "processor": sim.world.processor,
+            "network": sim.world.network,
+            "file system": sim.world.filesystem,
+            "memory": sim.memory,
+        }
+        named = line[line.index("(") + 1 : line.index(")")].split(", ")
+        assert set(named) <= set(built) and None not in built.values()
+
     def test_render_ascii(self):
         sim = XSim(SystemConfig.paper_system(nranks=64))
         art = sim.render_architecture()
