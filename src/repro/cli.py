@@ -751,10 +751,10 @@ def _warning_line(message, category, filename, lineno, line=None) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code.  A configuration
     problem anywhere — an ``XSIM_*`` value, scenario resolution, a
-    command's own argument checks — is one ``error:`` line on stderr
-    and exit status 2, never a traceback.  A warning (an unusable cache
-    directory, a damaged entry recomputed) is one ``warning:`` line, not
-    the source line that raised it."""
+    command's own argument checks, a run whose restart budget runs out —
+    is one ``error:`` line on stderr and exit status 2, never a traceback.
+    A warning (an unusable cache directory, a damaged entry recomputed) is
+    one ``warning:`` line, not the source line that raised it."""
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     argv = sys.argv[1:] if argv is None else list(argv)
     # The top-level parser has no option that takes a value, so the first

@@ -37,7 +37,7 @@ from repro.core.harness.config import SystemConfig
 from repro.core.simulator import XSim
 from repro.pdes.engine import SimulationResult
 from repro.run.scenario import BACKEND_TRANSPORTS
-from repro.util.errors import SimulationError
+from repro.util.errors import RestartsExhausted, SimulationError
 from repro.util.rng import RngStreams
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -334,6 +334,6 @@ class RestartDriver:
             start = result.exit_time
             del sim
             gc.collect(0)
-        raise SimulationError(
+        raise RestartsExhausted(
             f"application did not complete within {self.max_restarts} restarts"
         )

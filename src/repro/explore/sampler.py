@@ -15,11 +15,11 @@ The explorer runs a batched explore -> simulate -> refine loop:
 3. *Stop* when every stratum's half-width is within ``ci_width`` or the
    ``max_cells`` budget is spent.
 
-Determinism: one root ``numpy.random.SeedSequence(spec.seed)`` spawns a
-child per sampled cell, in allocation order; no wall-clock or set/dict
-iteration feeds the draw.  Two runs with the same spec produce the same
-cells, and therefore (cells being deterministic simulations) the same
-scorecard, byte for byte.
+Determinism: sampled cell ``i``, in allocation order, draws from child
+``i`` of ``SeedSequence(spec.seed)`` (a :class:`~repro.util.rng.Stream`
+of spawn key ``(i,)``); no wall-clock or set/dict iteration feeds the
+draw.  Two runs with the same spec produce the same cells, and therefore
+(cells being deterministic simulations) the same scorecard, byte for byte.
 
 Impact of a cell: the job *died* (did not complete within the restart
 budget) or its completion time exceeded the fault-free baseline E1 by
@@ -44,7 +44,8 @@ from repro.core.harness.parallel import check_jobs
 from repro.explore.spec import ExploreSpec
 from repro.run.sweep import run_cells
 from repro.util.errors import SimulationError
-from repro.util.lazy import np
+from repro.util.rng import Stream
+from repro.util.stats import quantile, row_means
 
 # ----------------------------------------------------------------------
 # confidence-interval machinery
@@ -122,19 +123,17 @@ def bootstrap_mean_ci(
 
     The seed derives only from ``seed_material`` (spec seed + stratum
     index), never from how many batches it took to collect the values —
-    so the reported CI is stable under resumption."""
+    so the reported CI is stable under resumption.  Its resample, means and
+    quantiles are numpy's ``default_rng(SeedSequence(seed_material))``'s."""
     if not values:
         return (0.0, 0.0)
     if len(values) == 1:
         return (values[0], values[0])
-    rng = np.random.default_rng(np.random.SeedSequence(seed_material))
-    arr = np.asarray(values, dtype=float)
-    idx = rng.integers(0, len(arr), size=(nboot, len(arr)))
-    means = arr[idx].mean(axis=1)
-    return (
-        float(np.quantile(means, lo_q)),
-        float(np.quantile(means, hi_q)),
-    )
+    n, xs = len(values), [float(v) for v in values]
+    idx = Stream(seed_material).indices(n, nboot * n)
+    # Column c of the (nboot, n) resample is every n-th index from c.
+    means = row_means([[xs[i] for i in idx[c::n]] for c in range(n)])
+    return (quantile(means, lo_q), quantile(means, hi_q))
 
 
 def required_n(p: float, z: float, target_halfwidth: float, cap: int = 1 << 20) -> int:
@@ -231,7 +230,7 @@ def draw_cell(
     stratum: Stratum,
     network,
     e1: float,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> str:
     """Sample one concrete fault from a stratum: the cell's ``failures``
     string.  Consumption order of ``rng`` is fixed per kind."""
@@ -382,7 +381,6 @@ class Explorer:
         time_hi = spec.time_hi if spec.time_hi is not None else e1
         network = spec.scenario.system_config().make_network()
         states = [StratumState(s) for s in build_strata(spec, time_hi)]
-        root = np.random.SeedSequence(spec.seed)
         batches: list[dict[str, Any]] = []
         spent = 0
         stopped = "max-cells"
@@ -398,13 +396,11 @@ class Explorer:
             if not alloc:
                 stopped = "max-cells"
                 break
-            children = root.spawn(len(alloc))
-            cells: list[tuple[int, str]] = []
-            for s_idx, child in zip(alloc, children):
-                rng = np.random.default_rng(child)
-                cells.append(
-                    (s_idx, draw_cell(spec, states[s_idx].stratum, network, e1, rng))
-                )
+            cells = [
+                (s_idx, draw_cell(spec, states[s_idx].stratum, network, e1,
+                                  Stream(spec.seed, (spent + i,))))
+                for i, s_idx in enumerate(alloc)
+            ]
             scenarios = [
                 spec.scenario.with_(failures=failures) for _, failures in cells
             ]

@@ -23,6 +23,10 @@ class SimulationError(XsimError):
     """The simulation engine reached an internal inconsistency."""
 
 
+class RestartsExhausted(SimulationError, ConfigurationError):
+    """A failure run its restart budget cannot finish; entry points refuse it."""
+
+
 class DeadlockError(SimulationError):
     """Conservative-PDES deadlock: blocked processes with an empty event queue.
 

@@ -1,6 +1,6 @@
 """Descriptive statistics in the shapes the paper reports.
 
-Two consumers:
+Three consumers:
 
 * The Finject-style fault-injection campaign (paper Table I) reports the
   count, minimum, maximum, mean, median, mode, and population standard
@@ -9,6 +9,7 @@ Two consumers:
 * xSim prints per-virtual-process timing statistics (minimum, maximum,
   average) at simulator shutdown — :class:`TimingStats` accumulates those
   online without storing every sample.
+* The explorer's bootstrap: numpy's :func:`row_means` and :func:`quantile`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 
@@ -95,6 +98,41 @@ def summarize(samples: Iterable[float]) -> SummaryStats:
         mode=mode,
         stddev=math.sqrt(var),
     )
+
+
+def _add(a: list[float], b: list[float]) -> list[float]:
+    return list(map(add, a, b))
+
+
+def _pairwise(columns: list[list[float]], lo: int, n: int) -> list[float]:
+    """Row totals of ``columns[lo:lo + n]`` by numpy's pairwise sum (in order
+    below 8, 8 accumulators to 128, else halves split at a multiple of 8)."""
+    if n < 8:
+        return reduce(_add, columns[lo:lo + n])
+    if n <= 128:
+        end = lo + n - n % 8
+        a, b, c, d, e, f, g, h = (reduce(_add, columns[j:end:8]) for j in range(lo, lo + 8))
+        total = _add(_add(_add(a, b), _add(c, d)), _add(_add(e, f), _add(g, h)))
+        return reduce(_add, columns[end:lo + n], total)
+    half = n // 2 - n // 2 % 8
+    return _add(_pairwise(columns, lo, half), _pairwise(columns, lo + half, n - half))
+
+
+def row_means(columns: list[list[float]]) -> list[float]:
+    """numpy's float64 ``mean(axis=1)`` of these (one or more) columns, bit
+    for bit: never ``sum()``, which compensates on Python 3.12."""
+    n = len(columns)
+    return [(0.0 + total) / n for total in _pairwise(columns, 0, n)]
+
+
+def quantile(samples: Sequence[float], q: float) -> float:
+    """numpy's ``quantile(samples, q)`` (``"linear"``): the lerp, from the
+    nearer end, of the order statistics either side of ``(n - 1) * q``."""
+    xs = sorted(samples)
+    at = (len(xs) - 1) * q
+    lo = -1 if at >= len(xs) - 1 else math.floor(at)
+    a, b, g = xs[lo], xs[lo + 1 if lo >= 0 else -1], at - lo
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
 def format_timing(minimum: float, maximum: float, average: float, count: int) -> str:

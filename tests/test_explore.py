@@ -1,6 +1,7 @@
 """Adaptive fault-space exploration: spec resolution, CI machinery,
 deterministic sampling, stopping, and the scorecard."""
 
+import hashlib
 import json
 import math
 import os
@@ -308,6 +309,21 @@ class TestReferenceCampaign:
         budget = json.loads(cold.read_text())["budget"]
         assert budget["stopped"] == "ci-target"
         assert budget["cells_ratio"] <= 0.5, budget
+
+    PINNED_48 = {
+        0: "31d16ca822cb75f23208b5e48d00cdad6155fb381ee5150055d639d6709f1e28",
+        1: "70f62e0d6a108994d55973716adc99e30dd72e1e6faec884aeb12f37d76b6e47",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_48))
+    def test_scorecard_bytes_are_pinned(self, seed):
+        """The first 48 cells' scorecard, SHA-256 pinned from the sampler
+        that drew and bootstrapped through numpy: its cells, resamples,
+        means and quantiles are numpy's, bit for bit, on every Python."""
+        spec = load_explore_file(REPO / "examples" / "explore_reference.toml",
+                                 use_environment=False, seed=seed, max_cells=48)
+        card = scorecard_json(run_explore(spec, cache=False))
+        assert hashlib.sha256(card.encode()).hexdigest() == self.PINNED_48[seed]
 
 
 # ----------------------------------------------------------------------

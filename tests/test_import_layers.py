@@ -29,6 +29,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.util.errors import DeadlockError, SimulationError
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 REPO = Path(__file__).resolve().parents[1]
@@ -432,6 +433,25 @@ class TestNumpyLoadsWithItsObjects:
         )
         assert got == [False, True, True, True, True]
 
+    def test_a_campaign_cold_and_warm_loads_none(self, tmp_path):
+        got = in_fresh_interpreter(
+            self._PRELUDE
+            + "from repro.cache import ResultCache\n"
+            "from repro.explore import ExploreSpec, run_explore, scorecard_json\n"
+            "from repro.util.rng import Stream\n"
+            "Stream(2**1000 + 1, (1,)).random()  # a seed past the precomputed constants\n"
+            "spec = ExploreSpec(scenario=Scenario(ranks=8, app='heat3d', iterations=10),\n"
+            "                   rank_bins=2, time_bins=2, min_samples=2, batch=6, max_cells=24, seed=11)\n"
+            "cards = []\n"
+            "for _ in range(2):\n"
+            f"    store = ResultCache({str(tmp_path / 'cache')!r})\n"
+            "    result = run_explore(spec, cache=store)\n"
+            "    store.close()\n"
+            "    cards.append([result.cache_hits, scorecard_json(result)])\n"
+            "print(json.dumps([loaded(), cards[0][0], cards[1][0], cards[0][1] == cards[1][1]]))"
+        )
+        assert got == [False, 0, 25, True]
+
     @pytest.mark.parametrize("argv, line", [
         pytest.param(("app", "--app", "heat3d", "--ranks", "64", "--iterations", "100",
                       "--interval", "25", "--mttf", "300", "--no-cache"),
@@ -494,6 +514,29 @@ class TestOneErrorHandler:
     def test_input_that_reaches_a_draw_is_validated_first(self, argv, message, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_run_that_never_completes(self, tmp_path, capsys):
+        # Every segment fails before its first checkpoint: the restart
+        # budget runs out, a SimulationError, not a traceback.
+        scenario = tmp_path / "never.toml"
+        scenario.write_text(
+            '[machine]\nranks = 8\n[app]\nname = "heat3d"\niterations = 8\ninterval = 4\n'
+            '[resilience]\nmttf = 20\nmax_restarts = 3\nstrategy = "none"\n[execution]\nseed = 4\n'
+        )
+        assert main(["app", "--scenario", str(scenario), "--no-cache"]) == 2
+        assert capsys.readouterr().err == "error: application did not complete within 3 restarts\n"
+
+    @pytest.mark.parametrize("error", [
+        SimulationError("engine assigned unexpected rank"), DeadlockError([(0, "recv", "blocked")]),
+    ])
+    def test_an_engine_error_keeps_its_traceback(self, monkeypatch, error):
+        # An internal inconsistency is a defect to read, not a usage error.
+        def fails(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("repro.run.backends.run_scenario", fails)
+        with pytest.raises(type(error)):
+            main(["app", "--ranks", "8", "--no-cache"])
 
     def test_bad_environment_while_building_the_parser(self, monkeypatch, capsys):
         monkeypatch.setenv("XSIM_JOBS", "lots")

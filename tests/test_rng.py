@@ -6,8 +6,12 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.util.rng import RngStreams
+from repro.explore.sampler import bootstrap_mean_ci
+from repro.util.rng import RngStreams, Stream
+from repro.util.stats import quantile, row_means
 
 
 class TestRngStreams:
@@ -139,3 +143,90 @@ class TestStreamIsNumpys:
         streams = RngStreams(3)
         first = streams.get("x").exponential(1.0)
         assert streams.fresh("x").exponential(1.0) == first
+
+
+def numpy_child(entropy, spawn_key):
+    seq = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def sample(seed, count):
+    """``count`` floats of mixed sign and scale, with repeats, -0.0 and 0.0;
+    seed 0 gives all -0.0."""
+    rng = random.Random(seed)
+    if seed == 0:
+        return [-0.0] * count
+    draw = (rng.random, lambda: rng.gauss(0.0, 1e6), lambda: rng.uniform(-1e-300, 1e-300),
+            lambda: -0.0, lambda: 0.0, lambda: float(rng.randrange(-3, 4)))
+    return [rng.choice(draw)() for _ in range(count)]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]  # tells -0.0 from 0.0
+
+
+SIZES = (1, 7, 8, 9, 128, 129, 1000)
+
+
+class TestNumpyIsTheOracle:
+    """What the explorer draws and reduces without numpy is what numpy
+    draws and reduces: a spawned child's stream, ``integers(0, n,
+    size=k)``, ``mean(axis=1)`` (pairwise summation, never ``sum()``,
+    which compensates on Python 3.12) and ``quantile``."""
+
+    @settings(max_examples=40)
+    @given(entropy=st.integers(0, 2**160) | st.lists(st.integers(0, 2**70), max_size=5),
+           spawn_key=st.lists(st.integers(0, 2**40), max_size=3),
+           n=st.sampled_from(SIZES + (2**31 + 1, 2**32 - 1, 2**32)) | st.integers(1, 2**32),
+           size=st.integers(0, 300), before=st.integers(0, 3))
+    @example(entropy=0, spawn_key=[0], n=1, size=5, before=1)
+    @example(entropy=(7, 0xB007, 3), spawn_key=[], n=8, size=0, before=0)
+    @example(entropy=2**1000 + 1, spawn_key=[1], n=9, size=7, before=1)  # past _HASH's words
+    def test_a_spawned_streams_bulk_draws_are_numpys(self, entropy, spawn_key, n, size, before):
+        stream, reference = Stream(entropy, tuple(spawn_key)), numpy_child(entropy, spawn_key)
+        for _ in range(before):  # an odd count leaves a half word buffered
+            assert stream.integers(0, 5) == reference.integers(0, 5)
+        assert stream.indices(n, size) == reference.integers(0, n, size=size).tolist()
+        assert stream.random() == reference.random()
+        assert stream._generator is None
+
+    @settings(max_examples=30)
+    @given(n=st.sampled_from(SIZES), rows=st.integers(1, 3), seed=st.integers(0, 2**32))
+    @example(n=9, rows=2, seed=0)
+    def test_row_means_are_numpys(self, n, rows, seed):
+        array = np.array(sample(seed, n * rows)).reshape(rows, n)
+        assert hexes(row_means([list(column) for column in array.T])) == hexes(array.mean(axis=1))
+
+    @pytest.mark.parametrize("n", [8192, 8193, 20000])
+    def test_a_long_row_is_summed_whole(self, n):
+        # numpy sums a contiguous float64 row in one pairwise pass, not in
+        # 8,192-element buffers (seed 1 at n = 20000 tells the two apart).
+        values = sample(1, n)
+        assert row_means([[v] for v in values])[0].hex() == float(np.mean(values)).hex()
+
+    @settings(max_examples=30)
+    @given(n=st.sampled_from(SIZES), q=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+    @example(n=1, q=1.0, seed=0)
+    @example(n=129, q=0.025, seed=0)
+    @example(n=8, q=0.5, seed=24)  # the lerp's two ends round apart at g = 0.5
+    def test_quantiles_are_numpys(self, n, q, seed):
+        # Which of -0.0 and 0.0 numpy's partition puts at an index is its
+        # own affair, so a sample holds one sign of zero (the bootstrap's
+        # means, 0.0 + a sum, are never -0.0).
+        values = [v or 0.0 for v in sample(seed, n)] if seed else sample(seed, n)
+        assert quantile(values, q).hex() == float(np.quantile(values, q)).hex()
+
+    def test_empty_input(self):
+        assert Stream(3, (1,)).indices(7, 0) == []
+        assert bootstrap_mean_ci([], (0, 1)) == (0.0, 0.0)
+        with pytest.raises(IndexError):
+            np.quantile([], 0.5)
+        with pytest.raises(IndexError):
+            quantile([], 0.5)
+
+    @pytest.mark.parametrize("n", SIZES[:-1])
+    def test_the_bootstrap_is_numpys(self, n):
+        values, material = sample(n, n), (n, 0xB007, 2**40 + n)
+        means = np.array(values)[numpy_child(material, ()).integers(0, n, size=(200, n))].mean(axis=1)
+        want = (float(np.quantile(means, 0.025)), float(np.quantile(means, 0.975)))
+        assert hexes(bootstrap_mean_ci(values, material)) == hexes(want if n > 1 else values * 2)
