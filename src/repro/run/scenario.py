@@ -46,10 +46,10 @@ import hashlib
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Iterator, NamedTuple
 
 from repro.core.faults.schedule import FailureSchedule
 from repro.core.harness.config import COLLECTIVES, TOPOLOGIES, validate_dims
@@ -453,43 +453,48 @@ class Scenario:
     trace_out: str = ""
 
     def __post_init__(self) -> None:
+        self._validate(_FIELD_NAMES)
+
+    def _validate(self, names: AbstractSet[str], parent: "Scenario | None" = None) -> None:
+        """Check and normalize the fields in ``names`` (all at construction,
+        the overridden ones in :meth:`with_`, the rest being ``parent``'s)
+        and run the checks across fields that read them."""
+        own = self.__dict__
         for name, label, check in _CONSTRUCTOR_CHECKS:
-            problem = check(label, getattr(self, name))
-            if problem is not None:
+            if name in names and (problem := check(label, own[name])) is not None:
                 raise ConfigurationError(problem)
         # Normalize representation-equivalent inputs (TOML integers,
         # list-form dims) so equality and the digest are canonical.
-        object.__setattr__(self, "slowdown", float(self.slowdown))
-        if self.mttf is not None:
-            object.__setattr__(self, "mttf", float(self.mttf))
-        if self.dims is not None:
-            object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        for name in ("latency", "bandwidth", "eager_threshold", "detection_timeout"):
-            object.__setattr__(self, name, str(getattr(self, name)))
+        if "slowdown" in names:
+            own["slowdown"] = float(self.slowdown)
+        if "mttf" in names and self.mttf is not None:
+            own["mttf"] = float(self.mttf)
+        if "dims" in names and self.dims is not None:
+            own["dims"] = tuple(int(d) for d in self.dims)
+        for name in names & {"latency", "bandwidth", "eager_threshold", "detection_timeout"}:
+            own[name] = str(own[name])
         # A trace destination implies the observability bus; normalizing
         # here keeps flag-built and file-built scenarios digest-equal.
         if self.trace_out and not self.observe:
-            object.__setattr__(self, "observe", True)
-        params = self.strategy_params
-        items = params.items() if isinstance(params, dict) else (tuple(p) for p in params)
-        object.__setattr__(
-            self,
-            "strategy_params",
-            tuple(sorted((str(k), v) for k, v in items)),
-        )
+            own["observe"] = True
+        if "strategy_params" in names:
+            items = dict(self.strategy_params).items()
+            own["strategy_params"] = tuple(sorted((str(k), v) for k, v in items))
         # The checks across fields, each on behalf of one of them: the
         # one a scenario file's error names (``_layered``).
-        with _on_behalf_of("strategy_params"):
-            # The parameter spellings, types and bounds of the named strategy.
-            strategy_values(self.strategy, dict(self.strategy_params))
-        if self.dims is not None:
+        if not names.isdisjoint(("strategy", "strategy_params")):
+            with _on_behalf_of("strategy_params"):
+                # The parameter spellings, types and bounds of the named strategy.
+                strategy_values(self.strategy, dict(self.strategy_params))
+        if self.dims is not None and not names.isdisjoint(_DIMS_INPUTS):
             with _on_behalf_of("dims"):
                 # paper_system places one rank per node, so nnodes == ranks.
                 validate_dims(self.dims, self.topology, self.physical_ranks())
         # Parse eagerly so a bad schedule fails at build, not at launch —
         # and once: kept beside the fields like the digest (never among
         # them: ``==``, ``repr``, ``to_dict`` and TOML do not see it).
-        self.__dict__["_schedule"] = FailureSchedule.parse(self.failures)
+        own["_schedule"] = (parent.__dict__["_schedule"] if "failures" not in names
+                            else FailureSchedule.parse(self.failures))
 
     # ------------------------------------------------------------------
     # layered resolution
@@ -513,8 +518,22 @@ class Scenario:
         return _layered(layer, environ, use_environment, overrides)
 
     def with_(self, **overrides: Any) -> "Scenario":
-        """Copy with field overrides (sweep expansion uses this)."""
-        return replace(self, **overrides)
+        """What the constructor builds (or refuses) from this scenario's
+        fields and ``overrides``, validating only the overrides; it keeps
+        this scenario's schedule unless ``failures`` changes and the digest
+        line of each value object the two share, never the kept digest or
+        cache key."""
+        if not overrides.keys() <= _FIELD_NAMES:
+            _refuse_unknown(overrides)
+        own = self.__dict__
+        copy = object.__new__(Scenario)
+        state = copy.__dict__
+        state.update({name: own[name] for name in _FIELD_ORDER}, **overrides)
+        copy._validate(overrides.keys(), self)
+        if "_lines" in own:
+            state["_lines"] = {n: line for n, line in own["_lines"].items()
+                               if state.get(n) is own.get(n)}
+        return copy
 
     # ------------------------------------------------------------------
     # serialization
@@ -579,23 +598,18 @@ class Scenario:
         return digest
 
     def digest_with(self, **overrides: Any) -> str:
-        """:meth:`scenario_digest` of this spec with ``overrides``
-        standing in for the named fields — the digest ``with_`` would
-        give, without building and validating a second scenario (the
-        cache key normalizes the execution fields this way).  A name
-        that is not a field raises the ``TypeError`` ``with_`` raises.
-        Overrides that hash as the fields' own values change nothing:
-        the kept :meth:`scenario_digest` is returned, so a scenario
-        already in normal form is hashed once for its key and its
-        summary."""
-        for name in overrides.keys() - _FIELD_NAMES:
-            raise TypeError(
-                f"{type(self).__name__}.__init__() got an unexpected keyword argument {name!r}"
-            )
-        own = vars(self)
-        if all(v is own[n] or _rendered(v) == _rendered(own[n]) for n, v in overrides.items()):
+        """:meth:`scenario_digest` with ``overrides`` standing in for the
+        named fields — the digest ``with_`` would give, building no second
+        scenario (the cache key normalizes the execution fields this way);
+        a name that is not a field raises what ``with_`` raises.  Only the
+        overrides are rendered; if each renders as the field's own line,
+        this is the kept :meth:`scenario_digest`."""
+        if not overrides.keys() <= _FIELD_NAMES:
+            _refuse_unknown(overrides)
+        given = {n: _line(n, v) for n, v in overrides.items() if v is not self.__dict__[n]}
+        if given.items() <= _digest_lines(self).items():
             return self.scenario_digest()
-        return _field_digest(self, overrides)
+        return _field_digest(self, given)
 
     # ------------------------------------------------------------------
     # derived objects
@@ -665,31 +679,47 @@ class Scenario:
 _DIGEST_RETIRED_LINES = {
     "backend": "backend=None\n", "engine": "engine='heap'\n", "jobs": "jobs=1\n",
 }
-_FIELD_NAMES = frozenset(f.name for f in fields(Scenario))
+_FIELD_ORDER = tuple(f.name for f in fields(Scenario))
+_FIELD_NAMES = frozenset(_FIELD_ORDER)
+_DIMS_INPUTS = ("dims", "topology", "ranks", "strategy", "strategy_params")
 #: Names in the order :func:`_field_digest` hashes them: every field,
 #: plus the places of :data:`_DIGEST_RETIRED_LINES`.
 _DIGEST_FIELDS = tuple(sorted(_FIELD_NAMES | _DIGEST_RETIRED_LINES.keys()))
 
 
-def _rendered(value: Any) -> str:
-    """A field value as its digest line spells it (floats by ``float.hex``)."""
+def _line(name: str, value: Any) -> str:
+    """Field ``name``'s digest line (floats by ``float.hex``)."""
     if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, tuple):
-        return "x".join(str(v) for v in value)
-    return repr(value)
+        text = value.hex()
+    elif isinstance(value, tuple):
+        text = "x".join(str(v) for v in value)
+    else:
+        text = repr(value)
+    return f"{name}={text}\n"
 
 
-def _field_digest(scenario: Scenario, overrides: dict[str, Any]) -> str:
-    """SHA-256 of the field stream — one ``name=value`` line per name of
-    :data:`_DIGEST_FIELDS`, hashed as one text — with ``overrides``
-    standing in for fields."""
-    values = vars(scenario) | overrides
-    text = "".join([
-        _DIGEST_RETIRED_LINES.get(name) or f"{name}={_rendered(values[name])}\n"
-        for name in _DIGEST_FIELDS
-    ])
-    return hashlib.sha256(text.encode()).hexdigest()
+def _digest_lines(scenario: Scenario) -> dict[str, str]:
+    """The line of every name of :data:`_DIGEST_FIELDS`, kept beside the
+    digest: each is rendered by the first digest that needs it."""
+    own = scenario.__dict__
+    lines = own.setdefault("_lines", dict(_DIGEST_RETIRED_LINES))
+    if len(lines) < len(_DIGEST_FIELDS):
+        for name in _FIELD_NAMES - lines.keys():
+            lines[name] = _line(name, own[name])
+    return lines
+
+
+def _field_digest(scenario: Scenario, given: dict[str, str]) -> str:
+    """SHA-256 of the lines of :data:`_DIGEST_FIELDS` as one text, the
+    ``given`` lines standing in for the scenario's own."""
+    lines = _digest_lines(scenario) | given
+    return hashlib.sha256("".join(map(lines.__getitem__, _DIGEST_FIELDS)).encode()).hexdigest()
+
+
+def _refuse_unknown(overrides: dict[str, Any]) -> None:
+    """Raise the constructor's ``TypeError`` for the first non-field."""
+    name = next(name for name in overrides if name not in _FIELD_NAMES)
+    raise TypeError(f"Scenario.__init__() got an unexpected keyword argument {name!r}")
 
 
 def _typed(spec: FieldSpec, default: Any, own: Check | None) -> Check:

@@ -5,23 +5,29 @@ One row a field says how its text parses, what it must satisfy, its
 covers the dataclass exactly; no command declares a flag for a field
 outside it; a text reaches the same Scenario as a flag, as a variable
 and as a ``--set`` axis; a bad value is refused before any cell runs,
-naming where it came from.
+naming where it came from; ``with_`` builds what the constructor builds,
+at a budget of calls a derived cell.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
 import math
 import os
+import pstats
 from dataclasses import fields
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import cli
+from repro.cache.store import cache_key
 from repro.cli import build_parser, main
 from repro.explore.spec import ExploreSpec, load_explore_file
 from repro.run.envvars import XSIM_ENV_VARS, default_jobs, read_environment
@@ -36,6 +42,9 @@ from repro.run.scenario import (
 )
 from repro.run.sweep import parse_set
 from repro.util.errors import ConfigurationError
+
+SRC = str(Path(repro.__file__).parent) + os.sep
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 #: A text for every field with a flag or a variable, other than its default.
 SAMPLES = {
@@ -413,6 +422,124 @@ def test_a_constructor_call_refuses_it(field, value, message):
     with pytest.raises(ConfigurationError) as refused:
         Scenario(**{field: value})
     assert str(refused.value) == message
+
+
+# ----------------------------------------------------------------------
+# a derived scenario is the one the constructor builds
+# ----------------------------------------------------------------------
+#: Values each field takes, for a base.
+ACCEPTED = {
+    "ranks": [8, 16], "topology": ["torus", "mesh", "fattree"],
+    "dims": [None, None, (2, 2, 2), [2, 2, 4]], "latency": ["1us", 2e-6],
+    "bandwidth": ["16GB/s", 10**9], "eager_threshold": ["128kB", 1024],
+    "detection_timeout": ["20s", 10], "slowdown": [2, 1000.0], "collectives": ["tree"],
+    "app": ["cg", "heat3d"], "iterations": [40], "interval": [7],
+    "failures": ["", "3@50s", "3@50s,straggler:2@50s+10s*2.0"], "mttf": [None, 3000, 250.5],
+    "max_restarts": [5], "strategy": ["ckpt", "ckpt-multilevel", "replication", "none"],
+    "strategy_params": [(), {"k": 2}, {"factor": 3, "pause": 1}, (("k", 4),)],
+    "seed": [0, 5], "shards": [1, 2], "shard_transport": [None, "inline", "shm"],
+    "check": [None, True, False], "record_events": [False, True], "observe": [False, True],
+    "trace_detail": [False, True], "trace_out": ["", "t.json"],
+}
+#: Values each field's row (or a check across fields) refuses.
+REFUSED = {
+    "ranks": [0, 2**27 + 1, "8", True], "topology": ["ring"], "dims": [[0], "2x2x2", (64, 64)],
+    "latency": ["fast"], "bandwidth": ["wide", math.inf], "eager_threshold": ["3 qB"],
+    "detection_timeout": [None], "slowdown": [0.0, math.nan, "2"], "collectives": ["ring"],
+    "app": ["amr"], "iterations": [0], "interval": [-1], "failures": ["x@y", "3@-1s", 5],
+    "mttf": [-1.0, math.inf], "max_restarts": ["5"], "strategy": ["bogus"],
+    "strategy_params": [{"k": 0}, {"x": 1}, "k=4", {"factor": 1}], "seed": [-1],
+    "shards": [0], "shard_transport": ["fork"], "check": [1], "record_events": [0],
+    "observe": [None], "trace_detail": ["yes"], "trace_out": [None],
+}
+
+
+def field_values(scenario: Scenario) -> dict:
+    return {f.name: getattr(scenario, f.name) for f in fields(Scenario)}
+
+
+def picks(values: dict, most: int):
+    """Up to ``most`` fields, each with one of its ``values``."""
+    return st.lists(
+        st.sampled_from(sorted(values)).flatmap(
+            lambda name: st.tuples(st.just(name), st.sampled_from(values[name]))
+        ),
+        max_size=most,
+    ).map(dict)
+
+
+def built(make):
+    try:
+        return make(), None
+    except (ConfigurationError, TypeError) as exc:
+        return None, (type(exc), str(exc), getattr(exc, "field", None))
+
+
+def assert_same_scenario(derived, constructed) -> None:
+    assert derived == constructed and repr(derived) == repr(constructed)
+    assert derived.scenario_digest() == constructed.scenario_digest()
+    assert cache_key(derived) == cache_key(constructed)
+    assert derived.schedule() == constructed.schedule()
+
+
+#: ... and names that are no field (a retired one among them).
+OVERRIDES = picks(
+    {**{name: ACCEPTED[name] + REFUSED[name] for name in ACCEPTED}, "shard": [4], "engine": ["heap"]},
+    3,
+).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=picks(ACCEPTED, 4), first=OVERRIDES, second=OVERRIDES)
+# a check across fields: the dims no longer hold the job
+@example(base={"dims": (2, 2, 2)}, first={"ranks": 16}, second={"strategy": "replication"})
+@example(base={"strategy": "replication"}, first={"strategy_params": {"k": 2}},
+         second={"strategy_params": {"factor": 3}})
+# a line the parent kept: a trace destination turns on the bus
+@example(base={}, first={"trace_out": "t.json"}, second={"observe": False})
+@example(base={"trace_out": "t.json"}, first={"trace_out": ""}, second={"slowdown": 2})
+def test_with_builds_what_the_constructor_builds(base, first, second):
+    """``with_`` validates only the fields it overrides and keeps the
+    rest of its parent (values, parsed schedule, digest lines); twice over,
+    it agrees with a constructor call on every field in ==, repr, digest,
+    cache key and schedule, and refuses what the constructor refuses with
+    the same exception and message."""
+    assert ACCEPTED.keys() == REFUSED.keys() == FIELDS.keys()
+    parent, refused = built(lambda: Scenario(**base))
+    if refused is not None:
+        return  # a base the table itself refuses (say, dims too small)
+    cache_key(parent)  # the parent's digest lines are kept, as in a campaign
+    for overrides in (first, second):
+        derived, refused = built(lambda: parent.with_(**overrides))
+        constructed, expected = built(lambda: Scenario(**{**field_values(parent), **overrides}))
+        assert refused == expected
+        if refused is not None:
+            return
+        assert_same_scenario(derived, constructed)
+        parent = derived
+
+
+#: Calls into ``src/repro`` functions (a comprehension counts) for one
+#: explorer cell on the reference base: ``with_(failures=...)`` and its
+#: ``cache_key``.  At the parent of the derived-copy contract, when
+#: ``with_`` was ``dataclasses.replace`` and the key re-rendered every
+#: digest line: 116.
+CALLS_PER_DERIVED_CELL = 24
+
+
+def test_calls_per_derived_cell_stay_inside_the_budget():
+    base = load_explore_file(EXAMPLES / "explore_reference.toml", use_environment=False).scenario
+    cache_key(base)  # the base cell's lookup, before any cell derives from it
+    cache_key(base.with_(failures="1@5s"))
+    profile = cProfile.Profile()
+    profile.enable()
+    cache_key(base.with_(failures="3@17.5s"))
+    profile.disable()
+    calls = sum(
+        ncalls for (filename, _line, _name), (_cc, ncalls, *_rest)
+        in pstats.Stats(profile).stats.items() if filename.startswith(SRC)
+    )
+    assert calls <= CALLS_PER_DERIVED_CELL, calls
 
 
 @pytest.mark.parametrize(
