@@ -359,15 +359,15 @@ class Explorer:
         # A stratum the truncated seeding round never reached projects at
         # the maximally uncertain p = 0.5, i.e. highest priority.
         probs = [s.impacted / s.n if s.n else 0.5 for s in states]
-        extra = [0] * len(states)
+        counts = [s.n for s in states]
+        widths = [projected_halfwidth(p, n, self.z) for p, n in zip(probs, counts)]
         alloc: list[int] = []
         for _ in range(min(spec.batch, budget)):
-            widths = [
-                projected_halfwidth(probs[i], s.n + extra[i], self.z)
-                for i, s in enumerate(states)
-            ]
-            pick = max(range(len(states)), key=lambda i: (widths[i], -i))
-            extra[pick] += 1
+            # Only the picked stratum's projection moves; index() finds
+            # the first of the widest, so ties go to the lowest index.
+            pick = widths.index(max(widths))
+            counts[pick] += 1
+            widths[pick] = projected_halfwidth(probs[pick], counts[pick], self.z)
             alloc.append(pick)
         return alloc
 

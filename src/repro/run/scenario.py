@@ -531,8 +531,12 @@ class Scenario:
         state.update({name: own[name] for name in _FIELD_ORDER}, **overrides)
         copy._validate(overrides.keys(), self)
         if "_lines" in own:
-            state["_lines"] = {n: line for n, line in own["_lines"].items()
-                               if state.get(n) is own.get(n)}
+            # _validate replaces only the overrides and, on trace_out's
+            # behalf, observe.
+            lines = state["_lines"] = own["_lines"].copy()
+            for name in (*overrides, "observe"):
+                if state[name] is not own[name]:
+                    lines.pop(name, None)
         return copy
 
     # ------------------------------------------------------------------

@@ -122,6 +122,14 @@ class Stream:
         word, rot = (state >> 64 ^ state) & _MASK64, state >> 122  # XSL-RR
         return (word >> rot | word << (64 - rot)) & _MASK64
 
+    def _next32(self) -> int:
+        if self._has_uint32:
+            self._has_uint32 = 0
+            return self._uinteger
+        word = self._next64()
+        self._has_uint32, self._uinteger = 1, word >> 32
+        return word & _MASK32
+
     def _numpy(self) -> Any:
         """The numpy ``Generator`` the stream becomes at its first numpy draw."""
         if self._generator is None:
@@ -159,7 +167,14 @@ class Stream:
                 or type(lo) is not int or type(hi) is not int
                 or not -_INT64 <= lo < hi <= min(lo + (1 << 32), _INT64)):
             return self._numpy().integers(low, high, *args, **kwargs)
-        return lo + self.indices(hi - lo, 1)[0]
+        n = hi - lo  # numpy draws nothing for one value
+        if n == 1:
+            return lo
+        # Lemire's nearly-divisionless rejection on 32-bit words.
+        m, threshold = self._next32() * n, (1 << 32) % n
+        while m & _MASK32 < threshold:
+            m = self._next32() * n
+        return lo + (m >> 32)
 
     def indices(self, n: int, size: int) -> list[int]:
         """``integers(0, n, size=size)`` as a list: ``size`` scalar Lemire

@@ -7,8 +7,11 @@ import math
 import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.explore import (
     ExploreSpec,
@@ -23,7 +26,8 @@ from repro.explore import (
     z_score,
 )
 from repro.cli import main
-from repro.explore.sampler import required_n
+from repro.explore import sampler
+from repro.explore.sampler import Stratum, StratumState, projected_halfwidth, required_n
 from repro.run.scenario import Scenario
 from repro.util.errors import ConfigurationError
 
@@ -205,6 +209,51 @@ class TestStrata:
             r for s in strata for r in range(s.rank_lo, s.rank_hi)
         )
         assert covered == list(range(8))
+
+
+# ----------------------------------------------------------------------
+# allocation against its definition
+# ----------------------------------------------------------------------
+def reference_allocate(states, spec, budget, z):
+    """The allocator as defined: before every pick, every stratum's
+    projected half-width again; the widest wins, ties to the lowest index."""
+    if all(s.n == 0 for s in states):
+        return [s.stratum.index for s in states for _ in range(spec.min_samples)][:budget]
+    probs = [s.impacted / s.n if s.n else 0.5 for s in states]
+    extra = [0] * len(states)
+    alloc = []
+    for _ in range(min(spec.batch, budget)):
+        widths = [projected_halfwidth(probs[i], s.n + extra[i], z) for i, s in enumerate(states)]
+        pick = max(range(len(states)), key=lambda i: (widths[i], -i))
+        extra[pick] += 1
+        alloc.append(pick)
+    return alloc
+
+
+#: (n, impacted) tallies, mostly small counts so that many widths tie.
+TALLIES = st.lists(st.tuples(st.integers(0, 9) | st.integers(0, 400), st.integers(0, 9)),
+                   min_size=1, max_size=700)
+
+
+class TestAllocator:
+    @settings(max_examples=40)
+    @given(tallies=TALLIES, batch=st.integers(1, 48), budget=st.integers(0, 96),
+           min_samples=st.integers(1, 4))
+    @example(tallies=[(4, 2)] * 700, batch=48, budget=96, min_samples=4)  # every pick ties
+    @example(tallies=[(3, 1), (5, 0), (0, 0), (3, 1)], batch=16, budget=5, min_samples=4)
+    @example(tallies=[(0, 0)] * 5, batch=16, budget=7, min_samples=2)  # the seeding round
+    def test_picks_are_the_definitions_at_s_plus_b_projections(
+        self, tallies, batch, budget, min_samples
+    ):
+        """``_allocate`` picks what re-projecting every stratum before each
+        pick picks, projecting each stratum once plus the picked one again."""
+        states = [StratumState(Stratum(i, "failstop", 0, 1, 0.0, 1.0), n=n, impacted=min(k, n))
+                  for i, (n, k) in enumerate(tallies)]
+        explorer = Explorer(SMALL.with_(batch=batch, min_samples=min_samples))
+        with mock.patch.object(sampler, "projected_halfwidth", wraps=projected_halfwidth) as spy:
+            picks = explorer._allocate(states, budget)
+        assert picks == reference_allocate(states, explorer.spec, budget, explorer.z)
+        assert spy.call_count <= len(states) + batch
 
 
 # ----------------------------------------------------------------------

@@ -82,7 +82,7 @@ class TestStreamIsNumpys:
     SEEDS = [0, True, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 10**40] + [
         random.Random(seed).getrandbits(1 + seed * 3) for seed in range(56)
     ]
-    SPANS = (1, 8, 125, 2**31, 2**32 - 1, 2**32, 3, 1000003)
+    SPANS = (1, 8, 125, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 3, 1000003)  # 2**31 + 1 rejects ~half
     LOWS = (0, 0, -7, 12345, -(2**40))
 
     @staticmethod
@@ -129,6 +129,15 @@ class TestStreamIsNumpys:
             assert handoff(stream) == handoff(reference)
             stream = pickle.loads(pickle.dumps(stream))
         assert stream._generator is not None
+
+    def test_a_pickle_between_a_words_halves_keeps_the_high_half(self):
+        stream, reference = RngStreams(5).get("x"), numpy_stream(5, "x")
+        assert stream.integers(8) == reference.integers(8)  # 8 divides 2**32: no rejection
+        assert stream._has_uint32  # the word's high half is buffered
+        stream = pickle.loads(pickle.dumps(stream))
+        assert stream.integers(3, 11) == reference.integers(3, 11)
+        assert stream.indices(2**31 + 1, 5) == reference.integers(0, 2**31 + 1, size=5).tolist()
+        assert stream._generator is None
 
     def test_refusals_are_numpys(self):
         with pytest.raises(ValueError, match="expected non-negative integer"):
@@ -187,6 +196,7 @@ class TestNumpyIsTheOracle:
         for _ in range(before):  # an odd count leaves a half word buffered
             assert stream.integers(0, 5) == reference.integers(0, 5)
         assert stream.indices(n, size) == reference.integers(0, n, size=size).tolist()
+        assert stream.integers(0, n) == reference.integers(0, n)  # after an odd count, a high half
         assert stream.random() == reference.random()
         assert stream._generator is None
 
