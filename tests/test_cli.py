@@ -1,11 +1,13 @@
 """The xsim-run command-line interface."""
 
-import hashlib
+import contextlib
+import io
 import os
 
 import pytest
 
 from repro.cli import build_parser, main
+from tests.golden.repin import pin, sha16
 
 
 class TestParser:
@@ -94,8 +96,22 @@ class TestCommands:
         assert "paper E1" in out
 
 
-def sha16(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def stdout_of(*argv: str) -> str:
+    """What ``xsim-run argv`` prints; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(list(argv))
+    assert rc == 0, (argv, rc)
+    return out.getvalue()
+
+
+TABLE2_PIN = "tests/test_cli.py::TestTable2IsTheParents::test_table2_stdout_pinned"
+TABLE2_ARGVS = [
+    ["--ranks", "8"],
+    ["--ranks", "27", "--seed", "3"],  # rows with F = 0 print "-"
+    ["--ranks", "64", "-j", "2"],
+    ["--ranks", "125"],
+]
 
 
 class TestTable2IsTheParents:
@@ -104,8 +120,8 @@ class TestTable2IsTheParents:
     at the commit before the table moved onto ``run_cells``) — at any
     ``-j``, whatever the environment says, from any state of the cache."""
 
-    TINY = "ede2c816e6ce1460"  # table2 --ranks 8
-    RANKS_64 = "db74b624dd62fcf2"  # table2 --ranks 64
+    TINY = pin(f"{TABLE2_PIN}[--ranks 8]")
+    RANKS_64 = pin(f"{TABLE2_PIN}[--ranks 64 -j 2]")
 
     @pytest.fixture(autouse=True)
     def clean_environment(self, monkeypatch):
@@ -119,21 +135,11 @@ class TestTable2IsTheParents:
         return tmp_path / "cache"
 
     def table2(self, capsys, *argv: str) -> str:
-        assert main(["table2", *argv]) == 0
-        return capsys.readouterr().out
+        return stdout_of("table2", *argv)
 
-    @pytest.mark.parametrize(
-        "argv, pin",
-        [
-            (["--ranks", "8"], TINY),
-            (["--ranks", "27", "--seed", "3"], "2982aa88fc2d246a"),  # rows with F = 0 print "-"
-            (["--ranks", "64", "-j", "2"], RANKS_64),
-            (["--ranks", "125"], "a6c25ef015c8fb96"),
-        ],
-        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
-    )
-    def test_table2_stdout_pinned(self, capsys, argv, pin):
-        assert sha16(self.table2(capsys, *argv)) == pin
+    @pytest.mark.parametrize("argv", TABLE2_ARGVS, ids=" ".join)
+    def test_table2_stdout_pinned(self, capsys, argv):
+        assert sha16(self.table2(capsys, *argv)) == pin(f"{TABLE2_PIN}[{' '.join(argv)}]")
 
     def test_table2_ignores_the_scenario_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("XSIM_FAILURES", "0@10s")
@@ -158,6 +164,18 @@ class TestTable2IsTheParents:
         )
         assert rc == 0 and out == warm
         assert loaded(mods, ("repro.pdes", "repro.mpi", "numpy")) == []
+
+    def test_a_second_seed_computes_only_its_failure_draws(self, capsys, cache_dir):
+        """A fault-free cell draws nothing, so it carries no seed: through
+        one cache another seed's table hits the four fault-free cells and
+        the row whose seed ``ROW_SEEDS`` fixes, and computes the other five."""
+        from repro.cache import open_cache
+
+        self.table2(capsys, "--ranks", "8")
+        stats = open_cache(cache_dir).stats
+        assert (stats.hits, stats.stores) == (0, 10)
+        self.table2(capsys, "--ranks", "8", "--seed", "3")
+        assert (stats.hits, stats.stores) == (5, 15)
 
     def test_table2_cold_on_two_workers_then_warm_at_64_ranks(self, capsys, cache_dir):
         """Computed into the cache on two workers (each stores the cells
@@ -189,6 +207,15 @@ class TestTable2IsTheParents:
         assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
 
 
+TABLE1_PIN = "tests/test_cli.py::TestReportsArePinned::test_table1_ignores_xsim_jobs"
+APP_PIN = "tests/test_cli.py::TestReportsArePinned::test_app_stdout_pinned"
+#: ``app --ranks 8 ARGV --digest`` runs whose stdout is pinned, by node id.
+APP_RUNS = {
+    "schedule": ["--iterations", "5", "--xsim-failures", "1@1s"],
+    "mttf": ["--iterations", "20", "--interval", "5", "--mttf", "40", "--seed", "3"],
+}
+
+
 class TestReportsArePinned:
     """``table1`` and ``app`` print, byte for byte, what they printed while
     ``table1`` still had a worker-pool path and ``app`` echoed its log as
@@ -205,28 +232,38 @@ class TestReportsArePinned:
     def test_table1_ignores_xsim_jobs(self, capsys, monkeypatch, jobs):
         if jobs is not None:
             monkeypatch.setenv("XSIM_JOBS", jobs)
-        assert main(["table1"]) == 0
-        assert sha16(capsys.readouterr().out) == "7928dff5b54f08c0"
+        assert sha16(stdout_of("table1")) == pin(TABLE1_PIN)
 
     @pytest.mark.parametrize(
-        "argv, pin",
-        [
-            (["--iterations", "5", "--xsim-failures", "1@1s"], "dd321ea3a5c0afd5"),
-            (["--iterations", "5", "--xsim-failures", "1@1s", "--shards", "2"],
-             "dd321ea3a5c0afd5"),
-            (["--iterations", "20", "--interval", "5", "--mttf", "40", "--seed", "3"],
-             "da90f179790dff30"),
-        ],
+        "argv, run",  # sharded, the serial run's bytes
+        [(APP_RUNS["schedule"], "schedule"), ([*APP_RUNS["schedule"], "--shards", "2"], "schedule"),
+         (APP_RUNS["mttf"], "mttf")],
         ids=["schedule", "schedule-2-shards", "mttf"],
     )
-    def test_app_stdout_pinned(self, capsys, argv, pin):
-        assert main(["app", "--ranks", "8", *argv, "--digest"]) == 0
-        assert sha16(capsys.readouterr().out) == pin
+    def test_app_stdout_pinned(self, capsys, argv, run):
+        assert sha16(stdout_of("app", "--ranks", "8", *argv, "--digest")) == pin(f"{APP_PIN}[{run}]")
 
 
 def _report(out: str) -> list[str]:
     """The run report lines of ``app``'s stdout: E1/E2 and the digest."""
     return [line for line in out.splitlines() if line.startswith(("E1=", "E2=", "result digest:"))]
+
+
+RECORD_PIN = "tests/test_cli.py::TestRecordedTraceIsTheRun::test_recording_changes_nothing_and_replays"
+#: ``app --ranks 8 ARGV --digest`` runs recorded and replayed, by node id;
+#: each pins its report's E line up to ``MTTF_a`` and 16 hex of its digest.
+RECORDED_RUNS = {
+    "fault-free": ["--iterations", "5"],
+    "schedule": ["--iterations", "5", "--xsim-failures", "1@1s"],
+    "mttf": ["--iterations", "20", "--interval", "5", "--mttf", "40", "--seed", "3"],
+    # replication absorbs the failure: once recorded as an abort
+    "replication": ["--iterations", "20", "--interval", "10", "--strategy", "replication",
+                    "--xsim-failures", "1@1s"],
+}
+
+
+def _pinned_report(plain: list[str]) -> list[str]:
+    return [plain[0].partition(" MTTF_a=")[0], plain[1].removeprefix("result digest: ")[:16]]
 
 
 class TestRecordedTraceIsTheRun:
@@ -235,25 +272,12 @@ class TestRecordedTraceIsTheRun:
     schedule run used to record its first segment only (``E1=26.2s
     completed=False``) and an MTTF run was refused."""
 
-    @pytest.mark.parametrize(
-        "argv, line, digest",
-        [
-            (["--iterations", "5"], "E1=26.3s completed=True", "1d7bb9286c77edef"),
-            (["--iterations", "5", "--xsim-failures", "1@1s"],
-             "E2=52.6s failures=1 restarts=1", "fcf8f7550ae31667"),
-            (["--iterations", "20", "--interval", "5", "--mttf", "40", "--seed", "3"],
-             "E2=131.4s failures=2 restarts=2", "e5644a5436e74c09"),
-            # replication absorbs the failure: once recorded as an abort
-            (["--iterations", "20", "--interval", "10", "--strategy", "replication",
-              "--xsim-failures", "1@1s"], "E2=120.0s failures=0 restarts=0", "f544baa5dfb44a7e"),
-        ],
-        ids=["fault-free", "schedule", "mttf", "replication"],
-    )
-    def test_recording_changes_nothing_and_replays(self, tmp_path, capsys, argv, line, digest):
-        base = ["app", "--ranks", "8", *argv, "--digest"]
+    @pytest.mark.parametrize("run", list(RECORDED_RUNS))
+    def test_recording_changes_nothing_and_replays(self, tmp_path, capsys, run):
+        line, digest = pin(f"{RECORD_PIN}[{run}]")
+        base = ["app", "--ranks", "8", *RECORDED_RUNS[run], "--digest"]
         trace = str(tmp_path / "run.trace")
-        assert main(base) == 0
-        plain = _report(capsys.readouterr().out)
+        plain = _report(stdout_of(*base))
         assert plain[0].startswith(line) and plain[1].startswith(f"result digest: {digest}")
         assert main(base + ["--record-trace", trace]) == 0
         out = capsys.readouterr().out
@@ -356,3 +380,22 @@ class TestHostileValues:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert naming is None or naming in err, err
+
+
+def _stdout_pin(*argv: str):
+    return lambda: sha16(stdout_of(*argv))
+
+
+def _report_pin(*argv: str):
+    return lambda: _pinned_report(_report(stdout_of(*argv)))
+
+
+#: How ``tests/golden/repin.py`` recomputes each pin this file reads.
+REPIN = {
+    **{f"{TABLE2_PIN}[{' '.join(a)}]": _stdout_pin("table2", *a) for a in TABLE2_ARGVS},
+    TABLE1_PIN: _stdout_pin("table1"),
+    **{f"{APP_PIN}[{run}]": _stdout_pin("app", "--ranks", "8", *argv, "--digest")
+       for run, argv in APP_RUNS.items()},
+    **{f"{RECORD_PIN}[{run}]": _report_pin("app", "--ranks", "8", *argv, "--digest")
+       for run, argv in RECORDED_RUNS.items()},
+}

@@ -30,6 +30,7 @@ from repro.explore import sampler
 from repro.explore.sampler import Stratum, StratumState, projected_halfwidth, required_n
 from repro.run.scenario import Scenario
 from repro.util.errors import ConfigurationError
+from tests.golden.repin import pin
 
 REPO = Path(__file__).resolve().parents[1]
 BASE = Scenario(ranks=8, app="heat3d", iterations=10)
@@ -331,6 +332,18 @@ class TestCampaignTraceOut:
         assert len(cards) == 1
 
 
+PINNED_48 = "tests/test_explore.py::TestReferenceCampaign::test_scorecard_bytes_are_pinned"
+PINNED_48_SEEDS = (0, 1)
+
+
+def scorecard_sha_48(seed: int) -> str:
+    """SHA-256 of the reference campaign's scorecard after 48 cells."""
+    spec = load_explore_file(REPO / "examples" / "explore_reference.toml",
+                             use_environment=False, seed=seed, max_cells=48)
+    card = scorecard_json(run_explore(spec, cache=False))
+    return hashlib.sha256(card.encode()).hexdigest()
+
+
 class TestReferenceCampaign:
     """``examples/explore_reference.toml`` cold on two workers, then warm
     from the same cache: one scorecard byte for byte, at least 90 % of
@@ -359,20 +372,13 @@ class TestReferenceCampaign:
         assert budget["stopped"] == "ci-target"
         assert budget["cells_ratio"] <= 0.5, budget
 
-    PINNED_48 = {
-        0: "31d16ca822cb75f23208b5e48d00cdad6155fb381ee5150055d639d6709f1e28",
-        1: "70f62e0d6a108994d55973716adc99e30dd72e1e6faec884aeb12f37d76b6e47",
-    }
-
-    @pytest.mark.parametrize("seed", sorted(PINNED_48))
+    @pytest.mark.parametrize("seed", PINNED_48_SEEDS)
     def test_scorecard_bytes_are_pinned(self, seed):
         """The first 48 cells' scorecard, SHA-256 pinned from the sampler
         that drew and bootstrapped through numpy: its cells, resamples,
         means and quantiles are numpy's, bit for bit, on every Python."""
-        spec = load_explore_file(REPO / "examples" / "explore_reference.toml",
-                                 use_environment=False, seed=seed, max_cells=48)
-        card = scorecard_json(run_explore(spec, cache=False))
-        assert hashlib.sha256(card.encode()).hexdigest() == self.PINNED_48[seed]
+        assert scorecard_sha_48(seed) == pin(f"{PINNED_48}[{seed}]")
+
 
 
 # ----------------------------------------------------------------------
@@ -440,3 +446,7 @@ class TestStoppingMonotone:
         )
         assert result.grid_cells == worst * len(result.strata)
         assert result.cells_ratio == result.spent / result.grid_cells
+
+
+#: How ``tests/golden/repin.py`` recomputes each pin this file reads.
+REPIN = {f"{PINNED_48}[{seed}]": (lambda seed=seed: scorecard_sha_48(seed)) for seed in PINNED_48_SEEDS}

@@ -30,6 +30,7 @@ import pytest
 import repro
 from repro.cli import build_parser, main
 from repro.util.errors import DeadlockError, SimulationError
+from tests.golden.repin import pin
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 REPO = Path(__file__).resolve().parents[1]
@@ -136,14 +137,12 @@ print(json.dumps(runs))
 """
 
 
-@pytest.fixture(scope="module")
-def light_runs() -> dict[tuple[str, ...], tuple[int, str, str, set[str]]]:
-    """Every help page and usage error below, called one after another
-    in one fresh interpreter: argv -> exit status, stdout, stderr and
-    the modules loaded by the end of that call (its own and every
-    earlier call's, so a boundary holds at least as strictly as in an
-    interpreter of its own)."""
-    argvs = [[*path, "--help"] for path in COMMAND_PATHS] + [argv for argv, _ in USAGE_ERRORS]
+def xsim_shared(argvs: list[list[str]]) -> dict[tuple[str, ...], tuple[int, str, str, set[str]]]:
+    """Each ``xsim-run argv`` called one after another in one fresh
+    interpreter: argv -> exit status, stdout, stderr and the modules
+    loaded by the end of that call (its own and every earlier call's, so
+    a boundary holds at least as strictly as in an interpreter of its
+    own; only the first call's modules are its own alone)."""
     proc = subprocess.run(
         [sys.executable, "-c", _SHARED_DRIVER, json.dumps(argvs)],
         env=cli_env(), cwd=REPO, capture_output=True, text=True, check=True, timeout=120,
@@ -152,6 +151,14 @@ def light_runs() -> dict[tuple[str, ...], tuple[int, str, str, set[str]]]:
         tuple(argv): (rc, out, err, set(mods))
         for argv, (rc, out, err, mods) in zip(argvs, json.loads(proc.stdout))
     }
+
+
+@pytest.fixture(scope="module")
+def light_runs() -> dict[tuple[str, ...], tuple[int, str, str, set[str]]]:
+    """Every help page and usage error below, in one fresh interpreter."""
+    return xsim_shared(
+        [[*path, "--help"] for path in COMMAND_PATHS] + [argv for argv, _ in USAGE_ERRORS]
+    )
 
 
 class TestLightCommands:
@@ -233,6 +240,19 @@ def test_light_layer_imports_only_itself_and_the_standard_library():
     assert {m for m in mods if m.startswith("repro")} == set(LIGHT_MODULES) | packages
 
 
+#: A plain two-iteration run, asked what a serial run and what a run
+#: with no tool flag loads.
+PLAIN = ("app", "--app", "heat3d", "--ranks", "8", "--iterations", "2")
+
+
+@pytest.fixture(scope="module")
+def plain_runs() -> dict[tuple[str, ...], tuple[int, str, str, set[str]]]:
+    """``PLAIN``, then ``PLAIN --no-cache``, in one fresh interpreter:
+    the first call's modules are its own, and the second loads no more
+    than both together."""
+    return xsim_shared([list(PLAIN), [*PLAIN, "--no-cache"]])
+
+
 class TestRuns:
     def test_cold_app_loads_no_tool_and_warm_app_no_runtime(self, tmp_path):
         argv = ["app", "--scenario", EXAMPLE, "--digest",
@@ -271,20 +291,18 @@ class TestRuns:
         table = lambda text: [l.rpartition("|")[0] for l in text.splitlines()[3:-1]]  # noqa: E731
         assert table(cold) == table(warm) and len(table(warm)) == 6
 
-    def test_shard_engine_loads_only_when_sharded(self):
-        base = ["app", "--app", "heat3d", "--ranks", "8", "--iterations", "2"]
-        rc, _, _, mods = xsim(*base)
+    def test_shard_engine_loads_only_when_sharded(self, plain_runs):
+        rc, _, _, mods = plain_runs[PLAIN]
         assert rc == 0 and loaded(mods, TOOLS + SHARD_ENGINE) == []
-        rc, _, _, mods = xsim(*base, "--shards", "2", "--shard-transport", "inline")
+        rc, _, _, mods = xsim(*PLAIN, "--shards", "2", "--shard-transport", "inline")
         # (the shard engine itself imports multiprocessing for its workers)
         assert rc == 0 and loaded(mods, TOOLS) in ([], ["multiprocessing"])
         assert loaded(mods, ("repro.pdes.sharded",)) == ["repro.pdes.sharded"]
 
-    def test_checker_tracer_and_observer_load_only_when_asked(self, tmp_path):
+    def test_checker_tracer_and_observer_load_only_when_asked(self, tmp_path, plain_runs):
         """A plain run (``XSIM_CACHE`` unset) loads no tool, no power
         model and, like ``--no-cache``, no cache store; ``--cache`` loads
         the store and ``sqlite3``."""
-        base = ["app", "--app", "heat3d", "--ranks", "8", "--iterations", "2"]
         tools = ("repro.check.sanitizer", "repro.check.trace", "repro.obs",
                  "repro.core.faults.softerror", "repro.models.power",
                  "repro.cache.store", "sqlite3")
@@ -297,7 +315,7 @@ class TestRuns:
             (["--record-trace", str(tmp_path / "run.trace")], ["repro.check.trace"]),
             (["--trace-out", str(tmp_path / "run.json")], ["repro.obs"]),
         ]:
-            rc, _, _, mods = xsim(*base, *extra)
+            rc, _, _, mods = plain_runs.get((*PLAIN, *extra)) or xsim(*PLAIN, *extra)
             assert rc == 0 and loaded(mods, tools) == wanted, extra
 
 
@@ -306,15 +324,148 @@ def source_bytes(modules: set[str]) -> int:
     return sum(os.path.getsize(path) for name, path in _source_modules().items() if name in modules)
 
 
-def in_fresh_interpreter(code: str) -> dict:
-    """The JSON value ``code`` prints last, run with a clean environment
-    (``XSIM_CHECK`` stays: the sanitized CI subset runs these too)."""
+_IN_ONE_INTERPRETER = """
+import json, sys
+results = {}
+for name, body in json.loads(sys.argv[1]).items():
+    scope = {}
+    exec(body, scope)
+    results[name] = scope["got"]
+print(json.dumps(results))
+"""
+
+
+def in_one_interpreter(bodies: dict[str, str]) -> dict:
+    """Each body run one after another in one fresh interpreter with a
+    clean environment (``XSIM_CHECK`` stays: the sanitized CI subset runs
+    these too): name -> the JSON value of the ``got`` it assigns."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("XSIM_") or k == "XSIM_CHECK"}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={**env, "PYTHONPATH": SRC},
-        capture_output=True, text=True, check=True, timeout=120,
+        [sys.executable, "-c", _IN_ONE_INTERPRETER, json.dumps(bodies)],
+        env={**env, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True, timeout=120,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+#: What every body below starts from.
+_PRELUDE = (
+    "import json, sys\n"
+    "from repro.run import Scenario, run_scenario\n"
+    "from repro.util.lazy import is_array\n"
+    "loaded = lambda: 'numpy' in sys.modules\n"
+)
+SIZE_ONLY = _PRELUDE + (
+    "out = {'is_array': [is_array([1.0]), is_array(b'\\0' * 8), is_array(None)]}\n"
+    "for app in ('heat3d', 'cg'):\n"
+    "    run_scenario(Scenario(app=app, ranks=64, iterations=40, interval=20), cache=False)\n"
+    "    out[app] = loaded()\n"
+    "run_scenario(Scenario(ranks=64, iterations=40, interval=20, shards=2,\n"
+    "                      shard_transport='inline'), cache=False)\n"
+    "out['inline shards'] = loaded()\n"
+    "got = out"
+)
+REAL_DATA = _PRELUDE + (
+    "from repro.apps.heat3d import HeatConfig, heat3d\n"
+    "from repro.core.harness.config import SystemConfig\n"
+    "from repro.core.harness.digest import result_digest\n"
+    "from repro.core.simulator import XSim\n"
+    "cfg = HeatConfig(grid=(8, 8, 8), ranks=(2, 2, 2), iterations=6,\n"
+    "                 checkpoint_interval=3, exchange_interval=1, data_mode='real')\n"
+    "sim = XSim(SystemConfig.small_test_system(nranks=8))\n"
+    "before = loaded()\n"
+    "res = sim.run(heat3d, args=(cfg, None))\n"
+    "total = sum(s.checksum for s in res.exit_values.values())\n"
+    "import numpy\n"
+    "got = [before, loaded(), result_digest(res), total.hex(),\n"
+    "       is_array(numpy.array(2.5)), is_array([2.5])]"
+)
+FAILURE_DRAW = _PRELUDE + (
+    "scenario = Scenario(ranks=64, mttf=3000.0, interval=250, seed=1)\n"
+    "before = loaded()\n"
+    "summary = run_scenario(scenario, cache=False).summary()\n"
+    "got = [before, loaded(), summary['result_digest'],\n"
+    "       summary['failures'], summary['e2'].hex()]"
+)
+BIT_FLIP = _PRELUDE + (
+    "from repro.models.memory import MemoryTracker, RegionKind\n"
+    "from repro.util.rng import RngStreams\n"
+    "memory = MemoryTracker()\n"
+    "memory.allocate(0, 'grid', 4096, RegionKind.DATA)\n"
+    "streams = RngStreams(7)\n"
+    "before = loaded()\n"
+    "flip = memory.flip_random_bit(0, streams.get('soft-errors'))\n"
+    "got = [before, loaded(), flip.region, flip.byte_offset, flip.bit]"
+)
+# The stream hands its state to numpy mid-word (an integers draw left the
+# high half of a 64-bit word) and draws on as numpy.
+SOFT_ERRORS = _PRELUDE + (
+    "import zlib\n"
+    "from repro.core.harness.config import SystemConfig\n"
+    "from repro.core.simulator import XSim\n"
+    "injector = XSim(SystemConfig.small_test_system(nranks=4), seed=3).soft_errors\n"
+    "first = injector.rng.integers(0, 1000)\n"
+    "before = loaded()\n"
+    "count = injector.schedule_poisson(0.5, 10.0, ranks=[0, 1, 2, 3])\n"
+    "after = loaded()\n"
+    "import numpy as np\n"
+    "ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(\n"
+    "    3, spawn_key=(zlib.crc32(b'soft-errors'),))))\n"
+    "want = [int(ref.integers(0, 1000)), 0]\n"
+    "for _ in range(4):\n"
+    "    t = ref.exponential(2.0)\n"
+    "    while t < 10.0:\n"
+    "        want[1] += 1\n"
+    "        t += ref.exponential(2.0)\n"
+    "tail = [int(injector.rng.integers(0, 1000)), float(injector.rng.random())]\n"
+    "got = [before, after, count > 0, [first, count] == want,\n"
+    "       tail == [int(ref.integers(0, 1000)), ref.random()]]"
+)
+
+
+def campaign_cold_and_warm(cache_dir: str) -> str:
+    return _PRELUDE + (
+        "from repro.cache import ResultCache\n"
+        "from repro.explore import ExploreSpec, run_explore, scorecard_json\n"
+        "from repro.util.rng import Stream\n"
+        "Stream(2**1000 + 1, (1,)).random()  # a seed past the precomputed constants\n"
+        "spec = ExploreSpec(scenario=Scenario(ranks=8, app='heat3d', iterations=10),\n"
+        "                   rank_bins=2, time_bins=2, min_samples=2, batch=6, max_cells=24, seed=11)\n"
+        "cards = []\n"
+        "for _ in range(2):\n"
+        f"    store = ResultCache({cache_dir!r})\n"
+        "    result = run_explore(spec, cache=store)\n"
+        "    store.close()\n"
+        "    cards.append([result.cache_hits, scorecard_json(result)])\n"
+        "got = [loaded(), cards[0][0], cards[1][0], cards[0][1] == cards[1][1]]"
+    )
+
+
+@pytest.fixture(scope="module")
+def numpy_free(tmp_path_factory) -> dict:
+    """The bodies that must load no numpy, in one fresh interpreter: each
+    holds its boundary at least as strictly as in one of its own."""
+    cache_dir = str(tmp_path_factory.mktemp("campaign") / "cache")
+    return in_one_interpreter({
+        "size-only": SIZE_ONLY, "failure-draw": FAILURE_DRAW, "bit-flip": BIT_FLIP,
+        "campaign": campaign_cold_and_warm(cache_dir),
+    })
+
+
+NUMPY_PIN = "tests/test_import_layers.py::TestNumpyLoadsWithItsObjects"
+#: ``xsim-run`` draws that load no numpy, each with a line its stdout holds.
+CLI_DRAWS = {
+    "app-mttf": ("app", "--app", "heat3d", "--ranks", "64", "--iterations", "100",
+                 "--interval", "25", "--mttf", "300", "--no-cache"),
+    "table1": ("table1",),
+}
+CLI_APP_RUN = ("app", "--app", "heat3d", "--ranks", "64", "--no-cache")
+
+
+@pytest.fixture(scope="module")
+def numpy_free_commands() -> dict[tuple[str, ...], tuple[int, str, str, set[str]]]:
+    """A fault-free run first (whose simulator modules are its own), then
+    each draw, in one fresh interpreter."""
+    return xsim_shared([list(CLI_APP_RUN), *map(list, CLI_DRAWS.values())])
 
 
 class TestNumpyLoadsWithItsObjects:
@@ -323,144 +474,54 @@ class TestNumpyLoadsWithItsObjects:
     pure-Python port, never by a size-only simulation nor by a failure
     or bit-flip draw — 16 MB and 0.1 s a process."""
 
-    _PRELUDE = (
-        "import json, sys\n"
-        "from repro.run import Scenario, run_scenario\n"
-        "from repro.util.lazy import is_array\n"
-        "loaded = lambda: 'numpy' in sys.modules\n"
-    )
-
-    def test_size_only_runs_never_load_it(self):
-        got = in_fresh_interpreter(
-            self._PRELUDE
-            + "out = {'is_array': [is_array([1.0]), is_array(b'\\0' * 8), is_array(None)]}\n"
-            "for app in ('heat3d', 'cg'):\n"
-            "    run_scenario(Scenario(app=app, ranks=64, iterations=40, interval=20), cache=False)\n"
-            "    out[app] = loaded()\n"
-            "run_scenario(Scenario(ranks=64, iterations=40, interval=20, shards=2,\n"
-            "                      shard_transport='inline'), cache=False)\n"
-            "out['inline shards'] = loaded()\n"
-            "print(json.dumps(out))"
-        )
-        assert got == {
+    def test_size_only_runs_never_load_it(self, numpy_free):
+        assert numpy_free["size-only"] == {
             "is_array": [False, False, False], "heat3d": False, "cg": False,
             "inline shards": False,
         }
 
-    def test_cli_app_run_never_loads_it(self):
-        rc, out, _, mods = xsim("app", "--app", "heat3d", "--ranks", "64", "--no-cache")
+    def test_cli_app_run_never_loads_it(self, numpy_free_commands):
+        rc, out, _, mods = numpy_free_commands[CLI_APP_RUN]
         assert rc == 0 and "E1=" in out
         assert loaded(mods, ("repro.pdes.engine", "repro.mpi.world")) != []
         assert loaded(mods, ("numpy",)) == []
 
     def test_real_data_loads_it_and_computes_what_it_computed(self):
-        got = in_fresh_interpreter(
-            self._PRELUDE
-            + "from repro.apps.heat3d import HeatConfig, heat3d\n"
-            "from repro.core.harness.config import SystemConfig\n"
-            "from repro.core.harness.digest import result_digest\n"
-            "from repro.core.simulator import XSim\n"
-            "cfg = HeatConfig(grid=(8, 8, 8), ranks=(2, 2, 2), iterations=6,\n"
-            "                 checkpoint_interval=3, exchange_interval=1, data_mode='real')\n"
-            "sim = XSim(SystemConfig.small_test_system(nranks=8))\n"
-            "before = loaded()\n"
-            "res = sim.run(heat3d, args=(cfg, None))\n"
-            "total = sum(s.checksum for s in res.exit_values.values())\n"
-            "import numpy\n"
-            "print(json.dumps([before, loaded(), result_digest(res), total.hex(),\n"
-            "                  is_array(numpy.array(2.5)), is_array([2.5])]))"
-        )
+        got = in_one_interpreter({"real-data": REAL_DATA})["real-data"]
+        want = pin(f"{NUMPY_PIN}::test_real_data_loads_it_and_computes_what_it_computed")
         assert got == [
             False, True,
-            "88b11730d81119501b9a73381d011814dceba5601e1815206f2ce30c37f986b2",
-            "0x1.c92a8e772ba17p+6", True, False,
+            want["result_digest"],
+            want["checksum"], True, False,
         ]
 
-    def test_a_failure_draw_loads_none_and_draws_what_it_drew(self):
-        got = in_fresh_interpreter(
-            self._PRELUDE
-            + "scenario = Scenario(ranks=64, mttf=3000.0, interval=250, seed=1)\n"
-            "before = loaded()\n"
-            "summary = run_scenario(scenario, cache=False).summary()\n"
-            "print(json.dumps([before, loaded(), summary['result_digest'],\n"
-            "                  summary['failures'], summary['e2'].hex()]))"
-        )
+    def test_a_failure_draw_loads_none_and_draws_what_it_drew(self, numpy_free):
+        got = numpy_free["failure-draw"]
+        want = pin(f"{NUMPY_PIN}::test_a_failure_draw_loads_none_and_draws_what_it_drew")
         assert got == [
             False, False,
-            "5f8eec33f8ee52d7afc1ea2beeae5e004d97edd47fbffce53487b9bda46eec4a",
-            1, (6555.399207999898).hex(),
+            want["result_digest"],
+            want["failures"], want["e2"].hex(),
         ]
 
-    def test_a_bit_flip_loads_none(self):
-        got = in_fresh_interpreter(
-            self._PRELUDE
-            + "from repro.models.memory import MemoryTracker, RegionKind\n"
-            "from repro.util.rng import RngStreams\n"
-            "memory = MemoryTracker()\n"
-            "memory.allocate(0, 'grid', 4096, RegionKind.DATA)\n"
-            "streams = RngStreams(7)\n"
-            "before = loaded()\n"
-            "flip = memory.flip_random_bit(0, streams.get('soft-errors'))\n"
-            "print(json.dumps([before, loaded(), flip.region, flip.byte_offset, flip.bit]))"
-        )
-        assert got == [False, False, "grid", 1024, 0]
+    def test_a_bit_flip_loads_none(self, numpy_free):
+        assert numpy_free["bit-flip"] == [False, False, "grid", 1024, 0]
 
     def test_a_soft_error_run_loads_it_at_its_first_exponential_draw(self):
-        # The stream hands its state to numpy mid-word (an integers draw
-        # left the high half of a 64-bit word) and draws on as numpy.
-        got = in_fresh_interpreter(
-            self._PRELUDE
-            + "import zlib\n"
-            "from repro.core.harness.config import SystemConfig\n"
-            "from repro.core.simulator import XSim\n"
-            "injector = XSim(SystemConfig.small_test_system(nranks=4), seed=3).soft_errors\n"
-            "first = injector.rng.integers(0, 1000)\n"
-            "before = loaded()\n"
-            "count = injector.schedule_poisson(0.5, 10.0, ranks=[0, 1, 2, 3])\n"
-            "after = loaded()\n"
-            "import numpy as np\n"
-            "ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(\n"
-            "    3, spawn_key=(zlib.crc32(b'soft-errors'),))))\n"
-            "want = [int(ref.integers(0, 1000)), 0]\n"
-            "for _ in range(4):\n"
-            "    t = ref.exponential(2.0)\n"
-            "    while t < 10.0:\n"
-            "        want[1] += 1\n"
-            "        t += ref.exponential(2.0)\n"
-            "tail = [int(injector.rng.integers(0, 1000)), float(injector.rng.random())]\n"
-            "print(json.dumps([before, after, count > 0, [first, count] == want,\n"
-            "                  tail == [int(ref.integers(0, 1000)), ref.random()]]))"
-        )
+        got = in_one_interpreter({"soft-errors": SOFT_ERRORS})["soft-errors"]
         assert got == [False, True, True, True, True]
 
-    def test_a_campaign_cold_and_warm_loads_none(self, tmp_path):
-        got = in_fresh_interpreter(
-            self._PRELUDE
-            + "from repro.cache import ResultCache\n"
-            "from repro.explore import ExploreSpec, run_explore, scorecard_json\n"
-            "from repro.util.rng import Stream\n"
-            "Stream(2**1000 + 1, (1,)).random()  # a seed past the precomputed constants\n"
-            "spec = ExploreSpec(scenario=Scenario(ranks=8, app='heat3d', iterations=10),\n"
-            "                   rank_bins=2, time_bins=2, min_samples=2, batch=6, max_cells=24, seed=11)\n"
-            "cards = []\n"
-            "for _ in range(2):\n"
-            f"    store = ResultCache({str(tmp_path / 'cache')!r})\n"
-            "    result = run_explore(spec, cache=store)\n"
-            "    store.close()\n"
-            "    cards.append([result.cache_hits, scorecard_json(result)])\n"
-            "print(json.dumps([loaded(), cards[0][0], cards[1][0], cards[0][1] == cards[1][1]]))"
-        )
-        assert got == [False, 0, 25, True]
+    def test_a_campaign_cold_and_warm_loads_none(self, numpy_free):
+        assert numpy_free["campaign"] == [False, 0, 25, True]
 
-    @pytest.mark.parametrize("argv, line", [
-        pytest.param(("app", "--app", "heat3d", "--ranks", "64", "--iterations", "100",
-                      "--interval", "25", "--mttf", "300", "--no-cache"),
-                     "E2=798.3s failures=2 restarts=2 MTTF_a=266.1s", id="app-mttf"),
-        pytest.param(("table1",), "Median     | 17.5  | # of injections to victim failure",
+    @pytest.mark.parametrize("draw, line", [
+        pytest.param("app-mttf", pin(f"{NUMPY_PIN}::test_a_cli_draw_loads_none[app-mttf]"),
+                     id="app-mttf"),
+        pytest.param("table1", "Median     | 17.5  | # of injections to victim failure",
                      id="table1"),
     ])
-    def test_a_cli_draw_loads_none(self, argv, line):
-        rc, out, _, mods = xsim(*argv)
+    def test_a_cli_draw_loads_none(self, numpy_free_commands, draw, line):
+        rc, out, _, mods = numpy_free_commands[CLI_DRAWS[draw]]
         assert rc == 0 and line in out
         assert loaded(mods, ("numpy",)) == []
 
@@ -873,3 +934,26 @@ def test_the_oracle_reaches_none_of_the_simulator():
             frontier.extend(_static_imports(name, modules[name], modules, reexports))
     assert "repro.util.units" in reached  # the walk follows the oracle's imports
     assert loaded(reached, SIMULATOR) == []
+
+
+def _real_data_pin() -> dict:
+    got = in_one_interpreter({"real-data": REAL_DATA})["real-data"]
+    return {"result_digest": got[2], "checksum": got[3]}
+
+
+def _failure_draw_pin() -> dict:
+    got = in_one_interpreter({"failure-draw": FAILURE_DRAW})["failure-draw"]
+    return {"result_digest": got[2], "failures": got[3], "e2": float.fromhex(got[4])}
+
+
+def _cli_draw_pin() -> str:
+    _, out, _, _ = xsim(*CLI_DRAWS["app-mttf"])
+    return next(line for line in out.splitlines() if line.startswith("E2="))
+
+
+#: How ``tests/golden/repin.py`` recomputes each pin this file reads.
+REPIN = {
+    f"{NUMPY_PIN}::test_real_data_loads_it_and_computes_what_it_computed": _real_data_pin,
+    f"{NUMPY_PIN}::test_a_failure_draw_loads_none_and_draws_what_it_drew": _failure_draw_pin,
+    f"{NUMPY_PIN}::test_a_cli_draw_loads_none[app-mttf]": _cli_draw_pin,
+}

@@ -34,6 +34,7 @@ from repro.mpi.messages import Request
 from repro.obs import to_jsonl
 from repro.pdes.engine import Engine
 from repro.run import Scenario, run_scenario
+from tests.golden.repin import pin
 
 SRC = os.path.dirname(repro.__file__) + os.sep
 
@@ -357,39 +358,41 @@ def collective_mix(mpi):
     return total, word
 
 
-#: SHA-256 of ``to_jsonl(observer)``: (clean run, rank 5 failing at
-#: 0.5 ms — every collective killed by the abort).  Every ``detect``
-#: latency counts from the failure.
-EXPORTS = {
-    "linear": ("af0b66b0330833a992ee374bf6ae4f8235624dccdcadd0a113ffeb5f35aef9c4",
-               "f765035bc2a405d952e43c33a57ee04b36497a7314f063fd9654fcae2a8935ba"),
-    "tree": ("78dd15f3b67639540b02a47daadc9b3982f8a652b181946ac7ba7373e241bffb",
-             "84fd1df8f105483938a8b5bb25d97943bd6a430c4cbc88b58f7bdf13dc769cde"),
-}
+#: The pin of each algorithm: SHA-256 of ``to_jsonl(observer)`` for the
+#: clean run and for rank 5 failing at 0.5 ms (every collective killed by
+#: the abort; every ``detect`` latency counts from the failure).
+EXPORTS = "tests/test_message_cost.py::test_collective_spans_under_an_observer"
+ALGORITHMS = ("linear", "tree")
+FAILURE = (5, 0.0005)
 
 
-@pytest.mark.parametrize("algorithm", sorted(EXPORTS))
+def observed(algorithm, failure=None):
+    system = SystemConfig.paper_system(nranks=8, collective_algorithm=algorithm)
+    sim = XSim(system, observe=True)
+    if failure is not None:
+        sim.inject_failure(*failure)
+    return sim, sim.run(collective_mix)
+
+
+def export_sha(sim) -> str:
+    return hashlib.sha256(to_jsonl(sim.observer).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_collective_spans_under_an_observer(algorithm):
-    def observed(failure=None):
-        system = SystemConfig.paper_system(nranks=8, collective_algorithm=algorithm)
-        sim = XSim(system, observe=True)
-        if failure is not None:
-            sim.inject_failure(*failure)
-        return sim, sim.run(collective_mix)
-
-    sim, result = observed()
+    sim, result = observed(algorithm)
     assert result.exit_values[3] == (28, "w")
     spans = [(e.name, e.rank) for e in sim.observer.sim_events() if e.name.startswith("coll:")]
     expected = [("coll:barrier", r) for r in range(8)] * 2  # the app's and finalize's
     expected += [("coll:allreduce", r) for r in range(8)] + [("coll:bcast", r) for r in range(8)]
     assert sorted(spans) == sorted(expected)  # allreduce's inner bcast has no span of its own
-    clean_sha, aborted_sha = EXPORTS[algorithm]
-    assert hashlib.sha256(to_jsonl(sim.observer).encode()).hexdigest() == clean_sha
+    want = pin(f"{EXPORTS}[{algorithm}]")
+    assert export_sha(sim) == want["clean"]
 
-    sim, result = observed(failure=(5, 0.0005))
+    sim, result = observed(algorithm, failure=FAILURE)
     assert result.aborted
     assert not [e for e in sim.observer.sim_events() if e.name.startswith("coll:")]
-    assert hashlib.sha256(to_jsonl(sim.observer).encode()).hexdigest() == aborted_sha
+    assert export_sha(sim) == want["aborted"]
 
 
 # ----------------------------------------------------------------------
@@ -445,3 +448,12 @@ class TestTestAndWaitAgree:
         req = Request(Request.RECV, world.states[0].vp, world.world_comm, 2, 1, 0, 2, 0, 0.0)
         req.complete(0.0)
         assert list(world._finalize_request(req.vp, req)) == [world.recv_overhead_advance]
+
+
+def _exports_pin(algorithm: str) -> dict:
+    return {"clean": export_sha(observed(algorithm)[0]),
+            "aborted": export_sha(observed(algorithm, failure=FAILURE)[0])}
+
+
+#: How ``tests/golden/repin.py`` recomputes each pin this file reads.
+REPIN = {f"{EXPORTS}[{a}]": (lambda a=a: _exports_pin(a)) for a in ALGORITHMS}

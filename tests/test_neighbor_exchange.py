@@ -37,6 +37,7 @@ from repro.mpi.errhandler import ERRORS_RETURN, MpiError
 from repro.run import Scenario, run_scenario
 from repro.util.errors import ConfigurationError
 from tests.conftest import messages
+from tests.golden.repin import pin
 
 #: (axis, step) of each plan row; tags as the stencil apps assign them.
 FACES = ((0, -1), (0, +1), (1, -1), (1, +1), (2, -1), (2, +1))
@@ -536,20 +537,31 @@ class TestRealHeatFaces:
         assert total == pytest.approx(float(heat3d_serial_reference(cfg).sum()), rel=1e-12)
 
 
-#: ``ScenarioOutcome.digest()`` at the parent commit (PR 12).
+#: Scenarios whose event count and ``ScenarioOutcome.digest()`` are pinned.
 GOLDEN = {
-    "heat3d-64": (dict(ranks=64, iterations=1000, interval=250), 7483,
-                  "8a201c8843f3e3ea368b4cbdd384a4e9805e03b4e93bf8cf233d2dc995d8e449"),
-    "heat3d-512": (dict(ranks=512, iterations=1000, interval=500), 38121,
-                   "c02e4129f9e80c90785cc4559af09687b449c2a44cc56c75bb41d4f6dabf0fd3"),
-    "cg": (dict(ranks=64, app="cg", iterations=32, interval=16), 64453,
-           "7b015ad44d3eb9796020864010b80e369b8d5668101fcc109247456f1f833d50"),
+    "heat3d-64": dict(ranks=64, iterations=1000, interval=250),
+    "heat3d-512": dict(ranks=512, iterations=1000, interval=500),
+    "cg": dict(ranks=64, app="cg", iterations=32, interval=16),
 }
+GOLDEN_PIN = "tests/test_neighbor_exchange.py::test_result_digests_equal_the_parent_commit"
+
+
+def golden_outcome(name: str):
+    return run_scenario(Scenario(**GOLDEN[name]), cache=False)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_result_digests_equal_the_parent_commit(name):
-    fields, events, digest = GOLDEN[name]
-    outcome = run_scenario(Scenario(**fields), cache=False)
+    events, digest = pin(f"{GOLDEN_PIN}[{name}]")
+    outcome = golden_outcome(name)
     assert outcome.result.event_count == events
     assert outcome.digest() == digest
+
+
+def _golden_pin(name: str) -> list:
+    outcome = golden_outcome(name)
+    return [outcome.result.event_count, outcome.digest()]
+
+
+#: How ``tests/golden/repin.py`` recomputes each pin this file reads.
+REPIN = {f"{GOLDEN_PIN}[{name}]": (lambda name=name: _golden_pin(name)) for name in GOLDEN}

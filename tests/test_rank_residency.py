@@ -52,6 +52,7 @@ from repro.pdes.context import EMPTY_MAP, VpState
 from repro.pdes.engine import Engine
 from repro.run import Scenario, run_scenario
 from repro.util.errors import ConfigurationError
+from tests.golden.repin import pin
 
 RENDEZVOUS = 300_000
 
@@ -510,13 +511,15 @@ class TestOneCheckpointFrame:
 #: 64 ranks, C = 125, MTTF 1,500 s, seed 1: five failures, six segments
 #: (three with ckpt-multilevel).  At the parent up to 3 earlier worlds
 #: were alive at a launch, 5 under the sanitizer or an observer, 4 on two
-#: inline shards.
-RESTART_DIGESTS = {
-    "ckpt": "f88cc6d2ab87d926bccc850db01c5c1bab21ec4e651fc1ff80bec6066c28231f",
-    "ckpt-multilevel": "f453542b2573f5edd96dcdca6345a26d4ed415f69fd41698faa2c2955e2a2e6a",
-    "check": "f88cc6d2ab87d926bccc850db01c5c1bab21ec4e651fc1ff80bec6066c28231f",
-    "observe": "f88cc6d2ab87d926bccc850db01c5c1bab21ec4e651fc1ff80bec6066c28231f",
-    "inline-shards": "f88cc6d2ab87d926bccc850db01c5c1bab21ec4e651fc1ff80bec6066c28231f",
+#: inline shards.  Each case's result digest is its strategy's pin: the
+#: checker, the observer and the shards change none.
+RESTART_PIN = "tests/test_rank_residency.py::test_no_earlier_world_is_alive_when_a_segment_launches"
+RESTART_DIGESTS = {  # case -> the key of its digest
+    "ckpt": f"{RESTART_PIN}[ckpt]",
+    "ckpt-multilevel": f"{RESTART_PIN}[ckpt-multilevel]",
+    "check": f"{RESTART_PIN}[ckpt]",
+    "observe": f"{RESTART_PIN}[ckpt]",
+    "inline-shards": f"{RESTART_PIN}[ckpt]",
 }
 RESTART_FIELDS = {
     "ckpt": {},
@@ -525,6 +528,11 @@ RESTART_FIELDS = {
     "observe": dict(observe=True),
     "inline-shards": dict(shards=2, shard_transport="inline"),
 }
+
+
+def restart_digest(case: str) -> str:
+    scenario = Scenario(ranks=64, interval=125, mttf=1500.0, seed=1, **RESTART_FIELDS[case])
+    return run_scenario(scenario, cache=False).summary()["result_digest"]
 
 
 @pytest.mark.parametrize("case", sorted(RESTART_DIGESTS))
@@ -544,8 +552,11 @@ def test_no_earlier_world_is_alive_when_a_segment_launches(monkeypatch, case):
 
     monkeypatch.setattr(MpiWorld, "launch", launching)
     monkeypatch.setattr(XSim, "run", segment)
-    scenario = Scenario(ranks=64, interval=125, mttf=1500.0, seed=1, **RESTART_FIELDS[case])
-    summary = run_scenario(scenario, cache=False).summary()
-    assert summary["result_digest"] == RESTART_DIGESTS[case]
+    assert restart_digest(case) == pin(RESTART_DIGESTS[case])
     assert len(alive_at_launch) > 3
     assert alive_at_launch == [0] * len(alive_at_launch)
+
+
+#: How ``tests/golden/repin.py`` recomputes each pin this file reads.
+REPIN = {RESTART_DIGESTS[case]: (lambda case=case: restart_digest(case))
+         for case in ("ckpt", "ckpt-multilevel")}

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
+import random
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -25,6 +28,7 @@ from repro.run import (
 from repro.run.envvars import read_environment
 from repro.run.scenario import BACKEND_TRANSPORTS
 from repro.util.errors import ConfigurationError
+from tests.golden.repin import pin
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -129,6 +133,57 @@ class TestResolutionPrecedence:
 # ----------------------------------------------------------------------
 # serialization & digest
 # ----------------------------------------------------------------------
+GOLDEN_DIGESTS = "tests/test_scenario.py::TestSerialization::test_golden_digests"
+RANDOM_DIGESTS = "tests/test_scenario.py::TestSerialization::test_random_scenarios_keep_their_digests_and_keys"
+#: The execution fields a normalized scenario (a cache key's) resets.
+EXECUTION = dict(shards=1, shard_transport=None, trace_out="")
+
+
+def busy_scenario() -> Scenario:
+    """A scenario with every field away from its default."""
+    return Scenario(
+        ranks=125, topology="mesh", dims=(5, 5, 5), app="cg", iterations=40,
+        interval=7, failures="3@50s,straggler:2@50s+10s*2.0", mttf=3000,
+        strategy="ckpt-multilevel", strategy_params={"k": 4}, seed=11,
+        shards=2, shard_transport="inline", check=True,
+        trace_out="/tmp/t.json", slowdown=2,
+    )
+
+
+def random_scenarios() -> list[Scenario]:
+    """400 scenarios drawn from a fixed seed."""
+    rng = random.Random(49)
+    scenarios = []
+    for _ in range(400):
+        shards = rng.choice([1, 1, 2, 4])
+        scenarios.append(Scenario(
+            ranks=rng.choice([8, 16, 27, 64, 125]),
+            topology=rng.choice(["torus", "mesh", "fattree"]),
+            latency=rng.choice(["1us", "500ns", "2us"]),
+            bandwidth=rng.choice(["32GB/s", "10GB/s"]),
+            slowdown=rng.choice([1000.0, 1.0, 2.5]),
+            collectives=rng.choice(["linear", "tree"]),
+            app=rng.choice(["heat3d", "cg"]),
+            iterations=rng.randint(1, 2000),
+            interval=rng.randint(1, 500),
+            failures=rng.choice(["", "3@50s", "1@5s,2@9s"]),
+            mttf=rng.choice([None, 3000.0, 125.5]),
+            strategy=rng.choice(["ckpt", "none", "ckpt-multilevel"]),
+            seed=rng.randint(0, 2**31),
+            shards=shards,
+            shard_transport=rng.choice([None, "inline", "shm"]) if shards > 1 else None,
+            check=rng.choice([None, True, False]),
+            observe=rng.choice([True, False]),
+            trace_detail=rng.choice([True, False]),
+            trace_out=rng.choice(["", "t.json"]),
+        ))
+    return scenarios
+
+
+def hashed(values) -> str:
+    return hashlib.sha256("".join(f"{v}\n" for v in values).encode()).hexdigest()
+
+
 class TestSerialization:
     def test_toml_round_trip(self):
         s = tiny(
@@ -157,23 +212,15 @@ class TestSerialization:
         digest still hashes the line ``engine='heap'`` in its place (and
         ``jobs=1`` where the worker count was a field; ``busy``'s value
         is the one it had at ``jobs=1``)."""
-        busy = Scenario(
-            ranks=125, topology="mesh", dims=(5, 5, 5), app="cg", iterations=40,
-            interval=7, failures="3@50s,straggler:2@50s+10s*2.0", mttf=3000,
-            strategy="ckpt-multilevel", strategy_params={"k": 4}, seed=11,
-            shards=2, shard_transport="inline", check=True,
-            trace_out="/tmp/t.json", slowdown=2,
-        )
-        golden = "d9dea4ff92f1f07d39b861d21e13e87ca65bbadef8e9aeeea080b3d1eaa668bd"
-        normalized = "48a68f82e48ba36d888bfa1b69cb29e5f6c50d9115afd2182f7954a535f7ea4d"
-        assert Scenario().scenario_digest() == (
-            "9aa39df03a7b3fd126e166c6062f1ab2f158e496e2eab80f37a591406e6718c4"
-        )
+        busy = busy_scenario()
+        want = pin(GOLDEN_DIGESTS)
+        golden = want["busy"]
+        normalized = want["normalized"]
+        assert Scenario().scenario_digest() == want["default"]
         assert busy.scenario_digest() == golden
         assert busy.scenario_digest() == golden  # second read: the kept value
-        execution = dict(shards=1, shard_transport=None, trace_out="")
-        assert busy.digest_with(**execution) == normalized
-        assert busy.with_(**execution).scenario_digest() == normalized
+        assert busy.digest_with(**EXECUTION) == normalized
+        assert busy.with_(**EXECUTION).scenario_digest() == normalized
         # the kept digest is not a field: ==, repr, to_dict, TOML never see it
         fresh = busy.with_()
         assert fresh == busy and repr(fresh) == repr(busy)
@@ -200,50 +247,14 @@ class TestSerialization:
         the cache keys of cache schema 5 with that schema in the salt (the
         schema is in every key's salt): every pinned scorecard still
         matches.  Under schema 6 they hash to keys of their own."""
-        import hashlib
-        import random
-
         from repro.cache.store import cache_key
 
-        rng = random.Random(49)
-        scenarios = []
-        for _ in range(400):
-            shards = rng.choice([1, 1, 2, 4])
-            scenarios.append(Scenario(
-                ranks=rng.choice([8, 16, 27, 64, 125]),
-                topology=rng.choice(["torus", "mesh", "fattree"]),
-                latency=rng.choice(["1us", "500ns", "2us"]),
-                bandwidth=rng.choice(["32GB/s", "10GB/s"]),
-                slowdown=rng.choice([1000.0, 1.0, 2.5]),
-                collectives=rng.choice(["linear", "tree"]),
-                app=rng.choice(["heat3d", "cg"]),
-                iterations=rng.randint(1, 2000),
-                interval=rng.randint(1, 500),
-                failures=rng.choice(["", "3@50s", "1@5s,2@9s"]),
-                mttf=rng.choice([None, 3000.0, 125.5]),
-                strategy=rng.choice(["ckpt", "none", "ckpt-multilevel"]),
-                seed=rng.randint(0, 2**31),
-                shards=shards,
-                shard_transport=rng.choice([None, "inline", "shm"]) if shards > 1 else None,
-                check=rng.choice([None, True, False]),
-                observe=rng.choice([True, False]),
-                trace_detail=rng.choice([True, False]),
-                trace_out=rng.choice(["", "t.json"]),
-            ))
-
-        def hashed(values):
-            return hashlib.sha256("".join(f"{v}\n" for v in values).encode()).hexdigest()
-
-        assert hashed(s.scenario_digest() for s in scenarios) == (
-            "226b4e00c9b52379b0c28a56fea9925adba62a5dd5702ceb848d28eecaa1dc07"
-        )
-        assert hashed(cache_key(s) for s in scenarios) == (
-            "b3fada73e1b3a1161547fcfa3c14e7dc63c703f7f9109bcc445ebb728da2eb3f"
-        )
+        scenarios = random_scenarios()
+        want = pin(RANDOM_DIGESTS)
+        assert hashed(s.scenario_digest() for s in scenarios) == want["digests"]
+        assert hashed(cache_key(s) for s in scenarios) == want["keys"]
         monkeypatch.setattr("repro.cache.store.CACHE_SCHEMA_VERSION", 5)
-        assert hashed(cache_key(s) for s in scenarios) == (
-            "e69ac55b9c5ec7f411cdc1c5c36ca8ddf0522531ea0205b1cb4a4ec3a7887acf"
-        )
+        assert hashed(cache_key(s) for s in scenarios) == want["keys_schema_5"]
 
     def test_stand_ins_that_change_nothing_return_the_kept_digest(self, monkeypatch):
         """A scenario already in normal form is hashed once for its cache
@@ -823,3 +834,24 @@ class TestEnvVarDocs:
 
         names = {f.name for f in fields(Scenario)}
         assert {v.field for v in XSIM_ENV_VARS.values()} <= names
+
+
+def _golden_digests_pin() -> dict:
+    busy = busy_scenario()
+    return {"default": Scenario().scenario_digest(), "busy": busy.scenario_digest(),
+            "normalized": busy.digest_with(**EXECUTION)}
+
+
+def _random_digests_pin() -> dict:
+    from repro.cache.store import cache_key
+
+    scenarios = random_scenarios()
+    want = {"digests": hashed(s.scenario_digest() for s in scenarios),
+            "keys": hashed(cache_key(s) for s in scenarios)}
+    with mock.patch("repro.cache.store.CACHE_SCHEMA_VERSION", 5):
+        want["keys_schema_5"] = hashed(cache_key(s) for s in scenarios)
+    return want
+
+
+#: How ``tests/golden/repin.py`` recomputes each pin this file reads.
+REPIN = {GOLDEN_DIGESTS: _golden_digests_pin, RANDOM_DIGESTS: _random_digests_pin}

@@ -43,7 +43,9 @@ from repro.pdes.sharded import (
     partition_ranks,
 )
 from repro.pdes.shmring import RingPeerDead, ShmRing, pack_envelope, unpack_envelope
+from repro.run import Scenario, run_scenario
 from repro.util.errors import ConfigurationError, ShardWorkerDied
+from tests.golden.repin import pin
 
 NRANKS = 16
 ITERATIONS = 12
@@ -279,6 +281,11 @@ class TestLookaheadMatrix:
         assert result_digest(res) == serial_digests[False]
 
 
+CANARY_PIN = "tests/test_sharded.py::TestShmRing::test_ledger_canary_completes_with_the_serial_digest"
+CANARY = Scenario(ranks=12**3, iterations=1000, interval=500, collectives="linear",
+                  shards=2, shard_transport="shm")
+
+
 class TestShmRing:
     """The SPSC shared-memory ring and the packed envelope codec."""
 
@@ -365,13 +372,9 @@ class TestShmRing:
         """The scenario the ledger counts ``pdes.shmring.canary_fail_share``
         on: linear collectives at 1,728 ranks push enough envelopes
         through the rings that the packed counters died in 7 runs of 8."""
-        from repro.run import Scenario, run_scenario
-
         before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-        scenario = Scenario(ranks=12**3, iterations=1000, interval=500, collectives="linear",
-                            shards=2, shard_transport="shm")
-        outcome = run_scenario(scenario, cache=False)
-        assert outcome.summary()["result_digest"].startswith("80cfdd5c11853f8c")
+        outcome = run_scenario(CANARY, cache=False)
+        assert outcome.summary()["result_digest"].startswith(pin(CANARY_PIN))
         assert outcome.metadata["shard_transport"] == "shm"
         assert not outcome.metadata.get("transport_fallback")
         if os.path.isdir("/dev/shm"):
@@ -697,3 +700,10 @@ class TestCappedShards:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert cli.capped_shards(4, jobs=2, transport="shm") == 4
         assert capsys.readouterr().err == ""
+
+
+#: How ``tests/golden/repin.py`` recomputes each pin this file reads: 16
+#: hex of the canary's digest from the serial run, which the shm run must
+#: reproduce.
+REPIN = {CANARY_PIN: lambda: run_scenario(
+    CANARY.with_(shards=1, shard_transport=None), cache=False).summary()["result_digest"][:16]}
